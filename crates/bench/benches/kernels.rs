@@ -1,10 +1,12 @@
 //! Criterion benchmarks of the kernel compiler: interpreted gate-by-gate
-//! application vs compiled fused-kernel programs, and the compile +
+//! application vs compiled fused-kernel programs, the exact readout of an
+//! all-measured circuit against the branching oracle, and the compile +
 //! structural-hash cache cost itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrcc_circuit::generators;
 use qrcc_circuit::Circuit;
+use qrcc_sim::branching;
 use qrcc_sim::compile::{FramedProgram, KernelCache};
 use qrcc_sim::StateVector;
 
@@ -52,6 +54,24 @@ fn bench_qft_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The exact classical distribution of an all-measured VQE layer: every
+/// measure is terminal, so the compiled readout is one sweep where the
+/// interpreted oracle builds `2^n` branch states.
+fn bench_terminal_readout(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_readout");
+    group.sample_size(10);
+    let mut circuit = generators::vqe_two_local(12, 1, 13);
+    circuit.measure_all();
+    group.bench_function("oracle_vqe_12", |b| {
+        b.iter(|| branching::classical_distribution(&circuit).unwrap());
+    });
+    let program = FramedProgram::compile(&circuit);
+    group.bench_function("compiled_vqe_12", |b| {
+        b.iter(|| program.classical_distribution().unwrap());
+    });
+    group.finish();
+}
+
 fn bench_cache_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_cache");
     group.sample_size(10);
@@ -67,5 +87,11 @@ fn bench_cache_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_compiled_vs_interpreted, bench_qft_kernels, bench_cache_lookup);
+criterion_group!(
+    benches,
+    bench_compiled_vs_interpreted,
+    bench_qft_kernels,
+    bench_terminal_readout,
+    bench_cache_lookup
+);
 criterion_main!(benches);

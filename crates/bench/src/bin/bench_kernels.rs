@@ -1,18 +1,22 @@
 //! Kernel-compiler benchmark: interpreted vs compiled wall-clock per gate
 //! family and per benchmark circuit family, with the compiler's fusion and
-//! specialization coverage. Writes `BENCH_kernels.json` in the working
-//! directory.
+//! specialization coverage, plus a `readout.*` group timing the exact
+//! classical distribution `ExactBackend` actually asks for — compiled
+//! readout (terminal measures never branch) against the interpreted
+//! every-measure-branches oracle. Writes `BENCH_kernels.json` in the
+//! working directory.
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin bench_kernels [--smoke]`
 //!
 //! `--smoke` runs scaled-down sizes and exits non-zero unless the compiled
-//! path is at least as fast as the interpreter on the fusion-heavy family —
-//! the CI guard against compiled-path regressions. The full run records the
-//! numbers quoted in the README.
+//! path is at least as fast as the interpreter on the fusion-heavy family
+//! and on the all-terminal readout row — the CI guard against compiled-path
+//! regressions. The full run records the numbers quoted in the README.
 
 use qrcc_circuit::generators::{self, HamiltonianKind};
 use qrcc_circuit::Circuit;
 use qrcc_core::obs::{bench_json, MetricsSnapshot};
+use qrcc_sim::branching;
 use qrcc_sim::compile::FramedProgram;
 use qrcc_sim::StateVector;
 use std::time::Instant;
@@ -69,18 +73,42 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Measures one circuit: interpreted `StateVector::from_circuit` vs the
-/// compiled program's `run_unitary`, plus one-shot compile cost.
+/// Measures one unitary circuit: interpreted `StateVector::from_circuit` vs
+/// the compiled program's `run_unitary`, plus one-shot compile cost.
 fn measure(name: &str, circuit: &Circuit, reps: usize) -> Row {
+    measure_with(
+        name,
+        circuit,
+        reps,
+        |circuit| drop(StateVector::from_circuit(circuit).unwrap()),
+        |program| drop(program.run_unitary().unwrap()),
+    )
+}
+
+/// Measures the exact readout of one measured circuit: the interpreted
+/// branching oracle vs the compiled program's `classical_distribution`.
+fn measure_readout(name: &str, circuit: &Circuit, reps: usize) -> Row {
+    measure_with(
+        name,
+        circuit,
+        reps,
+        |circuit| drop(branching::classical_distribution(circuit).unwrap()),
+        |program| drop(program.classical_distribution().unwrap()),
+    )
+}
+
+fn measure_with(
+    name: &str,
+    circuit: &Circuit,
+    reps: usize,
+    interpreted: impl Fn(&Circuit),
+    compiled: impl Fn(&FramedProgram),
+) -> Row {
     let t = Instant::now();
     let program = FramedProgram::compile(circuit);
     let compile_ms = t.elapsed().as_secs_f64() * 1e3;
-    let interpreted_ms = time_ms(reps, || {
-        StateVector::from_circuit(circuit).unwrap();
-    });
-    let compiled_ms = time_ms(reps, || {
-        program.run_unitary().unwrap();
-    });
+    let interpreted_ms = time_ms(reps, || interpreted(circuit));
+    let compiled_ms = time_ms(reps, || compiled(&program));
     let stats = program.stats();
     Row {
         name: name.to_string(),
@@ -177,6 +205,28 @@ fn dense_2q(n: usize, depth: usize) -> Circuit {
     c
 }
 
+/// One all-measured VQE layer: every measure is terminal, so the compiled
+/// readout is one leaf where the oracle builds `2^n` states.
+fn vqe_all_measured(n: usize) -> Circuit {
+    let mut c = generators::vqe_two_local(n, 1, 13);
+    c.measure_all();
+    c
+}
+
+/// A qubit-reuse chain: one wire of `n` is measured, reset and re-entangled
+/// `pairs` times (every pair is two branch points), then the rest are read
+/// out — the shape where both paths have to branch.
+fn reuse_chain(n: usize, pairs: usize) -> Circuit {
+    let mut c = Circuit::with_clbits(n, pairs + n - 1);
+    for round in 0..pairs {
+        c.h(0).cx(0, 1 + round % (n - 1)).measure(0, round).reset(0);
+    }
+    for q in 1..n {
+        c.ry(0.3 * q as f64, q).measure(q, pairs + q - 1);
+    }
+    c
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n, depth, reps) = if smoke { (12, 8, 3) } else { (16, 16, 5) };
@@ -225,6 +275,15 @@ fn main() {
         print_row(row);
     }
 
+    println!("\n-- exact readout (interpreted = branching oracle) --\n{header}");
+    let readouts: Vec<Row> = vec![
+        measure_readout("vqe_terminal", &vqe_all_measured(12), reps),
+        measure_readout("reuse_chain", &reuse_chain(4, 9), reps),
+    ];
+    for row in &readouts {
+        print_row(row);
+    }
+
     let covered: f64 = circuit_families.iter().map(|r| r.coverage * r.gates as f64).sum();
     let total: f64 = circuit_families.iter().map(|r| r.gates as f64).sum();
     let aggregate_coverage = covered / total;
@@ -248,6 +307,20 @@ fn main() {
             "smoke OK: fusion_heavy compiled {:.3} ms <= interpreted {:.3} ms",
             row.compiled_ms, row.interpreted_ms
         );
+        // ... nor the readout to the every-measure-branches oracle where no
+        // measure has to branch at all.
+        let row = &readouts[0];
+        assert!(
+            row.compiled_ms <= row.interpreted_ms,
+            "compiled readout regressed on {}: {:.3} ms compiled vs {:.3} ms oracle",
+            row.name,
+            row.compiled_ms,
+            row.interpreted_ms,
+        );
+        println!(
+            "smoke OK: vqe_terminal readout compiled {:.3} ms <= oracle {:.3} ms",
+            row.compiled_ms, row.interpreted_ms
+        );
     } else {
         // the shared bench schema: {name, config, metrics{}} rendered by the
         // obs exporter, so every BENCH_*.json parses the same way
@@ -257,6 +330,9 @@ fn main() {
         }
         for row in &circuit_families {
             metrics = row.fold_into("circuit", metrics);
+        }
+        for row in &readouts {
+            metrics = row.fold_into("readout", metrics);
         }
         metrics = metrics.with_gauge("aggregate_coverage", aggregate_coverage);
         let json = bench_json(

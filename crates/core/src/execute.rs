@@ -59,13 +59,13 @@
 use crate::cache::{merge_distributions, CacheLookup, CacheStats, ResultCache, ResultCachePolicy};
 use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
-use parking_lot::Mutex;
 use qrcc_circuit::Circuit;
 use qrcc_sim::branching::classical_distribution;
 use qrcc_sim::compile::{interpreted_forced_by_env, CompileStats, KernelCache};
 use qrcc_sim::device::Device;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Executes fragment-variant circuits and reports the probability
 /// distribution over their classical bits (length `2^num_clbits`).
@@ -517,17 +517,31 @@ pub fn execute_requests(
     Ok(results)
 }
 
-/// Exact backend: enumerates measurement branches with a state-vector
-/// simulator. Intended for verification and small fragments. Batches run
-/// rayon-parallel across all cores.
+/// Exact backend: the noise-free distribution over a circuit's classical
+/// bits from a state-vector simulator. Batches run rayon-parallel across all
+/// cores.
 ///
 /// By default circuits run through the compiled kernel path: each circuit is
 /// lowered to a fused [`KernelProgram`](qrcc_sim::compile::KernelProgram)
 /// memoised in a [`KernelCache`], so QRCC's deduplicated variant batches —
 /// which differ only in their init prologue and measurement epilogue — share
-/// one compiled body. [`ExactBackend::interpreted`] (or the
-/// `QRCC_SIM_INTERPRETED=1` environment variable) opts back into the per-gate
-/// interpreter for differential testing.
+/// one compiled body, and read out with
+/// [`FramedProgram::classical_distribution`](qrcc_sim::compile::FramedProgram::classical_distribution).
+///
+/// **Cost model.** Terminal measurements (wire never used again, clbit never
+/// rewritten) do not branch: they are marginalised out of the final state in
+/// one sweep. Only mid-circuit measures and resets — the qubit-reuse pattern —
+/// split the state, so a circuit on `n` qubits costs O(kernels · 2^n) per
+/// leaf with leaves ≤ 2^(mid-circuit measures + resets), and holds one
+/// 2^n-amplitude buffer per *live* branch depth, not per leaf. A
+/// `measure_all` fragment is one leaf whatever its width;
+/// [`CompileStats::branch_points`] (in [`ExecutionBackend::compile_stats`])
+/// says how many splits a batch asked for.
+///
+/// [`ExactBackend::interpreted`] (or the `QRCC_SIM_INTERPRETED=1` environment
+/// variable) opts back into the per-gate interpreter, which branches at
+/// every measure (2^measures states): the differential-testing oracle, for
+/// small circuits only.
 ///
 /// An optional width cap ([`ExactBackend::capped`]) makes the backend refuse
 /// circuits wider than a pretend device — useful for registering exact
@@ -536,7 +550,7 @@ pub fn execute_requests(
 /// multi-device routing against noise-free ground truth.
 #[derive(Debug)]
 pub struct ExactBackend {
-    count: Mutex<u64>,
+    count: AtomicU64,
     max_qubits: Option<usize>,
     kernels: KernelCache,
     use_compiled: bool,
@@ -552,7 +566,7 @@ impl ExactBackend {
     /// Creates the backend (unbounded width, compiled kernel path).
     pub fn new() -> Self {
         ExactBackend {
-            count: Mutex::new(0),
+            count: AtomicU64::new(0),
             max_qubits: None,
             kernels: KernelCache::new(),
             use_compiled: !interpreted_forced_by_env(),
@@ -605,12 +619,12 @@ impl ExactBackend {
 
 impl ExecutionBackend for ExactBackend {
     fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        *self.count.lock() += 1;
+        self.count.fetch_add(1, Ordering::Relaxed);
         self.distribution(circuit)
     }
 
     fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        *self.count.lock() += circuits.len() as u64;
+        self.count.fetch_add(circuits.len() as u64, Ordering::Relaxed);
         circuits.par_iter().map(|circuit| self.distribution(circuit)).collect()
     }
 
@@ -626,7 +640,7 @@ impl ExecutionBackend for ExactBackend {
     }
 
     fn executions(&self) -> u64 {
-        *self.count.lock()
+        self.count.load(Ordering::Relaxed)
     }
 
     fn compile_stats(&self) -> Option<CompileStats> {
@@ -1220,6 +1234,24 @@ mod tests {
         let stats = compiled.compile_stats().expect("compiled path records stats");
         assert!(stats.gates_in > 0);
         assert!(stats.fusion_ratio() > 1.0, "h·rz·s and cx·t chains must fuse");
+    }
+
+    #[test]
+    fn wide_all_measured_circuit_reads_out_in_one_leaf() {
+        if interpreted_forced_by_env() {
+            return; // the oracle branches at every measure: 2^16 one-MiB states
+        }
+        let mut c = qrcc_circuit::generators::vqe_two_local(16, 2, 5);
+        let expected = qrcc_sim::StateVector::from_circuit(&c).unwrap().probabilities();
+        c.measure_all();
+        let backend = ExactBackend::new();
+        let dist = backend.run_one(&c).unwrap();
+        assert_eq!(dist.len(), expected.len());
+        for (i, (a, b)) in dist.iter().zip(&expected).enumerate() {
+            assert!((a - b).abs() < 1e-12, "P[{i}]: {a} vs {b}");
+        }
+        let stats = backend.compile_stats().expect("compiled path records stats");
+        assert_eq!((stats.terminal_measures, stats.branch_points), (16, 0));
     }
 
     #[test]

@@ -118,6 +118,8 @@ pub mod adapt {
             .with_counter("compile.gates_in", stats.gates_in)
             .with_counter("compile.kernels_out", stats.kernels_out)
             .with_counter("compile.control_kernels", stats.control_kernels)
+            .with_counter("compile.terminal_measures", stats.terminal_measures)
+            .with_counter("compile.branch_points", stats.branch_points)
             .with_counter("compile.eliminated_gates", stats.eliminated_gates)
             .with_counter("compile.cache_hits", stats.cache_hits)
             .with_counter("compile.cache_misses", stats.cache_misses)

@@ -121,7 +121,9 @@ pub struct ReconstructionReport {
     pub dispatch_retries: u64,
     /// Kernel-compilation statistics of the simulator backend that produced
     /// the consumed [`ExecutionResults`]: gates lowered, kernels emitted,
-    /// fusion ratio, per-family specialization coverage and cache hit rate.
+    /// fusion ratio, per-family specialization coverage, cache hit rate, and
+    /// how many measures were terminal against how many branch points exact
+    /// readout had to split at (`k` of them in one circuit → ≤ 2^k leaves).
     /// `None` when execution interpreted gate-by-gate (or the producer did
     /// not record stats).
     pub kernel_compile: Option<qrcc_sim::compile::CompileStats>,

@@ -12,8 +12,8 @@ use qrcc_circuit::{Circuit, Operation};
 
 /// Branches whose probability falls at or below this threshold are pruned —
 /// shared by the interpreted enumerator and the compiled
-/// [`FramedProgram`](crate::compile::FramedProgram) so both paths keep the
-/// same branch set.
+/// [`FramedProgram`](crate::compile::FramedProgram) readout so both prune
+/// the same outcomes.
 pub(crate) const BRANCH_PRUNE: f64 = 1e-15;
 
 /// One measurement branch of a circuit execution.
@@ -31,9 +31,13 @@ pub struct Branch {
 
 /// Enumerates every measurement/reset branch of `circuit` exactly.
 ///
-/// Branches with zero probability are pruned. The number of branches is at
-/// most `2^(#measurements + #resets)`, so this is intended for the small
-/// subcircuits produced by the cutting pipeline, not for full workloads.
+/// Branches with zero probability are pruned. **Every** measurement and
+/// reset branches here, terminal ones included, so there are up to
+/// `2^(#measurements + #resets)` full states: deliberately naive, this is
+/// the independent reference the compiled readout
+/// ([`FramedProgram::classical_distribution`](crate::compile::FramedProgram::classical_distribution),
+/// which branches only at mid-circuit measures and resets) is tested
+/// against, and fit for small circuits only.
 ///
 /// # Errors
 ///
@@ -131,8 +135,8 @@ pub fn classical_distribution(circuit: &Circuit) -> Result<Vec<f64>, SimError> {
 }
 
 /// Marginalises a branch set into the distribution over classical-bit
-/// patterns — shared by the interpreted and compiled executors.
-pub(crate) fn distribution_over_clbits(branches: &[Branch], num_clbits: usize) -> Vec<f64> {
+/// patterns.
+fn distribution_over_clbits(branches: &[Branch], num_clbits: usize) -> Vec<f64> {
     let mut dist = vec![0.0; 1 << num_clbits];
     for b in branches {
         let mut key = 0usize;

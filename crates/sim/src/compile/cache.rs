@@ -7,7 +7,7 @@
 //! request into that three-part frame split, compiles the body **once**, and
 //! re-derives only the cheap frames per request.
 
-use super::{lower_ops, CompileStats, FramedProgram, Kernel, KernelProgram};
+use super::{lower_ops, CompileStats, FramedProgram, Kernel, KernelProgram, Measurements};
 use qrcc_circuit::{Circuit, Operation};
 use std::collections::HashMap;
 use std::fmt;
@@ -101,6 +101,12 @@ impl KernelCache {
         let mut frame_stats = CompileStats::default();
         let prologue = lower_slice(circuit.num_qubits(), &ops[..prologue_len], &mut frame_stats);
         let epilogue = lower_slice(circuit.num_qubits(), &ops[epilogue_start..], &mut frame_stats);
+        let measurements = Measurements::of_kernels(
+            circuit.num_qubits(),
+            circuit.num_clbits(),
+            prologue.iter().chain(program.kernels()).chain(&epilogue),
+        );
+        measurements.count_into(&mut frame_stats);
         if hit {
             frame_stats.cache_hits = 1;
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -110,8 +116,9 @@ impl KernelCache {
         }
 
         {
-            // The aggregate counts compiler work actually done: frames every
-            // request, each distinct body once.
+            // The aggregate counts compiler work actually done: frames and
+            // the measurement classification every request, each distinct
+            // body once.
             let mut agg = self.aggregate.lock().expect("kernel cache poisoned");
             agg.merge(&frame_stats);
             if !hit {
@@ -121,16 +128,17 @@ impl KernelCache {
 
         let mut stats = frame_stats;
         stats.merge(program.stats());
-        FramedProgram::assemble(
-            circuit.num_qubits(),
-            circuit.num_clbits(),
+        FramedProgram {
+            num_qubits: circuit.num_qubits(),
+            num_clbits: circuit.num_clbits(),
             prologue,
-            program,
+            body: program,
             epilogue,
-            prologue_len,
-            epilogue_start,
+            body_op_offset: prologue_len,
+            epilogue_op_offset: epilogue_start,
+            measurements,
             stats,
-        )
+        }
     }
 
     /// Requests served from an already-compiled body.

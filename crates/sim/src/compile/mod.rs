@@ -24,9 +24,18 @@
 //!   batches differ only in those frames, so thousands of variants share one
 //!   compiled body and only the cheap frames are compiled per request.
 //!
+//! * **Readout** — each [`FramedProgram`] classifies its measurements once,
+//!   in one reverse pass over prologue + body + epilogue: a measure is
+//!   *terminal* when no later kernel touches its wire and no later measure
+//!   rewrites its clbit; every other measure and every reset is a *branch
+//!   point*. [`FramedProgram::classical_distribution`] walks the branch
+//!   points depth first and marginalises each leaf's `|ψ|²` onto the
+//!   terminal clbits — O(2^n) per leaf, at most 2^(branch points) leaves,
+//!   one state buffer per live depth. An all-measured fragment is one sweep.
+//!
 //! [`CompileStats`] reports how much of the circuit lowered to fused or
-//! specialized kernels; backends surface it through
-//! `ReconstructionReport` in `qrcc-core`.
+//! specialized kernels and how its measurements classified; backends
+//! surface it through `ReconstructionReport` in `qrcc-core`.
 //!
 //! ```rust
 //! use qrcc_circuit::Circuit;
@@ -45,16 +54,19 @@
 
 mod cache;
 mod kernel;
+mod readout;
 mod stats;
 
 pub use cache::KernelCache;
 pub use kernel::{Kernel, PAR_THRESHOLD};
+pub use readout::ExactReadout;
+pub(crate) use readout::Measurements;
 pub use stats::{CompileStats, FamilyStats};
 
-use crate::branching::{distribution_over_clbits, Branch, BRANCH_PRUNE};
 use crate::matrix::{matmul2, single_qubit_matrix, two_qubit_matrix, Matrix2};
 use crate::{Complex, SimError, StateVector};
-use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
+use qrcc_circuit::{Circuit, Gate, Operation};
+use readout::Walk;
 use stats::Bucket;
 use std::sync::Arc;
 
@@ -263,6 +275,9 @@ pub struct FramedProgram {
     /// circuit, for error parity with the interpreted path.
     body_op_offset: usize,
     epilogue_op_offset: usize,
+    /// Which measures are terminal and where the walk has to branch, over
+    /// prologue + body + epilogue.
+    measurements: Measurements,
     stats: CompileStats,
 }
 
@@ -270,7 +285,13 @@ impl FramedProgram {
     /// Compiles `circuit` as a single frameless body (no cache involved).
     pub fn compile(circuit: &Circuit) -> Self {
         let program = KernelProgram::compile(circuit);
-        let stats = program.stats().clone();
+        let measurements = Measurements::of_kernels(
+            circuit.num_qubits(),
+            circuit.num_clbits(),
+            program.kernels().iter(),
+        );
+        let mut stats = program.stats().clone();
+        measurements.count_into(&mut stats);
         FramedProgram {
             num_qubits: circuit.num_qubits(),
             num_clbits: circuit.num_clbits(),
@@ -279,29 +300,7 @@ impl FramedProgram {
             epilogue: Vec::new(),
             body_op_offset: 0,
             epilogue_op_offset: circuit.operations().len(),
-            stats,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        num_qubits: usize,
-        num_clbits: usize,
-        prologue: Vec<Kernel>,
-        body: Arc<KernelProgram>,
-        epilogue: Vec<Kernel>,
-        body_op_offset: usize,
-        epilogue_op_offset: usize,
-        stats: CompileStats,
-    ) -> Self {
-        FramedProgram {
-            num_qubits,
-            num_clbits,
-            prologue,
-            body,
-            epilogue,
-            body_op_offset,
-            epilogue_op_offset,
+            measurements,
             stats,
         }
     }
@@ -374,86 +373,43 @@ impl FramedProgram {
         Ok(state)
     }
 
-    /// Enumerates every measurement/reset branch exactly — the compiled
-    /// analogue of [`enumerate_branches`](crate::branching::enumerate_branches).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TooManyQubits`] past the simulator limit.
-    pub fn enumerate_branches(&self) -> Result<Vec<Branch>, SimError> {
-        let mut branches = vec![Branch {
-            probability: 1.0,
-            clbits: vec![false; self.num_clbits],
-            state: StateVector::try_new(self.num_qubits)?,
-        }];
-        for (segment, _) in self.segments() {
-            for k in segment {
-                match k {
-                    Kernel::Measure { qubit, clbit, .. } => {
-                        let q = QubitId::new(*qubit);
-                        let mut next = Vec::with_capacity(branches.len() * 2);
-                        for b in branches {
-                            for outcome in [false, true] {
-                                let mut state = b.state.clone();
-                                let p = state.project(q, outcome);
-                                if p > BRANCH_PRUNE {
-                                    let mut clbits = b.clbits.clone();
-                                    clbits[*clbit] = outcome;
-                                    next.push(Branch {
-                                        probability: b.probability * p,
-                                        clbits,
-                                        state,
-                                    });
-                                }
-                            }
-                        }
-                        branches = next;
-                    }
-                    Kernel::Reset { qubit, .. } => {
-                        let q = QubitId::new(*qubit);
-                        let mut next = Vec::with_capacity(branches.len() * 2);
-                        for b in branches {
-                            for outcome in [false, true] {
-                                let mut state = b.state.clone();
-                                let p = state.project(q, outcome);
-                                if p > BRANCH_PRUNE {
-                                    if outcome {
-                                        state.apply_gate(&Gate::X, &[q]);
-                                    }
-                                    next.push(Branch {
-                                        probability: b.probability * p,
-                                        clbits: b.clbits.clone(),
-                                        state,
-                                    });
-                                }
-                            }
-                        }
-                        branches = next;
-                    }
-                    _ => {
-                        for b in &mut branches {
-                            k.apply(b.state.amps_mut());
-                        }
-                    }
-                }
-            }
-        }
-        Ok(branches)
+    /// The `(qubit, clbit)` pairs of the program's **terminal** measures —
+    /// those no later kernel depends on, read off the final state instead
+    /// of branching (see [`FramedProgram::read_out`]).
+    pub fn readout_map(&self) -> &[(usize, usize)] {
+        &self.measurements.terminal
     }
 
-    /// The exact distribution over classical bits — the compiled analogue of
-    /// [`classical_distribution`](crate::branching::classical_distribution).
+    /// The exact distribution over classical bits and the number of
+    /// measurement branches it took. Only resets and non-terminal measures
+    /// (a wire used again, a clbit overwritten) branch, depth first with one
+    /// state buffer per live depth; terminal measures are marginalised out
+    /// of each leaf's `|ψ|²` in one sweep. Cost: O(2^n) per leaf,
+    /// leaves ≤ 2^[`branch_points`](CompileStats::branch_points).
     ///
     /// # Errors
     ///
-    /// [`SimError::NothingToMeasure`] when the program has no classical bits,
-    /// plus any error of [`FramedProgram::enumerate_branches`].
-    pub fn classical_distribution(&self) -> Result<Vec<f64>, SimError> {
+    /// [`SimError::NothingToMeasure`] when the program has no classical bits
+    /// and [`SimError::TooManyQubits`] past the simulator limit.
+    pub fn read_out(&self) -> Result<ExactReadout, SimError> {
         if self.num_clbits == 0 {
             return Err(SimError::NothingToMeasure);
         }
-        let branches = self.enumerate_branches()?;
-        Ok(distribution_over_clbits(&branches, self.num_clbits))
+        let root = StateVector::try_new(self.num_qubits)?;
+        let kernels: Vec<&Kernel> = self.kernels().collect();
+        Ok(Walk::new(&kernels, &self.measurements, self.num_qubits, self.num_clbits).run(root))
+    }
+
+    /// The exact distribution over classical bits — the compiled analogue of
+    /// [`classical_distribution`](crate::branching::classical_distribution),
+    /// which stays the naive every-measure-branches reference it is tested
+    /// against.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FramedProgram::read_out`].
+    pub fn classical_distribution(&self) -> Result<Vec<f64>, SimError> {
+        self.read_out().map(|readout| readout.distribution)
     }
 }
 

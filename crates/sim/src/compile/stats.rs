@@ -45,6 +45,14 @@ pub struct CompileStats {
     pub kernels_out: u64,
     /// Measure/reset kernels emitted.
     pub control_kernels: u64,
+    /// Measures no later kernel depends on (wire never touched again, clbit
+    /// never rewritten): read off the final state, they never branch. Counted
+    /// per framed program, so a cache aggregate sums it over requests.
+    pub terminal_measures: u64,
+    /// Resets and non-terminal measures — where exact readout has to split
+    /// the state. A program with `k` of them visits at most `2^k` leaves;
+    /// counted like [`terminal_measures`](Self::terminal_measures).
+    pub branch_points: u64,
     /// Gates whose fused product was an exact identity and were dropped
     /// without emitting any kernel.
     pub eliminated_gates: u64,
@@ -99,6 +107,8 @@ impl CompileStats {
         self.gates_in += other.gates_in;
         self.kernels_out += other.kernels_out;
         self.control_kernels += other.control_kernels;
+        self.terminal_measures += other.terminal_measures;
+        self.branch_points += other.branch_points;
         self.eliminated_gates += other.eliminated_gates;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -133,6 +143,11 @@ impl fmt::Display for CompileStats {
             self.cache_hits,
             self.cache_hits + self.cache_misses,
         )?;
+        writeln!(
+            f,
+            "  readout: {} terminal measures, {} branch points (summed over requests)",
+            self.terminal_measures, self.branch_points,
+        )?;
         for (family, fs) in &self.families {
             writeln!(
                 f,
@@ -161,10 +176,14 @@ mod tests {
         a.record_gate("h", Bucket::Fused);
         a.record_gate("h", Bucket::General);
         a.kernels_out = 2;
+        a.branch_points = 2;
         let mut b = CompileStats::default();
         b.record_gate("h", Bucket::Specialized);
         b.kernels_out = 1;
+        b.branch_points = 1;
+        b.terminal_measures = 3;
         a.merge(&b);
+        assert_eq!((a.terminal_measures, a.branch_points), (3, 3));
         let h = a.families["h"];
         assert_eq!(h.gates, 3);
         assert_eq!(h.fused + h.specialized + h.general, h.gates);

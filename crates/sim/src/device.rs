@@ -3,7 +3,9 @@
 //! (e.g. the 7-qubit IBM Lagos and hypothetical 3/4-qubit devices) the paper
 //! runs subcircuits on.
 
-use crate::compile::{interpreted_forced_by_env, CompileStats, FramedProgram, Kernel, KernelCache};
+use crate::compile::{
+    interpreted_forced_by_env, CompileStats, FramedProgram, Kernel, KernelCache, Measurements,
+};
 use crate::expectation::{expectation_from_counts, measurement_circuit};
 use crate::noise::NoiseModel;
 use crate::{Counts, SimError, StateVector};
@@ -143,17 +145,22 @@ impl Device {
     ///
     /// Same width / mid-circuit conditions as [`Device::execute`].
     pub fn validate(&self, circuit: &Circuit) -> Result<(), SimError> {
-        self.check_circuit(circuit)
+        self.check_circuit(circuit, || needs_mid_circuit(circuit))
     }
 
-    fn check_circuit(&self, circuit: &Circuit) -> Result<(), SimError> {
+    /// `reuses_wires` is asked only of a device without mid-circuit support.
+    fn check_circuit(
+        &self,
+        circuit: &Circuit,
+        reuses_wires: impl FnOnce() -> bool,
+    ) -> Result<(), SimError> {
         if circuit.num_qubits() > self.config.num_qubits {
             return Err(SimError::TooManyQubits {
                 required: circuit.num_qubits(),
                 available: self.config.num_qubits,
             });
         }
-        if !self.config.supports_mid_circuit && needs_mid_circuit(circuit) {
+        if !self.config.supports_mid_circuit && reuses_wires() {
             return Err(SimError::MidCircuitUnsupported);
         }
         Ok(())
@@ -201,22 +208,21 @@ impl Device {
         if shots == 0 {
             return Err(SimError::ZeroShots);
         }
-        self.check_circuit(circuit)?;
-
-        let circuit = if circuit.operations().iter().any(Operation::is_measure) {
-            circuit.clone()
-        } else {
-            let mut c = circuit.clone();
-            c.measure_all();
-            c
-        };
+        let mut circuit = circuit.clone();
+        if !circuit.operations().iter().any(Operation::is_measure) {
+            circuit.measure_all();
+        }
+        // One linear pass decides hardware support, the fast path and its
+        // `(qubit, clbit)` map.
+        let measurements = Measurements::of_circuit(&circuit);
+        self.check_circuit(&circuit, || measurements.reuses_wires)?;
         let mut rng = make_rng();
 
         let noiseless = self.config.noise.is_noiseless();
-        if noiseless && !needs_mid_circuit(&circuit) && final_measurement_map(&circuit).is_some() {
-            // Fast path: exact state vector of the unitary prefix, then
-            // multinomial sampling of the measured qubits.
-            let map = final_measurement_map(&circuit).expect("checked above");
+        if noiseless && measurements.branch_points.is_empty() {
+            // Fast path: every measure is terminal, so take the exact state
+            // vector of the unitary part and sample the measured qubits.
+            let map = &measurements.terminal;
             let unitary = circuit.without_non_unitary();
             let sv = if self.use_compiled {
                 self.kernels.get_or_compile(&unitary).run_unitary()?
@@ -227,7 +233,7 @@ impl Device {
             let mut counts = Counts::new(circuit.num_clbits());
             for (outcome, count) in all.iter() {
                 let mut key = 0u64;
-                for &(qubit, clbit) in &map {
+                for &(qubit, clbit) in map {
                     if outcome & (1 << qubit) != 0 {
                         key |= 1 << clbit;
                     }
@@ -358,40 +364,9 @@ impl Device {
 
 /// Whether the circuit requires mid-circuit measurement or reset support:
 /// it contains a reset, or a measurement that is followed by another
-/// operation on the same qubit.
+/// operation on the same qubit. Linear in the circuit.
 pub fn needs_mid_circuit(circuit: &Circuit) -> bool {
-    let ops = circuit.operations();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Operation::Reset { .. } => return true,
-            Operation::Measure { qubit, .. } => {
-                let later_use = ops[i + 1..]
-                    .iter()
-                    .any(|later| !later.is_barrier() && later.qubits().contains(qubit));
-                if later_use {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// The `(qubit, clbit)` pairs of a circuit whose measurements are all
-/// terminal (no operation follows them on the measured wire); `None` if any
-/// measurement is mid-circuit.
-fn final_measurement_map(circuit: &Circuit) -> Option<Vec<(usize, usize)>> {
-    if needs_mid_circuit(circuit) {
-        return None;
-    }
-    let mut map = Vec::new();
-    for op in circuit.operations() {
-        if let Operation::Measure { qubit, clbit } = op {
-            map.push((qubit.index(), *clbit));
-        }
-    }
-    Some(map)
+    Measurements::of_circuit(circuit).reuses_wires
 }
 
 #[cfg(test)]

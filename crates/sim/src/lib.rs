@@ -17,8 +17,11 @@
 //!    and measurement epilogue, so thousands of variants share one compiled
 //!    body and only the frames are compiled per request.
 //! 3. **Execute** — compiled programs run as exact unitaries
-//!    ([`compile::FramedProgram::run_unitary`]), exact branch enumerations
-//!    ([`compile::FramedProgram::enumerate_branches`]) or per-shot
+//!    ([`compile::FramedProgram::run_unitary`]), exact readouts of the
+//!    classical bits ([`compile::FramedProgram::classical_distribution`]:
+//!    terminal measures are marginalised out of the final state and only
+//!    mid-circuit measures and resets branch, so the cost is O(2^n) per
+//!    leaf with leaves ≤ 2^branch points) or per-shot
 //!    trajectories ([`device`]). The original per-gate interpreter remains
 //!    available everywhere (construction-time opt-out, or the
 //!    `QRCC_SIM_INTERPRETED=1` environment variable) and is the differential
@@ -33,8 +36,9 @@
 //!   [`MAX_QUBITS`] with a typed [`SimError::TooManyQubits`] error.
 //! * [`compile`] — the kernel compiler, cache and [`compile::CompileStats`]
 //!   coverage report described above.
-//! * [`branching`] — exact interpreted enumeration of measurement branches,
-//!   used by gate-cut reconstruction and as the compiled path's reference.
+//! * [`branching`] — exact interpreted enumeration of measurement branches
+//!   (every measure branches, naive on purpose): what the interpreted
+//!   backends run, and the oracle the compiled readout is tested against.
 //! * [`noise`] — stochastic-Pauli (depolarizing) and readout noise models.
 //!   Noisy execution always interprets gate-by-gate: per-gate noise anchors
 //!   to gate boundaries, which fusion would erase.

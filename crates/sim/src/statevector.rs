@@ -212,7 +212,6 @@ impl StateVector {
     /// When the probability is (numerically) zero the state is left zeroed
     /// and `0.0` is returned; callers should discard such branches.
     pub fn project(&mut self, qubit: QubitId, outcome: bool) -> f64 {
-        let bit = 1usize << qubit.index();
         let prob = self.outcome_probability(qubit, outcome);
         if prob <= f64::EPSILON {
             for a in &mut self.amps {
@@ -220,6 +219,29 @@ impl StateVector {
             }
             return 0.0;
         }
+        self.collapse(qubit, outcome, prob);
+        prob
+    }
+
+    /// The probabilities of measuring 0 and 1 on `qubit`, in one sweep —
+    /// what a branching executor reads **before** deciding whether either
+    /// outcome is worth a copy of the state.
+    pub fn outcome_probabilities(&self, qubit: QubitId) -> [f64; 2] {
+        let bit = 1usize << qubit.index();
+        let mut p = [0.0; 2];
+        for block in self.amps.chunks(bit << 1) {
+            let (lo, hi) = block.split_at(bit);
+            p[0] += lo.iter().map(Complex::norm_sqr).sum::<f64>();
+            p[1] += hi.iter().map(Complex::norm_sqr).sum::<f64>();
+        }
+        p
+    }
+
+    /// Projects `qubit` onto `outcome` given that outcome's (non-zero)
+    /// probability `prob`, renormalising the state: the sweep half of
+    /// [`StateVector::project`] for callers that already know `prob`.
+    pub(crate) fn collapse(&mut self, qubit: QubitId, outcome: bool, prob: f64) {
+        let bit = 1usize << qubit.index();
         let scale = 1.0 / prob.sqrt();
         for (i, a) in self.amps.iter_mut().enumerate() {
             if ((i & bit) != 0) == outcome {
@@ -228,7 +250,6 @@ impl StateVector {
                 *a = Complex::ZERO;
             }
         }
-        prob
     }
 
     /// Measures `qubit` in the computational basis, collapsing the state, and

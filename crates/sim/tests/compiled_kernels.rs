@@ -3,7 +3,9 @@
 //! every IR gate, on random circuits, on every benchmark generator family,
 //! and — bit-for-bit — on seeded shot trajectories with mid-circuit
 //! measurement and reset. A deduplicated variant batch served from the
-//! [`KernelCache`] must reproduce the uncached run exactly.
+//! [`KernelCache`] must reproduce the uncached run exactly. The compiled
+//! readout branches only where it has to; the interpreted enumerator, which
+//! branches at every measure, is the oracle it is held to.
 
 use proptest::prelude::*;
 use qrcc_circuit::generators::{
@@ -202,6 +204,119 @@ fn cache_hits_are_deterministic_over_a_deduplicated_variant_batch() {
     }
 }
 
+#[test]
+fn all_terminal_program_is_one_leaf_and_no_branch_points() {
+    // 14 entangled wires, all measured: the every-measure-branches build
+    // would hold 2^14 states of 2^14 amplitudes (4 GiB); the walk reads the
+    // one final state.
+    let mut c = vqe_two_local(14, 2, 13);
+    c.measure_all();
+    let program = KernelCache::new().get_or_compile(&c);
+    assert_eq!(program.stats().terminal_measures, 14);
+    assert_eq!(program.stats().branch_points, 0);
+    assert_eq!(program.readout_map().len(), 14);
+    let readout = program.read_out().unwrap();
+    assert_eq!(readout.leaves, 1);
+    let unitary = c.without_non_unitary();
+    let expected = StateVector::from_circuit(&unitary).unwrap().probabilities();
+    for (i, (a, b)) in readout.distribution.iter().zip(&expected).enumerate() {
+        assert!((a - b).abs() < 1e-12, "P[{i}]: {a} vs {b}");
+    }
+}
+
+#[test]
+fn branch_points_bound_the_leaves() {
+    // nine measure→reset pairs on one wire of four: 18 branch points, but a
+    // reset after a measure never splits, so 2^9 leaves survive pruning
+    let mut c = Circuit::with_clbits(4, 12);
+    for round in 0..9 {
+        c.h(0).cx(0, 1 + round % 3).measure(0, round).reset(0);
+    }
+    c.measure(1, 9).measure(2, 10).measure(3, 11);
+    let program = FramedProgram::compile(&c);
+    assert_eq!(program.stats().branch_points, 18);
+    assert_eq!(program.stats().terminal_measures, 3);
+    let readout = program.read_out().unwrap();
+    assert_eq!(readout.leaves, 1 << 9);
+    assert!((readout.distribution.iter().sum::<f64>() - 1.0).abs() < 1e-10);
+    assert_distributions_match(&c);
+}
+
+/// Strategy producing a random four-wire, four-clbit circuit that mixes
+/// every measurement shape the readout classifies: gates and barriers,
+/// mid-circuit measures, measure→reset→reuse, a wire measured twice, clbits
+/// drawn from a small pool (so they get written twice), then terminal
+/// measures on the wires of `tail` — the rest stay unmeasured — optionally
+/// followed by nothing but a barrier.
+fn random_measured_circuit() -> impl Strategy<Value = Circuit> {
+    let step = (0..14usize, 0..4usize, 0..4usize, -3.0f64..3.0);
+    (proptest::collection::vec(step, 1..22), 0..16usize, 0..2usize).prop_map(
+        |(steps, tail, fence)| {
+            let mut c = Circuit::with_clbits(4, 4);
+            let mut branching = 0;
+            for (kind, a, b, theta) in steps {
+                // keep the oracle's 2^(measures + resets) states affordable
+                let kind = if kind >= 9 && branching >= 10 { kind - 9 } else { kind };
+                match kind {
+                    0 => {
+                        c.h(a);
+                    }
+                    1 => {
+                        c.rx(theta, a);
+                    }
+                    2 => {
+                        c.rz(theta, a);
+                    }
+                    3 => {
+                        c.x(a);
+                    }
+                    4 if a != b => {
+                        c.cx(a, b);
+                    }
+                    5 if a != b => {
+                        c.rxx(theta, a, b);
+                    }
+                    6 if a != b => {
+                        c.swap(a, b);
+                    }
+                    7 if a != b => {
+                        c.cz(a, b);
+                    }
+                    8 => {
+                        c.barrier();
+                    }
+                    9 => {
+                        c.measure(a, b);
+                        branching += 1;
+                    }
+                    10 => {
+                        c.reset(a);
+                        branching += 1;
+                    }
+                    11 => {
+                        c.measure(a, b).reset(a).h(a);
+                        branching += 2;
+                    }
+                    12 => {
+                        c.measure(a, b).measure(a, (b + 1) % 4);
+                        branching += 2;
+                    }
+                    _ => {
+                        c.ry(theta, a);
+                    }
+                }
+            }
+            for q in (0..4).filter(|q| tail & (1 << q) != 0) {
+                c.measure(q, q);
+            }
+            if fence == 1 {
+                c.barrier();
+            }
+            c
+        },
+    )
+}
+
 /// Strategy producing a random unitary circuit drawing from every gate
 /// family the compiler specializes: fusable 1q runs, diagonal gates,
 /// permutations, controlled flips and dense two-qubit kernels.
@@ -277,6 +392,17 @@ proptest! {
         measured.measure(cut, 0).reset(cut).h(cut);
         measured.measure_all();
         assert_distributions_match(&measured);
+    }
+
+    #[test]
+    fn readout_matches_the_branching_oracle_on_every_measurement_shape(
+        c in random_measured_circuit(),
+    ) {
+        assert_distributions_match(&c);
+        let readout = FramedProgram::compile(&c).read_out().unwrap();
+        prop_assert!((readout.distribution.iter().sum::<f64>() - 1.0).abs() < 1e-10);
+        let branch_points = FramedProgram::compile(&c).stats().branch_points;
+        prop_assert!(readout.leaves <= 1 << branch_points);
     }
 
     #[test]
