@@ -7,13 +7,19 @@
 //!   no execution inside the timed loop) — the measured counterpart of the
 //!   Figure 6 FRP-vs-ARP cost models,
 //! * **dense thread scaling**: the rayon-parallel dense component loop at 1
-//!   worker thread vs all cores.
+//!   worker thread vs all cores,
+//! * **fold only**: `ExpectationAccumulator::absorb` + `finish` over a
+//!   pre-executed batch of a 4-wire-cut plan with a many-term observable —
+//!   the sum-factorised fold kernel and its bitset bookkeeping, nothing else.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qrcc_circuit::generators::{hamiltonian_simulation, HamiltonianKind};
 use qrcc_circuit::observable::PauliObservable;
 use qrcc_circuit::Circuit;
 use qrcc_core::pipeline::{ExactBackend, QrccPipeline};
-use qrcc_core::reconstruct::{ProbabilityReconstructor, ReconstructionOptions};
+use qrcc_core::reconstruct::{
+    ExpectationAccumulator, ProbabilityReconstructor, ReconstructionOptions,
+};
 use qrcc_core::{QrccConfig, ReconstructionStrategy};
 use std::time::Duration;
 
@@ -147,8 +153,40 @@ fn bench_dense_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fold alone: a TFIM 3×4 step on an 8-qubit device plans to 4 wire
+/// cuts, and its Ising observable has one Pauli term per edge and per site,
+/// so one request folds thousands of (variant, term) pairs. Execution happens
+/// once, outside the timed loop.
+fn bench_fold_only(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fold");
+    group.sample_size(10);
+    let (circuit, lattice) =
+        hamiltonian_simulation(HamiltonianKind::TransverseFieldIsing, 3, 4, false, 1, 0.1);
+    let observable = PauliObservable::ising(&lattice, 1.0, 0.5);
+    let config = QrccConfig::new(8).with_ilp_time_limit(Duration::ZERO);
+    let pipeline = QrccPipeline::plan(&circuit, config).unwrap();
+    let fragments = pipeline.fragments();
+    assert!(fragments.num_wire_cuts() >= 4, "the fold bench needs a ≥4-wire-cut plan");
+    assert!(observable.terms().len() >= 12, "the fold bench needs a many-term observable");
+    let results = pipeline.execute_observables(&ExactBackend::new(), &[&observable]).unwrap();
+    group.bench_function("tfim3x4_d8_absorb_finish", |b| {
+        b.iter(|| {
+            let mut acc = ExpectationAccumulator::new(
+                fragments,
+                &observable,
+                ReconstructionOptions::default(),
+            )
+            .unwrap();
+            acc.absorb(results.clone()).unwrap();
+            acc.finish().unwrap()
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_fold_only,
     bench_probability_reconstruction,
     bench_expectation_reconstruction,
     bench_dense_vs_contract,

@@ -193,6 +193,34 @@ pub struct Fragment {
     gate_forms: HashMap<usize, ZzForm>,
 }
 
+#[cfg(test)]
+impl Fragment {
+    /// A skeleton-free fragment with the given slot layout, for the
+    /// reconstruction-kernel tests that fold synthetic distributions: it can
+    /// be folded but not instantiated.
+    pub(crate) fn with_slots(
+        num_clbits: usize,
+        incoming_cuts: Vec<usize>,
+        cut_clbits: Vec<(usize, usize)>,
+        gate_roles: Vec<(usize, GateHalf, usize)>,
+        output_clbits: Vec<(usize, usize)>,
+    ) -> Fragment {
+        Fragment {
+            index: 0,
+            num_physical: 0,
+            num_clbits,
+            skeleton: Vec::new(),
+            incoming_cuts,
+            outgoing_cuts: cut_clbits.iter().map(|&(cut, _)| cut).collect(),
+            gate_cut_roles: gate_roles.iter().map(|&(cut, half, _)| (cut, half)).collect(),
+            output_clbits,
+            cut_clbits,
+            gatecut_clbits: gate_roles.iter().map(|&(cut, _, clbit)| (cut, clbit)).collect(),
+            gate_forms: HashMap::new(),
+        }
+    }
+}
+
 impl Fragment {
     /// The number of cut legs this fragment carries: incoming and outgoing
     /// wire cuts plus gate-cut roles — the axes of its reconstruction tensor.

@@ -5,12 +5,17 @@
 //! of Eq. (3)) or gate cut (radix 6, the Mitarai–Fujii instances), with a
 //! payload per entry — the sub-normalised distribution over the fragment's
 //! output bits for probability workloads, a parity-weighted scalar for
-//! expectation workloads.
+//! expectation workloads. A fold visits only the entries its variant can
+//! reach (`WireSlots`): `O(2^c · #Z + 3^in · 2^#Z)` per expectation variant,
+//! `O(2^c · (c + 3^in))` per probability variant, for a `c`-clbit
+//! distribution, `in` incoming cuts and `#Z` Z-basis outgoing cuts.
 //!
 //! Reconstruction then runs in one of two executable strategies:
 //!
-//! * **Dense** — the global mixed-radix loop of the paper's FRP/FRE models,
-//!   chunked deterministically and executed rayon-parallel.
+//! * **Dense** — the global mixed-radix loop of the paper's FRP/FRE models.
+//!   Probabilities: `4^cuts · 2^m` multiply-adds over an output split into
+//!   rayon-filled slices (`m` measured qubits, one `2^m` scratch);
+//!   expectations: `4^wire · 6^gate` scalar products in deterministic chunks.
 //! * **Contract** — the ARP divide-and-conquer model made executable:
 //!   tensors are merged pairwise along shared cut legs (each contracted wire
 //!   leg folds the `1/2` scale, each gate leg folds its quasi-probability
@@ -21,7 +26,7 @@
 //! [`resolve_strategy`] turns a [`ReconstructionStrategy`] (possibly `Auto`)
 //! into a concrete executable path using the [`cost`] models.
 
-use super::{cut_bit_weight, init_weight, mixed_radix, required_basis, Odometer, MAX_DENSE_CUTS};
+use super::{init_weight, mixed_radix, Odometer, MAX_DENSE_CUTS};
 use crate::execute::ExecutionResults;
 use crate::fragment::{CutBasis, Fragment, FragmentSet, FragmentVariant, InitState, VariantKey};
 use crate::gatecut::instance_measures;
@@ -370,19 +375,136 @@ pub(crate) fn expectation_variants<'a>(
 /// its zero classical bits is the constant `[1.0]`.
 pub(crate) const TRIVIAL: [f64; 1] = [1.0];
 
+/// Gathers the bits of `value` at `positions` into a compact index: bit `i`
+/// of the result is bit `positions[i]` of `value`.
+fn gather_bits(value: usize, positions: &[usize]) -> usize {
+    positions.iter().enumerate().fold(0, |acc, (bit, &pos)| acc | ((value >> pos) & 1) << bit)
+}
+
+/// The inverse spread: bit `i` of `value` lands at bit `positions[i]`.
+fn scatter_bits(value: usize, positions: &[usize]) -> usize {
+    positions.iter().enumerate().fold(0, |acc, (bit, &pos)| acc | ((value >> bit) & 1) << pos)
+}
+
+/// `-value` when `bits` has odd parity, `value` otherwise.
+fn signed_by_parity(value: f64, bits: usize) -> f64 {
+    if bits.count_ones() & 1 == 1 {
+        -value
+    } else {
+        value
+    }
+}
+
+/// One executed variant's wire-cut slots, reduced to the tensor entries it
+/// can touch at all — the sum-factorised form of Eq. (3) both folds share.
+///
+/// For fixed initialisation states only `≤ 3^in` incoming component combos
+/// carry a non-zero [`init_weight`]; for fixed measurement bases a Z slot
+/// sends an outcome to component 0 or 1 (picked by its cut bit, weight 2)
+/// and an X/Y slot to component 2/3 (weight ±1 by its cut bit), so every
+/// outcome has exactly **one** non-zero outgoing combo. [`select`] rebuilds
+/// this view per variant, reusing its buffers.
+///
+/// [`select`]: WireSlots::select
+#[derive(Debug, Clone)]
+struct WireSlots {
+    /// Classical bit of each outgoing cut's measurement.
+    cut_bit_positions: Vec<usize>,
+    /// Non-zero `(entry offset, weight)` pairs over the incoming legs.
+    in_terms: Vec<(usize, f64)>,
+    in_scratch: Vec<(usize, f64)>,
+    /// Classical bit and entry stride of every Z-basis outgoing slot.
+    z_positions: Vec<usize>,
+    z_strides: Vec<usize>,
+    /// Entry offset of the X/Y slots' fixed components 2/3.
+    out_base: usize,
+    /// Classical bits of the X/Y slots: their parity signs the outcome.
+    sign_mask: usize,
+}
+
+impl WireSlots {
+    fn new(fragment: &Fragment) -> Self {
+        WireSlots {
+            cut_bit_positions: fragment.cut_clbits.iter().map(|&(_, clbit)| clbit).collect(),
+            in_terms: Vec::new(),
+            in_scratch: Vec::new(),
+            z_positions: Vec::new(),
+            z_strides: Vec::new(),
+            out_base: 0,
+            sign_mask: 0,
+        }
+    }
+
+    /// Specialises the slots to `variant`; `strides` are the tensor's leg
+    /// strides (incoming legs first, then outgoing).
+    fn select(&mut self, strides: &[usize], variant: &FragmentVariant) {
+        self.in_terms.clear();
+        self.in_terms.push((0, 1.0));
+        for (&state, &stride) in variant.init_states.iter().zip(strides) {
+            self.in_scratch.clear();
+            for &(idx, weight) in &self.in_terms {
+                for component in 0..4 {
+                    let w = init_weight(component, state);
+                    if w != 0.0 {
+                        self.in_scratch.push((idx + component * stride, weight * w));
+                    }
+                }
+            }
+            std::mem::swap(&mut self.in_terms, &mut self.in_scratch);
+        }
+
+        self.z_positions.clear();
+        self.z_strides.clear();
+        self.out_base = 0;
+        self.sign_mask = 0;
+        let out_strides = &strides[variant.init_states.len()..];
+        for ((&basis, &pos), &stride) in
+            variant.cut_bases.iter().zip(&self.cut_bit_positions).zip(out_strides)
+        {
+            match basis {
+                CutBasis::Z => {
+                    self.z_positions.push(pos);
+                    self.z_strides.push(stride);
+                }
+                CutBasis::X => {
+                    self.out_base += 2 * stride;
+                    self.sign_mask |= 1 << pos;
+                }
+                CutBasis::Y => {
+                    self.out_base += 3 * stride;
+                    self.sign_mask |= 1 << pos;
+                }
+            }
+        }
+    }
+
+    /// Weight magnitude of the one non-zero outgoing combo: `2^#Z`.
+    fn out_scale(&self) -> f64 {
+        (1u64 << self.z_positions.len()) as f64
+    }
+
+    /// The Z slots' cut bits of `outcome`, compacted (slot `s` → bit `s`).
+    fn z_key(&self, outcome: usize) -> usize {
+        gather_bits(outcome, &self.z_positions)
+    }
+
+    /// Entry offset of the outgoing combo whose Z slots read `z_key`.
+    fn out_index(&self, z_key: usize) -> usize {
+        self.z_strides
+            .iter()
+            .enumerate()
+            .fold(self.out_base, |acc, (slot, &stride)| acc + ((z_key >> slot) & 1) * stride)
+    }
+}
+
 /// Reusable scratch for folding one fragment's probability variants into its
-/// cut tensor one at a time: precomputed clbit positions and allocation-free
-/// odometers. One folder serves any number of [`CutTensor::fold_partial`]
-/// calls for the same fragment, whether the variants arrive as one complete
-/// batch or as streamed chunks.
+/// cut tensor one at a time. One folder serves any number of
+/// [`CutTensor::fold_partial`] calls for the same fragment, whether the
+/// variants arrive as one complete batch or as streamed chunks.
 #[derive(Debug, Clone)]
 pub(crate) struct FragmentFolder {
     output_bit_positions: Vec<usize>,
-    cut_bit_positions: Vec<usize>,
-    cut_bits: Vec<bool>,
-    in_od: Odometer,
-    out_od: Odometer,
-    num_in: usize,
+    slots: WireSlots,
 }
 
 impl FragmentFolder {
@@ -390,8 +512,6 @@ impl FragmentFolder {
     /// the incoming then outgoing wire cuts, payloads the weighted
     /// distributions over the fragment's output bits.
     pub(crate) fn probability(fragment: &Fragment) -> (CutTensor, FragmentFolder) {
-        let num_in = fragment.incoming_cuts.len();
-        let num_out = fragment.outgoing_cuts.len();
         let legs: Vec<Leg> = fragment
             .incoming_cuts
             .iter()
@@ -401,15 +521,9 @@ impl FragmentFolder {
         let bit_origins: Vec<usize> =
             fragment.output_clbits.iter().map(|&(orig, _)| orig).collect();
         let tensor = CutTensor::new(legs, bit_origins);
-        let cut_bit_positions: Vec<usize> =
-            fragment.cut_clbits.iter().map(|&(_, clbit)| clbit).collect();
         let folder = FragmentFolder {
             output_bit_positions: fragment.output_clbits.iter().map(|&(_, clbit)| clbit).collect(),
-            cut_bits: vec![false; cut_bit_positions.len()],
-            cut_bit_positions,
-            in_od: Odometer::uniform(num_in, 4),
-            out_od: Odometer::uniform(num_out, 4),
-            num_in,
+            slots: WireSlots::new(fragment),
         };
         (tensor, folder)
     }
@@ -423,64 +537,28 @@ impl CutTensor {
     /// [`probability_tensor`] builds in one pass; callers must
     /// [`refresh_active`](CutTensor::refresh_active) (or prune) once folding
     /// is complete.
+    ///
+    /// Cost: `O(2^c · (c + 3^in))` for a `c`-clbit distribution — each
+    /// non-zero outcome writes its one outgoing combo under the variant's
+    /// `≤ 3^in` incoming terms, never the `4^in · 4^out` component grid.
     pub(crate) fn fold_partial(
         &mut self,
         folder: &mut FragmentFolder,
         variant: &FragmentVariant,
         dist: &[f64],
     ) {
-        let init_states = &variant.init_states;
-        let cut_bases = &variant.cut_bases;
-        let payload_len = self.payload_len;
+        let slots = &mut folder.slots;
+        slots.select(&self.strides, variant);
+        let scale = slots.out_scale();
         for (outcome, &p) in dist.iter().enumerate() {
             if p == 0.0 {
                 continue;
             }
-            let mut y = 0usize;
-            for (bit, &pos) in folder.output_bit_positions.iter().enumerate() {
-                if outcome & (1 << pos) != 0 {
-                    y |= 1 << bit;
-                }
-            }
-            for (slot, &pos) in folder.cut_bit_positions.iter().enumerate() {
-                folder.cut_bits[slot] = outcome & (1 << pos) != 0;
-            }
-
-            // distribute this outcome over every compatible component combo
-            folder.in_od.reset();
-            while let Some(in_components) = folder.in_od.next() {
-                let mut weight = p;
-                let mut idx_in = 0usize;
-                for (slot, &component) in in_components.iter().enumerate() {
-                    weight *= init_weight(component, init_states[slot]);
-                    if weight == 0.0 {
-                        break;
-                    }
-                    idx_in += component * self.strides[slot];
-                }
-                if weight == 0.0 {
-                    continue;
-                }
-                folder.out_od.reset();
-                while let Some(out_components) = folder.out_od.next() {
-                    let mut w = weight;
-                    let mut idx = idx_in;
-                    for (slot, &component) in out_components.iter().enumerate() {
-                        if required_basis(component) != cut_bases[slot] {
-                            w = 0.0;
-                            break;
-                        }
-                        w *= cut_bit_weight(component, folder.cut_bits[slot]);
-                        if w == 0.0 {
-                            break;
-                        }
-                        idx += component * self.strides[folder.num_in + slot];
-                    }
-                    if w == 0.0 {
-                        continue;
-                    }
-                    self.data[idx * payload_len + y] += w;
-                }
+            let y = gather_bits(outcome, &folder.output_bit_positions);
+            let weight = signed_by_parity(scale * p, outcome & slots.sign_mask);
+            let idx_out = slots.out_index(slots.z_key(outcome));
+            for &(idx_in, in_weight) in &slots.in_terms {
+                self.data[(idx_in + idx_out) * self.payload_len + y] += in_weight * weight;
             }
         }
     }
@@ -519,16 +597,13 @@ pub(crate) fn probability_tensor(
 #[derive(Debug, Clone)]
 pub(crate) struct ExpectationFolder {
     /// Output clbits entering the Pauli parity.
-    parity_bits: Vec<usize>,
-    cut_bit_positions: Vec<usize>,
+    parity_mask: usize,
     gate_bit_positions: Vec<usize>,
     role_halves: Vec<crate::gatecut::GateHalf>,
-    cut_bits: Vec<bool>,
-    weighted: Vec<f64>,
-    in_od: Odometer,
-    out_stride: usize,
     gate_base_stride: usize,
-    num_roles: usize,
+    slots: WireSlots,
+    /// Signed marginal over the variant's Z-basis cut bits.
+    marginal: Vec<f64>,
 }
 
 impl ExpectationFolder {
@@ -539,9 +614,7 @@ impl ExpectationFolder {
         fragment: &Fragment,
         string: &PauliString,
     ) -> (CutTensor, ExpectationFolder) {
-        let num_in = fragment.incoming_cuts.len();
-        let num_out = fragment.outgoing_cuts.len();
-        let num_roles = fragment.gate_cut_roles.len();
+        let wire_legs = fragment.incoming_cuts.len() + fragment.outgoing_cuts.len();
         let legs: Vec<Leg> = fragment
             .incoming_cuts
             .iter()
@@ -550,23 +623,17 @@ impl ExpectationFolder {
             .chain(fragment.gate_cut_roles.iter().map(|&(cut, _)| Leg::Gate(cut)))
             .collect();
         let tensor = CutTensor::new(legs, Vec::new());
-        let cut_bit_positions: Vec<usize> = fragment.cut_clbits.iter().map(|&(_, c)| c).collect();
         let folder = ExpectationFolder {
-            parity_bits: fragment
+            parity_mask: fragment
                 .output_clbits
                 .iter()
                 .filter(|&&(orig, _)| string.pauli(orig) != Pauli::I)
-                .map(|&(_, clbit)| clbit)
-                .collect(),
-            cut_bits: vec![false; cut_bit_positions.len()],
-            cut_bit_positions,
+                .fold(0, |mask, &(_, clbit)| mask | 1 << clbit),
             gate_bit_positions: fragment.gatecut_clbits.iter().map(|&(_, c)| c).collect(),
             role_halves: fragment.gate_cut_roles.iter().map(|&(_, h)| h).collect(),
-            weighted: vec![0.0f64; 4usize.pow(num_out as u32)],
-            in_od: Odometer::uniform(num_in, 4),
-            out_stride: 4usize.pow(num_in as u32),
-            gate_base_stride: 4usize.pow((num_in + num_out) as u32),
-            num_roles,
+            gate_base_stride: 4usize.pow(wire_legs as u32),
+            slots: WireSlots::new(fragment),
+            marginal: Vec::new(),
         };
         (tensor, folder)
     }
@@ -580,89 +647,49 @@ impl CutTensor {
     /// exactly the tensor [`expectation_tensor`] builds in one pass; callers
     /// must [`refresh_active`](CutTensor::refresh_active) (or prune) once
     /// folding is complete.
+    ///
+    /// Cost: `O(2^c · #Z + 3^in · 2^#Z)` for a `c`-clbit distribution with
+    /// `#Z ≤ out` Z-basis cut slots — one pass builds the signed marginal
+    /// over the Z cut bits (Pauli support, measuring gate instances and X/Y
+    /// cut bits all enter through one parity mask), one pass over that
+    /// marginal writes the `2^#Z` outgoing combos that can be non-zero.
     pub(crate) fn fold_expectation_partial(
         &mut self,
         folder: &mut ExpectationFolder,
         variant: &FragmentVariant,
         dist: &[f64],
     ) {
-        let init_states = &variant.init_states;
-        let cut_bases = &variant.cut_bases;
-        let instances = &variant.gate_instances;
+        let slots = &mut folder.slots;
+        slots.select(&self.strides, variant);
 
-        // entry-index contribution of this variant's gate instances
+        // entry offset and measurement signs of this variant's gate instances
         let mut idx_gate = 0usize;
         let mut stride = folder.gate_base_stride;
-        for (role, &instance) in instances.iter().enumerate() {
-            debug_assert!(role < folder.num_roles);
+        let mut mask = folder.parity_mask | slots.sign_mask;
+        for (role, &instance) in variant.gate_instances.iter().enumerate() {
             idx_gate += (instance - 1) * stride;
             stride *= 6;
+            if instance_measures(instance, folder.role_halves[role]) {
+                mask |= 1 << folder.gate_bit_positions[role];
+            }
         }
 
-        // Weighted scalar for this executed variant, per outgoing combo.
-        folder.weighted.iter_mut().for_each(|w| *w = 0.0);
+        folder.marginal.clear();
+        folder.marginal.resize(1 << slots.z_positions.len(), 0.0);
         for (outcome, &p) in dist.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            // parity of the Pauli support bits
-            let mut sign = 1.0;
-            for &bit in &folder.parity_bits {
-                if outcome & (1 << bit) != 0 {
-                    sign = -sign;
-                }
-            }
-            // gate-cut measurement signs
-            for (role, &instance) in instances.iter().enumerate() {
-                if instance_measures(instance, folder.role_halves[role])
-                    && outcome & (1 << folder.gate_bit_positions[role]) != 0
-                {
-                    sign = -sign;
-                }
-            }
-            for (slot, &pos) in folder.cut_bit_positions.iter().enumerate() {
-                folder.cut_bits[slot] = outcome & (1 << pos) != 0;
-            }
-            for (combo, slot) in folder.weighted.iter_mut().enumerate() {
-                let mut w = p * sign;
-                let mut rest = combo;
-                for (cut_slot, &basis) in cut_bases.iter().enumerate() {
-                    let component = rest % 4;
-                    rest /= 4;
-                    if required_basis(component) != basis {
-                        w = 0.0;
-                        break;
-                    }
-                    w *= cut_bit_weight(component, folder.cut_bits[cut_slot]);
-                    if w == 0.0 {
-                        break;
-                    }
-                }
-                *slot += w;
+            if p != 0.0 {
+                folder.marginal[slots.z_key(outcome)] += signed_by_parity(p, outcome & mask);
             }
         }
 
-        // Scatter into the tensor across compatible incoming components.
-        folder.in_od.reset();
-        while let Some(in_components) = folder.in_od.next() {
-            let mut in_weight = 1.0;
-            let mut idx_in = 0usize;
-            for (slot, &component) in in_components.iter().enumerate() {
-                in_weight *= init_weight(component, init_states[slot]);
-                if in_weight == 0.0 {
-                    break;
-                }
-                idx_in += component * self.strides[slot];
-            }
-            if in_weight == 0.0 {
+        let scale = slots.out_scale();
+        for (z_key, &sum) in folder.marginal.iter().enumerate() {
+            if sum == 0.0 {
                 continue;
             }
-            for (combo, &value) in folder.weighted.iter().enumerate() {
-                if value == 0.0 {
-                    continue;
-                }
-                let idx = idx_in + combo * folder.out_stride + idx_gate;
-                self.data[idx] += in_weight * value;
+            let idx = slots.out_index(z_key) + idx_gate;
+            for &(idx_in, in_weight) in &slots.in_terms {
+                self.data[idx_in + idx] += in_weight * (scale * sum);
             }
         }
     }
@@ -966,13 +993,7 @@ pub(crate) fn contract_probabilities_from_tensors(
 
     let mut probabilities = vec![0.0; 1usize << fragments.original_qubits];
     for (y, &p) in final_tensor.payload(0).iter().enumerate() {
-        let mut x = 0usize;
-        for (bit, &orig) in final_tensor.bit_origins.iter().enumerate() {
-            if y & (1 << bit) != 0 {
-                x |= 1 << orig;
-            }
-        }
-        probabilities[x] += p;
+        probabilities[scatter_bits(y, &final_tensor.bit_origins)] += p;
     }
     probabilities
 }
@@ -1043,14 +1064,9 @@ pub(crate) fn contract_expectation(
 
 /// Splits `total` combinations into deterministic contiguous chunk bounds.
 /// The chunk count depends only on the problem size (not the thread count),
-/// so the ordered reduction gives bit-identical results on any machine;
-/// `payload_bits` bounds per-chunk memory for the probability path.
-fn chunk_bounds(total: usize, payload_bits: usize) -> Vec<(usize, usize)> {
-    // All chunks together hold at most ~2^23 partial accumulator slots
-    // (64 MiB of f64), so wide-output circuits degrade to fewer chunks
-    // instead of exhausting memory.
-    let memory_cap = (1usize << 23).checked_shr(payload_bits as u32).unwrap_or(1).max(1);
-    let chunks = total.min(64).min(memory_cap).max(1);
+/// so the ordered reduction gives bit-identical results on any machine.
+fn chunk_bounds(total: usize) -> Vec<(usize, usize)> {
+    let chunks = total.clamp(1, 64);
     (0..chunks).map(|c| (c * total / chunks, (c + 1) * total / chunks)).collect()
 }
 
@@ -1063,94 +1079,139 @@ fn leg_descriptors(tensors: &[CutTensor]) -> Vec<Vec<(usize, Leg)>> {
         .collect()
 }
 
-/// The dense (FRP) probability reconstruction: one global `4^cuts` component
-/// loop, rayon-parallel over deterministic chunks, iterating only the
-/// non-idle output subspace and scattering at the end.
-pub(crate) fn dense_probabilities(fragments: &FragmentSet, tensors: &[CutTensor]) -> Vec<f64> {
-    let cuts = fragments.num_wire_cuts();
-    let n = fragments.original_qubits;
-    let scale = 0.5f64.powi(cuts as i32);
+/// `log₂` of the output-slice length [`dense_probabilities`] hands to one
+/// rayon task: at most 64 slices, none narrower than `2^12` slots. A function
+/// of the output width alone, so the slicing — and with it every rounding —
+/// is the same on any thread count.
+fn dense_slice_bits(output_bits: usize) -> usize {
+    output_bits.saturating_sub(6).max(12).min(output_bits)
+}
 
-    // Compact, idle-free output subspace: qubit `non_idle[j]` is compact bit
-    // `j`; idle wires always read 0 and are skipped entirely.
-    let non_idle: Vec<usize> = (0..n).filter(|&q| fragments.output_owner[q].is_some()).collect();
-    let mut rank = vec![usize::MAX; n];
-    for (j, &q) in non_idle.iter().enumerate() {
-        rank[q] = j;
-    }
-    let compact_positions: Vec<Vec<usize>> = fragments
-        .fragments
+/// Accumulates every `4^cuts` component combo into `out`, the slice of the
+/// fragment-major output that starts at index `lo` (`out.len()` is a power
+/// of two dividing `lo`). Inside the slice each fragment contributes one
+/// contiguous window of its payload — the whole payload below the slice
+/// width, a single value above it — so a combo is the outer product of those
+/// windows: scalars fold into the weight, vectors into a running product
+/// whose last factor is accumulated straight into `out`.
+fn accumulate_dense_slice(
+    tensors: &[CutTensor],
+    descriptors: &[Vec<(usize, Leg)>],
+    offsets: &[usize],
+    cuts: usize,
+    lo: usize,
+    out: &mut [f64],
+) {
+    let slice_bits = out.len().trailing_zeros() as usize;
+    let windows: Vec<(usize, usize)> = tensors
         .iter()
-        .map(|f| f.output_clbits.iter().map(|&(orig, _)| rank[orig]).collect())
-        .collect();
-    let descriptors = leg_descriptors(tensors);
-    let m = non_idle.len();
-    let total = 1usize << (2 * cuts);
-
-    let partials: Vec<Vec<f64>> = chunk_bounds(total, m)
-        .into_par_iter()
-        .map(|(start, end)| {
-            let mut local = vec![0.0f64; 1 << m];
-            let mut factors: Vec<&[f64]> = Vec::with_capacity(tensors.len());
-            let mut od = Odometer::uniform(cuts, 4);
-            od.seek(start);
-            let mut remaining = end - start;
-            'combos: while remaining > 0 {
-                let Some(components) = od.next() else { break };
-                remaining -= 1;
-                factors.clear();
-                for (tensor, legs) in tensors.iter().zip(&descriptors) {
-                    let mut idx = 0usize;
-                    for &(stride, leg) in legs {
-                        let Leg::Wire(cut) = leg else {
-                            unreachable!("probability tensors carry wire legs only")
-                        };
-                        idx += components[cut] * stride;
-                    }
-                    if !tensor.active[idx] {
-                        continue 'combos; // a zero block annihilates the combo
-                    }
-                    factors.push(tensor.payload(idx));
-                }
-                for (x, slot) in local.iter_mut().enumerate() {
-                    let mut term = scale;
-                    for (factor, positions) in factors.iter().zip(&compact_positions) {
-                        let mut y = 0usize;
-                        for (bit, &cpos) in positions.iter().enumerate() {
-                            if x & (1 << cpos) != 0 {
-                                y |= 1 << bit;
-                            }
-                        }
-                        term *= factor[y];
-                        if term == 0.0 {
-                            break;
-                        }
-                    }
-                    *slot += term;
-                }
-            }
-            local
+        .zip(offsets)
+        .map(|(tensor, &offset)| {
+            let bits = tensor.bit_origins.len();
+            let varying = slice_bits.saturating_sub(offset).min(bits);
+            ((lo >> offset) & (tensor.payload_len - 1), 1usize << varying)
         })
         .collect();
-
-    // Ordered reduction: chunk results are summed in chunk order, so the
-    // outcome is independent of the worker-thread schedule.
-    let mut compact = vec![0.0f64; 1 << m];
-    for partial in partials {
-        for (slot, value) in compact.iter_mut().zip(&partial) {
-            *slot += value;
-        }
-    }
-
-    let mut probabilities = vec![0.0f64; 1 << n];
-    for (y, &p) in compact.iter().enumerate() {
-        let mut x = 0usize;
-        for (j, &q) in non_idle.iter().enumerate() {
-            if y & (1 << j) != 0 {
-                x |= 1 << q;
+    let scale = 0.5f64.powi(cuts as i32);
+    let mut prefix = vec![0.0f64; (out.len() / 2).max(1)];
+    let mut factors: Vec<&[f64]> = Vec::with_capacity(tensors.len());
+    let mut od = Odometer::uniform(cuts, 4);
+    'combos: while let Some(components) = od.next() {
+        let mut weight = scale;
+        factors.clear();
+        for ((tensor, legs), &(start, len)) in tensors.iter().zip(descriptors).zip(&windows) {
+            let mut idx = 0usize;
+            for &(stride, leg) in legs {
+                let Leg::Wire(cut) = leg else {
+                    unreachable!("probability tensors carry wire legs only")
+                };
+                idx += components[cut] * stride;
+            }
+            if !tensor.active[idx] {
+                continue 'combos; // a zero block annihilates the combo
+            }
+            let window = &tensor.payload(idx)[start..start + len];
+            if len == 1 {
+                weight *= window[0];
+            } else {
+                factors.push(window);
             }
         }
-        probabilities[x] = p;
+        if weight == 0.0 {
+            continue;
+        }
+        let Some((last, rest)) = factors.split_last() else {
+            out[0] += weight;
+            continue;
+        };
+        prefix[0] = weight;
+        let mut filled = 1usize;
+        for factor in rest {
+            let (head, tail) = prefix.split_at_mut(filled);
+            for (block, &f) in tail.chunks_mut(filled).zip(&factor[1..]) {
+                for (slot, &h) in block.iter_mut().zip(head.iter()) {
+                    *slot = h * f;
+                }
+            }
+            head.iter_mut().for_each(|h| *h *= factor[0]);
+            filled *= factor.len();
+        }
+        for (block, &f) in out.chunks_mut(filled).zip(last.iter()) {
+            if f == 0.0 {
+                continue;
+            }
+            for (slot, &h) in block.iter_mut().zip(&prefix[..filled]) {
+                *slot += h * f;
+            }
+        }
+    }
+}
+
+/// The dense (FRP) probability reconstruction, output-sliced: the result is
+/// accumulated in a fragment-major layout (fragment `f`'s payload index in
+/// bits `offsets[f]..`, the last fragment in the high bits), split into
+/// contiguous slices that rayon tasks fill independently — each sums all
+/// `4^cuts` combos in odometer order, so the result is bit-identical for any
+/// thread count — and scattered to the `2^N` vector at the end.
+///
+/// Cost: `4^cuts · 2^m` multiply-adds for `m` measured qubits (plus a
+/// geometrically smaller running-product term) and one `2^m` scratch; idle
+/// wires cost nothing.
+pub(crate) fn dense_probabilities(fragments: &FragmentSet, tensors: &[CutTensor]) -> Vec<f64> {
+    let cuts = fragments.num_wire_cuts();
+    let descriptors = leg_descriptors(tensors);
+    let mut offsets = Vec::with_capacity(tensors.len());
+    let mut output_bits = 0usize;
+    for tensor in tensors {
+        offsets.push(output_bits);
+        output_bits += tensor.bit_origins.len();
+    }
+
+    let mut compact = vec![0.0f64; 1 << output_bits];
+    let slice_len = 1usize << dense_slice_bits(output_bits);
+    let slices: Vec<&mut [f64]> = compact.chunks_mut(slice_len).collect();
+    slices.into_par_iter().enumerate().for_each(|(slice, out)| {
+        accumulate_dense_slice(tensors, &descriptors, &offsets, cuts, slice * slice_len, out);
+    });
+
+    // Fragment-major index → original-qubit index: each fragment spreads its
+    // payload bits to their original qubits; idle wires stay 0.
+    let spreads: Vec<Vec<usize>> = tensors
+        .iter()
+        .map(|t| (0..t.payload_len).map(|y| scatter_bits(y, &t.bit_origins)).collect())
+        .collect();
+    let mut probabilities = vec![0.0f64; 1 << fragments.original_qubits];
+    let Some((low, high)) = spreads.split_first() else { return probabilities };
+    for (rest, block) in compact.chunks(low.len()).enumerate() {
+        let mut base = 0usize;
+        let mut shift = 0usize;
+        for spread in high {
+            base |= spread[(rest >> shift) & (spread.len() - 1)];
+            shift += spread.len().trailing_zeros() as usize;
+        }
+        for (&p, &x) in block.iter().zip(low) {
+            probabilities[base | x] = p;
+        }
     }
     probabilities
 }
@@ -1167,7 +1228,7 @@ pub(crate) fn dense_expectation(fragments: &FragmentSet, tensors: &[CutTensor]) 
     let descriptors = leg_descriptors(tensors);
     let total = 1usize << (2 * wire_cuts);
 
-    let partials: Vec<f64> = chunk_bounds(total, 0)
+    let partials: Vec<f64> = chunk_bounds(total)
         .into_par_iter()
         .map(|(start, end)| {
             let mut sum = 0.0f64;
@@ -1209,6 +1270,9 @@ pub(crate) fn dense_expectation(fragments: &FragmentSet, tensors: &[CutTensor]) 
 
     partials.into_iter().sum()
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

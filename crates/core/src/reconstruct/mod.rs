@@ -19,9 +19,11 @@
 //! * [`ReconstructionStrategy::Dense`] — the paper's FRP/FRE model: one
 //!   global mixed-radix loop over all `4^wire · 6^gate` attribution
 //!   components, multiplying every fragment's tensor entry per combination.
-//!   The outer component loop is split into deterministic chunks and run
-//!   rayon-parallel, and the probability path iterates only the non-idle
-//!   output subspace. Limited to [`MAX_DENSE_CUTS`] wire cuts.
+//!   The probability path splits its **output** into contiguous slices that
+//!   rayon tasks fill independently (each slot sums its combos in one fixed
+//!   order, so any thread count gives the same bits) and never visits idle
+//!   wires; the scalar expectation path splits the component loop into
+//!   deterministic chunks. Limited to [`MAX_DENSE_CUTS`] wire cuts.
 //! * [`ReconstructionStrategy::Contract`] — the paper's ARP
 //!   (divide-and-conquer) model made executable: fragment tensors are merged
 //!   **pairwise along shared cuts**, order chosen greedily by the size of the
@@ -52,6 +54,26 @@
 //!   chunk lands; shot top-ups re-fold only the touched fragment.
 //! * [`cost`] — analytic floating-point-operation cost models of the
 //!   reconstruction strategies compared in Figure 6.
+//!
+//! # What each kernel costs
+//!
+//! Every kernel does work proportional to what it writes. For a fragment
+//! with `in` incoming and `out` outgoing wire cuts whose executed variant
+//! returns a distribution over `c` classical bits, `#Z ≤ out` of them
+//! Z-basis cut measurements:
+//!
+//! | kernel | work | instead of |
+//! |---|---|---|
+//! | expectation fold, per variant | `2^c · #Z + 3^in · 2^#Z` | `2^c · 4^out · out + 4^in · 4^out` |
+//! | probability fold, per variant | `2^c · (c + 3^in)` | `2^c · 4^in · 4^out · (in + out)` |
+//! | dense probability readout | `4^cuts · 2^m` multiply-adds, one `2^m` scratch | `4^cuts · 2^m · m` bit gathers, 64 `2^m` partials |
+//!
+//! (`m` = measured, i.e. non-idle, qubits.) The folds get there by
+//! sum-factorising Eq. (3): for a variant's fixed initialisation states only
+//! `≤ 3^in` incoming component combos have a non-zero weight, and for its
+//! fixed measurement bases each outcome has exactly one non-zero outgoing
+//! combo — the structurally vanishing basis elements are never visited. The
+//! component-grid loops they replaced survive as the unit tests' oracle.
 
 mod engine;
 mod expectation;
@@ -66,7 +88,9 @@ pub use expectation::ExpectationReconstructor;
 pub use probability::ProbabilityReconstructor;
 pub use streaming::{ExpectationAccumulator, ProbabilityAccumulator};
 
-use crate::fragment::{CutBasis, InitState};
+#[cfg(test)]
+use crate::fragment::CutBasis;
+use crate::fragment::InitState;
 
 /// Maximum number of wire cuts the dense reconstructors accept (4^k terms),
 /// and the per-contraction leg cap of the `Contract` strategy.
@@ -88,7 +112,9 @@ pub(crate) fn init_weight(component: usize, state: InitState) -> f64 {
 }
 
 /// The measurement basis attribution component `component` requires on the
-/// upstream side.
+/// upstream side. The production folds specialise this per variant (see
+/// `engine::WireSlots`); the definition stays as the test oracle's reference.
+#[cfg(test)]
 pub(crate) fn required_basis(component: usize) -> CutBasis {
     match component {
         0 | 1 => CutBasis::Z,
@@ -100,6 +126,8 @@ pub(crate) fn required_basis(component: usize) -> CutBasis {
 
 /// Weight of a measured cut bit for attribution component `component` (the
 /// upstream factors of Eq. (3): `2·p(0)`, `2·p(1)`, `Tr(ρX)`, `Tr(ρY)`).
+/// Test-only for the same reason as [`required_basis`].
+#[cfg(test)]
 pub(crate) fn cut_bit_weight(component: usize, bit: bool) -> f64 {
     match component {
         0 => {

@@ -25,7 +25,49 @@ use crate::execute::ExecutionResults;
 use crate::fragment::{Fragment, FragmentSet, FragmentVariant, VariantKey};
 use crate::CoreError;
 use qrcc_circuit::observable::{Pauli, PauliObservable, PauliString};
-use std::collections::HashSet;
+
+/// The "already folded" set of one fragment's variants: a bitset indexed by
+/// the variant's mixed-radix ordinal (gate instances ×6, init states ×4, cut
+/// bases ×3), so membership costs no hash and no variant clone.
+#[derive(Debug, Clone)]
+struct FoldedSet {
+    bits: Vec<u64>,
+    /// `6^roles · 4^incoming · 3^outgoing`: every variant the fragment has.
+    expected: u64,
+}
+
+impl FoldedSet {
+    fn new(fragment: &Fragment) -> Self {
+        let expected = fragment.variant_count();
+        FoldedSet { bits: vec![0; expected.div_ceil(64) as usize], expected }
+    }
+
+    /// Ordinal of a variant whose slot counts and instance range were
+    /// already validated against the fragment.
+    fn ordinal(variant: &FragmentVariant) -> usize {
+        let ordinal = variant.gate_instances.iter().fold(0, |acc, &g| acc * 6 + (g - 1));
+        let ordinal = variant.init_states.iter().fold(ordinal, |acc, &s| acc * 4 + s as usize);
+        variant.cut_bases.iter().fold(ordinal, |acc, &b| acc * 3 + b as usize)
+    }
+
+    fn contains(&self, variant: &FragmentVariant) -> bool {
+        let ordinal = Self::ordinal(variant);
+        self.bits[ordinal / 64] >> (ordinal % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, variant: &FragmentVariant) {
+        let ordinal = Self::ordinal(variant);
+        self.bits[ordinal / 64] |= 1 << (ordinal % 64);
+    }
+
+    fn len(&self) -> u64 {
+        self.bits.iter().map(|word| u64::from(word.count_ones())).sum()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.len() == self.expected
+    }
+}
 
 /// Whether `variant` is one of the probability workload's enumerated
 /// variants for `fragment` (all-Z outputs, no gate instances, matching slot
@@ -55,8 +97,7 @@ pub struct ProbabilityAccumulator<'a> {
     options: ReconstructionOptions,
     tensors: Vec<engine::CutTensor>,
     folders: Vec<FragmentFolder>,
-    folded: Vec<HashSet<FragmentVariant>>,
-    expected: Vec<u64>,
+    folded: Vec<FoldedSet>,
     dirty: Vec<bool>,
     store: ExecutionResults,
 }
@@ -83,23 +124,20 @@ impl<'a> ProbabilityAccumulator<'a> {
         engine::resolve_strategy(fragments, &options, Workload::Probability)?;
         let mut tensors = Vec::with_capacity(fragments.fragments.len());
         let mut folders = Vec::with_capacity(fragments.fragments.len());
-        let mut folded = vec![HashSet::new(); fragments.fragments.len()];
-        let mut expected = Vec::with_capacity(fragments.fragments.len());
+        let mut folded = Vec::with_capacity(fragments.fragments.len());
         for fragment in &fragments.fragments {
             let (mut tensor, mut folder) = FragmentFolder::probability(fragment);
+            let mut seen = FoldedSet::new(fragment);
             if fragment.num_clbits == 0 {
                 // never executed: fold the constant distribution up front
                 for variant in probability_variants(fragment) {
                     tensor.fold_partial(&mut folder, &variant, &engine::TRIVIAL);
-                    folded[fragment.index].insert(variant);
+                    seen.insert(&variant);
                 }
             }
-            expected.push(
-                4u64.pow(fragment.incoming_cuts.len() as u32)
-                    * 3u64.pow(fragment.outgoing_cuts.len() as u32),
-            );
             tensors.push(tensor);
             folders.push(folder);
+            folded.push(seen);
         }
         Ok(ProbabilityAccumulator {
             fragments,
@@ -107,7 +145,6 @@ impl<'a> ProbabilityAccumulator<'a> {
             tensors,
             folders,
             folded,
-            expected,
             dirty: vec![false; fragments.fragments.len()],
             store: ExecutionResults::default(),
         })
@@ -149,7 +186,7 @@ impl<'a> ProbabilityAccumulator<'a> {
                     &key.variant,
                     dist,
                 );
-                self.folded[key.fragment].insert(key.variant.clone());
+                self.folded[key.fragment].insert(&key.variant);
             }
         }
         self.store.extend(partial);
@@ -159,8 +196,8 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// `(folded, expected)` distinct-variant counts across all fragments —
     /// reconstruction progress while the stream is still running.
     pub fn progress(&self) -> (u64, u64) {
-        let folded = self.folded.iter().map(|set| set.len() as u64).sum();
-        (folded, self.expected.iter().sum())
+        let folded = self.folded.iter().map(FoldedSet::len).sum();
+        (folded, self.folded.iter().map(|set| set.expected).sum())
     }
 
     /// Everything absorbed so far, merged (latest distribution per key wins).
@@ -193,15 +230,12 @@ impl<'a> ProbabilityAccumulator<'a> {
                 }
                 let key = VariantKey::new(index, variant);
                 let dist = self.store.distribution(&key)?;
-                // borrow juggling: distribution lookup borrows store, fold
-                // needs the tensor — clone the slice reference lifetime away
-                let dist = dist.to_vec();
-                self.tensors[index].fold_partial(&mut self.folders[index], &key.variant, &dist);
+                self.tensors[index].fold_partial(&mut self.folders[index], &key.variant, dist);
             }
             self.dirty[index] = false;
         }
         for (index, fragment) in self.fragments.fragments.iter().enumerate() {
-            if fragment.num_clbits > 0 && (self.folded[index].len() as u64) < self.expected[index] {
+            if fragment.num_clbits > 0 && !self.folded[index].is_complete() {
                 return Err(CoreError::MissingVariant { fragment: index });
             }
         }
@@ -266,8 +300,7 @@ struct TermState {
     normalized_bases: Vec<Vec<Pauli>>,
     tensors: Vec<engine::CutTensor>,
     folders: Vec<ExpectationFolder>,
-    folded: Vec<HashSet<FragmentVariant>>,
-    expected: Vec<u64>,
+    folded: Vec<FoldedSet>,
     dirty: Vec<bool>,
 }
 
@@ -332,12 +365,11 @@ impl<'a> ExpectationAccumulator<'a> {
             let mut tensors = Vec::new();
             let mut folders = Vec::new();
             let mut folded = Vec::new();
-            let mut expected = Vec::new();
             if !vanishes {
                 for fragment in &fragments.fragments {
                     let (mut tensor, mut folder) = ExpectationFolder::expectation(fragment, string);
                     normalized_bases.push(normalized_output_bases(fragment, string));
-                    let mut seen = HashSet::new();
+                    let mut seen = FoldedSet::new(fragment);
                     if fragment.num_clbits == 0 {
                         // never executed: fold the constant distribution now
                         for variant in expectation_variants(fragment, string) {
@@ -346,14 +378,9 @@ impl<'a> ExpectationAccumulator<'a> {
                                 &variant,
                                 &engine::TRIVIAL,
                             );
-                            seen.insert(variant);
+                            seen.insert(&variant);
                         }
                     }
-                    expected.push(
-                        6u64.pow(fragment.gate_cut_roles.len() as u32)
-                            * 4u64.pow(fragment.incoming_cuts.len() as u32)
-                            * 3u64.pow(fragment.outgoing_cuts.len() as u32),
-                    );
                     tensors.push(tensor);
                     folders.push(folder);
                     folded.push(seen);
@@ -368,7 +395,6 @@ impl<'a> ExpectationAccumulator<'a> {
                 tensors,
                 folders,
                 folded,
-                expected,
                 dirty,
             });
         }
@@ -423,7 +449,7 @@ impl<'a> ExpectationAccumulator<'a> {
                         &key.variant,
                         dist,
                     );
-                    term.folded[key.fragment].insert(key.variant.clone());
+                    term.folded[key.fragment].insert(&key.variant);
                 }
             }
         }
@@ -436,10 +462,8 @@ impl<'a> ExpectationAccumulator<'a> {
     /// still running. Terms sharing basis signatures fold the same executed
     /// variant once per term, so both counts scale with the term count.
     pub fn progress(&self) -> (u64, u64) {
-        let folded =
-            self.terms.iter().flat_map(|t| t.folded.iter()).map(|set| set.len() as u64).sum();
-        let expected = self.terms.iter().flat_map(|t| t.expected.iter()).sum();
-        (folded, expected)
+        let sets = || self.terms.iter().flat_map(|term| &term.folded);
+        (sets().map(FoldedSet::len).sum(), sets().map(|set| set.expected).sum())
     }
 
     /// Everything absorbed so far, merged (latest distribution per key wins).
@@ -489,19 +513,17 @@ impl<'a> ExpectationAccumulator<'a> {
                         continue;
                     }
                     let key = VariantKey::new(index, variant);
-                    let dist = self.store.distribution(&key)?.to_vec();
+                    let dist = self.store.distribution(&key)?;
                     term.tensors[index].fold_expectation_partial(
                         &mut term.folders[index],
                         &key.variant,
-                        &dist,
+                        dist,
                     );
                 }
                 term.dirty[index] = false;
             }
             for (index, fragment) in self.fragments.fragments.iter().enumerate() {
-                if fragment.num_clbits > 0
-                    && (term.folded[index].len() as u64) < term.expected[index]
-                {
+                if fragment.num_clbits > 0 && !term.folded[index].is_complete() {
                     return Err(CoreError::MissingVariant { fragment: index });
                 }
             }

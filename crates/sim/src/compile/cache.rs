@@ -6,6 +6,11 @@
 //! measurements) around an identical body. The cache canonicalises each
 //! request into that three-part frame split, compiles the body **once**, and
 //! re-derives only the cheap frames per request.
+//!
+//! The cache is **bounded**: at most [`KernelCache::BODY_BUDGET`] compiled
+//! bodies stay resident, evicted in two generations, so a long-lived backend
+//! under a parameter sweep (every new angle is a new body) holds a constant
+//! amount of compiled code instead of growing per request.
 
 use super::{lower_ops, CompileStats, FramedProgram, Kernel, KernelProgram, Measurements};
 use qrcc_circuit::{Circuit, Operation};
@@ -38,18 +43,79 @@ struct CachedBody {
 /// assert!(std::sync::Arc::ptr_eq(pa.body(), pb.body()));
 /// assert_eq!(cache.hits(), 1);
 /// ```
+///
+/// # Eviction
+///
+/// Bodies live in two generations of [`KernelCache::BODY_BUDGET`]` / 2` each.
+/// New and re-used bodies go to the young generation; when it is full the
+/// old generation is dropped and the young one takes its place. So at most
+/// `BODY_BUDGET` bodies are ever resident, a body survives as long as it is
+/// used at least once per `BODY_BUDGET / 2` distinct other bodies, and any
+/// batch with up to `BODY_BUDGET / 2` distinct bodies compiles each exactly
+/// once however often it repeats. An evicted body simply recompiles (to the
+/// same program) on its next use; [`CompileStats::cache_evictions`] counts
+/// them.
 pub struct KernelCache {
-    buckets: Mutex<HashMap<u64, Vec<CachedBody>>>,
+    generations: Mutex<Generations>,
     hits: AtomicU64,
     misses: AtomicU64,
     aggregate: Mutex<CompileStats>,
 }
 
+/// Compiled bodies by structural hash, in a young and an old generation.
+#[derive(Default)]
+struct Generations {
+    young: HashMap<u64, Vec<CachedBody>>,
+    young_len: usize,
+    old: HashMap<u64, Vec<CachedBody>>,
+    old_len: usize,
+}
+
+impl Generations {
+    /// The resident program of `body`, if any. A hit in the old generation
+    /// is promoted to the young one (so the next retirement spares it); the
+    /// second value counts the bodies that promotion evicted.
+    fn get(&mut self, hash: u64, body: &Circuit) -> Option<(Arc<KernelProgram>, u64)> {
+        let matches = |cb: &CachedBody| cb.circuit.structurally_equal(body);
+        if let Some(cb) =
+            self.young.get(&hash).and_then(|bucket| bucket.iter().find(|cb| matches(cb)))
+        {
+            return Some((Arc::clone(&cb.program), 0));
+        }
+        let bucket = self.old.get_mut(&hash)?;
+        let found = bucket.swap_remove(bucket.iter().position(matches)?);
+        self.old_len -= 1;
+        let program = Arc::clone(&found.program);
+        Some((program, self.admit(hash, found)))
+    }
+
+    /// Admits a body to the young generation, first retiring the old
+    /// generation if the young one is full. Returns the number of bodies
+    /// evicted.
+    fn admit(&mut self, hash: u64, body: CachedBody) -> u64 {
+        let mut evicted = 0;
+        if self.young_len >= KernelCache::BODY_BUDGET / 2 {
+            evicted = self.old_len as u64;
+            self.old = std::mem::take(&mut self.young);
+            self.old_len = std::mem::take(&mut self.young_len);
+        }
+        self.young.entry(hash).or_default().push(body);
+        self.young_len += 1;
+        evicted
+    }
+}
+
 impl KernelCache {
+    /// Most compiled bodies ever resident. A constant, not a knob: it only
+    /// has to exceed twice the distinct bodies of one request (a few hundred
+    /// at this repository's circuit sizes) for the cache to behave as if
+    /// unbounded within a request.
+    pub const BODY_BUDGET: usize = 4096;
+
     /// An empty cache.
     pub fn new() -> Self {
         KernelCache {
-            buckets: Mutex::new(HashMap::new()),
+            generations: Mutex::new(Generations::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             aggregate: Mutex::new(CompileStats::default()),
@@ -85,20 +151,19 @@ impl KernelCache {
         }
         let hash = body.structural_hash();
 
-        let (program, hit) = {
-            let mut buckets = self.buckets.lock().expect("kernel cache poisoned");
-            let bucket = buckets.entry(hash).or_default();
-            match bucket.iter().find(|cb| cb.circuit.structurally_equal(&body)) {
-                Some(cb) => (Arc::clone(&cb.program), true),
+        let (program, hit, evicted) = {
+            let mut generations = self.generations.lock().expect("kernel cache poisoned");
+            match generations.get(hash, &body) {
+                Some((program, evicted)) => (program, true, evicted),
                 None => {
                     let program = Arc::new(KernelProgram::compile(&body));
-                    bucket.push(CachedBody { circuit: body, program: Arc::clone(&program) });
-                    (program, false)
+                    let cached = CachedBody { circuit: body, program: Arc::clone(&program) };
+                    (program, false, generations.admit(hash, cached))
                 }
             }
         };
 
-        let mut frame_stats = CompileStats::default();
+        let mut frame_stats = CompileStats { cache_evictions: evicted, ..CompileStats::default() };
         let prologue = lower_slice(circuit.num_qubits(), &ops[..prologue_len], &mut frame_stats);
         let epilogue = lower_slice(circuit.num_qubits(), &ops[epilogue_start..], &mut frame_stats);
         let measurements = Measurements::of_kernels(
@@ -153,11 +218,13 @@ impl KernelCache {
 
     /// Number of distinct compiled bodies resident in the cache.
     pub fn compiled_bodies(&self) -> usize {
-        self.buckets.lock().expect("kernel cache poisoned").values().map(Vec::len).sum()
+        let generations = self.generations.lock().expect("kernel cache poisoned");
+        generations.young_len + generations.old_len
     }
 
     /// Cumulative compile telemetry: frame compilations for every request,
-    /// each distinct body once, plus total cache hit/miss counts.
+    /// each body once per compilation, plus total cache hit/miss/eviction
+    /// counts.
     pub fn stats(&self) -> CompileStats {
         self.aggregate.lock().expect("kernel cache poisoned").clone()
     }
@@ -236,6 +303,53 @@ mod tests {
         cache.get_or_compile(&b);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.compiled_bodies(), 2);
+    }
+
+    /// One distinct two-qubit body per `index` (the angle differs).
+    fn distinct_body(index: usize) -> Circuit {
+        let mut c = Circuit::with_clbits(2, 2);
+        c.h(0).rzz(0.001 * (index as f64 + 1.0), 0, 1).cx(0, 1);
+        c.measure(0, 0).measure(1, 1);
+        c
+    }
+
+    #[test]
+    fn residency_stays_within_the_budget_and_evicted_bodies_recompile_identically() {
+        let cache = KernelCache::new();
+        let first = cache.get_or_compile(&distinct_body(0));
+        let reference = first.classical_distribution().unwrap();
+        for index in 1..10 * KernelCache::BODY_BUDGET {
+            cache.get_or_compile(&distinct_body(index));
+            assert!(cache.compiled_bodies() <= KernelCache::BODY_BUDGET);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.cache_misses, 10 * KernelCache::BODY_BUDGET as u64);
+        assert_eq!(
+            stats.cache_evictions + cache.compiled_bodies() as u64,
+            stats.cache_misses,
+            "every compiled body is either resident or counted as evicted"
+        );
+
+        // body 0 is long gone: it recompiles (a miss) to the same program
+        let again = cache.get_or_compile(&distinct_body(0));
+        assert_eq!(cache.misses(), 10 * KernelCache::BODY_BUDGET as u64 + 1);
+        assert!(!Arc::ptr_eq(first.body(), again.body()));
+        assert_eq!(first.body().kernels().len(), again.body().kernels().len());
+        assert_eq!(again.classical_distribution().unwrap(), reference);
+    }
+
+    #[test]
+    fn a_body_in_steady_use_survives_any_number_of_retirements() {
+        let cache = KernelCache::new();
+        let hot = cache.get_or_compile(&distinct_body(0));
+        for index in 1..3 * KernelCache::BODY_BUDGET {
+            cache.get_or_compile(&distinct_body(index));
+            if index % (KernelCache::BODY_BUDGET / 4) == 0 {
+                let again = cache.get_or_compile(&distinct_body(0));
+                assert!(Arc::ptr_eq(hot.body(), again.body()), "promoted, never recompiled");
+            }
+        }
+        assert!(cache.stats().cache_evictions > 0);
     }
 
     #[test]

@@ -60,6 +60,9 @@ pub struct CompileStats {
     pub cache_hits: u64,
     /// Requests that had to compile their body.
     pub cache_misses: u64,
+    /// Compiled bodies the bounded [`KernelCache`](super::KernelCache)
+    /// dropped to stay within its budget (each recompiles on its next use).
+    pub cache_evictions: u64,
     /// Lowering outcome per gate family (keyed by OpenQASM-style gate name).
     pub families: BTreeMap<String, FamilyStats>,
 }
@@ -112,6 +115,7 @@ impl CompileStats {
         self.eliminated_gates += other.eliminated_gates;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.cache_evictions += other.cache_evictions;
         for (family, fs) in &other.families {
             let entry = self.families.entry(family.clone()).or_default();
             entry.gates += fs.gates;
@@ -134,7 +138,7 @@ impl fmt::Display for CompileStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{} gates -> {} kernels (+{} control), fusion {:.2}x, coverage {:.1}%, cache {}/{} hits",
+            "{} gates -> {} kernels (+{} control), fusion {:.2}x, coverage {:.1}%, cache {}/{} hits, {} evicted",
             self.gates_in,
             self.kernels_out,
             self.control_kernels,
@@ -142,6 +146,7 @@ impl fmt::Display for CompileStats {
             self.coverage() * 100.0,
             self.cache_hits,
             self.cache_hits + self.cache_misses,
+            self.cache_evictions,
         )?;
         writeln!(
             f,

@@ -239,3 +239,61 @@ fn contraction_reconstructs_beyond_the_dense_cut_cap() {
     let (_, auto_report) = auto.reconstruct_with_report(pipeline.fragments(), &results).unwrap();
     assert_eq!(auto_report.strategy, ReconstructionStrategy::Contract);
 }
+
+/// The output-sliced dense readout on chain plans: every output slot sums
+/// its `4^cuts` combos in one fixed order whatever thread fills its slice,
+/// so the vector is bit-identical at 1, 2 and 4 rayon threads — and it
+/// agrees with pairwise contraction to 1e-12. Chain-13 has `2^13` outputs,
+/// enough for more than one slice.
+#[test]
+fn dense_readout_is_bit_identical_across_thread_counts_and_matches_contraction() {
+    let chain = |n: usize| {
+        let mut c = Circuit::new(n);
+        c.h(0);
+        for q in 0..n - 1 {
+            c.cx(q, q + 1).ry(0.1 * (q as f64 + 1.0), q + 1);
+        }
+        c
+    };
+    let plans = [
+        // one two-qubit fragment per link: 8 fragments, 7 cuts
+        (chain(9), QrccConfig::new(2).with_subcircuit_range(8, 8)),
+        // six three-qubit fragments, 5 cuts, two output slices
+        (chain(13), QrccConfig::new(3).with_subcircuit_range(6, 6)),
+    ];
+    let previous = std::env::var("RAYON_NUM_THREADS").ok();
+    for (circuit, config) in plans {
+        let config = config.with_qubit_reuse(false).with_ilp_time_limit(Duration::ZERO);
+        let pipeline = QrccPipeline::plan(&circuit, config).expect("chain plan");
+        let results = pipeline.execute(&ExactBackend::new()).unwrap();
+        let reconstruct = |strategy| {
+            ProbabilityReconstructor::with_options(ReconstructionOptions {
+                strategy,
+                prune_tolerance: 0.0,
+            })
+            .reconstruct(pipeline.fragments(), &results)
+            .unwrap()
+        };
+        let per_thread_count: Vec<Vec<f64>> = ["1", "2", "4"]
+            .iter()
+            .map(|threads| {
+                std::env::set_var("RAYON_NUM_THREADS", threads);
+                reconstruct(ReconstructionStrategy::Dense)
+            })
+            .collect();
+        for dense in &per_thread_count[1..] {
+            assert!(
+                dense.iter().zip(&per_thread_count[0]).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "dense readout must not depend on the thread count"
+            );
+        }
+        let contract = reconstruct(ReconstructionStrategy::Contract);
+        for (i, (a, b)) in per_thread_count[0].iter().zip(&contract).enumerate() {
+            assert!((a - b).abs() < 1e-12, "mismatch at {i}: dense {a} vs contract {b}");
+        }
+    }
+    match previous {
+        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+}
