@@ -40,7 +40,7 @@ fn main() {
         let mut count = 0.0;
         for (workload, device) in &workloads {
             let config = harness_config(*device, delta, true);
-            if let Ok(plan) = CutPlanner::new(config).with_max_sweeps(20).plan(&workload.circuit) {
+            if let Ok(plan) = CutPlanner::new(config).plan(&workload.circuit) {
                 cut_sum += plan.metrics().effective_cuts();
                 ms_sum += plan.metrics().max_two_qubit_gates as f64;
                 ms_fraction_sum += plan.metrics().max_two_qubit_gates as f64

@@ -29,9 +29,7 @@ fn main() {
             ];
             let mut cuts = Vec::new();
             for circuit in workloads {
-                if let Ok(plan) =
-                    CutPlanner::new(harness_config(d, 1.0, true)).with_max_sweeps(12).plan(&circuit)
-                {
+                if let Ok(plan) = CutPlanner::new(harness_config(d, 1.0, true)).plan(&circuit) {
                     cuts.push(plan.metrics().effective_cuts());
                 }
             }

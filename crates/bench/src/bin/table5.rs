@@ -38,8 +38,7 @@ fn main() {
         &["Bench", "N", "D", "QRCC #W-Cuts", "QRCC #G-Cuts", "CutQC #W-Cuts"],
     );
     for (name, n, d, circuit) in cases {
-        let qrcc =
-            CutPlanner::new(harness_config(d, 1.0, true)).with_max_sweeps(15).plan(&circuit).ok();
+        let qrcc = CutPlanner::new(harness_config(d, 1.0, true)).plan(&circuit).ok();
         let cutqc = CutQcPlanner::new(d).plan(&circuit).ok();
         println!(
             "{:<12} | {:>3} | {:>3} | {:>12} | {:>12} | {:>13}",

@@ -2,9 +2,12 @@
 //!
 //! Each table/figure has a dedicated binary in `src/bin/` (`table1` …
 //! `table6`, `figure5` … `figure7`). All binaries accept `--large` to run at
-//! the paper's original problem sizes (slow without a commercial ILP solver);
-//! the default sizes are scaled down so the whole harness completes on a
-//! laptop while exercising identical code paths.
+//! the paper's original problem sizes. The heuristic cut search plans those in
+//! milliseconds; what is slow without a commercial ILP solver is whatever
+//! solves the exact model — `table4`, and the ILP refinement the default
+//! configuration runs on plans of up to 600 node × subcircuit pairs (the
+//! `CutQcPlanner::new` baselines; [`harness_config`] switches it off for
+//! QRCC). The default sizes are scaled down, exercising identical code paths.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -38,6 +38,11 @@ pub struct QrccModel {
     gate_bottom: HashMap<NodeId, Vec<VarId>>,
     /// Wire-cut indicator per consecutive node pair `(wire, from, to)`.
     wire_cut: HashMap<(usize, NodeId, NodeId), VarId>,
+    /// Live-wire bridge per `(wire, layer, subcircuit)`, for the layers that
+    /// fall strictly between two consecutive nodes of the wire.
+    bridge: HashMap<(usize, usize, usize), VarId>,
+    /// `TE`, the two-qubit-gate count of the largest subcircuit.
+    te: VarId,
 }
 
 impl QrccModel {
@@ -155,6 +160,7 @@ impl QrccModel {
         // when l falls strictly between two of its nodes (the bridge is
         // forced to 1 only when both neighbouring nodes are in c).
         let num_layers = dag.num_layers();
+        let mut bridge = HashMap::new();
         for c in c_range.clone() {
             for layer in 0..num_layers {
                 let mut usage = LinExpr::new();
@@ -173,6 +179,7 @@ impl QrccModel {
                     let after = nodes.iter().find(|&&x| dag.node(x).layer > layer);
                     if let (Some(&a), Some(&b)) = (before, after) {
                         let z = ilp.add_binary(format!("live_{wire}_{layer}_{c}"));
+                        bridge.insert((wire, layer, c), z);
                         // z >= ma + mb - 1
                         let mut expr = LinExpr::new().term(-1.0, z);
                         expr.add_scaled(1.0, &membership(a, slot_of(a, wire), c));
@@ -227,7 +234,17 @@ impl QrccModel {
         }
         ilp.minimize(objective);
 
-        QrccModel { ilp, num_subcircuits, assign, gate_cut, gate_top, gate_bottom, wire_cut }
+        QrccModel {
+            ilp,
+            num_subcircuits,
+            assign,
+            gate_cut,
+            gate_top,
+            gate_bottom,
+            wire_cut,
+            bridge,
+            te,
+        }
     }
 
     /// Encodes a [`CutSolution`] as a variable assignment usable as a warm
@@ -267,7 +284,7 @@ impl QrccModel {
                 let sb = solution.membership(dag, b, qubit);
                 if sa == sb {
                     for layer in dag.node(a).layer + 1..dag.node(b).layer {
-                        if let Some(var) = self.find_bridge(wire, layer, sa) {
+                        if let Some(var) = self.bridge.get(&(wire, layer, sa)) {
                             values[var.index()] = 1.0;
                         }
                     }
@@ -275,18 +292,8 @@ impl QrccModel {
             }
         }
         let te_value = solution.two_qubit_gate_counts(dag).into_iter().max().unwrap_or(0) as f64;
-        // TE is the last continuous variable added named "te".
-        for var in self.ilp.vars() {
-            if self.ilp.var_name(var) == "te" {
-                values[var.index()] = te_value;
-            }
-        }
+        values[self.te.index()] = te_value;
         values
-    }
-
-    fn find_bridge(&self, wire: usize, layer: usize, sub: usize) -> Option<VarId> {
-        let name = format!("live_{wire}_{layer}_{sub}");
-        self.ilp.vars().find(|&v| self.ilp.var_name(v) == name)
     }
 
     /// Decodes an ILP solution back into a [`CutSolution`].
@@ -408,7 +415,7 @@ mod tests {
     fn warm_start_round_trips_through_the_model() {
         let dag = ghz_chain(5);
         let config = QrccConfig::new(3);
-        let heuristic_solution = heuristic::search_with_subcircuits(&dag, &config, 2, 20);
+        let heuristic_solution = heuristic::search_with_subcircuits(&dag, &config, 2);
         let model = QrccModel::build(&dag, &config, 2);
         let warm = model.warm_start(&heuristic_solution, &dag);
         assert!(
@@ -418,10 +425,29 @@ mod tests {
     }
 
     #[test]
+    fn warm_start_sets_the_bridges_and_te_of_an_idle_stretch() {
+        // q1 is touched at layers 0 and 3 only, so layers 1 and 2 of its wire
+        // are bridged; a warm start leaving those bridges at 0 is infeasible
+        let mut c = Circuit::new(2);
+        c.h(1).h(0).h(0).h(0).cx(0, 1);
+        let dag = CircuitDag::from_circuit(&c);
+        let model = QrccModel::build(&dag, &QrccConfig::new(2), 2);
+        assert_eq!(model.bridge.len(), 2 * 2, "two layers in each of two subcircuits");
+        let uncut = CutSolution { num_subcircuits: 2, ..CutSolution::trivial(&dag) };
+        let warm = model.warm_start(&uncut, &dag);
+        assert!(model.ilp.is_feasible(&warm, 1e-6));
+        assert_eq!(warm[model.bridge[&(1, 1, 0)].index()], 1.0);
+        assert_eq!(warm[model.bridge[&(1, 2, 0)].index()], 1.0);
+        assert_eq!(warm[model.bridge[&(1, 1, 1)].index()], 0.0);
+        assert_eq!(warm[model.te.index()], 1.0);
+        assert_eq!(model.ilp.var_name(model.te), "te");
+    }
+
+    #[test]
     fn refine_never_returns_invalid_solutions() {
         let dag = ghz_chain(6);
         let config = QrccConfig::new(4).with_ilp_time_limit(Duration::from_secs(5));
-        let warm = heuristic::search_with_subcircuits(&dag, &config, 2, 20);
+        let warm = heuristic::search_with_subcircuits(&dag, &config, 2);
         if let Some(refined) = refine_with_ilp(&dag, &warm, &config) {
             refined.validate(&dag).unwrap();
         }

@@ -2,7 +2,7 @@
 //! that fits the target device, combining the heuristic search with an
 //! optional exact ILP refinement on small instances.
 
-use crate::heuristic::{self, is_feasible};
+use crate::heuristic::{self, metrics_cost, metrics_fit};
 use crate::model;
 use crate::spec::{CutMetrics, CutSolution};
 use crate::{CoreError, QrccConfig};
@@ -97,20 +97,12 @@ impl CutPlan {
 #[derive(Debug, Clone)]
 pub struct CutPlanner {
     config: QrccConfig,
-    /// Local-search sweep budget per initialisation.
-    max_sweeps: usize,
 }
 
 impl CutPlanner {
     /// Creates a planner with the given configuration.
     pub fn new(config: QrccConfig) -> Self {
-        CutPlanner { config, max_sweeps: 40 }
-    }
-
-    /// Overrides the local-search sweep budget (mainly for benchmarking).
-    pub fn with_max_sweeps(mut self, sweeps: usize) -> Self {
-        self.max_sweeps = sweeps;
-        self
+        CutPlanner { config }
     }
 
     /// The planner's configuration.
@@ -134,25 +126,25 @@ impl CutPlanner {
             return Err(CoreError::InvalidDeviceSize { circuit_qubits: n, device_size: d });
         }
         let dag = CircuitDag::from_circuit(circuit);
+        let reuse = self.config.qubit_reuse_enabled;
         let mut best_infeasible_width = usize::MAX;
-        let mut chosen: Option<CutSolution> = None;
+        let mut chosen: Option<(CutSolution, CutMetrics)> = None;
 
         for num_subs in self.config.c_min..=self.config.c_max {
             if num_subs < 2 {
                 continue;
             }
-            let candidate =
-                heuristic::search_with_subcircuits(&dag, &self.config, num_subs, self.max_sweeps);
+            let candidate = heuristic::search_with_subcircuits(&dag, &self.config, num_subs);
             candidate.validate(&dag)?;
-            if is_feasible(&candidate, &dag, &self.config) {
-                chosen = Some(candidate);
+            let metrics = candidate.metrics(&dag, reuse);
+            if metrics_fit(&metrics, &self.config) {
+                chosen = Some((candidate, metrics));
                 break;
             }
-            let width = candidate.metrics(&dag, self.config.qubit_reuse_enabled).max_width();
-            best_infeasible_width = best_infeasible_width.min(width);
+            best_infeasible_width = best_infeasible_width.min(metrics.max_width());
         }
 
-        let Some(mut solution) = chosen else {
+        let Some((mut solution, mut metrics)) = chosen else {
             return Err(CoreError::NoCutFound {
                 device_size: d,
                 best_width: if best_infeasible_width == usize::MAX {
@@ -168,17 +160,17 @@ impl CutPlanner {
         let model_size = dag.nodes().len() * solution.num_subcircuits;
         if !self.config.ilp_time_limit.is_zero() && model_size <= self.config.ilp_size_limit {
             if let Some(refined) = model::refine_with_ilp(&dag, &solution, &self.config) {
-                if is_feasible(&refined, &dag, &self.config)
-                    && heuristic::solution_cost(&refined, &dag, &self.config)
-                        < heuristic::solution_cost(&solution, &dag, &self.config) - 1e-9
+                let refined_metrics = refined.metrics(&dag, reuse);
+                if metrics_fit(&refined_metrics, &self.config)
+                    && metrics_cost(&refined_metrics, &self.config)
+                        < metrics_cost(&metrics, &self.config) - 1e-9
                 {
-                    solution = refined;
+                    (solution, metrics) = (refined, refined_metrics);
                     used_ilp = true;
                 }
             }
         }
 
-        let metrics = solution.metrics(&dag, self.config.qubit_reuse_enabled);
         Ok(CutPlan {
             circuit: circuit.clone(),
             dag,

@@ -96,22 +96,25 @@ impl CutSolution {
     ///
     /// Panics if `node` does not touch `qubit`.
     pub fn membership(&self, dag: &CircuitDag, node: NodeId, qubit: QubitId) -> SubcircuitId {
-        if let Some(pos) = self.gate_cuts.iter().position(|&g| g == node) {
-            let qubits = dag.node(node).op.qubits();
-            let (top, bottom) = self.gate_cut_assignment[pos];
-            if qubits[0] == qubit {
-                top
-            } else if qubits[1] == qubit {
-                bottom
-            } else {
-                panic!("node {node} does not touch {qubit}");
-            }
-        } else {
-            assert!(
-                dag.node(node).op.qubits().contains(&qubit),
-                "node {node} does not touch {qubit}"
-            );
-            self.assignment[node]
+        let pos = self.gate_cuts.iter().position(|&g| g == node);
+        self.side(dag, node, qubit, pos.map(|pos| self.gate_cut_assignment[pos]))
+    }
+
+    /// [`CutSolution::membership`] with the node's gate-cut halves (`None`
+    /// for an uncut node) already looked up.
+    fn side(
+        &self,
+        dag: &CircuitDag,
+        node: NodeId,
+        qubit: QubitId,
+        halves: Option<(SubcircuitId, SubcircuitId)>,
+    ) -> SubcircuitId {
+        let qubits = dag.node(node).op.qubits();
+        match halves {
+            Some((top, _)) if qubits[0] == qubit => top,
+            Some((_, bottom)) if qubits[1] == qubit => bottom,
+            None if qubits.contains(&qubit) => self.assignment[node],
+            _ => panic!("node {node} does not touch {qubit}"),
         }
     }
 
@@ -120,19 +123,39 @@ impl CutSolution {
         self.gate_cuts.contains(&node)
     }
 
+    /// The `(top, bottom)` subcircuits of every gate-cut node and `None` for
+    /// the rest, indexed by node: one pass over `gate_cuts`, so that a
+    /// derivation asking about every node stays linear. A node listed twice
+    /// (which [`CutSolution::validate`] rejects) answers from its first
+    /// entry, as [`CutSolution::membership`] does.
+    pub(crate) fn gate_cut_halves(
+        &self,
+        num_nodes: usize,
+    ) -> Vec<Option<(SubcircuitId, SubcircuitId)>> {
+        let mut halves = vec![None; num_nodes];
+        for (&node, &pair) in self.gate_cuts.iter().zip(&self.gate_cut_assignment) {
+            if let Some(entry @ None) = halves.get_mut(node) {
+                *entry = Some(pair);
+            }
+        }
+        halves
+    }
+
     /// The derived wire cuts, ordered by wire then position along the wire.
     pub fn wire_cuts(&self, dag: &CircuitDag) -> Vec<WireCutPoint> {
+        let halves = self.gate_cut_halves(dag.nodes().len());
         let mut cuts = Vec::new();
         for q in 0..dag.num_qubits() {
             let qubit = QubitId::new(q);
-            let wire = dag.wire(qubit);
-            for pair in wire.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                let sa = self.membership(dag, a, qubit);
-                let sb = self.membership(dag, b, qubit);
-                if sa != sb {
-                    cuts.push(WireCutPoint { qubit, from: a, to: b, from_sub: sa, to_sub: sb });
+            let mut previous: Option<(NodeId, SubcircuitId)> = None;
+            for &to in dag.wire(qubit) {
+                let to_sub = self.side(dag, to, qubit, halves[to]);
+                if let Some((from, from_sub)) = previous {
+                    if from_sub != to_sub {
+                        cuts.push(WireCutPoint { qubit, from, to, from_sub, to_sub });
+                    }
                 }
+                previous = Some((to, to_sub));
             }
         }
         cuts
@@ -142,25 +165,23 @@ impl CutSolution {
     /// position. Cut indices refer to the order returned by
     /// [`CutSolution::wire_cuts`].
     pub fn segments(&self, dag: &CircuitDag) -> Vec<Segment> {
-        let cuts = self.wire_cuts(dag);
+        let halves = self.gate_cut_halves(dag.nodes().len());
         let mut segments = Vec::new();
+        // `wire_cuts` lists the cuts wire by wire and front to back along
+        // each wire, which is the order this walk meets them in, so a running
+        // count is the cut's index there.
+        let mut next_cut = 0usize;
         for q in 0..dag.num_qubits() {
             let qubit = QubitId::new(q);
-            let wire = dag.wire(qubit);
-            if wire.is_empty() {
+            let Some((&first, rest)) = dag.wire(qubit).split_first() else {
                 continue;
-            }
-            let mut current: Vec<NodeId> = vec![wire[0]];
-            let mut current_sub = self.membership(dag, wire[0], qubit);
+            };
+            let mut current: Vec<NodeId> = vec![first];
+            let mut current_sub = self.side(dag, first, qubit, halves[first]);
             let mut incoming: Option<usize> = None;
-            for pair in wire.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                let sb = self.membership(dag, b, qubit);
-                if sb != current_sub {
-                    let cut_index = cuts
-                        .iter()
-                        .position(|c| c.qubit == qubit && c.from == a && c.to == b)
-                        .expect("derived cut must exist");
+            for &node in rest {
+                let sub = self.side(dag, node, qubit, halves[node]);
+                if sub != current_sub {
                     segments.push(Segment {
                         qubit,
                         subcircuit: current_sub,
@@ -168,12 +189,13 @@ impl CutSolution {
                         end_layer: dag.node(*current.last().unwrap()).layer,
                         nodes: std::mem::take(&mut current),
                         incoming_cut: incoming,
-                        outgoing_cut: Some(cut_index),
+                        outgoing_cut: Some(next_cut),
                     });
-                    incoming = Some(cut_index);
-                    current_sub = sb;
+                    incoming = Some(next_cut);
+                    next_cut += 1;
+                    current_sub = sub;
                 }
-                current.push(b);
+                current.push(node);
             }
             segments.push(Segment {
                 qubit,
@@ -196,10 +218,14 @@ impl CutSolution {
     /// Without reuse (the CutQC model), every segment needs its own physical
     /// qubit for the whole run, so the width is simply the segment count.
     pub fn subcircuit_widths(&self, dag: &CircuitDag, qubit_reuse: bool) -> Vec<usize> {
-        let segments = self.segments(dag);
+        self.widths_of(&self.segments(dag), qubit_reuse)
+    }
+
+    /// [`CutSolution::subcircuit_widths`] over already derived segments.
+    fn widths_of(&self, segments: &[Segment], qubit_reuse: bool) -> Vec<usize> {
         let mut widths = vec![0usize; self.num_subcircuits];
         if !qubit_reuse {
-            for seg in &segments {
+            for seg in segments {
                 widths[seg.subcircuit] += 1;
             }
             return widths;
@@ -218,9 +244,10 @@ impl CutSolution {
     /// Number of two-qubit gates in each subcircuit (gate-cut gates count in
     /// neither, since they are replaced by single-qubit instances).
     pub fn two_qubit_gate_counts(&self, dag: &CircuitDag) -> Vec<usize> {
+        let halves = self.gate_cut_halves(dag.nodes().len());
         let mut counts = vec![0usize; self.num_subcircuits];
         for (id, node) in dag.nodes().iter().enumerate() {
-            if node.op.is_two_qubit_gate() && !self.is_gate_cut(id) {
+            if node.op.is_two_qubit_gate() && halves[id].is_none() {
                 counts[self.assignment[id]] += 1;
             }
         }
@@ -233,8 +260,8 @@ impl CutSolution {
     ///
     /// Returns [`CoreError::InvalidCutSolution`] when the assignment length is
     /// wrong, a subcircuit index is out of range, a gate cut targets a
-    /// non-cuttable or single-qubit gate, or a gate cut keeps both halves in
-    /// the same subcircuit.
+    /// non-cuttable or single-qubit gate, a gate cut keeps both halves in
+    /// the same subcircuit, or a node is gate-cut twice.
     pub fn validate(&self, dag: &CircuitDag) -> Result<(), CoreError> {
         let invalid = |reason: String| Err(CoreError::InvalidCutSolution { reason });
         if self.assignment.len() != dag.nodes().len() {
@@ -247,9 +274,13 @@ impl CutSolution {
         if self.gate_cuts.len() != self.gate_cut_assignment.len() {
             return invalid("gate_cuts and gate_cut_assignment lengths differ".into());
         }
+        let mut gate_cut = vec![false; dag.nodes().len()];
         for (&node, &(top, bottom)) in self.gate_cuts.iter().zip(&self.gate_cut_assignment) {
             if node >= dag.nodes().len() {
                 return invalid(format!("gate cut on unknown node {node}"));
+            }
+            if std::mem::replace(&mut gate_cut[node], true) {
+                return invalid(format!("node {node} is gate-cut twice"));
             }
             let op = &dag.node(node).op;
             match op.as_gate() {
@@ -268,7 +299,7 @@ impl CutSolution {
             }
         }
         for (node, &sub) in self.assignment.iter().enumerate() {
-            if sub >= self.num_subcircuits && !self.is_gate_cut(node) {
+            if sub >= self.num_subcircuits && !gate_cut[node] {
                 return invalid(format!("node {node} assigned to unknown subcircuit {sub}"));
             }
         }
@@ -278,15 +309,14 @@ impl CutSolution {
     /// Summarises the solution into the metrics reported in the paper's
     /// tables.
     pub fn metrics(&self, dag: &CircuitDag, qubit_reuse: bool) -> CutMetrics {
-        let wire_cuts = self.wire_cuts(dag).len();
-        let gate_cuts = self.gate_cuts.len();
-        let widths = self.subcircuit_widths(dag, qubit_reuse);
+        // one walk of the wires: every wire cut ends exactly one segment
+        let segments = self.segments(dag);
         let two_qubit = self.two_qubit_gate_counts(dag);
         CutMetrics {
             num_subcircuits: self.num_subcircuits,
-            wire_cuts,
-            gate_cuts,
-            subcircuit_widths: widths,
+            wire_cuts: segments.iter().filter(|s| s.outgoing_cut.is_some()).count(),
+            gate_cuts: self.gate_cuts.len(),
+            subcircuit_widths: self.widths_of(&segments, qubit_reuse),
             max_two_qubit_gates: two_qubit.iter().copied().max().unwrap_or(0),
             two_qubit_gate_counts: two_qubit,
         }
@@ -392,6 +422,42 @@ mod tests {
         assert_eq!(q1_segments[1].subcircuit, 1);
         assert_eq!(q1_segments[1].incoming_cut, Some(0));
         assert!(q1_segments[1].is_output());
+    }
+
+    #[test]
+    fn segment_cut_indices_are_positions_in_the_wire_cut_list() {
+        // several cuts per wire on several wires, one of them next to a gate
+        // cut, so the running index must carry across wires
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).cz(1, 2).h(1).cx(0, 1).h(2).cx(1, 2).h(0);
+        let dag = CircuitDag::from_circuit(&c);
+        let solution = CutSolution {
+            num_subcircuits: 3,
+            assignment: vec![0, 1, 0, 2, 0, 1, 2, 1],
+            gate_cuts: vec![2],
+            gate_cut_assignment: vec![(1, 2)],
+        };
+        solution.validate(&dag).unwrap();
+        let cuts = solution.wire_cuts(&dag);
+        let segments = solution.segments(&dag);
+        assert!(cuts.len() >= 5, "the case must cut every wire ({} cuts)", cuts.len());
+        // the index a scan of the cut list finds for the boundary a -> b
+        let scan = |qubit: QubitId, a: NodeId, b: NodeId| {
+            cuts.iter().position(|c| c.qubit == qubit && c.from == a && c.to == b)
+        };
+        for pair in segments.windows(2) {
+            let (left, right) = (&pair[0], &pair[1]);
+            if left.qubit == right.qubit {
+                let index = scan(left.qubit, *left.nodes.last().unwrap(), right.nodes[0]);
+                assert!(index.is_some());
+                assert_eq!(left.outgoing_cut, index);
+                assert_eq!(right.incoming_cut, index);
+            } else {
+                assert_eq!(left.outgoing_cut, None);
+                assert_eq!(right.incoming_cut, None);
+            }
+        }
+        assert_eq!(solution.metrics(&dag, true).wire_cuts, cuts.len());
     }
 
     #[test]
@@ -526,6 +592,20 @@ mod tests {
             gate_cut_assignment: vec![(1, 1)],
         };
         assert!(same_sub.validate(&dag2).is_err());
+        // the same node gate-cut twice: `membership` would answer from the
+        // first entry and the second would silently count as a cut
+        let twice = CutSolution {
+            num_subcircuits: 3,
+            assignment: vec![0],
+            gate_cuts: vec![0, 0],
+            gate_cut_assignment: vec![(0, 1), (1, 2)],
+        };
+        match twice.validate(&dag2) {
+            Err(CoreError::InvalidCutSolution { reason }) => {
+                assert!(reason.contains("gate-cut twice"), "{reason}")
+            }
+            other => panic!("a doubly gate-cut node must be rejected, got {other:?}"),
+        }
         // out-of-range subcircuit
         let bad_sub = CutSolution {
             num_subcircuits: 1,

@@ -48,11 +48,29 @@ const EPS: f64 = 1e-9;
 /// Panics if `var_bounds.len() != model.num_vars()` or if a bound pair is
 /// inverted.
 pub fn solve_relaxation(model: &Model, var_bounds: &[(f64, f64)]) -> LpSolution {
+    solve_relaxation_in(model, var_bounds, &mut Vec::new())
+}
+
+/// [`solve_relaxation`] with the dense tableau built in `scratch`, which
+/// keeps its allocation for the next call. Branch-and-bound solves one
+/// relaxation per node and the root's tableau is the largest, so a search
+/// allocates its tableau (megabytes on a 100-variable model) once instead of
+/// once per node. Freeing and re-allocating it per node left a hole that
+/// small allocations split under glibc, after which the next tableau no
+/// longer fitted and the heap grew by a second one for the process's life.
+pub(crate) fn solve_relaxation_in(
+    model: &Model,
+    var_bounds: &[(f64, f64)],
+    scratch: &mut Vec<f64>,
+) -> LpSolution {
     assert_eq!(var_bounds.len(), model.num_vars(), "bounds length mismatch");
     for (i, (lb, ub)) in var_bounds.iter().enumerate() {
         assert!(lb <= ub, "inverted bounds for variable {i}: [{lb}, {ub}]");
     }
-    Tableau::build(model, var_bounds).solve()
+    let mut tableau = Tableau::build(model, var_bounds, std::mem::take(scratch));
+    let solution = tableau.solve();
+    *scratch = tableau.data;
+    solution
 }
 
 /// Convenience wrapper: solve the relaxation with the model's own bounds.
@@ -89,7 +107,8 @@ enum VarState {
 }
 
 impl Tableau {
-    fn build(model: &Model, var_bounds: &[(f64, f64)]) -> Self {
+    /// Builds the tableau in `data`, whose previous contents are discarded.
+    fn build(model: &Model, var_bounds: &[(f64, f64)], mut data: Vec<f64>) -> Self {
         // Identify fixed variables and allocate columns for free ones.
         let mut var_map = Vec::with_capacity(model.num_vars());
         let mut free_vars = Vec::new();
@@ -165,7 +184,8 @@ impl Tableau {
         let cols = artificial_start + num_artificial + 1; // +1 for RHS
         let nrows = rows.len();
 
-        let mut data = vec![0.0; nrows * cols];
+        data.clear();
+        data.resize(nrows * cols, 0.0);
         let mut basis = vec![0usize; nrows];
         let mut slack_idx = 0usize;
 
@@ -325,7 +345,7 @@ impl Tableau {
         }
     }
 
-    fn solve(mut self) -> LpSolution {
+    fn solve(&mut self) -> LpSolution {
         let rhs_col = self.cols - 1;
         let total_cols = self.cols - 1;
 
@@ -443,6 +463,33 @@ mod tests {
         assert!((sol.values[x.index()] - 2.0).abs() < 1e-6);
         assert!((sol.values[y.index()] - 2.0).abs() < 1e-6);
         assert!((sol.objective + 6.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_reused_tableau_buffer_changes_no_answer() {
+        // the same program under the bounds branch-and-bound walks through:
+        // all free (the largest tableau), then smaller ones into the same,
+        // still dirty buffer, an infeasible one among them
+        let mut m = Model::new();
+        let x = m.add_continuous("x", 0.0, 3.0);
+        let y = m.add_continuous("y", 0.0, 2.0);
+        let z = m.add_binary("z");
+        m.add_le(LinExpr::new().term(1.0, x).term(1.0, y).term(2.0, z), 4.5);
+        m.add_ge(LinExpr::new().term(1.0, x).term(-1.0, y), -1.0);
+        m.minimize(LinExpr::new().term(-1.0, x).term(-2.0, y).term(-1.5, z));
+        let free = [(0.0, 3.0), (0.0, 2.0), (0.0, 1.0)];
+        let mut scratch = Vec::new();
+        for bounds in [
+            free,
+            [(0.0, 3.0), (0.0, 2.0), (1.0, 1.0)],
+            [(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)],
+            [(3.0, 3.0), (0.0, 2.0), (0.0, 0.0)],
+            free,
+        ] {
+            let fresh = solve_relaxation(&m, &bounds);
+            assert_eq!(solve_relaxation_in(&m, &bounds, &mut scratch), fresh, "{bounds:?}");
+        }
+        assert!(!scratch.is_empty(), "the buffer comes back for the next call");
     }
 
     #[test]

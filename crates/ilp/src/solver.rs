@@ -1,7 +1,7 @@
 //! Branch-and-bound for 0-1 integer programs with LP bounding, warm starts
 //! and node/time limits, plus a bit-flip local-search improvement pass.
 
-use crate::simplex::{most_fractional_binary, solve_relaxation, LpStatus};
+use crate::simplex::{most_fractional_binary, solve_relaxation_in, LpStatus};
 use crate::{IlpError, Model, Solution, SolveStatus, VarId};
 use std::time::{Duration, Instant};
 
@@ -81,6 +81,8 @@ pub fn solve_with_warm_start(
     }
 
     let mut stack = vec![Node { fixings: Vec::new() }];
+    // one tableau allocation for the whole search (the root's is the largest)
+    let mut tableau = Vec::new();
     let mut nodes_explored: u64 = 0;
     let mut exhausted = true;
 
@@ -95,7 +97,7 @@ pub fn solve_with_warm_start(
         for &(var, value) in &node.fixings {
             bounds[var.index()] = (value, value);
         }
-        let lp = solve_relaxation(model, &bounds);
+        let lp = solve_relaxation_in(model, &bounds, &mut tableau);
         match lp.status {
             LpStatus::Infeasible => continue,
             LpStatus::Unbounded => return Err(IlpError::Unbounded),
