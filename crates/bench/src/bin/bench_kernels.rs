@@ -3,23 +3,33 @@
 //! specialization coverage, plus a `readout.*` group timing the exact
 //! classical distribution `ExactBackend` actually asks for — compiled
 //! readout (terminal measures never branch) against the interpreted
-//! every-measure-branches oracle. Writes `BENCH_kernels.json` in the
-//! working directory.
+//! every-measure-branches oracle — and a `sample.*` group timing what
+//! `ShotsBackend` asks for: a noiseless device's shots, as one sampled
+//! readout of the compiled program against the interpreted device's one
+//! trajectory per shot. Writes `BENCH_kernels.json` in the working
+//! directory.
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin bench_kernels [--smoke]`
 //!
 //! `--smoke` runs scaled-down sizes and exits non-zero unless the compiled
-//! path is at least as fast as the interpreter on the fusion-heavy family
-//! and on the all-terminal readout row — the CI guard against compiled-path
-//! regressions. The full run records the numbers quoted in the README.
+//! path is at least as fast as the interpreter on the fusion-heavy family,
+//! on the all-terminal readout row and on every `sample.*` row — the CI
+//! guard against compiled-path regressions. The full run records the
+//! numbers quoted in the README.
 
 use qrcc_circuit::generators::{self, HamiltonianKind};
+use qrcc_circuit::observable::PauliObservable;
 use qrcc_circuit::Circuit;
+use qrcc_core::fragment::FragmentSet;
 use qrcc_core::obs::{bench_json, MetricsSnapshot};
+use qrcc_core::planner::CutPlanner;
+use qrcc_core::reconstruct::ExpectationReconstructor;
+use qrcc_core::QrccConfig;
 use qrcc_sim::branching;
 use qrcc_sim::compile::FramedProgram;
+use qrcc_sim::device::{Device, DeviceConfig};
 use qrcc_sim::StateVector;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One measured row: a named circuit, both wall-clocks, and the compiler's
 /// view of it.
@@ -94,6 +104,22 @@ fn measure_readout(name: &str, circuit: &Circuit, reps: usize) -> Row {
         reps,
         |circuit| drop(branching::classical_distribution(circuit).unwrap()),
         |program| drop(program.classical_distribution().unwrap()),
+    )
+}
+
+/// Measures `shots` shots of one measured circuit on a noiseless device:
+/// the interpreted device (one per-gate trajectory per shot) vs the compiled
+/// one (frames lowered and measurements classified per call, then one
+/// sampled readout).
+fn measure_sampling(name: &str, circuit: &Circuit, shots: u64, reps: usize) -> Row {
+    let config = DeviceConfig::ideal(circuit.num_qubits()).with_seed(1);
+    let (oracle, compiled) = (Device::new(config.interpreted()), Device::new(config));
+    measure_with(
+        name,
+        circuit,
+        reps,
+        |circuit| drop(oracle.execute(circuit, shots).unwrap()),
+        |_| drop(compiled.execute(circuit, shots).unwrap()),
     )
 }
 
@@ -227,6 +253,24 @@ fn reuse_chain(n: usize, pairs: usize) -> Circuit {
     c
 }
 
+/// A variant with three branch points of the plan the pipeline ledger
+/// samples: REG-8 QAOA cut for a 5-qubit device (1 wire + 3 gate cuts),
+/// where every measuring gate-cut instance is a mid-circuit measure.
+fn reg8_gate_cut_variant() -> Circuit {
+    let (circuit, graph) = generators::qaoa_regular(8, 3, 1, 3);
+    let config = QrccConfig::new(5).with_gate_cuts(true).with_ilp_time_limit(Duration::ZERO);
+    let plan = CutPlanner::new(config).plan(&circuit).expect("REG-8 fits a 5-qubit device");
+    let fragments = FragmentSet::from_plan(&plan).expect("the plan fragments");
+    let requests = ExpectationReconstructor::new()
+        .requests(&fragments, &PauliObservable::maxcut(&graph))
+        .expect("the plan is reconstructible");
+    requests
+        .iter()
+        .map(|request| fragments.instantiate_key(&request.key).expect("enumerated keys are valid"))
+        .find(|variant| FramedProgram::compile(variant).stats().branch_points == 3)
+        .expect("some variant measures at all three of its gate-cut instances")
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n, depth, reps) = if smoke { (12, 8, 3) } else { (16, 16, 5) };
@@ -284,6 +328,21 @@ fn main() {
         print_row(row);
     }
 
+    println!(
+        "\n-- shots on a noiseless device (interpreted = one trajectory per shot) --\n{header}"
+    );
+    let samplings: Vec<Row> = vec![
+        // shots ≫ leaves: the trajectories re-prepare each of 8 states 128 times
+        measure_sampling("reg8_gate_cut", &reg8_gate_cut_variant(), 1024, reps),
+        // leaves ≳ shots: min(shots, 2^branch points) keeps it no slower
+        measure_sampling("reuse_chain", &reuse_chain(12, 8), 64, reps),
+        // one leaf, few shots: what a circuit costs before its first shot
+        measure_sampling("vqe_terminal", &vqe_all_measured(5), 256, reps),
+    ];
+    for row in &samplings {
+        print_row(row);
+    }
+
     let covered: f64 = circuit_families.iter().map(|r| r.coverage * r.gates as f64).sum();
     let total: f64 = circuit_families.iter().map(|r| r.gates as f64).sum();
     let aggregate_coverage = covered / total;
@@ -321,6 +380,21 @@ fn main() {
             "smoke OK: vqe_terminal readout compiled {:.3} ms <= oracle {:.3} ms",
             row.compiled_ms, row.interpreted_ms
         );
+        // ... nor the sampled readout to one trajectory per shot, whether
+        // shots outnumber leaves, leaves outnumber shots, or neither matters.
+        for row in &samplings {
+            assert!(
+                row.compiled_ms <= row.interpreted_ms,
+                "sampled readout regressed on {}: {:.3} ms compiled vs {:.3} ms trajectories",
+                row.name,
+                row.compiled_ms,
+                row.interpreted_ms,
+            );
+            println!(
+                "smoke OK: {} sampling compiled {:.3} ms <= trajectories {:.3} ms",
+                row.name, row.compiled_ms, row.interpreted_ms
+            );
+        }
     } else {
         // the shared bench schema: {name, config, metrics{}} rendered by the
         // obs exporter, so every BENCH_*.json parses the same way
@@ -333,6 +407,9 @@ fn main() {
         }
         for row in &readouts {
             metrics = row.fold_into("readout", metrics);
+        }
+        for row in &samplings {
+            metrics = row.fold_into("sample", metrics);
         }
         metrics = metrics.with_gauge("aggregate_coverage", aggregate_coverage);
         let json = bench_json(

@@ -63,6 +63,7 @@ use qrcc_circuit::Circuit;
 use qrcc_sim::branching::classical_distribution;
 use qrcc_sim::compile::{interpreted_forced_by_env, CompileStats, KernelCache};
 use qrcc_sim::device::Device;
+use qrcc_sim::{Counts, SimError};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -651,10 +652,22 @@ impl ExecutionBackend for ExactBackend {
 /// Shots backend: runs each variant on a simulated [`Device`] (optionally
 /// noisy) with a fixed shot budget and reports the empirical distribution.
 ///
+/// What a shot costs is the device's business ([`Device::execute`]): on a
+/// noiseless device a circuit is one sampled readout of its compiled program
+/// — shots are dealt out at the measurements that have to branch, so qubit
+/// reuse and measuring gate-cut instances cost a few more sweeps per
+/// circuit, not a fresh simulation per shot — and on a noisy one every shot
+/// is its own per-gate trajectory.
+///
 /// Batches run rayon-parallel; every circuit in a batch gets its own
 /// deterministic sampling stream (derived from the batch base position), so a
 /// batched run reproduces the serial execution of the same circuits in order,
-/// independent of thread scheduling.
+/// independent of thread count and scheduling.
+///
+/// The backend reports dense probability vectors, so besides what the device
+/// refuses it refuses circuits over more than
+/// [`Counts::MAX_DENSE_BITS`](qrcc_sim::Counts::MAX_DENSE_BITS) classical
+/// bits, with [`SimError::TooManyClbits`].
 #[derive(Debug)]
 pub struct ShotsBackend {
     device: Device,
@@ -676,52 +689,58 @@ impl ShotsBackend {
     pub fn shots(&self) -> u64 {
         self.shots
     }
-}
 
-impl ShotsBackend {
+    /// Whether `circuit` can run here at all, decided without executing it
+    /// or consuming a sampling stream: the device accepts it and its
+    /// histogram can be densified.
+    fn check(&self, circuit: &Circuit) -> Result<(), SimError> {
+        self.device.validate(circuit)?;
+        if circuit.num_clbits() > Counts::MAX_DENSE_BITS {
+            return Err(SimError::TooManyClbits {
+                required: circuit.num_clbits(),
+                available: Counts::MAX_DENSE_BITS,
+            });
+        }
+        Ok(())
+    }
+
     /// The shared batch path: executes circuit `i` with `shots_of(i)` shots
     /// on its own deterministic sampling stream.
     ///
     /// Stream reservation must stay deterministic even when some circuits
     /// error mid-batch: a stream is assigned to circuit `i` **iff** a serial
     /// [`ShotsBackend::run_one`] pass over the same circuits would consume
-    /// one for it — the circuit validates against the device and its shot
-    /// count is positive. Both checks run *before* any sampling (the same
-    /// order [`Device::execute`] applies them in), so a failing circuit can
-    /// never shift the streams of the circuits after it, regardless of where
-    /// in the batch it sits or how the per-circuit shot allocation splits
-    /// the budget.
+    /// one for it — its shot count is positive and it passes
+    /// [`ShotsBackend::check`]. Both are decided *before* any sampling, so a
+    /// failing circuit keeps its typed error and can never shift the streams
+    /// of the circuits after it, regardless of where in the batch it sits or
+    /// how the per-circuit shot allocation splits the budget.
     fn run_batch_streams(
         &self,
         circuits: &[Circuit],
         shots_of: impl Fn(usize) -> u64 + Sync,
     ) -> Vec<Result<Vec<f64>, CoreError>> {
-        let runnable: Vec<bool> = circuits
+        let mut runnable = 0;
+        let offsets: Vec<Result<u64, SimError>> = circuits
             .iter()
             .enumerate()
-            .map(|(i, c)| shots_of(i) > 0 && self.device.validate(c).is_ok())
-            .collect();
-        let base = self.device.reserve_streams(runnable.iter().filter(|&&r| r).count() as u64);
-        let mut next = base;
-        let streams: Vec<u64> = runnable
-            .iter()
-            .map(|&r| {
-                if r {
-                    next += 1;
-                    next - 1
-                } else {
-                    0 // never sampled: execute_stream fails validation first
+            .map(|(i, circuit)| {
+                if shots_of(i) == 0 {
+                    return Err(SimError::ZeroShots);
                 }
+                self.check(circuit)?;
+                runnable += 1;
+                Ok(runnable - 1)
             })
             .collect();
+        let base = self.device.reserve_streams(runnable);
         circuits
             .par_iter()
             .enumerate()
             .map(|(i, circuit)| {
-                self.device
-                    .execute_stream(circuit, shots_of(i), streams[i])
-                    .map(|counts| counts.probability_vector())
-                    .map_err(CoreError::from)
+                let stream = base + offsets[i].clone()?;
+                let counts = self.device.execute_stream(circuit, shots_of(i), stream)?;
+                Ok(counts.probability_vector())
             })
             .collect()
     }
@@ -729,6 +748,7 @@ impl ShotsBackend {
 
 impl ExecutionBackend for ShotsBackend {
     fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
+        self.check(circuit)?;
         let counts = self.device.execute(circuit, self.shots)?;
         Ok(counts.probability_vector())
     }
@@ -751,7 +771,7 @@ impl ExecutionBackend for ShotsBackend {
     }
 
     fn can_run(&self, circuit: &Circuit) -> bool {
-        self.device.validate(circuit).is_ok()
+        self.check(circuit).is_ok()
     }
 
     fn shots_per_circuit(&self) -> Option<u64> {
@@ -1169,6 +1189,37 @@ mod tests {
         assert_eq!(results[3].as_ref().unwrap(), &second.probability_vector());
         // exactly the two real runs consumed streams
         assert_eq!(batched.executions(), 2);
+    }
+
+    #[test]
+    fn too_many_clbits_is_a_typed_error_that_shifts_no_stream() {
+        // a two-qubit reuse chain writing 31 clbits: nothing the device
+        // minds, but one bit more than a dense probability vector may have
+        let mut chain = Circuit::with_clbits(2, 31);
+        for clbit in 0..30 {
+            chain.h(0).cx(0, 1).measure(0, clbit).reset(0);
+        }
+        chain.measure(1, 30);
+        let bell = bell_with_measures();
+        let refused = |result: &Result<Vec<f64>, CoreError>| {
+            matches!(
+                result,
+                Err(CoreError::Simulation(SimError::TooManyClbits { required: 31, available: 30 }))
+            )
+        };
+
+        let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
+        assert!(!serial.can_run(&chain));
+        assert!(refused(&serial.run_one(&chain)));
+        let first = serial.run_one(&bell).unwrap();
+        let second = serial.run_one(&bell).unwrap();
+
+        let batched = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
+        let results = batched.run_batch(&[bell.clone(), chain, bell]);
+        assert_eq!(results[0].as_ref().unwrap(), &first);
+        assert!(refused(&results[1]), "{:?}", results[1]);
+        assert_eq!(results[2].as_ref().unwrap(), &second);
+        assert_eq!(batched.executions(), 2, "the refused circuit reserved no stream");
     }
 
     #[test]

@@ -28,10 +28,16 @@
 //!   in one reverse pass over prologue + body + epilogue: a measure is
 //!   *terminal* when no later kernel touches its wire and no later measure
 //!   rewrites its clbit; every other measure and every reset is a *branch
-//!   point*. [`FramedProgram::classical_distribution`] walks the branch
-//!   points depth first and marginalises each leaf's `|ψ|²` onto the
-//!   terminal clbits — O(2^n) per leaf, at most 2^(branch points) leaves,
-//!   one state buffer per live depth. An all-measured fragment is one sweep.
+//!   point*. The exact readout ([`FramedProgram::read_out`]) and the
+//!   sampled one ([`FramedProgram::sample`]) are **one walk** over the
+//!   branch points, depth first with one state buffer per live depth: it
+//!   carries a probability weight and marginalises each leaf's `|ψ|²` onto
+//!   the terminal clbits — O(2^n) per leaf, at most 2^(branch points)
+//!   leaves — or it carries a number of shots, deals them to the outcomes
+//!   at each branch point, descends only outcomes that were dealt one and
+//!   draws each leaf's shots from its `|ψ|²` — at most
+//!   min(shots, 2^(branch points)) leaves, no state is ever re-prepared per
+//!   shot. An all-measured fragment is one sweep either way.
 //!
 //! [`CompileStats`] reports how much of the circuit lowered to fused or
 //! specialized kernels and how its measurements classified; backends
@@ -59,14 +65,14 @@ mod stats;
 
 pub use cache::KernelCache;
 pub use kernel::{Kernel, PAR_THRESHOLD};
-pub use readout::ExactReadout;
 pub(crate) use readout::Measurements;
+pub use readout::{ExactReadout, SampledReadout};
 pub use stats::{CompileStats, FamilyStats};
 
 use crate::matrix::{matmul2, single_qubit_matrix, two_qubit_matrix, Matrix2};
 use crate::{Complex, SimError, StateVector};
 use qrcc_circuit::{Circuit, Gate, Operation};
-use readout::Walk;
+use rand::Rng;
 use stats::Bucket;
 use std::sync::Arc;
 
@@ -380,6 +386,13 @@ impl FramedProgram {
         &self.measurements.terminal
     }
 
+    /// Whether the compiled program resets a wire or uses one again after
+    /// measuring it — what needs mid-circuit measurement hardware. Judged on
+    /// the kernels, so gates that fused to nothing do not count as a use.
+    pub fn reuses_wires(&self) -> bool {
+        self.measurements.reuses_wires
+    }
+
     /// The exact distribution over classical bits and the number of
     /// measurement branches it took. Only resets and non-terminal measures
     /// (a wire used again, a clbit overwritten) branch, depth first with one
@@ -392,12 +405,41 @@ impl FramedProgram {
     /// [`SimError::NothingToMeasure`] when the program has no classical bits
     /// and [`SimError::TooManyQubits`] past the simulator limit.
     pub fn read_out(&self) -> Result<ExactReadout, SimError> {
+        let (kernels, root) = self.readout_inputs()?;
+        Ok(readout::read_out(&kernels, &self.measurements, self.num_clbits, root))
+    }
+
+    /// `shots` samples of the classical bits, drawn from `rng`: the walk of
+    /// [`FramedProgram::read_out`] carrying shots instead of a weight. At a
+    /// branch point the node's shots are dealt to the two outcomes by one
+    /// uniform draw each and only outcomes that were dealt a shot are
+    /// descended; a leaf draws its shots from the cumulative `|ψ|²` in
+    /// basis-index order, one uniform each. The draws are made in tree
+    /// order, so the result depends on `rng` alone — and for a program
+    /// without branch points it is the histogram
+    /// [`StateVector::sample_counts`] draws from the final state. Cost:
+    /// O(2^n) per kernel and leaf, leaves ≤ min(shots,
+    /// 2^[`branch_points`](CompileStats::branch_points)), plus one draw per
+    /// shot and branch point on its path.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ZeroShots`] for `shots == 0`, otherwise as
+    /// [`FramedProgram::read_out`].
+    pub fn sample(&self, shots: u64, rng: &mut impl Rng) -> Result<SampledReadout, SimError> {
+        if shots == 0 {
+            return Err(SimError::ZeroShots);
+        }
+        let (kernels, root) = self.readout_inputs()?;
+        Ok(readout::sample(&kernels, &self.measurements, self.num_clbits, root, shots, rng))
+    }
+
+    /// The kernel sequence and root state of a readout walk.
+    fn readout_inputs(&self) -> Result<(Vec<&Kernel>, StateVector), SimError> {
         if self.num_clbits == 0 {
             return Err(SimError::NothingToMeasure);
         }
-        let root = StateVector::try_new(self.num_qubits)?;
-        let kernels: Vec<&Kernel> = self.kernels().collect();
-        Ok(Walk::new(&kernels, &self.measurements, self.num_qubits, self.num_clbits).run(root))
+        Ok((self.kernels().collect(), StateVector::try_new(self.num_qubits)?))
     }
 
     /// The exact distribution over classical bits — the compiled analogue of

@@ -1,5 +1,5 @@
-//! Exact readout: which measurements have to branch, and the walk over the
-//! ones that do.
+//! Readout: which measurements have to branch, and the one walk over the
+//! ones that do — exact or sampled.
 //!
 //! By the deferred-measurement principle a `Measure { qubit, clbit }` that
 //! nothing later depends on can be read off the final state instead of
@@ -13,16 +13,27 @@
 //!   twice (the earlier one), a clbit written twice (the earlier write) —
 //!   and every reset is a **branch point**.
 //!
-//! The walk then splits the state at branch points only, depth first, and at
-//! each leaf marginalises `|ψ|²` onto the terminal clbits. A leaf costs
-//! O(2^n); there are at most 2^(branch points) leaves and one state buffer
-//! per live depth, so a circuit whose measurements are all terminal is read
-//! out in a single sweep.
+//! The walk then splits the state at branch points only, depth first, with
+//! one state buffer per live depth, and hands each leaf's final state to
+//! what it [`Carry`]s:
+//!
+//! * a **weight** ([`Exact`]): each outcome gets `weight·p`, a leaf
+//!   marginalises `weight·|ψ|²` onto the terminal clbits. A leaf costs
+//!   O(2^n) and there are at most 2^(branch points) of them, so a circuit
+//!   whose measurements are all terminal is read out in a single sweep.
+//! * a number of **shots** ([`Sampled`]): the shots are dealt to the two
+//!   outcomes by one uniform draw each, only outcomes that were dealt a shot
+//!   are descended, and a leaf draws its shots from the cumulative `|ψ|²`.
+//!   At most `min(shots, 2^(branch points))` leaves, so never more sweeps
+//!   than one trajectory per shot would make:
+//!   O(leaves·K·2^n + shots·(branch points + n)) for `K` kernels.
 
 use super::{CompileStats, Kernel};
 use crate::branching::BRANCH_PRUNE;
-use crate::StateVector;
+use crate::statevector::Cumulative;
+use crate::{Counts, StateVector};
 use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
+use rand::Rng;
 
 /// What the classifier sees of one kernel or operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,30 +167,34 @@ pub struct ExactReadout {
     pub leaves: u64,
 }
 
-/// One depth-first readout of a kernel sequence from |0…0⟩.
-pub(super) struct Walk<'a> {
-    kernels: &'a [&'a Kernel],
-    branch_points: &'a [usize],
-    /// Clbit mask of a basis index's low and high halves under the terminal
-    /// `(qubit, clbit)` map: `deposit(i) = low[i % low.len()] | high[i / low.len()]`.
+/// A histogram of shots over a program's classical bits, with the number of
+/// leaves the walk visited to draw it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SampledReadout {
+    /// The sampled clbit patterns, keyed as [`ExactReadout::distribution`]
+    /// is indexed; `counts.shots()` is the number of shots asked for.
+    pub counts: Counts,
+    /// Measurement branches that received at least one shot — `1` for a
+    /// program whose measurements are all terminal, at most
+    /// `min(shots, 2^branch_points)`.
+    pub leaves: u64,
+}
+
+/// Where a leaf's basis indices land among the clbit patterns, under the
+/// terminal `(qubit, clbit)` map.
+pub(super) struct Deposit {
+    /// Clbit mask of a basis index's low and high halves:
+    /// `of(i) = low[i % low.len()] | high[i / low.len()]`.
     low: Vec<usize>,
     high: Vec<usize>,
     /// Every clbit a terminal measure writes (it overwrites a branch's bit).
     terminal_clbits: usize,
-    /// State buffers of finished siblings, reused by the next copy.
-    spare: Vec<StateVector>,
-    out: ExactReadout,
 }
 
-impl<'a> Walk<'a> {
-    pub(super) fn new(
-        kernels: &'a [&'a Kernel],
-        measurements: &'a Measurements,
-        num_qubits: usize,
-        num_clbits: usize,
-    ) -> Self {
+impl Deposit {
+    fn new(terminal: &[(usize, usize)], num_qubits: usize) -> Self {
         let mut clbit_of = vec![0usize; num_qubits];
-        for &(qubit, clbit) in &measurements.terminal {
+        for &(qubit, clbit) in terminal {
             clbit_of[qubit] = 1 << clbit;
         }
         let table = |wires: &[usize]| {
@@ -190,30 +205,141 @@ impl<'a> Walk<'a> {
             masks
         };
         let (low_wires, high_wires) = clbit_of.split_at(num_qubits / 2);
-        Walk {
-            kernels,
-            branch_points: &measurements.branch_points,
+        Deposit {
             low: table(low_wires),
             high: table(high_wires),
             terminal_clbits: clbit_of.iter().fold(0, |all, mask| all | mask),
-            spare: Vec::new(),
-            out: ExactReadout { distribution: vec![0.0; 1 << num_clbits], leaves: 0 },
         }
     }
 
-    pub(super) fn run(mut self, mut root: StateVector) -> ExactReadout {
-        self.descend(&mut root, 0, 0, 1.0, 0);
-        self.out
+    fn of(&self, index: usize) -> usize {
+        self.low[index % self.low.len()] | self.high[index / self.low.len()]
+    }
+}
+
+/// What a walk carries from the root down to its leaves — the one thing the
+/// exact and the sampled readout differ in.
+pub(super) trait Carry {
+    /// A node's share of what the root started with.
+    type Share: Copy;
+
+    /// Splits the `share` of a node between its outcomes 0 and 1, of
+    /// probabilities `p`; an outcome given `None` is not descended.
+    fn split(&mut self, share: Self::Share, p: [f64; 2]) -> [Option<Self::Share>; 2];
+
+    /// Absorbs a leaf: `state` is its normalised final state, `bits` the
+    /// clbits its branch recorded that no terminal measure overwrites.
+    fn leaf(&mut self, deposit: &Deposit, state: &StateVector, share: Self::Share, bits: usize);
+}
+
+/// Carries a probability weight; a leaf adds `weight·|ψ|²` to the
+/// distribution. Outcomes at or below [`BRANCH_PRUNE`] are dropped.
+pub(super) struct Exact {
+    distribution: Vec<f64>,
+}
+
+impl Carry for Exact {
+    type Share = f64;
+
+    fn split(&mut self, weight: f64, p: [f64; 2]) -> [Option<f64>; 2] {
+        p.map(|p| (p > BRANCH_PRUNE).then_some(weight * p))
     }
 
-    /// Runs `kernels[from..]` on `state` (a normalised branch of probability
-    /// `weight` that recorded `bits`), splitting at `branch_points[branch..]`.
+    fn leaf(&mut self, deposit: &Deposit, state: &StateVector, weight: f64, bits: usize) {
+        for (block, high) in state.amplitudes().chunks(deposit.low.len()).zip(&deposit.high) {
+            let key = bits | high;
+            for (amplitude, low) in block.iter().zip(&deposit.low) {
+                self.distribution[key | low] += weight * amplitude.norm_sqr();
+            }
+        }
+    }
+}
+
+/// Carries a number of shots; a branch point deals them to its outcomes one
+/// uniform draw each (the draw [`StateVector::measure`] makes), a leaf draws
+/// each of its shots from `|ψ|²` (the draw [`StateVector::sample_counts`]
+/// makes). Only outcomes that were dealt a shot are descended.
+pub(super) struct Sampled<'r, R> {
+    rng: &'r mut R,
+    counts: Counts,
+    cumulative: Cumulative,
+    /// Shots per basis index of the current leaf, all zero between leaves,
+    /// and the indices that are not.
+    tally: Vec<u64>,
+    hit: Vec<usize>,
+}
+
+impl<R: Rng> Carry for Sampled<'_, R> {
+    type Share = u64;
+
+    fn split(&mut self, shots: u64, p: [f64; 2]) -> [Option<u64>; 2] {
+        // an outcome of probability exactly 0 is dealt nothing, whatever
+        // rounding left of the other's
+        let ones = if p[0] <= 0.0 {
+            shots
+        } else {
+            (0..shots).filter(|_| self.rng.gen::<f64>() < p[1]).count() as u64
+        };
+        [shots - ones, ones].map(|dealt| (dealt > 0).then_some(dealt))
+    }
+
+    fn leaf(&mut self, deposit: &Deposit, state: &StateVector, shots: u64, bits: usize) {
+        self.cumulative.rebuild(state.amplitudes());
+        for _ in 0..shots {
+            let index = self.cumulative.draw(self.rng);
+            if self.tally[index] == 0 {
+                self.hit.push(index);
+            }
+            self.tally[index] += 1;
+        }
+        for index in self.hit.drain(..) {
+            let shots = std::mem::take(&mut self.tally[index]);
+            self.counts.record((bits | deposit.of(index)) as u64, shots);
+        }
+    }
+}
+
+/// One depth-first readout of a kernel sequence from |0…0⟩.
+pub(super) struct Walk<'a, C> {
+    kernels: &'a [&'a Kernel],
+    branch_points: &'a [usize],
+    deposit: Deposit,
+    /// State buffers of finished siblings, reused by the next copy.
+    spare: Vec<StateVector>,
+    leaves: u64,
+    carry: C,
+}
+
+impl<'a, C: Carry> Walk<'a, C> {
+    /// Walks `kernels` from `root`, which holds `share`; returns what was
+    /// carried and the number of leaves it reached.
+    fn run(
+        kernels: &'a [&'a Kernel],
+        measurements: &'a Measurements,
+        mut root: StateVector,
+        carry: C,
+        share: C::Share,
+    ) -> (C, u64) {
+        let mut walk = Walk {
+            kernels,
+            branch_points: &measurements.branch_points,
+            deposit: Deposit::new(&measurements.terminal, root.num_qubits()),
+            spare: Vec::new(),
+            leaves: 0,
+            carry,
+        };
+        walk.descend(&mut root, 0, 0, share, 0);
+        (walk.carry, walk.leaves)
+    }
+
+    /// Runs `kernels[from..]` on `state` (a normalised branch holding
+    /// `share`, that recorded `bits`), splitting at `branch_points[branch..]`.
     fn descend(
         &mut self,
         state: &mut StateVector,
         from: usize,
         branch: usize,
-        weight: f64,
+        share: C::Share,
         bits: usize,
     ) {
         let until = self.branch_points.get(branch).copied().unwrap_or(self.kernels.len());
@@ -222,15 +348,18 @@ impl<'a> Walk<'a> {
             kernel.apply(state.amps_mut());
         }
         let (qubit, clbit) = match self.kernels.get(until) {
-            None => return self.leaf(state, weight, bits),
+            None => {
+                self.leaves += 1;
+                let bits = bits & !self.deposit.terminal_clbits;
+                return self.carry.leaf(&self.deposit, state, share, bits);
+            }
             Some(Kernel::Measure { qubit, clbit, .. }) => (QubitId::new(*qubit), Some(*clbit)),
             Some(Kernel::Reset { qubit, .. }) => (QubitId::new(*qubit), None),
             Some(other) => unreachable!("branch point at a unitary kernel: {other:?}"),
         };
         let probabilities = state.outcome_probabilities(qubit);
-        let child = |walk: &mut Self, state: &mut StateVector, outcome: bool| {
-            let probability = probabilities[usize::from(outcome)];
-            state.collapse(qubit, outcome, probability);
+        let child = |walk: &mut Self, state: &mut StateVector, outcome: bool, share: C::Share| {
+            state.collapse(qubit, outcome, probabilities[usize::from(outcome)]);
             let bits = match clbit {
                 Some(c) => (bits & !(1 << c)) | (usize::from(outcome) << c),
                 None => {
@@ -240,44 +369,69 @@ impl<'a> Walk<'a> {
                     bits
                 }
             };
-            walk.descend(state, until + 1, branch + 1, weight * probability, bits);
+            walk.descend(state, until + 1, branch + 1, share, bits);
         };
         // Outcome 1 (or a lone outcome 0) collapses this depth's own buffer;
-        // only a surviving sibling is worth a copy.
-        let survives = probabilities.map(|p| p > BRANCH_PRUNE);
-        if survives[0] && survives[1] {
-            let mut copy = match self.spare.pop() {
-                Some(mut buffer) => {
-                    buffer.amps_mut().copy_from_slice(state.amplitudes());
-                    buffer
-                }
-                None => state.clone(),
-            };
-            child(self, &mut copy, false);
-            self.spare.push(copy);
-        } else if survives[0] {
-            child(self, state, false);
-        }
-        if survives[1] {
-            child(self, state, true);
-        }
-    }
-
-    fn leaf(&mut self, state: &StateVector, weight: f64, bits: usize) {
-        self.out.leaves += 1;
-        let bits = bits & !self.terminal_clbits;
-        for (block, high) in state.amplitudes().chunks(self.low.len()).zip(&self.high) {
-            let key = bits | high;
-            for (amplitude, low) in block.iter().zip(&self.low) {
-                self.out.distribution[key | low] += weight * amplitude.norm_sqr();
+        // only a second descended outcome is worth a copy.
+        match self.carry.split(share, probabilities) {
+            [Some(zero), Some(one)] => {
+                let mut copy = match self.spare.pop() {
+                    Some(mut buffer) => {
+                        buffer.amps_mut().copy_from_slice(state.amplitudes());
+                        buffer
+                    }
+                    None => state.clone(),
+                };
+                child(self, &mut copy, false, zero);
+                self.spare.push(copy);
+                child(self, state, true, one);
             }
+            [Some(zero), None] => child(self, state, false, zero),
+            [None, Some(one)] => child(self, state, true, one),
+            [None, None] => {}
         }
     }
 }
 
+/// The exact readout of `kernels` run from `root`.
+pub(super) fn read_out(
+    kernels: &[&Kernel],
+    measurements: &Measurements,
+    num_clbits: usize,
+    root: StateVector,
+) -> ExactReadout {
+    let carry = Exact { distribution: vec![0.0; 1 << num_clbits] };
+    let (carry, leaves) = Walk::run(kernels, measurements, root, carry, 1.0);
+    ExactReadout { distribution: carry.distribution, leaves }
+}
+
+/// `shots` sampled readouts of `kernels` run from `root`, drawn from `rng`.
+pub(super) fn sample(
+    kernels: &[&Kernel],
+    measurements: &Measurements,
+    num_clbits: usize,
+    root: StateVector,
+    shots: u64,
+    rng: &mut impl Rng,
+) -> SampledReadout {
+    let carry = Sampled {
+        rng,
+        counts: Counts::new(num_clbits),
+        cumulative: Cumulative::default(),
+        tally: vec![0; root.amplitudes().len()],
+        hit: Vec::new(),
+    };
+    let (carry, leaves) = Walk::run(kernels, measurements, root, carry, shots);
+    SampledReadout { counts: carry.counts, leaves }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::super::FramedProgram;
     use super::*;
+    use crate::SimError;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn each_measurement_shape_classifies_as_documented() {
@@ -341,12 +495,77 @@ mod tests {
         assert!(m.reuses_wires);
     }
 
+    /// The two ends of `gen::<f64>()`: exactly 0 and `1 - 2^-53`.
+    struct Constant(u64);
+    impl rand::RngCore for Constant {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn an_all_terminal_program_makes_the_draws_of_sample_counts() {
+        // q2 stays unmeasured and the clbits are a permutation of the wires
+        let mut unitary = Circuit::with_clbits(3, 3);
+        unitary.h(0).cx(0, 1).ry(0.9, 2).rx(0.4, 1);
+        let mut measured = unitary.clone();
+        measured.measure(0, 2).measure(1, 0);
+        let program = FramedProgram::compile(&measured);
+        let state = FramedProgram::compile(&unitary).run_unitary().unwrap();
+        for seed in [0u64, 5, 77] {
+            let sampled = program.sample(300, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert_eq!(sampled.leaves, 1);
+            let reference = state.sample_counts(300, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let mut expected = Counts::new(3);
+            for (index, shots) in reference.iter() {
+                expected.record((index & 1) << 2 | (index >> 1 & 1), shots);
+            }
+            assert_eq!(sampled.counts, expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn impossible_outcomes_and_basis_states_get_no_shot() {
+        // measuring |1⟩ mid-circuit: outcome 0 has probability exactly 0 and
+        // must be dealt nothing even by the largest draw, which `< p1`
+        // alone would send there once rounding leaves p1 short of 1
+        let mut carry = Sampled {
+            rng: &mut Constant(u64::MAX),
+            counts: Counts::new(1),
+            cumulative: Cumulative::default(),
+            tally: Vec::new(),
+            hit: Vec::new(),
+        };
+        assert_eq!(carry.split(9, [0.0, 1.0 - f64::EPSILON / 2.0]), [None, Some(9)]);
+        assert_eq!(carry.split(9, [1.0, 0.0]), [Some(9), None]);
+
+        // a leaf with amplitude on |001⟩ and |011⟩ only, after a reset that
+        // always reads 1: neither end of the draw reaches an empty entry
+        let mut c = Circuit::with_clbits(3, 3);
+        c.x(2).reset(2).x(0).h(1).measure(0, 0).measure(1, 1).measure(2, 2);
+        let program = FramedProgram::compile(&c);
+        let lowest = program.sample(10, &mut Constant(0)).unwrap();
+        assert_eq!((lowest.counts.count(0b001), lowest.leaves), (10, 1));
+        let highest = program.sample(10, &mut Constant(u64::MAX)).unwrap();
+        assert_eq!((highest.counts.count(0b011), highest.leaves), (10, 1));
+    }
+
+    #[test]
+    fn sampling_needs_shots_and_clbits() {
+        let mut c = Circuit::with_clbits(1, 1);
+        c.h(0).measure(0, 0);
+        let program = FramedProgram::compile(&c);
+        assert_eq!(program.sample(0, &mut Constant(0)), Err(SimError::ZeroShots));
+        let nothing = FramedProgram::compile(&Circuit::with_clbits(1, 0));
+        assert_eq!(nothing.sample(5, &mut Constant(0)), Err(SimError::NothingToMeasure));
+    }
+
     #[test]
     fn kernels_and_operations_classify_alike() {
         let mut c = Circuit::with_clbits(2, 3);
         c.h(0).cx(0, 1).measure(0, 0).reset(0).h(0).measure(0, 1).measure(1, 2);
         let from_ops = Measurements::of_circuit(&c);
-        let program = super::super::FramedProgram::compile(&c);
+        let program = FramedProgram::compile(&c);
         assert_eq!(program.readout_map(), &from_ops.terminal[..]);
         assert_eq!(program.stats().terminal_measures, 2);
         assert_eq!(program.stats().branch_points, 2);

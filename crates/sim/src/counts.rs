@@ -25,6 +25,10 @@ pub struct Counts {
 }
 
 impl Counts {
+    /// The widest histogram [`Counts::probability_vector`] densifies: a
+    /// `2^30`-entry vector is 8 GiB of `f64`.
+    pub const MAX_DENSE_BITS: usize = 30;
+
     /// An empty histogram over `num_bits` classical bits.
     ///
     /// # Panics
@@ -87,9 +91,13 @@ impl Counts {
     /// # Panics
     ///
     /// Panics if `num_bits` is large enough that the dense vector would not
-    /// fit in memory (more than 30 bits).
+    /// fit in memory (more than [`Counts::MAX_DENSE_BITS`]).
     pub fn probability_vector(&self) -> Vec<f64> {
-        assert!(self.num_bits <= 30, "dense probability vector limited to 30 bits");
+        assert!(
+            self.num_bits <= Self::MAX_DENSE_BITS,
+            "dense probability vector limited to {} bits",
+            Self::MAX_DENSE_BITS
+        );
         let mut v = vec![0.0; 1 << self.num_bits];
         if self.shots == 0 {
             return v;

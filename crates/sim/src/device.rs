@@ -3,16 +3,15 @@
 //! (e.g. the 7-qubit IBM Lagos and hypothetical 3/4-qubit devices) the paper
 //! runs subcircuits on.
 
-use crate::compile::{
-    interpreted_forced_by_env, CompileStats, FramedProgram, Kernel, KernelCache, Measurements,
-};
+use crate::compile::{interpreted_forced_by_env, CompileStats, KernelCache, Measurements};
 use crate::expectation::{expectation_from_counts, measurement_circuit};
 use crate::noise::NoiseModel;
 use crate::{Counts, SimError, StateVector};
 use qrcc_circuit::observable::PauliObservable;
-use qrcc_circuit::{Circuit, Operation, QubitId};
+use qrcc_circuit::{Circuit, Operation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of a [`Device`].
@@ -28,11 +27,12 @@ pub struct DeviceConfig {
     /// Base seed for shot sampling; every execution derives a fresh stream
     /// from it so results are reproducible run-to-run.
     pub seed: u64,
-    /// Forces the interpreted per-gate simulator for noiseless execution
-    /// instead of compiled kernel programs (noisy execution is always
-    /// interpreted: per-gate noise anchors to gate boundaries, which fusion
-    /// would erase). The `QRCC_SIM_INTERPRETED=1` environment variable
-    /// forces this at [`Device::new`] time for differential testing.
+    /// Forces the interpreted per-gate simulator — one trajectory per shot —
+    /// for noiseless execution instead of one sampled readout of the
+    /// compiled kernel program (noisy execution is always interpreted:
+    /// per-gate noise anchors to gate boundaries, which fusion would erase).
+    /// The `QRCC_SIM_INTERPRETED=1` environment variable forces this at
+    /// [`Device::new`] time for differential testing.
     pub interpreted: bool,
 }
 
@@ -145,21 +145,22 @@ impl Device {
     ///
     /// Same width / mid-circuit conditions as [`Device::execute`].
     pub fn validate(&self, circuit: &Circuit) -> Result<(), SimError> {
-        self.check_circuit(circuit, || needs_mid_circuit(circuit))
+        self.check_width(circuit)?;
+        self.check_mid_circuit(|| needs_mid_circuit(circuit))
     }
 
-    /// `reuses_wires` is asked only of a device without mid-circuit support.
-    fn check_circuit(
-        &self,
-        circuit: &Circuit,
-        reuses_wires: impl FnOnce() -> bool,
-    ) -> Result<(), SimError> {
+    fn check_width(&self, circuit: &Circuit) -> Result<(), SimError> {
         if circuit.num_qubits() > self.config.num_qubits {
             return Err(SimError::TooManyQubits {
                 required: circuit.num_qubits(),
                 available: self.config.num_qubits,
             });
         }
+        Ok(())
+    }
+
+    /// `reuses_wires` is asked only of a device without mid-circuit support.
+    fn check_mid_circuit(&self, reuses_wires: impl FnOnce() -> bool) -> Result<(), SimError> {
         if !self.config.supports_mid_circuit && reuses_wires() {
             return Err(SimError::MidCircuitUnsupported);
         }
@@ -170,12 +171,45 @@ impl Device {
     /// its classical bits. Circuits without any measurement are measured on
     /// every qubit at the end (classical bit `i` = qubit `i`).
     ///
+    /// # Cost
+    ///
+    /// A **noiseless** device runs the circuit's compiled program as one
+    /// sampled readout ([`FramedProgram::sample`]): the state is swept once
+    /// per kernel and *leaf*, not once per shot. Terminal measures never
+    /// branch; at a mid-circuit measure or reset the shots are dealt to the
+    /// two outcomes and only outcomes that were dealt a shot are followed, so
+    /// there are at most `min(shots, 2^branch points)` leaves — one for an
+    /// all-measured circuit — and the cost is
+    /// O(leaves·kernels·2^n + shots·(branch points + n)).
+    ///
+    /// A **noisy** device runs one interpreted per-gate trajectory per shot,
+    /// O(shots·gates·2^n): stochastic per-gate noise anchors to gate
+    /// boundaries, which kernel fusion would erase. A noiseless device opted
+    /// out of compilation ([`DeviceConfig::interpreted`],
+    /// `QRCC_SIM_INTERPRETED=1`) runs the same trajectories — the oracle the
+    /// sampled readout is tested against.
+    ///
+    /// # Seeded counts
+    ///
+    /// The histogram is a function of `(seed, stream)` alone, whatever the
+    /// thread count or the order a batch runs in. The sampled readout makes
+    /// its draws in tree order where the trajectories it replaced made them
+    /// in shot order, so the seeded counts of noiseless circuits **with
+    /// branch points** differ from those of earlier versions (and from the
+    /// interpreted device's) while following the same distribution, the one
+    /// [`FramedProgram::read_out`] computes exactly. Circuits whose measures
+    /// are all terminal keep their counts: one leaf, the same cumulative
+    /// `|ψ|²` in basis-index order, the same one draw per shot.
+    ///
     /// # Errors
     ///
     /// * [`SimError::TooManyQubits`] if the circuit is wider than the device.
     /// * [`SimError::MidCircuitUnsupported`] if the circuit needs mid-circuit
     ///   measurement or reset and the device does not support it.
     /// * [`SimError::ZeroShots`] if `shots == 0`.
+    ///
+    /// [`FramedProgram::sample`]: crate::compile::FramedProgram::sample
+    /// [`FramedProgram::read_out`]: crate::compile::FramedProgram::read_out
     pub fn execute(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         self.execute_with_rng(circuit, shots, || self.next_rng())
     }
@@ -208,84 +242,32 @@ impl Device {
         if shots == 0 {
             return Err(SimError::ZeroShots);
         }
-        let mut circuit = circuit.clone();
+        let mut circuit = Cow::Borrowed(circuit);
         if !circuit.operations().iter().any(Operation::is_measure) {
-            circuit.measure_all();
+            circuit.to_mut().measure_all();
         }
-        // One linear pass decides hardware support, the fast path and its
-        // `(qubit, clbit)` map.
-        let measurements = Measurements::of_circuit(&circuit);
-        self.check_circuit(&circuit, || measurements.reuses_wires)?;
-        let mut rng = make_rng();
+        let circuit = &*circuit;
 
-        let noiseless = self.config.noise.is_noiseless();
-        if noiseless && measurements.branch_points.is_empty() {
-            // Fast path: every measure is terminal, so take the exact state
-            // vector of the unitary part and sample the measured qubits.
-            let map = &measurements.terminal;
-            let unitary = circuit.without_non_unitary();
-            let sv = if self.use_compiled {
-                self.kernels.get_or_compile(&unitary).run_unitary()?
-            } else {
-                StateVector::from_circuit(&unitary)?
-            };
-            let all = sv.sample_counts(shots, &mut rng)?;
-            let mut counts = Counts::new(circuit.num_clbits());
-            for (outcome, count) in all.iter() {
-                let mut key = 0u64;
-                for &(qubit, clbit) in map {
-                    if outcome & (1 << qubit) != 0 {
-                        key |= 1 << clbit;
-                    }
-                }
-                counts.record(key, count);
-            }
-            return Ok(counts);
+        if self.use_compiled && self.config.noise.is_noiseless() {
+            // One sampled readout: the program classified its measurements
+            // when it was compiled, and that is the only classification.
+            self.check_width(circuit)?;
+            let program = self.kernels.get_or_compile(circuit);
+            self.check_mid_circuit(|| program.reuses_wires())?;
+            return Ok(program.sample(shots, &mut make_rng())?.counts);
         }
 
-        if noiseless && self.use_compiled {
-            // Compiled trajectory path: fuse once, then walk the (much
-            // shorter) kernel program per shot. Noiseless gate/readout noise
-            // draws no randomness, so the rng stream matches the interpreted
-            // trajectory exactly.
-            let program = self.kernels.get_or_compile(&circuit);
-            let mut counts = Counts::new(circuit.num_clbits());
-            for _ in 0..shots {
-                let bits = self.run_single_trajectory_compiled(&program, &mut rng)?;
-                counts.record_bits(&bits);
-            }
-            return Ok(counts);
-        }
-
-        // Interpreted trajectory path: one per-gate state-vector run per shot.
+        // Interpreted trajectories: one per-gate state-vector run per shot.
         // Noisy execution always lands here — stochastic per-gate noise
         // anchors to gate boundaries, which kernel fusion would erase.
+        self.validate(circuit)?;
+        let mut rng = make_rng();
         let mut counts = Counts::new(circuit.num_clbits());
         for _ in 0..shots {
-            let bits = self.run_single_trajectory(&circuit, &mut rng)?;
+            let bits = self.run_single_trajectory(circuit, &mut rng)?;
             counts.record_bits(&bits);
         }
         Ok(counts)
-    }
-
-    fn run_single_trajectory_compiled(
-        &self,
-        program: &FramedProgram,
-        rng: &mut StdRng,
-    ) -> Result<Vec<bool>, SimError> {
-        let mut state = StateVector::try_new(program.num_qubits())?;
-        let mut clbits = vec![false; program.num_clbits()];
-        for kernel in program.kernels() {
-            match kernel {
-                Kernel::Measure { qubit, clbit, .. } => {
-                    let outcome = state.measure(QubitId::new(*qubit), rng);
-                    clbits[*clbit] = self.config.noise.apply_readout(outcome, rng);
-                }
-                Kernel::Reset { qubit, .. } => state.reset(QubitId::new(*qubit), rng),
-                _ => kernel.apply(state.amps_mut()),
-            }
-        }
-        Ok(clbits)
     }
 
     /// Cumulative kernel-compilation telemetry for this device (`None`
@@ -477,19 +459,50 @@ mod tests {
 
     #[test]
     fn explicit_streams_reproduce_serial_execution() {
-        let mut c = Circuit::new(2);
-        c.h(0).ry(0.7, 1).cx(0, 1).measure_all();
-        // serial: three executes consume streams 0, 1, 2
-        let serial = Device::new(DeviceConfig::noisy(2, NoiseModel::uniform(0.02)).with_seed(9));
-        let serial_counts: Vec<Counts> = (0..3).map(|_| serial.execute(&c, 500).unwrap()).collect();
-        // batched: reserve the same stream block up front, run in any order
-        let batched = Device::new(DeviceConfig::noisy(2, NoiseModel::uniform(0.02)).with_seed(9));
-        let base = batched.reserve_streams(3);
-        assert_eq!(base, 0);
-        for i in [2usize, 0, 1] {
-            let counts = batched.execute_stream(&c, 500, base + i as u64).unwrap();
-            assert_eq!(counts, serial_counts[i], "stream {i} must match serial run {i}");
+        let mut terminal = Circuit::new(2);
+        terminal.h(0).ry(0.7, 1).cx(0, 1).measure_all();
+        let mut reuse = Circuit::with_clbits(2, 3);
+        reuse.h(0).cx(0, 1).measure(0, 0).reset(0).ry(0.7, 0).measure(0, 1).measure(1, 2);
+        // noisy: one trajectory per shot; noiseless reuse: one sampled readout
+        for (config, c) in [
+            (DeviceConfig::noisy(2, NoiseModel::uniform(0.02)).with_seed(9), &terminal),
+            (DeviceConfig::ideal(2).with_seed(9), &reuse),
+        ] {
+            // serial: three executes consume streams 0, 1, 2
+            let serial = Device::new(config);
+            let serial_counts: Vec<Counts> =
+                (0..3).map(|_| serial.execute(c, 500).unwrap()).collect();
+            assert_ne!(serial_counts[0], serial_counts[1], "streams differ");
+            // batched: reserve the same stream block up front, run in any order
+            let batched = Device::new(config);
+            let base = batched.reserve_streams(3);
+            assert_eq!(base, 0);
+            for i in [2usize, 0, 1] {
+                let counts = batched.execute_stream(c, 500, base + i as u64).unwrap();
+                assert_eq!(counts, serial_counts[i], "stream {i} must match serial run {i}");
+            }
+            assert_eq!(batched.executions(), 3);
         }
-        assert_eq!(batched.executions(), 3);
+    }
+
+    #[test]
+    fn all_terminal_execution_samples_the_final_state_once() {
+        // No branch point: the shots are the draws `sample_counts` makes from
+        // the final state, in basis-index order — the seeded counts this
+        // device has always produced for all-measured circuits.
+        let mut unitary = Circuit::new(3);
+        unitary.h(0).cx(0, 1).ry(0.6, 2).cz(1, 2).rx(0.3, 0);
+        let mut measured = unitary.clone();
+        measured.measure_all();
+        let device = Device::new(DeviceConfig::ideal(3).with_seed(21));
+        if !device.use_compiled {
+            return; // differential CI leg: the oracle runs trajectories
+        }
+        let state = device.kernels.get_or_compile(&unitary).run_unitary().unwrap();
+        let expected = state.sample_counts(700, &mut device.rng_for_stream(0)).unwrap();
+        assert_eq!(device.execute(&measured, 700).unwrap(), expected);
+        // an unmeasured circuit is measured on every wire: the same program
+        let expected = state.sample_counts(700, &mut device.rng_for_stream(1)).unwrap();
+        assert_eq!(device.execute(&unitary, 700).unwrap(), expected);
     }
 }

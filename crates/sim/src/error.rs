@@ -12,6 +12,15 @@ pub enum SimError {
         /// Qubits available.
         available: usize,
     },
+    /// The circuit writes more classical bits than a dense probability
+    /// vector over them may have (see
+    /// [`Counts::MAX_DENSE_BITS`](crate::Counts::MAX_DENSE_BITS)).
+    TooManyClbits {
+        /// Classical bits of the circuit.
+        required: usize,
+        /// Classical bits available.
+        available: usize,
+    },
     /// A state-vector operation was asked to run a non-unitary circuit.
     NonUnitaryCircuit {
         /// Index of the offending operation.
@@ -39,6 +48,12 @@ impl fmt::Display for SimError {
         match self {
             SimError::TooManyQubits { required, available } => {
                 write!(f, "circuit needs {required} qubits but only {available} are available")
+            }
+            SimError::TooManyClbits { required, available } => {
+                write!(
+                    f,
+                    "circuit writes {required} classical bits but only {available} are available"
+                )
             }
             SimError::NonUnitaryCircuit { index } => {
                 write!(
@@ -68,6 +83,7 @@ mod tests {
     fn display_messages_are_lowercase_and_nonempty() {
         let errors = [
             SimError::TooManyQubits { required: 5, available: 3 },
+            SimError::TooManyClbits { required: 31, available: 30 },
             SimError::NonUnitaryCircuit { index: 2 },
             SimError::MidCircuitUnsupported,
             SimError::NothingToMeasure,

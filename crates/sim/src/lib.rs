@@ -17,15 +17,22 @@
 //!    and measurement epilogue, so thousands of variants share one compiled
 //!    body and only the frames are compiled per request.
 //! 3. **Execute** — compiled programs run as exact unitaries
-//!    ([`compile::FramedProgram::run_unitary`]), exact readouts of the
-//!    classical bits ([`compile::FramedProgram::classical_distribution`]:
-//!    terminal measures are marginalised out of the final state and only
-//!    mid-circuit measures and resets branch, so the cost is O(2^n) per
-//!    leaf with leaves ≤ 2^branch points) or per-shot
-//!    trajectories ([`device`]). The original per-gate interpreter remains
-//!    available everywhere (construction-time opt-out, or the
-//!    `QRCC_SIM_INTERPRETED=1` environment variable) and is the differential
-//!    reference the compiled path is tested against.
+//!    ([`compile::FramedProgram::run_unitary`]) or are **read out**, exactly
+//!    ([`compile::FramedProgram::read_out`]) or as shots
+//!    ([`compile::FramedProgram::sample`]), by one depth-first walk:
+//!    terminal measures are taken from the final state and only mid-circuit
+//!    measures and resets branch. The exact walk carries a probability
+//!    weight and costs O(2^n) per leaf with leaves ≤ 2^branch points; the
+//!    sampled walk carries the shots, deals them out at each branch point
+//!    and follows only outcomes that got one, so leaves ≤ min(shots,
+//!    2^branch points) and no state is re-prepared per shot. A noiseless
+//!    [`device`] is exactly that sampled readout.
+//! 4. **Interpret** — the original per-gate interpreter remains available
+//!    everywhere (construction-time opt-out, or the
+//!    `QRCC_SIM_INTERPRETED=1` environment variable): exact branch
+//!    enumeration in [`branching`], one trajectory per shot in [`device`].
+//!    It is the only path for noisy devices and the differential reference
+//!    the compiled path is tested against.
 //!
 //! The pieces:
 //!
@@ -43,7 +50,9 @@
 //!   Noisy execution always interprets gate-by-gate: per-gate noise anchors
 //!   to gate boundaries, which fusion would erase.
 //! * [`device`] — a small simulated quantum device with a qubit budget,
-//!   optional noise and shots-based execution, standing in for IBM Lagos.
+//!   optional noise and shots-based execution, standing in for IBM Lagos:
+//!   one sampled readout per circuit when noiseless, one interpreted
+//!   trajectory per shot when noisy.
 //! * [`Counts`] — measurement histograms.
 //!
 //! # Example

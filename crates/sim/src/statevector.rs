@@ -33,6 +33,40 @@ pub struct StateVector {
 /// [`SimError::TooManyQubits`] path.
 pub const MAX_QUBITS: usize = 28;
 
+/// The running sum of `|ψ|²` in basis-index order — what shots are drawn
+/// from, by [`StateVector::sample_counts`] and by every leaf of a sampled
+/// readout alike (one buffer, rebuilt per state).
+#[derive(Debug, Default)]
+pub(crate) struct Cumulative {
+    sums: Vec<f64>,
+    /// The last basis index of non-zero probability (0 for an all-zero
+    /// state): where a draw that rounding carried past the total lands.
+    last: usize,
+}
+
+impl Cumulative {
+    /// Replaces the sums with those of `amps`.
+    pub(crate) fn rebuild(&mut self, amps: &[Complex]) {
+        self.sums.clear();
+        let mut acc = 0.0;
+        self.sums.extend(amps.iter().map(|a| {
+            acc += a.norm_sqr();
+            acc
+        }));
+        // the sums end on `acc`, so this index exists
+        self.last = self.sums.partition_point(|&c| c < acc);
+    }
+
+    /// One basis index, drawn with one uniform: the first entry whose
+    /// cumulative mass **exceeds** the draw, so a draw of exactly 0 skips
+    /// leading entries of probability 0.
+    pub(crate) fn draw(&self, rng: &mut impl Rng) -> usize {
+        let total = self.sums[self.last].max(f64::MIN_POSITIVE);
+        let r = rng.gen::<f64>() * total;
+        self.sums.partition_point(|&c| c <= r).min(self.last)
+    }
+}
+
 impl StateVector {
     /// The all-zeros state |0…0⟩ over `num_qubits` qubits.
     ///
@@ -275,7 +309,9 @@ impl StateVector {
     }
 
     /// Samples `shots` outcomes of measuring all qubits, as a [`Counts`]
-    /// histogram keyed by qubit index.
+    /// histogram keyed by qubit index. One uniform draw per shot against the
+    /// cumulative `|ψ|²` in basis-index order; a basis state of zero
+    /// probability is never drawn.
     ///
     /// # Errors
     ///
@@ -284,19 +320,11 @@ impl StateVector {
         if shots == 0 {
             return Err(SimError::ZeroShots);
         }
-        let probs = self.probabilities();
-        let mut cumulative = Vec::with_capacity(probs.len());
-        let mut acc = 0.0;
-        for p in &probs {
-            acc += p;
-            cumulative.push(acc);
-        }
-        let total = acc.max(f64::MIN_POSITIVE);
+        let mut cumulative = Cumulative::default();
+        cumulative.rebuild(&self.amps);
         let mut counts = Counts::new(self.num_qubits);
         for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * total;
-            let idx = cumulative.partition_point(|&c| c < r).min(probs.len() - 1);
-            counts.record(idx as u64, 1);
+            counts.record(cumulative.draw(rng) as u64, 1);
         }
         Ok(counts)
     }
@@ -524,6 +552,33 @@ mod tests {
         let counts = sv.sample_counts(20_000, &mut rng).unwrap();
         assert_eq!(counts.shots(), 20_000);
         assert!(counts.total_variation_distance(&sv.probabilities()) < 0.02);
+    }
+
+    #[test]
+    fn zero_probability_outcomes_are_never_sampled() {
+        /// The two ends of `gen::<f64>()`: exactly 0 and `1 - 2^-53`.
+        struct Constant(u64);
+        impl rand::RngCore for Constant {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        // amplitude on |001⟩ and |011⟩ only: the first and the last basis
+        // states (and more) are impossible
+        let mut c = Circuit::new(3);
+        c.x(0).h(1);
+        let sv = StateVector::from_circuit(&c).unwrap();
+        assert_eq!((sv.probabilities()[0], sv.probabilities()[7]), (0.0, 0.0));
+        let lowest = sv.sample_counts(10, &mut Constant(0)).unwrap();
+        assert_eq!(lowest.count(0b001), 10, "a draw of 0 skips the empty leading entries");
+        let highest = sv.sample_counts(10, &mut Constant(u64::MAX)).unwrap();
+        assert_eq!(highest.count(0b011), 10, "the largest draw stops at the last possible entry");
+        // rounding may leave the total short of 1: still the last possible entry
+        let mut cumulative = Cumulative::default();
+        let third = Complex::new((1.0f64 / 3.0).sqrt(), 0.0);
+        cumulative.rebuild(&[Complex::ZERO, third, third, third, Complex::ZERO]);
+        assert_eq!(cumulative.draw(&mut Constant(0)), 1);
+        assert_eq!(cumulative.draw(&mut Constant(u64::MAX)), 3);
     }
 
     #[test]

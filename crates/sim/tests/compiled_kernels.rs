@@ -1,11 +1,12 @@
 //! Differential tests for the compiled kernel path: the compiled simulator
 //! must agree with the gate-by-gate interpreter (the reference) to 1e-12 on
-//! every IR gate, on random circuits, on every benchmark generator family,
-//! and — bit-for-bit — on seeded shot trajectories with mid-circuit
-//! measurement and reset. A deduplicated variant batch served from the
-//! [`KernelCache`] must reproduce the uncached run exactly. The compiled
-//! readout branches only where it has to; the interpreted enumerator, which
-//! branches at every measure, is the oracle it is held to.
+//! every IR gate, on random circuits and on every benchmark generator
+//! family. A deduplicated variant batch served from the [`KernelCache`] must
+//! reproduce the uncached run exactly. The compiled readout branches only
+//! where it has to; the interpreted enumerator, which branches at every
+//! measure, is the oracle it is held to — and the exact readout in turn is
+//! what the shots of both devices, compiled (one sampled readout) and
+//! interpreted (one trajectory per shot), have to fit.
 
 use proptest::prelude::*;
 use qrcc_circuit::generators::{
@@ -16,7 +17,10 @@ use qrcc_circuit::Circuit;
 use qrcc_sim::branching::classical_distribution;
 use qrcc_sim::compile::{FramedProgram, KernelCache};
 use qrcc_sim::device::{Device, DeviceConfig};
-use qrcc_sim::StateVector;
+use qrcc_sim::{Counts, StateVector};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rayon::prelude::*;
 
 /// Asserts the compiled unitary run matches the interpreted state vector
 /// amplitude-for-amplitude at 1e-12.
@@ -134,20 +138,115 @@ fn mid_circuit_measure_and_reset_distributions_match() {
     assert_distributions_match(&r);
 }
 
-#[test]
-fn seeded_shot_trajectories_are_identical_across_modes() {
-    // Noiseless trajectories draw rng only at measure/reset, and the
-    // compiled path anchors those to the same points — so with equal seeds
-    // the two modes must produce byte-identical counts.
-    let mut c = Circuit::new(4);
-    c.h(0).cx(0, 1).measure(0, 0).reset(0).ry(0.7, 0).cx(1, 2).cx(2, 3).t(3).measure_all();
-    for seed in [1u64, 7, 42] {
-        let compiled = Device::new(DeviceConfig::ideal(4).with_seed(seed));
-        let interpreted = Device::new(DeviceConfig::ideal(4).with_seed(seed).interpreted());
-        let a = compiled.execute(&c, 500).unwrap();
-        let b = interpreted.execute(&c, 500).unwrap();
-        assert_eq!(a, b, "seed {seed}: compiled and interpreted counts must be identical");
+/// Asserts that `counts` is a plausible draw of `shots` shots from `exact`:
+/// Pearson's χ² over the cells expecting more than 5 shots (the rest pooled
+/// into one cell if together they do) stays below `dof + 5·√(2·dof)`, and a
+/// cell of probability exactly 0 is empty.
+fn assert_fits(counts: &Counts, exact: &[f64], shots: u64, what: &str) {
+    assert_eq!(counts.shots(), shots, "{what}: every shot is recorded once");
+    let (mut chi2, mut cells) = (0.0, 0usize);
+    let (mut rest_expected, mut rest_observed) = (0.0, 0.0);
+    let mut cell = |expected: f64, observed: f64| {
+        chi2 += (observed - expected).powi(2) / expected;
+        cells += 1;
+    };
+    for (outcome, &p) in exact.iter().enumerate() {
+        let observed = counts.count(outcome as u64);
+        if p == 0.0 {
+            assert_eq!(observed, 0, "{what}: impossible outcome {outcome:b} was sampled");
+        } else if p * shots as f64 > 5.0 {
+            cell(p * shots as f64, observed as f64);
+        } else {
+            rest_expected += p * shots as f64;
+            rest_observed += observed as f64;
+        }
     }
+    if rest_expected > 5.0 {
+        cell(rest_expected, rest_observed);
+    }
+    let dof = cells.saturating_sub(1).max(1) as f64;
+    let bound = dof + 5.0 * (2.0 * dof).sqrt();
+    assert!(chi2 < bound, "{what}: chi2 {chi2:.1} over {cells} cells exceeds {bound:.1}");
+}
+
+/// Asserts that the shots of a compiled and of an interpreted device, both
+/// seeded with `seed`, fit the exact readout of `circuit`.
+fn assert_sampling_fits_the_exact_readout(circuit: &Circuit, seed: u64) {
+    const SHOTS: u64 = 4096;
+    // a device measures every wire of a circuit that measures none
+    let mut measured = circuit.clone();
+    if !measured.operations().iter().any(|op| op.is_measure()) {
+        measured.measure_all();
+    }
+    let exact = FramedProgram::compile(&measured).read_out().unwrap().distribution;
+    let config = DeviceConfig::ideal(circuit.num_qubits()).with_seed(seed);
+    for (what, device) in
+        [("compiled", Device::new(config)), ("interpreted", Device::new(config.interpreted()))]
+    {
+        let counts = device.execute(circuit, SHOTS).unwrap();
+        assert_fits(&counts, &exact, SHOTS, &format!("{what} device, seed {seed}"));
+    }
+}
+
+#[test]
+fn sampled_shots_fit_the_exact_readout_on_each_branching_shape() {
+    // a biased mid-circuit measure whose wire is used again: dealing the
+    // shots by p0 instead of p1 swaps the branch populations
+    let mut biased = Circuit::with_clbits(2, 3);
+    biased.ry(0.9, 0).cx(0, 1).measure(0, 0).h(0).measure(0, 1).measure(1, 2);
+    // a reset that reads 1 more often than not: without the X after it the
+    // reused wire starts from |1⟩
+    let mut reset = Circuit::with_clbits(2, 2);
+    reset.ry(2.2, 0).cx(0, 1).reset(0).ry(0.5, 0).measure(0, 0).measure(1, 1);
+    // a clbit written mid-circuit (mostly 1) and again by a terminal measure
+    // (mostly 0): the branch's bit must not survive the overwrite
+    let mut overwritten = Circuit::with_clbits(2, 2);
+    overwritten.ry(2.4, 0).measure(0, 0).ry(0.7, 1).h(0).measure(0, 1).measure(1, 0);
+    // the trajectory shape the byte-equality tests used to pin
+    let mut reuse = Circuit::new(4);
+    reuse.h(0).cx(0, 1).measure(0, 0).reset(0).ry(0.7, 0).cx(1, 2).cx(2, 3).t(3).measure_all();
+    for circuit in [&biased, &reset, &overwritten, &reuse] {
+        for seed in [1u64, 7, 42] {
+            assert_sampling_fits_the_exact_readout(circuit, seed);
+        }
+    }
+}
+
+/// A qubit-reuse chain: `pairs` measure→reset rounds on wire 0 of four, then
+/// the other three wires read out — two branch points per round, of which
+/// only the measure ever splits.
+fn reuse_chain(pairs: usize) -> Circuit {
+    let mut c = Circuit::with_clbits(4, pairs + 3);
+    for round in 0..pairs {
+        c.h(0).cx(0, 1 + round % 3).measure(0, round).reset(0);
+    }
+    c.measure(1, pairs).measure(2, pairs + 1).measure(3, pairs + 2);
+    c
+}
+
+#[test]
+fn seeded_streams_are_independent_of_thread_count_and_batch_order() {
+    // a noiseless reuse circuit: the sampled readout, not the trajectories
+    let circuit = reuse_chain(5);
+    let config = DeviceConfig::ideal(4).with_seed(11);
+    let serial = Device::new(config);
+    let expected: Vec<Counts> = (0..6).map(|_| serial.execute(&circuit, 300).unwrap()).collect();
+    for (threads, order) in
+        [("1", [0u64, 1, 2, 3, 4, 5]), ("2", [5, 4, 3, 2, 1, 0]), ("4", [2, 5, 0, 3, 1, 4])]
+    {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        let batched = Device::new(config);
+        let base = batched.reserve_streams(6);
+        let counts: Vec<Counts> = order
+            .to_vec()
+            .into_par_iter()
+            .map(|stream| batched.execute_stream(&circuit, 300, base + stream).unwrap())
+            .collect();
+        for (stream, counts) in order.iter().zip(&counts) {
+            assert_eq!(counts, &expected[*stream as usize], "{threads} threads, stream {stream}");
+        }
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 #[test]
@@ -217,6 +316,8 @@ fn all_terminal_program_is_one_leaf_and_no_branch_points() {
     assert_eq!(program.readout_map().len(), 14);
     let readout = program.read_out().unwrap();
     assert_eq!(readout.leaves, 1);
+    let sampled = program.sample(100, &mut StdRng::seed_from_u64(3)).unwrap();
+    assert_eq!((sampled.leaves, sampled.counts.shots()), (1, 100));
     let unitary = c.without_non_unitary();
     let expected = StateVector::from_circuit(&unitary).unwrap().probabilities();
     for (i, (a, b)) in readout.distribution.iter().zip(&expected).enumerate() {
@@ -228,11 +329,7 @@ fn all_terminal_program_is_one_leaf_and_no_branch_points() {
 fn branch_points_bound_the_leaves() {
     // nine measure→reset pairs on one wire of four: 18 branch points, but a
     // reset after a measure never splits, so 2^9 leaves survive pruning
-    let mut c = Circuit::with_clbits(4, 12);
-    for round in 0..9 {
-        c.h(0).cx(0, 1 + round % 3).measure(0, round).reset(0);
-    }
-    c.measure(1, 9).measure(2, 10).measure(3, 11);
+    let c = reuse_chain(9);
     let program = FramedProgram::compile(&c);
     assert_eq!(program.stats().branch_points, 18);
     assert_eq!(program.stats().terminal_measures, 3);
@@ -240,6 +337,13 @@ fn branch_points_bound_the_leaves() {
     assert_eq!(readout.leaves, 1 << 9);
     assert!((readout.distribution.iter().sum::<f64>() - 1.0).abs() < 1e-10);
     assert_distributions_match(&c);
+    // ... and shots bound them too: eight shots reach at most eight of the
+    // 512, so sampling never sweeps more than a trajectory per shot would
+    for seed in 0..20 {
+        let sampled = program.sample(8, &mut StdRng::seed_from_u64(seed)).unwrap();
+        assert!((1..=8).contains(&sampled.leaves), "seed {seed}: {} leaves", sampled.leaves);
+        assert_eq!(sampled.counts.shots(), 8);
+    }
 }
 
 /// Strategy producing a random four-wire, four-clbit circuit that mixes
@@ -406,18 +510,23 @@ proptest! {
     }
 
     #[test]
-    fn compiled_trajectories_match_interpreted_per_seed(
-        c in random_compilable_circuit(3, 15),
+    fn sampled_shots_fit_the_exact_readout_on_every_measurement_shape(
+        c in random_measured_circuit(),
         seed in 0..1000u64,
     ) {
-        let mut measured = Circuit::new(3);
-        measured.compose(&c);
-        measured.measure(0, 0).reset(0).h(0).measure_all();
-        let compiled = Device::new(DeviceConfig::ideal(3).with_seed(seed));
-        let interpreted = Device::new(DeviceConfig::ideal(3).with_seed(seed).interpreted());
-        prop_assert_eq!(
-            compiled.execute(&measured, 50).unwrap(),
-            interpreted.execute(&measured, 50).unwrap()
-        );
+        assert_sampling_fits_the_exact_readout(&c, seed);
+    }
+
+    #[test]
+    fn shots_and_branch_points_bound_the_sampled_leaves(
+        c in random_measured_circuit(),
+        shots in 1..40u64,
+        seed in 0..1000u64,
+    ) {
+        let program = FramedProgram::compile(&c);
+        let sampled = program.sample(shots, &mut StdRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(sampled.counts.shots(), shots);
+        prop_assert!(sampled.leaves >= 1);
+        prop_assert!(sampled.leaves <= shots.min(1 << program.stats().branch_points));
     }
 }
