@@ -31,15 +31,14 @@
 //!    into [`ExecutionResults`] via the structural key
 //!    (`ExecutionResults::extend`), which also accumulates per-backend
 //!    routing, shots-spent, retry and failure accounting.
-//! 5. **Fold** — each delivered chunk folds incrementally into per-fragment
-//!    cut tensors
+//! 5. **Fold** — each delivered chunk folds into per-fragment cut tensors
 //!    ([`ProbabilityAccumulator`](crate::reconstruct::ProbabilityAccumulator) /
 //!    [`ExpectationAccumulator`](crate::reconstruct::ExpectationAccumulator)),
-//!    so tensor building overlaps device execution; blocking consumers
-//!    instead read distributions out of the merged [`ExecutionResults`] by
-//!    key, never talking to a backend directly. One batch serves the
-//!    probability reconstruction *and* any number of expectation
-//!    observables.
+//!    sorted by `(fragment, variant ordinal)`, so tensor building overlaps
+//!    device execution. A blocking consumer folds the merged
+//!    [`ExecutionResults`] the same way, as one chunk, and never talks to a
+//!    backend directly. One batch serves the probability reconstruction
+//!    *and* any number of expectation observables.
 //! 6. **Contract** — once every variant has arrived, only the final
 //!    contraction (dense mixed-radix loop or pairwise fragment-tensor
 //!    contraction) remains; see [`crate::reconstruct`].
@@ -50,13 +49,14 @@
 //! Simple backends only implement the per-circuit [`ExecutionBackend::run_one`];
 //! the default `run_batch` loops over it serially and the default
 //! `run_batch_with_shots` ignores the per-circuit shot counts (exact
-//! backends have no sampling noise). [`CachingBackend`] remains as a
-//! memoising wrapper for callers that bypass the batch path; it is a thin
-//! adapter over the shot-aware [`ResultCache`](crate::cache::ResultCache),
-//! which the scheduled dispatch path consults directly (see
-//! [`DeviceRegistry::with_result_cache`](crate::schedule::DeviceRegistry::with_result_cache)).
+//! backends have no sampling noise). Memoisation is not a backend's job: the
+//! shot-aware [`ResultCache`](crate::cache::ResultCache) sits in the
+//! scheduled dispatch path (see
+//! [`DeviceRegistry::with_result_cache`](crate::schedule::DeviceRegistry::with_result_cache))
+//! and in front of a remote worker's backend (`QrccServer::with_result_cache`
+//! in `qrcc-net`).
 
-use crate::cache::{merge_distributions, CacheLookup, CacheStats, ResultCache, ResultCachePolicy};
+use crate::cache::CacheStats;
 use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::Circuit;
@@ -148,13 +148,6 @@ pub trait ExecutionBackend: Sync {
     /// [`KernelCache`](qrcc_sim::compile::KernelCache) aggregate here; the
     /// default keeps non-simulating backends at `None`.
     fn compile_stats(&self) -> Option<CompileStats> {
-        None
-    }
-
-    /// Cumulative result-cache counters, when the backend fronts a
-    /// [`ResultCache`](crate::cache::ResultCache) ([`CachingBackend`] does;
-    /// most backends execute everything and report `None`).
-    fn result_cache_stats(&self) -> Option<CacheStats> {
         None
     }
 }
@@ -335,8 +328,7 @@ impl ExecutionResults {
     /// Result-cache counters of the cache that served (part of) this batch
     /// (`None` when no cache was consulted). Filled by the dispatch layer
     /// when a [`ResultCache`](crate::cache::ResultCache) is attached to the
-    /// registry, and by [`execute_requests`] from
-    /// [`ExecutionBackend::result_cache_stats`].
+    /// registry.
     pub fn cache_stats(&self) -> Option<&CacheStats> {
         self.cache_stats.as_ref()
     }
@@ -514,7 +506,6 @@ pub fn execute_requests(
         ..BackendUsage::default()
     });
     results.set_kernel_stats(backend.compile_stats());
-    results.set_cache_stats(backend.result_cache_stats());
     Ok(results)
 }
 
@@ -791,217 +782,6 @@ impl ExecutionBackend for ShotsBackend {
     }
 }
 
-/// A memoising wrapper: identical variant circuits are executed once.
-///
-/// Since the [`cache`](crate::cache) module landed this is a thin adapter
-/// over a shared [`ResultCache`] — the same shot-aware, content-addressed
-/// store the scheduled dispatch path consults via
-/// [`DeviceRegistry::with_result_cache`](crate::schedule::DeviceRegistry::with_result_cache).
-/// The wrapper exists for callers that drive a backend circuit-by-circuit
-/// (or across independent batches) outside the scheduler. Keys are the
-/// 64-bit [`Circuit::structural_hash`] with an equality check on bucket
-/// collisions — no QASM serialisation. Entries remember the shot count they
-/// were executed with, so a request the inner backend would over-sample is
-/// a hit and an under-sampled entry triggers only a shot top-up (see
-/// [`CacheLookup::Delta`]).
-pub struct CachingBackend<B> {
-    inner: B,
-    cache: std::sync::Arc<ResultCache>,
-}
-
-impl<B: ExecutionBackend> CachingBackend<B> {
-    /// Wraps a backend with a fresh, effectively unbounded in-memory cache —
-    /// the classic memoiser.
-    pub fn new(inner: B) -> Self {
-        Self::with_cache(inner, std::sync::Arc::new(ResultCache::new(u64::MAX)))
-    }
-
-    /// Wraps a backend around an existing (possibly shared) cache.
-    pub fn with_cache(inner: B, cache: std::sync::Arc<ResultCache>) -> Self {
-        CachingBackend { inner, cache }
-    }
-
-    /// Wraps a backend with a cache built from `policy` (bounded capacity,
-    /// optional persistence snapshot).
-    pub fn from_policy(inner: B, policy: &ResultCachePolicy) -> Self {
-        Self::with_cache(inner, std::sync::Arc::new(ResultCache::open(policy)))
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The underlying result cache.
-    pub fn cache(&self) -> &std::sync::Arc<ResultCache> {
-        &self.cache
-    }
-
-    /// Number of distinct circuits held in the cache.
-    pub fn cached_circuits(&self) -> usize {
-        self.cache.entries()
-    }
-
-    /// Serves a batch where circuit `i` needs `requested(i)` shots (`None` =
-    /// exact): full hits skip the inner backend, misses run as one inner
-    /// batch, delta hits run only their shot top-up, and structurally
-    /// identical circuits collapse so the inner backend runs each distinct
-    /// circuit once per batch — the wrapper's once-per-circuit promise holds
-    /// within a batch, not just across calls.
-    fn serve_batch(
-        &self,
-        circuits: &[Circuit],
-        requested: impl Fn(usize) -> Option<u64>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        let hashes: Vec<u64> = circuits.iter().map(Circuit::structural_hash).collect();
-        let mut reps: Vec<usize> = Vec::new();
-        let mut rep_of: Vec<usize> = Vec::with_capacity(circuits.len());
-        for i in 0..circuits.len() {
-            let found = reps.iter().position(|&r| {
-                hashes[r] == hashes[i] && circuits[r].structurally_equal(&circuits[i])
-            });
-            match found {
-                Some(p) => rep_of.push(p),
-                None => {
-                    reps.push(i);
-                    rep_of.push(reps.len() - 1);
-                }
-            }
-        }
-        // Duplicates may request different shot counts; the representative
-        // asks for the largest so one execution serves them all.
-        let rep_request: Vec<Option<u64>> = reps
-            .iter()
-            .enumerate()
-            .map(|(p, _)| {
-                rep_of
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &r)| r == p)
-                    .map(|(i, _)| requested(i))
-                    .try_fold(0u64, |acc, r| r.map(|r| acc.max(r)))
-            })
-            .collect();
-
-        let mut outcomes: Vec<Option<Result<Vec<f64>, CoreError>>> = vec![None; reps.len()];
-        let mut misses: Vec<usize> = Vec::new(); // rep slots
-        let mut deltas: Vec<(usize, Vec<f64>, u64, u64)> = Vec::new();
-        for (slot, &rep) in reps.iter().enumerate() {
-            match self.cache.lookup(&circuits[rep], rep_request[slot]) {
-                CacheLookup::Hit(dist) => outcomes[slot] = Some(Ok(dist)),
-                CacheLookup::Delta { base, base_shots, missing } => {
-                    deltas.push((slot, base, base_shots, missing));
-                }
-                CacheLookup::Miss => misses.push(slot),
-            }
-        }
-
-        // Misses run as one inner batch at their requested shot counts.
-        let miss_circuits: Vec<Circuit> =
-            misses.iter().map(|&slot| circuits[reps[slot]].clone()).collect();
-        let miss_results = if miss_circuits.is_empty() {
-            Vec::new()
-        } else if misses.iter().all(|&slot| rep_request[slot].is_some()) {
-            let shots: Vec<u64> =
-                misses.iter().map(|&slot| rep_request[slot].unwrap_or(0)).collect();
-            self.inner.run_batch_with_shots(&miss_circuits, &shots)
-        } else {
-            self.inner.run_batch(&miss_circuits)
-        };
-        for (&slot, result) in misses.iter().zip(miss_results) {
-            if let Ok(dist) = &result {
-                self.cache.store(&circuits[reps[slot]], dist, rep_request[slot]);
-            }
-            outcomes[slot] = Some(result);
-        }
-
-        // Delta hits execute only their top-up, then merge and write back.
-        if !deltas.is_empty() {
-            let delta_circuits: Vec<Circuit> =
-                deltas.iter().map(|&(slot, ..)| circuits[reps[slot]].clone()).collect();
-            let top_ups: Vec<u64> = deltas.iter().map(|&(.., missing)| missing).collect();
-            let delta_results = self.inner.run_batch_with_shots(&delta_circuits, &top_ups);
-            for ((slot, base, base_shots, missing), result) in deltas.into_iter().zip(delta_results)
-            {
-                outcomes[slot] = Some(result.map(|fresh| {
-                    let merged = merge_distributions(&base, base_shots, &fresh, missing);
-                    self.cache.store(&circuits[reps[slot]], &merged, Some(base_shots + missing));
-                    merged
-                }));
-            }
-        }
-
-        rep_of
-            .iter()
-            .map(|&slot| outcomes[slot].clone().expect("every representative served"))
-            .collect()
-    }
-}
-
-impl<B: ExecutionBackend> ExecutionBackend for CachingBackend<B> {
-    fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        match self.cache.lookup(circuit, self.inner.shots_per_circuit()) {
-            CacheLookup::Hit(dist) => Ok(dist),
-            CacheLookup::Delta { base, base_shots, missing } => {
-                let fresh = self
-                    .inner
-                    .run_batch_with_shots(std::slice::from_ref(circuit), &[missing])
-                    .pop()
-                    .expect("one result per circuit")?;
-                let merged = merge_distributions(&base, base_shots, &fresh, missing);
-                self.cache.store(circuit, &merged, Some(base_shots + missing));
-                Ok(merged)
-            }
-            CacheLookup::Miss => {
-                let dist = self.inner.run_one(circuit)?;
-                self.cache.store(circuit, &dist, self.inner.shots_per_circuit());
-                Ok(dist)
-            }
-        }
-    }
-
-    fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.serve_batch(circuits, |_| self.inner.shots_per_circuit())
-    }
-
-    fn run_batch_with_shots(
-        &self,
-        circuits: &[Circuit],
-        shots: &[u64],
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        debug_assert_eq!(circuits.len(), shots.len(), "one shot count per circuit");
-        self.serve_batch(circuits, |i| Some(shots[i]))
-    }
-
-    fn max_qubits(&self) -> Option<usize> {
-        self.inner.max_qubits()
-    }
-
-    fn can_run(&self, circuit: &Circuit) -> bool {
-        self.inner.can_run(circuit)
-    }
-
-    fn shots_per_circuit(&self) -> Option<u64> {
-        self.inner.shots_per_circuit()
-    }
-
-    fn label(&self) -> String {
-        format!("cached[{}]", self.inner.label())
-    }
-
-    fn executions(&self) -> u64 {
-        self.inner.executions()
-    }
-
-    fn compile_stats(&self) -> Option<CompileStats> {
-        self.inner.compile_stats()
-    }
-
-    fn result_cache_stats(&self) -> Option<CacheStats> {
-        Some(self.cache.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1091,39 +871,6 @@ mod tests {
         let results = OneShot.run_batch(&circuits);
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(Result::is_ok));
-    }
-
-    #[test]
-    fn caching_backend_deduplicates_executions() {
-        let backend = CachingBackend::new(ExactBackend::new());
-        let c = bell_with_measures();
-        backend.run_one(&c).unwrap();
-        backend.run_one(&c).unwrap();
-        assert_eq!(backend.executions(), 1);
-        // a different circuit is executed separately
-        let mut other = Circuit::new(1);
-        other.h(0).measure(0, 0);
-        backend.run_one(&other).unwrap();
-        assert_eq!(backend.executions(), 2);
-        assert_eq!(backend.cached_circuits(), 2);
-    }
-
-    #[test]
-    fn caching_backend_batches_only_misses() {
-        let backend = CachingBackend::new(ExactBackend::new());
-        let a = bell_with_measures();
-        backend.run_one(&a).unwrap();
-        let mut b = Circuit::new(1);
-        b.h(0).measure(0, 0);
-        let results = backend.run_batch(&[a.clone(), b.clone(), a.clone(), b.clone()]);
-        assert_eq!(results.len(), 4);
-        assert!(results.iter().all(Result::is_ok));
-        // `a` was cached; `b` appears twice in the batch but structurally
-        // identical misses collapse, so the inner backend ran it once.
-        assert_eq!(backend.executions(), 2);
-        // a second identical batch is served fully from cache
-        backend.run_batch(&[a, b]);
-        assert_eq!(backend.executions(), 2);
     }
 
     #[test]
@@ -1220,17 +967,6 @@ mod tests {
         assert!(refused(&results[1]), "{:?}", results[1]);
         assert_eq!(results[2].as_ref().unwrap(), &second);
         assert_eq!(batched.executions(), 2, "the refused circuit reserved no stream");
-    }
-
-    #[test]
-    fn dedup_ignores_circuit_names() {
-        let backend = CachingBackend::new(ExactBackend::new());
-        let a = bell_with_measures();
-        let mut renamed = bell_with_measures();
-        renamed.set_name("same_structure_different_name");
-        backend.run_one(&a).unwrap();
-        backend.run_one(&renamed).unwrap();
-        assert_eq!(backend.executions(), 1, "renamed circuit must hit the cache");
     }
 
     #[test]

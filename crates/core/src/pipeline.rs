@@ -37,9 +37,9 @@ use crate::schedule::{ScheduleReport, Scheduler};
 use crate::{CoreError, QrccConfig};
 use qrcc_circuit::observable::PauliObservable;
 use qrcc_circuit::Circuit;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-pub use crate::execute::{CachingBackend, ExactBackend, ExecutionBackend as Backend, ShotsBackend};
+pub use crate::execute::{ExactBackend, ExecutionBackend as Backend, ShotsBackend};
 
 /// End-to-end QRCC pipeline for one circuit.
 ///
@@ -203,12 +203,7 @@ impl QrccPipeline {
         backend: &dyn ExecutionBackend,
         observables: &[&PauliObservable],
     ) -> Result<ExecutionResults, CoreError> {
-        let reconstructor = self.expectation_reconstructor();
-        let mut requests = Vec::new();
-        for observable in observables {
-            requests.extend(reconstructor.requests(&self.fragments, observable)?);
-        }
-        self.execute_requests(backend, &requests)
+        self.execute_requests(backend, &self.observable_requests(observables)?)
     }
 
     /// Executes, as one deduplicated batch, the union of the probability
@@ -232,11 +227,21 @@ impl QrccPipeline {
         if self.fragments.num_gate_cuts() == 0 {
             requests.extend(self.probability_reconstructor().requests(&self.fragments)?);
         }
+        requests.extend(self.observable_requests(observables)?);
+        self.execute_requests(backend, &requests)
+    }
+
+    /// Every variant request `observables` need, in observable order.
+    fn observable_requests(
+        &self,
+        observables: &[&PauliObservable],
+    ) -> Result<Vec<VariantRequest>, CoreError> {
         let reconstructor = self.expectation_reconstructor();
+        let mut requests = Vec::new();
         for observable in observables {
             requests.extend(reconstructor.requests(&self.fragments, observable)?);
         }
-        self.execute_requests(backend, &requests)
+        Ok(requests)
     }
 
     /// Executes an explicit request list (phase 2 only): deduplicates by
@@ -287,12 +292,7 @@ impl QrccPipeline {
         scheduler: &Scheduler<'_>,
         observables: &[&PauliObservable],
     ) -> Result<(ExecutionResults, ScheduleReport), CoreError> {
-        let reconstructor = self.expectation_reconstructor();
-        let mut requests = Vec::new();
-        for observable in observables {
-            requests.extend(reconstructor.requests(&self.fragments, observable)?);
-        }
-        scheduler.execute_with_report(&self.fragments, &requests)
+        scheduler.execute_with_report(&self.fragments, &self.observable_requests(observables)?)
     }
 
     /// Streams the probability workload: the scheduler executes the batch in
@@ -311,57 +311,11 @@ impl QrccPipeline {
         &self,
         scheduler: &Scheduler<'_>,
     ) -> Result<(Vec<f64>, ReconstructionReport, ScheduleReport), CoreError> {
-        let tracer = crate::obs::tracer();
-        let root = tracer.span("pipeline.execute");
-        let root_id = root.id();
-        let started = std::time::Instant::now();
-        let mut profile = crate::obs::PhaseProfile::new();
-
-        let phase = std::time::Instant::now();
-        let requests = {
-            let _span = tracer.span("phase.enumerate");
-            self.probability_reconstructor().requests(&self.fragments)?
-        };
-        let mut accumulator =
-            ProbabilityAccumulator::new(&self.fragments, self.reconstruction_options())?;
-        profile.add("enumerate", phase.elapsed());
-
-        let mut fold_wall = Duration::ZERO;
-        let phase = std::time::Instant::now();
-        let schedule_report = std::thread::scope(|scope| -> Result<ScheduleReport, CoreError> {
-            let (sender, receiver) = std::sync::mpsc::channel::<ExecutionResults>();
-            let fragments = &self.fragments;
-            let producer = scope.spawn(move || {
-                let _span = tracer.span_under("phase.dispatch", root_id);
-                scheduler.execute_chunked(fragments, &requests, |chunk| {
-                    // an unbounded channel: send fails only when the
-                    // consumer stopped folding (it hit an error)
-                    sender.send(chunk).map_err(|_| CoreError::InvalidCutSolution {
-                        reason: "streaming consumer stopped folding".into(),
-                    })
-                })
-            });
-            // fold chunks as they arrive, overlapping with execution
-            for chunk in receiver {
-                let fold_started = std::time::Instant::now();
-                let _span = tracer.span("phase.fold");
-                accumulator.absorb(chunk)?;
-                fold_wall += fold_started.elapsed();
-            }
-            producer.join().expect("scheduler thread panicked")
-        })?;
-        profile.add("dispatch", phase.elapsed());
-        profile.add("fold", fold_wall);
-
-        let phase = std::time::Instant::now();
-        let (probabilities, mut reconstruction_report) = {
-            let _span = tracer.span("phase.contract");
-            accumulator.finish()?
-        };
-        profile.add("contract", phase.elapsed());
-        profile.total = started.elapsed();
-        reconstruction_report.profile = Some(profile);
-        Ok((probabilities, reconstruction_report, schedule_report))
+        self.stream(scheduler, || {
+            let requests = self.probability_reconstructor().requests(&self.fragments)?;
+            let options = self.reconstruction_options();
+            Ok((requests, ProbabilityAccumulator::new(&self.fragments, options)?))
+        })
     }
 
     /// Streams an expectation workload: the scheduler dispatches the
@@ -381,32 +335,47 @@ impl QrccPipeline {
         scheduler: &Scheduler<'_>,
         observable: &PauliObservable,
     ) -> Result<(f64, ReconstructionReport, ScheduleReport), CoreError> {
+        self.stream(scheduler, || {
+            let requests =
+                self.expectation_reconstructor().requests(&self.fragments, observable)?;
+            let options = self.reconstruction_options();
+            Ok((requests, ExpectationAccumulator::new(&self.fragments, observable, options)?))
+        })
+    }
+
+    /// The streaming driver behind both `execute_*streaming` calls:
+    /// `enumerate` yields the requests and the accumulator, the scheduler
+    /// dispatches the requests in chunks on a worker thread, and this thread
+    /// folds each delivered chunk as it arrives, overlapping reconstruction
+    /// with execution. The report carries the per-phase wall-clock profile.
+    fn stream<A: StreamFold>(
+        &self,
+        scheduler: &Scheduler<'_>,
+        enumerate: impl FnOnce() -> Result<(Vec<VariantRequest>, A), CoreError>,
+    ) -> Result<(A::Output, ReconstructionReport, ScheduleReport), CoreError> {
         let tracer = crate::obs::tracer();
         let root = tracer.span("pipeline.execute");
         let root_id = root.id();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let mut profile = crate::obs::PhaseProfile::new();
 
-        let phase = std::time::Instant::now();
-        let requests = {
+        let phase = Instant::now();
+        let (requests, mut accumulator) = {
             let _span = tracer.span("phase.enumerate");
-            self.expectation_reconstructor().requests(&self.fragments, observable)?
+            enumerate()?
         };
-        let mut accumulator = ExpectationAccumulator::new(
-            &self.fragments,
-            observable,
-            self.reconstruction_options(),
-        )?;
         profile.add("enumerate", phase.elapsed());
 
         let mut fold_wall = Duration::ZERO;
-        let phase = std::time::Instant::now();
+        let phase = Instant::now();
         let schedule_report = std::thread::scope(|scope| -> Result<ScheduleReport, CoreError> {
             let (sender, receiver) = std::sync::mpsc::channel::<ExecutionResults>();
             let fragments = &self.fragments;
             let producer = scope.spawn(move || {
                 let _span = tracer.span_under("phase.dispatch", root_id);
                 scheduler.execute_chunked(fragments, &requests, |chunk| {
+                    // an unbounded channel: send fails only when the
+                    // consumer stopped folding (it hit an error)
                     sender.send(chunk).map_err(|_| CoreError::InvalidCutSolution {
                         reason: "streaming consumer stopped folding".into(),
                     })
@@ -414,7 +383,7 @@ impl QrccPipeline {
             });
             // fold chunks as they arrive, overlapping with execution
             for chunk in receiver {
-                let fold_started = std::time::Instant::now();
+                let fold_started = Instant::now();
                 let _span = tracer.span("phase.fold");
                 accumulator.absorb(chunk)?;
                 fold_wall += fold_started.elapsed();
@@ -424,15 +393,15 @@ impl QrccPipeline {
         profile.add("dispatch", phase.elapsed());
         profile.add("fold", fold_wall);
 
-        let phase = std::time::Instant::now();
-        let (expectation, mut reconstruction_report) = {
+        let phase = Instant::now();
+        let (value, mut reconstruction_report) = {
             let _span = tracer.span("phase.contract");
             accumulator.finish()?
         };
         profile.add("contract", phase.elapsed());
         profile.total = started.elapsed();
         reconstruction_report.profile = Some(profile);
-        Ok((expectation, reconstruction_report, schedule_report))
+        Ok((value, reconstruction_report, schedule_report))
     }
 
     // ---- phase 3: consume ----
@@ -530,6 +499,33 @@ impl QrccPipeline {
     ) -> Result<f64, CoreError> {
         let results = self.execute_observables(backend, &[observable])?;
         self.reconstruct_expectation_from(&results, observable)
+    }
+}
+
+/// An accumulator as the streaming driver folds it.
+trait StreamFold {
+    type Output;
+    fn absorb(&mut self, chunk: ExecutionResults) -> Result<(), CoreError>;
+    fn finish(&mut self) -> Result<(Self::Output, ReconstructionReport), CoreError>;
+}
+
+impl StreamFold for ProbabilityAccumulator<'_> {
+    type Output = Vec<f64>;
+    fn absorb(&mut self, chunk: ExecutionResults) -> Result<(), CoreError> {
+        ProbabilityAccumulator::absorb(self, chunk)
+    }
+    fn finish(&mut self) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
+        ProbabilityAccumulator::finish(self)
+    }
+}
+
+impl StreamFold for ExpectationAccumulator<'_> {
+    type Output = f64;
+    fn absorb(&mut self, chunk: ExecutionResults) -> Result<(), CoreError> {
+        ExpectationAccumulator::absorb(self, chunk)
+    }
+    fn finish(&mut self) -> Result<(f64, ReconstructionReport), CoreError> {
+        ExpectationAccumulator::finish(self)
     }
 }
 
@@ -675,5 +671,41 @@ mod tests {
             qrcc_error <= whole_error + 0.05,
             "qrcc error {qrcc_error} should not be much worse than whole-circuit error {whole_error}"
         );
+    }
+
+    #[test]
+    fn blocking_reconstruction_equals_a_one_chunk_stream_bit_for_bit() {
+        use crate::schedule::{DeviceRegistry, SchedulePolicy};
+        let mut c = Circuit::new(5);
+        c.h(0).cx(0, 1).ry(0.7, 1).cx(1, 2).rx(0.4, 2).cx(2, 3).ry(1.1, 3).cx(3, 4);
+        let mut obs = PauliObservable::new(5);
+        obs.add_term(1.0, PauliString::zz(5, 0, 4));
+        obs.add_term(-0.5, PauliString::x(5, 2));
+        let pipeline = QrccPipeline::plan(&c, small_config(3)).unwrap();
+        // a fresh seeded fleet per run: every run samples the same streams
+        let fleet = || {
+            let mut registry = DeviceRegistry::new();
+            let device = Device::new(DeviceConfig::ideal(3).with_seed(5));
+            registry.register_device("dev3", device, 1);
+            registry
+        };
+        let policy = SchedulePolicy::with_budget(40_000).with_min_shots(16);
+
+        let registry = fleet();
+        let (results, _) = pipeline.execute_scheduled(&Scheduler::new(&registry, policy)).unwrap();
+        let blocking = pipeline.reconstruct_probabilities_from(&results).unwrap();
+        let registry = fleet();
+        let (streamed, _, _) =
+            pipeline.execute_streaming(&Scheduler::new(&registry, policy)).unwrap();
+        assert!(blocking.iter().zip(&streamed).all(|(a, b)| a.to_bits() == b.to_bits()));
+
+        let registry = fleet();
+        let scheduler = Scheduler::new(&registry, policy);
+        let (results, _) = pipeline.execute_observables_scheduled(&scheduler, &[&obs]).unwrap();
+        let blocking = pipeline.reconstruct_expectation_from(&results, &obs).unwrap();
+        let registry = fleet();
+        let scheduler = Scheduler::new(&registry, policy);
+        let (streamed, _, _) = pipeline.execute_observables_streaming(&scheduler, &obs).unwrap();
+        assert_eq!(blocking.to_bits(), streamed.to_bits(), "{blocking} vs {streamed}");
     }
 }

@@ -1,4 +1,5 @@
-//! The shared contraction engine behind both reconstructors.
+//! The shared contraction engine behind both accumulators (and so behind
+//! every reconstruction).
 //!
 //! Every executed fragment variant is folded **once** into a cut-indexed
 //! [`CutTensor`]: one axis per wire cut (radix 4, the attribution components
@@ -28,7 +29,7 @@
 
 use super::{init_weight, mixed_radix, Odometer, MAX_DENSE_CUTS};
 use crate::execute::ExecutionResults;
-use crate::fragment::{CutBasis, Fragment, FragmentSet, FragmentVariant, InitState, VariantKey};
+use crate::fragment::{CutBasis, Fragment, FragmentSet, FragmentVariant, InitState};
 use crate::gatecut::instance_measures;
 use crate::reconstruct::cost;
 use crate::{CoreError, QrccConfig};
@@ -141,6 +142,29 @@ pub struct ReconstructionReport {
     /// (`QrccPipeline::execute_streaming` and friends). `None` when the
     /// consumer reconstructed from a pre-executed batch.
     pub profile: Option<crate::obs::PhaseProfile>,
+}
+
+impl ReconstructionReport {
+    /// The report of a `strategy` run under `options` over `batch`, carrying
+    /// the batch's shot, routing, dispatch, kernel and result-cache
+    /// accounting; the contraction fills in its own counters.
+    pub(crate) fn new(
+        strategy: ReconstructionStrategy,
+        options: &ReconstructionOptions,
+        batch: &ExecutionResults,
+    ) -> Self {
+        ReconstructionReport {
+            strategy,
+            prune_tolerance: options.prune_tolerance,
+            shots_spent: batch.shots_spent(),
+            backends_used: batch.routing().len(),
+            dispatch_failures: batch.failures(),
+            dispatch_retries: batch.retries(),
+            kernel_compile: batch.kernel_stats().cloned(),
+            result_cache: batch.cache_stats().cloned(),
+            ..ReconstructionReport::default()
+        }
+    }
 }
 
 /// One cut axis of a [`CutTensor`], identified by its global cut id.
@@ -531,10 +555,9 @@ impl FragmentFolder {
 
 impl CutTensor {
     /// Folds **one** executed probability variant's distribution into this
-    /// tensor — the incremental unit of tensor building. Calling it for
-    /// every variant of a fragment (in any order, across any number of
-    /// partial batches) accumulates exactly the tensor
-    /// [`probability_tensor`] builds in one pass; callers must
+    /// tensor — the unit of tensor building. Every variant of a fragment
+    /// folds through here, one batch or streamed chunk at a time; the
+    /// accumulators fix the order so the sums round alike, and must
     /// [`refresh_active`](CutTensor::refresh_active) (or prune) once folding
     /// is complete.
     ///
@@ -569,24 +592,6 @@ impl CutTensor {
         self.data.iter_mut().for_each(|v| *v = 0.0);
         self.active.iter_mut().for_each(|a| *a = false);
     }
-}
-
-/// Folds one fragment's executed probability variants into a cut tensor in
-/// one pass (the non-streaming path): every variant of the fragment must be
-/// present in `results`.
-pub(crate) fn probability_tensor(
-    fragment: &Fragment,
-    results: &ExecutionResults,
-) -> Result<CutTensor, CoreError> {
-    let (mut tensor, mut folder) = FragmentFolder::probability(fragment);
-    for variant in probability_variants(fragment) {
-        let key = VariantKey::new(fragment.index, variant);
-        let dist: &[f64] =
-            if fragment.num_clbits == 0 { &TRIVIAL } else { results.distribution(&key)? };
-        tensor.fold_partial(&mut folder, &key.variant, dist);
-    }
-    tensor.refresh_active();
-    Ok(tensor)
 }
 
 /// Reusable scratch for folding one fragment's expectation variants (for one
@@ -641,12 +646,10 @@ impl ExpectationFolder {
 
 impl CutTensor {
     /// Folds **one** executed expectation variant's distribution into this
-    /// scalar tensor — the incremental unit of expectation tensor building,
-    /// mirroring [`CutTensor::fold_partial`] for probability tensors.
-    /// Calling it for every variant of `(fragment, string)` accumulates
-    /// exactly the tensor [`expectation_tensor`] builds in one pass; callers
-    /// must [`refresh_active`](CutTensor::refresh_active) (or prune) once
-    /// folding is complete.
+    /// scalar tensor — the unit of expectation tensor building, mirroring
+    /// [`CutTensor::fold_partial`] for probability tensors; callers must
+    /// [`refresh_active`](CutTensor::refresh_active) (or prune) once folding
+    /// is complete.
     ///
     /// Cost: `O(2^c · #Z + 3^in · 2^#Z)` for a `c`-clbit distribution with
     /// `#Z ≤ out` Z-basis cut slots — one pass builds the signed marginal
@@ -693,25 +696,6 @@ impl CutTensor {
             }
         }
     }
-}
-
-/// Folds one fragment's executed expectation variants (for one Pauli string)
-/// into a cut tensor with scalar payloads in one pass (the non-streaming
-/// path): every variant of the fragment must be present in `results`.
-pub(crate) fn expectation_tensor(
-    fragment: &Fragment,
-    results: &ExecutionResults,
-    string: &PauliString,
-) -> Result<CutTensor, CoreError> {
-    let (mut tensor, mut folder) = ExpectationFolder::expectation(fragment, string);
-    for variant in expectation_variants(fragment, string) {
-        let key = VariantKey::new(fragment.index, variant);
-        let dist: &[f64] =
-            if fragment.num_clbits == 0 { &TRIVIAL } else { results.distribution(&key)? };
-        tensor.fold_expectation_partial(&mut folder, &key.variant, dist);
-    }
-    tensor.refresh_active();
-    Ok(tensor)
 }
 
 // ---------------------------------------------------------------------------
@@ -818,12 +802,18 @@ pub(crate) fn plan_contraction(fragments: &FragmentSet, workload: Workload) -> C
 
 /// Resolves a requested strategy against a plan's feasibility and the
 /// [`cost`] models: `Auto` picks the cheaper feasible path, explicit choices
-/// fail with [`CoreError::TooManyCuts`] when infeasible.
+/// fail with [`CoreError::TooManyCuts`] when infeasible. A probability
+/// workload on a gate-cut plan fails first, with
+/// [`CoreError::GateCutNeedsExpectation`]: gate-cut post-processing cannot
+/// rebuild a distribution.
 pub(crate) fn resolve_strategy(
     fragments: &FragmentSet,
     options: &ReconstructionOptions,
     workload: Workload,
 ) -> Result<(ReconstructionStrategy, ContractionPlan), CoreError> {
+    if workload == Workload::Probability && fragments.num_gate_cuts() > 0 {
+        return Err(CoreError::GateCutNeedsExpectation);
+    }
     let plan = plan_contraction(fragments, workload);
     let wire_cuts = fragments.num_wire_cuts();
     let dense_feasible = wire_cuts <= MAX_DENSE_CUTS;
@@ -967,10 +957,9 @@ fn contract_all(
     tensors.pop().expect("contraction leaves one tensor")
 }
 
-/// The `Contract` strategy's back half for the probability workload, fed
-/// with already-built (raw, un-normalised) fragment tensors: normalise,
-/// prune, pairwise-contract, scatter into the `2^N` vector. Shared by the
-/// one-pass [`contract_probabilities`] and the streaming accumulator.
+/// The `Contract` strategy for the probability workload, fed with the
+/// accumulator's folded (raw, un-normalised) fragment tensors: normalise,
+/// prune, pairwise-contract, scatter into the `2^N` vector.
 pub(crate) fn contract_probabilities_from_tensors(
     fragments: &FragmentSet,
     tensors: Vec<CutTensor>,
@@ -998,27 +987,9 @@ pub(crate) fn contract_probabilities_from_tensors(
     probabilities
 }
 
-/// The `Contract` strategy for the probability workload: build, prune,
-/// pairwise-contract, scatter into the `2^N` vector.
-pub(crate) fn contract_probabilities(
-    fragments: &FragmentSet,
-    results: &ExecutionResults,
-    plan: &ContractionPlan,
-    tolerance: f64,
-    report: &mut ReconstructionReport,
-) -> Result<Vec<f64>, CoreError> {
-    let mut tensors = Vec::with_capacity(fragments.fragments.len());
-    for fragment in &fragments.fragments {
-        tensors.push(probability_tensor(fragment, results)?);
-    }
-    Ok(contract_probabilities_from_tensors(fragments, tensors, plan, tolerance, report))
-}
-
-/// The `Contract` strategy's back half for one Pauli string of the
-/// expectation workload, fed with already-built (raw, un-normalised)
-/// fragment tensors: normalise, prune, pairwise-contract, read the final
-/// scalar. Shared by the one-pass [`contract_expectation`] and the streaming
-/// accumulator.
+/// The `Contract` strategy for one Pauli string of the expectation workload,
+/// fed with the accumulator's folded (raw, un-normalised) fragment tensors:
+/// normalise, prune, pairwise-contract, read the final scalar.
 pub(crate) fn contract_expectation_from_tensors(
     fragments: &FragmentSet,
     tensors: Vec<CutTensor>,
@@ -1040,22 +1011,6 @@ pub(crate) fn contract_expectation_from_tensors(
     let final_tensor = contract_all(tensors, plan, &coeffs, tolerance, report);
     debug_assert!(final_tensor.legs.is_empty(), "all cut legs must be contracted");
     final_tensor.payload(0)[0]
-}
-
-/// The `Contract` strategy for one Pauli string of the expectation workload.
-pub(crate) fn contract_expectation(
-    fragments: &FragmentSet,
-    results: &ExecutionResults,
-    string: &PauliString,
-    plan: &ContractionPlan,
-    tolerance: f64,
-    report: &mut ReconstructionReport,
-) -> Result<f64, CoreError> {
-    let mut tensors = Vec::with_capacity(fragments.fragments.len());
-    for fragment in &fragments.fragments {
-        tensors.push(expectation_tensor(fragment, results, string)?);
-    }
-    Ok(contract_expectation_from_tensors(fragments, tensors, plan, tolerance, report))
 }
 
 // ---------------------------------------------------------------------------

@@ -182,11 +182,11 @@ pub(super) fn dense_probabilities(fragments: &FragmentSet, tensors: &[CutTensor]
 
 mod tests {
     use super::super::{
-        dense_probabilities, probability_tensor, ExpectationFolder, FragmentFolder,
+        dense_probabilities, probability_variants, ExpectationFolder, FragmentFolder, TRIVIAL,
     };
     use super::*;
-    use crate::execute::{execute_requests, ExactBackend};
-    use crate::fragment::{CutBasis, InitState};
+    use crate::execute::{execute_requests, ExactBackend, ExecutionResults};
+    use crate::fragment::{CutBasis, InitState, VariantKey};
     use crate::gatecut::GateHalf;
     use crate::planner::CutPlanner;
     use crate::reconstruct::ProbabilityReconstructor;
@@ -279,6 +279,23 @@ mod tests {
                 (variant, dist)
             })
             .collect()
+    }
+
+    /// One fragment's probability tensor, folded from `results` in
+    /// enumeration order.
+    fn folded_tensor(fragment: &Fragment, results: &ExecutionResults) -> CutTensor {
+        let (mut tensor, mut folder) = FragmentFolder::probability(fragment);
+        for variant in probability_variants(fragment) {
+            let key = VariantKey::new(fragment.index, variant);
+            let dist: &[f64] = if fragment.num_clbits == 0 {
+                &TRIVIAL
+            } else {
+                results.distribution(&key).unwrap()
+            };
+            tensor.fold_partial(&mut folder, &key.variant, dist);
+        }
+        tensor.refresh_active();
+        tensor
     }
 
     fn assert_close(got: &CutTensor, want: &CutTensor) -> Result<(), TestCaseError> {
@@ -386,11 +403,8 @@ mod tests {
             let fragments = FragmentSet::from_plan(&plan).unwrap();
             let requests = ProbabilityReconstructor::new().requests(&fragments).unwrap();
             let results = execute_requests(&fragments, &requests, &ExactBackend::new()).unwrap();
-            let tensors: Vec<CutTensor> = fragments
-                .fragments
-                .iter()
-                .map(|f| probability_tensor(f, &results).unwrap())
-                .collect();
+            let tensors: Vec<CutTensor> =
+                fragments.fragments.iter().map(|f| folded_tensor(f, &results)).collect();
             let got = dense_probabilities(&fragments, &tensors);
             let want = super::dense_probabilities(&fragments, &tensors);
             let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();

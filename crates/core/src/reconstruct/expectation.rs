@@ -1,23 +1,24 @@
 //! Expectation-value reconstruction for plans with wire cuts and gate cuts
 //! (paper §4.3 "Reconstruction after W-Cut and G-Cut").
 //!
-//! A thin front-end over the contraction [`engine`](super::engine):
-//! [`requests`] enumerates every variant the observable needs (across *all*
-//! Pauli terms — terms sharing a measurement-basis signature collapse to the
+//! [`requests`] enumerates every variant the observable needs, across *all*
+//! Pauli terms. Terms sharing a measurement-basis signature collapse to the
 //! same [`VariantKey`](crate::fragment::VariantKey), so the batch executes
-//! them once), the caller executes one batch, and [`reconstruct`] folds each
-//! fragment's results into scalar cut tensors and combines them with the
-//! strategy resolved from its [`ReconstructionOptions`] — the rayon-parallel
-//! dense loop or pairwise contraction with sparse pruning.
+//! them once. The caller executes one batch, and [`reconstruct`] is then a
+//! one-batch fold: an [`ExpectationAccumulator`] folds the borrowed batch into
+//! every term's scalar cut tensors in canonical order and contracts them with
+//! the strategy resolved from the [`ReconstructionOptions`] — the
+//! rayon-parallel dense loop or pairwise contraction with sparse pruning.
 //!
 //! [`requests`]: ExpectationReconstructor::requests
 //! [`reconstruct`]: ExpectationReconstructor::reconstruct
 
 use super::engine::{
-    self, expectation_variants, ReconstructionOptions, ReconstructionReport,
+    self, expectation_variants, ContractionPlan, ReconstructionOptions, ReconstructionReport,
     ReconstructionStrategy, Workload,
 };
-use crate::execute::{execute_requests, ExecutionBackend, ExecutionResults};
+use super::ExpectationAccumulator;
+use crate::execute::ExecutionResults;
 use crate::fragment::{FragmentSet, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::observable::{Pauli, PauliObservable, PauliString};
@@ -37,6 +38,25 @@ pub(super) fn vanishes_on_idle_wires(fragments: &FragmentSet, string: &PauliStri
     })
 }
 
+/// The expectation workload's plan check: `observable` acts on the original
+/// circuit's qubits, and the configured strategy can reconstruct the plan.
+pub(super) fn resolve(
+    fragments: &FragmentSet,
+    observable: &PauliObservable,
+    options: &ReconstructionOptions,
+) -> Result<(ReconstructionStrategy, ContractionPlan), CoreError> {
+    if observable.num_qubits() != fragments.original_qubits {
+        return Err(CoreError::InvalidCutSolution {
+            reason: format!(
+                "observable acts on {} qubits but the circuit has {}",
+                observable.num_qubits(),
+                fragments.original_qubits
+            ),
+        });
+    }
+    engine::resolve_strategy(fragments, options, Workload::Expectation)
+}
+
 impl ExpectationReconstructor {
     /// Creates a reconstructor with default options (`Auto` strategy, no
     /// pruning).
@@ -52,28 +72,6 @@ impl ExpectationReconstructor {
     /// The options this reconstructor runs with.
     pub fn options(&self) -> &ReconstructionOptions {
         &self.options
-    }
-
-    fn check(
-        &self,
-        fragments: &FragmentSet,
-        observable: &PauliObservable,
-    ) -> Result<(), CoreError> {
-        if observable.num_qubits() != fragments.original_qubits {
-            return Err(CoreError::InvalidCutSolution {
-                reason: format!(
-                    "observable acts on {} qubits but the circuit has {}",
-                    observable.num_qubits(),
-                    fragments.original_qubits
-                ),
-            });
-        }
-        self.check_cuts(fragments)
-    }
-
-    fn check_cuts(&self, fragments: &FragmentSet) -> Result<(), CoreError> {
-        engine::resolve_strategy(fragments, &self.options, Workload::Expectation)?;
-        Ok(())
     }
 
     /// Phase 1 (enumerate): every variant request needed to evaluate all of
@@ -93,40 +91,23 @@ impl ExpectationReconstructor {
         fragments: &FragmentSet,
         observable: &PauliObservable,
     ) -> Result<Vec<VariantRequest>, CoreError> {
-        self.check(fragments, observable)?;
+        resolve(fragments, observable, &self.options)?;
         let mut requests = Vec::new();
         for (_, string) in observable.terms() {
-            requests.extend(self.requests_for_pauli(fragments, string)?);
-        }
-        Ok(requests)
-    }
-
-    /// Phase 1 for a single Pauli string.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::TooManyCuts`] when the plan exceeds the configured
-    /// strategy's limit.
-    pub fn requests_for_pauli(
-        &self,
-        fragments: &FragmentSet,
-        string: &PauliString,
-    ) -> Result<Vec<VariantRequest>, CoreError> {
-        self.check_cuts(fragments)?;
-        if vanishes_on_idle_wires(fragments, string) {
-            return Ok(Vec::new()); // the term contributes exactly zero
-        }
-        let mut requests = Vec::new();
-        for fragment in &fragments.fragments {
-            // Clbit-free fragments (reuse-absorbed empty subcircuits) measure
-            // nothing; their contribution is the constant 1.
-            if fragment.num_clbits == 0 {
-                continue;
+            if vanishes_on_idle_wires(fragments, string) {
+                continue; // the term contributes exactly zero
             }
-            requests.extend(
-                expectation_variants(fragment, string)
-                    .map(|v| VariantRequest::new(fragment.index, v)),
-            );
+            for fragment in &fragments.fragments {
+                // Clbit-free fragments (reuse-absorbed empty subcircuits)
+                // measure nothing; their contribution is the constant 1.
+                if fragment.num_clbits == 0 {
+                    continue;
+                }
+                requests.extend(
+                    expectation_variants(fragment, string)
+                        .map(|v| VariantRequest::new(fragment.index, v)),
+                );
+            }
         }
         Ok(requests)
     }
@@ -159,151 +140,14 @@ impl ExpectationReconstructor {
         results: &ExecutionResults,
         observable: &PauliObservable,
     ) -> Result<(f64, ReconstructionReport), CoreError> {
-        if observable.num_qubits() != fragments.original_qubits {
-            return Err(CoreError::InvalidCutSolution {
-                reason: format!(
-                    "observable acts on {} qubits but the circuit has {}",
-                    observable.num_qubits(),
-                    fragments.original_qubits
-                ),
-            });
-        }
-        // resolve the strategy and greedy contraction schedule once; the
-        // cut structure is the same for every Pauli term
-        let (strategy, plan) =
-            engine::resolve_strategy(fragments, &self.options, Workload::Expectation)?;
-        let mut total = 0.0;
-        let mut report = ReconstructionReport {
-            strategy,
-            prune_tolerance: self.options.prune_tolerance,
-            shots_spent: results.shots_spent(),
-            backends_used: results.routing().len(),
-            dispatch_failures: results.failures(),
-            dispatch_retries: results.retries(),
-            kernel_compile: results.kernel_stats().cloned(),
-            result_cache: results.cache_stats().cloned(),
-            ..ReconstructionReport::default()
-        };
-        for (coefficient, string) in observable.terms() {
-            total += coefficient
-                * self.reconstruct_pauli_resolved(
-                    fragments,
-                    results,
-                    string,
-                    strategy,
-                    &plan,
-                    &mut report,
-                )?;
-        }
-        Ok((total, report))
-    }
-
-    /// Phase 3 for a single Pauli string.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExpectationReconstructor::reconstruct`].
-    pub fn reconstruct_pauli(
-        &self,
-        fragments: &FragmentSet,
-        results: &ExecutionResults,
-        string: &PauliString,
-    ) -> Result<f64, CoreError> {
-        self.reconstruct_pauli_with_report(fragments, results, string).map(|(v, _)| v)
-    }
-
-    /// Phase 3 for a single Pauli string, with the engine's report.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExpectationReconstructor::reconstruct`].
-    pub fn reconstruct_pauli_with_report(
-        &self,
-        fragments: &FragmentSet,
-        results: &ExecutionResults,
-        string: &PauliString,
-    ) -> Result<(f64, ReconstructionReport), CoreError> {
-        let (strategy, plan) =
-            engine::resolve_strategy(fragments, &self.options, Workload::Expectation)?;
-        let mut report = ReconstructionReport {
-            strategy,
-            prune_tolerance: self.options.prune_tolerance,
-            shots_spent: results.shots_spent(),
-            backends_used: results.routing().len(),
-            dispatch_failures: results.failures(),
-            dispatch_retries: results.retries(),
-            kernel_compile: results.kernel_stats().cloned(),
-            result_cache: results.cache_stats().cloned(),
-            ..ReconstructionReport::default()
-        };
-        let value = self.reconstruct_pauli_resolved(
-            fragments,
-            results,
-            string,
-            strategy,
-            &plan,
-            &mut report,
-        )?;
-        Ok((value, report))
-    }
-
-    /// Phase 3 for one Pauli string with an already-resolved strategy and
-    /// contraction schedule, accumulating into a shared report.
-    fn reconstruct_pauli_resolved(
-        &self,
-        fragments: &FragmentSet,
-        results: &ExecutionResults,
-        string: &PauliString,
-        strategy: ReconstructionStrategy,
-        plan: &engine::ContractionPlan,
-        report: &mut ReconstructionReport,
-    ) -> Result<f64, CoreError> {
-        if vanishes_on_idle_wires(fragments, string) {
-            return Ok(0.0);
-        }
-        match strategy {
-            ReconstructionStrategy::Contract => engine::contract_expectation(
-                fragments,
-                results,
-                string,
-                plan,
-                self.options.prune_tolerance,
-                report,
-            ),
-            _ => {
-                let tensors: Vec<_> = fragments
-                    .fragments
-                    .iter()
-                    .map(|f| engine::expectation_tensor(f, results, string))
-                    .collect::<Result<_, _>>()?;
-                Ok(engine::dense_expectation(fragments, &tensors))
-            }
-        }
-    }
-
-    /// Convenience: runs all three phases against `backend` in one call.
-    ///
-    /// # Errors
-    ///
-    /// Any error of [`ExpectationReconstructor::requests`],
-    /// [`execute_requests`] or [`ExpectationReconstructor::reconstruct`].
-    pub fn run(
-        &self,
-        fragments: &FragmentSet,
-        backend: &dyn ExecutionBackend,
-        observable: &PauliObservable,
-    ) -> Result<f64, CoreError> {
-        let requests = self.requests(fragments, observable)?;
-        let results = execute_requests(fragments, &requests, backend)?;
-        self.reconstruct(fragments, &results, observable)
+        ExpectationAccumulator::new(fragments, observable, self.options)?.reconstruct(results)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::ExactBackend;
-    use crate::fragment::FragmentSet;
+    use crate::execute::{execute_requests, ExactBackend, ExecutionBackend};
     use crate::planner::CutPlanner;
     use crate::QrccConfig;
     use qrcc_circuit::observable::PauliObservable;

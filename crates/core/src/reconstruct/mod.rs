@@ -8,6 +8,16 @@
 //! [`ExecutionResults`](crate::execute::ExecutionResults) (`reconstruct`) —
 //! they never call a backend per variant.
 //!
+//! # One fold path
+//!
+//! Every reconstruction folds through an accumulator. A streamed run
+//! absorbs chunks as they arrive; a blocking `reconstruct` is a one-batch
+//! fold of the borrowed batch, so it equals a one-chunk stream bit for bit.
+//! Within each batch the variants fold in one canonical order, sorted by
+//! `(fragment, variant ordinal)`, and a shot top-up re-folds its fragment in
+//! that same order. The answer therefore never depends on the order a
+//! batch's `HashMap` happens to iterate in.
+//!
 //! # Reconstruction strategies
 //!
 //! Every executed variant is first folded into one cut-indexed
@@ -41,17 +51,20 @@
 //!   the cut graph is chain- or tree-like, or the total cut count exceeds
 //!   the dense cap.
 //!
-//! * [`ProbabilityReconstructor`] — rebuilds the full probability vector from
-//!   wire-cut fragments (the CutQC-style path; gate cuts are not allowed).
-//! * [`ExpectationReconstructor`] — rebuilds the expectation value of a Pauli
-//!   observable from wire- *and* gate-cut fragments (paper §4.3).
-//! * [`ProbabilityAccumulator`] / [`ExpectationAccumulator`] — the streaming
-//!   front-ends: fold [`ExecutionResults`](crate::execute::ExecutionResults)
-//!   chunks into fragment tensors as they arrive (from a chunked
-//!   [`Scheduler`](crate::schedule::Scheduler)) — full output distributions
-//!   for the probability workload, per-Pauli scalar tensors for expectation
-//!   observables — so only the final contraction remains once the last
-//!   chunk lands; shot top-ups re-fold only the touched fragment.
+//! * [`ProbabilityReconstructor`] — enumerates and blocking-reconstructs the
+//!   full probability vector of wire-cut fragments (the CutQC-style path;
+//!   gate cuts are not allowed).
+//! * [`ExpectationReconstructor`] — enumerates and blocking-reconstructs the
+//!   expectation value of a Pauli observable from wire- *and* gate-cut
+//!   fragments (paper §4.3).
+//! * [`ProbabilityAccumulator`] / [`ExpectationAccumulator`] — the fold
+//!   itself: [`ExecutionResults`](crate::execute::ExecutionResults) chunks
+//!   fold into fragment tensors as they arrive (from a chunked
+//!   [`Scheduler`](crate::schedule::Scheduler), or as the single batch of a
+//!   blocking call) — full output distributions for the probability
+//!   workload, per-Pauli scalar tensors for expectation observables — so
+//!   only the final contraction remains once the last chunk lands; shot
+//!   top-ups re-fold only the touched fragment.
 //! * [`cost`] — analytic floating-point-operation cost models of the
 //!   reconstruction strategies compared in Figure 6.
 //!

@@ -1,22 +1,22 @@
 //! Full probability-vector reconstruction for wire-cut-only plans (the
 //! CutQC-style path, paper §4.3 "Reconstruction after W-Cut").
 //!
-//! The reconstructor is a thin front-end over the contraction
-//! [`engine`](super::engine): it enumerates the variants it needs
-//! ([`requests`]), the caller executes them in one batch, and
-//! [`reconstruct`] folds each fragment's results into a cut tensor and
-//! reconstructs with the strategy resolved from its
-//! [`ReconstructionOptions`] — the rayon-parallel dense loop or pairwise
-//! contraction with sparse pruning.
+//! The reconstructor enumerates the variants the workload needs
+//! ([`requests`]) and the caller executes them in one batch. [`reconstruct`]
+//! is then a one-batch fold: a [`ProbabilityAccumulator`] folds the borrowed
+//! batch in canonical order and contracts it with the strategy resolved from
+//! the [`ReconstructionOptions`] — the rayon-parallel dense loop or pairwise
+//! contraction with sparse pruning. A blocking reconstruction therefore
+//! equals a one-chunk stream bit for bit.
 //!
 //! [`requests`]: ProbabilityReconstructor::requests
 //! [`reconstruct`]: ProbabilityReconstructor::reconstruct
 
 use super::engine::{
-    self, probability_variants, ReconstructionOptions, ReconstructionReport,
-    ReconstructionStrategy, Workload,
+    self, probability_variants, ReconstructionOptions, ReconstructionReport, Workload,
 };
-use crate::execute::{execute_requests, ExecutionBackend, ExecutionResults};
+use super::ProbabilityAccumulator;
+use crate::execute::ExecutionResults;
 use crate::fragment::{FragmentSet, VariantRequest};
 use crate::CoreError;
 
@@ -44,14 +44,6 @@ impl ProbabilityReconstructor {
         &self.options
     }
 
-    fn check(&self, fragments: &FragmentSet) -> Result<(), CoreError> {
-        if fragments.num_gate_cuts() > 0 {
-            return Err(CoreError::GateCutNeedsExpectation);
-        }
-        engine::resolve_strategy(fragments, &self.options, Workload::Probability)?;
-        Ok(())
-    }
-
     /// Phase 1 (enumerate): every variant request the probability workload
     /// needs, as pure data. The request list is strategy-independent; only
     /// feasibility differs (`Contract` accepts plans whose total cut count
@@ -65,7 +57,7 @@ impl ProbabilityReconstructor {
     ///   strategy supports (total cuts for `Dense`, per-contraction legs for
     ///   `Contract`).
     pub fn requests(&self, fragments: &FragmentSet) -> Result<Vec<VariantRequest>, CoreError> {
-        self.check(fragments)?;
+        engine::resolve_strategy(fragments, &self.options, Workload::Probability)?;
         let mut requests = Vec::new();
         for fragment in &fragments.fragments {
             // A fragment with no classical bits (a reuse-absorbed empty
@@ -108,65 +100,16 @@ impl ProbabilityReconstructor {
         fragments: &FragmentSet,
         results: &ExecutionResults,
     ) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
-        if fragments.num_gate_cuts() > 0 {
-            return Err(CoreError::GateCutNeedsExpectation);
-        }
-        let (strategy, plan) =
-            engine::resolve_strategy(fragments, &self.options, Workload::Probability)?;
-        let mut report = ReconstructionReport {
-            strategy,
-            prune_tolerance: self.options.prune_tolerance,
-            shots_spent: results.shots_spent(),
-            backends_used: results.routing().len(),
-            dispatch_failures: results.failures(),
-            dispatch_retries: results.retries(),
-            kernel_compile: results.kernel_stats().cloned(),
-            result_cache: results.cache_stats().cloned(),
-            ..ReconstructionReport::default()
-        };
-        let probabilities = match strategy {
-            ReconstructionStrategy::Contract => engine::contract_probabilities(
-                fragments,
-                results,
-                &plan,
-                self.options.prune_tolerance,
-                &mut report,
-            )?,
-            _ => {
-                let tensors: Vec<_> = fragments
-                    .fragments
-                    .iter()
-                    .map(|f| engine::probability_tensor(f, results))
-                    .collect::<Result<_, _>>()?;
-                engine::dense_probabilities(fragments, &tensors)
-            }
-        };
-        Ok((probabilities, report))
-    }
-
-    /// Convenience: runs all three phases (enumerate → dedup/execute →
-    /// consume) against `backend` in one call.
-    ///
-    /// # Errors
-    ///
-    /// Any error of [`ProbabilityReconstructor::requests`],
-    /// [`execute_requests`] or [`ProbabilityReconstructor::reconstruct`].
-    pub fn run(
-        &self,
-        fragments: &FragmentSet,
-        backend: &dyn ExecutionBackend,
-    ) -> Result<Vec<f64>, CoreError> {
-        let requests = self.requests(fragments)?;
-        let results = execute_requests(fragments, &requests, backend)?;
-        self.reconstruct(fragments, &results)
+        ProbabilityAccumulator::new(fragments, self.options)?.reconstruct(results)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::ExactBackend;
+    use crate::execute::{execute_requests, ExactBackend};
     use crate::planner::CutPlanner;
+    use crate::reconstruct::ReconstructionStrategy;
     use crate::QrccConfig;
     use qrcc_circuit::Circuit;
     use qrcc_sim::StateVector;
@@ -226,22 +169,6 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(0).ry(0.7, 1).cx(0, 1).rz(0.3, 1).cx(1, 2).t(2).cx(2, 3).rx(1.1, 3);
         reconstruct_and_compare(&c, 3);
-    }
-
-    #[test]
-    fn run_convenience_matches_three_phase_flow() {
-        let mut c = Circuit::new(4);
-        c.h(0).cx(0, 1).cx(1, 2).ry(0.4, 3).cx(2, 3);
-        let config =
-            QrccConfig::new(3).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
-        let plan = CutPlanner::new(config).plan(&c).unwrap();
-        let fragments = FragmentSet::from_plan(&plan).unwrap();
-        let backend = ExactBackend::new();
-        let direct = ProbabilityReconstructor::new().run(&fragments, &backend).unwrap();
-        let exact = StateVector::from_circuit(&c).unwrap().probabilities();
-        for (a, b) in exact.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -1,30 +1,37 @@
-//! Streaming partial reconstruction: fold executed variants into fragment
-//! tensors **as chunks arrive**, so classical contraction overlaps device
-//! execution instead of waiting for the last variant.
+//! The one fold-and-contract path. Every reconstruction, streamed or
+//! blocking, folds executed variants into per-fragment cut tensors through a
+//! [`ProbabilityAccumulator`] or an [`ExpectationAccumulator`] and then
+//! contracts them.
 //!
-//! [`ProbabilityAccumulator`] and [`ExpectationAccumulator`] are the
-//! consume-phase counterparts of the chunked
-//! [`Scheduler`](crate::schedule::Scheduler): every [`ExecutionResults`]
-//! chunk they `absorb` is folded immediately into the owning fragment's cut
-//! tensor (the incremental `CutTensor::fold_partial` /
-//! `fold_expectation_partial` units of the engine — the expectation
-//! accumulator keeps one scalar tensor per fragment per Pauli term), and
-//! `finish` runs only the final contraction (dense loop or pairwise
-//! contraction) over the accumulated tensors. Re-delivering a variant that
-//! was already folded — a **shot top-up** that replaces its distribution
-//! with a higher-shot estimate — marks just the owning fragment dirty, and
-//! the next `finish` re-folds only that fragment's tensor before
-//! re-contracting.
+//! * **Streaming.** The accumulators are the consume-phase counterparts of
+//!   the chunked [`Scheduler`](crate::schedule::Scheduler). Every
+//!   [`ExecutionResults`] chunk they `absorb` folds into the owning
+//!   fragment's cut tensor at once (the expectation accumulator keeps one
+//!   scalar tensor per fragment per Pauli term), so `finish` runs only the
+//!   final contraction: the dense loop or pairwise contraction.
+//! * **Blocking.** `ProbabilityReconstructor::reconstruct` and
+//!   `ExpectationReconstructor::reconstruct` fold the borrowed batch as one
+//!   chunk and finish, so they equal a one-chunk stream bit for bit.
+//! * **Canonical order.** Within a batch, variants fold sorted by
+//!   `(fragment, ordinal)`. The ordinal is the variant's mixed-radix index
+//!   (gate instances ×6, init states ×4, cut bases ×3). The sums thus round
+//!   the same whatever order the batch's `HashMap` iterates in: the answer
+//!   depends only on the delivered distributions and the chunk boundaries.
+//! * **Shot top-ups.** Re-delivering a variant that was already folded (a
+//!   higher-shot estimate replacing its distribution) marks just the owning
+//!   fragment dirty. The next `finish` re-folds that fragment from the merged
+//!   store, in the same canonical order, before re-contracting.
 
 use super::engine::{
-    self, expectation_variants, normalized_output_bases, probability_variants, ExpectationFolder,
-    FragmentFolder, ReconstructionOptions, ReconstructionReport, ReconstructionStrategy, Workload,
+    self, expectation_variants, normalized_output_bases, probability_variants, ContractionPlan,
+    CutTensor, ExpectationFolder, FragmentFolder, ReconstructionOptions, ReconstructionReport,
+    ReconstructionStrategy, Workload,
 };
-use super::expectation::vanishes_on_idle_wires;
+use super::expectation::{self, vanishes_on_idle_wires};
 use crate::execute::ExecutionResults;
-use crate::fragment::{Fragment, FragmentSet, FragmentVariant, VariantKey};
+use crate::fragment::{Fragment, FragmentSet, FragmentVariant};
 use crate::CoreError;
-use qrcc_circuit::observable::{Pauli, PauliObservable, PauliString};
+use qrcc_circuit::observable::{Pauli, PauliObservable};
 
 /// The "already folded" set of one fragment's variants: a bitset indexed by
 /// the variant's mixed-radix ordinal (gate instances ×6, init states ×4, cut
@@ -42,21 +49,19 @@ impl FoldedSet {
         FoldedSet { bits: vec![0; expected.div_ceil(64) as usize], expected }
     }
 
-    /// Ordinal of a variant whose slot counts and instance range were
-    /// already validated against the fragment.
+    /// Ordinal of a variant whose shape was already checked against the
+    /// fragment ([`fits`]).
     fn ordinal(variant: &FragmentVariant) -> usize {
         let ordinal = variant.gate_instances.iter().fold(0, |acc, &g| acc * 6 + (g - 1));
         let ordinal = variant.init_states.iter().fold(ordinal, |acc, &s| acc * 4 + s as usize);
         variant.cut_bases.iter().fold(ordinal, |acc, &b| acc * 3 + b as usize)
     }
 
-    fn contains(&self, variant: &FragmentVariant) -> bool {
-        let ordinal = Self::ordinal(variant);
+    fn contains(&self, ordinal: usize) -> bool {
         self.bits[ordinal / 64] >> (ordinal % 64) & 1 == 1
     }
 
-    fn insert(&mut self, variant: &FragmentVariant) {
-        let ordinal = Self::ordinal(variant);
+    fn insert(&mut self, ordinal: usize) {
         self.bits[ordinal / 64] |= 1 << (ordinal % 64);
     }
 
@@ -69,16 +74,174 @@ impl FoldedSet {
     }
 }
 
-/// Whether `variant` is one of the probability workload's enumerated
-/// variants for `fragment` (all-Z outputs, no gate instances, matching slot
-/// counts). Scheduled batches may interleave expectation variants; the
-/// accumulator skips those instead of mis-folding them.
-fn is_probability_variant(fragment: &Fragment, variant: &FragmentVariant) -> bool {
-    variant.gate_instances.is_empty()
-        && variant.init_states.len() == fragment.incoming_cuts.len()
+/// Whether `variant` has `fragment`'s slot counts and in-range gate
+/// instances: the shape every ordinal assumes.
+fn fits(fragment: &Fragment, variant: &FragmentVariant) -> bool {
+    variant.init_states.len() == fragment.incoming_cuts.len()
         && variant.cut_bases.len() == fragment.outgoing_cuts.len()
-        && variant.output_bases.len() == fragment.output_clbits.len()
-        && variant.output_bases.iter().all(|&p| p == Pauli::Z)
+        && variant.gate_instances.len() == fragment.gate_cut_roles.len()
+        && variant.gate_instances.iter().all(|i| (1..=6).contains(i))
+}
+
+/// One executed variant of a batch, placed in the canonical fold order.
+struct Entry<'b> {
+    fragment: usize,
+    ordinal: usize,
+    variant: &'b FragmentVariant,
+    dist: &'b [f64],
+}
+
+/// The entries of `batch` to fold (every fragment's, or only fragment
+/// `only`'s), sorted by `(fragment, ordinal)`. Keys on clbit-free fragments
+/// or of a foreign shape are dropped before their ordinal is computed. Ties
+/// (one ordinal, different output bases) cannot change a sum: a fold target
+/// accepts a single output basis per fragment.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidCutSolution`] when a key references a fragment
+/// outside the plan.
+fn canonical_entries<'b>(
+    fragments: &FragmentSet,
+    batch: &'b ExecutionResults,
+    only: Option<usize>,
+) -> Result<Vec<Entry<'b>>, CoreError> {
+    let mut entries = Vec::with_capacity(batch.unique_variants());
+    for (key, dist) in batch.iter() {
+        if only.is_some_and(|index| index != key.fragment) {
+            continue;
+        }
+        let fragment =
+            fragments.fragments.get(key.fragment).ok_or_else(|| CoreError::InvalidCutSolution {
+                reason: format!(
+                    "streamed batch references fragment {} but the plan has {}",
+                    key.fragment,
+                    fragments.fragments.len()
+                ),
+            })?;
+        if fragment.num_clbits > 0 && fits(fragment, &key.variant) {
+            let ordinal = FoldedSet::ordinal(&key.variant);
+            entries.push(Entry { fragment: key.fragment, ordinal, variant: &key.variant, dist });
+        }
+    }
+    entries.sort_unstable_by_key(|entry| (entry.fragment, entry.ordinal));
+    Ok(entries)
+}
+
+/// The per-variant fold of one workload's cut tensors.
+trait Fold {
+    fn fold(&mut self, tensor: &mut CutTensor, variant: &FragmentVariant, dist: &[f64]);
+}
+
+impl Fold for FragmentFolder {
+    fn fold(&mut self, tensor: &mut CutTensor, variant: &FragmentVariant, dist: &[f64]) {
+        tensor.fold_partial(self, variant, dist);
+    }
+}
+
+impl Fold for ExpectationFolder {
+    fn fold(&mut self, tensor: &mut CutTensor, variant: &FragmentVariant, dist: &[f64]) {
+        tensor.fold_expectation_partial(self, variant, dist);
+    }
+}
+
+/// What an accumulator folds into (the probability vector, or one Pauli
+/// term of an observable): a cut tensor per fragment, the output bases its
+/// variants carry, and the bookkeeping that lets a shot top-up re-fold only
+/// the touched fragment.
+#[derive(Debug, Clone)]
+struct Target<F> {
+    bases: Vec<Vec<Pauli>>,
+    tensors: Vec<CutTensor>,
+    folders: Vec<F>,
+    folded: Vec<FoldedSet>,
+    dirty: Vec<bool>,
+}
+
+impl<F: Fold> Target<F> {
+    /// An empty target: `start` gives each fragment's empty tensor, folder
+    /// and output bases. A clbit-free fragment never executes, so its
+    /// `variants` fold with the constant `[1.0]` distribution up front.
+    fn new(
+        fragments: &FragmentSet,
+        start: impl Fn(&Fragment) -> (CutTensor, F, Vec<Pauli>),
+        variants: impl Fn(&Fragment) -> Vec<FragmentVariant>,
+    ) -> Self {
+        let count = fragments.fragments.len();
+        let mut target = Target {
+            bases: Vec::with_capacity(count),
+            tensors: Vec::with_capacity(count),
+            folders: Vec::with_capacity(count),
+            folded: Vec::with_capacity(count),
+            dirty: vec![false; count],
+        };
+        for fragment in &fragments.fragments {
+            let (mut tensor, mut folder, bases) = start(fragment);
+            let mut folded = FoldedSet::new(fragment);
+            if fragment.num_clbits == 0 {
+                for variant in variants(fragment) {
+                    folder.fold(&mut tensor, &variant, &engine::TRIVIAL);
+                    folded.insert(FoldedSet::ordinal(&variant));
+                }
+            }
+            target.bases.push(bases);
+            target.tensors.push(tensor);
+            target.folders.push(folder);
+            target.folded.push(folded);
+        }
+        target
+    }
+
+    /// Folds `entry` if it is one of this target's variants; a variant seen
+    /// before is a shot top-up and marks its fragment for re-folding.
+    fn offer(&mut self, entry: &Entry<'_>) {
+        let index = entry.fragment;
+        if entry.variant.output_bases != self.bases[index] {
+            return;
+        }
+        if self.folded[index].contains(entry.ordinal) {
+            self.dirty[index] = true;
+        } else {
+            self.folders[index].fold(&mut self.tensors[index], entry.variant, entry.dist);
+            self.folded[index].insert(entry.ordinal);
+        }
+    }
+
+    /// Readies the tensors for contraction: re-folds every dirty fragment
+    /// from `store` in canonical order, checks that every fragment is
+    /// complete, and refreshes liveness in place (idempotent).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::MissingVariant`] when some fragment's variants have not
+    /// all arrived yet.
+    fn settle(
+        &mut self,
+        fragments: &FragmentSet,
+        store: &ExecutionResults,
+    ) -> Result<(), CoreError> {
+        for (index, fragment) in fragments.fragments.iter().enumerate() {
+            if self.dirty[index] {
+                self.tensors[index].clear();
+                self.folded[index] = FoldedSet::new(fragment);
+                self.dirty[index] = false;
+                for entry in canonical_entries(fragments, store, Some(index))? {
+                    self.offer(&entry);
+                }
+            }
+            if fragment.num_clbits > 0 && !self.folded[index].is_complete() {
+                return Err(CoreError::MissingVariant { fragment: index });
+            }
+        }
+        self.tensors.iter_mut().for_each(CutTensor::refresh_active);
+        Ok(())
+    }
+
+    /// `(folded, expected)` distinct-variant counts over the fragments.
+    fn progress(&self) -> (u64, u64) {
+        let folded = self.folded.iter().map(FoldedSet::len).sum();
+        (folded, self.folded.iter().map(|set| set.expected).sum())
+    }
 }
 
 /// Incremental probability reconstruction over streamed
@@ -95,19 +258,17 @@ fn is_probability_variant(fragment: &Fragment, variant: &FragmentVariant) -> boo
 pub struct ProbabilityAccumulator<'a> {
     fragments: &'a FragmentSet,
     options: ReconstructionOptions,
-    tensors: Vec<engine::CutTensor>,
-    folders: Vec<FragmentFolder>,
-    folded: Vec<FoldedSet>,
-    dirty: Vec<bool>,
+    strategy: ReconstructionStrategy,
+    plan: ContractionPlan,
+    target: Target<FragmentFolder>,
     store: ExecutionResults,
 }
 
 impl<'a> ProbabilityAccumulator<'a> {
-    /// Creates an accumulator for `fragments`, validating the plan the same
-    /// way [`ProbabilityReconstructor`](super::ProbabilityReconstructor)
-    /// does (wire cuts only, feasible strategy). Clbit-free fragments are
-    /// pre-folded with their trivial `[1.0]` distribution, so only executed
-    /// variants need to arrive.
+    /// Creates an accumulator for `fragments`, validating the plan (wire
+    /// cuts only, feasible strategy) and resolving the strategy once.
+    /// Clbit-free fragments are pre-folded with their trivial `[1.0]`
+    /// distribution, so only executed variants need to arrive.
     ///
     /// # Errors
     ///
@@ -118,39 +279,27 @@ impl<'a> ProbabilityAccumulator<'a> {
         fragments: &'a FragmentSet,
         options: ReconstructionOptions,
     ) -> Result<Self, CoreError> {
-        if fragments.num_gate_cuts() > 0 {
-            return Err(CoreError::GateCutNeedsExpectation);
-        }
-        engine::resolve_strategy(fragments, &options, Workload::Probability)?;
-        let mut tensors = Vec::with_capacity(fragments.fragments.len());
-        let mut folders = Vec::with_capacity(fragments.fragments.len());
-        let mut folded = Vec::with_capacity(fragments.fragments.len());
-        for fragment in &fragments.fragments {
-            let (mut tensor, mut folder) = FragmentFolder::probability(fragment);
-            let mut seen = FoldedSet::new(fragment);
-            if fragment.num_clbits == 0 {
-                // never executed: fold the constant distribution up front
-                for variant in probability_variants(fragment) {
-                    tensor.fold_partial(&mut folder, &variant, &engine::TRIVIAL);
-                    seen.insert(&variant);
-                }
-            }
-            tensors.push(tensor);
-            folders.push(folder);
-            folded.push(seen);
-        }
+        let (strategy, plan) =
+            engine::resolve_strategy(fragments, &options, Workload::Probability)?;
+        let target = Target::new(
+            fragments,
+            |fragment| {
+                let (tensor, folder) = FragmentFolder::probability(fragment);
+                (tensor, folder, vec![Pauli::Z; fragment.output_clbits.len()])
+            },
+            |fragment| probability_variants(fragment).collect(),
+        );
         Ok(ProbabilityAccumulator {
             fragments,
             options,
-            tensors,
-            folders,
-            folded,
-            dirty: vec![false; fragments.fragments.len()],
+            strategy,
+            plan,
+            target,
             store: ExecutionResults::default(),
         })
     }
 
-    /// Folds a partial batch into the fragment tensors.
+    /// Folds a partial batch into the fragment tensors, in canonical order.
     ///
     /// New probability variants fold immediately; a variant seen before is a
     /// shot top-up — its distribution replaces the stored one and only the
@@ -162,42 +311,24 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// # Errors
     ///
     /// [`CoreError::InvalidCutSolution`] when a key references a fragment
-    /// outside the plan.
+    /// outside the plan; nothing of the batch is folded then.
     pub fn absorb(&mut self, partial: ExecutionResults) -> Result<(), CoreError> {
-        for (key, dist) in partial.iter() {
-            let fragment = self.fragments.fragments.get(key.fragment).ok_or_else(|| {
-                CoreError::InvalidCutSolution {
-                    reason: format!(
-                        "streamed batch references fragment {} but the plan has {}",
-                        key.fragment,
-                        self.fragments.fragments.len()
-                    ),
-                }
-            })?;
-            if fragment.num_clbits == 0 || !is_probability_variant(fragment, &key.variant) {
-                continue;
-            }
-            if self.folded[key.fragment].contains(&key.variant) {
-                // shot top-up: re-fold only this fragment at finish time
-                self.dirty[key.fragment] = true;
-            } else {
-                self.tensors[key.fragment].fold_partial(
-                    &mut self.folders[key.fragment],
-                    &key.variant,
-                    dist,
-                );
-                self.folded[key.fragment].insert(&key.variant);
-            }
-        }
+        self.fold(&partial)?;
         self.store.extend(partial);
+        Ok(())
+    }
+
+    fn fold(&mut self, batch: &ExecutionResults) -> Result<(), CoreError> {
+        for entry in canonical_entries(self.fragments, batch, None)? {
+            self.target.offer(&entry);
+        }
         Ok(())
     }
 
     /// `(folded, expected)` distinct-variant counts across all fragments —
     /// reconstruction progress while the stream is still running.
     pub fn progress(&self) -> (u64, u64) {
-        let folded = self.folded.iter().map(FoldedSet::len).sum();
-        (folded, self.folded.iter().map(|set| set.expected).sum())
+        self.target.progress()
     }
 
     /// Everything absorbed so far, merged (latest distribution per key wins).
@@ -217,91 +348,39 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// [`CoreError::MissingVariant`] when some fragment's variants have not
     /// all arrived yet.
     pub fn finish(&mut self) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
-        // shot top-ups: rebuild only the touched fragments' tensors
-        for index in 0..self.fragments.fragments.len() {
-            if !self.dirty[index] {
-                continue;
-            }
-            let fragment = &self.fragments.fragments[index];
-            self.tensors[index].clear();
-            for variant in probability_variants(fragment) {
-                if !self.folded[index].contains(&variant) {
-                    continue;
-                }
-                let key = VariantKey::new(index, variant);
-                let dist = self.store.distribution(&key)?;
-                self.tensors[index].fold_partial(&mut self.folders[index], &key.variant, dist);
-            }
-            self.dirty[index] = false;
-        }
-        for (index, fragment) in self.fragments.fragments.iter().enumerate() {
-            if fragment.num_clbits > 0 && !self.folded[index].is_complete() {
-                return Err(CoreError::MissingVariant { fragment: index });
-            }
-        }
-        let (strategy, plan) =
-            engine::resolve_strategy(self.fragments, &self.options, Workload::Probability)?;
-        let mut report = ReconstructionReport {
-            strategy,
-            prune_tolerance: self.options.prune_tolerance,
-            shots_spent: self.store.shots_spent(),
-            backends_used: self.store.routing().len(),
-            dispatch_failures: self.store.failures(),
-            dispatch_retries: self.store.retries(),
-            kernel_compile: self.store.kernel_stats().cloned(),
-            result_cache: self.store.cache_stats().cloned(),
-            ..ReconstructionReport::default()
-        };
-        // refresh liveness in place (idempotent); only the contract path
-        // clones, because normalisation/pruning mutate the tensors it is
-        // handed and later absorb/finish cycles still need the originals
-        self.tensors.iter_mut().for_each(engine::CutTensor::refresh_active);
-        let probabilities = match strategy {
+        self.target.settle(self.fragments, &self.store)?;
+        Ok(self.contract(&self.store))
+    }
+
+    /// The blocking reconstruction: `batch` folds as one borrowed chunk,
+    /// then contracts.
+    pub(super) fn reconstruct(
+        mut self,
+        batch: &ExecutionResults,
+    ) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
+        self.fold(batch)?;
+        self.target.settle(self.fragments, batch)?;
+        Ok(self.contract(batch))
+    }
+
+    /// Contracts the settled tensors; `batch` supplies the report's
+    /// accounting. Only the contract path clones, because normalisation and
+    /// pruning mutate the tensors it is handed and later absorb/finish
+    /// cycles still need the originals.
+    fn contract(&self, batch: &ExecutionResults) -> (Vec<f64>, ReconstructionReport) {
+        let mut report = ReconstructionReport::new(self.strategy, &self.options, batch);
+        let probabilities = match self.strategy {
             ReconstructionStrategy::Contract => engine::contract_probabilities_from_tensors(
                 self.fragments,
-                self.tensors.clone(),
-                &plan,
+                self.target.tensors.clone(),
+                &self.plan,
                 self.options.prune_tolerance,
                 &mut report,
             ),
-            _ => engine::dense_probabilities(self.fragments, &self.tensors),
+            _ => engine::dense_probabilities(self.fragments, &self.target.tensors),
         };
-        Ok((probabilities, report))
+        (probabilities, report)
     }
-}
-
-/// Whether `variant` is one of a term's enumerated expectation variants for
-/// `fragment` (matching slot counts, the term's precomputed normalised
-/// output bases, gate instances in range). Scheduled batches may interleave
-/// probability or other-term variants; each term folds only its own.
-fn is_expectation_variant(
-    fragment: &Fragment,
-    normalized_bases: &[Pauli],
-    variant: &FragmentVariant,
-) -> bool {
-    variant.init_states.len() == fragment.incoming_cuts.len()
-        && variant.cut_bases.len() == fragment.outgoing_cuts.len()
-        && variant.gate_instances.len() == fragment.gate_cut_roles.len()
-        && variant.gate_instances.iter().all(|i| (1..=6).contains(i))
-        && variant.output_bases == normalized_bases
-}
-
-/// Per-Pauli-term folding state of an [`ExpectationAccumulator`]: one scalar
-/// cut tensor per fragment, plus the bookkeeping that makes shot top-ups
-/// re-fold only the touched fragment.
-#[derive(Debug, Clone)]
-struct TermState {
-    coefficient: f64,
-    string: PauliString,
-    /// X/Y on an idle wire: the term is identically zero and never folds.
-    vanishes: bool,
-    /// Per fragment, the term's normalised output bases — precomputed once
-    /// so the absorb hot path compares without re-deriving them per key.
-    normalized_bases: Vec<Vec<Pauli>>,
-    tensors: Vec<engine::CutTensor>,
-    folders: Vec<ExpectationFolder>,
-    folded: Vec<FoldedSet>,
-    dirty: Vec<bool>,
 }
 
 /// Incremental expectation-value reconstruction over streamed
@@ -326,16 +405,20 @@ struct TermState {
 pub struct ExpectationAccumulator<'a> {
     fragments: &'a FragmentSet,
     options: ReconstructionOptions,
-    terms: Vec<TermState>,
+    strategy: ReconstructionStrategy,
+    plan: ContractionPlan,
+    /// Coefficient and fold target of every Pauli term that can contribute;
+    /// a term with X or Y on an idle wire is identically zero and never
+    /// folds.
+    terms: Vec<(f64, Target<ExpectationFolder>)>,
     store: ExecutionResults,
 }
 
 impl<'a> ExpectationAccumulator<'a> {
     /// Creates an accumulator for every Pauli term of `observable`,
-    /// validating the plan the same way
-    /// [`ExpectationReconstructor`](super::ExpectationReconstructor) does.
-    /// Clbit-free fragments are pre-folded with their trivial `[1.0]`
-    /// distribution, so only executed variants need to arrive.
+    /// validating the plan and resolving the strategy once. Clbit-free
+    /// fragments are pre-folded with their trivial `[1.0]` distribution, so
+    /// only executed variants need to arrive.
     ///
     /// # Errors
     ///
@@ -348,60 +431,35 @@ impl<'a> ExpectationAccumulator<'a> {
         observable: &PauliObservable,
         options: ReconstructionOptions,
     ) -> Result<Self, CoreError> {
-        if observable.num_qubits() != fragments.original_qubits {
-            return Err(CoreError::InvalidCutSolution {
-                reason: format!(
-                    "observable acts on {} qubits but the circuit has {}",
-                    observable.num_qubits(),
-                    fragments.original_qubits
-                ),
-            });
-        }
-        engine::resolve_strategy(fragments, &options, Workload::Expectation)?;
-        let mut terms = Vec::with_capacity(observable.terms().len());
-        for (coefficient, string) in observable.terms() {
-            let vanishes = vanishes_on_idle_wires(fragments, string);
-            let mut normalized_bases = Vec::new();
-            let mut tensors = Vec::new();
-            let mut folders = Vec::new();
-            let mut folded = Vec::new();
-            if !vanishes {
-                for fragment in &fragments.fragments {
-                    let (mut tensor, mut folder) = ExpectationFolder::expectation(fragment, string);
-                    normalized_bases.push(normalized_output_bases(fragment, string));
-                    let mut seen = FoldedSet::new(fragment);
-                    if fragment.num_clbits == 0 {
-                        // never executed: fold the constant distribution now
-                        for variant in expectation_variants(fragment, string) {
-                            tensor.fold_expectation_partial(
-                                &mut folder,
-                                &variant,
-                                &engine::TRIVIAL,
-                            );
-                            seen.insert(&variant);
-                        }
-                    }
-                    tensors.push(tensor);
-                    folders.push(folder);
-                    folded.push(seen);
-                }
-            }
-            let dirty = vec![false; tensors.len()];
-            terms.push(TermState {
-                coefficient: *coefficient,
-                string: string.clone(),
-                vanishes,
-                normalized_bases,
-                tensors,
-                folders,
-                folded,
-                dirty,
-            });
-        }
-        Ok(ExpectationAccumulator { fragments, options, terms, store: ExecutionResults::default() })
+        let (strategy, plan) = expectation::resolve(fragments, observable, &options)?;
+        let terms = observable
+            .terms()
+            .iter()
+            .filter(|(_, string)| !vanishes_on_idle_wires(fragments, string))
+            .map(|(coefficient, string)| {
+                let target = Target::new(
+                    fragments,
+                    |fragment| {
+                        let (tensor, folder) = ExpectationFolder::expectation(fragment, string);
+                        (tensor, folder, normalized_output_bases(fragment, string))
+                    },
+                    |fragment| expectation_variants(fragment, string).collect(),
+                );
+                (*coefficient, target)
+            })
+            .collect();
+        Ok(ExpectationAccumulator {
+            fragments,
+            options,
+            strategy,
+            plan,
+            terms,
+            store: ExecutionResults::default(),
+        })
     }
 
-    /// Folds a partial batch into every term's fragment tensors.
+    /// Folds a partial batch into every term's fragment tensors, in
+    /// canonical order.
     ///
     /// New variants fold immediately into each term whose enumeration
     /// contains them; a variant seen before is a shot top-up — its
@@ -415,45 +473,19 @@ impl<'a> ExpectationAccumulator<'a> {
     /// # Errors
     ///
     /// [`CoreError::InvalidCutSolution`] when a key references a fragment
-    /// outside the plan.
+    /// outside the plan; nothing of the batch is folded then.
     pub fn absorb(&mut self, partial: ExecutionResults) -> Result<(), CoreError> {
-        for (key, dist) in partial.iter() {
-            let fragment = self.fragments.fragments.get(key.fragment).ok_or_else(|| {
-                CoreError::InvalidCutSolution {
-                    reason: format!(
-                        "streamed batch references fragment {} but the plan has {}",
-                        key.fragment,
-                        self.fragments.fragments.len()
-                    ),
-                }
-            })?;
-            if fragment.num_clbits == 0 {
-                continue;
-            }
-            for term in &mut self.terms {
-                if term.vanishes
-                    || !is_expectation_variant(
-                        fragment,
-                        &term.normalized_bases[key.fragment],
-                        &key.variant,
-                    )
-                {
-                    continue;
-                }
-                if term.folded[key.fragment].contains(&key.variant) {
-                    // shot top-up: re-fold only this fragment at finish time
-                    term.dirty[key.fragment] = true;
-                } else {
-                    term.tensors[key.fragment].fold_expectation_partial(
-                        &mut term.folders[key.fragment],
-                        &key.variant,
-                        dist,
-                    );
-                    term.folded[key.fragment].insert(&key.variant);
-                }
+        self.fold(&partial)?;
+        self.store.extend(partial);
+        Ok(())
+    }
+
+    fn fold(&mut self, batch: &ExecutionResults) -> Result<(), CoreError> {
+        for entry in canonical_entries(self.fragments, batch, None)? {
+            for (_, term) in &mut self.terms {
+                term.offer(&entry);
             }
         }
-        self.store.extend(partial);
         Ok(())
     }
 
@@ -462,8 +494,10 @@ impl<'a> ExpectationAccumulator<'a> {
     /// still running. Terms sharing basis signatures fold the same executed
     /// variant once per term, so both counts scale with the term count.
     pub fn progress(&self) -> (u64, u64) {
-        let sets = || self.terms.iter().flat_map(|term| &term.folded);
-        (sets().map(FoldedSet::len).sum(), sets().map(|set| set.expected).sum())
+        self.terms
+            .iter()
+            .map(|(_, term)| term.progress())
+            .fold((0, 0), |(f, e), (tf, te)| (f + tf, e + te))
     }
 
     /// Everything absorbed so far, merged (latest distribution per key wins).
@@ -483,67 +517,45 @@ impl<'a> ExpectationAccumulator<'a> {
     /// [`CoreError::MissingVariant`] when some term still lacks variants of
     /// some fragment.
     pub fn finish(&mut self) -> Result<(f64, ReconstructionReport), CoreError> {
-        let (strategy, plan) =
-            engine::resolve_strategy(self.fragments, &self.options, Workload::Expectation)?;
-        let mut report = ReconstructionReport {
-            strategy,
-            prune_tolerance: self.options.prune_tolerance,
-            shots_spent: self.store.shots_spent(),
-            backends_used: self.store.routing().len(),
-            dispatch_failures: self.store.failures(),
-            dispatch_retries: self.store.retries(),
-            kernel_compile: self.store.kernel_stats().cloned(),
-            result_cache: self.store.cache_stats().cloned(),
-            ..ReconstructionReport::default()
-        };
+        for (_, term) in &mut self.terms {
+            term.settle(self.fragments, &self.store)?;
+        }
+        Ok(self.contract(&self.store))
+    }
+
+    /// The blocking reconstruction: `batch` folds as one borrowed chunk,
+    /// then contracts.
+    pub(super) fn reconstruct(
+        mut self,
+        batch: &ExecutionResults,
+    ) -> Result<(f64, ReconstructionReport), CoreError> {
+        self.fold(batch)?;
+        for (_, term) in &mut self.terms {
+            term.settle(self.fragments, batch)?;
+        }
+        Ok(self.contract(batch))
+    }
+
+    /// Contracts every term's settled tensors and sums the observable;
+    /// `batch` supplies the report's accounting. The contract path gets
+    /// clones for the same reason as [`ProbabilityAccumulator`]'s.
+    fn contract(&self, batch: &ExecutionResults) -> (f64, ReconstructionReport) {
+        let mut report = ReconstructionReport::new(self.strategy, &self.options, batch);
         let mut total = 0.0;
-        for term in &mut self.terms {
-            if term.vanishes {
-                continue;
-            }
-            // shot top-ups: rebuild only the touched fragments' tensors
-            for index in 0..self.fragments.fragments.len() {
-                if !term.dirty[index] {
-                    continue;
-                }
-                let fragment = &self.fragments.fragments[index];
-                term.tensors[index].clear();
-                for variant in expectation_variants(fragment, &term.string) {
-                    if !term.folded[index].contains(&variant) {
-                        continue;
-                    }
-                    let key = VariantKey::new(index, variant);
-                    let dist = self.store.distribution(&key)?;
-                    term.tensors[index].fold_expectation_partial(
-                        &mut term.folders[index],
-                        &key.variant,
-                        dist,
-                    );
-                }
-                term.dirty[index] = false;
-            }
-            for (index, fragment) in self.fragments.fragments.iter().enumerate() {
-                if fragment.num_clbits > 0 && !term.folded[index].is_complete() {
-                    return Err(CoreError::MissingVariant { fragment: index });
-                }
-            }
-            // refresh liveness in place (idempotent); the contract path gets
-            // clones because normalisation/pruning mutate the tensors it is
-            // handed and later absorb/finish cycles still need the originals
-            term.tensors.iter_mut().for_each(engine::CutTensor::refresh_active);
-            let value = match strategy {
+        for (coefficient, term) in &self.terms {
+            let value = match self.strategy {
                 ReconstructionStrategy::Contract => engine::contract_expectation_from_tensors(
                     self.fragments,
                     term.tensors.clone(),
-                    &plan,
+                    &self.plan,
                     self.options.prune_tolerance,
                     &mut report,
                 ),
                 _ => engine::dense_expectation(self.fragments, &term.tensors),
             };
-            total += term.coefficient * value;
+            total += coefficient * value;
         }
-        Ok((total, report))
+        (total, report)
     }
 }
 
@@ -628,11 +640,11 @@ mod tests {
         let fragment0: Vec<_> = requests.iter().filter(|r| r.key.fragment == 0).cloned().collect();
         let topup = execute_requests(&fragments, &fragment0, &backend).unwrap();
         acc.absorb(topup).unwrap();
-        assert!(acc.dirty[0]);
-        assert!(acc.dirty[1..].iter().all(|&d| !d));
+        assert!(acc.target.dirty[0]);
+        assert!(acc.target.dirty[1..].iter().all(|&d| !d));
         let (second, _) = acc.finish().unwrap();
         for (a, b) in first.iter().zip(&second) {
-            assert!((a - b).abs() < 1e-12, "identical top-up must not change the result");
+            assert_eq!(a.to_bits(), b.to_bits(), "identical top-up must not change the result");
         }
     }
 
@@ -726,15 +738,16 @@ mod tests {
         let fragment0: Vec<_> = requests.iter().filter(|r| r.key.fragment == 0).cloned().collect();
         let topup = execute_requests(&fragments, &fragment0, &backend).unwrap();
         acc.absorb(topup).unwrap();
-        for term in &acc.terms {
-            if term.vanishes {
-                continue;
-            }
+        for (_, term) in &acc.terms {
             assert!(term.dirty[0], "fragment 0 must be dirty for every folded term");
             assert!(term.dirty[1..].iter().all(|&d| !d));
         }
         let (second, _) = acc.finish().unwrap();
-        assert!((first - second).abs() < 1e-12, "identical top-up must not change the result");
+        assert_eq!(
+            first.to_bits(),
+            second.to_bits(),
+            "identical top-up must not change the result"
+        );
     }
 
     #[test]
@@ -765,5 +778,75 @@ mod tests {
             ProbabilityAccumulator::new(&fragments, ReconstructionOptions::default()),
             Err(CoreError::GateCutNeedsExpectation)
         ));
+    }
+
+    /// An 8-qubit ry/rx/cx ladder planned for a 6-qubit device. Rotations on
+    /// every wire keep the |+⟩/|+i⟩ rows off the |0⟩/|1⟩ mean, so two fold
+    /// orders round differently unless the accumulator fixes one.
+    fn rotated_ladder() -> FragmentSet {
+        let mut c = Circuit::new(8);
+        for q in 0..8 {
+            c.ry(0.3 + 0.21 * q as f64, q);
+        }
+        for q in 0..7 {
+            c.cx(q, q + 1).rx(0.4 + 0.13 * q as f64, q + 1).ry(0.9 - 0.07 * q as f64, q);
+        }
+        let config = QrccConfig::new(6)
+            .with_subcircuit_range(4, 4)
+            .with_qubit_reuse(false)
+            .with_ilp_time_limit(Duration::ZERO);
+        FragmentSet::from_plan(&CutPlanner::new(config).plan(&c).unwrap()).unwrap()
+    }
+
+    /// `results` re-inserted into a fresh batch in reverse iteration order:
+    /// the same distributions in another `HashMap` layout.
+    fn reinserted(results: &ExecutionResults) -> ExecutionResults {
+        let entries: Vec<_> = results.iter().collect();
+        let mut rebuilt = ExecutionResults::default();
+        for (key, dist) in entries.into_iter().rev() {
+            rebuilt.insert(key.clone(), dist.to_vec());
+        }
+        rebuilt
+    }
+
+    #[test]
+    fn fold_order_does_not_depend_on_batch_insertion_order() {
+        use qrcc_circuit::observable::PauliString;
+        let fragments = rotated_ladder();
+        assert!(fragments.num_wire_cuts() >= 2, "{} cuts", fragments.num_wire_cuts());
+        let mut observable = PauliObservable::new(8);
+        observable.add_term(1.0, PauliString::zz(8, 5, 6));
+        observable.add_term(-0.5, PauliString::zz(8, 1, 3));
+        let options = ReconstructionOptions::default();
+        let mut requests = ProbabilityReconstructor::new().requests(&fragments).unwrap();
+        requests.extend(
+            crate::reconstruct::ExpectationReconstructor::new()
+                .requests(&fragments, &observable)
+                .unwrap(),
+        );
+        let results = execute_requests(&fragments, &requests, &ExactBackend::new()).unwrap();
+
+        let probabilities = |batch: ExecutionResults| {
+            let mut acc = ProbabilityAccumulator::new(&fragments, options).unwrap();
+            acc.absorb(batch).unwrap();
+            acc.finish().unwrap().0
+        };
+        let expectation = |batch: ExecutionResults| {
+            let mut acc = ExpectationAccumulator::new(&fragments, &observable, options).unwrap();
+            acc.absorb(batch).unwrap();
+            acc.finish().unwrap().0
+        };
+        let (p0, e0) = (probabilities(results.clone()), expectation(results.clone()));
+        let mut batch = results;
+        for trial in 0..12 {
+            batch = reinserted(&batch);
+            let p = probabilities(batch.clone());
+            assert!(
+                p.iter().zip(&p0).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "trial {trial}: probabilities depend on the batch layout"
+            );
+            let e = expectation(batch.clone());
+            assert_eq!(e.to_bits(), e0.to_bits(), "trial {trial}: {e} vs {e0}");
+        }
     }
 }

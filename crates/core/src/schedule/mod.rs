@@ -106,21 +106,7 @@ impl<'r> Scheduler<'r> {
 
     /// Executes `requests` across the registry as one scheduled run and
     /// returns the merged results (routing stats are recorded in
-    /// [`ExecutionResults::routing`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Scheduler::execute_chunked`].
-    pub fn execute(
-        &self,
-        fragments: &FragmentSet,
-        requests: &[VariantRequest],
-    ) -> Result<ExecutionResults, CoreError> {
-        Ok(self.execute_with_report(fragments, requests)?.0)
-    }
-
-    /// Executes `requests` across the registry and returns the merged
-    /// results along with the [`ScheduleReport`].
+    /// [`ExecutionResults::routing`]) along with the [`ScheduleReport`].
     ///
     /// # Errors
     ///
@@ -317,7 +303,7 @@ mod tests {
         let registry = DeviceRegistry::new();
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
         assert!(matches!(
-            scheduler.execute(&fragments, &requests),
+            scheduler.execute_with_report(&fragments, &requests),
             Err(CoreError::NoCompatibleBackend { backends: 0, .. })
         ));
     }
@@ -386,7 +372,7 @@ mod tests {
         registry.register("dead-a", FlakyBackend::always_failing(ExactBackend::new()));
         registry.register("dead-b", FlakyBackend::always_failing(ExactBackend::new()));
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_max_retries(2));
-        match scheduler.execute(&fragments, &requests) {
+        match scheduler.execute_with_report(&fragments, &requests) {
             Err(CoreError::RetriesExhausted { attempts, last }) => {
                 assert_eq!(attempts, 3, "initial attempt plus two retries");
                 assert!(matches!(*last, CoreError::BackendUnavailable { .. }));
@@ -429,7 +415,7 @@ mod tests {
         let mut lone = DeviceRegistry::new();
         lone.register("panics", PanickingBackend);
         let scheduler = Scheduler::new(&lone, SchedulePolicy::default().with_max_retries(0));
-        match scheduler.execute(&fragments, &requests) {
+        match scheduler.execute_with_report(&fragments, &requests) {
             Err(CoreError::BackendUnavailable { reason, .. }) => {
                 assert!(reason.contains("panicked"), "{reason}");
             }
@@ -447,7 +433,7 @@ mod tests {
         registry.register("dead", FlakyBackend::always_failing(ExactBackend::new()));
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_max_retries(0));
         assert!(matches!(
-            scheduler.execute(&fragments, &requests),
+            scheduler.execute_with_report(&fragments, &requests),
             Err(CoreError::BackendUnavailable { .. })
         ));
     }

@@ -69,8 +69,8 @@ pub mod prelude {
         cutqc::CutQcPlanner,
         dispatch::DispatchStats,
         execute::{
-            execute_requests, BackendUsage, CachingBackend, ExactBackend, ExecutionBackend,
-            ExecutionResults, ShotsBackend,
+            execute_requests, BackendUsage, ExactBackend, ExecutionBackend, ExecutionResults,
+            ShotsBackend,
         },
         fragment::{FragmentSet, FragmentVariant, VariantKey, VariantRequest},
         pipeline::QrccPipeline,
