@@ -3,7 +3,8 @@
 //! branch-and-bound solver (the paper uses Gurobi; see DESIGN.md).
 //!
 //! Both models are given the same number of subcircuits and the same time
-//! budget; the row reports wall-clock time and whether the solve was optimal.
+//! budget; the row reports wall-clock time, or `none` when the solve ended
+//! without a feasible assignment (proven infeasible, or out of time).
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin table4 [--large]`
 
@@ -55,8 +56,8 @@ fn main() {
             name,
             circuit.num_qubits(),
             device,
-            cutqc_time.map(|t| format!("{t:.2}")).unwrap_or_else(|| "timeout".into()),
-            qrcc_time.map(|t| format!("{t:.2}")).unwrap_or_else(|| "timeout".into()),
+            cutqc_time.map(|t| format!("{t:.2}")).unwrap_or_else(|| "none".into()),
+            qrcc_time.map(|t| format!("{t:.2}")).unwrap_or_else(|| "none".into()),
             improvement
         );
     }

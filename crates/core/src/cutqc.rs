@@ -77,7 +77,9 @@ impl CutQcPlanner {
 /// width for the whole run instead of per layer (no reuse), which requires
 /// one extra indicator per (wire segment boundary, subcircuit) — the
 /// linearised stand-in for CutQC's quadratic constraints — and (ii) has no
-/// gate-cut variables. Returns the solution, solver status and solve time.
+/// gate-cut variables. It carries the QRCC model's symmetry-breaking rows
+/// (labels open in order), so the two models' solve times compare like for
+/// like. Returns the solution, solver status and solve time.
 pub fn solve_cutqc_model(
     dag: &CircuitDag,
     device_size: usize,
@@ -100,6 +102,9 @@ pub fn solve_cutqc_model(
         }
         ilp.add_eq(expr, 1.0);
     }
+    crate::model::open_labels_in_order(&mut ilp, num_nodes, num_subcircuits, |x, c| {
+        LinExpr::new().term(1.0, assign[x][c])
+    });
 
     // wire-cut indicators
     let mut total_cuts = LinExpr::new();
@@ -189,11 +194,12 @@ mod tests {
 
     #[test]
     fn qrcc_needs_no_more_cuts_than_the_baseline() {
+        // both heuristic alone: the search spaces compared, not how far a
+        // time-limited ILP refinement gets
         let circuit = generators::vqe_two_local(8, 2, 3);
-        let baseline = CutQcPlanner::new(5).plan(&circuit);
-        let qrcc = CutPlanner::new(QrccConfig::new(5).with_ilp_time_limit(Duration::ZERO))
-            .plan(&circuit)
-            .unwrap();
+        let heuristic = QrccConfig::new(5).with_ilp_time_limit(Duration::ZERO);
+        let baseline = CutQcPlanner::new(5).with_config(heuristic.clone()).plan(&circuit);
+        let qrcc = CutPlanner::new(heuristic).plan(&circuit).unwrap();
         if let Ok(baseline) = baseline {
             assert!(
                 qrcc.wire_cut_count() <= baseline.wire_cut_count(),
@@ -216,5 +222,45 @@ mod tests {
         // at least one cut
         assert!(!solution.wire_cuts(&dag).is_empty());
         assert!(solution.subcircuit_widths(&dag, false).iter().all(|&w| w <= 3));
+    }
+
+    #[test]
+    fn cutqc_model_optimum_matches_exhaustive_search() {
+        // every two-subcircuit assignment, judged by the no-reuse widths:
+        // the model's proven optimum, or its proof that none fits, must agree
+        // (the two QFTs have none, the others one cut)
+        for (circuit, device) in [
+            (generators::qft(4), 3),
+            (generators::qft(5), 4),
+            (generators::aqft(5, 2), 4),
+            (generators::vqe_two_local(4, 1, 3), 3),
+        ] {
+            let dag = CircuitDag::from_circuit(&circuit);
+            let nodes = dag.nodes().len();
+            let exhaustive = (0..1u32 << nodes)
+                .filter_map(|mask| {
+                    let solution = CutSolution {
+                        num_subcircuits: 2,
+                        assignment: (0..nodes).map(|x| (mask >> x & 1) as usize).collect(),
+                        gate_cuts: Vec::new(),
+                        gate_cut_assignment: Vec::new(),
+                    };
+                    let fits = solution.subcircuit_widths(&dag, false).iter().all(|&w| w <= device);
+                    fits.then(|| solution.wire_cuts(&dag).len())
+                })
+                .min();
+            let solved = solve_cutqc_model(&dag, device, 2, Duration::from_secs(60));
+            let name = format!("{} on {device} qubits", circuit.name());
+            match (exhaustive, solved) {
+                (None, None) => {}
+                (Some(cuts), Some((solution, status, _))) => {
+                    assert_eq!(status, SolveStatus::Optimal, "{name}");
+                    assert_eq!(solution.wire_cuts(&dag).len(), cuts, "{name}");
+                }
+                (exhaustive, solved) => {
+                    panic!("{name}: exhaustive {exhaustive:?}, model {:?}", solved.map(|s| s.1))
+                }
+            }
+        }
     }
 }

@@ -10,6 +10,12 @@
 //! the linearised post-processing cost (15) and the fidelity-balancing term
 //! (16)–(17).
 //!
+//! Subcircuit labels are interchangeable, so every plan has `C!` relabelled
+//! copies for branch-and-bound to wade through. Symmetry-breaking rows keep
+//! one: labels open in order of first appearance, which also puts the first
+//! node in subcircuit 0. [`QrccModel::warm_start`] relabels its solution the
+//! same way, so a heuristic warm start stays feasible.
+//!
 //! The model is solved with the self-contained branch-and-bound solver of
 //! [`qrcc_ilp`], warm-started by the heuristic solution, so it is exact on
 //! small instances and falls back gracefully on larger ones.
@@ -113,6 +119,17 @@ impl QrccModel {
                 }
             }
         }
+
+        // ---- symmetry breaking: labels open in order ---------------------
+        // a node opens a subcircuit by its assignment or by either gate half
+        open_labels_in_order(&mut ilp, num_nodes, num_subcircuits, |x, c| {
+            let mut expr = LinExpr::new().term(1.0, assign[x][c]);
+            if let Some(top) = gate_top.get(&x) {
+                expr.add_term(1.0, top[c]);
+                expr.add_term(1.0, gate_bottom[&x][c]);
+            }
+            expr
+        });
 
         // Membership of node x on wire q in subcircuit c, as a linear
         // expression over the variables above.
@@ -248,8 +265,11 @@ impl QrccModel {
     }
 
     /// Encodes a [`CutSolution`] as a variable assignment usable as a warm
-    /// start for the solver.
+    /// start for the solver, its labels renumbered in order of first
+    /// appearance as the symmetry-breaking rows require.
     pub fn warm_start(&self, solution: &CutSolution, dag: &CircuitDag) -> Vec<f64> {
+        let mut solution = solution.clone();
+        crate::heuristic::normalize(&mut solution, dag);
         let mut values = vec![0.0; self.ilp.num_vars()];
         for (x, &sub) in solution.assignment.iter().enumerate() {
             if solution.is_gate_cut(x) {
@@ -326,6 +346,28 @@ impl QrccModel {
             assignment,
             gate_cuts,
             gate_cut_assignment,
+        }
+    }
+}
+
+/// Adds the symmetry-breaking rows that keep one of a plan's `C!` relabelled
+/// copies: a node may use subcircuit `c` only if `c − 1` is used by it or by
+/// an earlier node, `open(x, c) ≤ Σ_{y ≤ x} open(y, c − 1)`, where
+/// `open(x, c)` counts node `x`'s uses of subcircuit `c`. Labels then open in
+/// order of first appearance, and the first node sits in subcircuit 0.
+pub(crate) fn open_labels_in_order(
+    ilp: &mut Model,
+    num_nodes: usize,
+    num_subcircuits: usize,
+    open: impl Fn(NodeId, usize) -> LinExpr,
+) {
+    for c in 1..num_subcircuits {
+        let mut opened_before = LinExpr::new();
+        for x in 0..num_nodes {
+            opened_before.add_scaled(1.0, &open(x, c - 1));
+            let mut row = open(x, c);
+            row.add_scaled(-1.0, &opened_before);
+            ilp.add_le(row, 0.0);
         }
     }
 }
@@ -422,6 +464,42 @@ mod tests {
             model.ilp.is_feasible(&warm, 1e-6),
             "heuristic warm start must satisfy the ILP constraints"
         );
+    }
+
+    #[test]
+    fn warm_start_relabels_an_out_of_order_plan_to_satisfy_the_symmetry_rows() {
+        let dag = ghz_chain(5);
+        let config = QrccConfig::new(3);
+        let mut swapped = heuristic::search_with_subcircuits(&dag, &config, 2);
+        swapped.num_subcircuits = 2;
+        for sub in &mut swapped.assignment {
+            *sub = 1 - *sub;
+        }
+        assert_eq!(swapped.assignment[0], 1, "the first node opens label 1");
+        let model = QrccModel::build(&dag, &config, 2);
+        assert!(model.ilp.is_feasible(&model.warm_start(&swapped, &dag), 1e-6));
+    }
+
+    #[test]
+    fn warm_start_relabels_the_halves_of_a_gate_cut() {
+        // the h opens label 1 and the cut cz's top half joins it, the bottom
+        // half opens label 0
+        let mut c = Circuit::new(2);
+        c.h(0).cz(0, 1);
+        let dag = CircuitDag::from_circuit(&c);
+        let config = QrccConfig::new(1).with_gate_cuts(true);
+        let cut = CutSolution {
+            num_subcircuits: 2,
+            assignment: vec![1, 1],
+            gate_cuts: vec![1],
+            gate_cut_assignment: vec![(1, 0)],
+        };
+        cut.validate(&dag).unwrap();
+        let model = QrccModel::build(&dag, &config, 2);
+        let warm = model.warm_start(&cut, &dag);
+        assert!(model.ilp.is_feasible(&warm, 1e-6));
+        assert_eq!(warm[model.gate_top[&1][0].index()], 1.0);
+        assert_eq!(warm[model.gate_bottom[&1][1].index()], 1.0);
     }
 
     #[test]

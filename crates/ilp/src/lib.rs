@@ -6,10 +6,11 @@
 //!
 //! * [`LinExpr`], [`Model`] — modelling layer (binary / continuous variables,
 //!   `≤` / `≥` / `=` constraints, linear objective).
-//! * [`simplex`] — a dense two-phase primal simplex for LP relaxations.
-//! * [`solver`] — branch-and-bound over binary variables with LP bounding,
-//!   warm starts, node/time limits, plus a bit-flip local-search improvement
-//!   pass used as a fallback on large models.
+//! * [`simplex`] — a bounded-variable dual simplex for LP relaxations,
+//!   re-optimised in place after each bound change.
+//! * [`solver`] — depth-first branch-and-bound over binary variables on one
+//!   warm LP, with an incumbent cutoff, reduced-cost fixing, warm starts and
+//!   node/time limits.
 //!
 //! The solver is not Gurobi-fast, but it is exact on small models and
 //! degrades gracefully (feasible-but-maybe-suboptimal answers within a time

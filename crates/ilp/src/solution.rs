@@ -18,6 +18,7 @@ pub struct Solution {
     objective: f64,
     status: SolveStatus,
     nodes_explored: u64,
+    pivots: u64,
     solve_time_ms: u128,
 }
 
@@ -28,9 +29,10 @@ impl Solution {
         objective: f64,
         status: SolveStatus,
         nodes_explored: u64,
+        pivots: u64,
         solve_time_ms: u128,
     ) -> Self {
-        Solution { values, objective, status, nodes_explored, solve_time_ms }
+        Solution { values, objective, status, nodes_explored, pivots, solve_time_ms }
     }
 
     /// The value assigned to `var`.
@@ -72,6 +74,11 @@ impl Solution {
         self.nodes_explored
     }
 
+    /// Simplex pivots spent over the whole search.
+    pub fn pivots(&self) -> u64 {
+        self.pivots
+    }
+
     /// Wall-clock solve time in milliseconds.
     pub fn solve_time_ms(&self) -> u128 {
         self.solve_time_ms
@@ -84,13 +91,14 @@ mod tests {
 
     #[test]
     fn accessors_round_trip() {
-        let s = Solution::new(vec![1.0, 0.0, 0.3], -2.5, SolveStatus::Feasible, 42, 17);
+        let s = Solution::new(vec![1.0, 0.0, 0.3], -2.5, SolveStatus::Feasible, 42, 99, 17);
         assert_eq!(s.value(VarId(0)), 1.0);
         assert!(s.is_one(VarId(0)));
         assert!(!s.is_one(VarId(1)));
         assert_eq!(s.objective(), -2.5);
         assert!(!s.is_optimal());
         assert_eq!(s.nodes_explored(), 42);
+        assert_eq!(s.pivots(), 99);
         assert_eq!(s.solve_time_ms(), 17);
         assert_eq!(s.values().len(), 3);
     }

@@ -1,8 +1,17 @@
-//! Branch-and-bound for 0-1 integer programs with LP bounding, warm starts
-//! and node/time limits, plus a bit-flip local-search improvement pass.
+//! Branch-and-bound for 0-1 integer programs, bounded by one warm dual
+//! simplex.
+//!
+//! The search is depth-first on the most fractional binary, nearer side
+//! first. Every node is a set of binary fixings, and its relaxation is
+//! re-optimised from the basis the previous node left (see [`crate::simplex`])
+//! under a cutoff: the LP stops as soon as its bound shows the node cannot
+//! beat the incumbent. The incumbent also fixes binaries by reduced cost: a
+//! nonbasic binary whose reduced cost exceeds the room left under the cutoff
+//! cannot leave its bound anywhere in the node's subtree, so the children
+//! inherit it fixed.
 
-use crate::simplex::{most_fractional_binary, solve_relaxation_in, LpStatus};
-use crate::{IlpError, Model, Solution, SolveStatus, VarId};
+use crate::simplex::{most_fractional_binary, DualSimplex, LpStatus};
+use crate::{IlpError, Model, Solution, SolveStatus, VarId, VarKind};
 use std::time::{Duration, Instant};
 
 /// Limits and tolerances for [`solve`].
@@ -43,7 +52,6 @@ impl SolverConfig {
 /// # Errors
 ///
 /// * [`IlpError::Infeasible`] — the model has no feasible assignment.
-/// * [`IlpError::Unbounded`] — the LP relaxation is unbounded.
 /// * [`IlpError::LimitReached`] — the limits were hit before any feasible
 ///   assignment was found (the model may still be feasible).
 /// * [`IlpError::UnknownVariable`] — the model references foreign variables.
@@ -53,7 +61,7 @@ pub fn solve(model: &Model, config: &SolverConfig) -> Result<Solution, IlpError>
 
 /// Like [`solve`], but seeds the incumbent with a known feasible assignment
 /// (e.g. from a domain-specific heuristic), which both guarantees a feasible
-/// answer and strengthens pruning.
+/// answer and strengthens pruning from the first node.
 pub fn solve_with_warm_start(
     model: &Model,
     config: &SolverConfig,
@@ -61,7 +69,6 @@ pub fn solve_with_warm_start(
 ) -> Result<Solution, IlpError> {
     model.validate()?;
     let start = Instant::now();
-    let tol = config.integrality_tolerance;
 
     let mut incumbent: Option<Vec<f64>> = None;
     let mut incumbent_obj = f64::INFINITY;
@@ -71,47 +78,61 @@ pub fn solve_with_warm_start(
             incumbent = Some(values.to_vec());
         }
     }
+    // the LP bound below which a node may still hold a better assignment
+    let cutoff = |incumbent_obj: f64| incumbent_obj - config.gap_tolerance;
 
     let base_bounds: Vec<(f64, f64)> = model.vars().map(|v| model.bounds(v)).collect();
+    let binary: Vec<bool> =
+        model.vars().map(|v| matches!(model.var_kind(v), VarKind::Binary)).collect();
 
     /// A branch-and-bound node: the binary fixings accumulated on the path
-    /// from the root.
+    /// from the root, and its parent's LP bound.
     struct Node {
         fixings: Vec<(VarId, f64)>,
+        bound: f64,
     }
 
-    let mut stack = vec![Node { fixings: Vec::new() }];
-    // one tableau allocation for the whole search (the root's is the largest)
-    let mut tableau = Vec::new();
+    let deadline = start.checked_add(config.time_limit);
+    let mut stack = vec![Node { fixings: Vec::new(), bound: f64::NEG_INFINITY }];
+    let mut lp = DualSimplex::new(model);
+    let mut bounds = base_bounds.clone();
     let mut nodes_explored: u64 = 0;
     let mut exhausted = true;
 
     while let Some(node) = stack.pop() {
+        if node.bound >= cutoff(incumbent_obj) {
+            continue; // a better incumbent arrived since the node was pushed
+        }
         if start.elapsed() > config.time_limit || nodes_explored >= config.max_nodes {
             exhausted = false;
             break;
         }
         nodes_explored += 1;
 
-        let mut bounds = base_bounds.clone();
+        bounds.copy_from_slice(&base_bounds);
         for &(var, value) in &node.fixings {
             bounds[var.index()] = (value, value);
         }
-        let lp = solve_relaxation_in(model, &bounds, &mut tableau);
-        match lp.status {
-            LpStatus::Infeasible => continue,
-            LpStatus::Unbounded => return Err(IlpError::Unbounded),
+        let node_cutoff = cutoff(incumbent_obj);
+        match lp.solve(&bounds, node_cutoff, deadline) {
             LpStatus::Optimal => {}
+            LpStatus::Infeasible | LpStatus::Cutoff => continue,
+            LpStatus::Unfinished => {
+                exhausted = false;
+                continue;
+            }
         }
-        if lp.objective >= incumbent_obj - config.gap_tolerance {
+        let objective = lp.objective();
+        if objective >= node_cutoff {
             continue; // cannot improve on the incumbent
         }
-        match most_fractional_binary(model, &lp.values) {
+        let values = lp.values();
+        match most_fractional_binary(model, &values) {
             None => {
                 // Integral (within tolerance): round binaries exactly and accept.
-                let mut values = lp.values.clone();
-                for var in model.binary_vars() {
-                    values[var.index()] = values[var.index()].round();
+                let mut values = values;
+                for (value, _) in values.iter_mut().zip(&binary).filter(|(_, &b)| b) {
+                    *value = value.round();
                 }
                 if model.is_feasible(&values, 1e-6) {
                     let obj = model.objective_value(&values);
@@ -122,27 +143,37 @@ pub fn solve_with_warm_start(
                 }
             }
             Some((var, _)) => {
-                let frac = lp.values[var.index()];
-                let first = if frac >= 0.5 { 1.0 } else { 0.0 };
-                let second = 1.0 - first;
+                let mut fixings = node.fixings;
+                let room = node_cutoff - objective;
+                for (j, bound, rate) in lp.nonbasic_reduced_costs() {
+                    if binary[j.index()] && rate > room {
+                        fixings.push((j, bound));
+                    }
+                }
+                let near = if values[var.index()] >= 0.5 { 1.0 } else { 0.0 };
                 // DFS: push the less promising child first so the more
                 // promising one is explored next.
-                let mut far = node.fixings.clone();
-                far.push((var, second));
-                stack.push(Node { fixings: far });
-                let mut near = node.fixings;
-                near.push((var, first));
-                stack.push(Node { fixings: near });
+                let mut far = fixings.clone();
+                far.push((var, 1.0 - near));
+                stack.push(Node { fixings: far, bound: objective });
+                fixings.push((var, near));
+                stack.push(Node { fixings, bound: objective });
             }
         }
-        let _ = tol;
     }
 
     let elapsed_ms = start.elapsed().as_millis();
     match incumbent {
         Some(values) => {
             let status = if exhausted { SolveStatus::Optimal } else { SolveStatus::Feasible };
-            Ok(Solution::new(values, incumbent_obj, status, nodes_explored, elapsed_ms))
+            Ok(Solution::new(
+                values,
+                incumbent_obj,
+                status,
+                nodes_explored,
+                lp.pivots(),
+                elapsed_ms,
+            ))
         }
         None => {
             if exhausted {
