@@ -9,6 +9,8 @@
 //! * **failure rates** — the retry machinery's overhead at 0% (fault-free
 //!   fast path), and end-to-end cost when a seeded fraction of jobs drops
 //!   once and re-routes to a healthy device.
+//!
+//! Every row times whole streaming requests: dispatch, fold and contract.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrcc_circuit::Circuit;
@@ -91,9 +93,9 @@ fn bench_failure_rates(c: &mut Criterion) {
                 );
                 registry.register("steady", ExactBackend::capped(4));
                 let scheduler = Scheduler::new(&registry, policy);
-                let (results, report) = pipeline.execute_scheduled(&scheduler).unwrap();
+                let (probabilities, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
                 assert!(fraction == 0.0 || report.dispatch.failures > 0);
-                results.unique_variants()
+                probabilities
             });
         });
     }

@@ -16,11 +16,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use qrcc_circuit::generators::{hamiltonian_simulation, HamiltonianKind};
 use qrcc_circuit::observable::PauliObservable;
 use qrcc_circuit::Circuit;
+use qrcc_core::execute::{execute_requests, ExecutionResults};
 use qrcc_core::pipeline::{ExactBackend, QrccPipeline};
 use qrcc_core::reconstruct::{
-    ExpectationAccumulator, ProbabilityReconstructor, ReconstructionOptions,
+    ExpectationAccumulator, ExpectationReconstructor, ProbabilityReconstructor,
+    ReconstructionOptions,
 };
-use qrcc_core::{QrccConfig, ReconstructionStrategy};
+use qrcc_core::{DeviceRegistry, QrccConfig, ReconstructionStrategy, SchedulePolicy, Scheduler};
 use std::time::Duration;
 
 fn chain_circuit(n: usize) -> Circuit {
@@ -40,6 +42,19 @@ fn config(d: usize, gate_cuts: bool) -> QrccConfig {
         .with_ilp_time_limit(Duration::ZERO)
 }
 
+/// A fresh exact backend as a one-entry registry.
+fn exact_fleet() -> DeviceRegistry {
+    let mut registry = DeviceRegistry::new();
+    registry.register("exact", ExactBackend::new());
+    registry
+}
+
+/// The probability workload's variants, executed once as one batch.
+fn probability_batch(pipeline: &QrccPipeline) -> ExecutionResults {
+    let requests = ProbabilityReconstructor::new().requests(pipeline.fragments()).unwrap();
+    execute_requests(pipeline.fragments(), &requests, &ExactBackend::new()).unwrap()
+}
+
 fn bench_probability_reconstruction(c: &mut Criterion) {
     let mut group = c.benchmark_group("probability_reconstruction");
     group.sample_size(10);
@@ -47,8 +62,9 @@ fn bench_probability_reconstruction(c: &mut Criterion) {
     let pipeline = QrccPipeline::plan(&circuit, config(4, false)).unwrap();
     group.bench_function("chain6_d4", |b| {
         b.iter(|| {
-            let backend = ExactBackend::new();
-            pipeline.reconstruct_probabilities(&backend).unwrap()
+            let registry = exact_fleet();
+            let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
+            pipeline.execute_streaming(&scheduler).unwrap()
         });
     });
     group.finish();
@@ -62,8 +78,9 @@ fn bench_expectation_reconstruction(c: &mut Criterion) {
     let pipeline = QrccPipeline::plan(&circuit, config(4, true)).unwrap();
     group.bench_function("qaoa6_d4_maxcut", |b| {
         b.iter(|| {
-            let backend = ExactBackend::new();
-            pipeline.reconstruct_expectation(&backend, &observable).unwrap()
+            let registry = exact_fleet();
+            let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
+            pipeline.execute_observables_streaming(&scheduler, &observable).unwrap()
         });
     });
     group.finish();
@@ -90,8 +107,7 @@ fn bench_dense_vs_contract(c: &mut Criterion) {
     // never holds more than a couple of legs at once.
     let pipeline = chain_plan(9);
     assert!(pipeline.fragments().fragments.len() >= 3);
-    let backend = ExactBackend::new();
-    let results = pipeline.execute(&backend).unwrap();
+    let results = probability_batch(&pipeline);
     for strategy in [ReconstructionStrategy::Dense, ReconstructionStrategy::Contract] {
         let reconstructor = ProbabilityReconstructor::with_options(ReconstructionOptions {
             strategy,
@@ -132,8 +148,7 @@ fn bench_dense_thread_scaling(c: &mut Criterion) {
         .with_qubit_reuse(false)
         .with_ilp_time_limit(Duration::ZERO);
     let pipeline = QrccPipeline::plan(&chain_circuit(13), config).unwrap();
-    let backend = ExactBackend::new();
-    let results = pipeline.execute(&backend).unwrap();
+    let results = probability_batch(&pipeline);
     let dense = ProbabilityReconstructor::with_options(ReconstructionOptions {
         strategy: ReconstructionStrategy::Dense,
         prune_tolerance: 0.0,
@@ -168,7 +183,8 @@ fn bench_fold_only(c: &mut Criterion) {
     let fragments = pipeline.fragments();
     assert!(fragments.num_wire_cuts() >= 4, "the fold bench needs a ≥4-wire-cut plan");
     assert!(observable.terms().len() >= 12, "the fold bench needs a many-term observable");
-    let results = pipeline.execute_observables(&ExactBackend::new(), &[&observable]).unwrap();
+    let requests = ExpectationReconstructor::new().requests(fragments, &observable).unwrap();
+    let results = execute_requests(fragments, &requests, &ExactBackend::new()).unwrap();
     group.bench_function("tfim3x4_d8_absorb_finish", |b| {
         b.iter(|| {
             let mut acc = ExpectationAccumulator::new(

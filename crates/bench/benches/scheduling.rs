@@ -4,13 +4,11 @@
 //!   budget — the allocation pass itself is classical bookkeeping, so the
 //!   interesting number is that variance weighting costs nothing extra at
 //!   dispatch time;
-//! * **blocking vs streamed reconstruction** — one scheduled run that
-//!   executes everything then reconstructs, against the chunked pipeline
-//!   where fragment-tensor folding overlaps device execution. On ideal
-//!   simulated devices the fast sampling path makes execution nearly free,
-//!   so the streamed variant mostly measures its chunking overhead; the
-//!   overlap wins when device latency dominates (noisy trajectory
-//!   simulation, real-device queues).
+//! * **streamed reconstruction** — one request streamed in chunks of 4, so
+//!   fragment-tensor folding overlaps device execution. On ideal simulated
+//!   devices the fast sampling path makes execution nearly free, so this
+//!   mostly measures the chunking overhead; the overlap wins when device
+//!   latency dominates (noisy trajectory simulation, real-device queues).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrcc_circuit::Circuit;
@@ -58,31 +56,21 @@ fn bench_allocation_modes(c: &mut Criterion) {
         let scheduler = Scheduler::new(&registry, policy);
         group.bench_function(format!("{allocation:?}"), |b| {
             b.iter(|| {
-                let (results, report) = pipeline.execute_scheduled(&scheduler).unwrap();
+                let (probabilities, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
                 assert_eq!(report.total_shots, 40_000);
-                results.unique_variants()
+                probabilities
             });
         });
     }
     group.finish();
 }
 
-/// Blocking (execute everything, then reconstruct) vs streamed (fold each
-/// chunk while the next executes) wall-clock, same devices and budget.
-fn bench_blocking_vs_streamed(c: &mut Criterion) {
+/// Streamed wall-clock: each chunk folds while the next executes.
+fn bench_streamed(c: &mut Criterion) {
     let pipeline = workload();
     let registry = registry();
     let mut group = c.benchmark_group("streaming");
     group.sample_size(10);
-
-    let blocking_policy = SchedulePolicy::with_budget(40_000).with_min_shots(16);
-    let blocking = Scheduler::new(&registry, blocking_policy);
-    group.bench_function("blocking_then_reconstruct", |b| {
-        b.iter(|| {
-            let (results, _) = pipeline.execute_scheduled(&blocking).unwrap();
-            pipeline.reconstruct_probabilities_from(&results).unwrap()
-        });
-    });
 
     let streamed_policy = SchedulePolicy::with_budget(40_000).with_min_shots(16).with_chunk_size(4);
     let streamed = Scheduler::new(&registry, streamed_policy);
@@ -95,5 +83,5 @@ fn bench_blocking_vs_streamed(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_allocation_modes, bench_blocking_vs_streamed);
+criterion_group!(benches, bench_allocation_modes, bench_streamed);
 criterion_main!(benches);

@@ -86,12 +86,10 @@ fn run_sweep(
     let mut latency = Histogram::new();
     for pipeline in pipelines {
         let t = Instant::now();
-        let (results, report) = pipeline.execute_scheduled(scheduler).expect("sweep executes");
-        shots += report.total_shots;
-        let (p, recon) =
-            pipeline.reconstruct_probabilities_with_report_from(&results).expect("reconstructs");
+        let (p, _, report) = pipeline.execute_streaming(scheduler).expect("sweep executes");
         latency.record_duration(t.elapsed());
-        assert!(recon.result_cache.is_some(), "cache counters must reach the report");
+        shots += report.total_shots;
+        assert!(report.result_cache.is_some(), "cache counters must reach the report");
         outputs.push(p);
     }
     (outputs, shots, latency)

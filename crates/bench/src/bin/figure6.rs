@@ -72,22 +72,14 @@ fn scheduled_dispatch_demo() {
     registry.register_device("dev2", Device::new(DeviceConfig::ideal(2).with_seed(13)), 1);
     let policy = SchedulePolicy::with_budget(100_000).with_min_shots(64).with_chunk_size(4);
     let scheduler = Scheduler::new(&registry, policy);
-    let (results, report) = pipeline.execute_scheduled(&scheduler).expect("schedule");
-    let (_, reconstruction) =
-        pipeline.reconstruct_probabilities_with_report_from(&results).expect("reconstruct");
+    let (_, reconstruction, report) = pipeline.execute_streaming(&scheduler).expect("schedule");
 
     println!(
         "\nScheduled dispatch demo (6q chain on 3q+2q devices, {} shot budget, {:?} allocation):",
         report.total_shots, report.allocation
     );
-    println!(
-        "  {} circuits in {} chunks; requested {} variants, executed {} after dedup",
-        report.circuits,
-        report.chunks,
-        results.requested(),
-        results.executed()
-    );
-    for usage in results.routing() {
+    println!("  {} circuits in {} chunks after dedup", report.circuits, report.chunks);
+    for usage in &report.backends {
         println!(
             "  {:>6}: {:>3} circuits, {:>6} shots",
             usage.backend, usage.circuits, usage.shots
@@ -95,6 +87,8 @@ fn scheduled_dispatch_demo() {
     }
     println!(
         "  reconstruction consumed {} shots across {} backends ({:?} strategy)",
-        reconstruction.shots_spent, reconstruction.backends_used, reconstruction.strategy
+        report.total_shots,
+        report.backends.len(),
+        reconstruction.strategy
     );
 }

@@ -10,7 +10,8 @@
 use qrcc_bench::{harness_config, print_header, Scale};
 use qrcc_circuit::generators;
 use qrcc_circuit::observable::PauliObservable;
-use qrcc_core::pipeline::{QrccPipeline, ShotsBackend};
+use qrcc_core::pipeline::QrccPipeline;
+use qrcc_core::{DeviceRegistry, Scheduler};
 use qrcc_sim::device::{Device, DeviceConfig};
 use qrcc_sim::noise::NoiseModel;
 use qrcc_sim::StateVector;
@@ -52,7 +53,7 @@ fn main() {
     // QRCC: cut to 4-qubit subcircuits, run on a noisy 4-qubit device,
     // reconstruct classically.
     let config = harness_config(4, 0.7, true).with_subcircuit_range(2, 3);
-    let pipeline = match QrccPipeline::plan(&circuit, config) {
+    let pipeline = match QrccPipeline::plan(&circuit, config.clone()) {
         Ok(pipeline) => pipeline,
         Err(e) => {
             eprintln!("could not plan REG(7) for a 4-qubit device: {e}");
@@ -67,16 +68,17 @@ fn main() {
         plan.gate_cut_count(),
         pipeline.total_instances()
     );
-    let backend =
-        ShotsBackend::new(Device::new(DeviceConfig::noisy(4, noise).with_seed(300)), shots);
-    // One deduplicated batch of noisy subcircuit runs serves every Pauli term.
-    let results = pipeline.execute_observables(&backend, &[&observable]).unwrap();
-    println!(
-        "batch execution: {} variant requests → {} noisy device runs after dedup",
-        results.requested(),
-        results.executed()
+    let mut registry = DeviceRegistry::new();
+    registry.register_device(
+        "noisy (4q)",
+        Device::new(DeviceConfig::noisy(4, noise).with_seed(300)),
+        shots,
     );
-    let qrcc_value = pipeline.reconstruct_expectation_from(&results, &observable).unwrap();
+    // One deduplicated batch of noisy subcircuit runs serves every Pauli term.
+    let scheduler = Scheduler::new(&registry, config.schedule);
+    let (qrcc_value, _, schedule) =
+        pipeline.execute_observables_streaming(&scheduler, &observable).unwrap();
+    println!("batch execution: {} noisy device runs after dedup", schedule.circuits);
 
     print_header(
         "Table 3: REG(m=2), N=7, D=4 — expectation value and accuracy",

@@ -285,7 +285,7 @@ mod tests {
 
         // ... and the runtime agrees
         let scheduler = Scheduler::new(&fleet, pipeline.plan_ref().config().schedule);
-        let err = pipeline.execute_scheduled(&scheduler).unwrap_err();
+        let err = pipeline.execute_streaming(&scheduler).unwrap_err();
         assert!(
             matches!(err, CoreError::NoCompatibleBackend { .. })
                 || matches!(err, CoreError::RetriesExhausted { .. }),
@@ -319,7 +319,7 @@ mod tests {
         let mut fleet = DeviceRegistry::new();
         fleet.register("exact", ExactBackend::new());
         let scheduler = Scheduler::new(&fleet, starved.schedule);
-        let err = pipeline.execute_scheduled(&scheduler).unwrap_err();
+        let err = pipeline.execute_streaming(&scheduler).unwrap_err();
         assert!(matches!(err, CoreError::ShotBudgetTooSmall { .. }), "{err}");
 
         // a generous budget analyzes clean

@@ -107,9 +107,9 @@ impl ResultCachePolicy {
 }
 
 /// Cumulative counters of one [`ResultCache`], snapshotted by
-/// [`ResultCache::stats`]. Flows into
-/// [`ExecutionResults`](crate::execute::ExecutionResults) and
-/// [`ReconstructionReport::result_cache`](crate::reconstruct::ReconstructionReport::result_cache).
+/// [`ResultCache::stats`]. A scheduled run reports the registry cache's
+/// snapshot in
+/// [`ScheduleReport::result_cache`](crate::schedule::ScheduleReport::result_cache).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups fully served from the cache (no execution needed).

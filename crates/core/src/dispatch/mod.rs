@@ -39,8 +39,8 @@
 //!   and retry counters ride on
 //!   [`BackendUsage`](crate::execute::BackendUsage) into
 //!   [`ExecutionResults::routing`](crate::execute::ExecutionResults::routing)
-//!   and the
-//!   [`ReconstructionReport`](crate::reconstruct::ReconstructionReport).
+//!   and from there into the
+//!   [`ScheduleReport`](crate::schedule::ScheduleReport).
 //!
 //! [`SchedulePolicy::max_in_flight_chunks`]: crate::SchedulePolicy::max_in_flight_chunks
 //! [`SchedulePolicy::max_retries`]: crate::SchedulePolicy::max_retries
@@ -109,11 +109,6 @@ impl<'r> Dispatcher<'r> {
         Dispatcher { registry, policy }
     }
 
-    /// The policy this dispatcher runs with.
-    pub fn policy(&self) -> &SchedulePolicy {
-        &self.policy
-    }
-
     /// Runs one prepared (deduplicated, shot-allocated) batch through the
     /// worker pool, delivering each chunk's [`ExecutionResults`] to `sink`
     /// in chunk order.
@@ -142,8 +137,7 @@ impl<'r> Dispatcher<'r> {
         if total == 0 {
             // preserve the chunk protocol: an empty batch still delivers one
             // (empty, accounted) chunk
-            let mut chunk = ExecutionResults::new_accounted(batch.requested, 0);
-            chunk.set_cache_stats(self.registry.cache_stats());
+            let chunk = ExecutionResults::new_accounted(batch.requested, 0);
             let started = Instant::now();
             sink(chunk)?;
             stats.deliver_wall = started.elapsed();
@@ -318,9 +312,6 @@ impl<'r> Dispatcher<'r> {
                             entry_usage.backend = entries[entry_index].name().to_string();
                             chunk.record_usage(entry_usage);
                         }
-                        // cumulative cache counters ride on every chunk so
-                        // streaming consumers always see the newest snapshot
-                        chunk.set_cache_stats(cache.map(|c| c.stats()));
                         let started = Instant::now();
                         {
                             let _span = tracer.span_under("phase.deliver", dispatch_span);

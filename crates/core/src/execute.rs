@@ -13,15 +13,15 @@
 //!    [`structural hash`](qrcc_circuit::Circuit::structural_hash) catches e.g.
 //!    gate-cut instances 3/4, which instantiate identically on the measuring
 //!    half). The surviving circuits form the batch.
-//! 3. **Route** *(scheduled runs)* — a
-//!    [`Scheduler`](crate::schedule::Scheduler) places each deduplicated
-//!    circuit on a compatible backend of a
+//! 3. **Route** — a [`Scheduler`](crate::schedule::Scheduler) places each
+//!    deduplicated circuit on a compatible backend of a
 //!    [`DeviceRegistry`](crate::schedule::DeviceRegistry) (heterogeneous
-//!    qubit counts, noise, shot costs) and splits a global shot budget
-//!    across the batch by reconstruction-variance weight (ShotQC-style).
-//!    The single-backend [`execute_requests`] path skips routing: the whole
-//!    batch goes to one backend as **one**
-//!    [`ExecutionBackend::run_batch`] / `run_batch_with_shots` call.
+//!    qubit counts, noise, shot costs; a single backend is a one-entry
+//!    registry) and splits a global shot budget across the batch by
+//!    reconstruction-variance weight (ShotQC-style). [`execute_requests`]
+//!    skips routing and dispatch — the whole batch goes to one backend as
+//!    **one** [`ExecutionBackend::run_batch`] call — and is the reference
+//!    the scheduled path is tested against.
 //! 4. **Dispatch** — the [`dispatch`](crate::dispatch) event loop drives the
 //!    routed sub-batches through one worker thread per backend, keeping at
 //!    most [`SchedulePolicy::max_in_flight_chunks`] chunks undelivered (a
@@ -35,10 +35,9 @@
 //!    ([`ProbabilityAccumulator`](crate::reconstruct::ProbabilityAccumulator) /
 //!    [`ExpectationAccumulator`](crate::reconstruct::ExpectationAccumulator)),
 //!    sorted by `(fragment, variant ordinal)`, so tensor building overlaps
-//!    device execution. A blocking consumer folds the merged
-//!    [`ExecutionResults`] the same way, as one chunk, and never talks to a
-//!    backend directly. One batch serves the probability reconstruction
-//!    *and* any number of expectation observables.
+//!    device execution. A blocking `reconstruct` (e.g. over an
+//!    [`execute_requests`] batch) folds a whole [`ExecutionResults`] the
+//!    same way, as one chunk, so both agree bit for bit.
 //! 6. **Contract** — once every variant has arrived, only the final
 //!    contraction (dense mixed-radix loop or pairwise fragment-tensor
 //!    contraction) remains; see [`crate::reconstruct`].
@@ -56,7 +55,6 @@
 //! and in front of a remote worker's backend (`QrccServer::with_result_cache`
 //! in `qrcc-net`).
 
-use crate::cache::CacheStats;
 use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::Circuit;
@@ -204,22 +202,13 @@ pub struct ExecutionResults {
     requested: u64,
     executed: u64,
     routing: Vec<BackendUsage>,
-    kernel_stats: Option<CompileStats>,
-    cache_stats: Option<CacheStats>,
 }
 
 impl ExecutionResults {
     /// An empty result set carrying only dedup accounting — the scheduler
     /// fills it key by key as a chunk's backends return.
     pub(crate) fn new_accounted(requested: u64, executed: u64) -> Self {
-        ExecutionResults {
-            distributions: HashMap::new(),
-            requested,
-            executed,
-            routing: Vec::new(),
-            kernel_stats: None,
-            cache_stats: None,
-        }
+        ExecutionResults { distributions: HashMap::new(), requested, executed, routing: Vec::new() }
     }
 
     /// Stores one key's distribution (later inserts win).
@@ -239,16 +228,6 @@ impl ExecutionResults {
             .get(key)
             .map(Vec::as_slice)
             .ok_or(CoreError::MissingVariant { fragment: key.fragment })
-    }
-
-    /// The distribution for `key`, if present.
-    pub fn get(&self, key: &VariantKey) -> Option<&[f64]> {
-        self.distributions.get(key).map(Vec::as_slice)
-    }
-
-    /// Whether the batch contains `key`.
-    pub fn contains(&self, key: &VariantKey) -> bool {
-        self.distributions.contains_key(key)
     }
 
     /// Number of distinct variant keys held.
@@ -285,59 +264,10 @@ impl ExecutionResults {
         &self.routing
     }
 
-    /// Total shots spent across all backends (0 for exact-only batches).
-    pub fn shots_spent(&self) -> u64 {
-        self.routing.iter().map(|usage| usage.shots).sum()
-    }
-
-    /// Total circuit executions that failed on some backend while this batch
-    /// was dispatched (0 unless a fault-tolerant dispatch run re-routed
-    /// work).
-    pub fn failures(&self) -> u64 {
-        self.routing.iter().map(|usage| usage.failures).sum()
-    }
-
-    /// Total successful executions that were retries — circuits that failed
-    /// elsewhere first and were re-routed here by the dispatcher.
-    pub fn retries(&self) -> u64 {
-        self.routing.iter().map(|usage| usage.retries).sum()
-    }
-
     /// Records work done by one backend, merging with an existing entry of
     /// the same label.
     pub fn record_usage(&mut self, usage: BackendUsage) {
         usage.merge_into(&mut self.routing);
-    }
-
-    /// Kernel-compilation statistics of the simulator backend that executed
-    /// this batch (`None` when every backend interpreted gate-by-gate, or
-    /// when the producer did not record them). Filled by [`execute_requests`]
-    /// and the scheduler's merged-results path from
-    /// [`ExecutionBackend::compile_stats`].
-    pub fn kernel_stats(&self) -> Option<&CompileStats> {
-        self.kernel_stats.as_ref()
-    }
-
-    /// Records the kernel-compilation statistics of the executing backend
-    /// (replacing any previous record — the stats are cumulative cache
-    /// aggregates, not per-batch deltas, so the latest snapshot wins).
-    pub fn set_kernel_stats(&mut self, stats: Option<CompileStats>) {
-        self.kernel_stats = stats;
-    }
-
-    /// Result-cache counters of the cache that served (part of) this batch
-    /// (`None` when no cache was consulted). Filled by the dispatch layer
-    /// when a [`ResultCache`](crate::cache::ResultCache) is attached to the
-    /// registry.
-    pub fn cache_stats(&self) -> Option<&CacheStats> {
-        self.cache_stats.as_ref()
-    }
-
-    /// Records the result-cache counters (replacing any previous record —
-    /// like kernel stats, these are cumulative snapshots, so the latest
-    /// wins).
-    pub fn set_cache_stats(&mut self, stats: Option<CacheStats>) {
-        self.cache_stats = stats;
     }
 
     /// Merges another batch into this one (later batches win on key
@@ -348,16 +278,6 @@ impl ExecutionResults {
         self.executed += other.executed;
         for usage in other.routing {
             self.record_usage(usage);
-        }
-        // Kernel stats are cumulative snapshots of the producing backend's
-        // cache, so a later batch from the same backend supersedes — keep the
-        // newest non-empty record.
-        if other.kernel_stats.is_some() {
-            self.kernel_stats = other.kernel_stats;
-        }
-        // Same snapshot semantics for the result-cache counters.
-        if other.cache_stats.is_some() {
-            self.cache_stats = other.cache_stats;
         }
     }
 }
@@ -469,8 +389,6 @@ impl PreparedBatch<'_> {
             requested: self.requested,
             executed: self.circuits.len() as u64,
             routing: Vec::new(),
-            kernel_stats: None,
-            cache_stats: None,
         };
         for (key, &circuit_index) in self.unique_keys.iter().zip(&self.circuit_of_key) {
             results.distributions.insert((*key).clone(), distributions[circuit_index].clone());
@@ -505,7 +423,6 @@ pub fn execute_requests(
         shots: circuits * backend.shots_per_circuit().unwrap_or(0),
         ..BackendUsage::default()
     });
-    results.set_kernel_stats(backend.compile_stats());
     Ok(results)
 }
 
@@ -1042,7 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_requests_records_kernel_stats() {
+    fn repeated_batches_share_compiled_kernel_bodies() {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
         let plan = CutPlanner::new(
@@ -1056,17 +973,17 @@ mod tests {
         let backend = ExactBackend::new();
         let compiled = execute_requests(&fragments, &requests, &backend).unwrap();
         if !interpreted_forced_by_env() {
-            let stats = compiled.kernel_stats().expect("compiled backend records stats");
+            let stats = backend.compile_stats().expect("compiled backend records stats");
             assert!(stats.gates_in > 0);
             assert!(stats.cache_misses > 0, "first batch compiles bodies: {stats}");
             // a second identical batch reuses the compiled bodies
-            let again = execute_requests(&fragments, &requests, &backend).unwrap();
-            let stats = again.kernel_stats().expect("stats persist across batches");
+            execute_requests(&fragments, &requests, &backend).unwrap();
+            let stats = backend.compile_stats().expect("stats persist across batches");
             assert!(stats.cache_hits > 0, "repeated batches share compiled bodies: {stats}");
         }
-        let interpreted =
-            execute_requests(&fragments, &requests, &ExactBackend::interpreted()).unwrap();
-        assert!(interpreted.kernel_stats().is_none());
+        let interpreted_backend = ExactBackend::interpreted();
+        let interpreted = execute_requests(&fragments, &requests, &interpreted_backend).unwrap();
+        assert!(interpreted_backend.compile_stats().is_none());
         // interpreted and compiled agree on every variant distribution
         for (key, dist) in compiled.iter() {
             let other = interpreted.distribution(key).unwrap();

@@ -18,8 +18,8 @@
 //!   Mitarai–Fujii instances for gate cuts).
 //! * [`execute`] — the batch-first execution layer: enumerate
 //!   [`fragment::VariantRequest`]s, deduplicate by structural
-//!   [`fragment::VariantKey`], run one rayon-parallel batch on an
-//!   [`execute::ExecutionBackend`].
+//!   [`fragment::VariantKey`], and the [`execute::ExecutionBackend`]s that
+//!   run the deduplicated circuits as rayon-parallel batches.
 //! * [`schedule`] — the execution scheduler between batching and
 //!   reconstruction: route each deduplicated circuit across a
 //!   [`schedule::DeviceRegistry`] of heterogeneous backends, split a global
@@ -43,24 +43,28 @@
 //!   by [`ReconstructionStrategy`]), and the post-processing cost models of
 //!   Figure 6.
 //! * [`pipeline::QrccPipeline`] — the end-to-end flow
-//!   (plan → fragments → execute → reconstruct).
+//!   (plan → fragments → execute → reconstruct), one streaming request per
+//!   answer.
 //!
 //! # Example
 //!
 //! ```rust
 //! use qrcc_circuit::Circuit;
 //! use qrcc_core::pipeline::{ExactBackend, QrccPipeline};
-//! use qrcc_core::QrccConfig;
+//! use qrcc_core::{DeviceRegistry, QrccConfig, Scheduler};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Evaluate a 4-qubit GHZ circuit using only a 3-qubit device.
 //! let mut ghz = Circuit::new(4);
 //! ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
-//! let pipeline = QrccPipeline::plan(&ghz, QrccConfig::new(3))?;
-//! // execute once (deduplicated, parallel batch), then consume
-//! let backend = ExactBackend::new();
-//! let results = pipeline.execute(&backend)?;
-//! let p = pipeline.reconstruct_probabilities_from(&results)?;
+//! let config = QrccConfig::new(3);
+//! let pipeline = QrccPipeline::plan(&ghz, config.clone())?;
+//! // one request: a deduplicated batch streams through the scheduler and
+//! // folds as it lands; a single backend is a one-entry registry
+//! let mut registry = DeviceRegistry::new();
+//! registry.register("exact", ExactBackend::new());
+//! let scheduler = Scheduler::new(&registry, config.schedule);
+//! let (p, _, _) = pipeline.execute_streaming(&scheduler)?;
 //! assert!((p[0b0000] - 0.5).abs() < 1e-6);
 //! # Ok(())
 //! # }

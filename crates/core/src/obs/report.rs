@@ -127,7 +127,9 @@ pub mod adapt {
             .with_gauge("compile.fusion_ratio", stats.fusion_ratio())
     }
 
-    /// [`ScheduleReport`] (minus its embedded dispatch stats) as metrics.
+    /// [`ScheduleReport`] as metrics: its own totals plus the embedded
+    /// dispatch stats and, when present, the kernel-compile and
+    /// result-cache snapshots.
     pub fn schedule_metrics(report: &ScheduleReport) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default()
             .with_counter("schedule.total_shots", report.total_shots)
@@ -135,22 +137,6 @@ pub mod adapt {
             .with_counter("schedule.chunks", report.chunks as u64)
             .with_gauge("schedule.backends", report.backends.len() as f64);
         snap.merge(&dispatch_metrics(&report.dispatch));
-        snap
-    }
-
-    /// The flat reconstruction fields (plus nested kernel-compile and
-    /// result-cache stats when present) as metrics.
-    pub fn reconstruction_metrics(report: &ReconstructionReport) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default()
-            .with_counter("reconstruct.contractions", report.contractions as u64)
-            .with_counter("reconstruct.kept_terms", report.kept_terms as u64)
-            .with_counter("reconstruct.pruned_terms", report.pruned_terms as u64)
-            .with_counter("reconstruct.shots_spent", report.shots_spent)
-            .with_counter("reconstruct.dispatch_failures", report.dispatch_failures)
-            .with_counter("reconstruct.dispatch_retries", report.dispatch_retries)
-            .with_gauge("reconstruct.backends_used", report.backends_used as f64)
-            .with_gauge("reconstruct.pruned_weight", report.pruned_weight)
-            .with_gauge("reconstruct.max_contraction_legs", report.max_contraction_legs as f64);
         if let Some(compile) = &report.kernel_compile {
             snap.merge(&compile_metrics(compile));
         }
@@ -158,6 +144,16 @@ pub mod adapt {
             snap.merge(&cache_metrics(cache));
         }
         snap
+    }
+
+    /// The flat reconstruction fields as metrics.
+    pub fn reconstruction_metrics(report: &ReconstructionReport) -> MetricsSnapshot {
+        MetricsSnapshot::default()
+            .with_counter("reconstruct.contractions", report.contractions as u64)
+            .with_counter("reconstruct.kept_terms", report.kept_terms as u64)
+            .with_counter("reconstruct.pruned_terms", report.pruned_terms as u64)
+            .with_gauge("reconstruct.pruned_weight", report.pruned_weight)
+            .with_gauge("reconstruct.max_contraction_legs", report.max_contraction_legs as f64)
     }
 }
 
@@ -327,6 +323,28 @@ mod tests {
         assert_eq!(get("dispatch.jobs_dispatched"), Some(4));
         assert_eq!(get("dispatch.failures"), Some(1));
         assert_eq!(get("dispatch.execute_wall_total_us"), Some(4_000));
+    }
+
+    #[test]
+    fn schedule_adapter_carries_the_compile_and_cache_snapshots() {
+        let counter = |snap: &MetricsSnapshot, n: &str| {
+            snap.counters.iter().find(|(k, _)| k == n).map(|(_, v)| *v)
+        };
+        let bare = adapt::schedule_metrics(&ScheduleReport::default());
+        assert_eq!(counter(&bare, "compile.kernels_out"), None);
+        assert_eq!(counter(&bare, "cache.hits"), None);
+
+        let report = ScheduleReport {
+            kernel_compile: Some(qrcc_sim::compile::CompileStats {
+                kernels_out: 7,
+                ..Default::default()
+            }),
+            result_cache: Some(CacheStats { hits: 3, ..CacheStats::default() }),
+            ..ScheduleReport::default()
+        };
+        let snap = adapt::schedule_metrics(&report);
+        assert_eq!(counter(&snap, "compile.kernels_out"), Some(7));
+        assert_eq!(counter(&snap, "cache.hits"), Some(3));
     }
 
     #[test]

@@ -2,31 +2,30 @@
 //!
 //! [`QrccPipeline`] bundles the steps the paper's Figure 4 / Table 3 flow
 //! performs: plan a cut for a device size, generate the subcircuit variants,
-//! run them on a backend (exact simulator or a noisy shots-based device), and
-//! reconstruct either the probability distribution (wire cuts only) or an
-//! observable's expectation value (wire + gate cuts).
+//! run them on a fleet of backends (exact simulators, noisy shots-based
+//! devices, remote workers), and reconstruct either the probability
+//! distribution (wire cuts only) or an observable's expectation value (wire
+//! + gate cuts).
 //!
-//! Execution is batch-first: [`QrccPipeline::execute`] (and
-//! [`QrccPipeline::execute_observables`]) enumerate every needed
-//! [`FragmentVariant`](crate::fragment::FragmentVariant) as pure data,
-//! deduplicate by structural [`VariantKey`](crate::fragment::VariantKey), and
-//! submit **one batch** to the backend — which the provided backends run
-//! rayon-parallel. The returned [`ExecutionResults`] can then feed
-//! [`QrccPipeline::reconstruct_probabilities_from`] and any number of
-//! [`QrccPipeline::reconstruct_expectation_from`] calls without touching the
-//! device again.
+//! A request is one call: [`QrccPipeline::execute_streaming`] or
+//! [`QrccPipeline::execute_observables_streaming`]. Either enumerates every
+//! needed [`FragmentVariant`](crate::fragment::FragmentVariant) as pure data
+//! and hands the requests to a [`Scheduler`], which deduplicates them by
+//! structural [`VariantKey`](crate::fragment::VariantKey), routes the batch
+//! across its [`DeviceRegistry`](crate::schedule::DeviceRegistry) and
+//! dispatches it fault-tolerantly in chunks (bounded in-flight windows,
+//! retry with failer exclusion — see [`crate::dispatch`]). This thread folds
+//! every delivered chunk into fragment tensors as it arrives, overlapping
+//! reconstruction with device execution, and contracts once the last chunk
+//! lands. A single backend is a one-entry registry.
 //!
-//! Multi-device runs go through a [`Scheduler`]:
-//! [`QrccPipeline::execute_scheduled`] routes the batch across a device
-//! registry and dispatches it fault-tolerantly (bounded in-flight windows,
-//! retry with failer exclusion — see [`crate::dispatch`]), while
-//! [`QrccPipeline::execute_streaming`] and
-//! [`QrccPipeline::execute_observables_streaming`] additionally fold each
-//! delivered chunk into fragment tensors as it arrives, overlapping
-//! reconstruction with device execution for both workloads.
+//! The call returns the answer, the [`ReconstructionReport`] (strategy,
+//! contraction and pruning counters, phase profile) and the
+//! [`ScheduleReport`] — the run's one account of shots, per-backend usage,
+//! dispatch counters and the kernel-compile and result-cache snapshots.
 
 use crate::analyze::{AnalysisContext, AnalysisReport, Analyzer};
-use crate::execute::{execute_requests, ExecutionBackend, ExecutionResults};
+use crate::execute::ExecutionResults;
 use crate::fragment::{FragmentSet, VariantRequest};
 use crate::planner::{CutPlan, CutPlanner};
 use crate::reconstruct::{
@@ -46,18 +45,21 @@ pub use crate::execute::{ExactBackend, ExecutionBackend as Backend, ShotsBackend
 /// ```rust
 /// use qrcc_circuit::Circuit;
 /// use qrcc_core::pipeline::{ExactBackend, QrccPipeline};
-/// use qrcc_core::QrccConfig;
+/// use qrcc_core::{DeviceRegistry, QrccConfig, Scheduler};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut ghz = Circuit::new(4);
 /// ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
 /// let config = QrccConfig::new(3).with_ilp_time_limit(std::time::Duration::ZERO);
-/// let pipeline = QrccPipeline::plan(&ghz, config)?;
-/// // enumerate → dedup → one parallel batch → consume
-/// let backend = ExactBackend::new();
-/// let results = pipeline.execute(&backend)?;
-/// let probabilities = pipeline.reconstruct_probabilities_from(&results)?;
+/// let pipeline = QrccPipeline::plan(&ghz, config.clone())?;
+/// // one backend is a one-entry registry
+/// let mut registry = DeviceRegistry::new();
+/// registry.register("exact", ExactBackend::new());
+/// // enumerate → dedup → dispatch → fold → contract
+/// let scheduler = Scheduler::new(&registry, config.schedule);
+/// let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler)?;
 /// assert!((probabilities[0] - 0.5).abs() < 1e-6);
+/// assert_eq!(schedule.backends.len(), 1);
 /// assert!((probabilities[0b1111] - 0.5).abs() < 1e-6);
 /// # Ok(())
 /// # }
@@ -115,14 +117,6 @@ impl QrccPipeline {
         ReconstructionOptions::from_config(self.plan.config())
     }
 
-    fn probability_reconstructor(&self) -> ProbabilityReconstructor {
-        ProbabilityReconstructor::with_options(self.reconstruction_options())
-    }
-
-    fn expectation_reconstructor(&self) -> ExpectationReconstructor {
-        ExpectationReconstructor::with_options(self.reconstruction_options())
-    }
-
     // ---- phase 0: pre-flight static analysis ----
 
     /// Runs the pre-flight [`analyze`](crate::analyze) pass over the plan:
@@ -156,7 +150,7 @@ impl QrccPipeline {
     /// [`QrccPipeline::analyze_with_fleet`] plus the severity gate of the
     /// plan's [`QrccConfig::lint_level`]: returns the report when it passes,
     /// fails fast otherwise — call this before
-    /// [`QrccPipeline::execute_scheduled`] to turn mid-dispatch failures
+    /// [`QrccPipeline::execute_streaming`] to turn mid-dispatch failures
     /// into a pre-flight [`CoreError::AnalysisFailed`].
     ///
     /// # Errors
@@ -172,173 +166,60 @@ impl QrccPipeline {
         Ok(report)
     }
 
-    // ---- phase 1+2: enumerate, deduplicate and execute ----
+    // ---- one request: enumerate → dedup → route → dispatch → fold → contract ----
 
-    /// Executes the probability workload's variants as one deduplicated
-    /// batch on `backend`.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::GateCutNeedsExpectation`] if the plan contains gate
-    ///   cuts (use [`QrccPipeline::execute_observables`] instead).
-    /// * [`CoreError::TooManyCuts`] if the plan exceeds what the configured
-    ///   reconstruction strategy supports (total cuts for `Dense`,
-    ///   per-contraction legs for `Contract`).
-    /// * Any backend error.
-    pub fn execute(&self, backend: &dyn ExecutionBackend) -> Result<ExecutionResults, CoreError> {
-        let requests = self.probability_reconstructor().requests(&self.fragments)?;
-        self.execute_requests(backend, &requests)
-    }
-
-    /// Executes, as **one** deduplicated batch, every variant needed to
-    /// evaluate all `observables` — Pauli terms (within and across
-    /// observables) that share measurement-basis signatures run once.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`ExpectationReconstructor::requests`], plus any backend error.
-    pub fn execute_observables(
-        &self,
-        backend: &dyn ExecutionBackend,
-        observables: &[&PauliObservable],
-    ) -> Result<ExecutionResults, CoreError> {
-        self.execute_requests(backend, &self.observable_requests(observables)?)
-    }
-
-    /// Executes, as one deduplicated batch, the union of the probability
-    /// workload (when the plan is wire-cut-only) and every observable's
-    /// variants — the result serves
-    /// [`QrccPipeline::reconstruct_probabilities_from`] *and*
-    /// [`QrccPipeline::reconstruct_expectation_from`] for each observable
-    /// without re-execution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QrccPipeline::execute`] /
-    /// [`QrccPipeline::execute_observables`] (gate-cut plans skip the
-    /// probability part instead of erroring), plus any backend error.
-    pub fn execute_all(
-        &self,
-        backend: &dyn ExecutionBackend,
-        observables: &[&PauliObservable],
-    ) -> Result<ExecutionResults, CoreError> {
-        let mut requests = Vec::new();
-        if self.fragments.num_gate_cuts() == 0 {
-            requests.extend(self.probability_reconstructor().requests(&self.fragments)?);
-        }
-        requests.extend(self.observable_requests(observables)?);
-        self.execute_requests(backend, &requests)
-    }
-
-    /// Every variant request `observables` need, in observable order.
-    fn observable_requests(
-        &self,
-        observables: &[&PauliObservable],
-    ) -> Result<Vec<VariantRequest>, CoreError> {
-        let reconstructor = self.expectation_reconstructor();
-        let mut requests = Vec::new();
-        for observable in observables {
-            requests.extend(reconstructor.requests(&self.fragments, observable)?);
-        }
-        Ok(requests)
-    }
-
-    /// Executes an explicit request list (phase 2 only): deduplicates by
-    /// [`VariantKey`](crate::fragment::VariantKey), collapses structurally
-    /// identical circuits and submits one batch.
-    ///
-    /// # Errors
-    ///
-    /// See [`execute_requests`].
-    pub fn execute_requests(
-        &self,
-        backend: &dyn ExecutionBackend,
-        requests: &[VariantRequest],
-    ) -> Result<ExecutionResults, CoreError> {
-        execute_requests(&self.fragments, requests, backend)
-    }
-
-    // ---- scheduled execution: multi-device routing + shot allocation ----
-
-    /// Executes the probability workload through a multi-device
-    /// [`Scheduler`]: the deduplicated batch is routed across the
-    /// scheduler's [`DeviceRegistry`](crate::schedule::DeviceRegistry)
-    /// (backends run concurrently), and an optional global shot budget is
-    /// split by reconstruction-variance weight. Returns the merged results
-    /// plus the [`ScheduleReport`] (per-backend routing, shots spent).
-    ///
-    /// # Errors
-    ///
-    /// See [`QrccPipeline::execute`] and [`Scheduler::execute_chunked`].
-    pub fn execute_scheduled(
-        &self,
-        scheduler: &Scheduler<'_>,
-    ) -> Result<(ExecutionResults, ScheduleReport), CoreError> {
-        let requests = self.probability_reconstructor().requests(&self.fragments)?;
-        scheduler.execute_with_report(&self.fragments, &requests)
-    }
-
-    /// Executes every observable's variants through a multi-device
-    /// [`Scheduler`] — the scheduled counterpart of
-    /// [`QrccPipeline::execute_observables`].
-    ///
-    /// # Errors
-    ///
-    /// See [`QrccPipeline::execute_observables`] and
-    /// [`Scheduler::execute_chunked`].
-    pub fn execute_observables_scheduled(
-        &self,
-        scheduler: &Scheduler<'_>,
-        observables: &[&PauliObservable],
-    ) -> Result<(ExecutionResults, ScheduleReport), CoreError> {
-        scheduler.execute_with_report(&self.fragments, &self.observable_requests(observables)?)
-    }
-
-    /// Streams the probability workload: the scheduler executes the batch in
-    /// chunks (size from
+    /// Reconstructs the probability distribution: the scheduler executes the
+    /// deduplicated batch in chunks (size from
     /// [`SchedulePolicy::chunk_size`](crate::SchedulePolicy::chunk_size)) on
-    /// a worker thread while this thread folds every finished chunk into the
-    /// fragment tensors — so
+    /// a worker thread, routed across its registry under an optional global
+    /// shot budget split by reconstruction-variance weight, while this
+    /// thread folds every finished chunk into the fragment tensors — so
     /// classical reconstruction overlaps device execution, and only the
     /// final contraction remains once the last chunk lands.
     ///
     /// # Errors
     ///
-    /// See [`QrccPipeline::execute_scheduled`] and
-    /// [`ProbabilityAccumulator`].
+    /// * [`CoreError::GateCutNeedsExpectation`] if the plan contains gate
+    ///   cuts (use [`QrccPipeline::execute_observables_streaming`] instead).
+    /// * [`CoreError::TooManyCuts`] if the plan exceeds what the configured
+    ///   reconstruction strategy supports (total cuts for `Dense`,
+    ///   per-contraction legs for `Contract`).
+    /// * Any error of [`Scheduler::execute_chunked`] or
+    ///   [`ProbabilityAccumulator`].
     pub fn execute_streaming(
         &self,
         scheduler: &Scheduler<'_>,
     ) -> Result<(Vec<f64>, ReconstructionReport, ScheduleReport), CoreError> {
         self.stream(scheduler, || {
-            let requests = self.probability_reconstructor().requests(&self.fragments)?;
             let options = self.reconstruction_options();
+            let requests =
+                ProbabilityReconstructor::with_options(options).requests(&self.fragments)?;
             Ok((requests, ProbabilityAccumulator::new(&self.fragments, options)?))
         })
     }
 
-    /// Streams an expectation workload: the scheduler dispatches the
-    /// observable's deduplicated batch in chunks on a worker thread while
-    /// this thread folds every finished chunk into per-Pauli scalar tensors
-    /// (an [`ExpectationAccumulator`]) — the expectation counterpart of
-    /// [`QrccPipeline::execute_streaming`], valid for wire- **and** gate-cut
-    /// plans. Only the per-term final contraction runs after the last chunk
-    /// lands.
+    /// Reconstructs the expectation value of `observable`: the scheduler
+    /// dispatches the observable's deduplicated batch — Pauli terms sharing
+    /// a measurement-basis signature run once — in chunks on a worker thread
+    /// while this thread folds every finished chunk into per-Pauli scalar
+    /// tensors (an [`ExpectationAccumulator`]). The expectation counterpart
+    /// of [`QrccPipeline::execute_streaming`], valid for wire- **and**
+    /// gate-cut plans. Only the per-term final contraction runs after the
+    /// last chunk lands.
     ///
     /// # Errors
     ///
-    /// See [`QrccPipeline::execute_observables_scheduled`] and
-    /// [`ExpectationAccumulator`].
+    /// Same conditions as [`ExpectationReconstructor::requests`], plus any
+    /// error of [`Scheduler::execute_chunked`] or [`ExpectationAccumulator`].
     pub fn execute_observables_streaming(
         &self,
         scheduler: &Scheduler<'_>,
         observable: &PauliObservable,
     ) -> Result<(f64, ReconstructionReport, ScheduleReport), CoreError> {
         self.stream(scheduler, || {
-            let requests =
-                self.expectation_reconstructor().requests(&self.fragments, observable)?;
             let options = self.reconstruction_options();
+            let requests = ExpectationReconstructor::with_options(options)
+                .requests(&self.fragments, observable)?;
             Ok((requests, ExpectationAccumulator::new(&self.fragments, observable, options)?))
         })
     }
@@ -403,103 +284,6 @@ impl QrccPipeline {
         reconstruction_report.profile = Some(profile);
         Ok((value, reconstruction_report, schedule_report))
     }
-
-    // ---- phase 3: consume ----
-
-    /// Reconstructs the original circuit's probability distribution from an
-    /// executed batch, using the strategy and pruning tolerance of the
-    /// plan's [`QrccConfig`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ProbabilityReconstructor::reconstruct`].
-    pub fn reconstruct_probabilities_from(
-        &self,
-        results: &ExecutionResults,
-    ) -> Result<Vec<f64>, CoreError> {
-        self.probability_reconstructor().reconstruct(&self.fragments, results)
-    }
-
-    /// Like [`QrccPipeline::reconstruct_probabilities_from`], also returning
-    /// the engine's [`ReconstructionReport`] (resolved strategy, contraction
-    /// count, pruned mass).
-    ///
-    /// # Errors
-    ///
-    /// See [`ProbabilityReconstructor::reconstruct`].
-    pub fn reconstruct_probabilities_with_report_from(
-        &self,
-        results: &ExecutionResults,
-    ) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
-        self.probability_reconstructor().reconstruct_with_report(&self.fragments, results)
-    }
-
-    /// Reconstructs the expectation value of `observable` from an executed
-    /// batch, using the strategy and pruning tolerance of the plan's
-    /// [`QrccConfig`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ExpectationReconstructor::reconstruct`].
-    pub fn reconstruct_expectation_from(
-        &self,
-        results: &ExecutionResults,
-        observable: &PauliObservable,
-    ) -> Result<f64, CoreError> {
-        self.expectation_reconstructor().reconstruct(&self.fragments, results, observable)
-    }
-
-    /// Like [`QrccPipeline::reconstruct_expectation_from`], also returning
-    /// the engine's [`ReconstructionReport`] accumulated over the
-    /// observable's Pauli terms.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExpectationReconstructor::reconstruct`].
-    pub fn reconstruct_expectation_with_report_from(
-        &self,
-        results: &ExecutionResults,
-        observable: &PauliObservable,
-    ) -> Result<(f64, ReconstructionReport), CoreError> {
-        self.expectation_reconstructor().reconstruct_with_report(
-            &self.fragments,
-            results,
-            observable,
-        )
-    }
-
-    // ---- convenience: all three phases in one call ----
-
-    /// Reconstructs the original circuit's probability distribution,
-    /// executing the (deduplicated, parallel) batch on `backend` internally.
-    ///
-    /// # Errors
-    ///
-    /// See [`QrccPipeline::execute`] and
-    /// [`ProbabilityReconstructor::reconstruct`].
-    pub fn reconstruct_probabilities(
-        &self,
-        backend: &dyn ExecutionBackend,
-    ) -> Result<Vec<f64>, CoreError> {
-        let results = self.execute(backend)?;
-        self.reconstruct_probabilities_from(&results)
-    }
-
-    /// Reconstructs the expectation value of `observable`, executing the
-    /// (deduplicated, parallel) batch on `backend` internally.
-    ///
-    /// # Errors
-    ///
-    /// See [`QrccPipeline::execute_observables`] and
-    /// [`ExpectationReconstructor::reconstruct`].
-    pub fn reconstruct_expectation(
-        &self,
-        backend: &dyn ExecutionBackend,
-        observable: &PauliObservable,
-    ) -> Result<f64, CoreError> {
-        let results = self.execute_observables(backend, &[observable])?;
-        self.reconstruct_expectation_from(&results, observable)
-    }
 }
 
 /// An accumulator as the streaming driver folds it.
@@ -532,7 +316,10 @@ impl StreamFold for ExpectationAccumulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute::{execute_requests, ExactBackend, ExecutionBackend, ShotsBackend};
+    use crate::schedule::{DeviceRegistry, SchedulePolicy};
     use qrcc_circuit::observable::PauliString;
+    use qrcc_sim::compile::interpreted_forced_by_env;
     use qrcc_sim::device::{Device, DeviceConfig};
     use qrcc_sim::noise::NoiseModel;
     use qrcc_sim::StateVector;
@@ -542,14 +329,34 @@ mod tests {
         QrccConfig::new(d).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO)
     }
 
+    /// `backend` as a one-entry registry.
+    fn fleet(backend: impl ExecutionBackend + Send + 'static) -> DeviceRegistry {
+        let mut registry = DeviceRegistry::new();
+        registry.register("only", backend);
+        registry
+    }
+
+    fn probabilities(pipeline: &QrccPipeline, registry: &DeviceRegistry) -> Vec<f64> {
+        let scheduler = Scheduler::new(registry, SchedulePolicy::default());
+        pipeline.execute_streaming(&scheduler).unwrap().0
+    }
+
+    fn expectation(
+        pipeline: &QrccPipeline,
+        registry: &DeviceRegistry,
+        observable: &PauliObservable,
+    ) -> f64 {
+        let scheduler = Scheduler::new(registry, SchedulePolicy::default());
+        pipeline.execute_observables_streaming(&scheduler, observable).unwrap().0
+    }
+
     #[test]
     fn pipeline_probability_path_end_to_end() {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).t(1).cx(1, 2).ry(0.4, 2).cx(2, 3);
         let pipeline = QrccPipeline::plan(&c, small_config(3)).unwrap();
         assert!(pipeline.total_instances() > 0);
-        let backend = ExactBackend::new();
-        let reconstructed = pipeline.reconstruct_probabilities(&backend).unwrap();
+        let reconstructed = probabilities(&pipeline, &fleet(ExactBackend::new()));
         let exact = StateVector::from_circuit(&c).unwrap().probabilities();
         for (a, b) in exact.iter().zip(&reconstructed) {
             assert!((a - b).abs() < 1e-6);
@@ -566,40 +373,9 @@ mod tests {
         let pipeline = QrccPipeline::plan(&c, config).unwrap();
         // shots on an ideal device large enough for every fragment
         let device = Device::new(DeviceConfig::ideal(3).with_seed(11));
-        let backend = ShotsBackend::new(device, 60_000);
-        let estimate = pipeline.reconstruct_expectation(&backend, &obs).unwrap();
+        let estimate = expectation(&pipeline, &fleet(ShotsBackend::new(device, 60_000)), &obs);
         let exact = StateVector::from_circuit(&c).unwrap().expectation(&obs);
         assert!((estimate - exact).abs() < 0.08, "shots estimate {estimate} vs exact {exact}");
-    }
-
-    #[test]
-    fn one_batch_serves_probabilities_and_multiple_observables() {
-        let mut c = Circuit::new(4);
-        c.h(0).cx(0, 1).ry(0.6, 1).cx(1, 2).cx(2, 3);
-        let pipeline = QrccPipeline::plan(&c, small_config(3)).unwrap();
-        let mut obs_a = PauliObservable::new(4);
-        obs_a.add_term(1.0, PauliString::zz(4, 0, 3));
-        let mut obs_b = PauliObservable::new(4);
-        obs_b.add_term(0.5, PauliString::z(4, 1));
-        obs_b.add_term(-0.25, PauliString::x(4, 2));
-
-        let backend = ExactBackend::new();
-        let results = pipeline.execute_all(&backend, &[&obs_a, &obs_b]).unwrap();
-        let executed_after_batch = backend.executions();
-
-        // every consumer below is served from the same batch: no re-execution
-        let probabilities = pipeline.reconstruct_probabilities_from(&results).unwrap();
-        let ea = pipeline.reconstruct_expectation_from(&results, &obs_a).unwrap();
-        let eb = pipeline.reconstruct_expectation_from(&results, &obs_b).unwrap();
-        assert_eq!(backend.executions(), executed_after_batch);
-
-        let sv = StateVector::from_circuit(&c).unwrap();
-        let exact_p = sv.probabilities();
-        for (a, b) in exact_p.iter().zip(&probabilities) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        assert!((ea - sv.expectation(&obs_a)).abs() < 1e-6);
-        assert!((eb - sv.expectation(&obs_b)).abs() < 1e-6);
     }
 
     #[test]
@@ -608,14 +384,13 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).t(1).cx(1, 2).ry(0.4, 2).cx(2, 3);
         let exact = StateVector::from_circuit(&c).unwrap().probabilities();
-        let backend = ExactBackend::new();
+        let registry = fleet(ExactBackend::new());
         for strategy in [ReconstructionStrategy::Dense, ReconstructionStrategy::Contract] {
             let config = small_config(3).with_reconstruction_strategy(strategy);
             let pipeline = QrccPipeline::plan(&c, config).unwrap();
             assert_eq!(pipeline.reconstruction_options().strategy, strategy);
-            let results = pipeline.execute(&backend).unwrap();
-            let (p, report) =
-                pipeline.reconstruct_probabilities_with_report_from(&results).unwrap();
+            let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
+            let (p, report, _) = pipeline.execute_streaming(&scheduler).unwrap();
             assert_eq!(report.strategy, strategy);
             for (a, b) in exact.iter().zip(&p) {
                 assert!((a - b).abs() < 1e-6, "{strategy:?} mismatch");
@@ -635,9 +410,7 @@ mod tests {
             ghz.cx(q, q + 1);
         }
         let pipeline = QrccPipeline::plan(&ghz, QrccConfig::new(3)).unwrap();
-        let backend = ExactBackend::new();
-        let results = pipeline.execute(&backend).unwrap();
-        let p = pipeline.reconstruct_probabilities_from(&results).unwrap();
+        let p = probabilities(&pipeline, &fleet(ExactBackend::new()));
         assert!((p[0] - 0.5).abs() < 1e-6, "P(|0…0⟩) = {}", p[0]);
         assert!((p[(1 << 6) - 1] - 0.5).abs() < 1e-6, "P(|1…1⟩) = {}", p[63]);
     }
@@ -662,8 +435,7 @@ mod tests {
         // QRCC: subcircuits on a noisy 3-qubit device
         let pipeline = QrccPipeline::plan(&c, small_config(3)).unwrap();
         let sub_device = Device::new(DeviceConfig::noisy(3, noise).with_seed(5));
-        let backend = ShotsBackend::new(sub_device, 8192);
-        let qrcc = pipeline.reconstruct_expectation(&backend, &obs).unwrap();
+        let qrcc = expectation(&pipeline, &fleet(ShotsBackend::new(sub_device, 8192)), &obs);
 
         let whole_error = (whole - exact).abs();
         let qrcc_error = (qrcc - exact).abs();
@@ -674,38 +446,62 @@ mod tests {
     }
 
     #[test]
-    fn blocking_reconstruction_equals_a_one_chunk_stream_bit_for_bit() {
-        use crate::schedule::{DeviceRegistry, SchedulePolicy};
+    fn a_one_entry_stream_equals_the_batch_oracle_bit_for_bit() {
+        // The oracle is the batch path: `execute_requests` on the backend,
+        // then one blocking `reconstruct`. A one-chunk stream over the same
+        // backend as a one-entry registry runs the same circuits in the same
+        // order (so a seeded device samples the same streams) and folds in
+        // the same canonical order.
+        fn check<B: ExecutionBackend + Send + 'static>(
+            pipeline: &QrccPipeline,
+            observable: &PauliObservable,
+            backend: impl Fn() -> B,
+        ) {
+            let fragments = pipeline.fragments();
+            let options = pipeline.reconstruction_options();
+
+            let reconstructor = ProbabilityReconstructor::with_options(options);
+            let requests = reconstructor.requests(fragments).unwrap();
+            let batch = execute_requests(fragments, &requests, &backend()).unwrap();
+            let oracle = reconstructor.reconstruct(fragments, &batch).unwrap();
+            let streamed = probabilities(pipeline, &fleet(backend()));
+            assert!(oracle.iter().zip(&streamed).all(|(a, b)| a.to_bits() == b.to_bits()));
+
+            let reconstructor = ExpectationReconstructor::with_options(options);
+            let requests = reconstructor.requests(fragments, observable).unwrap();
+            let batch = execute_requests(fragments, &requests, &backend()).unwrap();
+            let oracle = reconstructor.reconstruct(fragments, &batch, observable).unwrap();
+            let streamed = expectation(pipeline, &fleet(backend()), observable);
+            assert_eq!(oracle.to_bits(), streamed.to_bits(), "{oracle} vs {streamed}");
+        }
+
         let mut c = Circuit::new(5);
         c.h(0).cx(0, 1).ry(0.7, 1).cx(1, 2).rx(0.4, 2).cx(2, 3).ry(1.1, 3).cx(3, 4);
         let mut obs = PauliObservable::new(5);
         obs.add_term(1.0, PauliString::zz(5, 0, 4));
         obs.add_term(-0.5, PauliString::x(5, 2));
         let pipeline = QrccPipeline::plan(&c, small_config(3)).unwrap();
-        // a fresh seeded fleet per run: every run samples the same streams
-        let fleet = || {
-            let mut registry = DeviceRegistry::new();
-            let device = Device::new(DeviceConfig::ideal(3).with_seed(5));
-            registry.register_device("dev3", device, 1);
-            registry
-        };
-        let policy = SchedulePolicy::with_budget(40_000).with_min_shots(16);
+        check(&pipeline, &obs, ExactBackend::new);
+        // a fresh seeded device per run: every run samples the same streams
+        check(&pipeline, &obs, || {
+            ShotsBackend::new(Device::new(DeviceConfig::ideal(3).with_seed(5)), 2_000)
+        });
+    }
 
-        let registry = fleet();
-        let (results, _) = pipeline.execute_scheduled(&Scheduler::new(&registry, policy)).unwrap();
-        let blocking = pipeline.reconstruct_probabilities_from(&results).unwrap();
-        let registry = fleet();
-        let (streamed, _, _) =
-            pipeline.execute_streaming(&Scheduler::new(&registry, policy)).unwrap();
-        assert!(blocking.iter().zip(&streamed).all(|(a, b)| a.to_bits() == b.to_bits()));
-
-        let registry = fleet();
-        let scheduler = Scheduler::new(&registry, policy);
-        let (results, _) = pipeline.execute_observables_scheduled(&scheduler, &[&obs]).unwrap();
-        let blocking = pipeline.reconstruct_expectation_from(&results, &obs).unwrap();
-        let registry = fleet();
-        let scheduler = Scheduler::new(&registry, policy);
-        let (streamed, _, _) = pipeline.execute_observables_streaming(&scheduler, &obs).unwrap();
-        assert_eq!(blocking.to_bits(), streamed.to_bits(), "{blocking} vs {streamed}");
+    #[test]
+    fn a_streamed_request_reports_kernel_compile_stats() {
+        let mut c = Circuit::new(5);
+        c.h(0).cx(0, 1).ry(0.7, 1).cx(1, 2).rx(0.4, 2).cx(2, 3).ry(1.1, 3).cx(3, 4);
+        let pipeline = QrccPipeline::plan(&c, small_config(3)).unwrap();
+        let registry = fleet(ExactBackend::new());
+        let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
+        let (_, _, schedule) = pipeline.execute_streaming(&scheduler).unwrap();
+        if interpreted_forced_by_env() {
+            assert!(schedule.kernel_compile.is_none(), "an interpreted backend compiles nothing");
+            return;
+        }
+        let stats = schedule.kernel_compile.expect("a compiled backend reports its kernels");
+        assert!(stats.kernels_out > 0, "{stats}");
+        assert!(schedule.result_cache.is_none(), "no result cache is attached");
     }
 }

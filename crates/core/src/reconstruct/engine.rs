@@ -28,7 +28,6 @@
 //! into a concrete executable path using the [`cost`] models.
 
 use super::{init_weight, mixed_radix, Odometer, MAX_DENSE_CUTS};
-use crate::execute::ExecutionResults;
 use crate::fragment::{CutBasis, Fragment, FragmentSet, FragmentVariant, InitState};
 use crate::gatecut::instance_measures;
 use crate::reconstruct::cost;
@@ -112,56 +111,21 @@ pub struct ReconstructionReport {
     pub pruned_weight: f64,
     /// The tolerance pruning ran with.
     pub prune_tolerance: f64,
-    /// Total device shots the consumed [`ExecutionResults`] spent across all
-    /// backends (0 for exact-only batches).
-    pub shots_spent: u64,
-    /// Number of distinct backends the consumed batch was routed across (1
-    /// for single-backend execution, more after scheduled dispatch).
-    pub backends_used: usize,
-    /// Circuit executions that failed on some backend while the consumed
-    /// batch was dispatched (0 unless fault-tolerant dispatch re-routed
-    /// work).
-    pub dispatch_failures: u64,
-    /// Successful executions that were dispatch retries — circuits that
-    /// failed elsewhere first and were re-routed by the dispatcher.
-    pub dispatch_retries: u64,
-    /// Kernel-compilation statistics of the simulator backend that produced
-    /// the consumed [`ExecutionResults`]: gates lowered, kernels emitted,
-    /// fusion ratio, per-family specialization coverage, cache hit rate, and
-    /// how many measures were terminal against how many branch points exact
-    /// readout had to split at (`k` of them in one circuit → ≤ 2^k leaves).
-    /// `None` when execution interpreted gate-by-gate (or the producer did
-    /// not record stats).
-    pub kernel_compile: Option<qrcc_sim::compile::CompileStats>,
-    /// Result-cache counters of the execution that produced the consumed
-    /// [`ExecutionResults`]: full and delta hits, misses, and the device
-    /// shots the cache saved. `None` when no result cache was attached.
-    pub result_cache: Option<crate::cache::CacheStats>,
     /// Wall-clock attribution by pipeline phase ("where did the time go?"),
     /// measured by the streaming execution paths
-    /// (`QrccPipeline::execute_streaming` and friends). `None` when the
+    /// (`QrccPipeline::execute_streaming` and
+    /// `QrccPipeline::execute_observables_streaming`). `None` when the
     /// consumer reconstructed from a pre-executed batch.
     pub profile: Option<crate::obs::PhaseProfile>,
 }
 
 impl ReconstructionReport {
-    /// The report of a `strategy` run under `options` over `batch`, carrying
-    /// the batch's shot, routing, dispatch, kernel and result-cache
-    /// accounting; the contraction fills in its own counters.
-    pub(crate) fn new(
-        strategy: ReconstructionStrategy,
-        options: &ReconstructionOptions,
-        batch: &ExecutionResults,
-    ) -> Self {
+    /// The report of a `strategy` run under `options`; the contraction fills
+    /// in its own counters.
+    pub(crate) fn new(strategy: ReconstructionStrategy, options: &ReconstructionOptions) -> Self {
         ReconstructionReport {
             strategy,
             prune_tolerance: options.prune_tolerance,
-            shots_spent: batch.shots_spent(),
-            backends_used: batch.routing().len(),
-            dispatch_failures: batch.failures(),
-            dispatch_retries: batch.retries(),
-            kernel_compile: batch.kernel_stats().cloned(),
-            result_cache: batch.cache_stats().cloned(),
             ..ReconstructionReport::default()
         }
     }

@@ -306,7 +306,7 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// owning fragment is marked for re-folding at the next
     /// [`finish`](ProbabilityAccumulator::finish). Variants that belong to
     /// other workloads (expectation bases, gate instances) are skipped, so a
-    /// mixed `execute_all` batch streams fine.
+    /// batch shared between workloads streams fine.
     ///
     /// # Errors
     ///
@@ -331,11 +331,6 @@ impl<'a> ProbabilityAccumulator<'a> {
         self.target.progress()
     }
 
-    /// Everything absorbed so far, merged (latest distribution per key wins).
-    pub fn results(&self) -> &ExecutionResults {
-        &self.store
-    }
-
     /// Runs the final contraction over the accumulated fragment tensors,
     /// re-folding any fragment dirtied by a shot top-up first.
     ///
@@ -349,7 +344,7 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// all arrived yet.
     pub fn finish(&mut self) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
         self.target.settle(self.fragments, &self.store)?;
-        Ok(self.contract(&self.store))
+        Ok(self.contract())
     }
 
     /// The blocking reconstruction: `batch` folds as one borrowed chunk,
@@ -360,15 +355,14 @@ impl<'a> ProbabilityAccumulator<'a> {
     ) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
         self.fold(batch)?;
         self.target.settle(self.fragments, batch)?;
-        Ok(self.contract(batch))
+        Ok(self.contract())
     }
 
-    /// Contracts the settled tensors; `batch` supplies the report's
-    /// accounting. Only the contract path clones, because normalisation and
-    /// pruning mutate the tensors it is handed and later absorb/finish
-    /// cycles still need the originals.
-    fn contract(&self, batch: &ExecutionResults) -> (Vec<f64>, ReconstructionReport) {
-        let mut report = ReconstructionReport::new(self.strategy, &self.options, batch);
+    /// Contracts the settled tensors. Only the contract path clones, because
+    /// normalisation and pruning mutate the tensors it is handed and later
+    /// absorb/finish cycles still need the originals.
+    fn contract(&self) -> (Vec<f64>, ReconstructionReport) {
+        let mut report = ReconstructionReport::new(self.strategy, &self.options);
         let probabilities = match self.strategy {
             ReconstructionStrategy::Contract => engine::contract_probabilities_from_tensors(
                 self.fragments,
@@ -467,7 +461,7 @@ impl<'a> ExpectationAccumulator<'a> {
     /// the affected terms is marked for re-folding at the next
     /// [`finish`](ExpectationAccumulator::finish). Variants that belong to
     /// other workloads (probability variants on gate-cut-free plans, other
-    /// observables' bases) are skipped, so a mixed `execute_all` batch
+    /// observables' bases) are skipped, so a batch shared between workloads
     /// streams fine.
     ///
     /// # Errors
@@ -500,11 +494,6 @@ impl<'a> ExpectationAccumulator<'a> {
             .fold((0, 0), |(f, e), (tf, te)| (f + tf, e + te))
     }
 
-    /// Everything absorbed so far, merged (latest distribution per key wins).
-    pub fn results(&self) -> &ExecutionResults {
-        &self.store
-    }
-
     /// Runs the final per-term contraction over the accumulated scalar
     /// tensors and sums the observable, re-folding any fragment dirtied by a
     /// shot top-up first.
@@ -520,7 +509,7 @@ impl<'a> ExpectationAccumulator<'a> {
         for (_, term) in &mut self.terms {
             term.settle(self.fragments, &self.store)?;
         }
-        Ok(self.contract(&self.store))
+        Ok(self.contract())
     }
 
     /// The blocking reconstruction: `batch` folds as one borrowed chunk,
@@ -533,14 +522,14 @@ impl<'a> ExpectationAccumulator<'a> {
         for (_, term) in &mut self.terms {
             term.settle(self.fragments, batch)?;
         }
-        Ok(self.contract(batch))
+        Ok(self.contract())
     }
 
-    /// Contracts every term's settled tensors and sums the observable;
-    /// `batch` supplies the report's accounting. The contract path gets
-    /// clones for the same reason as [`ProbabilityAccumulator`]'s.
-    fn contract(&self, batch: &ExecutionResults) -> (f64, ReconstructionReport) {
-        let mut report = ReconstructionReport::new(self.strategy, &self.options, batch);
+    /// Contracts every term's settled tensors and sums the observable. The
+    /// contract path gets clones for the same reason as
+    /// [`ProbabilityAccumulator`]'s.
+    fn contract(&self) -> (f64, ReconstructionReport) {
+        let mut report = ReconstructionReport::new(self.strategy, &self.options);
         let mut total = 0.0;
         for (coefficient, term) in &self.terms {
             let value = match self.strategy {

@@ -4,9 +4,8 @@
 //!
 //! Execution follows the six-phase **enumerate → dedup → route → dispatch →
 //! fold → contract** protocol (see [`crate::execute`] for the full
-//! walkthrough). [`execute_requests`](crate::execute::execute_requests)
-//! collapses phases 3–4 by sending the whole deduplicated batch to one
-//! backend; the [`Scheduler`] runs them in full:
+//! walkthrough). Every [`QrccPipeline`] request runs it through a
+//! [`Scheduler`] — a single backend is a one-entry [`DeviceRegistry`]:
 //!
 //! * **Route** — a [`DeviceRegistry`] holds heterogeneous
 //!   [`ExecutionBackend`](crate::execute::ExecutionBackend)s (different
@@ -33,6 +32,11 @@
 //!   can fold fragment tensors while later chunks are still executing (see
 //!   [`QrccPipeline::execute_streaming`]).
 //!
+//! The returned [`ScheduleReport`] is the run's one account: shots spent,
+//! per-backend usage, dispatch counters, and the registry's kernel-compile
+//! and result-cache snapshots taken after the last chunk.
+//!
+//! [`QrccPipeline`]: crate::pipeline::QrccPipeline
 //! [`QrccPipeline::execute_streaming`]: crate::pipeline::QrccPipeline::execute_streaming
 //! [`SchedulePolicy::max_in_flight_chunks`]: crate::SchedulePolicy::max_in_flight_chunks
 //! [`SchedulePolicy::max_retries`]: crate::SchedulePolicy::max_retries
@@ -46,13 +50,16 @@ pub use registry::{DeviceRegistry, RegisteredBackend};
 
 pub use crate::config::{SchedulePolicy, ShotAllocation};
 
+use crate::cache::CacheStats;
 use crate::dispatch::{DispatchStats, Dispatcher};
 use crate::execute::{prepare_batch, BackendUsage, ExecutionResults};
 use crate::fragment::{FragmentSet, VariantRequest};
 use crate::CoreError;
+use qrcc_sim::compile::CompileStats;
 
 /// What one scheduled execution did: per-backend usage, shot totals, chunk
-/// count, and the dispatch-layer lifecycle telemetry.
+/// count, the dispatch-layer lifecycle telemetry, and the registry's
+/// kernel-compile and result-cache snapshots.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScheduleReport {
     /// Per-backend circuits routed and shots spent, in registry order of
@@ -71,6 +78,18 @@ pub struct ScheduleReport {
     /// Dispatch lifecycle telemetry: jobs dispatched / retried / requeued,
     /// observed in-flight window, and per-phase wall-clock.
     pub dispatch: DispatchStats,
+    /// Kernel-compilation statistics merged across the registry's compiled
+    /// simulator backends, read once after the last chunk: gates lowered,
+    /// kernels emitted, fusion ratio, kernel-cache hit rate, and how many
+    /// measures were terminal against how many branch points exact readout
+    /// split at. Cumulative over the backends' lifetimes, not per run;
+    /// `None` when every backend interprets gate-by-gate (or is remote).
+    pub kernel_compile: Option<CompileStats>,
+    /// Counters of the registry's result cache, read once after the last
+    /// chunk: full and delta hits, misses, and the device shots the cache
+    /// saved. Cumulative like `kernel_compile`; `None` when no cache is
+    /// attached.
+    pub result_cache: Option<CacheStats>,
 }
 
 /// Routes a deduplicated batch across a [`DeviceRegistry`], splits the shot
@@ -86,48 +105,6 @@ impl<'r> Scheduler<'r> {
     /// A scheduler over `registry` following `policy`.
     pub fn new(registry: &'r DeviceRegistry, policy: SchedulePolicy) -> Self {
         Scheduler { registry, policy }
-    }
-
-    /// A scheduler following the [`SchedulePolicy`] of a
-    /// [`QrccConfig`](crate::QrccConfig).
-    pub fn from_config(registry: &'r DeviceRegistry, config: &crate::QrccConfig) -> Self {
-        Scheduler::new(registry, config.schedule)
-    }
-
-    /// The policy this scheduler runs with.
-    pub fn policy(&self) -> &SchedulePolicy {
-        &self.policy
-    }
-
-    /// The registry this scheduler routes over.
-    pub fn registry(&self) -> &'r DeviceRegistry {
-        self.registry
-    }
-
-    /// Executes `requests` across the registry as one scheduled run and
-    /// returns the merged results (routing stats are recorded in
-    /// [`ExecutionResults::routing`]) along with the [`ScheduleReport`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Scheduler::execute_chunked`].
-    pub fn execute_with_report(
-        &self,
-        fragments: &FragmentSet,
-        requests: &[VariantRequest],
-    ) -> Result<(ExecutionResults, ScheduleReport), CoreError> {
-        let mut merged = ExecutionResults::default();
-        let report = self.execute_chunked(fragments, requests, |chunk| {
-            merged.extend(chunk);
-            Ok(())
-        })?;
-        // Streamed chunks carry no kernel stats (they would double-count the
-        // cumulative cache aggregates); the merged batch records one snapshot
-        // across the registry instead. The result-cache counters are likewise
-        // cumulative, so the merged batch keeps the final snapshot.
-        merged.set_kernel_stats(self.registry.compile_stats());
-        merged.set_cache_stats(self.registry.cache_stats());
-        Ok((merged, report))
     }
 
     /// The full scheduled pipeline, streaming results chunk by chunk:
@@ -190,6 +167,8 @@ impl<'r> Scheduler<'r> {
             sink(chunk)
         })?;
         report.dispatch = stats;
+        report.kernel_compile = self.registry.compile_stats();
+        report.result_cache = self.registry.cache_stats();
         Ok(report)
     }
 }
@@ -214,6 +193,20 @@ mod tests {
         c
     }
 
+    /// Runs `requests` to completion and merges every delivered chunk.
+    fn run(
+        scheduler: &Scheduler<'_>,
+        fragments: &FragmentSet,
+        requests: &[VariantRequest],
+    ) -> Result<(ExecutionResults, ScheduleReport), CoreError> {
+        let mut merged = ExecutionResults::default();
+        let report = scheduler.execute_chunked(fragments, requests, |chunk| {
+            merged.extend(chunk);
+            Ok(())
+        })?;
+        Ok((merged, report))
+    }
+
     fn fragments_for(circuit: &Circuit, device: usize) -> FragmentSet {
         let config =
             QrccConfig::new(device).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
@@ -234,7 +227,7 @@ mod tests {
         registry.register("big", ExactBackend::capped(3));
         registry.register("small", ExactBackend::capped(2));
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
-        let (scheduled, report) = scheduler.execute_with_report(&fragments, &requests).unwrap();
+        let (scheduled, report) = run(&scheduler, &fragments, &requests).unwrap();
 
         assert_eq!(scheduled.requested(), reference.requested());
         assert_eq!(scheduled.executed(), reference.executed());
@@ -288,9 +281,10 @@ mod tests {
         );
         let scheduler =
             Scheduler::new(&registry, SchedulePolicy::with_budget(50_000).with_min_shots(8));
-        let (results, report) = scheduler.execute_with_report(&fragments, &requests).unwrap();
+        let (results, report) = run(&scheduler, &fragments, &requests).unwrap();
         assert_eq!(report.total_shots, 50_000, "the whole budget is spent");
-        assert_eq!(results.shots_spent(), 50_000);
+        let delivered: u64 = results.routing().iter().map(|u| u.shots).sum();
+        assert_eq!(delivered, 50_000, "the delivered chunks carry the same accounting");
         assert_eq!(report.backends.len(), 1);
         assert_eq!(report.backends[0].backend, "dev3");
     }
@@ -303,7 +297,7 @@ mod tests {
         let registry = DeviceRegistry::new();
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
         assert!(matches!(
-            scheduler.execute_with_report(&fragments, &requests),
+            run(&scheduler, &fragments, &requests),
             Err(CoreError::NoCompatibleBackend { backends: 0, .. })
         ));
     }
@@ -324,7 +318,7 @@ mod tests {
             &registry,
             SchedulePolicy::default().with_chunk_size(2).with_max_retries(3),
         );
-        let (results, report) = scheduler.execute_with_report(&fragments, &requests).unwrap();
+        let (results, report) = run(&scheduler, &fragments, &requests).unwrap();
 
         assert_eq!(results.unique_variants(), reference.unique_variants());
         for (key, dist) in reference.iter() {
@@ -335,8 +329,10 @@ mod tests {
         }
         assert!(report.dispatch.failures > 0, "the flaky device must have failed work");
         assert_eq!(report.dispatch.jobs_retried, report.dispatch.failures);
-        assert_eq!(results.failures(), report.dispatch.failures);
-        assert!(results.retries() > 0, "retried circuits must be counted on their rescuer");
+        let failures: u64 = report.backends.iter().map(|u| u.failures).sum();
+        assert_eq!(failures, report.dispatch.failures);
+        let retries: u64 = report.backends.iter().map(|u| u.retries).sum();
+        assert!(retries > 0, "retried circuits must be counted on their rescuer");
         let flaky = report.backends.iter().find(|u| u.backend == "flaky").unwrap();
         assert!(flaky.failures > 0);
     }
@@ -352,7 +348,7 @@ mod tests {
             let policy =
                 SchedulePolicy::default().with_chunk_size(1).with_max_in_flight_chunks(window);
             let scheduler = Scheduler::new(&registry, policy);
-            let (_, report) = scheduler.execute_with_report(&fragments, &requests).unwrap();
+            let (_, report) = run(&scheduler, &fragments, &requests).unwrap();
             assert!(report.chunks > window, "enough chunks to fill the window");
             assert!(
                 report.dispatch.max_in_flight_chunks <= window,
@@ -372,7 +368,7 @@ mod tests {
         registry.register("dead-a", FlakyBackend::always_failing(ExactBackend::new()));
         registry.register("dead-b", FlakyBackend::always_failing(ExactBackend::new()));
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_max_retries(2));
-        match scheduler.execute_with_report(&fragments, &requests) {
+        match run(&scheduler, &fragments, &requests) {
             Err(CoreError::RetriesExhausted { attempts, last }) => {
                 assert_eq!(attempts, 3, "initial attempt plus two retries");
                 assert!(matches!(*last, CoreError::BackendUnavailable { .. }));
@@ -406,7 +402,7 @@ mod tests {
         registry.register("panics", PanickingBackend);
         registry.register("healthy", ExactBackend::new());
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_max_retries(2));
-        let (results, report) = scheduler.execute_with_report(&fragments, &requests).unwrap();
+        let (results, report) = run(&scheduler, &fragments, &requests).unwrap();
         assert_eq!(results.unique_variants(), reference.unique_variants());
         assert!(report.dispatch.failures > 0, "the panic must be recorded as failures");
 
@@ -415,7 +411,7 @@ mod tests {
         let mut lone = DeviceRegistry::new();
         lone.register("panics", PanickingBackend);
         let scheduler = Scheduler::new(&lone, SchedulePolicy::default().with_max_retries(0));
-        match scheduler.execute_with_report(&fragments, &requests) {
+        match run(&scheduler, &fragments, &requests) {
             Err(CoreError::BackendUnavailable { reason, .. }) => {
                 assert!(reason.contains("panicked"), "{reason}");
             }
@@ -433,7 +429,7 @@ mod tests {
         registry.register("dead", FlakyBackend::always_failing(ExactBackend::new()));
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_max_retries(0));
         assert!(matches!(
-            scheduler.execute_with_report(&fragments, &requests),
+            run(&scheduler, &fragments, &requests),
             Err(CoreError::BackendUnavailable { .. })
         ));
     }
@@ -445,7 +441,7 @@ mod tests {
         let mut registry = DeviceRegistry::new();
         registry.register("only", ExactBackend::new());
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
-        let (results, report) = scheduler.execute_with_report(&fragments, &[]).unwrap();
+        let (results, report) = run(&scheduler, &fragments, &[]).unwrap();
         assert!(results.is_empty());
         assert_eq!(report.circuits, 0);
     }

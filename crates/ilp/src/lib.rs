@@ -56,8 +56,6 @@ use std::fmt;
 pub enum IlpError {
     /// The model has no feasible solution.
     Infeasible,
-    /// The LP relaxation is unbounded (the objective can decrease without limit).
-    Unbounded,
     /// The model references a variable that does not belong to it.
     UnknownVariable {
         /// The offending variable index.
@@ -72,7 +70,6 @@ impl fmt::Display for IlpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IlpError::Infeasible => write!(f, "model is infeasible"),
-            IlpError::Unbounded => write!(f, "model is unbounded"),
             IlpError::UnknownVariable { index } => {
                 write!(f, "variable {index} does not belong to this model")
             }

@@ -24,8 +24,6 @@ pub struct SolverConfig {
     /// Absolute optimality gap: a node is pruned when its LP bound is within
     /// this distance of the incumbent.
     pub gap_tolerance: f64,
-    /// Tolerance used when deciding whether an LP value is integral.
-    pub integrality_tolerance: f64,
 }
 
 impl Default for SolverConfig {
@@ -34,7 +32,6 @@ impl Default for SolverConfig {
             time_limit: Duration::from_secs(10),
             max_nodes: 200_000,
             gap_tolerance: 1e-6,
-            integrality_tolerance: 1e-6,
         }
     }
 }
@@ -185,46 +182,6 @@ pub fn solve_with_warm_start(
     }
 }
 
-/// Improves a feasible assignment by greedy single-bit flips (and keeps only
-/// improving, feasible moves) until no flip helps or the time budget runs
-/// out. Returns the improved assignment and its objective.
-///
-/// This is the cheap fallback used on models too large for branch-and-bound.
-///
-/// # Panics
-///
-/// Panics if `values.len() != model.num_vars()`.
-pub fn improve_by_bit_flips(
-    model: &Model,
-    values: &[f64],
-    time_limit: Duration,
-) -> (Vec<f64>, f64) {
-    assert_eq!(values.len(), model.num_vars(), "assignment length mismatch");
-    let start = Instant::now();
-    let mut current = values.to_vec();
-    let mut current_obj = model.objective_value(&current);
-    let binaries = model.binary_vars();
-    let mut improved = true;
-    while improved && start.elapsed() < time_limit {
-        improved = false;
-        for &var in &binaries {
-            if start.elapsed() >= time_limit {
-                break;
-            }
-            let old = current[var.index()];
-            current[var.index()] = 1.0 - old;
-            let obj = model.objective_value(&current);
-            if obj < current_obj - 1e-9 && model.is_feasible(&current, 1e-6) {
-                current_obj = obj;
-                improved = true;
-            } else {
-                current[var.index()] = old;
-            }
-        }
-    }
-    (current, current_obj)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,16 +278,6 @@ mod tests {
         let sol = solve(&m, &SolverConfig::default()).unwrap();
         assert!(sol.is_one(x));
         assert!((sol.value(y) - 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bit_flip_improvement_finds_better_neighbours() {
-        let (m, _) = knapsack_model();
-        // start from the empty knapsack
-        let start = vec![0.0; 4];
-        let (improved, obj) = improve_by_bit_flips(&m, &start, Duration::from_millis(200));
-        assert!(obj < 0.0, "local search should pick at least one item");
-        assert!(m.is_feasible(&improved, 1e-9));
     }
 
     #[test]

@@ -61,27 +61,4 @@ proptest! {
             None => prop_assert!(result.is_err()),
         }
     }
-
-    #[test]
-    fn bit_flip_never_worsens_a_feasible_start(
-        weights in proptest::collection::vec(1u8..10, 3..7),
-        values in proptest::collection::vec(-9i8..10, 3..7),
-    ) {
-        let n = weights.len().min(values.len());
-        let (model, brute) = build_and_enumerate(&weights[..n], &values[..n], false);
-        // The empty assignment is always feasible for the <= capacity model.
-        let start = vec![0.0; n];
-        prop_assume!(model.is_feasible(&start, 1e-9));
-        let start_obj = model.objective_value(&start);
-        let (improved, obj) = solver::improve_by_bit_flips(
-            &model,
-            &start,
-            std::time::Duration::from_millis(100),
-        );
-        prop_assert!(obj <= start_obj + 1e-9);
-        prop_assert!(model.is_feasible(&improved, 1e-6));
-        if let Some(best) = brute {
-            prop_assert!(obj >= best - 1e-6);
-        }
-    }
 }

@@ -34,12 +34,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Plan the cut and execute on the default (compiled) exact backend.
     let config = QrccConfig::new(3);
     let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
-    let backend = config.exact_backend();
-    let results = pipeline.execute(&backend)?;
-    let (probabilities, report) = pipeline.reconstruct_probabilities_with_report_from(&results)?;
+    let run = |backend: ExactBackend| {
+        let mut registry = DeviceRegistry::new();
+        registry.register("exact", backend);
+        pipeline.execute_streaming(&Scheduler::new(&registry, config.schedule))
+    };
+    let (probabilities, _, schedule) = run(config.exact_backend())?;
 
-    // 3. The reconstruction report carries the compiler's telemetry.
-    let stats = report.kernel_compile.as_ref().expect("compiled backend reports stats");
+    // 3. The schedule report carries the compiler's telemetry.
+    let stats = schedule.kernel_compile.as_ref().expect("compiled backend reports stats");
     println!("kernel compiler over the variant batch:\n{stats}");
     println!(
         "fusion ratio {:.2}x, coverage {:.1}%, {} compiled bodies shared across {} requests",
@@ -51,8 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. The interpreted opt-out produces the same distribution.
     let interpreted = config.clone().with_interpreted_sim(true).exact_backend();
-    let results_interp = pipeline.execute(&interpreted)?;
-    let probabilities_interp = pipeline.reconstruct_probabilities_from(&results_interp)?;
+    let (probabilities_interp, _, _) = run(interpreted)?;
     let max_gap = probabilities
         .iter()
         .zip(&probabilities_interp)

@@ -88,20 +88,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "timings: queue wait {:.1?}, backend execution {:.1?}, consumer delivery {:.1?}",
         d.queue_wait, d.execute_wall, d.deliver_wall
     );
+    let rescued: u64 = schedule.backends.iter().map(|usage| usage.retries).sum();
     println!(
-        "reconstruction: {:?} strategy, {} shots across {} backends, \
-         {} dispatch failures / {} retries absorbed",
-        reconstruction.strategy,
-        reconstruction.shots_spent,
-        reconstruction.backends_used,
-        reconstruction.dispatch_failures,
-        reconstruction.dispatch_retries
+        "reconstruction: {:?} strategy, {} dispatch failures / {} retries absorbed",
+        reconstruction.strategy, d.failures, rescued
     );
 
     // 5. The dropped jobs were re-routed, the budget was spent exactly, and
     //    the reconstruction still matches the state vector.
     assert!(d.failures > 0, "the unstable device must have dropped work");
-    assert!(reconstruction.dispatch_retries > 0, "dropped circuits must have been rescued");
+    assert!(rescued > 0, "dropped circuits must have been rescued");
     assert_eq!(schedule.total_shots, 400_000, "every allocated shot spent exactly once");
     let exact = StateVector::from_circuit(&circuit)?.probabilities();
     let max_error =

@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {:>14}: {} circuits, {} shots", usage.backend, usage.circuits, usage.shots);
     }
     println!(
-        "reconstruction: {:?} strategy, {} shots consumed across {} backends",
-        reconstruction.strategy, reconstruction.shots_spent, reconstruction.backends_used
+        "reconstruction: {:?} strategy, {} contraction(s)",
+        reconstruction.strategy, reconstruction.contractions
     );
 
     // 6. Compare against direct state-vector simulation.

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_subcircuit_range(2, 3)
         .with_gate_cuts(true)
         .with_ilp_time_limit(Duration::ZERO);
-    let pipeline = QrccPipeline::plan(&circuit, config)?;
+    let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
     println!(
         "QRCC plan: {} subcircuits, {} wire cuts, {} gate cuts, {} instances",
         pipeline.plan_ref().num_subcircuits(),
@@ -39,14 +39,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // The batch runs rayon-parallel on the simulated device, with one
     // deterministic sampling stream per circuit.
-    let backend = ShotsBackend::new(Device::new(DeviceConfig::noisy(4, noise).with_seed(2)), shots);
-    let results = pipeline.execute_observables(&backend, &[&observable])?;
-    println!(
-        "executed {} noisy subcircuit runs for {} variant requests",
-        results.executed(),
-        results.requested()
+    let mut registry = DeviceRegistry::new();
+    registry.register_device(
+        "noisy (4q)",
+        Device::new(DeviceConfig::noisy(4, noise).with_seed(2)),
+        shots,
     );
-    let qrcc_value = pipeline.reconstruct_expectation_from(&results, &observable)?;
+    let scheduler = Scheduler::new(&registry, config.schedule);
+    let (qrcc_value, _, schedule) =
+        pipeline.execute_observables_streaming(&scheduler, &observable)?;
+    println!(
+        "executed {} noisy subcircuit runs, {} shots in total",
+        schedule.circuits, schedule.total_shots
+    );
     println!(
         "QRCC (4-qubit + post-proc)  ⟨H⟩ = {qrcc_value:.4}  (error {:.4})",
         (qrcc_value - exact).abs()

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_subcircuit_range(2, 3)
         .with_gate_cuts(true)
         .with_ilp_time_limit(Duration::ZERO);
-    let pipeline = QrccPipeline::plan(&circuit, config)?;
+    let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
     let plan = pipeline.plan_ref();
     println!(
         "plan: {} subcircuits, {} wire cuts + {} gate cuts = {:.2} effective cuts, widths {:?}",
@@ -38,15 +38,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One deduplicated batch serves every Pauli term of the observable; terms
     // sharing a measurement-basis signature execute once.
-    let backend = ExactBackend::new();
-    let results = pipeline.execute_observables(&backend, &[&observable])?;
+    let mut registry = DeviceRegistry::new();
+    registry.register("exact", ExactBackend::new());
+    let scheduler = Scheduler::new(&registry, config.schedule);
+    let (reconstructed, _, schedule) =
+        pipeline.execute_observables_streaming(&scheduler, &observable)?;
     println!(
-        "batch: {} variant requests across {} Pauli terms → {} circuits executed",
-        results.requested(),
+        "batch: {} Pauli terms → {} circuits executed",
         observable.terms().len(),
-        results.executed()
+        schedule.circuits
     );
-    let reconstructed = pipeline.reconstruct_expectation_from(&results, &observable)?;
     let exact = StateVector::from_circuit(&circuit)?.expectation(&observable);
     println!("expectation value from reconstruction = {reconstructed:.6}");
     println!("expectation value from simulation     = {exact:.6}");

@@ -42,11 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Verify a smaller instance end-to-end (QFT(6) on 4 qubits) so the example
     // also demonstrates reconstruction correctness.
     let small = generators::qft(6);
-    let pipeline =
-        QrccPipeline::plan(&small, QrccConfig::new(4).with_ilp_time_limit(Duration::ZERO))?;
-    let backend = ExactBackend::new();
-    let results = pipeline.execute(&backend)?;
-    let reconstructed = pipeline.reconstruct_probabilities_from(&results)?;
+    let config = QrccConfig::new(4).with_ilp_time_limit(Duration::ZERO);
+    let pipeline = QrccPipeline::plan(&small, config.clone())?;
+    let mut registry = DeviceRegistry::new();
+    registry.register("exact", ExactBackend::new());
+    let (reconstructed, _, _) =
+        pipeline.execute_streaming(&Scheduler::new(&registry, config.schedule))?;
     let exact = StateVector::from_circuit(&small)?.probabilities();
     let max_error =
         reconstructed.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);

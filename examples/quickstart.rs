@@ -1,7 +1,7 @@
 //! Quickstart: cut a 6-qubit GHZ-style circuit so it runs on a 3-qubit
-//! device, execute every subcircuit variant as one deduplicated parallel
-//! batch on an exact simulator, and reconstruct the original probability
-//! distribution from the batch results.
+//! device, execute every subcircuit variant as one deduplicated batch on an
+//! exact simulator, and reconstruct the original probability distribution
+//! as the results stream in.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Plan a qubit-reuse-aware cut for a 3-qubit device.
     let config = QrccConfig::new(3);
-    let pipeline = QrccPipeline::plan(&circuit, config)?;
+    let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
     let plan = pipeline.plan_ref();
     println!(
         "plan: {} subcircuits, {} wire cuts, {} gate cuts, widths {:?}",
@@ -29,20 +29,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("subcircuit instances to execute: {}", pipeline.total_instances());
 
-    // 3. Execute: the pipeline enumerates every variant, deduplicates them by
-    //    structural key and runs ONE parallel batch on the backend.
-    let backend = ExactBackend::new();
-    let results = pipeline.execute(&backend)?;
+    // 3. Execute and reconstruct in one request: the pipeline enumerates
+    //    every variant, deduplicates them by structural key, and a scheduler
+    //    runs the batch on the backend — a one-entry registry — while this
+    //    thread folds the results into the fragment tensors.
+    let mut registry = DeviceRegistry::new();
+    registry.register("exact", ExactBackend::new());
+    let scheduler = Scheduler::new(&registry, config.schedule);
+    let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler)?;
     println!(
-        "batch: {} variants requested, {} circuits executed after dedup",
-        results.requested(),
-        results.executed()
+        "batch: {} circuits executed after dedup, in {} chunk(s)",
+        schedule.circuits, schedule.chunks
     );
 
-    // 4. Consume: reconstruct the distribution from the batch results.
-    let probabilities = pipeline.reconstruct_probabilities_from(&results)?;
-
-    // 5. Compare against direct state-vector simulation.
+    // 4. Compare against direct state-vector simulation.
     let exact = StateVector::from_circuit(&circuit)?.probabilities();
     let max_error =
         probabilities.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);

@@ -19,10 +19,12 @@
 //!
 //! # Quickstart
 //!
-//! Execution is batch-first: plan once, `execute` once (the pipeline
-//! enumerates every subcircuit variant, deduplicates them by structural key
-//! and runs one rayon-parallel batch), then reconstruct as many outputs as
-//! needed from the same [`ExecutionResults`](core::execute::ExecutionResults).
+//! A request is one call: plan once, then `execute_streaming` (or
+//! `execute_observables_streaming`) enumerates every subcircuit variant,
+//! deduplicates them by structural key, runs the batch through a
+//! [`Scheduler`](core::Scheduler) over a device registry — a single backend
+//! is a one-entry registry — and folds each delivered chunk into the
+//! reconstruction as it lands.
 //!
 //! ```rust
 //! use qrcc::prelude::*;
@@ -35,14 +37,16 @@
 //!     circuit.cx(q, q + 1);
 //! }
 //! let config = QrccConfig::new(3).with_ilp_time_limit(std::time::Duration::ZERO);
-//! let pipeline = QrccPipeline::plan(&circuit, config)?;
+//! let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
 //! assert!(pipeline.plan_ref().subcircuit_widths().iter().all(|&w| w <= 3));
 //!
-//! // execute → consume: one deduplicated batch serves the reconstruction
-//! let backend = ExactBackend::new();
-//! let results = pipeline.execute(&backend)?;
-//! let probabilities = pipeline.reconstruct_probabilities_from(&results)?;
+//! // one request: a deduplicated batch streams into the reconstruction
+//! let mut registry = DeviceRegistry::new();
+//! registry.register("exact", ExactBackend::new());
+//! let scheduler = Scheduler::new(&registry, config.schedule);
+//! let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler)?;
 //! assert!((probabilities[0] - 0.5).abs() < 1e-6);
+//! println!("{} circuits, {} shots", schedule.circuits, schedule.total_shots);
 //! # Ok(())
 //! # }
 //! ```

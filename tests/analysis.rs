@@ -140,7 +140,7 @@ proptest! {
 
         let report = pipeline.analyze_with_fleet(&registry);
         let scheduler = Scheduler::new(&registry, config.schedule);
-        let outcome = pipeline.execute_scheduled(&scheduler);
+        let outcome = pipeline.execute_streaming(&scheduler);
         match &outcome {
             Err(CoreError::NoCompatibleBackend { .. }) => prop_assert!(
                 report.diagnostics().iter().any(|d| d.code == "QL0301"),
@@ -221,7 +221,7 @@ fn seeded_defect_too_narrow_fleet_fires_ql0301_and_the_gate_blocks_it() {
 
     // and the runtime agrees with the prediction
     let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
-    let outcome = pipeline.execute_scheduled(&scheduler);
+    let outcome = pipeline.execute_streaming(&scheduler);
     assert!(outcome.is_err(), "a 1-qubit fleet cannot run the plan");
 }
 
@@ -240,7 +240,7 @@ fn seeded_defect_starved_shot_budget_fires_ql0302_and_matches_runtime() {
     assert!(report.errors() > 0);
 
     let scheduler = Scheduler::new(&fleet, config.schedule);
-    let outcome = pipeline.execute_scheduled(&scheduler);
+    let outcome = pipeline.execute_streaming(&scheduler);
     assert!(
         matches!(outcome, Err(CoreError::ShotBudgetTooSmall { .. })),
         "the runtime must agree with the prediction: {outcome:?}"

@@ -32,6 +32,17 @@ fn execute_serially(
     results
 }
 
+/// Every variant `observable` needs, as one deduplicated batch on `backend`.
+fn execute_observable(
+    pipeline: &QrccPipeline,
+    observable: &PauliObservable,
+    backend: &ExactBackend,
+) -> ExecutionResults {
+    let reconstructor = ExpectationReconstructor::with_options(pipeline.reconstruction_options());
+    let requests = reconstructor.requests(pipeline.fragments(), observable).unwrap();
+    execute_requests(pipeline.fragments(), &requests, backend).unwrap()
+}
+
 fn config(device: usize) -> QrccConfig {
     QrccConfig::new(device).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO)
 }
@@ -128,7 +139,7 @@ fn dedup_executes_fewer_circuits_than_requested_across_pauli_terms() {
 
     let pipeline = QrccPipeline::plan(&circuit, config(3)).unwrap();
     let backend = ExactBackend::new();
-    let results = pipeline.execute_observables(&backend, &[&observable]).unwrap();
+    let results = execute_observable(&pipeline, &observable, &backend);
 
     assert!(
         backend.executions() < results.requested(),
@@ -163,7 +174,7 @@ fn structural_dedup_beats_the_instance_count_on_gate_cut_plans() {
     observable.add_term(0.5, qrcc::circuit::observable::PauliString::z(4, 0));
 
     let backend = ExactBackend::new();
-    let results = pipeline.execute_observables(&backend, &[&observable]).unwrap();
+    let results = execute_observable(&pipeline, &observable, &backend);
     assert!(
         backend.executions() < pipeline.total_instances(),
         "structural dedup must beat the instance count: executed {} of {} instances",
@@ -173,7 +184,8 @@ fn structural_dedup_beats_the_instance_count_on_gate_cut_plans() {
     assert_eq!(backend.executions(), results.executed());
 
     // correctness is untouched by the dedup
-    let value = pipeline.reconstruct_expectation_from(&results, &observable).unwrap();
+    let reconstructor = ExpectationReconstructor::with_options(pipeline.reconstruction_options());
+    let value = reconstructor.reconstruct(pipeline.fragments(), &results, &observable).unwrap();
     let exact = StateVector::from_circuit(&circuit).unwrap().expectation(&observable);
     assert!((value - exact).abs() < 1e-6, "value {value} vs exact {exact}");
 }

@@ -91,9 +91,7 @@ proptest! {
             Err(_) => return Ok(()), // no feasible plan for this sample
         };
 
-        let single = ExactBackend::new();
-        let reference_results = pipeline.execute(&single).unwrap();
-        let reference = pipeline.reconstruct_probabilities_from(&reference_results).unwrap();
+        let reference = single_backend_probabilities(&pipeline);
 
         let registry = flaky_registry(seed, 0.4);
         let policy = SchedulePolicy::default()
@@ -101,10 +99,10 @@ proptest! {
             .with_max_in_flight_chunks(2)
             .with_max_retries(3);
         let scheduler = Scheduler::new(&registry, policy);
-        let (streamed, reconstruction, schedule) = pipeline.execute_streaming(&scheduler).unwrap();
+        let (streamed, _, schedule) = pipeline.execute_streaming(&scheduler).unwrap();
         // every failure becomes exactly one retry while backends remain
         prop_assert_eq!(schedule.dispatch.failures, schedule.dispatch.jobs_retried);
-        prop_assert_eq!(reconstruction.dispatch_failures, schedule.dispatch.failures);
+        prop_assert_eq!(backend_failures(&schedule), schedule.dispatch.failures);
 
         let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
         for ((a, b), c) in exact.iter().zip(&reference).zip(&streamed) {
@@ -130,17 +128,18 @@ proptest! {
         observable.add_term(1.0, PauliString::zz(n, 0, n - 1));
         observable.add_term(-0.5, PauliString::z(n, 1));
 
-        let single = ExactBackend::new();
-        let reference_results = pipeline.execute_observables(&single, &[&observable]).unwrap();
-        let reference =
-            pipeline.reconstruct_expectation_from(&reference_results, &observable).unwrap();
+        let reconstructor =
+            ExpectationReconstructor::with_options(pipeline.reconstruction_options());
+        let requests = reconstructor.requests(pipeline.fragments(), &observable).unwrap();
+        let batch = execute_requests(pipeline.fragments(), &requests, &ExactBackend::new()).unwrap();
+        let reference = reconstructor.reconstruct(pipeline.fragments(), &batch, &observable).unwrap();
 
         let registry = flaky_registry(seed ^ 0xDEAD, 0.4);
         let policy = SchedulePolicy::default().with_chunk_size(3).with_max_retries(3);
         let scheduler = Scheduler::new(&registry, policy);
-        let (streamed, reconstruction, _) =
+        let (streamed, _, schedule) =
             pipeline.execute_observables_streaming(&scheduler, &observable).unwrap();
-        prop_assert!(reconstruction.dispatch_retries <= reconstruction.dispatch_failures);
+        prop_assert!(results_retries(&schedule) <= schedule.dispatch.failures);
 
         let exact = StateVector::from_circuit(&circuit).unwrap().expectation(&observable);
         prop_assert!((reference - exact).abs() < 1e-9, "single {} vs exact {}", reference, exact);
@@ -215,7 +214,7 @@ fn all_backends_failing_exhausts_retries() {
     registry.register("dead-a", FlakyBackend::always_failing(ExactBackend::new()));
     registry.register("dead-b", FlakyBackend::always_failing(ExactBackend::new()));
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_max_retries(2));
-    match pipeline.execute_scheduled(&scheduler) {
+    match pipeline.execute_streaming(&scheduler) {
         Err(CoreError::RetriesExhausted { attempts, last }) => {
             assert_eq!(attempts, 3, "initial dispatch + two retries");
             assert!(matches!(*last, CoreError::BackendUnavailable { .. }));
@@ -265,10 +264,10 @@ fn single_flaky_device_recovers_through_requeue() {
     let mut registry = DeviceRegistry::new();
     registry.register("lone-flaky", FlakyBackend::transient(ExactBackend::new(), 5, 1.0));
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_max_retries(2));
-    let (results, report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (probabilities, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
 
-    let reference = pipeline.execute(&ExactBackend::new()).unwrap();
-    assert_eq!(results.unique_variants(), reference.unique_variants());
+    let reference = single_backend_probabilities(&pipeline);
+    assert!(probabilities.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()));
     assert!(report.dispatch.failures > 0);
     assert_eq!(
         report.dispatch.jobs_requeued, report.dispatch.jobs_retried,
@@ -280,9 +279,9 @@ fn single_flaky_device_recovers_through_requeue() {
     assert_eq!(usage.retries, report.dispatch.jobs_retried);
 }
 
-/// The reconstruction report carries the dispatch telemetry end-to-end, and
-/// shot accounting stays exact under retries: a budget is spent exactly once
-/// per circuit even when circuits fail and re-route.
+/// The schedule report carries the dispatch telemetry end-to-end, and shot
+/// accounting stays exact under retries: a budget is spent exactly once per
+/// circuit even when circuits fail and re-route.
 #[test]
 fn shot_budget_stays_exact_under_fault_injection() {
     let pipeline = chain_pipeline();
@@ -302,12 +301,13 @@ fn shot_budget_stays_exact_under_fault_injection() {
         .with_chunk_size(3)
         .with_max_retries(3);
     let scheduler = Scheduler::new(&registry, policy);
-    let (probabilities, reconstruction, schedule) = pipeline.execute_streaming(&scheduler).unwrap();
+    let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler).unwrap();
 
     assert_eq!(schedule.total_shots, 60_000, "every allocated shot spent exactly once");
-    assert_eq!(reconstruction.shots_spent, 60_000);
-    assert_eq!(reconstruction.dispatch_failures, schedule.dispatch.failures);
-    assert_eq!(reconstruction.dispatch_retries, results_retries(&schedule));
+    let usage_shots: u64 = schedule.backends.iter().map(|u| u.shots).sum();
+    assert_eq!(usage_shots, 60_000, "per-backend usage sums to the total");
+    assert_eq!(backend_failures(&schedule), schedule.dispatch.failures);
+    assert!(results_retries(&schedule) <= schedule.dispatch.jobs_retried);
 
     let exact = StateVector::from_circuit(&chain(6)).unwrap().probabilities();
     let max_error =
@@ -318,4 +318,18 @@ fn shot_budget_stays_exact_under_fault_injection() {
 /// Sum of per-backend retry counters in a schedule report.
 fn results_retries(schedule: &ScheduleReport) -> u64 {
     schedule.backends.iter().map(|u| u.retries).sum()
+}
+
+/// Sum of per-backend failure counters in a schedule report.
+fn backend_failures(schedule: &ScheduleReport) -> u64 {
+    schedule.backends.iter().map(|u| u.failures).sum()
+}
+
+/// The single-backend reference: the whole batch on one exact backend
+/// through `execute_requests`, then one blocking reconstruction.
+fn single_backend_probabilities(pipeline: &QrccPipeline) -> Vec<f64> {
+    let reconstructor = ProbabilityReconstructor::with_options(pipeline.reconstruction_options());
+    let requests = reconstructor.requests(pipeline.fragments()).unwrap();
+    let batch = execute_requests(pipeline.fragments(), &requests, &ExactBackend::new()).unwrap();
+    reconstructor.reconstruct(pipeline.fragments(), &batch).unwrap()
 }

@@ -64,8 +64,10 @@ proptest! {
         prop_assert!(pipeline.plan_ref().subcircuit_widths().iter().all(|&w| w <= 4));
         // keep the reconstruction cheap: skip pathological plans with many cuts
         prop_assume!(pipeline.plan_ref().wire_cut_count() <= 5);
-        let backend = ExactBackend::new();
-        let reconstructed = pipeline.reconstruct_probabilities(&backend).unwrap();
+        let mut registry = DeviceRegistry::new();
+        registry.register("exact", ExactBackend::new());
+        let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
+        let (reconstructed, _, _) = pipeline.execute_streaming(&scheduler).unwrap();
         let total: f64 = reconstructed.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-6, "distribution total {total}");
         let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();

@@ -15,13 +15,34 @@ fn config(device: usize, gate_cuts: bool) -> QrccConfig {
         .with_ilp_time_limit(Duration::ZERO)
 }
 
+/// `backend` as a one-entry registry.
+fn fleet(backend: impl ExecutionBackend + Send + 'static) -> DeviceRegistry {
+    let mut registry = DeviceRegistry::new();
+    registry.register("only", backend);
+    registry
+}
+
+fn scheduler(registry: &DeviceRegistry) -> Scheduler<'_> {
+    Scheduler::new(registry, SchedulePolicy::default())
+}
+
+fn expectation(pipeline: &QrccPipeline, observable: &PauliObservable) -> f64 {
+    let registry = fleet(ExactBackend::new());
+    let (value, _, schedule) = pipeline
+        .execute_observables_streaming(&scheduler(&registry), observable)
+        .expect("reconstruct");
+    // every Pauli term's variants execute as one deduplicated batch
+    assert_eq!(registry.total_executions(), schedule.circuits);
+    value
+}
+
 fn assert_distribution_matches(circuit: &Circuit, device: usize) {
     let pipeline = QrccPipeline::plan(circuit, config(device, false)).expect("plan");
-    let backend = ExactBackend::new();
-    // batch-first flow: one deduplicated parallel batch, then consume
-    let results = pipeline.execute(&backend).expect("execute batch");
-    assert_eq!(backend.executions(), results.executed());
-    let reconstructed = pipeline.reconstruct_probabilities_from(&results).expect("reconstruct");
+    let registry = fleet(ExactBackend::new());
+    // one deduplicated batch, folded as it lands
+    let (reconstructed, _, schedule) =
+        pipeline.execute_streaming(&scheduler(&registry)).expect("reconstruct");
+    assert_eq!(registry.total_executions(), schedule.circuits);
     let exact = StateVector::from_circuit(circuit).expect("simulate").probabilities();
     assert_eq!(reconstructed.len(), exact.len());
     for (i, (a, b)) in exact.iter().zip(&reconstructed).enumerate() {
@@ -71,12 +92,7 @@ fn qaoa_expectation_with_wire_and_gate_cuts() {
     let (circuit, graph) = generators::qaoa_regular(6, 2, 1, 17);
     let observable = PauliObservable::maxcut(&graph);
     let pipeline = QrccPipeline::plan(&circuit, config(4, true)).expect("plan");
-    let backend = ExactBackend::new();
-    // batch-first flow: enumerate every Pauli term's variants, execute once
-    let results = pipeline.execute_observables(&backend, &[&observable]).expect("execute");
-    assert!(results.requested() >= results.executed());
-    let reconstructed =
-        pipeline.reconstruct_expectation_from(&results, &observable).expect("reconstruct");
+    let reconstructed = expectation(&pipeline, &observable);
     let exact = StateVector::from_circuit(&circuit).expect("simulate").expectation(&observable);
     assert!((reconstructed - exact).abs() < 1e-6, "reconstructed {reconstructed} vs exact {exact}");
 }
@@ -93,9 +109,7 @@ fn hamiltonian_simulation_expectation_on_small_device() {
     );
     let observable = PauliObservable::ising(&graph, 1.0, 0.5);
     let pipeline = QrccPipeline::plan(&circuit, config(4, true)).expect("plan");
-    let backend = ExactBackend::new();
-    let reconstructed =
-        pipeline.reconstruct_expectation(&backend, &observable).expect("reconstruct");
+    let reconstructed = expectation(&pipeline, &observable);
     let exact = StateVector::from_circuit(&circuit).expect("simulate").expectation(&observable);
     assert!((reconstructed - exact).abs() < 1e-6, "reconstructed {reconstructed} vs exact {exact}");
 }
@@ -109,9 +123,7 @@ fn vqe_expectation_with_mixed_observable() {
     observable.add_term(0.3, PauliString::x(6, 1));
     observable.add_term(1.0, PauliString::identity(6));
     let pipeline = QrccPipeline::plan(&circuit, config(4, false)).expect("plan");
-    let backend = ExactBackend::new();
-    let reconstructed =
-        pipeline.reconstruct_expectation(&backend, &observable).expect("reconstruct");
+    let reconstructed = expectation(&pipeline, &observable);
     let exact = StateVector::from_circuit(&circuit).expect("simulate").expectation(&observable);
     assert!((reconstructed - exact).abs() < 1e-6, "reconstructed {reconstructed} vs exact {exact}");
 }
@@ -123,10 +135,10 @@ fn shots_backend_converges_to_the_exact_distribution() {
     let pipeline = QrccPipeline::plan(&circuit, config(3, false)).expect("plan");
     let device =
         qrcc::sim::device::Device::new(qrcc::sim::device::DeviceConfig::ideal(3).with_seed(23));
-    let backend = ShotsBackend::new(device, 40_000);
+    let registry = fleet(ShotsBackend::new(device, 40_000));
     // the shots batch runs rayon-parallel with per-circuit sampling streams
-    let results = pipeline.execute(&backend).expect("execute batch");
-    let reconstructed = pipeline.reconstruct_probabilities_from(&results).expect("reconstruct");
+    let (reconstructed, _, _) =
+        pipeline.execute_streaming(&scheduler(&registry)).expect("reconstruct");
     let exact = StateVector::from_circuit(&circuit).expect("simulate").probabilities();
     let tvd: f64 = exact.iter().zip(&reconstructed).map(|(a, b)| (a - b).abs()).sum::<f64>() / 2.0;
     assert!(tvd < 0.05, "total variation distance {tvd} too large");

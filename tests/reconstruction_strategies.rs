@@ -17,6 +17,15 @@ fn gate_config() -> QrccConfig {
     wire_config().with_gate_cuts(true)
 }
 
+/// The probability workload's variants as one batch on an exact backend,
+/// for every strategy to reconstruct from.
+fn execute_probability_batch(pipeline: &QrccPipeline) -> ExecutionResults {
+    let requests = ProbabilityReconstructor::with_options(pipeline.reconstruction_options())
+        .requests(pipeline.fragments())
+        .unwrap();
+    execute_requests(pipeline.fragments(), &requests, &ExactBackend::new()).unwrap()
+}
+
 fn strategy_options() -> [ReconstructionOptions; 3] {
     [
         ReconstructionOptions { strategy: ReconstructionStrategy::Dense, prune_tolerance: 0.0 },
@@ -80,8 +89,7 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()), // not cuttable within limits: nothing to compare
         };
-        let backend = ExactBackend::new();
-        let results = pipeline.execute(&backend).unwrap();
+        let results = execute_probability_batch(&pipeline);
         let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
         for options in strategy_options() {
             let reconstructor = ProbabilityReconstructor::with_options(options);
@@ -117,8 +125,11 @@ proptest! {
                 n
             ]),
         );
-        let backend = ExactBackend::new();
-        let results = pipeline.execute_observables(&backend, &[&observable]).unwrap();
+        let requests = ExpectationReconstructor::with_options(pipeline.reconstruction_options())
+            .requests(pipeline.fragments(), &observable)
+            .unwrap();
+        let results =
+            execute_requests(pipeline.fragments(), &requests, &ExactBackend::new()).unwrap();
         let exact = StateVector::from_circuit(&circuit).unwrap().expectation(&observable);
         for options in strategy_options() {
             let reconstructor = ExpectationReconstructor::with_options(options);
@@ -167,8 +178,7 @@ fn contraction_handles_disconnected_cut_graphs() {
         components += 1;
     }
     assert!(components >= 2, "plan must have a disconnected cut graph, got {components}");
-    let backend = ExactBackend::new();
-    let results = pipeline.execute(&backend).unwrap();
+    let results = execute_probability_batch(&pipeline);
     let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
     let contract = ProbabilityReconstructor::with_options(ReconstructionOptions {
         strategy: ReconstructionStrategy::Contract,
@@ -265,7 +275,7 @@ fn dense_readout_is_bit_identical_across_thread_counts_and_matches_contraction()
     for (circuit, config) in plans {
         let config = config.with_qubit_reuse(false).with_ilp_time_limit(Duration::ZERO);
         let pipeline = QrccPipeline::plan(&circuit, config).expect("chain plan");
-        let results = pipeline.execute(&ExactBackend::new()).unwrap();
+        let results = execute_probability_batch(&pipeline);
         let reconstruct = |strategy| {
             ProbabilityReconstructor::with_options(ReconstructionOptions {
                 strategy,

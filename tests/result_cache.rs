@@ -78,15 +78,12 @@ proptest! {
 
         let plain = exact_registry();
         let scheduler = Scheduler::new(&plain, SchedulePolicy::default());
-        let (fresh_results, _) = pipeline.execute_scheduled(&scheduler).unwrap();
-        let fresh = pipeline.reconstruct_probabilities_from(&fresh_results).unwrap();
+        let (fresh, _, _) = pipeline.execute_streaming(&scheduler).unwrap();
 
         let cached = exact_registry().with_result_cache(&ResultCachePolicy::in_memory());
         let scheduler = Scheduler::new(&cached, SchedulePolicy::default());
-        let (cold_results, _) = pipeline.execute_scheduled(&scheduler).unwrap();
-        let cold = pipeline.reconstruct_probabilities_from(&cold_results).unwrap();
-        let (warm_results, _) = pipeline.execute_scheduled(&scheduler).unwrap();
-        let warm = pipeline.reconstruct_probabilities_from(&warm_results).unwrap();
+        let (cold, _, _) = pipeline.execute_streaming(&scheduler).unwrap();
+        let (warm, _, _) = pipeline.execute_streaming(&scheduler).unwrap();
 
         for (((f, c), w), e) in fresh.iter().zip(&cold).zip(&warm).zip(&exact) {
             prop_assert!((f - c).abs() < 1e-9, "cold cache run diverged: {f} vs {c}");
@@ -97,8 +94,8 @@ proptest! {
 }
 
 /// A warm cache serves every repeat without touching any backend: zero
-/// device shots, zero new executions, and the hit counters flow into both
-/// the `ScheduleReport` totals and the `ReconstructionReport`.
+/// device shots, zero new executions, and the hit counters flow into the
+/// `ScheduleReport`.
 #[test]
 fn warm_runs_spend_nothing_and_report_their_hits() {
     let mut circuit = Circuit::new(5);
@@ -112,11 +109,11 @@ fn warm_runs_spend_nothing_and_report_their_hits() {
     let registry = sampling_registry(7, 512).with_result_cache(&ResultCachePolicy::in_memory());
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 
-    let (cold_results, cold_report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (cold, _, cold_report) = pipeline.execute_streaming(&scheduler).unwrap();
     let executions_after_cold = registry.total_executions();
     assert!(cold_report.total_shots > 0, "the cold run must execute");
 
-    let (warm_results, warm_report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (warm, _, warm_report) = pipeline.execute_streaming(&scheduler).unwrap();
     assert_eq!(warm_report.total_shots, 0, "a warm run spends no device shots");
     assert_eq!(
         registry.total_executions(),
@@ -124,16 +121,14 @@ fn warm_runs_spend_nothing_and_report_their_hits() {
         "a warm run never reaches a backend"
     );
 
-    // byte-identical distributions: the cache returns exactly what ran
-    for (key, dist) in cold_results.iter() {
-        let warm = warm_results.distribution(key).expect("same variants");
-        assert_eq!(dist, warm, "cache-served distribution must be byte-identical");
+    // byte-identical answers: the cache returns exactly what ran
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(c.to_bits(), w.to_bits(), "cache-served answer must be byte-identical");
     }
 
-    // counters reach the reconstruction report
-    let (_, recon) = pipeline.reconstruct_probabilities_with_report_from(&warm_results).unwrap();
-    let stats = recon.result_cache.expect("cache counters must reach the report");
-    let cold_stats = cold_results.cache_stats().expect("cold run carries counters");
+    // counters reach the schedule report
+    let stats = warm_report.result_cache.expect("cache counters must reach the report");
+    let cold_stats = cold_report.result_cache.expect("cold run carries counters");
     assert_eq!(stats.hits, cold_stats.misses, "every cold miss warm-hits");
     assert!(stats.shots_saved >= cold_report.total_shots);
 }
@@ -154,12 +149,12 @@ fn doubled_requests_execute_only_the_missing_delta() {
     let base = sampling_registry(7, 1024).with_result_cache(&ResultCachePolicy::in_memory());
     let cache = Arc::clone(base.result_cache().unwrap());
     let scheduler = Scheduler::new(&base, SchedulePolicy::default());
-    let (_, cold_report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (_, _, cold_report) = pipeline.execute_streaming(&scheduler).unwrap();
 
     let mut upsized = sampling_registry(7, 2048);
     upsized.set_result_cache(Arc::clone(&cache));
     let scheduler = Scheduler::new(&upsized, SchedulePolicy::default());
-    let (_, topup_report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (_, _, topup_report) = pipeline.execute_streaming(&scheduler).unwrap();
 
     assert_eq!(
         topup_report.total_shots, cold_report.total_shots,
@@ -171,7 +166,7 @@ fn doubled_requests_execute_only_the_missing_delta() {
 
     // the merged entries now hold 2048 shots: repeating the doubled request
     // is a pure warm run
-    let (_, warm_report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (_, _, warm_report) = pipeline.execute_streaming(&scheduler).unwrap();
     assert_eq!(warm_report.total_shots, 0, "merged entries serve the doubled request fully");
 }
 
@@ -190,10 +185,9 @@ fn shot_accounting_stays_exact_once_under_hits() {
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 
     for pass in 0..2 {
-        let (results, report) = pipeline.execute_scheduled(&scheduler).unwrap();
+        let (_, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
         let usage_total: u64 = report.backends.iter().map(|u| u.shots).sum();
         assert_eq!(usage_total, report.total_shots, "usage must sum to the total (pass {pass})");
-        assert_eq!(results.shots_spent(), report.total_shots);
     }
 }
 
@@ -219,7 +213,7 @@ fn persistence_survives_a_registry_restart() {
 
     let first = sampling_registry(7, 512).with_result_cache(&policy);
     let scheduler = Scheduler::new(&first, SchedulePolicy::default());
-    let (first_results, _) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (original, _, _) = pipeline.execute_streaming(&scheduler).unwrap();
     first.result_cache().unwrap().persist().unwrap();
     drop(first);
 
@@ -228,12 +222,11 @@ fn persistence_survives_a_registry_restart() {
     let second = sampling_registry(999, 512).with_result_cache(&policy);
     let executions_before = second.total_executions();
     let scheduler = Scheduler::new(&second, SchedulePolicy::default());
-    let (second_results, report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (restored, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
     assert_eq!(report.total_shots, 0, "the restarted registry serves from the snapshot");
     assert_eq!(second.total_executions(), executions_before);
-    for (key, dist) in first_results.iter() {
-        let restored = second_results.distribution(key).expect("same variants");
-        assert_eq!(dist, restored, "snapshot-served distribution must be byte-identical");
+    for (a, b) in original.iter().zip(&restored) {
+        assert_eq!(a.to_bits(), b.to_bits(), "snapshot-served answer must be byte-identical");
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -82,9 +82,11 @@ proptest! {
         };
 
         // single-backend reference
-        let single = ExactBackend::new();
-        let reference_results = pipeline.execute(&single).unwrap();
-        let reference = pipeline.reconstruct_probabilities_from(&reference_results).unwrap();
+        let reconstructor =
+            ProbabilityReconstructor::with_options(pipeline.reconstruction_options());
+        let requests = reconstructor.requests(pipeline.fragments()).unwrap();
+        let batch = execute_requests(pipeline.fragments(), &requests, &ExactBackend::new()).unwrap();
+        let reference = reconstructor.reconstruct(pipeline.fragments(), &batch).unwrap();
 
         // scheduled: two capped devices, chunked streaming reconstruction
         let registry = two_device_registry();
@@ -115,18 +117,17 @@ proptest! {
         observable.add_term(1.0, PauliString::zz(n, 0, n - 1));
         observable.add_term(-0.5, PauliString::z(n, 1));
 
-        let single = ExactBackend::new();
-        let reference_results = pipeline.execute_observables(&single, &[&observable]).unwrap();
-        let reference =
-            pipeline.reconstruct_expectation_from(&reference_results, &observable).unwrap();
+        let reconstructor =
+            ExpectationReconstructor::with_options(pipeline.reconstruction_options());
+        let requests = reconstructor.requests(pipeline.fragments(), &observable).unwrap();
+        let batch = execute_requests(pipeline.fragments(), &requests, &ExactBackend::new()).unwrap();
+        let reference = reconstructor.reconstruct(pipeline.fragments(), &batch, &observable).unwrap();
 
         let registry = two_device_registry();
         let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_chunk_size(3));
-        let (scheduled_results, report) =
-            pipeline.execute_observables_scheduled(&scheduler, &[&observable]).unwrap();
-        let scheduled =
-            pipeline.reconstruct_expectation_from(&scheduled_results, &observable).unwrap();
-        prop_assert_eq!(scheduled_results.executed(), reference_results.executed());
+        let (scheduled, _, report) =
+            pipeline.execute_observables_streaming(&scheduler, &observable).unwrap();
+        prop_assert_eq!(report.circuits, batch.executed());
         prop_assert!(report.circuits > 0);
 
         let exact = StateVector::from_circuit(&circuit).unwrap().expectation(&observable);
@@ -160,10 +161,9 @@ fn allocation_squared_errors(pipeline: &QrccPipeline, seed: u64, budget: u64) ->
         let policy =
             SchedulePolicy::with_budget(budget).with_allocation(allocation).with_min_shots(16);
         let scheduler = Scheduler::new(&registry, policy);
-        let (results, report) =
-            pipeline.execute_observables_scheduled(&scheduler, &[&observable]).unwrap();
+        let (estimate, _, report) =
+            pipeline.execute_observables_streaming(&scheduler, &observable).unwrap();
         assert_eq!(report.total_shots, budget, "the whole budget must be spent");
-        let estimate = pipeline.reconstruct_expectation_from(&results, &observable).unwrap();
         let exact =
             StateVector::from_circuit(&gate_cut_circuit()).unwrap().expectation(&observable);
         errors[slot] = (estimate - exact).powi(2);
@@ -236,7 +236,7 @@ fn two_small_devices_run_a_plan_neither_small_device_could_alone() {
     let small_scheduler =
         Scheduler::new(&small_only, SchedulePolicy::with_budget(100_000).with_min_shots(16));
     assert!(matches!(
-        pipeline.execute_scheduled(&small_scheduler),
+        pipeline.execute_streaming(&small_scheduler),
         Err(qrcc::core::CoreError::NoCompatibleBackend { required: 3, backends: 1 })
     ));
 
@@ -246,15 +246,12 @@ fn two_small_devices_run_a_plan_neither_small_device_could_alone() {
     registry.register_device("dev2", Device::new(DeviceConfig::ideal(2).with_seed(9)), 1);
     let policy = SchedulePolicy::with_budget(400_000).with_min_shots(64).with_chunk_size(4);
     let scheduler = Scheduler::new(&registry, policy);
-    let (probabilities, reconstruction_report, schedule_report) =
-        pipeline.execute_streaming(&scheduler).unwrap();
+    let (probabilities, _, schedule_report) = pipeline.execute_streaming(&scheduler).unwrap();
 
     assert!(schedule_report.chunks > 1, "chunk size 4 must stream multiple chunks");
     assert_eq!(schedule_report.total_shots, 400_000);
     assert_eq!(schedule_report.backends.len(), 2, "both devices must receive work");
     assert!(schedule_report.backends.iter().all(|u| u.circuits > 0));
-    assert_eq!(reconstruction_report.shots_spent, 400_000);
-    assert_eq!(reconstruction_report.backends_used, 2);
 
     let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
     let max_error =

@@ -3,8 +3,8 @@
 //!
 //! * remote ≡ in-process ≡ statevector (1e-9) on wire- and gate-cut plans,
 //!   property-tested over random circuits;
-//! * a `DeviceRegistry` of **only** `RemoteBackend`s reproduces the
-//!   single-backend reconstruction byte-identically;
+//! * a `DeviceRegistry` of **only** `RemoteBackend`s reproduces a local
+//!   exact backend's reconstruction byte-identically;
 //! * an injected mid-stream disconnect (`FaultyProxy`) is rescued by the
 //!   dispatcher's retry-with-exclusion, with the shot budget still spent
 //!   exactly once;
@@ -20,16 +20,31 @@ fn small_config(device: usize) -> QrccConfig {
     QrccConfig::new(device).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO)
 }
 
-/// One shared loopback worker (unbounded exact backend) for the property
-/// tests — spawning a server per proptest case would be pure overhead.
-fn shared_remote() -> &'static RemoteBackend {
-    static SHARED: OnceLock<(ServerHandle, RemoteBackend)> = OnceLock::new();
-    let (_, remote) = SHARED.get_or_init(|| {
+/// One shared loopback worker (unbounded exact backend), as a one-entry
+/// registry, for the property tests — spawning a server per proptest case
+/// would be pure overhead.
+fn shared_remote() -> &'static DeviceRegistry {
+    static SHARED: OnceLock<(ServerHandle, DeviceRegistry)> = OnceLock::new();
+    let (_, registry) = SHARED.get_or_init(|| {
         let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new()).unwrap().spawn();
-        let remote = RemoteBackend::connect(server.addr()).unwrap();
-        (server, remote)
+        let mut registry = DeviceRegistry::new();
+        registry.register("remote", RemoteBackend::connect(server.addr()).unwrap());
+        (server, registry)
     });
-    remote
+    registry
+}
+
+/// The probability workload streamed over `registry` in one chunk.
+fn probabilities(pipeline: &QrccPipeline, registry: &DeviceRegistry) -> Vec<f64> {
+    let scheduler = Scheduler::new(registry, SchedulePolicy::default());
+    pipeline.execute_streaming(&scheduler).unwrap().0
+}
+
+/// A local exact backend as a one-entry registry.
+fn local_exact() -> DeviceRegistry {
+    let mut registry = DeviceRegistry::new();
+    registry.register("local", ExactBackend::new());
+    registry
 }
 
 /// Random 4-qubit circuits from the cuttable gate set, wide enough that a
@@ -79,11 +94,8 @@ proptest! {
             Err(_) => return Ok(()), // some circuits legitimately cannot be cut
         };
         prop_assume!(pipeline.plan_ref().wire_cut_count() <= 5);
-        let local = ExactBackend::new();
-        let local_results = pipeline.execute(&local).unwrap();
-        let local_p = pipeline.reconstruct_probabilities_from(&local_results).unwrap();
-        let remote_results = pipeline.execute(shared_remote()).unwrap();
-        let remote_p = pipeline.reconstruct_probabilities_from(&remote_results).unwrap();
+        let local_p = probabilities(&pipeline, &local_exact());
+        let remote_p = probabilities(&pipeline, shared_remote());
         let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
         for ((r, l), e) in remote_p.iter().zip(&local_p).zip(&exact) {
             // remote and local must agree bit-for-bit
@@ -102,8 +114,8 @@ proptest! {
         prop_assume!(pipeline.plan_ref().wire_cut_count() <= 4);
         let mut obs = PauliObservable::new(4);
         obs.add_term(1.0, PauliString::zz(4, 0, 3));
-        let results = pipeline.execute_observables(shared_remote(), &[&obs]).unwrap();
-        let estimate = pipeline.reconstruct_expectation_from(&results, &obs).unwrap();
+        let scheduler = Scheduler::new(shared_remote(), SchedulePolicy::default());
+        let (estimate, _, _) = pipeline.execute_observables_streaming(&scheduler, &obs).unwrap();
         let exact = StateVector::from_circuit(&circuit).unwrap().expectation(&obs);
         prop_assert!((estimate - exact).abs() < 1e-9, "remote {estimate} vs exact {exact}");
     }
@@ -127,11 +139,7 @@ fn chain(n: usize) -> Circuit {
 fn remote_only_registry_reconstructs_byte_identically_through_a_disconnect() {
     let circuit = chain(6);
     let pipeline = QrccPipeline::plan(&circuit, small_config(3)).unwrap();
-    let reference = {
-        let backend = ExactBackend::new();
-        let results = pipeline.execute(&backend).unwrap();
-        pipeline.reconstruct_probabilities_from(&results).unwrap()
-    };
+    let reference = probabilities(&pipeline, &local_exact());
 
     let flaky_server = QrccServer::bind("127.0.0.1:0", ExactBackend::capped(3)).unwrap().spawn();
     let steady_server = QrccServer::bind("127.0.0.1:0", ExactBackend::capped(3)).unwrap().spawn();
@@ -148,14 +156,14 @@ fn remote_only_registry_reconstructs_byte_identically_through_a_disconnect() {
     registry.register("remote-steady", steady_remote);
     let policy = SchedulePolicy::default().with_chunk_size(2).with_max_retries(4);
     let scheduler = Scheduler::new(&registry, policy);
-    let (results, report) = pipeline.execute_scheduled(&scheduler).unwrap();
-    let reconstructed = pipeline.reconstruct_probabilities_from(&results).unwrap();
+    let (reconstructed, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
 
     assert!(
         report.dispatch.failures > 0,
         "the severed connection must surface as dispatch failures: {report:?}"
     );
-    assert!(results.retries() > 0, "the dead job's circuits must land elsewhere as retries");
+    let retries: u64 = report.backends.iter().map(|u| u.retries).sum();
+    assert!(retries > 0, "the dead job's circuits must land elsewhere as retries");
     for (r, e) in reconstructed.iter().zip(&reference) {
         assert_eq!(r.to_bits(), e.to_bits(), "remote-only reconstruction must be byte-identical");
     }
@@ -193,12 +201,12 @@ fn shot_budget_is_spent_exactly_once_through_a_disconnect() {
         .with_chunk_size(2)
         .with_max_retries(4);
     let scheduler = Scheduler::new(&registry, policy);
-    let (results, report) = pipeline.execute_scheduled(&scheduler).unwrap();
+    let (probabilities, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
 
     assert!(report.dispatch.failures > 0, "the fault must actually fire: {report:?}");
     assert_eq!(report.total_shots, budget, "the whole budget is spent despite the disconnect");
-    assert_eq!(results.shots_spent(), budget, "routing stats agree with the report");
-    let probabilities = pipeline.reconstruct_probabilities_from(&results).unwrap();
+    let usage_shots: u64 = report.backends.iter().map(|u| u.shots).sum();
+    assert_eq!(usage_shots, budget, "per-backend usage agrees with the total");
     let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
     for (p, e) in probabilities.iter().zip(&exact) {
         assert!((p - e).abs() < 0.05, "sampled reconstruction stays sane: {p} vs {e}");
