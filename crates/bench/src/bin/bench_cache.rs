@@ -15,7 +15,7 @@ use qrcc_circuit::Circuit;
 use qrcc_core::obs::{bench_json, Histogram, MetricsSnapshot};
 use qrcc_core::pipeline::QrccPipeline;
 use qrcc_core::schedule::{DeviceRegistry, Scheduler};
-use qrcc_core::{CacheStats, QrccConfig, SchedulePolicy};
+use qrcc_core::{CacheStats, QrccConfig, ResultCachePolicy, SchedulePolicy};
 use qrcc_sim::device::{Device, DeviceConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -134,10 +134,7 @@ fn main() {
         "result-cache benchmark: {points}-point sweep, {qubits}-qubit ansatz on a 3-qubit device\n"
     );
 
-    let config = QrccConfig::new(3)
-        .with_subcircuit_range(2, 3)
-        .with_ilp_time_limit(Duration::ZERO)
-        .with_result_cache(true);
+    let config = QrccConfig::new(3).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
     let pipelines: Vec<QrccPipeline> = (0..points)
         .map(|k| {
             let gamma = 0.3 + 0.07 * k as f64;
@@ -150,7 +147,7 @@ fn main() {
     // circuit, the top-up registry asks for twice that from the same device
     let mut registry = DeviceRegistry::new();
     registry.register_device("dev3", Device::new(DeviceConfig::ideal(3).with_seed(11)), BASE_SHOTS);
-    let registry = registry.with_result_cache(&config.result_cache);
+    let registry = registry.with_result_cache(&ResultCachePolicy::in_memory());
     let cache = Arc::clone(registry.result_cache().expect("cache enabled"));
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 

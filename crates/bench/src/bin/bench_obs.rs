@@ -67,16 +67,15 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let reps = if smoke { 3 } else { 5 };
 
-    // 1. Off by default: the config ships with tracing disabled, and a run
+    // 1. Off by default: the global tracer starts disabled, and a run
     //    under it records nothing.
-    let config = workload_config();
-    assert!(!config.obs.enabled, "tracing must be off by default");
+    assert!(!tracer().enabled(), "tracing must be off by default");
 
     let mut registry = DeviceRegistry::new();
     registry.register_device("dev3", Device::new(DeviceConfig::ideal(3).with_seed(5)), 256);
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 
-    let pipeline_off = QrccPipeline::plan(&workload_circuit(), config).expect("plans");
+    let pipeline_off = QrccPipeline::plan(&workload_circuit(), workload_config()).expect("plans");
     let off = run_workload(&pipeline_off, &scheduler, reps);
     assert!(tracer().drain().is_empty(), "a default-config run must record zero spans");
 
@@ -92,8 +91,8 @@ fn main() {
 
     // 3. Count the workload's instrumented callsites by running once with
     //    tracing on (this also exercises the enabled path end to end).
-    let pipeline_on = QrccPipeline::plan(&workload_circuit(), workload_config().with_tracing(true))
-        .expect("plans");
+    tracer().enable();
+    let pipeline_on = QrccPipeline::plan(&workload_circuit(), workload_config()).expect("plans");
     let _ = tracer().drain();
     let on = run_workload(&pipeline_on, &scheduler, reps);
     let t = Instant::now();

@@ -11,7 +11,7 @@ use qrcc_bench::{harness_config, print_header, Scale};
 use qrcc_circuit::generators;
 use qrcc_circuit::observable::PauliObservable;
 use qrcc_core::pipeline::QrccPipeline;
-use qrcc_core::{DeviceRegistry, Scheduler};
+use qrcc_core::{DeviceRegistry, SchedulePolicy, Scheduler};
 use qrcc_sim::device::{Device, DeviceConfig};
 use qrcc_sim::noise::NoiseModel;
 use qrcc_sim::StateVector;
@@ -53,7 +53,7 @@ fn main() {
     // QRCC: cut to 4-qubit subcircuits, run on a noisy 4-qubit device,
     // reconstruct classically.
     let config = harness_config(4, 0.7, true).with_subcircuit_range(2, 3);
-    let pipeline = match QrccPipeline::plan(&circuit, config.clone()) {
+    let pipeline = match QrccPipeline::plan(&circuit, config) {
         Ok(pipeline) => pipeline,
         Err(e) => {
             eprintln!("could not plan REG(7) for a 4-qubit device: {e}");
@@ -75,7 +75,7 @@ fn main() {
         shots,
     );
     // One deduplicated batch of noisy subcircuit runs serves every Pauli term.
-    let scheduler = Scheduler::new(&registry, config.schedule);
+    let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
     let (qrcc_value, _, schedule) =
         pipeline.execute_observables_streaming(&scheduler, &observable).unwrap();
     println!("batch execution: {} noisy device runs after dedup", schedule.circuits);

@@ -11,7 +11,7 @@
 //! execution transport: circuits travel over the wire as [`to_qasm`] text and
 //! are parsed back on the worker. It accepts exactly the dialect [`to_qasm`]
 //! produces — one statement per line, a single `q` quantum register and a
-//! single `c` classical register, the gate set of [`Gate`](crate::Gate) —
+//! single `c` classical register, the gate set of [`Gate`] —
 //! plus `//` comments and blank lines. Parameters are printed with Rust's
 //! shortest-round-trip float formatting, so `from_qasm(to_qasm(c))`
 //! reproduces `c` bit-for-bit

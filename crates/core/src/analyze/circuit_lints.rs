@@ -168,7 +168,7 @@ impl Lint for ReuseCapability {
     }
 
     fn check(&self, ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
-        let Some(fleet) = ctx.fleet else { return };
+        let Some(fleet) = ctx.fleet.map(|scheduler| scheduler.registry()) else { return };
         if fleet.is_empty() {
             // QL0304 owns the empty-fleet finding
             return;
@@ -215,7 +215,7 @@ impl Lint for ReuseCapability {
 #[cfg(test)]
 mod tests {
     use super::super::{AnalysisContext, Analyzer, Severity};
-    use crate::schedule::DeviceRegistry;
+    use crate::schedule::{DeviceRegistry, SchedulePolicy, Scheduler};
     use qrcc_circuit::Circuit;
     use qrcc_sim::device::{Device, DeviceConfig};
 
@@ -276,14 +276,16 @@ mod tests {
             Device::new(DeviceConfig::ideal(4).without_mid_circuit()),
             4096,
         );
+        let scheduler = Scheduler::new(&no_reuse, SchedulePolicy::default());
         let report =
-            Analyzer::new().run(&AnalysisContext::new().with_circuit(&c).with_fleet(&no_reuse));
+            Analyzer::new().run(&AnalysisContext::new().with_circuit(&c).with_fleet(&scheduler));
         assert!(report.diagnostics().iter().any(|d| d.code == "QL0105"));
 
         let mut capable = DeviceRegistry::new();
         capable.register_device("reuse-ok", Device::new(DeviceConfig::ideal(4)), 4096);
+        let scheduler = Scheduler::new(&capable, SchedulePolicy::default());
         let report =
-            Analyzer::new().run(&AnalysisContext::new().with_circuit(&c).with_fleet(&capable));
+            Analyzer::new().run(&AnalysisContext::new().with_circuit(&c).with_fleet(&scheduler));
         assert!(report.diagnostics().iter().all(|d| d.code != "QL0105"));
     }
 

@@ -24,8 +24,8 @@ impl Lint for EmptyFleet {
     }
 
     fn check(&self, ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
-        let Some(fleet) = ctx.fleet else { return };
-        if fleet.is_empty() {
+        let Some(scheduler) = ctx.fleet else { return };
+        if scheduler.registry().is_empty() {
             report.push(
                 Diagnostic::error(
                     "QL0304",
@@ -75,7 +75,8 @@ impl Lint for PredictedPlacement {
     }
 
     fn check(&self, ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
-        let (Some(fragments), Some(fleet)) = (ctx.fragments, ctx.fleet) else { return };
+        let (Some(fragments), Some(scheduler)) = (ctx.fragments, ctx.fleet) else { return };
+        let fleet = scheduler.registry();
         if fleet.is_empty() {
             return; // QL0304 owns the empty-fleet finding
         }
@@ -157,7 +158,7 @@ fn deduplicated_circuit_count(fragments: &FragmentSet, requests: &[VariantReques
 }
 
 /// `QL0302`: a statically-predicted
-/// [`CoreError::ShotBudgetTooSmall`](crate::CoreError): the configured
+/// [`CoreError::ShotBudgetTooSmall`](crate::CoreError): the scheduler's
 /// budget cannot give every deduplicated circuit its minimum shots.
 ///
 /// For wire-cut-only plans the lint replays the scheduler's exact
@@ -178,8 +179,8 @@ impl Lint for PredictedShotBudget {
     }
 
     fn check(&self, ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
-        let (Some(fragments), Some(config)) = (ctx.fragments, ctx.config) else { return };
-        let policy = &config.schedule;
+        let (Some(fragments), Some(scheduler)) = (ctx.fragments, ctx.fleet) else { return };
+        let policy = scheduler.policy();
         let Some(budget) = policy.shot_budget else { return };
         let min_shots = policy.min_shots.max(1);
         let executing = || fragments.fragments.iter().filter(|f| f.num_clbits > 0);
@@ -242,7 +243,7 @@ impl Lint for PredictedShotBudget {
 mod tests {
     use super::super::{AnalysisContext, Analyzer, LintLevel, Severity};
     use crate::pipeline::{ExactBackend, QrccPipeline};
-    use crate::schedule::{DeviceRegistry, Scheduler};
+    use crate::schedule::{DeviceRegistry, SchedulePolicy, Scheduler};
     use crate::{CoreError, QrccConfig};
     use qrcc_circuit::Circuit;
     use std::time::Duration;
@@ -264,7 +265,8 @@ mod tests {
     #[test]
     fn an_empty_fleet_is_an_error() {
         let fleet = DeviceRegistry::new();
-        let report = Analyzer::new().run(&AnalysisContext::new().with_fleet(&fleet));
+        let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
+        let report = Analyzer::new().run(&AnalysisContext::new().with_fleet(&scheduler));
         let d = report.diagnostics().iter().find(|d| d.code == "QL0304").expect("fires");
         assert_eq!(d.severity, Severity::Error);
         assert!(report.gate(LintLevel::Warn).is_err());
@@ -277,14 +279,15 @@ mod tests {
         // qubit reuse can shrink fragments to 2 physical qubits, but never
         // below the width of a CX — a 1-qubit backend can run nothing here
         fleet.register("tiny", ExactBackend::capped(1));
-        let ctx = AnalysisContext::new().with_fragments(pipeline.fragments()).with_fleet(&fleet);
+        let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
+        let ctx =
+            AnalysisContext::new().with_fragments(pipeline.fragments()).with_fleet(&scheduler);
         let report = Analyzer::new().run(&ctx);
         let d = report.diagnostics().iter().find(|d| d.code == "QL0301").expect("fires");
         assert_eq!(d.severity, Severity::Error);
         assert!(d.message.contains("too small"), "{d}");
 
         // ... and the runtime agrees
-        let scheduler = Scheduler::new(&fleet, pipeline.plan_ref().config().schedule);
         let err = pipeline.execute_streaming(&scheduler).unwrap_err();
         assert!(
             matches!(err, CoreError::NoCompatibleBackend { .. })
@@ -298,7 +301,9 @@ mod tests {
         let pipeline = QrccPipeline::plan(&chain(6), config(4)).unwrap();
         let mut fleet = DeviceRegistry::new();
         fleet.register("roomy", ExactBackend::new());
-        let ctx = AnalysisContext::new().with_fragments(pipeline.fragments()).with_fleet(&fleet);
+        let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
+        let ctx =
+            AnalysisContext::new().with_fragments(pipeline.fragments()).with_fleet(&scheduler);
         let report = Analyzer::new().run(&ctx);
         assert!(
             report.diagnostics().iter().all(|d| d.code != "QL0301" || d.severity < Severity::Error),
@@ -308,25 +313,22 @@ mod tests {
 
     #[test]
     fn a_starved_budget_predicts_shot_budget_too_small_exactly() {
-        let starved = config(4).with_shot_budget(3);
-        let pipeline = QrccPipeline::plan(&chain(6), starved.clone()).unwrap();
-        let ctx = AnalysisContext::new().with_config(&starved).with_fragments(pipeline.fragments());
+        let pipeline = QrccPipeline::plan(&chain(6), config(4)).unwrap();
+        let mut fleet = DeviceRegistry::new();
+        fleet.register("exact", ExactBackend::new());
+        let starved = Scheduler::new(&fleet, SchedulePolicy::with_budget(3));
+        let ctx = AnalysisContext::new().with_fragments(pipeline.fragments()).with_fleet(&starved);
         let report = Analyzer::new().run(&ctx);
         let d = report.diagnostics().iter().find(|d| d.code == "QL0302").expect("fires");
         assert_eq!(d.severity, Severity::Error);
 
         // the runtime fails with exactly the predicted error
-        let mut fleet = DeviceRegistry::new();
-        fleet.register("exact", ExactBackend::new());
-        let scheduler = Scheduler::new(&fleet, starved.schedule);
-        let err = pipeline.execute_streaming(&scheduler).unwrap_err();
+        let err = pipeline.execute_streaming(&starved).unwrap_err();
         assert!(matches!(err, CoreError::ShotBudgetTooSmall { .. }), "{err}");
 
         // a generous budget analyzes clean
-        let generous = config(4).with_shot_budget(1_000_000);
-        let pipeline = QrccPipeline::plan(&chain(6), generous.clone()).unwrap();
-        let ctx =
-            AnalysisContext::new().with_config(&generous).with_fragments(pipeline.fragments());
+        let generous = Scheduler::new(&fleet, SchedulePolicy::with_budget(1_000_000));
+        let ctx = AnalysisContext::new().with_fragments(pipeline.fragments()).with_fleet(&generous);
         let report = Analyzer::new().run(&ctx);
         assert!(report.diagnostics().iter().all(|d| d.code != "QL0302"), "{report}");
     }

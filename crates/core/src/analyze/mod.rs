@@ -8,8 +8,9 @@
 //! starved shot budget as [`CoreError::ShotBudgetTooSmall`], a reuse circuit
 //! on a fleet without mid-circuit measurement as a per-circuit backend
 //! failure. All of these are **statically decidable** from the circuit, the
-//! cut plan and the fleet description alone. This module decides them up
-//! front, rustc-style:
+//! cut plan and the [`Scheduler`] the request will run on — its registry is
+//! the fleet, its [`SchedulePolicy`](crate::SchedulePolicy) the shot budget.
+//! This module decides them up front, rustc-style:
 //!
 //! * [`Diagnostic`] — one finding: a stable code (`QL0203`), a [`Severity`],
 //!   a [`Location`] (qubit, gate index, fragment, cut id, QASM line/column),
@@ -27,7 +28,8 @@
 //! [`QrccPipeline::analyze`](crate::pipeline::QrccPipeline::analyze) /
 //! [`analyze_with_fleet`](crate::pipeline::QrccPipeline::analyze_with_fleet)
 //! and the gating
-//! [`preflight`](crate::pipeline::QrccPipeline::preflight); the remote
+//! [`preflight`](crate::pipeline::QrccPipeline::preflight), the last two
+//! over the same `&Scheduler` the request then runs on; the remote
 //! server uses [`preflight_backend`] to reject statically-invalid circuits
 //! per batch entry.
 //!
@@ -42,18 +44,12 @@
 //! assert!(report.diagnostics().iter().any(|d| d.code == "QL0102"));
 //! ```
 
-mod cache_lints;
 mod circuit_lints;
 mod fleet_lints;
-mod monitor_lints;
-mod obs_lints;
 mod plan_lints;
 
-pub use cache_lints::CachePolicy;
 pub use circuit_lints::{ClassicalRegisterUsage, DeadQubits, MeasureBeforeUse, ReuseCapability};
 pub use fleet_lints::{EmptyFleet, PredictedPlacement, PredictedShotBudget};
-pub use monitor_lints::MonitorPolicyLint;
-pub use obs_lints::ObsPolicyLint;
 pub use plan_lints::{
     DanglingWireCut, FragmentWidth, IncompleteGateCut, InfeasibleStrategy, PruneMass,
     SamplingOverhead,
@@ -61,7 +57,7 @@ pub use plan_lints::{
 
 use crate::execute::ExecutionBackend;
 use crate::fragment::FragmentSet;
-use crate::schedule::DeviceRegistry;
+use crate::schedule::Scheduler;
 use crate::{CoreError, QrccConfig};
 use qrcc_circuit::{Circuit, CircuitError};
 use serde::{Deserialize, Serialize};
@@ -336,10 +332,11 @@ pub struct AnalysisContext<'a> {
     pub circuit: Option<&'a Circuit>,
     /// The cut plan's fragments.
     pub fragments: Option<&'a FragmentSet>,
-    /// The planner/schedule configuration.
+    /// The planner configuration.
     pub config: Option<&'a QrccConfig>,
-    /// The device fleet the batch would be scheduled on.
-    pub fleet: Option<&'a DeviceRegistry>,
+    /// The scheduler the batch would run on: its registry is the fleet the
+    /// placement lints check, its policy the shot budget QL0302 checks.
+    pub fleet: Option<&'a Scheduler<'a>>,
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -362,17 +359,17 @@ impl<'a> AnalysisContext<'a> {
         self
     }
 
-    /// Adds the planner/schedule configuration.
+    /// Adds the planner configuration.
     #[must_use]
     pub fn with_config(mut self, config: &'a QrccConfig) -> Self {
         self.config = Some(config);
         self
     }
 
-    /// Adds the device fleet.
+    /// Adds the scheduler the batch would run on (its fleet and policy).
     #[must_use]
-    pub fn with_fleet(mut self, fleet: &'a DeviceRegistry) -> Self {
-        self.fleet = Some(fleet);
+    pub fn with_fleet(mut self, scheduler: &'a Scheduler<'a>) -> Self {
+        self.fleet = Some(scheduler);
         self
     }
 }
@@ -411,10 +408,7 @@ impl Analyzer {
             .register(Box::new(PruneMass))
             .register(Box::new(EmptyFleet))
             .register(Box::new(PredictedPlacement))
-            .register(Box::new(PredictedShotBudget))
-            .register(Box::new(CachePolicy))
-            .register(Box::new(ObsPolicyLint))
-            .register(Box::new(MonitorPolicyLint));
+            .register(Box::new(PredictedShotBudget));
         analyzer
     }
 

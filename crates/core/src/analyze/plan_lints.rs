@@ -97,7 +97,7 @@ impl Lint for FragmentWidth {
         let Some(fragments) = ctx.fragments else { return };
         for fragment in &fragments.fragments {
             let width = fragment.num_physical;
-            if let Some(fleet) = ctx.fleet {
+            if let Some(fleet) = ctx.fleet.map(|scheduler| scheduler.registry()) {
                 if fleet.is_empty() {
                     continue; // QL0304 owns the empty-fleet finding
                 }
@@ -305,7 +305,7 @@ mod tests {
     use crate::fragment::FragmentSet;
     use crate::pipeline::QrccPipeline;
     use crate::reconstruct::ReconstructionStrategy;
-    use crate::schedule::DeviceRegistry;
+    use crate::schedule::{DeviceRegistry, SchedulePolicy, Scheduler};
     use crate::QrccConfig;
     use qrcc_circuit::Circuit;
     use qrcc_sim::device::{Device, DeviceConfig};
@@ -387,11 +387,12 @@ mod tests {
         // with a fleet that tops out below 9 qubits: an error
         let mut fleet = DeviceRegistry::new();
         fleet.register_device("small", Device::new(DeviceConfig::ideal(4)), 1024);
+        let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
         let report = Analyzer::new().run(
             &AnalysisContext::new()
                 .with_config(&config)
                 .with_fragments(&fragments)
-                .with_fleet(&fleet),
+                .with_fleet(&scheduler),
         );
         let d = report.diagnostics().iter().find(|d| d.code == "QL0203").expect("fires");
         assert_eq!(d.severity, Severity::Error);

@@ -30,7 +30,7 @@
 //! immediately. Snapshots carry a format version header; a mismatched or
 //! unparseable snapshot is ignored (the cache starts empty) rather than
 //! failing the worker — [`CacheStats::snapshot_ignored`] records that this
-//! happened, and the `QL0305` lint warns about it pre-flight. Circuits are
+//! happened. Circuits are
 //! stored as OpenQASM text and distribution values as `f64` bit patterns,
 //! both of which round-trip exactly, so a reloaded entry hits on precisely
 //! the hashes the live entry did.
@@ -55,10 +55,10 @@ const SNAPSHOT_MAGIC: &str = "QRCC-RESULT-CACHE";
 /// Default capacity: 4 Mi stored distribution values (32 MiB of `f64`s).
 pub const DEFAULT_CACHE_CAPACITY: u64 = 1 << 22;
 
-/// Configuration for the result cache, carried by
-/// [`QrccConfig`](crate::QrccConfig) and consumed by
+/// Configuration for the result cache, consumed by
 /// [`DeviceRegistry::with_result_cache`](crate::schedule::DeviceRegistry::with_result_cache)
-/// and `QrccServer::with_result_cache`.
+/// and `QrccServer::with_result_cache` — the two places a cache is
+/// attached.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResultCachePolicy {
     /// Whether executions consult the cache at all. Off by default: caching
@@ -67,8 +67,7 @@ pub struct ResultCachePolicy {
     #[serde(default)]
     pub enabled: bool,
     /// Total weight budget, counted in stored distribution values (`f64`
-    /// slots) across all shards. Zero means nothing can be stored — the
-    /// `QL0305` lint warns when caching is enabled with zero capacity.
+    /// slots) across all shards. Zero means nothing can be stored.
     #[serde(default)]
     pub capacity: u64,
     /// Snapshot file for persistence across worker restarts, or `None` for
@@ -298,14 +297,6 @@ impl ResultCache {
     /// The snapshot path this cache persists to, if any.
     pub fn persist_path(&self) -> Option<&Path> {
         self.persist_path.as_deref()
-    }
-
-    /// Reads just the version of a snapshot header. `None` when the file is
-    /// unreadable or does not start with a snapshot header. Used by the
-    /// `QL0305` lint to warn about mismatched snapshots without loading them.
-    pub fn snapshot_version(path: &Path) -> Option<u32> {
-        let text = std::fs::read_to_string(path).ok()?;
-        parse_header(text.lines().next()?)
     }
 
     /// Looks up `circuit` for a request of `requested_shots` (`None` = the
@@ -737,14 +728,12 @@ mod tests {
         std::fs::write(&path, "QRCC-RESULT-CACHE v999\nentry shots=exact dist=0 qasm_lines=0\n")
             .unwrap();
         let policy = ResultCachePolicy::persisted(path.to_string_lossy().to_string());
-        assert_eq!(ResultCache::snapshot_version(&path), Some(999));
         let cache = ResultCache::open(&policy);
         let stats = cache.stats();
         assert!(stats.snapshot_ignored);
         assert_eq!(stats.entries, 0);
         // garbage is equally non-fatal
         std::fs::write(&path, "not a snapshot at all").unwrap();
-        assert_eq!(ResultCache::snapshot_version(&path), None);
         assert!(ResultCache::open(&policy).stats().snapshot_ignored);
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,6 +1,4 @@
 use crate::analyze::LintLevel;
-use crate::cache::ResultCachePolicy;
-use crate::obs::{MonitorPolicy, ObsPolicy};
 use crate::reconstruct::ReconstructionStrategy;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -114,7 +112,19 @@ impl SchedulePolicy {
     }
 }
 
-/// Configuration of the QRCC cut planner (the meta parameters of §4.2.1).
+/// Configuration of the QRCC cut planner (the meta parameters of §4.2.1),
+/// plus the reconstruction options and the pre-flight lint gate of the plan
+/// it produces.
+///
+/// Every other layer owns its own policy: a [`Scheduler`] carries its
+/// [`SchedulePolicy`], a [`DeviceRegistry`] its
+/// [`ResultCachePolicy`](crate::cache::ResultCachePolicy), tracing is
+/// switched by [`tracer()`](crate::obs::tracer)`.enable()`, and the
+/// gate-by-gate interpreter is selected with
+/// [`ExactBackend::interpreted`](crate::execute::ExactBackend::interpreted).
+///
+/// [`Scheduler`]: crate::schedule::Scheduler
+/// [`DeviceRegistry`]: crate::schedule::DeviceRegistry
 ///
 /// ```rust
 /// use qrcc_core::QrccConfig;
@@ -166,45 +176,11 @@ pub struct QrccConfig {
     /// attribution entries whose accumulated absolute weight stays below
     /// this value are dropped (0.0, the default, disables pruning).
     pub prune_tolerance: f64,
-    /// How the execution [`schedule`](crate::schedule) layer splits a global
-    /// shot budget across the batch and chunks it for streaming.
-    pub schedule: SchedulePolicy,
     /// Severity gate of the pre-flight [`analyze`](crate::analyze) pass:
     /// which diagnostics make [`AnalysisReport::gate`](crate::analyze::AnalysisReport::gate)
     /// fail. `Warn` (the default) fails on errors only; `Deny` also fails on
     /// warnings; `Allow` never fails.
     pub lint_level: LintLevel,
-    /// Opts simulator backends out of the compiled kernel path: when `true`,
-    /// backends built from this config (see
-    /// [`QrccConfig::exact_backend`]) interpret circuits gate-by-gate
-    /// instead of lowering them to fused kernel programs. The interpreted
-    /// path is the differential-testing reference; the compiled default is
-    /// faster and numerically identical on the exact path. Equivalent to the
-    /// `QRCC_SIM_INTERPRETED=1` environment variable.
-    #[serde(default)]
-    pub sim_interpreted: bool,
-    /// Result-cache policy of executions driven by this config: whether the
-    /// dispatch layer (and servers built from this config) consult a
-    /// shot-aware [`ResultCache`](crate::cache::ResultCache) before
-    /// executing, its weight budget, and an optional persistence snapshot
-    /// path. Disabled by default — cache-served circuits skip the backend,
-    /// which shifts a sampling backend's deterministic stream assignment
-    /// relative to a cache-free run.
-    #[serde(default)]
-    pub result_cache: ResultCachePolicy,
-    /// Observability policy: whether pipeline phases, dispatch jobs and
-    /// remote batches record tracing spans and latency histograms into the
-    /// process-global [`obs`](crate::obs) registries. Off by default and
-    /// zero-cost when off — every instrumentation site is one relaxed
-    /// atomic load.
-    #[serde(default)]
-    pub obs: ObsPolicy,
-    /// Fleet-monitoring policy: live-window width and rotation, worker poll
-    /// cadence, target protocol version and the SLO the merged fleet view
-    /// is scored against. `None` (the default) means no live monitoring;
-    /// when set, lint QL0307 checks it for misconfiguration.
-    #[serde(default)]
-    pub monitor: Option<MonitorPolicy>,
 }
 
 fn default_ilp_time_limit() -> Duration {
@@ -230,12 +206,7 @@ impl QrccConfig {
             seed: 0,
             reconstruction_strategy: ReconstructionStrategy::Auto,
             prune_tolerance: 0.0,
-            schedule: SchedulePolicy::default(),
             lint_level: LintLevel::default(),
-            sim_interpreted: false,
-            result_cache: ResultCachePolicy::default(),
-            obs: ObsPolicy::default(),
-            monitor: None,
         }
     }
 
@@ -331,24 +302,6 @@ impl QrccConfig {
         self
     }
 
-    /// Sets the full schedule policy.
-    pub fn with_schedule_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.schedule = policy;
-        self
-    }
-
-    /// Sets the global shot budget of the schedule policy.
-    pub fn with_shot_budget(mut self, budget: u64) -> Self {
-        self.schedule.shot_budget = Some(budget);
-        self
-    }
-
-    /// Sets the shot-allocation mode of the schedule policy.
-    pub fn with_shot_allocation(mut self, allocation: ShotAllocation) -> Self {
-        self.schedule.allocation = allocation;
-        self
-    }
-
     /// Sets the severity gate of the pre-flight analysis pass.
     /// `LintLevel::Deny` is "deny warnings" mode: any warning- or
     /// error-severity diagnostic fails
@@ -356,80 +309,6 @@ impl QrccConfig {
     pub fn with_lint_level(mut self, level: LintLevel) -> Self {
         self.lint_level = level;
         self
-    }
-
-    /// Selects the simulator mode of backends built from this config:
-    /// `true` forces the gate-by-gate interpreter, `false` (the default)
-    /// keeps the compiled kernel path.
-    pub fn with_interpreted_sim(mut self, interpreted: bool) -> Self {
-        self.sim_interpreted = interpreted;
-        self
-    }
-
-    /// Enables (or disables) the shot-aware result cache for executions
-    /// driven by this config.
-    pub fn with_result_cache(mut self, enabled: bool) -> Self {
-        self.result_cache.enabled = enabled;
-        self
-    }
-
-    /// Sets the result cache's weight budget, counted in stored
-    /// distribution values (`f64` slots). Implies nothing about enablement.
-    pub fn with_result_cache_capacity(mut self, capacity: u64) -> Self {
-        self.result_cache.capacity = capacity;
-        self
-    }
-
-    /// Enables the result cache with a persistence snapshot path, so a
-    /// restarted worker serves hits immediately.
-    pub fn with_result_cache_persistence(mut self, path: impl Into<String>) -> Self {
-        self.result_cache.enabled = true;
-        self.result_cache.persist_path = Some(path.into());
-        self
-    }
-
-    /// Enables (or disables) observability for executions driven by this
-    /// config: pipeline phase spans, per-job dispatch spans, cache spans,
-    /// per-request latency histograms, and cross-wire trace propagation.
-    /// Off by default; when off, instrumentation is zero-cost (asserted by
-    /// the `bench_obs` smoke).
-    pub fn with_tracing(mut self, enabled: bool) -> Self {
-        self.obs.enabled = enabled;
-        self
-    }
-
-    /// Sets the span-buffer capacity (total spans across all shards).
-    /// Implies nothing about enablement; checked by lint QL0306.
-    pub fn with_trace_buffer(mut self, capacity: usize) -> Self {
-        self.obs.buffer_capacity = capacity;
-        self
-    }
-
-    /// Enables tracing with an output path for the exported trace
-    /// (consumers pick the format by extension, e.g. `.json` for a Chrome
-    /// trace). The path's parent must exist — lint QL0306 flags it
-    /// otherwise.
-    pub fn with_trace_output(mut self, path: impl Into<String>) -> Self {
-        self.obs.enabled = true;
-        self.obs.trace_path = Some(path.into());
-        self
-    }
-
-    /// Sets the fleet-monitoring policy (live windows, poll cadence, SLO).
-    /// Checked by lint QL0307.
-    pub fn with_monitor(mut self, policy: MonitorPolicy) -> Self {
-        self.monitor = Some(policy);
-        self
-    }
-
-    /// An [`ExactBackend`](crate::execute::ExactBackend) honouring this
-    /// config's [`sim_interpreted`](QrccConfig::sim_interpreted) mode.
-    pub fn exact_backend(&self) -> crate::execute::ExactBackend {
-        if self.sim_interpreted {
-            crate::execute::ExactBackend::interpreted()
-        } else {
-            crate::execute::ExactBackend::new()
-        }
     }
 
     /// The linearised post-processing cost `α·#wire_cuts + β·#gate_cuts`
@@ -509,25 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_knobs_chain_and_default_off() {
-        // off by default: constructing configs must never enable tracing
-        assert!(!QrccConfig::new(3).obs.enabled);
-        let c = QrccConfig::new(5).with_tracing(true).with_trace_buffer(1024);
-        assert!(c.obs.enabled);
-        assert_eq!(c.obs.buffer_capacity, 1024);
-        assert_eq!(c.obs.trace_path, None);
-        let c = QrccConfig::new(5).with_trace_output("/tmp/trace.json");
-        assert!(c.obs.enabled, "with_trace_output implies tracing on");
-        assert_eq!(c.obs.trace_path.as_deref(), Some("/tmp/trace.json"));
-    }
-
-    #[test]
     fn schedule_policy_knobs_chain() {
-        let c = QrccConfig::new(5)
-            .with_shot_budget(10_000)
-            .with_shot_allocation(ShotAllocation::Uniform);
-        assert_eq!(c.schedule.shot_budget, Some(10_000));
-        assert_eq!(c.schedule.allocation, ShotAllocation::Uniform);
         let p = SchedulePolicy::with_budget(500)
             .with_min_shots(4)
             .with_chunk_size(8)

@@ -5,7 +5,7 @@
 //! whole execution — the measurement side keeps the original qubit and the
 //! initialisation side adds a fresh "initialization qubit" per cut — and
 //! mid-circuit measurement/reset is not exploited. Comparing
-//! [`CutQcPlanner`] against [`CutPlanner`](crate::planner::CutPlanner) is what
+//! [`CutQcPlanner`] against [`CutPlanner`] is what
 //! Tables 1, 2 and 6 of the paper do.
 //!
 //! Baseline plans produce ordinary [`FragmentSet`](crate::fragment::FragmentSet)s,

@@ -9,8 +9,8 @@
 //! vendors no tokio, so concurrency is a channel-driven event loop over
 //! worker threads, in the spirit of the `vendor/` shims):
 //!
-//! * **Worker pool** — one [`worker`] thread per
-//!   [`DeviceRegistry`](crate::schedule::DeviceRegistry) backend, each
+//! * **Worker pool** — one `worker` thread per
+//!   [`DeviceRegistry`] backend, each
 //!   draining a FIFO job queue, so a slow or queued device
 //!   (`QueueBackend`) never stalls the others.
 //! * **Bounded in-flight window** — at most
@@ -37,7 +37,7 @@
 //!   completed / retried / requeued and the wall-clock of each phase
 //!   (queue wait, backend execution, consumer delivery); per-backend failure
 //!   and retry counters ride on
-//!   [`BackendUsage`](crate::execute::BackendUsage) into
+//!   [`BackendUsage`] into
 //!   [`ExecutionResults::routing`](crate::execute::ExecutionResults::routing)
 //!   and from there into the
 //!   [`ScheduleReport`](crate::schedule::ScheduleReport).

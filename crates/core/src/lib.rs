@@ -51,19 +51,18 @@
 //! ```rust
 //! use qrcc_circuit::Circuit;
 //! use qrcc_core::pipeline::{ExactBackend, QrccPipeline};
-//! use qrcc_core::{DeviceRegistry, QrccConfig, Scheduler};
+//! use qrcc_core::{DeviceRegistry, QrccConfig, SchedulePolicy, Scheduler};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Evaluate a 4-qubit GHZ circuit using only a 3-qubit device.
 //! let mut ghz = Circuit::new(4);
 //! ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
-//! let config = QrccConfig::new(3);
-//! let pipeline = QrccPipeline::plan(&ghz, config.clone())?;
+//! let pipeline = QrccPipeline::plan(&ghz, QrccConfig::new(3))?;
 //! // one request: a deduplicated batch streams through the scheduler and
 //! // folds as it lands; a single backend is a one-entry registry
 //! let mut registry = DeviceRegistry::new();
 //! registry.register("exact", ExactBackend::new());
-//! let scheduler = Scheduler::new(&registry, config.schedule);
+//! let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 //! let (p, _, _) = pipeline.execute_streaming(&scheduler)?;
 //! assert!((p[0b0000] - 0.5).abs() < 1e-6);
 //! # Ok(())
@@ -100,7 +99,7 @@ pub use cache::{CacheLookup, CacheStats, ResultCache, ResultCachePolicy};
 pub use config::{QrccConfig, SchedulePolicy, ShotAllocation, ALPHA_WIRE_CUT, BETA_GATE_CUT};
 pub use error::CoreError;
 pub use obs::{
-    Histogram, MetricsSnapshot, MonitorPolicy, ObsPolicy, PhaseProfile, QrccReport, RateCounter,
+    Histogram, MetricsSnapshot, MonitorPolicy, PhaseProfile, QrccReport, RateCounter,
     SloEvaluation, SloSpec, SloStatus, WindowedHistogram,
 };
 pub use reconstruct::{ReconstructionOptions, ReconstructionReport, ReconstructionStrategy};

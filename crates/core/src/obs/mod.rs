@@ -9,8 +9,8 @@
 //! vocabulary over all of them:
 //!
 //! * [`Tracer`] / [`SpanGuard`] — RAII phase and per-job spans recorded
-//!   into a sharded buffer; zero-cost when disabled (the default). Enable
-//!   with [`QrccConfig::with_tracing`](crate::QrccConfig::with_tracing).
+//!   into a sharded buffer; zero-cost when disabled (the default). Switched
+//!   only by [`tracer()`]`.enable()` / `.disable()`.
 //! * [`Histogram`] — log-bucketed latencies with `p50/p90/p99/p999` and an
 //!   associative merge, so per-worker histograms fold into fleet totals.
 //! * [`Metrics`] / [`metrics()`] — the named counter/gauge/histogram
@@ -49,47 +49,10 @@ pub use slo::{LatencyTarget, SloEvaluation, SloObjective, SloSpec, SloStatus};
 pub use tracer::{tracer, RemoteSpan, SpanGuard, SpanRecord, Tracer, DEFAULT_BUFFER_CAPACITY};
 pub use window::{RateCounter, WindowedHistogram};
 
-/// Observability policy carried by [`QrccConfig`](crate::QrccConfig):
-/// whether tracing is on (off by default — and when off, every span site
-/// costs one relaxed atomic load), how many spans the buffer holds, and
-/// where the trace should be written.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsPolicy {
-    /// Record spans and hot-path metrics. Off by default.
-    #[serde(default)]
-    pub enabled: bool,
-    /// Span-buffer capacity across all shards; overflowing spans are
-    /// counted as dropped, never reallocated. A zero capacity is flagged by
-    /// lint QL0306 — every span would be dropped.
-    #[serde(default)]
-    pub buffer_capacity: usize,
-    /// Where exporters should write the trace (consumers decide the
-    /// format by extension; `None` leaves the trace in memory). Checked by
-    /// lint QL0306.
-    #[serde(default)]
-    pub trace_path: Option<String>,
-}
-
-impl Default for ObsPolicy {
-    fn default() -> Self {
-        ObsPolicy { enabled: false, buffer_capacity: DEFAULT_BUFFER_CAPACITY, trace_path: None }
-    }
-}
-
-impl ObsPolicy {
-    /// Policy with tracing enabled and default capacity.
-    pub fn enabled() -> Self {
-        ObsPolicy { enabled: true, ..ObsPolicy::default() }
-    }
-}
-
-/// Fleet-monitoring policy carried by [`QrccConfig`](crate::QrccConfig):
-/// how wide the live window is, how finely it rotates, how often a
-/// `FleetMonitor` (in `qrcc-net`) should poll workers, and the SLO the
-/// windows are
-/// scored against. Checked by lint QL0307 — a zero-length window, a poll
-/// interval shorter than one rotation bucket, or a pre-v3 target protocol
-/// make the monitor silently useless.
+/// Fleet-monitoring policy of a `FleetMonitor` (in `qrcc-net`, built with
+/// `FleetMonitor::new(policy)`): how wide the live window is, how finely it
+/// rotates, how often the monitor polls workers, and the SLO the windows
+/// are scored against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MonitorPolicy {
     /// Width of the live window, in microseconds (e.g. `10_000_000` =
@@ -104,7 +67,7 @@ pub struct MonitorPolicy {
     /// faster re-reads the same partial bucket.
     pub poll_interval_us: u64,
     /// Protocol version the monitored servers speak. `GetMetrics` /
-    /// `GetHealth` exist from v3 on; QL0307 flags older targets.
+    /// `GetHealth` exist from v3 on.
     #[serde(default = "default_monitor_protocol")]
     pub target_protocol: u16,
     /// The SLO the merged fleet window is scored against, if any.
@@ -166,23 +129,6 @@ pub fn metrics() -> &'static Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_defaults_are_off_with_sane_capacity() {
-        let policy = ObsPolicy::default();
-        assert!(!policy.enabled);
-        assert_eq!(policy.buffer_capacity, DEFAULT_BUFFER_CAPACITY);
-        assert_eq!(policy.trace_path, None);
-        assert!(ObsPolicy::enabled().enabled);
-    }
-
-    /// The vendored serde shim has no serde_json; clone-compare stands in
-    /// for a serialization round-trip (the derives compile either way).
-    #[test]
-    fn policy_survives_serde_with_defaults() {
-        let policy = ObsPolicy::enabled();
-        assert_eq!(policy.clone(), policy);
-    }
 
     #[test]
     fn global_registries_are_reachable() {

@@ -7,7 +7,7 @@
 //! and the [`SloStatus`] laddering (`Ok` → `Warn` at
 //! [`SloSpec::warn_ratio`], → `Breached` at `1.0`) is uniform across
 //! objective kinds. The load harness and fleet monitor evaluate specs
-//! live; lint QL0307 rejects malformed specs before they ever run.
+//! live.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,7 +39,7 @@ impl std::fmt::Display for SloStatus {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencyTarget {
     /// Which quantile to hold (e.g. `0.99`). Must lie in the open interval
-    /// `(0, 1)` — checked by lint QL0307.
+    /// `(0, 1)`.
     pub quantile: f64,
     /// Ceiling for that quantile, in microseconds.
     pub max_us: u64,
@@ -154,42 +154,6 @@ impl SloSpec {
     pub fn with_warn_ratio(mut self, ratio: f64) -> Self {
         self.warn_ratio = ratio;
         self
-    }
-
-    /// Structural problems lint QL0307 reports: a quantile outside `(0,1)`,
-    /// a zero latency ceiling, a rate/fraction outside its meaningful
-    /// range, or a warn ratio that cannot fire before the breach.
-    pub fn validation_errors(&self) -> Vec<String> {
-        let mut errors = Vec::new();
-        for t in &self.latency {
-            if !(t.quantile > 0.0 && t.quantile < 1.0) {
-                errors.push(format!(
-                    "latency quantile {} is outside the open interval (0, 1)",
-                    t.quantile
-                ));
-            }
-            if t.max_us == 0 {
-                errors.push(format!(
-                    "latency target for p{} has a zero-microsecond ceiling",
-                    t.quantile
-                ));
-            }
-        }
-        if let Some(rate) = self.max_error_rate {
-            if !(0.0..=1.0).contains(&rate) {
-                errors.push(format!("max_error_rate {rate} is outside [0, 1]"));
-            }
-        }
-        if let Some(avail) = self.min_availability {
-            if !(avail > 0.0 && avail < 1.0) {
-                errors
-                    .push(format!("min_availability {avail} is outside the open interval (0, 1)"));
-            }
-        }
-        if !(self.warn_ratio > 0.0 && self.warn_ratio <= 1.0) {
-            errors.push(format!("warn_ratio {} is outside (0, 1]", self.warn_ratio));
-        }
-        errors
     }
 
     fn status_for(&self, burn_rate: f64) -> SloStatus {
@@ -330,20 +294,6 @@ mod tests {
             .with_min_availability(0.999);
         let eval = spec.evaluate(&Histogram::new(), 0, 0);
         assert_eq!(eval.status, SloStatus::Ok);
-    }
-
-    #[test]
-    fn validation_catches_malformed_specs() {
-        let ok = SloSpec::new("serve").with_latency(0.99, 1_000);
-        assert!(ok.validation_errors().is_empty());
-
-        let bad = SloSpec::new("serve")
-            .with_latency(1.5, 0)
-            .with_max_error_rate(2.0)
-            .with_min_availability(1.0)
-            .with_warn_ratio(0.0);
-        let errors = bad.validation_errors();
-        assert_eq!(errors.len(), 5, "{errors:?}");
     }
 
     #[test]

@@ -23,18 +23,17 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 
-use super::ObsPolicy;
-
 /// Number of independent span buffers; threads hash onto one by id.
 const SHARDS: usize = 16;
 
-/// Default capacity (spans) across all shards when none is configured.
+/// Capacity (spans) of the span buffer across all shards; spans past it
+/// are counted as dropped, never reallocated.
 pub const DEFAULT_BUFFER_CAPACITY: usize = 65_536;
 
 /// One closed span, as stored in the trace buffer.
@@ -82,7 +81,7 @@ thread_local! {
 /// [`tracer()`]; tests may build private instances with [`Tracer::new`].
 pub struct Tracer {
     enabled: AtomicBool,
-    capacity: AtomicUsize,
+    capacity: usize,
     next_id: AtomicU64,
     recorded: AtomicU64,
     dropped: AtomicU64,
@@ -108,32 +107,25 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A fresh, disabled tracer with the default buffer capacity.
+    /// A fresh, disabled tracer holding [`DEFAULT_BUFFER_CAPACITY`] spans.
     pub fn new() -> Self {
+        Tracer::with_capacity(DEFAULT_BUFFER_CAPACITY)
+    }
+
+    fn with_capacity(capacity: usize) -> Self {
         let epoch_unix_us = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
             .unwrap_or(0);
         Tracer {
             enabled: AtomicBool::new(false),
-            capacity: AtomicUsize::new(DEFAULT_BUFFER_CAPACITY),
+            capacity,
             next_id: AtomicU64::new(1),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             epoch: Instant::now(),
             epoch_unix_us,
             shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
-        }
-    }
-
-    /// Applies an [`ObsPolicy`]: a policy with `enabled` turns tracing on
-    /// (and adopts its buffer capacity); a disabled policy is a no-op so
-    /// that merely constructing configs never flips the global tracer off
-    /// behind another component's back.
-    pub fn configure(&self, policy: &ObsPolicy) {
-        if policy.enabled {
-            self.capacity.store(policy.buffer_capacity, Ordering::Relaxed);
-            self.enabled.store(true, Ordering::Relaxed);
         }
     }
 
@@ -189,8 +181,7 @@ impl Tracer {
     }
 
     fn push(&self, record: SpanRecord) {
-        let capacity = self.capacity.load(Ordering::Relaxed);
-        if self.recorded.fetch_add(1, Ordering::Relaxed) as u128 >= capacity as u128 {
+        if self.recorded.fetch_add(1, Ordering::Relaxed) as u128 >= self.capacity as u128 {
             self.recorded.fetch_sub(1, Ordering::Relaxed);
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -333,9 +324,8 @@ impl Drop for SpanGuard<'_> {
 }
 
 /// The process-global tracer used by the pipeline, dispatcher and net
-/// client. Disabled until a [`QrccConfig`](crate::QrccConfig) with
-/// `with_tracing(true)` flows through `QrccPipeline::plan` (or it is
-/// enabled explicitly).
+/// client. Disabled until [`Tracer::enable`] turns it on —
+/// `tracer().enable()` is the one tracing switch.
 pub fn tracer() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
     GLOBAL.get_or_init(Tracer::new)
@@ -399,8 +389,8 @@ mod tests {
 
     #[test]
     fn buffer_capacity_drops_overflow() {
-        let t = Tracer::new();
-        t.configure(&ObsPolicy { enabled: true, buffer_capacity: 4, trace_path: None });
+        let t = Tracer::with_capacity(4);
+        t.enable();
         for _ in 0..10 {
             let _s = t.span("s");
         }
@@ -440,13 +430,5 @@ mod tests {
         assert_eq!(exec.parent, batch.id);
         assert_ne!(batch.id, 1, "remote ids must be remapped into the local space");
         assert_eq!(batch.start_us, 5);
-    }
-
-    #[test]
-    fn disabled_policy_does_not_flip_tracing_off() {
-        let t = Tracer::new();
-        t.enable();
-        t.configure(&ObsPolicy::default());
-        assert!(t.enabled());
     }
 }

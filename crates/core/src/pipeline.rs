@@ -45,18 +45,18 @@ pub use crate::execute::{ExactBackend, ExecutionBackend as Backend, ShotsBackend
 /// ```rust
 /// use qrcc_circuit::Circuit;
 /// use qrcc_core::pipeline::{ExactBackend, QrccPipeline};
-/// use qrcc_core::{DeviceRegistry, QrccConfig, Scheduler};
+/// use qrcc_core::{DeviceRegistry, QrccConfig, SchedulePolicy, Scheduler};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut ghz = Circuit::new(4);
 /// ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
 /// let config = QrccConfig::new(3).with_ilp_time_limit(std::time::Duration::ZERO);
-/// let pipeline = QrccPipeline::plan(&ghz, config.clone())?;
+/// let pipeline = QrccPipeline::plan(&ghz, config)?;
 /// // one backend is a one-entry registry
 /// let mut registry = DeviceRegistry::new();
 /// registry.register("exact", ExactBackend::new());
 /// // enumerate → dedup → dispatch → fold → contract
-/// let scheduler = Scheduler::new(&registry, config.schedule);
+/// let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 /// let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler)?;
 /// assert!((probabilities[0] - 0.5).abs() < 1e-6);
 /// assert_eq!(schedule.backends.len(), 1);
@@ -78,9 +78,6 @@ impl QrccPipeline {
     /// Propagates planner errors ([`CoreError::NoCutFound`],
     /// [`CoreError::InvalidDeviceSize`]) and fragment-construction errors.
     pub fn plan(circuit: &Circuit, config: QrccConfig) -> Result<Self, CoreError> {
-        // a config with tracing enabled turns the global tracer on; a
-        // default config leaves it untouched
-        crate::obs::tracer().configure(&config.obs);
         let _span = crate::obs::tracer().span("phase.plan");
         let plan = CutPlanner::new(config).plan(circuit)?;
         Self::from_plan(plan)
@@ -122,7 +119,8 @@ impl QrccPipeline {
     /// Runs the pre-flight [`analyze`](crate::analyze) pass over the plan:
     /// circuit lints (`QL01xx`) on the original circuit and plan lints
     /// (`QL02xx`) on the fragments, using the plan's [`QrccConfig`]. Fleet
-    /// lints need a registry — see [`QrccPipeline::analyze_with_fleet`].
+    /// lints need the scheduler the request runs on — see
+    /// [`QrccPipeline::analyze_with_fleet`].
     pub fn analyze(&self) -> AnalysisReport {
         Analyzer::new().run(
             &AnalysisContext::new()
@@ -134,22 +132,22 @@ impl QrccPipeline {
 
     /// Runs the full pre-flight pass — circuit, plan **and** fleet lints
     /// (`QL03xx`): statically predicting
-    /// [`CoreError::NoCompatibleBackend`] and
-    /// [`CoreError::ShotBudgetTooSmall`] against `fleet` before any backend
-    /// is contacted.
-    pub fn analyze_with_fleet(&self, fleet: &crate::schedule::DeviceRegistry) -> AnalysisReport {
+    /// [`CoreError::NoCompatibleBackend`] against the scheduler's registry
+    /// and [`CoreError::ShotBudgetTooSmall`] against its policy, before any
+    /// backend is contacted. Pass the scheduler the request will run on.
+    pub fn analyze_with_fleet(&self, scheduler: &Scheduler<'_>) -> AnalysisReport {
         Analyzer::new().run(
             &AnalysisContext::new()
                 .with_circuit(self.plan.circuit())
                 .with_fragments(&self.fragments)
                 .with_config(self.plan.config())
-                .with_fleet(fleet),
+                .with_fleet(scheduler),
         )
     }
 
     /// [`QrccPipeline::analyze_with_fleet`] plus the severity gate of the
     /// plan's [`QrccConfig::lint_level`]: returns the report when it passes,
-    /// fails fast otherwise — call this before
+    /// fails fast otherwise — call this with the scheduler you then pass to
     /// [`QrccPipeline::execute_streaming`] to turn mid-dispatch failures
     /// into a pre-flight [`CoreError::AnalysisFailed`].
     ///
@@ -157,11 +155,8 @@ impl QrccPipeline {
     ///
     /// [`CoreError::AnalysisFailed`] when the report holds diagnostics at or
     /// above the configured [`LintLevel`](crate::analyze::LintLevel).
-    pub fn preflight(
-        &self,
-        fleet: &crate::schedule::DeviceRegistry,
-    ) -> Result<AnalysisReport, CoreError> {
-        let report = self.analyze_with_fleet(fleet);
+    pub fn preflight(&self, scheduler: &Scheduler<'_>) -> Result<AnalysisReport, CoreError> {
+        let report = self.analyze_with_fleet(scheduler);
         report.gate(self.plan.config().lint_level)?;
         Ok(report)
     }

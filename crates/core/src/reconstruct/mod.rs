@@ -21,7 +21,7 @@
 //! # Reconstruction strategies
 //!
 //! Every executed variant is first folded into one cut-indexed
-//! [`engine`] tensor per fragment; what happens next is selected by
+//! `engine` tensor per fragment; what happens next is selected by
 //! [`ReconstructionStrategy`] (via
 //! [`QrccConfig`](crate::QrccConfig::with_reconstruction_strategy) or
 //! [`ReconstructionOptions`]):

@@ -107,6 +107,16 @@ impl<'r> Scheduler<'r> {
         Scheduler { registry, policy }
     }
 
+    /// The fleet this scheduler routes across.
+    pub fn registry(&self) -> &'r DeviceRegistry {
+        self.registry
+    }
+
+    /// The policy this scheduler splits shots, chunks and retries by.
+    pub fn policy(&self) -> &SchedulePolicy {
+        &self.policy
+    }
+
     /// The full scheduled pipeline, streaming results chunk by chunk:
     /// deduplicate (`VariantKey` + structural circuit dedup), allocate the
     /// shot budget over the whole batch, then hand the batch to the

@@ -146,9 +146,8 @@ impl DeviceRegistry {
     }
 
     /// Attaches a result cache built from `policy` (builder form). With
-    /// `policy.enabled == false` this detaches any cache — the knob mirrors
-    /// [`QrccConfig::result_cache`](crate::QrccConfig::result_cache), so a
-    /// config-driven caller can pass its policy through unconditionally.
+    /// `policy.enabled == false` this detaches any cache, so a caller can
+    /// pass its policy through unconditionally.
     /// Once attached, the [`Dispatcher`](crate::dispatch::Dispatcher)
     /// consults the cache before routing: full hits skip the backend (their
     /// allocated shots are simply not spent), delta hits execute only the

@@ -12,7 +12,7 @@
 //! once each nonbasic variable is parked at the bound its reduced cost points
 //! to. The slack basis is such a start, so there is no phase 1. A bound
 //! change, which is all a branch-and-bound node is, keeps the last basis dual
-//! feasible too, so [`DualSimplex`] keeps its tableau between calls and a node
+//! feasible too, so `DualSimplex` keeps its tableau between calls and a node
 //! re-optimises from the previous node's basis in a few dual pivots instead
 //! of solving the model again. The dual objective never decreases, so a solve
 //! also stops as soon as it reaches the caller's cutoff: such a node cannot
@@ -25,7 +25,7 @@
 //! passes, the largest pivot among near-minimal ratios. Both matter on the
 //! heavily dual-degenerate cutting models, where largest-infeasibility
 //! pricing lets the primal infeasibility run away. The tableau is rebuilt from
-//! the original rows every [`REFACTOR_PIVOTS`] pivots, and again whenever an
+//! the original rows every `REFACTOR_PIVOTS` pivots, and again whenever an
 //! optimum's primal residual has drifted, so rounding does not accumulate
 //! over a search.
 

@@ -2,7 +2,7 @@
 //! connection.
 //!
 //! The client is the other half of the dispatch seam: it speaks the
-//! [`proto`](crate::proto) frame protocol to a
+//! [`proto`] frame protocol to a
 //! [`QrccServer`](crate::QrccServer), answers the scheduler's capability
 //! queries from the handshake's [`Capabilities`] (no network round trip),
 //! and maps failures onto the dispatch layer's taxonomy — I/O errors,

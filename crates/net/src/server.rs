@@ -1,5 +1,5 @@
 //! `QrccServer`: a TCP worker that serves any local
-//! [`ExecutionBackend`](qrcc_core::execute::ExecutionBackend) to remote
+//! [`ExecutionBackend`] to remote
 //! [`RemoteBackend`](crate::RemoteBackend) clients.
 //!
 //! The server is deliberately boring infrastructure: a
@@ -119,7 +119,8 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Folds these counters into a [`MetricsSnapshot`] under the `server.`
+    /// Folds these counters into a
+    /// [`MetricsSnapshot`](qrcc_core::obs::MetricsSnapshot) under the `server.`
     /// namespace — the obs adapter that lets a server show up as a section
     /// of a [`QrccReport`](qrcc_core::obs::QrccReport) next to dispatch,
     /// cache and reconstruction telemetry.
@@ -362,7 +363,7 @@ impl QrccServer {
     }
 
     /// Attaches a result cache built from `policy` (a disabled policy
-    /// detaches any cache, so config-driven callers can pass theirs through
+    /// detaches any cache, so callers can pass their policy through
     /// unconditionally). The server consults the cache **before** its
     /// backend: full hits answer without executing, delta hits execute only
     /// the missing shots, and every fresh execution is written back. With a

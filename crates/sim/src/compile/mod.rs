@@ -15,7 +15,7 @@
 //!   flips that touch only half the array. Remaining two-qubit gates become
 //!   cache-blocked 4-amplitude sweeps.
 //! * **Parallelism** — every sweep is rayon-chunked above
-//!   [`PAR_THRESHOLD`](kernel::PAR_THRESHOLD) amplitudes with disjoint
+//!   [`PAR_THRESHOLD`] amplitudes with disjoint
 //!   per-chunk write sets, so results are bit-identical for any thread count.
 //! * **Caching** — [`KernelCache`] keys compiled bodies by
 //!   [`Circuit::structural_hash`], splitting each request into a

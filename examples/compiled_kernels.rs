@@ -32,14 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. Plan the cut and execute on the default (compiled) exact backend.
-    let config = QrccConfig::new(3);
-    let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
+    let pipeline = QrccPipeline::plan(&circuit, QrccConfig::new(3))?;
     let run = |backend: ExactBackend| {
         let mut registry = DeviceRegistry::new();
         registry.register("exact", backend);
-        pipeline.execute_streaming(&Scheduler::new(&registry, config.schedule))
+        pipeline.execute_streaming(&Scheduler::new(&registry, SchedulePolicy::default()))
     };
-    let (probabilities, _, schedule) = run(config.exact_backend())?;
+    let (probabilities, _, schedule) = run(ExactBackend::new())?;
 
     // 3. The schedule report carries the compiler's telemetry.
     let stats = schedule.kernel_compile.as_ref().expect("compiled backend reports stats");
@@ -53,8 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. The interpreted opt-out produces the same distribution.
-    let interpreted = config.clone().with_interpreted_sim(true).exact_backend();
-    let (probabilities_interp, _, _) = run(interpreted)?;
+    let (probabilities_interp, _, _) = run(ExactBackend::interpreted())?;
     let max_gap = probabilities
         .iter()
         .zip(&probabilities_interp)

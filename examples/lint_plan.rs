@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut fleet = DeviceRegistry::new();
     fleet.register("big", ExactBackend::new());
     fleet.register("small", ExactBackend::capped(4));
+    let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
 
     // 1. The gate: every benchmark family must analyze clean at Deny level
     //    (warnings are failures), before any backend is touched.
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config =
             QrccConfig::new(4).with_ilp_time_limit(Duration::ZERO).with_lint_level(LintLevel::Deny);
         let pipeline = QrccPipeline::plan(&circuit, config)?;
-        match pipeline.preflight(&fleet) {
+        match pipeline.preflight(&scheduler) {
             Ok(report) => {
                 println!(
                     "{name:>5}: clean ({} notes, {} fragments)",
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Err(error) => {
                 failures += 1;
                 println!("{name:>5}: FAILED the lint gate");
-                println!("{}", pipeline.analyze_with_fleet(&fleet));
+                println!("{}", pipeline.analyze_with_fleet(&scheduler));
                 println!("  -> {error}");
             }
         }
@@ -79,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let pipeline = QrccPipeline::plan(&chain, QrccConfig::new(3))?;
     println!("\nwhat a failing pre-flight looks like (6-qubit chain, 1-qubit fleet):");
-    println!("{}", pipeline.analyze_with_fleet(&tiny));
+    println!("{}", pipeline.analyze_with_fleet(&Scheduler::new(&tiny, SchedulePolicy::default())));
 
     if failures > 0 {
         eprintln!("lint gate: {failures} benchmark(s) failed pre-flight analysis");

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_subcircuit_range(2, 3)
         .with_gate_cuts(true)
         .with_ilp_time_limit(Duration::ZERO);
-    let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
+    let pipeline = QrccPipeline::plan(&circuit, config)?;
     println!(
         "QRCC plan: {} subcircuits, {} wire cuts, {} gate cuts, {} instances",
         pipeline.plan_ref().num_subcircuits(),
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Device::new(DeviceConfig::noisy(4, noise).with_seed(2)),
         shots,
     );
-    let scheduler = Scheduler::new(&registry, config.schedule);
+    let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
     let (qrcc_value, _, schedule) =
         pipeline.execute_observables_streaming(&scheduler, &observable)?;
     println!(

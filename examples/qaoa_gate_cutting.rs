@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_subcircuit_range(2, 3)
         .with_gate_cuts(true)
         .with_ilp_time_limit(Duration::ZERO);
-    let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
+    let pipeline = QrccPipeline::plan(&circuit, config)?;
     let plan = pipeline.plan_ref();
     println!(
         "plan: {} subcircuits, {} wire cuts + {} gate cuts = {:.2} effective cuts, widths {:?}",
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // sharing a measurement-basis signature execute once.
     let mut registry = DeviceRegistry::new();
     registry.register("exact", ExactBackend::new());
-    let scheduler = Scheduler::new(&registry, config.schedule);
+    let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
     let (reconstructed, _, schedule) =
         pipeline.execute_observables_streaming(&scheduler, &observable)?;
     println!(

@@ -43,11 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // also demonstrates reconstruction correctness.
     let small = generators::qft(6);
     let config = QrccConfig::new(4).with_ilp_time_limit(Duration::ZERO);
-    let pipeline = QrccPipeline::plan(&small, config.clone())?;
+    let pipeline = QrccPipeline::plan(&small, config)?;
     let mut registry = DeviceRegistry::new();
     registry.register("exact", ExactBackend::new());
     let (reconstructed, _, _) =
-        pipeline.execute_streaming(&Scheduler::new(&registry, config.schedule))?;
+        pipeline.execute_streaming(&Scheduler::new(&registry, SchedulePolicy::default()))?;
     let exact = StateVector::from_circuit(&small)?.probabilities();
     let max_error =
         reconstructed.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);

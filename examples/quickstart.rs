@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Plan a qubit-reuse-aware cut for a 3-qubit device.
     let config = QrccConfig::new(3);
-    let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
+    let pipeline = QrccPipeline::plan(&circuit, config)?;
     let plan = pipeline.plan_ref();
     println!(
         "plan: {} subcircuits, {} wire cuts, {} gate cuts, widths {:?}",
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    thread folds the results into the fragment tensors.
     let mut registry = DeviceRegistry::new();
     registry.register("exact", ExactBackend::new());
-    let scheduler = Scheduler::new(&registry, config.schedule);
+    let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
     let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler)?;
     println!(
         "batch: {} circuits executed after dedup, in {} chunk(s)",

@@ -35,13 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.cx(q, q + 1);
         circuit.ry(0.21 * (q as f64 + 1.0), q + 1);
     }
-    let mut config = QrccConfig::new(3)
+    let config = QrccConfig::new(3)
         .with_subcircuit_range(2, 3)
         .with_qubit_reuse(false)
         .with_ilp_time_limit(Duration::ZERO);
     if trace {
-        // implies tracing on; the span tree is validated in step 7
-        config = config.with_trace_output(trace_path);
+        // the span tree is validated in step 7
+        tracer().enable();
         println!("tracing enabled — spans validate and export to {trace_path}\n");
     }
     let pipeline = QrccPipeline::plan(&circuit, config)?;

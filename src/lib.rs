@@ -37,13 +37,13 @@
 //!     circuit.cx(q, q + 1);
 //! }
 //! let config = QrccConfig::new(3).with_ilp_time_limit(std::time::Duration::ZERO);
-//! let pipeline = QrccPipeline::plan(&circuit, config.clone())?;
+//! let pipeline = QrccPipeline::plan(&circuit, config)?;
 //! assert!(pipeline.plan_ref().subcircuit_widths().iter().all(|&w| w <= 3));
 //!
 //! // one request: a deduplicated batch streams into the reconstruction
 //! let mut registry = DeviceRegistry::new();
 //! registry.register("exact", ExactBackend::new());
-//! let scheduler = Scheduler::new(&registry, config.schedule);
+//! let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 //! let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler)?;
 //! assert!((probabilities[0] - 0.5).abs() < 1e-6);
 //! println!("{} circuits, {} shots", schedule.circuits, schedule.total_shots);

@@ -54,12 +54,13 @@ fn benchmark_circuits() -> Vec<(&'static str, Circuit)> {
 #[test]
 fn benchmark_families_analyze_clean_on_a_compatible_fleet() {
     let fleet = unbounded_fleet();
+    let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
     for (name, circuit) in benchmark_circuits() {
         let pipeline = plan(&circuit, 4);
-        let report = pipeline.analyze_with_fleet(&fleet);
+        let report = pipeline.analyze_with_fleet(&scheduler);
         assert!(report.is_clean(), "{name} must analyze clean, got:\n{report}");
         // and the gate agrees at the default (Warn) level
-        pipeline.preflight(&fleet).unwrap_or_else(|e| panic!("{name} must pass the gate: {e}"));
+        pipeline.preflight(&scheduler).unwrap_or_else(|e| panic!("{name} must pass the gate: {e}"));
     }
 }
 
@@ -116,7 +117,8 @@ proptest! {
     /// analysis (no errors) guarantees that scheduled execution never fails
     /// with the two statically predictable error classes —
     /// `NoCompatibleBackend` or `ShotBudgetTooSmall`. Conversely, a
-    /// predicted placement or budget error must carry its `QL` code.
+    /// predicted placement or budget error must carry its `QL` code. The
+    /// lints and the run read the one scheduler.
     #[test]
     fn clean_reports_never_die_on_predictable_errors(
         circuit in random_chain(),
@@ -124,13 +126,15 @@ proptest! {
         cap_b in 2..7usize,
         budget in 0u64..400,
     ) {
-        let mut config =
+        let config =
             QrccConfig::new(3).with_subcircuit_range(2, 4).with_ilp_time_limit(Duration::ZERO);
         // budget 0 means "no budget at all" rather than a zero-shot budget
-        if budget > 0 {
-            config = config.with_shot_budget(budget);
-        }
-        let pipeline = match QrccPipeline::plan(&circuit, config.clone()) {
+        let policy = if budget > 0 {
+            SchedulePolicy::with_budget(budget)
+        } else {
+            SchedulePolicy::default()
+        };
+        let pipeline = match QrccPipeline::plan(&circuit, config) {
             Ok(p) => p,
             Err(_) => return Ok(()), // no feasible plan for this sample
         };
@@ -138,8 +142,8 @@ proptest! {
         registry.register("a", ExactBackend::capped(cap_a));
         registry.register("b", ExactBackend::capped(cap_b));
 
-        let report = pipeline.analyze_with_fleet(&registry);
-        let scheduler = Scheduler::new(&registry, config.schedule);
+        let scheduler = Scheduler::new(&registry, policy);
+        let report = pipeline.analyze_with_fleet(&scheduler);
         let outcome = pipeline.execute_streaming(&scheduler);
         match &outcome {
             Err(CoreError::NoCompatibleBackend { .. }) => prop_assert!(
@@ -192,7 +196,7 @@ fn seeded_defect_reuse_plan_on_a_no_mid_circuit_fleet_fires_ql0105() {
     let mut fleet = DeviceRegistry::new();
     let strict = Device::new(DeviceConfig::ideal(6).without_mid_circuit().with_seed(3));
     fleet.register("strict", ShotsBackend::new(strict, 256));
-    let report = pipeline.analyze_with_fleet(&fleet);
+    let report = pipeline.analyze_with_fleet(&Scheduler::new(&fleet, SchedulePolicy::default()));
     assert!(codes(&report).contains(&"QL0105"), "{report}");
     assert!(report.errors() > 0);
 }
@@ -209,18 +213,18 @@ fn seeded_defect_too_narrow_fleet_fires_ql0301_and_the_gate_blocks_it() {
     // qubit reuse can shrink fragments to 2 physical qubits, but never below
     // the width of a CX — a 1-qubit backend can run nothing here
     fleet.register("tiny", ExactBackend::capped(1));
-    let report = pipeline.analyze_with_fleet(&fleet);
+    let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
+    let report = pipeline.analyze_with_fleet(&scheduler);
     assert!(codes(&report).contains(&"QL0301"), "{report}");
 
     // the default (Warn) gate refuses the fleet before any execution
-    let gated = pipeline.preflight(&fleet);
+    let gated = pipeline.preflight(&scheduler);
     assert!(
         matches!(gated, Err(CoreError::AnalysisFailed { errors, .. }) if errors > 0),
         "{gated:?}"
     );
 
     // and the runtime agrees with the prediction
-    let scheduler = Scheduler::new(&fleet, SchedulePolicy::default());
     let outcome = pipeline.execute_streaming(&scheduler);
     assert!(outcome.is_err(), "a 1-qubit fleet cannot run the plan");
 }
@@ -232,17 +236,20 @@ fn seeded_defect_starved_shot_budget_fires_ql0302_and_matches_runtime() {
     for q in 0..5 {
         chain.cx(q, q + 1);
     }
-    let config = QrccConfig::new(3).with_ilp_time_limit(Duration::ZERO).with_shot_budget(3);
-    let pipeline = QrccPipeline::plan(&chain, config.clone()).unwrap();
+    // the config sets no schedule knob: preflight lints the policy of the
+    // scheduler the request then runs on
+    let pipeline = plan(&chain, 3);
     let fleet = unbounded_fleet();
-    let report = pipeline.analyze_with_fleet(&fleet);
+    let scheduler = Scheduler::new(&fleet, SchedulePolicy::with_budget(3));
+    let report = pipeline.analyze_with_fleet(&scheduler);
     assert!(codes(&report).contains(&"QL0302"), "{report}");
     assert!(report.errors() > 0);
+    let gated = pipeline.preflight(&scheduler);
+    assert!(matches!(gated, Err(CoreError::AnalysisFailed { .. })), "{gated:?}");
 
-    let scheduler = Scheduler::new(&fleet, config.schedule);
     let outcome = pipeline.execute_streaming(&scheduler);
     assert!(
-        matches!(outcome, Err(CoreError::ShotBudgetTooSmall { .. })),
+        matches!(outcome, Err(CoreError::ShotBudgetTooSmall { budget: 3, needed: 7 })),
         "the runtime must agree with the prediction: {outcome:?}"
     );
 }
@@ -255,7 +262,8 @@ fn seeded_defect_empty_fleet_fires_ql0304() {
         chain.cx(q, q + 1);
     }
     let pipeline = plan(&chain, 3);
-    let report = pipeline.analyze_with_fleet(&DeviceRegistry::new());
+    let empty = DeviceRegistry::new();
+    let report = pipeline.analyze_with_fleet(&Scheduler::new(&empty, SchedulePolicy::default()));
     assert!(codes(&report).contains(&"QL0304"), "{report}");
     assert!(report.errors() > 0);
 }

@@ -106,7 +106,6 @@ fn default_config_records_no_spans_through_a_full_run() {
     let _guard = tracer_lock();
     let _ = tracer().drain();
     let config = QrccConfig::new(3).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
-    assert!(!config.obs.enabled, "tracing must be off by default");
     let reconstruction = run_pipeline(config);
     // the enabled flag may be latched on by other tests in this binary (the
     // global tracer only ever turns on), so only assert the default-config
@@ -123,10 +122,8 @@ fn default_config_records_no_spans_through_a_full_run() {
 fn traced_run_yields_a_valid_tree_and_a_covering_profile() {
     let _guard = tracer_lock();
     let _ = tracer().drain();
-    let config = QrccConfig::new(3)
-        .with_subcircuit_range(2, 3)
-        .with_ilp_time_limit(Duration::ZERO)
-        .with_tracing(true);
+    let config = QrccConfig::new(3).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
+    tracer().enable();
     let reconstruction = run_pipeline(config);
 
     let spans = tracer().drain();
@@ -150,10 +147,8 @@ fn traced_run_yields_a_valid_tree_and_a_covering_profile() {
 fn dispatch_latency_lands_in_the_global_registry_when_traced() {
     let _guard = tracer_lock();
     let _ = tracer().drain();
-    let config = QrccConfig::new(3)
-        .with_subcircuit_range(2, 3)
-        .with_ilp_time_limit(Duration::ZERO)
-        .with_tracing(true);
+    let config = QrccConfig::new(3).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
+    tracer().enable();
     let _ = run_pipeline(config);
     let _ = tracer().drain();
     let execute = metrics()
