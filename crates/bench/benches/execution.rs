@@ -29,14 +29,12 @@ fn workload() -> (QrccPipeline, Vec<Circuit>) {
     let pipeline = QrccPipeline::plan(&circuit, config).expect("plan");
     let fragments = pipeline.fragments();
     let requests = ProbabilityReconstructor::new().requests(fragments).expect("requests");
-    // materialise the deduplicated circuit batch once for the raw-path benches
-    let mut seen = std::collections::HashSet::new();
-    let mut circuits = Vec::new();
-    for request in &requests {
-        if seen.insert(request.key.clone()) {
-            circuits.push(fragments.instantiate_key(&request.key).expect("instantiate"));
-        }
-    }
+    // materialise the batch once for the raw-path benches (one circuit per
+    // enumerated variant)
+    let circuits: Vec<_> = requests
+        .iter()
+        .map(|request| fragments.instantiate_key(&request.key).expect("instantiate"))
+        .collect();
     (pipeline, circuits)
 }
 

@@ -33,13 +33,10 @@ fn workload() -> Vec<Circuit> {
     let pipeline = QrccPipeline::plan(&circuit, config).expect("plan");
     let fragments = pipeline.fragments();
     let requests = ProbabilityReconstructor::new().requests(fragments).expect("requests");
-    let mut seen = std::collections::HashSet::new();
-    let mut circuits = Vec::new();
-    for request in &requests {
-        if seen.insert(request.key.clone()) {
-            circuits.push(fragments.instantiate_key(&request.key).expect("instantiate"));
-        }
-    }
+    let circuits: Vec<_> = requests
+        .iter()
+        .map(|request| fragments.instantiate_key(&request.key).expect("instantiate"))
+        .collect();
     circuits
 }
 

@@ -76,6 +76,12 @@ impl Circuit {
         self.ops.is_empty()
     }
 
+    /// Reserves room for at least `additional` more operations.
+    pub fn reserve(&mut self, additional: usize) -> &mut Self {
+        self.ops.reserve(additional);
+        self
+    }
+
     /// Grows the classical register to at least `n` bits.
     pub fn ensure_clbits(&mut self, n: usize) -> &mut Self {
         if n > self.num_clbits {
@@ -92,7 +98,14 @@ impl Circuit {
     /// Returns [`CircuitError::QubitOutOfRange`] or
     /// [`CircuitError::ClbitOutOfRange`] when an index exceeds the registers.
     pub fn try_push(&mut self, op: Operation) -> Result<&mut Self, CircuitError> {
-        for q in op.qubits() {
+        let qubits = match &op {
+            Operation::Single { qubit, .. }
+            | Operation::Measure { qubit, .. }
+            | Operation::Reset { qubit } => std::slice::from_ref(qubit),
+            Operation::Two { qubits, .. } => qubits.as_slice(),
+            Operation::Barrier { qubits } => qubits.as_slice(),
+        };
+        for q in qubits {
             if q.index() >= self.num_qubits {
                 return Err(CircuitError::QubitOutOfRange {
                     qubit: q.index(),

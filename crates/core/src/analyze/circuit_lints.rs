@@ -177,11 +177,10 @@ impl Lint for ReuseCapability {
         // the instantiated fragments (what actually runs) over the original
         // circuit.
         let needs = match ctx.fragments {
-            Some(fragments) => fragments.fragments.iter().any(|fragment| {
-                qrcc_sim::device::needs_mid_circuit(
-                    &fragment.instantiate(&fragment.default_variant()),
-                )
-            }),
+            Some(fragments) => fragments
+                .fragments
+                .iter()
+                .any(|fragment| qrcc_sim::device::needs_mid_circuit(&fragment.instantiate(0, 0))),
             None => match ctx.circuit {
                 Some(circuit) => qrcc_sim::device::needs_mid_circuit(circuit),
                 None => false,

@@ -6,9 +6,7 @@
 
 use super::{AnalysisContext, AnalysisReport, Diagnostic, Lint, Location};
 use crate::execute::prepare_batch;
-use crate::fragment::{FragmentSet, FragmentVariant, VariantRequest};
-use crate::reconstruct::{expectation_variants, probability_variants};
-use qrcc_circuit::observable::{Pauli, PauliString};
+use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 
 /// `QL0304`: the device registry is empty — every routing decision fails
 /// immediately.
@@ -45,21 +43,6 @@ impl Lint for EmptyFleet {
 /// practice; a capped fragment still gets a note for honesty.
 const VARIANT_CHECK_CAP: u64 = 512;
 
-/// The variant circuits the execution phase would instantiate for
-/// `fragment`: the probability enumeration for wire-cut-only plans, the
-/// all-Z expectation enumeration when gate cuts are present.
-fn variant_circuits<'a>(
-    fragments: &'a FragmentSet,
-    fragment: &'a crate::fragment::Fragment,
-    all_z: &PauliString,
-) -> Box<dyn Iterator<Item = FragmentVariant> + 'a> {
-    if fragments.num_gate_cuts() == 0 {
-        Box::new(probability_variants(fragment))
-    } else {
-        Box::new(expectation_variants(fragment, all_z))
-    }
-}
-
 /// `QL0301`: a statically-predicted
 /// [`CoreError::NoCompatibleBackend`](crate::CoreError): some variant
 /// circuit of a fragment cannot be placed on any registered backend.
@@ -80,18 +63,16 @@ impl Lint for PredictedPlacement {
         if fleet.is_empty() {
             return; // QL0304 owns the empty-fleet finding
         }
-        let all_z = PauliString::from_paulis(vec![Pauli::Z; fragments.original_qubits]);
         for fragment in &fragments.fragments {
             if fragment.num_clbits == 0 {
                 continue; // never executed: its distribution is trivially [1.0]
             }
-            let mut capped = false;
-            for (checked, variant) in variant_circuits(fragments, fragment, &all_z).enumerate() {
-                if checked as u64 >= VARIANT_CHECK_CAP {
-                    capped = true;
-                    break;
-                }
-                let circuit = fragment.instantiate(&variant);
+            // the variants the execution phase would instantiate: every
+            // ordinal with all outputs in Z (the probability enumeration, and
+            // the all-Z expectation one when gate cuts are present)
+            let mut capped = fragment.variant_count() > VARIANT_CHECK_CAP;
+            for ordinal in 0..fragment.variant_count().min(VARIANT_CHECK_CAP) {
+                let circuit = fragment.instantiate(ordinal, 0);
                 let placeable =
                     fleet.entries().iter().any(|entry| entry.backend().can_run(&circuit));
                 if placeable {
@@ -131,6 +112,7 @@ impl Lint for PredictedPlacement {
                     )
                     .with_suggestion(suggestion),
                 );
+                capped = false;
                 break; // one finding per fragment
             }
             if capped {
@@ -151,8 +133,7 @@ impl Lint for PredictedPlacement {
 }
 
 /// The number of deduplicated circuits the scheduler would allocate shots
-/// over, mirroring its exact pipeline:
-/// enumerate → [`prepare_batch`] structural dedup.
+/// over, mirroring its exact pipeline: enumerate → [`prepare_batch`].
 fn deduplicated_circuit_count(fragments: &FragmentSet, requests: &[VariantRequest]) -> usize {
     prepare_batch(fragments, requests).map_or(0, |batch| batch.circuits.len())
 }
@@ -162,7 +143,7 @@ fn deduplicated_circuit_count(fragments: &FragmentSet, requests: &[VariantReques
 /// budget cannot give every deduplicated circuit its minimum shots.
 ///
 /// For wire-cut-only plans the lint replays the scheduler's exact
-/// probability-workload pipeline (same enumeration, same structural dedup),
+/// probability-workload pipeline (same enumeration, same dedup),
 /// so the finding is an **error**: the run is guaranteed to fail. Gate-cut
 /// plans execute observable-dependent variants, so the lint checks a lower
 /// bound (one default variant per executing fragment) and reports a
@@ -189,8 +170,9 @@ impl Lint for PredictedShotBudget {
             // exact replay of the probability workload's batch
             let requests: Vec<VariantRequest> = executing()
                 .flat_map(|fragment| {
-                    probability_variants(fragment)
-                        .map(|variant| VariantRequest::new(fragment.index, variant))
+                    (0..fragment.variant_count()).map(|ordinal| VariantRequest {
+                        key: VariantKey::new(fragment.index, ordinal, 0),
+                    })
                 })
                 .collect();
             let circuits = deduplicated_circuit_count(fragments, &requests) as u64;
@@ -215,7 +197,7 @@ impl Lint for PredictedShotBudget {
             // lower bound: every expectation batch holds at least one circuit
             // per executing fragment (before cross-fragment collisions)
             let requests: Vec<VariantRequest> = executing()
-                .map(|fragment| VariantRequest::new(fragment.index, fragment.default_variant()))
+                .map(|fragment| VariantRequest { key: VariantKey::new(fragment.index, 0, 0) })
                 .collect();
             let circuits = deduplicated_circuit_count(fragments, &requests) as u64;
             let needed = circuits * min_shots;

@@ -29,17 +29,14 @@
 //!   been transient) until [`SchedulePolicy::max_retries`] failures
 //!   accumulate, at which point [`CoreError::RetriesExhausted`] surfaces.
 //!   Shot accounting stays exact: a circuit's allocated shots are spent
-//!   exactly once, on the backend where it finally succeeds, and chunk
-//!   results merge deterministically by
-//!   [`VariantKey`](crate::fragment::VariantKey) regardless of worker
+//!   exactly once, on the backend where it finally succeeds, and every
+//!   delivered chunk holds its keys in ascending order regardless of worker
 //!   timing or retry schedule.
 //! * **Lifecycle telemetry** — [`DispatchStats`] counts jobs dispatched /
 //!   completed / retried / requeued and the wall-clock of each phase
-//!   (queue wait, backend execution, consumer delivery); per-backend failure
-//!   and retry counters ride on
-//!   [`BackendUsage`] into
-//!   [`ExecutionResults::routing`](crate::execute::ExecutionResults::routing)
-//!   and from there into the
+//!   (queue wait, backend execution, consumer delivery); per-backend
+//!   circuit, shot, failure and retry counters go to the scheduler as
+//!   [`BackendUsage`] and from there into the
 //!   [`ScheduleReport`](crate::schedule::ScheduleReport).
 //!
 //! [`SchedulePolicy::max_in_flight_chunks`]: crate::SchedulePolicy::max_in_flight_chunks
@@ -111,7 +108,8 @@ impl<'r> Dispatcher<'r> {
 
     /// Runs one prepared (deduplicated, shot-allocated) batch through the
     /// worker pool, delivering each chunk's [`ExecutionResults`] to `sink`
-    /// in chunk order.
+    /// in chunk order. Returns the lifecycle telemetry and, per backend that
+    /// did any work (registry order), its usage.
     ///
     /// # Errors
     ///
@@ -123,10 +121,10 @@ impl<'r> Dispatcher<'r> {
     /// * Any error `sink` returns.
     pub(crate) fn run_batch(
         &self,
-        batch: &PreparedBatch<'_>,
+        batch: &PreparedBatch,
         shots: Option<&[u64]>,
         mut sink: impl FnMut(ExecutionResults) -> Result<(), CoreError>,
-    ) -> Result<DispatchStats, CoreError> {
+    ) -> Result<(DispatchStats, Vec<BackendUsage>), CoreError> {
         let tracer = crate::obs::tracer();
         // per-job spans parent under the caller's open span (the streaming
         // pipeline's `phase.dispatch`) even though workers run on their own
@@ -137,11 +135,11 @@ impl<'r> Dispatcher<'r> {
         if total == 0 {
             // preserve the chunk protocol: an empty batch still delivers one
             // (empty, accounted) chunk
-            let chunk = ExecutionResults::new_accounted(batch.requested, 0);
+            let chunk = ExecutionResults::from_entries(Vec::new(), batch.requested, 0);
             let started = Instant::now();
             sink(chunk)?;
             stats.deliver_wall = started.elapsed();
-            return Ok(stats);
+            return Ok((stats, Vec::new()));
         }
 
         let entries = self.registry.entries();
@@ -174,10 +172,12 @@ impl<'r> Dispatcher<'r> {
         // a delta hit's cached base distribution, merged with the fresh
         // top-up when its job completes
         let mut delta_base: Vec<Option<(Vec<f64>, u64)>> = vec![None; total];
-        // per-chunk progress and per-(chunk, backend) usage accounting
+        // per-chunk progress and per-backend usage accounting
         let mut remaining: Vec<usize> = bounds.iter().map(|&(s, e)| e - s).collect();
-        let mut usage: Vec<Vec<BackendUsage>> =
-            bounds.iter().map(|_| vec![BackendUsage::default(); entries.len()]).collect();
+        let mut usage: Vec<BackendUsage> = entries
+            .iter()
+            .map(|entry| BackendUsage { backend: entry.name().to_string(), ..Default::default() })
+            .collect();
 
         let cancelled = AtomicBool::new(false);
         std::thread::scope(|scope| -> Result<(), CoreError> {
@@ -275,43 +275,15 @@ impl<'r> Dispatcher<'r> {
                     // in order, so merge order is deterministic and a slow
                     // sink throttles step 1 through the window
                     if next_deliver < next_dispatch && remaining[next_deliver] == 0 {
-                        let (start, end) = bounds[next_deliver];
-                        let mut requested = 0u64;
-                        let mut pairs: Vec<(usize, &crate::fragment::VariantKey)> = Vec::new();
-                        for ((key, &circuit), &count) in batch
-                            .unique_keys
-                            .iter()
-                            .zip(&batch.circuit_of_key)
-                            .zip(&batch.key_count)
-                        {
-                            if (start..end).contains(&circuit) {
-                                requested += count;
-                                pairs.push((circuit, key));
-                            }
-                        }
-                        let mut chunk =
-                            ExecutionResults::new_accounted(requested, (end - start) as u64);
-                        for (circuit, key) in pairs {
-                            let dist = outcomes[circuit]
-                                .as_ref()
-                                .expect("delivered chunks are complete")
-                                .clone();
-                            chunk.insert((*key).clone(), dist);
-                        }
                         // release the delivered distributions: with a window
                         // of w the dispatcher retains at most w chunks of
                         // undelivered results
-                        for slot in &mut outcomes[start..end] {
-                            *slot = None;
-                        }
-                        for (entry_index, entry_usage) in usage[next_deliver].iter().enumerate() {
-                            if *entry_usage == BackendUsage::default() {
-                                continue;
-                            }
-                            let mut entry_usage = entry_usage.clone();
-                            entry_usage.backend = entries[entry_index].name().to_string();
-                            chunk.record_usage(entry_usage);
-                        }
+                        let (start, end) = bounds[next_deliver];
+                        let distributions = outcomes[start..end]
+                            .iter_mut()
+                            .map(|slot| slot.take().expect("delivered chunks are complete"))
+                            .collect();
+                        let chunk = batch.results(start..end, distributions);
                         let started = Instant::now();
                         {
                             let _span = tracer.span_under("phase.deliver", dispatch_span);
@@ -397,7 +369,7 @@ impl<'r> Dispatcher<'r> {
                                         dist
                                     }
                                 };
-                                let entry_usage = &mut usage[job.chunk][job.entry];
+                                let entry_usage = &mut usage[job.entry];
                                 entry_usage.circuits += 1;
                                 entry_usage.shots += spent;
                                 if job.retry {
@@ -409,7 +381,7 @@ impl<'r> Dispatcher<'r> {
                             Err(error) => {
                                 job_clean = false;
                                 stats.failures += 1;
-                                usage[job.chunk][job.entry].failures += 1;
+                                usage[job.entry].failures += 1;
                                 failures_of[circuit] += 1;
                                 if !excluded[circuit].contains(&job.entry) {
                                     excluded[circuit].push(job.entry);
@@ -465,6 +437,7 @@ impl<'r> Dispatcher<'r> {
             }
             loop_result
         })?;
-        Ok(stats)
+        usage.retain(|u| u.circuits > 0 || u.failures > 0);
+        Ok((stats, usage))
     }
 }

@@ -3,16 +3,16 @@
 //! Execution follows the **enumerate → dedup → route → dispatch → fold →
 //! contract** protocol:
 //!
-//! 1. **Enumerate** — reconstructors list every
-//!    [`VariantRequest`] they need as pure
-//!    data (a structural [`VariantKey`]: fragment id, init states, cut bases,
-//!    gate-cut instances, output bases), optionally tagged with a
-//!    reconstruction weight. No circuits are built yet.
-//! 2. **Deduplicate** — duplicate keys collapse, then structurally identical
-//!    circuits collapse too (a 64-bit
-//!    [`structural hash`](qrcc_circuit::Circuit::structural_hash) catches e.g.
-//!    gate-cut instances 3/4, which instantiate identically on the measuring
-//!    half). The surviving circuits form the batch.
+//! 1. **Enumerate** — reconstructors list every [`VariantRequest`] they need
+//!    as pure data, each variant once: an integer [`VariantKey`] (fragment,
+//!    slot-configuration ordinal, packed output bases). Pauli terms that
+//!    measure a fragment in the same output bases share its keys. No
+//!    circuits are built yet.
+//! 2. **Deduplicate** — each key maps to its canonical circuit by a rule on
+//!    the ordinal (`Fragment::canonical_ordinal`: the two measuring
+//!    gate-cut instances of a half build one circuit), so only canonical keys
+//!    are instantiated and no circuit is hashed. The surviving circuits form
+//!    the batch, in first-request order.
 //! 3. **Route** — a [`Scheduler`](crate::schedule::Scheduler) places each
 //!    deduplicated circuit on a compatible backend of a
 //!    [`DeviceRegistry`](crate::schedule::DeviceRegistry) (heterogeneous
@@ -27,17 +27,18 @@
 //!    most [`SchedulePolicy::max_in_flight_chunks`] chunks undelivered (a
 //!    slow consumer exerts backpressure on dispatch) and re-routing jobs
 //!    whose backend fails to another compatible backend with the failer
-//!    excluded, up to [`SchedulePolicy::max_retries`] times. Results merge
-//!    into [`ExecutionResults`] via the structural key
-//!    (`ExecutionResults::extend`), which also accumulates per-backend
-//!    routing, shots-spent, retry and failure accounting.
+//!    excluded, up to [`SchedulePolicy::max_retries`] times. Each delivered
+//!    chunk is an [`ExecutionResults`] in ascending key order, where keys
+//!    that share a circuit share its distribution; per-backend usage goes
+//!    straight to the scheduler's
+//!    [`ScheduleReport`](crate::schedule::ScheduleReport).
 //! 5. **Fold** — each delivered chunk folds into per-fragment cut tensors
 //!    ([`ProbabilityAccumulator`](crate::reconstruct::ProbabilityAccumulator) /
-//!    [`ExpectationAccumulator`](crate::reconstruct::ExpectationAccumulator)),
-//!    sorted by `(fragment, variant ordinal)`, so tensor building overlaps
-//!    device execution. A blocking `reconstruct` (e.g. over an
-//!    [`execute_requests`] batch) folds a whole [`ExecutionResults`] the
-//!    same way, as one chunk, so both agree bit for bit.
+//!    [`ExpectationAccumulator`](crate::reconstruct::ExpectationAccumulator))
+//!    in its key order, so tensor building overlaps device execution. A
+//!    blocking `reconstruct` (e.g. over an [`execute_requests`] batch) folds
+//!    a whole [`ExecutionResults`] the same way, as one chunk, so both agree
+//!    bit for bit.
 //! 6. **Contract** — once every variant has arrived, only the final
 //!    contraction (dense mixed-radix loop or pairwise fragment-tensor
 //!    contraction) remains; see [`crate::reconstruct`].
@@ -65,6 +66,7 @@ use qrcc_sim::{Counts, SimError};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Executes fragment-variant circuits and reports the probability
 /// distribution over their classical bits (length `2^num_clbits`).
@@ -130,8 +132,7 @@ pub trait ExecutionBackend: Sync {
         None
     }
 
-    /// A short human-readable label for accounting
-    /// ([`ExecutionResults::routing`]).
+    /// A short human-readable label for accounting.
     fn label(&self) -> String {
         "backend".into()
     }
@@ -156,7 +157,7 @@ pub trait ExecutionBackend: Sync {
 /// retries after failing elsewhere).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BackendUsage {
-    /// The backend's label (registry name, or [`ExecutionBackend::label`]).
+    /// The backend's registry name.
     pub backend: String,
     /// Circuits executed successfully on this backend.
     pub circuits: u64,
@@ -170,50 +171,45 @@ pub struct BackendUsage {
     pub retries: u64,
 }
 
-impl BackendUsage {
-    /// Merges this usage into a per-label list: an existing entry with the
-    /// same label accumulates, otherwise the usage is appended. The one
-    /// definition of "merge usage by label", shared by
-    /// [`ExecutionResults::record_usage`] and the scheduler's report.
-    pub(crate) fn merge_into(self, list: &mut Vec<BackendUsage>) {
-        match list.iter_mut().find(|u| u.backend == self.backend) {
-            Some(existing) => {
-                existing.circuits += self.circuits;
-                existing.shots += self.shots;
-                existing.failures += self.failures;
-                existing.retries += self.retries;
-            }
-            None => list.push(self),
-        }
-    }
-}
+/// A distribution as the results hold it: keys that share a circuit share
+/// one allocation.
+pub(crate) type Shared = Arc<Vec<f64>>;
 
-/// Distributions of an executed batch, keyed by structural [`VariantKey`].
+/// Distributions of an executed batch, keyed by [`VariantKey`] and held in
+/// ascending key order — the order every fold walks.
 ///
 /// Produced by [`execute_requests`] / the
 /// [`Scheduler`](crate::schedule::Scheduler) and consumed by the
-/// reconstructors. Also records the dedup accounting — how many variants
-/// were requested, how many unique keys survived, how many circuits were
-/// actually executed after structural dedup — and the per-backend routing
-/// stats ([`ExecutionResults::routing`]).
+/// reconstructors. Also records the dedup accounting: how many variants
+/// were requested, and how many circuits were actually executed after keys
+/// sharing a circuit collapsed.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionResults {
-    distributions: HashMap<VariantKey, Vec<f64>>,
+    entries: Vec<(VariantKey, Shared)>,
     requested: u64,
     executed: u64,
-    routing: Vec<BackendUsage>,
 }
 
 impl ExecutionResults {
-    /// An empty result set carrying only dedup accounting — the scheduler
-    /// fills it key by key as a chunk's backends return.
-    pub(crate) fn new_accounted(requested: u64, executed: u64) -> Self {
-        ExecutionResults { distributions: HashMap::new(), requested, executed, routing: Vec::new() }
+    /// Results holding `entries` (in any order; of equal keys the last
+    /// wins) with the given dedup accounting.
+    pub(crate) fn from_entries(
+        mut entries: Vec<(VariantKey, Shared)>,
+        requested: u64,
+        executed: u64,
+    ) -> Self {
+        entries.sort_by_key(|&(key, _)| key);
+        keep_last_of_equal_keys(&mut entries);
+        ExecutionResults { entries, requested, executed }
     }
 
-    /// Stores one key's distribution (later inserts win).
+    /// Stores one key's distribution (replacing an earlier one).
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, key: VariantKey, distribution: Vec<f64>) {
-        self.distributions.insert(key, distribution);
+        match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => self.entries[at].1 = Arc::new(distribution),
+            Err(at) => self.entries.insert(at, (key, Arc::new(distribution))),
+        }
     }
 
     /// The distribution for `key`, or an error naming the missing fragment —
@@ -224,15 +220,15 @@ impl ExecutionResults {
     /// Returns [`CoreError::MissingVariant`] when `key` was not part of the
     /// executed batch.
     pub fn distribution(&self, key: &VariantKey) -> Result<&[f64], CoreError> {
-        self.distributions
-            .get(key)
-            .map(Vec::as_slice)
-            .ok_or(CoreError::MissingVariant { fragment: key.fragment })
+        self.entries
+            .binary_search_by_key(key, |&(k, _)| k)
+            .map(|at| self.entries[at].1.as_slice())
+            .map_err(|_| CoreError::MissingVariant { fragment: key.fragment })
     }
 
     /// Number of distinct variant keys held.
     pub fn unique_variants(&self) -> usize {
-        self.distributions.len()
+        self.entries.len()
     }
 
     /// Total number of variant requests that went into this batch, including
@@ -241,45 +237,56 @@ impl ExecutionResults {
         self.requested
     }
 
-    /// Number of circuits actually executed (after key dedup *and*
-    /// structural-circuit dedup).
+    /// Number of circuits actually executed (after keys sharing a circuit
+    /// collapsed).
     pub fn executed(&self) -> u64 {
         self.executed
     }
 
     /// Whether no variants are held.
     pub fn is_empty(&self) -> bool {
-        self.distributions.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Iterates over the held `(key, distribution)` pairs (arbitrary order).
+    /// Iterates over the held `(key, distribution)` pairs in ascending key
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (&VariantKey, &[f64])> {
-        self.distributions.iter().map(|(k, d)| (k, d.as_slice()))
+        self.entries.iter().map(|(k, d)| (k, d.as_slice()))
     }
 
-    /// Per-backend routing stats: which backends ran how many circuits with
-    /// how many shots. A single-backend [`execute_requests`] batch holds one
-    /// entry; scheduled batches hold one per routed backend.
-    pub fn routing(&self) -> &[BackendUsage] {
-        &self.routing
-    }
-
-    /// Records work done by one backend, merging with an existing entry of
-    /// the same label.
-    pub fn record_usage(&mut self, usage: BackendUsage) {
-        usage.merge_into(&mut self.routing);
+    /// The held entries, in ascending key order.
+    pub(crate) fn entries(&self) -> &[(VariantKey, Shared)] {
+        &self.entries
     }
 
     /// Merges another batch into this one (later batches win on key
-    /// collisions). Accounting is summed; routing stats merge by label.
+    /// collisions). Accounting is summed.
     pub fn extend(&mut self, other: ExecutionResults) {
-        self.distributions.extend(other.distributions);
         self.requested += other.requested;
         self.executed += other.executed;
-        for usage in other.routing {
-            self.record_usage(usage);
+        let append = self
+            .entries
+            .last()
+            .is_none_or(|&(last, _)| other.entries.first().is_none_or(|&(first, _)| last < first));
+        self.entries.extend(other.entries);
+        if !append {
+            // two sorted runs: the stable sort merges them, keeping this
+            // batch's entry ahead of the other's for equal keys
+            self.entries.sort_by_key(|&(key, _)| key);
+            keep_last_of_equal_keys(&mut self.entries);
         }
     }
+}
+
+/// Drops all but the last of every run of equal keys in a key-sorted list.
+fn keep_last_of_equal_keys(entries: &mut Vec<(VariantKey, Shared)>) {
+    entries.dedup_by(|later, kept| {
+        let equal = later.0 == kept.0;
+        if equal {
+            std::mem::swap(later, kept);
+        }
+        equal
+    });
 }
 
 /// The dedup phase's output: the unique variant keys of a request list, the
@@ -287,125 +294,93 @@ impl ExecutionResults {
 /// Shared by the single-backend [`execute_requests`] path and the
 /// multi-backend [`Scheduler`](crate::schedule::Scheduler).
 #[derive(Debug, Clone)]
-pub(crate) struct PreparedBatch<'a> {
+pub(crate) struct PreparedBatch {
     /// First-seen-ordered unique keys.
-    pub(crate) unique_keys: Vec<&'a VariantKey>,
-    /// The deduplicated circuits to execute.
+    pub(crate) keys: Vec<VariantKey>,
+    /// The deduplicated circuits to execute, in first-seen order.
     pub(crate) circuits: Vec<Circuit>,
     /// For each unique key, the index of its circuit in `circuits`.
     pub(crate) circuit_of_key: Vec<usize>,
-    /// Per unique key, the largest caller-supplied request weight among its
-    /// duplicate requests.
-    pub(crate) key_weight: Vec<f64>,
     /// Per unique key, how many duplicate requests collapsed into it.
     pub(crate) key_count: Vec<u64>,
     /// Total requests before dedup.
     pub(crate) requested: u64,
 }
 
-/// Phase 2 of the protocol: deduplicates `requests` by [`VariantKey`],
-/// instantiates each unique key once, and collapses structurally identical
-/// circuits (verifying equality on hash-bucket collisions) so e.g. the two
-/// measuring gate-cut instances of a half run once.
+/// Phase 2 of the protocol: deduplicates `requests` by [`VariantKey`] and
+/// maps every key to its canonical circuit by the ordinal rule of
+/// `Fragment::canonical_ordinal`, instantiating
+/// each canonical key once — so e.g. the two measuring gate-cut instances of
+/// a half run once, and no circuit is hashed.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidCutSolution`] for keys that do not match `fragments`.
-pub(crate) fn prepare_batch<'a>(
+pub(crate) fn prepare_batch(
     fragments: &FragmentSet,
-    requests: &'a [VariantRequest],
-) -> Result<PreparedBatch<'a>, CoreError> {
-    // Dedup by key, preserving first-seen order for reproducible batches.
-    let mut seen: HashMap<&VariantKey, usize> = HashMap::with_capacity(requests.len());
-    let mut unique_keys: Vec<&VariantKey> = Vec::new();
-    let mut key_weight: Vec<f64> = Vec::new();
-    let mut key_count: Vec<u64> = Vec::new();
-    for request in requests {
-        match seen.get(&request.key) {
-            Some(&slot) => {
-                key_weight[slot] = key_weight[slot].max(request.weight);
-                key_count[slot] += 1;
-            }
-            None => {
-                seen.insert(&request.key, unique_keys.len());
-                unique_keys.push(&request.key);
-                key_weight.push(request.weight);
-                key_count.push(1);
-            }
-        }
-    }
-
-    let mut circuits: Vec<Circuit> = Vec::new();
-    let mut circuit_of_key: Vec<usize> = Vec::with_capacity(unique_keys.len());
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    for key in &unique_keys {
-        let circuit = fragments.instantiate_key(key)?;
-        let hash = circuit.structural_hash();
-        let bucket = buckets.entry(hash).or_default();
-        let existing = bucket.iter().copied().find(|&i| circuits[i].structurally_equal(&circuit));
-        let index = match existing {
-            Some(i) => i,
-            None => {
-                circuits.push(circuit);
-                bucket.push(circuits.len() - 1);
-                circuits.len() - 1
-            }
-        };
-        circuit_of_key.push(index);
-    }
-
-    Ok(PreparedBatch {
-        unique_keys,
-        circuits,
-        circuit_of_key,
-        key_weight,
-        key_count,
+    requests: &[VariantRequest],
+) -> Result<PreparedBatch, CoreError> {
+    let mut slot_of_key: HashMap<VariantKey, usize> = HashMap::with_capacity(requests.len());
+    let mut circuit_of_canonical: HashMap<VariantKey, usize> = HashMap::new();
+    let mut batch = PreparedBatch {
+        keys: Vec::with_capacity(requests.len()),
+        circuits: Vec::new(),
+        circuit_of_key: Vec::with_capacity(requests.len()),
+        key_count: Vec::with_capacity(requests.len()),
         requested: requests.len() as u64,
-    })
+    };
+    for &VariantRequest { key } in requests {
+        if let Some(&slot) = slot_of_key.get(&key) {
+            batch.key_count[slot] += 1;
+            continue;
+        }
+        let fragment = fragments.fragment_of(&key)?;
+        let canonical = VariantKey { ordinal: fragment.canonical_ordinal(key.ordinal), ..key };
+        let circuit = *circuit_of_canonical.entry(canonical).or_insert_with(|| {
+            batch.circuits.push(fragment.instantiate(canonical.ordinal, canonical.outputs));
+            batch.circuits.len() - 1
+        });
+        slot_of_key.insert(key, batch.keys.len());
+        batch.keys.push(key);
+        batch.circuit_of_key.push(circuit);
+        batch.key_count.push(1);
+    }
+    Ok(batch)
 }
 
-impl PreparedBatch<'_> {
-    /// Assembles [`ExecutionResults`] from per-circuit outcomes covering
-    /// `self.circuits` in order, propagating the first error.
-    pub(crate) fn into_results(
-        self,
-        outcomes: Vec<Result<Vec<f64>, CoreError>>,
-    ) -> Result<ExecutionResults, CoreError> {
-        if outcomes.len() != self.circuits.len() {
-            return Err(CoreError::InvalidCutSolution {
-                reason: format!(
-                    "backend returned {} results for a batch of {} circuits",
-                    outcomes.len(),
-                    self.circuits.len()
-                ),
-            });
+impl PreparedBatch {
+    /// The results of circuits `range` given their distributions (in
+    /// circuit order): every key whose circuit lies in the range shares that
+    /// circuit's distribution, and counts the requests it collapsed.
+    pub(crate) fn results(
+        &self,
+        range: std::ops::Range<usize>,
+        distributions: Vec<Vec<f64>>,
+    ) -> ExecutionResults {
+        let shared: Vec<Shared> = distributions.into_iter().map(Arc::new).collect();
+        let mut requested = 0;
+        let mut entries = Vec::new();
+        for ((&key, &circuit), &count) in
+            self.keys.iter().zip(&self.circuit_of_key).zip(&self.key_count)
+        {
+            if range.contains(&circuit) {
+                requested += count;
+                entries.push((key, Arc::clone(&shared[circuit - range.start])));
+            }
         }
-        let mut distributions: Vec<Vec<f64>> = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            distributions.push(outcome?);
-        }
-        let mut results = ExecutionResults {
-            distributions: HashMap::with_capacity(self.unique_keys.len()),
-            requested: self.requested,
-            executed: self.circuits.len() as u64,
-            routing: Vec::new(),
-        };
-        for (key, &circuit_index) in self.unique_keys.iter().zip(&self.circuit_of_key) {
-            results.distributions.insert((*key).clone(), distributions[circuit_index].clone());
-        }
-        Ok(results)
+        ExecutionResults::from_entries(entries, requested, range.len() as u64)
     }
 }
 
 /// Phases 2+4 for a single backend: deduplicates `requests` by
-/// [`VariantKey`], collapses structurally identical circuits, and executes
-/// the survivors as one [`ExecutionBackend::run_batch`] call. Multi-backend
-/// routing, shot allocation and chunking live in
-/// [`crate::schedule::Scheduler`].
+/// [`VariantKey`], maps them to canonical circuits, and executes those as
+/// one [`ExecutionBackend::run_batch`] call. Multi-backend routing, shot
+/// allocation and chunking live in [`crate::schedule::Scheduler`].
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidCutSolution`] for keys that do not match `fragments`.
+/// * [`CoreError::InvalidCutSolution`] for keys that do not match `fragments`,
+///   or when the backend returns the wrong number of results.
 /// * The first backend error of the batch, if any.
 pub fn execute_requests(
     fragments: &FragmentSet,
@@ -415,15 +390,17 @@ pub fn execute_requests(
     let batch = prepare_batch(fragments, requests)?;
     // One batch submission; backends parallelise internally.
     let outcomes = backend.run_batch(&batch.circuits);
-    let circuits = batch.circuits.len() as u64;
-    let mut results = batch.into_results(outcomes)?;
-    results.record_usage(BackendUsage {
-        backend: backend.label(),
-        circuits,
-        shots: circuits * backend.shots_per_circuit().unwrap_or(0),
-        ..BackendUsage::default()
-    });
-    Ok(results)
+    if outcomes.len() != batch.circuits.len() {
+        return Err(CoreError::InvalidCutSolution {
+            reason: format!(
+                "backend returned {} results for a batch of {} circuits",
+                outcomes.len(),
+                batch.circuits.len()
+            ),
+        });
+    }
+    let distributions = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(batch.results(0..batch.circuits.len(), distributions))
 }
 
 /// Exact backend: the noise-free distribution over a circuit's classical
@@ -702,7 +679,6 @@ impl ExecutionBackend for ShotsBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::FragmentVariant;
     use crate::planner::CutPlanner;
     use crate::QrccConfig;
     use qrcc_sim::device::DeviceConfig;
@@ -897,14 +873,9 @@ mod tests {
         .plan(&c)
         .unwrap();
         let fragments = crate::fragment::FragmentSet::from_plan(&plan).unwrap();
-        let fragment = &fragments.fragments[0];
-        let variant = fragment.default_variant();
         // The same key requested three times executes once.
-        let requests = vec![
-            VariantRequest::new(0, variant.clone()),
-            VariantRequest::new(0, variant.clone()),
-            VariantRequest::new(0, variant),
-        ];
+        let request = VariantRequest { key: VariantKey::new(0, 0, 0) };
+        let requests = vec![request; 3];
         let backend = ExactBackend::new();
         let results = execute_requests(&fragments, &requests, &backend).unwrap();
         assert_eq!(results.requested(), 3);
@@ -1003,34 +974,26 @@ mod tests {
         .plan(&c)
         .unwrap();
         let fragments = crate::fragment::FragmentSet::from_plan(&plan).unwrap();
-        let bogus = VariantRequest::new(
-            99,
-            FragmentVariant {
-                init_states: vec![],
-                cut_bases: vec![],
-                gate_instances: vec![],
-                output_bases: vec![],
-            },
-        );
+        let variants = fragments.fragments[0].variant_count();
+        let bogus = [
+            VariantKey::new(99, 0, 0),
+            VariantKey::new(0, variants, 0),
+            VariantKey::new(0, 0, 3), // output basis code 3 is no basis
+            VariantKey::new(0, 0, 1 << 62), // an output slot the fragment lacks
+        ];
         let backend = ExactBackend::new();
-        assert!(matches!(
-            execute_requests(&fragments, &[bogus], &backend),
-            Err(CoreError::InvalidCutSolution { .. })
-        ));
+        for key in bogus {
+            assert!(matches!(
+                execute_requests(&fragments, &[VariantRequest { key }], &backend),
+                Err(CoreError::InvalidCutSolution { .. })
+            ));
+        }
     }
 
     #[test]
     fn missing_variant_lookup_is_a_typed_error() {
         let results = ExecutionResults::default();
-        let key = VariantKey::new(
-            7,
-            FragmentVariant {
-                init_states: vec![],
-                cut_bases: vec![],
-                gate_instances: vec![],
-                output_bases: vec![],
-            },
-        );
+        let key = VariantKey::new(7, 0, 0);
         assert!(matches!(
             results.distribution(&key),
             Err(CoreError::MissingVariant { fragment: 7 })

@@ -12,8 +12,10 @@
 //! * original-circuit outputs become terminal measurements (optionally
 //!   rotated into a Pauli basis for expectation-value workloads).
 //!
-//! [`Fragment::instantiate`] turns a fragment plus a [`FragmentVariant`] into
-//! a concrete [`Circuit`] ready for a device or simulator.
+//! A variant is the integer [`VariantKey`] `(fragment, ordinal, outputs)`,
+//! and [`Fragment::instantiate`] turns a fragment plus a variant's ordinal
+//! and output bases into a concrete [`Circuit`] ready for a device or
+//! simulator, from a skeleton lowered once per fragment.
 
 use crate::gatecut::{instance_op, zz_form, GateHalf, InstanceOp, ZzForm};
 use crate::planner::CutPlan;
@@ -21,7 +23,6 @@ use crate::reuse::assign_intervals;
 use crate::spec::WireCutPoint;
 use crate::CoreError;
 use qrcc_circuit::dag::NodeId;
-use qrcc_circuit::observable::Pauli;
 use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
 use std::collections::HashMap;
 
@@ -60,108 +61,107 @@ impl CutBasis {
     pub const ALL: [CutBasis; 3] = [CutBasis::Z, CutBasis::X, CutBasis::Y];
 }
 
-/// One executable configuration of a fragment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FragmentVariant {
-    /// Initialisation state per incoming cut (parallel to
-    /// [`Fragment::incoming_cuts`]).
-    pub init_states: Vec<InitState>,
-    /// Measurement basis per outgoing cut (parallel to
-    /// [`Fragment::outgoing_cuts`]).
-    pub cut_bases: Vec<CutBasis>,
-    /// Gate-cut instance (1..=6) per gate-cut role (parallel to
-    /// [`Fragment::gate_cut_roles`]).
-    pub gate_instances: Vec<usize>,
-    /// Measurement basis per original-circuit output (parallel to
-    /// [`Fragment::output_clbits`]); `Pauli::I`/`Pauli::Z` measure in the
-    /// computational basis.
-    pub output_bases: Vec<Pauli>,
-}
-
-/// Structural identity of one fragment variant: the fragment index plus the
-/// full slot configuration. Two requests with equal keys instantiate to the
-/// same circuit, so the execution layer deduplicates on this key — no QASM
-/// serialisation involved.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Identity of one fragment variant, as three integers (the CutQC
+/// "subcircuit, indexed combination" shape).
+///
+/// * `ordinal` is a little-endian mixed-radix index over the fragment's
+///   slots: the outgoing-cut bases ([`CutBasis::ALL`], radix 3) in the
+///   lowest digits, then the incoming-cut init states ([`InitState::ALL`],
+///   radix 4), then the gate-cut instances (1..=6 as digits 0..=5, radix 6),
+///   slot 0 of each group least significant. It runs over
+///   `0..`[`Fragment::variant_count`].
+/// * `outputs` packs the measurement basis of every original-circuit output
+///   (parallel to [`Fragment::output_clbits`]) in 2 bits each, slot `i` at
+///   bits `2i..2i + 2`: 0 measures in Z (which an identity factor shares),
+///   1 in X, 2 in Y.
+///
+/// Ordinal 0 with outputs 0 is the identity configuration: |0⟩ inits, Z
+/// bases everywhere, gate-cut instance 1. Keys order by `(fragment,
+/// ordinal, outputs)`, the order every fold walks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VariantKey {
     /// Index of the fragment within its [`FragmentSet`].
     pub fragment: usize,
-    /// The slot configuration.
-    pub variant: FragmentVariant,
+    /// Mixed-radix index of the slot configuration.
+    pub ordinal: u64,
+    /// Output bases, 2 bits per output.
+    pub outputs: u64,
 }
 
 impl VariantKey {
-    /// Builds a key for `fragment` with the given slot configuration.
-    pub fn new(fragment: usize, variant: FragmentVariant) -> Self {
-        VariantKey { fragment, variant }
+    /// The key of variant `ordinal` of `fragment` with packed output bases
+    /// `outputs`.
+    pub fn new(fragment: usize, ordinal: u64, outputs: u64) -> Self {
+        VariantKey { fragment, ordinal, outputs }
+    }
+}
+
+/// A variant ordinal read digit by digit in [`VariantKey`] order: every
+/// outgoing-cut basis, then every init state, then every gate-cut instance.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Digits(pub(crate) u64);
+
+impl Digits {
+    fn next(&mut self, radix: u64) -> usize {
+        let digit = self.0 % radix;
+        self.0 /= radix;
+        digit as usize
+    }
+
+    pub(crate) fn basis(&mut self) -> CutBasis {
+        CutBasis::ALL[self.next(3)]
+    }
+
+    pub(crate) fn init(&mut self) -> InitState {
+        InitState::ALL[self.next(4)]
+    }
+
+    /// The next gate-cut instance, `1..=6`.
+    pub(crate) fn instance(&mut self) -> usize {
+        self.next(6) + 1
     }
 }
 
 /// A request for one fragment-variant execution, as pure data.
 ///
-/// Reconstructors *enumerate* the requests they need, the pipeline
-/// *deduplicates* them by [`VariantKey`] and executes one batch, and the
+/// Reconstructors *enumerate* the requests they need (each variant once),
+/// the pipeline maps them to circuits and executes one batch, and the
 /// reconstructors then *consume* the resulting
 /// [`ExecutionResults`](crate::execute::ExecutionResults).
-///
-/// Beyond the structural key, a request carries a caller-supplied
-/// reconstruction `weight` (default `1.0`). The shot
-/// [`allocator`](crate::schedule) multiplies this by the structural variance
-/// weight it derives from the cut coefficients, so callers can bias the shot
-/// split (e.g. by an observable coefficient) without re-deriving the cut
-/// structure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VariantRequest {
-    /// The structural identity of the requested variant.
+    /// The requested variant.
     pub key: VariantKey,
-    /// Caller-supplied reconstruction weight multiplier (default `1.0`);
-    /// must be non-negative and finite.
-    pub weight: f64,
 }
 
-impl VariantRequest {
-    /// Builds a request for `fragment` with the given slot configuration and
-    /// the default weight of `1.0`.
-    pub fn new(fragment: usize, variant: FragmentVariant) -> Self {
-        VariantRequest { key: VariantKey::new(fragment, variant), weight: 1.0 }
-    }
-
-    /// Sets the caller-supplied reconstruction weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or not finite.
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        assert!(weight.is_finite() && weight >= 0.0, "request weight must be finite and >= 0");
-        self.weight = weight;
-        self
-    }
-}
-
-impl PartialEq for VariantRequest {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.weight.to_bits() == other.weight.to_bits()
-    }
-}
-
-impl Eq for VariantRequest {}
-
-impl std::hash::Hash for VariantRequest {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.key.hash(state);
-        self.weight.to_bits().hash(state);
-    }
-}
-
-/// One operation of a fragment's skeleton.
+/// One operation of a fragment's skeleton, lowered once when the fragment
+/// is built: a slot reads its digit of a variant's ordinal at `place`.
 #[derive(Debug, Clone, PartialEq)]
 enum FragmentOp {
-    Gate { gate: Gate, qubits: Vec<usize> },
-    Prep { slot: usize, phys: usize },
-    CutMeasure { slot: usize, phys: usize, clbit: usize },
-    OutputMeasure { slot: usize, phys: usize, clbit: usize },
-    GateCutHalf { role: usize, phys: usize, clbit: usize },
-    Reset { phys: usize },
+    /// An operation every variant runs unchanged (a gate or a reset).
+    Fixed(Operation),
+    Prep {
+        place: u64,
+        qubit: QubitId,
+    },
+    CutMeasure {
+        place: u64,
+        qubit: QubitId,
+        clbit: usize,
+    },
+    OutputMeasure {
+        shift: u32,
+        qubit: QubitId,
+        clbit: usize,
+    },
+    GateCutHalf {
+        place: u64,
+        half: GateHalf,
+        qubit: QubitId,
+        clbit: usize,
+        pre: Vec<Operation>,
+        post: Vec<Operation>,
+    },
 }
 
 /// One subcircuit of a cut plan, mapped to physical qubits.
@@ -173,6 +173,7 @@ pub struct Fragment {
     pub num_physical: usize,
     /// Number of classical bits of every instantiated variant.
     pub num_clbits: usize,
+    name: String,
     skeleton: Vec<FragmentOp>,
     /// Global wire-cut ids whose initialisation side lands in this fragment.
     pub incoming_cuts: Vec<usize>,
@@ -189,8 +190,6 @@ pub struct Fragment {
     /// `(global gate-cut id, classical bit)` pairs for gate-cut instance
     /// measurements (the bit is only written by measuring instances).
     pub gatecut_clbits: Vec<(usize, usize)>,
-    /// ZZ normal form of each gate cut this fragment participates in.
-    gate_forms: HashMap<usize, ZzForm>,
 }
 
 #[cfg(test)]
@@ -209,6 +208,7 @@ impl Fragment {
             index: 0,
             num_physical: 0,
             num_clbits,
+            name: String::new(),
             skeleton: Vec::new(),
             incoming_cuts,
             outgoing_cuts: cut_clbits.iter().map(|&(cut, _)| cut).collect(),
@@ -216,7 +216,6 @@ impl Fragment {
             output_clbits,
             cut_clbits,
             gatecut_clbits: gate_roles.iter().map(|&(cut, _, clbit)| (cut, clbit)).collect(),
-            gate_forms: HashMap::new(),
         }
     }
 }
@@ -228,118 +227,103 @@ impl Fragment {
         self.incoming_cuts.len() + self.outgoing_cuts.len() + self.gate_cut_roles.len()
     }
 
+    /// The place value of the first gate-cut instance digit in a variant
+    /// ordinal: `4^incoming · 3^outgoing`, the number of wire-slot
+    /// configurations.
+    pub(crate) fn gate_place(&self) -> u64 {
+        4u64.pow(self.incoming_cuts.len() as u32) * 3u64.pow(self.outgoing_cuts.len() as u32)
+    }
+
     /// The number of executable variants this fragment has:
     /// `4^incoming · 3^outgoing · 6^gate_roles` (ignoring output-basis
-    /// changes).
+    /// changes) — the range of a [`VariantKey::ordinal`].
     pub fn variant_count(&self) -> u64 {
-        4u64.pow(self.incoming_cuts.len() as u32)
-            * 3u64.pow(self.outgoing_cuts.len() as u32)
-            * 6u64.pow(self.gate_cut_roles.len() as u32)
+        self.gate_place() * 6u64.pow(self.gate_cut_roles.len() as u32)
     }
 
-    /// A variant with |0⟩ initialisations, Z bases everywhere and gate-cut
-    /// instance 1 — the "identity" configuration.
-    pub fn default_variant(&self) -> FragmentVariant {
-        FragmentVariant {
-            init_states: vec![InitState::Zero; self.incoming_cuts.len()],
-            cut_bases: vec![CutBasis::Z; self.outgoing_cuts.len()],
-            gate_instances: vec![1; self.gate_cut_roles.len()],
-            output_bases: vec![Pauli::Z; self.output_clbits.len()],
+    /// The ordinal of the variant whose circuit `ordinal` instantiates to.
+    /// The two measuring instances of a gate-cut half differ only in the
+    /// other half's rotation, so they build the same circuit here: on the
+    /// Top half instance 4 maps to 3, on the Bottom half 6 maps to 5. Every
+    /// other slot change alters the circuit.
+    pub(crate) fn canonical_ordinal(&self, ordinal: u64) -> u64 {
+        let mut place = self.gate_place();
+        let mut canonical = ordinal;
+        for &(_, half) in &self.gate_cut_roles {
+            let alias = match half {
+                GateHalf::Top => 3,
+                GateHalf::Bottom => 5,
+            };
+            if ordinal / place % 6 == alias {
+                canonical -= place;
+            }
+            place *= 6;
         }
+        canonical
     }
 
-    /// Builds the concrete circuit of one variant.
+    /// Builds the concrete circuit of variant `ordinal` with packed output
+    /// bases `outputs` (see [`VariantKey`]).
     ///
     /// # Panics
     ///
-    /// Panics if the variant's vectors do not match the fragment's slot
-    /// counts or a gate instance index is outside `1..=6`.
-    pub fn instantiate(&self, variant: &FragmentVariant) -> Circuit {
-        assert_eq!(variant.init_states.len(), self.incoming_cuts.len(), "init slot mismatch");
-        assert_eq!(variant.cut_bases.len(), self.outgoing_cuts.len(), "basis slot mismatch");
-        assert_eq!(
-            variant.gate_instances.len(),
-            self.gate_cut_roles.len(),
-            "instance slot mismatch"
-        );
-        assert_eq!(variant.output_bases.len(), self.output_clbits.len(), "output basis mismatch");
-
-        let mut circuit = Circuit::with_clbits(self.num_physical.max(1), self.num_clbits);
-        circuit.set_name(format!("fragment_{}", self.index));
+    /// Panics if `ordinal` is not below [`Fragment::variant_count`].
+    pub fn instantiate(&self, ordinal: u64, outputs: u64) -> Circuit {
+        assert!(ordinal < self.variant_count(), "variant ordinal out of range");
+        let mut circuit = Circuit::with_clbits(self.num_physical, self.num_clbits);
+        // room for the skeleton plus one rotation gate pair per slot
+        circuit.set_name(self.name.as_str()).reserve(2 * self.skeleton.len());
+        let gate = |circuit: &mut Circuit, gate: Gate, qubit: QubitId| {
+            circuit.push(Operation::Single { gate, qubit });
+        };
+        let rotate_to = |circuit: &mut Circuit, basis: u64, qubit: QubitId| match basis {
+            0 => {}
+            1 => gate(circuit, Gate::H, qubit),
+            _ => {
+                gate(circuit, Gate::Sdg, qubit);
+                gate(circuit, Gate::H, qubit);
+            }
+        };
         for op in &self.skeleton {
             match op {
-                FragmentOp::Gate { gate, qubits } => {
-                    let ids: Vec<QubitId> = qubits.iter().map(|&q| QubitId::new(q)).collect();
-                    circuit.push(Operation::gate(*gate, &ids).expect("valid skeleton gate"));
+                FragmentOp::Fixed(op) => {
+                    circuit.push(op.clone());
                 }
-                FragmentOp::Prep { slot, phys } => match variant.init_states[*slot] {
-                    InitState::Zero => {}
-                    InitState::One => {
-                        circuit.x(*phys);
-                    }
-                    InitState::Plus => {
-                        circuit.h(*phys);
-                    }
-                    InitState::PlusI => {
-                        circuit.h(*phys).s(*phys);
-                    }
-                },
-                FragmentOp::CutMeasure { slot, phys, clbit } => {
-                    match variant.cut_bases[*slot] {
-                        CutBasis::Z => {}
-                        CutBasis::X => {
-                            circuit.h(*phys);
-                        }
-                        CutBasis::Y => {
-                            circuit.sdg(*phys).h(*phys);
+                &FragmentOp::Prep { place, qubit } => {
+                    match InitState::ALL[(ordinal / place % 4) as usize] {
+                        InitState::Zero => {}
+                        InitState::One => gate(&mut circuit, Gate::X, qubit),
+                        InitState::Plus => gate(&mut circuit, Gate::H, qubit),
+                        InitState::PlusI => {
+                            gate(&mut circuit, Gate::H, qubit);
+                            gate(&mut circuit, Gate::S, qubit);
                         }
                     }
-                    circuit.measure(*phys, *clbit);
                 }
-                FragmentOp::OutputMeasure { slot, phys, clbit } => {
-                    match variant.output_bases[*slot] {
-                        Pauli::I | Pauli::Z => {}
-                        Pauli::X => {
-                            circuit.h(*phys);
-                        }
-                        Pauli::Y => {
-                            circuit.sdg(*phys).h(*phys);
-                        }
-                    }
-                    circuit.measure(*phys, *clbit);
+                &FragmentOp::CutMeasure { place, qubit, clbit } => {
+                    rotate_to(&mut circuit, ordinal / place % 3, qubit);
+                    circuit.push(Operation::Measure { qubit, clbit });
                 }
-                FragmentOp::GateCutHalf { role, phys, clbit } => {
-                    let (cut_id, half) = self.gate_cut_roles[*role];
-                    let form = &self.gate_forms[&cut_id];
-                    let (pre, post) = form.locals(half);
-                    for g in pre {
-                        circuit.push(
-                            Operation::gate(*g, &[QubitId::new(*phys)])
-                                .expect("single-qubit local"),
-                        );
+                &FragmentOp::OutputMeasure { shift, qubit, clbit } => {
+                    rotate_to(&mut circuit, outputs >> shift & 3, qubit);
+                    circuit.push(Operation::Measure { qubit, clbit });
+                }
+                FragmentOp::GateCutHalf { place, half, qubit, clbit, pre, post } => {
+                    for op in pre {
+                        circuit.push(op.clone());
                     }
-                    let instance = variant.gate_instances[*role];
-                    match instance_op(instance, half) {
+                    let instance = (ordinal / place % 6) as usize + 1;
+                    match instance_op(instance, *half) {
                         InstanceOp::Nothing => {}
-                        InstanceOp::PauliZ => {
-                            circuit.z(*phys);
-                        }
-                        InstanceOp::Rz(angle) => {
-                            circuit.rz(angle, *phys);
-                        }
+                        InstanceOp::PauliZ => gate(&mut circuit, Gate::Z, *qubit),
+                        InstanceOp::Rz(angle) => gate(&mut circuit, Gate::Rz(angle), *qubit),
                         InstanceOp::MeasureSign => {
-                            circuit.measure(*phys, *clbit);
+                            circuit.push(Operation::Measure { qubit: *qubit, clbit: *clbit });
                         }
                     }
-                    for g in post {
-                        circuit.push(
-                            Operation::gate(*g, &[QubitId::new(*phys)])
-                                .expect("single-qubit local"),
-                        );
+                    for op in post {
+                        circuit.push(op.clone());
                     }
-                }
-                FragmentOp::Reset { phys } => {
-                    circuit.reset(*phys);
                 }
             }
         }
@@ -441,41 +425,54 @@ impl FragmentSet {
         adjacency
     }
 
+    /// The fragment `key` names, once `key` is checked against it: the
+    /// fragment exists, the ordinal is below its
+    /// [`variant_count`](Fragment::variant_count), and `outputs` sets only
+    /// the fragment's output slots, each to a valid basis code.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidCutSolution`] naming the mismatch.
+    pub fn fragment_of(&self, key: &VariantKey) -> Result<&Fragment, CoreError> {
+        let invalid = |reason: String| Err(CoreError::InvalidCutSolution { reason });
+        let Some(fragment) = self.fragments.get(key.fragment) else {
+            return invalid(format!(
+                "variant key references fragment {} but the set has {}",
+                key.fragment,
+                self.fragments.len()
+            ));
+        };
+        if key.ordinal >= fragment.variant_count() {
+            return invalid(format!(
+                "variant ordinal {} out of range for fragment {} ({} variants)",
+                key.ordinal,
+                key.fragment,
+                fragment.variant_count()
+            ));
+        }
+        let slots = 2 * fragment.output_clbits.len() as u32;
+        let stray = slots < 64 && key.outputs >> slots != 0;
+        let bad_code = key.outputs & key.outputs >> 1 & 0x5555_5555_5555_5555 != 0;
+        if stray || bad_code {
+            return invalid(format!(
+                "output bases {:#x} do not fit the {} outputs of fragment {}",
+                key.outputs,
+                fragment.output_clbits.len(),
+                key.fragment
+            ));
+        }
+        Ok(fragment)
+    }
+
     /// Instantiates the circuit a [`VariantKey`] identifies, validating the
     /// key against this set first.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidCutSolution`] when the fragment index is
-    /// out of range or a slot vector's length does not match the fragment.
+    /// Returns [`CoreError::InvalidCutSolution`] when the key does not fit
+    /// the set ([`FragmentSet::fragment_of`]).
     pub fn instantiate_key(&self, key: &VariantKey) -> Result<Circuit, CoreError> {
-        let fragment =
-            self.fragments.get(key.fragment).ok_or_else(|| CoreError::InvalidCutSolution {
-                reason: format!(
-                    "variant key references fragment {} but the set has {}",
-                    key.fragment,
-                    self.fragments.len()
-                ),
-            })?;
-        let v = &key.variant;
-        let slots_match = v.init_states.len() == fragment.incoming_cuts.len()
-            && v.cut_bases.len() == fragment.outgoing_cuts.len()
-            && v.gate_instances.len() == fragment.gate_cut_roles.len()
-            && v.output_bases.len() == fragment.output_clbits.len();
-        if !slots_match {
-            return Err(CoreError::InvalidCutSolution {
-                reason: format!("variant key slot counts do not match fragment {}", key.fragment),
-            });
-        }
-        if v.gate_instances.iter().any(|&i| !(1..=6).contains(&i)) {
-            return Err(CoreError::InvalidCutSolution {
-                reason: format!(
-                    "gate-cut instance outside 1..=6 in key for fragment {}",
-                    key.fragment
-                ),
-            });
-        }
-        Ok(fragment.instantiate(v))
+        Ok(self.fragment_of(key)?.instantiate(key.ordinal, key.outputs))
     }
 
     /// Builds the fragments of a cut plan.
@@ -609,7 +606,6 @@ fn build_fragment(
     // Gate-cut roles hosted by this fragment.
     let mut gate_cut_roles = Vec::new();
     let mut gatecut_clbits = Vec::new();
-    let mut gate_forms = HashMap::new();
     for (cut_id, &node) in gate_cut_nodes.iter().enumerate() {
         let pos = solution.gate_cuts.iter().position(|&g| g == node).expect("listed gate cut");
         let (top, bottom) = solution.gate_cut_assignment[pos];
@@ -620,14 +616,33 @@ fn build_fragment(
         } else {
             continue;
         }
-        gate_forms.insert(cut_id, gate_cut_forms[cut_id].clone());
         gatecut_clbits.push((cut_id, clbit));
         clbit += 1;
     }
-    let role_of_cut: HashMap<usize, usize> =
-        gate_cut_roles.iter().enumerate().map(|(i, &(cut, _))| (cut, i)).collect();
-    let gatecut_clbit_of_role: HashMap<usize, usize> =
-        gate_cut_roles.iter().enumerate().map(|(i, _)| (i, gatecut_clbits[i].1)).collect();
+
+    // Place value of every slot's digit in a variant ordinal: outgoing bases
+    // lowest, then init states, then gate instances (see `VariantKey`).
+    let init_place = 3u64.pow(outgoing_cuts.len() as u32);
+    let gate_place = init_place * 4u64.pow(incoming_cuts.len() as u32);
+    let prep_place: HashMap<usize, u64> = incoming_cuts
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, slot))| (slot, init_place * 4u64.pow(i as u32)))
+        .collect();
+    let measure_place: HashMap<usize, (u64, usize)> = outgoing_cuts
+        .iter()
+        .enumerate()
+        .map(|(j, &(_, slot))| (slot, (3u64.pow(j as u32), cut_clbit_of_slot[&slot])))
+        .collect();
+    let output_shift: HashMap<usize, (u32, usize)> = output_segments
+        .iter()
+        .enumerate()
+        .map(|(k, &(_, slot))| (slot, (2 * k as u32, output_clbit_of_slot[&slot])))
+        .collect();
+    let lowered = |gate: Gate, qubits: &[usize]| {
+        let ids: Vec<QubitId> = qubits.iter().map(|&q| QubitId::new(q)).collect();
+        Operation::gate(gate, &ids).expect("valid skeleton gate")
+    };
 
     // Emit the skeleton in (layer, node id) order.
     let mut nodes: Vec<NodeId> = Vec::new();
@@ -644,14 +659,6 @@ fn build_fragment(
         segment_ids.iter().map(|&i| all_segments[i].nodes.len()).collect();
     let mut started_segment = vec![false; segment_ids.len()];
 
-    let incoming_slot_order: Vec<usize> = incoming_cuts.iter().map(|&(c, _)| c).collect();
-    let slot_prep_index: HashMap<usize, usize> =
-        incoming_cuts.iter().enumerate().map(|(i, &(_, slot))| (slot, i)).collect();
-    let slot_cutmeasure_index: HashMap<usize, usize> =
-        outgoing_cuts.iter().enumerate().map(|(i, &(_, slot))| (slot, i)).collect();
-    let slot_output_index: HashMap<usize, usize> =
-        output_segments.iter().enumerate().map(|(i, &(_, slot))| (slot, i)).collect();
-
     for &node in &nodes {
         let dag_node = dag.node(node);
         let node_qubits = dag_node.op.qubits();
@@ -661,70 +668,62 @@ fn build_fragment(
                 if !started_segment[slot] {
                     started_segment[slot] = true;
                     let phys = physical[slot];
+                    let qubit = QubitId::new(phys);
                     if physical_dirty[phys] {
-                        skeleton.push(FragmentOp::Reset { phys });
+                        skeleton.push(FragmentOp::Fixed(Operation::Reset { qubit }));
                     }
                     physical_dirty[phys] = true;
-                    if let Some(&prep_index) = slot_prep_index.get(&slot) {
-                        skeleton.push(FragmentOp::Prep { slot: prep_index, phys });
+                    if let Some(&place) = prep_place.get(&slot) {
+                        skeleton.push(FragmentOp::Prep { place, qubit });
                     }
                 }
             }
         }
         // emit the node itself
         if let Some(cut_id) = gate_cut_nodes.iter().position(|&g| g == node) {
-            if let Some(&role) = role_of_cut.get(&cut_id) {
+            if let Some(role) = gate_cut_roles.iter().position(|&(cut, _)| cut == cut_id) {
                 let half = gate_cut_roles[role].1;
                 let wire_slot = match half {
                     GateHalf::Top => node_qubits[0].index(),
                     GateHalf::Bottom => node_qubits[1].index(),
                 };
-                let slot = node_segment[&(node, wire_slot)];
+                let phys = physical[node_segment[&(node, wire_slot)]];
+                let (pre, post) = gate_cut_forms[cut_id].locals(half);
+                let local = |gates: &[Gate]| gates.iter().map(|&g| lowered(g, &[phys])).collect();
                 skeleton.push(FragmentOp::GateCutHalf {
-                    role,
-                    phys: physical[slot],
-                    clbit: gatecut_clbit_of_role[&role],
+                    place: gate_place * 6u64.pow(role as u32),
+                    half,
+                    qubit: QubitId::new(phys),
+                    clbit: gatecut_clbits[role].1,
+                    pre: local(pre),
+                    post: local(post),
                 });
             }
         } else {
-            match &dag_node.op {
-                Operation::Single { gate, qubit } => {
-                    let slot = node_segment[&(node, qubit.index())];
-                    skeleton.push(FragmentOp::Gate { gate: *gate, qubits: vec![physical[slot]] });
-                }
+            let phys = |q: &QubitId| physical[node_segment[&(node, q.index())]];
+            let op = match &dag_node.op {
+                Operation::Single { gate, qubit } => lowered(*gate, &[phys(qubit)]),
                 Operation::Two { gate, qubits } => {
-                    let slot_a = node_segment[&(node, qubits[0].index())];
-                    let slot_b = node_segment[&(node, qubits[1].index())];
-                    skeleton.push(FragmentOp::Gate {
-                        gate: *gate,
-                        qubits: vec![physical[slot_a], physical[slot_b]],
-                    });
+                    lowered(*gate, &[phys(&qubits[0]), phys(&qubits[1])])
                 }
                 other => {
                     return Err(CoreError::InvalidCutSolution {
                         reason: format!("unexpected non-gate operation {other:?} in cut circuit"),
                     })
                 }
-            }
+            };
+            skeleton.push(FragmentOp::Fixed(op));
         }
         // finish any segments this node ends
         for q in &node_qubits {
             if let Some(&slot) = node_segment.get(&(node, q.index())) {
                 remaining_in_segment[slot] -= 1;
                 if remaining_in_segment[slot] == 0 {
-                    let phys = physical[slot];
-                    if let Some(&idx) = slot_cutmeasure_index.get(&slot) {
-                        skeleton.push(FragmentOp::CutMeasure {
-                            slot: idx,
-                            phys,
-                            clbit: cut_clbit_of_slot[&slot],
-                        });
-                    } else if let Some(&idx) = slot_output_index.get(&slot) {
-                        skeleton.push(FragmentOp::OutputMeasure {
-                            slot: idx,
-                            phys,
-                            clbit: output_clbit_of_slot[&slot],
-                        });
+                    let qubit = QubitId::new(physical[slot]);
+                    if let Some(&(place, clbit)) = measure_place.get(&slot) {
+                        skeleton.push(FragmentOp::CutMeasure { place, qubit, clbit });
+                    } else if let Some(&(shift, clbit)) = output_shift.get(&slot) {
+                        skeleton.push(FragmentOp::OutputMeasure { shift, qubit, clbit });
                     }
                 }
             }
@@ -736,14 +735,14 @@ fn build_fragment(
         index: sub,
         num_physical: num_physical.max(1),
         num_clbits: clbit,
+        name: format!("fragment_{sub}"),
         skeleton,
-        incoming_cuts: incoming_slot_order,
+        incoming_cuts: incoming_cuts.iter().map(|&(c, _)| c).collect(),
         outgoing_cuts: outgoing_cuts.iter().map(|&(c, _)| c).collect(),
         gate_cut_roles,
         output_clbits,
         cut_clbits,
         gatecut_clbits,
-        gate_forms,
     })
 }
 
@@ -777,7 +776,7 @@ mod tests {
         for fragment in &set.fragments {
             assert!(fragment.num_physical <= 3, "fragment width {}", fragment.num_physical);
             // every variant instantiates to a circuit that fits the device
-            let circuit = fragment.instantiate(&fragment.default_variant());
+            let circuit = fragment.instantiate(0, 0);
             assert!(circuit.num_qubits() <= 3);
             assert_eq!(circuit.num_clbits(), fragment.num_clbits);
         }
@@ -836,17 +835,16 @@ mod tests {
         // find a fragment with an incoming cut and one with an outgoing cut
         let downstream =
             set.fragments.iter().find(|f| !f.incoming_cuts.is_empty()).expect("has incoming");
-        let mut variant = downstream.default_variant();
-        variant.init_states[0] = InitState::PlusI;
-        let circuit = downstream.instantiate(&variant);
+        // init slot 0 is the digit above the outgoing bases; |i> is digit 3
+        let plus_i = 3 * 3u64.pow(downstream.outgoing_cuts.len() as u32);
+        let circuit = downstream.instantiate(plus_i, 0);
         // |i> preparation adds an H and an S
         assert!(circuit.count_ops().get("s").copied().unwrap_or(0) >= 1);
 
         let upstream =
             set.fragments.iter().find(|f| !f.outgoing_cuts.is_empty()).expect("has outgoing");
-        let mut variant = upstream.default_variant();
-        variant.cut_bases[0] = CutBasis::Y;
-        let circuit = upstream.instantiate(&variant);
+        // cut slot 0 is the lowest digit; Y is digit 2
+        let circuit = upstream.instantiate(2, 0);
         assert!(circuit.count_ops().get("sdg").copied().unwrap_or(0) >= 1);
     }
 
@@ -868,11 +866,12 @@ mod tests {
         // a measuring instance adds a mid-circuit measurement
         let fragment =
             set.fragments.iter().find(|f| !f.gate_cut_roles.is_empty()).expect("has role");
-        let mut variant = fragment.default_variant();
+        // role 0's instance is the lowest gate digit: instance 3 on the Top
+        // half and 5 on the Bottom half measure
         let half = fragment.gate_cut_roles[0].1;
-        variant.gate_instances[0] = if half == GateHalf::Top { 3 } else { 5 };
-        let measuring = fragment.instantiate(&variant);
-        let baseline = fragment.instantiate(&fragment.default_variant());
+        let digit = if half == GateHalf::Top { 2 } else { 4 };
+        let measuring = fragment.instantiate(digit * fragment.gate_place(), 0);
+        let baseline = fragment.instantiate(0, 0);
         assert_eq!(measuring.count_ops()["measure"], baseline.count_ops()["measure"] + 1);
     }
 }

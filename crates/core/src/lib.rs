@@ -16,10 +16,11 @@
 //! * [`fragment::FragmentSet`] — turns a plan into executable subcircuit
 //!   variants (measurement/initialisation variants for wire cuts, the six
 //!   Mitarai–Fujii instances for gate cuts).
-//! * [`execute`] — the batch-first execution layer: enumerate
-//!   [`fragment::VariantRequest`]s, deduplicate by structural
-//!   [`fragment::VariantKey`], and the [`execute::ExecutionBackend`]s that
-//!   run the deduplicated circuits as rayon-parallel batches.
+//! * [`execute`] — the batch-first execution layer: enumerate each needed
+//!   variant once as an integer [`fragment::VariantKey`] (fragment,
+//!   slot-configuration ordinal, output bases), map keys to canonical
+//!   circuits by a rule on the ordinal, and the [`execute::ExecutionBackend`]s
+//!   that run those circuits as rayon-parallel batches.
 //! * [`schedule`] — the execution scheduler between batching and
 //!   reconstruction: route each deduplicated circuit across a
 //!   [`schedule::DeviceRegistry`] of heterogeneous backends, split a global

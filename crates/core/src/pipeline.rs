@@ -9,10 +9,10 @@
 //!
 //! A request is one call: [`QrccPipeline::execute_streaming`] or
 //! [`QrccPipeline::execute_observables_streaming`]. Either enumerates every
-//! needed [`FragmentVariant`](crate::fragment::FragmentVariant) as pure data
-//! and hands the requests to a [`Scheduler`], which deduplicates them by
-//! structural [`VariantKey`](crate::fragment::VariantKey), routes the batch
-//! across its [`DeviceRegistry`](crate::schedule::DeviceRegistry) and
+//! needed variant once, as an integer
+//! [`VariantKey`](crate::fragment::VariantKey), and hands the requests to a
+//! [`Scheduler`], which maps each key to its canonical circuit, routes the
+//! batch across its [`DeviceRegistry`](crate::schedule::DeviceRegistry) and
 //! dispatches it fault-tolerantly in chunks (bounded in-flight windows,
 //! retry with failer exclusion — see [`crate::dispatch`]). This thread folds
 //! every delivered chunk into fragment tensors as it arrives, overlapping

@@ -7,9 +7,12 @@
 //! payload per entry — the sub-normalised distribution over the fragment's
 //! output bits for probability workloads, a parity-weighted scalar for
 //! expectation workloads. A fold visits only the entries its variant can
-//! reach (`WireSlots`): `O(2^c · #Z + 3^in · 2^#Z)` per expectation variant,
-//! `O(2^c · (c + 3^in))` per probability variant, for a `c`-clbit
-//! distribution, `in` incoming cuts and `#Z` Z-basis outgoing cuts.
+//! reach (`WireSlots`): `O(2^c · (c + 3^in))` per probability variant, and
+//! per expectation variant one `O(2^c · (#Z + r))` pass that marginalises
+//! the distribution onto its `#Z` Z-basis cut bits and the `r` output bits
+//! its terms tell apart, an `O(r · 2^(#Z + r))` Walsh–Hadamard pass, then
+//! `O(3^in · 2^#Z)` per Pauli term — for a `c`-clbit distribution and `in`
+//! incoming cuts.
 //!
 //! Reconstruction then runs in one of two executable strategies:
 //!
@@ -27,9 +30,9 @@
 //! [`resolve_strategy`] turns a [`ReconstructionStrategy`] (possibly `Auto`)
 //! into a concrete executable path using the [`cost`] models.
 
-use super::{init_weight, mixed_radix, Odometer, MAX_DENSE_CUTS};
-use crate::fragment::{CutBasis, Fragment, FragmentSet, FragmentVariant, InitState};
-use crate::gatecut::instance_measures;
+use super::{init_weight, Odometer, MAX_DENSE_CUTS};
+use crate::fragment::{CutBasis, Digits, Fragment, FragmentSet};
+use crate::gatecut::{instance_measures, GateHalf};
 use crate::reconstruct::cost;
 use crate::{CoreError, QrccConfig};
 use qrcc_circuit::observable::{Pauli, PauliString};
@@ -288,74 +291,6 @@ impl CutTensor {
 }
 
 // ---------------------------------------------------------------------------
-// Variant enumeration (phase 1 building blocks, shared with the front-ends)
-// ---------------------------------------------------------------------------
-
-/// Every variant the probability workload needs from one fragment: all
-/// `4^incoming · 3^outgoing` combinations, outputs measured in Z.
-pub(crate) fn probability_variants(
-    fragment: &Fragment,
-) -> impl Iterator<Item = FragmentVariant> + '_ {
-    let num_in = fragment.incoming_cuts.len();
-    let num_out = fragment.outgoing_cuts.len();
-    let output_bits = fragment.output_clbits.len();
-    mixed_radix(num_in, 4).flat_map(move |init_digits| {
-        let init_states: Vec<InitState> = init_digits.iter().map(|&d| InitState::ALL[d]).collect();
-        mixed_radix(num_out, 3).map(move |basis_digits| FragmentVariant {
-            init_states: init_states.clone(),
-            cut_bases: basis_digits.iter().map(|&d| CutBasis::ALL[d]).collect(),
-            gate_instances: Vec::new(),
-            output_bases: vec![Pauli::Z; output_bits],
-        })
-    })
-}
-
-/// The output-measurement bases one fragment needs for one Pauli string,
-/// normalised so that `I` measures like `Z`: both instantiate to a plain
-/// computational-basis measurement, and normalising makes variant keys of
-/// different Pauli terms collide exactly when their circuits are identical
-/// (maximising batch dedup).
-pub(super) fn normalized_output_bases(fragment: &Fragment, string: &PauliString) -> Vec<Pauli> {
-    fragment
-        .output_clbits
-        .iter()
-        .map(|&(orig, _)| match string.pauli(orig) {
-            Pauli::I => Pauli::Z,
-            p => p,
-        })
-        .collect()
-}
-
-/// Every variant one fragment needs for one Pauli string: all
-/// `6^roles · 4^incoming · 3^outgoing` combinations with the string's output
-/// bases.
-pub(crate) fn expectation_variants<'a>(
-    fragment: &'a Fragment,
-    string: &PauliString,
-) -> impl Iterator<Item = FragmentVariant> + 'a {
-    let output_bases = normalized_output_bases(fragment, string);
-    let num_in = fragment.incoming_cuts.len();
-    let num_out = fragment.outgoing_cuts.len();
-    let num_roles = fragment.gate_cut_roles.len();
-    mixed_radix(num_roles, 6).flat_map(move |instance_digits| {
-        let instances: Vec<usize> = instance_digits.iter().map(|&d| d + 1).collect();
-        let output_bases = output_bases.clone();
-        mixed_radix(num_in, 4).flat_map(move |init_digits| {
-            let init_states: Vec<InitState> =
-                init_digits.iter().map(|&d| InitState::ALL[d]).collect();
-            let instances = instances.clone();
-            let output_bases = output_bases.clone();
-            mixed_radix(num_out, 3).map(move |basis_digits| FragmentVariant {
-                init_states: init_states.clone(),
-                cut_bases: basis_digits.iter().map(|&d| CutBasis::ALL[d]).collect(),
-                gate_instances: instances.clone(),
-                output_bases: output_bases.clone(),
-            })
-        })
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Tensor building (consume phase, step 1)
 // ---------------------------------------------------------------------------
 
@@ -391,11 +326,12 @@ fn signed_by_parity(value: f64, bits: usize) -> f64 {
 /// sends an outcome to component 0 or 1 (picked by its cut bit, weight 2)
 /// and an X/Y slot to component 2/3 (weight ±1 by its cut bit), so every
 /// outcome has exactly **one** non-zero outgoing combo. [`select`] rebuilds
-/// this view per variant, reusing its buffers.
+/// this view per variant ordinal, reusing its buffers.
 ///
 /// [`select`]: WireSlots::select
 #[derive(Debug, Clone)]
 struct WireSlots {
+    num_in: usize,
     /// Classical bit of each outgoing cut's measurement.
     cut_bit_positions: Vec<usize>,
     /// Non-zero `(entry offset, weight)` pairs over the incoming legs.
@@ -413,6 +349,7 @@ struct WireSlots {
 impl WireSlots {
     fn new(fragment: &Fragment) -> Self {
         WireSlots {
+            num_in: fragment.incoming_cuts.len(),
             cut_bit_positions: fragment.cut_clbits.iter().map(|&(_, clbit)| clbit).collect(),
             in_terms: Vec::new(),
             in_scratch: Vec::new(),
@@ -423,33 +360,18 @@ impl WireSlots {
         }
     }
 
-    /// Specialises the slots to `variant`; `strides` are the tensor's leg
-    /// strides (incoming legs first, then outgoing).
-    fn select(&mut self, strides: &[usize], variant: &FragmentVariant) {
-        self.in_terms.clear();
-        self.in_terms.push((0, 1.0));
-        for (&state, &stride) in variant.init_states.iter().zip(strides) {
-            self.in_scratch.clear();
-            for &(idx, weight) in &self.in_terms {
-                for component in 0..4 {
-                    let w = init_weight(component, state);
-                    if w != 0.0 {
-                        self.in_scratch.push((idx + component * stride, weight * w));
-                    }
-                }
-            }
-            std::mem::swap(&mut self.in_terms, &mut self.in_scratch);
-        }
-
+    /// Specialises the slots to the variant `ordinal`; `strides` are the
+    /// tensor's leg strides (incoming legs first, then outgoing). Returns
+    /// the ordinal's digits left after the wire slots': its gate instances.
+    fn select(&mut self, strides: &[usize], ordinal: u64) -> Digits {
+        let (in_strides, out_strides) = strides.split_at(self.num_in);
+        let mut digits = Digits(ordinal);
         self.z_positions.clear();
         self.z_strides.clear();
         self.out_base = 0;
         self.sign_mask = 0;
-        let out_strides = &strides[variant.init_states.len()..];
-        for ((&basis, &pos), &stride) in
-            variant.cut_bases.iter().zip(&self.cut_bit_positions).zip(out_strides)
-        {
-            match basis {
+        for (&pos, &stride) in self.cut_bit_positions.iter().zip(out_strides) {
+            match digits.basis() {
                 CutBasis::Z => {
                     self.z_positions.push(pos);
                     self.z_strides.push(stride);
@@ -464,6 +386,23 @@ impl WireSlots {
                 }
             }
         }
+
+        self.in_terms.clear();
+        self.in_terms.push((0, 1.0));
+        for &stride in in_strides {
+            let state = digits.init();
+            self.in_scratch.clear();
+            for &(idx, weight) in &self.in_terms {
+                for component in 0..4 {
+                    let w = init_weight(component, state);
+                    if w != 0.0 {
+                        self.in_scratch.push((idx + component * stride, weight * w));
+                    }
+                }
+            }
+            std::mem::swap(&mut self.in_terms, &mut self.in_scratch);
+        }
+        digits
     }
 
     /// Weight magnitude of the one non-zero outgoing combo: `2^#Z`.
@@ -483,6 +422,19 @@ impl WireSlots {
             .enumerate()
             .fold(self.out_base, |acc, (slot, &stride)| acc + ((z_key >> slot) & 1) * stride)
     }
+}
+
+/// The per-variant fold of one workload's signature group: the folder
+/// writes `tensors[target][fragment]` of each of its targets (the
+/// probability vector, or the Pauli terms it serves).
+pub(crate) trait Fold {
+    /// Folds **one** executed variant's distribution; callers must
+    /// [`refresh_active`](CutTensor::refresh_active) (or prune) once folding
+    /// is complete.
+    fn fold(&mut self, tensors: &mut [Vec<CutTensor>], fragment: usize, ordinal: u64, dist: &[f64]);
+
+    /// The targets whose tensors this folder writes.
+    fn targets(&self) -> impl Iterator<Item = usize> + '_;
 }
 
 /// Reusable scratch for folding one fragment's probability variants into its
@@ -517,6 +469,22 @@ impl FragmentFolder {
     }
 }
 
+impl Fold for FragmentFolder {
+    fn fold(
+        &mut self,
+        tensors: &mut [Vec<CutTensor>],
+        fragment: usize,
+        ordinal: u64,
+        dist: &[f64],
+    ) {
+        tensors[0][fragment].fold_partial(self, ordinal, dist);
+    }
+
+    fn targets(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(0)
+    }
+}
+
 impl CutTensor {
     /// Folds **one** executed probability variant's distribution into this
     /// tensor — the unit of tensor building. Every variant of a fragment
@@ -528,14 +496,9 @@ impl CutTensor {
     /// Cost: `O(2^c · (c + 3^in))` for a `c`-clbit distribution — each
     /// non-zero outcome writes its one outgoing combo under the variant's
     /// `≤ 3^in` incoming terms, never the `4^in · 4^out` component grid.
-    pub(crate) fn fold_partial(
-        &mut self,
-        folder: &mut FragmentFolder,
-        variant: &FragmentVariant,
-        dist: &[f64],
-    ) {
+    pub(crate) fn fold_partial(&mut self, folder: &mut FragmentFolder, ordinal: u64, dist: &[f64]) {
         let slots = &mut folder.slots;
-        slots.select(&self.strides, variant);
+        slots.select(&self.strides, ordinal);
         let scale = slots.out_scale();
         for (outcome, &p) in dist.iter().enumerate() {
             if p == 0.0 {
@@ -558,32 +521,42 @@ impl CutTensor {
     }
 }
 
-/// Reusable scratch for folding one fragment's expectation variants (for one
-/// Pauli string) into its scalar cut tensor one at a time — the expectation
-/// counterpart of [`FragmentFolder`]. One folder serves any number of
-/// [`CutTensor::fold_expectation_partial`] calls, whether the variants
-/// arrive as one complete batch or as streamed chunks.
+/// Reusable scratch for folding one fragment's expectation variants of one
+/// output-basis signature into the scalar cut tensors of every Pauli term
+/// that measures the fragment's outputs in that signature — the expectation
+/// counterpart of [`FragmentFolder`], whether the variants arrive as one
+/// complete batch or as streamed chunks.
+///
+/// Each distribution is marginalised **once**, onto the variant's Z-basis
+/// cut bits plus the output bits some but not all served terms read (X/Y
+/// cut bits, measuring gate instances and the outputs every term reads
+/// enter as a sign). One Walsh–Hadamard pass over the read bits then holds
+/// every term's parity sum at once.
 #[derive(Debug, Clone)]
-pub(crate) struct ExpectationFolder {
-    /// Output clbits entering the Pauli parity.
-    parity_mask: usize,
+pub(crate) struct SignatureFolder {
+    /// `(term, read bits)` per served term: the bits select, among
+    /// `read_positions`, the outputs the term's Pauli string is not I on.
+    terms: Vec<(usize, usize)>,
+    /// Output clbits some, but not every, served term reads.
+    read_positions: Vec<usize>,
+    /// Output clbits every served term reads.
+    read_by_all: usize,
     gate_bit_positions: Vec<usize>,
-    role_halves: Vec<crate::gatecut::GateHalf>,
+    role_halves: Vec<GateHalf>,
     gate_base_stride: usize,
+    strides: Vec<usize>,
     slots: WireSlots,
-    /// Signed marginal over the variant's Z-basis cut bits.
-    marginal: Vec<f64>,
+    /// The table's bits, lowest first: the variant's Z cut bits, then
+    /// `read_positions`.
+    cells: Vec<usize>,
+    table: Vec<f64>,
 }
 
-impl ExpectationFolder {
-    /// A folder plus the empty expectation tensor of `fragment` for one
-    /// Pauli `string`: legs are the incoming and outgoing wire cuts plus the
-    /// fragment's gate-cut roles, payloads are parity-weighted scalars.
-    pub(crate) fn expectation(
-        fragment: &Fragment,
-        string: &PauliString,
-    ) -> (CutTensor, ExpectationFolder) {
-        let wire_legs = fragment.incoming_cuts.len() + fragment.outgoing_cuts.len();
+impl SignatureFolder {
+    /// The empty expectation tensor of `fragment`: legs are the incoming and
+    /// outgoing wire cuts plus the fragment's gate-cut roles, payloads are
+    /// parity-weighted scalars.
+    pub(crate) fn tensor(fragment: &Fragment) -> CutTensor {
         let legs: Vec<Leg> = fragment
             .incoming_cuts
             .iter()
@@ -591,72 +564,113 @@ impl ExpectationFolder {
             .map(|&cut| Leg::Wire(cut))
             .chain(fragment.gate_cut_roles.iter().map(|&(cut, _)| Leg::Gate(cut)))
             .collect();
-        let tensor = CutTensor::new(legs, Vec::new());
-        let folder = ExpectationFolder {
-            parity_mask: fragment
+        CutTensor::new(legs, Vec::new())
+    }
+
+    /// A folder for `fragment` serving `terms`: `(term index, Pauli string)`
+    /// pairs whose strings share one output-basis signature on `fragment`.
+    pub(crate) fn new(fragment: &Fragment, terms: &[(usize, &PauliString)]) -> Self {
+        let reads = |string: &PauliString| {
+            fragment
                 .output_clbits
                 .iter()
                 .filter(|&&(orig, _)| string.pauli(orig) != Pauli::I)
-                .fold(0, |mask, &(_, clbit)| mask | 1 << clbit),
+                .fold(0usize, |mask, &(_, clbit)| mask | 1 << clbit)
+        };
+        let read_any = terms.iter().fold(0, |mask, &(_, string)| mask | reads(string));
+        let read_by_all = terms.iter().fold(read_any, |mask, &(_, string)| mask & reads(string));
+        let read_positions: Vec<usize> = (0..fragment.num_clbits)
+            .filter(|&clbit| (read_any & !read_by_all) >> clbit & 1 == 1)
+            .collect();
+        SignatureFolder {
+            terms: terms
+                .iter()
+                .map(|&(term, string)| (term, gather_bits(reads(string), &read_positions)))
+                .collect(),
+            read_positions,
+            read_by_all,
             gate_bit_positions: fragment.gatecut_clbits.iter().map(|&(_, c)| c).collect(),
             role_halves: fragment.gate_cut_roles.iter().map(|&(_, h)| h).collect(),
-            gate_base_stride: 4usize.pow(wire_legs as u32),
+            gate_base_stride: 4usize
+                .pow((fragment.incoming_cuts.len() + fragment.outgoing_cuts.len()) as u32),
+            strides: SignatureFolder::tensor(fragment).strides,
             slots: WireSlots::new(fragment),
-            marginal: Vec::new(),
-        };
-        (tensor, folder)
+            cells: Vec::new(),
+            table: Vec::new(),
+        }
     }
 }
 
-impl CutTensor {
-    /// Folds **one** executed expectation variant's distribution into this
-    /// scalar tensor — the unit of expectation tensor building, mirroring
-    /// [`CutTensor::fold_partial`] for probability tensors; callers must
-    /// [`refresh_active`](CutTensor::refresh_active) (or prune) once folding
-    /// is complete.
-    ///
-    /// Cost: `O(2^c · #Z + 3^in · 2^#Z)` for a `c`-clbit distribution with
-    /// `#Z ≤ out` Z-basis cut slots — one pass builds the signed marginal
-    /// over the Z cut bits (Pauli support, measuring gate instances and X/Y
-    /// cut bits all enter through one parity mask), one pass over that
-    /// marginal writes the `2^#Z` outgoing combos that can be non-zero.
-    pub(crate) fn fold_expectation_partial(
+/// Cost per variant: one `O(2^c · (#Z + r))` pass builds the signed table
+/// over the `#Z` Z-basis cut bits and the `r` read output bits, one
+/// `O(r · 2^(#Z + r))` Walsh–Hadamard pass gives every read-bit parity sum,
+/// and per term one pass over the `2^#Z` outgoing combos writes the entries
+/// that can be non-zero.
+impl Fold for SignatureFolder {
+    fn targets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.terms.iter().map(|&(term, _)| term)
+    }
+
+    fn fold(
         &mut self,
-        folder: &mut ExpectationFolder,
-        variant: &FragmentVariant,
+        tensors: &mut [Vec<CutTensor>],
+        fragment: usize,
+        ordinal: u64,
         dist: &[f64],
     ) {
-        let slots = &mut folder.slots;
-        slots.select(&self.strides, variant);
+        let slots = &mut self.slots;
+        let mut instances = slots.select(&self.strides, ordinal);
 
         // entry offset and measurement signs of this variant's gate instances
         let mut idx_gate = 0usize;
-        let mut stride = folder.gate_base_stride;
-        let mut mask = folder.parity_mask | slots.sign_mask;
-        for (role, &instance) in variant.gate_instances.iter().enumerate() {
+        let mut stride = self.gate_base_stride;
+        let mut sign_mask = slots.sign_mask | self.read_by_all;
+        for (&half, &position) in self.role_halves.iter().zip(&self.gate_bit_positions) {
+            let instance = instances.instance();
             idx_gate += (instance - 1) * stride;
             stride *= 6;
-            if instance_measures(instance, folder.role_halves[role]) {
-                mask |= 1 << folder.gate_bit_positions[role];
+            if instance_measures(instance, half) {
+                sign_mask |= 1 << position;
             }
         }
 
-        folder.marginal.clear();
-        folder.marginal.resize(1 << slots.z_positions.len(), 0.0);
+        let z_bits = slots.z_positions.len();
+        self.cells.clear();
+        self.cells.extend(&slots.z_positions);
+        self.cells.extend(&self.read_positions);
+        self.table.clear();
+        self.table.resize(1 << self.cells.len(), 0.0);
         for (outcome, &p) in dist.iter().enumerate() {
             if p != 0.0 {
-                folder.marginal[slots.z_key(outcome)] += signed_by_parity(p, outcome & mask);
+                self.table[gather_bits(outcome, &self.cells)] +=
+                    signed_by_parity(p, outcome & sign_mask);
             }
+        }
+        // Walsh–Hadamard over the read bits: cell `z | m << #Z` becomes the
+        // Z-marginal `z` with every outcome signed by its parity on `m`
+        let mut half = 1 << z_bits;
+        while half < self.table.len() {
+            for block in self.table.chunks_mut(2 * half) {
+                let (low, high) = block.split_at_mut(half);
+                for (a, b) in low.iter_mut().zip(high) {
+                    (*a, *b) = (*a + *b, *a - *b);
+                }
+            }
+            half *= 2;
         }
 
         let scale = slots.out_scale();
-        for (z_key, &sum) in folder.marginal.iter().enumerate() {
-            if sum == 0.0 {
-                continue;
-            }
-            let idx = slots.out_index(z_key) + idx_gate;
-            for &(idx_in, in_weight) in &slots.in_terms {
-                self.data[idx_in + idx] += in_weight * (scale * sum);
+        for &(term, reads) in &self.terms {
+            let tensor = &mut tensors[term][fragment];
+            let sums = &self.table[reads << z_bits..][..1 << z_bits];
+            for (z_key, &sum) in sums.iter().enumerate() {
+                if sum == 0.0 {
+                    continue;
+                }
+                let idx = slots.out_index(z_key) + idx_gate;
+                for &(idx_in, in_weight) in &slots.in_terms {
+                    tensor.data[idx_in + idx] += in_weight * (scale * sum);
+                }
             }
         }
     }

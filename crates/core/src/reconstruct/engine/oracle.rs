@@ -1,16 +1,112 @@
-//! Test oracle for the reconstruction kernels: the component-grid loops the
-//! production kernels replaced, kept verbatim in spirit — every outcome is
-//! distributed over the full `4^in · 4^out` component grid through
-//! [`init_weight`] / [`required_basis`] / [`cut_bit_weight`], and the dense
-//! readout gathers each fragment's payload index bit by bit per output — so
-//! the sum-factorised folds and the output-sliced readout are checked
-//! against Eq. (3) as written, not against themselves.
+//! Test oracles for variant enumeration and the reconstruction kernels.
+//!
+//! * The enumerator the integer [`VariantKey`] replaced: one
+//!   [`FragmentVariant`] of four slot vectors per combination, per Pauli
+//!   term, deduplicated afterwards — checked against the keys the
+//!   reconstructors enumerate, decoded slot by slot, and the structural
+//!   circuit dedup it fed, checked against the ordinal rule.
+//! * The component-grid loops the production folds replaced, kept verbatim
+//!   in spirit — every outcome is distributed over the full `4^in · 4^out`
+//!   component grid through [`init_weight`] / [`required_basis`] /
+//!   [`cut_bit_weight`], one Pauli term at a time, and the dense readout
+//!   gathers each fragment's payload index bit by bit per output — so the
+//!   sum-factorised, signature-grouped folds and the output-sliced readout
+//!   are checked against Eq. (3) as written, not against themselves.
 
 use super::{CutTensor, Leg};
-use crate::fragment::{Fragment, FragmentSet, FragmentVariant};
+use crate::fragment::{CutBasis, Fragment, FragmentSet, InitState, VariantKey};
 use crate::gatecut::instance_measures;
-use crate::reconstruct::{cut_bit_weight, init_weight, required_basis, Odometer};
+use crate::reconstruct::{cut_bit_weight, init_weight, mixed_radix, required_basis, Odometer};
 use qrcc_circuit::observable::{Pauli, PauliString};
+
+/// One executable configuration of a fragment, slot by slot: what a
+/// [`VariantKey`] encodes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(super) struct FragmentVariant {
+    /// Initialisation state per incoming cut.
+    pub(super) init_states: Vec<InitState>,
+    /// Measurement basis per outgoing cut.
+    pub(super) cut_bases: Vec<CutBasis>,
+    /// Gate-cut instance (1..=6) per gate-cut role.
+    pub(super) gate_instances: Vec<usize>,
+    /// Measurement basis per original-circuit output (`I` normalised to
+    /// `Z`).
+    pub(super) output_bases: Vec<Pauli>,
+}
+
+/// Decodes `key` slot by slot through place values, independently of the
+/// production decoders.
+pub(super) fn decode(fragment: &Fragment, key: &VariantKey) -> FragmentVariant {
+    let (num_in, num_out) = (fragment.incoming_cuts.len(), fragment.outgoing_cuts.len());
+    let digit = |place: u64, radix: u64| (key.ordinal / place % radix) as usize;
+    let init_base = 3u64.pow(num_out as u32);
+    let gate_base = init_base * 4u64.pow(num_in as u32);
+    FragmentVariant {
+        init_states: (0..num_in)
+            .map(|i| InitState::ALL[digit(init_base * 4u64.pow(i as u32), 4)])
+            .collect(),
+        cut_bases: (0..num_out).map(|j| CutBasis::ALL[digit(3u64.pow(j as u32), 3)]).collect(),
+        gate_instances: (0..fragment.gate_cut_roles.len())
+            .map(|r| digit(gate_base * 6u64.pow(r as u32), 6) + 1)
+            .collect(),
+        output_bases: (0..fragment.output_clbits.len())
+            .map(|k| [Pauli::Z, Pauli::X, Pauli::Y][(key.outputs >> (2 * k) & 3) as usize])
+            .collect(),
+    }
+}
+
+/// Every variant the probability workload needs from one fragment: all
+/// `4^incoming · 3^outgoing` combinations, outputs measured in Z.
+pub(super) fn probability_variants(
+    fragment: &Fragment,
+) -> impl Iterator<Item = FragmentVariant> + '_ {
+    variants(fragment, vec![Pauli::Z; fragment.output_clbits.len()])
+}
+
+/// Every variant one fragment needs for one Pauli string: all
+/// `6^roles · 4^incoming · 3^outgoing` combinations with the string's output
+/// bases, `I` normalised to `Z` (both instantiate to a computational-basis
+/// measurement).
+pub(super) fn expectation_variants<'a>(
+    fragment: &'a Fragment,
+    string: &PauliString,
+) -> impl Iterator<Item = FragmentVariant> + 'a {
+    let output_bases = fragment
+        .output_clbits
+        .iter()
+        .map(|&(orig, _)| match string.pauli(orig) {
+            Pauli::I => Pauli::Z,
+            p => p,
+        })
+        .collect();
+    variants(fragment, output_bases)
+}
+
+/// All slot combinations with fixed `output_bases`: cut bases varying
+/// fastest, then init states, then gate instances, slot 0 first in each.
+fn variants(
+    fragment: &Fragment,
+    output_bases: Vec<Pauli>,
+) -> impl Iterator<Item = FragmentVariant> + '_ {
+    let num_in = fragment.incoming_cuts.len();
+    let num_out = fragment.outgoing_cuts.len();
+    mixed_radix(fragment.gate_cut_roles.len(), 6).flat_map(move |instance_digits| {
+        let instances: Vec<usize> = instance_digits.iter().map(|&d| d + 1).collect();
+        let output_bases = output_bases.clone();
+        mixed_radix(num_in, 4).flat_map(move |init_digits| {
+            let init_states: Vec<InitState> =
+                init_digits.iter().map(|&d| InitState::ALL[d]).collect();
+            let instances = instances.clone();
+            let output_bases = output_bases.clone();
+            mixed_radix(num_out, 3).map(move |basis_digits| FragmentVariant {
+                init_states: init_states.clone(),
+                cut_bases: basis_digits.iter().map(|&d| CutBasis::ALL[d]).collect(),
+                gate_instances: instances.clone(),
+                output_bases: output_bases.clone(),
+            })
+        })
+    })
+}
 
 /// Weight of outgoing component combo `out_components` for one outcome's
 /// cut bits under the variant's measurement bases (0 when incompatible).
@@ -181,22 +277,23 @@ pub(super) fn dense_probabilities(fragments: &FragmentSet, tensors: &[CutTensor]
 }
 
 mod tests {
-    use super::super::{
-        dense_probabilities, probability_variants, ExpectationFolder, FragmentFolder, TRIVIAL,
-    };
+    use super::super::{dense_probabilities, Fold, FragmentFolder, SignatureFolder, TRIVIAL};
     use super::*;
-    use crate::execute::{execute_requests, ExactBackend, ExecutionResults};
-    use crate::fragment::{CutBasis, InitState, VariantKey};
+    use crate::execute::{execute_requests, prepare_batch, ExactBackend, ExecutionResults};
+    use crate::fragment::VariantRequest;
     use crate::gatecut::GateHalf;
     use crate::planner::CutPlanner;
-    use crate::reconstruct::ProbabilityReconstructor;
+    use crate::reconstruct::{ExpectationReconstructor, ProbabilityReconstructor};
     use crate::QrccConfig;
     use proptest::prelude::*;
+    use qrcc_circuit::generators::{self, HamiltonianKind};
+    use qrcc_circuit::observable::PauliObservable;
     use qrcc_circuit::Circuit;
     use qrcc_sim::StateVector;
+    use std::collections::{HashMap, HashSet};
     use std::time::Duration;
 
-    /// SplitMix64: derives a whole synthetic fold case from one seed.
+    /// SplitMix64: derives a whole synthetic case from one seed.
     struct Rng(u64);
 
     impl Rng {
@@ -249,23 +346,12 @@ mod tests {
         )
     }
 
-    /// Twelve random `(variant, distribution)` pairs for `fragment`; about a
+    /// Twelve random `(ordinal, distribution)` pairs for `fragment`; about a
     /// quarter of every distribution's outcomes are exactly zero.
-    fn executed(rng: &mut Rng, fragment: &Fragment) -> Vec<(FragmentVariant, Vec<f64>)> {
+    fn executed(rng: &mut Rng, fragment: &Fragment) -> Vec<(u64, Vec<f64>)> {
         (0..12)
             .map(|_| {
-                let variant = FragmentVariant {
-                    init_states: (0..fragment.incoming_cuts.len())
-                        .map(|_| InitState::ALL[rng.below(4)])
-                        .collect(),
-                    cut_bases: (0..fragment.outgoing_cuts.len())
-                        .map(|_| CutBasis::ALL[rng.below(3)])
-                        .collect(),
-                    gate_instances: (0..fragment.gate_cut_roles.len())
-                        .map(|_| 1 + rng.below(6))
-                        .collect(),
-                    output_bases: vec![Pauli::Z; fragment.output_clbits.len()],
-                };
+                let ordinal = rng.next() % fragment.variant_count();
                 let dist =
                     (0..1usize << fragment.num_clbits)
                         .map(|_| {
@@ -276,23 +362,40 @@ mod tests {
                             }
                         })
                         .collect();
-                (variant, dist)
+                (ordinal, dist)
             })
             .collect()
     }
 
-    /// One fragment's probability tensor, folded from `results` in
-    /// enumeration order.
-    fn folded_tensor(fragment: &Fragment, results: &ExecutionResults) -> CutTensor {
+    /// `terms` random Pauli strings over the fragment's outputs that share
+    /// one output-basis signature: each output is X, Y, or — per term — I or
+    /// Z.
+    fn sharing_strings(rng: &mut Rng, outputs: usize, terms: usize) -> Vec<PauliString> {
+        let shared: Vec<Option<Pauli>> =
+            (0..outputs).map(|_| [None, Some(Pauli::X), Some(Pauli::Y)][rng.below(3)]).collect();
+        (0..terms)
+            .map(|_| {
+                PauliString::from_paulis(
+                    shared
+                        .iter()
+                        .map(|basis| basis.unwrap_or([Pauli::I, Pauli::Z][rng.below(2)]))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// One fragment's probability tensor, folded from `results` in ordinal
+    /// order.
+    fn folded_tensor(index: usize, fragment: &Fragment, results: &ExecutionResults) -> CutTensor {
         let (mut tensor, mut folder) = FragmentFolder::probability(fragment);
-        for variant in probability_variants(fragment) {
-            let key = VariantKey::new(fragment.index, variant);
+        for ordinal in 0..fragment.variant_count() {
             let dist: &[f64] = if fragment.num_clbits == 0 {
                 &TRIVIAL
             } else {
-                results.distribution(&key).unwrap()
+                results.distribution(&VariantKey::new(index, ordinal, 0)).unwrap()
             };
-            tensor.fold_partial(&mut folder, &key.variant, dist);
+            tensor.fold_partial(&mut folder, ordinal, dist);
         }
         tensor.refresh_active();
         tensor
@@ -308,40 +411,49 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The sum-factorised expectation fold equals the component-grid
-        /// oracle, in one batch and re-delivered as shuffled chunks.
+        /// The signature-grouped expectation fold equals the per-term
+        /// component-grid oracle for every term it serves, in one batch and
+        /// re-delivered as shuffled chunks.
         #[test]
-        fn expectation_fold_matches_the_component_grid(
+        fn grouped_expectation_fold_matches_the_per_term_component_grid(
             num_in in 0..4usize,
             num_out in 0..4usize,
             roles in 0..3usize,
             outputs in 0..3usize,
+            terms in 1..5usize,
             seed in any::<u64>(),
         ) {
             let mut rng = Rng(seed);
             let fragment = fragment(&mut rng, num_in, num_out, roles, outputs);
-            let string = PauliString::from_paulis(
-                (0..outputs).map(|_| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][rng.below(4)]).collect(),
-            );
+            let strings = sharing_strings(&mut rng, outputs, terms);
+            let served: Vec<(usize, &PauliString)> = strings.iter().enumerate().collect();
             let mut batch = executed(&mut rng, &fragment);
 
-            let (mut want, _) = ExpectationFolder::expectation(&fragment, &string);
-            let (mut got, mut folder) = ExpectationFolder::expectation(&fragment, &string);
-            for (variant, dist) in &batch {
-                fold_expectation_partial(&mut want, &fragment, &string, variant, dist);
-                got.fold_expectation_partial(&mut folder, variant, dist);
+            let fresh = || vec![vec![SignatureFolder::tensor(&fragment)]; terms];
+            let mut want = fresh();
+            let mut got = fresh();
+            let mut folder = SignatureFolder::new(&fragment, &served);
+            for (ordinal, dist) in &batch {
+                let variant = decode(&fragment, &VariantKey::new(0, *ordinal, 0));
+                for (t, string) in strings.iter().enumerate() {
+                    fold_expectation_partial(&mut want[t][0], &fragment, string, &variant, dist);
+                }
+                folder.fold(&mut got, 0, *ordinal, dist);
             }
-            assert_close(&got, &want)?;
+            for (got, want) in got.iter().zip(&want) {
+                assert_close(&got[0], &want[0])?;
+            }
 
             rng.shuffle(&mut batch);
-            let (mut chunked, _) = ExpectationFolder::expectation(&fragment, &string);
+            let mut chunked = fresh();
             for chunk in batch.chunks(5) {
-                // every chunk arrives at a folder another variant last used
-                for (variant, dist) in chunk {
-                    chunked.fold_expectation_partial(&mut folder, variant, dist);
+                for (ordinal, dist) in chunk {
+                    folder.fold(&mut chunked, 0, *ordinal, dist);
                 }
             }
-            assert_close(&chunked, &want)?;
+            for (got, want) in chunked.iter().zip(&want) {
+                assert_close(&got[0], &want[0])?;
+            }
         }
 
         /// The one-combo-per-outcome probability fold equals the
@@ -359,17 +471,18 @@ mod tests {
 
             let (mut want, _) = FragmentFolder::probability(&fragment);
             let (mut got, mut folder) = FragmentFolder::probability(&fragment);
-            for (variant, dist) in &batch {
-                fold_partial(&mut want, &fragment, variant, dist);
-                got.fold_partial(&mut folder, variant, dist);
+            for (ordinal, dist) in &batch {
+                let variant = decode(&fragment, &VariantKey::new(0, *ordinal, 0));
+                fold_partial(&mut want, &fragment, &variant, dist);
+                got.fold_partial(&mut folder, *ordinal, dist);
             }
             assert_close(&got, &want)?;
 
             rng.shuffle(&mut batch);
             let (mut chunked, _) = FragmentFolder::probability(&fragment);
             for chunk in batch.chunks(5) {
-                for (variant, dist) in chunk {
-                    chunked.fold_partial(&mut folder, variant, dist);
+                for (ordinal, dist) in chunk {
+                    chunked.fold_partial(&mut folder, *ordinal, dist);
                 }
             }
             assert_close(&chunked, &want)?;
@@ -403,8 +516,12 @@ mod tests {
             let fragments = FragmentSet::from_plan(&plan).unwrap();
             let requests = ProbabilityReconstructor::new().requests(&fragments).unwrap();
             let results = execute_requests(&fragments, &requests, &ExactBackend::new()).unwrap();
-            let tensors: Vec<CutTensor> =
-                fragments.fragments.iter().map(|f| folded_tensor(f, &results)).collect();
+            let tensors: Vec<CutTensor> = fragments
+                .fragments
+                .iter()
+                .enumerate()
+                .map(|(index, f)| folded_tensor(index, f, &results))
+                .collect();
             let got = dense_probabilities(&fragments, &tensors);
             let want = super::dense_probabilities(&fragments, &tensors);
             let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
@@ -412,6 +529,183 @@ mod tests {
             for (x, ((g, w), e)) in got.iter().zip(&want).zip(&exact).enumerate() {
                 assert!((g - w).abs() < 1e-12, "output {x}: sliced {g} vs oracle {w}");
                 assert!((g - e).abs() < 1e-9, "output {x}: sliced {g} vs exact {e}");
+            }
+        }
+    }
+
+    /// The old enumerator's keys, deduplicated in first-seen order: every
+    /// contributing term's variants of every executing fragment
+    /// (`observable`), or every fragment's probability variants (`None`).
+    fn old_keys(
+        fragments: &FragmentSet,
+        observable: Option<&PauliObservable>,
+    ) -> Vec<(usize, FragmentVariant)> {
+        let executing = || fragments.fragments.iter().enumerate().filter(|(_, f)| f.num_clbits > 0);
+        let requested: Vec<(usize, FragmentVariant)> = match observable {
+            None => executing()
+                .flat_map(|(i, f)| probability_variants(f).map(move |v| (i, v)))
+                .collect(),
+            Some(observable) => observable
+                .terms()
+                .iter()
+                .filter(|(_, string)| {
+                    !(0..fragments.original_qubits).any(|q| {
+                        fragments.output_owner[q].is_none()
+                            && matches!(string.pauli(q), Pauli::X | Pauli::Y)
+                    })
+                })
+                .flat_map(|(_, string)| {
+                    executing().flat_map(move |(i, f)| {
+                        expectation_variants(f, string).map(move |v| (i, v))
+                    })
+                })
+                .collect(),
+        };
+        let mut seen = HashSet::new();
+        requested.into_iter().filter(|key| seen.insert(key.clone())).collect()
+    }
+
+    /// The structural circuit dedup the ordinal rule replaced: every key
+    /// instantiated, circuits numbered in first-seen order of structural
+    /// equality (hash buckets, equality checked on collisions), across
+    /// fragments.
+    fn structural_partition(fragments: &FragmentSet, requests: &[VariantRequest]) -> Vec<usize> {
+        let mut circuits: Vec<Circuit> = Vec::new();
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        requests
+            .iter()
+            .map(|request| {
+                let circuit = fragments.instantiate_key(&request.key).unwrap();
+                let bucket = buckets.entry(circuit.structural_hash()).or_default();
+                match bucket.iter().copied().find(|&i| circuits[i].structurally_equal(&circuit)) {
+                    Some(i) => i,
+                    None => {
+                        circuits.push(circuit);
+                        bucket.push(circuits.len() - 1);
+                        circuits.len() - 1
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Checks one workload's enumeration and dedup against the oracles and
+    /// returns its `(unique variants, executed circuits)`. The ordinal rule
+    /// must never merge circuits the structural dedup keeps apart; with
+    /// `exact` it must also find every identity the structural dedup finds.
+    fn check_workload(
+        fragments: &FragmentSet,
+        observable: Option<&PauliObservable>,
+        exact: bool,
+    ) -> (usize, usize) {
+        let requests = match observable {
+            Some(observable) => {
+                ExpectationReconstructor::new().requests(fragments, observable).unwrap()
+            }
+            None => ProbabilityReconstructor::new().requests(fragments).unwrap(),
+        };
+        let decoded: Vec<(usize, FragmentVariant)> = requests
+            .iter()
+            .map(|r| (r.key.fragment, decode(&fragments.fragments[r.key.fragment], &r.key)))
+            .collect();
+        assert_eq!(decoded, old_keys(fragments, observable), "keys or their order differ");
+        let batch = prepare_batch(fragments, &requests).unwrap();
+        assert_eq!(batch.keys.len(), requests.len(), "enumerated keys are unique");
+        // keys the rule maps to one circuit build structurally equal ones
+        let structural = structural_partition(fragments, &requests);
+        let mut class = vec![None; batch.circuits.len()];
+        for (&rule, &found) in batch.circuit_of_key.iter().zip(&structural) {
+            assert!(
+                *class[rule].get_or_insert(found) == found,
+                "the rule merged distinct circuits"
+            );
+        }
+        if exact {
+            assert_eq!(batch.circuit_of_key, structural, "the rule missed an identity");
+        }
+        (batch.keys.len(), batch.circuits.len())
+    }
+
+    fn fragments_of(circuit: &Circuit, config: QrccConfig) -> FragmentSet {
+        let plan =
+            CutPlanner::new(config.with_ilp_time_limit(Duration::ZERO)).plan(circuit).unwrap();
+        FragmentSet::from_plan(&plan).unwrap()
+    }
+
+    #[test]
+    fn benchmark_families_enumerate_the_old_keys_and_dedup_like_the_structural_hash() {
+        let (tfim, lattice) = generators::hamiltonian_simulation(
+            HamiltonianKind::TransverseFieldIsing,
+            3,
+            4,
+            false,
+            1,
+            0.1,
+        );
+        let ising = PauliObservable::ising(&lattice, 1.0, 0.5);
+        let fragments = fragments_of(&tfim, QrccConfig::new(8));
+        assert_eq!(check_workload(&fragments, Some(&ising), true), (2359, 2359));
+
+        let (reg8, graph) = generators::qaoa_regular(8, 3, 1, 3);
+        let fragments = fragments_of(&reg8, QrccConfig::new(5).with_gate_cuts(true));
+        let maxcut = PauliObservable::maxcut(&graph);
+        assert_eq!(check_workload(&fragments, Some(&maxcut), true), (1512, 875));
+
+        let fragments = fragments_of(&generators::aqft(20, 4), QrccConfig::new(12));
+        assert_eq!(check_workload(&fragments, None, true), (91, 91));
+
+        let vqe = generators::vqe_two_local(20, 2, 7);
+        let fragments = fragments_of(&vqe, QrccConfig::new(12));
+        assert_eq!(check_workload(&fragments, Some(&PauliObservable::all_z(20)), true), (25, 25));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On small random plans, with and without gate cuts, the
+        /// enumerated keys decode to the old enumerator's unique keys in its
+        /// order, and the ordinal rule only groups keys whose circuits the
+        /// structural hash found equal. (A wire cut passing through a
+        /// fragment with no gate between its preparation and measurement
+        /// gives the hash identities the rule leaves apart, e.g. |+⟩
+        /// measured in Z and |0⟩ measured in X.)
+        #[test]
+        fn random_plans_enumerate_the_old_keys_and_never_merge_distinct_circuits(
+            seed in any::<u64>(),
+            gate_cuts in any::<bool>(),
+        ) {
+            let mut rng = Rng(seed);
+            let n = 4 + rng.below(3);
+            let mut circuit = Circuit::new(n);
+            circuit.h(0);
+            for q in 0..n - 1 {
+                circuit.cx(q, q + 1);
+            }
+            for _ in 0..4 + rng.below(8) {
+                let (a, b) = (rng.below(n), rng.below(n));
+                let theta = rng.next() as f64 / u64::MAX as f64 * 3.0;
+                match rng.below(4) {
+                    0 if a != b => circuit.rzz(theta, a, b),
+                    1 if a != b => circuit.cx(a, b),
+                    2 => circuit.ry(theta, a),
+                    _ => circuit.h(a),
+                };
+            }
+            let config = QrccConfig::new(3)
+                .with_subcircuit_range(2, 3)
+                .with_gate_cuts(gate_cuts)
+                .with_ilp_time_limit(Duration::ZERO);
+            let Ok(plan) = CutPlanner::new(config).plan(&circuit) else { return Ok(()) };
+            let fragments = FragmentSet::from_plan(&plan).unwrap();
+            prop_assume!(fragments.num_wire_cuts() + fragments.num_gate_cuts() <= 6);
+            let mut observable = PauliObservable::new(n);
+            for _ in 0..3 {
+                let paulis = (0..n).map(|_| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][rng.below(4)]);
+                observable.add_term(1.0, PauliString::from_paulis(paulis.collect()));
+            }
+            check_workload(&fragments, Some(&observable), false);
+            if fragments.num_gate_cuts() == 0 {
+                check_workload(&fragments, None, false);
             }
         }
     }

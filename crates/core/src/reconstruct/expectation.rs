@@ -2,24 +2,24 @@
 //! (paper §4.3 "Reconstruction after W-Cut and G-Cut").
 //!
 //! [`requests`] enumerates every variant the observable needs, across *all*
-//! Pauli terms. Terms sharing a measurement-basis signature collapse to the
-//! same [`VariantKey`](crate::fragment::VariantKey), so the batch executes
-//! them once. The caller executes one batch, and [`reconstruct`] is then a
-//! one-batch fold: an [`ExpectationAccumulator`] folds the borrowed batch into
-//! every term's scalar cut tensors in canonical order and contracts them with
-//! the strategy resolved from the [`ReconstructionOptions`] — the
-//! rayon-parallel dense loop or pairwise contraction with sparse pruning.
+//! Pauli terms, each once: terms that measure a fragment's outputs in the
+//! same bases share that fragment's [`VariantKey`]s. The caller executes one
+//! batch, and [`reconstruct`] is then a one-batch fold: an
+//! [`ExpectationAccumulator`] folds the borrowed batch into every term's
+//! scalar cut tensors in canonical order and contracts them with the
+//! strategy resolved from the [`ReconstructionOptions`] — the rayon-parallel
+//! dense loop or pairwise contraction with sparse pruning.
 //!
 //! [`requests`]: ExpectationReconstructor::requests
 //! [`reconstruct`]: ExpectationReconstructor::reconstruct
 
 use super::engine::{
-    self, expectation_variants, ContractionPlan, ReconstructionOptions, ReconstructionReport,
-    ReconstructionStrategy, Workload,
+    self, ContractionPlan, ReconstructionOptions, ReconstructionReport, ReconstructionStrategy,
+    Workload,
 };
 use super::ExpectationAccumulator;
 use crate::execute::ExecutionResults;
-use crate::fragment::{FragmentSet, VariantRequest};
+use crate::fragment::{Fragment, FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::observable::{Pauli, PauliObservable, PauliString};
 
@@ -32,10 +32,67 @@ pub struct ExpectationReconstructor {
 
 /// Whether a Pauli string's contribution is identically zero because it acts
 /// with X or Y on an idle wire (idle original qubits stay in |0⟩).
-pub(super) fn vanishes_on_idle_wires(fragments: &FragmentSet, string: &PauliString) -> bool {
+fn vanishes_on_idle_wires(fragments: &FragmentSet, string: &PauliString) -> bool {
     (0..fragments.original_qubits).any(|q| {
         fragments.output_owner[q].is_none() && matches!(string.pauli(q), Pauli::X | Pauli::Y)
     })
+}
+
+/// The output bases `string` measures `fragment`'s outputs in, packed as a
+/// [`VariantKey::outputs`]: I measures like Z (both instantiate to a plain
+/// computational-basis measurement), so terms that differ only there share
+/// the fragment's variants.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidCutSolution`] when an output past the 32 a key can
+/// pack needs an X or Y basis.
+fn signature(fragment: &Fragment, string: &PauliString) -> Result<u64, CoreError> {
+    let mut outputs = 0u64;
+    for (slot, &(orig, _)) in fragment.output_clbits.iter().enumerate() {
+        let code = match string.pauli(orig) {
+            Pauli::I | Pauli::Z => continue,
+            Pauli::X => 1,
+            Pauli::Y => 2,
+        };
+        if slot >= 32 {
+            return Err(CoreError::InvalidCutSolution {
+                reason: format!("fragment {} measures more than 32 outputs", fragment.index),
+            });
+        }
+        outputs |= code << (2 * slot);
+    }
+    Ok(outputs)
+}
+
+/// A Pauli term of an observable that can contribute, with the signature
+/// it measures each fragment in.
+pub(super) struct Term<'o> {
+    pub(super) coefficient: f64,
+    pub(super) string: &'o PauliString,
+    /// Per fragment, its [`VariantKey::outputs`] for this term.
+    pub(super) signatures: Vec<u64>,
+}
+
+/// The terms of `observable` that can contribute — a term with X or Y on an
+/// idle wire is identically zero — in observable order.
+pub(super) fn contributing_terms<'o>(
+    fragments: &FragmentSet,
+    observable: &'o PauliObservable,
+) -> Result<Vec<Term<'o>>, CoreError> {
+    observable
+        .terms()
+        .iter()
+        .filter(|(_, string)| !vanishes_on_idle_wires(fragments, string))
+        .map(|(coefficient, string)| {
+            let signatures = fragments
+                .fragments
+                .iter()
+                .map(|fragment| signature(fragment, string))
+                .collect::<Result<_, _>>()?;
+            Ok(Term { coefficient: *coefficient, string, signatures })
+        })
+        .collect()
 }
 
 /// The expectation workload's plan check: `observable` acts on the original
@@ -74,10 +131,11 @@ impl ExpectationReconstructor {
         &self.options
     }
 
-    /// Phase 1 (enumerate): every variant request needed to evaluate all of
-    /// `observable`'s Pauli terms. Terms whose fragment-level configurations
-    /// coincide produce duplicate keys, which the execute phase collapses —
-    /// this is where the old per-term re-execution cost disappears.
+    /// Phase 1 (enumerate): every variant needed to evaluate all of
+    /// `observable`'s Pauli terms, each once. A fragment's variants are all
+    /// its [`variant_count`](Fragment::variant_count) ordinals in every
+    /// output-basis signature some term measures it in; signatures are
+    /// listed in first-seen order over (term, fragment), ordinals ascending.
     ///
     /// # Errors
     ///
@@ -92,24 +150,26 @@ impl ExpectationReconstructor {
         observable: &PauliObservable,
     ) -> Result<Vec<VariantRequest>, CoreError> {
         resolve(fragments, observable, &self.options)?;
-        let mut requests = Vec::new();
-        for (_, string) in observable.terms() {
-            if vanishes_on_idle_wires(fragments, string) {
-                continue; // the term contributes exactly zero
-            }
-            for fragment in &fragments.fragments {
+        let mut signatures: Vec<(usize, u64)> = Vec::new();
+        for term in contributing_terms(fragments, observable)? {
+            for (fragment, &outputs) in term.signatures.iter().enumerate() {
                 // Clbit-free fragments (reuse-absorbed empty subcircuits)
                 // measure nothing; their contribution is the constant 1.
-                if fragment.num_clbits == 0 {
-                    continue;
+                if fragments.fragments[fragment].num_clbits > 0
+                    && !signatures.contains(&(fragment, outputs))
+                {
+                    signatures.push((fragment, outputs));
                 }
-                requests.extend(
-                    expectation_variants(fragment, string)
-                        .map(|v| VariantRequest::new(fragment.index, v)),
-                );
             }
         }
-        Ok(requests)
+        Ok(signatures
+            .into_iter()
+            .flat_map(|(fragment, outputs)| {
+                (0..fragments.fragments[fragment].variant_count()).map(move |ordinal| {
+                    VariantRequest { key: VariantKey::new(fragment, ordinal, outputs) }
+                })
+            })
+            .collect())
     }
 
     /// Phase 3 (consume): reconstructs `⟨H⟩` for a weighted Pauli observable
@@ -232,8 +292,8 @@ mod tests {
     #[test]
     fn shared_basis_signatures_deduplicate_across_terms() {
         // Two Z-like terms and an identity-ish term share every fragment
-        // signature, so the batch executes each unique variant once even
-        // though the enumerate phase requested it per term.
+        // signature, so the enumerate phase requests each variant once for
+        // all three terms and the batch executes it once.
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).ry(0.8, 1).cx(1, 2).cx(2, 3);
         let mut obs = PauliObservable::new(4);
@@ -246,11 +306,12 @@ mod tests {
         let fragments = FragmentSet::from_plan(&plan).unwrap();
         let reconstructor = ExpectationReconstructor::new();
         let requests = reconstructor.requests(&fragments, &obs).unwrap();
+        let executing = fragments.fragments.iter().filter(|f| f.num_clbits > 0);
+        let per_term: u64 = executing.map(Fragment::variant_count).sum();
+        assert_eq!(requests.len() as u64, per_term, "one signature per fragment for all terms");
         let backend = ExactBackend::new();
         let results = execute_requests(&fragments, &requests, &backend).unwrap();
-        // three terms × identical signatures → a third of the requests survive
-        // key dedup (structural dedup may collapse the batch further)
-        assert_eq!(results.requested(), 3 * results.unique_variants() as u64);
+        assert_eq!(results.requested(), results.unique_variants() as u64);
         assert!(results.executed() <= results.unique_variants() as u64);
         assert_eq!(backend.executions(), results.executed());
     }

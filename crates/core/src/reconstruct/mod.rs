@@ -13,10 +13,11 @@
 //! Every reconstruction folds through an accumulator. A streamed run
 //! absorbs chunks as they arrive; a blocking `reconstruct` is a one-batch
 //! fold of the borrowed batch, so it equals a one-chunk stream bit for bit.
-//! Within each batch the variants fold in one canonical order, sorted by
-//! `(fragment, variant ordinal)`, and a shot top-up re-folds its fragment in
-//! that same order. The answer therefore never depends on the order a
-//! batch's `HashMap` happens to iterate in.
+//! Within each batch the variants fold in one canonical order, ascending
+//! [`VariantKey`](crate::fragment::VariantKey) `(fragment, ordinal,
+//! outputs)`, which is the order a batch holds them in; a shot top-up
+//! re-folds its group in that same order. The answer therefore never
+//! depends on how a batch was assembled.
 //!
 //! # Reconstruction strategies
 //!
@@ -64,7 +65,7 @@
 //!   blocking call) — full output distributions for the probability
 //!   workload, per-Pauli scalar tensors for expectation observables — so
 //!   only the final contraction remains once the last chunk lands; shot
-//!   top-ups re-fold only the touched fragment.
+//!   top-ups re-fold only the touched fragment's signature group.
 //! * [`cost`] — analytic floating-point-operation cost models of the
 //!   reconstruction strategies compared in Figure 6.
 //!
@@ -73,11 +74,12 @@
 //! Every kernel does work proportional to what it writes. For a fragment
 //! with `in` incoming and `out` outgoing wire cuts whose executed variant
 //! returns a distribution over `c` classical bits, `#Z ≤ out` of them
-//! Z-basis cut measurements:
+//! Z-basis cut measurements and `r` output bits read by some but not every
+//! Pauli term of the variant's output-basis signature:
 //!
 //! | kernel | work | instead of |
 //! |---|---|---|
-//! | expectation fold, per variant | `2^c · #Z + 3^in · 2^#Z` | `2^c · 4^out · out + 4^in · 4^out` |
+//! | expectation fold, per variant | `2^c · (#Z + r) + r · 2^(#Z + r)`, then per term `3^in · 2^#Z` | per term `2^c · 4^out · out + 4^in · 4^out` |
 //! | probability fold, per variant | `2^c · (c + 3^in)` | `2^c · 4^in · 4^out · (in + out)` |
 //! | dense probability readout | `4^cuts · 2^m` multiply-adds, one `2^m` scratch | `4^cuts · 2^m · m` bit gathers, 64 `2^m` partials |
 //!
@@ -95,7 +97,7 @@ mod streaming;
 
 pub mod cost;
 
-pub(crate) use engine::{expectation_variants, probability_variants, resolve_strategy};
+pub(crate) use engine::resolve_strategy;
 pub use engine::{ReconstructionOptions, ReconstructionReport, ReconstructionStrategy, Workload};
 pub use expectation::ExpectationReconstructor;
 pub use probability::ProbabilityReconstructor;
@@ -244,11 +246,10 @@ impl Odometer {
 }
 
 /// Iterates mixed-radix counters: all vectors of length `len` with entries in
-/// `0..radix`.
-///
-/// This owned-`Vec` form exists for variant *enumeration*, where the digits
-/// are moved into [`FragmentVariant`](crate::fragment::FragmentVariant)s; the
-/// reconstruction hot loops use the allocation-free [`Odometer`] instead.
+/// `0..radix`, digit 0 fastest — the owned-`Vec` form the test oracle's
+/// variant enumerator uses; the hot loops use the allocation-free
+/// [`Odometer`] instead.
+#[cfg(test)]
 pub(crate) fn mixed_radix(len: usize, radix: usize) -> impl Iterator<Item = Vec<usize>> {
     let mut odometer = Odometer::uniform(len, radix);
     std::iter::from_fn(move || odometer.next().map(<[usize]>::to_vec))

@@ -12,12 +12,10 @@
 //! [`requests`]: ProbabilityReconstructor::requests
 //! [`reconstruct`]: ProbabilityReconstructor::reconstruct
 
-use super::engine::{
-    self, probability_variants, ReconstructionOptions, ReconstructionReport, Workload,
-};
+use super::engine::{self, ReconstructionOptions, ReconstructionReport, Workload};
 use super::ProbabilityAccumulator;
 use crate::execute::ExecutionResults;
-use crate::fragment::{FragmentSet, VariantRequest};
+use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 
 /// Reconstructs the original circuit's probability distribution from a
@@ -45,9 +43,11 @@ impl ProbabilityReconstructor {
     }
 
     /// Phase 1 (enumerate): every variant request the probability workload
-    /// needs, as pure data. The request list is strategy-independent; only
-    /// feasibility differs (`Contract` accepts plans whose total cut count
-    /// exceeds the dense cap).
+    /// needs, as pure data: every ordinal of every executing fragment, all
+    /// outputs measured in Z, fragments in order and ordinals ascending. The
+    /// request list is strategy-independent; only feasibility differs
+    /// (`Contract` accepts plans whose total cut count exceeds the dense
+    /// cap).
     ///
     /// # Errors
     ///
@@ -58,19 +58,19 @@ impl ProbabilityReconstructor {
     ///   `Contract`).
     pub fn requests(&self, fragments: &FragmentSet) -> Result<Vec<VariantRequest>, CoreError> {
         engine::resolve_strategy(fragments, &self.options, Workload::Probability)?;
-        let mut requests = Vec::new();
-        for fragment in &fragments.fragments {
+        Ok(fragments
+            .fragments
+            .iter()
+            .enumerate()
             // A fragment with no classical bits (a reuse-absorbed empty
             // subcircuit) measures nothing: its distribution is trivially
             // [1.0], so nothing needs to run.
-            if fragment.num_clbits == 0 {
-                continue;
-            }
-            requests.extend(
-                probability_variants(fragment).map(|v| VariantRequest::new(fragment.index, v)),
-            );
-        }
-        Ok(requests)
+            .filter(|(_, fragment)| fragment.num_clbits > 0)
+            .flat_map(|(index, fragment)| {
+                (0..fragment.variant_count())
+                    .map(move |ordinal| VariantRequest { key: VariantKey::new(index, ordinal, 0) })
+            })
+            .collect())
     }
 
     /// Phase 3 (consume): rebuilds the `2^N` probability vector of the

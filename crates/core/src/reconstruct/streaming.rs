@@ -12,30 +12,34 @@
 //! * **Blocking.** `ProbabilityReconstructor::reconstruct` and
 //!   `ExpectationReconstructor::reconstruct` fold the borrowed batch as one
 //!   chunk and finish, so they equal a one-chunk stream bit for bit.
-//! * **Canonical order.** Within a batch, variants fold sorted by
-//!   `(fragment, ordinal)`. The ordinal is the variant's mixed-radix index
-//!   (gate instances ×6, init states ×4, cut bases ×3). The sums thus round
-//!   the same whatever order the batch's `HashMap` iterates in: the answer
-//!   depends only on the delivered distributions and the chunk boundaries.
+//! * **Canonical order.** A batch holds its variants in ascending
+//!   [`VariantKey`](crate::fragment::VariantKey) order — `(fragment,
+//!   ordinal, outputs)`, the ordinal a mixed-radix index over the slot
+//!   configuration — and folds in that order with no sort. The sums thus
+//!   round the same however the batch was assembled: the answer depends
+//!   only on the delivered distributions and the chunk boundaries.
+//! * **One fold per distribution.** A fragment's variants group by output
+//!   basis signature: the probability workload has one, an observable one
+//!   per distinct way its Pauli terms measure the fragment's outputs. A
+//!   delivered distribution folds once into its group, which serves every
+//!   term of that signature.
 //! * **Shot top-ups.** Re-delivering a variant that was already folded (a
-//!   higher-shot estimate replacing its distribution) marks just the owning
-//!   fragment dirty. The next `finish` re-folds that fragment from the merged
-//!   store, in the same canonical order, before re-contracting.
+//!   higher-shot estimate replacing its distribution) marks just its group
+//!   dirty. The next `finish` re-folds that group from the merged store, in
+//!   the same canonical order, before re-contracting.
 
 use super::engine::{
-    self, expectation_variants, normalized_output_bases, probability_variants, ContractionPlan,
-    CutTensor, ExpectationFolder, FragmentFolder, ReconstructionOptions, ReconstructionReport,
-    ReconstructionStrategy, Workload,
+    self, ContractionPlan, CutTensor, Fold, FragmentFolder, ReconstructionOptions,
+    ReconstructionReport, ReconstructionStrategy, SignatureFolder, Workload,
 };
-use super::expectation::{self, vanishes_on_idle_wires};
-use crate::execute::ExecutionResults;
-use crate::fragment::{Fragment, FragmentSet, FragmentVariant};
+use super::expectation::{self, contributing_terms};
+use crate::execute::{ExecutionResults, Shared};
+use crate::fragment::{Fragment, FragmentSet, VariantKey};
 use crate::CoreError;
-use qrcc_circuit::observable::{Pauli, PauliObservable};
+use qrcc_circuit::observable::PauliObservable;
 
-/// The "already folded" set of one fragment's variants: a bitset indexed by
-/// the variant's mixed-radix ordinal (gate instances ×6, init states ×4, cut
-/// bases ×3), so membership costs no hash and no variant clone.
+/// The "already folded" set of one group's variants: a bitset indexed by
+/// the variant ordinal, so membership costs no hash.
 #[derive(Debug, Clone)]
 struct FoldedSet {
     bits: Vec<u64>,
@@ -49,198 +53,164 @@ impl FoldedSet {
         FoldedSet { bits: vec![0; expected.div_ceil(64) as usize], expected }
     }
 
-    /// Ordinal of a variant whose shape was already checked against the
-    /// fragment ([`fits`]).
-    fn ordinal(variant: &FragmentVariant) -> usize {
-        let ordinal = variant.gate_instances.iter().fold(0, |acc, &g| acc * 6 + (g - 1));
-        let ordinal = variant.init_states.iter().fold(ordinal, |acc, &s| acc * 4 + s as usize);
-        variant.cut_bases.iter().fold(ordinal, |acc, &b| acc * 3 + b as usize)
+    fn contains(&self, ordinal: u64) -> bool {
+        self.bits[(ordinal / 64) as usize] >> (ordinal % 64) & 1 == 1
     }
 
-    fn contains(&self, ordinal: usize) -> bool {
-        self.bits[ordinal / 64] >> (ordinal % 64) & 1 == 1
-    }
-
-    fn insert(&mut self, ordinal: usize) {
-        self.bits[ordinal / 64] |= 1 << (ordinal % 64);
+    fn insert(&mut self, ordinal: u64) {
+        self.bits[(ordinal / 64) as usize] |= 1 << (ordinal % 64);
     }
 
     fn len(&self) -> u64 {
         self.bits.iter().map(|word| u64::from(word.count_ones())).sum()
     }
-
-    fn is_complete(&self) -> bool {
-        self.len() == self.expected
-    }
 }
 
-/// Whether `variant` has `fragment`'s slot counts and in-range gate
-/// instances: the shape every ordinal assumes.
-fn fits(fragment: &Fragment, variant: &FragmentVariant) -> bool {
-    variant.init_states.len() == fragment.incoming_cuts.len()
-        && variant.cut_bases.len() == fragment.outgoing_cuts.len()
-        && variant.gate_instances.len() == fragment.gate_cut_roles.len()
-        && variant.gate_instances.iter().all(|i| (1..=6).contains(i))
-}
-
-/// One executed variant of a batch, placed in the canonical fold order.
-struct Entry<'b> {
-    fragment: usize,
-    ordinal: usize,
-    variant: &'b FragmentVariant,
-    dist: &'b [f64],
-}
-
-/// The entries of `batch` to fold (every fragment's, or only fragment
-/// `only`'s), sorted by `(fragment, ordinal)`. Keys on clbit-free fragments
-/// or of a foreign shape are dropped before their ordinal is computed. Ties
-/// (one ordinal, different output bases) cannot change a sum: a fold target
-/// accepts a single output basis per fragment.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidCutSolution`] when a key references a fragment
-/// outside the plan.
-fn canonical_entries<'b>(
-    fragments: &FragmentSet,
-    batch: &'b ExecutionResults,
-    only: Option<usize>,
-) -> Result<Vec<Entry<'b>>, CoreError> {
-    let mut entries = Vec::with_capacity(batch.unique_variants());
-    for (key, dist) in batch.iter() {
-        if only.is_some_and(|index| index != key.fragment) {
-            continue;
-        }
-        let fragment =
-            fragments.fragments.get(key.fragment).ok_or_else(|| CoreError::InvalidCutSolution {
-                reason: format!(
-                    "streamed batch references fragment {} but the plan has {}",
-                    key.fragment,
-                    fragments.fragments.len()
-                ),
-            })?;
-        if fragment.num_clbits > 0 && fits(fragment, &key.variant) {
-            let ordinal = FoldedSet::ordinal(&key.variant);
-            entries.push(Entry { fragment: key.fragment, ordinal, variant: &key.variant, dist });
-        }
-    }
-    entries.sort_unstable_by_key(|entry| (entry.fragment, entry.ordinal));
-    Ok(entries)
-}
-
-/// The per-variant fold of one workload's cut tensors.
-trait Fold {
-    fn fold(&mut self, tensor: &mut CutTensor, variant: &FragmentVariant, dist: &[f64]);
-}
-
-impl Fold for FragmentFolder {
-    fn fold(&mut self, tensor: &mut CutTensor, variant: &FragmentVariant, dist: &[f64]) {
-        tensor.fold_partial(self, variant, dist);
-    }
-}
-
-impl Fold for ExpectationFolder {
-    fn fold(&mut self, tensor: &mut CutTensor, variant: &FragmentVariant, dist: &[f64]) {
-        tensor.fold_expectation_partial(self, variant, dist);
-    }
-}
-
-/// What an accumulator folds into (the probability vector, or one Pauli
-/// term of an observable): a cut tensor per fragment, the output bases its
-/// variants carry, and the bookkeeping that lets a shot top-up re-fold only
-/// the touched fragment.
+/// The variants `(fragment, *, outputs)` of one fragment's output-basis
+/// signature, the folder they go through, and the bookkeeping that lets a
+/// shot top-up re-fold only this group.
 #[derive(Debug, Clone)]
-struct Target<F> {
-    bases: Vec<Vec<Pauli>>,
-    tensors: Vec<CutTensor>,
-    folders: Vec<F>,
-    folded: Vec<FoldedSet>,
-    dirty: Vec<bool>,
+struct Group<F> {
+    outputs: u64,
+    folder: F,
+    folded: FoldedSet,
+    dirty: bool,
 }
 
-impl<F: Fold> Target<F> {
-    /// An empty target: `start` gives each fragment's empty tensor, folder
-    /// and output bases. A clbit-free fragment never executes, so its
-    /// `variants` fold with the constant `[1.0]` distribution up front.
+/// What an accumulator folds into: per fragment its signature groups, and
+/// per target (the probability vector, or one Pauli term) a cut tensor per
+/// fragment.
+#[derive(Debug, Clone)]
+struct Folds<F> {
+    groups: Vec<Vec<Group<F>>>,
+    tensors: Vec<Vec<CutTensor>>,
+}
+
+impl<F: Fold> Folds<F> {
+    /// The fold state over `groups` and empty `tensors`. A clbit-free
+    /// fragment never executes, so its groups fold every variant with the
+    /// constant `[1.0]` distribution up front.
     fn new(
         fragments: &FragmentSet,
-        start: impl Fn(&Fragment) -> (CutTensor, F, Vec<Pauli>),
-        variants: impl Fn(&Fragment) -> Vec<FragmentVariant>,
+        groups: Vec<Vec<(u64, F)>>,
+        mut tensors: Vec<Vec<CutTensor>>,
     ) -> Self {
-        let count = fragments.fragments.len();
-        let mut target = Target {
-            bases: Vec::with_capacity(count),
-            tensors: Vec::with_capacity(count),
-            folders: Vec::with_capacity(count),
-            folded: Vec::with_capacity(count),
-            dirty: vec![false; count],
-        };
-        for fragment in &fragments.fragments {
-            let (mut tensor, mut folder, bases) = start(fragment);
-            let mut folded = FoldedSet::new(fragment);
-            if fragment.num_clbits == 0 {
-                for variant in variants(fragment) {
-                    folder.fold(&mut tensor, &variant, &engine::TRIVIAL);
-                    folded.insert(FoldedSet::ordinal(&variant));
-                }
-            }
-            target.bases.push(bases);
-            target.tensors.push(tensor);
-            target.folders.push(folder);
-            target.folded.push(folded);
-        }
-        target
+        let groups = fragments
+            .fragments
+            .iter()
+            .zip(groups)
+            .enumerate()
+            .map(|(index, (fragment, groups))| {
+                groups
+                    .into_iter()
+                    .map(|(outputs, mut folder)| {
+                        let mut folded = FoldedSet::new(fragment);
+                        if fragment.num_clbits == 0 {
+                            for ordinal in 0..folded.expected {
+                                folder.fold(&mut tensors, index, ordinal, &engine::TRIVIAL);
+                                folded.insert(ordinal);
+                            }
+                        }
+                        Group { outputs, folder, folded, dirty: false }
+                    })
+                    .collect()
+            })
+            .collect();
+        Folds { groups, tensors }
     }
 
-    /// Folds `entry` if it is one of this target's variants; a variant seen
-    /// before is a shot top-up and marks its fragment for re-folding.
-    fn offer(&mut self, entry: &Entry<'_>) {
-        let index = entry.fragment;
-        if entry.variant.output_bases != self.bases[index] {
-            return;
-        }
-        if self.folded[index].contains(entry.ordinal) {
-            self.dirty[index] = true;
-        } else {
-            self.folders[index].fold(&mut self.tensors[index], entry.variant, entry.dist);
-            self.folded[index].insert(entry.ordinal);
-        }
-    }
-
-    /// Readies the tensors for contraction: re-folds every dirty fragment
-    /// from `store` in canonical order, checks that every fragment is
-    /// complete, and refreshes liveness in place (idempotent).
+    /// Folds `batch` in its (ascending key) order. Keys of clbit-free
+    /// fragments, of another workload's signature or of a foreign shape are
+    /// skipped; a variant seen before is a shot top-up and marks its group
+    /// for re-folding.
     ///
     /// # Errors
     ///
-    /// [`CoreError::MissingVariant`] when some fragment's variants have not
-    /// all arrived yet.
+    /// [`CoreError::InvalidCutSolution`] when a key references a fragment
+    /// outside the plan; nothing of the batch is folded then.
+    fn fold(&mut self, fragments: &FragmentSet, batch: &ExecutionResults) -> Result<(), CoreError> {
+        if let Some((key, _)) = batch.entries().last() {
+            // keys sort by fragment first: the last names the largest
+            if key.fragment >= fragments.fragments.len() {
+                return Err(CoreError::InvalidCutSolution {
+                    reason: format!(
+                        "streamed batch references fragment {} but the plan has {}",
+                        key.fragment,
+                        fragments.fragments.len()
+                    ),
+                });
+            }
+        }
+        for (key, dist) in batch.entries() {
+            if fragments.fragments[key.fragment].num_clbits > 0 {
+                self.offer(key, dist);
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds one variant into its group, if it has one.
+    fn offer(&mut self, key: &VariantKey, dist: &Shared) {
+        let Folds { groups, tensors } = self;
+        let Some(group) = groups[key.fragment].iter_mut().find(|g| g.outputs == key.outputs) else {
+            return;
+        };
+        if key.ordinal >= group.folded.expected {
+            return;
+        }
+        if group.folded.contains(key.ordinal) {
+            group.dirty = true;
+        } else {
+            group.folder.fold(tensors, key.fragment, key.ordinal, dist);
+            group.folded.insert(key.ordinal);
+        }
+    }
+
+    /// Readies the tensors for contraction: re-folds every dirty group from
+    /// `store` in canonical order, checks that every group is complete, and
+    /// refreshes liveness in place (idempotent).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::MissingVariant`] when some group's variants have not all
+    /// arrived yet.
     fn settle(
         &mut self,
         fragments: &FragmentSet,
         store: &ExecutionResults,
     ) -> Result<(), CoreError> {
         for (index, fragment) in fragments.fragments.iter().enumerate() {
-            if self.dirty[index] {
-                self.tensors[index].clear();
-                self.folded[index] = FoldedSet::new(fragment);
-                self.dirty[index] = false;
-                for entry in canonical_entries(fragments, store, Some(index))? {
-                    self.offer(&entry);
+            for g in 0..self.groups[index].len() {
+                let group = &mut self.groups[index][g];
+                if group.dirty {
+                    group.dirty = false;
+                    group.folded = FoldedSet::new(fragment);
+                    for target in group.folder.targets() {
+                        self.tensors[target][index].clear();
+                    }
+                    let outputs = group.outputs;
+                    for (key, dist) in store.entries() {
+                        if key.fragment == index && key.outputs == outputs {
+                            self.offer(key, dist);
+                        }
+                    }
+                }
+                let folded = &self.groups[index][g].folded;
+                if folded.len() < folded.expected {
+                    return Err(CoreError::MissingVariant { fragment: index });
                 }
             }
-            if fragment.num_clbits > 0 && !self.folded[index].is_complete() {
-                return Err(CoreError::MissingVariant { fragment: index });
-            }
         }
-        self.tensors.iter_mut().for_each(CutTensor::refresh_active);
+        self.tensors.iter_mut().flatten().for_each(CutTensor::refresh_active);
         Ok(())
     }
 
-    /// `(folded, expected)` distinct-variant counts over the fragments.
+    /// `(folded, expected)` distinct-variant counts over the groups.
     fn progress(&self) -> (u64, u64) {
-        let folded = self.folded.iter().map(FoldedSet::len).sum();
-        (folded, self.folded.iter().map(|set| set.expected).sum())
+        self.groups
+            .iter()
+            .flatten()
+            .fold((0, 0), |(f, e), group| (f + group.folded.len(), e + group.folded.expected))
     }
 }
 
@@ -260,7 +230,7 @@ pub struct ProbabilityAccumulator<'a> {
     options: ReconstructionOptions,
     strategy: ReconstructionStrategy,
     plan: ContractionPlan,
-    target: Target<FragmentFolder>,
+    folds: Folds<FragmentFolder>,
     store: ExecutionResults,
 }
 
@@ -281,20 +251,15 @@ impl<'a> ProbabilityAccumulator<'a> {
     ) -> Result<Self, CoreError> {
         let (strategy, plan) =
             engine::resolve_strategy(fragments, &options, Workload::Probability)?;
-        let target = Target::new(
-            fragments,
-            |fragment| {
-                let (tensor, folder) = FragmentFolder::probability(fragment);
-                (tensor, folder, vec![Pauli::Z; fragment.output_clbits.len()])
-            },
-            |fragment| probability_variants(fragment).collect(),
-        );
+        let (tensors, folders): (Vec<CutTensor>, Vec<FragmentFolder>) =
+            fragments.fragments.iter().map(FragmentFolder::probability).unzip();
+        let groups = folders.into_iter().map(|folder| vec![(0, folder)]).collect();
         Ok(ProbabilityAccumulator {
             fragments,
             options,
             strategy,
             plan,
-            target,
+            folds: Folds::new(fragments, groups, vec![tensors]),
             store: ExecutionResults::default(),
         })
     }
@@ -313,22 +278,15 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// [`CoreError::InvalidCutSolution`] when a key references a fragment
     /// outside the plan; nothing of the batch is folded then.
     pub fn absorb(&mut self, partial: ExecutionResults) -> Result<(), CoreError> {
-        self.fold(&partial)?;
+        self.folds.fold(self.fragments, &partial)?;
         self.store.extend(partial);
-        Ok(())
-    }
-
-    fn fold(&mut self, batch: &ExecutionResults) -> Result<(), CoreError> {
-        for entry in canonical_entries(self.fragments, batch, None)? {
-            self.target.offer(&entry);
-        }
         Ok(())
     }
 
     /// `(folded, expected)` distinct-variant counts across all fragments —
     /// reconstruction progress while the stream is still running.
     pub fn progress(&self) -> (u64, u64) {
-        self.target.progress()
+        self.folds.progress()
     }
 
     /// Runs the final contraction over the accumulated fragment tensors,
@@ -343,7 +301,7 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// [`CoreError::MissingVariant`] when some fragment's variants have not
     /// all arrived yet.
     pub fn finish(&mut self) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
-        self.target.settle(self.fragments, &self.store)?;
+        self.folds.settle(self.fragments, &self.store)?;
         Ok(self.contract())
     }
 
@@ -353,8 +311,8 @@ impl<'a> ProbabilityAccumulator<'a> {
         mut self,
         batch: &ExecutionResults,
     ) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
-        self.fold(batch)?;
-        self.target.settle(self.fragments, batch)?;
+        self.folds.fold(self.fragments, batch)?;
+        self.folds.settle(self.fragments, batch)?;
         Ok(self.contract())
     }
 
@@ -363,15 +321,16 @@ impl<'a> ProbabilityAccumulator<'a> {
     /// absorb/finish cycles still need the originals.
     fn contract(&self) -> (Vec<f64>, ReconstructionReport) {
         let mut report = ReconstructionReport::new(self.strategy, &self.options);
+        let tensors = &self.folds.tensors[0];
         let probabilities = match self.strategy {
             ReconstructionStrategy::Contract => engine::contract_probabilities_from_tensors(
                 self.fragments,
-                self.target.tensors.clone(),
+                tensors.clone(),
                 &self.plan,
                 self.options.prune_tolerance,
                 &mut report,
             ),
-            _ => engine::dense_probabilities(self.fragments, &self.target.tensors),
+            _ => engine::dense_probabilities(self.fragments, tensors),
         };
         (probabilities, report)
     }
@@ -381,10 +340,9 @@ impl<'a> ProbabilityAccumulator<'a> {
 /// [`ExecutionResults`] chunks — the expectation counterpart of
 /// [`ProbabilityAccumulator`], for wire- **and** gate-cut plans.
 ///
-/// Every chunk absorbed folds each contained variant into the scalar cut
-/// tensor of every Pauli term it serves (terms sharing a measurement-basis
-/// signature are served by the same executed circuit, so one arriving
-/// distribution may fold into several tensors), and
+/// Every chunk absorbed folds each contained variant once into its
+/// fragment's signature group, which writes the scalar cut tensor of every
+/// Pauli term measuring the fragment in that signature, and
 /// [`finish`](ExpectationAccumulator::finish) runs only the per-term final
 /// contraction, summing `Σ coefficient · ⟨term⟩`.
 ///
@@ -401,10 +359,11 @@ pub struct ExpectationAccumulator<'a> {
     options: ReconstructionOptions,
     strategy: ReconstructionStrategy,
     plan: ContractionPlan,
-    /// Coefficient and fold target of every Pauli term that can contribute;
-    /// a term with X or Y on an idle wire is identically zero and never
-    /// folds.
-    terms: Vec<(f64, Target<ExpectationFolder>)>,
+    /// Coefficient of every Pauli term that can contribute (a term with X or
+    /// Y on an idle wire is identically zero and never folds), parallel to
+    /// the fold targets.
+    coefficients: Vec<f64>,
+    folds: Folds<SignatureFolder>,
     store: ExecutionResults,
 }
 
@@ -426,28 +385,39 @@ impl<'a> ExpectationAccumulator<'a> {
         options: ReconstructionOptions,
     ) -> Result<Self, CoreError> {
         let (strategy, plan) = expectation::resolve(fragments, observable, &options)?;
-        let terms = observable
-            .terms()
+        let terms = contributing_terms(fragments, observable)?;
+        let groups = fragments
+            .fragments
             .iter()
-            .filter(|(_, string)| !vanishes_on_idle_wires(fragments, string))
-            .map(|(coefficient, string)| {
-                let target = Target::new(
-                    fragments,
-                    |fragment| {
-                        let (tensor, folder) = ExpectationFolder::expectation(fragment, string);
-                        (tensor, folder, normalized_output_bases(fragment, string))
-                    },
-                    |fragment| expectation_variants(fragment, string).collect(),
-                );
-                (*coefficient, target)
+            .enumerate()
+            .map(|(index, fragment)| {
+                // the terms grouped by their signature on this fragment,
+                // groups in first-seen order
+                let mut signatures: Vec<(u64, Vec<_>)> = Vec::new();
+                for (t, term) in terms.iter().enumerate() {
+                    let outputs = term.signatures[index];
+                    match signatures.iter_mut().find(|(s, _)| *s == outputs) {
+                        Some((_, served)) => served.push((t, term.string)),
+                        None => signatures.push((outputs, vec![(t, term.string)])),
+                    }
+                }
+                signatures
+                    .into_iter()
+                    .map(|(outputs, served)| (outputs, SignatureFolder::new(fragment, &served)))
+                    .collect()
             })
+            .collect();
+        let tensors = terms
+            .iter()
+            .map(|_| fragments.fragments.iter().map(SignatureFolder::tensor).collect())
             .collect();
         Ok(ExpectationAccumulator {
             fragments,
             options,
             strategy,
             plan,
-            terms,
+            coefficients: terms.iter().map(|term| term.coefficient).collect(),
+            folds: Folds::new(fragments, groups, tensors),
             store: ExecutionResults::default(),
         })
     }
@@ -455,60 +425,44 @@ impl<'a> ExpectationAccumulator<'a> {
     /// Folds a partial batch into every term's fragment tensors, in
     /// canonical order.
     ///
-    /// New variants fold immediately into each term whose enumeration
-    /// contains them; a variant seen before is a shot top-up — its
-    /// distribution replaces the stored one and only the owning fragment of
-    /// the affected terms is marked for re-folding at the next
+    /// New variants fold immediately, once, into every term measuring their
+    /// fragment in their output bases; a variant seen before is a shot
+    /// top-up — its distribution replaces the stored one and only its
+    /// fragment's signature group is marked for re-folding at the next
     /// [`finish`](ExpectationAccumulator::finish). Variants that belong to
-    /// other workloads (probability variants on gate-cut-free plans, other
-    /// observables' bases) are skipped, so a batch shared between workloads
-    /// streams fine.
+    /// other workloads (other observables' bases) are skipped, so a batch
+    /// shared between workloads streams fine.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidCutSolution`] when a key references a fragment
     /// outside the plan; nothing of the batch is folded then.
     pub fn absorb(&mut self, partial: ExecutionResults) -> Result<(), CoreError> {
-        self.fold(&partial)?;
+        self.folds.fold(self.fragments, &partial)?;
         self.store.extend(partial);
         Ok(())
     }
 
-    fn fold(&mut self, batch: &ExecutionResults) -> Result<(), CoreError> {
-        for entry in canonical_entries(self.fragments, batch, None)? {
-            for (_, term) in &mut self.terms {
-                term.offer(&entry);
-            }
-        }
-        Ok(())
-    }
-
-    /// `(folded, expected)` distinct variant-fold counts summed over all
-    /// terms and fragments — reconstruction progress while the stream is
-    /// still running. Terms sharing basis signatures fold the same executed
-    /// variant once per term, so both counts scale with the term count.
+    /// `(folded, expected)` distinct-variant counts summed over every
+    /// fragment's signature groups — reconstruction progress while the
+    /// stream is still running.
     pub fn progress(&self) -> (u64, u64) {
-        self.terms
-            .iter()
-            .map(|(_, term)| term.progress())
-            .fold((0, 0), |(f, e), (tf, te)| (f + tf, e + te))
+        self.folds.progress()
     }
 
     /// Runs the final per-term contraction over the accumulated scalar
-    /// tensors and sums the observable, re-folding any fragment dirtied by a
+    /// tensors and sums the observable, re-folding any group dirtied by a
     /// shot top-up first.
     ///
     /// Callable repeatedly: absorb more chunks (or top-ups) and finish again
-    /// for a refined estimate — only dirty fragments re-fold.
+    /// for a refined estimate — only dirty groups re-fold.
     ///
     /// # Errors
     ///
-    /// [`CoreError::MissingVariant`] when some term still lacks variants of
-    /// some fragment.
+    /// [`CoreError::MissingVariant`] when some fragment still lacks
+    /// variants.
     pub fn finish(&mut self) -> Result<(f64, ReconstructionReport), CoreError> {
-        for (_, term) in &mut self.terms {
-            term.settle(self.fragments, &self.store)?;
-        }
+        self.folds.settle(self.fragments, &self.store)?;
         Ok(self.contract())
     }
 
@@ -518,10 +472,8 @@ impl<'a> ExpectationAccumulator<'a> {
         mut self,
         batch: &ExecutionResults,
     ) -> Result<(f64, ReconstructionReport), CoreError> {
-        self.fold(batch)?;
-        for (_, term) in &mut self.terms {
-            term.settle(self.fragments, batch)?;
-        }
+        self.folds.fold(self.fragments, batch)?;
+        self.folds.settle(self.fragments, batch)?;
         Ok(self.contract())
     }
 
@@ -531,16 +483,16 @@ impl<'a> ExpectationAccumulator<'a> {
     fn contract(&self) -> (f64, ReconstructionReport) {
         let mut report = ReconstructionReport::new(self.strategy, &self.options);
         let mut total = 0.0;
-        for (coefficient, term) in &self.terms {
+        for (coefficient, tensors) in self.coefficients.iter().zip(&self.folds.tensors) {
             let value = match self.strategy {
                 ReconstructionStrategy::Contract => engine::contract_expectation_from_tensors(
                     self.fragments,
-                    term.tensors.clone(),
+                    tensors.clone(),
                     &self.plan,
                     self.options.prune_tolerance,
                     &mut report,
                 ),
-                _ => engine::dense_expectation(self.fragments, &term.tensors),
+                _ => engine::dense_expectation(self.fragments, tensors),
             };
             total += coefficient * value;
         }
@@ -629,8 +581,8 @@ mod tests {
         let fragment0: Vec<_> = requests.iter().filter(|r| r.key.fragment == 0).cloned().collect();
         let topup = execute_requests(&fragments, &fragment0, &backend).unwrap();
         acc.absorb(topup).unwrap();
-        assert!(acc.target.dirty[0]);
-        assert!(acc.target.dirty[1..].iter().all(|&d| !d));
+        assert!(acc.folds.groups[0][0].dirty);
+        assert!(acc.folds.groups[1..].iter().flatten().all(|group| !group.dirty));
         let (second, _) = acc.finish().unwrap();
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.to_bits(), b.to_bits(), "identical top-up must not change the result");
@@ -723,14 +675,13 @@ mod tests {
         let (first, _) = acc.finish().unwrap();
 
         // re-deliver fragment 0's variants (identical distributions): every
-        // term folding them must dirty exactly that fragment
+        // signature group folding them must dirty, and only fragment 0's
         let fragment0: Vec<_> = requests.iter().filter(|r| r.key.fragment == 0).cloned().collect();
         let topup = execute_requests(&fragments, &fragment0, &backend).unwrap();
         acc.absorb(topup).unwrap();
-        for (_, term) in &acc.terms {
-            assert!(term.dirty[0], "fragment 0 must be dirty for every folded term");
-            assert!(term.dirty[1..].iter().all(|&d| !d));
-        }
+        let groups = &acc.folds.groups;
+        assert!(groups[0].iter().all(|g| g.dirty), "every group of fragment 0 must be dirty");
+        assert!(groups[1..].iter().flatten().all(|group| !group.dirty));
         let (second, _) = acc.finish().unwrap();
         assert_eq!(
             first.to_bits(),
@@ -788,12 +739,12 @@ mod tests {
     }
 
     /// `results` re-inserted into a fresh batch in reverse iteration order:
-    /// the same distributions in another `HashMap` layout.
+    /// the same distributions, assembled another way.
     fn reinserted(results: &ExecutionResults) -> ExecutionResults {
         let entries: Vec<_> = results.iter().collect();
         let mut rebuilt = ExecutionResults::default();
         for (key, dist) in entries.into_iter().rev() {
-            rebuilt.insert(key.clone(), dist.to_vec());
+            rebuilt.insert(*key, dist.to_vec());
         }
         rebuilt
     }

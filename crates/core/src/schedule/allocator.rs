@@ -12,7 +12,7 @@
 
 use crate::config::{SchedulePolicy, ShotAllocation};
 use crate::execute::PreparedBatch;
-use crate::fragment::{CutBasis, FragmentSet, InitState, VariantKey};
+use crate::fragment::{CutBasis, Digits, FragmentSet, InitState, VariantKey};
 use crate::CoreError;
 
 /// Error-slope magnitude of an initialisation leg: the L2 norm of the
@@ -41,34 +41,31 @@ fn basis_magnitude(basis: CutBasis) -> f64 {
 /// over its cut legs of the error-slope magnitudes its measured distribution
 /// is folded with (wire init/measure attribution slopes, gate-cut instance
 /// coefficients — the dominant lever, since `cos²θ` vs `sin²θ` instances can
-/// differ by orders of magnitude). Multiplied by the caller-supplied
-/// [`VariantRequest::weight`](crate::fragment::VariantRequest::weight)
-/// during scheduling.
+/// differ by orders of magnitude). A key that does not fit `fragments`
+/// weighs nothing.
 pub fn variant_weight(fragments: &FragmentSet, key: &VariantKey) -> f64 {
-    let Some(fragment) = fragments.fragments.get(key.fragment) else {
+    let Ok(fragment) = fragments.fragment_of(key) else {
         return 0.0;
     };
+    // the legs multiply in slot order, inits first, then bases, then gate
+    // instances; the init digits sit above the bases in the ordinal
+    let mut bases = Digits(key.ordinal);
+    let mut upper = bases;
+    for _ in &fragment.outgoing_cuts {
+        upper.basis();
+    }
     let mut weight = 1.0;
-    for &state in &key.variant.init_states {
-        weight *= init_magnitude(state);
+    for _ in &fragment.incoming_cuts {
+        weight *= init_magnitude(upper.init());
     }
-    for &basis in &key.variant.cut_bases {
-        weight *= basis_magnitude(basis);
+    for _ in &fragment.outgoing_cuts {
+        weight *= basis_magnitude(bases.basis());
     }
-    for (role, &instance) in key.variant.gate_instances.iter().enumerate() {
-        // malformed keys (unknown role, instance outside 1..=6) weigh
-        // nothing rather than panicking — consistent with the unknown-
-        // fragment guard above
-        let Some(&(cut, _)) = fragment.gate_cut_roles.get(role) else {
-            return 0.0;
-        };
-        if !(1..=6).contains(&instance) {
-            return 0.0;
-        }
+    for &(cut, _) in &fragment.gate_cut_roles {
         let Some(form) = fragments.gate_cut_forms.get(cut) else {
             return 0.0;
         };
-        weight *= form.coefficients()[instance - 1].abs();
+        weight *= form.coefficients()[upper.instance() - 1].abs();
     }
     weight
 }
@@ -91,21 +88,18 @@ impl ShotAllocator {
     }
 
     /// Per deduplicated circuit, the variance weight of the variant keys it
-    /// serves (`structural weight × request weight` each). A circuit's
-    /// sampling noise enters every reconstruction term its keys appear in as
-    /// an independent contribution, so key weights combine in quadrature —
-    /// the allocation that minimises `Σ w_k² / shots` at a fixed budget is
-    /// `shots ∝ √(Σ w_k²)`.
+    /// serves. A circuit's sampling noise enters every reconstruction term
+    /// its keys appear in as an independent contribution, so key weights
+    /// combine in quadrature — the allocation that minimises
+    /// `Σ w_k² / shots` at a fixed budget is `shots ∝ √(Σ w_k²)`.
     pub(crate) fn circuit_weights(
         &self,
         fragments: &FragmentSet,
-        batch: &PreparedBatch<'_>,
+        batch: &PreparedBatch,
     ) -> Vec<f64> {
         let mut weights = vec![0.0f64; batch.circuits.len()];
-        for ((key, &circuit), &request_weight) in
-            batch.unique_keys.iter().zip(&batch.circuit_of_key).zip(&batch.key_weight)
-        {
-            weights[circuit] += (variant_weight(fragments, key) * request_weight).powi(2);
+        for (key, &circuit) in batch.keys.iter().zip(&batch.circuit_of_key) {
+            weights[circuit] += variant_weight(fragments, key).powi(2);
         }
         weights.iter_mut().for_each(|w| *w = w.sqrt());
         weights

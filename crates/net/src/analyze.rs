@@ -29,7 +29,7 @@ use qrcc_sim::device::needs_mid_circuit;
 pub fn lint_capabilities(capabilities: &Capabilities, fragments: &FragmentSet) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     for fragment in &fragments.fragments {
-        let circuit = fragment.instantiate(&fragment.default_variant());
+        let circuit = fragment.instantiate(0, 0);
         let width = circuit.num_qubits() as u64;
         if capabilities.max_qubits.is_some_and(|max| width > max) {
             let max = capabilities.max_qubits.unwrap_or(0);
@@ -119,7 +119,7 @@ mod tests {
         let reuses = fragments
             .fragments
             .iter()
-            .any(|fragment| needs_mid_circuit(&fragment.instantiate(&fragment.default_variant())));
+            .any(|fragment| needs_mid_circuit(&fragment.instantiate(0, 0)));
         assert!(reuses, "the cut chain plan is expected to exercise qubit reuse");
         let report = lint_capabilities(&capabilities(None, false), &fragments);
         assert!(report.errors() > 0, "{report}");

@@ -76,7 +76,7 @@ pub mod prelude {
             execute_requests, BackendUsage, ExactBackend, ExecutionBackend, ExecutionResults,
             ShotsBackend,
         },
-        fragment::{FragmentSet, FragmentVariant, VariantKey, VariantRequest},
+        fragment::{FragmentSet, VariantKey, VariantRequest},
         pipeline::QrccPipeline,
         planner::{CutPlan, CutPlanner},
         reconstruct::{

@@ -4,8 +4,9 @@
 //!   execution reconstructs results bit-identical (within 1e-9) to a serial
 //!   per-variant reference on random 4–6 qubit circuits, and
 //! * dedup-accounting tests showing the batch executes strictly fewer
-//!   circuits than the enumerate phase requests when variants repeat across
-//!   Pauli terms (and than the plan's instance count on gate-cut plans).
+//!   circuits than a per-term enumeration would request when variants
+//!   repeat across Pauli terms (and than the plan's instance count on
+//!   gate-cut plans).
 
 use proptest::prelude::*;
 use qrcc::prelude::*;
@@ -128,8 +129,9 @@ proptest! {
 #[test]
 fn dedup_executes_fewer_circuits_than_requested_across_pauli_terms() {
     // Multiple Z-like Pauli terms share every fragment measurement-basis
-    // signature, so the enumerate phase requests each variant once per term
-    // while the execute phase runs it once in total.
+    // signature, so where a per-term enumeration would request each variant
+    // once per term, the enumerate phase lists it once for all terms and the
+    // execute phase runs it once in total.
     let mut circuit = Circuit::new(5);
     circuit.h(0).cx(0, 1).ry(0.4, 1).cx(1, 2).cx(2, 3).rz(0.8, 3).cx(3, 4);
     let mut observable = PauliObservable::new(5);
@@ -141,14 +143,19 @@ fn dedup_executes_fewer_circuits_than_requested_across_pauli_terms() {
     let backend = ExactBackend::new();
     let results = execute_observable(&pipeline, &observable, &backend);
 
+    let executing = pipeline.fragments().fragments.iter().filter(|f| f.num_clbits > 0);
+    let per_term: u64 = observable.terms().len() as u64
+        * executing.map(|fragment| fragment.variant_count()).sum::<u64>();
     assert!(
-        backend.executions() < results.requested(),
-        "dedup must execute fewer circuits ({}) than requested ({})",
+        backend.executions() < per_term,
+        "dedup must execute fewer circuits ({}) than a per-term enumeration requests ({})",
         backend.executions(),
-        results.requested()
+        per_term
     );
-    // three signature-identical terms: exactly one third survives key dedup
-    assert_eq!(results.requested(), 3 * results.unique_variants() as u64);
+    // three signature-identical terms: exactly one third of the per-term
+    // requests are enumerated, each once
+    assert_eq!(3 * results.requested(), per_term);
+    assert_eq!(results.requested(), results.unique_variants() as u64);
     // and far fewer than the old per-term serial flow would have run
     let serial_cost = observable.terms().len() as u64 * pipeline.total_instances();
     assert!(backend.executions() < serial_cost);

@@ -37,7 +37,7 @@ fn every_fragment_fits_the_device_for_assorted_benchmarks() {
         let fragments = FragmentSet::from_plan(&plan).expect("fragments");
         for fragment in &fragments.fragments {
             assert!(fragment.num_physical <= device);
-            let instantiated = fragment.instantiate(&fragment.default_variant());
+            let instantiated = fragment.instantiate(0, 0);
             assert!(instantiated.num_qubits() <= device);
         }
     }
