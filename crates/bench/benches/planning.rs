@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrcc_circuit::dag::CircuitDag;
 use qrcc_circuit::generators;
 use qrcc_circuit::graph::random_regular;
-use qrcc_core::cutqc::CutQcPlanner;
 use qrcc_core::model::solve_qrcc_model;
 use qrcc_core::planner::CutPlanner;
 use qrcc_core::QrccConfig;
@@ -46,7 +45,9 @@ fn bench_cutqc_baseline(c: &mut Criterion) {
     group.sample_size(10);
     let circuit = generators::ripple_carry_adder(5, 1);
     group.bench_function("adder5_d7", |b| {
-        b.iter(|| CutQcPlanner::new(7).plan(&circuit).ok().map(|p| p.wire_cut_count()));
+        b.iter(|| {
+            CutPlanner::new(QrccConfig::cutqc(7)).plan(&circuit).ok().map(|p| p.wire_cut_count())
+        });
     });
     group.finish();
 }

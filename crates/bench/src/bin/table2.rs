@@ -3,8 +3,9 @@
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin table2 [--large]`
 
-use qrcc_bench::{average_reduction, harness_config, print_header, table2_workloads, Scale};
-use qrcc_core::cutqc::CutQcPlanner;
+use qrcc_bench::{
+    average_reduction, cutqc_config, harness_config, print_header, table2_workloads, Scale,
+};
 use qrcc_core::planner::CutPlanner;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     let mut reductions_wire = Vec::new();
     let mut reductions_both = Vec::new();
     for (workload, device) in table2_workloads(scale) {
-        let cutqc = CutQcPlanner::new(device).plan(&workload.circuit).ok();
+        let cutqc = CutPlanner::new(cutqc_config(device)).plan(&workload.circuit).ok();
         let wire_only =
             CutPlanner::new(harness_config(device, 1.0, false)).plan(&workload.circuit).ok();
         let both = CutPlanner::new(harness_config(device, 1.0, true)).plan(&workload.circuit).ok();

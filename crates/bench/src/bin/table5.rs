@@ -3,9 +3,8 @@
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin table5 [--large]`
 
-use qrcc_bench::{harness_config, print_header, Scale};
+use qrcc_bench::{cutqc_config, harness_config, print_header, Scale};
 use qrcc_circuit::generators;
-use qrcc_core::cutqc::CutQcPlanner;
 use qrcc_core::planner::CutPlanner;
 
 fn main() {
@@ -39,7 +38,7 @@ fn main() {
     );
     for (name, n, d, circuit) in cases {
         let qrcc = CutPlanner::new(harness_config(d, 1.0, true)).plan(&circuit).ok();
-        let cutqc = CutQcPlanner::new(d).plan(&circuit).ok();
+        let cutqc = CutPlanner::new(cutqc_config(d)).plan(&circuit).ok();
         println!(
             "{:<12} | {:>3} | {:>3} | {:>12} | {:>12} | {:>13}",
             name,

@@ -4,9 +4,8 @@
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin table6 [--large]`
 
-use qrcc_bench::{harness_config, print_header, Scale};
+use qrcc_bench::{cutqc_config, harness_config, print_header, Scale};
 use qrcc_circuit::generators;
-use qrcc_core::cutqc::CutQcPlanner;
 use qrcc_core::fragment::FragmentSet;
 use qrcc_core::planner::CutPlanner;
 
@@ -32,7 +31,7 @@ fn main() {
         &["X (CutQC device)", "#SC", "#cuts", "width before reuse", "width after reuse", "fits D?"],
     );
     for x in (d + 1)..n {
-        let plan = match CutQcPlanner::new(x).plan(&circuit) {
+        let plan = match CutPlanner::new(cutqc_config(x)).plan(&circuit) {
             Ok(plan) => plan,
             Err(_) => {
                 println!(

@@ -4,10 +4,11 @@
 //! `table6`, `figure5` … `figure7`). All binaries accept `--large` to run at
 //! the paper's original problem sizes. The heuristic cut search plans those in
 //! milliseconds; what is slow without a commercial ILP solver is whatever
-//! solves the exact model — `table4`, and the ILP refinement the default
-//! configuration runs on plans of up to 600 node × subcircuit pairs (the
-//! `CutQcPlanner::new` baselines; [`harness_config`] switches it off for
-//! QRCC). The default sizes are scaled down, exercising identical code paths.
+//! solves the exact model — `table4` and `ilp_gap`, and the ILP refinement the
+//! default configuration runs on plans of up to 600 node × subcircuit pairs
+//! ([`harness_config`] switches it off, for QRCC and for the CutQC baseline of
+//! [`cutqc_config`] alike). The default sizes are scaled down, exercising
+//! identical code paths.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -16,7 +17,6 @@ use qrcc_circuit::generators::{self, HamiltonianKind};
 use qrcc_circuit::graph::Graph;
 use qrcc_circuit::observable::PauliObservable;
 use qrcc_circuit::Circuit;
-use qrcc_core::cutqc::CutQcPlanner;
 use qrcc_core::planner::{CutPlan, CutPlanner};
 use qrcc_core::{CoreError, CutMetrics, QrccConfig};
 use std::time::Duration;
@@ -233,10 +233,16 @@ pub fn harness_config(device: usize, delta: f64, gate_cuts: bool) -> QrccConfig 
         .with_ilp_time_limit(Duration::ZERO)
 }
 
+/// The CutQC baseline ([`QrccConfig::cutqc`]: wire cuts only, no qubit
+/// reuse) under the same planner budget [`harness_config`] gives QRCC.
+pub fn cutqc_config(device: usize) -> QrccConfig {
+    harness_config(device, 1.0, false).with_qubit_reuse(false)
+}
+
 /// Runs the three planners of Table 1 / Table 2 on one workload.
 pub fn compare_planners(workload: &Workload, device: usize, gate_cuts: bool) -> ComparisonRow {
     let plan_metrics = |plan: Result<CutPlan, CoreError>| plan.ok().map(|p| p.metrics().clone());
-    let cutqc = plan_metrics(CutQcPlanner::new(device).plan(&workload.circuit));
+    let cutqc = plan_metrics(CutPlanner::new(cutqc_config(device)).plan(&workload.circuit));
     let qrcc_c = plan_metrics(
         CutPlanner::new(harness_config(device, 1.0, gate_cuts)).plan(&workload.circuit),
     );

@@ -155,9 +155,10 @@ pub struct QrccConfig {
     /// Whether gate cutting is enabled (only valid for expectation-value
     /// workloads).
     pub gate_cuts_enabled: bool,
-    /// Whether qubit reuse is exploited when computing subcircuit widths
-    /// (disabling this reproduces the CutQC width model and is used for
-    /// ablations).
+    /// Whether qubit reuse is exploited when computing subcircuit widths,
+    /// in the heuristic search, the ILP model's capacity rows and the plan's
+    /// metrics alike (disabling this reproduces the CutQC width model, see
+    /// [`QrccConfig::cutqc`]).
     pub qubit_reuse_enabled: bool,
     /// Time budget for the exact ILP refinement; the heuristic solution is
     /// returned unchanged when this is zero.
@@ -219,6 +220,13 @@ impl QrccConfig {
     /// subcircuits for fidelity).
     pub fn qrcc_b(device_size: usize) -> Self {
         Self::new(device_size).with_delta(0.7)
+    }
+
+    /// The CutQC baseline (Tang et al., ASPLOS'21) the paper compares
+    /// against: wire cuts only, and no qubit reuse, so every wire segment of
+    /// a subcircuit holds its own physical qubit.
+    pub fn cutqc(device_size: usize) -> Self {
+        Self::new(device_size).with_gate_cuts(false).with_qubit_reuse(false)
     }
 
     /// Sets the `[C_min, C_max]` subcircuit-count range.

@@ -553,7 +553,6 @@ pub fn search_with_subcircuits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cutqc::CutQcPlanner;
     use proptest::prelude::*;
     use qrcc_circuit::{generators, Circuit};
 
@@ -675,7 +674,7 @@ mod tests {
                 generators::qaoa_regular(10, 3, 1, 3).0,
                 gate_cut(6).with_delta(0.5),
             ),
-            ("qft10_no_reuse", generators::qft(10), CutQcPlanner::new(7).config().clone()),
+            ("qft10_no_reuse", generators::qft(10), QrccConfig::cutqc(7)),
         ];
         for (name, circuit, config) in cases {
             let dag = CircuitDag::from_circuit(&circuit);

@@ -10,8 +10,6 @@
 //! * [`planner::CutPlanner`] — finds a reuse-aware cutting solution for a
 //!   device size (heuristic search plus an exact ILP refinement on small
 //!   instances, built on [`qrcc_ilp`]).
-//! * [`cutqc::CutQcPlanner`] — the CutQC-style baseline (wire cuts only, no
-//!   reuse) used throughout the paper's comparisons.
 //! * [`reuse::ReusePass`] — a standalone CaQR-style qubit-reuse pass.
 //! * [`fragment::FragmentSet`] — turns a plan into executable subcircuit
 //!   variants (measurement/initialisation variants for wire cuts, the six
@@ -78,7 +76,6 @@ mod error;
 
 pub mod analyze;
 pub mod cache;
-pub mod cutqc;
 pub mod dispatch;
 pub mod execute;
 pub mod fragment;

@@ -10,6 +10,20 @@
 //! the linearised post-processing cost (15) and the fidelity-balancing term
 //! (16)–(17).
 //!
+//! [`QrccConfig::qubit_reuse_enabled`] picks the capacity form, the same
+//! width model [`CutSolution::subcircuit_widths`] applies to a plan:
+//!
+//! * **reuse on** — constraint (11): at every layer, a subcircuit's live
+//!   wires (a node on the wire at that layer, or a "bridge" binary when the
+//!   layer falls between two of the wire's nodes in that subcircuit) number
+//!   at most `D`;
+//! * **reuse off** — CutQC's capacity: every wire segment of a subcircuit
+//!   holds its own physical qubit for the whole run, so the subcircuit's
+//!   segment count is at most `D`. A segment starts at the wire's first node
+//!   or at a wire boundary whose downstream node is in the subcircuit and
+//!   whose upstream node is not (CutQC's initialisation qubit), counted by
+//!   one `init ≥ m_b − m_a` binary per (boundary, subcircuit).
+//!
 //! Subcircuit labels are interchangeable, so every plan has `C!` relabelled
 //! copies for branch-and-bound to wade through. Symmetry-breaking rows keep
 //! one: labels open in order of first appearance, which also puts the first
@@ -45,8 +59,11 @@ pub struct QrccModel {
     /// Wire-cut indicator per consecutive node pair `(wire, from, to)`.
     wire_cut: HashMap<(usize, NodeId, NodeId), VarId>,
     /// Live-wire bridge per `(wire, layer, subcircuit)`, for the layers that
-    /// fall strictly between two consecutive nodes of the wire.
+    /// fall strictly between two consecutive nodes of the wire (reuse on).
     bridge: HashMap<(usize, usize, usize), VarId>,
+    /// Segment-start indicator per `(wire, from, to, subcircuit)`: the wire
+    /// boundary `from → to` opens a segment of the subcircuit (reuse off).
+    init: HashMap<(usize, NodeId, NodeId, usize), VarId>,
     /// `TE`, the two-qubit-gate count of the largest subcircuit.
     te: VarId,
 }
@@ -170,43 +187,73 @@ impl QrccModel {
             }
         }
 
-        // ---- reuse-aware capacity constraints (paper Eq. (11)) -----------
-        // For every layer l and subcircuit c, the number of live wires of c
-        // at l must not exceed D. A wire contributes its node's membership
-        // when it has a node at layer l, and an auxiliary "bridge" variable
-        // when l falls strictly between two of its nodes (the bridge is
-        // forced to 1 only when both neighbouring nodes are in c).
-        let num_layers = dag.num_layers();
+        // ---- capacity constraints ----------------------------------------
         let mut bridge = HashMap::new();
-        for c in c_range.clone() {
-            for layer in 0..num_layers {
-                let mut usage = LinExpr::new();
-                for wire in 0..dag.num_qubits() {
-                    let qubit = qrcc_circuit::QubitId::new(wire);
-                    let nodes = dag.wire(qubit);
-                    if nodes.is_empty() {
-                        continue;
+        let mut init = HashMap::new();
+        if config.qubit_reuse_enabled {
+            // Reuse-aware (paper Eq. (11)): for every layer l and subcircuit
+            // c, the number of live wires of c at l must not exceed D. A wire
+            // contributes its node's membership when it has a node at layer
+            // l, and an auxiliary "bridge" variable when l falls strictly
+            // between two of its nodes (the bridge is forced to 1 only when
+            // both neighbouring nodes are in c).
+            for c in c_range.clone() {
+                for layer in 0..dag.num_layers() {
+                    let mut usage = LinExpr::new();
+                    for wire in 0..dag.num_qubits() {
+                        let qubit = qrcc_circuit::QubitId::new(wire);
+                        let nodes = dag.wire(qubit);
+                        if nodes.is_empty() {
+                            continue;
+                        }
+                        if let Some(&at) = nodes.iter().find(|&&x| dag.node(x).layer == layer) {
+                            usage.add_scaled(1.0, &membership(at, slot_of(at, wire), c));
+                            continue;
+                        }
+                        // find the neighbouring nodes around this layer
+                        let before = nodes.iter().rev().find(|&&x| dag.node(x).layer < layer);
+                        let after = nodes.iter().find(|&&x| dag.node(x).layer > layer);
+                        if let (Some(&a), Some(&b)) = (before, after) {
+                            let z = ilp.add_binary(format!("live_{wire}_{layer}_{c}"));
+                            bridge.insert((wire, layer, c), z);
+                            // z >= ma + mb - 1
+                            let mut expr = LinExpr::new().term(-1.0, z);
+                            expr.add_scaled(1.0, &membership(a, slot_of(a, wire), c));
+                            expr.add_scaled(1.0, &membership(b, slot_of(b, wire), c));
+                            ilp.add_le(expr, 1.0);
+                            usage.add_term(1.0, z);
+                        }
                     }
-                    if let Some(&at) = nodes.iter().find(|&&x| dag.node(x).layer == layer) {
-                        usage.add_scaled(1.0, &membership(at, slot_of(at, wire), c));
-                        continue;
-                    }
-                    // find the neighbouring nodes around this layer
-                    let before = nodes.iter().rev().find(|&&x| dag.node(x).layer < layer);
-                    let after = nodes.iter().find(|&&x| dag.node(x).layer > layer);
-                    if let (Some(&a), Some(&b)) = (before, after) {
-                        let z = ilp.add_binary(format!("live_{wire}_{layer}_{c}"));
-                        bridge.insert((wire, layer, c), z);
-                        // z >= ma + mb - 1
-                        let mut expr = LinExpr::new().term(-1.0, z);
-                        expr.add_scaled(1.0, &membership(a, slot_of(a, wire), c));
-                        expr.add_scaled(1.0, &membership(b, slot_of(b, wire), c));
-                        ilp.add_le(expr, 1.0);
-                        usage.add_term(1.0, z);
+                    if !usage.is_empty() {
+                        ilp.add_le(usage, config.device_size as f64);
                     }
                 }
-                if !usage.is_empty() {
-                    ilp.add_le(usage, config.device_size as f64);
+            }
+        } else {
+            // No reuse (CutQC): every segment of c holds its own qubit for
+            // the whole run, so c's segment count must not exceed D. The
+            // wire's first node opens a segment when it is in c, and a
+            // boundary (a, b) opens one when b is in c and a is not,
+            // `init >= mb - ma`.
+            for c in c_range.clone() {
+                let mut segments = LinExpr::new();
+                for wire in 0..dag.num_qubits() {
+                    let nodes = dag.wire(qrcc_circuit::QubitId::new(wire));
+                    let Some(&first) = nodes.first() else { continue };
+                    segments.add_scaled(1.0, &membership(first, slot_of(first, wire), c));
+                    for pair in nodes.windows(2) {
+                        let (a, b) = (pair[0], pair[1]);
+                        let opens = ilp.add_binary(format!("init_{wire}_{a}_{b}_{c}"));
+                        init.insert((wire, a, b, c), opens);
+                        let mut expr = LinExpr::new().term(-1.0, opens);
+                        expr.add_scaled(1.0, &membership(b, slot_of(b, wire), c));
+                        expr.add_scaled(-1.0, &membership(a, slot_of(a, wire), c));
+                        ilp.add_le(expr, 0.0);
+                        segments.add_term(1.0, opens);
+                    }
+                }
+                if !segments.is_empty() {
+                    ilp.add_le(segments, config.device_size as f64);
                 }
             }
         }
@@ -260,6 +307,7 @@ impl QrccModel {
             gate_bottom,
             wire_cut,
             bridge,
+            init,
             te,
         }
     }
@@ -291,10 +339,12 @@ impl QrccModel {
                 values[w.index()] = 1.0;
             }
         }
-        // live-wire bridges and TE: set every remaining auxiliary variable to
-        // its implied value by walking the constraints is overkill; instead
-        // set bridges to 1 whenever both neighbours are in the subcircuit and
-        // TE to the true maximum, both computed from the solution.
+        // live-wire bridges, segment starts and TE: set every remaining
+        // auxiliary variable to its implied value by walking the constraints
+        // is overkill; instead set bridges to 1 whenever both neighbours are
+        // in the subcircuit, a boundary's segment start to 1 in its
+        // downstream subcircuit when the wire is cut there, and TE to the
+        // true maximum, all computed from the solution.
         for wire in 0..dag.num_qubits() {
             let qubit = qrcc_circuit::QubitId::new(wire);
             let nodes = dag.wire(qubit).to_vec();
@@ -308,6 +358,8 @@ impl QrccModel {
                             values[var.index()] = 1.0;
                         }
                     }
+                } else if let Some(var) = self.init.get(&(wire, a, b, sb)) {
+                    values[var.index()] = 1.0;
                 }
             }
         }
@@ -316,7 +368,9 @@ impl QrccModel {
         values
     }
 
-    /// Decodes an ILP solution back into a [`CutSolution`].
+    /// Decodes an ILP solution back into a [`CutSolution`]. Labels the
+    /// solution leaves unused are dropped: the symmetry rows open labels in
+    /// order, so they are the trailing ones.
     pub fn extract(&self, solution: &qrcc_ilp::Solution) -> CutSolution {
         let num_nodes = self.assign.len();
         let mut assignment = vec![0usize; num_nodes];
@@ -341,8 +395,9 @@ impl QrccModel {
                 .find(|&c| solution.is_one(self.assign[x][c]))
                 .unwrap_or(0);
         }
+        let used = assignment.iter().chain(gate_cut_assignment.iter().map(|(_, bottom)| bottom));
         CutSolution {
-            num_subcircuits: self.num_subcircuits,
+            num_subcircuits: used.max().map_or(1, |&last| last + 1),
             assignment,
             gate_cuts,
             gate_cut_assignment,
@@ -355,7 +410,7 @@ impl QrccModel {
 /// an earlier node, `open(x, c) ≤ Σ_{y ≤ x} open(y, c − 1)`, where
 /// `open(x, c)` counts node `x`'s uses of subcircuit `c`. Labels then open in
 /// order of first appearance, and the first node sits in subcircuit 0.
-pub(crate) fn open_labels_in_order(
+fn open_labels_in_order(
     ilp: &mut Model,
     num_nodes: usize,
     num_subcircuits: usize,
@@ -397,7 +452,8 @@ pub fn refine_with_ilp(
 
 /// Builds and solves the QRCC model from scratch (no warm start), returning
 /// the cut solution, the solver status and the wall-clock time. Used by the
-/// search-time comparison experiment (Table 4).
+/// search-time comparison experiment (Table 4), which solves it under
+/// [`QrccConfig::new`] and [`QrccConfig::cutqc`].
 pub fn solve_qrcc_model(
     dag: &CircuitDag,
     config: &QrccConfig,
@@ -417,15 +473,21 @@ pub fn solve_qrcc_model(
 mod tests {
     use super::*;
     use crate::heuristic;
-    use qrcc_circuit::Circuit;
+    use crate::planner::CutPlanner;
+    use qrcc_circuit::{generators, Circuit};
 
-    fn ghz_chain(n: usize) -> CircuitDag {
+    fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
+        c.set_name(format!("ghz_{n}"));
         c.h(0);
         for q in 0..n - 1 {
             c.cx(q, q + 1);
         }
-        CircuitDag::from_circuit(&c)
+        c
+    }
+
+    fn ghz_chain(n: usize) -> CircuitDag {
+        CircuitDag::from_circuit(&ghz(n))
     }
 
     #[test]
@@ -456,14 +518,122 @@ mod tests {
     #[test]
     fn warm_start_round_trips_through_the_model() {
         let dag = ghz_chain(5);
-        let config = QrccConfig::new(3);
-        let heuristic_solution = heuristic::search_with_subcircuits(&dag, &config, 2);
-        let model = QrccModel::build(&dag, &config, 2);
-        let warm = model.warm_start(&heuristic_solution, &dag);
-        assert!(
-            model.ilp.is_feasible(&warm, 1e-6),
-            "heuristic warm start must satisfy the ILP constraints"
-        );
+        for reuse in [true, false] {
+            let config = QrccConfig::new(3).with_qubit_reuse(reuse);
+            let heuristic_solution = heuristic::search_with_subcircuits(&dag, &config, 2);
+            let widths = heuristic_solution.subcircuit_widths(&dag, reuse);
+            assert!(widths.iter().all(|&w| w <= 3), "reuse {reuse}: widths {widths:?}");
+            let model = QrccModel::build(&dag, &config, 2);
+            let warm = model.warm_start(&heuristic_solution, &dag);
+            assert!(
+                model.ilp.is_feasible(&warm, 1e-6),
+                "reuse {reuse}: heuristic warm start must satisfy the ILP constraints"
+            );
+        }
+    }
+
+    #[test]
+    fn capacity_rows_follow_the_reuse_flag() {
+        // q1 idles through layers 1 and 2; the wires have 3 + 1 boundaries
+        let mut c = Circuit::new(2);
+        c.h(1).h(0).h(0).h(0).cx(0, 1);
+        let dag = CircuitDag::from_circuit(&c);
+        let reuse = QrccModel::build(&dag, &QrccConfig::new(2), 2);
+        assert_eq!((reuse.bridge.len(), reuse.init.len()), (2 * 2, 0));
+        let no_reuse = QrccModel::build(&dag, &QrccConfig::cutqc(2), 2);
+        assert_eq!((no_reuse.bridge.len(), no_reuse.init.len()), (0, 4 * 2));
+        let uncut = CutSolution { num_subcircuits: 2, ..CutSolution::trivial(&dag) };
+        assert!(no_reuse.ilp.is_feasible(&no_reuse.warm_start(&uncut, &dag), 1e-6));
+    }
+
+    #[test]
+    fn extract_drops_the_labels_an_optimum_leaves_unused() {
+        // reuse runs the chain uncut on two qubits, so the optimum over two
+        // labels leaves label 1 empty; without reuse one cut splits it in
+        // two, and the optimum over three labels leaves label 2 empty
+        let limit = Duration::from_secs(20);
+        let dag = ghz_chain(5);
+        let (solution, _, _) = solve_qrcc_model(&dag, &QrccConfig::new(3), 2, limit).unwrap();
+        assert_eq!(solution.num_subcircuits, 1);
+        assert_eq!(solution.subcircuit_widths(&dag, true), vec![2]);
+        let (solution, _, _) = solve_qrcc_model(&dag, &QrccConfig::cutqc(3), 3, limit).unwrap();
+        assert_eq!(solution.num_subcircuits, 2);
+        assert_eq!(solution.subcircuit_widths(&dag, false), vec![3, 3]);
+    }
+
+    #[test]
+    fn cutqc_preset_plans_without_gate_cuts_or_reuse() {
+        let circuit = generators::qft(5);
+        let config = QrccConfig::cutqc(4);
+        assert!(!config.gate_cuts_enabled);
+        assert!(!config.qubit_reuse_enabled);
+        let plan =
+            CutPlanner::new(config.with_ilp_time_limit(Duration::ZERO)).plan(&circuit).unwrap();
+        assert_eq!(plan.gate_cut_count(), 0);
+        assert!(plan.subcircuit_widths().iter().all(|&w| w <= 4));
+        assert_eq!(plan.subcircuit_widths(), plan.solution().subcircuit_widths(plan.dag(), false));
+    }
+
+    #[test]
+    fn no_reuse_model_solves_small_chains() {
+        let dag = ghz_chain(4);
+        let (solution, _status, _time) =
+            solve_qrcc_model(&dag, &QrccConfig::cutqc(3), 2, Duration::from_secs(20))
+                .expect("solvable");
+        solution.validate(&dag).unwrap();
+        // without reuse, splitting a 4-qubit chain for a 3-qubit device needs
+        // at least one cut
+        assert!(!solution.wire_cuts(&dag).is_empty());
+        assert!(solution.subcircuit_widths(&dag, false).iter().all(|&w| w <= 3));
+    }
+
+    #[test]
+    fn model_optimum_matches_exhaustive_search() {
+        // every two-subcircuit assignment, judged by the widths of the
+        // model's own reuse setting: the model's proven optimum, or its
+        // proof that none fits, must agree
+        let cases = [
+            (generators::qft(4), 3),
+            (generators::qft(5), 4),
+            (generators::aqft(5, 2), 4),
+            (generators::vqe_two_local(4, 1, 3), 3),
+            (ghz(5), 3),
+            (generators::aqft(7, 3), 5),
+        ];
+        for ((circuit, device), reuse) in
+            cases.iter().flat_map(|case| [(case, false), (case, true)])
+        {
+            let dag = CircuitDag::from_circuit(circuit);
+            let nodes = dag.nodes().len();
+            // node 0 sits in subcircuit 0: the other half are relabellings
+            let exhaustive = (0..1u32 << (nodes - 1))
+                .filter_map(|mask| {
+                    let solution = CutSolution {
+                        num_subcircuits: 2,
+                        assignment: (0..nodes).map(|x| ((mask << 1) >> x & 1) as usize).collect(),
+                        gate_cuts: Vec::new(),
+                        gate_cut_assignment: Vec::new(),
+                    };
+                    let widths = solution.subcircuit_widths(&dag, reuse);
+                    widths.iter().all(|w| w <= device).then(|| solution.wire_cuts(&dag).len())
+                })
+                .min();
+            let config = QrccConfig::new(*device).with_qubit_reuse(reuse);
+            let solved = solve_qrcc_model(&dag, &config, 2, Duration::from_secs(60));
+            let name = format!("{} on {device} qubits, reuse {reuse}", circuit.name());
+            match (exhaustive, solved) {
+                (None, None) => {}
+                (Some(cuts), Some((solution, status, _))) => {
+                    assert_eq!(status, qrcc_ilp::SolveStatus::Optimal, "{name}");
+                    assert_eq!(solution.wire_cuts(&dag).len(), cuts, "{name}");
+                    let widths = solution.subcircuit_widths(&dag, reuse);
+                    assert!(widths.iter().all(|w| w <= device), "{name}: widths {widths:?}");
+                }
+                (exhaustive, solved) => {
+                    panic!("{name}: exhaustive {exhaustive:?}, model {:?}", solved.map(|s| s.1))
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,7 +81,9 @@ impl CutPlan {
     }
 }
 
-/// The QRCC cut planner.
+/// The QRCC cut planner. Under [`QrccConfig::cutqc`] it is the CutQC
+/// baseline the paper compares against: the same search and ILP model with
+/// wire cuts only and no qubit reuse.
 ///
 /// ```rust
 /// use qrcc_circuit::generators;

@@ -375,13 +375,6 @@ impl QrccServer {
         self
     }
 
-    /// Attaches an existing (possibly shared) result cache.
-    #[must_use]
-    pub fn with_shared_result_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Sets the cumulative deadline for all reply writes of one batch
     /// (default 120 s). A connection whose client drains replies slower than
     /// this — including a trickle-reader that keeps every individual write

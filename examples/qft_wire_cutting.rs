@@ -16,8 +16,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.two_qubit_gate_count()
     );
 
-    // CutQC baseline: wire cuts only, no qubit reuse.
-    match CutQcPlanner::new(device).plan(&circuit) {
+    // CutQC baseline: wire cuts only, no qubit reuse; heuristic search
+    // alone, like the QRCC plan below.
+    let baseline = QrccConfig::cutqc(device).with_ilp_time_limit(Duration::ZERO);
+    match CutPlanner::new(baseline).plan(&circuit) {
         Ok(plan) => println!(
             "CutQC baseline : {} subcircuits, {} cuts, widths {:?}",
             plan.num_subcircuits(),

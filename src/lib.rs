@@ -70,7 +70,6 @@ pub mod prelude {
     pub use qrcc_core::dispatch::{FailureMode, FlakyBackend, QueueBackend};
     pub use qrcc_core::{
         cache::{CacheLookup, CacheStats, ResultCache, ResultCachePolicy},
-        cutqc::CutQcPlanner,
         dispatch::DispatchStats,
         execute::{
             execute_requests, BackendUsage, ExactBackend, ExecutionBackend, ExecutionResults,

@@ -62,11 +62,14 @@ fn qrcc_never_needs_more_cuts_than_the_baseline_on_reuse_friendly_workloads() {
     // exactly where the paper reports the largest gains. Both planners run
     // the heuristic alone, so the comparison is of search spaces, not of
     // how far a time-limited ILP refinement gets.
-    for (circuit, device) in
-        [(generators::vqe_two_local(10, 2, 1), 6), (generators::ripple_carry_adder(4, 7), 6)]
-    {
+    for (circuit, device) in [
+        (generators::vqe_two_local(10, 2, 1), 6),
+        (generators::vqe_two_local(8, 2, 3), 5),
+        (generators::ripple_carry_adder(4, 7), 6),
+    ] {
         let qrcc = CutPlanner::new(heuristic_config(device)).plan(&circuit).expect("qrcc plan");
-        let baseline = CutQcPlanner::new(device).with_config(heuristic_config(device));
+        let baseline =
+            CutPlanner::new(QrccConfig::cutqc(device).with_ilp_time_limit(Duration::ZERO));
         // The baseline failing outright is an even stronger form of the claim.
         if let Ok(cutqc) = baseline.plan(&circuit) {
             assert!(
