@@ -1,15 +1,19 @@
 //! Result-cache benchmark: a QAOA-style parameter sweep executed cold
 //! (empty cache), warm (every circuit already cached — zero device shots),
-//! and as a shot top-up (the same sweep at a doubled per-circuit shot count,
-//! served as delta hits that execute only the missing half). Writes
-//! `BENCH_cache.json` in the working directory.
+//! as a shot top-up (the same sweep at a doubled per-circuit shot count,
+//! served as delta hits that execute only the missing half), and as churn
+//! (the sweep twice through a fresh cache of half the cold pass's final
+//! weight, so stores evict). Writes `BENCH_cache.json` in the working
+//! directory.
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin bench_cache [--smoke]`
 //!
 //! `--smoke` runs a scaled-down sweep and exits non-zero unless the warm
 //! pass spends at least 50% fewer device shots than the cold pass at
-//! byte-identical reconstruction — the CI guard against cache regressions.
-//! The full run records the numbers quoted in the README.
+//! byte-identical reconstruction, and the churn pass evicts, stays inside
+//! its budget and spends exactly `BASE_SHOTS` per miss — the CI guard
+//! against cache regressions. The full run records the numbers quoted in
+//! the README.
 
 use qrcc_circuit::Circuit;
 use qrcc_core::obs::{bench_json, Histogram, MetricsSnapshot};
@@ -32,6 +36,7 @@ struct Phase {
     delta_hits: u64,
     misses: u64,
     shots_saved: u64,
+    evictions: u64,
     /// Largest |Δp| against the cold pass's reconstruction (0 for cold).
     max_dp: f64,
     /// Per-point request latency (execute + reconstruct) in microseconds.
@@ -49,6 +54,7 @@ impl Phase {
             .with_counter(&format!("{}.delta_hits", self.name), self.delta_hits)
             .with_counter(&format!("{}.misses", self.name), self.misses)
             .with_counter(&format!("{}.shots_saved", self.name), self.shots_saved)
+            .with_counter(&format!("{}.evictions", self.name), self.evictions)
             .with_gauge(&format!("{}.wall_ms", self.name), self.wall_ms)
             .with_gauge(&format!("{}.max_dp", self.name), self.max_dp)
             .with_histogram(&format!("{}.request_latency_us", self.name), self.latency.clone())
@@ -121,6 +127,7 @@ fn phase(
         delta_hits: after.delta_hits - before.delta_hits,
         misses: after.misses - before.misses,
         shots_saved: after.shots_saved - before.shots_saved,
+        evictions: after.evictions - before.evictions,
         max_dp,
         latency,
     }
@@ -128,7 +135,10 @@ fn phase(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (qubits, points) = if smoke { (5, 4) } else { (6, 12) };
+    // at 4 smoke points (28 circuits) the churn cache's per-shard share is 7
+    // values, narrower than one 8-value entry, so it would store and evict
+    // nothing; 8 points give every shard room for one entry
+    let (qubits, points) = if smoke { (5, 8) } else { (6, 12) };
 
     println!(
         "result-cache benchmark: {points}-point sweep, {qubits}-qubit ansatz on a 3-qubit device\n"
@@ -145,18 +155,17 @@ fn main() {
 
     // one shared cache; the cold/warm registry samples BASE_SHOTS per
     // circuit, the top-up registry asks for twice that from the same device
-    let mut registry = DeviceRegistry::new();
-    registry.register_device("dev3", Device::new(DeviceConfig::ideal(3).with_seed(11)), BASE_SHOTS);
-    let registry = registry.with_result_cache(&ResultCachePolicy::in_memory());
+    let device_registry = |name: &str, shots: u64| {
+        let mut registry = DeviceRegistry::new();
+        registry.register_device(name, Device::new(DeviceConfig::ideal(3).with_seed(11)), shots);
+        registry
+    };
+    let registry =
+        device_registry("dev3", BASE_SHOTS).with_result_cache(&ResultCachePolicy::in_memory());
     let cache = Arc::clone(registry.result_cache().expect("cache enabled"));
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
 
-    let mut upsized = DeviceRegistry::new();
-    upsized.register_device(
-        "dev3-2x",
-        Device::new(DeviceConfig::ideal(3).with_seed(11)),
-        2 * BASE_SHOTS,
-    );
+    let mut upsized = device_registry("dev3-2x", 2 * BASE_SHOTS);
     upsized.set_result_cache(Arc::clone(&cache));
     let upsized_scheduler = Scheduler::new(&upsized, SchedulePolicy::default());
 
@@ -197,8 +206,40 @@ fn main() {
         topup_latency,
     ));
 
+    // churn: the sweep twice through a fresh cache holding half of what the
+    // cold pass stored, so the second sweep finds only part of the first
+    let churn_capacity = s1.weight / 2;
+    let churn_registry = device_registry("dev3", BASE_SHOTS)
+        .with_result_cache(&ResultCachePolicy::in_memory().with_capacity(churn_capacity));
+    let churn_cache = Arc::clone(churn_registry.result_cache().expect("cache enabled"));
+    let churn_scheduler = Scheduler::new(&churn_registry, SchedulePolicy::default());
+    let c0 = churn_cache.stats();
+    let (mut churn_p, mut churn_shots, mut churn_latency) = (Vec::new(), 0, Histogram::new());
+    let t = Instant::now();
+    for sweep in 0..2 {
+        let (p, shots, latency) = run_sweep(&pipelines, &churn_scheduler);
+        let weight = churn_cache.stats().weight;
+        assert!(
+            weight <= churn_capacity,
+            "churn sweep {sweep}: weight {weight} over its {churn_capacity}-value budget"
+        );
+        churn_p = p;
+        churn_shots += shots;
+        churn_latency.merge(&latency);
+    }
+    let churn_ms = t.elapsed().as_secs_f64() * 1e3;
+    phases.push(phase(
+        "churn",
+        &c0,
+        &churn_cache.stats(),
+        churn_ms,
+        churn_shots,
+        max_dp(&cold_p, &churn_p),
+        churn_latency,
+    ));
+
     println!(
-        "{:<10} {:>10} {:>13} {:>6} {:>7} {:>7} {:>12} {:>10} {:>9} {:>9}",
+        "{:<10} {:>10} {:>13} {:>6} {:>7} {:>7} {:>12} {:>8} {:>10} {:>9} {:>9}",
         "phase",
         "wall (ms)",
         "device shots",
@@ -206,13 +247,14 @@ fn main() {
         "deltas",
         "misses",
         "shots saved",
+        "evicted",
         "max |Δp|",
         "p50 (us)",
         "p99 (us)"
     );
     for p in &phases {
         println!(
-            "{:<10} {:>10.1} {:>13} {:>6} {:>7} {:>7} {:>12} {:>10.2e} {:>9} {:>9}",
+            "{:<10} {:>10.1} {:>13} {:>6} {:>7} {:>7} {:>12} {:>8} {:>10.2e} {:>9} {:>9}",
             p.name,
             p.wall_ms,
             p.device_shots,
@@ -220,6 +262,7 @@ fn main() {
             p.delta_hits,
             p.misses,
             p.shots_saved,
+            p.evictions,
             p.max_dp,
             p.latency.p50().unwrap_or(0),
             p.latency.p99().unwrap_or(0),
@@ -230,7 +273,7 @@ fn main() {
         "\nwarm pass: {speedup:.1}x wall-clock, {warm_shots} of {cold_shots} cold device shots"
     );
 
-    let (cold, warm, topup) = (&phases[0], &phases[1], &phases[2]);
+    let (cold, warm, topup, churn) = (&phases[0], &phases[1], &phases[2], &phases[3]);
     // the sweep's circuits deduplicate within a point but not across points,
     // so the warm pass must re-serve every cold miss as a full hit...
     assert_eq!(warm.hits, cold.misses, "every cold miss must warm-hit");
@@ -248,6 +291,14 @@ fn main() {
     assert_eq!(
         topup.device_shots, cold.device_shots,
         "a 2x top-up executes exactly the missing half"
+    );
+    // a cache of half the sweep's weight must evict, and every miss it
+    // causes costs exactly one base-shot execution
+    assert!(churn.evictions > 0, "a half-size cache must evict during the churn pass");
+    assert_eq!(
+        churn.device_shots,
+        churn.misses * BASE_SHOTS,
+        "churn pass: every miss executes BASE_SHOTS, every hit none"
     );
 
     if smoke {

@@ -22,15 +22,24 @@
 //! **Eviction.** The cache is sharded ([`ResultCache::SHARDS`] mutexes) and
 //! bounded by a total weight budget counted in stored distribution values
 //! (`f64` slots). Inserting past the budget evicts least-recently-used
-//! entries per shard.
+//! entries per shard. Every touch draws a fresh tick from one global counter,
+//! and each shard keeps a recency index (tick → structural hash) beside its
+//! buckets, so the shard's LRU entry is the index's first key: a lookup, a
+//! store and an eviction each cost O(log n) in the shard's entry count plus
+//! one hash bucket, and no operation scans the shard.
+//!
+//! **Validation.** A record is only cached when it is a distribution over
+//! its circuit's classical bits: exactly `1 << num_clbits` values, each
+//! finite and non-negative. [`ResultCache::store`] drops any other record.
 //!
 //! **Persistence.** With [`ResultCachePolicy::persist_path`] set,
 //! [`ResultCache::persist`] writes an atomic snapshot (temp file + rename)
 //! and [`ResultCache::open`] reloads it, so a restarted worker serves hits
-//! immediately. Snapshots carry a format version header; a mismatched or
-//! unparseable snapshot is ignored (the cache starts empty) rather than
-//! failing the worker — [`CacheStats::snapshot_ignored`] records that this
-//! happened. Circuits are
+//! immediately. Snapshots carry a format version header; a mismatched,
+//! unparseable or invalid snapshot — one entry failing the validation above
+//! is enough — is ignored whole (the cache starts empty) rather than
+//! failing the worker or half-loading; [`CacheStats::snapshot_ignored`]
+//! records that this happened. Circuits are
 //! stored as OpenQASM text and distribution values as `f64` bit patterns,
 //! both of which round-trip exactly, so a reloaded entry hits on precisely
 //! the hashes the live entry did.
@@ -39,7 +48,7 @@ use parking_lot::Mutex;
 use qrcc_circuit::qasm::{from_qasm, to_qasm};
 use qrcc_circuit::Circuit;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,8 +139,9 @@ pub struct CacheStats {
     pub weight: u64,
     /// Entries restored from a persisted snapshot at open.
     pub snapshot_loaded: u64,
-    /// Whether a snapshot existed but was ignored (version mismatch or
-    /// unparseable content) — the cache started empty instead of failing.
+    /// Whether a snapshot existed but was ignored (version mismatch,
+    /// unparseable content or an invalid entry) — the cache started empty
+    /// instead of failing.
     pub snapshot_ignored: bool,
 }
 
@@ -210,18 +220,47 @@ impl Entry {
     }
 }
 
-/// One lock domain: structural-hash buckets plus their total weight.
+/// One lock domain: structural-hash buckets, their recency index and their
+/// total weight.
 #[derive(Default)]
 struct Shard {
     buckets: HashMap<u64, Vec<Entry>>,
+    /// Every held entry once, keyed by its `last_used` tick (ticks are
+    /// unique): the first key is the least-recently-used entry.
+    recency: BTreeMap<u64, u64>,
     weight: u64,
+}
+
+impl Shard {
+    /// Moves `entry` (held in bucket `hash`) to `tick` in the recency index.
+    fn touch(recency: &mut BTreeMap<u64, u64>, entry: &mut Entry, hash: u64, tick: u64) {
+        recency.remove(&entry.last_used);
+        recency.insert(tick, hash);
+        entry.last_used = tick;
+    }
+
+    /// Removes the least-recently-used entry. Returns whether anything was
+    /// removed.
+    fn evict_lru(&mut self) -> bool {
+        let Some((tick, hash)) = self.recency.pop_first() else {
+            return false;
+        };
+        let bucket = self.buckets.get_mut(&hash).expect("indexed bucket exists");
+        let index = bucket.iter().position(|e| e.last_used == tick).expect("indexed entry exists");
+        let entry = bucket.remove(index);
+        self.weight -= entry.weight();
+        if bucket.is_empty() {
+            self.buckets.remove(&hash);
+        }
+        true
+    }
 }
 
 /// A sharded, shot-count-aware, content-addressed result cache. See the
 /// [module docs](self) for key, shot and persistence semantics.
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
-    shard_capacity: u64,
+    capacity: u64,
     persist_path: Option<PathBuf>,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -251,7 +290,7 @@ impl ResultCache {
     pub fn new(capacity: u64) -> Self {
         ResultCache {
             shards: (0..Self::SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: capacity.div_ceil(Self::SHARDS as u64),
+            capacity,
             persist_path: None,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -306,7 +345,8 @@ impl ResultCache {
         let hash = circuit.structural_hash();
         let mut shard = self.shards[(hash as usize) % Self::SHARDS].lock();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let Some(bucket) = shard.buckets.get_mut(&hash) else {
+        let Shard { buckets, recency, .. } = &mut *shard;
+        let Some(bucket) = buckets.get_mut(&hash) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         };
@@ -328,19 +368,19 @@ impl ResultCache {
             // An exact entry serves anything; a sufficiently-sampled entry
             // serves any smaller sampled request.
             (None, requested) => {
-                entry.last_used = tick;
+                Shard::touch(recency, entry, hash, tick);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(requested.unwrap_or(0), Ordering::Relaxed);
                 CacheLookup::Hit(entry.distribution.clone())
             }
             (Some(stored), Some(requested)) if stored >= requested => {
-                entry.last_used = tick;
+                Shard::touch(recency, entry, hash, tick);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(requested, Ordering::Relaxed);
                 CacheLookup::Hit(entry.distribution.clone())
             }
             (Some(stored), Some(requested)) => {
-                entry.last_used = tick;
+                Shard::touch(recency, entry, hash, tick);
                 self.delta_hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(stored, Ordering::Relaxed);
                 CacheLookup::Delta {
@@ -361,42 +401,51 @@ impl ResultCache {
     /// replaced only when the new record serves more shots (exact beats
     /// sampled; more shots beat fewer), so concurrent write-backs keep the
     /// best-converged distribution. Inserting past the weight budget evicts
-    /// least-recently-used entries of the shard.
+    /// least-recently-used entries of the shard. A record that is not a
+    /// distribution over `circuit`'s classical bits (see the
+    /// [module docs](self)) is dropped.
     pub fn store(&self, circuit: &Circuit, distribution: &[f64], shots: Option<u64>) {
-        if self.insert_silent(circuit.clone(), distribution.to_vec(), shots) {
+        if is_distribution_of(circuit, distribution)
+            && self.insert_silent(circuit.clone(), distribution.to_vec(), shots)
+        {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// The insertion path shared by [`store`](Self::store) and snapshot
-    /// loading. Returns whether the record was inserted or upgraded.
+    /// loading, both of which validate the record first. Returns whether the
+    /// record was inserted or upgraded.
     fn insert_silent(&self, circuit: Circuit, distribution: Vec<f64>, shots: Option<u64>) -> bool {
         let weight = distribution.len() as u64;
-        if weight > self.shard_capacity {
+        let hash = circuit.structural_hash();
+        let index = (hash as usize) % Self::SHARDS;
+        let capacity = self.shard_capacity(index);
+        if weight > capacity {
             return false; // wider than a whole shard: uncacheable
         }
-        let hash = circuit.structural_hash();
-        let mut shard = self.shards[(hash as usize) % Self::SHARDS].lock();
+        let mut shard = self.shards[index].lock();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let serves = shots.map_or(u64::MAX, |s| s);
-        let bucket = shard.buckets.entry(hash).or_default();
+        let Shard { buckets, recency, .. } = &mut *shard;
+        let bucket = buckets.entry(hash).or_default();
         let gained = match bucket.iter_mut().find(|e| e.circuit.structurally_equal(&circuit)) {
             Some(existing) if existing.serves() >= serves => return false,
             Some(existing) => {
-                let replaced = existing_weight(existing);
+                let replaced = existing.weight();
                 existing.distribution = distribution;
                 existing.shots = shots;
-                existing.last_used = tick;
+                Shard::touch(recency, existing, hash, tick);
                 weight as i64 - replaced as i64
             }
             None => {
                 bucket.push(Entry { circuit, distribution, shots, last_used: tick });
+                recency.insert(tick, hash);
                 weight as i64
             }
         };
         shard.weight = shard.weight.saturating_add_signed(gained);
-        while shard.weight > self.shard_capacity {
-            if !evict_lru(&mut shard) {
+        while shard.weight > capacity {
+            if !shard.evict_lru() {
                 break;
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -404,9 +453,16 @@ impl ResultCache {
         true
     }
 
+    /// Shard `index`'s share of the weight budget: the budget split as
+    /// evenly as whole values allow, so the shares sum to exactly the budget.
+    fn shard_capacity(&self, index: usize) -> u64 {
+        let shards = Self::SHARDS as u64;
+        self.capacity / shards + u64::from((index as u64) < self.capacity % shards)
+    }
+
     /// Number of entries currently held.
     pub fn entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().buckets.values().map(Vec::len).sum::<usize>()).sum()
+        self.shards.iter().map(|s| s.lock().recency.len()).sum()
     }
 
     /// Snapshot of the cumulative counters plus current entry/weight gauges.
@@ -414,7 +470,7 @@ impl ResultCache {
         let (mut entries, mut weight) = (0u64, 0u64);
         for shard in &self.shards {
             let shard = shard.lock();
-            entries += shard.buckets.values().map(|b| b.len() as u64).sum::<u64>();
+            entries += shard.recency.len() as u64;
             weight += shard.weight;
         }
         CacheStats {
@@ -446,26 +502,11 @@ impl ResultCache {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let mut text = format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n");
+        let mut text = snapshot_header();
         for shard in &self.shards {
             let shard = shard.lock();
             for entry in shard.buckets.values().flatten() {
-                let shots = match entry.shots {
-                    None => "exact".to_string(),
-                    Some(s) => s.to_string(),
-                };
-                let dist: Vec<String> =
-                    entry.distribution.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
-                let qasm = to_qasm(&entry.circuit);
-                let lines = qasm.lines().count();
-                text.push_str(&format!(
-                    "entry shots={shots} dist={} qasm_lines={lines}\n",
-                    dist.join(",")
-                ));
-                text.push_str(&qasm);
-                if !qasm.ends_with('\n') {
-                    text.push('\n');
-                }
+                push_snapshot_entry(&mut text, &entry.circuit, &entry.distribution, entry.shots);
             }
         }
         let tmp = path.with_extension("tmp");
@@ -474,33 +515,11 @@ impl ResultCache {
     }
 }
 
-/// Weight of an entry behind a mutable borrow (free function to satisfy the
-/// borrow checker inside `insert_silent`'s match).
-fn existing_weight(entry: &Entry) -> u64 {
-    entry.distribution.len() as u64
-}
-
-/// Removes the least-recently-used entry of `shard`. Returns whether
-/// anything was removed.
-fn evict_lru(shard: &mut Shard) -> bool {
-    let victim = shard
-        .buckets
-        .iter()
-        .flat_map(|(&hash, bucket)| {
-            bucket.iter().enumerate().map(move |(i, e)| (e.last_used, hash, i))
-        })
-        .min()
-        .map(|(_, hash, i)| (hash, i));
-    let Some((hash, index)) = victim else {
-        return false;
-    };
-    let bucket = shard.buckets.get_mut(&hash).expect("victim bucket exists");
-    let entry = bucket.remove(index);
-    shard.weight -= entry.weight();
-    if bucket.is_empty() {
-        shard.buckets.remove(&hash);
-    }
-    true
+/// Whether `distribution` can be `circuit`'s outcome distribution: one
+/// finite, non-negative value per classical-bit pattern.
+fn is_distribution_of(circuit: &Circuit, distribution: &[f64]) -> bool {
+    let patterns = u32::try_from(circuit.num_clbits()).ok().and_then(|n| 1usize.checked_shl(n));
+    patterns == Some(distribution.len()) && distribution.iter().all(|v| v.is_finite() && *v >= 0.0)
 }
 
 /// Merges a cached `base` distribution (estimated from `base_shots`) with a
@@ -521,14 +540,37 @@ pub fn merge_distributions(
     base.iter().zip(delta).map(|(b, d)| b * wb + d * wd).collect()
 }
 
+/// A snapshot's first line.
+fn snapshot_header() -> String {
+    format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n")
+}
+
+/// Appends one entry — its header line, then its circuit as QASM — to a
+/// snapshot document.
+fn push_snapshot_entry(text: &mut String, circuit: &Circuit, dist: &[f64], shots: Option<u64>) {
+    let shots = match shots {
+        None => "exact".to_string(),
+        Some(s) => s.to_string(),
+    };
+    let dist: Vec<String> = dist.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+    let qasm = to_qasm(circuit);
+    let lines = qasm.lines().count();
+    text.push_str(&format!("entry shots={shots} dist={} qasm_lines={lines}\n", dist.join(",")));
+    text.push_str(&qasm);
+    if !qasm.ends_with('\n') {
+        text.push('\n');
+    }
+}
+
 /// Parses a snapshot header line, returning its version.
 fn parse_header(line: &str) -> Option<u32> {
     let rest = line.strip_prefix(SNAPSHOT_MAGIC)?.trim().strip_prefix('v')?;
     rest.parse().ok()
 }
 
-/// Parses a full snapshot document into its entries. Any malformed line
-/// fails the whole parse — a torn snapshot must not half-load.
+/// Parses a full snapshot document into its entries. Any malformed line or
+/// invalid entry fails the whole parse — a torn or corrupt snapshot must not
+/// half-load.
 #[allow(clippy::type_complexity)]
 fn parse_snapshot(text: &str) -> Result<Vec<(Circuit, Vec<f64>, Option<u64>)>, String> {
     let mut lines = text.lines();
@@ -578,6 +620,13 @@ fn parse_snapshot(text: &str) -> Result<Vec<(Circuit, Vec<f64>, Option<u64>)>, S
             qasm.push('\n');
         }
         let circuit = from_qasm(&qasm).map_err(|e| format!("snapshot QASM: {e}"))?;
+        if !is_distribution_of(&circuit, &dist) {
+            return Err(format!(
+                "{} values is not a distribution over {} clbits",
+                dist.len(),
+                circuit.num_clbits()
+            ));
+        }
         entries.push((circuit, dist, shots));
     }
     Ok(entries)
@@ -586,6 +635,7 @@ fn parse_snapshot(text: &str) -> Result<Vec<(Circuit, Vec<f64>, Option<u64>)>, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
     fn bell() -> Circuit {
@@ -663,23 +713,331 @@ mod tests {
         assert!((merged[1] - 0.25).abs() < 1e-12);
     }
 
+    /// `count` distinct 2-clbit circuits that all land in one shard.
+    fn same_shard(count: usize) -> Vec<Circuit> {
+        let shard = |c: &Circuit| (c.structural_hash() as usize) % ResultCache::SHARDS;
+        let target = shard(&rotated(0.01));
+        (1..).map(|i| rotated(0.01 * i as f64)).filter(|c| shard(c) == target).take(count).collect()
+    }
+
     #[test]
-    fn lru_eviction_respects_capacity() {
-        // capacity = 16 shards * 1 value each; 4-value distributions mean a
-        // shard holds at most... nothing (4 > 1): use a bigger budget.
-        let cache = ResultCache::new(16 * 8); // 8 values per shard = two 4-value entries
-        let circuits: Vec<Circuit> = (0..40).map(|i| rotated(0.01 * (i + 1) as f64)).collect();
-        for c in &circuits {
-            cache.store(c, &[0.25; 4], Some(10));
-        }
+    fn lru_evicts_the_least_recently_touched_entry_of_a_shard() {
+        // 8 values per shard: two 4-value entries fit, a third evicts one
+        let cache = ResultCache::new(16 * 8);
+        let [a, b, c]: [Circuit; 3] = same_shard(3).try_into().unwrap();
+        cache.store(&a, &[0.25; 4], Some(10));
+        cache.store(&b, &[0.5, 0.5, 0.0, 0.0], Some(10));
+        assert!(matches!(cache.lookup(&a, Some(10)), CacheLookup::Hit(_)));
+        cache.store(&c, &[0.0, 0.0, 0.5, 0.5], Some(10));
         let stats = cache.stats();
-        assert!(stats.weight <= 16 * 8, "weight {} over budget", stats.weight);
-        assert!(stats.evictions > 0, "40 entries cannot fit in 32 slots");
-        // recently used entries survive preferentially: touch the last one
-        assert!(matches!(
-            cache.lookup(&circuits[39], Some(10)),
-            CacheLookup::Hit(_) | CacheLookup::Miss
-        ));
+        assert_eq!((stats.evictions, stats.entries, stats.weight), (1, 2, 8));
+        assert_eq!(cache.lookup(&b, Some(10)), CacheLookup::Miss, "B was least recently used");
+        assert_eq!(cache.lookup(&a, Some(10)), CacheLookup::Hit(vec![0.25; 4]));
+        assert_eq!(cache.lookup(&c, Some(10)), CacheLookup::Hit(vec![0.0, 0.0, 0.5, 0.5]));
+    }
+
+    #[test]
+    fn weight_never_exceeds_a_budget_that_does_not_divide_by_the_shards() {
+        // 113 values over 16 shards: one share of 8 values, fifteen of 7 —
+        // rounding every share up to 8 would let the shards hold 128
+        let cache = ResultCache::new(113);
+        for i in 0..200 {
+            cache.store(&rotated(0.01 * (i + 1) as f64), &[0.25; 4], Some(10));
+            assert!(cache.stats().weight <= 113, "weight over budget after store {i}");
+        }
+        let total: u64 = (0..ResultCache::SHARDS).map(|i| cache.shard_capacity(i)).sum();
+        assert_eq!(total, 113, "shard shares must sum to the budget");
+    }
+
+    #[test]
+    fn mis_sized_or_non_probability_records_are_refused() {
+        let cache = ResultCache::new(1 << 16);
+        let c = bell();
+        for bad in [&[1.0, 0.0, 0.0][..], &[0.5, 0.5, 0.0, 0.0, 0.0], &[f64::NAN, 0.0, 0.0, 1.0]] {
+            cache.store(&c, bad, None);
+        }
+        cache.store(&c, &[1.5, -0.5, 0.0, 0.0], None);
+        cache.store(&c, &[f64::INFINITY, 0.0, 0.0, 0.0], None);
+        assert_eq!(cache.lookup(&c, None), CacheLookup::Miss);
+        assert_eq!(cache.stats().insertions, 0);
+    }
+
+    /// A snapshot document holding `entries` verbatim, valid or not.
+    fn snapshot_text(entries: &[(Circuit, Vec<f64>, Option<u64>)]) -> String {
+        let mut text = snapshot_header();
+        for (circuit, dist, shots) in entries {
+            push_snapshot_entry(&mut text, circuit, dist, *shots);
+        }
+        text
+    }
+
+    #[test]
+    fn a_snapshot_with_a_mis_sized_distribution_is_ignored() {
+        let path = scratch("missized");
+        let policy = ResultCachePolicy::persisted(path.to_string_lossy().to_string());
+        let good = (rotated(0.7), vec![0.25; 4], None);
+        for bad in [vec![1.0, 0.0, 0.0], vec![1.5, -0.5, 0.0, 0.0], vec![f64::NAN, 0.0, 0.0, 1.0]] {
+            std::fs::write(&path, snapshot_text(&[good.clone(), (bell(), bad, None)])).unwrap();
+            let cache = ResultCache::open(&policy);
+            let stats = cache.stats();
+            assert!(stats.snapshot_ignored, "an invalid entry must void the snapshot");
+            assert_eq!((stats.snapshot_loaded, stats.entries), (0, 0));
+            assert_eq!(cache.lookup(&bell(), None), CacheLookup::Miss);
+            assert_eq!(cache.lookup(&rotated(0.7), None), CacheLookup::Miss);
+        }
+        // the same snapshot without the bad entry loads
+        std::fs::write(&path, snapshot_text(&[good])).unwrap();
+        assert_eq!(ResultCache::open(&policy).stats().snapshot_loaded, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A `qubits`-wide CX ladder with one angle: distinct angles give
+    /// structurally distinct circuits over `qubits` clbits.
+    fn ladder(qubits: usize, theta: f64) -> Circuit {
+        let mut c = Circuit::new(qubits);
+        c.h(0);
+        for q in 1..qubits {
+            c.cx(q - 1, q);
+        }
+        c.ry(theta, qubits - 1).measure_all();
+        c
+    }
+
+    /// One entry of the scan oracle.
+    struct ScanEntry {
+        /// Index into the test's circuit universe.
+        circuit: usize,
+        distribution: Vec<f64>,
+        shots: Option<u64>,
+        last_used: u64,
+    }
+
+    /// The cache as it was before its recency index, kept as the oracle for
+    /// it: one flat entry list per shard, whose eviction victim is found by
+    /// scanning every entry of the shard for the oldest touch.
+    struct ScanOracle {
+        capacities: Vec<u64>,
+        shards: Vec<Vec<ScanEntry>>,
+        tick: u64,
+        evictions: u64,
+    }
+
+    impl ScanOracle {
+        fn new(cache: &ResultCache) -> Self {
+            ScanOracle {
+                capacities: (0..ResultCache::SHARDS).map(|i| cache.shard_capacity(i)).collect(),
+                shards: (0..ResultCache::SHARDS).map(|_| Vec::new()).collect(),
+                tick: 0,
+                evictions: 0,
+            }
+        }
+
+        fn lookup(&mut self, shard: usize, circuit: usize, requested: Option<u64>) -> CacheLookup {
+            self.tick += 1;
+            let Some(e) = self.shards[shard].iter_mut().find(|e| e.circuit == circuit) else {
+                return CacheLookup::Miss;
+            };
+            let found = match (e.shots, requested) {
+                (None, _) => CacheLookup::Hit(e.distribution.clone()),
+                (Some(stored), Some(r)) if stored >= r => CacheLookup::Hit(e.distribution.clone()),
+                (Some(stored), Some(r)) => CacheLookup::Delta {
+                    base: e.distribution.clone(),
+                    base_shots: stored,
+                    missing: r - stored,
+                },
+                (Some(_), None) => return CacheLookup::Miss,
+            };
+            e.last_used = self.tick;
+            found
+        }
+
+        fn store(&mut self, shard: usize, circuit: usize, dist: &[f64], shots: Option<u64>) {
+            let capacity = self.capacities[shard];
+            if dist.len() as u64 > capacity {
+                return;
+            }
+            self.tick += 1;
+            let serves = |shots: Option<u64>| shots.unwrap_or(u64::MAX);
+            let entries = &mut self.shards[shard];
+            match entries.iter_mut().find(|e| e.circuit == circuit) {
+                Some(e) if serves(e.shots) >= serves(shots) => return,
+                Some(e) => {
+                    e.distribution = dist.to_vec();
+                    e.shots = shots;
+                    e.last_used = self.tick;
+                }
+                None => entries.push(ScanEntry {
+                    circuit,
+                    distribution: dist.to_vec(),
+                    shots,
+                    last_used: self.tick,
+                }),
+            }
+            while entries.iter().map(|e| e.distribution.len() as u64).sum::<u64>() > capacity {
+                let victim = (0..entries.len()).min_by_key(|&i| entries[i].last_used).unwrap();
+                entries.remove(victim);
+                self.evictions += 1;
+            }
+        }
+    }
+
+    /// One held entry: structural hash, distribution bit patterns, shots.
+    type Held = (u64, Vec<u64>, Option<u64>);
+
+    /// Every held entry as `(structural hash, distribution bits, shots)`,
+    /// sorted; and a check that each shard's recency index holds exactly its
+    /// entries, each under its own tick.
+    fn held_entries(cache: &ResultCache) -> Result<Vec<Held>, String> {
+        let mut held = Vec::new();
+        for shard in &cache.shards {
+            let shard = shard.lock();
+            let entries: usize = shard.buckets.values().map(Vec::len).sum();
+            if shard.recency.len() != entries {
+                return Err(format!(
+                    "index holds {} ticks for {entries} entries",
+                    shard.recency.len()
+                ));
+            }
+            for (&tick, hash) in &shard.recency {
+                if !shard.buckets.get(hash).is_some_and(|b| b.iter().any(|e| e.last_used == tick)) {
+                    return Err(format!("tick {tick} indexes no entry of bucket {hash:x}"));
+                }
+            }
+            let weight: u64 = shard.buckets.values().flatten().map(Entry::weight).sum();
+            if weight != shard.weight {
+                return Err(format!("shard weight {} != held {weight}", shard.weight));
+            }
+            for (&hash, bucket) in &shard.buckets {
+                for e in bucket {
+                    let bits = e.distribution.iter().map(|v| v.to_bits()).collect();
+                    held.push((hash, bits, e.shots));
+                }
+            }
+        }
+        held.sort();
+        Ok(held)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random store/lookup sequences on a small cache whose circuits
+        /// crowd two shards: every lookup answers as the scan oracle does,
+        /// the surviving entries are the oracle's, and the recency index
+        /// stays exactly in step with the buckets.
+        #[test]
+        fn recency_index_evicts_exactly_what_the_scan_did(
+            ops in collection::vec(
+                (any::<bool>(), 0..10usize, 0..4u64, 0..3usize),
+                1..120,
+            )
+        ) {
+            let shard_of = |c: &Circuit| (c.structural_hash() as usize) % ResultCache::SHARDS;
+            let universe: Vec<Circuit> = (1..)
+                .map(|i| ladder(1 + i % 3, 0.01 * i as f64))
+                .filter(|c| shard_of(c) < 2)
+                .take(10)
+                .collect();
+            // 195 values: shards 0-2 hold 13, the rest 12
+            let cache = ResultCache::new(16 * 12 + 3);
+            let mut oracle = ScanOracle::new(&cache);
+            for (is_store, id, shots, variant) in ops {
+                let circuit = &universe[id];
+                let shots = (shots > 0).then_some(100 * shots);
+                if is_store {
+                    let len = 1usize << circuit.num_clbits();
+                    let dist: Vec<f64> = (0..len).map(|k| ((k + variant) % 3) as f64).collect();
+                    cache.store(circuit, &dist, shots);
+                    oracle.store(shard_of(circuit), id, &dist, shots);
+                } else {
+                    let got = cache.lookup(circuit, shots);
+                    prop_assert_eq!(got, oracle.lookup(shard_of(circuit), id, shots));
+                }
+            }
+            let held = held_entries(&cache).map_err(TestCaseError::fail)?;
+            let mut expected: Vec<Held> = oracle
+                .shards
+                .iter()
+                .flatten()
+                .map(|e| {
+                    let bits = e.distribution.iter().map(|v| v.to_bits()).collect();
+                    (universe[e.circuit].structural_hash(), bits, e.shots)
+                })
+                .collect();
+            expected.sort();
+            prop_assert_eq!(held, expected);
+            prop_assert_eq!(cache.stats().evictions, oracle.evictions);
+        }
+    }
+
+    /// Opens a cache over `bytes` written to `path` and checks the loader's
+    /// contract: the snapshot is ignored whole, or every entry it loaded is a
+    /// distribution over its circuit's classical bits.
+    fn open_hostile(path: &Path, bytes: &[u8]) -> Result<(), TestCaseError> {
+        std::fs::write(path, bytes).unwrap();
+        let policy = ResultCachePolicy::persisted(path.to_string_lossy().to_string());
+        let cache = ResultCache::open(&policy);
+        let stats = cache.stats();
+        if stats.snapshot_ignored {
+            prop_assert_eq!((stats.snapshot_loaded, stats.entries), (0, 0));
+        }
+        for shard in &cache.shards {
+            for e in shard.lock().buckets.values().flatten() {
+                let clbits = e.circuit.num_clbits();
+                prop_assert!(clbits < 64 && e.distribution.len() == 1 << clbits);
+                prop_assert!(e.distribution.iter().all(|v| v.is_finite() && *v >= 0.0));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary bytes, bare or behind a valid header, never panic the
+        /// loader.
+        #[test]
+        fn arbitrary_snapshot_bytes_never_panic_the_loader(
+            bytes in collection::vec(any::<u8>(), 0..256),
+            headed in any::<bool>(),
+        ) {
+            let path = scratch("arbitrary");
+            let mut text = if headed { snapshot_header().into_bytes() } else { Vec::new() };
+            text.extend(bytes);
+            open_hostile(&path, &text)?;
+            std::fs::remove_file(&path).unwrap();
+        }
+
+        /// A valid snapshot with a few bytes replaced, inserted or deleted —
+        /// mostly bytes of the format's own alphabet, so mutants reach deep
+        /// into the entry and QASM parsers — never panics the loader.
+        #[test]
+        fn mutated_snapshots_never_panic_the_loader(
+            mutations in collection::vec((any::<usize>(), any::<u8>(), 0..3u8), 1..6),
+        ) {
+            const ALPHABET: &[u8] = b"0123456789abcdef,=; \n-.[]()qx";
+            let mut text = snapshot_text(&[
+                (bell(), vec![0.5, 0.0, 0.0, 0.5], None),
+                (rotated(0.3), vec![0.25; 4], Some(512)),
+                (ladder(3, 1.1), vec![0.125; 8], None),
+            ])
+            .into_bytes();
+            for (at, byte, kind) in mutations {
+                let byte = if byte < 128 { ALPHABET[byte as usize % ALPHABET.len()] } else { byte };
+                let at = at % (text.len() + 1);
+                match kind {
+                    0 if at < text.len() => text[at] = byte,
+                    1 => text.insert(at, byte),
+                    _ if at < text.len() => {
+                        text.remove(at);
+                    }
+                    _ => text.push(byte),
+                }
+            }
+            let path = scratch("mutated");
+            open_hostile(&path, &text)?;
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

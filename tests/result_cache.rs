@@ -230,3 +230,69 @@ fn persistence_survives_a_registry_restart() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A snapshot whose distributions are not sized for their circuits is
+/// ignored: the restarted registry re-executes every circuit and matches the
+/// state vector, instead of serving the corrupt entries.
+#[test]
+fn a_mis_sized_snapshot_entry_is_never_served() {
+    let path = std::env::temp_dir().join(format!("qrcc-missized-{}.snapshot", std::process::id()));
+    let policy = ResultCachePolicy::persisted(path.to_string_lossy().into_owned());
+
+    let mut circuit = Circuit::new(4);
+    circuit.h(0);
+    for q in 0..3 {
+        circuit.cx(q, q + 1);
+        circuit.ry(0.35 * (q as f64 + 1.0), q + 1);
+    }
+    let config = QrccConfig::new(3).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
+    let pipeline = QrccPipeline::plan(&circuit, config).unwrap();
+    let exact = StateVector::from_circuit(&circuit).unwrap().probabilities();
+    let registry = || {
+        let mut registry = DeviceRegistry::new();
+        registry.register("dev3", ExactBackend::capped(3));
+        registry.with_result_cache(&policy)
+    };
+
+    let first = registry();
+    pipeline.execute_streaming(&Scheduler::new(&first, SchedulePolicy::default())).unwrap();
+    first.result_cache().unwrap().persist().unwrap();
+    drop(first);
+
+    // rewrite every entry's distribution one value short, all of its mass
+    // on outcome 0
+    let text = std::fs::read_to_string(&path).unwrap();
+    let corrupt = |field: &str| match field.strip_prefix("dist=") {
+        Some(dist) => {
+            let values = dist.split(',').count();
+            assert!(values >= 2, "a fragment measures at least one clbit");
+            let mut short = vec!["0000000000000000"; values - 1];
+            short[0] = "3ff0000000000000";
+            format!("dist={}", short.join(","))
+        }
+        None => field.to_string(),
+    };
+    let corrupted: String = text
+        .lines()
+        .map(|line| match line.strip_prefix("entry ") {
+            Some(fields) => {
+                let fields: Vec<String> = fields.split_whitespace().map(corrupt).collect();
+                format!("entry {}\n", fields.join(" "))
+            }
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(corrupted, text, "the cold run must have persisted entries");
+    std::fs::write(&path, corrupted).unwrap();
+
+    let second = registry();
+    let (probabilities, _, report) =
+        pipeline.execute_streaming(&Scheduler::new(&second, SchedulePolicy::default())).unwrap();
+    for (p, e) in probabilities.iter().zip(&exact) {
+        assert!((p - e).abs() < 1e-9, "restarted run diverged from exact: {p} vs {e}");
+    }
+    let stats = report.result_cache.expect("cache counters must reach the report");
+    assert!(stats.snapshot_ignored, "a mis-sized entry must void the snapshot");
+    assert_eq!(stats.hits, 0, "nothing from the voided snapshot may be served");
+    std::fs::remove_file(&path).unwrap();
+}
