@@ -2,8 +2,11 @@
 //!
 //! Each node of the [`CircuitDag`] is one operation of the source circuit;
 //! there is an edge from node `a` to node `b` when `b` is the next operation
-//! after `a` on some qubit wire. The DAG is what both the QR-aware layered
-//! view (paper §4.1) and the qubit-reuse pass are computed from.
+//! after `a` on some qubit wire. The ASAP layer of each node is the clock of
+//! qubit reuse: a run of a wire's nodes holds a physical qubit from the
+//! layer of its first node to the layer of its last, both inclusive, and
+//! [`CircuitDag::emission_order`] is the order in which circuits sharing
+//! physical qubits are written out.
 
 use crate::{Circuit, Operation, QubitId};
 
@@ -117,33 +120,15 @@ impl CircuitDag {
         &self.wire_nodes[q.index()]
     }
 
-    /// Nodes grouped by ASAP layer.
-    pub fn layers(&self) -> Vec<Vec<NodeId>> {
-        let mut layers = vec![Vec::new(); self.num_layers];
-        for (id, node) in self.nodes.iter().enumerate() {
-            layers[node.layer].push(id);
-        }
-        layers
-    }
-
-    /// The first (earliest) node on each qubit wire, if any.
-    pub fn wire_first(&self, q: QubitId) -> Option<NodeId> {
-        self.wire_nodes[q.index()].first().copied()
-    }
-
-    /// The last (latest) node on each qubit wire, if any.
-    pub fn wire_last(&self, q: QubitId) -> Option<NodeId> {
-        self.wire_nodes[q.index()].last().copied()
-    }
-
-    /// Layer of the first operation on qubit `q`, or `None` if the qubit is idle.
-    pub fn first_layer_of(&self, q: QubitId) -> Option<usize> {
-        self.wire_first(q).map(|id| self.nodes[id].layer)
-    }
-
-    /// Layer of the last operation on qubit `q`, or `None` if the qubit is idle.
-    pub fn last_layer_of(&self, q: QubitId) -> Option<usize> {
-        self.wire_last(q).map(|id| self.nodes[id].layer)
+    /// Every node in `(layer, id)` order, the order in which the nodes of
+    /// runs sharing physical qubits are emitted. It is topological, and every
+    /// node of a layer comes after every node of the layers before it, so a
+    /// run that ends at layer `l` is finished (measured) before a run
+    /// starting after `l` takes over its physical qubit.
+    pub fn emission_order(&self) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = (0..self.nodes.len()).collect();
+        order.sort_by_key(|&id| (self.nodes[id].layer, id));
+        order
     }
 
     /// All transitive predecessors of `id` (the causal cone feeding into it),
@@ -242,11 +227,23 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2);
         let dag = CircuitDag::from_circuit(&c);
-        assert_eq!(dag.first_layer_of(QubitId::new(2)), Some(2));
-        assert_eq!(dag.last_layer_of(QubitId::new(0)), Some(1));
+        let layer = |id: Option<&NodeId>| id.map(|&id| dag.node(id).layer);
+        assert_eq!(layer(dag.wire(QubitId::new(2)).first()), Some(2));
+        assert_eq!(layer(dag.wire(QubitId::new(0)).last()), Some(1));
         let idle = Circuit::new(2);
-        let idle_dag = CircuitDag::from_circuit(&idle);
-        assert_eq!(idle_dag.first_layer_of(QubitId::new(0)), None);
+        assert!(CircuitDag::from_circuit(&idle).wire(QubitId::new(0)).is_empty());
+    }
+
+    #[test]
+    fn emission_order_is_by_layer_then_id() {
+        // program order interleaves the layers: cx(2,3) (node 3) sits at
+        // layer 0 behind two layer-1 nodes
+        let mut c = Circuit::new(4);
+        c.h(0).cx(0, 1).h(0).cx(2, 3).cx(1, 2);
+        let dag = CircuitDag::from_circuit(&c);
+        let layers: Vec<usize> = dag.nodes().iter().map(|n| n.layer).collect();
+        assert_eq!(layers, [0, 1, 2, 0, 2]);
+        assert_eq!(dag.emission_order(), [0, 3, 1, 2, 4]);
     }
 
     #[test]

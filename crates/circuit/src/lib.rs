@@ -7,8 +7,9 @@
 //! * [`Gate`], [`Operation`] and [`Circuit`] — the IR itself, restricted to
 //!   single- and two-qubit gates plus mid-circuit measurement and reset
 //!   (exactly the operations assumed by the paper).
-//! * [`dag`] — a wire-dependency DAG and ASAP layering.
-//! * [`layered`] — the identity-padded layered view used by the QR-aware DAG.
+//! * [`dag`] — a wire-dependency DAG, its ASAP layering (the clock qubit
+//!   reuse measures wire lifetimes by) and the order circuits sharing
+//!   physical qubits are emitted in.
 //! * [`graph`] — seeded random-graph generators (regular, Erdős–Rényi,
 //!   Barabási–Albert, 2-D lattice) backing the QAOA / Hamiltonian-simulation
 //!   benchmarks.
@@ -41,7 +42,6 @@ mod operation;
 pub mod dag;
 pub mod generators;
 pub mod graph;
-pub mod layered;
 pub mod observable;
 pub mod qasm;
 pub mod routing;

@@ -19,8 +19,7 @@
 
 use crate::gatecut::{instance_op, zz_form, GateHalf, InstanceOp, ZzForm};
 use crate::planner::CutPlan;
-use crate::reuse::assign_intervals;
-use crate::spec::WireCutPoint;
+use crate::spec::{assign_intervals, Segment, WireCutPoint};
 use crate::CoreError;
 use qrcc_circuit::dag::NodeId;
 use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
@@ -502,15 +501,8 @@ impl FragmentSet {
         let mut output_owner = vec![None; circuit.num_qubits()];
         let mut fragments = Vec::with_capacity(solution.num_subcircuits);
         for sub in 0..solution.num_subcircuits {
-            let fragment = build_fragment(
-                sub,
-                plan,
-                &segments,
-                &wire_cuts,
-                &gate_cut_nodes,
-                &gate_cut_forms,
-                reuse,
-            )?;
+            let fragment =
+                build_fragment(sub, plan, &segments, &gate_cut_nodes, &gate_cut_forms, reuse)?;
             for &(orig, _) in &fragment.output_clbits {
                 output_owner[orig] = Some(sub);
             }
@@ -531,8 +523,7 @@ impl FragmentSet {
 fn build_fragment(
     sub: usize,
     plan: &CutPlan,
-    all_segments: &[crate::spec::Segment],
-    wire_cuts: &[WireCutPoint],
+    all_segments: &[Segment],
     gate_cut_nodes: &[NodeId],
     gate_cut_forms: &[ZzForm],
     reuse: bool,
@@ -547,10 +538,8 @@ fn build_fragment(
     segment_ids.sort_by_key(|&i| (all_segments[i].start_layer, all_segments[i].qubit.index()));
 
     // Physical qubit per segment.
-    let intervals: Vec<(usize, usize)> = segment_ids
-        .iter()
-        .map(|&i| (all_segments[i].start_layer, all_segments[i].end_layer))
-        .collect();
+    let intervals: Vec<(usize, usize)> =
+        segment_ids.iter().map(|&i| all_segments[i].interval()).collect();
     let physical: Vec<usize> = if reuse {
         assign_intervals(&intervals).physical
     } else {
@@ -560,10 +549,12 @@ fn build_fragment(
 
     // Map (node, wire) -> local segment slot.
     let mut node_segment: HashMap<(NodeId, usize), usize> = HashMap::new();
+    let mut in_fragment = vec![false; dag.nodes().len()];
     for (slot, &seg_id) in segment_ids.iter().enumerate() {
         let seg = &all_segments[seg_id];
         for &node in &seg.nodes {
             node_segment.insert((node, seg.qubit.index()), slot);
+            in_fragment[node] = true;
         }
     }
 
@@ -644,22 +635,14 @@ fn build_fragment(
         Operation::gate(gate, &ids).expect("valid skeleton gate")
     };
 
-    // Emit the skeleton in (layer, node id) order.
-    let mut nodes: Vec<NodeId> = Vec::new();
-    for &seg_id in &segment_ids {
-        nodes.extend(all_segments[seg_id].nodes.iter().copied());
-    }
-    nodes.sort_unstable();
-    nodes.dedup();
-    nodes.sort_by_key(|&id| (dag.node(id).layer, id));
-
     let mut skeleton = Vec::new();
     let mut physical_dirty = vec![false; num_physical.max(1)];
     let mut remaining_in_segment: Vec<usize> =
         segment_ids.iter().map(|&i| all_segments[i].nodes.len()).collect();
     let mut started_segment = vec![false; segment_ids.len()];
 
-    for &node in &nodes {
+    // Emit the skeleton in the DAG's emission order.
+    for node in dag.emission_order().into_iter().filter(|&node| in_fragment[node]) {
         let dag_node = dag.node(node);
         let node_qubits = dag_node.op.qubits();
         // start any segments this node begins (on wires owned by this fragment)
@@ -730,7 +713,6 @@ fn build_fragment(
         }
     }
 
-    let _ = wire_cuts;
     Ok(Fragment {
         index: sub,
         num_physical: num_physical.max(1),

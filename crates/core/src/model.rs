@@ -37,6 +37,7 @@
 use crate::spec::CutSolution;
 use crate::QrccConfig;
 use qrcc_circuit::dag::{CircuitDag, NodeId};
+use qrcc_circuit::QubitId;
 use qrcc_ilp::{solver, LinExpr, Model, SolverConfig, VarId};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -166,7 +167,7 @@ impl QrccModel {
         // ---- wire-cut indicators (paper Eqs. (13)-(14), linearised) ------
         let mut wire_cut = HashMap::new();
         for wire in 0..dag.num_qubits() {
-            let nodes = dag.wire(qrcc_circuit::QubitId::new(wire));
+            let nodes = dag.wire(QubitId::new(wire));
             for pair in nodes.windows(2) {
                 let (a, b) = (pair[0], pair[1]);
                 let w = ilp.add_binary(format!("w_{wire}_{a}_{b}"));
@@ -197,31 +198,25 @@ impl QrccModel {
             // l, and an auxiliary "bridge" variable when l falls strictly
             // between two of its nodes (the bridge is forced to 1 only when
             // both neighbouring nodes are in c).
+            let cells = live_cells(dag);
             for c in c_range.clone() {
-                for layer in 0..dag.num_layers() {
+                for (layer, row) in cells.iter().enumerate() {
                     let mut usage = LinExpr::new();
-                    for wire in 0..dag.num_qubits() {
-                        let qubit = qrcc_circuit::QubitId::new(wire);
-                        let nodes = dag.wire(qubit);
-                        if nodes.is_empty() {
-                            continue;
-                        }
-                        if let Some(&at) = nodes.iter().find(|&&x| dag.node(x).layer == layer) {
-                            usage.add_scaled(1.0, &membership(at, slot_of(at, wire), c));
-                            continue;
-                        }
-                        // find the neighbouring nodes around this layer
-                        let before = nodes.iter().rev().find(|&&x| dag.node(x).layer < layer);
-                        let after = nodes.iter().find(|&&x| dag.node(x).layer > layer);
-                        if let (Some(&a), Some(&b)) = (before, after) {
-                            let z = ilp.add_binary(format!("live_{wire}_{layer}_{c}"));
-                            bridge.insert((wire, layer, c), z);
-                            // z >= ma + mb - 1
-                            let mut expr = LinExpr::new().term(-1.0, z);
-                            expr.add_scaled(1.0, &membership(a, slot_of(a, wire), c));
-                            expr.add_scaled(1.0, &membership(b, slot_of(b, wire), c));
-                            ilp.add_le(expr, 1.0);
-                            usage.add_term(1.0, z);
+                    for &(wire, cell) in row {
+                        match cell {
+                            Live::Node(x) => {
+                                usage.add_scaled(1.0, &membership(x, slot_of(x, wire), c))
+                            }
+                            Live::Bridge(a, b) => {
+                                let z = ilp.add_binary(format!("live_{wire}_{layer}_{c}"));
+                                bridge.insert((wire, layer, c), z);
+                                // z >= ma + mb - 1
+                                let mut expr = LinExpr::new().term(-1.0, z);
+                                expr.add_scaled(1.0, &membership(a, slot_of(a, wire), c));
+                                expr.add_scaled(1.0, &membership(b, slot_of(b, wire), c));
+                                ilp.add_le(expr, 1.0);
+                                usage.add_term(1.0, z);
+                            }
                         }
                     }
                     if !usage.is_empty() {
@@ -238,7 +233,7 @@ impl QrccModel {
             for c in c_range.clone() {
                 let mut segments = LinExpr::new();
                 for wire in 0..dag.num_qubits() {
-                    let nodes = dag.wire(qrcc_circuit::QubitId::new(wire));
+                    let nodes = dag.wire(QubitId::new(wire));
                     let Some(&first) = nodes.first() else { continue };
                     segments.add_scaled(1.0, &membership(first, slot_of(first, wire), c));
                     for pair in nodes.windows(2) {
@@ -333,33 +328,28 @@ impl QrccModel {
                 values[self.gate_bottom[&x][bottom].index()] = 1.0;
             }
         }
-        // derived wire cuts
+        // derived wire cuts, each opening a segment in its downstream
+        // subcircuit
         for cut in solution.wire_cuts(dag) {
-            if let Some(&w) = self.wire_cut.get(&(cut.qubit.index(), cut.from, cut.to)) {
+            let wire = cut.qubit.index();
+            if let Some(&w) = self.wire_cut.get(&(wire, cut.from, cut.to)) {
                 values[w.index()] = 1.0;
             }
+            if let Some(&opens) = self.init.get(&(wire, cut.from, cut.to, cut.to_sub)) {
+                values[opens.index()] = 1.0;
+            }
         }
-        // live-wire bridges, segment starts and TE: set every remaining
-        // auxiliary variable to its implied value by walking the constraints
-        // is overkill; instead set bridges to 1 whenever both neighbours are
-        // in the subcircuit, a boundary's segment start to 1 in its
-        // downstream subcircuit when the wire is cut there, and TE to the
-        // true maximum, all computed from the solution.
-        for wire in 0..dag.num_qubits() {
-            let qubit = qrcc_circuit::QubitId::new(wire);
-            let nodes = dag.wire(qubit).to_vec();
-            for pair in nodes.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                let sa = solution.membership(dag, a, qubit);
-                let sb = solution.membership(dag, b, qubit);
-                if sa == sb {
-                    for layer in dag.node(a).layer + 1..dag.node(b).layer {
-                        if let Some(var) = self.bridge.get(&(wire, layer, sa)) {
-                            values[var.index()] = 1.0;
-                        }
-                    }
-                } else if let Some(var) = self.init.get(&(wire, a, b, sb)) {
-                    values[var.index()] = 1.0;
+        // a bridge is 1 in the subcircuit holding both nodes around it
+        for (layer, row) in live_cells(dag).into_iter().enumerate() {
+            for (wire, cell) in row {
+                let Live::Bridge(a, b) = cell else { continue };
+                let qubit = QubitId::new(wire);
+                let sub = solution.membership(dag, a, qubit);
+                if sub != solution.membership(dag, b, qubit) {
+                    continue;
+                }
+                if let Some(&z) = self.bridge.get(&(wire, layer, sub)) {
+                    values[z.index()] = 1.0;
                 }
             }
         }
@@ -403,6 +393,40 @@ impl QrccModel {
             gate_cut_assignment,
         }
     }
+}
+
+/// What makes a wire live at a layer in constraint (11).
+#[derive(Debug, Clone, Copy)]
+enum Live {
+    /// The wire's node at that layer.
+    Node(NodeId),
+    /// The layer falls strictly between the wire's consecutive nodes `a` and
+    /// `b`: the wire is live there when both are in the same subcircuit.
+    Bridge(NodeId, NodeId),
+}
+
+/// The live cells of every layer, `(wire, Live)` in wire order, from one walk
+/// over each wire's consecutive node pairs. A wire is live at the layer of
+/// each of its nodes and, bridged, at the layers between two consecutive
+/// ones, so a run of the wire in one subcircuit is live over `[layer(first),
+/// layer(last)]`, the interval [`Segment::interval`](crate::Segment::interval)
+/// gives it.
+fn live_cells(dag: &CircuitDag) -> Vec<Vec<(usize, Live)>> {
+    let mut cells = vec![Vec::new(); dag.num_layers()];
+    for wire in 0..dag.num_qubits() {
+        let nodes = dag.wire(QubitId::new(wire));
+        if let Some(&first) = nodes.first() {
+            cells[dag.node(first).layer].push((wire, Live::Node(first)));
+        }
+        for pair in nodes.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            for row in &mut cells[dag.node(a).layer + 1..dag.node(b).layer] {
+                row.push((wire, Live::Bridge(a, b)));
+            }
+            cells[dag.node(b).layer].push((wire, Live::Node(b)));
+        }
+    }
+    cells
 }
 
 /// Adds the symmetry-breaking rows that keep one of a plan's `C!` relabelled

@@ -1,61 +1,18 @@
-//! Qubit reuse: interval-based physical-qubit assignment and a standalone
-//! CaQR-style reuse pass.
+//! The standalone CaQR-style qubit-reuse pass.
 //!
 //! Mid-circuit Measure-and-Reset lets a physical qubit that has finished all
 //! of its operations be measured, reset and handed to a logical qubit whose
 //! operations have not started yet. Inside QRCC this is what shrinks
 //! subcircuit widths; standalone (the [`ReusePass`]) it reproduces the
-//! CaQR-style compiler pass the paper compares against in Table 6.
+//! CaQR-style compiler pass the paper compares against in Table 6. Both use
+//! one lifetime model: the pass is the width rule of
+//! [`CutSolution::subcircuit_widths`] applied to the uncut plan
+//! ([`CutSolution::trivial`]), whose segments are the circuit's wires.
 
+use crate::spec::{assign_intervals, CutSolution, IntervalAssignment, Segment};
 use crate::CoreError;
 use qrcc_circuit::dag::CircuitDag;
 use qrcc_circuit::{Circuit, QubitId};
-
-/// Assignment of interval-shaped lifetimes to physical qubits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalAssignment {
-    /// Physical qubit for each input interval (same order as the input).
-    pub physical: Vec<usize>,
-    /// Number of physical qubits used (the maximum interval overlap).
-    pub num_physical: usize,
-}
-
-/// Greedily assigns `[start, end]` lifetimes (both inclusive) to physical
-/// qubits so that two lifetimes sharing a physical qubit never overlap; a
-/// physical qubit is handed over only when the previous lifetime ended
-/// *strictly before* the next one starts (measurement and reset are assumed
-/// to take no extra depth, as in the paper).
-///
-/// The greedy sweep over start-sorted intervals is optimal for interval
-/// graphs, so `num_physical` equals the maximum overlap.
-pub fn assign_intervals(intervals: &[(usize, usize)]) -> IntervalAssignment {
-    let mut order: Vec<usize> = (0..intervals.len()).collect();
-    order.sort_by_key(|&i| (intervals[i].0, intervals[i].1));
-    let mut physical = vec![usize::MAX; intervals.len()];
-    // free_at[p] = first layer at which physical qubit p is available again
-    let mut free_at: Vec<usize> = Vec::new();
-    for &i in &order {
-        let (start, end) = intervals[i];
-        // pick the physical qubit that has been free the longest (stable,
-        // deterministic choice)
-        let mut chosen = None;
-        for (p, &free) in free_at.iter().enumerate() {
-            if free <= start && chosen.map(|(_, f)| free < f).unwrap_or(true) {
-                chosen = Some((p, free));
-            }
-        }
-        let p = match chosen {
-            Some((p, _)) => p,
-            None => {
-                free_at.push(0);
-                free_at.len() - 1
-            }
-        };
-        physical[i] = p;
-        free_at[p] = end + 1;
-    }
-    IntervalAssignment { physical, num_physical: free_at.len() }
-}
 
 /// Result of applying the standalone reuse pass to a circuit.
 #[derive(Debug, Clone)]
@@ -104,8 +61,7 @@ impl ReusePass {
     /// `circuit` (without building the transformed circuit).
     pub fn required_qubits(&self, circuit: &Circuit) -> usize {
         let dag = CircuitDag::from_circuit(circuit);
-        let intervals = wire_intervals(&dag);
-        assign_intervals(&intervals.1).num_physical
+        placed_wires(&dag).1.num_physical
     }
 
     /// Applies the pass.
@@ -122,29 +78,21 @@ impl ReusePass {
             });
         }
         let dag = CircuitDag::from_circuit(circuit);
-        let (wires, intervals) = wire_intervals(&dag);
-        let assignment = assign_intervals(&intervals);
+        let (wires, assignment) = placed_wires(&dag);
 
         let mut mapping: Vec<Option<usize>> = vec![None; circuit.num_qubits()];
-        for (slot, &wire) in wires.iter().enumerate() {
-            mapping[wire] = Some(assignment.physical[slot]);
+        for (wire, &phys) in wires.iter().zip(&assignment.physical) {
+            mapping[wire.qubit.index()] = Some(phys);
         }
-
-        // Emit nodes in (layer, id) order — a topological order in which a
-        // wire's last gate always precedes the first gate of any wire reusing
-        // the same physical qubit.
-        let mut node_order: Vec<usize> = (0..dag.nodes().len()).collect();
-        node_order.sort_by_key(|&id| (dag.node(id).layer, id));
 
         let mut out = Circuit::with_clbits(assignment.num_physical.max(1), circuit.num_qubits());
         out.set_name(format!("{}_reused", circuit.name()));
         let mut started = vec![false; circuit.num_qubits()];
         let mut physical_dirty = vec![false; assignment.num_physical.max(1)];
-        let remaining: Vec<usize> =
+        let mut remaining: Vec<usize> =
             (0..circuit.num_qubits()).map(|q| dag.wire(QubitId::new(q)).len()).collect();
-        let mut remaining = remaining;
 
-        for id in node_order {
+        for id in dag.emission_order() {
             let node = dag.node(id);
             // prepare any wires this node starts
             for q in node.op.qubits() {
@@ -177,28 +125,21 @@ impl ReusePass {
     }
 }
 
-/// The wires that carry at least one operation, and their `[first layer,
-/// last layer]` lifetimes, in wire order.
-fn wire_intervals(dag: &CircuitDag) -> (Vec<usize>, Vec<(usize, usize)>) {
-    let mut wires = Vec::new();
-    let mut intervals = Vec::new();
-    for q in 0..dag.num_qubits() {
-        let qubit = QubitId::new(q);
-        if let (Some(first), Some(last)) = (dag.first_layer_of(qubit), dag.last_layer_of(qubit)) {
-            wires.push(q);
-            intervals.push((first, last));
-        }
-    }
-    (wires, intervals)
+/// The circuit's wire runs, the segments of the uncut plan (one per wire
+/// that carries an operation, in wire order), and their physical qubits.
+fn placed_wires(dag: &CircuitDag) -> (Vec<Segment>, IntervalAssignment) {
+    let wires = CutSolution::trivial(dag).segments(dag);
+    let intervals: Vec<(usize, usize)> = wires.iter().map(Segment::interval).collect();
+    let assignment = assign_intervals(&intervals);
+    (wires, assignment)
 }
 
 /// Number of measurement/reset pairs the reuse pass introduces for a circuit
 /// (how many times a physical qubit is handed over).
 pub fn reuse_count(circuit: &Circuit) -> usize {
     let dag = CircuitDag::from_circuit(circuit);
-    let (_, intervals) = wire_intervals(&dag);
-    let assignment = assign_intervals(&intervals);
-    intervals.len().saturating_sub(assignment.num_physical)
+    let (wires, assignment) = placed_wires(&dag);
+    wires.len() - assignment.num_physical
 }
 
 #[cfg(test)]
@@ -207,22 +148,6 @@ mod tests {
     use qrcc_circuit::generators;
     use qrcc_sim::branching::classical_distribution;
     use qrcc_sim::StateVector;
-
-    #[test]
-    fn interval_assignment_is_optimal_for_simple_cases() {
-        // disjoint intervals share one qubit
-        let a = assign_intervals(&[(0, 1), (2, 3), (4, 5)]);
-        assert_eq!(a.num_physical, 1);
-        // nested intervals need as many qubits as the overlap
-        let b = assign_intervals(&[(0, 9), (1, 2), (3, 4)]);
-        assert_eq!(b.num_physical, 2);
-        let c = assign_intervals(&[(0, 5), (1, 5), (2, 5)]);
-        assert_eq!(c.num_physical, 3);
-        // touching endpoints cannot share (measurement has no room)
-        let d = assign_intervals(&[(0, 2), (2, 4)]);
-        assert_eq!(d.num_physical, 2);
-        assert_eq!(assign_intervals(&[]).num_physical, 0);
-    }
 
     #[test]
     fn ghz_chain_runs_on_two_physical_qubits() {

@@ -1,11 +1,19 @@
 //! Cut-solution data model: which subcircuit every gate belongs to, which
 //! gates are gate-cut, and everything derived from that (wire cuts, wire
 //! segments, subcircuit widths, post-processing metrics).
+//!
+//! It is also the one home of the qubit-reuse lifetime model: a
+//! [`Segment`] is live over [`Segment::interval`], and [`assign_intervals`]
+//! places such intervals on physical qubits. Subcircuit widths, fragment
+//! qubit labels and the standalone [`ReusePass`](crate::reuse::ReusePass)
+//! all read that one routine.
 
 use crate::CoreError;
 use qrcc_circuit::dag::{CircuitDag, NodeId};
 use qrcc_circuit::QubitId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Index of a subcircuit within a cut solution.
 pub type SubcircuitId = usize;
@@ -55,6 +63,56 @@ impl Segment {
     pub fn is_output(&self) -> bool {
         self.outgoing_cut.is_none()
     }
+
+    /// The layers over which the segment holds a physical qubit:
+    /// `[start_layer, end_layer]`, both inclusive.
+    pub fn interval(&self) -> (usize, usize) {
+        (self.start_layer, self.end_layer)
+    }
+}
+
+/// Placement of interval-shaped lifetimes on physical qubits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IntervalAssignment {
+    /// Physical qubit for each input interval (same order as the input).
+    pub physical: Vec<usize>,
+    /// Number of physical qubits used (the maximum interval overlap).
+    pub num_physical: usize,
+}
+
+/// Places `[start, end]` lifetimes (both inclusive) on physical qubits so
+/// that two lifetimes sharing a physical qubit never overlap; a physical
+/// qubit is handed over only when the previous lifetime ended *strictly
+/// before* the next one starts (measurement and reset are assumed to take no
+/// extra depth, as in the paper), so touching lifetimes cannot share one.
+///
+/// Intervals are placed in `(start, end)` order, each on the free qubit that
+/// has been free the longest (the lowest index among ties), or on a new one.
+/// The greedy sweep over start-sorted intervals is optimal for interval
+/// graphs, so `num_physical` equals the maximum overlap.
+pub fn assign_intervals(intervals: &[(usize, usize)]) -> IntervalAssignment {
+    let mut order: Vec<usize> = (0..intervals.len()).collect();
+    order.sort_by_key(|&i| intervals[i]);
+    let mut physical = vec![0; intervals.len()];
+    // (first layer at which the qubit is free again, qubit), least first
+    let mut free: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
+    let mut num_physical = 0;
+    for i in order {
+        let (start, end) = intervals[i];
+        let p = match free.peek() {
+            Some(&Reverse((at, p))) if at <= start => {
+                free.pop();
+                p
+            }
+            _ => {
+                num_physical += 1;
+                num_physical - 1
+            }
+        };
+        physical[i] = p;
+        free.push(Reverse((end + 1, p)));
+    }
+    IntervalAssignment { physical, num_physical }
 }
 
 /// A complete cutting decision over a circuit's DAG: a subcircuit for every
@@ -212,9 +270,10 @@ impl CutSolution {
 
     /// The width (number of physical qubits) each subcircuit needs.
     ///
-    /// With `qubit_reuse` enabled, a subcircuit's width is the maximum number
-    /// of its segments that are simultaneously live (interval overlap), since
-    /// a physical qubit can be measured, reset and handed to a later segment.
+    /// With `qubit_reuse` enabled, a subcircuit's width is the number of
+    /// physical qubits [`assign_intervals`] places its segments on (their
+    /// maximum overlap), since a physical qubit can be measured, reset and
+    /// handed to a later segment.
     /// Without reuse (the CutQC model), every segment needs its own physical
     /// qubit for the whole run, so the width is simply the segment count.
     pub fn subcircuit_widths(&self, dag: &CircuitDag, qubit_reuse: bool) -> Vec<usize> {
@@ -223,22 +282,14 @@ impl CutSolution {
 
     /// [`CutSolution::subcircuit_widths`] over already derived segments.
     fn widths_of(&self, segments: &[Segment], qubit_reuse: bool) -> Vec<usize> {
-        let mut widths = vec![0usize; self.num_subcircuits];
-        if !qubit_reuse {
-            for seg in segments {
-                widths[seg.subcircuit] += 1;
-            }
-            return widths;
+        let mut intervals = vec![Vec::new(); self.num_subcircuits];
+        for seg in segments {
+            intervals[seg.subcircuit].push(seg.interval());
         }
-        for (sub, width) in widths.iter_mut().enumerate() {
-            let intervals: Vec<(usize, usize)> = segments
-                .iter()
-                .filter(|s| s.subcircuit == sub)
-                .map(|s| (s.start_layer, s.end_layer))
-                .collect();
-            *width = max_interval_overlap(&intervals);
-        }
-        widths
+        intervals
+            .iter()
+            .map(|runs| if qubit_reuse { assign_intervals(runs).num_physical } else { runs.len() })
+            .collect()
     }
 
     /// Number of two-qubit gates in each subcircuit (gate-cut gates count in
@@ -323,23 +374,6 @@ impl CutSolution {
     }
 }
 
-/// Maximum number of overlapping `[start, end]` intervals (both inclusive).
-fn max_interval_overlap(intervals: &[(usize, usize)]) -> usize {
-    let mut events: Vec<(usize, i32)> = Vec::with_capacity(intervals.len() * 2);
-    for &(s, e) in intervals {
-        events.push((s, 1));
-        events.push((e + 1, -1));
-    }
-    events.sort_unstable();
-    let mut live = 0i32;
-    let mut best = 0i32;
-    for (_, delta) in events {
-        live += delta;
-        best = best.max(live);
-    }
-    best as usize
-}
-
 /// Cut-quality metrics matching the columns of the paper's tables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CutMetrics {
@@ -379,6 +413,7 @@ impl CutMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qrcc_circuit::Circuit;
 
     /// The 3-qubit chain  h(0); cx(0,1); cx(1,2)  split between subcircuit 0
@@ -631,13 +666,59 @@ mod tests {
         assert_eq!(m.max_width(), 27);
     }
 
+    /// [`assign_intervals`] against the layer-by-layer definition of reuse:
+    /// it uses as many physical qubits as the busiest layer has live
+    /// intervals, and no two intervals on one qubit share a layer.
+    fn check_placement(intervals: &[(usize, usize)]) -> Result<(), TestCaseError> {
+        let placed = assign_intervals(intervals);
+        let live_at = |l: usize| intervals.iter().filter(|&&(s, e)| s <= l && l <= e).count();
+        let last = intervals.iter().map(|&(_, e)| e).max();
+        let busiest = last.map_or(0, |last| (0..=last).map(live_at).max().unwrap_or(0));
+        prop_assert_eq!(placed.num_physical, busiest);
+        prop_assert_eq!(placed.physical.len(), intervals.len());
+        for (i, &(s, e)) in intervals.iter().enumerate() {
+            prop_assert!(placed.physical[i] < placed.num_physical);
+            for (j, &(t, f)) in intervals.iter().enumerate().skip(i + 1) {
+                if placed.physical[i] == placed.physical[j] {
+                    prop_assert!(e < t || f < s, "{:?} and {:?} share a qubit", (s, e), (t, f));
+                }
+            }
+        }
+        Ok(())
+    }
+
     #[test]
-    fn interval_overlap_helper() {
-        assert_eq!(max_interval_overlap(&[]), 0);
-        assert_eq!(max_interval_overlap(&[(0, 5)]), 1);
-        assert_eq!(max_interval_overlap(&[(0, 2), (3, 5)]), 1);
-        assert_eq!(max_interval_overlap(&[(0, 3), (3, 5)]), 2);
-        assert_eq!(max_interval_overlap(&[(0, 9), (1, 2), (3, 4), (4, 6)]), 3);
+    fn interval_assignment_is_optimal_for_simple_cases() {
+        for intervals in [
+            &[][..],
+            &[(0, 5)],
+            // disjoint intervals share one qubit
+            &[(0, 1), (2, 3), (4, 5)],
+            &[(0, 2), (3, 5)],
+            // nested intervals need as many qubits as the overlap
+            &[(0, 9), (1, 2), (3, 4)],
+            &[(0, 5), (1, 5), (2, 5)],
+            &[(0, 9), (1, 2), (3, 4), (4, 6)],
+            // touching endpoints cannot share (measurement has no room)
+            &[(0, 2), (2, 4)],
+            &[(0, 3), (3, 5)],
+        ] {
+            check_placement(intervals).unwrap();
+        }
+        assert_eq!(assign_intervals(&[(0, 1), (2, 3), (4, 5)]).physical, [0, 0, 0]);
+        assert_eq!(assign_intervals(&[(0, 2), (2, 4)]).num_physical, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn interval_assignment_matches_the_per_layer_overlap(
+            runs in proptest::collection::vec((0..12usize, 0..6usize), 0..16),
+        ) {
+            let intervals: Vec<(usize, usize)> = runs.iter().map(|&(s, len)| (s, s + len)).collect();
+            check_placement(&intervals)?;
+        }
     }
 
     #[test]

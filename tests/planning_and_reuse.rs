@@ -24,23 +24,41 @@ fn every_fragment_fits_the_device_for_assorted_benchmarks() {
         (generators::vqe_two_local(10, 2, 3), 6),
         (generators::qaoa_regular(10, 3, 1, 4).0, 6),
     ];
-    for (circuit, device) in workloads {
-        let plan = CutPlanner::new(heuristic_config(device))
-            .plan(&circuit)
-            .unwrap_or_else(|e| panic!("no plan for {} on {device} qubits: {e}", circuit.name()));
+    // the planner prices a subcircuit at the width model of its config, and
+    // the fragment built from it must be exactly that wide, reuse on or off;
+    // without reuse some of these circuits have no plan on the device at all
+    let mut checked_without_reuse = 0;
+    for ((circuit, device), reuse) in workloads.iter().flat_map(|w| [(w, true), (w, false)]) {
+        let device = *device;
+        let config = heuristic_config(device).with_qubit_reuse(reuse);
+        let plan = match CutPlanner::new(config).plan(circuit) {
+            Ok(plan) => plan,
+            Err(_) if !reuse => continue,
+            Err(e) => panic!("no plan for {} on {device} qubits: {e}", circuit.name()),
+        };
+        checked_without_reuse += usize::from(!reuse);
         assert!(
             plan.subcircuit_widths().iter().all(|&w| w <= device),
             "{}: widths {:?} exceed device {device}",
             circuit.name(),
             plan.subcircuit_widths()
         );
+        let widths = plan.solution().subcircuit_widths(plan.dag(), reuse);
         let fragments = FragmentSet::from_plan(&plan).expect("fragments");
         for fragment in &fragments.fragments {
             assert!(fragment.num_physical <= device);
+            assert_eq!(
+                fragment.num_physical,
+                widths[fragment.index].max(1),
+                "{} (reuse {reuse}): fragment {} against the planned widths {widths:?}",
+                circuit.name(),
+                fragment.index
+            );
             let instantiated = fragment.instantiate(0, 0);
             assert!(instantiated.num_qubits() <= device);
         }
     }
+    assert!(checked_without_reuse >= 5, "{checked_without_reuse} plans without reuse");
 }
 
 #[test]
