@@ -63,3 +63,73 @@ proptest! {
         prop_assert_eq!(parsed.num_clbits(), measured.num_clbits());
     }
 }
+
+/// What a parsed hostile document must satisfy: every operation fits the
+/// declared registers, and the circuit survives its own round trip.
+fn check_parsed(circuit: &Circuit) -> Result<(), TestCaseError> {
+    let mut rebuilt = Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
+    for op in circuit.operations() {
+        prop_assert!(rebuilt.try_push(op.clone()).is_ok(), "operation {:?} out of range", op);
+    }
+    let reparsed = qasm::from_qasm(&qasm::to_qasm(circuit)).unwrap();
+    prop_assert!(reparsed.structurally_equal(circuit));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `SubmitBatch` carries untrusted OpenQASM: arbitrary bytes — bare,
+    /// or after a valid header — parse to a typed error or a well-formed
+    /// circuit, never a panic.
+    #[test]
+    fn arbitrary_text_never_panics_the_parser(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+        headed in any::<bool>(),
+    ) {
+        const ALPHABET: &[u8] = b"0123456789qcregmasuxyzhp[](),;->.*/ \n\t-+epi";
+        let mut text = if headed {
+            String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n")
+        } else {
+            String::new()
+        };
+        // half the bytes from the language's own alphabet, so statements
+        // get past the tokenizer often enough to reach the checks
+        let chars: Vec<u8> = bytes
+            .iter()
+            .map(|&b| if b < 128 { ALPHABET[b as usize % ALPHABET.len()] } else { b })
+            .collect();
+        text.push_str(&String::from_utf8_lossy(&chars));
+        if let Ok(circuit) = qasm::from_qasm(&text) {
+            check_parsed(&circuit)?;
+        }
+    }
+
+    /// A valid document with a few characters replaced, inserted or
+    /// deleted parses to a typed error or a well-formed circuit.
+    #[test]
+    fn mutated_documents_never_panic_the_parser(
+        circuit in generator_circuit(),
+        mutations in proptest::collection::vec((any::<usize>(), any::<u8>(), 0..3u8), 1..6),
+    ) {
+        const ALPHABET: &[u8] = b"0123456789qc[](),;.-e ";
+        let mut measured = circuit;
+        measured.measure_all();
+        let mut text = qasm::to_qasm(&measured).into_bytes();
+        for (at, byte, kind) in mutations {
+            let byte = if byte < 160 { ALPHABET[byte as usize % ALPHABET.len()] } else { byte };
+            let at = at % (text.len() + 1);
+            match kind {
+                0 if at < text.len() => text[at] = byte,
+                1 => text.insert(at, byte),
+                _ if at < text.len() => {
+                    text.remove(at);
+                }
+                _ => text.push(byte),
+            }
+        }
+        if let Ok(circuit) = qasm::from_qasm(&String::from_utf8_lossy(&text)) {
+            check_parsed(&circuit)?;
+        }
+    }
+}

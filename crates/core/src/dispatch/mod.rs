@@ -52,12 +52,12 @@ pub use testing::{FailureMode, FlakyBackend, QueueBackend};
 use crate::cache::{merge_distributions, CacheLookup};
 use crate::config::SchedulePolicy;
 use crate::execute::{BackendUsage, ExecutionResults, PreparedBatch};
+use crate::fragment::FragmentSet;
 use crate::schedule::{router, DeviceRegistry};
 use crate::CoreError;
-use qrcc_circuit::Circuit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use worker::{Job, JobOutcome};
+use worker::{Job, JobContext, JobOutcome};
 
 /// Lifecycle telemetry of one dispatched batch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -106,10 +106,14 @@ impl<'r> Dispatcher<'r> {
         Dispatcher { registry, policy }
     }
 
-    /// Runs one prepared (deduplicated, shot-allocated) batch through the
-    /// worker pool, delivering each chunk's [`ExecutionResults`] to `sink`
-    /// in chunk order. Returns the lifecycle telemetry and, per backend that
-    /// did any work (registry order), its usage.
+    /// Runs one prepared (deduplicated, shot-allocated) batch of
+    /// `fragments`' variants through the worker pool — each job reaches its
+    /// backend as one
+    /// [`run_variants`](crate::execute::ExecutionBackend::run_variants)
+    /// call over circuits borrowed from `batch` — delivering each chunk's
+    /// [`ExecutionResults`] to `sink` in chunk order. Returns the lifecycle
+    /// telemetry and, per backend that did any work (registry order), its
+    /// usage.
     ///
     /// # Errors
     ///
@@ -121,6 +125,7 @@ impl<'r> Dispatcher<'r> {
     /// * Any error `sink` returns.
     pub(crate) fn run_batch(
         &self,
+        fragments: &FragmentSet,
         batch: &PreparedBatch,
         shots: Option<&[u64]>,
         mut sink: impl FnMut(ExecutionResults) -> Result<(), CoreError>,
@@ -182,7 +187,8 @@ impl<'r> Dispatcher<'r> {
         let cancelled = AtomicBool::new(false);
         std::thread::scope(|scope| -> Result<(), CoreError> {
             let (event_tx, event_rx) = std::sync::mpsc::channel::<JobOutcome>();
-            let workers = worker::spawn_workers(scope, entries, &event_tx, &cancelled);
+            let context = JobContext { fragments, batch, cancelled: &cancelled };
+            let workers = worker::spawn_workers(scope, entries, &event_tx, context);
             drop(event_tx); // workers hold their own clones
 
             let mut next_dispatch = 0usize; // next chunk to route + enqueue
@@ -232,7 +238,6 @@ impl<'r> Dispatcher<'r> {
                                             chunk: chunk_index,
                                             entry,
                                             circuits: vec![global],
-                                            payload: vec![batch.circuits[global].clone()],
                                             shots: Some(vec![missing]),
                                             retry: false,
                                             dispatched_at: Instant::now(),
@@ -249,8 +254,6 @@ impl<'r> Dispatcher<'r> {
                             if globals.is_empty() {
                                 continue;
                             }
-                            let payload: Vec<Circuit> =
-                                globals.iter().map(|&c| batch.circuits[c].clone()).collect();
                             let job_shots: Option<Vec<u64>> =
                                 shots.map(|s| globals.iter().map(|&c| s[c]).collect());
                             stats.jobs_dispatched += 1;
@@ -258,7 +261,6 @@ impl<'r> Dispatcher<'r> {
                                 chunk: chunk_index,
                                 entry: entry_index,
                                 circuits: globals,
-                                payload,
                                 shots: job_shots,
                                 retry: false,
                                 dispatched_at: Instant::now(),
@@ -415,7 +417,6 @@ impl<'r> Dispatcher<'r> {
                                     chunk: job.chunk,
                                     entry: retry_entry,
                                     circuits: vec![circuit],
-                                    payload: vec![batch.circuits[circuit].clone()],
                                     shots: effective[circuit].map(|e| vec![e]),
                                     retry: true,
                                     dispatched_at: Instant::now(),

@@ -2,15 +2,18 @@
 //! each draining a FIFO job queue and reporting outcomes over a shared
 //! event channel.
 
+use crate::execute::{PreparedBatch, VariantBatch};
+use crate::fragment::FragmentSet;
 use crate::schedule::RegisteredBackend;
 use crate::CoreError;
-use qrcc_circuit::Circuit;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// One dispatchable unit of work: a group of batch circuits bound for one
-/// backend. Initial dispatch creates one job per (chunk, backend) sub-batch;
+/// backend, named by their indices in the [`PreparedBatch`] the workers
+/// borrow. Initial dispatch creates one job per (chunk, backend) sub-batch;
 /// retries create single-circuit jobs.
 pub(crate) struct Job {
     /// Which streamed chunk the circuits belong to.
@@ -19,8 +22,6 @@ pub(crate) struct Job {
     pub(crate) entry: usize,
     /// Batch-global indices of the circuits carried.
     pub(crate) circuits: Vec<usize>,
-    /// The instantiated circuits, in the same order as `circuits`.
-    pub(crate) payload: Vec<Circuit>,
     /// Allocated per-circuit shots (when a global budget is set).
     pub(crate) shots: Option<Vec<u64>>,
     /// Whether this job is a retry of circuits that failed elsewhere.
@@ -58,38 +59,49 @@ impl WorkerHandle {
     }
 }
 
+/// What every worker of one dispatched batch borrows: the fragments and the
+/// prepared batch its jobs index into.
+#[derive(Clone, Copy)]
+pub(crate) struct JobContext<'env> {
+    pub(crate) fragments: &'env FragmentSet,
+    pub(crate) batch: &'env PreparedBatch,
+    pub(crate) cancelled: &'env AtomicBool,
+}
+
 /// Spawns one worker per registry entry inside `scope` and returns their
 /// handles (indexed like the registry). Workers exit when every handle is
-/// dropped and their queue is drained; when `cancelled` is set they drain
-/// without executing, so an aborting run does not wait on queued work.
+/// dropped and their queue is drained; when `context.cancelled` is set they
+/// drain without executing, so an aborting run does not wait on queued
+/// work.
 pub(crate) fn spawn_workers<'scope, 'env: 'scope>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     entries: &'env [RegisteredBackend],
     events: &Sender<JobOutcome>,
-    cancelled: &'env AtomicBool,
+    context: JobContext<'env>,
 ) -> Vec<WorkerHandle> {
     entries
         .iter()
         .map(|entry| {
             let (sender, receiver) = std::sync::mpsc::channel::<Job>();
             let events = events.clone();
-            scope.spawn(move || worker_loop(entry, receiver, events, cancelled));
+            scope.spawn(move || worker_loop(entry, receiver, events, context));
             WorkerHandle { sender }
         })
         .collect()
 }
 
-/// The body of one worker thread: run each queued job as a single batch call
-/// on the backend and report the outcome. A closed event channel means the
+/// The body of one worker thread: run each queued job as a single
+/// [`run_variants`](crate::execute::ExecutionBackend::run_variants) call on
+/// the backend and report the outcome. A closed event channel means the
 /// dispatcher is gone — stop immediately.
 fn worker_loop(
     entry: &RegisteredBackend,
     jobs: Receiver<Job>,
     events: Sender<JobOutcome>,
-    cancelled: &AtomicBool,
+    context: JobContext<'_>,
 ) {
     while let Ok(job) = jobs.recv() {
-        if cancelled.load(Ordering::Relaxed) {
+        if context.cancelled.load(Ordering::Relaxed) {
             continue; // aborting: drain the queue without executing
         }
         let queue_wait = job.dispatched_at.elapsed();
@@ -103,13 +115,17 @@ fn worker_loop(
         // job's outcome undelivered and hang the event loop forever. Catch
         // the panic and report it as a per-circuit failure instead — the
         // retry machinery then treats it like any other backend fault.
-        let run = std::panic::AssertUnwindSafe(|| match &job.shots {
-            Some(shots) => entry.backend().run_batch_with_shots(&job.payload, shots),
-            None => entry.backend().run_batch(&job.payload),
-        });
+        let variants = VariantBatch::picked(
+            context.fragments,
+            &context.batch.canonical,
+            &context.batch.circuits,
+            Cow::Borrowed(&job.circuits),
+            job.shots.as_deref(),
+        );
+        let run = std::panic::AssertUnwindSafe(|| entry.backend().run_variants(&variants));
         let results = std::panic::catch_unwind(run).unwrap_or_else(|panic| {
             let reason = panic_message(panic.as_ref());
-            job.payload
+            job.circuits
                 .iter()
                 .map(|_| {
                     Err(CoreError::BackendUnavailable {

@@ -29,8 +29,11 @@
 //!    whose backend fails to another compatible backend with the failer
 //!    excluded, up to [`SchedulePolicy::max_retries`] times. Each delivered
 //!    chunk is an [`ExecutionResults`] in ascending key order, where keys
-//!    that share a circuit share its distribution; per-backend usage goes
-//!    straight to the scheduler's
+//!    that share a circuit share its distribution. A job reaches its backend
+//!    as one [`ExecutionBackend::run_variants`] call over a [`VariantBatch`]
+//!    (canonical keys plus the circuits they instantiate, borrowed from the
+//!    batch), so a remote backend can ship keys instead of circuits.
+//!    Per-backend usage goes straight to the scheduler's
 //!    [`ScheduleReport`](crate::schedule::ScheduleReport).
 //! 5. **Fold** — each delivered chunk folds into per-fragment cut tensors
 //!    ([`ProbabilityAccumulator`](crate::reconstruct::ProbabilityAccumulator) /
@@ -64,6 +67,7 @@ use qrcc_sim::compile::{interpreted_forced_by_env, CompileStats, KernelCache};
 use qrcc_sim::device::Device;
 use qrcc_sim::{Counts, SimError};
 use rayon::prelude::*;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,6 +115,26 @@ pub trait ExecutionBackend: Sync {
         self.run_batch(circuits)
     }
 
+    /// Executes a batch of fragment variants, returning one result per
+    /// variant in order. The dispatcher calls this for every job.
+    ///
+    /// The default runs the variants' instantiated circuits through
+    /// [`ExecutionBackend::run_batch_with_shots`] (with shots) or
+    /// [`ExecutionBackend::run_batch`] — the circuits are borrowed from the
+    /// batch when the variants are a contiguous run of it, copied otherwise.
+    /// A remote backend overrides it to ship each fragment once and then
+    /// only the canonical [`VariantKey`]s; the in-process backends override
+    /// it to run the circuits where the batch holds them
+    /// ([`VariantBatch::circuit_refs`]), since a job's share of a chunk
+    /// split over several backends is rarely contiguous.
+    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        let circuits = variants.circuits();
+        match variants.shots() {
+            Some(shots) => self.run_batch_with_shots(&circuits, shots),
+            None => self.run_batch(&circuits),
+        }
+    }
+
     /// The widest circuit this backend can run, or `None` when unbounded.
     /// The scheduler's router only places circuits on backends that fit.
     fn max_qubits(&self) -> Option<usize> {
@@ -148,6 +172,100 @@ pub trait ExecutionBackend: Sync {
     /// default keeps non-simulating backends at `None`.
     fn compile_stats(&self) -> Option<CompileStats> {
         None
+    }
+}
+
+/// The variant view of one batch of work: canonical [`VariantKey`]s of a
+/// [`FragmentSet`], the circuits they instantiate to, and optional per-variant
+/// shots — what [`ExecutionBackend::run_variants`] receives.
+///
+/// The view picks some entries of batch-wide key and circuit lists (a
+/// dispatcher job runs the circuits of a chunk routed to one backend)
+/// without copying them.
+#[derive(Debug, Clone)]
+pub struct VariantBatch<'a> {
+    fragments: &'a FragmentSet,
+    keys: &'a [VariantKey],
+    circuits: &'a [Circuit],
+    picks: Cow<'a, [usize]>,
+    shots: Option<&'a [u64]>,
+}
+
+impl<'a> VariantBatch<'a> {
+    /// Every variant of `keys`, where `circuits[i]` is what `keys[i]`
+    /// instantiates to (each circuit's canonical key, so keys sharing a
+    /// circuit appear once) and `shots`, when given, holds one count per variant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths disagree or a key names no fragment of
+    /// `fragments`.
+    pub fn new(
+        fragments: &'a FragmentSet,
+        keys: &'a [VariantKey],
+        circuits: &'a [Circuit],
+        shots: Option<&'a [u64]>,
+    ) -> Self {
+        let known = |key: &VariantKey| key.fragment < fragments.fragments.len();
+        assert!(keys.iter().all(known), "every key names a fragment of the set");
+        let picks = Cow::Owned((0..keys.len()).collect());
+        Self::picked(fragments, keys, circuits, picks, shots)
+    }
+
+    /// The variants at `picks` of the batch-wide `keys`/`circuits`, with
+    /// one shot count per pick.
+    pub(crate) fn picked(
+        fragments: &'a FragmentSet,
+        keys: &'a [VariantKey],
+        circuits: &'a [Circuit],
+        picks: Cow<'a, [usize]>,
+        shots: Option<&'a [u64]>,
+    ) -> Self {
+        assert_eq!(keys.len(), circuits.len(), "one circuit per variant key");
+        assert!(shots.is_none_or(|s| s.len() == picks.len()), "one shot count per variant");
+        VariantBatch { fragments, keys, circuits, picks, shots }
+    }
+
+    /// The fragment set the keys index.
+    pub fn fragments(&self) -> &'a FragmentSet {
+        self.fragments
+    }
+
+    /// Number of variants.
+    pub fn len(&self) -> usize {
+        self.picks.len()
+    }
+
+    /// Whether the batch holds no variant.
+    pub fn is_empty(&self) -> bool {
+        self.picks.is_empty()
+    }
+
+    /// The canonical keys, in batch order.
+    pub fn keys(&self) -> impl Iterator<Item = VariantKey> + '_ {
+        self.picks.iter().map(|&i| self.keys[i])
+    }
+
+    /// Per-variant shots, when the scheduler allocated them.
+    pub fn shots(&self) -> Option<&'a [u64]> {
+        self.shots
+    }
+
+    /// The instantiated circuits, in batch order, where the batch holds
+    /// them.
+    pub fn circuit_refs(&self) -> Vec<&'a Circuit> {
+        self.picks.iter().map(|&i| &self.circuits[i]).collect()
+    }
+
+    /// The instantiated circuits, in batch order: borrowed when the
+    /// variants are a contiguous run of the batch, cloned otherwise.
+    pub fn circuits(&self) -> Cow<'a, [Circuit]> {
+        let run = self.picks.windows(2).all(|pair| pair[1] == pair[0] + 1);
+        match self.picks.first() {
+            Some(&first) if run => Cow::Borrowed(&self.circuits[first..first + self.picks.len()]),
+            None => Cow::Borrowed(&[]),
+            _ => Cow::Owned(self.picks.iter().map(|&i| self.circuits[i].clone()).collect()),
+        }
     }
 }
 
@@ -299,6 +417,9 @@ pub(crate) struct PreparedBatch {
     pub(crate) keys: Vec<VariantKey>,
     /// The deduplicated circuits to execute, in first-seen order.
     pub(crate) circuits: Vec<Circuit>,
+    /// The canonical key each circuit instantiates (parallel to
+    /// `circuits`).
+    pub(crate) canonical: Vec<VariantKey>,
     /// For each unique key, the index of its circuit in `circuits`.
     pub(crate) circuit_of_key: Vec<usize>,
     /// Per unique key, how many duplicate requests collapsed into it.
@@ -325,6 +446,7 @@ pub(crate) fn prepare_batch(
     let mut batch = PreparedBatch {
         keys: Vec::with_capacity(requests.len()),
         circuits: Vec::new(),
+        canonical: Vec::new(),
         circuit_of_key: Vec::with_capacity(requests.len()),
         key_count: Vec::with_capacity(requests.len()),
         requested: requests.len() as u64,
@@ -338,6 +460,7 @@ pub(crate) fn prepare_batch(
         let canonical = VariantKey { ordinal: fragment.canonical_ordinal(key.ordinal), ..key };
         let circuit = *circuit_of_canonical.entry(canonical).or_insert_with(|| {
             batch.circuits.push(fragment.instantiate(canonical.ordinal, canonical.outputs));
+            batch.canonical.push(canonical);
             batch.circuits.len() - 1
         });
         slot_of_key.insert(key, batch.keys.len());
@@ -514,6 +637,12 @@ impl ExecutionBackend for ExactBackend {
         circuits.par_iter().map(|circuit| self.distribution(circuit)).collect()
     }
 
+    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        let circuits = variants.circuit_refs();
+        self.count.fetch_add(circuits.len() as u64, Ordering::Relaxed);
+        circuits.par_iter().map(|circuit| self.distribution(circuit)).collect()
+    }
+
     fn max_qubits(&self) -> Option<usize> {
         self.max_qubits
     }
@@ -600,9 +729,9 @@ impl ShotsBackend {
     /// failing circuit keeps its typed error and can never shift the streams
     /// of the circuits after it, regardless of where in the batch it sits or
     /// how the per-circuit shot allocation splits the budget.
-    fn run_batch_streams(
+    fn run_batch_streams<C: Borrow<Circuit> + Sync>(
         &self,
-        circuits: &[Circuit],
+        circuits: &[C],
         shots_of: impl Fn(usize) -> u64 + Sync,
     ) -> Vec<Result<Vec<f64>, CoreError>> {
         let mut runnable = 0;
@@ -613,7 +742,7 @@ impl ShotsBackend {
                 if shots_of(i) == 0 {
                     return Err(SimError::ZeroShots);
                 }
-                self.check(circuit)?;
+                self.check(circuit.borrow())?;
                 runnable += 1;
                 Ok(runnable - 1)
             })
@@ -624,7 +753,7 @@ impl ShotsBackend {
             .enumerate()
             .map(|(i, circuit)| {
                 let stream = base + offsets[i].clone()?;
-                let counts = self.device.execute_stream(circuit, shots_of(i), stream)?;
+                let counts = self.device.execute_stream(circuit.borrow(), shots_of(i), stream)?;
                 Ok(counts.probability_vector())
             })
             .collect()
@@ -649,6 +778,14 @@ impl ExecutionBackend for ShotsBackend {
     ) -> Vec<Result<Vec<f64>, CoreError>> {
         debug_assert_eq!(circuits.len(), shots.len(), "one shot count per circuit");
         self.run_batch_streams(circuits, |i| shots[i])
+    }
+
+    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        let circuits = variants.circuit_refs();
+        match variants.shots() {
+            Some(shots) => self.run_batch_streams(&circuits, |i| shots[i]),
+            None => self.run_batch_streams(&circuits, |_| self.shots),
+        }
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -998,5 +1135,118 @@ mod tests {
             results.distribution(&key),
             Err(CoreError::MissingVariant { fragment: 7 })
         ));
+    }
+
+    #[test]
+    fn variant_batches_borrow_contiguous_runs_and_copy_scattered_picks() {
+        let set = chain_fragments();
+        let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
+        let batch = prepare_batch(&set, &requests).unwrap();
+        let view = |picks: Vec<usize>| {
+            VariantBatch::picked(&set, &batch.canonical, &batch.circuits, Cow::Owned(picks), None)
+        };
+        assert!(matches!(view(vec![1, 2, 3]).circuits(), Cow::Borrowed(c) if c.len() == 3));
+        assert!(matches!(view(vec![]).circuits(), Cow::Borrowed([])));
+        let scattered = view(vec![3, 1]);
+        assert!(matches!(scattered.circuits(), Cow::Owned(_)));
+        assert_eq!(scattered.circuits()[0], batch.circuits[3]);
+        assert_eq!(scattered.keys().collect::<Vec<_>>(), [batch.canonical[3], batch.canonical[1]]);
+        assert_eq!(scattered.circuit_refs(), [&batch.circuits[3], &batch.circuits[1]]);
+
+        // the in-process backends run scattered picks in place, exactly as
+        // the default's copies would run
+        let copied = scattered.circuits().into_owned();
+        let exact = ExactBackend::new();
+        assert_eq!(exact.run_variants(&scattered), exact.run_batch(&copied));
+        assert_eq!(exact.executions(), 4);
+        let shots =
+            |seed| ShotsBackend::new(Device::new(DeviceConfig::ideal(3).with_seed(seed)), 64);
+        assert_eq!(shots(7).run_variants(&scattered), shots(7).run_batch(&copied));
+        let counts = [16, 48];
+        let with_shots = VariantBatch::picked(
+            &set,
+            &batch.canonical,
+            &batch.circuits,
+            Cow::Owned(vec![3, 1]),
+            Some(&counts),
+        );
+        assert_eq!(
+            shots(7).run_variants(&with_shots),
+            shots(7).run_batch_with_shots(&copied, &counts)
+        );
+    }
+
+    fn chain_fragments() -> FragmentSet {
+        let mut c = Circuit::new(5);
+        c.h(0).cx(0, 1).cx(1, 2).ry(0.4, 2).cx(2, 3).cx(3, 4);
+        let plan = CutPlanner::new(
+            QrccConfig::new(3)
+                .with_subcircuit_range(2, 3)
+                .with_qubit_reuse(false)
+                .with_ilp_time_limit(Duration::ZERO),
+        )
+        .plan(&c)
+        .unwrap();
+        FragmentSet::from_plan(&plan).unwrap()
+    }
+
+    #[test]
+    fn dispatch_hands_backends_canonical_keys_with_their_circuits() {
+        /// Checks every variant it is handed, then runs them exactly.
+        struct KeyChecking {
+            inner: ExactBackend,
+        }
+        impl ExecutionBackend for KeyChecking {
+            fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
+                self.inner.run_one(circuit)
+            }
+            fn run_variants(
+                &self,
+                variants: &VariantBatch<'_>,
+            ) -> Vec<Result<Vec<f64>, CoreError>> {
+                let circuits = variants.circuits();
+                for (key, circuit) in variants.keys().zip(circuits.iter()) {
+                    let fragment = variants.fragments().fragment_of(&key).unwrap();
+                    assert_eq!(fragment.canonical_ordinal(key.ordinal), key.ordinal);
+                    assert_eq!(&fragment.instantiate(key.ordinal, key.outputs), circuit);
+                }
+                self.inner.run_batch(&circuits)
+            }
+            fn executions(&self) -> u64 {
+                self.inner.executions()
+            }
+        }
+        let (circuit, graph) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
+        let config = QrccConfig::new(4)
+            .with_subcircuit_range(2, 3)
+            .with_gate_cuts(true)
+            .with_ilp_time_limit(Duration::ZERO);
+        let plan = CutPlanner::new(config).plan(&circuit).unwrap();
+        let set = FragmentSet::from_plan(&plan).unwrap();
+        assert!(set.num_gate_cuts() > 0, "measuring instances alias: keys get canonicalised");
+        let observable = qrcc_circuit::observable::PauliObservable::maxcut(&graph);
+        let requests = crate::reconstruct::ExpectationReconstructor::new()
+            .requests(&set, &observable)
+            .unwrap();
+        let reference = execute_requests(&set, &requests, &ExactBackend::new()).unwrap();
+
+        let mut registry = crate::schedule::DeviceRegistry::new();
+        registry.register("checking", KeyChecking { inner: ExactBackend::new() });
+        registry.register("plain", ExactBackend::new());
+        let policy = crate::SchedulePolicy::default().with_chunk_size(5);
+        let scheduler = crate::schedule::Scheduler::new(&registry, policy);
+        let mut merged = ExecutionResults::default();
+        let report = scheduler
+            .execute_chunked(&set, &requests, |chunk| {
+                merged.extend(chunk);
+                Ok(())
+            })
+            .unwrap();
+        let checked = report.backends.iter().find(|u| u.backend == "checking");
+        assert!(checked.is_some_and(|u| u.circuits > 0), "{:?}", report.backends);
+        assert_eq!(merged.executed(), reference.executed());
+        for (key, distribution) in reference.iter() {
+            assert_eq!(merged.distribution(key).unwrap(), distribution);
+        }
     }
 }

@@ -136,31 +136,321 @@ pub struct VariantRequest {
 /// One operation of a fragment's skeleton, lowered once when the fragment
 /// is built: a slot reads its digit of a variant's ordinal at `place`.
 #[derive(Debug, Clone, PartialEq)]
-enum FragmentOp {
+pub enum SkeletonOp {
     /// An operation every variant runs unchanged (a gate or a reset).
     Fixed(Operation),
+    /// An incoming wire cut: prepares one of [`InitState::ALL`] (digit
+    /// `ordinal / place % 4`).
     Prep {
+        /// Place value of the slot's digit.
         place: u64,
+        /// The prepared qubit.
         qubit: QubitId,
     },
+    /// An outgoing wire cut: measures in one of [`CutBasis::ALL`] (digit
+    /// `ordinal / place % 3`).
     CutMeasure {
+        /// Place value of the slot's digit.
         place: u64,
+        /// The measured qubit.
         qubit: QubitId,
+        /// The classical bit receiving the outcome.
         clbit: usize,
     },
+    /// An original-circuit output: measures in the basis packed at bits
+    /// `shift..shift + 2` of a variant's `outputs`.
     OutputMeasure {
+        /// Bit offset of the output's basis code.
         shift: u32,
+        /// The measured qubit.
         qubit: QubitId,
+        /// The classical bit receiving the outcome.
         clbit: usize,
     },
+    /// One half of a gate cut: the local gates around the ZZ core, with
+    /// one of the six instances (digit `ordinal / place % 6`) in between.
     GateCutHalf {
+        /// Place value of the slot's digit.
         place: u64,
+        /// Which half of the cut gate this is.
         half: GateHalf,
+        /// The half's qubit.
         qubit: QubitId,
+        /// The classical bit a measuring instance writes.
         clbit: usize,
+        /// Local gates before the instance.
         pre: Vec<Operation>,
+        /// Local gates after the instance.
         post: Vec<Operation>,
     },
+}
+
+/// Everything instantiating a fragment's variants reads: registers, slot
+/// layout and the lowered skeleton. A [`Fragment`] owns one; a remote
+/// worker receives it once per connection and then instantiates
+/// `(ordinal, outputs)` pairs against it, so [`FragmentBody::new`] checks
+/// every invariant [`FragmentBody::instantiate`] relies on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FragmentBody {
+    name: String,
+    num_qubits: usize,
+    num_clbits: usize,
+    num_outputs: usize,
+    variant_count: u64,
+    skeleton: Vec<SkeletonOp>,
+    weight: usize,
+}
+
+/// One unit per operation plus one per barrier operand: the
+/// [`FragmentBody::weight`] of a plain operation.
+fn operation_weight(op: &Operation) -> usize {
+    match op {
+        Operation::Barrier { qubits } => 1 + qubits.len(),
+        _ => 1,
+    }
+}
+
+impl FragmentBody {
+    /// A body over `num_qubits` qubits and `num_clbits` classical bits
+    /// with `num_outputs` output slots and `variant_count` slot
+    /// configurations.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidCutSolution`] when an operation names a qubit or
+    /// classical bit outside the registers, a gate has the wrong arity, a
+    /// repeated qubit or a non-finite angle, a slot has place 0, an output
+    /// shift is not the even bit offset of an output slot, or the slot
+    /// radices (4 per prep, 3 per cut measure, 6 per gate-cut half) do not
+    /// multiply to `variant_count`.
+    pub fn new(
+        name: String,
+        num_qubits: usize,
+        num_clbits: usize,
+        num_outputs: usize,
+        variant_count: u64,
+        skeleton: Vec<SkeletonOp>,
+    ) -> Result<Self, CoreError> {
+        let invalid = |reason: String| CoreError::InvalidCutSolution { reason };
+        if num_outputs > 32 {
+            return Err(invalid(format!("{num_outputs} outputs do not pack into 64 bits")));
+        }
+        let qubit_ok = |qubit: &QubitId| qubit.index() < num_qubits;
+        let check_op = |op: &Operation| -> Result<(), CoreError> {
+            let fits = match op {
+                Operation::Single { gate, qubit } => gate.is_single_qubit() && qubit_ok(qubit),
+                Operation::Two { gate, qubits } => {
+                    gate.is_two_qubit() && qubits[0] != qubits[1] && qubits.iter().all(qubit_ok)
+                }
+                Operation::Measure { qubit, clbit } => qubit_ok(qubit) && *clbit < num_clbits,
+                Operation::Reset { qubit } => qubit_ok(qubit),
+                Operation::Barrier { qubits } => qubits.iter().all(qubit_ok),
+            };
+            let finite = op.as_gate().is_none_or(Gate::params_finite);
+            if fits && finite {
+                Ok(())
+            } else {
+                Err(invalid(format!(
+                    "operation {op:?} does not fit a {num_qubits}-qubit, \
+                     {num_clbits}-clbit fragment"
+                )))
+            }
+        };
+        let slot = |place: u64, qubit: &QubitId, clbit: Option<usize>| {
+            if place == 0 || !qubit_ok(qubit) || clbit.is_some_and(|c| c >= num_clbits) {
+                Err(invalid(format!("slot at place {place} on {qubit} does not fit the fragment")))
+            } else {
+                Ok(())
+            }
+        };
+        let mut radix_product = Some(1u64);
+        let mut weight = name.len();
+        for op in &skeleton {
+            // the most operations each entry instantiates to
+            weight += match op {
+                SkeletonOp::Fixed(op) => operation_weight(op),
+                SkeletonOp::Prep { .. } => 2,
+                SkeletonOp::CutMeasure { .. } | SkeletonOp::OutputMeasure { .. } => 3,
+                SkeletonOp::GateCutHalf { pre, post, .. } => {
+                    1 + pre.iter().chain(post).map(operation_weight).sum::<usize>()
+                }
+            };
+            let radix = match op {
+                SkeletonOp::Fixed(op) => {
+                    check_op(op)?;
+                    continue;
+                }
+                SkeletonOp::Prep { place, qubit } => {
+                    slot(*place, qubit, None)?;
+                    4
+                }
+                SkeletonOp::CutMeasure { place, qubit, clbit } => {
+                    slot(*place, qubit, Some(*clbit))?;
+                    3
+                }
+                SkeletonOp::OutputMeasure { shift, qubit, clbit } => {
+                    if shift % 2 != 0 || *shift as usize / 2 >= num_outputs {
+                        return Err(invalid(format!(
+                            "output shift {shift} names no slot of {num_outputs} outputs"
+                        )));
+                    }
+                    slot(1, qubit, Some(*clbit))?;
+                    continue;
+                }
+                SkeletonOp::GateCutHalf { place, qubit, clbit, pre, post, .. } => {
+                    slot(*place, qubit, Some(*clbit))?;
+                    pre.iter().chain(post).try_for_each(check_op)?;
+                    6
+                }
+            };
+            radix_product = radix_product.and_then(|p| p.checked_mul(radix));
+        }
+        if radix_product != Some(variant_count) {
+            return Err(invalid(format!(
+                "slot radices multiply to {radix_product:?}, not {variant_count} variants"
+            )));
+        }
+        Ok(FragmentBody {
+            name,
+            num_qubits,
+            num_clbits,
+            num_outputs,
+            variant_count,
+            skeleton,
+            weight,
+        })
+    }
+
+    /// The name every instantiated circuit carries.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Qubits of every instantiated circuit.
+    pub fn num_qubits(&self) -> usize {
+        self.num_qubits
+    }
+
+    /// Classical bits of every instantiated circuit.
+    pub fn num_clbits(&self) -> usize {
+        self.num_clbits
+    }
+
+    /// Output slots, 2 bits each in a variant's `outputs`.
+    pub fn num_outputs(&self) -> usize {
+        self.num_outputs
+    }
+
+    /// The range of a variant ordinal.
+    pub fn variant_count(&self) -> u64 {
+        self.variant_count
+    }
+
+    /// The lowered skeleton, in emission order.
+    pub fn skeleton(&self) -> &[SkeletonOp] {
+        &self.skeleton
+    }
+
+    /// An upper bound on the size of one instantiated circuit, counting
+    /// each operation, each barrier operand and each byte of the name as
+    /// one unit: what a remote worker budgets its memory by.
+    pub fn weight(&self) -> usize {
+        self.weight
+    }
+
+    /// Checks `(ordinal, outputs)` against this body: the ordinal is below
+    /// [`FragmentBody::variant_count`], and `outputs` sets only output
+    /// slots, each to a valid basis code.
+    ///
+    /// # Errors
+    ///
+    /// A description of the mismatch.
+    pub fn check_variant(&self, ordinal: u64, outputs: u64) -> Result<(), String> {
+        if ordinal >= self.variant_count {
+            return Err(format!(
+                "variant ordinal {ordinal} out of range ({} variants)",
+                self.variant_count
+            ));
+        }
+        let slots = 2 * self.num_outputs as u32;
+        let stray = slots < 64 && outputs >> slots != 0;
+        let bad_code = outputs & outputs >> 1 & 0x5555_5555_5555_5555 != 0;
+        if stray || bad_code {
+            return Err(format!(
+                "output bases {outputs:#x} do not fit {} outputs",
+                self.num_outputs
+            ));
+        }
+        Ok(())
+    }
+
+    /// Builds the concrete circuit of variant `ordinal` with packed output
+    /// bases `outputs` (see [`VariantKey`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ordinal` is not below [`FragmentBody::variant_count`].
+    pub fn instantiate(&self, ordinal: u64, outputs: u64) -> Circuit {
+        assert!(ordinal < self.variant_count, "variant ordinal out of range");
+        let mut circuit = Circuit::with_clbits(self.num_qubits, self.num_clbits);
+        // room for the skeleton plus one rotation gate pair per slot
+        circuit.set_name(self.name.as_str()).reserve(2 * self.skeleton.len());
+        let gate = |circuit: &mut Circuit, gate: Gate, qubit: QubitId| {
+            circuit.push(Operation::Single { gate, qubit });
+        };
+        let rotate_to = |circuit: &mut Circuit, basis: u64, qubit: QubitId| match basis {
+            0 => {}
+            1 => gate(circuit, Gate::H, qubit),
+            _ => {
+                gate(circuit, Gate::Sdg, qubit);
+                gate(circuit, Gate::H, qubit);
+            }
+        };
+        for op in &self.skeleton {
+            match op {
+                SkeletonOp::Fixed(op) => {
+                    circuit.push(op.clone());
+                }
+                &SkeletonOp::Prep { place, qubit } => {
+                    match InitState::ALL[(ordinal / place % 4) as usize] {
+                        InitState::Zero => {}
+                        InitState::One => gate(&mut circuit, Gate::X, qubit),
+                        InitState::Plus => gate(&mut circuit, Gate::H, qubit),
+                        InitState::PlusI => {
+                            gate(&mut circuit, Gate::H, qubit);
+                            gate(&mut circuit, Gate::S, qubit);
+                        }
+                    }
+                }
+                &SkeletonOp::CutMeasure { place, qubit, clbit } => {
+                    rotate_to(&mut circuit, ordinal / place % 3, qubit);
+                    circuit.push(Operation::Measure { qubit, clbit });
+                }
+                &SkeletonOp::OutputMeasure { shift, qubit, clbit } => {
+                    rotate_to(&mut circuit, outputs >> shift & 3, qubit);
+                    circuit.push(Operation::Measure { qubit, clbit });
+                }
+                SkeletonOp::GateCutHalf { place, half, qubit, clbit, pre, post } => {
+                    for op in pre {
+                        circuit.push(op.clone());
+                    }
+                    let instance = (ordinal / place % 6) as usize + 1;
+                    match instance_op(instance, *half) {
+                        InstanceOp::Nothing => {}
+                        InstanceOp::PauliZ => gate(&mut circuit, Gate::Z, *qubit),
+                        InstanceOp::Rz(angle) => gate(&mut circuit, Gate::Rz(angle), *qubit),
+                        InstanceOp::MeasureSign => {
+                            circuit.push(Operation::Measure { qubit: *qubit, clbit: *clbit });
+                        }
+                    }
+                    for op in post {
+                        circuit.push(op.clone());
+                    }
+                }
+            }
+        }
+        circuit
+    }
 }
 
 /// One subcircuit of a cut plan, mapped to physical qubits.
@@ -172,8 +462,7 @@ pub struct Fragment {
     pub num_physical: usize,
     /// Number of classical bits of every instantiated variant.
     pub num_clbits: usize,
-    name: String,
-    skeleton: Vec<FragmentOp>,
+    body: FragmentBody,
     /// Global wire-cut ids whose initialisation side lands in this fragment.
     pub incoming_cuts: Vec<usize>,
     /// Global wire-cut ids whose measurement side lands in this fragment.
@@ -203,19 +492,28 @@ impl Fragment {
         gate_roles: Vec<(usize, GateHalf, usize)>,
         output_clbits: Vec<(usize, usize)>,
     ) -> Fragment {
-        Fragment {
+        let mut fragment = Fragment {
             index: 0,
             num_physical: 0,
             num_clbits,
-            name: String::new(),
-            skeleton: Vec::new(),
+            body: FragmentBody {
+                name: String::new(),
+                num_qubits: 0,
+                num_clbits,
+                num_outputs: output_clbits.len(),
+                variant_count: 0,
+                skeleton: Vec::new(),
+                weight: 0,
+            },
             incoming_cuts,
             outgoing_cuts: cut_clbits.iter().map(|&(cut, _)| cut).collect(),
             gate_cut_roles: gate_roles.iter().map(|&(cut, half, _)| (cut, half)).collect(),
             output_clbits,
             cut_clbits,
             gatecut_clbits: gate_roles.iter().map(|&(cut, _, clbit)| (cut, clbit)).collect(),
-        }
+        };
+        fragment.body.variant_count = fragment.variant_count();
+        fragment
     }
 }
 
@@ -261,6 +559,12 @@ impl Fragment {
         canonical
     }
 
+    /// What instantiating this fragment's variants reads — the part a
+    /// remote worker receives.
+    pub fn body(&self) -> &FragmentBody {
+        &self.body
+    }
+
     /// Builds the concrete circuit of variant `ordinal` with packed output
     /// bases `outputs` (see [`VariantKey`]).
     ///
@@ -268,65 +572,7 @@ impl Fragment {
     ///
     /// Panics if `ordinal` is not below [`Fragment::variant_count`].
     pub fn instantiate(&self, ordinal: u64, outputs: u64) -> Circuit {
-        assert!(ordinal < self.variant_count(), "variant ordinal out of range");
-        let mut circuit = Circuit::with_clbits(self.num_physical, self.num_clbits);
-        // room for the skeleton plus one rotation gate pair per slot
-        circuit.set_name(self.name.as_str()).reserve(2 * self.skeleton.len());
-        let gate = |circuit: &mut Circuit, gate: Gate, qubit: QubitId| {
-            circuit.push(Operation::Single { gate, qubit });
-        };
-        let rotate_to = |circuit: &mut Circuit, basis: u64, qubit: QubitId| match basis {
-            0 => {}
-            1 => gate(circuit, Gate::H, qubit),
-            _ => {
-                gate(circuit, Gate::Sdg, qubit);
-                gate(circuit, Gate::H, qubit);
-            }
-        };
-        for op in &self.skeleton {
-            match op {
-                FragmentOp::Fixed(op) => {
-                    circuit.push(op.clone());
-                }
-                &FragmentOp::Prep { place, qubit } => {
-                    match InitState::ALL[(ordinal / place % 4) as usize] {
-                        InitState::Zero => {}
-                        InitState::One => gate(&mut circuit, Gate::X, qubit),
-                        InitState::Plus => gate(&mut circuit, Gate::H, qubit),
-                        InitState::PlusI => {
-                            gate(&mut circuit, Gate::H, qubit);
-                            gate(&mut circuit, Gate::S, qubit);
-                        }
-                    }
-                }
-                &FragmentOp::CutMeasure { place, qubit, clbit } => {
-                    rotate_to(&mut circuit, ordinal / place % 3, qubit);
-                    circuit.push(Operation::Measure { qubit, clbit });
-                }
-                &FragmentOp::OutputMeasure { shift, qubit, clbit } => {
-                    rotate_to(&mut circuit, outputs >> shift & 3, qubit);
-                    circuit.push(Operation::Measure { qubit, clbit });
-                }
-                FragmentOp::GateCutHalf { place, half, qubit, clbit, pre, post } => {
-                    for op in pre {
-                        circuit.push(op.clone());
-                    }
-                    let instance = (ordinal / place % 6) as usize + 1;
-                    match instance_op(instance, *half) {
-                        InstanceOp::Nothing => {}
-                        InstanceOp::PauliZ => gate(&mut circuit, Gate::Z, *qubit),
-                        InstanceOp::Rz(angle) => gate(&mut circuit, Gate::Rz(angle), *qubit),
-                        InstanceOp::MeasureSign => {
-                            circuit.push(Operation::Measure { qubit: *qubit, clbit: *clbit });
-                        }
-                    }
-                    for op in post {
-                        circuit.push(op.clone());
-                    }
-                }
-            }
-        }
-        circuit
+        self.body.instantiate(ordinal, outputs)
     }
 }
 
@@ -441,25 +687,9 @@ impl FragmentSet {
                 self.fragments.len()
             ));
         };
-        if key.ordinal >= fragment.variant_count() {
-            return invalid(format!(
-                "variant ordinal {} out of range for fragment {} ({} variants)",
-                key.ordinal,
-                key.fragment,
-                fragment.variant_count()
-            ));
-        }
-        let slots = 2 * fragment.output_clbits.len() as u32;
-        let stray = slots < 64 && key.outputs >> slots != 0;
-        let bad_code = key.outputs & key.outputs >> 1 & 0x5555_5555_5555_5555 != 0;
-        if stray || bad_code {
-            return invalid(format!(
-                "output bases {:#x} do not fit the {} outputs of fragment {}",
-                key.outputs,
-                fragment.output_clbits.len(),
-                key.fragment
-            ));
-        }
+        fragment.body.check_variant(key.ordinal, key.outputs).map_err(|reason| {
+            CoreError::InvalidCutSolution { reason: format!("fragment {}: {reason}", key.fragment) }
+        })?;
         Ok(fragment)
     }
 
@@ -653,11 +883,11 @@ fn build_fragment(
                     let phys = physical[slot];
                     let qubit = QubitId::new(phys);
                     if physical_dirty[phys] {
-                        skeleton.push(FragmentOp::Fixed(Operation::Reset { qubit }));
+                        skeleton.push(SkeletonOp::Fixed(Operation::Reset { qubit }));
                     }
                     physical_dirty[phys] = true;
                     if let Some(&place) = prep_place.get(&slot) {
-                        skeleton.push(FragmentOp::Prep { place, qubit });
+                        skeleton.push(SkeletonOp::Prep { place, qubit });
                     }
                 }
             }
@@ -673,7 +903,7 @@ fn build_fragment(
                 let phys = physical[node_segment[&(node, wire_slot)]];
                 let (pre, post) = gate_cut_forms[cut_id].locals(half);
                 let local = |gates: &[Gate]| gates.iter().map(|&g| lowered(g, &[phys])).collect();
-                skeleton.push(FragmentOp::GateCutHalf {
+                skeleton.push(SkeletonOp::GateCutHalf {
                     place: gate_place * 6u64.pow(role as u32),
                     half,
                     qubit: QubitId::new(phys),
@@ -695,7 +925,7 @@ fn build_fragment(
                     })
                 }
             };
-            skeleton.push(FragmentOp::Fixed(op));
+            skeleton.push(SkeletonOp::Fixed(op));
         }
         // finish any segments this node ends
         for q in &node_qubits {
@@ -704,9 +934,9 @@ fn build_fragment(
                 if remaining_in_segment[slot] == 0 {
                     let qubit = QubitId::new(physical[slot]);
                     if let Some(&(place, clbit)) = measure_place.get(&slot) {
-                        skeleton.push(FragmentOp::CutMeasure { place, qubit, clbit });
+                        skeleton.push(SkeletonOp::CutMeasure { place, qubit, clbit });
                     } else if let Some(&(shift, clbit)) = output_shift.get(&slot) {
-                        skeleton.push(FragmentOp::OutputMeasure { shift, qubit, clbit });
+                        skeleton.push(SkeletonOp::OutputMeasure { shift, qubit, clbit });
                     }
                 }
             }
@@ -717,8 +947,14 @@ fn build_fragment(
         index: sub,
         num_physical: num_physical.max(1),
         num_clbits: clbit,
-        name: format!("fragment_{sub}"),
-        skeleton,
+        body: FragmentBody::new(
+            format!("fragment_{sub}"),
+            num_physical.max(1),
+            clbit,
+            output_segments.len(),
+            gate_place * 6u64.pow(gate_cut_roles.len() as u32),
+            skeleton,
+        )?,
         incoming_cuts: incoming_cuts.iter().map(|&(c, _)| c).collect(),
         outgoing_cuts: outgoing_cuts.iter().map(|&(c, _)| c).collect(),
         gate_cut_roles,
@@ -855,5 +1091,77 @@ mod tests {
         let measuring = fragment.instantiate(digit * fragment.gate_place(), 0);
         let baseline = fragment.instantiate(0, 0);
         assert_eq!(measuring.count_ops()["measure"], baseline.count_ops()["measure"] + 1);
+    }
+
+    #[test]
+    fn fragment_bodies_refuse_broken_invariants() {
+        let q = QubitId::new;
+        let body = |skeleton: Vec<SkeletonOp>, variants: u64| {
+            FragmentBody::new("f".into(), 2, 2, 1, variants, skeleton)
+        };
+        let base = vec![
+            SkeletonOp::Prep { place: 3, qubit: q(0) },
+            SkeletonOp::Fixed(Operation::Two { gate: Gate::Cx, qubits: [q(0), q(1)] }),
+            SkeletonOp::CutMeasure { place: 1, qubit: q(1), clbit: 1 },
+            SkeletonOp::OutputMeasure { shift: 0, qubit: q(0), clbit: 0 },
+        ];
+        let valid = body(base.clone(), 12).unwrap();
+        assert_eq!(valid.variant_count(), 12);
+        let broken = [
+            (0, SkeletonOp::Prep { place: 0, qubit: q(0) }),
+            (0, SkeletonOp::Prep { place: 3, qubit: q(2) }),
+            (1, SkeletonOp::Fixed(Operation::Two { gate: Gate::Cx, qubits: [q(0), q(2)] })),
+            (1, SkeletonOp::Fixed(Operation::Two { gate: Gate::Cx, qubits: [q(1), q(1)] })),
+            (1, SkeletonOp::Fixed(Operation::Single { gate: Gate::Cx, qubit: q(0) })),
+            (1, SkeletonOp::Fixed(Operation::Single { gate: Gate::Rz(f64::NAN), qubit: q(0) })),
+            (1, SkeletonOp::Fixed(Operation::Measure { qubit: q(0), clbit: 2 })),
+            (1, SkeletonOp::Fixed(Operation::Barrier { qubits: vec![q(0), q(5)] })),
+            (2, SkeletonOp::CutMeasure { place: 1, qubit: q(1), clbit: 2 }),
+            (3, SkeletonOp::OutputMeasure { shift: 2, qubit: q(0), clbit: 0 }),
+            (3, SkeletonOp::OutputMeasure { shift: 1, qubit: q(0), clbit: 0 }),
+        ];
+        for (at, op) in broken {
+            let mut skeleton = base.clone();
+            skeleton[at] = op.clone();
+            assert!(
+                matches!(body(skeleton, 12), Err(CoreError::InvalidCutSolution { .. })),
+                "{op:?} must be refused"
+            );
+        }
+        // the radix product must match, and must not wrap
+        assert!(body(base, 13).is_err());
+        let many = vec![SkeletonOp::Prep { place: 1, qubit: q(0) }; 40];
+        assert!(body(many, 0).is_err(), "4^40 overflows u64");
+        assert!(FragmentBody::new("f".into(), 1, 1, 33, 1, Vec::new()).is_err());
+
+        assert!(valid.check_variant(11, 0b10).is_ok());
+        assert!(valid.check_variant(12, 0).is_err(), "ordinal out of range");
+        assert!(valid.check_variant(0, 0b11).is_err(), "no basis has code 3");
+        assert!(valid.check_variant(0, 0b100).is_err(), "a second output does not exist");
+    }
+
+    #[test]
+    fn bodies_match_their_fragments() {
+        let (circuit, _) = generators::qaoa_regular(6, 3, 1, 11);
+        let config = QrccConfig::new(4)
+            .with_subcircuit_range(2, 3)
+            .with_gate_cuts(true)
+            .with_ilp_time_limit(Duration::ZERO);
+        let plan = CutPlanner::new(config).plan(&circuit).unwrap();
+        for fragment in &FragmentSet::from_plan(&plan).unwrap().fragments {
+            let body = fragment.body();
+            assert_eq!(body.variant_count(), fragment.variant_count());
+            assert_eq!(body.num_qubits(), fragment.num_physical);
+            assert_eq!(body.num_clbits(), fragment.num_clbits);
+            assert_eq!(body.num_outputs(), fragment.output_clbits.len());
+            // the weight bounds every instantiation's size
+            let outputs = (0..body.num_outputs()).fold(0, |packed, slot| packed | 2 << (2 * slot));
+            for ordinal in 0..body.variant_count() {
+                let circuit = body.instantiate(ordinal, outputs);
+                let size = circuit.name().len()
+                    + circuit.operations().iter().map(operation_weight).sum::<usize>();
+                assert!(size <= body.weight(), "{size} > {}", body.weight());
+            }
+        }
     }
 }

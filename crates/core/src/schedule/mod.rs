@@ -164,10 +164,11 @@ impl<'r> Scheduler<'r> {
 
         let dispatcher = Dispatcher::new(self.registry, self.policy);
         let mut chunks = 0;
-        let (dispatch, backends) = dispatcher.run_batch(&batch, shots.as_deref(), |chunk| {
-            chunks += 1;
-            sink(chunk)
-        })?;
+        let (dispatch, backends) =
+            dispatcher.run_batch(fragments, &batch, shots.as_deref(), |chunk| {
+                chunks += 1;
+                sink(chunk)
+            })?;
         Ok(ScheduleReport {
             total_shots: backends.iter().map(|usage| usage.shots).sum(),
             backends,

@@ -10,22 +10,32 @@
 //! transient class the dispatcher retries on another backend with this one
 //! excluded), protocol violations become [`CoreError::Transport`].
 //!
+//! Fragment variants from the dispatcher
+//! ([`ExecutionBackend::run_variants`]) travel as keys: each pooled
+//! connection remembers which fragment bodies its server holds, defines the
+//! missing ones ([`Frame::DefineFragment`]) and then submits
+//! `(fragment id, ordinal, outputs)` keys ([`Frame::SubmitVariants`]), all
+//! in one write. Bare circuits ([`ExecutionBackend::run_batch`]) travel as
+//! OpenQASM text. A batch's replies are read through one buffered reader.
+//!
 //! Connections live in a small **reconnecting pool**: a batch checks a
 //! connection out, and returns it only when the batch completed cleanly. A
 //! connection that saw any failure is dropped on the floor, so the next
 //! batch dials fresh — the pool never hands out a stream in an unknown
-//! protocol state. Crucially the client never *resubmits* a failed batch
-//! itself: retry policy (and its exactly-once shot accounting) belongs to
-//! the dispatcher.
+//! protocol state (or with a fragment table the server does not share).
+//! Crucially the client never *resubmits* a failed batch itself: retry
+//! policy (and its exactly-once shot accounting) belongs to the dispatcher.
 
 use crate::proto::{
     self, Capabilities, Frame, HealthReport, MetricsReport, ProtoError, WireErrorKind,
-    PROTOCOL_VERSION,
+    MAX_BATCH_WEIGHT, MAX_FRAGMENTS, MAX_FRAGMENT_WEIGHT, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use qrcc_circuit::{qasm, Circuit};
-use qrcc_core::execute::ExecutionBackend;
+use qrcc_core::execute::{ExecutionBackend, VariantBatch};
+use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -54,7 +64,7 @@ pub struct RemoteBackend {
     capabilities: Capabilities,
     io_timeout: Duration,
     reply_timeout: Duration,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Connection>>,
     executions: AtomicU64,
     dials: AtomicU64,
     next_batch: AtomicU64,
@@ -124,7 +134,7 @@ impl RemoteBackend {
             next_batch: AtomicU64::new(0),
         };
         let (stream, capabilities) = backend.dial()?;
-        backend.pool.lock().push(stream);
+        backend.pool.lock().push(Connection::new(stream));
         Ok(RemoteBackend { capabilities, ..backend })
     }
 
@@ -151,9 +161,9 @@ impl RemoteBackend {
     /// [`CoreError::BackendUnavailable`] when the server is unreachable or
     /// stalled, [`CoreError::Transport`] when it answers wrongly.
     pub fn ping(&self) -> Result<Duration, CoreError> {
-        let mut stream = self.checkout()?;
-        let rtt = self.roundtrip_ping(&mut stream)?;
-        self.checkin(stream);
+        let mut conn = self.checkout()?;
+        let rtt = self.roundtrip_ping(&mut conn.stream)?;
+        self.checkin(conn);
         Ok(rtt)
     }
 
@@ -188,12 +198,12 @@ impl RemoteBackend {
     /// [`CoreError::BackendUnavailable`] when the server is unreachable,
     /// [`CoreError::Transport`] when it answers wrongly.
     pub fn get_metrics(&self) -> Result<MetricsReport, CoreError> {
-        let mut stream = self.checkout()?;
-        proto::write_frame(&mut stream, &Frame::GetMetrics)
+        let mut conn = self.checkout()?;
+        proto::write_frame(&mut conn.stream, &Frame::GetMetrics)
             .map_err(|e| ProtoError::Io(e).into_core(&self.label()))?;
-        match proto::read_frame(&mut FrameDeadline::new(&mut stream, self.io_timeout)) {
+        match proto::read_frame(&mut FrameDeadline::new(&mut conn.stream, self.io_timeout)) {
             Ok(Frame::MetricsReply { report }) => {
-                self.checkin(stream);
+                self.checkin(conn);
                 Ok(report)
             }
             Ok(other) => Err(CoreError::Transport {
@@ -211,12 +221,12 @@ impl RemoteBackend {
     /// [`CoreError::BackendUnavailable`] when the server is unreachable,
     /// [`CoreError::Transport`] when it answers wrongly.
     pub fn get_health(&self) -> Result<HealthReport, CoreError> {
-        let mut stream = self.checkout()?;
-        proto::write_frame(&mut stream, &Frame::GetHealth)
+        let mut conn = self.checkout()?;
+        proto::write_frame(&mut conn.stream, &Frame::GetHealth)
             .map_err(|e| ProtoError::Io(e).into_core(&self.label()))?;
-        match proto::read_frame(&mut FrameDeadline::new(&mut stream, self.io_timeout)) {
+        match proto::read_frame(&mut FrameDeadline::new(&mut conn.stream, self.io_timeout)) {
             Ok(Frame::HealthReply { state, queue_depth, queue_high_water, connections }) => {
-                self.checkin(stream);
+                self.checkin(conn);
                 Ok(HealthReport { state, queue_depth, queue_high_water, connections })
             }
             Ok(other) => Err(CoreError::Transport {
@@ -268,9 +278,9 @@ impl RemoteBackend {
     /// connections are liveness-probed first: the server reaps connections
     /// that idle past its deadline, and a reaped one must not cost the next
     /// batch a spurious failure.
-    fn checkout(&self) -> Result<TcpStream, CoreError> {
-        while let Some(mut stream) = self.pool.lock().pop() {
-            if !connection_is_live(&stream) {
+    fn checkout(&self) -> Result<Connection, CoreError> {
+        while let Some(mut conn) = self.pool.lock().pop() {
+            if !connection_is_live(&conn.stream) {
                 continue;
             }
             // Reuse checkout: one Ping round trip. This upgrades the cheap
@@ -280,8 +290,8 @@ impl RemoteBackend {
             // reflect idle health probes instead of the connections batches
             // actually ride. A connection that fails the ping is dropped
             // and the next pooled one (or a fresh dial) is tried.
-            if self.roundtrip_ping(&mut stream).is_ok() {
-                return Ok(stream);
+            if self.roundtrip_ping(&mut conn.stream).is_ok() {
+                return Ok(conn);
             }
         }
         let (stream, capabilities) = self.dial()?;
@@ -314,34 +324,32 @@ impl RemoteBackend {
                 ),
             }
         }
-        Ok(stream)
+        Ok(Connection::new(stream))
     }
 
     /// Returns a connection that finished its batch cleanly to the pool,
     /// restoring the ordinary per-operation read timeout.
-    fn checkin(&self, stream: TcpStream) {
-        if stream.set_read_timeout(Some(self.io_timeout)).is_err() {
+    fn checkin(&self, conn: Connection) {
+        if conn.stream.set_read_timeout(Some(self.io_timeout)).is_err() {
             return; // an unconfigurable socket is not worth pooling
         }
-        self.pool.lock().push(stream);
+        self.pool.lock().push(conn);
     }
 
-    /// Submits one batch and reads the streamed per-circuit replies.
+    /// Submits one batch and reads its per-entry replies.
     ///
     /// Whole-connection failures (dial, submit, a dead reply stream) fail
-    /// every circuit of the batch with the same error; per-circuit
+    /// every entry of the batch with the same error; per-circuit
     /// `CircuitFailed` replies fail only their slot.
-    fn submit(
-        &self,
-        circuits: &[Circuit],
-        shots: Option<&[u64]>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        if circuits.is_empty() {
+    fn submit(&self, payload: Payload<'_, '_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        let len = payload.len();
+        if len == 0 {
             return Vec::new();
         }
-        let mut stream = match self.checkout() {
-            Ok(stream) => stream,
-            Err(error) => return vec![error; circuits.len()].into_iter().map(Err).collect(),
+        let fail_all = |error: CoreError| vec![Err(error); len];
+        let mut conn = match self.checkout() {
+            Ok(conn) => conn,
+            Err(error) => return fail_all(error),
         };
         // opens under whatever span is live on this thread (a dispatch
         // worker's `job.execute`), so remote submissions nest into the
@@ -354,70 +362,68 @@ impl RemoteBackend {
         let trace = span
             .is_recording()
             .then(|| proto::TraceContext { trace_id: batch, parent_span: span.id() });
-        let frame = Frame::SubmitBatch {
-            batch,
-            circuits: circuits.iter().map(qasm::to_qasm).collect(),
-            shots: shots.map(<[u64]>::to_vec),
-            trace,
-        };
-        if let Err(e) = proto::write_frame(&mut stream, &frame) {
+        // the whole request — fragment definitions plus the submission —
+        // leaves in one write
+        let mut request = Vec::new();
+        let encoded = conn.encode_submission(&mut request, &payload, batch, trace);
+        if let Err(e) = encoded.and_then(|()| conn.stream.write_all(&request)) {
             // an oversized frame is refused before any bytes move: that is a
             // deterministic serialisation failure, not a transient fault the
             // dispatcher should replay on other backends
-            let error = if e.kind() == std::io::ErrorKind::InvalidData {
+            return fail_all(if e.kind() == std::io::ErrorKind::InvalidData {
                 CoreError::Transport { detail: format!("cannot submit batch: {e}") }
             } else {
                 ProtoError::Io(e).into_core(&self.label())
-            };
-            return circuits.iter().map(|_| Err(error.clone())).collect();
+            });
         }
         // the first reply arrives only after the worker's whole batch call
         // returns, so the wait is bounded by the (long) reply timeout, not
         // the per-operation I/O timeout
-        let _ = stream.set_read_timeout(Some(self.reply_timeout));
-        match self.read_batch_replies(&mut stream, batch, circuits, span.id()) {
+        let _ = conn.stream.set_read_timeout(Some(self.reply_timeout));
+        let clbits = payload.clbits();
+        match self.read_batch_replies(&mut conn.stream, batch, &clbits, span.id()) {
             Ok(outcomes) => {
                 let ok = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
                 self.executions.fetch_add(ok, Ordering::Relaxed);
-                self.checkin(stream);
+                self.checkin(conn);
                 outcomes
             }
             // the connection is in an unknown state: drop it, fail the batch
-            Err(error) => circuits.iter().map(|_| Err(error.clone())).collect(),
+            Err(error) => fail_all(error),
         }
     }
 
-    /// Collects exactly one reply per submitted circuit plus the closing
-    /// `BatchDone`. When the `BatchDone` carries telemetry (the submission
-    /// included a [`TraceContext`](proto::TraceContext)), the server's span
-    /// subtree is grafted under `submit_span` and its metric deltas merge
-    /// into the process-global registry.
+    /// Collects exactly one reply per submitted entry plus the closing
+    /// `BatchDone`, through one buffered reader; `clbits[i]` is entry `i`'s
+    /// classical register width. When the `BatchDone` carries telemetry
+    /// (the submission included a [`TraceContext`](proto::TraceContext)),
+    /// the server's span subtree is grafted under `submit_span` and its
+    /// metric deltas merge into the process-global registry.
     fn read_batch_replies(
         &self,
         stream: &mut TcpStream,
         batch: u64,
-        circuits: &[Circuit],
+        clbits: &[usize],
         submit_span: u64,
     ) -> Result<Vec<Result<Vec<f64>, CoreError>>, CoreError> {
         let label = self.label();
-        let expected = circuits.len();
+        let expected = clbits.len();
         let mut slots: Vec<Option<Result<Vec<f64>, CoreError>>> = vec![None; expected];
+        let mut reader =
+            BufReader::with_capacity(64 * 1024, FrameDeadline::new(stream, self.io_timeout));
         loop {
-            match proto::read_frame(&mut FrameDeadline::new(&mut *stream, self.io_timeout))
-                .map_err(|e| e.into_core(&label))?
-            {
+            match proto::read_frame(&mut reader).map_err(|e| e.into_core(&label))? {
                 Frame::CircuitResult { batch: b, index, distribution } => {
                     // a distribution must cover exactly the circuit's
                     // classical register — a wrong length would silently
                     // corrupt reconstruction downstream
-                    if let Some(circuit) = circuits.get(index as usize) {
-                        let want = 1usize.checked_shl(circuit.num_clbits() as u32);
+                    if let Some(&width) = clbits.get(index as usize) {
+                        let want = 1usize.checked_shl(width as u32);
                         if want != Some(distribution.len()) {
                             return Err(CoreError::Transport {
                                 detail: format!(
-                                    "distribution of {} entries for circuit {index} with {} classical bit(s)",
+                                    "distribution of {} entries for circuit {index} with {width} classical bit(s)",
                                     distribution.len(),
-                                    circuit.num_clbits()
                                 ),
                             });
                         }
@@ -475,6 +481,11 @@ impl RemoteBackend {
                             ),
                         });
                     }
+                    if !reader.buffer().is_empty() {
+                        return Err(CoreError::Transport {
+                            detail: format!("unsolicited bytes after batch {batch}"),
+                        });
+                    }
                     return Ok(slots.into_iter().map(|s| s.expect("all slots filled")).collect());
                 }
                 Frame::Error { kind, message } => {
@@ -521,16 +532,161 @@ impl RemoteBackend {
     }
 }
 
+/// What one submission carries.
+enum Payload<'a, 'b> {
+    /// Bare circuits (sent as OpenQASM) with optional per-circuit shots.
+    Circuits(&'a [Circuit], Option<&'a [u64]>),
+    /// Fragment variants (sent as keys).
+    Variants(&'a VariantBatch<'b>),
+}
+
+impl Payload<'_, '_> {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Circuits(circuits, _) => circuits.len(),
+            Payload::Variants(variants) => variants.len(),
+        }
+    }
+
+    /// Each entry's classical register width: what its reply's
+    /// distribution length must match.
+    fn clbits(&self) -> Vec<usize> {
+        match self {
+            Payload::Circuits(circuits, _) => circuits.iter().map(Circuit::num_clbits).collect(),
+            Payload::Variants(variants) => {
+                let fragments = &variants.fragments().fragments;
+                variants.keys().map(|key| fragments[key.fragment].num_clbits).collect()
+            }
+        }
+    }
+}
+
+/// A pooled connection and the fragment bodies its server holds for it:
+/// `fragments[id]` is what [`Frame::DefineFragment`] `id` defined. Both
+/// sides only ever change the table through this connection's defines, so
+/// they agree as long as the connection is healthy — and one that saw a
+/// failure is never pooled again.
+struct Connection {
+    stream: TcpStream,
+    fragments: Vec<FragmentBody>,
+}
+
+impl Connection {
+    fn new(stream: TcpStream) -> Self {
+        Connection { stream, fragments: Vec::new() }
+    }
+
+    /// Appends the frames of one submission to `out`: for variants, a
+    /// [`Frame::DefineFragment`] for every fragment the server lacks, then
+    /// [`Frame::SubmitVariants`] with each key's fragment renamed to its
+    /// table id; for bare circuits — or variants the key path cannot carry
+    /// (see [`Connection::define_fragments`]) — [`Frame::SubmitBatch`] with
+    /// OpenQASM documents.
+    fn encode_submission(
+        &mut self,
+        out: &mut Vec<u8>,
+        payload: &Payload<'_, '_>,
+        batch: u64,
+        trace: Option<proto::TraceContext>,
+    ) -> std::io::Result<()> {
+        let (circuits, shots) = match payload {
+            Payload::Variants(variants) => match self.define_fragments(out, variants)? {
+                Some(ids) => {
+                    let keys = variants
+                        .keys()
+                        .map(|key| VariantKey { fragment: ids[key.fragment] as usize, ..key })
+                        .collect();
+                    let shots = variants.shots().map(<[u64]>::to_vec);
+                    return proto::append_frame(
+                        out,
+                        &Frame::SubmitVariants { batch, keys, shots, trace },
+                    );
+                }
+                None => (variants.circuits(), variants.shots()),
+            },
+            Payload::Circuits(circuits, shots) => (std::borrow::Cow::Borrowed(*circuits), *shots),
+        };
+        let frame = Frame::SubmitBatch {
+            batch,
+            circuits: circuits.iter().map(qasm::to_qasm).collect(),
+            shots: shots.map(<[u64]>::to_vec),
+            trace,
+        };
+        proto::append_frame(out, &frame)
+    }
+
+    /// Makes sure the server holds every fragment `variants` uses, appending
+    /// the missing definitions to `out`, and returns each fragment's table
+    /// id (indexed like the fragment set; unused fragments map to 0). When
+    /// the missing bodies do not fit beside the held ones, the table starts
+    /// over: every body the batch uses is defined again from id 0. `None`
+    /// when the key path cannot carry the batch: it uses more than
+    /// [`MAX_FRAGMENTS`] fragments, one heavier than
+    /// [`MAX_FRAGMENT_WEIGHT`], or its keys instantiate more than
+    /// [`MAX_BATCH_WEIGHT`].
+    fn define_fragments(
+        &mut self,
+        out: &mut Vec<u8>,
+        variants: &VariantBatch<'_>,
+    ) -> std::io::Result<Option<Vec<u32>>> {
+        let fragments = &variants.fragments().fragments;
+        let mut wanted = vec![false; fragments.len()];
+        let mut weight = 0usize;
+        for key in variants.keys() {
+            wanted[key.fragment] = true;
+            weight = weight.saturating_add(fragments[key.fragment].body().weight());
+        }
+        let used: Vec<(usize, &FragmentBody)> = fragments
+            .iter()
+            .enumerate()
+            .filter(|&(index, _)| wanted[index])
+            .map(|(index, fragment)| (index, fragment.body()))
+            .collect();
+        if used.len() > MAX_FRAGMENTS as usize
+            || weight > MAX_BATCH_WEIGHT
+            || used.iter().any(|(_, body)| body.weight() > MAX_FRAGMENT_WEIGHT)
+        {
+            return Ok(None);
+        }
+        let mut held: Vec<Option<usize>> = used
+            .iter()
+            .map(|&(_, body)| self.fragments.iter().position(|held| held == body))
+            .collect();
+        let missing = held.iter().filter(|id| id.is_none()).count();
+        if self.fragments.len() + missing > MAX_FRAGMENTS as usize {
+            self.fragments.clear();
+            held.fill(None);
+        }
+        let mut ids = vec![0u32; fragments.len()];
+        for (&(index, body), held) in used.iter().zip(held) {
+            let id = match held {
+                Some(id) => id,
+                None => {
+                    let id = self.fragments.len();
+                    let define = Frame::DefineFragment { id: id as u32, body: body.clone() };
+                    proto::append_frame(out, &define)?;
+                    self.fragments.push(body.clone());
+                    id
+                }
+            };
+            ids[index] = id as u32;
+        }
+        Ok(Some(ids))
+    }
+}
+
 fn unavailable(backend: &str, reason: String) -> CoreError {
     CoreError::BackendUnavailable { backend: backend.to_string(), reason }
 }
 
-/// Bounds the gap between received bytes once a frame has started: every
+/// Bounds the gap between received bytes once a reply has started: every
 /// read must make progress within `stall_cap` of the previous one (the
 /// server's `FRAME_STALL` enforces the same bound on its side). A wedged
-/// server that stops sending mid-frame fails fast even while the socket's
+/// server that stops sending mid-reply fails fast even while the socket's
 /// own timeout is set to the much longer reply timeout; a slow but steady
-/// large transfer keeps resetting the clock and completes.
+/// large transfer keeps resetting the clock and completes. A batch's
+/// replies are read through one of these, so the clock covers the gaps
+/// between its frames too.
 struct FrameDeadline<'a> {
     stream: &'a mut TcpStream,
     stall_cap: Duration,
@@ -588,6 +744,8 @@ fn frame_name(frame: &Frame) -> &'static str {
         Frame::ClientHello { .. } => "ClientHello",
         Frame::ServerHello { .. } => "ServerHello",
         Frame::SubmitBatch { .. } => "SubmitBatch",
+        Frame::DefineFragment { .. } => "DefineFragment",
+        Frame::SubmitVariants { .. } => "SubmitVariants",
         Frame::CircuitResult { .. } => "CircuitResult",
         Frame::CircuitFailed { .. } => "CircuitFailed",
         Frame::BatchDone { .. } => "BatchDone",
@@ -603,13 +761,13 @@ fn frame_name(frame: &Frame) -> &'static str {
 
 impl ExecutionBackend for RemoteBackend {
     fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        self.submit(std::slice::from_ref(circuit), None)
+        self.submit(Payload::Circuits(std::slice::from_ref(circuit), None))
             .pop()
             .expect("one outcome per submitted circuit")
     }
 
     fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.submit(circuits, None)
+        self.submit(Payload::Circuits(circuits, None))
     }
 
     fn run_batch_with_shots(
@@ -618,7 +776,11 @@ impl ExecutionBackend for RemoteBackend {
         shots: &[u64],
     ) -> Vec<Result<Vec<f64>, CoreError>> {
         debug_assert_eq!(circuits.len(), shots.len(), "one shot count per circuit");
-        self.submit(circuits, Some(shots))
+        self.submit(Payload::Circuits(circuits, Some(shots)))
+    }
+
+    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        self.submit(Payload::Variants(variants))
     }
 
     fn max_qubits(&self) -> Option<usize> {

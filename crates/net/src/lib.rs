@@ -3,20 +3,25 @@
 //!
 //! The crate has three parts, layered strictly:
 //!
-//! * [`proto`] — a versioned, length-prefixed binary wire protocol:
-//!   handshake with capability exchange (max qubits, default shots, label),
-//!   batch submission with per-circuit shot counts, streamed per-circuit
-//!   result frames, heartbeats, and typed error frames. Circuits travel as
-//!   OpenQASM text ([`qrcc_circuit::qasm::to_qasm`] /
-//!   [`qrcc_circuit::qasm::from_qasm`]), so the wire format is
-//!   human-inspectable and independent of the IR's memory layout.
+//! * [`proto`] — a versioned, length-prefixed binary wire protocol
+//!   (version 4): handshake with capability exchange (max qubits, default
+//!   shots, label), batch submission with per-entry shot counts, one result
+//!   frame per entry, heartbeats, and typed error frames. Fragment variants
+//!   travel as keys: a connection defines each
+//!   [`FragmentBody`](qrcc_core::fragment::FragmentBody) once, then submits
+//!   `(fragment id, ordinal, outputs)` keys the worker instantiates itself.
+//!   Bare circuits travel as OpenQASM text
+//!   ([`qrcc_circuit::qasm::to_qasm`] / [`qrcc_circuit::qasm::from_qasm`]).
+//!   A batch's replies leave the worker in one write.
 //! * [`server`] — [`QrccServer`], a `std::net::TcpListener` worker wrapping
 //!   **any** local [`ExecutionBackend`](qrcc_core::execute::ExecutionBackend)
-//!   (thread-per-connection, graceful shutdown, live statistics). Bind port
-//!   0 for collision-free ephemeral ports in tests and fleets.
+//!   (thread-per-connection with a bounded per-connection fragment table,
+//!   graceful shutdown, live statistics). Bind port 0 for collision-free
+//!   ephemeral ports in tests and fleets.
 //! * [`client`] — [`RemoteBackend`], an
 //!   [`ExecutionBackend`](qrcc_core::execute::ExecutionBackend) over a
-//!   reconnecting connection pool. It drops straight into a
+//!   reconnecting connection pool whose connections remember the fragments
+//!   their worker holds. It drops straight into a
 //!   [`DeviceRegistry`](qrcc_core::schedule::DeviceRegistry), where the
 //!   dispatch layer's retry-with-exclusion and bounded in-flight windows
 //!   rescue real network faults **unchanged**: I/O errors, disconnects and
@@ -71,6 +76,6 @@ pub use client::{RemoteBackend, DEFAULT_IO_TIMEOUT};
 pub use monitor::{FleetMonitor, FleetView, WorkerView};
 pub use proto::{
     BatchTelemetry, Capabilities, HealthReport, HealthState, MetricsReport, ProtoError,
-    TraceContext, PROTOCOL_VERSION,
+    TraceContext, MAX_BATCH_WEIGHT, MAX_FRAGMENTS, MAX_FRAGMENT_WEIGHT, PROTOCOL_VERSION,
 };
 pub use server::{ConnectionStats, QrccServer, ServerHandle, ServerStats};

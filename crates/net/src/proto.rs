@@ -10,12 +10,27 @@
 //! version), the server answers with [`Frame::ServerHello`] carrying its
 //! [`Capabilities`] (max qubits, default shots, label) — or rejects a
 //! version mismatch with a typed [`Frame::Error`] — after which the client
-//! may interleave batch submissions ([`Frame::SubmitBatch`], circuits as
-//! OpenQASM text produced by [`qrcc_circuit::qasm::to_qasm`]) and heartbeats
-//! ([`Frame::Ping`]/[`Frame::Pong`]). The server streams one
-//! [`Frame::CircuitResult`] or [`Frame::CircuitFailed`] per submitted
-//! circuit, in index order, and closes the batch with [`Frame::BatchDone`].
+//! may interleave batch submissions and heartbeats
+//! ([`Frame::Ping`]/[`Frame::Pong`]). A batch is submitted in one of two
+//! forms:
+//!
+//! * [`Frame::SubmitVariants`] — fragment variants as
+//!   `(fragment id, ordinal, outputs)` keys. Each id names a
+//!   [`FragmentBody`] the client defined earlier on the same connection
+//!   with [`Frame::DefineFragment`]; the server keeps at most
+//!   [`MAX_FRAGMENTS`] of them, none heavier than [`MAX_FRAGMENT_WEIGHT`],
+//!   and instantiates every key locally, at most [`MAX_BATCH_WEIGHT`] per
+//!   batch.
+//! * [`Frame::SubmitBatch`] — bare circuits as OpenQASM text
+//!   ([`qrcc_circuit::qasm::to_qasm`]), for callers that hold no fragments.
+//!
+//! Either way the server answers with one [`Frame::CircuitResult`] or
+//! [`Frame::CircuitFailed`] per submitted entry, in index order, and closes
+//! the batch with [`Frame::BatchDone`] — all of them in one write.
 
+use qrcc_circuit::{Gate, Operation, QubitId};
+use qrcc_core::fragment::{FragmentBody, SkeletonOp, VariantKey};
+use qrcc_core::gatecut::GateHalf;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -28,12 +43,34 @@ use std::io::{self, Read, Write};
 /// server's [`BatchTelemetry`] (span subtree + metric deltas); 3 — the
 /// live-scrape pair [`Frame::GetMetrics`]/[`Frame::MetricsReply`] and the
 /// readiness pair [`Frame::GetHealth`]/[`Frame::HealthReply`], so a fleet
-/// monitor can watch a worker without a batch round-trip.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// monitor can watch a worker without a batch round-trip; 4 — fragment
+/// variants travel as keys ([`Frame::DefineFragment`] once per fragment and
+/// connection, then [`Frame::SubmitVariants`]).
+pub const PROTOCOL_VERSION: u16 = 4;
+
+/// How many fragment bodies one connection may hold: the cap on a server's
+/// per-connection fragment table. [`Frame::DefineFragment`] ids run over
+/// `0..MAX_FRAGMENTS`, and a define with an id already in use replaces it.
+pub const MAX_FRAGMENTS: u32 = 64;
 
 /// Upper bound on one frame's `tag + payload` length. Frames announcing a
 /// larger length are rejected before any payload is read.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+
+/// The most [`FragmentBody::weight`] one [`Frame::SubmitVariants`] may
+/// instantiate, summed over its keys: about what one [`Frame::SubmitBatch`]
+/// of [`MAX_FRAME_LEN`] bytes can spell out, since the shortest OpenQASM
+/// statement (`x q[0];` and its newline) takes 8 bytes. A server refuses a
+/// heavier batch with a [`WireErrorKind::Protocol`] error frame before it
+/// builds any circuit; a client sends one as OpenQASM instead.
+pub const MAX_BATCH_WEIGHT: usize = MAX_FRAME_LEN as usize / 8;
+
+/// The heaviest body one [`Frame::DefineFragment`] may carry
+/// ([`FragmentBody::weight`]), so that a full table of [`MAX_FRAGMENTS`]
+/// bodies weighs at most [`MAX_BATCH_WEIGHT`]. The decoder refuses a
+/// heavier body as soon as it has read past the cap; a client sends the
+/// variants of such a fragment as OpenQASM instead.
+pub const MAX_FRAGMENT_WEIGHT: usize = MAX_BATCH_WEIGHT / MAX_FRAGMENTS as usize;
 
 /// What a worker can do, exchanged in the handshake so the client can answer
 /// the scheduler's capability queries (`max_qubits`, `shots_per_circuit`,
@@ -220,7 +257,33 @@ pub enum Frame {
         /// returns its span subtree on [`Frame::BatchDone`].
         trace: Option<TraceContext>,
     },
-    /// Server → client: one circuit's distribution. Replies stream in index
+    /// Client → server (v4+): store `body` under `id` in this connection's
+    /// fragment table (replacing what `id` held) for later
+    /// [`Frame::SubmitVariants`]. No reply.
+    DefineFragment {
+        /// Table slot, below [`MAX_FRAGMENTS`].
+        id: u32,
+        /// The fragment's registers, slot layout and skeleton; its
+        /// [`FragmentBody::weight`] is at most [`MAX_FRAGMENT_WEIGHT`].
+        body: FragmentBody,
+    },
+    /// Client → server (v4+): execute a batch of fragment variants. Answered
+    /// exactly like [`Frame::SubmitBatch`], one reply per key. The weights
+    /// of the bodies its keys name sum to at most [`MAX_BATCH_WEIGHT`].
+    SubmitVariants {
+        /// Client-chosen batch identifier, echoed on every reply frame.
+        batch: u64,
+        /// One key per variant; `fragment` is a [`Frame::DefineFragment`]
+        /// id of this connection.
+        keys: Vec<VariantKey>,
+        /// Per-variant shot counts (same length as `keys`), or `None` to run
+        /// with the backend's defaults.
+        shots: Option<Vec<u64>>,
+        /// Tracing context of the submitting client, as on
+        /// [`Frame::SubmitBatch`].
+        trace: Option<TraceContext>,
+    },
+    /// Server → client: one circuit's distribution. Replies go out in index
     /// order once the worker's single batch call returns (the batch runs as
     /// one backend call to preserve its internal parallelism and
     /// deterministic sampling streams).
@@ -310,6 +373,8 @@ const TAG_GET_METRICS: u8 = 10;
 const TAG_METRICS_REPLY: u8 = 11;
 const TAG_GET_HEALTH: u8 = 12;
 const TAG_HEALTH_REPLY: u8 = 13;
+const TAG_DEFINE_FRAGMENT: u8 = 14;
+const TAG_SUBMIT_VARIANTS: u8 = 15;
 
 /// Why a frame could not be read.
 #[derive(Debug)]
@@ -419,88 +484,236 @@ fn put_histogram(out: &mut Vec<u8>, histogram: &qrcc_core::obs::Histogram) {
     }
 }
 
-/// Serialises `frame` as `tag + payload` (without the length prefix).
-fn encode(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
+fn put_shots_and_trace(out: &mut Vec<u8>, shots: &Option<Vec<u64>>, trace: &Option<TraceContext>) {
+    match shots {
+        Some(shots) => {
+            out.push(1);
+            put_u32(out, shots.len() as u32);
+            for &s in shots {
+                put_u64(out, s);
+            }
+        }
+        None => out.push(0),
+    }
+    match trace {
+        Some(trace) => {
+            out.push(1);
+            put_u64(out, trace.trace_id);
+            put_u64(out, trace.parent_span);
+        }
+        None => out.push(0),
+    }
+}
+
+/// A gate's wire code; its angles follow it ([`Gate::params`]).
+fn gate_code(gate: &Gate) -> u8 {
+    match gate {
+        Gate::I => 0,
+        Gate::H => 1,
+        Gate::X => 2,
+        Gate::Y => 3,
+        Gate::Z => 4,
+        Gate::S => 5,
+        Gate::Sdg => 6,
+        Gate::T => 7,
+        Gate::Tdg => 8,
+        Gate::SqrtX => 9,
+        Gate::Rx(_) => 10,
+        Gate::Ry(_) => 11,
+        Gate::Rz(_) => 12,
+        Gate::Phase(_) => 13,
+        Gate::U3(..) => 14,
+        Gate::Cx => 15,
+        Gate::Cy => 16,
+        Gate::Cz => 17,
+        Gate::Swap => 18,
+        Gate::Rzz(_) => 19,
+        Gate::Rxx(_) => 20,
+        Gate::Ryy(_) => 21,
+        Gate::CPhase(_) => 22,
+    }
+}
+
+fn put_qubit(out: &mut Vec<u8>, qubit: QubitId) {
+    put_u32(out, qubit.index() as u32);
+}
+
+/// Operation codes: 0 one-qubit gate, 1 two-qubit gate, 2 measure, 3 reset,
+/// 4 barrier. Gates carry their code, angles (IEEE-754 bits) and qubits.
+fn put_operation(out: &mut Vec<u8>, op: &Operation) {
+    fn put_gate(out: &mut Vec<u8>, gate: &Gate) {
+        out.push(gate_code(gate));
+        for angle in gate.params() {
+            put_u64(out, angle.to_bits());
+        }
+    }
+    match op {
+        Operation::Single { gate, qubit } => {
+            out.push(0);
+            put_gate(out, gate);
+            put_qubit(out, *qubit);
+        }
+        Operation::Two { gate, qubits } => {
+            out.push(1);
+            put_gate(out, gate);
+            put_qubit(out, qubits[0]);
+            put_qubit(out, qubits[1]);
+        }
+        Operation::Measure { qubit, clbit } => {
+            out.push(2);
+            put_qubit(out, *qubit);
+            put_u32(out, *clbit as u32);
+        }
+        Operation::Reset { qubit } => {
+            out.push(3);
+            put_qubit(out, *qubit);
+        }
+        Operation::Barrier { qubits } => {
+            out.push(4);
+            put_u32(out, qubits.len() as u32);
+            for &qubit in qubits {
+                put_qubit(out, qubit);
+            }
+        }
+    }
+}
+
+fn put_operations(out: &mut Vec<u8>, ops: &[Operation]) {
+    put_u32(out, ops.len() as u32);
+    for op in ops {
+        put_operation(out, op);
+    }
+}
+
+/// Skeleton codes: 0 fixed operation, 1 prep, 2 cut measure, 3 output
+/// measure, 4 gate-cut half (half 0 top, 1 bottom).
+fn put_body(out: &mut Vec<u8>, body: &FragmentBody) {
+    put_string(out, body.name());
+    put_u32(out, body.num_qubits() as u32);
+    put_u32(out, body.num_clbits() as u32);
+    put_u32(out, body.num_outputs() as u32);
+    put_u64(out, body.variant_count());
+    put_u32(out, body.skeleton().len() as u32);
+    for op in body.skeleton() {
+        put_skeleton_op(out, op);
+    }
+}
+
+fn put_skeleton_op(out: &mut Vec<u8>, op: &SkeletonOp) {
+    match op {
+        SkeletonOp::Fixed(op) => {
+            out.push(0);
+            put_operation(out, op);
+        }
+        SkeletonOp::Prep { place, qubit } => {
+            out.push(1);
+            put_u64(out, *place);
+            put_qubit(out, *qubit);
+        }
+        SkeletonOp::CutMeasure { place, qubit, clbit } => {
+            out.push(2);
+            put_u64(out, *place);
+            put_qubit(out, *qubit);
+            put_u32(out, *clbit as u32);
+        }
+        SkeletonOp::OutputMeasure { shift, qubit, clbit } => {
+            out.push(3);
+            put_u32(out, *shift);
+            put_qubit(out, *qubit);
+            put_u32(out, *clbit as u32);
+        }
+        SkeletonOp::GateCutHalf { place, half, qubit, clbit, pre, post } => {
+            out.push(4);
+            put_u64(out, *place);
+            out.push(matches!(half, GateHalf::Bottom) as u8);
+            put_qubit(out, *qubit);
+            put_u32(out, *clbit as u32);
+            put_operations(out, pre);
+            put_operations(out, post);
+        }
+    }
+}
+
+/// Appends `frame`'s `tag + payload` (without the length prefix) to `out`.
+fn encode(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
         Frame::ClientHello { version } => {
             out.push(TAG_CLIENT_HELLO);
-            put_u16(&mut out, *version);
+            put_u16(out, *version);
         }
         Frame::ServerHello { version, capabilities } => {
             out.push(TAG_SERVER_HELLO);
-            put_u16(&mut out, *version);
-            put_opt_u64(&mut out, capabilities.max_qubits);
-            put_opt_u64(&mut out, capabilities.shots_per_circuit);
+            put_u16(out, *version);
+            put_opt_u64(out, capabilities.max_qubits);
+            put_opt_u64(out, capabilities.shots_per_circuit);
             out.push(capabilities.supports_mid_circuit as u8);
-            put_string(&mut out, &capabilities.label);
+            put_string(out, &capabilities.label);
         }
         Frame::SubmitBatch { batch, circuits, shots, trace } => {
             out.push(TAG_SUBMIT_BATCH);
-            put_u64(&mut out, *batch);
-            put_u32(&mut out, circuits.len() as u32);
+            put_u64(out, *batch);
+            put_u32(out, circuits.len() as u32);
             for circuit in circuits {
-                put_string(&mut out, circuit);
+                put_string(out, circuit);
             }
-            match shots {
-                Some(shots) => {
-                    out.push(1);
-                    put_u32(&mut out, shots.len() as u32);
-                    for &s in shots {
-                        put_u64(&mut out, s);
-                    }
-                }
-                None => out.push(0),
+            put_shots_and_trace(out, shots, trace);
+        }
+        Frame::DefineFragment { id, body } => {
+            out.push(TAG_DEFINE_FRAGMENT);
+            put_u32(out, *id);
+            put_body(out, body);
+        }
+        Frame::SubmitVariants { batch, keys, shots, trace } => {
+            out.push(TAG_SUBMIT_VARIANTS);
+            put_u64(out, *batch);
+            put_u32(out, keys.len() as u32);
+            for key in keys {
+                put_u32(out, key.fragment as u32);
+                put_u64(out, key.ordinal);
+                put_u64(out, key.outputs);
             }
-            match trace {
-                Some(trace) => {
-                    out.push(1);
-                    put_u64(&mut out, trace.trace_id);
-                    put_u64(&mut out, trace.parent_span);
-                }
-                None => out.push(0),
-            }
+            put_shots_and_trace(out, shots, trace);
         }
         Frame::CircuitResult { batch, index, distribution } => {
             out.push(TAG_CIRCUIT_RESULT);
-            put_u64(&mut out, *batch);
-            put_u32(&mut out, *index);
-            put_u32(&mut out, distribution.len() as u32);
+            put_u64(out, *batch);
+            put_u32(out, *index);
+            put_u32(out, distribution.len() as u32);
             for &p in distribution {
-                put_u64(&mut out, p.to_bits());
+                put_u64(out, p.to_bits());
             }
         }
         Frame::CircuitFailed { batch, index, kind, reason } => {
             out.push(TAG_CIRCUIT_FAILED);
-            put_u64(&mut out, *batch);
-            put_u32(&mut out, *index);
+            put_u64(out, *batch);
+            put_u32(out, *index);
             out.push(kind.code());
-            put_string(&mut out, reason);
+            put_string(out, reason);
         }
         Frame::BatchDone { batch, executed, telemetry } => {
             out.push(TAG_BATCH_DONE);
-            put_u64(&mut out, *batch);
-            put_u32(&mut out, *executed);
+            put_u64(out, *batch);
+            put_u32(out, *executed);
             match telemetry {
                 Some(telemetry) => {
                     out.push(1);
-                    put_u32(&mut out, telemetry.spans.len() as u32);
+                    put_u32(out, telemetry.spans.len() as u32);
                     for span in &telemetry.spans {
-                        put_u64(&mut out, span.id);
-                        put_u64(&mut out, span.parent);
-                        put_string(&mut out, &span.name);
-                        put_u64(&mut out, span.start_unix_us);
-                        put_u64(&mut out, span.duration_us);
+                        put_u64(out, span.id);
+                        put_u64(out, span.parent);
+                        put_string(out, &span.name);
+                        put_u64(out, span.start_unix_us);
+                        put_u64(out, span.duration_us);
                     }
-                    put_u32(&mut out, telemetry.counters.len() as u32);
+                    put_u32(out, telemetry.counters.len() as u32);
                     for (name, value) in &telemetry.counters {
-                        put_string(&mut out, name);
-                        put_u64(&mut out, *value);
+                        put_string(out, name);
+                        put_u64(out, *value);
                     }
-                    put_u32(&mut out, telemetry.histograms.len() as u32);
+                    put_u32(out, telemetry.histograms.len() as u32);
                     for (name, histogram) in &telemetry.histograms {
-                        put_string(&mut out, name);
-                        put_histogram(&mut out, histogram);
+                        put_string(out, name);
+                        put_histogram(out, histogram);
                     }
                 }
                 None => out.push(0),
@@ -511,21 +724,21 @@ fn encode(frame: &Frame) -> Vec<u8> {
         }
         Frame::MetricsReply { report } => {
             out.push(TAG_METRICS_REPLY);
-            put_string(&mut out, &report.prometheus);
-            put_u32(&mut out, report.windowed.len() as u32);
+            put_string(out, &report.prometheus);
+            put_u32(out, report.windowed.len() as u32);
             for (name, histogram) in &report.windowed {
-                put_string(&mut out, name);
-                put_histogram(&mut out, histogram);
+                put_string(out, name);
+                put_histogram(out, histogram);
             }
-            put_u32(&mut out, report.counters.len() as u32);
+            put_u32(out, report.counters.len() as u32);
             for (name, value) in &report.counters {
-                put_string(&mut out, name);
-                put_u64(&mut out, *value);
+                put_string(out, name);
+                put_u64(out, *value);
             }
-            put_u32(&mut out, report.gauges.len() as u32);
+            put_u32(out, report.gauges.len() as u32);
             for (name, value) in &report.gauges {
-                put_string(&mut out, name);
-                put_u64(&mut out, value.to_bits());
+                put_string(out, name);
+                put_u64(out, value.to_bits());
             }
         }
         Frame::GetHealth => {
@@ -534,25 +747,24 @@ fn encode(frame: &Frame) -> Vec<u8> {
         Frame::HealthReply { state, queue_depth, queue_high_water, connections } => {
             out.push(TAG_HEALTH_REPLY);
             out.push(state.code());
-            put_u64(&mut out, *queue_depth);
-            put_u64(&mut out, *queue_high_water);
-            put_u64(&mut out, *connections);
+            put_u64(out, *queue_depth);
+            put_u64(out, *queue_high_water);
+            put_u64(out, *connections);
         }
         Frame::Ping { nonce } => {
             out.push(TAG_PING);
-            put_u64(&mut out, *nonce);
+            put_u64(out, *nonce);
         }
         Frame::Pong { nonce } => {
             out.push(TAG_PONG);
-            put_u64(&mut out, *nonce);
+            put_u64(out, *nonce);
         }
         Frame::Error { kind, message } => {
             out.push(TAG_ERROR);
             out.push(kind.code());
-            put_string(&mut out, message);
+            put_string(out, message);
         }
     }
-    out
 }
 
 /// Writes one length-prefixed frame and flushes the stream.
@@ -563,16 +775,33 @@ fn encode(frame: &Frame) -> Vec<u8> {
 /// [`MAX_FRAME_LEN`] (the peer would reject it unread, so it is never
 /// sent), plus the stream's I/O errors.
 pub fn write_frame(stream: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let payload = encode(frame);
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
+    let mut wire = Vec::new();
+    append_frame(&mut wire, frame)?;
+    stream.write_all(&wire)?;
+    stream.flush()
+}
+
+/// Appends one length-prefixed frame to `out`, so several frames can leave
+/// in one write.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the encoded frame would exceed
+/// [`MAX_FRAME_LEN`]; `out` is then left as it was.
+pub(crate) fn append_frame(out: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(frame, out);
+    let len = out.len() - start - 4;
+    if len as u64 > MAX_FRAME_LEN as u64 {
+        out.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap", payload.len()),
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"),
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(&payload)?;
-    stream.flush()
+    out[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
 }
 
 // ---- decoding ----------------------------------------------------------
@@ -580,6 +809,8 @@ pub fn write_frame(stream: &mut impl Write, frame: &Frame) -> io::Result<()> {
 struct Decoder<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// What the fragment body being decoded may still weigh.
+    weight_left: usize,
 }
 
 impl<'a> Decoder<'a> {
@@ -620,6 +851,21 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Counts `units` against the body being decoded, refusing it before
+    /// it outgrows [`MAX_FRAGMENT_WEIGHT`]. [`Decoder::body`] charges one
+    /// unit per name byte, operation, barrier operand and slot, never more
+    /// than the body's [`FragmentBody::weight`], so decoding allocates at
+    /// most the cap's worth; the exact weight is checked once the body is
+    /// built.
+    fn charge(&mut self, units: usize) -> Result<(), ProtoError> {
+        self.weight_left = self.weight_left.checked_sub(units).ok_or_else(|| {
+            ProtoError::malformed(format!(
+                "fragment body outweighs the {MAX_FRAGMENT_WEIGHT}-unit cap"
+            ))
+        })?;
+        Ok(())
+    }
+
     fn string(&mut self) -> Result<String, ProtoError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -638,6 +884,166 @@ impl<'a> Decoder<'a> {
             buckets.push((self.u32()?, self.u64()?));
         }
         Ok(qrcc_core::obs::Histogram::from_sparse(count, sum, min, max, &buckets))
+    }
+
+    fn f64(&mut self) -> Result<f64, ProtoError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    fn qubit(&mut self) -> Result<QubitId, ProtoError> {
+        Ok(QubitId::new(self.u32()? as usize))
+    }
+
+    fn shots_and_trace(&mut self) -> Result<(Option<Vec<u64>>, Option<TraceContext>), ProtoError> {
+        let shots = match self.u8()? {
+            0 => None,
+            1 => {
+                let count = self.u32()? as usize;
+                let mut shots = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    shots.push(self.u64()?);
+                }
+                Some(shots)
+            }
+            flag => return Err(ProtoError::malformed(format!("invalid shots flag {flag}"))),
+        };
+        let trace = match self.u8()? {
+            0 => None,
+            1 => Some(TraceContext { trace_id: self.u64()?, parent_span: self.u64()? }),
+            flag => return Err(ProtoError::malformed(format!("invalid trace flag {flag}"))),
+        };
+        Ok((shots, trace))
+    }
+
+    /// The inverse of [`gate_code`].
+    fn gate(&mut self) -> Result<Gate, ProtoError> {
+        Ok(match self.u8()? {
+            0 => Gate::I,
+            1 => Gate::H,
+            2 => Gate::X,
+            3 => Gate::Y,
+            4 => Gate::Z,
+            5 => Gate::S,
+            6 => Gate::Sdg,
+            7 => Gate::T,
+            8 => Gate::Tdg,
+            9 => Gate::SqrtX,
+            10 => Gate::Rx(self.f64()?),
+            11 => Gate::Ry(self.f64()?),
+            12 => Gate::Rz(self.f64()?),
+            13 => Gate::Phase(self.f64()?),
+            14 => Gate::U3(self.f64()?, self.f64()?, self.f64()?),
+            15 => Gate::Cx,
+            16 => Gate::Cy,
+            17 => Gate::Cz,
+            18 => Gate::Swap,
+            19 => Gate::Rzz(self.f64()?),
+            20 => Gate::Rxx(self.f64()?),
+            21 => Gate::Ryy(self.f64()?),
+            22 => Gate::CPhase(self.f64()?),
+            code => return Err(ProtoError::malformed(format!("unknown gate code {code}"))),
+        })
+    }
+
+    /// The inverse of [`put_operation`]; gates go through
+    /// [`Operation::gate`], which checks arity, repeated qubits and angles.
+    fn operation(&mut self) -> Result<Operation, ProtoError> {
+        self.charge(1)?;
+        let gate_op = |gate: Gate, qubits: &[QubitId]| {
+            Operation::gate(gate, qubits).map_err(|e| ProtoError::malformed(e.to_string()))
+        };
+        Ok(match self.u8()? {
+            0 => {
+                let gate = self.gate()?;
+                gate_op(gate, &[self.qubit()?])?
+            }
+            1 => {
+                let gate = self.gate()?;
+                gate_op(gate, &[self.qubit()?, self.qubit()?])?
+            }
+            2 => Operation::Measure { qubit: self.qubit()?, clbit: self.u32()? as usize },
+            3 => Operation::Reset { qubit: self.qubit()? },
+            4 => {
+                let count = self.u32()? as usize;
+                self.charge(count)?;
+                let mut qubits = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    qubits.push(self.qubit()?);
+                }
+                Operation::Barrier { qubits }
+            }
+            code => return Err(ProtoError::malformed(format!("unknown operation code {code}"))),
+        })
+    }
+
+    fn operations(&mut self) -> Result<Vec<Operation>, ProtoError> {
+        let count = self.u32()? as usize;
+        let mut ops = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            ops.push(self.operation()?);
+        }
+        Ok(ops)
+    }
+
+    /// The inverse of [`put_body`]; [`FragmentBody::new`] checks every
+    /// invariant instantiation relies on, so a hostile body is a typed
+    /// error here, never a panic later, and [`Decoder::charge`] stops a
+    /// body heavier than [`MAX_FRAGMENT_WEIGHT`] before it is held.
+    fn body(&mut self) -> Result<FragmentBody, ProtoError> {
+        self.weight_left = MAX_FRAGMENT_WEIGHT;
+        let name = self.string()?;
+        self.charge(name.len())?;
+        let num_qubits = self.u32()? as usize;
+        let num_clbits = self.u32()? as usize;
+        let num_outputs = self.u32()? as usize;
+        let variant_count = self.u64()?;
+        let count = self.u32()? as usize;
+        let mut skeleton = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            let code = self.u8()?;
+            if code != 0 {
+                self.charge(1)?; // a slot; a fixed operation charges itself
+            }
+            skeleton.push(match code {
+                0 => SkeletonOp::Fixed(self.operation()?),
+                1 => SkeletonOp::Prep { place: self.u64()?, qubit: self.qubit()? },
+                2 => SkeletonOp::CutMeasure {
+                    place: self.u64()?,
+                    qubit: self.qubit()?,
+                    clbit: self.u32()? as usize,
+                },
+                3 => SkeletonOp::OutputMeasure {
+                    shift: self.u32()?,
+                    qubit: self.qubit()?,
+                    clbit: self.u32()? as usize,
+                },
+                4 => SkeletonOp::GateCutHalf {
+                    place: self.u64()?,
+                    half: match self.u8()? {
+                        0 => GateHalf::Top,
+                        1 => GateHalf::Bottom,
+                        half => {
+                            return Err(ProtoError::malformed(format!("unknown gate half {half}")))
+                        }
+                    },
+                    qubit: self.qubit()?,
+                    clbit: self.u32()? as usize,
+                    pre: self.operations()?,
+                    post: self.operations()?,
+                },
+                code => return Err(ProtoError::malformed(format!("unknown skeleton code {code}"))),
+            });
+        }
+        let body =
+            FragmentBody::new(name, num_qubits, num_clbits, num_outputs, variant_count, skeleton)
+                .map_err(|e| ProtoError::malformed(e.to_string()))?;
+        if body.weight() > MAX_FRAGMENT_WEIGHT {
+            return Err(ProtoError::malformed(format!(
+                "fragment body of weight {} outweighs the {MAX_FRAGMENT_WEIGHT}-unit cap",
+                body.weight()
+            )));
+        }
+        Ok(body)
     }
 }
 
@@ -664,7 +1070,7 @@ pub fn validate_len(len: u32) -> Result<usize, ProtoError> {
 /// [`ProtoError::Malformed`] for unknown tags, truncated payloads, or
 /// trailing garbage.
 pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
-    let mut d = Decoder { bytes: payload, at: 0 };
+    let mut d = Decoder { bytes: payload, at: 0, weight_left: 0 };
     let tag = d.u8()?;
     let frame = match tag {
         TAG_CLIENT_HELLO => Frame::ClientHello { version: d.u16()? },
@@ -684,24 +1090,27 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
             for _ in 0..count {
                 circuits.push(d.string()?);
             }
-            let shots = match d.u8()? {
-                0 => None,
-                1 => {
-                    let count = d.u32()? as usize;
-                    let mut shots = Vec::with_capacity(count.min(1024));
-                    for _ in 0..count {
-                        shots.push(d.u64()?);
-                    }
-                    Some(shots)
-                }
-                flag => return Err(ProtoError::malformed(format!("invalid shots flag {flag}"))),
-            };
-            let trace = match d.u8()? {
-                0 => None,
-                1 => Some(TraceContext { trace_id: d.u64()?, parent_span: d.u64()? }),
-                flag => return Err(ProtoError::malformed(format!("invalid trace flag {flag}"))),
-            };
+            let (shots, trace) = d.shots_and_trace()?;
             Frame::SubmitBatch { batch, circuits, shots, trace }
+        }
+        TAG_DEFINE_FRAGMENT => {
+            let id = d.u32()?;
+            if id >= MAX_FRAGMENTS {
+                return Err(ProtoError::malformed(format!(
+                    "fragment id {id} is outside the {MAX_FRAGMENTS}-entry table"
+                )));
+            }
+            Frame::DefineFragment { id, body: d.body()? }
+        }
+        TAG_SUBMIT_VARIANTS => {
+            let batch = d.u64()?;
+            let count = d.u32()? as usize;
+            let mut keys = Vec::with_capacity(count.min(1024));
+            for _ in 0..count {
+                keys.push(VariantKey::new(d.u32()? as usize, d.u64()?, d.u64()?));
+            }
+            let (shots, trace) = d.shots_and_trace()?;
+            Frame::SubmitVariants { batch, keys, shots, trace }
         }
         TAG_CIRCUIT_RESULT => {
             let batch = d.u64()?;
@@ -826,6 +1235,8 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Frame, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn roundtrip(frame: Frame) {
         let mut wire = Vec::new();
@@ -834,10 +1245,32 @@ mod tests {
         assert_eq!(decoded, frame);
     }
 
-    #[test]
-    fn every_frame_kind_round_trips() {
-        roundtrip(Frame::ClientHello { version: PROTOCOL_VERSION });
-        roundtrip(Frame::ServerHello {
+    /// Fragment bodies of two small plans: wire cuts only, and wire plus
+    /// gate cuts (so every skeleton operation kind is present).
+    fn sample_bodies() -> Vec<FragmentBody> {
+        use qrcc_core::fragment::FragmentSet;
+        use qrcc_core::planner::CutPlanner;
+        use qrcc_core::QrccConfig;
+        let mut chain = qrcc_circuit::Circuit::new(5);
+        chain.h(0).cx(0, 1).cx(1, 2).rz(0.3, 2).cx(2, 3).cx(3, 4);
+        let (qaoa, _) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
+        let plans = [(chain, QrccConfig::new(3)), (qaoa, QrccConfig::new(4).with_gate_cuts(true))];
+        let mut bodies = Vec::new();
+        for (circuit, config) in plans {
+            let config =
+                config.with_subcircuit_range(2, 3).with_ilp_time_limit(std::time::Duration::ZERO);
+            let plan = CutPlanner::new(config).plan(&circuit).unwrap();
+            let set = FragmentSet::from_plan(&plan).unwrap();
+            bodies.extend(set.fragments.iter().map(|f| f.body().clone()));
+        }
+        bodies
+    }
+
+    /// One or more valid frames of every kind.
+    fn sample_frames() -> Vec<Frame> {
+        let mut frames = Vec::new();
+        frames.push(Frame::ClientHello { version: PROTOCOL_VERSION });
+        frames.push(Frame::ServerHello {
             version: PROTOCOL_VERSION,
             capabilities: Capabilities {
                 max_qubits: Some(5),
@@ -846,38 +1279,38 @@ mod tests {
                 label: "exact(5q)".into(),
             },
         });
-        roundtrip(Frame::SubmitBatch {
+        frames.push(Frame::SubmitBatch {
             batch: 7,
             circuits: vec!["OPENQASM 2.0;\nqreg q[1];\nh q[0];\n".into(), String::new()],
             shots: Some(vec![100, 0]),
             trace: None,
         });
-        roundtrip(Frame::SubmitBatch { batch: 8, circuits: vec![], shots: None, trace: None });
-        roundtrip(Frame::SubmitBatch {
+        frames.push(Frame::SubmitBatch { batch: 8, circuits: vec![], shots: None, trace: None });
+        frames.push(Frame::SubmitBatch {
             batch: 9,
             circuits: vec!["OPENQASM 2.0;\nqreg q[1];\n".into()],
             shots: None,
             trace: Some(TraceContext { trace_id: u64::MAX, parent_span: 42 }),
         });
-        roundtrip(Frame::CircuitResult {
+        frames.push(Frame::CircuitResult {
             batch: 7,
             index: 1,
             distribution: vec![0.5, 0.25, 0.25, -0.0],
         });
-        roundtrip(Frame::CircuitFailed {
+        frames.push(Frame::CircuitFailed {
             batch: 7,
             index: 0,
             kind: WireErrorKind::Backend,
             reason: "too wide".into(),
         });
-        roundtrip(Frame::CircuitFailed {
+        frames.push(Frame::CircuitFailed {
             batch: 7,
             index: 1,
             kind: WireErrorKind::Protocol,
             reason: "qasm parse error".into(),
         });
-        roundtrip(Frame::BatchDone { batch: 7, executed: 1, telemetry: None });
-        roundtrip(Frame::BatchDone {
+        frames.push(Frame::BatchDone { batch: 7, executed: 1, telemetry: None });
+        frames.push(Frame::BatchDone {
             batch: 7,
             executed: 2,
             telemetry: Some(BatchTelemetry {
@@ -906,9 +1339,9 @@ mod tests {
                 })],
             }),
         });
-        roundtrip(Frame::GetMetrics);
-        roundtrip(Frame::MetricsReply { report: MetricsReport::default() });
-        roundtrip(Frame::MetricsReply {
+        frames.push(Frame::GetMetrics);
+        frames.push(Frame::MetricsReply { report: MetricsReport::default() });
+        frames.push(Frame::MetricsReply {
             report: MetricsReport {
                 prometheus: "# TYPE server_batches counter\nserver_batches 3\n".into(),
                 windowed: vec![("server.window_batch_latency_us".into(), {
@@ -924,21 +1357,168 @@ mod tests {
                 ],
             },
         });
-        roundtrip(Frame::GetHealth);
+        frames.push(Frame::GetHealth);
         for state in [HealthState::Accepting, HealthState::Draining, HealthState::Overloaded] {
-            roundtrip(Frame::HealthReply {
+            frames.push(Frame::HealthReply {
                 state,
                 queue_depth: 4,
                 queue_high_water: 9,
                 connections: 2,
             });
         }
-        roundtrip(Frame::Ping { nonce: u64::MAX });
-        roundtrip(Frame::Pong { nonce: 0 });
-        roundtrip(Frame::Error {
+        frames.push(Frame::Ping { nonce: u64::MAX });
+        frames.push(Frame::Pong { nonce: 0 });
+        frames.push(Frame::Error {
             kind: WireErrorKind::VersionMismatch,
             message: "speak version 1".into(),
         });
+        for (id, body) in sample_bodies().into_iter().enumerate() {
+            frames.push(Frame::DefineFragment { id: id as u32, body });
+        }
+        frames.push(Frame::SubmitVariants {
+            batch: 10,
+            keys: vec![VariantKey::new(0, 5, 0), VariantKey::new(63, u64::MAX, 0b1001)],
+            shots: Some(vec![1, 2]),
+            trace: Some(TraceContext { trace_id: 3, parent_span: 4 }),
+        });
+        frames.push(Frame::SubmitVariants { batch: 11, keys: vec![], shots: None, trace: None });
+        frames
+    }
+
+    #[test]
+    fn every_frame_kind_round_trips() {
+        let frames = sample_frames();
+        assert!(frames.iter().any(|f| matches!(f, Frame::DefineFragment { .. })));
+        let gate_cut = |f: &Frame| match f {
+            Frame::DefineFragment { body, .. } => {
+                body.skeleton().iter().any(|op| matches!(op, SkeletonOp::GateCutHalf { .. }))
+            }
+            _ => false,
+        };
+        assert!(frames.iter().any(gate_cut), "a sample body carries a gate-cut half");
+        for frame in frames {
+            roundtrip(frame);
+        }
+    }
+
+    #[test]
+    fn fragment_bodies_instantiate_identically_after_the_wire() {
+        for body in sample_bodies() {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &Frame::DefineFragment { id: 0, body: body.clone() }).unwrap();
+            let Frame::DefineFragment { body: decoded, .. } =
+                read_frame(&mut wire.as_slice()).unwrap()
+            else {
+                panic!("not a definition");
+            };
+            for ordinal in 0..body.variant_count() {
+                let (ours, theirs) =
+                    (body.instantiate(ordinal, 0), decoded.instantiate(ordinal, 0));
+                assert_eq!(ours, theirs, "variant {ordinal} of {}", body.name());
+            }
+        }
+    }
+
+    /// The byte offset of a body's `variant_count` inside an encoded
+    /// `DefineFragment` frame (after the length prefix, tag, id, name and
+    /// three register counts), and of its `num_qubits` / `num_clbits`.
+    fn body_offsets(body: &FragmentBody) -> (usize, usize, usize) {
+        let name_end = 4 + 1 + 4 + 4 + body.name().len();
+        (name_end + 12, name_end, name_end + 4)
+    }
+
+    #[test]
+    fn fragment_bodies_breaking_an_invariant_are_malformed() {
+        let is_slot = |op: &SkeletonOp| {
+            matches!(
+                op,
+                SkeletonOp::Prep { .. }
+                    | SkeletonOp::CutMeasure { .. }
+                    | SkeletonOp::GateCutHalf { .. }
+            )
+        };
+        let body = sample_bodies()
+            .into_iter()
+            .find(|body| body.skeleton().iter().any(is_slot))
+            .expect("a sample body has a slot");
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::DefineFragment { id: 1, body: body.clone() }).unwrap();
+        let (count_at, qubits_at, clbits_at) = body_offsets(&body);
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut wire = wire.clone();
+            wire[at..at + bytes.len()].copy_from_slice(bytes);
+            read_frame(&mut wire.as_slice())
+        };
+        let malformed =
+            |result: Result<Frame, ProtoError>| matches!(result, Err(ProtoError::Malformed { .. }));
+        assert!(!malformed(patched(count_at, &body.variant_count().to_be_bytes())));
+        // a radix product that does not match variant_count
+        assert!(malformed(patched(count_at, &(body.variant_count() + 1).to_be_bytes())));
+        // every qubit out of range, every clbit out of range
+        assert!(malformed(patched(qubits_at, &0u32.to_be_bytes())));
+        assert!(malformed(patched(clbits_at, &0u32.to_be_bytes())));
+        // an id outside the table
+        assert!(malformed(patched(5, &MAX_FRAGMENTS.to_be_bytes())));
+        // a slot with place 0
+        let slot = body.skeleton().iter().position(is_slot).unwrap();
+        let mut place_at = count_at + 8 + 4 + 1;
+        for op in &body.skeleton()[..slot] {
+            let mut bytes = Vec::new();
+            put_skeleton_op(&mut bytes, op);
+            place_at += bytes.len();
+        }
+        assert!(malformed(patched(place_at, &0u64.to_be_bytes())));
+    }
+
+    #[test]
+    fn bodies_over_the_weight_cap_are_refused_while_decoding() {
+        let q = QubitId::new;
+        let h = || SkeletonOp::Fixed(Operation::Single { gate: Gate::H, qubit: q(0) });
+        let barrier =
+            |operands| SkeletonOp::Fixed(Operation::Barrier { qubits: vec![q(1); operands] });
+        let gate_cut = |pre: Vec<Operation>| SkeletonOp::GateCutHalf {
+            place: 1,
+            half: GateHalf::Top,
+            qubit: q(0),
+            clbit: 0,
+            pre,
+            post: vec![Operation::Reset { qubit: q(1) }],
+        };
+        let body = |name: &str, variants: u64, skeleton: Vec<SkeletonOp>| {
+            FragmentBody::new(name.into(), 2, 1, 0, variants, skeleton).unwrap()
+        };
+        let cap = MAX_FRAGMENT_WEIGHT;
+        let resets = |n| vec![Operation::Reset { qubit: q(0) }; n];
+        let prep_then = |n| {
+            let mut skeleton = vec![SkeletonOp::Prep { place: 1, qubit: q(1) }];
+            skeleton.extend(std::iter::repeat_with(h).take(n));
+            skeleton
+        };
+        // (body, its weight): the name, every operation, every barrier
+        // operand, every operation of a gate-cut half and what a slot
+        // instantiates to (two gates for a prep) count
+        let cases = [
+            (body("", 4, prep_then(cap - 2)), cap),
+            (body("a", 4, prep_then(cap - 2)), cap + 1),
+            (body("ab", 1, vec![h(); cap - 2]), cap),
+            (body("abc", 1, vec![h(); cap - 2]), cap + 1),
+            (body("", 1, vec![barrier(cap - 1)]), cap),
+            (body("", 1, vec![barrier(cap)]), cap + 1),
+            (body("", 6, vec![gate_cut(resets(cap - 2))]), cap),
+            (body("", 6, vec![gate_cut(resets(cap - 1))]), cap + 1),
+        ];
+        for (body, weight) in cases {
+            assert_eq!(body.weight(), weight);
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &Frame::DefineFragment { id: 0, body: body.clone() }).unwrap();
+            match read_frame(&mut wire.as_slice()) {
+                Ok(Frame::DefineFragment { body: decoded, .. }) if weight <= cap => {
+                    assert_eq!(decoded, body);
+                }
+                Err(ProtoError::Malformed { .. }) if weight > cap => {}
+                other => panic!("a body of weight {weight} decoded to {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1011,5 +1591,89 @@ mod tests {
         assert!(matches!(garbled.into_core("srv"), CoreError::Transport { .. }));
         let oversized = ProtoError::FrameTooLarge { len: u32::MAX };
         assert!(matches!(oversized.into_core("srv"), CoreError::Transport { .. }));
+    }
+
+    /// What a decoded frame must satisfy: it re-encodes to a frame that
+    /// decodes to itself, and a fragment body instantiates every variant
+    /// it admits without panicking.
+    fn check_decoded(frame: &Frame) -> Result<(), TestCaseError> {
+        let mut wire = Vec::new();
+        if append_frame(&mut wire, frame).is_ok() {
+            prop_assert_eq!(&read_frame(&mut wire.as_slice()).unwrap(), frame);
+        }
+        if let Frame::DefineFragment { body, .. } = frame {
+            for ordinal in [0, body.variant_count() / 2, body.variant_count() - 1] {
+                let circuit = body.instantiate(ordinal, 0);
+                prop_assert_eq!(circuit.num_qubits(), body.num_qubits());
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// Arbitrary bytes — behind any tag, bare or length-prefixed —
+        /// decode to a typed error or a well-formed frame, never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bytes in collection::vec(any::<u8>(), 0..192),
+            tag in 0..20u8,
+            prefixed in any::<bool>(),
+        ) {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&bytes);
+            if let Ok(frame) = decode_frame(&payload) {
+                check_decoded(&frame)?;
+            }
+            let mut wire = bytes.clone();
+            if prefixed {
+                wire.splice(0..0, (payload.len() as u32).to_be_bytes());
+                wire.insert(4, tag);
+            }
+            if let Ok(frame) = read_frame(&mut wire.as_slice()) {
+                check_decoded(&frame)?;
+            }
+        }
+
+        /// A valid frame of any kind with a few bytes replaced, inserted or
+        /// deleted — payload bytes and length prefix alike — reads as a
+        /// typed error or a well-formed frame, never a panic.
+        #[test]
+        fn mutated_frames_never_panic_the_decoder(
+            which in 0..64usize,
+            mutations in collection::vec((any::<usize>(), any::<u8>(), 0..3u8), 1..5),
+        ) {
+            thread_local! {
+                static FRAMES: Vec<Vec<u8>> = sample_frames()
+                    .iter()
+                    .map(|frame| {
+                        let mut wire = Vec::new();
+                        append_frame(&mut wire, frame).unwrap();
+                        wire
+                    })
+                    .collect();
+            }
+            let mut wire = FRAMES.with(|frames| frames[which % frames.len()].clone());
+            for (at, byte, kind) in mutations {
+                let at = at % (wire.len() + 1);
+                match kind {
+                    0 if at < wire.len() => wire[at] = byte,
+                    1 => wire.insert(at, byte),
+                    _ if at < wire.len() => {
+                        wire.remove(at);
+                    }
+                    _ => wire.push(byte),
+                }
+            }
+            if let Ok(frame) = read_frame(&mut wire.as_slice()) {
+                check_decoded(&frame)?;
+            }
+            if wire.len() > 4 {
+                if let Ok(frame) = decode_frame(&wire[4..]) {
+                    check_decoded(&frame)?;
+                }
+            }
+        }
     }
 }

@@ -7,15 +7,22 @@
 //! thread per connection (the protocol is request/response per connection,
 //! so thread-per-connection is the simplest correct concurrency model and
 //! the backend itself parallelises batches internally), graceful shutdown,
-//! and aggregate statistics. Circuits arrive as OpenQASM text and are parsed
-//! with [`qrcc_circuit::qasm::from_qasm`]; a circuit that fails to parse or
-//! to execute fails **individually** (a [`Frame::CircuitFailed`] reply)
-//! while the rest of its batch still runs — mirroring how the in-process
-//! batch API reports per-circuit errors.
+//! and aggregate statistics. Work arrives in one of two forms: fragment
+//! variants as keys ([`Frame::SubmitVariants`]), instantiated against the
+//! connection's fragment table (at most [`proto::MAX_FRAGMENTS`] bodies of
+//! at most [`proto::MAX_FRAGMENT_WEIGHT`] each, filled by
+//! [`Frame::DefineFragment`]; a batch instantiates at most
+//! [`proto::MAX_BATCH_WEIGHT`]), or bare circuits as OpenQASM text
+//! ([`Frame::SubmitBatch`]) parsed with [`qrcc_circuit::qasm::from_qasm`].
+//! Both then share one serve routine: a circuit that fails to instantiate,
+//! parse or execute fails **individually** (a [`Frame::CircuitFailed`]
+//! reply) while the rest of its batch still runs — mirroring how the
+//! in-process batch API reports per-circuit errors — and the whole reply
+//! leaves in one write.
 
 use crate::proto::{
     self, BatchTelemetry, Capabilities, Frame, HealthState, MetricsReport, ProtoError,
-    TraceContext, WireErrorKind, PROTOCOL_VERSION,
+    TraceContext, WireErrorKind, MAX_BATCH_WEIGHT, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use qrcc_circuit::{qasm, Circuit};
@@ -24,8 +31,9 @@ use qrcc_core::cache::{
     merge_distributions, CacheLookup, CacheStats, ResultCache, ResultCachePolicy,
 };
 use qrcc_core::execute::ExecutionBackend;
+use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,11 +93,16 @@ const DEFAULT_WINDOW_BUCKETS: usize = 10;
 pub struct ServerStats {
     /// Connections accepted since the server started.
     pub connections: u64,
-    /// Batches served to completion (a `BatchDone` frame was sent).
+    /// Batches served to completion (their `BatchDone` frame was sent).
+    /// A batch is counted here, and in the circuit and cache counters
+    /// below, just before its reply is written, so a client that saw
+    /// `BatchDone` reads it; it is taken back out if that write fails —
+    /// the only time these counters step down.
     pub batches: u64,
     /// Circuits that executed successfully.
     pub circuits_ok: u64,
-    /// Circuits that failed (parse error or backend error).
+    /// Circuits that failed (a key or document that yields no circuit, a
+    /// pre-flight rejection, or a backend error).
     pub circuits_failed: u64,
     /// Connections dropped over protocol violations (bad handshake,
     /// malformed or unexpected frames).
@@ -103,10 +116,12 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Device shots the result cache absorbed across all connections.
     pub cache_shots_saved: u64,
-    /// End-to-end batch service latency (microseconds, parse through the
-    /// last reply frame) as a mergeable log-bucketed histogram — ask it for
-    /// `p50()`/`p99()`/`p999()` instead of a single mean field. Always
-    /// recorded; tracing only affects the per-batch span subtrees.
+    /// End-to-end batch service latency (microseconds, from building the
+    /// circuits to the encoded reply) as a mergeable log-bucketed
+    /// histogram — ask it for `p50()`/`p99()`/`p999()` instead of a single
+    /// mean field. Recorded once the reply is written, so it samples the
+    /// same batches `batches` counts; tracing only affects the per-batch
+    /// span subtrees.
     pub batch_latency_us: qrcc_core::Histogram,
     /// Batches currently executing or queued across all connections (each
     /// in-flight batch occupies one connection thread).
@@ -225,6 +240,25 @@ impl StatsInner {
         }
     }
 
+    /// Adds (or, with `add` false, takes back) one batch's counters; see
+    /// [`ServerStats::batches`] for why a batch may be taken back.
+    fn fold(&self, batch: &ConnectionStats, add: bool) {
+        let apply = |counter: &AtomicU64, value: u64| {
+            if add {
+                counter.fetch_add(value, Ordering::Relaxed);
+            } else {
+                counter.fetch_sub(value, Ordering::Relaxed);
+            }
+        };
+        apply(&self.batches, batch.batches);
+        apply(&self.circuits_ok, batch.circuits_ok);
+        apply(&self.circuits_failed, batch.circuits_failed);
+        apply(&self.cache_hits, batch.cache_hits);
+        apply(&self.cache_delta_hits, batch.cache_delta_hits);
+        apply(&self.cache_misses, batch.cache_misses);
+        apply(&self.cache_shots_saved, batch.cache_shots_saved);
+    }
+
     /// Readiness verdict from the live flags: draining wins over overload,
     /// overload wins over accepting.
     fn health(&self) -> (HealthState, u64, u64, u64) {
@@ -294,6 +328,18 @@ pub struct ConnectionStats {
     /// and keeps the per-connection ledger summing to the aggregate
     /// high-water's lower bound.
     pub queue_high_water: u64,
+}
+
+impl ConnectionStats {
+    fn fold(&mut self, batch: &ConnectionStats) {
+        self.batches += batch.batches;
+        self.circuits_ok += batch.circuits_ok;
+        self.circuits_failed += batch.circuits_failed;
+        self.cache_hits += batch.cache_hits;
+        self.cache_delta_hits += batch.cache_delta_hits;
+        self.cache_misses += batch.cache_misses;
+        self.cache_shots_saved += batch.cache_shots_saved;
+    }
 }
 
 /// A bound-but-not-yet-serving QRCC worker.
@@ -752,92 +798,212 @@ fn serve_connection(
         ConnRead::Closed | ConnRead::ShuttingDown => return conn,
     }
 
+    // this connection's fragment table, filled by DefineFragment and read
+    // by SubmitVariants; ids are below MAX_FRAGMENTS and bodies weigh at
+    // most MAX_FRAGMENT_WEIGHT (the decoder refuses others), so it never
+    // holds more than MAX_BATCH_WEIGHT
+    let mut fragments: Vec<Option<FragmentBody>> = Vec::new();
     loop {
-        match read_frame_polling(&mut stream, &shutdown, IDLE_DEADLINE) {
-            ConnRead::Frame(Frame::SubmitBatch { batch, circuits, shots, trace }) => {
-                if let Some(shots) = &shots {
-                    if shots.len() != circuits.len() {
-                        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = proto::write_frame(
-                            &mut stream,
-                            &Frame::Error {
-                                kind: WireErrorKind::Protocol,
-                                message: format!(
-                                    "batch {batch} carries {} circuits but {} shot counts",
-                                    circuits.len(),
-                                    shots.len()
-                                ),
-                            },
-                        );
-                        return conn;
+        let (batch, submission, shots, trace) =
+            match read_frame_polling(&mut stream, &shutdown, IDLE_DEADLINE) {
+                ConnRead::Frame(Frame::DefineFragment { id, body }) => {
+                    let id = id as usize;
+                    if fragments.len() <= id {
+                        fragments.resize(id + 1, None);
                     }
+                    fragments[id] = Some(body);
+                    continue;
                 }
-                let served = serve_batch(
-                    &mut stream,
-                    backend.as_ref(),
-                    write_budget,
-                    cache.as_deref(),
-                    batch,
-                    &circuits,
-                    shots.as_deref(),
-                    trace,
-                    &stats,
-                    &mut conn,
-                );
-                if served.is_err() {
-                    return conn; // client gone mid-stream
+                ConnRead::Frame(Frame::SubmitVariants { batch, keys, shots, trace }) => {
+                    (batch, Submission::Variants(keys), shots, trace)
                 }
-            }
-            ConnRead::Frame(Frame::Ping { nonce }) => {
-                if proto::write_frame(&mut stream, &Frame::Pong { nonce }).is_err() {
+                ConnRead::Frame(Frame::SubmitBatch { batch, circuits, shots, trace }) => {
+                    (batch, Submission::Qasm(circuits), shots, trace)
+                }
+                other => {
+                    if serve_control(&mut stream, other, &stats) {
+                        continue;
+                    }
                     return conn;
                 }
-            }
-            ConnRead::Frame(Frame::GetMetrics) => {
-                let reply = Frame::MetricsReply { report: stats.metrics_report() };
-                if proto::write_frame(&mut stream, &reply).is_err() {
-                    return conn;
-                }
-            }
-            ConnRead::Frame(Frame::GetHealth) => {
-                let (state, queue_depth, queue_high_water, connections) = stats.health();
-                let reply =
-                    Frame::HealthReply { state, queue_depth, queue_high_water, connections };
-                if proto::write_frame(&mut stream, &reply).is_err() {
-                    return conn;
-                }
-            }
-            ConnRead::Frame(Frame::Error { .. }) => return conn, // client aborted
-            ConnRead::Frame(_) => {
+            };
+        if let Some(refusal) = submission.refusal(shots.as_deref(), &fragments) {
+            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            let _ = proto::write_frame(
+                &mut stream,
+                &Frame::Error {
+                    kind: WireErrorKind::Protocol,
+                    message: format!("batch {batch} {refusal}"),
+                },
+            );
+            return conn;
+        }
+        let served = serve_batch(
+            &mut stream,
+            backend.as_ref(),
+            write_budget,
+            cache.as_deref(),
+            batch,
+            submission,
+            &fragments,
+            shots.as_deref(),
+            trace,
+            &stats,
+            &mut conn,
+        );
+        if served.is_err() {
+            return conn; // client gone mid-reply
+        }
+    }
+}
+
+/// Answers one frame that is not a batch submission and says whether to
+/// keep serving: heartbeats and scrapes get their reply; a client abort, a
+/// protocol violation, a dead stream or shutdown end the connection.
+fn serve_control(stream: &mut TcpStream, read: ConnRead, stats: &StatsInner) -> bool {
+    match read {
+        ConnRead::Frame(Frame::Ping { nonce }) => {
+            proto::write_frame(stream, &Frame::Pong { nonce }).is_ok()
+        }
+        ConnRead::Frame(Frame::GetMetrics) => {
+            let reply = Frame::MetricsReply { report: stats.metrics_report() };
+            proto::write_frame(stream, &reply).is_ok()
+        }
+        ConnRead::Frame(Frame::GetHealth) => {
+            let (state, queue_depth, queue_high_water, connections) = stats.health();
+            let reply = Frame::HealthReply { state, queue_depth, queue_high_water, connections };
+            proto::write_frame(stream, &reply).is_ok()
+        }
+        ConnRead::Frame(Frame::Error { .. }) => false, // client aborted
+        ConnRead::Frame(_) => {
+            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            let _ = proto::write_frame(
+                stream,
+                &Frame::Error {
+                    kind: WireErrorKind::Protocol,
+                    message: "unexpected frame (wanted SubmitVariants, DefineFragment, \
+                              SubmitBatch, Ping, GetMetrics or GetHealth)"
+                        .into(),
+                },
+            );
+            false
+        }
+        ConnRead::Failed(error) => {
+            // disconnects mid-frame are ordinary client failures;
+            // undecodable bytes are protocol errors worth counting
+            if !matches!(error, ProtoError::Io(_)) {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = proto::write_frame(
-                    &mut stream,
-                    &Frame::Error {
-                        kind: WireErrorKind::Protocol,
-                        message: "unexpected frame (wanted SubmitBatch, Ping, GetMetrics \
-                                  or GetHealth)"
-                            .into(),
-                    },
+                    stream,
+                    &Frame::Error { kind: WireErrorKind::Protocol, message: error.to_string() },
                 );
-                return conn;
             }
-            ConnRead::Failed(error) => {
-                // disconnects mid-frame are ordinary client failures;
-                // undecodable bytes are protocol errors worth counting
-                if !matches!(error, ProtoError::Io(_)) {
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = proto::write_frame(
-                        &mut stream,
-                        &Frame::Error { kind: WireErrorKind::Protocol, message: error.to_string() },
-                    );
-                }
-                return conn;
-            }
-            ConnRead::Closed | ConnRead::ShuttingDown => {
-                let _ = stream.shutdown(Shutdown::Both);
-                return conn;
+            false
+        }
+        ConnRead::Closed | ConnRead::ShuttingDown => {
+            let _ = stream.shutdown(Shutdown::Both);
+            false
+        }
+    }
+}
+
+/// The two forms a batch arrives in.
+enum Submission {
+    /// Fragment variants, keyed into the connection's fragment table.
+    Variants(Vec<VariantKey>),
+    /// Bare circuits as OpenQASM text.
+    Qasm(Vec<String>),
+}
+
+impl Submission {
+    fn len(&self) -> usize {
+        match self {
+            Submission::Variants(keys) => keys.len(),
+            Submission::Qasm(circuits) => circuits.len(),
+        }
+    }
+
+    /// Why the whole batch is refused before any circuit is built: a shot
+    /// list whose length does not match, or keys whose bodies together
+    /// outweigh [`MAX_BATCH_WEIGHT`] (keys naming no body weigh nothing
+    /// here; they fail alone later).
+    fn refusal(&self, shots: Option<&[u64]>, fragments: &[Option<FragmentBody>]) -> Option<String> {
+        if let Some(shots) = shots.filter(|shots| shots.len() != self.len()) {
+            return Some(format!(
+                "carries {} circuits but {} shot counts",
+                self.len(),
+                shots.len()
+            ));
+        }
+        if let Submission::Variants(keys) = self {
+            let weight = keys
+                .iter()
+                .filter_map(|key| fragments.get(key.fragment)?.as_ref())
+                .fold(0usize, |sum, body| sum.saturating_add(body.weight()));
+            if weight > MAX_BATCH_WEIGHT {
+                return Some(format!(
+                    "would instantiate a weight of {weight}, over the {MAX_BATCH_WEIGHT} cap"
+                ));
             }
         }
+        None
+    }
+
+    /// Every entry's circuit: instantiated from the fragment table, or
+    /// parsed. A key naming no defined fragment or an out-of-range variant,
+    /// and a document that does not parse, fail deterministically
+    /// ([`CoreError::Transport`], the `Protocol` reply kind); a body too
+    /// wide for `backend` fails its keys' pre-flight from its registers
+    /// alone, before any of them is built.
+    fn circuits(
+        &self,
+        fragments: &[Option<FragmentBody>],
+        backend: &dyn ExecutionBackend,
+    ) -> Vec<Result<Circuit, CoreError>> {
+        let deterministic = |detail: String| CoreError::Transport { detail };
+        match self {
+            Submission::Variants(keys) => keys
+                .iter()
+                .map(|key| {
+                    let body =
+                        fragments.get(key.fragment).and_then(Option::as_ref).ok_or_else(|| {
+                            deterministic(format!(
+                                "fragment id {} is not defined on this connection",
+                                key.fragment
+                            ))
+                        })?;
+                    body.check_variant(key.ordinal, key.outputs).map_err(|reason| {
+                        deterministic(format!("invalid variant key: {reason}"))
+                    })?;
+                    preflight(
+                        &Circuit::with_clbits(body.num_qubits(), body.num_clbits()),
+                        backend,
+                    )?;
+                    Ok(body.instantiate(key.ordinal, key.outputs))
+                })
+                .collect(),
+            Submission::Qasm(circuits) => circuits
+                .iter()
+                .map(|text| {
+                    qasm::from_qasm(text)
+                        .map_err(|e| deterministic(format!("qasm parse error: {e}")))
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The static pre-flight rejection ([`analyze::preflight_backend`]) of a
+/// circuit `backend` cannot run: too wide for this worker, or needing
+/// mid-circuit support it lacks. `Backend`-kinded, so the client's
+/// dispatcher re-routes it to a capable worker.
+fn preflight(circuit: &Circuit, backend: &dyn ExecutionBackend) -> Result<(), CoreError> {
+    match analyze::preflight_backend(circuit, backend) {
+        None => Ok(()),
+        Some(diagnostic) => Err(CoreError::BackendUnavailable {
+            backend: backend.label(),
+            reason: format!("rejected by pre-flight analysis: {diagnostic}"),
+        }),
     }
 }
 
@@ -873,21 +1039,24 @@ impl io::Write for DeadlineWriter<'_> {
     }
 }
 
-/// Parses and pre-flights one submitted batch, executes what survives, then
-/// streams one reply frame per circuit (in index order) and the closing
-/// `BatchDone`. Circuits fail **individually** — a parse error, a static
-/// pre-flight rejection ([`qrcc_core::analyze::preflight_backend`]: too wide
-/// for this worker, or needing mid-circuit support it lacks), or a backend
-/// error each produce a `CircuitFailed` while the rest of the batch still
-/// runs. The backend runs the surviving circuits as **one** call —
-/// preserving its internal parallelism and the deterministic per-circuit
-/// sampling streams — so the first reply frame is written only once the
-/// batch call returns; the client waits on that with its (long) reply
-/// timeout. All reply writes run under the cumulative `write_budget`
-/// deadline (see [`DeadlineWriter`]). Folds the outcome into both the
-/// aggregate `stats` and the connection's `conn` ledger at the same point —
-/// before `BatchDone` — so the two can never disagree; `Err` means the
-/// reply stream died.
+/// Builds and pre-flights one submitted batch, executes what survives, then
+/// answers one reply frame per entry (in index order) and the closing
+/// `BatchDone`. Entries fail **individually** — a key or document that
+/// yields no circuit ([`Submission::circuits`]), a static pre-flight
+/// rejection ([`qrcc_core::analyze::preflight_backend`]: too wide for this
+/// worker, or needing mid-circuit support it lacks), or a backend error
+/// each produce a `CircuitFailed` while the rest of the batch still runs.
+/// The backend runs the surviving circuits as **one** call — preserving its
+/// internal parallelism and the deterministic per-circuit sampling streams
+/// — so the reply is written only once the batch call returns; the client
+/// waits on that with its (long) reply timeout. Every reply frame and the
+/// `BatchDone` are encoded into one buffer that leaves in one write under
+/// the cumulative `write_budget` deadline (see [`DeadlineWriter`]). The
+/// outcome's counters are folded into the aggregate `stats` before that
+/// write, so a client that saw `BatchDone` never reads a stale snapshot,
+/// and taken back out if the write fails; the connection's `conn` ledger
+/// and the latency samples count only delivered batches. `Err` means the
+/// reply could not be delivered.
 #[allow(clippy::too_many_arguments)]
 fn serve_batch(
     stream: &mut TcpStream,
@@ -895,15 +1064,16 @@ fn serve_batch(
     write_budget: Duration,
     cache: Option<&ResultCache>,
     batch: u64,
-    circuits: &[String],
+    submission: Submission,
+    fragments: &[Option<FragmentBody>],
     shots: Option<&[u64]>,
     trace: Option<TraceContext>,
     stats: &StatsInner,
     conn: &mut ConnectionStats,
 ) -> io::Result<()> {
     // The batch occupies one slot of the live queue from arrival to the
-    // last reply write — the gauge `GetHealth` reads for its overload
-    // verdict. The guard keeps the gauge honest on every early return.
+    // reply write — the gauge `GetHealth` reads for its overload verdict.
+    // The guard keeps the gauge honest on every early return.
     struct QueueGuard<'a>(&'a StatsInner);
     impl Drop for QueueGuard<'_> {
         fn drop(&mut self) {
@@ -927,7 +1097,8 @@ fn serve_batch(
 
     /// How one submitted circuit is answered.
     enum Slot {
-        /// Parse error or static pre-flight rejection.
+        /// No circuit (bad key, parse error) or a static pre-flight
+        /// rejection.
         Rejected(CoreError),
         /// Served entirely from the result cache — no backend call.
         Cached(Vec<f64>),
@@ -936,67 +1107,64 @@ fn serve_batch(
         Execute { delta: Option<(Vec<f64>, u64)> },
     }
 
-    // Parse and statically pre-flight every circuit; rejected circuits fail
+    // Build and statically pre-flight every circuit; rejected circuits fail
     // individually, exactly like backend failures, and the rest of its
     // batch still runs. Parse errors keep their line/column; pre-flight
     // rejections carry the rendered QL diagnostic and stay `Backend`-kinded
     // so the client's dispatcher re-routes them to a capable worker.
     // Surviving circuits then consult the result cache: full hits skip the
     // backend entirely, delta hits execute only the missing shots.
+    let circuits = submission.circuits(fragments, backend);
     let mut slots: Vec<Slot> = Vec::with_capacity(circuits.len());
     let mut payload: Vec<Circuit> = Vec::with_capacity(circuits.len());
     let mut sub_shots: Vec<u64> = Vec::new();
     let mut any_delta = false;
     let (mut c_hits, mut c_delta, mut c_miss, mut c_saved) = (0u64, 0u64, 0u64, 0u64);
-    for (i, text) in circuits.iter().enumerate() {
-        match qasm::from_qasm(text) {
-            Ok(circuit) => match analyze::preflight_backend(&circuit, backend) {
-                Some(diagnostic) => slots.push(Slot::Rejected(CoreError::BackendUnavailable {
-                    backend: backend.label(),
-                    reason: format!("rejected by pre-flight analysis: {diagnostic}"),
-                })),
-                None => {
-                    let requested = match shots {
-                        Some(s) => Some(s[i]),
-                        None => backend.shots_per_circuit(),
-                    };
-                    match cache.map(|c| c.lookup(&circuit, requested)) {
-                        Some(CacheLookup::Hit(distribution)) => {
-                            c_hits += 1;
-                            c_saved += requested.unwrap_or(0);
-                            slots.push(Slot::Cached(distribution));
-                        }
-                        Some(CacheLookup::Delta { base, base_shots, missing }) => {
-                            c_delta += 1;
-                            c_saved += base_shots;
-                            any_delta = true;
-                            payload.push(circuit);
-                            sub_shots.push(missing);
-                            slots.push(Slot::Execute { delta: Some((base, base_shots)) });
-                        }
-                        miss => {
-                            if miss.is_some() {
-                                c_miss += 1;
-                            }
-                            payload.push(circuit);
-                            // a delta hit elsewhere in the batch switches the
-                            // whole run to explicit counts, so misses carry
-                            // theirs too (requested is Some whenever a delta
-                            // can exist: deltas need a sampling backend)
-                            sub_shots.push(requested.unwrap_or(0));
-                            slots.push(Slot::Execute { delta: None });
-                        }
-                    }
+    for (i, circuit) in circuits.into_iter().enumerate() {
+        let circuit = match circuit.and_then(|circuit| {
+            preflight(&circuit, backend)?;
+            Ok(circuit)
+        }) {
+            Ok(circuit) => circuit,
+            Err(error) => {
+                slots.push(Slot::Rejected(error));
+                continue;
+            }
+        };
+        let requested = match shots {
+            Some(s) => Some(s[i]),
+            None => backend.shots_per_circuit(),
+        };
+        match cache.map(|c| c.lookup(&circuit, requested)) {
+            Some(CacheLookup::Hit(distribution)) => {
+                c_hits += 1;
+                c_saved += requested.unwrap_or(0);
+                slots.push(Slot::Cached(distribution));
+            }
+            Some(CacheLookup::Delta { base, base_shots, missing }) => {
+                c_delta += 1;
+                c_saved += base_shots;
+                any_delta = true;
+                payload.push(circuit);
+                sub_shots.push(missing);
+                slots.push(Slot::Execute { delta: Some((base, base_shots)) });
+            }
+            miss => {
+                if miss.is_some() {
+                    c_miss += 1;
                 }
-            },
-            Err(e) => slots.push(Slot::Rejected(CoreError::Transport {
-                detail: format!("qasm parse error: {e}"),
-            })),
+                payload.push(circuit);
+                // a delta hit elsewhere in the batch switches the whole run
+                // to explicit counts, so misses carry theirs too (requested
+                // is Some whenever a delta can exist: deltas need a sampling
+                // backend)
+                sub_shots.push(requested.unwrap_or(0));
+                slots.push(Slot::Execute { delta: None });
+            }
         }
     }
 
     let parse_us = batch_started.elapsed().as_micros() as u64;
-
     // A panicking backend must not kill the connection thread silently: the
     // panic becomes per-circuit failures the client's dispatcher can rescue,
     // mirroring the in-process dispatch workers.
@@ -1021,10 +1189,9 @@ fn serve_batch(
     });
     let execute_us = batch_started.elapsed().as_micros() as u64;
 
-    // Every reply write of this batch shares one cumulative deadline; the
-    // per-syscall timeout is restored before returning so later batches and
-    // control frames on this connection see the ordinary [`WRITE_TIMEOUT`].
-    let mut writer = DeadlineWriter { stream, deadline: std::time::Instant::now() + write_budget };
+    // Every reply frame of this batch is encoded into one buffer that
+    // leaves in one write (below).
+    let mut replies: Vec<u8> = Vec::new();
     let mut results = results.into_iter();
     let mut executed = payload.into_iter().zip(sub_shots);
     let mut ok = 0u64;
@@ -1091,21 +1258,16 @@ fn serve_batch(
                 (failed, false)
             }
         };
-        match proto::write_frame(&mut writer, &frame) {
-            Ok(()) => {
-                if succeeded {
-                    ok += 1;
-                } else {
-                    failed += 1;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+        match proto::append_frame(&mut replies, &frame) {
+            Ok(()) if succeeded => ok += 1,
+            Ok(()) => failed += 1,
+            Err(e) => {
                 // the reply itself exceeds the frame cap (an enormous
                 // distribution): deterministic and per-circuit, so degrade
                 // to a failure instead of killing the whole connection
                 failed += 1;
-                proto::write_frame(
-                    &mut writer,
+                proto::append_frame(
+                    &mut replies,
                     &Frame::CircuitFailed {
                         batch,
                         index: index as u32,
@@ -1114,41 +1276,25 @@ fn serve_batch(
                     },
                 )?;
             }
-            Err(e) => return Err(e),
         }
     }
-    // fold into the aggregate and the connection ledger *before*
-    // acknowledging the batch, so a client that saw `BatchDone` never reads
-    // a stale snapshot, and the ledgers always agree with the aggregate
-    stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats.circuits_ok.fetch_add(ok, Ordering::Relaxed);
-    stats.circuits_failed.fetch_add(failed, Ordering::Relaxed);
-    stats.cache_hits.fetch_add(c_hits, Ordering::Relaxed);
-    stats.cache_delta_hits.fetch_add(c_delta, Ordering::Relaxed);
-    stats.cache_misses.fetch_add(c_miss, Ordering::Relaxed);
-    stats.cache_shots_saved.fetch_add(c_saved, Ordering::Relaxed);
-    conn.batches += 1;
-    conn.circuits_ok += ok;
-    conn.circuits_failed += failed;
-    conn.cache_hits += c_hits;
-    conn.cache_delta_hits += c_delta;
-    conn.cache_misses += c_miss;
-    conn.cache_shots_saved += c_saved;
-    // batch service latency is always recorded (it feeds
-    // [`ServerStats::batch_latency_us`]); the span subtree and metric deltas
-    // ride back only when the submission carried a trace context
+    // fold the counters into the aggregate *before* the reply leaves, so a
+    // client that saw `BatchDone` never reads a stale snapshot; a reply
+    // that cannot be delivered is taken back out below
+    let delivered = ConnectionStats {
+        batches: 1,
+        circuits_ok: ok,
+        circuits_failed: failed,
+        cache_hits: c_hits,
+        cache_delta_hits: c_delta,
+        cache_misses: c_miss,
+        cache_shots_saved: c_saved,
+        queue_high_water: 0,
+    };
+    stats.fold(&delivered, true);
+    // the span subtree and metric deltas ride back only when the
+    // submission carried a trace context
     let batch_us = batch_started.elapsed().as_micros() as u64;
-    stats.batch_latency.lock().record(batch_us);
-    {
-        // the same sample also lands in the live window behind GetMetrics,
-        // together with this batch's request/failure counts
-        let mut window = stats.window.lock();
-        window.latency.record(batch_us);
-        window.requests.add(1);
-        if failed > 0 {
-            window.failures.add(1);
-        }
-    }
     let telemetry = trace.map(|_| {
         let span = |id: u64, parent: u64, name: &str, start_us: u64, end_us: u64| {
             qrcc_core::obs::RemoteSpan {
@@ -1180,11 +1326,32 @@ fn serve_batch(
             histograms: vec![("server.batch_latency_us".into(), delta)],
         }
     });
-    let done = proto::write_frame(
-        &mut writer,
-        &Frame::BatchDone { batch, executed: ok as u32, telemetry },
-    );
-    let _ = writer.stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    done?;
-    Ok(())
+    let done = Frame::BatchDone { batch, executed: ok as u32, telemetry };
+    let written = proto::append_frame(&mut replies, &done).and_then(|()| {
+        // the per-syscall timeout is restored afterwards so later batches
+        // and control frames on this connection see the ordinary
+        // [`WRITE_TIMEOUT`]
+        let deadline = std::time::Instant::now() + write_budget;
+        let mut writer = DeadlineWriter { stream, deadline };
+        let written = writer.write_all(&replies).and_then(|()| writer.flush());
+        let _ = writer.stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        written
+    });
+    match written {
+        Ok(()) => {
+            conn.fold(&delivered);
+            // a delivered batch's service latency feeds
+            // [`ServerStats::batch_latency_us`] and the live window behind
+            // GetMetrics, together with its request/failure counts
+            stats.batch_latency.lock().record(batch_us);
+            let mut window = stats.window.lock();
+            window.latency.record(batch_us);
+            window.requests.add(1);
+            if failed > 0 {
+                window.failures.add(1);
+            }
+        }
+        Err(_) => stats.fold(&delivered, false),
+    }
+    written
 }
