@@ -194,13 +194,13 @@ impl QrccPipeline {
     }
 
     /// Reconstructs the expectation value of `observable`: the scheduler
-    /// dispatches the observable's deduplicated batch — Pauli terms sharing
-    /// a measurement-basis signature run once — in chunks on a worker thread
-    /// while this thread folds every finished chunk into per-Pauli scalar
-    /// tensors (an [`ExpectationAccumulator`]). The expectation counterpart
-    /// of [`QrccPipeline::execute_streaming`], valid for wire- **and**
-    /// gate-cut plans. Only the per-term final contraction runs after the
-    /// last chunk lands.
+    /// dispatches the observable's deduplicated batch — Pauli terms of one
+    /// qubit-wise-commuting measurement group share a fragment's variants —
+    /// in chunks on a worker thread while this thread folds every finished
+    /// chunk into per-Pauli scalar tensors (an [`ExpectationAccumulator`]).
+    /// The expectation counterpart of [`QrccPipeline::execute_streaming`],
+    /// valid for wire- **and** gate-cut plans. Only the per-term final
+    /// contraction runs after the last chunk lands.
     ///
     /// # Errors
     ///

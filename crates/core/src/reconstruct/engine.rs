@@ -424,7 +424,7 @@ impl WireSlots {
     }
 }
 
-/// The per-variant fold of one workload's signature group: the folder
+/// The per-variant fold of one workload's measurement-setting group: the folder
 /// writes `tensors[target][fragment]` of each of its targets (the
 /// probability vector, or the Pauli terms it serves).
 pub(crate) trait Fold {
@@ -522,8 +522,8 @@ impl CutTensor {
 }
 
 /// Reusable scratch for folding one fragment's expectation variants of one
-/// output-basis signature into the scalar cut tensors of every Pauli term
-/// that measures the fragment's outputs in that signature — the expectation
+/// measurement setting into the scalar cut tensors of every Pauli term of
+/// that setting's qubit-wise-commuting group — the expectation
 /// counterpart of [`FragmentFolder`], whether the variants arrive as one
 /// complete batch or as streamed chunks.
 ///
@@ -568,7 +568,8 @@ impl SignatureFolder {
     }
 
     /// A folder for `fragment` serving `terms`: `(term index, Pauli string)`
-    /// pairs whose strings share one output-basis signature on `fragment`.
+    /// pairs whose strings share one measurement setting on `fragment`
+    /// (each agrees with it on the outputs the string is not I on).
     pub(crate) fn new(fragment: &Fragment, terms: &[(usize, &PauliString)]) -> Self {
         let reads = |string: &PauliString| {
             fragment

@@ -2,9 +2,11 @@
 //!
 //! * The enumerator the integer [`VariantKey`] replaced: one
 //!   [`FragmentVariant`] of four slot vectors per combination, per Pauli
-//!   term, deduplicated afterwards — checked against the keys the
-//!   reconstructors enumerate, decoded slot by slot, and the structural
-//!   circuit dedup it fed, checked against the ordinal rule.
+//!   term (measured in the bases of its qubit-wise-commuting group,
+//!   [`grouped_bases`]), deduplicated afterwards — checked against the keys
+//!   the reconstructors enumerate, decoded slot by slot, and the structural
+//!   circuit dedup it fed, checked against the ordinal rule. The grouping
+//!   itself is checked by brute force against its invariants.
 //! * The component-grid loops the production folds replaced, kept verbatim
 //!   in spirit — every outcome is distributed over the full `4^in · 4^out`
 //!   component grid through [`init_weight`] / [`required_basis`] /
@@ -63,23 +65,60 @@ pub(super) fn probability_variants(
     variants(fragment, vec![Pauli::Z; fragment.output_clbits.len()])
 }
 
-/// Every variant one fragment needs for one Pauli string: all
-/// `6^roles · 4^incoming · 3^outgoing` combinations with the string's output
-/// bases, `I` normalised to `Z` (both instantiate to a computational-basis
-/// measurement).
-pub(super) fn expectation_variants<'a>(
-    fragment: &'a Fragment,
-    string: &PauliString,
-) -> impl Iterator<Item = FragmentVariant> + 'a {
-    let output_bases = fragment
-        .output_clbits
-        .iter()
-        .map(|&(orig, _)| match string.pauli(orig) {
-            Pauli::I => Pauli::Z,
-            p => p,
+/// The output bases each of `strings` is measured in on `fragment`,
+/// re-derived slot by slot from the grouping rule: terms whose bases agree
+/// once I is read as Z form a class constraining the slots its terms are not
+/// I on; in first-seen order each class joins the first earlier group that
+/// agrees with it on every slot both constrain; unconstrained slots read Z.
+fn grouped_bases(fragment: &Fragment, strings: &[&PauliString]) -> Vec<Vec<Pauli>> {
+    let bases = |string: &PauliString| -> Vec<Option<Pauli>> {
+        fragment
+            .output_clbits
+            .iter()
+            .map(|&(orig, _)| Some(string.pauli(orig)).filter(|&p| p != Pauli::I))
+            .collect()
+    };
+    let as_z = |bases: &[Option<Pauli>]| -> Vec<Pauli> {
+        bases.iter().map(|b| b.unwrap_or(Pauli::Z)).collect()
+    };
+    let mut classes: Vec<(Vec<Pauli>, Vec<Option<Pauli>>)> = Vec::new();
+    let mut class_of = Vec::new();
+    for string in strings {
+        let own = bases(string);
+        let key = as_z(&own);
+        let class = classes.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+            classes.push((key, vec![None; own.len()]));
+            classes.len() - 1
+        });
+        for (slot, basis) in classes[class].1.iter_mut().zip(&own) {
+            *slot = slot.or(*basis);
+        }
+        class_of.push(class);
+    }
+    let agree = |a: &[Option<Pauli>], b: &[Option<Pauli>]| {
+        a.iter().zip(b).all(|pair| match pair {
+            (Some(x), Some(y)) => x == y,
+            _ => true,
         })
-        .collect();
-    variants(fragment, output_bases)
+    };
+    let mut groups: Vec<Vec<Option<Pauli>>> = Vec::new();
+    let mut group_of = Vec::new();
+    for (_, constraint) in &classes {
+        let group = match groups.iter().position(|g| agree(g, constraint)) {
+            Some(group) => {
+                for (slot, basis) in groups[group].iter_mut().zip(constraint) {
+                    *slot = slot.or(*basis);
+                }
+                group
+            }
+            None => {
+                groups.push(constraint.clone());
+                groups.len() - 1
+            }
+        };
+        group_of.push(group);
+    }
+    class_of.into_iter().map(|class| as_z(&groups[group_of[class]])).collect()
 }
 
 /// All slot combinations with fixed `output_bases`: cut bases varying
@@ -277,12 +316,16 @@ pub(super) fn dense_probabilities(fragments: &FragmentSet, tensors: &[CutTensor]
 }
 
 mod tests {
-    use super::super::{dense_probabilities, Fold, FragmentFolder, SignatureFolder, TRIVIAL};
+    use super::super::{
+        dense_probabilities, Fold, FragmentFolder, ReconstructionOptions, ReconstructionStrategy,
+        SignatureFolder, TRIVIAL,
+    };
     use super::*;
     use crate::execute::{execute_requests, prepare_batch, ExactBackend, ExecutionResults};
     use crate::fragment::VariantRequest;
     use crate::gatecut::GateHalf;
     use crate::planner::CutPlanner;
+    use crate::reconstruct::expectation::contributing_terms;
     use crate::reconstruct::{ExpectationReconstructor, ProbabilityReconstructor};
     use crate::QrccConfig;
     use proptest::prelude::*;
@@ -533,9 +576,26 @@ mod tests {
         }
     }
 
+    /// The Pauli strings of `observable` that can contribute: none acts
+    /// with X or Y on an idle wire.
+    fn contributing(fragments: &FragmentSet, observable: &PauliObservable) -> Vec<PauliString> {
+        observable
+            .terms()
+            .iter()
+            .map(|(_, string)| string.clone())
+            .filter(|string| {
+                !(0..fragments.original_qubits).any(|q| {
+                    fragments.output_owner[q].is_none()
+                        && matches!(string.pauli(q), Pauli::X | Pauli::Y)
+                })
+            })
+            .collect()
+    }
+
     /// The old enumerator's keys, deduplicated in first-seen order: every
-    /// contributing term's variants of every executing fragment
-    /// (`observable`), or every fragment's probability variants (`None`).
+    /// contributing term's variants of every executing fragment, in the
+    /// bases of the term's group there (`observable`), or every fragment's
+    /// probability variants (`None`).
     fn old_keys(
         fragments: &FragmentSet,
         observable: Option<&PauliObservable>,
@@ -545,24 +605,99 @@ mod tests {
             None => executing()
                 .flat_map(|(i, f)| probability_variants(f).map(move |v| (i, v)))
                 .collect(),
-            Some(observable) => observable
-                .terms()
-                .iter()
-                .filter(|(_, string)| {
-                    !(0..fragments.original_qubits).any(|q| {
-                        fragments.output_owner[q].is_none()
-                            && matches!(string.pauli(q), Pauli::X | Pauli::Y)
+            Some(observable) => {
+                let strings = contributing(fragments, observable);
+                let strings: Vec<&PauliString> = strings.iter().collect();
+                let bases: Vec<Vec<Vec<Pauli>>> =
+                    fragments.fragments.iter().map(|f| grouped_bases(f, &strings)).collect();
+                (0..strings.len())
+                    .flat_map(|t| {
+                        let bases = &bases;
+                        executing().flat_map(move |(i, f)| {
+                            variants(f, bases[i][t].clone()).map(move |v| (i, v))
+                        })
                     })
-                })
-                .flat_map(|(_, string)| {
-                    executing().flat_map(move |(i, f)| {
-                        expectation_variants(f, string).map(move |v| (i, v))
-                    })
-                })
-                .collect(),
+                    .collect()
+            }
         };
         let mut seen = HashSet::new();
         requested.into_iter().filter(|key| seen.insert(key.clone())).collect()
+    }
+
+    /// Brute-force check of the measurement grouping on every fragment that
+    /// measures outputs: each term's setting agrees with the term wherever
+    /// it is not I, every setting serves some term and is requested, a
+    /// fragment has no more settings than distinct I→Z signatures, and no
+    /// two of its settings could merge (they disagree on a slot both
+    /// groups constrain). Returns the settings per fragment.
+    fn check_groups(fragments: &FragmentSet, observable: &PauliObservable) -> Vec<usize> {
+        let terms = contributing_terms(fragments, observable).unwrap();
+        let requests = ExpectationReconstructor::new().requests(fragments, observable).unwrap();
+        fragments
+            .fragments
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.num_clbits > 0)
+            .map(|(i, fragment)| {
+                let support = |string: &PauliString| -> Vec<Option<Pauli>> {
+                    fragment
+                        .output_clbits
+                        .iter()
+                        .map(|&(orig, _)| Some(string.pauli(orig)).filter(|&p| p != Pauli::I))
+                        .collect()
+                };
+                let mut signatures = HashSet::new();
+                let mut groups: Vec<(u64, Vec<Option<Pauli>>)> = Vec::new();
+                for term in &terms {
+                    let setting = decode(fragment, &VariantKey::new(i, 0, term.settings[i]));
+                    let own = support(term.string);
+                    for (slot, basis) in own.iter().enumerate() {
+                        if let Some(basis) = basis {
+                            assert_eq!(
+                                setting.output_bases[slot], *basis,
+                                "fragment {i}: a setting disagrees with its term on slot {slot}"
+                            );
+                        }
+                    }
+                    signatures
+                        .insert(own.iter().map(|b| b.unwrap_or(Pauli::Z)).collect::<Vec<_>>());
+                    let at = match groups.iter().position(|(s, _)| *s == term.settings[i]) {
+                        Some(at) => at,
+                        None => {
+                            groups.push((term.settings[i], vec![None; own.len()]));
+                            groups.len() - 1
+                        }
+                    };
+                    for (slot, basis) in groups[at].1.iter_mut().zip(&own) {
+                        *slot = slot.or(*basis);
+                    }
+                }
+                let requested: HashSet<u64> = requests
+                    .iter()
+                    .filter(|r| r.key.fragment == i)
+                    .map(|r| r.key.outputs)
+                    .collect();
+                let served: HashSet<u64> = groups.iter().map(|&(s, _)| s).collect();
+                assert_eq!(
+                    requested, served,
+                    "fragment {i}: requested settings differ from served"
+                );
+                assert!(
+                    groups.len() <= signatures.len(),
+                    "fragment {i}: more settings than signatures"
+                );
+                for (a, (_, first)) in groups.iter().enumerate() {
+                    for (_, second) in &groups[a + 1..] {
+                        let conflict = first
+                            .iter()
+                            .zip(second)
+                            .any(|pair| matches!(pair, (Some(x), Some(y)) if x != y));
+                        assert!(conflict, "fragment {i}: two settings could share one group");
+                    }
+                }
+                groups.len()
+            })
+            .collect()
     }
 
     /// The structural circuit dedup the ordinal rule replaced: every key
@@ -604,6 +739,9 @@ mod tests {
             }
             None => ProbabilityReconstructor::new().requests(fragments).unwrap(),
         };
+        if let Some(observable) = observable {
+            check_groups(fragments, observable);
+        }
         let decoded: Vec<(usize, FragmentVariant)> = requests
             .iter()
             .map(|r| (r.key.fragment, decode(&fragments.fragments[r.key.fragment], &r.key)))
@@ -644,7 +782,7 @@ mod tests {
         );
         let ising = PauliObservable::ising(&lattice, 1.0, 0.5);
         let fragments = fragments_of(&tfim, QrccConfig::new(8));
-        assert_eq!(check_workload(&fragments, Some(&ising), true), (2359, 2359));
+        assert_eq!(check_workload(&fragments, Some(&ising), true), (674, 674));
 
         let (reg8, graph) = generators::qaoa_regular(8, 3, 1, 3);
         let fragments = fragments_of(&reg8, QrccConfig::new(5).with_gate_cuts(true));
@@ -675,38 +813,93 @@ mod tests {
             gate_cuts in any::<bool>(),
         ) {
             let mut rng = Rng(seed);
-            let n = 4 + rng.below(3);
-            let mut circuit = Circuit::new(n);
-            circuit.h(0);
-            for q in 0..n - 1 {
-                circuit.cx(q, q + 1);
-            }
-            for _ in 0..4 + rng.below(8) {
-                let (a, b) = (rng.below(n), rng.below(n));
-                let theta = rng.next() as f64 / u64::MAX as f64 * 3.0;
-                match rng.below(4) {
-                    0 if a != b => circuit.rzz(theta, a, b),
-                    1 if a != b => circuit.cx(a, b),
-                    2 => circuit.ry(theta, a),
-                    _ => circuit.h(a),
-                };
-            }
-            let config = QrccConfig::new(3)
-                .with_subcircuit_range(2, 3)
-                .with_gate_cuts(gate_cuts)
-                .with_ilp_time_limit(Duration::ZERO);
-            let Ok(plan) = CutPlanner::new(config).plan(&circuit) else { return Ok(()) };
-            let fragments = FragmentSet::from_plan(&plan).unwrap();
+            let Some((_, fragments)) = random_plan(&mut rng, gate_cuts) else { return Ok(()) };
             prop_assume!(fragments.num_wire_cuts() + fragments.num_gate_cuts() <= 6);
-            let mut observable = PauliObservable::new(n);
-            for _ in 0..3 {
-                let paulis = (0..n).map(|_| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][rng.below(4)]);
-                observable.add_term(1.0, PauliString::from_paulis(paulis.collect()));
-            }
+            let observable = random_observable(&mut rng, fragments.original_qubits, 3);
             check_workload(&fragments, Some(&observable), false);
             if fragments.num_gate_cuts() == 0 {
                 check_workload(&fragments, None, false);
             }
         }
+
+        /// Random I/X/Y/Z observables on small random plans, with and
+        /// without gate cuts: the measurement grouping keeps its invariants
+        /// ([`check_groups`]), the same observable with X and Y read as Z
+        /// gets the single all-Z setting per fragment, and the grouped
+        /// reconstruction equals the state vector to 1e-9 under `Dense` and
+        /// `Contract`.
+        #[test]
+        fn random_observables_group_into_settings_and_reconstruct_exactly(
+            seed in any::<u64>(),
+            gate_cuts in any::<bool>(),
+            terms in 1..9usize,
+        ) {
+            let mut rng = Rng(seed);
+            let Some((circuit, fragments)) = random_plan(&mut rng, gate_cuts) else {
+                return Ok(());
+            };
+            prop_assume!(fragments.num_wire_cuts() + fragments.num_gate_cuts() <= 5);
+            let n = fragments.original_qubits;
+            let observable = random_observable(&mut rng, n, terms);
+            check_groups(&fragments, &observable);
+
+            let mut z_only = PauliObservable::new(n);
+            for (coefficient, string) in observable.terms() {
+                let paulis = string.paulis().iter().map(|&p| if p == Pauli::I { p } else { Pauli::Z });
+                z_only.add_term(*coefficient, PauliString::from_paulis(paulis.collect()));
+            }
+            prop_assert!(check_groups(&fragments, &z_only).iter().all(|&settings| settings == 1));
+
+            let requests = ExpectationReconstructor::new().requests(&fragments, &observable).unwrap();
+            let results = execute_requests(&fragments, &requests, &ExactBackend::new()).unwrap();
+            let exact = StateVector::from_circuit(&circuit).unwrap().expectation(&observable);
+            for strategy in [ReconstructionStrategy::Dense, ReconstructionStrategy::Contract] {
+                let options = ReconstructionOptions { strategy, ..ReconstructionOptions::default() };
+                let got = ExpectationReconstructor::with_options(options)
+                    .reconstruct(&fragments, &results, &observable)
+                    .unwrap();
+                prop_assert!((got - exact).abs() < 1e-9, "{:?}: {} vs exact {}", strategy, got, exact);
+            }
+        }
+    }
+
+    /// A small random plan: a 4–6 qubit CX ladder plus 4–11 random gates,
+    /// cut for a 3-qubit device, with gate cuts when `gate_cuts`; `None`
+    /// when the planner finds no plan.
+    fn random_plan(rng: &mut Rng, gate_cuts: bool) -> Option<(Circuit, FragmentSet)> {
+        let n = 4 + rng.below(3);
+        let mut circuit = Circuit::new(n);
+        circuit.h(0);
+        for q in 0..n - 1 {
+            circuit.cx(q, q + 1);
+        }
+        for _ in 0..4 + rng.below(8) {
+            let (a, b) = (rng.below(n), rng.below(n));
+            let theta = rng.next() as f64 / u64::MAX as f64 * 3.0;
+            match rng.below(4) {
+                0 if a != b => circuit.rzz(theta, a, b),
+                1 if a != b => circuit.cx(a, b),
+                2 => circuit.ry(theta, a),
+                _ => circuit.h(a),
+            };
+        }
+        let config = QrccConfig::new(3)
+            .with_subcircuit_range(2, 3)
+            .with_gate_cuts(gate_cuts)
+            .with_ilp_time_limit(Duration::ZERO);
+        let plan = CutPlanner::new(config).plan(&circuit).ok()?;
+        let fragments = FragmentSet::from_plan(&plan).unwrap();
+        Some((circuit, fragments))
+    }
+
+    /// `terms` unit-weight Pauli strings on `n` qubits, each qubit I, X, Y
+    /// or Z uniformly.
+    fn random_observable(rng: &mut Rng, n: usize, terms: usize) -> PauliObservable {
+        let mut observable = PauliObservable::new(n);
+        for _ in 0..terms {
+            let paulis = (0..n).map(|_| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][rng.below(4)]);
+            observable.add_term(1.0, PauliString::from_paulis(paulis.collect()));
+        }
+        observable
     }
 }

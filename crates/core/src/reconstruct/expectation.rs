@@ -2,9 +2,13 @@
 //! (paper §4.3 "Reconstruction after W-Cut and G-Cut").
 //!
 //! [`requests`] enumerates every variant the observable needs, across *all*
-//! Pauli terms, each once: terms that measure a fragment's outputs in the
-//! same bases share that fragment's [`VariantKey`]s. The caller executes one
-//! batch, and [`reconstruct`] is then a one-batch fold: an
+//! Pauli terms, each once. Per fragment, the terms fall into
+//! qubit-wise-commuting measurement groups: terms that agree on every
+//! output both act on non-trivially share one measurement setting, and so
+//! the fragment's [`VariantKey`]s (`X₁` and `X₂` are both read off one
+//! all-X measurement). Each term reads only its own support's bits, so the
+//! grouping drops no basis element and the answer stays exact. The caller
+//! executes one batch, and [`reconstruct`] is then a one-batch fold: an
 //! [`ExpectationAccumulator`] folds the borrowed batch into every term's
 //! scalar cut tensors in canonical order and contracts them with the
 //! strategy resolved from the [`ReconstructionOptions`] — the rayon-parallel
@@ -38,61 +42,126 @@ fn vanishes_on_idle_wires(fragments: &FragmentSet, string: &PauliString) -> bool
     })
 }
 
-/// The output bases `string` measures `fragment`'s outputs in, packed as a
-/// [`VariantKey::outputs`]: I measures like Z (both instantiate to a plain
-/// computational-basis measurement), so terms that differ only there share
-/// the fragment's variants.
+/// The output bases `string` asks of `fragment`'s outputs, packed as a
+/// [`VariantKey::outputs`] (I reads like Z: both instantiate to a plain
+/// computational-basis measurement), and the slots it constrains — its
+/// non-identity outputs, as a mask of the same 2-bit fields.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidCutSolution`] when an output past the 32 a key can
 /// pack needs an X or Y basis.
-fn signature(fragment: &Fragment, string: &PauliString) -> Result<u64, CoreError> {
-    let mut outputs = 0u64;
+fn signature(fragment: &Fragment, string: &PauliString) -> Result<(u64, u64), CoreError> {
+    let (mut outputs, mut support) = (0u64, 0u64);
     for (slot, &(orig, _)) in fragment.output_clbits.iter().enumerate() {
         let code = match string.pauli(orig) {
-            Pauli::I | Pauli::Z => continue,
+            Pauli::I => continue,
+            Pauli::Z => 0,
             Pauli::X => 1,
             Pauli::Y => 2,
         };
         if slot >= 32 {
+            // past the key's 32 slots every setting measures Z
+            if code == 0 {
+                continue;
+            }
             return Err(CoreError::InvalidCutSolution {
                 reason: format!("fragment {} measures more than 32 outputs", fragment.index),
             });
         }
         outputs |= code << (2 * slot);
+        support |= 3 << (2 * slot);
     }
-    Ok(outputs)
+    Ok((outputs, support))
 }
 
-/// A Pauli term of an observable that can contribute, with the signature
-/// it measures each fragment in.
+/// The measurement setting each of `strings` reads `fragment` in: the
+/// [`VariantKey::outputs`] of its qubit-wise-commuting group.
+///
+/// Terms with one signature form a class, which constrains the union of its
+/// terms' supports. In first-seen order, each class joins the first earlier
+/// group that agrees with it on every slot both constrain, or opens a new
+/// one; a slot no member constrains measures Z. So a fragment never gets
+/// more settings than distinct signatures, and a Z-only observable gets
+/// the single all-Z setting.
+fn measurement_settings(
+    fragment: &Fragment,
+    strings: &[&PauliString],
+) -> Result<Vec<u64>, CoreError> {
+    let mut classes: Vec<(u64, u64)> = Vec::new();
+    let mut class_of = Vec::with_capacity(strings.len());
+    for string in strings {
+        let (outputs, support) = signature(fragment, string)?;
+        let class = match classes.iter().position(|&(s, _)| s == outputs) {
+            Some(class) => class,
+            None => {
+                classes.push((outputs, 0));
+                classes.len() - 1
+            }
+        };
+        classes[class].1 |= support;
+        class_of.push(class);
+    }
+    let mut groups: Vec<(u64, u64)> = Vec::new();
+    let group_of: Vec<usize> = classes
+        .iter()
+        .map(|&(outputs, support)| {
+            match groups
+                .iter()
+                .position(|&(g, constrained)| (g ^ outputs) & constrained & support == 0)
+            {
+                Some(group) => {
+                    groups[group].0 |= outputs;
+                    groups[group].1 |= support;
+                    group
+                }
+                None => {
+                    groups.push((outputs, support));
+                    groups.len() - 1
+                }
+            }
+        })
+        .collect();
+    Ok(class_of.into_iter().map(|class| groups[group_of[class]].0).collect())
+}
+
+/// A Pauli term of an observable that can contribute, with the setting it
+/// measures each fragment in.
 pub(super) struct Term<'o> {
     pub(super) coefficient: f64,
     pub(super) string: &'o PauliString,
-    /// Per fragment, its [`VariantKey::outputs`] for this term.
-    pub(super) signatures: Vec<u64>,
+    /// Per fragment, the [`VariantKey::outputs`] of this term's measurement
+    /// group there (see [`measurement_settings`]).
+    pub(super) settings: Vec<u64>,
 }
 
 /// The terms of `observable` that can contribute — a term with X or Y on an
-/// idle wire is identically zero — in observable order.
+/// idle wire is identically zero — in observable order, each with its
+/// per-fragment measurement setting.
 pub(super) fn contributing_terms<'o>(
     fragments: &FragmentSet,
     observable: &'o PauliObservable,
 ) -> Result<Vec<Term<'o>>, CoreError> {
-    observable
+    let terms: Vec<&(f64, PauliString)> = observable
         .terms()
         .iter()
         .filter(|(_, string)| !vanishes_on_idle_wires(fragments, string))
-        .map(|(coefficient, string)| {
-            let signatures = fragments
-                .fragments
-                .iter()
-                .map(|fragment| signature(fragment, string))
-                .collect::<Result<_, _>>()?;
-            Ok(Term { coefficient: *coefficient, string, signatures })
+        .collect();
+    let strings: Vec<&PauliString> = terms.iter().map(|(_, string)| string).collect();
+    let per_fragment = fragments
+        .fragments
+        .iter()
+        .map(|fragment| measurement_settings(fragment, &strings))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(terms
+        .iter()
+        .enumerate()
+        .map(|(t, (coefficient, string))| Term {
+            coefficient: *coefficient,
+            string,
+            settings: per_fragment.iter().map(|settings| settings[t]).collect(),
         })
-        .collect()
+        .collect())
 }
 
 /// The expectation workload's plan check: `observable` acts on the original
@@ -134,8 +203,11 @@ impl ExpectationReconstructor {
     /// Phase 1 (enumerate): every variant needed to evaluate all of
     /// `observable`'s Pauli terms, each once. A fragment's variants are all
     /// its [`variant_count`](Fragment::variant_count) ordinals in every
-    /// output-basis signature some term measures it in; signatures are
-    /// listed in first-seen order over (term, fragment), ordinals ascending.
+    /// measurement setting of its terms' qubit-wise-commuting groups — terms
+    /// that agree on their common support share one setting, so a fragment
+    /// gets at most as many settings as distinct output-basis signatures.
+    /// Settings are listed in first-seen order over (term, fragment),
+    /// ordinals ascending.
     ///
     /// # Errors
     ///
@@ -150,19 +222,19 @@ impl ExpectationReconstructor {
         observable: &PauliObservable,
     ) -> Result<Vec<VariantRequest>, CoreError> {
         resolve(fragments, observable, &self.options)?;
-        let mut signatures: Vec<(usize, u64)> = Vec::new();
+        let mut settings: Vec<(usize, u64)> = Vec::new();
         for term in contributing_terms(fragments, observable)? {
-            for (fragment, &outputs) in term.signatures.iter().enumerate() {
+            for (fragment, &outputs) in term.settings.iter().enumerate() {
                 // Clbit-free fragments (reuse-absorbed empty subcircuits)
                 // measure nothing; their contribution is the constant 1.
                 if fragments.fragments[fragment].num_clbits > 0
-                    && !signatures.contains(&(fragment, outputs))
+                    && !settings.contains(&(fragment, outputs))
                 {
-                    signatures.push((fragment, outputs));
+                    settings.push((fragment, outputs));
                 }
             }
         }
-        Ok(signatures
+        Ok(settings
             .into_iter()
             .flat_map(|(fragment, outputs)| {
                 (0..fragments.fragments[fragment].variant_count()).map(move |ordinal| {
@@ -314,6 +386,59 @@ mod tests {
         assert_eq!(results.requested(), results.unique_variants() as u64);
         assert!(results.executed() <= results.unique_variants() as u64);
         assert_eq!(backend.executions(), results.executed());
+    }
+
+    fn strings(paulis: &[&str]) -> Vec<PauliString> {
+        paulis
+            .iter()
+            .map(|s| {
+                PauliString::from_paulis(
+                    s.chars()
+                        .map(|c| match c {
+                            'X' => Pauli::X,
+                            'Y' => Pauli::Y,
+                            'Z' => Pauli::Z,
+                            _ => Pauli::I,
+                        })
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn terms_that_agree_on_their_support_share_one_setting() {
+        // outputs 0..3 read original qubits 0..3 from clbits 0..3
+        let fragment =
+            Fragment::with_slots(3, vec![], vec![], vec![], vec![(0, 0), (1, 1), (2, 2)]);
+        let strings = strings(&["XII", "IXI", "ZZI", "IIY", "XXY"]);
+        let refs: Vec<&PauliString> = strings.iter().collect();
+        let settings = measurement_settings(&fragment, &refs).unwrap();
+        // X on slots 0 and 1, Y on slot 2: one measurement serves four of
+        // the five signatures; ZZ disagrees with it on slots 0 and 1
+        let xxy = 1 | 1 << 2 | 2 << 4;
+        assert_eq!(settings, vec![xxy, xxy, 0, xxy, xxy]);
+    }
+
+    #[test]
+    fn outputs_past_the_key_width_measure_only_z() {
+        let outputs = (0..40).map(|q| (q, q)).collect();
+        let fragment = Fragment::with_slots(40, vec![], vec![], vec![], outputs);
+        let z = PauliString::z(40, 35);
+        let xz = PauliString::from_paulis(
+            (0..40)
+                .map(|q| match q {
+                    3 => Pauli::X,
+                    35 => Pauli::Z,
+                    _ => Pauli::I,
+                })
+                .collect(),
+        );
+        assert_eq!(measurement_settings(&fragment, &[&z, &xz]).unwrap(), vec![1 << 6, 1 << 6]);
+        assert!(matches!(
+            measurement_settings(&fragment, &[&PauliString::x(40, 35)]),
+            Err(CoreError::InvalidCutSolution { .. })
+        ));
     }
 
     #[test]

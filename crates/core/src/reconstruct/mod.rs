@@ -65,7 +65,7 @@
 //!   blocking call) — full output distributions for the probability
 //!   workload, per-Pauli scalar tensors for expectation observables — so
 //!   only the final contraction remains once the last chunk lands; shot
-//!   top-ups re-fold only the touched fragment's signature group.
+//!   top-ups re-fold only the touched fragment's measurement-setting group.
 //! * [`cost`] — analytic floating-point-operation cost models of the
 //!   reconstruction strategies compared in Figure 6.
 //!
@@ -75,7 +75,7 @@
 //! with `in` incoming and `out` outgoing wire cuts whose executed variant
 //! returns a distribution over `c` classical bits, `#Z ≤ out` of them
 //! Z-basis cut measurements and `r` output bits read by some but not every
-//! Pauli term of the variant's output-basis signature:
+//! Pauli term of the variant's measurement setting:
 //!
 //! | kernel | work | instead of |
 //! |---|---|---|

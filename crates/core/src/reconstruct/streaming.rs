@@ -18,11 +18,13 @@
 //!   configuration — and folds in that order with no sort. The sums thus
 //!   round the same however the batch was assembled: the answer depends
 //!   only on the delivered distributions and the chunk boundaries.
-//! * **One fold per distribution.** A fragment's variants group by output
-//!   basis signature: the probability workload has one, an observable one
-//!   per distinct way its Pauli terms measure the fragment's outputs. A
-//!   delivered distribution folds once into its group, which serves every
-//!   term of that signature.
+//! * **One fold per distribution.** A fragment's variants group by
+//!   measurement setting (their `outputs`): the probability workload has
+//!   one, an observable one per qubit-wise-commuting group of its Pauli
+//!   terms on that fragment — terms that agree on every output both act on
+//!   share a setting. A delivered distribution folds once into its group,
+//!   which serves every term of that group; each term reads only the bits
+//!   of its own support.
 //! * **Shot top-ups.** Re-delivering a variant that was already folded (a
 //!   higher-shot estimate replacing its distribution) marks just its group
 //!   dirty. The next `finish` re-folds that group from the merged store, in
@@ -66,8 +68,8 @@ impl FoldedSet {
     }
 }
 
-/// The variants `(fragment, *, outputs)` of one fragment's output-basis
-/// signature, the folder they go through, and the bookkeeping that lets a
+/// The variants `(fragment, *, outputs)` of one fragment's measurement
+/// setting, the folder they go through, and the bookkeeping that lets a
 /// shot top-up re-fold only this group.
 #[derive(Debug, Clone)]
 struct Group<F> {
@@ -77,7 +79,7 @@ struct Group<F> {
     dirty: bool,
 }
 
-/// What an accumulator folds into: per fragment its signature groups, and
+/// What an accumulator folds into: per fragment its setting groups, and
 /// per target (the probability vector, or one Pauli term) a cut tensor per
 /// fragment.
 #[derive(Debug, Clone)]
@@ -120,7 +122,7 @@ impl<F: Fold> Folds<F> {
     }
 
     /// Folds `batch` in its (ascending key) order. Keys of clbit-free
-    /// fragments, of another workload's signature or of a foreign shape are
+    /// fragments, of another workload's setting or of a foreign shape are
     /// skipped; a variant seen before is a shot top-up and marks its group
     /// for re-folding.
     ///
@@ -341,8 +343,8 @@ impl<'a> ProbabilityAccumulator<'a> {
 /// [`ProbabilityAccumulator`], for wire- **and** gate-cut plans.
 ///
 /// Every chunk absorbed folds each contained variant once into its
-/// fragment's signature group, which writes the scalar cut tensor of every
-/// Pauli term measuring the fragment in that signature, and
+/// fragment's measurement-setting group, which writes the scalar cut tensor
+/// of every Pauli term that setting serves, and
 /// [`finish`](ExpectationAccumulator::finish) runs only the per-term final
 /// contraction, summing `Σ coefficient · ⟨term⟩`.
 ///
@@ -391,17 +393,17 @@ impl<'a> ExpectationAccumulator<'a> {
             .iter()
             .enumerate()
             .map(|(index, fragment)| {
-                // the terms grouped by their signature on this fragment,
-                // groups in first-seen order
-                let mut signatures: Vec<(u64, Vec<_>)> = Vec::new();
+                // the terms grouped by their measurement setting on this
+                // fragment, groups in first-seen order
+                let mut settings: Vec<(u64, Vec<_>)> = Vec::new();
                 for (t, term) in terms.iter().enumerate() {
-                    let outputs = term.signatures[index];
-                    match signatures.iter_mut().find(|(s, _)| *s == outputs) {
+                    let outputs = term.settings[index];
+                    match settings.iter_mut().find(|(s, _)| *s == outputs) {
                         Some((_, served)) => served.push((t, term.string)),
-                        None => signatures.push((outputs, vec![(t, term.string)])),
+                        None => settings.push((outputs, vec![(t, term.string)])),
                     }
                 }
-                signatures
+                settings
                     .into_iter()
                     .map(|(outputs, served)| (outputs, SignatureFolder::new(fragment, &served)))
                     .collect()
@@ -425,10 +427,10 @@ impl<'a> ExpectationAccumulator<'a> {
     /// Folds a partial batch into every term's fragment tensors, in
     /// canonical order.
     ///
-    /// New variants fold immediately, once, into every term measuring their
-    /// fragment in their output bases; a variant seen before is a shot
-    /// top-up — its distribution replaces the stored one and only its
-    /// fragment's signature group is marked for re-folding at the next
+    /// New variants fold immediately, once, into every term their
+    /// measurement setting serves on their fragment; a variant seen before
+    /// is a shot top-up — its distribution replaces the stored one and only
+    /// its fragment's setting group is marked for re-folding at the next
     /// [`finish`](ExpectationAccumulator::finish). Variants that belong to
     /// other workloads (other observables' bases) are skipped, so a batch
     /// shared between workloads streams fine.
@@ -444,7 +446,7 @@ impl<'a> ExpectationAccumulator<'a> {
     }
 
     /// `(folded, expected)` distinct-variant counts summed over every
-    /// fragment's signature groups — reconstruction progress while the
+    /// fragment's setting groups — reconstruction progress while the
     /// stream is still running.
     pub fn progress(&self) -> (u64, u64) {
         self.folds.progress()
@@ -675,7 +677,7 @@ mod tests {
         let (first, _) = acc.finish().unwrap();
 
         // re-deliver fragment 0's variants (identical distributions): every
-        // signature group folding them must dirty, and only fragment 0's
+        // setting group folding them must dirty, and only fragment 0's
         let fragment0: Vec<_> = requests.iter().filter(|r| r.key.fragment == 0).cloned().collect();
         let topup = execute_requests(&fragments, &fragment0, &backend).unwrap();
         acc.absorb(topup).unwrap();

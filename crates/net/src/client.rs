@@ -23,6 +23,9 @@
 //! connection that saw any failure is dropped on the floor, so the next
 //! batch dials fresh — the pool never hands out a stream in an unknown
 //! protocol state (or with a fragment table the server does not share).
+//! Every checkout peeks the socket for EOF or stray bytes; only a connection
+//! that sat idle for `PROBE_AFTER_IDLE` (1 s) or longer also pays a `Ping`
+//! round trip, so back-to-back batches ride a warm connection without one.
 //! Crucially the client never *resubmits* a failed batch itself: retry
 //! policy (and its exactly-once shot accounting) belongs to the dispatcher.
 
@@ -51,6 +54,13 @@ pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// then streams the replies, so this — not [`DEFAULT_IO_TIMEOUT`] — bounds
 /// how long a legitimate batch may compute remotely.
 pub const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(600);
+
+/// How long a pooled connection may sit idle before a checkout confirms it
+/// end to end with a `Ping` round trip. Far below the server's 900 s idle
+/// reaping deadline: a connection checked in more recently than this was
+/// answering a moment ago, and the non-blocking peek every checkout makes
+/// already catches a peer that has since closed it.
+const PROBE_AFTER_IDLE: Duration = Duration::from_secs(1);
 
 /// An [`ExecutionBackend`] that submits its batches to a remote
 /// [`QrccServer`](crate::QrccServer) over TCP.
@@ -283,14 +293,14 @@ impl RemoteBackend {
             if !connection_is_live(&conn.stream) {
                 continue;
             }
-            // Reuse checkout: one Ping round trip. This upgrades the cheap
-            // peek probe to an end-to-end liveness check *and* keeps
-            // steady-state traffic feeding `net.ping_rtt_us` — without it
-            // only explicit ping() calls record RTT, so the quantiles would
-            // reflect idle health probes instead of the connections batches
-            // actually ride. A connection that fails the ping is dropped
-            // and the next pooled one (or a fresh dial) is tried.
-            if self.roundtrip_ping(&mut conn.stream).is_ok() {
+            // A connection idle for PROBE_AFTER_IDLE or longer is confirmed
+            // end to end with one Ping round trip (which also records
+            // `net.ping_rtt_us`); one checked in more recently rides on the
+            // peek alone. A connection that fails the ping is dropped and
+            // the next pooled one (or a fresh dial) is tried.
+            if conn.idle_since.elapsed() < PROBE_AFTER_IDLE
+                || self.roundtrip_ping(&mut conn.stream).is_ok()
+            {
                 return Ok(conn);
             }
         }
@@ -328,11 +338,13 @@ impl RemoteBackend {
     }
 
     /// Returns a connection that finished its batch cleanly to the pool,
-    /// restoring the ordinary per-operation read timeout.
-    fn checkin(&self, conn: Connection) {
+    /// restoring the ordinary per-operation read timeout and restarting its
+    /// idle clock.
+    fn checkin(&self, mut conn: Connection) {
         if conn.stream.set_read_timeout(Some(self.io_timeout)).is_err() {
             return; // an unconfigurable socket is not worth pooling
         }
+        conn.idle_since = Instant::now();
         self.pool.lock().push(conn);
     }
 
@@ -569,11 +581,14 @@ impl Payload<'_, '_> {
 struct Connection {
     stream: TcpStream,
     fragments: Vec<FragmentBody>,
+    /// When the connection last finished a clean exchange (its handshake,
+    /// or the batch it was checked in after).
+    idle_since: Instant,
 }
 
 impl Connection {
     fn new(stream: TcpStream) -> Self {
-        Connection { stream, fragments: Vec::new() }
+        Connection { stream, fragments: Vec::new(), idle_since: Instant::now() }
     }
 
     /// Appends the frames of one submission to `out`: for variants, a

@@ -66,8 +66,9 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// How long an established connection may idle between frames before the
 /// server reaps it. Long enough to comfortably outlive dispatch gaps
 /// between batches; a half-open peer (died without RST) therefore leaks its
-/// thread only this long. Clients probe pooled connections on checkout and
-/// transparently redial ones the server reaped.
+/// thread only this long. Clients peek every pooled connection on checkout,
+/// ping one that idled for over a second, and transparently redial ones the
+/// server reaped.
 const IDLE_DEADLINE: Duration = Duration::from_secs(900);
 
 /// Once a frame has started arriving, the longest the stream may stall

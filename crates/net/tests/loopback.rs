@@ -11,6 +11,8 @@ use qrcc_net::testing::{FaultyProxy, ProxyFault};
 use qrcc_net::{Capabilities, QrccServer, RemoteBackend};
 use qrcc_sim::device::{Device, DeviceConfig};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bell() -> Circuit {
@@ -145,6 +147,71 @@ fn heartbeat_round_trips() {
     server.shutdown();
 }
 
+/// A hand-rolled server that counts the `Ping` frames it answers and
+/// serves every `SubmitBatch` with a uniform distribution per circuit; it
+/// stops when the client hangs up.
+fn ping_counting_server() -> (std::net::SocketAddr, Arc<AtomicU64>, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let pings = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&pings);
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        assert!(matches!(proto::read_frame(&mut s).unwrap(), Frame::ClientHello { .. }));
+        let capabilities = Capabilities {
+            max_qubits: None,
+            shots_per_circuit: None,
+            supports_mid_circuit: true,
+            label: "ping-counter".into(),
+        };
+        proto::write_frame(&mut s, &Frame::ServerHello { version: PROTOCOL_VERSION, capabilities })
+            .unwrap();
+        while let Ok(frame) = proto::read_frame(&mut s) {
+            match frame {
+                Frame::Ping { nonce } => {
+                    counted.fetch_add(1, Ordering::SeqCst);
+                    proto::write_frame(&mut s, &Frame::Pong { nonce }).unwrap();
+                }
+                Frame::SubmitBatch { batch, circuits, .. } => {
+                    for index in 0..circuits.len() as u32 {
+                        let distribution = vec![0.25; 4]; // bell() measures 2 clbits
+                        proto::write_frame(
+                            &mut s,
+                            &Frame::CircuitResult { batch, index, distribution },
+                        )
+                        .unwrap();
+                    }
+                    let executed = circuits.len() as u32;
+                    let done = Frame::BatchDone { batch, executed, telemetry: None };
+                    proto::write_frame(&mut s, &done).unwrap();
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    });
+    (addr, pings, server)
+}
+
+#[test]
+fn checkout_pings_only_a_connection_that_sat_idle() {
+    let (addr, pings, server) = ping_counting_server();
+    let remote = RemoteBackend::connect(addr).unwrap();
+    for _ in 0..5 {
+        assert!(remote.run_batch(&[bell(), bell()]).iter().all(Result::is_ok));
+    }
+    assert_eq!(pings.load(Ordering::SeqCst), 0, "back-to-back batches must not ping");
+
+    // idle past the bound: the next checkout confirms the connection once
+    std::thread::sleep(Duration::from_millis(1_200));
+    assert!(remote.run_batch(&[bell()]).iter().all(Result::is_ok));
+    assert_eq!(pings.load(Ordering::SeqCst), 1, "an idle connection is pinged once");
+    assert!(remote.run_batch(&[bell()]).iter().all(Result::is_ok));
+    assert_eq!(pings.load(Ordering::SeqCst), 1, "and is warm again after its batch");
+    assert_eq!(remote.connections_dialled(), 1, "every batch rode the one connection");
+    drop(remote);
+    server.join().unwrap();
+}
+
 #[test]
 fn version_mismatch_is_rejected_with_a_typed_error_frame() {
     let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new()).unwrap().spawn();
@@ -217,8 +284,9 @@ fn garbled_stream_surfaces_as_a_transport_error() {
 #[test]
 fn stalled_stream_times_out_as_backend_unavailable() {
     let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new()).unwrap().spawn();
-    // threshold past the ~18-byte ServerHello and the 13-byte Pong of the
-    // checkout liveness ping, but inside the first (53-byte) reply frame
+    // threshold past the ~18-byte ServerHello but inside the first
+    // (53-byte) reply frame; the batch follows the handshake at once, so its
+    // checkout sends no liveness ping
     let proxy = FaultyProxy::spawn(server.addr(), vec![ProxyFault::StallAfter(48)]).unwrap();
     let remote =
         RemoteBackend::connect_with_timeout(proxy.addr(), Duration::from_millis(400)).unwrap();

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("subcircuit instances: {}", pipeline.total_instances());
 
     // One deduplicated batch serves every Pauli term of the observable; terms
-    // sharing a measurement-basis signature execute once.
+    // of one qubit-wise-commuting group share a fragment's circuits.
     let mut registry = DeviceRegistry::new();
     registry.register("exact", ExactBackend::new());
     let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
