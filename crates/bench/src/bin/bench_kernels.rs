@@ -13,9 +13,11 @@
 //!
 //! `--smoke` runs scaled-down sizes and exits non-zero unless the compiled
 //! path is at least as fast as the interpreter on the fusion-heavy family,
-//! on the all-terminal readout row and on every `sample.*` row — the CI
-//! guard against compiled-path regressions. The full run records the
-//! numbers quoted in the README.
+//! on the all-terminal readout row and on every `sample.*` row, and unless
+//! the compiled sampling of the REG-8 variant at 2^20 shots takes at most 8×
+//! its time at 1 024 (median of several runs each) — the CI guard against
+//! compiled-path regressions and against a sampling cost that grows with
+//! the shots. The full run records the numbers quoted in the README.
 
 use qrcc_circuit::generators::{self, HamiltonianKind};
 use qrcc_circuit::observable::PauliObservable;
@@ -89,7 +91,7 @@ fn measure(name: &str, circuit: &Circuit, reps: usize) -> Row {
     measure_with(
         name,
         circuit,
-        reps,
+        (reps, reps),
         |circuit| drop(StateVector::from_circuit(circuit).unwrap()),
         |program| drop(program.run_unitary().unwrap()),
     )
@@ -101,40 +103,66 @@ fn measure_readout(name: &str, circuit: &Circuit, reps: usize) -> Row {
     measure_with(
         name,
         circuit,
-        reps,
+        (reps, reps),
         |circuit| drop(branching::classical_distribution(circuit).unwrap()),
         |program| drop(program.classical_distribution().unwrap()),
     )
 }
 
+/// Median-of-`reps` wall-clock of `f`, in milliseconds.
+fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[reps / 2]
+}
+
+/// A seeded noiseless device as wide as `circuit`: it samples the compiled
+/// program.
+fn sampling_device(circuit: &Circuit) -> Device {
+    Device::new(DeviceConfig::ideal(circuit.num_qubits()).with_seed(1))
+}
+
 /// Measures `shots` shots of one measured circuit on a noiseless device:
-/// the interpreted device (one per-gate trajectory per shot) vs the compiled
-/// one (frames lowered and measurements classified per call, then one
-/// sampled readout).
-fn measure_sampling(name: &str, circuit: &Circuit, shots: u64, reps: usize) -> Row {
+/// the interpreted device (one per-gate trajectory per shot, best of
+/// `oracle_reps`) vs the compiled one (frames lowered and measurements
+/// classified per call, then one sampled readout, best of `reps`).
+fn measure_sampling(
+    name: &str,
+    circuit: &Circuit,
+    shots: u64,
+    reps: usize,
+    oracle_reps: usize,
+) -> Row {
     let config = DeviceConfig::ideal(circuit.num_qubits()).with_seed(1);
-    let (oracle, compiled) = (Device::new(config.interpreted()), Device::new(config));
+    let (oracle, compiled) = (Device::new(config.interpreted()), sampling_device(circuit));
     measure_with(
         name,
         circuit,
-        reps,
+        (oracle_reps, reps),
         |circuit| drop(oracle.execute(circuit, shots).unwrap()),
         |_| drop(compiled.execute(circuit, shots).unwrap()),
     )
 }
 
+/// Times `interpreted` and `compiled`, best of `reps.0` and `reps.1` runs.
 fn measure_with(
     name: &str,
     circuit: &Circuit,
-    reps: usize,
+    reps: (usize, usize),
     interpreted: impl Fn(&Circuit),
     compiled: impl Fn(&FramedProgram),
 ) -> Row {
     let t = Instant::now();
     let program = FramedProgram::compile(circuit);
     let compile_ms = t.elapsed().as_secs_f64() * 1e3;
-    let interpreted_ms = time_ms(reps, || interpreted(circuit));
-    let compiled_ms = time_ms(reps, || compiled(&program));
+    let interpreted_ms = time_ms(reps.0, || interpreted(circuit));
+    let compiled_ms = time_ms(reps.1, || compiled(&program));
     let stats = program.stats();
     Row {
         name: name.to_string(),
@@ -331,13 +359,17 @@ fn main() {
     println!(
         "\n-- shots on a noiseless device (interpreted = one trajectory per shot) --\n{header}"
     );
+    let reg8 = reg8_gate_cut_variant();
     let samplings: Vec<Row> = vec![
         // shots ≫ leaves: the trajectories re-prepare each of 8 states 128 times
-        measure_sampling("reg8_gate_cut", &reg8_gate_cut_variant(), 1024, reps),
+        measure_sampling("reg8_gate_cut", &reg8, 1024, reps, reps),
+        // the same at 2^20 shots: the trajectories' cost is linear in the
+        // shots (one run of them is enough), the sampled readout's is not
+        measure_sampling("reg8_gate_cut_1m", &reg8, 1 << 20, reps, 1),
         // leaves ≳ shots: min(shots, 2^branch points) keeps it no slower
-        measure_sampling("reuse_chain", &reuse_chain(12, 8), 64, reps),
+        measure_sampling("reuse_chain", &reuse_chain(12, 8), 64, reps, reps),
         // one leaf, few shots: what a circuit costs before its first shot
-        measure_sampling("vqe_terminal", &vqe_all_measured(5), 256, reps),
+        measure_sampling("vqe_terminal", &vqe_all_measured(5), 256, reps, reps),
     ];
     for row in &samplings {
         print_row(row);
@@ -395,6 +427,20 @@ fn main() {
                 row.name, row.compiled_ms, row.interpreted_ms
             );
         }
+        // ... nor the sampled readout's cost to follow the shots: 1024× the
+        // shots may cost at most 8× the time (one draw per shot was linear)
+        let device = sampling_device(&reg8);
+        let [few, many] = [1024, 1 << 20]
+            .map(|shots| median_ms(15, || drop(device.execute(&reg8, shots).unwrap())));
+        assert!(
+            many <= 8.0 * few,
+            "sampling cost grows with the shots on reg8_gate_cut: median {many:.4} ms at 2^20 \
+             shots vs {few:.4} ms at 1024"
+        );
+        println!(
+            "smoke OK: reg8_gate_cut sampling median {many:.4} ms at 2^20 shots <= 8 x {few:.4} ms \
+             at 1024"
+        );
     } else {
         // the shared bench schema: {name, config, metrics{}} rendered by the
         // obs exporter, so every BENCH_*.json parses the same way

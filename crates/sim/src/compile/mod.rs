@@ -34,10 +34,11 @@
 //!   carries a probability weight and marginalises each leaf's `|ψ|²` onto
 //!   the terminal clbits — O(2^n) per leaf, at most 2^(branch points)
 //!   leaves — or it carries a number of shots, deals them to the outcomes
-//!   at each branch point, descends only outcomes that were dealt one and
-//!   draws each leaf's shots from its `|ψ|²` — at most
-//!   min(shots, 2^(branch points)) leaves, no state is ever re-prepared per
-//!   shot. An all-measured fragment is one sweep either way.
+//!   at each branch point with one binomial draw, descends only outcomes
+//!   that were dealt one and deals each leaf's shots over its `|ψ|²` as one
+//!   multinomial — at most min(shots, 2^(branch points)) leaves, no state
+//!   is ever re-prepared per shot and no cost grows with the shots. An
+//!   all-measured fragment is one sweep either way.
 //!
 //! [`CompileStats`] reports how much of the circuit lowered to fused or
 //! specialized kernels and how its measurements classified; backends
@@ -411,16 +412,18 @@ impl FramedProgram {
 
     /// `shots` samples of the classical bits, drawn from `rng`: the walk of
     /// [`FramedProgram::read_out`] carrying shots instead of a weight. At a
-    /// branch point the node's shots are dealt to the two outcomes by one
-    /// uniform draw each and only outcomes that were dealt a shot are
-    /// descended; a leaf draws its shots from the cumulative `|ψ|²` in
-    /// basis-index order, one uniform each. The draws are made in tree
-    /// order, so the result depends on `rng` alone — and for a program
-    /// without branch points it is the histogram
-    /// [`StateVector::sample_counts`] draws from the final state. Cost:
-    /// O(2^n) per kernel and leaf, leaves ≤ min(shots,
-    /// 2^[`branch_points`](CompileStats::branch_points)), plus one draw per
-    /// shot and branch point on its path.
+    /// branch point the node's shots are dealt to the two outcomes with one
+    /// exact binomial draw and only outcomes that were dealt a shot are
+    /// descended; a leaf deals its shots over `|ψ|²` as one multinomial, by
+    /// recursive halving of the basis-index range with one binomial draw
+    /// per half that holds shots. The draws are made in tree order, so the
+    /// result depends on `rng` alone — and for a program without branch
+    /// points it is the histogram [`StateVector::sample_counts`] draws from
+    /// the final state. Cost: O(2^n) per kernel and leaf, leaves ≤
+    /// min(shots, 2^[`branch_points`](CompileStats::branch_points)), plus
+    /// one binomial draw (O(1) expected) per branch point and per halving
+    /// node visited — at most min(2·2^n, shots·n) per leaf — so no cost
+    /// grows with the shots themselves.
     ///
     /// # Errors
     ///

@@ -21,16 +21,20 @@
 //!   marginalises `weight·|ψ|²` onto the terminal clbits. A leaf costs
 //!   O(2^n) and there are at most 2^(branch points) of them, so a circuit
 //!   whose measurements are all terminal is read out in a single sweep.
-//! * a number of **shots** ([`Sampled`]): the shots are dealt to the two
-//!   outcomes by one uniform draw each, only outcomes that were dealt a shot
-//!   are descended, and a leaf draws its shots from the cumulative `|ψ|²`.
-//!   At most `min(shots, 2^(branch points))` leaves, so never more sweeps
-//!   than one trajectory per shot would make:
-//!   O(leaves·K·2^n + shots·(branch points + n)) for `K` kernels.
+//! * a number of **shots** ([`Sampled`]): a branch point deals its shots to
+//!   the two outcomes with one binomial draw, only outcomes that were dealt
+//!   a shot are descended, and a leaf deals its shots over `|ψ|²` as one
+//!   multinomial (recursive halving of the basis-index range, one binomial
+//!   draw per node that holds shots). At most `min(shots, 2^(branch
+//!   points))` leaves, so never more sweeps than one trajectory per shot
+//!   would make, and no cost grows with the shots themselves:
+//!   O(leaves·K·2^n) for `K` kernels, plus one binomial draw per visited
+//!   node — each O(1) expected.
 
 use super::{CompileStats, Kernel};
+use crate::binomial::binomial;
 use crate::branching::BRANCH_PRUNE;
-use crate::statevector::Cumulative;
+use crate::statevector::Multinomial;
 use crate::{Counts, StateVector};
 use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
 use rand::Rng;
@@ -255,18 +259,15 @@ impl Carry for Exact {
     }
 }
 
-/// Carries a number of shots; a branch point deals them to its outcomes one
-/// uniform draw each (the draw [`StateVector::measure`] makes), a leaf draws
-/// each of its shots from `|ψ|²` (the draw [`StateVector::sample_counts`]
+/// Carries a number of shots; a branch point deals them to its outcomes
+/// with one binomial draw (the Binomial(shots, p₁) that one
+/// [`StateVector::measure`] per shot would make), a leaf deals them over
+/// `|ψ|²` as one multinomial (the draw [`StateVector::sample_counts`]
 /// makes). Only outcomes that were dealt a shot are descended.
 pub(super) struct Sampled<'r, R> {
     rng: &'r mut R,
     counts: Counts,
-    cumulative: Cumulative,
-    /// Shots per basis index of the current leaf, all zero between leaves,
-    /// and the indices that are not.
-    tally: Vec<u64>,
-    hit: Vec<usize>,
+    multinomial: Multinomial,
 }
 
 impl<R: Rng> Carry for Sampled<'_, R> {
@@ -275,27 +276,15 @@ impl<R: Rng> Carry for Sampled<'_, R> {
     fn split(&mut self, shots: u64, p: [f64; 2]) -> [Option<u64>; 2] {
         // an outcome of probability exactly 0 is dealt nothing, whatever
         // rounding left of the other's
-        let ones = if p[0] <= 0.0 {
-            shots
-        } else {
-            (0..shots).filter(|_| self.rng.gen::<f64>() < p[1]).count() as u64
-        };
+        let ones = if p[0] <= 0.0 { shots } else { binomial(self.rng, shots, p[1]) };
         [shots - ones, ones].map(|dealt| (dealt > 0).then_some(dealt))
     }
 
     fn leaf(&mut self, deposit: &Deposit, state: &StateVector, shots: u64, bits: usize) {
-        self.cumulative.rebuild(state.amplitudes());
-        for _ in 0..shots {
-            let index = self.cumulative.draw(self.rng);
-            if self.tally[index] == 0 {
-                self.hit.push(index);
-            }
-            self.tally[index] += 1;
-        }
-        for index in self.hit.drain(..) {
-            let shots = std::mem::take(&mut self.tally[index]);
-            self.counts.record((bits | deposit.of(index)) as u64, shots);
-        }
+        let counts = &mut self.counts;
+        self.multinomial.deal(state.amplitudes(), shots, self.rng, |index, shots| {
+            counts.record((bits | deposit.of(index)) as u64, shots)
+        });
     }
 }
 
@@ -414,13 +403,8 @@ pub(super) fn sample(
     shots: u64,
     rng: &mut impl Rng,
 ) -> SampledReadout {
-    let carry = Sampled {
-        rng,
-        counts: Counts::new(num_clbits),
-        cumulative: Cumulative::default(),
-        tally: vec![0; root.amplitudes().len()],
-        hit: Vec::new(),
-    };
+    let carry =
+        Sampled { rng, counts: Counts::new(num_clbits), multinomial: Multinomial::default() };
     let (carry, leaves) = Walk::run(kernels, measurements, root, carry, shots);
     SampledReadout { counts: carry.counts, leaves }
 }
@@ -527,27 +511,29 @@ mod tests {
     #[test]
     fn impossible_outcomes_and_basis_states_get_no_shot() {
         // measuring |1⟩ mid-circuit: outcome 0 has probability exactly 0 and
-        // must be dealt nothing even by the largest draw, which `< p1`
-        // alone would send there once rounding leaves p1 short of 1
-        let mut carry = Sampled {
-            rng: &mut Constant(u64::MAX),
-            counts: Counts::new(1),
-            cumulative: Cumulative::default(),
-            tally: Vec::new(),
-            hit: Vec::new(),
-        };
-        assert_eq!(carry.split(9, [0.0, 1.0 - f64::EPSILON / 2.0]), [None, Some(9)]);
-        assert_eq!(carry.split(9, [1.0, 0.0]), [Some(9), None]);
+        // must be dealt nothing at either end of the draw, even once
+        // rounding leaves p1 short of 1
+        for word in [0, u64::MAX] {
+            let mut carry = Sampled {
+                rng: &mut Constant(word),
+                counts: Counts::new(1),
+                multinomial: Multinomial::default(),
+            };
+            assert_eq!(carry.split(9, [0.0, 1.0 - f64::EPSILON / 2.0]), [None, Some(9)]);
+            assert_eq!(carry.split(9, [1.0, 0.0]), [Some(9), None]);
+        }
 
         // a leaf with amplitude on |001⟩ and |011⟩ only, after a reset that
-        // always reads 1: neither end of the draw reaches an empty entry
+        // always reads 1: at either end of the draw the call returns, keeps
+        // every shot and deals none to an empty entry
         let mut c = Circuit::with_clbits(3, 3);
         c.x(2).reset(2).x(0).h(1).measure(0, 0).measure(1, 1).measure(2, 2);
         let program = FramedProgram::compile(&c);
-        let lowest = program.sample(10, &mut Constant(0)).unwrap();
-        assert_eq!((lowest.counts.count(0b001), lowest.leaves), (10, 1));
-        let highest = program.sample(10, &mut Constant(u64::MAX)).unwrap();
-        assert_eq!((highest.counts.count(0b011), highest.leaves), (10, 1));
+        for word in [0, u64::MAX] {
+            let sampled = program.sample(10, &mut Constant(word)).unwrap();
+            let possible = sampled.counts.count(0b001) + sampled.counts.count(0b011);
+            assert_eq!((sampled.counts.shots(), possible, sampled.leaves), (10, 10, 1));
+        }
     }
 
     #[test]

@@ -177,10 +177,12 @@ impl Device {
     /// sampled readout ([`FramedProgram::sample`]): the state is swept once
     /// per kernel and *leaf*, not once per shot. Terminal measures never
     /// branch; at a mid-circuit measure or reset the shots are dealt to the
-    /// two outcomes and only outcomes that were dealt a shot are followed, so
-    /// there are at most `min(shots, 2^branch points)` leaves — one for an
-    /// all-measured circuit — and the cost is
-    /// O(leaves·kernels·2^n + shots·(branch points + n)).
+    /// two outcomes with one binomial draw and only outcomes that were dealt
+    /// a shot are followed, so there are at most `min(shots, 2^branch
+    /// points)` leaves — one for an all-measured circuit — and a leaf deals
+    /// its shots over `|ψ|²` as one multinomial. The cost is
+    /// O(leaves·kernels·2^n) plus one O(1)-expected binomial draw per node
+    /// the deals visit: it does not grow with the shots.
     ///
     /// A **noisy** device runs one interpreted per-gate trajectory per shot,
     /// O(shots·gates·2^n): stochastic per-gate noise anchors to gate
@@ -192,14 +194,14 @@ impl Device {
     /// # Seeded counts
     ///
     /// The histogram is a function of `(seed, stream)` alone, whatever the
-    /// thread count or the order a batch runs in. The sampled readout makes
-    /// its draws in tree order where the trajectories it replaced made them
-    /// in shot order, so the seeded counts of noiseless circuits **with
-    /// branch points** differ from those of earlier versions (and from the
-    /// interpreted device's) while following the same distribution, the one
-    /// [`FramedProgram::read_out`] computes exactly. Circuits whose measures
-    /// are all terminal keep their counts: one leaf, the same cumulative
-    /// `|ψ|²` in basis-index order, the same one draw per shot.
+    /// thread count or the order a batch runs in. The sampled readout deals
+    /// shots in tree order with binomial draws where the trajectories make
+    /// one draw per shot and measurement, so the seeded counts of noiseless
+    /// circuits differ from the interpreted device's while following the
+    /// same distribution, the one [`FramedProgram::read_out`] computes
+    /// exactly. A circuit whose measures are all terminal is one leaf, whose
+    /// counts are the ones [`StateVector::sample_counts`] draws from the
+    /// final state with the same stream.
     ///
     /// # Errors
     ///

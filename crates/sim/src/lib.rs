@@ -24,9 +24,11 @@
 //!    measures and resets branch. The exact walk carries a probability
 //!    weight and costs O(2^n) per leaf with leaves ≤ 2^branch points; the
 //!    sampled walk carries the shots, deals them out at each branch point
-//!    and follows only outcomes that got one, so leaves ≤ min(shots,
-//!    2^branch points) and no state is re-prepared per shot. A noiseless
-//!    [`device`] is exactly that sampled readout.
+//!    with one binomial draw and follows only outcomes that got one, so
+//!    leaves ≤ min(shots, 2^branch points), no state is re-prepared per shot
+//!    and a leaf deals its shots as one multinomial: the cost does not grow
+//!    with the shots. A noiseless [`device`] is exactly that sampled
+//!    readout.
 //! 4. **Interpret** — the original per-gate interpreter remains available
 //!    everywhere (construction-time opt-out, or the
 //!    `QRCC_SIM_INTERPRETED=1` environment variable): exact branch
@@ -75,6 +77,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod binomial;
 mod complex;
 mod counts;
 mod error;

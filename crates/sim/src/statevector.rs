@@ -1,3 +1,4 @@
+use crate::binomial::binomial;
 use crate::matrix::{single_qubit_matrix, two_qubit_matrix, Matrix2, Matrix4};
 use crate::{Complex, Counts, SimError};
 use qrcc_circuit::observable::{Pauli, PauliObservable, PauliString};
@@ -33,37 +34,66 @@ pub struct StateVector {
 /// [`SimError::TooManyQubits`] path.
 pub const MAX_QUBITS: usize = 28;
 
-/// The running sum of `|ψ|²` in basis-index order — what shots are drawn
-/// from, by [`StateVector::sample_counts`] and by every leaf of a sampled
-/// readout alike (one buffer, rebuilt per state).
+/// Deals shots over basis indices in proportion to `|ψ|²`, as one
+/// multinomial draw — what [`StateVector::sample_counts`] and every leaf of
+/// a sampled readout draw (one buffer, rebuilt per state).
+///
+/// The index range is halved recursively: a node `[a, b)` holding `k`
+/// shots sends `binomial(k, mass[a, mid) / mass[a, b))` of them to its lower
+/// half, and only halves that hold shots are descended. So a deal costs one
+/// prefix-sum pass plus one binomial draw per node it visits — at most
+/// min(2·2^n, shots·n) nodes, whatever the number of shots — and a range of
+/// zero mass (an exact zero difference of the prefix sums) is never dealt a
+/// shot.
 #[derive(Debug, Default)]
-pub(crate) struct Cumulative {
-    sums: Vec<f64>,
-    /// The last basis index of non-zero probability (0 for an all-zero
-    /// state): where a draw that rounding carried past the total lands.
-    last: usize,
+pub(crate) struct Multinomial {
+    /// `prefix[i]` is the mass of the indices `[0, i)`.
+    prefix: Vec<f64>,
 }
 
-impl Cumulative {
-    /// Replaces the sums with those of `amps`.
-    pub(crate) fn rebuild(&mut self, amps: &[Complex]) {
-        self.sums.clear();
+impl Multinomial {
+    /// Deals `shots` over the indices of `amps` from `rng`, calling
+    /// `record(index, shots)` once per index dealt at least one shot, in
+    /// ascending index order.
+    pub(crate) fn deal<R: Rng>(
+        &mut self,
+        amps: &[Complex],
+        shots: u64,
+        rng: &mut R,
+        mut record: impl FnMut(usize, u64),
+    ) {
+        self.prefix.clear();
+        self.prefix.push(0.0);
         let mut acc = 0.0;
-        self.sums.extend(amps.iter().map(|a| {
+        self.prefix.extend(amps.iter().map(|a| {
             acc += a.norm_sqr();
             acc
         }));
-        // the sums end on `acc`, so this index exists
-        self.last = self.sums.partition_point(|&c| c < acc);
+        self.halve(0, amps.len(), shots, rng, &mut record);
     }
 
-    /// One basis index, drawn with one uniform: the first entry whose
-    /// cumulative mass **exceeds** the draw, so a draw of exactly 0 skips
-    /// leading entries of probability 0.
-    pub(crate) fn draw(&self, rng: &mut impl Rng) -> usize {
-        let total = self.sums[self.last].max(f64::MIN_POSITIVE);
-        let r = rng.gen::<f64>() * total;
-        self.sums.partition_point(|&c| c <= r).min(self.last)
+    /// Deals the `shots` of the node `[from, to)` between its halves.
+    fn halve<R: Rng>(
+        &self,
+        from: usize,
+        to: usize,
+        shots: u64,
+        rng: &mut R,
+        record: &mut impl FnMut(usize, u64),
+    ) {
+        if to - from == 1 {
+            return record(from, shots);
+        }
+        let mid = from + (to - from) / 2;
+        let [a, m, b] = [from, mid, to].map(|i| self.prefix[i]);
+        // a zero-mass half gets probability exactly 0 (or 1 for its sibling)
+        let low = binomial(rng, shots, (m - a) / (b - a));
+        if low > 0 {
+            self.halve(from, mid, low, rng, record);
+        }
+        if low < shots {
+            self.halve(mid, to, shots - low, rng, record);
+        }
     }
 }
 
@@ -309,9 +339,10 @@ impl StateVector {
     }
 
     /// Samples `shots` outcomes of measuring all qubits, as a [`Counts`]
-    /// histogram keyed by qubit index. One uniform draw per shot against the
-    /// cumulative `|ψ|²` in basis-index order; a basis state of zero
-    /// probability is never drawn.
+    /// histogram keyed by qubit index: one multinomial draw over `|ψ|²`, by
+    /// recursive halving of the basis-index range with one binomial draw per
+    /// visited node, so the cost is O(2^n) whatever `shots` is. A basis state
+    /// of zero probability is never drawn.
     ///
     /// # Errors
     ///
@@ -320,12 +351,9 @@ impl StateVector {
         if shots == 0 {
             return Err(SimError::ZeroShots);
         }
-        let mut cumulative = Cumulative::default();
-        cumulative.rebuild(&self.amps);
         let mut counts = Counts::new(self.num_qubits);
-        for _ in 0..shots {
-            counts.record(cumulative.draw(rng) as u64, 1);
-        }
+        Multinomial::default()
+            .deal(&self.amps, shots, rng, |index, shots| counts.record(index as u64, shots));
         Ok(counts)
     }
 
@@ -569,16 +597,21 @@ mod tests {
         c.x(0).h(1);
         let sv = StateVector::from_circuit(&c).unwrap();
         assert_eq!((sv.probabilities()[0], sv.probabilities()[7]), (0.0, 0.0));
-        let lowest = sv.sample_counts(10, &mut Constant(0)).unwrap();
-        assert_eq!(lowest.count(0b001), 10, "a draw of 0 skips the empty leading entries");
-        let highest = sv.sample_counts(10, &mut Constant(u64::MAX)).unwrap();
-        assert_eq!(highest.count(0b011), 10, "the largest draw stops at the last possible entry");
-        // rounding may leave the total short of 1: still the last possible entry
-        let mut cumulative = Cumulative::default();
+        for word in [0, u64::MAX] {
+            let counts = sv.sample_counts(10, &mut Constant(word)).unwrap();
+            assert_eq!(counts.shots(), 10);
+            assert_eq!(counts.count(0b001) + counts.count(0b011), 10, "word {word:#x}");
+        }
+        // rounding may leave the total short of 1, and the range is not a
+        // power of two: still only the three possible entries are dealt
         let third = Complex::new((1.0f64 / 3.0).sqrt(), 0.0);
-        cumulative.rebuild(&[Complex::ZERO, third, third, third, Complex::ZERO]);
-        assert_eq!(cumulative.draw(&mut Constant(0)), 1);
-        assert_eq!(cumulative.draw(&mut Constant(u64::MAX)), 3);
+        let amps = [Complex::ZERO, third, third, third, Complex::ZERO];
+        for word in [0, u64::MAX] {
+            let mut dealt = [0u64; 5];
+            Multinomial::default().deal(&amps, 10, &mut Constant(word), |i, k| dealt[i] += k);
+            assert_eq!(dealt.iter().sum::<u64>(), 10, "word {word:#x}");
+            assert_eq!((dealt[0], dealt[4]), (0, 0), "word {word:#x}");
+        }
     }
 
     #[test]

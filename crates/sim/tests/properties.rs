@@ -1,12 +1,15 @@
 //! Property-based tests for the state-vector simulator: unitarity (norm
 //! preservation), inverse circuits, probability normalisation, expectation
-//! bounds and measurement-branch consistency on randomly generated circuits.
+//! bounds, measurement-branch consistency and shot sampling on randomly
+//! generated circuits.
 
 use proptest::prelude::*;
 use qrcc_circuit::observable::PauliString;
 use qrcc_circuit::{Circuit, QubitId};
 use qrcc_sim::branching::enumerate_branches;
 use qrcc_sim::StateVector;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Strategy producing a random unitary circuit over `n` qubits.
 fn random_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
@@ -117,5 +120,36 @@ proptest! {
             let p1 = sv.outcome_probability(QubitId::new(q), true);
             prop_assert!((p0 + p1 - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn sampled_shots_conserve_avoid_empty_states_and_fit_the_state(
+        c in random_circuit(5, 25),
+        seed in 0..u64::MAX,
+    ) {
+        // one multinomial draw over |ψ|²: every shot lands, none on an index
+        // of amplitude exactly zero, and the histogram fits |ψ|² (χ² over
+        // cells pooled to expect ≥ 5 shots, bounded far in its tail)
+        let shots = 1 << 16;
+        let sv = StateVector::from_circuit(&c).unwrap();
+        let counts = sv.sample_counts(shots, &mut StdRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(counts.shots(), shots);
+        let probabilities = sv.probabilities();
+        for (index, dealt) in counts.iter() {
+            prop_assert!(probabilities[index as usize] > 0.0, "{dealt} shots on empty {index}");
+        }
+        let mut cells: Vec<(f64, f64)> = Vec::new();
+        let mut open = (0.0, 0.0);
+        for (index, p) in probabilities.iter().enumerate() {
+            open = (open.0 + p * shots as f64, open.1 + counts.count(index as u64) as f64);
+            if open.0 >= 5.0 {
+                cells.push(std::mem::take(&mut open));
+            }
+        }
+        let last = cells.last_mut().unwrap();
+        *last = (last.0 + open.0, last.1 + open.1);
+        let dof = (cells.len() - 1) as f64;
+        let chi2: f64 = cells.iter().map(|(e, o)| (o - e).powi(2) / e).sum();
+        prop_assert!(chi2 <= dof + 10.0 * (2.0 * dof).sqrt() + 10.0, "χ² {} over {} dof", chi2, dof);
     }
 }
