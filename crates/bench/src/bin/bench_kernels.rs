@@ -11,9 +11,14 @@
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin bench_kernels [--smoke]`
 //!
+//! A `kernel.*` group times each kernel class alone at 8 and 12 qubits:
+//! the portable sweep body against the one `Kernel::apply` dispatches to on
+//! this CPU (the AVX2 build where the CPU has it).
+//!
 //! `--smoke` runs scaled-down sizes and exits non-zero unless the compiled
 //! path is at least as fast as the interpreter on the fusion-heavy family,
-//! on the all-terminal readout row and on every `sample.*` row, and unless
+//! on the all-terminal readout row and on every `sample.*` row, unless no
+//! kernel class runs clearly slower dispatched than portable, and unless
 //! the compiled sampling of the REG-8 variant at 2^20 shots takes at most 8×
 //! its time at 1 024 (median of several runs each) — the CI guard against
 //! compiled-path regressions and against a sampling cost that grows with
@@ -28,9 +33,9 @@ use qrcc_core::planner::CutPlanner;
 use qrcc_core::reconstruct::ExpectationReconstructor;
 use qrcc_core::QrccConfig;
 use qrcc_sim::branching;
-use qrcc_sim::compile::FramedProgram;
+use qrcc_sim::compile::{FramedProgram, Kernel};
 use qrcc_sim::device::{Device, DeviceConfig};
-use qrcc_sim::StateVector;
+use qrcc_sim::{Complex, StateVector};
 use std::time::{Duration, Instant};
 
 /// One measured row: a named circuit, both wall-clocks, and the compiler's
@@ -174,6 +179,127 @@ fn measure_with(
         compile_ms,
         fusion_ratio: stats.fusion_ratio(),
         coverage: stats.coverage(),
+    }
+}
+
+/// One kernel class's sweep cost at one width: the portable body against
+/// the body `Kernel::apply` dispatches to on this CPU (the AVX2 one where
+/// the CPU has it), in nanoseconds per kernel.
+struct KernelRow {
+    class: &'static str,
+    qubits: usize,
+    portable_ns: f64,
+    dispatched_ns: f64,
+}
+
+impl KernelRow {
+    fn fold_into(&self, snapshot: MetricsSnapshot) -> MetricsSnapshot {
+        let key = |field: &str| format!("kernel.{}_{}q.{field}", self.class, self.qubits);
+        snapshot
+            .with_gauge(&key("portable_ns"), self.portable_ns)
+            .with_gauge(&key("dispatched_ns"), self.dispatched_ns)
+            .with_gauge(&key("speedup"), self.portable_ns / self.dispatched_ns)
+    }
+}
+
+/// How a kernel class is produced: a one-gate circuit on qubit `q` of `n`,
+/// and the class its compiled kernel must land in.
+struct KernelClass {
+    name: &'static str,
+    place: fn(&mut Circuit, usize, usize),
+    is: fn(&Kernel) -> bool,
+}
+
+const KERNEL_CLASSES: [KernelClass; 7] = [
+    KernelClass {
+        name: "Unary",
+        place: |c, q, _| {
+            c.u3(0.3, 0.2, 0.4, q);
+        },
+        is: |k| matches!(k, Kernel::Unary { .. }),
+    },
+    KernelClass {
+        name: "Diag1",
+        place: |c, q, _| {
+            c.rz(0.3, q);
+        },
+        is: |k| matches!(k, Kernel::Diag1 { .. }),
+    },
+    KernelClass {
+        name: "Flip1",
+        place: |c, q, _| {
+            c.x(q);
+        },
+        is: |k| matches!(k, Kernel::Flip1 { .. }),
+    },
+    KernelClass {
+        name: "Diag2",
+        place: |c, q, n| {
+            c.cp(0.3, q, (q + 1) % n);
+        },
+        is: |k| matches!(k, Kernel::Diag2 { .. }),
+    },
+    KernelClass {
+        name: "SwapPerm",
+        place: |c, q, n| {
+            c.swap(q, (q + 1) % n);
+        },
+        is: |k| matches!(k, Kernel::SwapPerm { .. }),
+    },
+    KernelClass {
+        name: "CFlip",
+        place: |c, q, n| {
+            c.cx(q, (q + 1) % n);
+        },
+        is: |k| matches!(k, Kernel::CFlip { .. }),
+    },
+    KernelClass {
+        name: "Two",
+        place: |c, q, n| {
+            c.rxx(0.4, q, (q + 1) % n);
+        },
+        is: |k| matches!(k, Kernel::Two { .. }),
+    },
+];
+
+/// Times one kernel class on an `n`-qubit state, its gate placed on every
+/// qubit in turn: the portable body and the dispatched one, alternating
+/// best-of-`reps` rounds of about 2^22 amplitude updates each.
+fn measure_kernel_class(class: &KernelClass, n: usize, reps: usize) -> KernelRow {
+    let kernels: Vec<Kernel> = (0..n)
+        .flat_map(|q| {
+            let mut c = Circuit::new(n);
+            (class.place)(&mut c, q, n);
+            FramedProgram::compile(&c).kernels().cloned().collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(
+        kernels.len() == n && kernels.iter().all(class.is),
+        "{} gates lower to one {} kernel each",
+        n,
+        class.name
+    );
+    let mut amps = vec![Complex::real((1.0 / (1u64 << n) as f64).sqrt()); 1 << n];
+    let rounds = ((1usize << 22) >> n).max(1);
+    let per_kernel = 1e6 / (rounds * kernels.len()) as f64;
+    let (mut portable_ms, mut dispatched_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        portable_ms = portable_ms.min(time_ms(1, || {
+            for _ in 0..rounds {
+                kernels.iter().for_each(|k| k.apply_portable(&mut amps));
+            }
+        }));
+        dispatched_ms = dispatched_ms.min(time_ms(1, || {
+            for _ in 0..rounds {
+                kernels.iter().for_each(|k| k.apply(&mut amps));
+            }
+        }));
+    }
+    KernelRow {
+        class: class.name,
+        qubits: n,
+        portable_ns: portable_ms * per_kernel,
+        dispatched_ns: dispatched_ms * per_kernel,
     }
 }
 
@@ -375,6 +501,26 @@ fn main() {
         print_row(row);
     }
 
+    let isa = if qrcc_sim::compile::avx2_sweeps() { "avx2" } else { "portable" };
+    println!(
+        "\n-- kernel classes (ns per kernel; dispatched = {isa}) --\n{:<16} {:>6} {:>12} {:>12} {:>8}",
+        "class", "qubits", "portable", "dispatched", "speedup"
+    );
+    let kernel_classes: Vec<KernelRow> = [8, 12]
+        .into_iter()
+        .flat_map(|n| KERNEL_CLASSES.iter().map(move |class| measure_kernel_class(class, n, reps)))
+        .collect();
+    for row in &kernel_classes {
+        println!(
+            "{:<16} {:>6} {:>12.1} {:>12.1} {:>7.2}x",
+            row.class,
+            row.qubits,
+            row.portable_ns,
+            row.dispatched_ns,
+            row.portable_ns / row.dispatched_ns
+        );
+    }
+
     let covered: f64 = circuit_families.iter().map(|r| r.coverage * r.gates as f64).sum();
     let total: f64 = circuit_families.iter().map(|r| r.gates as f64).sum();
     let aggregate_coverage = covered / total;
@@ -427,6 +573,21 @@ fn main() {
                 row.name, row.compiled_ms, row.interpreted_ms
             );
         }
+        // ... nor a kernel class's dispatched sweep to its portable body
+        // (equal code where the CPU lacks AVX2); the tolerance absorbs
+        // timer jitter, not a class that vectorizes worse
+        for row in &kernel_classes {
+            assert!(
+                row.dispatched_ns <= row.portable_ns * 1.25,
+                "{} kernels at {} qubits run slower dispatched ({isa}): {:.1} ns vs {:.1} ns \
+                 portable",
+                row.class,
+                row.qubits,
+                row.dispatched_ns,
+                row.portable_ns,
+            );
+        }
+        println!("smoke OK: no kernel class runs slower dispatched ({isa}) than portable");
         // ... nor the sampled readout's cost to follow the shots: 1024× the
         // shots may cost at most 8× the time (one draw per shot was linear)
         let device = sampling_device(&reg8);
@@ -457,6 +618,9 @@ fn main() {
         for row in &samplings {
             metrics = row.fold_into("sample", metrics);
         }
+        for row in &kernel_classes {
+            metrics = row.fold_into(metrics);
+        }
         metrics = metrics.with_gauge("aggregate_coverage", aggregate_coverage);
         let json = bench_json(
             "bench_kernels",
@@ -465,6 +629,7 @@ fn main() {
                 ("depth", depth.to_string()),
                 ("repeats", reps.to_string()),
                 ("smoke", smoke.to_string()),
+                ("sweeps", isa.to_string()),
             ],
             &metrics,
         );

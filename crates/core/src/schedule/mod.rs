@@ -158,9 +158,15 @@ impl<'r> Scheduler<'r> {
             let _span = crate::obs::tracer().span("phase.dedup");
             prepare_batch(fragments, requests)?
         };
-        let allocator = ShotAllocator::new(self.policy);
-        let weights = allocator.circuit_weights(fragments, &batch);
-        let shots = allocator.allocate(&weights)?;
+        // the variance weights only split a budget; without one the
+        // backends keep their own shot defaults
+        let shots = match self.policy.shot_budget {
+            Some(_) => {
+                let allocator = ShotAllocator::new(self.policy);
+                allocator.allocate(&allocator.circuit_weights(fragments, &batch))?
+            }
+            None => None,
+        };
 
         let dispatcher = Dispatcher::new(self.registry, self.policy);
         let mut chunks = 0;

@@ -17,6 +17,11 @@
 //! * **Parallelism** — every sweep is rayon-chunked above
 //!   [`PAR_THRESHOLD`] amplitudes with disjoint
 //!   per-chunk write sets, so results are bit-identical for any thread count.
+//! * **Instruction set** — [`Kernel::apply`] runs the sweep bodies compiled
+//!   for AVX2 where the CPU reports it at run time ([`avx2_sweeps`]) and the
+//!   portable build elsewhere; the dense two-qubit class always runs
+//!   portable. Both builds come from one source without fused multiply-add,
+//!   so amplitudes are bit-identical whichever runs.
 //! * **Caching** — [`KernelCache`] keys compiled bodies by
 //!   [`Circuit::structural_hash`], splitting each request into a
 //!   single-qubit init **prologue**, a shared **body**, and a
@@ -65,7 +70,7 @@ mod readout;
 mod stats;
 
 pub use cache::KernelCache;
-pub use kernel::{Kernel, PAR_THRESHOLD};
+pub use kernel::{avx2_sweeps, Kernel, PAR_THRESHOLD};
 pub(crate) use readout::Measurements;
 pub use readout::{ExactReadout, SampledReadout};
 pub use stats::{CompileStats, FamilyStats};

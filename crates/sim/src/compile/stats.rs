@@ -96,7 +96,7 @@ impl CompileStats {
     /// Records one gate of `family` into the given disjoint bucket.
     pub(crate) fn record_gate(&mut self, family: &str, bucket: Bucket) {
         self.gates_in += 1;
-        let entry = self.families.entry(family.to_string()).or_default();
+        let entry = self.family_mut(family);
         entry.gates += 1;
         match bucket {
             Bucket::Fused => entry.fused += 1,
@@ -117,12 +117,21 @@ impl CompileStats {
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
         for (family, fs) in &other.families {
-            let entry = self.families.entry(family.clone()).or_default();
+            let entry = self.family_mut(family);
             entry.gates += fs.gates;
             entry.fused += fs.fused;
             entry.specialized += fs.specialized;
             entry.general += fs.general;
         }
+    }
+
+    /// The stats of `family`, inserted empty on first sight: a family name
+    /// is allocated once per map, not once per gate or merge.
+    fn family_mut(&mut self, family: &str) -> &mut FamilyStats {
+        if !self.families.contains_key(family) {
+            self.families.insert(family.to_owned(), FamilyStats::default());
+        }
+        self.families.get_mut(family).expect("the family was just inserted")
     }
 }
 
