@@ -270,7 +270,7 @@ fn measure_kernel_class(class: &KernelClass, n: usize, reps: usize) -> KernelRow
         .flat_map(|q| {
             let mut c = Circuit::new(n);
             (class.place)(&mut c, q, n);
-            FramedProgram::compile(&c).kernels().cloned().collect::<Vec<_>>()
+            FramedProgram::compile(&c).kernels().to_vec()
         })
         .collect();
     assert!(

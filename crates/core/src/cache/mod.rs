@@ -28,6 +28,16 @@
 //! store and an eviction each cost O(log n) in the shard's entry count plus
 //! one hash bucket, and no operation scans the shard.
 //!
+//! **Sharing.** Entries hold distributions as the `Arc<Vec<f64>>` an
+//! [`ExecutionResults`](crate::execute::ExecutionResults) carries: a hit
+//! hands out the stored buffer and a store keeps the buffer it is given, so
+//! neither copies a distribution. A stored buffer is never written again — an
+//! upgrade or a delta merge replaces the entry's buffer with a new one — so
+//! a reader's buffer never changes under it. The scheduled path hashes each
+//! circuit once per request and hands that hash to both its lookup and its
+//! store; [`ResultCache::lookup`] and [`ResultCache::store`] are the same
+//! path with the hash computed for the caller.
+//!
 //! **Validation.** A record is only cached when it is a distribution over
 //! its circuit's classical bits: exactly `1 << num_clbits` values, each
 //! finite and non-negative. [`ResultCache::store`] drops any other record.
@@ -44,6 +54,7 @@
 //! both of which round-trip exactly, so a reloaded entry hits on precisely
 //! the hashes the live entry did.
 
+use crate::execute::Shared;
 use parking_lot::Mutex;
 use qrcc_circuit::qasm::{from_qasm, to_qasm};
 use qrcc_circuit::Circuit;
@@ -52,6 +63,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Version of the on-disk snapshot format. Bumped whenever the layout (or
 /// the semantics of a stored entry) changes; [`ResultCache::open`] ignores
@@ -186,12 +198,13 @@ pub enum CacheLookup {
     /// [`store`](ResultCache::store) the outcome.
     Miss,
     /// Fully served: the distribution satisfies the requested shot count.
-    Hit(Vec<f64>),
+    /// The buffer is the stored one, not a copy.
+    Hit(Arc<Vec<f64>>),
     /// Partially served: execute `missing` shots, merge with the stored
     /// `base` via [`merge_distributions`], and store the merge back.
     Delta {
-        /// The cached distribution.
-        base: Vec<f64>,
+        /// The cached distribution (the stored buffer).
+        base: Arc<Vec<f64>>,
         /// Shots the cached distribution was estimated from.
         base_shots: u64,
         /// The shot top-up still to execute (`requested − base_shots`).
@@ -202,7 +215,7 @@ pub enum CacheLookup {
 /// One cached circuit: the executed distribution and its provenance.
 struct Entry {
     circuit: Circuit,
-    distribution: Vec<f64>,
+    distribution: Shared,
     /// Shots the distribution was estimated from (`None` = exact).
     shots: Option<u64>,
     /// Global LRU tick of the last touch.
@@ -321,7 +334,8 @@ impl ResultCache {
                 {
                     Ok(entries) => {
                         for (circuit, distribution, shots) in entries {
-                            if cache.insert_silent(circuit, distribution, shots) {
+                            let hash = circuit.structural_hash();
+                            if cache.insert(&circuit, hash, Arc::new(distribution), shots) {
                                 cache.snapshot_loaded += 1;
                             }
                         }
@@ -342,7 +356,18 @@ impl ResultCache {
     /// caller needs an exact distribution). Touches the entry for LRU and
     /// counts the hit/delta/miss.
     pub fn lookup(&self, circuit: &Circuit, requested_shots: Option<u64>) -> CacheLookup {
-        let hash = circuit.structural_hash();
+        self.lookup_hashed(circuit, circuit.structural_hash(), requested_shots)
+    }
+
+    /// [`lookup`](Self::lookup) for a caller that already holds `circuit`'s
+    /// [`Circuit::structural_hash`]. Entries under `hash` serve only a
+    /// circuit structurally equal to theirs.
+    pub(crate) fn lookup_hashed(
+        &self,
+        circuit: &Circuit,
+        hash: u64,
+        requested_shots: Option<u64>,
+    ) -> CacheLookup {
         let mut shard = self.shards[(hash as usize) % Self::SHARDS].lock();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let Shard { buckets, recency, .. } = &mut *shard;
@@ -371,20 +396,20 @@ impl ResultCache {
                 Shard::touch(recency, entry, hash, tick);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(requested.unwrap_or(0), Ordering::Relaxed);
-                CacheLookup::Hit(entry.distribution.clone())
+                CacheLookup::Hit(Arc::clone(&entry.distribution))
             }
             (Some(stored), Some(requested)) if stored >= requested => {
                 Shard::touch(recency, entry, hash, tick);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(requested, Ordering::Relaxed);
-                CacheLookup::Hit(entry.distribution.clone())
+                CacheLookup::Hit(Arc::clone(&entry.distribution))
             }
             (Some(stored), Some(requested)) => {
                 Shard::touch(recency, entry, hash, tick);
                 self.delta_hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(stored, Ordering::Relaxed);
                 CacheLookup::Delta {
-                    base: entry.distribution.clone(),
+                    base: Arc::clone(&entry.distribution),
                     base_shots: stored,
                     missing: requested - stored,
                 }
@@ -405,19 +430,37 @@ impl ResultCache {
     /// distribution over `circuit`'s classical bits (see the
     /// [module docs](self)) is dropped.
     pub fn store(&self, circuit: &Circuit, distribution: &[f64], shots: Option<u64>) {
+        let distribution = Arc::new(distribution.to_vec());
+        self.store_hashed(circuit, circuit.structural_hash(), &distribution, shots);
+    }
+
+    /// [`store`](Self::store) for a caller that already holds `circuit`'s
+    /// [`Circuit::structural_hash`]; the entry keeps `distribution` itself.
+    pub(crate) fn store_hashed(
+        &self,
+        circuit: &Circuit,
+        hash: u64,
+        distribution: &Shared,
+        shots: Option<u64>,
+    ) {
         if is_distribution_of(circuit, distribution)
-            && self.insert_silent(circuit.clone(), distribution.to_vec(), shots)
+            && self.insert(circuit, hash, Arc::clone(distribution), shots)
         {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// The insertion path shared by [`store`](Self::store) and snapshot
-    /// loading, both of which validate the record first. Returns whether the
-    /// record was inserted or upgraded.
-    fn insert_silent(&self, circuit: Circuit, distribution: Vec<f64>, shots: Option<u64>) -> bool {
+    /// The insertion path shared by stores and snapshot loading, both of
+    /// which validate the record first. Returns whether the record was
+    /// inserted or upgraded. The circuit is copied only into a new entry.
+    fn insert(
+        &self,
+        circuit: &Circuit,
+        hash: u64,
+        distribution: Shared,
+        shots: Option<u64>,
+    ) -> bool {
         let weight = distribution.len() as u64;
-        let hash = circuit.structural_hash();
         let index = (hash as usize) % Self::SHARDS;
         let capacity = self.shard_capacity(index);
         if weight > capacity {
@@ -428,7 +471,7 @@ impl ResultCache {
         let serves = shots.map_or(u64::MAX, |s| s);
         let Shard { buckets, recency, .. } = &mut *shard;
         let bucket = buckets.entry(hash).or_default();
-        let gained = match bucket.iter_mut().find(|e| e.circuit.structurally_equal(&circuit)) {
+        let gained = match bucket.iter_mut().find(|e| e.circuit.structurally_equal(circuit)) {
             Some(existing) if existing.serves() >= serves => return false,
             Some(existing) => {
                 let replaced = existing.weight();
@@ -438,6 +481,7 @@ impl ResultCache {
                 weight as i64 - replaced as i64
             }
             None => {
+                let circuit = circuit.clone();
                 bucket.push(Entry { circuit, distribution, shots, last_used: tick });
                 recency.insert(tick, hash);
                 weight as i64
@@ -638,6 +682,11 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// A full hit serving `distribution`.
+    fn hit(distribution: Vec<f64>) -> CacheLookup {
+        CacheLookup::Hit(Arc::new(distribution))
+    }
+
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1).measure_all();
@@ -663,12 +712,92 @@ mod tests {
         let c = bell();
         assert_eq!(cache.lookup(&c, Some(100)), CacheLookup::Miss);
         cache.store(&c, &[0.5, 0.0, 0.0, 0.5], Some(100));
-        assert_eq!(cache.lookup(&c, Some(100)), CacheLookup::Hit(vec![0.5, 0.0, 0.0, 0.5]));
-        assert_eq!(cache.lookup(&c, Some(40)), CacheLookup::Hit(vec![0.5, 0.0, 0.0, 0.5]));
+        assert_eq!(cache.lookup(&c, Some(100)), hit(vec![0.5, 0.0, 0.0, 0.5]));
+        assert_eq!(cache.lookup(&c, Some(40)), hit(vec![0.5, 0.0, 0.0, 0.5]));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.delta_hits), (2, 1, 0));
         assert_eq!(stats.shots_saved, 140);
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn a_full_hit_hands_out_the_stored_buffer() {
+        let cache = ResultCache::new(1 << 16);
+        let c = bell();
+        let stored = Arc::new(vec![0.5, 0.0, 0.0, 0.5]);
+        cache.store_hashed(&c, c.structural_hash(), &stored, None);
+        for requested in [None, Some(100)] {
+            let CacheLookup::Hit(served) = cache.lookup(&c, requested) else {
+                panic!("an exact entry serves {requested:?}");
+            };
+            assert!(Arc::ptr_eq(&served, &stored), "a hit must not copy");
+        }
+    }
+
+    #[test]
+    fn a_store_keeps_the_buffer_it_was_delivered() {
+        let cache = ResultCache::new(1 << 16);
+        let c = bell();
+        let delivered = Arc::new(vec![0.25; 4]);
+        cache.store_hashed(&c, c.structural_hash(), &delivered, Some(64));
+        assert_eq!(Arc::strong_count(&delivered), 2, "the entry holds the delivered buffer");
+        let shard = cache.shards[(c.structural_hash() as usize) % ResultCache::SHARDS].lock();
+        let entry = shard.buckets.values().flatten().next().expect("one entry");
+        assert!(Arc::ptr_eq(&entry.distribution, &delivered));
+        drop(shard);
+        // the copying wrapper stores a buffer of its own
+        let copied = [0.5, 0.5, 0.0, 0.0];
+        cache.store(&c, &copied, Some(128));
+        let CacheLookup::Hit(served) = cache.lookup(&c, Some(128)) else { panic!("stored") };
+        assert_eq!(served[..], copied[..]);
+        assert_eq!(Arc::strong_count(&delivered), 1, "the upgrade released the old buffer");
+    }
+
+    #[test]
+    fn an_equal_hash_never_serves_a_structurally_different_circuit() {
+        let cache = ResultCache::new(1 << 16);
+        let (a, b) = (bell(), rotated(0.3));
+        assert!(!a.structurally_equal(&b));
+        let hash = a.structural_hash();
+        let stored_a = Arc::new(vec![0.5, 0.0, 0.0, 0.5]);
+        cache.store_hashed(&a, hash, &stored_a, None);
+        assert_eq!(cache.lookup_hashed(&b, hash, None), CacheLookup::Miss, "collision guard");
+        // both live side by side in the one bucket, each serving only itself
+        let stored_b = Arc::new(vec![0.25; 4]);
+        cache.store_hashed(&b, hash, &stored_b, None);
+        assert_eq!(cache.stats().entries, 2);
+        for (circuit, stored) in [(&a, &stored_a), (&b, &stored_b)] {
+            let CacheLookup::Hit(served) = cache.lookup_hashed(circuit, hash, None) else {
+                panic!("stored")
+            };
+            assert!(Arc::ptr_eq(&served, stored));
+        }
+    }
+
+    #[test]
+    fn a_delta_merge_stores_a_new_buffer_and_never_mutates_a_held_one() {
+        let cache = ResultCache::new(1 << 16);
+        let c = bell();
+        let hash = c.structural_hash();
+        let first = vec![1.0, 0.0, 0.0, 0.0];
+        cache.store_hashed(&c, hash, &Arc::new(first.clone()), Some(100));
+        let CacheLookup::Hit(reader) = cache.lookup_hashed(&c, hash, Some(100)) else {
+            panic!("stored")
+        };
+        let CacheLookup::Delta { base, base_shots, missing } =
+            cache.lookup_hashed(&c, hash, Some(300))
+        else {
+            panic!("more shots than stored is a delta hit")
+        };
+        assert!(Arc::ptr_eq(&base, &reader) && (base_shots, missing) == (100, 200));
+        let merged = merge_distributions(&base, base_shots, &[0.0, 0.0, 0.0, 1.0], missing);
+        let merged = Arc::new(merged);
+        cache.store_hashed(&c, hash, &merged, Some(300));
+        assert_eq!(reader[..], first[..], "a reader's buffer never changes");
+        let CacheLookup::Hit(served) = cache.lookup_hashed(&c, hash, Some(300)) else {
+            panic!("the merge serves 300 shots")
+        };
+        assert!(Arc::ptr_eq(&served, &merged) && !Arc::ptr_eq(&served, &reader));
     }
 
     #[test]
@@ -699,10 +828,10 @@ mod tests {
         cache.store(&c, &[1.0, 0.0, 0.0, 0.0], Some(500));
         // a weaker record never downgrades the entry
         cache.store(&c, &[0.0, 1.0, 0.0, 0.0], Some(100));
-        assert_eq!(cache.lookup(&c, Some(500)), CacheLookup::Hit(vec![1.0, 0.0, 0.0, 0.0]));
+        assert_eq!(cache.lookup(&c, Some(500)), hit(vec![1.0, 0.0, 0.0, 0.0]));
         // a stronger record upgrades it
         cache.store(&c, &[0.5, 0.5, 0.0, 0.0], Some(900));
-        assert_eq!(cache.lookup(&c, Some(900)), CacheLookup::Hit(vec![0.5, 0.5, 0.0, 0.0]));
+        assert_eq!(cache.lookup(&c, Some(900)), hit(vec![0.5, 0.5, 0.0, 0.0]));
         assert_eq!(cache.stats().entries, 1, "upgrades replace, never duplicate");
     }
 
@@ -732,8 +861,8 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.evictions, stats.entries, stats.weight), (1, 2, 8));
         assert_eq!(cache.lookup(&b, Some(10)), CacheLookup::Miss, "B was least recently used");
-        assert_eq!(cache.lookup(&a, Some(10)), CacheLookup::Hit(vec![0.25; 4]));
-        assert_eq!(cache.lookup(&c, Some(10)), CacheLookup::Hit(vec![0.0, 0.0, 0.5, 0.5]));
+        assert_eq!(cache.lookup(&a, Some(10)), hit(vec![0.25; 4]));
+        assert_eq!(cache.lookup(&c, Some(10)), hit(vec![0.0, 0.0, 0.5, 0.5]));
     }
 
     #[test]
@@ -838,10 +967,10 @@ mod tests {
                 return CacheLookup::Miss;
             };
             let found = match (e.shots, requested) {
-                (None, _) => CacheLookup::Hit(e.distribution.clone()),
-                (Some(stored), Some(r)) if stored >= r => CacheLookup::Hit(e.distribution.clone()),
+                (None, _) => hit(e.distribution.clone()),
+                (Some(stored), Some(r)) if stored >= r => hit(e.distribution.clone()),
                 (Some(stored), Some(r)) => CacheLookup::Delta {
-                    base: e.distribution.clone(),
+                    base: Arc::new(e.distribution.clone()),
                     base_shots: stored,
                     missing: r - stored,
                 },
@@ -1075,7 +1204,7 @@ mod tests {
         let stats = restarted.stats();
         assert_eq!(stats.snapshot_loaded, 2);
         assert!(!stats.snapshot_ignored);
-        assert_eq!(restarted.lookup(&bell(), Some(4_321)), CacheLookup::Hit(dist));
+        assert_eq!(restarted.lookup(&bell(), Some(4_321)), hit(dist));
         assert!(matches!(restarted.lookup(&rotated(1.234_567_890_123), None), CacheLookup::Hit(_)));
         std::fs::remove_file(&path).unwrap();
     }

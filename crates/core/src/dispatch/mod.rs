@@ -51,11 +51,12 @@ pub use testing::{FailureMode, FlakyBackend, QueueBackend};
 
 use crate::cache::{merge_distributions, CacheLookup};
 use crate::config::SchedulePolicy;
-use crate::execute::{BackendUsage, ExecutionResults, PreparedBatch};
+use crate::execute::{BackendUsage, ExecutionResults, PreparedBatch, Shared};
 use crate::fragment::FragmentSet;
 use crate::schedule::{router, DeviceRegistry};
 use crate::CoreError;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use worker::{Job, JobContext, JobOutcome};
 
@@ -163,20 +164,23 @@ impl<'r> Dispatcher<'r> {
         };
 
         // per-circuit dispatch state (indices are batch-global)
-        let mut outcomes: Vec<Option<Vec<f64>>> = vec![None; total];
+        let mut outcomes: Vec<Option<Shared>> = vec![None; total];
         let mut failures_of: Vec<u32> = vec![0; total];
         let mut excluded: Vec<Vec<usize>> = vec![Vec::new(); total];
         // shots each circuit must actually execute: its allocation, or a
         // delta hit's top-up — what the succeeding backend is charged and
         // what retry jobs carry (cache-served shots are never re-spent)
         let cache = self.registry.result_cache();
+        // each circuit's structural hash, taken once at its lookup and
+        // handed to its store
+        let mut hashes: Vec<u64> = if cache.is_some() { vec![0; total] } else { Vec::new() };
         let mut effective: Vec<Option<u64>> = match shots {
             Some(s) => s.iter().map(|&v| Some(v)).collect(),
             None => vec![None; total],
         };
         // a delta hit's cached base distribution, merged with the fresh
         // top-up when its job completes
-        let mut delta_base: Vec<Option<(Vec<f64>, u64)>> = vec![None; total];
+        let mut delta_base: Vec<Option<(Shared, u64)>> = vec![None; total];
         // per-chunk progress and per-backend usage accounting
         let mut remaining: Vec<usize> = bounds.iter().map(|&(s, e)| e - s).collect();
         let mut usage: Vec<BackendUsage> = entries
@@ -216,7 +220,9 @@ impl<'r> Dispatcher<'r> {
                                 };
                                 let lookup = {
                                     let _span = tracer.span_under("cache.lookup", dispatch_span);
-                                    cache.lookup(&batch.circuits[global], requested)
+                                    let circuit = &batch.circuits[global];
+                                    hashes[global] = circuit.structural_hash();
+                                    cache.lookup_hashed(circuit, hashes[global], requested)
                                 };
                                 match lookup {
                                     CacheLookup::Hit(dist) => {
@@ -335,42 +341,28 @@ impl<'r> Dispatcher<'r> {
                                     (Some(_), Some(executed)) => executed,
                                     (Some(per), None) => per,
                                 };
-                                let dist = match delta_base[circuit].take() {
-                                    Some(_) if backend_shots.is_none() => {
-                                        // a retry re-routed the top-up onto
-                                        // an exact backend: the fresh result
-                                        // beats any sampled merge
-                                        if let Some(cache) = cache {
-                                            let _span =
-                                                tracer.span_under("cache.store", dispatch_span);
-                                            cache.store(&batch.circuits[circuit], &dist, None);
-                                        }
-                                        dist
-                                    }
+                                let dist = Arc::new(dist);
+                                let (dist, stored_shots) = match delta_base[circuit].take() {
+                                    // a retry re-routed the top-up onto an
+                                    // exact backend: the fresh result beats
+                                    // any sampled merge
+                                    Some(_) if backend_shots.is_none() => (dist, None),
                                     Some((base, base_shots)) => {
                                         let merged =
                                             merge_distributions(&base, base_shots, &dist, spent);
-                                        if let Some(cache) = cache {
-                                            let _span =
-                                                tracer.span_under("cache.store", dispatch_span);
-                                            cache.store(
-                                                &batch.circuits[circuit],
-                                                &merged,
-                                                Some(base_shots + spent),
-                                            );
-                                        }
-                                        merged
+                                        (Arc::new(merged), Some(base_shots + spent))
                                     }
-                                    None => {
-                                        if let Some(cache) = cache {
-                                            let _span =
-                                                tracer.span_under("cache.store", dispatch_span);
-                                            let stored = backend_shots.is_some().then_some(spent);
-                                            cache.store(&batch.circuits[circuit], &dist, stored);
-                                        }
-                                        dist
-                                    }
+                                    None => (dist, backend_shots.is_some().then_some(spent)),
                                 };
+                                if let Some(cache) = cache {
+                                    let _span = tracer.span_under("cache.store", dispatch_span);
+                                    cache.store_hashed(
+                                        &batch.circuits[circuit],
+                                        hashes[circuit],
+                                        &dist,
+                                        stored_shots,
+                                    );
+                                }
                                 let entry_usage = &mut usage[job.entry];
                                 entry_usage.circuits += 1;
                                 entry_usage.shots += spent;

@@ -63,7 +63,7 @@ use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::Circuit;
 use qrcc_sim::branching::classical_distribution;
-use qrcc_sim::compile::{interpreted_forced_by_env, CompileStats, KernelCache};
+use qrcc_sim::compile::{interpreted_forced_by_env, CompileCounters, CompileStats, FramedProgram};
 use qrcc_sim::device::Device;
 use qrcc_sim::{Counts, SimError};
 use rayon::prelude::*;
@@ -167,9 +167,9 @@ pub trait ExecutionBackend: Sync {
     /// Cumulative kernel-compilation statistics of the backend's simulator,
     /// or `None` when the backend interprets gate-by-gate (or is not a
     /// simulator at all). Backends that run the compiled kernel path
-    /// ([`ExactBackend`], [`ShotsBackend`]) report their
-    /// [`KernelCache`] aggregate here; the
-    /// default keeps non-simulating backends at `None`.
+    /// ([`ExactBackend`], [`ShotsBackend`]) report the sum over every
+    /// circuit they compiled ([`CompileCounters`]); the default keeps
+    /// non-simulating backends at `None`.
     fn compile_stats(&self) -> Option<CompileStats> {
         None
     }
@@ -424,6 +424,12 @@ pub(crate) struct PreparedBatch {
     pub(crate) circuit_of_key: Vec<usize>,
     /// Per unique key, how many duplicate requests collapsed into it.
     pub(crate) key_count: Vec<u64>,
+    /// Key slots grouped by circuit, ascending within each group: circuit
+    /// `c`'s keys are `keys_by_circuit[key_start[c]..key_start[c + 1]]`,
+    /// so a chunk of circuits finds its keys without scanning the batch.
+    keys_by_circuit: Vec<usize>,
+    /// Group offsets into `keys_by_circuit` (one more than `circuits`).
+    key_start: Vec<usize>,
     /// Total requests before dedup.
     pub(crate) requested: u64,
 }
@@ -449,6 +455,8 @@ pub(crate) fn prepare_batch(
         canonical: Vec::new(),
         circuit_of_key: Vec::with_capacity(requests.len()),
         key_count: Vec::with_capacity(requests.len()),
+        keys_by_circuit: Vec::new(),
+        key_start: Vec::new(),
         requested: requests.len() as u64,
     };
     for &VariantRequest { key } in requests {
@@ -468,28 +476,41 @@ pub(crate) fn prepare_batch(
         batch.circuit_of_key.push(circuit);
         batch.key_count.push(1);
     }
+    // a counting sort of the key slots by circuit
+    let mut key_start = vec![0; batch.circuits.len() + 1];
+    for &circuit in &batch.circuit_of_key {
+        key_start[circuit + 1] += 1;
+    }
+    for circuit in 0..batch.circuits.len() {
+        key_start[circuit + 1] += key_start[circuit];
+    }
+    let mut next = key_start.clone();
+    batch.keys_by_circuit = vec![0; batch.keys.len()];
+    for (slot, &circuit) in batch.circuit_of_key.iter().enumerate() {
+        batch.keys_by_circuit[next[circuit]] = slot;
+        next[circuit] += 1;
+    }
+    batch.key_start = key_start;
     Ok(batch)
 }
 
 impl PreparedBatch {
     /// The results of circuits `range` given their distributions (in
     /// circuit order): every key whose circuit lies in the range shares that
-    /// circuit's distribution, and counts the requests it collapsed.
+    /// circuit's distribution, and counts the requests it collapsed. Costs
+    /// O(keys of the range), whatever the size of the batch.
     pub(crate) fn results(
         &self,
         range: std::ops::Range<usize>,
-        distributions: Vec<Vec<f64>>,
+        shared: Vec<Shared>,
     ) -> ExecutionResults {
-        let shared: Vec<Shared> = distributions.into_iter().map(Arc::new).collect();
+        let slots = &self.keys_by_circuit[self.key_start[range.start]..self.key_start[range.end]];
         let mut requested = 0;
-        let mut entries = Vec::new();
-        for ((&key, &circuit), &count) in
-            self.keys.iter().zip(&self.circuit_of_key).zip(&self.key_count)
-        {
-            if range.contains(&circuit) {
-                requested += count;
-                entries.push((key, Arc::clone(&shared[circuit - range.start])));
-            }
+        let mut entries = Vec::with_capacity(slots.len());
+        for &slot in slots {
+            requested += self.key_count[slot];
+            let distribution = &shared[self.circuit_of_key[slot] - range.start];
+            entries.push((self.keys[slot], Arc::clone(distribution)));
         }
         ExecutionResults::from_entries(entries, requested, range.len() as u64)
     }
@@ -522,7 +543,8 @@ pub fn execute_requests(
             ),
         });
     }
-    let distributions = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let distributions =
+        outcomes.into_iter().map(|outcome| outcome.map(Arc::new)).collect::<Result<_, _>>()?;
     Ok(batch.results(0..batch.circuits.len(), distributions))
 }
 
@@ -531,11 +553,11 @@ pub fn execute_requests(
 /// cores.
 ///
 /// By default circuits run through the compiled kernel path: each circuit is
-/// lowered to a fused [`KernelProgram`](qrcc_sim::compile::KernelProgram)
-/// memoised in a [`KernelCache`], so QRCC's deduplicated variant batches —
-/// which differ only in their init prologue and measurement epilogue — share
-/// one compiled body, and read out with
-/// [`FramedProgram::classical_distribution`](qrcc_sim::compile::FramedProgram::classical_distribution).
+/// lowered to a fused [`FramedProgram`] on the thread that runs it — nothing
+/// compiled is kept, and no lock is shared — and read out with
+/// [`FramedProgram::classical_distribution`]. What was compiled is summed
+/// into [`CompileCounters`] and read by
+/// [`compile_stats`](ExecutionBackend::compile_stats).
 ///
 /// **Cost model.** Terminal measurements (wire never used again, clbit never
 /// rewritten) do not branch: they are marginalised out of the final state in
@@ -561,7 +583,7 @@ pub fn execute_requests(
 pub struct ExactBackend {
     count: AtomicU64,
     max_qubits: Option<usize>,
-    kernels: KernelCache,
+    compiled: CompileCounters,
     use_compiled: bool,
 }
 
@@ -577,7 +599,7 @@ impl ExactBackend {
         ExactBackend {
             count: AtomicU64::new(0),
             max_qubits: None,
-            kernels: KernelCache::new(),
+            compiled: CompileCounters::new(),
             use_compiled: !interpreted_forced_by_env(),
         }
     }
@@ -599,11 +621,6 @@ impl ExactBackend {
         self
     }
 
-    /// The backend's kernel cache (empty when running interpreted).
-    pub fn kernel_cache(&self) -> &KernelCache {
-        &self.kernels
-    }
-
     fn check_width(&self, circuit: &Circuit) -> Result<(), CoreError> {
         match self.max_qubits {
             Some(max) if circuit.num_qubits() > max => {
@@ -619,7 +636,9 @@ impl ExactBackend {
     fn distribution(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
         self.check_width(circuit)?;
         if self.use_compiled {
-            Ok(self.kernels.get_or_compile(circuit).classical_distribution()?)
+            let program = FramedProgram::compile(circuit);
+            self.compiled.add(&program);
+            Ok(program.classical_distribution()?)
         } else {
             Ok(classical_distribution(circuit)?)
         }
@@ -659,7 +678,7 @@ impl ExecutionBackend for ExactBackend {
     }
 
     fn compile_stats(&self) -> Option<CompileStats> {
-        self.use_compiled.then(|| self.kernels.stats())
+        self.use_compiled.then(|| self.compiled.stats())
     }
 }
 
@@ -667,8 +686,8 @@ impl ExecutionBackend for ExactBackend {
 /// noisy) with a fixed shot budget and reports the empirical distribution.
 ///
 /// What a shot costs is the device's business ([`Device::execute`]): on a
-/// noiseless device a circuit is one sampled readout of its compiled program
-/// — shots are dealt out at the measurements that have to branch, so qubit
+/// noiseless device a circuit is compiled on the thread that runs it and
+/// read out once, sampled — shots are dealt out at the measurements that have to branch, so qubit
 /// reuse and measuring gate-cut instances cost a few more sweeps per
 /// circuit, not a fresh simulation per shot — and on a noisy one every shot
 /// is its own per-gate trajectory.
@@ -1067,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_batches_share_compiled_kernel_bodies() {
+    fn compile_stats_sum_every_circuit_the_backend_ran() {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
         let plan = CutPlanner::new(
@@ -1081,13 +1100,23 @@ mod tests {
         let backend = ExactBackend::new();
         let compiled = execute_requests(&fragments, &requests, &backend).unwrap();
         if !interpreted_forced_by_env() {
-            let stats = backend.compile_stats().expect("compiled backend records stats");
-            assert!(stats.gates_in > 0);
-            assert!(stats.cache_misses > 0, "first batch compiles bodies: {stats}");
-            // a second identical batch reuses the compiled bodies
+            // the counters the threads added to are the sum of what each
+            // circuit's own compile reports, and a repeat adds it again
+            let batch = prepare_batch(&fragments, &requests).unwrap();
+            let mut expected = CompileStats::default();
+            for circuit in &batch.circuits {
+                expected.merge(FramedProgram::compile(circuit).stats());
+            }
+            assert!(expected.gates_in > 0 && expected.terminal_measures > 0);
+            assert_eq!(backend.compile_stats(), Some(expected.clone()));
             execute_requests(&fragments, &requests, &backend).unwrap();
+            let twice = expected.clone();
+            expected.merge(&twice);
             let stats = backend.compile_stats().expect("stats persist across batches");
-            assert!(stats.cache_hits > 0, "repeated batches share compiled bodies: {stats}");
+            assert_eq!(stats, expected);
+            assert_eq!(stats.fusion_ratio(), twice.fusion_ratio());
+            assert_eq!(stats.coverage(), twice.coverage());
+            assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats}");
         }
         let interpreted_backend = ExactBackend::interpreted();
         let interpreted = execute_requests(&fragments, &requests, &interpreted_backend).unwrap();
@@ -1174,6 +1203,65 @@ mod tests {
             shots(7).run_variants(&with_shots),
             shots(7).run_batch_with_shots(&copied, &counts)
         );
+    }
+
+    /// Every `(key, distribution bits)` of `results`, with its accounting.
+    fn bitwise(results: &ExecutionResults) -> (Vec<(VariantKey, Vec<u64>)>, u64, u64) {
+        let entries = results
+            .iter()
+            .map(|(&key, d)| (key, d.iter().map(|v| v.to_bits()).collect()))
+            .collect();
+        (entries, results.requested(), results.executed())
+    }
+
+    #[test]
+    fn one_circuit_chunks_merge_to_the_single_chunk_results() {
+        let (circuit, graph) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
+        let config = QrccConfig::new(4)
+            .with_subcircuit_range(2, 3)
+            .with_gate_cuts(true)
+            .with_ilp_time_limit(Duration::ZERO);
+        let plan = CutPlanner::new(config).plan(&circuit).unwrap();
+        let set = FragmentSet::from_plan(&plan).unwrap();
+        let observable = qrcc_circuit::observable::PauliObservable::maxcut(&graph);
+        let requests = crate::reconstruct::ExpectationReconstructor::new()
+            .requests(&set, &observable)
+            .unwrap();
+        let batch = prepare_batch(&set, &requests).unwrap();
+        assert!(batch.keys.len() > batch.circuits.len(), "keys share circuits");
+
+        let mut registry = crate::schedule::DeviceRegistry::new();
+        registry.register("exact", ExactBackend::new());
+        let run = |chunk_size| {
+            let policy = crate::SchedulePolicy::default().with_chunk_size(chunk_size);
+            let scheduler = crate::schedule::Scheduler::new(&registry, policy);
+            let mut chunks = Vec::new();
+            scheduler
+                .execute_chunked(&set, &requests, |chunk| {
+                    chunks.push(chunk);
+                    Ok(())
+                })
+                .unwrap();
+            chunks
+        };
+        let single = run(0);
+        assert_eq!(single.len(), 1);
+        let chunks = run(1);
+        assert_eq!(chunks.len(), batch.circuits.len());
+        let mut merged = ExecutionResults::default();
+        for (circuit, chunk) in chunks.into_iter().enumerate() {
+            // each chunk holds exactly the keys of its one circuit
+            let keys: Vec<VariantKey> = chunk.iter().map(|(&key, _)| key).collect();
+            let mut expected: Vec<VariantKey> = (0..batch.keys.len())
+                .filter(|&slot| batch.circuit_of_key[slot] == circuit)
+                .map(|slot| batch.keys[slot])
+                .collect();
+            expected.sort();
+            assert_eq!(keys, expected, "circuit {circuit}");
+            merged.extend(chunk);
+        }
+        assert_eq!(bitwise(&merged), bitwise(&single[0]));
+        assert_eq!(merged.requested(), requests.len() as u64);
     }
 
     fn chain_fragments() -> FragmentSet {

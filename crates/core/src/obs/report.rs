@@ -121,9 +121,6 @@ pub mod adapt {
             .with_counter("compile.terminal_measures", stats.terminal_measures)
             .with_counter("compile.branch_points", stats.branch_points)
             .with_counter("compile.eliminated_gates", stats.eliminated_gates)
-            .with_counter("compile.cache_hits", stats.cache_hits)
-            .with_counter("compile.cache_misses", stats.cache_misses)
-            .with_counter("compile.cache_evictions", stats.cache_evictions)
             .with_gauge("compile.fusion_ratio", stats.fusion_ratio())
     }
 

@@ -309,15 +309,6 @@ fn scatter_bits(value: usize, positions: &[usize]) -> usize {
     positions.iter().enumerate().fold(0, |acc, (bit, &pos)| acc | ((value >> bit) & 1) << pos)
 }
 
-/// `-value` when `bits` has odd parity, `value` otherwise.
-fn signed_by_parity(value: f64, bits: usize) -> f64 {
-    if bits.count_ones() & 1 == 1 {
-        -value
-    } else {
-        value
-    }
-}
-
 /// One executed variant's wire-cut slots, reduced to the tensor entries it
 /// can touch at all — the sum-factorised form of Eq. (3) both folds share.
 ///
@@ -410,17 +401,89 @@ impl WireSlots {
         (1u64 << self.z_positions.len()) as f64
     }
 
-    /// The Z slots' cut bits of `outcome`, compacted (slot `s` → bit `s`).
-    fn z_key(&self, outcome: usize) -> usize {
-        gather_bits(outcome, &self.z_positions)
-    }
-
     /// Entry offset of the outgoing combo whose Z slots read `z_key`.
     fn out_index(&self, z_key: usize) -> usize {
         self.z_strides
             .iter()
             .enumerate()
             .fold(self.out_base, |acc, (slot, &stride)| acc + ((z_key >> slot) & 1) * stride)
+    }
+}
+
+/// Where one outcome lands in a fold — its payload or table index, its
+/// outgoing entry offset and the parity that signs it — tabulated per
+/// variant over the low and the high half of the outcome bits, as the
+/// simulator's readout tabulates clbit masks: an outcome joins one entry of
+/// each half instead of gathering its bits one at a time.
+#[derive(Debug, Clone, Default)]
+struct OutcomeTables {
+    low: Vec<Spot>,
+    high: Vec<Spot>,
+    /// What each outcome bit alone contributes (a buffer reused per variant).
+    bits: Vec<Spot>,
+}
+
+/// A set of outcome bits' share of where the outcome lands: output bits
+/// (or-ed), outgoing offset (added) and sign parity (xor-ed) — each half's
+/// share is exact, so joining two halves gives what the bit-by-bit gather
+/// gave.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spot {
+    y: usize,
+    out: usize,
+    odd: bool,
+}
+
+impl Spot {
+    fn join(self, other: Spot) -> Spot {
+        Spot { y: self.y | other.y, out: self.out + other.out, odd: self.odd != other.odd }
+    }
+}
+
+impl OutcomeTables {
+    /// Tabulates the outcomes of a `len`-entry distribution: bit `i` of an
+    /// outcome's `y` is its bit `y_positions[i]`, its `out` adds `stride`
+    /// for each `(position, stride)` of `strided` whose bit it has set, and
+    /// it is odd when it has an odd number of `sign_mask`'s bits. Returns
+    /// the number of outcomes per low-half table.
+    fn build(
+        &mut self,
+        len: usize,
+        y_positions: &[usize],
+        strided: impl Iterator<Item = (usize, usize)>,
+        sign_mask: usize,
+    ) -> usize {
+        // enough bits to index every entry, even of a mis-sized distribution
+        let clbits = len.checked_sub(1).map_or(0, |last| usize::BITS - last.leading_zeros());
+        let clbits = clbits as usize;
+        self.bits.clear();
+        self.bits.resize(clbits, Spot::default());
+        for (i, &position) in y_positions.iter().enumerate() {
+            if let Some(bit) = self.bits.get_mut(position) {
+                bit.y = 1 << i;
+            }
+        }
+        for (position, stride) in strided {
+            if let Some(bit) = self.bits.get_mut(position) {
+                bit.out = stride;
+            }
+        }
+        for (position, bit) in self.bits.iter_mut().enumerate() {
+            bit.odd = sign_mask >> position & 1 == 1;
+        }
+        let (low, high) = self.bits.split_at(clbits / 2);
+        fill(&mut self.low, low);
+        fill(&mut self.high, high);
+        self.low.len()
+    }
+}
+
+/// Fills `table[v]` with the join of `bits[i]` over the set bits `i` of `v`.
+fn fill(table: &mut Vec<Spot>, bits: &[Spot]) {
+    table.clear();
+    table.resize(1 << bits.len(), Spot::default());
+    for v in 1..table.len() {
+        table[v] = table[v & (v - 1)].join(bits[v.trailing_zeros() as usize]);
     }
 }
 
@@ -445,6 +508,7 @@ pub(crate) trait Fold {
 pub(crate) struct FragmentFolder {
     output_bit_positions: Vec<usize>,
     slots: WireSlots,
+    tables: OutcomeTables,
 }
 
 impl FragmentFolder {
@@ -464,6 +528,7 @@ impl FragmentFolder {
         let folder = FragmentFolder {
             output_bit_positions: fragment.output_clbits.iter().map(|&(_, clbit)| clbit).collect(),
             slots: WireSlots::new(fragment),
+            tables: OutcomeTables::default(),
         };
         (tensor, folder)
     }
@@ -493,22 +558,30 @@ impl CutTensor {
     /// [`refresh_active`](CutTensor::refresh_active) (or prune) once folding
     /// is complete.
     ///
-    /// Cost: `O(2^c · (c + 3^in))` for a `c`-clbit distribution — each
-    /// non-zero outcome writes its one outgoing combo under the variant's
-    /// `≤ 3^in` incoming terms, never the `4^in · 4^out` component grid.
+    /// Cost: `O(2^c · 3^in + 2^(c/2) · c)` for a `c`-clbit distribution —
+    /// each non-zero outcome writes its one outgoing combo under the
+    /// variant's `≤ 3^in` incoming terms, never the `4^in · 4^out` component
+    /// grid, and finds it by joining two half-width table entries.
     pub(crate) fn fold_partial(&mut self, folder: &mut FragmentFolder, ordinal: u64, dist: &[f64]) {
         let slots = &mut folder.slots;
         slots.select(&self.strides, ordinal);
         let scale = slots.out_scale();
-        for (outcome, &p) in dist.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let y = gather_bits(outcome, &folder.output_bit_positions);
-            let weight = signed_by_parity(scale * p, outcome & slots.sign_mask);
-            let idx_out = slots.out_index(slots.z_key(outcome));
-            for &(idx_in, in_weight) in &slots.in_terms {
-                self.data[(idx_in + idx_out) * self.payload_len + y] += in_weight * weight;
+        let strided = slots.z_positions.iter().copied().zip(slots.z_strides.iter().copied());
+        let tables = &mut folder.tables;
+        let low_len =
+            tables.build(dist.len(), &folder.output_bit_positions, strided, slots.sign_mask);
+        // outcome `high · low_len + low`, in ascending outcome order
+        for (&high, chunk) in tables.high.iter().zip(dist.chunks(low_len)) {
+            for (&low, &p) in tables.low.iter().zip(chunk) {
+                if p == 0.0 {
+                    continue;
+                }
+                let spot = low.join(high);
+                let weight = if spot.odd { -(scale * p) } else { scale * p };
+                let idx_out = slots.out_base + spot.out;
+                for &(idx_in, in_weight) in &slots.in_terms {
+                    self.data[(idx_in + idx_out) * self.payload_len + spot.y] += in_weight * weight;
+                }
             }
         }
     }
@@ -550,6 +623,7 @@ pub(crate) struct SignatureFolder {
     /// `read_positions`.
     cells: Vec<usize>,
     table: Vec<f64>,
+    outcomes: OutcomeTables,
 }
 
 impl SignatureFolder {
@@ -598,12 +672,14 @@ impl SignatureFolder {
             slots: WireSlots::new(fragment),
             cells: Vec::new(),
             table: Vec::new(),
+            outcomes: OutcomeTables::default(),
         }
     }
 }
 
-/// Cost per variant: one `O(2^c · (#Z + r))` pass builds the signed table
-/// over the `#Z` Z-basis cut bits and the `r` read output bits, one
+/// Cost per variant: one `O(2^c)` pass over half-width outcome tables
+/// (`O(2^(c/2) · c)` to build) fills the signed table over the `#Z` Z-basis
+/// cut bits and the `r` read output bits, one
 /// `O(r · 2^(#Z + r))` Walsh–Hadamard pass gives every read-bit parity sum,
 /// and per term one pass over the `2^#Z` outgoing combos writes the entries
 /// that can be non-zero.
@@ -641,10 +717,14 @@ impl Fold for SignatureFolder {
         self.cells.extend(&self.read_positions);
         self.table.clear();
         self.table.resize(1 << self.cells.len(), 0.0);
-        for (outcome, &p) in dist.iter().enumerate() {
-            if p != 0.0 {
-                self.table[gather_bits(outcome, &self.cells)] +=
-                    signed_by_parity(p, outcome & sign_mask);
+        let tables = &mut self.outcomes;
+        let low_len = tables.build(dist.len(), &self.cells, std::iter::empty(), sign_mask);
+        for (&high, chunk) in tables.high.iter().zip(dist.chunks(low_len)) {
+            for (&low, &p) in tables.low.iter().zip(chunk) {
+                if p != 0.0 {
+                    let spot = low.join(high);
+                    self.table[spot.y] += if spot.odd { -p } else { p };
+                }
             }
         }
         // Walsh–Hadamard over the read bits: cell `z | m << #Z` becomes the

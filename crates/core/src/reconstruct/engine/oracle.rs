@@ -14,8 +14,11 @@
 //!   gathers each fragment's payload index bit by bit per output — so the
 //!   sum-factorised, signature-grouped folds and the output-sliced readout
 //!   are checked against Eq. (3) as written, not against themselves.
+//! * The probability fold as it gathered each outcome's bits one at a time,
+//!   the bitwise reference for its half-width outcome tables, and the
+//!   gather itself, the reference for where the tables place each outcome.
 
-use super::{CutTensor, Leg};
+use super::{gather_bits, CutTensor, FragmentFolder, Leg, OutcomeTables};
 use crate::fragment::{CutBasis, Fragment, FragmentSet, InitState, VariantKey};
 use crate::gatecut::instance_measures;
 use crate::reconstruct::{cut_bit_weight, init_weight, mixed_radix, required_basis, Odometer};
@@ -204,6 +207,40 @@ pub(super) fn fold_partial(
                     .sum();
                 tensor.data[(idx_in + idx_out) * tensor.payload_len + y] += w;
             }
+        }
+    }
+}
+
+/// `-value` when `bits` has odd parity, `value` otherwise.
+fn signed_by_parity(value: f64, bits: usize) -> f64 {
+    if bits.count_ones() & 1 == 1 {
+        -value
+    } else {
+        value
+    }
+}
+
+/// The probability fold gathering each outcome's output bits and Z cut bits
+/// one at a time — what [`CutTensor::fold_partial`] computed before its
+/// half-width tables, addition for addition.
+pub(super) fn gather_fold_partial(
+    tensor: &mut CutTensor,
+    folder: &mut FragmentFolder,
+    ordinal: u64,
+    dist: &[f64],
+) {
+    let slots = &mut folder.slots;
+    slots.select(&tensor.strides, ordinal);
+    let scale = slots.out_scale();
+    for (outcome, &p) in dist.iter().enumerate() {
+        if p == 0.0 {
+            continue;
+        }
+        let y = gather_bits(outcome, &folder.output_bit_positions);
+        let weight = signed_by_parity(scale * p, outcome & slots.sign_mask);
+        let idx_out = slots.out_index(gather_bits(outcome, &slots.z_positions));
+        for &(idx_in, in_weight) in &slots.in_terms {
+            tensor.data[(idx_in + idx_out) * tensor.payload_len + y] += in_weight * weight;
         }
     }
 }
@@ -529,6 +566,67 @@ mod tests {
                 }
             }
             assert_close(&chunked, &want)?;
+        }
+
+        /// Every outcome of a (possibly mis-sized) distribution lands where
+        /// gathering its bits one at a time puts it: the tables' output
+        /// index, strided offset and sign parity are the gather's.
+        #[test]
+        fn outcome_tables_place_every_outcome_as_the_gather_did(
+            len in 0..600usize,
+            picks in collection::vec((0..10usize, 0..3u8, 1..50usize), 0..10),
+            sign_mask in 0..1024usize,
+        ) {
+            let mut y_positions = Vec::new();
+            let mut strided = Vec::new();
+            for (position, role, stride) in picks {
+                let taken = y_positions.contains(&position)
+                    || strided.iter().any(|&(p, _)| p == position);
+                match role {
+                    _ if taken => {}
+                    0 => y_positions.push(position),
+                    1 => strided.push((position, stride)),
+                    _ => {}
+                }
+            }
+            let mut tables = OutcomeTables::default();
+            let low_len = tables.build(len, &y_positions, strided.iter().copied(), sign_mask);
+            prop_assert!(tables.low.len() * tables.high.len() >= len);
+            for outcome in 0..len {
+                let spot = tables.low[outcome % low_len].join(tables.high[outcome / low_len]);
+                prop_assert_eq!(spot.y, gather_bits(outcome, &y_positions));
+                let out: usize =
+                    strided.iter().map(|&(p, stride)| (outcome >> p & 1) * stride).sum();
+                prop_assert_eq!(spot.out, out);
+                prop_assert_eq!(spot.odd, (outcome & sign_mask).count_ones() % 2 == 1);
+            }
+        }
+
+        /// The table-driven probability fold makes the gathering fold's
+        /// additions in the gathering fold's order: equal bit for bit, also
+        /// on a distribution shorter than the fragment's clbits.
+        #[test]
+        fn probability_fold_tables_match_the_gathering_fold_bitwise(
+            num_in in 0..4usize,
+            num_out in 0..4usize,
+            outputs in 0..4usize,
+            cut_short in 0..3usize,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Rng(seed);
+            let fragment = fragment(&mut rng, num_in, num_out, 0, outputs);
+            let batch = executed(&mut rng, &fragment);
+            let (mut want, mut gathering) = FragmentFolder::probability(&fragment);
+            let (mut got, mut folder) = FragmentFolder::probability(&fragment);
+            for (ordinal, dist) in &batch {
+                gather_fold_partial(&mut want, &mut gathering, *ordinal, dist);
+                got.fold_partial(&mut folder, *ordinal, dist);
+                let short = &dist[..dist.len() >> cut_short.min(dist.len().trailing_zeros() as usize)];
+                gather_fold_partial(&mut want, &mut gathering, *ordinal, short);
+                got.fold_partial(&mut folder, *ordinal, short);
+            }
+            let bits = |t: &CutTensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 

@@ -80,7 +80,7 @@ pub struct ScheduleReport {
     pub dispatch: DispatchStats,
     /// Kernel-compilation statistics merged across the registry's compiled
     /// simulator backends, read once after the last chunk: gates lowered,
-    /// kernels emitted, fusion ratio, kernel-cache hit rate, and how many
+    /// kernels emitted, fusion ratio, coverage, and how many
     /// measures were terminal against how many branch points exact readout
     /// split at. Cumulative over the backends' lifetimes, not per run;
     /// `None` when every backend interprets gate-by-gate (or is remote).

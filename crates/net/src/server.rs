@@ -1102,10 +1102,10 @@ fn serve_batch(
         /// rejection.
         Rejected(CoreError),
         /// Served entirely from the result cache — no backend call.
-        Cached(Vec<f64>),
+        Cached(Arc<Vec<f64>>),
         /// Runs on the backend; a delta hit carries the cached base
         /// distribution to merge with the fresh top-up.
-        Execute { delta: Option<(Vec<f64>, u64)> },
+        Execute { delta: Option<(Arc<Vec<f64>>, u64)> },
     }
 
     // Build and statically pre-flight every circuit; rejected circuits fail
@@ -1200,7 +1200,7 @@ fn serve_batch(
     for (index, slot) in slots.into_iter().enumerate() {
         let outcome = match slot {
             Slot::Rejected(rejection) => Err(rejection),
-            Slot::Cached(distribution) => Ok(distribution),
+            Slot::Cached(distribution) => Ok(Arc::unwrap_or_clone(distribution)),
             Slot::Execute { delta } => {
                 let ran = executed.next();
                 let fresh = results.next().unwrap_or_else(|| {

@@ -2,8 +2,8 @@
 //!
 //! The interpreted simulator walks a circuit one [`Operation`] at a time,
 //! paying one full amplitude sweep per gate. This module compiles the circuit
-//! **once** into a [`KernelProgram`] — a flat list of [`Kernel`]s — and
-//! executes that instead:
+//! **once** into a [`FramedProgram`] — a flat list of [`Kernel`]s with its
+//! measurements classified — and executes that instead:
 //!
 //! * **Fusion** — adjacent single-qubit gates on the same wire (including
 //!   runs separated only by operations on *other* wires, which commute) are
@@ -22,15 +22,15 @@
 //!   portable build elsewhere; the dense two-qubit class always runs
 //!   portable. Both builds come from one source without fused multiply-add,
 //!   so amplitudes are bit-identical whichever runs.
-//! * **Caching** — [`KernelCache`] keys compiled bodies by
-//!   [`Circuit::structural_hash`], splitting each request into a
-//!   single-qubit init **prologue**, a shared **body**, and a
-//!   measurement/basis-rotation **epilogue**. QRCC's deduplicated variant
-//!   batches differ only in those frames, so thousands of variants share one
-//!   compiled body and only the cheap frames are compiled per request.
+//! * **Compiled where it runs** — a backend compiles each circuit with
+//!   [`FramedProgram::compile`] on the thread that runs it and keeps
+//!   nothing: lowering is one linear pass, cheaper than looking a compiled
+//!   body up under a shared lock, and a parameter sweep (every new angle a
+//!   new circuit) leaves no compiled code resident. What it compiled is
+//!   summed into [`CompileCounters`] with relaxed atomic adds.
 //!
 //! * **Readout** — each [`FramedProgram`] classifies its measurements once,
-//!   in one reverse pass over prologue + body + epilogue: a measure is
+//!   in one reverse pass over its kernels: a measure is
 //!   *terminal* when no later kernel touches its wire and no later measure
 //!   rewrites its clbit; every other measure and every reset is a *branch
 //!   point*. The exact readout ([`FramedProgram::read_out`]) and the
@@ -46,8 +46,9 @@
 //!   all-measured fragment is one sweep either way.
 //!
 //! [`CompileStats`] reports how much of the circuit lowered to fused or
-//! specialized kernels and how its measurements classified; backends
-//! surface it through `ReconstructionReport` in `qrcc-core`.
+//! specialized kernels and how its measurements classified; backends sum
+//! it over what they ran and surface it through `ScheduleReport` in
+//! `qrcc-core`.
 //!
 //! ```rust
 //! use qrcc_circuit::Circuit;
@@ -64,23 +65,21 @@
 //!
 //! [`Operation`]: qrcc_circuit::Operation
 
-mod cache;
 mod kernel;
 mod readout;
 mod stats;
 
-pub use cache::KernelCache;
 pub use kernel::{avx2_sweeps, Kernel, PAR_THRESHOLD};
 pub(crate) use readout::Measurements;
 pub use readout::{ExactReadout, SampledReadout};
-pub use stats::{CompileStats, FamilyStats};
+pub use stats::{CompileCounters, CompileStats, FamilyStats};
 
 use crate::matrix::{matmul2, single_qubit_matrix, two_qubit_matrix, Matrix2};
 use crate::{Complex, SimError, StateVector};
 use qrcc_circuit::{Circuit, Gate, Operation};
 use rand::Rng;
-use stats::Bucket;
-use std::sync::Arc;
+use stats::{family, Bucket, Tally};
+use std::sync::OnceLock;
 
 /// Whether the `QRCC_SIM_INTERPRETED` environment variable forces the
 /// interpreted (per-gate) execution path. Backends consult this once at
@@ -104,19 +103,15 @@ fn is_one(c: Complex) -> bool {
 /// A run of single-qubit gates on one wire, folded into one matrix.
 struct Pending {
     m: Matrix2,
-    gates: Vec<&'static str>,
+    /// Family of the run's first gate: tallied when a second gate joins
+    /// (every gate of a longer run is fused) or when the run is flushed alone.
+    first: usize,
+    len: u64,
 }
 
-/// Lowers an operation slice into `kernels`, fusing and specializing, and
-/// records every gate's outcome in `stats`. `Measure`/`Reset` kernels carry
-/// their index **relative to `ops`**; callers embedding a slice of a larger
-/// circuit add their own offset when reporting errors.
-pub(crate) fn lower_ops(
-    num_qubits: usize,
-    ops: &[Operation],
-    kernels: &mut Vec<Kernel>,
-    stats: &mut CompileStats,
-) {
+/// Lowers `ops` into `kernels`, fusing and specializing, and tallies every
+/// gate's outcome. `Measure`/`Reset` kernels carry their index in `ops`.
+fn lower(num_qubits: usize, ops: &[Operation], kernels: &mut Vec<Kernel>, tally: &mut Tally) {
     let mut pending: Vec<Option<Pending>> = (0..num_qubits).map(|_| None).collect();
     for (op_index, op) in ops.iter().enumerate() {
         match op {
@@ -127,36 +122,40 @@ pub(crate) fn lower_ops(
                     // Later gates multiply from the left: state' = m · run · state.
                     Some(p) => {
                         p.m = matmul2(&m, &p.m);
-                        p.gates.push(gate.name());
+                        if p.len == 1 {
+                            tally.record_gate(p.first, Bucket::Fused);
+                        }
+                        tally.record_gate(family(gate), Bucket::Fused);
+                        p.len += 1;
                     }
-                    None => pending[q] = Some(Pending { m, gates: vec![gate.name()] }),
+                    None => pending[q] = Some(Pending { m, first: family(gate), len: 1 }),
                 }
             }
             Operation::Two { gate, qubits } => {
-                flush(&mut pending, qubits[0].index(), kernels, stats);
-                flush(&mut pending, qubits[1].index(), kernels, stats);
-                lower_two(gate, qubits[0].index(), qubits[1].index(), kernels, stats);
+                flush(&mut pending, qubits[0].index(), kernels, tally);
+                flush(&mut pending, qubits[1].index(), kernels, tally);
+                lower_two(gate, qubits[0].index(), qubits[1].index(), kernels, tally);
             }
             Operation::Measure { qubit, clbit } => {
-                flush(&mut pending, qubit.index(), kernels, stats);
+                flush(&mut pending, qubit.index(), kernels, tally);
                 kernels.push(Kernel::Measure { qubit: qubit.index(), clbit: *clbit, op_index });
-                stats.control_kernels += 1;
+                tally.control_kernels += 1;
             }
             Operation::Reset { qubit } => {
-                flush(&mut pending, qubit.index(), kernels, stats);
+                flush(&mut pending, qubit.index(), kernels, tally);
                 kernels.push(Kernel::Reset { qubit: qubit.index(), op_index });
-                stats.control_kernels += 1;
+                tally.control_kernels += 1;
             }
             Operation::Barrier { .. } => {
                 // An ordering fence: nothing fuses across a barrier.
                 for q in 0..num_qubits {
-                    flush(&mut pending, q, kernels, stats);
+                    flush(&mut pending, q, kernels, tally);
                 }
             }
         }
     }
     for q in 0..num_qubits {
-        flush(&mut pending, q, kernels, stats);
+        flush(&mut pending, q, kernels, tally);
     }
 }
 
@@ -164,18 +163,13 @@ pub(crate) fn lower_ops(
 /// kernel its matrix admits. Zero tests are exact: gate matrices contain
 /// exact 0.0 entries and products preserve them, so e.g. a run of diagonal
 /// gates always classifies as diagonal.
-fn flush(
-    pending: &mut [Option<Pending>],
-    q: usize,
-    kernels: &mut Vec<Kernel>,
-    stats: &mut CompileStats,
-) {
+fn flush(pending: &mut [Option<Pending>], q: usize, kernels: &mut Vec<Kernel>, tally: &mut Tally) {
     let Some(p) = pending[q].take() else { return };
     let m = p.m;
     let off_diag_zero = is_zero(m[0][1]) && is_zero(m[1][0]);
     let diag_zero = is_zero(m[0][0]) && is_zero(m[1][1]);
     let kernel = if off_diag_zero && is_one(m[0][0]) && is_one(m[1][1]) {
-        stats.eliminated_gates += p.gates.len() as u64;
+        tally.eliminated_gates += p.len;
         None
     } else if off_diag_zero {
         Some(Kernel::Diag1 { qubit: q, p0: m[0][0], p1: m[1][1] })
@@ -188,29 +182,23 @@ fn flush(
     // kernel, so it counts as fused: only gates reaching the generic dense
     // two-qubit fallback in `lower_two` land in the general bucket. Singleton
     // runs whose matrix classifies as diagonal/anti-diagonal (or folds to the
-    // identity) report as specialized instead.
-    let singleton_bucket = match kernel {
-        Some(Kernel::Unary { .. }) => Bucket::Fused,
-        _ => Bucket::Specialized,
-    };
-    let bucket = if p.gates.len() >= 2 { Bucket::Fused } else { singleton_bucket };
-    for name in &p.gates {
-        stats.record_gate(name, bucket);
+    // identity) report as specialized instead. Longer runs were tallied as
+    // fused while they grew.
+    if p.len == 1 {
+        let bucket = match kernel {
+            Some(Kernel::Unary { .. }) => Bucket::Fused,
+            _ => Bucket::Specialized,
+        };
+        tally.record_gate(p.first, bucket);
     }
     if let Some(k) = kernel {
         kernels.push(k);
-        stats.kernels_out += 1;
+        tally.kernels_out += 1;
     }
 }
 
 /// Lowers a two-qubit gate directly to its specialized kernel class.
-fn lower_two(
-    gate: &Gate,
-    qa: usize,
-    qb: usize,
-    kernels: &mut Vec<Kernel>,
-    stats: &mut CompileStats,
-) {
+fn lower_two(gate: &Gate, qa: usize, qb: usize, kernels: &mut Vec<Kernel>, tally: &mut Tally) {
     let m = two_qubit_matrix(gate);
     let (k, bucket) = match gate {
         Gate::Cz | Gate::CPhase(_) | Gate::Rzz(_) => {
@@ -223,132 +211,69 @@ fn lower_two(
         ),
         _ => (Kernel::Two { qa, qb, m }, Bucket::General),
     };
-    stats.record_gate(gate.name(), bucket);
+    tally.record_gate(family(gate), bucket);
     kernels.push(k);
-    stats.kernels_out += 1;
+    tally.kernels_out += 1;
 }
 
-/// A circuit compiled to a flat kernel list.
+/// A circuit compiled to one flat kernel list, with its measurements
+/// classified for readout: which are terminal and where a readout has to
+/// branch.
 #[derive(Debug, Clone)]
-pub struct KernelProgram {
+pub struct FramedProgram {
     num_qubits: usize,
     num_clbits: usize,
     kernels: Vec<Kernel>,
-    stats: CompileStats,
+    measurements: Measurements,
+    tally: Tally,
+    /// The named report of `tally`, built on first read.
+    stats: OnceLock<CompileStats>,
 }
 
-impl KernelProgram {
-    /// Compiles `circuit` in one pass (no caching, no frame split).
+impl FramedProgram {
+    /// Compiles `circuit` in one pass: lowering, then one reverse pass that
+    /// classifies the measurements.
     pub fn compile(circuit: &Circuit) -> Self {
+        let (num_qubits, num_clbits) = (circuit.num_qubits(), circuit.num_clbits());
         let mut kernels = Vec::new();
-        let mut stats = CompileStats::default();
-        lower_ops(circuit.num_qubits(), circuit.operations(), &mut kernels, &mut stats);
-        KernelProgram {
-            num_qubits: circuit.num_qubits(),
-            num_clbits: circuit.num_clbits(),
+        let mut tally = Tally::default();
+        lower(num_qubits, circuit.operations(), &mut kernels, &mut tally);
+        let measurements = Measurements::of_kernels(num_qubits, num_clbits, &kernels);
+        tally.terminal_measures = measurements.terminal.len() as u64;
+        tally.branch_points = measurements.branch_points.len() as u64;
+        FramedProgram {
+            num_qubits,
+            num_clbits,
             kernels,
-            stats,
+            measurements,
+            tally,
+            stats: OnceLock::new(),
         }
+    }
+
+    /// Compilation telemetry for this program.
+    pub fn stats(&self) -> &CompileStats {
+        self.stats.get_or_init(|| self.tally.stats())
+    }
+
+    /// The counts behind [`stats`](Self::stats), unnamed.
+    pub(crate) fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
+    /// Number of qubits the program acts on.
+    pub fn num_qubits(&self) -> usize {
+        self.num_qubits
+    }
+
+    /// Number of classical bits the program writes.
+    pub fn num_clbits(&self) -> usize {
+        self.num_clbits
     }
 
     /// The compiled kernels, in execution order.
     pub fn kernels(&self) -> &[Kernel] {
         &self.kernels
-    }
-
-    /// Compilation telemetry for this program.
-    pub fn stats(&self) -> &CompileStats {
-        &self.stats
-    }
-
-    /// Number of qubits the program acts on.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
-    /// Number of classical bits the program writes.
-    pub fn num_clbits(&self) -> usize {
-        self.num_clbits
-    }
-}
-
-/// A compiled circuit split into a variant-specific init **prologue**, a
-/// (potentially cache-shared) **body**, and a measurement/output-basis
-/// **epilogue** — the shape [`KernelCache`] produces so deduplicated variant
-/// batches share one compiled body.
-#[derive(Debug, Clone)]
-pub struct FramedProgram {
-    num_qubits: usize,
-    num_clbits: usize,
-    prologue: Vec<Kernel>,
-    body: Arc<KernelProgram>,
-    epilogue: Vec<Kernel>,
-    /// Operation-index offsets of body/epilogue kernels in the source
-    /// circuit, for error parity with the interpreted path.
-    body_op_offset: usize,
-    epilogue_op_offset: usize,
-    /// Which measures are terminal and where the walk has to branch, over
-    /// prologue + body + epilogue.
-    measurements: Measurements,
-    stats: CompileStats,
-}
-
-impl FramedProgram {
-    /// Compiles `circuit` as a single frameless body (no cache involved).
-    pub fn compile(circuit: &Circuit) -> Self {
-        let program = KernelProgram::compile(circuit);
-        let measurements = Measurements::of_kernels(
-            circuit.num_qubits(),
-            circuit.num_clbits(),
-            program.kernels().iter(),
-        );
-        let mut stats = program.stats().clone();
-        measurements.count_into(&mut stats);
-        FramedProgram {
-            num_qubits: circuit.num_qubits(),
-            num_clbits: circuit.num_clbits(),
-            prologue: Vec::new(),
-            body: Arc::new(program),
-            epilogue: Vec::new(),
-            body_op_offset: 0,
-            epilogue_op_offset: circuit.operations().len(),
-            measurements,
-            stats,
-        }
-    }
-
-    /// Combined compilation telemetry (body + frames; cache hit/miss marked
-    /// when the program came from a [`KernelCache`]).
-    pub fn stats(&self) -> &CompileStats {
-        &self.stats
-    }
-
-    /// Number of qubits the program acts on.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
-    /// Number of classical bits the program writes.
-    pub fn num_clbits(&self) -> usize {
-        self.num_clbits
-    }
-
-    /// The shared compiled body (useful to assert cache identity in tests).
-    pub fn body(&self) -> &Arc<KernelProgram> {
-        &self.body
-    }
-
-    /// All kernels in execution order: prologue, body, epilogue.
-    pub fn kernels(&self) -> impl Iterator<Item = &Kernel> {
-        self.prologue.iter().chain(self.body.kernels()).chain(self.epilogue.iter())
-    }
-
-    fn segments(&self) -> [(&[Kernel], usize); 3] {
-        [
-            (&self.prologue[..], 0),
-            (self.body.kernels(), self.body_op_offset),
-            (&self.epilogue[..], self.epilogue_op_offset),
-        ]
     }
 
     /// Applies every kernel to `state`, failing on control kernels.
@@ -359,14 +284,12 @@ impl FramedProgram {
     /// the first measure/reset kernel — parity with
     /// [`StateVector::apply_circuit`].
     pub fn apply_unitary(&self, state: &mut StateVector) -> Result<(), SimError> {
-        for (segment, offset) in self.segments() {
-            for k in segment {
-                match k {
-                    Kernel::Measure { op_index, .. } | Kernel::Reset { op_index, .. } => {
-                        return Err(SimError::NonUnitaryCircuit { index: offset + op_index })
-                    }
-                    _ => k.apply(state.amps_mut()),
+        for k in &self.kernels {
+            match k {
+                Kernel::Measure { op_index, .. } | Kernel::Reset { op_index, .. } => {
+                    return Err(SimError::NonUnitaryCircuit { index: *op_index })
                 }
+                _ => k.apply(state.amps_mut()),
             }
         }
         Ok(())
@@ -411,8 +334,8 @@ impl FramedProgram {
     /// [`SimError::NothingToMeasure`] when the program has no classical bits
     /// and [`SimError::TooManyQubits`] past the simulator limit.
     pub fn read_out(&self) -> Result<ExactReadout, SimError> {
-        let (kernels, root) = self.readout_inputs()?;
-        Ok(readout::read_out(&kernels, &self.measurements, self.num_clbits, root))
+        let root = self.readout_root()?;
+        Ok(readout::read_out(&self.kernels, &self.measurements, self.num_clbits, root))
     }
 
     /// `shots` samples of the classical bits, drawn from `rng`: the walk of
@@ -438,16 +361,16 @@ impl FramedProgram {
         if shots == 0 {
             return Err(SimError::ZeroShots);
         }
-        let (kernels, root) = self.readout_inputs()?;
-        Ok(readout::sample(&kernels, &self.measurements, self.num_clbits, root, shots, rng))
+        let root = self.readout_root()?;
+        Ok(readout::sample(&self.kernels, &self.measurements, self.num_clbits, root, shots, rng))
     }
 
-    /// The kernel sequence and root state of a readout walk.
-    fn readout_inputs(&self) -> Result<(Vec<&Kernel>, StateVector), SimError> {
+    /// The root state of a readout walk.
+    fn readout_root(&self) -> Result<StateVector, SimError> {
         if self.num_clbits == 0 {
             return Err(SimError::NothingToMeasure);
         }
-        Ok((self.kernels().collect(), StateVector::try_new(self.num_qubits)?))
+        StateVector::try_new(self.num_qubits)
     }
 
     /// The exact distribution over classical bits — the compiled analogue of
@@ -479,7 +402,7 @@ mod tests {
     fn single_qubit_runs_fuse_to_one_kernel() {
         let mut c = Circuit::new(1);
         c.h(0).t(0).s(0).h(0).rx(0.4, 0);
-        let p = KernelProgram::compile(&c);
+        let p = FramedProgram::compile(&c);
         assert_eq!(p.stats().gates_in, 5);
         assert_eq!(p.stats().kernels_out, 1);
         assert!(p.stats().coverage() > 0.99);
@@ -493,7 +416,7 @@ mod tests {
         // must fuse into a single diagonal kernel.
         let mut c = Circuit::new(3);
         c.rz(0.3, 0).cx(1, 2).rz(0.5, 0);
-        let p = KernelProgram::compile(&c);
+        let p = FramedProgram::compile(&c);
         assert_eq!(p.stats().kernels_out, 2);
         assert!(matches!(p.kernels()[1], Kernel::Diag1 { qubit: 0, .. }));
         let sv = FramedProgram::compile(&c).run_unitary().unwrap();
@@ -504,20 +427,20 @@ mod tests {
     fn identity_runs_are_eliminated() {
         let mut c = Circuit::new(1);
         c.z(0).z(0);
-        let p = KernelProgram::compile(&c);
+        let p = FramedProgram::compile(&c);
         assert_eq!(p.stats().kernels_out, 0);
         assert_eq!(p.stats().eliminated_gates, 2);
         assert_eq!(p.stats().coverage(), 1.0);
         let mut x = Circuit::new(1);
         x.x(0).x(0);
-        assert_eq!(KernelProgram::compile(&x).stats().kernels_out, 0);
+        assert_eq!(FramedProgram::compile(&x).stats().kernels_out, 0);
     }
 
     #[test]
     fn specialization_classes_match_gate_families() {
         let mut c = Circuit::new(2);
         c.z(0).x(1).cz(0, 1).swap(0, 1).cx(0, 1).rzz(0.3, 0, 1).rxx(0.2, 0, 1);
-        let p = KernelProgram::compile(&c);
+        let p = FramedProgram::compile(&c);
         let kinds: Vec<&Kernel> = p.kernels().iter().collect();
         assert!(matches!(kinds[0], Kernel::Diag1 { .. }));
         assert!(matches!(kinds[1], Kernel::Flip1 { .. }));
@@ -537,8 +460,8 @@ mod tests {
         fused.h(0).h(0);
         let mut fenced = Circuit::new(1);
         fenced.h(0).barrier().h(0);
-        assert_eq!(KernelProgram::compile(&fused).stats().kernels_out, 1);
-        assert_eq!(KernelProgram::compile(&fenced).stats().kernels_out, 2);
+        assert_eq!(FramedProgram::compile(&fused).stats().kernels_out, 1);
+        assert_eq!(FramedProgram::compile(&fenced).stats().kernels_out, 2);
     }
 
     #[test]
@@ -560,6 +483,27 @@ mod tests {
         for (a, b) in compiled.iter().zip(&interpreted) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn counters_sum_what_each_program_reports() {
+        let mut a = Circuit::new(3);
+        a.h(0).t(0).rxx(0.2, 0, 1).x(2).x(2).cx(1, 2).measure_all();
+        let mut b = Circuit::with_clbits(2, 2);
+        b.ry(0.3, 0).measure(0, 0).reset(0).h(0).cz(0, 1).measure(0, 1);
+        let counters = CompileCounters::new();
+        let mut merged = CompileStats::default();
+        for circuit in [&a, &b, &a] {
+            let program = FramedProgram::compile(circuit);
+            counters.add(&program);
+            merged.merge(program.stats());
+        }
+        assert_eq!(counters.stats(), merged);
+        assert_eq!(merged.gates_in, 2 * 6 + 3);
+        assert_eq!(merged.eliminated_gates, 2 * 2);
+        assert_eq!((merged.terminal_measures, merged.branch_points), (2 * 3 + 1, 2));
+        assert_eq!(merged.families["rxx"].general, 2);
+        assert_eq!((merged.cache_hits, merged.cache_misses), (0, 0));
     }
 
     #[test]

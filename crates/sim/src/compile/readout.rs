@@ -31,7 +31,7 @@
 //!   O(leaves·K·2^n) for `K` kernels, plus one binomial draw per visited
 //!   node — each O(1) expected.
 
-use super::{CompileStats, Kernel};
+use super::Kernel;
 use crate::binomial::binomial;
 use crate::branching::BRANCH_PRUNE;
 use crate::statevector::Multinomial;
@@ -143,19 +143,9 @@ impl Measurements {
     }
 
     /// Classifies a kernel sequence; branch points index into it.
-    pub(super) fn of_kernels<'k>(
-        num_qubits: usize,
-        num_clbits: usize,
-        kernels: impl Iterator<Item = &'k Kernel>,
-    ) -> Self {
-        let steps: Vec<Step> = kernels.map(Step::from).collect();
+    pub(super) fn of_kernels(num_qubits: usize, num_clbits: usize, kernels: &[Kernel]) -> Self {
+        let steps: Vec<Step> = kernels.iter().map(Step::from).collect();
         Self::classify(num_qubits, num_clbits, &steps)
-    }
-
-    /// Records the classification in `stats`.
-    pub(super) fn count_into(&self, stats: &mut CompileStats) {
-        stats.terminal_measures += self.terminal.len() as u64;
-        stats.branch_points += self.branch_points.len() as u64;
     }
 }
 
@@ -290,7 +280,7 @@ impl<R: Rng> Carry for Sampled<'_, R> {
 
 /// One depth-first readout of a kernel sequence from |0…0⟩.
 pub(super) struct Walk<'a, C> {
-    kernels: &'a [&'a Kernel],
+    kernels: &'a [Kernel],
     branch_points: &'a [usize],
     deposit: Deposit,
     /// State buffers of finished siblings, reused by the next copy.
@@ -303,7 +293,7 @@ impl<'a, C: Carry> Walk<'a, C> {
     /// Walks `kernels` from `root`, which holds `share`; returns what was
     /// carried and the number of leaves it reached.
     fn run(
-        kernels: &'a [&'a Kernel],
+        kernels: &'a [Kernel],
         measurements: &'a Measurements,
         mut root: StateVector,
         carry: C,
@@ -384,7 +374,7 @@ impl<'a, C: Carry> Walk<'a, C> {
 
 /// The exact readout of `kernels` run from `root`.
 pub(super) fn read_out(
-    kernels: &[&Kernel],
+    kernels: &[Kernel],
     measurements: &Measurements,
     num_clbits: usize,
     root: StateVector,
@@ -396,7 +386,7 @@ pub(super) fn read_out(
 
 /// `shots` sampled readouts of `kernels` run from `root`, drawn from `rng`.
 pub(super) fn sample(
-    kernels: &[&Kernel],
+    kernels: &[Kernel],
     measurements: &Measurements,
     num_clbits: usize,
     root: StateVector,

@@ -3,7 +3,9 @@
 //! (e.g. the 7-qubit IBM Lagos and hypothetical 3/4-qubit devices) the paper
 //! runs subcircuits on.
 
-use crate::compile::{interpreted_forced_by_env, CompileStats, KernelCache, Measurements};
+use crate::compile::{
+    interpreted_forced_by_env, CompileCounters, CompileStats, FramedProgram, Measurements,
+};
 use crate::expectation::{expectation_from_counts, measurement_circuit};
 use crate::noise::NoiseModel;
 use crate::{Counts, SimError, StateVector};
@@ -89,8 +91,8 @@ impl DeviceConfig {
 pub struct Device {
     config: DeviceConfig,
     executions: AtomicU64,
-    /// Compiled kernel programs keyed by circuit body structural hash.
-    kernels: KernelCache,
+    /// What the compiled path compiled, summed over every execution.
+    compiled: CompileCounters,
     /// Resolved at construction: config opt-out or `QRCC_SIM_INTERPRETED`.
     use_compiled: bool,
 }
@@ -99,7 +101,12 @@ impl Device {
     /// Creates a device from its configuration.
     pub fn new(config: DeviceConfig) -> Self {
         let use_compiled = !config.interpreted && !interpreted_forced_by_env();
-        Device { config, executions: AtomicU64::new(0), kernels: KernelCache::new(), use_compiled }
+        Device {
+            config,
+            executions: AtomicU64::new(0),
+            compiled: CompileCounters::new(),
+            use_compiled,
+        }
     }
 
     /// An ideal (noiseless) device with `num_qubits` qubits.
@@ -173,13 +180,14 @@ impl Device {
     ///
     /// # Cost
     ///
-    /// A **noiseless** device runs the circuit's compiled program as one
-    /// sampled readout ([`FramedProgram::sample`]): the state is swept once
-    /// per kernel and *leaf*, not once per shot. Terminal measures never
-    /// branch; at a mid-circuit measure or reset the shots are dealt to the
-    /// two outcomes with one binomial draw and only outcomes that were dealt
-    /// a shot are followed, so there are at most `min(shots, 2^branch
-    /// points)` leaves — one for an all-measured circuit — and a leaf deals
+    /// A **noiseless** device compiles the circuit on the calling thread
+    /// ([`FramedProgram::compile`]; nothing compiled is kept) and runs the
+    /// program as one sampled readout ([`FramedProgram::sample`]): the
+    /// state is swept once per kernel and *leaf*, not once per shot.
+    /// Terminal measures never branch; at a mid-circuit measure or reset
+    /// the shots are dealt to the two outcomes with one binomial draw and
+    /// only outcomes that were dealt a shot are followed, so there are at
+    /// most `min(shots, 2^branch points)` leaves — one for an all-measured circuit — and a leaf deals
     /// its shots over `|ψ|²` as one multinomial. The cost is
     /// O(leaves·kernels·2^n) plus one O(1)-expected binomial draw per node
     /// the deals visit: it does not grow with the shots.
@@ -210,8 +218,6 @@ impl Device {
     ///   measurement or reset and the device does not support it.
     /// * [`SimError::ZeroShots`] if `shots == 0`.
     ///
-    /// [`FramedProgram::sample`]: crate::compile::FramedProgram::sample
-    /// [`FramedProgram::read_out`]: crate::compile::FramedProgram::read_out
     pub fn execute(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         self.execute_with_rng(circuit, shots, || self.next_rng())
     }
@@ -254,7 +260,8 @@ impl Device {
             // One sampled readout: the program classified its measurements
             // when it was compiled, and that is the only classification.
             self.check_width(circuit)?;
-            let program = self.kernels.get_or_compile(circuit);
+            let program = FramedProgram::compile(circuit);
+            self.compiled.add(&program);
             self.check_mid_circuit(|| program.reuses_wires())?;
             return Ok(program.sample(shots, &mut make_rng())?.counts);
         }
@@ -272,15 +279,10 @@ impl Device {
         Ok(counts)
     }
 
-    /// Cumulative kernel-compilation telemetry for this device (`None`
-    /// when the device runs the interpreted path).
+    /// Kernel-compilation telemetry summed over every circuit this device
+    /// compiled (`None` when the device runs the interpreted path).
     pub fn compile_stats(&self) -> Option<CompileStats> {
-        self.use_compiled.then(|| self.kernels.stats())
-    }
-
-    /// The device's compiled-program cache.
-    pub fn kernel_cache(&self) -> &KernelCache {
-        &self.kernels
+        self.use_compiled.then(|| self.compiled.stats())
     }
 
     fn run_single_trajectory(
@@ -488,6 +490,31 @@ mod tests {
     }
 
     #[test]
+    fn compile_stats_sum_every_circuit_the_device_compiled() {
+        let mut reuse = Circuit::with_clbits(2, 2);
+        reuse.h(0).cx(0, 1).measure(0, 0).reset(0).ry(0.7, 0).measure(0, 1);
+        let mut unmeasured = Circuit::new(2);
+        unmeasured.h(0).t(0).cz(0, 1);
+        let device = Device::new(DeviceConfig::ideal(2).with_seed(4));
+        for circuit in [&reuse, &unmeasured, &reuse] {
+            device.execute(circuit, 50).unwrap();
+        }
+        let Some(stats) = device.compile_stats() else {
+            return; // differential CI leg: the interpreted device compiles nothing
+        };
+        // an unmeasured circuit runs measured on every wire
+        let mut measured = unmeasured.clone();
+        measured.measure_all();
+        let mut expected = CompileStats::default();
+        for circuit in [&reuse, &measured, &reuse] {
+            expected.merge(FramedProgram::compile(circuit).stats());
+        }
+        assert_eq!(stats, expected);
+        // each reuse run branches twice and reads one clbit at the end
+        assert_eq!((stats.branch_points, stats.terminal_measures), (4, 2 + 2));
+    }
+
+    #[test]
     fn all_terminal_execution_samples_the_final_state_once() {
         // No branch point: the shots are the draws `sample_counts` makes from
         // the final state, in basis-index order — the seeded counts this
@@ -500,7 +527,7 @@ mod tests {
         if !device.use_compiled {
             return; // differential CI leg: the oracle runs trajectories
         }
-        let state = device.kernels.get_or_compile(&unitary).run_unitary().unwrap();
+        let state = FramedProgram::compile(&unitary).run_unitary().unwrap();
         let expected = state.sample_counts(700, &mut device.rng_for_stream(0)).unwrap();
         assert_eq!(device.execute(&measured, 700).unwrap(), expected);
         // an unmeasured circuit is measured on every wire: the same program

@@ -6,16 +6,14 @@
 //! flow:
 //!
 //! 1. **Lower** — [`compile`] turns a circuit into a flat
-//!    [`KernelProgram`](compile::KernelProgram): adjacent single-qubit gates
+//!    [`FramedProgram`](compile::FramedProgram): adjacent single-qubit gates
 //!    fuse into one 2×2 matrix, diagonal/permutation/controlled-flip gates
 //!    specialize to cheaper sweeps, the rest become cache-blocked dense
 //!    kernels. Every sweep is rayon-chunked above a size threshold with
 //!    disjoint write sets, so results are bit-identical for any thread count.
-//! 2. **Cache** — [`compile::KernelCache`] keys compiled bodies by
-//!    [`Circuit::structural_hash`](qrcc_circuit::Circuit::structural_hash);
-//!    QRCC's deduplicated variant batches differ only in their init prologue
-//!    and measurement epilogue, so thousands of variants share one compiled
-//!    body and only the frames are compiled per request.
+//! 2. **Compile where it runs** — backends compile each circuit on the
+//!    thread that runs it and keep nothing compiled; what they compiled is
+//!    summed into [`compile::CompileCounters`] without a shared lock.
 //! 3. **Execute** — compiled programs run as exact unitaries
 //!    ([`compile::FramedProgram::run_unitary`]) or are **read out**, exactly
 //!    ([`compile::FramedProgram::read_out`]) or as shots
@@ -43,7 +41,7 @@
 //!   plus mid-circuit measurement and reset (required for qubit reuse), shot
 //!   sampling and Pauli-observable expectation values. Widths are capped at
 //!   [`MAX_QUBITS`] with a typed [`SimError::TooManyQubits`] error.
-//! * [`compile`] — the kernel compiler, cache and [`compile::CompileStats`]
+//! * [`compile`] — the kernel compiler and the [`compile::CompileStats`]
 //!   coverage report described above.
 //! * [`branching`] — exact interpreted enumeration of measurement branches
 //!   (every measure branches, naive on purpose): what the interpreted

@@ -1,14 +1,13 @@
 //! Compiled kernels: inspect what the kernel compiler did to a cut
-//! workload's variant batch — fusion ratio, specialization coverage, and
-//! structural-hash cache reuse across deduplicated variants — and verify the
-//! compiled path reproduces the interpreted one.
+//! workload's variant batch — fusion ratio, specialization coverage and how
+//! the measurements classified — and verify the compiled path reproduces
+//! the interpreted one.
 //!
-//! Two distinct caches share the structural-hash key but sit at different
-//! layers: the **kernel cache** shown here memoizes *compiled gate programs*
-//! (how to simulate a circuit — reuse saves compilation, the shots still
-//! run), while the **result cache** (`qrcc_core::cache`, see the
-//! `remote_fleet` example) memoizes *executed distributions* (what a circuit
-//! produced — reuse skips the device entirely).
+//! Every circuit is compiled on the thread that runs it and nothing
+//! compiled is kept; the report sums what each circuit compiled to. What a
+//! repeated circuit can skip is its execution: the **result cache**
+//! (`qrcc_core::cache`, see the `remote_fleet` example) memoizes *executed
+//! distributions*, so a reuse skips the device entirely.
 //!
 //! Run with: `cargo run --release --example compiled_kernels`
 
@@ -44,12 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = schedule.kernel_compile.as_ref().expect("compiled backend reports stats");
     println!("kernel compiler over the variant batch:\n{stats}");
     println!(
-        "fusion ratio {:.2}x, coverage {:.1}%, {} compiled bodies shared across {} requests",
+        "fusion ratio {:.2}x, coverage {:.1}%, {} terminal measures, {} branch points",
         stats.fusion_ratio(),
         100.0 * stats.coverage(),
-        stats.cache_misses,
-        stats.cache_hits + stats.cache_misses,
+        stats.terminal_measures,
+        stats.branch_points,
     );
+    assert!(stats.fusion_ratio() > 1.0, "the single-qubit runs fuse");
 
     // 4. The interpreted opt-out produces the same distribution.
     let (probabilities_interp, _, _) = run(ExactBackend::interpreted())?;

@@ -93,7 +93,7 @@ pub mod prelude {
         RemoteBackend, ServerHandle, ServerStats,
     };
     pub use qrcc_sim::{
-        compile::{CompileStats, FramedProgram, KernelCache},
+        compile::{CompileStats, FramedProgram},
         device::{Device, DeviceConfig},
         noise::NoiseModel,
         Counts, StateVector,
