@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the batch-first execution layer: the
-//! rayon-parallel `run_batch` path against serial per-variant `run_one`
-//! execution, on a multi-fragment wire-cut workload — the paper's binding
-//! constraint at practical sizes is exactly this `4^k·6^m` variant volume.
+//! rayon-parallel batch path (one `run` call over every variant) against
+//! serial per-variant execution (one `run` call per circuit), on a
+//! multi-fragment wire-cut workload — the paper's binding constraint at
+//! practical sizes is exactly this `4^k·6^m` variant volume.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrcc_circuit::Circuit;
@@ -48,10 +49,11 @@ fn bench_batch_vs_serial(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("variant_execution");
     group.sample_size(10);
-    group.bench_function("serial_run_one", |b| {
+    group.bench_function("serial_run", |b| {
         b.iter(|| {
             let backend = ExactBackend::new();
-            let results: Vec<_> = circuits.iter().map(|c| backend.run_one(c).unwrap()).collect();
+            let results: Vec<_> = circuits.iter().map(|c| backend.run(&[c], None)).collect();
+            assert!(results.iter().flatten().all(Result::is_ok));
             results.len()
         });
     });
@@ -70,7 +72,7 @@ fn bench_batch_vs_serial(c: &mut Criterion) {
     let backend = ExactBackend::new();
     let start = Instant::now();
     for circuit in &circuits {
-        backend.run_one(circuit).unwrap();
+        backend.run(&[circuit], None).pop().unwrap().unwrap();
     }
     let serial = start.elapsed();
     let start = Instant::now();

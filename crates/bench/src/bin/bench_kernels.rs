@@ -5,9 +5,9 @@
 //! readout (terminal measures never branch) against the interpreted
 //! every-measure-branches oracle — and a `sample.*` group timing what
 //! `ShotsBackend` asks for: a noiseless device's shots, as one sampled
-//! readout of the compiled program against the interpreted device's one
-//! trajectory per shot. Writes `BENCH_kernels.json` in the working
-//! directory.
+//! readout of the compiled program against the device's trajectory oracle
+//! (`Device::execute_trajectories`, one per-gate trajectory per shot).
+//! Writes `BENCH_kernels.json` in the working directory.
 //!
 //! Usage: `cargo run --release -p qrcc-bench --bin bench_kernels [--smoke]`
 //!
@@ -134,8 +134,8 @@ fn sampling_device(circuit: &Circuit) -> Device {
 }
 
 /// Measures `shots` shots of one measured circuit on a noiseless device:
-/// the interpreted device (one per-gate trajectory per shot, best of
-/// `oracle_reps`) vs the compiled one (frames lowered and measurements
+/// its trajectory oracle (one per-gate trajectory per shot, best of
+/// `oracle_reps`) vs its execution (frames lowered and measurements
 /// classified per call, then one sampled readout, best of `reps`).
 fn measure_sampling(
     name: &str,
@@ -144,14 +144,13 @@ fn measure_sampling(
     reps: usize,
     oracle_reps: usize,
 ) -> Row {
-    let config = DeviceConfig::ideal(circuit.num_qubits()).with_seed(1);
-    let (oracle, compiled) = (Device::new(config.interpreted()), sampling_device(circuit));
+    let device = sampling_device(circuit);
     measure_with(
         name,
         circuit,
         (oracle_reps, reps),
-        |circuit| drop(oracle.execute(circuit, shots).unwrap()),
-        |_| drop(compiled.execute(circuit, shots).unwrap()),
+        |circuit| drop(device.execute_trajectories(circuit, shots, 0).unwrap()),
+        |_| drop(device.execute(circuit, shots).unwrap()),
     )
 }
 

@@ -16,6 +16,8 @@
 //! `requested > stored` is a **delta hit**: the caller executes only the
 //! top-up (`requested − stored` shots), merges via [`merge_distributions`]
 //! and writes the merged entry back, so the cache monotonically warms.
+//! [`settle`] is that write-back rule, the one the dispatcher and a remote
+//! worker both apply to what they executed.
 //! Exact entries serve any request; sampled entries never serve an exact
 //! request.
 //!
@@ -584,6 +586,31 @@ pub fn merge_distributions(
     base.iter().zip(delta).map(|(b, d)| b * wb + d * wd).collect()
 }
 
+/// How a freshly executed result settles into the cache: the distribution
+/// to deliver and store, and the shots to store it at (`None` = exact).
+///
+/// `ran` is the shots the execution spent, `None` when the backend that ran
+/// it is exact; `delta` is the cached base and its shots when the execution
+/// was a delta hit's top-up.
+///
+/// * A top-up that ran sampled is merged with its base
+///   ([`merge_distributions`]) and stored at `base + ran` shots.
+/// * A top-up that a retry re-routed onto an exact backend replaces the
+///   base and is stored as exact: it beats any sampled merge.
+/// * Any other result is stored as it came, at its own shots or as exact.
+pub fn settle(
+    fresh: Arc<Vec<f64>>,
+    ran: Option<u64>,
+    delta: Option<(Arc<Vec<f64>>, u64)>,
+) -> (Arc<Vec<f64>>, Option<u64>) {
+    match (delta, ran) {
+        (Some((base, base_shots)), Some(ran)) => {
+            (Arc::new(merge_distributions(&base, base_shots, &fresh, ran)), Some(base_shots + ran))
+        }
+        (_, ran) => (fresh, ran),
+    }
+}
+
 /// A snapshot's first line.
 fn snapshot_header() -> String {
     format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n")
@@ -840,6 +867,33 @@ mod tests {
         let merged = merge_distributions(&[1.0, 0.0], 300, &[0.0, 1.0], 100);
         assert!((merged[0] - 0.75).abs() < 1e-12);
         assert!((merged[1] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn settle_merges_a_sampled_top_up_at_the_summed_shots() {
+        let base = Arc::new(vec![1.0, 0.0]);
+        let (stored, shots) = settle(Arc::new(vec![0.0, 1.0]), Some(100), Some((base, 300)));
+        assert_eq!(*stored, merge_distributions(&[1.0, 0.0], 300, &[0.0, 1.0], 100));
+        assert_eq!(shots, Some(400));
+    }
+
+    #[test]
+    fn settle_replaces_the_base_with_a_top_up_retried_on_an_exact_backend() {
+        let fresh = Arc::new(vec![0.25, 0.75]);
+        let (stored, shots) =
+            settle(Arc::clone(&fresh), None, Some((Arc::new(vec![1.0, 0.0]), 300)));
+        assert!(Arc::ptr_eq(&stored, &fresh), "the fresh buffer, unmerged");
+        assert_eq!(shots, None);
+    }
+
+    #[test]
+    fn settle_stores_a_result_without_a_base_as_it_came() {
+        let fresh = Arc::new(vec![0.5, 0.5]);
+        for ran in [Some(64), None] {
+            let (stored, shots) = settle(Arc::clone(&fresh), ran, None);
+            assert!(Arc::ptr_eq(&stored, &fresh));
+            assert_eq!(shots, ran);
+        }
     }
 
     /// `count` distinct 2-clbit circuits that all land in one shard.

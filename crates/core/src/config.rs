@@ -118,10 +118,8 @@ impl SchedulePolicy {
 ///
 /// Every other layer owns its own policy: a [`Scheduler`] carries its
 /// [`SchedulePolicy`], a [`DeviceRegistry`] its
-/// [`ResultCachePolicy`](crate::cache::ResultCachePolicy), tracing is
-/// switched by [`tracer()`](crate::obs::tracer)`.enable()`, and the
-/// gate-by-gate interpreter is selected with
-/// [`ExactBackend::interpreted`](crate::execute::ExactBackend::interpreted).
+/// [`ResultCachePolicy`](crate::cache::ResultCachePolicy), and tracing is
+/// switched by [`tracer()`](crate::obs::tracer)`.enable()`.
 ///
 /// [`Scheduler`]: crate::schedule::Scheduler
 /// [`DeviceRegistry`]: crate::schedule::DeviceRegistry

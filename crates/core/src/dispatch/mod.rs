@@ -49,7 +49,7 @@ mod worker;
 #[cfg(any(test, feature = "testing"))]
 pub use testing::{FailureMode, FlakyBackend, QueueBackend};
 
-use crate::cache::{merge_distributions, CacheLookup};
+use crate::cache::{settle, CacheLookup};
 use crate::config::SchedulePolicy;
 use crate::execute::{BackendUsage, ExecutionResults, PreparedBatch, Shared};
 use crate::fragment::FragmentSet;
@@ -124,7 +124,7 @@ impl<'r> Dispatcher<'r> {
     ///   [`SchedulePolicy::max_retries`] times; with a retry budget of 0 the
     ///   first backend error propagates unwrapped instead.
     /// * Any error `sink` returns.
-    pub(crate) fn run_batch(
+    pub(crate) fn dispatch(
         &self,
         fragments: &FragmentSet,
         batch: &PreparedBatch,
@@ -341,19 +341,11 @@ impl<'r> Dispatcher<'r> {
                                     (Some(_), Some(executed)) => executed,
                                     (Some(per), None) => per,
                                 };
-                                let dist = Arc::new(dist);
-                                let (dist, stored_shots) = match delta_base[circuit].take() {
-                                    // a retry re-routed the top-up onto an
-                                    // exact backend: the fresh result beats
-                                    // any sampled merge
-                                    Some(_) if backend_shots.is_none() => (dist, None),
-                                    Some((base, base_shots)) => {
-                                        let merged =
-                                            merge_distributions(&base, base_shots, &dist, spent);
-                                        (Arc::new(merged), Some(base_shots + spent))
-                                    }
-                                    None => (dist, backend_shots.is_some().then_some(spent)),
-                                };
+                                let (dist, stored_shots) = settle(
+                                    Arc::new(dist),
+                                    backend_shots.map(|_| spent),
+                                    delta_base[circuit].take(),
+                                );
                                 if let Some(cache) = cache {
                                     let _span = tracer.span_under("cache.store", dispatch_span);
                                     cache.store_hashed(

@@ -11,6 +11,7 @@ use crate::execute::ExecutionBackend;
 use crate::CoreError;
 use parking_lot::Mutex;
 use qrcc_circuit::Circuit;
+use qrcc_sim::compile::CompileStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -47,8 +48,8 @@ pub enum FailureMode {
 /// let flaky = FlakyBackend::transient(ExactBackend::new(), 7, 1.0);
 /// let mut c = Circuit::new(1);
 /// c.h(0).measure(0, 0);
-/// assert!(flaky.run_one(&c).is_err(), "first submission is dropped");
-/// assert!(flaky.run_one(&c).is_ok(), "the transient fault clears");
+/// assert!(flaky.run(&[&c], None)[0].is_err(), "first submission is dropped");
+/// assert!(flaky.run(&[&c], None)[0].is_ok(), "the transient fault clears");
 /// assert_eq!(flaky.injected_failures(), 1);
 /// ```
 pub struct FlakyBackend<B> {
@@ -153,23 +154,27 @@ impl<B: ExecutionBackend> FlakyBackend<B> {
 }
 
 impl<B: ExecutionBackend> ExecutionBackend for FlakyBackend<B> {
-    fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        match self.inject(circuit) {
-            Some(error) => Err(error),
-            None => self.inner.run_one(circuit),
-        }
-    }
-
-    fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.run_batch_impl(circuits, None)
-    }
-
-    fn run_batch_with_shots(
+    /// Decides every circuit first, runs only the survivors through the
+    /// inner backend as one sub-batch (order preserved, circuits borrowed),
+    /// then splices the injected failures back in. Rejected circuits never
+    /// reach the inner backend — like a queue rejecting a job up front.
+    fn run(
         &self,
-        circuits: &[Circuit],
-        shots: &[u64],
+        circuits: &[&Circuit],
+        shots: Option<&[u64]>,
     ) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.run_batch_impl(circuits, Some(shots))
+        let verdicts: Vec<Option<CoreError>> = circuits.iter().map(|c| self.inject(c)).collect();
+        let passing: Vec<usize> = (0..circuits.len()).filter(|&i| verdicts[i].is_none()).collect();
+        let sub: Vec<&Circuit> = passing.iter().map(|&i| circuits[i]).collect();
+        let sub_shots: Option<Vec<u64>> = shots.map(|s| passing.iter().map(|&i| s[i]).collect());
+        let mut sub_results = self.inner.run(&sub, sub_shots.as_deref()).into_iter();
+        verdicts
+            .into_iter()
+            .map(|verdict| match verdict {
+                Some(error) => Err(error),
+                None => sub_results.next().expect("one inner result per passing circuit"),
+            })
+            .collect()
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -191,36 +196,9 @@ impl<B: ExecutionBackend> ExecutionBackend for FlakyBackend<B> {
     fn executions(&self) -> u64 {
         self.inner.executions()
     }
-}
 
-impl<B: ExecutionBackend> FlakyBackend<B> {
-    /// Batch path: decide every circuit first, run only the survivors
-    /// through the inner backend as one sub-batch (order preserved), then
-    /// splice the injected failures back in. Rejected circuits never reach
-    /// the inner backend — like a queue rejecting a job up front.
-    fn run_batch_impl(
-        &self,
-        circuits: &[Circuit],
-        shots: Option<&[u64]>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        let verdicts: Vec<Option<CoreError>> = circuits.iter().map(|c| self.inject(c)).collect();
-        let passing: Vec<usize> = (0..circuits.len()).filter(|&i| verdicts[i].is_none()).collect();
-        let sub: Vec<Circuit> = passing.iter().map(|&i| circuits[i].clone()).collect();
-        let sub_results = match shots {
-            Some(s) => {
-                let sub_shots: Vec<u64> = passing.iter().map(|&i| s[i]).collect();
-                self.inner.run_batch_with_shots(&sub, &sub_shots)
-            }
-            None => self.inner.run_batch(&sub),
-        };
-        let mut sub_results = sub_results.into_iter();
-        verdicts
-            .into_iter()
-            .map(|verdict| match verdict {
-                Some(error) => Err(error),
-                None => sub_results.next().expect("one inner result per passing circuit"),
-            })
-            .collect()
+    fn compile_stats(&self) -> Option<CompileStats> {
+        self.inner.compile_stats()
     }
 }
 
@@ -265,23 +243,13 @@ impl<B: ExecutionBackend> QueueBackend<B> {
 }
 
 impl<B: ExecutionBackend> ExecutionBackend for QueueBackend<B> {
-    fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        std::thread::sleep(self.latency);
-        self.inner.run_one(circuit)
-    }
-
-    fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        std::thread::sleep(self.latency);
-        self.inner.run_batch(circuits)
-    }
-
-    fn run_batch_with_shots(
+    fn run(
         &self,
-        circuits: &[Circuit],
-        shots: &[u64],
+        circuits: &[&Circuit],
+        shots: Option<&[u64]>,
     ) -> Vec<Result<Vec<f64>, CoreError>> {
         std::thread::sleep(self.latency);
-        self.inner.run_batch_with_shots(circuits, shots)
+        self.inner.run(circuits, shots)
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -303,6 +271,10 @@ impl<B: ExecutionBackend> ExecutionBackend for QueueBackend<B> {
     fn executions(&self) -> u64 {
         self.inner.executions()
     }
+
+    fn compile_stats(&self) -> Option<CompileStats> {
+        self.inner.compile_stats()
+    }
 }
 
 #[cfg(test)]
@@ -316,13 +288,17 @@ mod tests {
         c
     }
 
+    fn single(backend: &dyn ExecutionBackend, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
+        backend.run(&[circuit], None).pop().expect("one result per circuit")
+    }
+
     #[test]
     fn transient_faults_clear_after_the_configured_count() {
         let flaky = FlakyBackend::with_mode(ExactBackend::new(), 3, 1.0, FailureMode::Transient(2));
         let c = bell();
-        assert!(matches!(flaky.run_one(&c), Err(CoreError::BackendUnavailable { .. })));
-        assert!(matches!(flaky.run_one(&c), Err(CoreError::BackendUnavailable { .. })));
-        assert!(flaky.run_one(&c).is_ok());
+        assert!(matches!(single(&flaky, &c), Err(CoreError::BackendUnavailable { .. })));
+        assert!(matches!(single(&flaky, &c), Err(CoreError::BackendUnavailable { .. })));
+        assert!(single(&flaky, &c).is_ok());
         assert_eq!(flaky.injected_failures(), 2);
         // the inner backend only saw the successful submission
         assert_eq!(flaky.executions(), 1);
@@ -333,7 +309,7 @@ mod tests {
         let flaky = FlakyBackend::always_failing(ExactBackend::new());
         let c = bell();
         for _ in 0..4 {
-            assert!(flaky.run_one(&c).is_err());
+            assert!(single(&flaky, &c).is_err());
         }
         assert_eq!(flaky.executions(), 0);
     }
@@ -359,7 +335,7 @@ mod tests {
     fn batch_path_splices_failures_without_executing_them() {
         let flaky = FlakyBackend::with_mode(ExactBackend::new(), 9, 1.0, FailureMode::Transient(1));
         let c = bell();
-        let results = flaky.run_batch(&[c.clone(), c.clone()]);
+        let results = flaky.run(&[&c, &c], None);
         // the first submission of the (structurally identical) circuit fails,
         // the second already counts as a later submission and passes
         assert!(results[0].is_err());
@@ -370,7 +346,7 @@ mod tests {
     #[test]
     fn zero_fraction_is_transparent() {
         let flaky = FlakyBackend::transient(ExactBackend::new(), 1, 0.0);
-        assert!(flaky.run_one(&bell()).is_ok());
+        assert!(single(&flaky, &bell()).is_ok());
         assert_eq!(flaky.injected_failures(), 0);
         assert_eq!(flaky.label(), "flaky(exact)");
     }
@@ -378,9 +354,26 @@ mod tests {
     #[test]
     fn queue_backend_delegates_after_the_latency() {
         let queued = QueueBackend::new(ExactBackend::new(), Duration::from_millis(1));
-        let dist = queued.run_one(&bell()).unwrap();
+        let dist = single(&queued, &bell()).unwrap();
         assert!((dist[0b00] - 0.5).abs() < 1e-12);
         assert_eq!(queued.label(), "queued(exact)");
         assert_eq!(queued.latency(), Duration::from_millis(1));
+    }
+
+    #[test]
+    fn wrappers_forward_their_inner_compile_stats() {
+        let mut registry = crate::schedule::DeviceRegistry::new();
+        registry.register("flaky", FlakyBackend::transient(ExactBackend::new(), 1, 0.0));
+        registry.register("queued", QueueBackend::new(ExactBackend::new(), Duration::ZERO));
+        for entry in registry.entries() {
+            assert!(single(entry.backend(), &bell()).is_ok());
+        }
+        let one = ExactBackend::new();
+        single(&one, &bell()).unwrap();
+        let mut expected = one.compile_stats().expect("an exact backend compiles");
+        assert!(expected.gates_in > 0);
+        expected.merge(&expected.clone());
+        // what a schedule report's `kernel_compile` reads
+        assert_eq!(registry.compile_stats(), Some(expected));
     }
 }

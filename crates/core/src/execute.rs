@@ -20,7 +20,7 @@
 //!    registry) and splits a global shot budget across the batch by
 //!    reconstruction-variance weight (ShotQC-style). [`execute_requests`]
 //!    skips routing and dispatch — the whole batch goes to one backend as
-//!    **one** [`ExecutionBackend::run_batch`] call — and is the reference
+//!    **one** [`ExecutionBackend::run`] call — and is the reference
 //!    the scheduled path is tested against.
 //! 4. **Dispatch** — the [`dispatch`](crate::dispatch) event loop drives the
 //!    routed sub-batches through one worker thread per backend, keeping at
@@ -49,12 +49,15 @@
 //! [`SchedulePolicy::max_in_flight_chunks`]: crate::SchedulePolicy::max_in_flight_chunks
 //! [`SchedulePolicy::max_retries`]: crate::SchedulePolicy::max_retries
 //!
-//! Simple backends only implement the per-circuit [`ExecutionBackend::run_one`];
-//! the default `run_batch` loops over it serially and the default
-//! `run_batch_with_shots` ignores the per-circuit shot counts (exact
-//! backends have no sampling noise). Memoisation is not a backend's job: the
-//! shot-aware [`ResultCache`](crate::cache::ResultCache) sits in the
-//! scheduled dispatch path (see
+//! A backend implements one execution method, [`ExecutionBackend::run`]: a
+//! batch of circuits with optional per-circuit shots. Every execution ends
+//! in it — the dispatcher's per-job [`ExecutionBackend::run_variants`]
+//! (which only a remote backend overrides, to ship keys to a worker),
+//! [`execute_requests`], and the worker's own backend call.
+//!
+//! Memoisation is not a backend's job: the shot-aware
+//! [`ResultCache`](crate::cache::ResultCache) sits in the scheduled
+//! dispatch path (see
 //! [`DeviceRegistry::with_result_cache`](crate::schedule::DeviceRegistry::with_result_cache))
 //! and in front of a remote worker's backend (`QrccServer::with_result_cache`
 //! in `qrcc-net`).
@@ -62,12 +65,11 @@
 use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::Circuit;
-use qrcc_sim::branching::classical_distribution;
-use qrcc_sim::compile::{interpreted_forced_by_env, CompileCounters, CompileStats, FramedProgram};
+use qrcc_sim::compile::{CompileCounters, CompileStats, FramedProgram};
 use qrcc_sim::device::Device;
 use qrcc_sim::{Counts, SimError};
 use rayon::prelude::*;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,64 +77,54 @@ use std::sync::Arc;
 /// Executes fragment-variant circuits and reports the probability
 /// distribution over their classical bits (length `2^num_clbits`).
 ///
+/// A backend implements one execution method, [`ExecutionBackend::run`]: a
+/// batch of circuits, each with its own shot count when the scheduler
+/// allocated them. Everything else that executes is a provided forward to
+/// it.
+///
 /// Backends must be [`Sync`]: batches are executed with data parallelism, and
-/// future dispatchers (async, remote, multi-backend) share the same bound.
+/// the dispatcher's per-backend workers share them across threads.
 pub trait ExecutionBackend: Sync {
-    /// Executes one circuit and returns the distribution over its classical
-    /// bits.
+    /// Executes a batch of circuits, returning one result per circuit in
+    /// order. `shots`, when given, holds one shot count per circuit, as a
+    /// [`ShotAllocator`](crate::schedule::ShotAllocator) assigned them;
+    /// without it a sampling backend runs its
+    /// [`shots_per_circuit`](ExecutionBackend::shots_per_circuit). Exact
+    /// backends ignore the counts: their output has no sampling noise.
     ///
     /// # Errors
     ///
-    /// Implementations return [`CoreError::Simulation`] when the circuit
-    /// cannot be executed (too wide, no measurements, ...).
-    fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError>;
+    /// A circuit that cannot be executed (too wide, no measurements, zero
+    /// shots, ...) gets its own error, typically
+    /// [`CoreError::Simulation`]; the others still run.
+    fn run(&self, circuits: &[&Circuit], shots: Option<&[u64]>)
+        -> Vec<Result<Vec<f64>, CoreError>>;
 
-    /// Executes a batch of circuits, returning one result per input circuit
-    /// in order.
-    ///
-    /// The default implementation loops over [`ExecutionBackend::run_one`]
-    /// serially, so simple backends stay one method; parallel and remote
-    /// backends override it.
+    /// [`run`](ExecutionBackend::run) over owned circuits, at the backend's
+    /// own shot count.
     fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        circuits.iter().map(|c| self.run_one(c)).collect()
+        self.run(&circuits.iter().collect::<Vec<_>>(), None)
     }
 
-    /// Executes a batch with an explicit per-circuit shot count, as assigned
-    /// by a [`ShotAllocator`](crate::schedule::ShotAllocator).
-    ///
-    /// The default implementation ignores the shot counts and delegates to
-    /// [`ExecutionBackend::run_batch`] — correct for exact backends, whose
-    /// output has no sampling noise. Sampling backends override it
-    /// ([`ShotsBackend`] runs circuit `i` with `shots[i]` shots; a circuit
-    /// with zero shots fails with the backend's zero-shot error and consumes
-    /// no sampling stream).
+    /// [`run`](ExecutionBackend::run) over owned circuits, circuit `i` at
+    /// `shots[i]` shots.
     fn run_batch_with_shots(
         &self,
         circuits: &[Circuit],
         shots: &[u64],
     ) -> Vec<Result<Vec<f64>, CoreError>> {
-        debug_assert_eq!(circuits.len(), shots.len(), "one shot count per circuit");
-        self.run_batch(circuits)
+        self.run(&circuits.iter().collect::<Vec<_>>(), Some(shots))
     }
 
     /// Executes a batch of fragment variants, returning one result per
     /// variant in order. The dispatcher calls this for every job.
     ///
-    /// The default runs the variants' instantiated circuits through
-    /// [`ExecutionBackend::run_batch_with_shots`] (with shots) or
-    /// [`ExecutionBackend::run_batch`] — the circuits are borrowed from the
-    /// batch when the variants are a contiguous run of it, copied otherwise.
-    /// A remote backend overrides it to ship each fragment once and then
-    /// only the canonical [`VariantKey`]s; the in-process backends override
-    /// it to run the circuits where the batch holds them
-    /// ([`VariantBatch::circuit_refs`]), since a job's share of a chunk
-    /// split over several backends is rarely contiguous.
+    /// The default runs the circuits where the batch holds them
+    /// ([`VariantBatch::circuit_refs`]) with the batch's shots. A remote
+    /// backend overrides it to ship each fragment once and then only the
+    /// canonical [`VariantKey`]s.
     fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        let circuits = variants.circuits();
-        match variants.shots() {
-            Some(shots) => self.run_batch_with_shots(&circuits, shots),
-            None => self.run_batch(&circuits),
-        }
+        self.run(&variants.circuit_refs(), variants.shots())
     }
 
     /// The widest circuit this backend can run, or `None` when unbounded.
@@ -165,11 +157,11 @@ pub trait ExecutionBackend: Sync {
     fn executions(&self) -> u64;
 
     /// Cumulative kernel-compilation statistics of the backend's simulator,
-    /// or `None` when the backend interprets gate-by-gate (or is not a
-    /// simulator at all). Backends that run the compiled kernel path
-    /// ([`ExactBackend`], [`ShotsBackend`]) report the sum over every
-    /// circuit they compiled ([`CompileCounters`]); the default keeps
-    /// non-simulating backends at `None`.
+    /// or `None` when the backend is not a simulator. The simulating
+    /// backends ([`ExactBackend`], [`ShotsBackend`]) report the sum over
+    /// every circuit they compiled ([`CompileCounters`]), and wrappers
+    /// forward their inner backend's; the default keeps non-simulating
+    /// backends at `None`.
     fn compile_stats(&self) -> Option<CompileStats> {
         None
     }
@@ -255,17 +247,6 @@ impl<'a> VariantBatch<'a> {
     /// them.
     pub fn circuit_refs(&self) -> Vec<&'a Circuit> {
         self.picks.iter().map(|&i| &self.circuits[i]).collect()
-    }
-
-    /// The instantiated circuits, in batch order: borrowed when the
-    /// variants are a contiguous run of the batch, cloned otherwise.
-    pub fn circuits(&self) -> Cow<'a, [Circuit]> {
-        let run = self.picks.windows(2).all(|pair| pair[1] == pair[0] + 1);
-        match self.picks.first() {
-            Some(&first) if run => Cow::Borrowed(&self.circuits[first..first + self.picks.len()]),
-            None => Cow::Borrowed(&[]),
-            _ => Cow::Owned(self.picks.iter().map(|&i| self.circuits[i].clone()).collect()),
-        }
     }
 }
 
@@ -518,7 +499,7 @@ impl PreparedBatch {
 
 /// Phases 2+4 for a single backend: deduplicates `requests` by
 /// [`VariantKey`], maps them to canonical circuits, and executes those as
-/// one [`ExecutionBackend::run_batch`] call. Multi-backend routing, shot
+/// one [`ExecutionBackend::run`] call. Multi-backend routing, shot
 /// allocation and chunking live in [`crate::schedule::Scheduler`].
 ///
 /// # Errors
@@ -533,7 +514,7 @@ pub fn execute_requests(
 ) -> Result<ExecutionResults, CoreError> {
     let batch = prepare_batch(fragments, requests)?;
     // One batch submission; backends parallelise internally.
-    let outcomes = backend.run_batch(&batch.circuits);
+    let outcomes = backend.run(&batch.circuits.iter().collect::<Vec<_>>(), None);
     if outcomes.len() != batch.circuits.len() {
         return Err(CoreError::InvalidCutSolution {
             reason: format!(
@@ -569,11 +550,6 @@ pub fn execute_requests(
 /// [`CompileStats::branch_points`] (in [`ExecutionBackend::compile_stats`])
 /// says how many splits a batch asked for.
 ///
-/// [`ExactBackend::interpreted`] (or the `QRCC_SIM_INTERPRETED=1` environment
-/// variable) opts back into the per-gate interpreter, which branches at
-/// every measure (2^measures states): the differential-testing oracle, for
-/// small circuits only.
-///
 /// An optional width cap ([`ExactBackend::capped`]) makes the backend refuse
 /// circuits wider than a pretend device — useful for registering exact
 /// "devices" of different sizes in a
@@ -584,7 +560,6 @@ pub struct ExactBackend {
     count: AtomicU64,
     max_qubits: Option<usize>,
     compiled: CompileCounters,
-    use_compiled: bool,
 }
 
 impl Default for ExactBackend {
@@ -600,25 +575,12 @@ impl ExactBackend {
             count: AtomicU64::new(0),
             max_qubits: None,
             compiled: CompileCounters::new(),
-            use_compiled: !interpreted_forced_by_env(),
         }
     }
 
     /// Creates a backend that refuses circuits wider than `max_qubits`.
     pub fn capped(max_qubits: usize) -> Self {
         ExactBackend { max_qubits: Some(max_qubits), ..ExactBackend::new() }
-    }
-
-    /// Creates a backend that interprets gate-by-gate instead of compiling
-    /// kernel programs — the differential-testing reference path.
-    pub fn interpreted() -> Self {
-        ExactBackend { use_compiled: false, ..ExactBackend::new() }
-    }
-
-    /// Opts this backend out of the compiled kernel path (builder form).
-    pub fn with_interpreted(mut self) -> Self {
-        self.use_compiled = false;
-        self
     }
 
     fn check_width(&self, circuit: &Circuit) -> Result<(), CoreError> {
@@ -635,29 +597,14 @@ impl ExactBackend {
 
     fn distribution(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
         self.check_width(circuit)?;
-        if self.use_compiled {
-            let program = FramedProgram::compile(circuit);
-            self.compiled.add(&program);
-            Ok(program.classical_distribution()?)
-        } else {
-            Ok(classical_distribution(circuit)?)
-        }
+        let program = FramedProgram::compile(circuit);
+        self.compiled.add(&program);
+        Ok(program.classical_distribution()?)
     }
 }
 
 impl ExecutionBackend for ExactBackend {
-    fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.distribution(circuit)
-    }
-
-    fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.count.fetch_add(circuits.len() as u64, Ordering::Relaxed);
-        circuits.par_iter().map(|circuit| self.distribution(circuit)).collect()
-    }
-
-    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        let circuits = variants.circuit_refs();
+    fn run(&self, circuits: &[&Circuit], _: Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>> {
         self.count.fetch_add(circuits.len() as u64, Ordering::Relaxed);
         circuits.par_iter().map(|circuit| self.distribution(circuit)).collect()
     }
@@ -678,7 +625,7 @@ impl ExecutionBackend for ExactBackend {
     }
 
     fn compile_stats(&self) -> Option<CompileStats> {
-        self.use_compiled.then(|| self.compiled.stats())
+        Some(self.compiled.stats())
     }
 }
 
@@ -736,23 +683,26 @@ impl ShotsBackend {
         }
         Ok(())
     }
+}
 
-    /// The shared batch path: executes circuit `i` with `shots_of(i)` shots
-    /// on its own deterministic sampling stream.
+impl ExecutionBackend for ShotsBackend {
+    /// Executes circuit `i` with `shots[i]` shots (or the backend's own
+    /// count) on its own deterministic sampling stream.
     ///
     /// Stream reservation must stay deterministic even when some circuits
-    /// error mid-batch: a stream is assigned to circuit `i` **iff** a serial
-    /// [`ShotsBackend::run_one`] pass over the same circuits would consume
-    /// one for it — its shot count is positive and it passes
-    /// [`ShotsBackend::check`]. Both are decided *before* any sampling, so a
-    /// failing circuit keeps its typed error and can never shift the streams
-    /// of the circuits after it, regardless of where in the batch it sits or
-    /// how the per-circuit shot allocation splits the budget.
-    fn run_batch_streams<C: Borrow<Circuit> + Sync>(
+    /// error mid-batch: a stream is assigned to circuit `i` **iff** running
+    /// the circuits one call each would consume one for it — its shot count
+    /// is positive and the device accepts it. Both are decided *before* any
+    /// sampling, so a failing circuit keeps its typed error and can never
+    /// shift the streams of the circuits after it, regardless of where in
+    /// the batch it sits or how the per-circuit shot allocation splits the
+    /// budget.
+    fn run(
         &self,
-        circuits: &[C],
-        shots_of: impl Fn(usize) -> u64 + Sync,
+        circuits: &[&Circuit],
+        shots: Option<&[u64]>,
     ) -> Vec<Result<Vec<f64>, CoreError>> {
+        let shots_of = |i: usize| shots.map_or(self.shots, |shots| shots[i]);
         let mut runnable = 0;
         let offsets: Vec<Result<u64, SimError>> = circuits
             .iter()
@@ -761,7 +711,7 @@ impl ShotsBackend {
                 if shots_of(i) == 0 {
                     return Err(SimError::ZeroShots);
                 }
-                self.check(circuit.borrow())?;
+                self.check(circuit)?;
                 runnable += 1;
                 Ok(runnable - 1)
             })
@@ -772,39 +722,10 @@ impl ShotsBackend {
             .enumerate()
             .map(|(i, circuit)| {
                 let stream = base + offsets[i].clone()?;
-                let counts = self.device.execute_stream(circuit.borrow(), shots_of(i), stream)?;
+                let counts = self.device.execute_stream(circuit, shots_of(i), stream)?;
                 Ok(counts.probability_vector())
             })
             .collect()
-    }
-}
-
-impl ExecutionBackend for ShotsBackend {
-    fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        self.check(circuit)?;
-        let counts = self.device.execute(circuit, self.shots)?;
-        Ok(counts.probability_vector())
-    }
-
-    fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.run_batch_streams(circuits, |_| self.shots)
-    }
-
-    fn run_batch_with_shots(
-        &self,
-        circuits: &[Circuit],
-        shots: &[u64],
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        debug_assert_eq!(circuits.len(), shots.len(), "one shot count per circuit");
-        self.run_batch_streams(circuits, |i| shots[i])
-    }
-
-    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        let circuits = variants.circuit_refs();
-        match variants.shots() {
-            Some(shots) => self.run_batch_streams(&circuits, |i| shots[i]),
-            None => self.run_batch_streams(&circuits, |_| self.shots),
-        }
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -828,7 +749,7 @@ impl ExecutionBackend for ShotsBackend {
     }
 
     fn compile_stats(&self) -> Option<CompileStats> {
-        self.device.compile_stats()
+        Some(self.device.compile_stats())
     }
 }
 
@@ -837,8 +758,14 @@ mod tests {
     use super::*;
     use crate::planner::CutPlanner;
     use crate::QrccConfig;
+    use qrcc_sim::branching::classical_distribution;
     use qrcc_sim::device::DeviceConfig;
     use std::time::Duration;
+
+    /// One circuit through [`ExecutionBackend::run`] at the backend's shots.
+    fn single(backend: &dyn ExecutionBackend, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
+        backend.run(&[circuit], None).pop().expect("one result per circuit")
+    }
 
     fn bell_with_measures() -> Circuit {
         let mut c = Circuit::new(2);
@@ -849,7 +776,7 @@ mod tests {
     #[test]
     fn exact_backend_returns_exact_distribution() {
         let backend = ExactBackend::new();
-        let dist = backend.run_one(&bell_with_measures()).unwrap();
+        let dist = single(&backend, &bell_with_measures()).unwrap();
         assert!((dist[0b00] - 0.5).abs() < 1e-12);
         assert!((dist[0b11] - 0.5).abs() < 1e-12);
         assert_eq!(backend.executions(), 1);
@@ -858,7 +785,7 @@ mod tests {
     #[test]
     fn shots_backend_approximates_the_distribution() {
         let backend = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(7)), 20_000);
-        let dist = backend.run_one(&bell_with_measures()).unwrap();
+        let dist = single(&backend, &bell_with_measures()).unwrap();
         assert!((dist[0b00] - 0.5).abs() < 0.02);
         assert!((dist[0b01]).abs() < 1e-12);
         assert_eq!(backend.shots(), 20_000);
@@ -874,7 +801,7 @@ mod tests {
         }
         let serial = ExactBackend::new();
         let serial_dists: Vec<Vec<f64>> =
-            circuits.iter().map(|c| serial.run_one(c).unwrap()).collect();
+            circuits.iter().map(|c| single(&serial, c).unwrap()).collect();
         let batched = ExactBackend::new();
         let batch_dists = batched.run_batch(&circuits);
         assert_eq!(batched.executions(), circuits.len() as u64);
@@ -896,7 +823,7 @@ mod tests {
         }
         let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(5)), 2_000);
         let serial_dists: Vec<Vec<f64>> =
-            circuits.iter().map(|c| serial.run_one(c).unwrap()).collect();
+            circuits.iter().map(|c| single(&serial, c).unwrap()).collect();
         let batched = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(5)), 2_000);
         let batch_dists = batched.run_batch(&circuits);
         for (a, b) in serial_dists.iter().zip(batch_dists) {
@@ -905,27 +832,51 @@ mod tests {
     }
 
     #[test]
-    fn default_run_batch_loops_run_one() {
-        // A minimal backend implementing only run_one still gets batching.
-        struct OneShot;
-        impl ExecutionBackend for OneShot {
-            fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-                Ok(classical_distribution(circuit)?)
+    fn provided_methods_forward_to_run() {
+        // A backend implementing only `run` gets every other execution
+        // method: each hands `run` the same circuits and shots.
+        #[derive(Default)]
+        struct Recording(parking_lot::Mutex<Vec<(usize, Option<Vec<u64>>)>>);
+        impl ExecutionBackend for Recording {
+            fn run(
+                &self,
+                circuits: &[&Circuit],
+                shots: Option<&[u64]>,
+            ) -> Vec<Result<Vec<f64>, CoreError>> {
+                self.0.lock().push((circuits.len(), shots.map(<[u64]>::to_vec)));
+                circuits.iter().map(|c| Ok(classical_distribution(c)?)).collect()
             }
             fn executions(&self) -> u64 {
                 0
             }
         }
         let circuits = vec![bell_with_measures(), bell_with_measures()];
-        let results = OneShot.run_batch(&circuits);
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(Result::is_ok));
+        let backend = Recording::default();
+        let batch = backend.run_batch(&circuits);
+        assert_eq!(batch.len(), 2);
+        assert!(batch.iter().all(Result::is_ok));
+        let with_shots = backend.run_batch_with_shots(&circuits, &[3, 4]);
+        assert_eq!(with_shots, batch);
+        let set = chain_fragments();
+        let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
+        let prepared = prepare_batch(&set, &requests).unwrap();
+        let counts = [5, 6, 7];
+        let picks = Cow::Owned(vec![2, 0, 1]);
+        let variants = VariantBatch::picked(
+            &set,
+            &prepared.canonical,
+            &prepared.circuits,
+            picks,
+            Some(&counts),
+        );
+        assert_eq!(backend.run_variants(&variants).len(), 3);
+        assert_eq!(*backend.0.lock(), [(2, None), (2, Some(vec![3, 4])), (3, Some(vec![5, 6, 7]))]);
     }
 
     #[test]
     fn width_violations_surface_as_errors() {
         let backend = ShotsBackend::new(Device::ideal(1), 10);
-        let err = backend.run_one(&bell_with_measures());
+        let err = single(&backend, &bell_with_measures());
         assert!(matches!(err, Err(CoreError::Simulation(_))));
         let errs = backend.run_batch(&[bell_with_measures()]);
         assert!(matches!(&errs[0], Err(CoreError::Simulation(_))));
@@ -941,9 +892,9 @@ mod tests {
 
         // serial reference: the invalid circuit consumes no stream
         let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
-        assert!(serial.run_one(&wide).is_err());
-        let first = serial.run_one(&bell).unwrap();
-        let second = serial.run_one(&bell).unwrap();
+        assert!(single(&serial, &wide).is_err());
+        let first = single(&serial, &bell).unwrap();
+        let second = single(&serial, &bell).unwrap();
 
         // batched: [invalid, bell, bell] must sample the same streams
         let batched = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
@@ -1006,9 +957,9 @@ mod tests {
 
         let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
         assert!(!serial.can_run(&chain));
-        assert!(refused(&serial.run_one(&chain)));
-        let first = serial.run_one(&bell).unwrap();
-        let second = serial.run_one(&bell).unwrap();
+        assert!(refused(&single(&serial, &chain)));
+        let first = single(&serial, &bell).unwrap();
+        let second = single(&serial, &bell).unwrap();
 
         let batched = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
         let results = batched.run_batch(&[bell.clone(), chain, bell]);
@@ -1041,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_backend_matches_interpreted_and_reports_stats() {
+    fn compiled_backend_matches_the_branching_oracle_and_reports_stats() {
         let mut circuits = Vec::new();
         for n in 0..5 {
             let mut c = Circuit::new(3);
@@ -1049,18 +1000,13 @@ mod tests {
             circuits.push(c);
         }
         let compiled = ExactBackend::new();
-        let interpreted = ExactBackend::interpreted();
         let fast = compiled.run_batch(&circuits);
-        let slow = interpreted.run_batch(&circuits);
-        for (a, b) in fast.iter().zip(&slow) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12, "compiled and interpreted paths must agree");
+        for (circuit, a) in circuits.iter().zip(&fast) {
+            let (a, b) = (a.as_ref().unwrap(), classical_distribution(circuit).unwrap());
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert!((x - y).abs() < 1e-12, "compiled readout and oracle must agree");
             }
-        }
-        assert!(interpreted.compile_stats().is_none(), "interpreted path records none");
-        if interpreted_forced_by_env() {
-            return; // differential CI leg: only the parity checks above apply
         }
         let stats = compiled.compile_stats().expect("compiled path records stats");
         assert!(stats.gates_in > 0);
@@ -1069,14 +1015,11 @@ mod tests {
 
     #[test]
     fn wide_all_measured_circuit_reads_out_in_one_leaf() {
-        if interpreted_forced_by_env() {
-            return; // the oracle branches at every measure: 2^16 one-MiB states
-        }
         let mut c = qrcc_circuit::generators::vqe_two_local(16, 2, 5);
         let expected = qrcc_sim::StateVector::from_circuit(&c).unwrap().probabilities();
         c.measure_all();
         let backend = ExactBackend::new();
-        let dist = backend.run_one(&c).unwrap();
+        let dist = single(&backend, &c).unwrap();
         assert_eq!(dist.len(), expected.len());
         for (i, (a, b)) in dist.iter().zip(&expected).enumerate() {
             assert!((a - b).abs() < 1e-12, "P[{i}]: {a} vs {b}");
@@ -1099,32 +1042,29 @@ mod tests {
             crate::reconstruct::ProbabilityReconstructor::new().requests(&fragments).unwrap();
         let backend = ExactBackend::new();
         let compiled = execute_requests(&fragments, &requests, &backend).unwrap();
-        if !interpreted_forced_by_env() {
-            // the counters the threads added to are the sum of what each
-            // circuit's own compile reports, and a repeat adds it again
-            let batch = prepare_batch(&fragments, &requests).unwrap();
-            let mut expected = CompileStats::default();
-            for circuit in &batch.circuits {
-                expected.merge(FramedProgram::compile(circuit).stats());
-            }
-            assert!(expected.gates_in > 0 && expected.terminal_measures > 0);
-            assert_eq!(backend.compile_stats(), Some(expected.clone()));
-            execute_requests(&fragments, &requests, &backend).unwrap();
-            let twice = expected.clone();
-            expected.merge(&twice);
-            let stats = backend.compile_stats().expect("stats persist across batches");
-            assert_eq!(stats, expected);
-            assert_eq!(stats.fusion_ratio(), twice.fusion_ratio());
-            assert_eq!(stats.coverage(), twice.coverage());
-            assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats}");
+        // the counters the threads added to are the sum of what each
+        // circuit's own compile reports, and a repeat adds it again
+        let batch = prepare_batch(&fragments, &requests).unwrap();
+        let mut expected = CompileStats::default();
+        for circuit in &batch.circuits {
+            expected.merge(FramedProgram::compile(circuit).stats());
         }
-        let interpreted_backend = ExactBackend::interpreted();
-        let interpreted = execute_requests(&fragments, &requests, &interpreted_backend).unwrap();
-        assert!(interpreted_backend.compile_stats().is_none());
-        // interpreted and compiled agree on every variant distribution
-        for (key, dist) in compiled.iter() {
-            let other = interpreted.distribution(key).unwrap();
-            for (a, b) in dist.iter().zip(other) {
+        assert!(expected.gates_in > 0 && expected.terminal_measures > 0);
+        assert_eq!(backend.compile_stats(), Some(expected.clone()));
+        execute_requests(&fragments, &requests, &backend).unwrap();
+        let twice = expected.clone();
+        expected.merge(&twice);
+        let stats = backend.compile_stats().expect("stats persist across batches");
+        assert_eq!(stats, expected);
+        assert_eq!(stats.fusion_ratio(), twice.fusion_ratio());
+        assert_eq!(stats.coverage(), twice.coverage());
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats}");
+        // every variant's distribution is its circuit's, as the branching
+        // oracle enumerates it
+        for (slot, key) in batch.keys.iter().enumerate() {
+            let oracle = classical_distribution(&batch.circuits[batch.circuit_of_key[slot]]);
+            let dist = compiled.distribution(key).unwrap();
+            for (a, b) in dist.iter().zip(oracle.unwrap()) {
                 assert!((a - b).abs() < 1e-12);
             }
         }
@@ -1167,42 +1107,32 @@ mod tests {
     }
 
     #[test]
-    fn variant_batches_borrow_contiguous_runs_and_copy_scattered_picks() {
+    fn default_run_variants_over_scattered_picks_equals_run() {
         let set = chain_fragments();
         let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
         let batch = prepare_batch(&set, &requests).unwrap();
-        let view = |picks: Vec<usize>| {
-            VariantBatch::picked(&set, &batch.canonical, &batch.circuits, Cow::Owned(picks), None)
+        let view = |picks: Vec<usize>, shots| {
+            VariantBatch::picked(&set, &batch.canonical, &batch.circuits, Cow::Owned(picks), shots)
         };
-        assert!(matches!(view(vec![1, 2, 3]).circuits(), Cow::Borrowed(c) if c.len() == 3));
-        assert!(matches!(view(vec![]).circuits(), Cow::Borrowed([])));
-        let scattered = view(vec![3, 1]);
-        assert!(matches!(scattered.circuits(), Cow::Owned(_)));
-        assert_eq!(scattered.circuits()[0], batch.circuits[3]);
+        let scattered = view(vec![3, 1], None);
         assert_eq!(scattered.keys().collect::<Vec<_>>(), [batch.canonical[3], batch.canonical[1]]);
-        assert_eq!(scattered.circuit_refs(), [&batch.circuits[3], &batch.circuits[1]]);
+        let picked = [&batch.circuits[3], &batch.circuits[1]];
+        assert_eq!(scattered.circuit_refs(), picked);
 
-        // the in-process backends run scattered picks in place, exactly as
-        // the default's copies would run
-        let copied = scattered.circuits().into_owned();
+        // bit for bit what `run` gives over the same circuits; the seeded
+        // shots backends draw from the same streams
         let exact = ExactBackend::new();
-        assert_eq!(exact.run_variants(&scattered), exact.run_batch(&copied));
+        assert_eq!(exact.run_variants(&scattered), exact.run(&picked, None));
         assert_eq!(exact.executions(), 4);
         let shots =
             |seed| ShotsBackend::new(Device::new(DeviceConfig::ideal(3).with_seed(seed)), 64);
-        assert_eq!(shots(7).run_variants(&scattered), shots(7).run_batch(&copied));
+        assert_eq!(shots(7).run_variants(&scattered), shots(7).run(&picked, None));
         let counts = [16, 48];
-        let with_shots = VariantBatch::picked(
-            &set,
-            &batch.canonical,
-            &batch.circuits,
-            Cow::Owned(vec![3, 1]),
-            Some(&counts),
-        );
         assert_eq!(
-            shots(7).run_variants(&with_shots),
-            shots(7).run_batch_with_shots(&copied, &counts)
+            shots(7).run_variants(&view(vec![3, 1], Some(&counts))),
+            shots(7).run(&picked, Some(&counts))
         );
+        assert!(view(vec![], None).circuit_refs().is_empty());
     }
 
     /// Every `(key, distribution bits)` of `results`, with its accounting.
@@ -1280,30 +1210,6 @@ mod tests {
 
     #[test]
     fn dispatch_hands_backends_canonical_keys_with_their_circuits() {
-        /// Checks every variant it is handed, then runs them exactly.
-        struct KeyChecking {
-            inner: ExactBackend,
-        }
-        impl ExecutionBackend for KeyChecking {
-            fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-                self.inner.run_one(circuit)
-            }
-            fn run_variants(
-                &self,
-                variants: &VariantBatch<'_>,
-            ) -> Vec<Result<Vec<f64>, CoreError>> {
-                let circuits = variants.circuits();
-                for (key, circuit) in variants.keys().zip(circuits.iter()) {
-                    let fragment = variants.fragments().fragment_of(&key).unwrap();
-                    assert_eq!(fragment.canonical_ordinal(key.ordinal), key.ordinal);
-                    assert_eq!(&fragment.instantiate(key.ordinal, key.outputs), circuit);
-                }
-                self.inner.run_batch(&circuits)
-            }
-            fn executions(&self) -> u64 {
-                self.inner.executions()
-            }
-        }
         let (circuit, graph) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
         let config = QrccConfig::new(4)
             .with_subcircuit_range(2, 3)
@@ -1316,11 +1222,28 @@ mod tests {
         let requests = crate::reconstruct::ExpectationReconstructor::new()
             .requests(&set, &observable)
             .unwrap();
+        // a job's view pairs each canonical key with the circuit it
+        // instantiates, in whatever order the job picks them
+        let batch = prepare_batch(&set, &requests).unwrap();
+        let picks: Vec<usize> = (0..batch.circuits.len()).rev().step_by(2).collect();
+        let job = VariantBatch::picked(
+            &set,
+            &batch.canonical,
+            &batch.circuits,
+            Cow::Borrowed(&picks),
+            None,
+        );
+        assert!(job.len() > 1);
+        for (key, circuit) in job.keys().zip(job.circuit_refs()) {
+            let fragment = job.fragments().fragment_of(&key).unwrap();
+            assert_eq!(fragment.canonical_ordinal(key.ordinal), key.ordinal);
+            assert_eq!(&fragment.instantiate(key.ordinal, key.outputs), circuit);
+        }
         let reference = execute_requests(&set, &requests, &ExactBackend::new()).unwrap();
 
         let mut registry = crate::schedule::DeviceRegistry::new();
-        registry.register("checking", KeyChecking { inner: ExactBackend::new() });
-        registry.register("plain", ExactBackend::new());
+        registry.register("first", ExactBackend::new());
+        registry.register("second", ExactBackend::new());
         let policy = crate::SchedulePolicy::default().with_chunk_size(5);
         let scheduler = crate::schedule::Scheduler::new(&registry, policy);
         let mut merged = ExecutionResults::default();
@@ -1330,8 +1253,8 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let checked = report.backends.iter().find(|u| u.backend == "checking");
-        assert!(checked.is_some_and(|u| u.circuits > 0), "{:?}", report.backends);
+        let both = report.backends.len() == 2 && report.backends.iter().all(|u| u.circuits > 0);
+        assert!(both, "{:?}", report.backends);
         assert_eq!(merged.executed(), reference.executed());
         for (key, distribution) in reference.iter() {
             assert_eq!(merged.distribution(key).unwrap(), distribution);

@@ -171,7 +171,7 @@ impl<'r> Scheduler<'r> {
         let dispatcher = Dispatcher::new(self.registry, self.policy);
         let mut chunks = 0;
         let (dispatch, backends) =
-            dispatcher.run_batch(fragments, &batch, shots.as_deref(), |chunk| {
+            dispatcher.dispatch(fragments, &batch, shots.as_deref(), |chunk| {
                 chunks += 1;
                 sink(chunk)
             })?;
@@ -400,7 +400,7 @@ mod tests {
         // re-routes the work to the healthy device.
         struct PanickingBackend;
         impl crate::execute::ExecutionBackend for PanickingBackend {
-            fn run_one(&self, _: &Circuit) -> Result<Vec<f64>, CoreError> {
+            fn run(&self, _: &[&Circuit], _: Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>> {
                 panic!("device firmware bug")
             }
             fn executions(&self) -> u64 {

@@ -15,7 +15,7 @@
 //! connection remembers which fragment bodies its server holds, defines the
 //! missing ones ([`Frame::DefineFragment`]) and then submits
 //! `(fragment id, ordinal, outputs)` keys ([`Frame::SubmitVariants`]), all
-//! in one write. Bare circuits ([`ExecutionBackend::run_batch`]) travel as
+//! in one write. Bare circuits ([`ExecutionBackend::run`]) travel as
 //! OpenQASM text. A batch's replies are read through one buffered reader.
 //!
 //! Connections live in a small **reconnecting pool**: a batch checks a
@@ -38,6 +38,7 @@ use qrcc_circuit::{qasm, Circuit};
 use qrcc_core::execute::{ExecutionBackend, VariantBatch};
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
+use std::borrow::Cow;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -547,7 +548,7 @@ impl RemoteBackend {
 /// What one submission carries.
 enum Payload<'a, 'b> {
     /// Bare circuits (sent as OpenQASM) with optional per-circuit shots.
-    Circuits(&'a [Circuit], Option<&'a [u64]>),
+    Circuits(&'a [&'a Circuit], Option<&'a [u64]>),
     /// Fragment variants (sent as keys).
     Variants(&'a VariantBatch<'b>),
 }
@@ -564,7 +565,7 @@ impl Payload<'_, '_> {
     /// distribution length must match.
     fn clbits(&self) -> Vec<usize> {
         match self {
-            Payload::Circuits(circuits, _) => circuits.iter().map(Circuit::num_clbits).collect(),
+            Payload::Circuits(circuits, _) => circuits.iter().map(|c| c.num_clbits()).collect(),
             Payload::Variants(variants) => {
                 let fragments = &variants.fragments().fragments;
                 variants.keys().map(|key| fragments[key.fragment].num_clbits).collect()
@@ -617,13 +618,13 @@ impl Connection {
                         &Frame::SubmitVariants { batch, keys, shots, trace },
                     );
                 }
-                None => (variants.circuits(), variants.shots()),
+                None => (Cow::Owned(variants.circuit_refs()), variants.shots()),
             },
-            Payload::Circuits(circuits, shots) => (std::borrow::Cow::Borrowed(*circuits), *shots),
+            Payload::Circuits(circuits, shots) => (Cow::Borrowed(*circuits), *shots),
         };
         let frame = Frame::SubmitBatch {
             batch,
-            circuits: circuits.iter().map(qasm::to_qasm).collect(),
+            circuits: circuits.iter().map(|c| qasm::to_qasm(c)).collect(),
             shots: shots.map(<[u64]>::to_vec),
             trace,
         };
@@ -775,25 +776,19 @@ fn frame_name(frame: &Frame) -> &'static str {
 }
 
 impl ExecutionBackend for RemoteBackend {
-    fn run_one(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        self.submit(Payload::Circuits(std::slice::from_ref(circuit), None))
-            .pop()
-            .expect("one outcome per submitted circuit")
-    }
-
-    fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.submit(Payload::Circuits(circuits, None))
-    }
-
-    fn run_batch_with_shots(
+    /// Sends the circuits as OpenQASM ([`Frame::SubmitBatch`]).
+    fn run(
         &self,
-        circuits: &[Circuit],
-        shots: &[u64],
+        circuits: &[&Circuit],
+        shots: Option<&[u64]>,
     ) -> Vec<Result<Vec<f64>, CoreError>> {
-        debug_assert_eq!(circuits.len(), shots.len(), "one shot count per circuit");
-        self.submit(Payload::Circuits(circuits, Some(shots)))
+        debug_assert!(shots.is_none_or(|s| s.len() == circuits.len()), "one count per circuit");
+        self.submit(Payload::Circuits(circuits, shots))
     }
 
+    /// Sends each fragment body once per pooled connection, then only keys
+    /// ([`Frame::SubmitVariants`]); a batch the key path cannot carry goes
+    /// as OpenQASM, like [`run`](ExecutionBackend::run).
     fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
         self.submit(Payload::Variants(variants))
     }

@@ -21,7 +21,10 @@
 //! * [`client`] — [`RemoteBackend`], an
 //!   [`ExecutionBackend`](qrcc_core::execute::ExecutionBackend) over a
 //!   reconnecting connection pool whose connections remember the fragments
-//!   their worker holds. It drops straight into a
+//!   their worker holds. Its `run` — the trait's one execution method —
+//!   sends OpenQASM; its `run_variants`, the only override of the trait's
+//!   default, sends keys. The worker runs whatever arrives as one `run`
+//!   call on its backend. It drops straight into a
 //!   [`DeviceRegistry`](qrcc_core::schedule::DeviceRegistry), where the
 //!   dispatch layer's retry-with-exclusion and bounded in-flight windows
 //!   rescue real network faults **unchanged**: I/O errors, disconnects and
@@ -53,7 +56,8 @@
 //!
 //! let mut bell = Circuit::new(2);
 //! bell.h(0).cx(0, 1).measure_all();
-//! let distribution = remote.run_one(&bell)?;
+//! // one execution method: a batch of circuits, here at the worker's own shots
+//! let distribution = remote.run(&[&bell], None).remove(0)?;
 //! assert!((distribution[0b00] - 0.5).abs() < 1e-12);
 //! server.shutdown();
 //! # Ok(())

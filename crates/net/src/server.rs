@@ -27,9 +27,7 @@ use crate::proto::{
 use parking_lot::Mutex;
 use qrcc_circuit::{qasm, Circuit};
 use qrcc_core::analyze;
-use qrcc_core::cache::{
-    merge_distributions, CacheLookup, CacheStats, ResultCache, ResultCachePolicy,
-};
+use qrcc_core::cache::{settle, CacheLookup, CacheStats, ResultCache, ResultCachePolicy};
 use qrcc_core::execute::ExecutionBackend;
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
@@ -1171,11 +1169,8 @@ fn serve_batch(
     // mirroring the in-process dispatch workers.
     let explicit = shots.is_some() || any_delta;
     let run = std::panic::AssertUnwindSafe(|| {
-        if explicit {
-            backend.run_batch_with_shots(&payload, &sub_shots)
-        } else {
-            backend.run_batch(&payload)
-        }
+        let circuits: Vec<&Circuit> = payload.iter().collect();
+        backend.run(&circuits, explicit.then_some(&sub_shots[..]))
     });
     let results = std::panic::catch_unwind(run).unwrap_or_else(|_| {
         payload
@@ -1213,27 +1208,12 @@ fn serve_batch(
                         // write the fresh (or merged) result back so the next
                         // request for this circuit hits
                         let sampled = backend.shots_per_circuit().is_some();
-                        match delta {
-                            Some((base, base_shots)) if sampled => {
-                                let merged = merge_distributions(
-                                    &base,
-                                    base_shots,
-                                    &distribution,
-                                    ran_shots,
-                                );
-                                if let Some(cache) = cache {
-                                    cache.store(&circuit, &merged, Some(base_shots + ran_shots));
-                                }
-                                Ok(merged)
-                            }
-                            _ => {
-                                if let Some(cache) = cache {
-                                    let stored = if sampled { Some(ran_shots) } else { None };
-                                    cache.store(&circuit, &distribution, stored);
-                                }
-                                Ok(distribution)
-                            }
+                        let (distribution, stored) =
+                            settle(Arc::new(distribution), sampled.then_some(ran_shots), delta);
+                        if let Some(cache) = cache {
+                            cache.store(&circuit, &distribution, stored);
                         }
+                        Ok(Arc::unwrap_or_clone(distribution))
                     }
                     (fresh, _) => fresh,
                 }

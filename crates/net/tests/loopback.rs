@@ -142,7 +142,7 @@ fn heartbeat_round_trips() {
     let rtt = remote.ping().unwrap();
     assert!(rtt < Duration::from_secs(5));
     // the connection is back in the pool and still serves batches
-    assert!(remote.run_one(&bell()).is_ok());
+    assert!(remote.run(&[&bell()], None).remove(0).is_ok());
     assert_eq!(remote.connections_dialled(), 1, "ping and batch reuse the pooled connection");
     server.shutdown();
 }
@@ -403,12 +403,12 @@ fn device_level_faults_cross_the_wire_as_per_circuit_failures() {
     let flaky = FlakyBackend::transient(ExactBackend::new(), 7, 1.0);
     let server = QrccServer::bind("127.0.0.1:0", flaky).unwrap().spawn();
     let remote = RemoteBackend::connect(server.addr()).unwrap();
-    let first = remote.run_one(&bell());
+    let first = remote.run(&[&bell()], None).remove(0);
     assert!(
         matches!(&first, Err(CoreError::BackendUnavailable { reason, .. }) if reason.contains("injected fault")),
         "{first:?}"
     );
-    let second = remote.run_one(&bell());
+    let second = remote.run(&[&bell()], None).remove(0);
     assert!(second.is_ok(), "the transient fault clears on resubmission: {second:?}");
     assert_eq!(server.stats().circuits_failed, 1);
     assert_eq!(server.stats().circuits_ok, 1);
@@ -513,7 +513,7 @@ fn trickle_reading_client_is_bounded_by_the_cumulative_write_budget() {
 
     // the server survives the attack: a clean direct connection still works
     let remote = RemoteBackend::connect(server.addr()).unwrap();
-    assert!(remote.run_one(&bell()).is_ok());
+    assert!(remote.run(&[&bell()], None).remove(0).is_ok());
     proxy.shutdown();
     server.shutdown();
 }
@@ -523,12 +523,12 @@ fn graceful_shutdown_disconnects_clients_cleanly() {
     let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new()).unwrap().spawn();
     let addr = server.addr();
     let remote = RemoteBackend::connect(addr).unwrap();
-    assert!(remote.run_one(&bell()).is_ok());
+    assert!(remote.run(&[&bell()], None).remove(0).is_ok());
     let ledgers = server.shutdown();
     // shutdown joins every connection thread and returns its ledger
     assert_eq!(ledgers.iter().map(|c| c.batches).sum::<u64>(), 1);
     assert_eq!(ledgers.iter().map(|c| c.circuits_ok).sum::<u64>(), 1);
     // the pooled connection is dead and no listener answers the redial
-    let result = remote.run_one(&bell());
+    let result = remote.run(&[&bell()], None).remove(0);
     assert!(matches!(result, Err(CoreError::BackendUnavailable { .. })), "{result:?}");
 }

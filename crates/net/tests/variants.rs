@@ -258,7 +258,7 @@ fn hostile_keys_fail_alone_and_an_out_of_table_definition_is_a_protocol_error() 
     ];
     let submit = Frame::SubmitVariants { batch: 9, keys, shots: None, trace: None };
     proto::write_frame(&mut stream, &submit).unwrap();
-    let expected = ExactBackend::new().run_one(&body.instantiate(0, 0)).unwrap();
+    let expected = ExactBackend::new().run(&[&body.instantiate(0, 0)], None).remove(0).unwrap();
     match proto::read_frame(&mut stream).unwrap() {
         Frame::CircuitResult { batch: 9, index: 0, distribution } => {
             assert_eq!(distribution, expected);

@@ -81,17 +81,6 @@ use rand::Rng;
 use stats::{family, Bucket, Tally};
 use std::sync::OnceLock;
 
-/// Whether the `QRCC_SIM_INTERPRETED` environment variable forces the
-/// interpreted (per-gate) execution path. Backends consult this once at
-/// construction time; CI uses it to run the whole test suite differentially
-/// against the compiled default.
-pub fn interpreted_forced_by_env() -> bool {
-    matches!(
-        std::env::var("QRCC_SIM_INTERPRETED").ok().as_deref(),
-        Some("1") | Some("true") | Some("yes")
-    )
-}
-
 fn is_zero(c: Complex) -> bool {
     c.re == 0.0 && c.im == 0.0
 }

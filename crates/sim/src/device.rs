@@ -3,9 +3,7 @@
 //! (e.g. the 7-qubit IBM Lagos and hypothetical 3/4-qubit devices) the paper
 //! runs subcircuits on.
 
-use crate::compile::{
-    interpreted_forced_by_env, CompileCounters, CompileStats, FramedProgram, Measurements,
-};
+use crate::compile::{CompileCounters, CompileStats, FramedProgram, Measurements};
 use crate::expectation::{expectation_from_counts, measurement_circuit};
 use crate::noise::NoiseModel;
 use crate::{Counts, SimError, StateVector};
@@ -29,13 +27,6 @@ pub struct DeviceConfig {
     /// Base seed for shot sampling; every execution derives a fresh stream
     /// from it so results are reproducible run-to-run.
     pub seed: u64,
-    /// Forces the interpreted per-gate simulator — one trajectory per shot —
-    /// for noiseless execution instead of one sampled readout of the
-    /// compiled kernel program (noisy execution is always interpreted:
-    /// per-gate noise anchors to gate boundaries, which fusion would erase).
-    /// The `QRCC_SIM_INTERPRETED=1` environment variable forces this at
-    /// [`Device::new`] time for differential testing.
-    pub interpreted: bool,
 }
 
 impl DeviceConfig {
@@ -47,13 +38,12 @@ impl DeviceConfig {
             noise: NoiseModel::noiseless(),
             supports_mid_circuit: true,
             seed: 0,
-            interpreted: false,
         }
     }
 
     /// A noisy device using the given noise model.
     pub fn noisy(num_qubits: usize, noise: NoiseModel) -> Self {
-        DeviceConfig { num_qubits, noise, supports_mid_circuit: true, seed: 0, interpreted: false }
+        DeviceConfig { num_qubits, noise, supports_mid_circuit: true, seed: 0 }
     }
 
     /// Sets the sampling seed.
@@ -65,12 +55,6 @@ impl DeviceConfig {
     /// Disables mid-circuit measurement/reset support.
     pub fn without_mid_circuit(mut self) -> Self {
         self.supports_mid_circuit = false;
-        self
-    }
-
-    /// Opts out of compiled kernel execution (differential-testing path).
-    pub fn interpreted(mut self) -> Self {
-        self.interpreted = true;
         self
     }
 }
@@ -93,20 +77,12 @@ pub struct Device {
     executions: AtomicU64,
     /// What the compiled path compiled, summed over every execution.
     compiled: CompileCounters,
-    /// Resolved at construction: config opt-out or `QRCC_SIM_INTERPRETED`.
-    use_compiled: bool,
 }
 
 impl Device {
     /// Creates a device from its configuration.
     pub fn new(config: DeviceConfig) -> Self {
-        let use_compiled = !config.interpreted && !interpreted_forced_by_env();
-        Device {
-            config,
-            executions: AtomicU64::new(0),
-            compiled: CompileCounters::new(),
-            use_compiled,
-        }
+        Device { config, executions: AtomicU64::new(0), compiled: CompileCounters::new() }
     }
 
     /// An ideal (noiseless) device with `num_qubits` qubits.
@@ -137,11 +113,6 @@ impl Device {
 
     fn rng_for_stream(&self, stream: u64) -> StdRng {
         StdRng::seed_from_u64(self.config.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    fn next_rng(&self) -> StdRng {
-        let n = self.executions.fetch_add(1, Ordering::Relaxed);
-        self.rng_for_stream(n)
     }
 
     /// Checks that `circuit` could run on this device, without executing it
@@ -192,24 +163,22 @@ impl Device {
     /// O(leaves·kernels·2^n) plus one O(1)-expected binomial draw per node
     /// the deals visit: it does not grow with the shots.
     ///
-    /// A **noisy** device runs one interpreted per-gate trajectory per shot,
-    /// O(shots·gates·2^n): stochastic per-gate noise anchors to gate
-    /// boundaries, which kernel fusion would erase. A noiseless device opted
-    /// out of compilation ([`DeviceConfig::interpreted`],
-    /// `QRCC_SIM_INTERPRETED=1`) runs the same trajectories — the oracle the
-    /// sampled readout is tested against.
+    /// A **noisy** device runs one interpreted per-gate trajectory per shot
+    /// ([`Device::execute_trajectories`]), O(shots·gates·2^n): stochastic
+    /// per-gate noise anchors to gate boundaries, which kernel fusion would
+    /// erase.
     ///
     /// # Seeded counts
     ///
     /// The histogram is a function of `(seed, stream)` alone, whatever the
     /// thread count or the order a batch runs in. The sampled readout deals
     /// shots in tree order with binomial draws where the trajectories make
-    /// one draw per shot and measurement, so the seeded counts of noiseless
-    /// circuits differ from the interpreted device's while following the
-    /// same distribution, the one [`FramedProgram::read_out`] computes
-    /// exactly. A circuit whose measures are all terminal is one leaf, whose
-    /// counts are the ones [`StateVector::sample_counts`] draws from the
-    /// final state with the same stream.
+    /// one draw per shot and measurement, so the seeded counts of a
+    /// noiseless device differ from [`Device::execute_trajectories`]' while
+    /// following the same distribution, the one [`FramedProgram::read_out`]
+    /// computes exactly. A circuit whose measures are all terminal is one
+    /// leaf, whose counts are the ones [`StateVector::sample_counts`] draws
+    /// from the final state with the same stream.
     ///
     /// # Errors
     ///
@@ -219,7 +188,7 @@ impl Device {
     /// * [`SimError::ZeroShots`] if `shots == 0`.
     ///
     pub fn execute(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
-        self.execute_with_rng(circuit, shots, || self.next_rng())
+        self.execute_on(circuit, shots, || self.reserve_streams(1))
     }
 
     /// Executes `circuit` on an explicit sampling stream (see
@@ -238,58 +207,74 @@ impl Device {
         shots: u64,
         stream: u64,
     ) -> Result<Counts, SimError> {
-        self.execute_with_rng(circuit, shots, || self.rng_for_stream(stream))
+        self.execute_on(circuit, shots, || stream)
     }
 
-    fn execute_with_rng(
+    /// Runs `circuit` for `shots` shots on sampling stream `stream` as one
+    /// interpreted per-gate state-vector trajectory per shot, with the
+    /// device's noise applied after every gate and at every readout:
+    /// O(shots·gates·2^n). Every execution of a noisy device is this; on a
+    /// noiseless device it is the oracle the sampled readout of
+    /// [`Device::execute`] is tested and benchmarked against. Circuits
+    /// without measurements are measured on every qubit, as there.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Device::execute`].
+    pub fn execute_trajectories(
         &self,
         circuit: &Circuit,
         shots: u64,
-        make_rng: impl FnOnce() -> StdRng,
+        stream: u64,
     ) -> Result<Counts, SimError> {
-        if shots == 0 {
-            return Err(SimError::ZeroShots);
-        }
-        let mut circuit = Cow::Borrowed(circuit);
-        if !circuit.operations().iter().any(Operation::is_measure) {
-            circuit.to_mut().measure_all();
-        }
-        let circuit = &*circuit;
+        self.trajectories_on(circuit, shots, || stream)
+    }
 
-        if self.use_compiled && self.config.noise.is_noiseless() {
-            // One sampled readout: the program classified its measurements
-            // when it was compiled, and that is the only classification.
-            self.check_width(circuit)?;
-            let program = FramedProgram::compile(circuit);
-            self.compiled.add(&program);
-            self.check_mid_circuit(|| program.reuses_wires())?;
-            return Ok(program.sample(shots, &mut make_rng())?.counts);
+    /// The shared execution path; `stream` is drawn only once the circuit is
+    /// known to run, so a refused circuit consumes no sampling stream.
+    fn execute_on(
+        &self,
+        circuit: &Circuit,
+        shots: u64,
+        stream: impl FnOnce() -> u64,
+    ) -> Result<Counts, SimError> {
+        if !self.config.noise.is_noiseless() {
+            return self.trajectories_on(circuit, shots, stream);
         }
+        let circuit = measured(circuit, shots)?;
+        // One sampled readout: the program classified its measurements when
+        // it was compiled, and that is the only classification.
+        self.check_width(&circuit)?;
+        let program = FramedProgram::compile(&circuit);
+        self.compiled.add(&program);
+        self.check_mid_circuit(|| program.reuses_wires())?;
+        Ok(program.sample(shots, &mut self.rng_for_stream(stream()))?.counts)
+    }
 
-        // Interpreted trajectories: one per-gate state-vector run per shot.
-        // Noisy execution always lands here — stochastic per-gate noise
-        // anchors to gate boundaries, which kernel fusion would erase.
-        self.validate(circuit)?;
-        let mut rng = make_rng();
+    fn trajectories_on(
+        &self,
+        circuit: &Circuit,
+        shots: u64,
+        stream: impl FnOnce() -> u64,
+    ) -> Result<Counts, SimError> {
+        let circuit = measured(circuit, shots)?;
+        self.validate(&circuit)?;
+        let mut rng = self.rng_for_stream(stream());
         let mut counts = Counts::new(circuit.num_clbits());
         for _ in 0..shots {
-            let bits = self.run_single_trajectory(circuit, &mut rng)?;
-            counts.record_bits(&bits);
+            counts.record_bits(&self.trajectory(&circuit, &mut rng));
         }
         Ok(counts)
     }
 
     /// Kernel-compilation telemetry summed over every circuit this device
-    /// compiled (`None` when the device runs the interpreted path).
-    pub fn compile_stats(&self) -> Option<CompileStats> {
-        self.use_compiled.then(|| self.compiled.stats())
+    /// compiled (a noisy device compiles none).
+    pub fn compile_stats(&self) -> CompileStats {
+        self.compiled.stats()
     }
 
-    fn run_single_trajectory(
-        &self,
-        circuit: &Circuit,
-        rng: &mut StdRng,
-    ) -> Result<Vec<bool>, SimError> {
+    /// One shot: the clbits a per-gate run of `circuit` reads out.
+    fn trajectory(&self, circuit: &Circuit, rng: &mut StdRng) -> Vec<bool> {
         let mut state = StateVector::new(circuit.num_qubits());
         let mut clbits = vec![false; circuit.num_clbits()];
         for op in circuit.operations() {
@@ -312,7 +297,7 @@ impl Device {
                 Operation::Barrier { .. } => {}
             }
         }
-        Ok(clbits)
+        clbits
     }
 
     /// Estimates the expectation value of `observable` on the state prepared
@@ -346,6 +331,19 @@ impl Device {
         }
         Ok(total)
     }
+}
+
+/// What a run of `shots` shots executes: `circuit`, measured on every wire
+/// when it measures nothing.
+fn measured(circuit: &Circuit, shots: u64) -> Result<Cow<'_, Circuit>, SimError> {
+    if shots == 0 {
+        return Err(SimError::ZeroShots);
+    }
+    let mut circuit = Cow::Borrowed(circuit);
+    if !circuit.operations().iter().any(Operation::is_measure) {
+        circuit.to_mut().measure_all();
+    }
+    Ok(circuit)
 }
 
 /// Whether the circuit requires mid-circuit measurement or reset support:
@@ -490,6 +488,25 @@ mod tests {
     }
 
     #[test]
+    fn a_noisy_device_runs_the_trajectory_sampler_and_compiles_nothing() {
+        let mut reuse = Circuit::with_clbits(2, 3);
+        reuse.h(0).cx(0, 1).measure(0, 0).reset(0).ry(0.7, 0).measure(0, 1).measure(1, 2);
+        let config = DeviceConfig::noisy(2, NoiseModel::uniform(0.02)).with_seed(5);
+        let device = Device::new(config);
+        let oracle = Device::new(config);
+        for stream in 0..3 {
+            assert_eq!(
+                device.execute(&reuse, 400).unwrap(),
+                oracle.execute_trajectories(&reuse, 400, stream).unwrap(),
+                "stream {stream}"
+            );
+        }
+        assert_eq!(device.compile_stats(), CompileStats::default());
+        // the sampler leaves the device's stream counter alone
+        assert_eq!((device.executions(), oracle.executions()), (3, 0));
+    }
+
+    #[test]
     fn compile_stats_sum_every_circuit_the_device_compiled() {
         let mut reuse = Circuit::with_clbits(2, 2);
         reuse.h(0).cx(0, 1).measure(0, 0).reset(0).ry(0.7, 0).measure(0, 1);
@@ -499,9 +516,7 @@ mod tests {
         for circuit in [&reuse, &unmeasured, &reuse] {
             device.execute(circuit, 50).unwrap();
         }
-        let Some(stats) = device.compile_stats() else {
-            return; // differential CI leg: the interpreted device compiles nothing
-        };
+        let stats = device.compile_stats();
         // an unmeasured circuit runs measured on every wire
         let mut measured = unmeasured.clone();
         measured.measure_all();
@@ -524,9 +539,6 @@ mod tests {
         let mut measured = unitary.clone();
         measured.measure_all();
         let device = Device::new(DeviceConfig::ideal(3).with_seed(21));
-        if !device.use_compiled {
-            return; // differential CI leg: the oracle runs trajectories
-        }
         let state = FramedProgram::compile(&unitary).run_unitary().unwrap();
         let expected = state.sample_counts(700, &mut device.rng_for_stream(0)).unwrap();
         assert_eq!(device.execute(&measured, 700).unwrap(), expected);

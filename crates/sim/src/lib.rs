@@ -27,12 +27,13 @@
 //!    and a leaf deals its shots as one multinomial: the cost does not grow
 //!    with the shots. A noiseless [`device`] is exactly that sampled
 //!    readout.
-//! 4. **Interpret** — the original per-gate interpreter remains available
-//!    everywhere (construction-time opt-out, or the
-//!    `QRCC_SIM_INTERPRETED=1` environment variable): exact branch
-//!    enumeration in [`branching`], one trajectory per shot in [`device`].
-//!    It is the only path for noisy devices and the differential reference
-//!    the compiled path is tested against.
+//! 4. **Interpret** — the original per-gate interpreter stays as the
+//!    oracles the compiled path is tested against, called directly: exact
+//!    branch enumeration in [`branching::classical_distribution`], and one
+//!    trajectory per shot in [`device::Device::execute_trajectories`]. The
+//!    trajectories are also what every noisy device runs. There is no
+//!    switch that makes a backend interpret: a noiseless device always
+//!    compiles.
 //!
 //! The pieces:
 //!
@@ -44,8 +45,8 @@
 //! * [`compile`] — the kernel compiler and the [`compile::CompileStats`]
 //!   coverage report described above.
 //! * [`branching`] — exact interpreted enumeration of measurement branches
-//!   (every measure branches, naive on purpose): what the interpreted
-//!   backends run, and the oracle the compiled readout is tested against.
+//!   (every measure branches, naive on purpose): the oracle the compiled
+//!   readout is tested against.
 //! * [`noise`] — stochastic-Pauli (depolarizing) and readout noise models.
 //!   Noisy execution always interprets gate-by-gate: per-gate noise anchors
 //!   to gate boundaries, which fusion would erase.

@@ -5,8 +5,9 @@
 //! as it does compiled on one. The compiled readout branches only
 //! where it has to; the interpreted enumerator, which branches at every
 //! measure, is the oracle it is held to — and the exact readout in turn is
-//! what the shots of both devices, compiled (one sampled readout) and
-//! interpreted (one trajectory per shot), have to fit.
+//! what a noiseless device's shots have to fit, both as it executes them
+//! (one sampled readout) and as its trajectory oracle draws them (one
+//! per-gate trajectory per shot).
 
 use proptest::prelude::*;
 use qrcc_circuit::generators::{
@@ -168,8 +169,8 @@ fn assert_fits(counts: &Counts, exact: &[f64], shots: u64, what: &str) {
     assert!(chi2 < bound, "{what}: chi2 {chi2:.1} over {cells} cells exceeds {bound:.1}");
 }
 
-/// Asserts that the shots of a compiled and of an interpreted device, both
-/// seeded with `seed`, fit the exact readout of `circuit`.
+/// Asserts that the shots a device seeded with `seed` executes, and the
+/// shots its trajectory oracle draws, fit the exact readout of `circuit`.
 fn assert_sampling_fits_the_exact_readout(circuit: &Circuit, seed: u64) {
     const SHOTS: u64 = 4096;
     // a device measures every wire of a circuit that measures none
@@ -178,13 +179,11 @@ fn assert_sampling_fits_the_exact_readout(circuit: &Circuit, seed: u64) {
         measured.measure_all();
     }
     let exact = FramedProgram::compile(&measured).read_out().unwrap().distribution;
-    let config = DeviceConfig::ideal(circuit.num_qubits()).with_seed(seed);
-    for (what, device) in
-        [("compiled", Device::new(config)), ("interpreted", Device::new(config.interpreted()))]
-    {
-        let counts = device.execute(circuit, SHOTS).unwrap();
-        assert_fits(&counts, &exact, SHOTS, &format!("{what} device, seed {seed}"));
-    }
+    let device = Device::new(DeviceConfig::ideal(circuit.num_qubits()).with_seed(seed));
+    let executed = device.execute(circuit, SHOTS).unwrap();
+    assert_fits(&executed, &exact, SHOTS, &format!("executed shots, seed {seed}"));
+    let trajectories = device.execute_trajectories(circuit, SHOTS, 0).unwrap();
+    assert_fits(&trajectories, &exact, SHOTS, &format!("trajectory oracle, seed {seed}"));
 }
 
 #[test]

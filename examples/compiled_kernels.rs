@@ -1,7 +1,7 @@
 //! Compiled kernels: inspect what the kernel compiler did to a cut
 //! workload's variant batch — fusion ratio, specialization coverage and how
-//! the measurements classified — and verify the compiled path reproduces
-//! the interpreted one.
+//! the measurements classified — and verify the compiled readout of every
+//! variant against the gate-by-gate branching oracle.
 //!
 //! Every circuit is compiled on the thread that runs it and nothing
 //! compiled is kept; the report sums what each circuit compiled to. What a
@@ -30,14 +30,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.rz(t, q).h(q).t(q);
     }
 
-    // 2. Plan the cut and execute on the default (compiled) exact backend.
+    // 2. Plan the cut and execute on the exact backend, which compiles.
     let pipeline = QrccPipeline::plan(&circuit, QrccConfig::new(3))?;
-    let run = |backend: ExactBackend| {
-        let mut registry = DeviceRegistry::new();
-        registry.register("exact", backend);
-        pipeline.execute_streaming(&Scheduler::new(&registry, SchedulePolicy::default()))
-    };
-    let (probabilities, _, schedule) = run(ExactBackend::new())?;
+    let mut registry = DeviceRegistry::new();
+    registry.register("exact", ExactBackend::new());
+    let scheduler = Scheduler::new(&registry, SchedulePolicy::default());
+    let (probabilities, _, schedule) = pipeline.execute_streaming(&scheduler)?;
 
     // 3. The schedule report carries the compiler's telemetry.
     let stats = schedule.kernel_compile.as_ref().expect("compiled backend reports stats");
@@ -51,17 +49,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(stats.fusion_ratio() > 1.0, "the single-qubit runs fuse");
 
-    // 4. The interpreted opt-out produces the same distribution.
-    let (probabilities_interp, _, _) = run(ExactBackend::interpreted())?;
-    let max_gap = probabilities
-        .iter()
-        .zip(&probabilities_interp)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    println!("max |compiled - interpreted| over reconstructed P = {max_gap:.2e}");
+    // 4. Every variant's compiled readout matches the interpreted
+    //    branching oracle, which branches at every measure.
+    let fragments = pipeline.fragments();
+    let requests = ProbabilityReconstructor::new().requests(fragments)?;
+    let variants: Vec<Circuit> =
+        requests.iter().map(|r| fragments.instantiate_key(&r.key)).collect::<Result<_, _>>()?;
+    let refs: Vec<&Circuit> = variants.iter().collect();
+    let mut max_gap = 0.0f64;
+    for (variant, compiled) in variants.iter().zip(ExactBackend::new().run(&refs, None)) {
+        let oracle = qrcc::sim::branching::classical_distribution(variant)?;
+        for (a, b) in compiled?.iter().zip(&oracle) {
+            max_gap = max_gap.max((a - b).abs());
+        }
+    }
+    println!("max |compiled - oracle| over {} variant readouts = {max_gap:.2e}", variants.len());
     assert!(max_gap < 1e-12);
 
-    // 5. And both match direct simulation of the uncut circuit.
+    // 5. The reconstruction matches direct simulation of the uncut circuit.
     let exact = StateVector::from_circuit(&circuit)?.probabilities();
     let max_error =
         probabilities.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);

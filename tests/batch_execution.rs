@@ -23,8 +23,8 @@ fn execute_serially(
     let mut results = ExecutionResults::default();
     for request in requests {
         let circuit = fragments.instantiate_key(&request.key).expect("valid key");
-        let dist = backend.run_one(&circuit).expect("exact execution");
-        // sanity: the one-request batch path agrees with run_one
+        let dist = backend.run(&[&circuit], None).remove(0).expect("exact execution");
+        // sanity: the one-request batch path agrees with a one-circuit run
         let one = execute_requests(fragments, std::slice::from_ref(request), &ExactBackend::new())
             .expect("single-request batch");
         assert_eq!(one.distribution(&request.key).unwrap(), dist.as_slice());
