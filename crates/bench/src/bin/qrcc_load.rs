@@ -142,7 +142,6 @@ fn main() {
                 ShotsBackend::new(Device::new(DeviceConfig::ideal(4).with_seed(7 + i as u64)), 1),
             )
             .expect("server binds")
-            .with_metrics_window(Duration::from_secs(10), 10)
             .spawn()
         })
         .collect();

@@ -51,7 +51,7 @@ pub use registry::{DeviceRegistry, RegisteredBackend};
 pub use crate::config::{SchedulePolicy, ShotAllocation};
 
 use crate::cache::CacheStats;
-use crate::dispatch::{DispatchStats, Dispatcher};
+use crate::dispatch::DispatchStats;
 use crate::execute::{prepare_batch, BackendUsage, ExecutionResults};
 use crate::fragment::{FragmentSet, VariantRequest};
 use crate::CoreError;
@@ -83,7 +83,8 @@ pub struct ScheduleReport {
     /// kernels emitted, fusion ratio, coverage, and how many
     /// measures were terminal against how many branch points exact readout
     /// split at. Cumulative over the backends' lifetimes, not per run;
-    /// `None` when every backend interprets gate-by-gate (or is remote).
+    /// `None` only when no backend reports compile stats (e.g. an
+    /// all-remote registry).
     pub kernel_compile: Option<CompileStats>,
     /// Counters of the registry's result cache, read once after the last
     /// chunk: full and delta hits, misses, and the device shots the cache
@@ -120,7 +121,7 @@ impl<'r> Scheduler<'r> {
     /// The full scheduled pipeline, streaming results chunk by chunk:
     /// deduplicate (each key mapped to its canonical circuit), allocate the
     /// shot budget over the whole batch, then hand the batch to the
-    /// [`Dispatcher`]: each chunk of circuits is routed across the registry
+    /// [`dispatch`](crate::dispatch) loop: each chunk of circuits is routed across the registry
     /// and driven through one worker thread per backend, with at most
     /// [`SchedulePolicy::max_in_flight_chunks`] chunks dispatched but not
     /// yet delivered (a slow `sink` exerts backpressure on dispatch) and
@@ -168,13 +169,18 @@ impl<'r> Scheduler<'r> {
             None => None,
         };
 
-        let dispatcher = Dispatcher::new(self.registry, self.policy);
         let mut chunks = 0;
-        let (dispatch, backends) =
-            dispatcher.dispatch(fragments, &batch, shots.as_deref(), |chunk| {
+        let (dispatch, backends) = crate::dispatch::dispatch(
+            self.registry,
+            self.policy,
+            fragments,
+            &batch,
+            shots.as_deref(),
+            |chunk| {
                 chunks += 1;
                 sink(chunk)
-            })?;
+            },
+        )?;
         Ok(ScheduleReport {
             total_shots: backends.iter().map(|usage| usage.shots).sum(),
             backends,

@@ -148,7 +148,7 @@ impl DeviceRegistry {
     /// Attaches a result cache built from `policy` (builder form). With
     /// `policy.enabled == false` this detaches any cache, so a caller can
     /// pass its policy through unconditionally.
-    /// Once attached, the [`Dispatcher`](crate::dispatch::Dispatcher)
+    /// Once attached, the [`dispatch`](crate::dispatch) loop
     /// consults the cache before routing: full hits skip the backend (their
     /// allocated shots are simply not spent), delta hits execute only the
     /// shot top-up, and every fresh execution is written back.
@@ -175,8 +175,8 @@ impl DeviceRegistry {
     }
 
     /// Merged kernel-compilation statistics across every registered backend
-    /// running the compiled simulator path, or `None` when all backends
-    /// interpret gate-by-gate.
+    /// that reports them, or `None` when none does (e.g. an all-remote
+    /// registry).
     pub fn compile_stats(&self) -> Option<CompileStats> {
         let mut merged: Option<CompileStats> = None;
         for entry in &self.entries {

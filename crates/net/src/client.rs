@@ -15,8 +15,10 @@
 //! connection remembers which fragment bodies its server holds, defines the
 //! missing ones ([`Frame::DefineFragment`]) and then submits
 //! `(fragment id, ordinal, outputs)` keys ([`Frame::SubmitVariants`]), all
-//! in one write. Bare circuits ([`ExecutionBackend::run`]) travel as
-//! OpenQASM text. A batch's replies are read through one buffered reader.
+//! in one write; keys that together instantiate more than
+//! [`MAX_BATCH_WEIGHT`] go as consecutive submissions, each within the cap.
+//! Bare circuits ([`ExecutionBackend::run`]) travel as OpenQASM text. A
+//! batch's replies are read through one buffered reader.
 //!
 //! Connections live in a small **reconnecting pool**: a batch checks a
 //! connection out, and returns it only when the batch completed cleanly. A
@@ -41,6 +43,7 @@ use qrcc_core::CoreError;
 use std::borrow::Cow;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -549,15 +552,15 @@ impl RemoteBackend {
 enum Payload<'a, 'b> {
     /// Bare circuits (sent as OpenQASM) with optional per-circuit shots.
     Circuits(&'a [&'a Circuit], Option<&'a [u64]>),
-    /// Fragment variants (sent as keys).
-    Variants(&'a VariantBatch<'b>),
+    /// The fragment variants at positions `range` of a batch (sent as keys).
+    Variants(&'a VariantBatch<'b>, Range<usize>),
 }
 
 impl Payload<'_, '_> {
     fn len(&self) -> usize {
         match self {
             Payload::Circuits(circuits, _) => circuits.len(),
-            Payload::Variants(variants) => variants.len(),
+            Payload::Variants(_, range) => range.len(),
         }
     }
 
@@ -566,9 +569,9 @@ impl Payload<'_, '_> {
     fn clbits(&self) -> Vec<usize> {
         match self {
             Payload::Circuits(circuits, _) => circuits.iter().map(|c| c.num_clbits()).collect(),
-            Payload::Variants(variants) => {
+            Payload::Variants(variants, range) => {
                 let fragments = &variants.fragments().fragments;
-                variants.keys().map(|key| fragments[key.fragment].num_clbits).collect()
+                keys_in(variants, range).map(|key| fragments[key.fragment].num_clbits).collect()
             }
         }
     }
@@ -606,20 +609,24 @@ impl Connection {
         trace: Option<proto::TraceContext>,
     ) -> std::io::Result<()> {
         let (circuits, shots) = match payload {
-            Payload::Variants(variants) => match self.define_fragments(out, variants)? {
-                Some(ids) => {
-                    let keys = variants
-                        .keys()
-                        .map(|key| VariantKey { fragment: ids[key.fragment] as usize, ..key })
-                        .collect();
-                    let shots = variants.shots().map(<[u64]>::to_vec);
-                    return proto::append_frame(
-                        out,
-                        &Frame::SubmitVariants { batch, keys, shots, trace },
-                    );
+            Payload::Variants(variants, range) => {
+                let shots = variants.shots().map(|shots| &shots[range.clone()]);
+                match self.define_fragments(out, variants, range)? {
+                    Some(ids) => {
+                        let keys = keys_in(variants, range)
+                            .map(|key| VariantKey { fragment: ids[key.fragment] as usize, ..key })
+                            .collect();
+                        let shots = shots.map(<[u64]>::to_vec);
+                        return proto::append_frame(
+                            out,
+                            &Frame::SubmitVariants { batch, keys, shots, trace },
+                        );
+                    }
+                    None => {
+                        (Cow::Owned(variants.circuit_refs().drain(range.clone()).collect()), shots)
+                    }
                 }
-                None => (Cow::Owned(variants.circuit_refs()), variants.shots()),
-            },
+            }
             Payload::Circuits(circuits, shots) => (Cow::Borrowed(*circuits), *shots),
         };
         let frame = Frame::SubmitBatch {
@@ -631,26 +638,24 @@ impl Connection {
         proto::append_frame(out, &frame)
     }
 
-    /// Makes sure the server holds every fragment `variants` uses, appending
-    /// the missing definitions to `out`, and returns each fragment's table
-    /// id (indexed like the fragment set; unused fragments map to 0). When
-    /// the missing bodies do not fit beside the held ones, the table starts
-    /// over: every body the batch uses is defined again from id 0. `None`
-    /// when the key path cannot carry the batch: it uses more than
-    /// [`MAX_FRAGMENTS`] fragments, one heavier than
-    /// [`MAX_FRAGMENT_WEIGHT`], or its keys instantiate more than
-    /// [`MAX_BATCH_WEIGHT`].
+    /// Makes sure the server holds every fragment the variants at `range`
+    /// use, appending the missing definitions to `out`, and returns each
+    /// fragment's table id (indexed like the fragment set; unused fragments
+    /// map to 0). When the missing bodies do not fit beside the held ones,
+    /// the table starts over: every body the submission uses is defined
+    /// again from id 0. `None` when the key path cannot carry the
+    /// submission: it uses more than [`MAX_FRAGMENTS`] fragments, or one
+    /// heavier than [`MAX_FRAGMENT_WEIGHT`].
     fn define_fragments(
         &mut self,
         out: &mut Vec<u8>,
         variants: &VariantBatch<'_>,
+        range: &Range<usize>,
     ) -> std::io::Result<Option<Vec<u32>>> {
         let fragments = &variants.fragments().fragments;
         let mut wanted = vec![false; fragments.len()];
-        let mut weight = 0usize;
-        for key in variants.keys() {
+        for key in keys_in(variants, range) {
             wanted[key.fragment] = true;
-            weight = weight.saturating_add(fragments[key.fragment].body().weight());
         }
         let used: Vec<(usize, &FragmentBody)> = fragments
             .iter()
@@ -659,7 +664,6 @@ impl Connection {
             .map(|(index, fragment)| (index, fragment.body()))
             .collect();
         if used.len() > MAX_FRAGMENTS as usize
-            || weight > MAX_BATCH_WEIGHT
             || used.iter().any(|(_, body)| body.weight() > MAX_FRAGMENT_WEIGHT)
         {
             return Ok(None);
@@ -689,6 +693,14 @@ impl Connection {
         }
         Ok(Some(ids))
     }
+}
+
+/// The keys at positions `range` of `variants`.
+fn keys_in<'v>(
+    variants: &'v VariantBatch<'_>,
+    range: &Range<usize>,
+) -> impl Iterator<Item = VariantKey> + 'v {
+    variants.keys().skip(range.start).take(range.len())
 }
 
 fn unavailable(backend: &str, reason: String) -> CoreError {
@@ -787,10 +799,26 @@ impl ExecutionBackend for RemoteBackend {
     }
 
     /// Sends each fragment body once per pooled connection, then only keys
-    /// ([`Frame::SubmitVariants`]); a batch the key path cannot carry goes
-    /// as OpenQASM, like [`run`](ExecutionBackend::run).
+    /// ([`Frame::SubmitVariants`]). Keys that together instantiate more
+    /// than [`MAX_BATCH_WEIGHT`] go as consecutive submissions, each within
+    /// the cap. A submission the key path cannot carry otherwise (more than
+    /// [`MAX_FRAGMENTS`] fragments, or one heavier than
+    /// [`MAX_FRAGMENT_WEIGHT`]) goes as OpenQASM, like
+    /// [`run`](ExecutionBackend::run).
     fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.submit(Payload::Variants(variants))
+        let fragments = &variants.fragments().fragments;
+        let mut results = Vec::with_capacity(variants.len());
+        let (mut start, mut weight) = (0, 0usize);
+        for (index, key) in variants.keys().enumerate() {
+            let key_weight = fragments[key.fragment].body().weight();
+            if index > start && weight.saturating_add(key_weight) > MAX_BATCH_WEIGHT {
+                results.extend(self.submit(Payload::Variants(variants, start..index)));
+                (start, weight) = (index, 0);
+            }
+            weight = weight.saturating_add(key_weight);
+        }
+        results.extend(self.submit(Payload::Variants(variants, start..variants.len())));
+        results
     }
 
     fn max_qubits(&self) -> Option<usize> {

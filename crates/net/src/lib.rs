@@ -16,14 +16,17 @@
 //! * [`server`] — [`QrccServer`], a `std::net::TcpListener` worker wrapping
 //!   **any** local [`ExecutionBackend`](qrcc_core::execute::ExecutionBackend)
 //!   (thread-per-connection with a bounded per-connection fragment table,
-//!   graceful shutdown, live statistics). Bind port 0 for collision-free
-//!   ephemeral ports in tests and fleets.
+//!   graceful shutdown, live statistics). A worker counts each event once:
+//!   batches, circuits and queue depth in its [`ServerStats`], cache events
+//!   in its result cache ([`ServerHandle::cache_stats`]). Bind port 0 for
+//!   collision-free ephemeral ports in tests and fleets.
 //! * [`client`] — [`RemoteBackend`], an
 //!   [`ExecutionBackend`](qrcc_core::execute::ExecutionBackend) over a
 //!   reconnecting connection pool whose connections remember the fragments
 //!   their worker holds. Its `run` — the trait's one execution method —
 //!   sends OpenQASM; its `run_variants`, the only override of the trait's
-//!   default, sends keys. The worker runs whatever arrives as one `run`
+//!   default, sends keys, in consecutive submissions when they together
+//!   outweigh [`MAX_BATCH_WEIGHT`]. The worker runs whatever arrives as one `run`
 //!   call on its backend. It drops straight into a
 //!   [`DeviceRegistry`](qrcc_core::schedule::DeviceRegistry), where the
 //!   dispatch layer's retry-with-exclusion and bounded in-flight windows
@@ -82,4 +85,4 @@ pub use proto::{
     BatchTelemetry, Capabilities, HealthReport, HealthState, MetricsReport, ProtoError,
     TraceContext, MAX_BATCH_WEIGHT, MAX_FRAGMENTS, MAX_FRAGMENT_WEIGHT, PROTOCOL_VERSION,
 };
-pub use server::{ConnectionStats, QrccServer, ServerHandle, ServerStats};
+pub use server::{QrccServer, ServerHandle, ServerStats};

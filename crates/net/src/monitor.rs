@@ -88,9 +88,9 @@ pub fn merge_reports<'a>(reports: impl IntoIterator<Item = &'a MetricsReport>) -
 /// Requests in the window come from the windowed latency histogram's count
 /// (every batch records exactly one latency sample); errors are
 /// reconstructed from the windowed error-rate gauge times the policy
-/// window, so the policy window should match the servers'
-/// [`with_metrics_window`](crate::server::QrccServer::with_metrics_window)
-/// configuration. Returns `None` when the policy carries no SLO.
+/// window, so the policy window should match the servers' metrics window
+/// (the last 10 s, in 1 s buckets). Returns `None` when the policy carries
+/// no SLO.
 pub fn evaluate_report(policy: &MonitorPolicy, report: &MetricsReport) -> Option<SloEvaluation> {
     let slo = policy.slo.as_ref()?;
     let latency = report

@@ -21,8 +21,8 @@
 //! leaves in one write.
 
 use crate::proto::{
-    self, BatchTelemetry, Capabilities, Frame, HealthState, MetricsReport, ProtoError,
-    TraceContext, WireErrorKind, MAX_BATCH_WEIGHT, PROTOCOL_VERSION,
+    self, BatchTelemetry, Capabilities, Frame, HealthReport, HealthState, MetricsReport,
+    ProtoError, TraceContext, WireErrorKind, MAX_BATCH_WEIGHT, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use qrcc_circuit::{qasm, Circuit};
@@ -73,30 +73,28 @@ const IDLE_DEADLINE: Duration = Duration::from_secs(900);
 /// without delivering another byte of it.
 const FRAME_STALL: Duration = Duration::from_secs(30);
 
-/// Default aggregate queue depth (batches in flight) at which
-/// [`Frame::GetHealth`] reports [`HealthState::Overloaded`]. Each in-flight
-/// batch pins one connection thread, so this bounds "healthy but saturated"
-/// well before thread exhaustion. Tunable via
-/// [`QrccServer::with_overload_threshold`].
-const DEFAULT_OVERLOAD_THRESHOLD: u64 = 64;
+/// Aggregate queue depth (batches in flight) at which [`Frame::GetHealth`]
+/// reports [`HealthState::Overloaded`]. Each in-flight batch pins one
+/// connection thread, so this bounds "healthy but saturated" well before
+/// thread exhaustion.
+const OVERLOAD_THRESHOLD: u64 = 64;
 
-/// Default live-metrics window served on [`Frame::GetMetrics`]: quantiles
-/// and rates cover the last 10 s, rotating in 1 s buckets. Tunable via
-/// [`QrccServer::with_metrics_window`].
-const DEFAULT_WINDOW: Duration = Duration::from_secs(10);
-const DEFAULT_WINDOW_BUCKETS: usize = 10;
+/// The live-metrics window served on [`Frame::GetMetrics`]: quantiles and
+/// rates cover the last 10 s, rotating in 1 s buckets.
+const METRICS_WINDOW: Duration = Duration::from_secs(10);
+const METRICS_WINDOW_BUCKETS: usize = 10;
 
-/// Aggregate counters of one server, also folded per connection (every
-/// connection thread owns a [`ConnectionStats`] and merges it live).
+/// Aggregate counters of one server. Result-cache events are counted once,
+/// by the cache itself: see [`ServerHandle::cache_stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted since the server started.
     pub connections: u64,
     /// Batches served to completion (their `BatchDone` frame was sent).
-    /// A batch is counted here, and in the circuit and cache counters
-    /// below, just before its reply is written, so a client that saw
-    /// `BatchDone` reads it; it is taken back out if that write fails —
-    /// the only time these counters step down.
+    /// A batch is counted here, and in the circuit counters below, just
+    /// before its reply is written, so a client that saw `BatchDone` reads
+    /// it; it is taken back out if that write fails — the only time these
+    /// counters step down.
     pub batches: u64,
     /// Circuits that executed successfully.
     pub circuits_ok: u64,
@@ -106,15 +104,6 @@ pub struct ServerStats {
     /// Connections dropped over protocol violations (bad handshake,
     /// malformed or unexpected frames).
     pub protocol_errors: u64,
-    /// Circuits served entirely from the result cache (no backend call).
-    pub cache_hits: u64,
-    /// Circuits served partially from the cache: only the missing shots ran.
-    pub cache_delta_hits: u64,
-    /// Circuits that found nothing usable in the result cache (0 when no
-    /// cache is attached — lookups never happen).
-    pub cache_misses: u64,
-    /// Device shots the result cache absorbed across all connections.
-    pub cache_shots_saved: u64,
     /// End-to-end batch service latency (microseconds, from building the
     /// circuits to the encoded reply) as a mergeable log-bucketed
     /// histogram — ask it for `p50()`/`p99()`/`p999()` instead of a single
@@ -145,10 +134,6 @@ impl ServerStats {
             .with_counter("server.circuits_ok", self.circuits_ok)
             .with_counter("server.circuits_failed", self.circuits_failed)
             .with_counter("server.protocol_errors", self.protocol_errors)
-            .with_counter("server.cache_hits", self.cache_hits)
-            .with_counter("server.cache_delta_hits", self.cache_delta_hits)
-            .with_counter("server.cache_misses", self.cache_misses)
-            .with_counter("server.cache_shots_saved", self.cache_shots_saved)
             .with_gauge("server.queue_depth", self.queue_depth as f64)
             .with_gauge("server.queue_high_water", self.queue_high_water as f64)
             .with_gauge("server.open_connections", self.open_connections as f64)
@@ -167,11 +152,11 @@ struct WindowState {
 }
 
 impl WindowState {
-    fn new(window: Duration, buckets: usize) -> Self {
+    fn new() -> Self {
         WindowState {
-            latency: qrcc_core::obs::WindowedHistogram::new(window, buckets),
-            requests: qrcc_core::obs::RateCounter::new(window, buckets),
-            failures: qrcc_core::obs::RateCounter::new(window, buckets),
+            latency: qrcc_core::obs::WindowedHistogram::new(METRICS_WINDOW, METRICS_WINDOW_BUCKETS),
+            requests: qrcc_core::obs::RateCounter::new(METRICS_WINDOW, METRICS_WINDOW_BUCKETS),
+            failures: qrcc_core::obs::RateCounter::new(METRICS_WINDOW, METRICS_WINDOW_BUCKETS),
         }
     }
 }
@@ -184,23 +169,18 @@ struct StatsInner {
     circuits_ok: AtomicU64,
     circuits_failed: AtomicU64,
     protocol_errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_delta_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_shots_saved: AtomicU64,
     queue_depth: AtomicU64,
     queue_high_water: AtomicU64,
     /// Set by [`ServerHandle::begin_drain`] (and by shutdown, which drains
     /// first): [`Frame::GetHealth`] reports [`HealthState::Draining`] while
     /// existing batches finish.
     draining: AtomicBool,
-    overload_threshold: u64,
     batch_latency: Mutex<qrcc_core::Histogram>,
     window: Mutex<WindowState>,
 }
 
 impl StatsInner {
-    fn new(window: Duration, buckets: usize, overload_threshold: u64) -> Self {
+    fn new() -> Self {
         StatsInner {
             connections: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
@@ -208,16 +188,11 @@ impl StatsInner {
             circuits_ok: AtomicU64::new(0),
             circuits_failed: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_delta_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_shots_saved: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_high_water: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            overload_threshold,
             batch_latency: Mutex::new(qrcc_core::Histogram::new()),
-            window: Mutex::new(WindowState::new(window, buckets)),
+            window: Mutex::new(WindowState::new()),
         }
     }
 
@@ -228,10 +203,6 @@ impl StatsInner {
             circuits_ok: self.circuits_ok.load(Ordering::Relaxed),
             circuits_failed: self.circuits_failed.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_delta_hits: self.cache_delta_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_shots_saved: self.cache_shots_saved.load(Ordering::Relaxed),
             batch_latency_us: self.batch_latency.lock().clone(),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
@@ -239,9 +210,10 @@ impl StatsInner {
         }
     }
 
-    /// Adds (or, with `add` false, takes back) one batch's counters; see
-    /// [`ServerStats::batches`] for why a batch may be taken back.
-    fn fold(&self, batch: &ConnectionStats, add: bool) {
+    /// Counts (or, with `add` false, takes back) one batch and its
+    /// circuits; see [`ServerStats::batches`] for why a batch may be taken
+    /// back.
+    fn fold(&self, circuits_ok: u64, circuits_failed: u64, add: bool) {
         let apply = |counter: &AtomicU64, value: u64| {
             if add {
                 counter.fetch_add(value, Ordering::Relaxed);
@@ -249,43 +221,63 @@ impl StatsInner {
                 counter.fetch_sub(value, Ordering::Relaxed);
             }
         };
-        apply(&self.batches, batch.batches);
-        apply(&self.circuits_ok, batch.circuits_ok);
-        apply(&self.circuits_failed, batch.circuits_failed);
-        apply(&self.cache_hits, batch.cache_hits);
-        apply(&self.cache_delta_hits, batch.cache_delta_hits);
-        apply(&self.cache_misses, batch.cache_misses);
-        apply(&self.cache_shots_saved, batch.cache_shots_saved);
+        apply(&self.batches, 1);
+        apply(&self.circuits_ok, circuits_ok);
+        apply(&self.circuits_failed, circuits_failed);
     }
 
     /// Readiness verdict from the live flags: draining wins over overload,
     /// overload wins over accepting.
-    fn health(&self) -> (HealthState, u64, u64, u64) {
-        let depth = self.queue_depth.load(Ordering::Relaxed);
+    fn health(&self) -> HealthReport {
+        let queue_depth = self.queue_depth.load(Ordering::Relaxed);
         let state = if self.draining.load(Ordering::Relaxed) {
             HealthState::Draining
-        } else if depth >= self.overload_threshold {
+        } else if queue_depth >= OVERLOAD_THRESHOLD {
             HealthState::Overloaded
         } else {
             HealthState::Accepting
         };
-        (
+        HealthReport {
             state,
-            depth,
-            self.queue_high_water.load(Ordering::Relaxed),
-            self.open_connections.load(Ordering::Relaxed),
-        )
+            queue_depth,
+            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
+            connections: self.open_connections.load(Ordering::Relaxed),
+        }
     }
+}
 
+/// What the listener thread, every connection thread and the
+/// [`ServerHandle`] share: the backend, the result cache, the counters, the
+/// shutdown flag, the reply write budget and the live connection threads.
+struct WorkerState {
+    backend: Box<dyn ExecutionBackend + Send + Sync>,
+    cache: Option<Arc<ResultCache>>,
+    stats: StatsInner,
+    shutdown: AtomicBool,
+    write_budget: Duration,
+    /// Connection threads that may still run, joined at shutdown.
+    connections: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl WorkerState {
     /// The scrape payload for [`Frame::GetMetrics`]: full-registry
-    /// Prometheus text plus the structured windowed snapshot.
+    /// Prometheus text plus the structured windowed snapshot. The
+    /// `server.cache_*` counters are the attached cache's own (0 without
+    /// one).
     fn metrics_report(&self) -> MetricsReport {
-        let snapshot = self.snapshot();
         let (latency, req_rate, fail_rate) = {
-            let window = self.window.lock();
+            let window = self.stats.window.lock();
             (window.latency.snapshot(), window.requests.rate(), window.failures.rate())
         };
-        let metrics = snapshot.metrics();
+        let cache = self.cache.as_ref().map(|cache| cache.stats()).unwrap_or_default();
+        let metrics = self
+            .stats
+            .snapshot()
+            .metrics()
+            .with_counter("server.cache_hits", cache.hits)
+            .with_counter("server.cache_delta_hits", cache.delta_hits)
+            .with_counter("server.cache_misses", cache.misses)
+            .with_counter("server.cache_shots_saved", cache.shots_saved);
         MetricsReport {
             prometheus: metrics.prometheus(),
             windowed: vec![("server.window_batch_latency_us".into(), latency)],
@@ -300,44 +292,6 @@ impl StatsInner {
                 ])
                 .collect(),
         }
-    }
-}
-
-/// What one connection did; merged into the aggregate [`ServerStats`] as it
-/// happens so a live snapshot always adds up.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConnectionStats {
-    /// Batches this connection served to completion.
-    pub batches: u64,
-    /// Circuits executed successfully on this connection.
-    pub circuits_ok: u64,
-    /// Circuits that failed on this connection.
-    pub circuits_failed: u64,
-    /// Circuits this connection served entirely from the result cache.
-    pub cache_hits: u64,
-    /// Circuits this connection served partially (delta hits).
-    pub cache_delta_hits: u64,
-    /// Circuits this connection looked up without finding anything usable.
-    pub cache_misses: u64,
-    /// Device shots the cache absorbed for this connection.
-    pub cache_shots_saved: u64,
-    /// Most batches this connection ever had in flight at once. The
-    /// request/response protocol serialises batches per connection, so this
-    /// is at most 1 — it records whether the connection ever did real work,
-    /// and keeps the per-connection ledger summing to the aggregate
-    /// high-water's lower bound.
-    pub queue_high_water: u64,
-}
-
-impl ConnectionStats {
-    fn fold(&mut self, batch: &ConnectionStats) {
-        self.batches += batch.batches;
-        self.circuits_ok += batch.circuits_ok;
-        self.circuits_failed += batch.circuits_failed;
-        self.cache_hits += batch.cache_hits;
-        self.cache_delta_hits += batch.cache_delta_hits;
-        self.cache_misses += batch.cache_misses;
-        self.cache_shots_saved += batch.cache_shots_saved;
     }
 }
 
@@ -359,12 +313,9 @@ impl ConnectionStats {
 /// ```
 pub struct QrccServer {
     listener: TcpListener,
-    backend: Arc<dyn ExecutionBackend + Send + Sync>,
+    backend: Box<dyn ExecutionBackend + Send + Sync>,
     write_budget: Duration,
     cache: Option<Arc<ResultCache>>,
-    overload_threshold: u64,
-    window: Duration,
-    window_buckets: usize,
 }
 
 impl QrccServer {
@@ -380,31 +331,10 @@ impl QrccServer {
     ) -> io::Result<Self> {
         Ok(QrccServer {
             listener: TcpListener::bind(addr)?,
-            backend: Arc::new(backend),
+            backend: Box::new(backend),
             write_budget: BATCH_WRITE_BUDGET,
             cache: None,
-            overload_threshold: DEFAULT_OVERLOAD_THRESHOLD,
-            window: DEFAULT_WINDOW,
-            window_buckets: DEFAULT_WINDOW_BUCKETS,
         })
-    }
-
-    /// Sets the aggregate queue depth (batches in flight) at which
-    /// [`Frame::GetHealth`] reports [`HealthState::Overloaded`]
-    /// (default 64).
-    #[must_use]
-    pub fn with_overload_threshold(mut self, threshold: u64) -> Self {
-        self.overload_threshold = threshold.max(1);
-        self
-    }
-
-    /// Sets the live-metrics window served on [`Frame::GetMetrics`]
-    /// (default: last 10 s in 1 s rotation buckets).
-    #[must_use]
-    pub fn with_metrics_window(mut self, window: Duration, buckets: usize) -> Self {
-        self.window = window;
-        self.window_buckets = buckets;
-        self
     }
 
     /// Attaches a result cache built from `policy` (a disabled policy
@@ -443,34 +373,20 @@ impl QrccServer {
     /// controlling the server's lifetime.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.listener.local_addr().expect("bound listener has an address");
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats =
-            Arc::new(StatsInner::new(self.window, self.window_buckets, self.overload_threshold));
-        let connections: Arc<Mutex<Vec<JoinHandle<ConnectionStats>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let completed: Arc<Mutex<Vec<ConnectionStats>>> = Arc::new(Mutex::new(Vec::new()));
-        let cache = self.cache.clone();
+        let state = Arc::new(WorkerState {
+            backend: self.backend,
+            cache: self.cache,
+            stats: StatsInner::new(),
+            shutdown: AtomicBool::new(false),
+            write_budget: self.write_budget,
+            connections: Mutex::new(Vec::new()),
+        });
         let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            let connections = Arc::clone(&connections);
-            let completed = Arc::clone(&completed);
-            let write_budget = self.write_budget;
-            let cache = cache.clone();
-            std::thread::spawn(move || {
-                accept_loop(
-                    self.listener,
-                    self.backend,
-                    write_budget,
-                    cache,
-                    shutdown,
-                    stats,
-                    connections,
-                    completed,
-                )
-            })
+            let state = Arc::clone(&state);
+            let listener = self.listener;
+            std::thread::spawn(move || accept_loop(&listener, &state))
         };
-        ServerHandle { addr, shutdown, stats, connections, completed, cache, accept: Some(accept) }
+        ServerHandle { addr, state, accept: Some(accept) }
     }
 }
 
@@ -480,12 +396,7 @@ impl QrccServer {
 /// joined), so a test or example cannot leak a worker past its scope.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
-    connections: Arc<Mutex<Vec<JoinHandle<ConnectionStats>>>>,
-    /// Ledgers of connections already reaped by the accept loop.
-    completed: Arc<Mutex<Vec<ConnectionStats>>>,
-    cache: Option<Arc<ResultCache>>,
+    state: Arc<WorkerState>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -497,7 +408,7 @@ impl ServerHandle {
 
     /// A live snapshot of the aggregate statistics.
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        self.state.stats.snapshot()
     }
 
     /// Marks the server as draining: [`Frame::GetHealth`] replies
@@ -506,38 +417,43 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`] calls this first, so a health-polling
     /// client observes the drain before the sockets go away.
     pub fn begin_drain(&self) {
-        self.stats.draining.store(true, Ordering::Relaxed);
+        self.state.stats.draining.store(true, Ordering::Relaxed);
     }
 
     /// The server's current readiness verdict, exactly as
     /// [`Frame::GetHealth`] would report it over the wire.
-    pub fn health(&self) -> crate::proto::HealthReport {
-        let (state, queue_depth, queue_high_water, connections) = self.stats.health();
-        crate::proto::HealthReport { state, queue_depth, queue_high_water, connections }
+    pub fn health(&self) -> HealthReport {
+        self.state.stats.health()
     }
 
     /// The server's result cache, if one was attached.
     pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
+        self.state.cache.as_ref()
     }
 
-    /// Counters of the attached result cache, or `None` without one.
+    /// Counters of the attached result cache, or `None` without one: the
+    /// server's one count of its cache hits, delta hits, misses and saved
+    /// shots.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|cache| cache.stats())
+        self.state.cache.as_ref().map(|cache| cache.stats())
     }
 
     /// Stops accepting, asks every connection thread to wind down, joins
-    /// them, and returns the per-connection ledgers. In-flight batches
-    /// finish their current backend call; their results may be lost to the
+    /// them, and returns the final statistics. In-flight batches finish
+    /// their current backend call; their results may be lost to the
     /// disconnect, which clients see as
     /// [`CoreError::BackendUnavailable`] and the dispatcher re-routes.
-    pub fn shutdown(mut self) -> Vec<ConnectionStats> {
-        self.shutdown_impl()
+    pub fn shutdown(mut self) -> ServerStats {
+        self.shutdown_impl();
+        self.stats()
     }
 
-    fn shutdown_impl(&mut self) -> Vec<ConnectionStats> {
+    fn shutdown_impl(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return; // already shut down
+        };
         self.begin_drain();
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.state.shutdown.store(true, Ordering::Relaxed);
         // wake the blocking accept with a throwaway connection; an
         // unspecified bind address (0.0.0.0 / ::) is not connectable
         // everywhere, so aim at the same-family loopback instead
@@ -551,23 +467,22 @@ impl ServerHandle {
             ip => ip,
         };
         let _ = TcpStream::connect((ip, self.addr.port()));
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        let _ = accept.join();
+        let connections = std::mem::take(&mut *self.state.connections.lock());
+        for connection in connections {
+            let _ = connection.join();
         }
-        let mut ledgers: Vec<ConnectionStats> = self.completed.lock().drain(..).collect();
-        ledgers.extend(self.connections.lock().drain(..).filter_map(|handle| handle.join().ok()));
         // all connections are down: snapshot the cache so a restarted worker
         // resumes with everything this one learned
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.state.cache {
             let _ = cache.persist();
         }
-        ledgers
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        let _ = self.shutdown_impl();
+        self.shutdown_impl();
     }
 }
 
@@ -575,24 +490,14 @@ impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.stats())
             .finish()
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    backend: Arc<dyn ExecutionBackend + Send + Sync>,
-    write_budget: Duration,
-    cache: Option<Arc<ResultCache>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
-    connections: Arc<Mutex<Vec<JoinHandle<ConnectionStats>>>>,
-    completed: Arc<Mutex<Vec<ConnectionStats>>>,
-) {
+fn accept_loop(listener: &TcpListener, state: &Arc<WorkerState>) {
     for stream in listener.incoming() {
-        if shutdown.load(Ordering::Relaxed) {
+        if state.shutdown.load(Ordering::Relaxed) {
             break;
         }
         let Ok(stream) = stream else {
@@ -601,37 +506,20 @@ fn accept_loop(
             std::thread::sleep(Duration::from_millis(20));
             continue;
         };
-        stats.connections.fetch_add(1, Ordering::Relaxed);
-        let backend = Arc::clone(&backend);
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        let cache = cache.clone();
-        let handle = std::thread::spawn(move || {
-            stats.open_connections.fetch_add(1, Ordering::Relaxed);
-            let ledger = serve_connection(
-                stream,
-                backend,
-                write_budget,
-                cache,
-                shutdown,
-                Arc::clone(&stats),
-            );
-            stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-            ledger
-        });
-        // reap finished connection threads — joining them, so their ledgers
-        // survive into `shutdown()`'s return value — and keep the handle
-        // list proportional to *live* connections, not total accepts
-        let finished: Vec<JoinHandle<ConnectionStats>> = {
-            let mut held = connections.lock();
-            let (done, live): (Vec<_>, Vec<_>) = held.drain(..).partition(JoinHandle::is_finished);
-            *held = live;
-            held.push(handle);
-            done
+        state.stats.connections.fetch_add(1, Ordering::Relaxed);
+        let handle = {
+            let state = Arc::clone(state);
+            std::thread::spawn(move || {
+                state.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+                serve_connection(stream, &state);
+                state.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+            })
         };
-        let mut reaped: Vec<ConnectionStats> =
-            finished.into_iter().filter_map(|h| h.join().ok()).collect();
-        completed.lock().append(&mut reaped);
+        // forget finished connection threads, so the handle list stays
+        // proportional to *live* connections, not total accepts
+        let mut connections = state.connections.lock();
+        connections.retain(|connection| !connection.is_finished());
+        connections.push(handle);
     }
 }
 
@@ -735,21 +623,14 @@ fn retryable(e: &io::Error) -> bool {
 /// Serves one client connection: handshake, then batches and heartbeats
 /// until the client disconnects, violates the protocol, or the server shuts
 /// down.
-fn serve_connection(
-    mut stream: TcpStream,
-    backend: Arc<dyn ExecutionBackend + Send + Sync>,
-    write_budget: Duration,
-    cache: Option<Arc<ResultCache>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
-) -> ConnectionStats {
-    let mut conn = ConnectionStats::default();
+fn serve_connection(mut stream: TcpStream, state: &WorkerState) {
+    let (backend, stats) = (state.backend.as_ref(), &state.stats);
     let _ = stream.set_read_timeout(Some(SHUTDOWN_POLL));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
 
     // Handshake: the very first frame must be a matching ClientHello.
-    match read_frame_polling(&mut stream, &shutdown, HANDSHAKE_DEADLINE) {
+    match read_frame_polling(&mut stream, &state.shutdown, HANDSHAKE_DEADLINE) {
         ConnRead::Frame(Frame::ClientHello { version }) if version == PROTOCOL_VERSION => {
             let capabilities = Capabilities {
                 max_qubits: backend.max_qubits().map(|q| q as u64),
@@ -759,7 +640,7 @@ fn serve_connection(
             };
             let hello = Frame::ServerHello { version: PROTOCOL_VERSION, capabilities };
             if proto::write_frame(&mut stream, &hello).is_err() {
-                return conn;
+                return;
             }
         }
         ConnRead::Frame(Frame::ClientHello { version }) => {
@@ -773,7 +654,7 @@ fn serve_connection(
                     ),
                 },
             );
-            return conn;
+            return;
         }
         ConnRead::Frame(_) => {
             stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -784,7 +665,7 @@ fn serve_connection(
                     message: "expected ClientHello as the first frame".into(),
                 },
             );
-            return conn;
+            return;
         }
         ConnRead::Failed(error) => {
             // port scans and health probes just disconnect (an Io failure);
@@ -792,9 +673,9 @@ fn serve_connection(
             if !matches!(error, ProtoError::Io(_)) {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
             }
-            return conn;
+            return;
         }
-        ConnRead::Closed | ConnRead::ShuttingDown => return conn,
+        ConnRead::Closed | ConnRead::ShuttingDown => return,
     }
 
     // this connection's fragment table, filled by DefineFragment and read
@@ -804,7 +685,7 @@ fn serve_connection(
     let mut fragments: Vec<Option<FragmentBody>> = Vec::new();
     loop {
         let (batch, submission, shots, trace) =
-            match read_frame_polling(&mut stream, &shutdown, IDLE_DEADLINE) {
+            match read_frame_polling(&mut stream, &state.shutdown, IDLE_DEADLINE) {
                 ConnRead::Frame(Frame::DefineFragment { id, body }) => {
                     let id = id as usize;
                     if fragments.len() <= id {
@@ -820,10 +701,10 @@ fn serve_connection(
                     (batch, Submission::Qasm(circuits), shots, trace)
                 }
                 other => {
-                    if serve_control(&mut stream, other, &stats) {
+                    if serve_control(&mut stream, other, state) {
                         continue;
                     }
-                    return conn;
+                    return;
                 }
             };
         if let Some(refusal) = submission.refusal(shots.as_deref(), &fragments) {
@@ -835,23 +716,12 @@ fn serve_connection(
                     message: format!("batch {batch} {refusal}"),
                 },
             );
-            return conn;
+            return;
         }
-        let served = serve_batch(
-            &mut stream,
-            backend.as_ref(),
-            write_budget,
-            cache.as_deref(),
-            batch,
-            submission,
-            &fragments,
-            shots.as_deref(),
-            trace,
-            &stats,
-            &mut conn,
-        );
+        let served =
+            serve_batch(&mut stream, state, batch, submission, &fragments, shots.as_deref(), trace);
         if served.is_err() {
-            return conn; // client gone mid-reply
+            return; // client gone mid-reply
         }
     }
 }
@@ -859,23 +729,24 @@ fn serve_connection(
 /// Answers one frame that is not a batch submission and says whether to
 /// keep serving: heartbeats and scrapes get their reply; a client abort, a
 /// protocol violation, a dead stream or shutdown end the connection.
-fn serve_control(stream: &mut TcpStream, read: ConnRead, stats: &StatsInner) -> bool {
+fn serve_control(stream: &mut TcpStream, read: ConnRead, state: &WorkerState) -> bool {
     match read {
         ConnRead::Frame(Frame::Ping { nonce }) => {
             proto::write_frame(stream, &Frame::Pong { nonce }).is_ok()
         }
         ConnRead::Frame(Frame::GetMetrics) => {
-            let reply = Frame::MetricsReply { report: stats.metrics_report() };
+            let reply = Frame::MetricsReply { report: state.metrics_report() };
             proto::write_frame(stream, &reply).is_ok()
         }
         ConnRead::Frame(Frame::GetHealth) => {
-            let (state, queue_depth, queue_high_water, connections) = stats.health();
+            let HealthReport { state, queue_depth, queue_high_water, connections } =
+                state.stats.health();
             let reply = Frame::HealthReply { state, queue_depth, queue_high_water, connections };
             proto::write_frame(stream, &reply).is_ok()
         }
         ConnRead::Frame(Frame::Error { .. }) => false, // client aborted
         ConnRead::Frame(_) => {
-            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
             let _ = proto::write_frame(
                 stream,
                 &Frame::Error {
@@ -891,7 +762,7 @@ fn serve_control(stream: &mut TcpStream, read: ConnRead, stats: &StatsInner) -> 
             // disconnects mid-frame are ordinary client failures;
             // undecodable bytes are protocol errors worth counting
             if !matches!(error, ProtoError::Io(_)) {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = proto::write_frame(
                     stream,
                     &Frame::Error { kind: WireErrorKind::Protocol, message: error.to_string() },
@@ -1050,26 +921,21 @@ impl io::Write for DeadlineWriter<'_> {
 /// — so the reply is written only once the batch call returns; the client
 /// waits on that with its (long) reply timeout. Every reply frame and the
 /// `BatchDone` are encoded into one buffer that leaves in one write under
-/// the cumulative `write_budget` deadline (see [`DeadlineWriter`]). The
-/// outcome's counters are folded into the aggregate `stats` before that
+/// the worker's cumulative write budget (see [`DeadlineWriter`]). The batch
+/// and circuit counters are folded into the aggregate stats before that
 /// write, so a client that saw `BatchDone` never reads a stale snapshot,
-/// and taken back out if the write fails; the connection's `conn` ledger
-/// and the latency samples count only delivered batches. `Err` means the
-/// reply could not be delivered.
-#[allow(clippy::too_many_arguments)]
+/// and taken back out if the write fails; the latency samples count only
+/// delivered batches. `Err` means the reply could not be delivered.
 fn serve_batch(
     stream: &mut TcpStream,
-    backend: &dyn ExecutionBackend,
-    write_budget: Duration,
-    cache: Option<&ResultCache>,
+    state: &WorkerState,
     batch: u64,
     submission: Submission,
     fragments: &[Option<FragmentBody>],
     shots: Option<&[u64]>,
     trace: Option<TraceContext>,
-    stats: &StatsInner,
-    conn: &mut ConnectionStats,
 ) -> io::Result<()> {
+    let (backend, cache, stats) = (state.backend.as_ref(), state.cache.as_deref(), &state.stats);
     // The batch occupies one slot of the live queue from arrival to the
     // reply write — the gauge `GetHealth` reads for its overload verdict.
     // The guard keeps the gauge honest on every early return.
@@ -1081,7 +947,6 @@ fn serve_batch(
     }
     let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
     stats.queue_high_water.fetch_max(depth, Ordering::Relaxed);
-    conn.queue_high_water = conn.queue_high_water.max(1);
     let _queue = QueueGuard(stats);
 
     // Phase clock for the span subtree returned to a tracing client. The
@@ -1118,7 +983,9 @@ fn serve_batch(
     let mut payload: Vec<Circuit> = Vec::with_capacity(circuits.len());
     let mut sub_shots: Vec<u64> = Vec::new();
     let mut any_delta = false;
-    let (mut c_hits, mut c_delta, mut c_miss, mut c_saved) = (0u64, 0u64, 0u64, 0u64);
+    // this batch's cache tallies, reported only to a tracing client (the
+    // cache keeps the worker's own count)
+    let (mut c_hits, mut c_delta, mut c_saved) = (0u64, 0u64, 0u64);
     for (i, circuit) in circuits.into_iter().enumerate() {
         let circuit = match circuit.and_then(|circuit| {
             preflight(&circuit, backend)?;
@@ -1148,10 +1015,7 @@ fn serve_batch(
                 sub_shots.push(missing);
                 slots.push(Slot::Execute { delta: Some((base, base_shots)) });
             }
-            miss => {
-                if miss.is_some() {
-                    c_miss += 1;
-                }
+            Some(CacheLookup::Miss) | None => {
                 payload.push(circuit);
                 // a delta hit elsewhere in the batch switches the whole run
                 // to explicit counts, so misses carry theirs too (requested
@@ -1262,17 +1126,7 @@ fn serve_batch(
     // fold the counters into the aggregate *before* the reply leaves, so a
     // client that saw `BatchDone` never reads a stale snapshot; a reply
     // that cannot be delivered is taken back out below
-    let delivered = ConnectionStats {
-        batches: 1,
-        circuits_ok: ok,
-        circuits_failed: failed,
-        cache_hits: c_hits,
-        cache_delta_hits: c_delta,
-        cache_misses: c_miss,
-        cache_shots_saved: c_saved,
-        queue_high_water: 0,
-    };
-    stats.fold(&delivered, true);
+    stats.fold(ok, failed, true);
     // the span subtree and metric deltas ride back only when the
     // submission carried a trace context
     let batch_us = batch_started.elapsed().as_micros() as u64;
@@ -1312,7 +1166,7 @@ fn serve_batch(
         // the per-syscall timeout is restored afterwards so later batches
         // and control frames on this connection see the ordinary
         // [`WRITE_TIMEOUT`]
-        let deadline = std::time::Instant::now() + write_budget;
+        let deadline = std::time::Instant::now() + state.write_budget;
         let mut writer = DeadlineWriter { stream, deadline };
         let written = writer.write_all(&replies).and_then(|()| writer.flush());
         let _ = writer.stream.set_write_timeout(Some(WRITE_TIMEOUT));
@@ -1320,7 +1174,6 @@ fn serve_batch(
     });
     match written {
         Ok(()) => {
-            conn.fold(&delivered);
             // a delivered batch's service latency feeds
             // [`ServerStats::batch_latency_us`] and the live window behind
             // GetMetrics, together with its request/failure counts
@@ -1332,7 +1185,27 @@ fn serve_batch(
                 window.failures.add(1);
             }
         }
-        Err(_) => stats.fold(&delivered, false),
+        Err(_) => stats.fold(ok, failed, false),
     }
     written
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn health_reads_overloaded_at_the_threshold_and_draining_wins() {
+        let stats = StatsInner::new();
+        stats.queue_depth.store(OVERLOAD_THRESHOLD - 1, Ordering::Relaxed);
+        assert_eq!(stats.health().state, HealthState::Accepting);
+        stats.queue_depth.store(OVERLOAD_THRESHOLD, Ordering::Relaxed);
+        let report = stats.health();
+        assert_eq!(report.state, HealthState::Overloaded);
+        assert_eq!(report.queue_depth, OVERLOAD_THRESHOLD);
+        stats.draining.store(true, Ordering::Relaxed);
+        assert_eq!(stats.health().state, HealthState::Draining);
+        stats.queue_depth.store(0, Ordering::Relaxed);
+        assert_eq!(stats.health().state, HealthState::Draining);
+    }
 }

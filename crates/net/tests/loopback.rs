@@ -524,10 +524,10 @@ fn graceful_shutdown_disconnects_clients_cleanly() {
     let addr = server.addr();
     let remote = RemoteBackend::connect(addr).unwrap();
     assert!(remote.run(&[&bell()], None).remove(0).is_ok());
-    let ledgers = server.shutdown();
-    // shutdown joins every connection thread and returns its ledger
-    assert_eq!(ledgers.iter().map(|c| c.batches).sum::<u64>(), 1);
-    assert_eq!(ledgers.iter().map(|c| c.circuits_ok).sum::<u64>(), 1);
+    let last = server.shutdown();
+    // shutdown joins every connection thread and returns the final counters
+    assert_eq!((last.batches, last.circuits_ok), (1, 1));
+    assert_eq!(last.open_connections, 0, "every connection thread has ended");
     // the pooled connection is dead and no listener answers the redial
     let result = remote.run(&[&bell()], None).remove(0);
     assert!(matches!(result, Err(CoreError::BackendUnavailable { .. })), "{result:?}");

@@ -1,9 +1,10 @@
 //! End to end through a scheduler over loopback, the batches the key path
 //! cannot carry — more than `MAX_FRAGMENTS` fragments in one job, or a
 //! fragment body heavier than `MAX_FRAGMENT_WEIGHT` — travel as OpenQASM
-//! `SubmitBatch` frames and answer exactly what the in-process backend
-//! answers. A frame-counting relay between client and server shows which
-//! path each submission took.
+//! `SubmitBatch` frames, a job whose keys instantiate more than
+//! `MAX_BATCH_WEIGHT` travels as consecutive keyed submissions, and each
+//! answers exactly what the in-process backend answers. A frame-counting
+//! relay between client and server shows which path each submission took.
 
 use qrcc_circuit::Circuit;
 use qrcc_core::execute::{ExactBackend, ExecutionResults};
@@ -11,7 +12,7 @@ use qrcc_core::fragment::{FragmentSet, VariantKey, VariantRequest};
 use qrcc_core::pipeline::QrccPipeline;
 use qrcc_core::planner::CutPlanner;
 use qrcc_core::{DeviceRegistry, QrccConfig, SchedulePolicy, Scheduler};
-use qrcc_net::proto::{self, Frame, MAX_FRAGMENTS, MAX_FRAGMENT_WEIGHT};
+use qrcc_net::proto::{self, Frame, MAX_BATCH_WEIGHT, MAX_FRAGMENTS, MAX_FRAGMENT_WEIGHT};
 use qrcc_net::{QrccServer, RemoteBackend};
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -105,6 +106,38 @@ fn scheduled(
     merged
 }
 
+/// A CNOT chain over `qubits` wires with a tail of `tail` small rotations
+/// on the last one: cut on a small device, the fragment holding the tail
+/// weighs about `tail`.
+fn tailed_chain(qubits: usize, tail: usize) -> Circuit {
+    let mut circuit = Circuit::new(qubits);
+    circuit.h(0).cx(0, 1).ry(0.4, 1);
+    for qubit in 2..qubits {
+        circuit.cx(qubit - 1, qubit);
+    }
+    for i in 0..tail {
+        circuit.rz(1e-4 * (i % 13) as f64, qubits - 1);
+    }
+    circuit
+}
+
+/// Every variant of every fragment of `set`, each under every packing of
+/// output bases (Z, X or Y per output).
+fn every_variant(set: &FragmentSet) -> Vec<VariantRequest> {
+    let mut requests = Vec::new();
+    for (index, fragment) in set.fragments.iter().enumerate() {
+        let outputs = fragment.body().num_outputs() as u32;
+        for ordinal in 0..fragment.variant_count() {
+            for bases in 0..3u64.pow(outputs) {
+                let packed = (0..outputs)
+                    .fold(0u64, |packed, slot| packed | (bases / 3u64.pow(slot) % 3) << (2 * slot));
+                requests.push(VariantRequest { key: VariantKey::new(index, ordinal, packed) });
+            }
+        }
+    }
+    requests
+}
+
 #[test]
 fn a_job_over_more_fragments_than_a_table_holds_goes_as_qasm() {
     // 40 small plans' fragments under one set: one job names them all
@@ -148,11 +181,7 @@ fn a_job_over_more_fragments_than_a_table_holds_goes_as_qasm() {
 fn a_fragment_heavier_than_the_body_cap_goes_as_qasm_and_reconstructs_exactly() {
     // a chain cut once on a 3-qubit device, with a long rotation tail on the
     // last wire: the fragment holding it outweighs one table slot
-    let mut circuit = Circuit::new(4);
-    circuit.h(0).cx(0, 1).ry(0.4, 1).cx(1, 2).cx(2, 3);
-    for i in 0..MAX_FRAGMENT_WEIGHT {
-        circuit.rz(1e-4 * (i % 13) as f64, 3);
-    }
+    let circuit = tailed_chain(4, MAX_FRAGMENT_WEIGHT);
     let config = QrccConfig::new(3).with_subcircuit_range(2, 2).with_ilp_time_limit(Duration::ZERO);
     let pipeline = QrccPipeline::plan(&circuit, config).unwrap();
     let heaviest = pipeline.fragments().fragments.iter().map(|f| f.body().weight()).max();
@@ -170,4 +199,30 @@ fn a_fragment_heavier_than_the_body_cap_goes_as_qasm_and_reconstructs_exactly() 
     assert_eq!((qasm, keys), (1, 0), "the one job went as OpenQASM");
     let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&remote.unwrap()), bits(&expected));
+}
+
+#[test]
+fn a_job_heavier_than_the_batch_cap_goes_as_consecutive_keyed_submissions() {
+    // the same chain, wider: the fragment holding the tail measures five
+    // outputs, so its variants under every output basis together outweigh
+    // the batch cap while each body stays far under the body cap
+    let circuit = tailed_chain(11, 9_000);
+    let config = QrccConfig::new(5).with_subcircuit_range(2, 2).with_ilp_time_limit(Duration::ZERO);
+    let plan = CutPlanner::new(config).plan(&circuit).unwrap();
+    let set = FragmentSet::from_plan(&plan).unwrap();
+    let requests = every_variant(&set);
+    let weight: usize =
+        requests.iter().map(|request| set.fragments[request.key.fragment].body().weight()).sum();
+    assert!(weight > MAX_BATCH_WEIGHT, "{weight}");
+    assert!(set.fragments.iter().all(|f| f.body().weight() <= MAX_FRAGMENT_WEIGHT));
+
+    let mut local = DeviceRegistry::new();
+    local.register("exact", ExactBackend::new());
+    let expected = scheduled(&local, &set, &requests);
+    let mut remote = None;
+    let (qasm, keys, defines) = through_relay(|registry| {
+        remote = Some(scheduled(registry, &set, &requests));
+    });
+    assert_eq!((qasm, keys, defines), (0, 2, 2), "two keyed submissions, each body defined once");
+    assert_eq!(bitwise(&remote.unwrap()), bitwise(&expected));
 }

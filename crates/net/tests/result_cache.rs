@@ -1,7 +1,7 @@
 //! Server-side result-cache tests over the loopback transport: a warm
 //! `QrccServer` must answer repeats from its cache without touching its
 //! backend, doubled shot requests must cross the wire as delta top-ups, the
-//! per-connection ledger must carry the cache counters, and a persisted
+//! worker's cache counters must reach its metrics scrape, and a persisted
 //! snapshot must survive a full server kill-and-restart.
 
 use qrcc_circuit::Circuit;
@@ -40,24 +40,26 @@ fn a_warm_server_answers_repeats_from_its_cache() {
     let circuits = workload();
 
     let cold: Vec<Vec<f64>> = remote.run_batch(&circuits).into_iter().map(Result::unwrap).collect();
-    let stats = server.stats();
-    assert_eq!(stats.cache_misses, 3, "the first batch misses everything");
-    assert_eq!(stats.cache_hits, 0);
+    let cache = server.cache_stats().unwrap();
+    assert_eq!(cache.misses, 3, "the first batch misses everything");
+    assert_eq!(cache.hits, 0);
 
     let warm: Vec<Vec<f64>> = remote.run_batch(&circuits).into_iter().map(Result::unwrap).collect();
     assert_eq!(cold, warm, "cache-served distributions must be byte-identical");
 
-    let stats = server.stats();
-    assert_eq!(stats.cache_hits, 3, "the repeat is served entirely from cache");
-    assert_eq!(stats.cache_misses, 3, "no new misses on the repeat");
-    assert_eq!(stats.cache_shots_saved, 3_000, "three cached circuits at 1000 shots each");
-    assert_eq!(stats.circuits_ok, 6, "cache-served circuits still count as answered");
+    let cache = server.cache_stats().unwrap();
+    assert_eq!(cache.hits, 3, "the repeat is served entirely from cache");
+    assert_eq!(cache.misses, 3, "no new misses on the repeat");
+    assert_eq!(cache.shots_saved, 3_000, "three cached circuits at 1000 shots each");
+    assert_eq!(server.stats().circuits_ok, 6, "cache-served circuits still count as answered");
 
-    // the per-connection ledger carries the same counters
-    let ledgers = server.shutdown();
-    assert_eq!(ledgers.iter().map(|l| l.cache_hits).sum::<u64>(), 3);
-    assert_eq!(ledgers.iter().map(|l| l.cache_misses).sum::<u64>(), 3);
-    assert_eq!(ledgers.iter().map(|l| l.cache_shots_saved).sum::<u64>(), 3_000);
+    // the metrics scrape reports the cache's own counters
+    let report = remote.get_metrics().unwrap();
+    let counter = |name: &str| report.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert_eq!(counter("server.cache_hits"), Some(3));
+    assert_eq!(counter("server.cache_misses"), Some(3));
+    assert_eq!(counter("server.cache_shots_saved"), Some(3_000));
+    server.shutdown();
 }
 
 #[test]
@@ -75,17 +77,17 @@ fn doubled_shot_requests_cross_the_wire_as_delta_top_ups() {
     for r in remote.run_batch_with_shots(&circuits, &high) {
         r.unwrap();
     }
-    let stats = server.stats();
-    assert_eq!(stats.cache_delta_hits, 3, "the doubled request is served as deltas");
-    assert_eq!(stats.cache_shots_saved, 3 * 500, "the stored half is not re-executed");
+    let cache = server.cache_stats().unwrap();
+    assert_eq!(cache.delta_hits, 3, "the doubled request is served as deltas");
+    assert_eq!(cache.shots_saved, 3 * 500, "the stored half is not re-executed");
 
     // the merged write-back upgraded the entries to 1000 shots: the same
     // request again is now a full hit
     for r in remote.run_batch_with_shots(&circuits, &high) {
         r.unwrap();
     }
-    let stats = server.stats();
-    assert_eq!(stats.cache_hits, 3, "merged entries serve the doubled request fully");
+    let cache = server.cache_stats().unwrap();
+    assert_eq!(cache.hits, 3, "merged entries serve the doubled request fully");
     server.shutdown();
 }
 
@@ -112,9 +114,9 @@ fn a_persisted_cache_survives_a_server_restart() {
         remote.run_batch(&circuits).into_iter().map(Result::unwrap).collect();
     assert_eq!(cold, restored, "snapshot-served distributions must be byte-identical");
 
-    let stats = second.stats();
-    assert_eq!(stats.cache_hits, 3, "the restarted server serves from the snapshot");
-    assert_eq!(stats.cache_misses, 0);
+    let cache = second.cache_stats().unwrap();
+    assert_eq!(cache.hits, 3, "the restarted server serves from the snapshot");
+    assert_eq!(cache.misses, 0);
     second.shutdown();
     std::fs::remove_file(&path).unwrap();
 }

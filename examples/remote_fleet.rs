@@ -18,7 +18,7 @@
 //! `trace_events` file. This is the CI trace gate.
 
 use qrcc::core::obs::{
-    chrome_trace, metrics, remote_subtree_stitched, tracer, validate_spans, QrccReport,
+    adapt, chrome_trace, metrics, remote_subtree_stitched, tracer, validate_spans, QrccReport,
 };
 use qrcc::prelude::*;
 use std::time::Duration;
@@ -124,6 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    through every worker's cache.
     for (name, server) in [("remote-3q", &server_3q), ("remote-2q", &server_2q)] {
         let stats = server.stats();
+        let cache = server.cache_stats().unwrap_or_default();
         println!(
             "{name} server: {} connection(s), {} batches, {} circuits ok, {} failed, \
              cache {} hit / {} delta / {} miss",
@@ -131,9 +132,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.batches,
             stats.circuits_ok,
             stats.circuits_failed,
-            stats.cache_hits,
-            stats.cache_delta_hits,
-            stats.cache_misses
+            cache.hits,
+            cache.delta_hits,
+            cache.misses
         );
     }
 
@@ -146,11 +147,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut served = 0;
     println!();
     for (name, server) in [("remote-3q", &server_3q), ("remote-2q", &server_2q)] {
-        let stats = server.stats();
-        served += stats.cache_hits;
+        let cache = server.cache_stats().unwrap_or_default();
+        served += cache.hits;
         println!(
             "{name} warm: {} cache hits, {} device shots saved",
-            stats.cache_hits, stats.cache_shots_saved
+            cache.hits, cache.shots_saved
         );
     }
     assert!(served > 0, "the warm pass must be served from the worker caches");
@@ -247,12 +248,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             latency.p999().unwrap_or(0),
         );
 
+        // each worker's section: its own counters and its cache's
+        let section = |server: &ServerHandle| {
+            let mut section = server.stats().metrics();
+            section.merge(&adapt::cache_metrics(&server.cache_stats().unwrap_or_default()));
+            section
+        };
         let report = QrccReport::new()
             .with_schedule(schedule)
             .with_reconstruction(reconstruction)
             .with_metrics(metrics().snapshot())
-            .with_section("remote-3q", server_3q.stats().metrics())
-            .with_section("remote-2q", server_2q.stats().metrics());
+            .with_section("remote-3q", section(&server_3q))
+            .with_section("remote-2q", section(&server_2q));
         println!("\n{}", report.render());
 
         std::fs::write(trace_path, chrome_trace(&spans))?;
@@ -273,8 +280,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nboth workers report draining ahead of shutdown");
 
     for (name, server) in [("remote-3q", server_3q), ("remote-2q", server_2q)] {
-        let ledgers = server.shutdown();
-        println!("{name} shut down; per-connection ledgers: {ledgers:?}");
+        let last = server.shutdown();
+        println!(
+            "{name} shut down after {} batches ({} circuits ok, {} failed) over {} connection(s)",
+            last.batches, last.circuits_ok, last.circuits_failed, last.connections
+        );
     }
     Ok(())
 }
