@@ -156,7 +156,6 @@ fn main() {
         window_us: 10_000_000,
         buckets: 10,
         poll_interval_us: 500_000,
-        target_protocol: qrcc_net::PROTOCOL_VERSION,
         slo: Some(load_slo()),
     };
     let mut monitor = FleetMonitor::new(policy);

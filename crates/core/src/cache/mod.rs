@@ -16,10 +16,13 @@
 //! `requested > stored` is a **delta hit**: the caller executes only the
 //! top-up (`requested − stored` shots), merges via [`merge_distributions`]
 //! and writes the merged entry back, so the cache monotonically warms.
-//! [`settle`] is that write-back rule, the one the dispatcher and a remote
-//! worker both apply to what they executed.
 //! Exact entries serve any request; sampled entries never serve an exact
 //! request.
+//!
+//! **Serving.** [`serve`] is the one front a backend call goes through, in a
+//! dispatch worker and in a fleet worker alike: it hashes each circuit once,
+//! answers full hits, runs every miss and delta top-up in one backend call,
+//! settles each fresh result into the cache and reports the shots it spent.
 //!
 //! **Eviction.** The cache is sharded ([`ResultCache::SHARDS`] mutexes) and
 //! bounded by a total weight budget counted in stored distribution values
@@ -35,10 +38,10 @@
 //! hands out the stored buffer and a store keeps the buffer it is given, so
 //! neither copies a distribution. A stored buffer is never written again — an
 //! upgrade or a delta merge replaces the entry's buffer with a new one — so
-//! a reader's buffer never changes under it. The scheduled path hashes each
-//! circuit once per request and hands that hash to both its lookup and its
-//! store; [`ResultCache::lookup`] and [`ResultCache::store`] are the same
-//! path with the hash computed for the caller.
+//! a reader's buffer never changes under it. [`serve`] hashes each circuit
+//! once and hands that hash to both its lookup and its store;
+//! [`ResultCache::lookup`] and [`ResultCache::store`] are the same path with
+//! the hash computed for the caller.
 //!
 //! **Validation.** A record is only cached when it is a distribution over
 //! its circuit's classical bits: exactly `1 << num_clbits` values, each
@@ -57,6 +60,7 @@
 //! the hashes the live entry did.
 
 use crate::execute::Shared;
+use crate::CoreError;
 use parking_lot::Mutex;
 use qrcc_circuit::qasm::{from_qasm, to_qasm};
 use qrcc_circuit::Circuit;
@@ -84,11 +88,6 @@ pub const DEFAULT_CACHE_CAPACITY: u64 = 1 << 22;
 /// attached.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResultCachePolicy {
-    /// Whether executions consult the cache at all. Off by default: caching
-    /// changes which circuits reach a sampling backend, which shifts its
-    /// deterministic stream assignment relative to a cache-free run.
-    #[serde(default)]
-    pub enabled: bool,
     /// Total weight budget, counted in stored distribution values (`f64`
     /// slots) across all shards. Zero means nothing can be stored.
     #[serde(default)]
@@ -101,23 +100,19 @@ pub struct ResultCachePolicy {
 
 impl Default for ResultCachePolicy {
     fn default() -> Self {
-        ResultCachePolicy { enabled: false, capacity: DEFAULT_CACHE_CAPACITY, persist_path: None }
+        ResultCachePolicy { capacity: DEFAULT_CACHE_CAPACITY, persist_path: None }
     }
 }
 
 impl ResultCachePolicy {
-    /// An enabled, in-memory policy with the default capacity.
+    /// An in-memory policy with the default capacity (the default policy).
     pub fn in_memory() -> Self {
-        ResultCachePolicy { enabled: true, ..ResultCachePolicy::default() }
+        ResultCachePolicy::default()
     }
 
-    /// An enabled policy persisting snapshots to `path`.
+    /// A policy persisting snapshots to `path`.
     pub fn persisted(path: impl Into<String>) -> Self {
-        ResultCachePolicy {
-            enabled: true,
-            persist_path: Some(path.into()),
-            ..ResultCachePolicy::default()
-        }
+        ResultCachePolicy { persist_path: Some(path.into()), ..ResultCachePolicy::default() }
     }
 
     /// Sets the weight budget (stored distribution values).
@@ -364,7 +359,7 @@ impl ResultCache {
     /// [`lookup`](Self::lookup) for a caller that already holds `circuit`'s
     /// [`Circuit::structural_hash`]. Entries under `hash` serve only a
     /// circuit structurally equal to theirs.
-    pub(crate) fn lookup_hashed(
+    fn lookup_hashed(
         &self,
         circuit: &Circuit,
         hash: u64,
@@ -438,7 +433,7 @@ impl ResultCache {
 
     /// [`store`](Self::store) for a caller that already holds `circuit`'s
     /// [`Circuit::structural_hash`]; the entry keeps `distribution` itself.
-    pub(crate) fn store_hashed(
+    fn store_hashed(
         &self,
         circuit: &Circuit,
         hash: u64,
@@ -586,6 +581,161 @@ pub fn merge_distributions(
     base.iter().zip(delta).map(|(b, d)| b * wb + d * wd).collect()
 }
 
+/// One circuit as [`serve`] answered it.
+#[derive(Debug)]
+pub struct Served {
+    /// The distribution to deliver — the stored buffer on a full hit, the
+    /// settled fresh result otherwise (merged with its base on a delta hit)
+    /// — or the error its execution ended in.
+    pub distribution: Result<Arc<Vec<f64>>, CoreError>,
+    /// Device shots the backend spent on the circuit: 0 on a full hit, on an
+    /// exact backend and on an error; the top-up on a delta hit; the
+    /// requested count otherwise.
+    pub spent: u64,
+    /// Whether the cache served the circuit in full, without the backend.
+    pub cached: bool,
+}
+
+/// Serves one backend call's `circuits` through `cache`: the one lookup →
+/// run → settle → store path of the dispatch workers and the fleet worker.
+///
+/// Circuit `i` asks for `shots[i]` shots, or without `shots` for the
+/// backend's `shots_per_circuit` (`None` = an exact backend). Each circuit is
+/// hashed once, for its lookup and its store. Full hits are answered from
+/// the cache; every miss and delta top-up then runs together in **one**
+/// `run(picked, counts)` call, `picked` being their indices into `circuits`
+/// in batch order. `counts` carries one shot count per picked circuit (the
+/// top-up for a delta hit, the request otherwise) when the caller gave
+/// counts or a delta hit needs them, and is `None` otherwise; when every
+/// circuit hits, `run` is not called. Without a cache nothing is looked up
+/// or stored, so `run` receives every circuit and the caller's `shots`.
+///
+/// A `run` that panics, or returns other than one result per picked
+/// circuit, fails each picked circuit with
+/// [`CoreError::BackendUnavailable`] naming `backend`. Each fresh result is
+/// settled — a sampled top-up is merged with its base at the summed shots
+/// ([`merge_distributions`]); a top-up that ran on an exact backend replaces
+/// the base; anything else is stored as it came — and stored.
+///
+/// Returns one [`Served`] per circuit, in order.
+pub fn serve(
+    cache: Option<&ResultCache>,
+    backend: &str,
+    shots_per_circuit: Option<u64>,
+    circuits: &[&Circuit],
+    shots: Option<&[u64]>,
+    run: impl FnOnce(&[usize], Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>>,
+) -> Vec<Served> {
+    /// How a circuit is answered: from the cache, or by the backend (a
+    /// delta hit carrying its cached base and that base's shots).
+    enum Slot {
+        Hit(Shared),
+        Run(Option<(Shared, u64)>),
+    }
+    let tracer = crate::obs::tracer();
+    // the cache spans nest under the caller's open span (a dispatch
+    // worker's `job.execute`); a fleet worker's connection thread has none
+    // — it hand-builds its client's spans — and records none here
+    let traced = cache.is_some() && tracer.enabled() && tracer.current() != 0;
+    let span = |name: &'static str| traced.then(|| tracer.span(name));
+
+    let mut slots = Vec::with_capacity(circuits.len());
+    let mut hashes = Vec::new();
+    let mut picked = Vec::with_capacity(circuits.len());
+    let mut counts = Vec::with_capacity(circuits.len());
+    let lookup_span = span("cache.lookup");
+    for (i, circuit) in circuits.iter().enumerate() {
+        let requested = shots.map_or(shots_per_circuit, |shots| Some(shots[i]));
+        let lookup = match cache {
+            Some(cache) => {
+                let hash = circuit.structural_hash();
+                hashes.push(hash);
+                cache.lookup_hashed(circuit, hash, requested)
+            }
+            None => CacheLookup::Miss,
+        };
+        let (slot, count) = match lookup {
+            CacheLookup::Hit(distribution) => {
+                slots.push(Slot::Hit(distribution));
+                continue;
+            }
+            CacheLookup::Delta { base, base_shots, missing } => {
+                (Slot::Run(Some((base, base_shots))), missing)
+            }
+            // a count is only passed when the caller gave counts or a delta
+            // hit exists, and either makes `requested` a count
+            CacheLookup::Miss => (Slot::Run(None), requested.unwrap_or(0)),
+        };
+        slots.push(slot);
+        picked.push(i);
+        counts.push(count);
+    }
+    drop(lookup_span);
+
+    let explicit = shots.is_some() || slots.iter().any(|slot| matches!(slot, Slot::Run(Some(_))));
+    let fresh = if picked.is_empty() {
+        Vec::new()
+    } else {
+        let call = std::panic::AssertUnwindSafe(|| run(&picked, explicit.then_some(&counts[..])));
+        let outcome = match std::panic::catch_unwind(call) {
+            Ok(results) if results.len() == picked.len() => Ok(results),
+            Ok(results) => {
+                Err(format!("returned {} results for {} circuits", results.len(), picked.len()))
+            }
+            Err(panic) => Err(format!("backend panicked: {}", panic_message(panic.as_ref()))),
+        };
+        outcome.unwrap_or_else(|reason| {
+            let unavailable = || CoreError::BackendUnavailable {
+                backend: backend.to_string(),
+                reason: reason.clone(),
+            };
+            picked.iter().map(|_| Err(unavailable())).collect()
+        })
+    };
+
+    let _store_span = span("cache.store");
+    let mut runs = picked.into_iter().zip(counts).zip(fresh);
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Hit(distribution) => {
+                Served { distribution: Ok(distribution), spent: 0, cached: true }
+            }
+            Slot::Run(base) => {
+                let ((i, count), result) = runs.next().expect("one result per circuit run");
+                match result {
+                    Ok(distribution) => {
+                        // the shots the execution ran, `None` on an exact backend
+                        let ran_shots = shots_per_circuit.map(|_| count);
+                        let (distribution, stored) =
+                            settle(Arc::new(distribution), ran_shots, base);
+                        if let Some(cache) = cache {
+                            cache.store_hashed(circuits[i], hashes[i], &distribution, stored);
+                        }
+                        Served {
+                            distribution: Ok(distribution),
+                            spent: ran_shots.unwrap_or(0),
+                            cached: false,
+                        }
+                    }
+                    Err(error) => Served { distribution: Err(error), spent: 0, cached: false },
+                }
+            }
+        })
+        .collect()
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(message) = panic.downcast_ref::<&str>() {
+        (*message).to_string()
+    } else if let Some(message) = panic.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// How a freshly executed result settles into the cache: the distribution
 /// to deliver and store, and the shots to store it at (`None` = exact).
 ///
@@ -598,7 +748,7 @@ pub fn merge_distributions(
 /// * A top-up that a retry re-routed onto an exact backend replaces the
 ///   base and is stored as exact: it beats any sampled merge.
 /// * Any other result is stored as it came, at its own shots or as exact.
-pub fn settle(
+fn settle(
     fresh: Arc<Vec<f64>>,
     ran: Option<u64>,
     delta: Option<(Arc<Vec<f64>>, u64)>,
@@ -894,6 +1044,88 @@ mod tests {
             assert!(Arc::ptr_eq(&stored, &fresh));
             assert_eq!(shots, ran);
         }
+    }
+
+    /// One recorded backend call of [`serve`]: the picked indices and the
+    /// shot counts it was handed.
+    type Call = (Vec<usize>, Option<Vec<u64>>);
+
+    /// Serves `circuits` through `cache` on a sampling backend of 100 shots
+    /// per circuit whose every result is the uniform 2-clbit distribution,
+    /// recording each backend call.
+    fn serve_recorded(
+        cache: Option<&ResultCache>,
+        circuits: &[&Circuit],
+        shots: Option<&[u64]>,
+    ) -> (Vec<Served>, Vec<Call>) {
+        let mut calls = Vec::new();
+        let served = serve(cache, "rec", Some(100), circuits, shots, |picked, counts| {
+            calls.push((picked.to_vec(), counts.map(<[u64]>::to_vec)));
+            picked.iter().map(|_| Ok(vec![0.25; 4])).collect()
+        });
+        (served, calls)
+    }
+
+    #[test]
+    fn the_front_runs_a_delta_and_a_miss_in_one_call_and_skips_the_hit() {
+        let cache = ResultCache::new(1 << 16);
+        let (hit_circuit, delta_circuit, miss_circuit) = (bell(), rotated(0.3), rotated(0.7));
+        cache.store(&hit_circuit, &[0.5, 0.0, 0.0, 0.5], Some(100));
+        cache.store(&delta_circuit, &[1.0, 0.0, 0.0, 0.0], Some(40));
+        let circuits = [&hit_circuit, &delta_circuit, &miss_circuit];
+
+        let (served, calls) = serve_recorded(Some(&cache), &circuits, None);
+        // the delta switches the call to explicit counts: [top-up, requested]
+        assert_eq!(calls, vec![(vec![1, 2], Some(vec![60, 100]))]);
+        let spent: Vec<u64> = served.iter().map(|s| s.spent).collect();
+        let cached: Vec<bool> = served.iter().map(|s| s.cached).collect();
+        assert_eq!((spent, cached), (vec![0, 60, 100], vec![true, false, false]));
+        let delivered: Vec<Vec<f64>> =
+            served.into_iter().map(|s| s.distribution.unwrap().to_vec()).collect();
+        let merged = merge_distributions(&[1.0, 0.0, 0.0, 0.0], 40, &[0.25; 4], 60);
+        assert_eq!(delivered, vec![vec![0.5, 0.0, 0.0, 0.5], merged, vec![0.25; 4]]);
+
+        // the merge and the miss were stored at 100 shots: everything hits
+        // now, and the backend is not called
+        let (served, calls) = serve_recorded(Some(&cache), &circuits, None);
+        assert!(calls.is_empty(), "an all-hit call reaches no backend");
+        assert!(served.iter().all(|s| s.cached && s.spent == 0));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.delta_hits, stats.misses), (4, 1, 1));
+    }
+
+    #[test]
+    fn without_a_cache_the_front_passes_the_call_through() {
+        let circuits = [&bell(), &rotated(0.3)];
+        for shots in [None, Some(&[7u64, 9][..])] {
+            let (served, calls) = serve_recorded(None, &circuits, shots);
+            assert_eq!(calls, vec![(vec![0, 1], shots.map(<[u64]>::to_vec))]);
+            let spent: Vec<u64> = served.iter().map(|s| s.spent).collect();
+            assert_eq!(spent, shots.map_or(vec![100, 100], <[u64]>::to_vec));
+            assert!(served.iter().all(|s| !s.cached && s.distribution.is_ok()));
+        }
+    }
+
+    #[test]
+    fn a_panicking_or_miscounting_backend_fails_each_circuit_it_was_handed() {
+        let cache = ResultCache::new(1 << 16);
+        let (hit_circuit, miss_circuit) = (bell(), rotated(0.3));
+        cache.store(&hit_circuit, &[0.5, 0.0, 0.0, 0.5], None);
+        let circuits = [&hit_circuit, &miss_circuit];
+        let panicking = serve(Some(&cache), "dev", None, &circuits, None, |_, _| panic!("boom"));
+        let short = serve(Some(&cache), "dev", None, &circuits, None, |_, _| Vec::new());
+        for (served, reason) in [(panicking, "backend panicked: boom"), (short, "returned 0")] {
+            assert!(served[0].distribution.is_ok() && served[0].cached, "the hit is still served");
+            match &served[1].distribution {
+                Err(CoreError::BackendUnavailable { backend, reason: got }) => {
+                    assert_eq!(backend, "dev");
+                    assert!(got.starts_with(reason), "{got}");
+                }
+                other => panic!("expected BackendUnavailable, got {other:?}"),
+            }
+            assert_eq!((served[1].spent, served[1].cached), (0, false));
+        }
+        assert_eq!(cache.stats().entries, 1, "a failed circuit stores nothing");
     }
 
     /// `count` distinct 2-clbit circuits that all land in one shard.
@@ -1283,9 +1515,9 @@ mod tests {
     fn policy_serde_round_trips() {
         let policy = ResultCachePolicy::persisted("/tmp/cache.snap").with_capacity(1 << 10);
         let json = serde_json_like(&policy);
-        assert!(json.enabled);
         assert_eq!(json.capacity, 1 << 10);
         assert_eq!(json.persist_path.as_deref(), Some("/tmp/cache.snap"));
+        assert_eq!(ResultCachePolicy::default(), ResultCachePolicy::in_memory());
     }
 
     /// The vendored serde shim has no serde_json; clone-compare stands in

@@ -28,10 +28,15 @@
 //!   failed it, the exclusions are waived (*requeue* — the fault may have
 //!   been transient) until [`SchedulePolicy::max_retries`] failures
 //!   accumulate, at which point [`CoreError::RetriesExhausted`] surfaces.
-//!   Shot accounting stays exact: a circuit's allocated shots are spent
-//!   exactly once, on the backend where it finally succeeds, and every
-//!   delivered chunk holds its keys in ascending order regardless of worker
-//!   timing or retry schedule.
+//!   Shot accounting stays exact: a circuit's allocated shots, less what
+//!   the result cache serves, are spent exactly once, on the backend where
+//!   it finally succeeds, and every delivered chunk holds its keys in
+//!   ascending order regardless of worker timing or retry schedule.
+//! * **Result cache** — with a cache attached to the registry, each worker
+//!   serves its jobs through [`cache::serve`](crate::cache::serve): full
+//!   hits never reach the backend, and misses and delta top-ups run as one
+//!   call. A retry asks for the circuit's allocated shots again, and the
+//!   cache is consulted again.
 //! * **Lifecycle telemetry** — [`DispatchStats`] counts jobs dispatched /
 //!   completed / retried / requeued and the wall-clock of each phase
 //!   (queue wait, backend execution, consumer delivery); per-backend
@@ -49,14 +54,12 @@ mod worker;
 #[cfg(any(test, feature = "testing"))]
 pub use testing::{FailureMode, FlakyBackend, QueueBackend};
 
-use crate::cache::{settle, CacheLookup};
 use crate::config::SchedulePolicy;
 use crate::execute::{BackendUsage, ExecutionResults, PreparedBatch, Shared};
 use crate::fragment::FragmentSet;
 use crate::schedule::{router, DeviceRegistry};
 use crate::CoreError;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use worker::{Job, JobContext, JobOutcome};
 
@@ -94,7 +97,9 @@ pub struct DispatchStats {
 /// (deduplicated, shot-allocated) batch of `fragments`' variants across
 /// `registry` under `policy`. Each chunk is routed across the registry, and
 /// its sub-batches are driven through per-backend worker threads under a
-/// bounded in-flight window — each job reaches its backend as one
+/// bounded in-flight window — each job goes through the registry's result
+/// cache ([`cache::serve`](crate::cache::serve)), and what the cache does
+/// not answer reaches the backend as one
 /// [`run_variants`](crate::execute::ExecutionBackend::run_variants) call
 /// over circuits borrowed from `batch`. Failed circuits are re-routed with
 /// the failing backend excluded, and each chunk's [`ExecutionResults`] are
@@ -151,20 +156,6 @@ pub(crate) fn dispatch(
     let mut outcomes: Vec<Option<Shared>> = vec![None; total];
     let mut failures_of: Vec<u32> = vec![0; total];
     let mut excluded: Vec<Vec<usize>> = vec![Vec::new(); total];
-    // shots each circuit must actually execute: its allocation, or a
-    // delta hit's top-up — what the succeeding backend is charged and
-    // what retry jobs carry (cache-served shots are never re-spent)
-    let cache = registry.result_cache();
-    // each circuit's structural hash, taken once at its lookup and
-    // handed to its store
-    let mut hashes: Vec<u64> = if cache.is_some() { vec![0; total] } else { Vec::new() };
-    let mut effective: Vec<Option<u64>> = match shots {
-        Some(s) => s.iter().map(|&v| Some(v)).collect(),
-        None => vec![None; total],
-    };
-    // a delta hit's cached base distribution, merged with the fresh
-    // top-up when its job completes
-    let mut delta_base: Vec<Option<(Shared, u64)>> = vec![None; total];
     // per-chunk progress and per-backend usage accounting
     let mut remaining: Vec<usize> = bounds.iter().map(|&(s, e)| e - s).collect();
     let mut usage: Vec<BackendUsage> = entries
@@ -175,7 +166,8 @@ pub(crate) fn dispatch(
     let cancelled = AtomicBool::new(false);
     std::thread::scope(|scope| -> Result<(), CoreError> {
         let (event_tx, event_rx) = std::sync::mpsc::channel::<JobOutcome>();
-        let context = JobContext { fragments, batch, cancelled: &cancelled };
+        let cache = registry.result_cache().map(|cache| &**cache);
+        let context = JobContext { fragments, batch, cache, cancelled: &cancelled };
         let workers = worker::spawn_workers(scope, entries, &event_tx, context);
         drop(event_tx); // workers hold their own clones
 
@@ -196,49 +188,7 @@ pub(crate) fn dispatch(
                     };
                     let mut per_entry: Vec<Vec<usize>> = vec![Vec::new(); entries.len()];
                     for (local, &entry) in assignment.iter().enumerate() {
-                        let global = start + local;
-                        if let Some(cache) = cache {
-                            let requested = match shots {
-                                Some(s) => Some(s[global]),
-                                None => entries[entry].backend().shots_per_circuit(),
-                            };
-                            let lookup = {
-                                let _span = tracer.span_under("cache.lookup", dispatch_span);
-                                let circuit = &batch.circuits[global];
-                                hashes[global] = circuit.structural_hash();
-                                cache.lookup_hashed(circuit, hashes[global], requested)
-                            };
-                            match lookup {
-                                CacheLookup::Hit(dist) => {
-                                    // served without touching a backend:
-                                    // no job, and the allocated shots are
-                                    // simply not spent
-                                    outcomes[global] = Some(dist);
-                                    remaining[chunk_index] -= 1;
-                                    continue;
-                                }
-                                CacheLookup::Delta { base, base_shots, missing } => {
-                                    // execute only the top-up, as its own
-                                    // job so the explicit delta count
-                                    // never disturbs sibling circuits
-                                    delta_base[global] = Some((base, base_shots));
-                                    effective[global] = Some(missing);
-                                    stats.jobs_dispatched += 1;
-                                    workers[entry].submit(Job {
-                                        chunk: chunk_index,
-                                        entry,
-                                        circuits: vec![global],
-                                        shots: Some(vec![missing]),
-                                        retry: false,
-                                        dispatched_at: Instant::now(),
-                                        span: dispatch_span,
-                                    });
-                                    continue;
-                                }
-                                CacheLookup::Miss => {}
-                            }
-                        }
-                        per_entry[entry].push(global);
+                        per_entry[entry].push(start + local);
                     }
                     for (entry_index, globals) in per_entry.into_iter().enumerate() {
                         if globals.is_empty() {
@@ -300,49 +250,21 @@ pub(crate) fn dispatch(
                     metrics.record_duration("dispatch.queue_wait_us", queue_wait);
                     metrics.record_duration("dispatch.execute_us", execute_wall);
                 }
-                if results.len() != job.circuits.len() {
-                    return Err(CoreError::InvalidCutSolution {
-                        reason: format!(
-                            "backend '{}' returned {} results for a job of {}",
-                            entries[job.entry].name(),
-                            results.len(),
-                            job.circuits.len()
-                        ),
-                    });
-                }
                 let mut job_clean = true;
-                for (&circuit, result) in job.circuits.iter().zip(results) {
-                    match result {
+                for (&circuit, served) in job.circuits.iter().zip(results) {
+                    match served.distribution {
                         Ok(dist) => {
                             // a circuit's allocated shots are spent
                             // exactly once: on the backend where it
-                            // finally succeeded (exact backends spend 0,
-                            // delta hits spend only the top-up)
-                            let backend_shots = entries[job.entry].backend().shots_per_circuit();
-                            let spent = match (backend_shots, effective[circuit]) {
-                                (None, _) => 0,
-                                (Some(_), Some(executed)) => executed,
-                                (Some(per), None) => per,
-                            };
-                            let (dist, stored_shots) = settle(
-                                Arc::new(dist),
-                                backend_shots.map(|_| spent),
-                                delta_base[circuit].take(),
-                            );
-                            if let Some(cache) = cache {
-                                let _span = tracer.span_under("cache.store", dispatch_span);
-                                cache.store_hashed(
-                                    &batch.circuits[circuit],
-                                    hashes[circuit],
-                                    &dist,
-                                    stored_shots,
-                                );
-                            }
-                            let entry_usage = &mut usage[job.entry];
-                            entry_usage.circuits += 1;
-                            entry_usage.shots += spent;
-                            if job.retry {
-                                entry_usage.retries += 1;
+                            // finally ran (exact backends spend 0, delta
+                            // hits only the top-up, full hits nothing)
+                            if !served.cached {
+                                let entry_usage = &mut usage[job.entry];
+                                entry_usage.circuits += 1;
+                                entry_usage.shots += served.spent;
+                                if job.retry {
+                                    entry_usage.retries += 1;
+                                }
                             }
                             outcomes[circuit] = Some(dist);
                             remaining[job.chunk] -= 1;
@@ -380,11 +302,13 @@ pub(crate) fn dispatch(
                                 stats.jobs_requeued += 1;
                             }
                             stats.jobs_retried += 1;
+                            // the retry asks for the allocation again; the
+                            // cache front works out what still has to run
                             workers[retry_entry].submit(Job {
                                 chunk: job.chunk,
                                 entry: retry_entry,
                                 circuits: vec![circuit],
-                                shots: effective[circuit].map(|e| vec![e]),
+                                shots: shots.map(|s| vec![s[circuit]]),
                                 retry: true,
                                 dispatched_at: Instant::now(),
                                 span: dispatch_span,

@@ -1,12 +1,12 @@
 //! Worker threads of the dispatch event loop: one per registry backend,
-//! each draining a FIFO job queue and reporting outcomes over a shared
-//! event channel.
+//! each draining a FIFO job queue, serving each job through the result-cache
+//! front and reporting outcomes over a shared event channel.
 
+use crate::cache::{self, ResultCache, Served};
 use crate::execute::{PreparedBatch, VariantBatch};
 use crate::fragment::FragmentSet;
 use crate::schedule::RegisteredBackend;
-use crate::CoreError;
-use std::borrow::Cow;
+use qrcc_circuit::Circuit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
@@ -22,7 +22,8 @@ pub(crate) struct Job {
     pub(crate) entry: usize,
     /// Batch-global indices of the circuits carried.
     pub(crate) circuits: Vec<usize>,
-    /// Allocated per-circuit shots (when a global budget is set).
+    /// Allocated per-circuit shots (when a global budget is set) — what
+    /// the circuits request of the result-cache front.
     pub(crate) shots: Option<Vec<u64>>,
     /// Whether this job is a retry of circuits that failed elsewhere.
     pub(crate) retry: bool,
@@ -34,13 +35,15 @@ pub(crate) struct Job {
     pub(crate) span: u64,
 }
 
-/// A finished job with its per-circuit results and phase timings.
+/// A finished job with its per-circuit answers and phase timings.
 pub(crate) struct JobOutcome {
     pub(crate) job: Job,
-    pub(crate) results: Vec<Result<Vec<f64>, CoreError>>,
+    /// One answer per circuit of the job, in its order.
+    pub(crate) results: Vec<Served>,
     /// Time the job sat in the worker's queue before execution started.
     pub(crate) queue_wait: Duration,
-    /// Wall-clock of the backend's batch call.
+    /// Wall-clock of serving the job: cache lookups, the backend call and
+    /// the write-backs.
     pub(crate) execute_wall: Duration,
 }
 
@@ -60,11 +63,12 @@ impl WorkerHandle {
 }
 
 /// What every worker of one dispatched batch borrows: the fragments and the
-/// prepared batch its jobs index into.
+/// prepared batch its jobs index into, and the registry's result cache.
 #[derive(Clone, Copy)]
 pub(crate) struct JobContext<'env> {
     pub(crate) fragments: &'env FragmentSet,
     pub(crate) batch: &'env PreparedBatch,
+    pub(crate) cache: Option<&'env ResultCache>,
     pub(crate) cancelled: &'env AtomicBool,
 }
 
@@ -90,66 +94,56 @@ pub(crate) fn spawn_workers<'scope, 'env: 'scope>(
         .collect()
 }
 
-/// The body of one worker thread: run each queued job as a single
-/// [`run_variants`](crate::execute::ExecutionBackend::run_variants) call on
-/// the backend and report the outcome. A closed event channel means the
-/// dispatcher is gone — stop immediately.
+/// The body of one worker thread: serve each queued job through
+/// [`cache::serve`], whose one backend call is a
+/// [`run_variants`](crate::execute::ExecutionBackend::run_variants) over the
+/// job's circuits the cache did not answer, and report the outcome. A closed
+/// event channel means the dispatcher is gone — stop immediately.
 fn worker_loop(
     entry: &RegisteredBackend,
     jobs: Receiver<Job>,
     events: Sender<JobOutcome>,
     context: JobContext<'_>,
 ) {
+    let JobContext { fragments, batch, cache, cancelled } = context;
     while let Ok(job) = jobs.recv() {
-        if context.cancelled.load(Ordering::Relaxed) {
+        if cancelled.load(Ordering::Relaxed) {
             continue; // aborting: drain the queue without executing
         }
         let queue_wait = job.dispatched_at.elapsed();
         let started = Instant::now();
         // opens under the dispatch-phase span carried by the job; nested
-        // spans (e.g. a RemoteBackend submit) parent under it through the
-        // worker's thread-local stack
+        // spans (the cache's, a RemoteBackend submit) parent under it
+        // through the worker's thread-local stack
         let span = crate::obs::tracer().span_under("job.execute", job.span);
-        // A panicking backend must not kill the worker: with other workers
-        // still holding event-channel clones, a dead worker would leave its
-        // job's outcome undelivered and hang the event loop forever. Catch
-        // the panic and report it as a per-circuit failure instead — the
-        // retry machinery then treats it like any other backend fault.
-        let variants = VariantBatch::picked(
-            context.fragments,
-            &context.batch.canonical,
-            &context.batch.circuits,
-            Cow::Borrowed(&job.circuits),
+        let circuits: Vec<&Circuit> = job.circuits.iter().map(|&c| &batch.circuits[c]).collect();
+        let backend = entry.backend();
+        // a panicking backend fails the job's circuits inside the front
+        // instead of killing the worker, whose undelivered outcome would
+        // hang the event loop; the retry machinery takes it from there
+        let results = cache::serve(
+            cache,
+            entry.name(),
+            backend.shots_per_circuit(),
+            &circuits,
             job.shots.as_deref(),
+            |picked, shots| {
+                // the variants stay keyed, so a remote backend ships keys
+                let picks = picked.iter().map(|&i| job.circuits[i]).collect();
+                let variants = VariantBatch::picked(
+                    fragments,
+                    &batch.canonical,
+                    &batch.circuits,
+                    picks,
+                    shots,
+                );
+                backend.run_variants(&variants)
+            },
         );
-        let run = std::panic::AssertUnwindSafe(|| entry.backend().run_variants(&variants));
-        let results = std::panic::catch_unwind(run).unwrap_or_else(|panic| {
-            let reason = panic_message(panic.as_ref());
-            job.circuits
-                .iter()
-                .map(|_| {
-                    Err(CoreError::BackendUnavailable {
-                        backend: entry.name().to_string(),
-                        reason: format!("backend panicked: {reason}"),
-                    })
-                })
-                .collect()
-        });
         drop(span);
         let execute_wall = started.elapsed();
         if events.send(JobOutcome { job, results, queue_wait, execute_wall }).is_err() {
             return;
         }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = panic.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = panic.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

@@ -69,7 +69,6 @@ use qrcc_sim::compile::{CompileCounters, CompileStats, FramedProgram};
 use qrcc_sim::device::Device;
 use qrcc_sim::{Counts, SimError};
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -179,7 +178,7 @@ pub struct VariantBatch<'a> {
     fragments: &'a FragmentSet,
     keys: &'a [VariantKey],
     circuits: &'a [Circuit],
-    picks: Cow<'a, [usize]>,
+    picks: Vec<usize>,
     shots: Option<&'a [u64]>,
 }
 
@@ -200,8 +199,7 @@ impl<'a> VariantBatch<'a> {
     ) -> Self {
         let known = |key: &VariantKey| key.fragment < fragments.fragments.len();
         assert!(keys.iter().all(known), "every key names a fragment of the set");
-        let picks = Cow::Owned((0..keys.len()).collect());
-        Self::picked(fragments, keys, circuits, picks, shots)
+        Self::picked(fragments, keys, circuits, (0..keys.len()).collect(), shots)
     }
 
     /// The variants at `picks` of the batch-wide `keys`/`circuits`, with
@@ -210,7 +208,7 @@ impl<'a> VariantBatch<'a> {
         fragments: &'a FragmentSet,
         keys: &'a [VariantKey],
         circuits: &'a [Circuit],
-        picks: Cow<'a, [usize]>,
+        picks: Vec<usize>,
         shots: Option<&'a [u64]>,
     ) -> Self {
         assert_eq!(keys.len(), circuits.len(), "one circuit per variant key");
@@ -861,7 +859,7 @@ mod tests {
         let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
         let prepared = prepare_batch(&set, &requests).unwrap();
         let counts = [5, 6, 7];
-        let picks = Cow::Owned(vec![2, 0, 1]);
+        let picks = vec![2, 0, 1];
         let variants = VariantBatch::picked(
             &set,
             &prepared.canonical,
@@ -1112,7 +1110,7 @@ mod tests {
         let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
         let batch = prepare_batch(&set, &requests).unwrap();
         let view = |picks: Vec<usize>, shots| {
-            VariantBatch::picked(&set, &batch.canonical, &batch.circuits, Cow::Owned(picks), shots)
+            VariantBatch::picked(&set, &batch.canonical, &batch.circuits, picks, shots)
         };
         let scattered = view(vec![3, 1], None);
         assert_eq!(scattered.keys().collect::<Vec<_>>(), [batch.canonical[3], batch.canonical[1]]);
@@ -1226,13 +1224,7 @@ mod tests {
         // instantiates, in whatever order the job picks them
         let batch = prepare_batch(&set, &requests).unwrap();
         let picks: Vec<usize> = (0..batch.circuits.len()).rev().step_by(2).collect();
-        let job = VariantBatch::picked(
-            &set,
-            &batch.canonical,
-            &batch.circuits,
-            Cow::Borrowed(&picks),
-            None,
-        );
+        let job = VariantBatch::picked(&set, &batch.canonical, &batch.circuits, picks, None);
         assert!(job.len() > 1);
         for (key, circuit) in job.keys().zip(job.circuit_refs()) {
             let fragment = job.fragments().fragment_of(&key).unwrap();

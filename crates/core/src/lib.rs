@@ -33,9 +33,10 @@
 //!   `testing` feature).
 //! * [`cache`] — the shot-aware, content-addressed result cache: executed
 //!   distributions keyed by structural hash with full/delta-hit shot
-//!   semantics, LRU weight eviction and snapshot persistence, consulted by
-//!   the dispatcher (via [`schedule::DeviceRegistry::with_result_cache`])
-//!   and by `QrccServer` workers.
+//!   semantics, LRU weight eviction and snapshot persistence, and
+//!   [`cache::serve`], the one front through which the dispatch workers
+//!   (via [`schedule::DeviceRegistry::with_result_cache`]) and `QrccServer`
+//!   workers consult it.
 //! * [`reconstruct`] — probability-vector and expectation-value
 //!   reconstruction through a shared contraction engine (dense global loop
 //!   or pairwise fragment-tensor contraction with sparse pruning, selected

@@ -66,10 +66,6 @@ pub struct MonitorPolicy {
     /// at least one rotation bucket (`window_us / buckets`) — polling
     /// faster re-reads the same partial bucket.
     pub poll_interval_us: u64,
-    /// Protocol version the monitored servers speak. `GetMetrics` /
-    /// `GetHealth` exist from v3 on.
-    #[serde(default = "default_monitor_protocol")]
-    pub target_protocol: u16,
     /// The SLO the merged fleet window is scored against, if any.
     #[serde(default)]
     pub slo: Option<SloSpec>,
@@ -79,17 +75,12 @@ fn default_monitor_buckets() -> usize {
     10
 }
 
-fn default_monitor_protocol() -> u16 {
-    3
-}
-
 impl Default for MonitorPolicy {
     fn default() -> Self {
         MonitorPolicy {
             window_us: 10_000_000,
             buckets: default_monitor_buckets(),
             poll_interval_us: 1_000_000,
-            target_protocol: default_monitor_protocol(),
             slo: None,
         }
     }

@@ -145,16 +145,15 @@ impl DeviceRegistry {
         self.entries.iter().map(|e| e.backend.executions()).sum()
     }
 
-    /// Attaches a result cache built from `policy` (builder form). With
-    /// `policy.enabled == false` this detaches any cache, so a caller can
-    /// pass its policy through unconditionally.
-    /// Once attached, the [`dispatch`](crate::dispatch) loop
-    /// consults the cache before routing: full hits skip the backend (their
-    /// allocated shots are simply not spent), delta hits execute only the
-    /// shot top-up, and every fresh execution is written back.
+    /// Attaches a result cache built from `policy` (builder form). Once
+    /// attached, each [`dispatch`](crate::dispatch) worker serves the jobs
+    /// routed to it through the cache
+    /// ([`cache::serve`](crate::cache::serve)): full hits skip the backend
+    /// (their allocated shots are simply not spent), delta hits execute
+    /// only the shot top-up, and every fresh execution is written back.
     #[must_use]
     pub fn with_result_cache(mut self, policy: &ResultCachePolicy) -> Self {
-        self.result_cache = policy.enabled.then(|| Arc::new(ResultCache::open(policy)));
+        self.result_cache = Some(Arc::new(ResultCache::open(policy)));
         self
     }
 

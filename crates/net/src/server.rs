@@ -27,7 +27,7 @@ use crate::proto::{
 use parking_lot::Mutex;
 use qrcc_circuit::{qasm, Circuit};
 use qrcc_core::analyze;
-use qrcc_core::cache::{settle, CacheLookup, CacheStats, ResultCache, ResultCachePolicy};
+use qrcc_core::cache::{self, CacheStats, ResultCache, ResultCachePolicy};
 use qrcc_core::execute::ExecutionBackend;
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
@@ -337,16 +337,15 @@ impl QrccServer {
         })
     }
 
-    /// Attaches a result cache built from `policy` (a disabled policy
-    /// detaches any cache, so callers can pass their policy through
-    /// unconditionally). The server consults the cache **before** its
-    /// backend: full hits answer without executing, delta hits execute only
-    /// the missing shots, and every fresh execution is written back. With a
-    /// persisted policy the snapshot is loaded here and written back at
-    /// shutdown, so a restarted worker keeps serving its previous results.
+    /// Attaches a result cache built from `policy`. Every batch is served
+    /// through it ([`cache::serve`]): full hits answer without executing,
+    /// misses and delta hits' missing shots run as one backend call, and
+    /// every fresh execution is written back. With a persisted policy the
+    /// snapshot is loaded here and written back at shutdown, so a restarted
+    /// worker keeps serving its previous results.
     #[must_use]
     pub fn with_result_cache(mut self, policy: &ResultCachePolicy) -> Self {
-        self.cache = policy.enabled.then(|| Arc::new(ResultCache::open(policy)));
+        self.cache = Some(Arc::new(ResultCache::open(policy)));
         self
     }
 
@@ -916,10 +915,12 @@ impl io::Write for DeadlineWriter<'_> {
 /// rejection ([`qrcc_core::analyze::preflight_backend`]: too wide for this
 /// worker, or needing mid-circuit support it lacks), or a backend error
 /// each produce a `CircuitFailed` while the rest of the batch still runs.
-/// The backend runs the surviving circuits as **one** call — preserving its
-/// internal parallelism and the deterministic per-circuit sampling streams
-/// — so the reply is written only once the batch call returns; the client
-/// waits on that with its (long) reply timeout. Every reply frame and the
+/// The surviving circuits are served through the result-cache front
+/// ([`cache::serve`]), which answers full hits and runs the rest as **one**
+/// backend call — preserving its internal parallelism and the
+/// deterministic per-circuit sampling streams — so the reply is written
+/// only once the batch call returns; the client waits on that with its
+/// (long) reply timeout. Every reply frame and the
 /// `BatchDone` are encoded into one buffer that leaves in one write under
 /// the worker's cumulative write budget (see [`DeadlineWriter`]). The batch
 /// and circuit counters are folded into the aggregate stats before that
@@ -959,130 +960,48 @@ fn serve_batch(
         .map(|d| d.as_micros() as u64)
         .unwrap_or(0);
 
-    /// How one submitted circuit is answered.
-    enum Slot {
-        /// No circuit (bad key, parse error) or a static pre-flight
-        /// rejection.
-        Rejected(CoreError),
-        /// Served entirely from the result cache — no backend call.
-        Cached(Arc<Vec<f64>>),
-        /// Runs on the backend; a delta hit carries the cached base
-        /// distribution to merge with the fresh top-up.
-        Execute { delta: Option<(Arc<Vec<f64>>, u64)> },
-    }
-
     // Build and statically pre-flight every circuit; rejected circuits fail
     // individually, exactly like backend failures, and the rest of its
     // batch still runs. Parse errors keep their line/column; pre-flight
     // rejections carry the rendered QL diagnostic and stay `Backend`-kinded
     // so the client's dispatcher re-routes them to a capable worker.
-    // Surviving circuits then consult the result cache: full hits skip the
-    // backend entirely, delta hits execute only the missing shots.
-    let circuits = submission.circuits(fragments, backend);
-    let mut slots: Vec<Slot> = Vec::with_capacity(circuits.len());
-    let mut payload: Vec<Circuit> = Vec::with_capacity(circuits.len());
-    let mut sub_shots: Vec<u64> = Vec::new();
-    let mut any_delta = false;
-    // this batch's cache tallies, reported only to a tracing client (the
-    // cache keeps the worker's own count)
-    let (mut c_hits, mut c_delta, mut c_saved) = (0u64, 0u64, 0u64);
-    for (i, circuit) in circuits.into_iter().enumerate() {
-        let circuit = match circuit.and_then(|circuit| {
-            preflight(&circuit, backend)?;
-            Ok(circuit)
-        }) {
-            Ok(circuit) => circuit,
-            Err(error) => {
-                slots.push(Slot::Rejected(error));
-                continue;
-            }
-        };
-        let requested = match shots {
-            Some(s) => Some(s[i]),
-            None => backend.shots_per_circuit(),
-        };
-        match cache.map(|c| c.lookup(&circuit, requested)) {
-            Some(CacheLookup::Hit(distribution)) => {
-                c_hits += 1;
-                c_saved += requested.unwrap_or(0);
-                slots.push(Slot::Cached(distribution));
-            }
-            Some(CacheLookup::Delta { base, base_shots, missing }) => {
-                c_delta += 1;
-                c_saved += base_shots;
-                any_delta = true;
-                payload.push(circuit);
-                sub_shots.push(missing);
-                slots.push(Slot::Execute { delta: Some((base, base_shots)) });
-            }
-            Some(CacheLookup::Miss) | None => {
-                payload.push(circuit);
-                // a delta hit elsewhere in the batch switches the whole run
-                // to explicit counts, so misses carry theirs too (requested
-                // is Some whenever a delta can exist: deltas need a sampling
-                // backend)
-                sub_shots.push(requested.unwrap_or(0));
-                slots.push(Slot::Execute { delta: None });
-            }
-        }
-    }
-
+    let built: Vec<Result<Circuit, CoreError>> = submission
+        .circuits(fragments, backend)
+        .into_iter()
+        .map(|circuit| circuit.and_then(|circuit| preflight(&circuit, backend).map(|()| circuit)))
+        .collect();
+    let runnable: Vec<&Circuit> = built.iter().filter_map(|c| c.as_ref().ok()).collect();
+    let runnable_shots: Option<Vec<u64>> = shots
+        .map(|shots| built.iter().zip(shots).filter(|(c, _)| c.is_ok()).map(|(_, &s)| s).collect());
     let parse_us = batch_started.elapsed().as_micros() as u64;
-    // A panicking backend must not kill the connection thread silently: the
-    // panic becomes per-circuit failures the client's dispatcher can rescue,
-    // mirroring the in-process dispatch workers.
-    let explicit = shots.is_some() || any_delta;
-    let run = std::panic::AssertUnwindSafe(|| {
-        let circuits: Vec<&Circuit> = payload.iter().collect();
-        backend.run(&circuits, explicit.then_some(&sub_shots[..]))
-    });
-    let results = std::panic::catch_unwind(run).unwrap_or_else(|_| {
-        payload
-            .iter()
-            .map(|_| {
-                Err(CoreError::BackendUnavailable {
-                    backend: backend.label(),
-                    reason: "backend panicked".into(),
-                })
-            })
-            .collect()
-    });
+    // The surviving circuits go through the result-cache front: full hits
+    // skip the backend, misses and delta top-ups run as one call, and a
+    // panicking backend becomes per-circuit failures the client's
+    // dispatcher can rescue.
+    let served = cache::serve(
+        cache,
+        &backend.label(),
+        backend.shots_per_circuit(),
+        &runnable,
+        runnable_shots.as_deref(),
+        |picked, shots| {
+            let circuits: Vec<&Circuit> = picked.iter().map(|&i| runnable[i]).collect();
+            backend.run(&circuits, shots)
+        },
+    );
     let execute_us = batch_started.elapsed().as_micros() as u64;
 
     // Every reply frame of this batch is encoded into one buffer that
     // leaves in one write (below).
     let mut replies: Vec<u8> = Vec::new();
-    let mut results = results.into_iter();
-    let mut executed = payload.into_iter().zip(sub_shots);
+    let mut served = served.into_iter();
     let mut ok = 0u64;
     let mut failed = 0u64;
-    for (index, slot) in slots.into_iter().enumerate() {
-        let outcome = match slot {
-            Slot::Rejected(rejection) => Err(rejection),
-            Slot::Cached(distribution) => Ok(Arc::unwrap_or_clone(distribution)),
-            Slot::Execute { delta } => {
-                let ran = executed.next();
-                let fresh = results.next().unwrap_or_else(|| {
-                    Err(CoreError::Transport {
-                        detail: "backend returned fewer results than circuits".into(),
-                    })
-                });
-                match (fresh, ran) {
-                    (Ok(distribution), Some((circuit, ran_shots))) => {
-                        // write the fresh (or merged) result back so the next
-                        // request for this circuit hits
-                        let sampled = backend.shots_per_circuit().is_some();
-                        let (distribution, stored) =
-                            settle(Arc::new(distribution), sampled.then_some(ran_shots), delta);
-                        if let Some(cache) = cache {
-                            cache.store(&circuit, &distribution, stored);
-                        }
-                        Ok(Arc::unwrap_or_clone(distribution))
-                    }
-                    (fresh, _) => fresh,
-                }
-            }
-        };
+    for (index, circuit) in built.into_iter().enumerate() {
+        let outcome = circuit.and_then(|_| {
+            let served = served.next().expect("one answer per runnable circuit");
+            served.distribution.map(Arc::unwrap_or_clone)
+        });
         let (frame, succeeded) = match outcome {
             Ok(distribution) => {
                 (Frame::CircuitResult { batch, index: index as u32, distribution }, true)
@@ -1154,9 +1073,6 @@ fn serve_batch(
             counters: vec![
                 ("server.circuits_ok".into(), ok),
                 ("server.circuits_failed".into(), failed),
-                ("server.cache_hits".into(), c_hits),
-                ("server.cache_delta_hits".into(), c_delta),
-                ("server.cache_shots_saved".into(), c_saved),
             ],
             histograms: vec![("server.batch_latency_us".into(), delta)],
         }

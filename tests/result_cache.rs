@@ -3,7 +3,7 @@
 //! state-vector simulation to 1e-9), a warm cache must serve repeats without
 //! spending any device shots, shot top-ups must execute only the missing
 //! delta, persisted snapshots must survive a restart, and shot accounting
-//! must stay exact-once under every hit class.
+//! must stay exact-once under every hit class and under retried top-ups.
 
 use proptest::prelude::*;
 use qrcc::prelude::*;
@@ -189,6 +189,56 @@ fn shot_accounting_stays_exact_once_under_hits() {
         let usage_total: u64 = report.backends.iter().map(|u| u.shots).sum();
         assert_eq!(usage_total, report.total_shots, "usage must sum to the total (pass {pass})");
     }
+}
+
+/// A cached registry over one flaky sampling device: every circuit's first
+/// submission to it fails, so every executed circuit is retried once.
+fn flaky_sampling_registry(seed: u64, shots: u64) -> DeviceRegistry {
+    let device = Device::new(DeviceConfig::ideal(4).with_seed(seed));
+    let mut registry = DeviceRegistry::new();
+    registry.register("flaky4", FlakyBackend::transient(ShotsBackend::new(device, shots), 5, 1.0));
+    registry
+}
+
+/// Retries keep shot accounting exact through the cache: when every
+/// top-up of a doubled request fails once and is retried, the run still
+/// spends exactly the missing half — each top-up is charged once, on the
+/// attempt that succeeded — and the merged entries then serve the doubled
+/// request without spending anything.
+#[test]
+fn retried_top_ups_spend_only_the_missing_shots() {
+    let mut circuit = Circuit::new(5);
+    circuit.h(0);
+    for q in 0..4 {
+        circuit.cx(q, q + 1);
+        circuit.ry(0.2 * (q as f64 + 1.0), q + 1);
+    }
+    let pipeline = QrccPipeline::plan(&circuit, config()).unwrap();
+
+    let cold = flaky_sampling_registry(7, 1024).with_result_cache(&ResultCachePolicy::in_memory());
+    let cache = Arc::clone(cold.result_cache().unwrap());
+    let scheduler = Scheduler::new(&cold, SchedulePolicy::default());
+    let (_, _, cold_report) = pipeline.execute_streaming(&scheduler).unwrap();
+    assert!(cold_report.total_shots > 0, "the cold run must execute");
+
+    let mut doubled = flaky_sampling_registry(7, 2048);
+    doubled.set_result_cache(Arc::clone(&cache));
+    let scheduler = Scheduler::new(&doubled, SchedulePolicy::default());
+    let (_, _, topup_report) = pipeline.execute_streaming(&scheduler).unwrap();
+    assert!(cache.stats().delta_hits > 0, "the doubled run must be served as deltas");
+    let executed: u64 = topup_report.backends.iter().map(|u| u.circuits).sum();
+    let retried: u64 = topup_report.backends.iter().map(|u| u.retries).sum();
+    assert!(executed > 0, "the top-ups must execute");
+    assert_eq!(retried, executed, "every top-up fails once and succeeds on its retry");
+    assert_eq!(
+        topup_report.total_shots, cold_report.total_shots,
+        "retried top-ups spend exactly the missing half"
+    );
+    let usage_total: u64 = topup_report.backends.iter().map(|u| u.shots).sum();
+    assert_eq!(usage_total, topup_report.total_shots, "usage must sum to the total");
+
+    let (_, _, warm_report) = pipeline.execute_streaming(&scheduler).unwrap();
+    assert_eq!(warm_report.total_shots, 0, "the merged entries serve the doubled request");
 }
 
 /// A persisted snapshot restores the cache across a "restart": a second
