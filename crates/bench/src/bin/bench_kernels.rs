@@ -628,7 +628,7 @@ fn main() {
                 ("depth", depth.to_string()),
                 ("repeats", reps.to_string()),
                 ("smoke", smoke.to_string()),
-                ("sweeps", isa.to_string()),
+                ("sweeps", format!("\"{isa}\"")),
             ],
             &metrics,
         );

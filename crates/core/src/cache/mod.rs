@@ -132,8 +132,11 @@ pub struct CacheStats {
     /// Lookups fully served from the cache (no execution needed).
     pub hits: u64,
     /// Lookups served partially: the caller executed only the shot top-up.
+    /// Through [`serve`], a delta hit counts once, when its top-up settles.
     pub delta_hits: u64,
-    /// Lookups that found nothing usable.
+    /// Lookups that found nothing usable. Through [`serve`], a miss counts
+    /// once, when its execution settles: a failed attempt and its retry
+    /// are one miss.
     pub misses: u64,
     /// Entries inserted or upgraded by write-backs.
     pub insertions: u64,
@@ -353,12 +356,20 @@ impl ResultCache {
     /// caller needs an exact distribution). Touches the entry for LRU and
     /// counts the hit/delta/miss.
     pub fn lookup(&self, circuit: &Circuit, requested_shots: Option<u64>) -> CacheLookup {
-        self.lookup_hashed(circuit, circuit.structural_hash(), requested_shots)
+        let lookup = self.lookup_hashed(circuit, circuit.structural_hash(), requested_shots);
+        match &lookup {
+            CacheLookup::Hit(_) => {}
+            CacheLookup::Delta { base_shots, .. } => self.count_run(Some(*base_shots)),
+            CacheLookup::Miss => self.count_run(None),
+        }
+        lookup
     }
 
     /// [`lookup`](Self::lookup) for a caller that already holds `circuit`'s
-    /// [`Circuit::structural_hash`]. Entries under `hash` serve only a
-    /// circuit structurally equal to theirs.
+    /// [`Circuit::structural_hash`], counting only a hit: a miss or a delta
+    /// hit is the caller's to count ([`count_run`](Self::count_run)).
+    /// Entries under `hash` serve only a circuit structurally equal to
+    /// theirs.
     fn lookup_hashed(
         &self,
         circuit: &Circuit,
@@ -369,7 +380,6 @@ impl ResultCache {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let Shard { buckets, recency, .. } = &mut *shard;
         let Some(bucket) = buckets.get_mut(&hash) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         };
         // Among structurally equal entries, the one that serves the most
@@ -382,7 +392,6 @@ impl ResultCache {
             .max_by_key(|(_, e)| e.serves())
             .map(|(i, _)| i);
         let Some(index) = best else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         };
         let entry = &mut bucket[index];
@@ -403,8 +412,6 @@ impl ResultCache {
             }
             (Some(stored), Some(requested)) => {
                 Shard::touch(recency, entry, hash, tick);
-                self.delta_hits.fetch_add(1, Ordering::Relaxed);
-                self.shots_saved.fetch_add(stored, Ordering::Relaxed);
                 CacheLookup::Delta {
                     base: Arc::clone(&entry.distribution),
                     base_shots: stored,
@@ -412,9 +419,20 @@ impl ResultCache {
                 }
             }
             // A sampled entry can never serve an exact request.
-            (Some(_), None) => {
+            (Some(_), None) => CacheLookup::Miss,
+        }
+    }
+
+    /// Counts a lookup the backend had to answer: a miss, or a delta hit
+    /// whose base of `base_shots` the cache absorbed.
+    fn count_run(&self, base_shots: Option<u64>) {
+        match base_shots {
+            Some(stored) => {
+                self.delta_hits.fetch_add(1, Ordering::Relaxed);
+                self.shots_saved.fetch_add(stored, Ordering::Relaxed);
+            }
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Miss
             }
         }
     }
@@ -615,7 +633,9 @@ pub struct Served {
 /// [`CoreError::BackendUnavailable`] naming `backend`. Each fresh result is
 /// settled — a sampled top-up is merged with its base at the summed shots
 /// ([`merge_distributions`]); a top-up that ran on an exact backend replaces
-/// the base; anything else is stored as it came — and stored.
+/// the base; anything else is stored as it came — and stored. A full hit
+/// is counted at its lookup; a miss or a delta hit only when its result
+/// settles, so a circuit that fails and comes back on a retry counts once.
 ///
 /// Returns one [`Served`] per circuit, in order.
 pub fn serve(
@@ -707,9 +727,11 @@ pub fn serve(
                     Ok(distribution) => {
                         // the shots the execution ran, `None` on an exact backend
                         let ran_shots = shots_per_circuit.map(|_| count);
+                        let base_shots = base.as_ref().map(|(_, shots)| *shots);
                         let (distribution, stored) =
                             settle(Arc::new(distribution), ran_shots, base);
                         if let Some(cache) = cache {
+                            cache.count_run(base_shots);
                             cache.store_hashed(circuits[i], hashes[i], &distribution, stored);
                         }
                         Served {

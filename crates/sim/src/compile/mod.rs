@@ -1,9 +1,11 @@
 //! Compile-then-execute: lowering circuits to flat fused-kernel programs.
 //!
-//! The interpreted simulator walks a circuit one [`Operation`] at a time,
-//! paying one full amplitude sweep per gate. This module compiles the circuit
-//! **once** into a [`FramedProgram`] — a flat list of [`Kernel`]s with its
-//! measurements classified — and executes that instead:
+//! The interpreter, [`StateVector`], is the oracle: it applies a circuit one
+//! [`Operation`] at a time, each gate one single-threaded pass over the
+//! pairs or quads of amplitudes it touches, and shares no code with this
+//! module. This module compiles the circuit **once** into a
+//! [`FramedProgram`] — a flat list of [`Kernel`]s with its measurements
+//! classified — and executes that instead:
 //!
 //! * **Fusion** — adjacent single-qubit gates on the same wire (including
 //!   runs separated only by operations on *other* wires, which commute) are

@@ -1,3 +1,20 @@
+//! The uncut oracle: an exact state vector that applies one gate at a time.
+//!
+//! `StateVector::from_circuit` is the reference every cut plan is judged
+//! against, and noisy trajectories (`Device::execute_trajectories`) and
+//! branch enumeration (`branching::classical_distribution`) run their gates
+//! through it. So this file keeps three rules:
+//!
+//! * It shares no code with the compiled path: nothing here calls
+//!   `compile::Kernel`, and every sweep runs on the calling thread.
+//! * It reads a matrix's structure from its values (an exactly zero
+//!   off-diagonal, an all-real matrix, one non-zero entry per row), never
+//!   from the `Gate` that produced it.
+//! * A sweep leaves out only exact-zero terms of the dense rule, where each
+//!   output is the full row-by-column sum over its pair or quad. So its
+//!   amplitudes equal (`==`) that rule's, which a test keeps and holds every
+//!   sweep to; a diagonal or real 2×2 may leave −0 where the rule leaves +0.
+
 use crate::binomial::binomial;
 use crate::matrix::{single_qubit_matrix, two_qubit_matrix, Matrix2, Matrix4};
 use crate::{Complex, Counts, SimError};
@@ -177,51 +194,86 @@ impl StateVector {
         acc
     }
 
-    /// Applies a single-qubit matrix to `qubit`.
+    /// Applies a single-qubit matrix to `qubit`: one pass over the `(lo, hi)`
+    /// amplitude pairs, block by block. A diagonal matrix scales each half by
+    /// its entry and a real one takes real × complex products; either way
+    /// only exact-zero terms of the dense rule are left out.
     pub fn apply_matrix1(&mut self, m: &Matrix2, qubit: QubitId) {
         let q = qubit.index();
         debug_assert!(q < self.num_qubits);
         let bit = 1usize << q;
-        let dim = self.amps.len();
-        let mut i = 0;
-        while i < dim {
-            if i & bit == 0 {
-                let j = i | bit;
-                let a0 = self.amps[i];
-                let a1 = self.amps[j];
-                self.amps[i] = m[0][0] * a0 + m[0][1] * a1;
-                self.amps[j] = m[1][0] * a0 + m[1][1] * a1;
+        let [[m00, m01], [m10, m11]] = *m;
+        let pairs = self.amps.chunks_exact_mut(bit << 1).map(|block| block.split_at_mut(bit));
+        if m01 == Complex::ZERO && m10 == Complex::ZERO {
+            for (lo, hi) in pairs {
+                lo.iter_mut().for_each(|a| *a = m00 * *a);
+                hi.iter_mut().for_each(|a| *a = m11 * *a);
             }
-            i += 1;
+        } else if m.iter().flatten().all(|c| c.im == 0.0) {
+            let [[r00, r01], [r10, r11]] = m.map(|row| row.map(|c| c.re));
+            for (lo, hi) in pairs {
+                for (a0, a1) in lo.iter_mut().zip(hi) {
+                    let (x, y) = (*a0, *a1);
+                    *a0 = x.scale(r00) + y.scale(r01);
+                    *a1 = x.scale(r10) + y.scale(r11);
+                }
+            }
+        } else {
+            for (lo, hi) in pairs {
+                for (a0, a1) in lo.iter_mut().zip(hi) {
+                    let (x, y) = (*a0, *a1);
+                    *a0 = m00 * x + m01 * y;
+                    *a1 = m10 * x + m11 * y;
+                }
+            }
         }
     }
 
     /// Applies a two-qubit matrix to `(first, second)` using the convention
     /// that the basis index of the matrix is `(bit_first << 1) | bit_second`.
+    ///
+    /// Visits only the `2^(n-2)` quad bases (both bits clear), each a count
+    /// with a zero bit inserted at the two positions. A matrix with
+    /// one non-zero entry per row (CX, CZ, CP, RZZ, SWAP, …) takes one
+    /// product per amplitude; any other takes the dense 4×4 product.
     pub fn apply_matrix2(&mut self, m: &Matrix4, first: QubitId, second: QubitId) {
         let qa = first.index();
         let qb = second.index();
         debug_assert!(qa < self.num_qubits && qb < self.num_qubits && qa != qb);
         let bit_a = 1usize << qa;
         let bit_b = 1usize << qb;
-        let dim = self.amps.len();
-        for i in 0..dim {
-            if i & bit_a == 0 && i & bit_b == 0 {
-                let i00 = i;
-                let i01 = i | bit_b;
-                let i10 = i | bit_a;
-                let i11 = i | bit_a | bit_b;
-                let v = [self.amps[i00], self.amps[i01], self.amps[i10], self.amps[i11]];
-                let mut out = [Complex::ZERO; 4];
-                for (r, out_r) in out.iter_mut().enumerate() {
-                    for (c, v_c) in v.iter().enumerate() {
-                        *out_r += m[r][c] * *v_c;
-                    }
+        // the bits below each position; the lower is inserted first, so the
+        // higher one lands in place
+        let (low, high) = (bit_a.min(bit_b) - 1, bit_a.max(bit_b) - 1);
+        let quads = (0..self.amps.len() >> 2).map(|k| {
+            let k = (k & !low) << 1 | (k & low);
+            let i = (k & !high) << 1 | (k & high);
+            [i, i | bit_b, i | bit_a, i | bit_a | bit_b]
+        });
+        // the column of each row's only non-zero entry, if every row has one
+        let column = |row: &[Complex; 4]| {
+            let mut nonzero = (0..4).filter(|&c| row[c] != Complex::ZERO);
+            nonzero.next().filter(|_| nonzero.next().is_none())
+        };
+        if let [Some(c0), Some(c1), Some(c2), Some(c3)] = m.each_ref().map(column) {
+            let (columns, entries) = ([c0, c1, c2, c3], [m[0][c0], m[1][c1], m[2][c2], m[3][c3]]);
+            for idx in quads {
+                let v = idx.map(|j| self.amps[j]);
+                for r in 0..4 {
+                    // the dense sum starts at +0, which turns a −0 product into +0
+                    self.amps[idx[r]] = Complex::ZERO + entries[r] * v[columns[r]];
                 }
-                self.amps[i00] = out[0];
-                self.amps[i01] = out[1];
-                self.amps[i10] = out[2];
-                self.amps[i11] = out[3];
+            }
+        } else {
+            for idx in quads {
+                let v = idx.map(|j| self.amps[j]);
+                for (r, &j) in idx.iter().enumerate() {
+                    let mut out = Complex::ZERO;
+                    for (c, v_c) in v.iter().enumerate() {
+                        out += m[r][c] * *v_c;
+                    }
+                    self.amps[j] = out;
+                }
             }
         }
     }
@@ -262,11 +314,11 @@ impl StateVector {
     /// `qubit`.
     pub fn outcome_probability(&self, qubit: QubitId, outcome: bool) -> f64 {
         let bit = 1usize << qubit.index();
+        let half = if outcome { bit..bit << 1 } else { 0..bit };
         self.amps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| ((i & bit) != 0) == outcome)
-            .map(|(_, a)| a.norm_sqr())
+            .chunks_exact(bit << 1)
+            .flat_map(|block| &block[half.clone()])
+            .map(Complex::norm_sqr)
             .sum()
     }
 
@@ -278,9 +330,7 @@ impl StateVector {
     pub fn project(&mut self, qubit: QubitId, outcome: bool) -> f64 {
         let prob = self.outcome_probability(qubit, outcome);
         if prob <= f64::EPSILON {
-            for a in &mut self.amps {
-                *a = Complex::ZERO;
-            }
+            self.amps.fill(Complex::ZERO);
             return 0.0;
         }
         self.collapse(qubit, outcome, prob);
@@ -307,11 +357,11 @@ impl StateVector {
     pub(crate) fn collapse(&mut self, qubit: QubitId, outcome: bool, prob: f64) {
         let bit = 1usize << qubit.index();
         let scale = 1.0 / prob.sqrt();
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            if ((i & bit) != 0) == outcome {
-                *a = a.scale(scale);
-            } else {
-                *a = Complex::ZERO;
+        for block in self.amps.chunks_exact_mut(bit << 1) {
+            let (lo, hi) = block.split_at_mut(bit);
+            let (kept, dropped) = if outcome { (hi, lo) } else { (lo, hi) };
+            for (k, d) in kept.iter_mut().zip(dropped) {
+                (*k, *d) = (k.scale(scale), Complex::ZERO);
             }
         }
     }
@@ -357,52 +407,36 @@ impl StateVector {
         Ok(counts)
     }
 
-    /// The expectation value ⟨ψ|P|ψ⟩ of a Pauli string.
+    /// The expectation value ⟨ψ|P|ψ⟩ of a Pauli string, in one read-only
+    /// pass: with `f` the mask of its X and Y qubits and `s` that of its Y
+    /// and Z qubits, `(P|ψ⟩)_j = (−i)^{#Y} (−1)^{|j∧s|} ψ_{j⊕f}`, and
+    /// ⟨ψ|P|ψ⟩ = Σ_j conj(ψ_j) (P|ψ⟩)_j is summed in ascending `j`.
     ///
     /// # Panics
     ///
     /// Panics if the string's width differs from the state's.
     pub fn expectation_pauli(&self, string: &PauliString) -> f64 {
         assert_eq!(string.num_qubits(), self.num_qubits, "pauli string width mismatch");
-        // Compute P|ψ⟩ then take the real part of ⟨ψ|Pψ⟩.
-        let mut transformed = self.amps.clone();
+        let (mut flip, mut sign, mut ys) = (0usize, 0usize, 0);
         for (q, pauli) in string.paulis().iter().enumerate() {
             let bit = 1usize << q;
             match pauli {
                 Pauli::I => {}
-                Pauli::X => {
-                    for i in 0..transformed.len() {
-                        if i & bit == 0 {
-                            transformed.swap(i, i | bit);
-                        }
-                    }
-                }
-                Pauli::Y => {
-                    for i in 0..transformed.len() {
-                        if i & bit == 0 {
-                            let j = i | bit;
-                            let low = transformed[i];
-                            let high = transformed[j];
-                            // Y = [[0, -i], [i, 0]] acting on (low, high)
-                            transformed[i] = Complex::new(0.0, -1.0) * high;
-                            transformed[j] = Complex::i() * low;
-                        }
-                    }
-                }
-                Pauli::Z => {
-                    for (i, amp) in transformed.iter_mut().enumerate() {
-                        if i & bit != 0 {
-                            *amp = -*amp;
-                        }
-                    }
-                }
+                Pauli::X => flip |= bit,
+                Pauli::Y => (flip, sign, ys) = (flip | bit, sign | bit, ys + 1),
+                Pauli::Z => sign |= bit,
             }
         }
-        let mut acc = Complex::ZERO;
-        for (a, t) in self.amps.iter().zip(&transformed) {
-            acc += a.conj() * *t;
+        // (−i)^{#Y}: multiplying by it only permutes and negates parts
+        let phase = [Complex::ONE, Complex::new(0.0, -1.0), -Complex::ONE, Complex::i()][ys % 4];
+        let mut acc = 0.0;
+        for (j, a) in self.amps.iter().enumerate() {
+            let t = phase * self.amps[j ^ flip];
+            // Re(conj(a)·t), its sign flipped when j has odd `s` parity
+            let odd = u64::from((j & sign).count_ones() & 1) << 63;
+            acc += f64::from_bits((a.re * t.re + a.im * t.im).to_bits() ^ odd);
         }
-        acc.re
+        acc
     }
 
     /// The expectation value of a weighted Pauli observable.
@@ -423,10 +457,159 @@ impl StateVector {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)
+    }
+
+    /// The dense per-index rule the sweeps replaced, for one or two qubits:
+    /// every index is visited, the pair (or quad) members are found by bit
+    /// tests, and each output is the full row-by-column sum, in column
+    /// order. The sweeps must equal it (`==`).
+    fn naive_apply(amps: &mut [Complex], m: &[&[Complex]], qubits: &[usize]) {
+        let bits: Vec<usize> = qubits.iter().map(|&q| 1usize << q).collect();
+        for i in (0..amps.len()).filter(|i| bits.iter().all(|b| i & b == 0)) {
+            // matrix index k has the first qubit as its high bit
+            let members: Vec<usize> = (0..m.len())
+                .map(|k| {
+                    let set = bits.iter().rev().enumerate().filter(|(pos, _)| k >> pos & 1 == 1);
+                    set.fold(i, |j, (_, b)| j | b)
+                })
+                .collect();
+            let v: Vec<Complex> = members.iter().map(|&j| amps[j]).collect();
+            for (row, &j) in m.iter().zip(&members) {
+                let mut out = Complex::ZERO;
+                for (entry, v_c) in row.iter().zip(&v) {
+                    out += *entry * *v_c;
+                }
+                amps[j] = out;
+            }
+        }
+    }
+
+    /// ⟨ψ|P|ψ⟩ by copying the state and applying `P` qubit by qubit.
+    fn naive_expectation(sv: &StateVector, string: &PauliString) -> f64 {
+        let mut t = sv.amplitudes().to_vec();
+        for (q, pauli) in string.paulis().iter().enumerate() {
+            let bit = 1usize << q;
+            for i in (0..t.len()).filter(|i| i & bit == 0) {
+                let (low, high) = (t[i], t[i | bit]);
+                let (low, high) = match pauli {
+                    Pauli::I => (low, high),
+                    Pauli::X => (high, low),
+                    Pauli::Y => (Complex::new(0.0, -1.0) * high, Complex::i() * low),
+                    Pauli::Z => (low, -high),
+                };
+                (t[i], t[i | bit]) = (low, high);
+            }
+        }
+        sv.amplitudes().iter().zip(&t).fold(Complex::ZERO, |acc, (a, t)| acc + a.conj() * *t).re
+    }
+
+    /// A random `dim`×`dim` matrix of one structural kind: dense, diagonal,
+    /// anti-diagonal, real, one non-zero per row (a random permutation) or
+    /// dense with random exact zeros (rows of two or three non-zeros).
+    fn structured(dim: usize, kind: usize, rng: &mut StdRng) -> Vec<Vec<Complex>> {
+        let perm = {
+            let mut p: Vec<usize> = (0..dim).collect();
+            for i in (1..dim).rev() {
+                p.swap(i, rng.gen_range(0..i + 1));
+            }
+            p
+        };
+        (0..dim)
+            .map(|r| {
+                (0..dim)
+                    .map(|c| {
+                        let z = Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                        let keep = match kind {
+                            1 => r == c,
+                            2 => r + c == dim - 1,
+                            4 => perm[r] == c,
+                            5 => rng.gen_range(0..2) == 0,
+                            _ => true,
+                        };
+                        match (keep, kind) {
+                            (false, _) => Complex::ZERO,
+                            (true, 3) => Complex::new(z.re, 0.0),
+                            (true, _) => z,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The strided sweeps equal the dense per-index rule exactly, for
+        /// every structural kind of 2×2 and 4×4 matrix, every qubit and both
+        /// orders of every pair; the one-pass Pauli expectation equals the
+        /// copy-and-apply form, and the strided outcome probability,
+        /// collapse and projection equal their per-index forms.
+        #[test]
+        fn sweeps_match_the_dense_rule(n in 1..7usize, seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // a fresh state for every application, so no matrix sees the
+            // zeros or the scale a singular one left behind
+            let random_state = |rng: &mut StdRng| {
+                let mut sv = StateVector::new(n);
+                for a in sv.amps_mut() {
+                    *a = Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                }
+                let norm = sv.norm();
+                sv.amps_mut().iter_mut().for_each(|a| *a = a.scale(1.0 / norm));
+                let naive = sv.amplitudes().to_vec();
+                (sv, naive)
+            };
+            for kind in 0..6 {
+                for a in 0..n {
+                    let m = structured(2, kind, &mut rng);
+                    let (mut sv, mut naive) = random_state(&mut rng);
+                    sv.apply_matrix1(&[[m[0][0], m[0][1]], [m[1][0], m[1][1]]], q(a));
+                    naive_apply(&mut naive, &[&m[0], &m[1]], &[a]);
+                    proptest::prop_assert!(sv.amplitudes() == naive, "2x2 kind {kind} on {a}");
+                    for b in (0..n).filter(|&b| b != a) {
+                        let m = structured(4, kind, &mut rng);
+                        let m4 = [0, 1, 2, 3].map(|r| [0, 1, 2, 3].map(|c| m[r][c]));
+                        let (mut sv, mut naive) = random_state(&mut rng);
+                        sv.apply_matrix2(&m4, q(a), q(b));
+                        naive_apply(&mut naive, &[&m[0], &m[1], &m[2], &m[3]], &[a, b]);
+                        proptest::prop_assert!(sv.amplitudes() == naive, "4x4 kind {kind} on {a},{b}");
+                    }
+                }
+            }
+            let (sv, _) = random_state(&mut rng);
+            let all = |p| PauliString::from_paulis(vec![p; n]);
+            let mut strings = vec![all(Pauli::I), all(Pauli::Y), all(Pauli::X), all(Pauli::Z)];
+            strings.extend((0..8).map(|_| {
+                let paulis = (0..n).map(|_| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][rng.gen_range(0..4usize)]);
+                PauliString::from_paulis(paulis.collect())
+            }));
+            for string in &strings {
+                let (fast, slow) = (sv.expectation_pauli(string), naive_expectation(&sv, string));
+                proptest::prop_assert!(fast == slow, "{string:?}: {fast} vs {slow}");
+            }
+            for (a, outcome) in (0..n).flat_map(|a| [(a, false), (a, true)]) {
+                let bit = 1usize << a;
+                let kept = |i: usize| (i & bit != 0) == outcome;
+                let amps = sv.amplitudes();
+                let p: f64 = (0..amps.len()).filter(|&i| kept(i)).map(|i| amps[i].norm_sqr()).sum();
+                proptest::prop_assert!(sv.outcome_probability(q(a), outcome) == p);
+                // a (numerically) impossible outcome zeroes the state
+                let possible = p > f64::EPSILON;
+                let mut projected = sv.clone();
+                let returned = projected.project(q(a), outcome);
+                proptest::prop_assert!(returned == if possible { p } else { 0.0 }, "{returned} vs {p}");
+                let scale = 1.0 / p.sqrt();
+                for (i, (x, y)) in projected.amplitudes().iter().zip(amps).enumerate() {
+                    let expected = if possible && kept(i) { y.scale(scale) } else { Complex::ZERO };
+                    proptest::prop_assert!(*x == expected, "collapse of {a} onto {outcome} at {i}");
+                }
+            }
+        }
     }
 
     #[test]

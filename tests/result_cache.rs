@@ -204,7 +204,9 @@ fn flaky_sampling_registry(seed: u64, shots: u64) -> DeviceRegistry {
 /// top-up of a doubled request fails once and is retried, the run still
 /// spends exactly the missing half — each top-up is charged once, on the
 /// attempt that succeeded — and the merged entries then serve the doubled
-/// request without spending anything.
+/// request without spending anything. The cache's counters follow the
+/// same rule: a retried miss is one miss, and a retried top-up is one
+/// delta hit that saved its base shots once.
 #[test]
 fn retried_top_ups_spend_only_the_missing_shots() {
     let mut circuit = Circuit::new(5);
@@ -220,6 +222,9 @@ fn retried_top_ups_spend_only_the_missing_shots() {
     let scheduler = Scheduler::new(&cold, SchedulePolicy::default());
     let (_, _, cold_report) = pipeline.execute_streaming(&scheduler).unwrap();
     assert!(cold_report.total_shots > 0, "the cold run must execute");
+    let cold_executed: u64 = cold_report.backends.iter().map(|u| u.circuits).sum();
+    let cold = cache.stats();
+    assert_eq!(cold.misses, cold_executed, "each retried miss counts once");
 
     let mut doubled = flaky_sampling_registry(7, 2048);
     doubled.set_result_cache(Arc::clone(&cache));
@@ -236,6 +241,14 @@ fn retried_top_ups_spend_only_the_missing_shots() {
     );
     let usage_total: u64 = topup_report.backends.iter().map(|u| u.shots).sum();
     assert_eq!(usage_total, topup_report.total_shots, "usage must sum to the total");
+    let doubled = cache.stats();
+    assert_eq!(doubled.delta_hits - cold.delta_hits, executed, "one delta hit per top-up");
+    assert_eq!(
+        doubled.shots_saved - cold.shots_saved,
+        executed * 1024,
+        "each top-up saves its 1024 base shots once"
+    );
+    assert_eq!(doubled.misses, cold.misses, "a top-up is not a miss");
 
     let (_, _, warm_report) = pipeline.execute_streaming(&scheduler).unwrap();
     assert_eq!(warm_report.total_shots, 0, "the merged entries serve the doubled request");
