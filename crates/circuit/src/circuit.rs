@@ -455,15 +455,6 @@ impl Circuit {
         self.active_qubits().len()
     }
 
-    /// Density of two-qubit gates: two-qubit gates per qubit.
-    pub fn two_qubit_density(&self) -> f64 {
-        if self.num_qubits == 0 {
-            0.0
-        } else {
-            self.two_qubit_gate_count() as f64 / self.num_qubits as f64
-        }
-    }
-
     /// A 64-bit structural fingerprint of the circuit: qubit/clbit counts plus
     /// every operation (gate name, exact parameter bits, qubit and classical
     /// bit indices), in program order. The circuit's *name* is deliberately

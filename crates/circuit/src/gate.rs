@@ -215,14 +215,6 @@ impl Gate {
         use Gate::*;
         matches!(self, Cx | Cy | Cz | Rzz(_) | Rxx(_) | Ryy(_) | CPhase(_))
     }
-
-    /// Whether the gate is symmetric under exchanging its two qubits.
-    ///
-    /// Returns `false` for single-qubit gates.
-    pub fn is_symmetric(&self) -> bool {
-        use Gate::*;
-        matches!(self, Cz | Swap | Rzz(_) | Rxx(_) | Ryy(_) | CPhase(_))
-    }
 }
 
 impl fmt::Display for Gate {

@@ -15,12 +15,13 @@
 //!   (`QueueBackend`) never stalls the others.
 //! * **Bounded in-flight window** — at most
 //!   [`SchedulePolicy::max_in_flight_chunks`] chunks may be dispatched but
-//!   not yet delivered to the consumer. Chunks are delivered strictly in
-//!   order; a slow consumer (e.g. a
-//!   [`ProbabilityAccumulator`](crate::reconstruct::ProbabilityAccumulator)
-//!   folding tensors) therefore exerts **backpressure** on dispatch, and a
-//!   window of 1 guarantees the dispatcher holds at most one undelivered
-//!   chunk's results in memory.
+//!   not yet delivered. The loop runs on the caller's thread and calls the
+//!   consumer itself, in chunk order; on the pipeline path that is an
+//!   accumulator's `absorb`, so each chunk is folded where it is delivered.
+//!   A slow fold exerts **backpressure** (nothing is routed while it runs),
+//!   and the window bounds the results not yet folded: a window of 1 holds
+//!   at most one chunk's. The workers keep executing what is already in
+//!   flight, so folding overlaps execution.
 //! * **Retry with exclusion** — a circuit that fails on a backend
 //!   (`FlakyBackend` simulates transient and persistent faults) is
 //!   re-routed to another compatible backend with the failer excluded
@@ -88,7 +89,8 @@ pub struct DispatchStats {
     /// workers each contribute their own time).
     pub execute_wall: Duration,
     /// Total time the consumer (`sink`) spent accepting delivered chunks —
-    /// the backpressure the dispatcher absorbed.
+    /// the backpressure the dispatcher absorbed. On the pipeline path the
+    /// sink is the accumulator's `absorb`, so this is the fold time.
     pub deliver_wall: Duration,
 }
 

@@ -25,9 +25,10 @@
 //!   shot budget by reconstruction-variance weight (ShotQC-style), and
 //!   stream result chunks into incremental reconstruction.
 //! * [`dispatch`] — the fault-tolerant async dispatch engine inside the
-//!   scheduler: a channel-driven event loop over per-backend worker threads
-//!   with a bounded in-flight chunk window (backpressure from slow
-//!   reconstruction), retry with failer exclusion, and per-job lifecycle
+//!   scheduler: an event loop on the caller's thread over per-backend
+//!   worker threads, with a bounded in-flight chunk window (the loop folds
+//!   each chunk where it delivers it, so the window bounds the results not
+//!   yet folded), retry with failer exclusion, and per-job lifecycle
 //!   telemetry; plus the `dispatch::FlakyBackend` /
 //!   `dispatch::QueueBackend` fault-injection doubles (behind the
 //!   `testing` feature).

@@ -12,9 +12,10 @@ use crate::reconstruct::ReconstructionReport;
 use crate::schedule::ScheduleReport;
 
 /// Wall-clock attribution by pipeline phase — "where did this run's time
-/// go?". Phases are measured independently and may overlap (the fold phase
-/// runs concurrently with dispatch), so percentages can sum past 100; a sum
-/// well *below* 100 means unattributed time.
+/// go?". Phases are measured independently and may nest (the fold runs
+/// inside the dispatch loop, so its time is also part of dispatch's), so
+/// percentages can sum past 100; a sum well *below* 100 means unattributed
+/// time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseProfile {
     /// `(phase name, wall-clock)` in execution order.

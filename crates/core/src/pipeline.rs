@@ -14,10 +14,13 @@
 //! [`Scheduler`], which maps each key to its canonical circuit, routes the
 //! batch across its [`DeviceRegistry`](crate::schedule::DeviceRegistry) and
 //! dispatches it fault-tolerantly in chunks (bounded in-flight windows,
-//! retry with failer exclusion — see [`crate::dispatch`]). This thread folds
-//! every delivered chunk into fragment tensors as it arrives, overlapping
-//! reconstruction with device execution, and contracts once the last chunk
-//! lands. A single backend is a one-entry registry.
+//! retry with failer exclusion — see [`crate::dispatch`]). The dispatch loop
+//! runs on the caller's thread and folds every chunk into fragment tensors
+//! where it delivers it, while the per-backend workers execute the rest of
+//! the in-flight window; the window therefore bounds the results not yet
+//! folded, and reconstruction still overlaps device execution. The call
+//! contracts once the last chunk lands. A single backend is a one-entry
+//! registry.
 //!
 //! The call returns the answer, the [`ReconstructionReport`] (strategy,
 //! contraction and pruning counters, phase profile) and the
@@ -36,7 +39,7 @@ use crate::schedule::{ScheduleReport, Scheduler};
 use crate::{CoreError, QrccConfig};
 use qrcc_circuit::observable::PauliObservable;
 use qrcc_circuit::Circuit;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use crate::execute::{ExactBackend, ExecutionBackend as Backend, ShotsBackend};
 
@@ -165,12 +168,13 @@ impl QrccPipeline {
 
     /// Reconstructs the probability distribution: the scheduler executes the
     /// deduplicated batch in chunks (size from
-    /// [`SchedulePolicy::chunk_size`](crate::SchedulePolicy::chunk_size)) on
-    /// a worker thread, routed across its registry under an optional global
-    /// shot budget split by reconstruction-variance weight, while this
-    /// thread folds every finished chunk into the fragment tensors — so
-    /// classical reconstruction overlaps device execution, and only the
-    /// final contraction remains once the last chunk lands.
+    /// [`SchedulePolicy::chunk_size`](crate::SchedulePolicy::chunk_size)),
+    /// routed across its registry under an optional global shot budget split
+    /// by reconstruction-variance weight, and the dispatch loop folds every
+    /// chunk into the fragment tensors where it delivers it. The backend
+    /// workers keep executing the in-flight window meanwhile, so classical
+    /// reconstruction overlaps device execution, and only the final
+    /// contraction remains once the last chunk lands.
     ///
     /// # Errors
     ///
@@ -185,22 +189,27 @@ impl QrccPipeline {
         &self,
         scheduler: &Scheduler<'_>,
     ) -> Result<(Vec<f64>, ReconstructionReport, ScheduleReport), CoreError> {
-        self.stream(scheduler, || {
-            let options = self.reconstruction_options();
-            let requests =
-                ProbabilityReconstructor::with_options(options).requests(&self.fragments)?;
-            Ok((requests, ProbabilityAccumulator::new(&self.fragments, options)?))
-        })
+        let options = self.reconstruction_options();
+        self.stream(
+            scheduler,
+            || {
+                let requests =
+                    ProbabilityReconstructor::with_options(options).requests(&self.fragments)?;
+                Ok((requests, ProbabilityAccumulator::new(&self.fragments, options)?))
+            },
+            ProbabilityAccumulator::absorb,
+            ProbabilityAccumulator::finish,
+        )
     }
 
     /// Reconstructs the expectation value of `observable`: the scheduler
     /// dispatches the observable's deduplicated batch — Pauli terms of one
     /// qubit-wise-commuting measurement group share a fragment's variants —
-    /// in chunks on a worker thread while this thread folds every finished
-    /// chunk into per-Pauli scalar tensors (an [`ExpectationAccumulator`]).
-    /// The expectation counterpart of [`QrccPipeline::execute_streaming`],
-    /// valid for wire- **and** gate-cut plans. Only the per-term final
-    /// contraction runs after the last chunk lands.
+    /// in chunks, and the dispatch loop folds every delivered chunk into
+    /// per-Pauli scalar tensors (an [`ExpectationAccumulator`]). The
+    /// expectation counterpart of [`QrccPipeline::execute_streaming`], valid
+    /// for wire- **and** gate-cut plans. Only the per-term final contraction
+    /// runs after the last chunk lands.
     ///
     /// # Errors
     ///
@@ -211,27 +220,36 @@ impl QrccPipeline {
         scheduler: &Scheduler<'_>,
         observable: &PauliObservable,
     ) -> Result<(f64, ReconstructionReport, ScheduleReport), CoreError> {
-        self.stream(scheduler, || {
-            let options = self.reconstruction_options();
-            let requests = ExpectationReconstructor::with_options(options)
-                .requests(&self.fragments, observable)?;
-            Ok((requests, ExpectationAccumulator::new(&self.fragments, observable, options)?))
-        })
+        let options = self.reconstruction_options();
+        self.stream(
+            scheduler,
+            || {
+                let requests = ExpectationReconstructor::with_options(options)
+                    .requests(&self.fragments, observable)?;
+                Ok((requests, ExpectationAccumulator::new(&self.fragments, observable, options)?))
+            },
+            ExpectationAccumulator::absorb,
+            ExpectationAccumulator::finish,
+        )
     }
 
-    /// The streaming driver behind both `execute_*streaming` calls:
-    /// `enumerate` yields the requests and the accumulator, the scheduler
-    /// dispatches the requests in chunks on a worker thread, and this thread
-    /// folds each delivered chunk as it arrives, overlapping reconstruction
-    /// with execution. The report carries the per-phase wall-clock profile.
-    fn stream<A: StreamFold>(
+    /// The streaming driver behind both `execute_*streaming` calls, all on
+    /// the caller's thread: `enumerate` yields the requests and the
+    /// accumulator, the scheduler's dispatch loop hands each chunk to
+    /// `absorb` as it delivers it — so the in-flight window bounds the
+    /// results not yet folded — and `finish` contracts. The report carries
+    /// the per-phase wall-clock profile; its `fold` entry is the dispatcher's
+    /// [`deliver_wall`](crate::dispatch::DispatchStats::deliver_wall), the
+    /// time spent inside `absorb`.
+    fn stream<A, T>(
         &self,
         scheduler: &Scheduler<'_>,
         enumerate: impl FnOnce() -> Result<(Vec<VariantRequest>, A), CoreError>,
-    ) -> Result<(A::Output, ReconstructionReport, ScheduleReport), CoreError> {
+        absorb: impl Fn(&mut A, ExecutionResults) -> Result<(), CoreError>,
+        finish: impl FnOnce(&mut A) -> Result<(T, ReconstructionReport), CoreError>,
+    ) -> Result<(T, ReconstructionReport, ScheduleReport), CoreError> {
         let tracer = crate::obs::tracer();
-        let root = tracer.span("pipeline.execute");
-        let root_id = root.id();
+        let _root = tracer.span("pipeline.execute");
         let started = Instant::now();
         let mut profile = crate::obs::PhaseProfile::new();
 
@@ -242,69 +260,25 @@ impl QrccPipeline {
         };
         profile.add("enumerate", phase.elapsed());
 
-        let mut fold_wall = Duration::ZERO;
         let phase = Instant::now();
-        let schedule_report = std::thread::scope(|scope| -> Result<ScheduleReport, CoreError> {
-            let (sender, receiver) = std::sync::mpsc::channel::<ExecutionResults>();
-            let fragments = &self.fragments;
-            let producer = scope.spawn(move || {
-                let _span = tracer.span_under("phase.dispatch", root_id);
-                scheduler.execute_chunked(fragments, &requests, |chunk| {
-                    // an unbounded channel: send fails only when the
-                    // consumer stopped folding (it hit an error)
-                    sender.send(chunk).map_err(|_| CoreError::InvalidCutSolution {
-                        reason: "streaming consumer stopped folding".into(),
-                    })
-                })
-            });
-            // fold chunks as they arrive, overlapping with execution
-            for chunk in receiver {
-                let fold_started = Instant::now();
-                let _span = tracer.span("phase.fold");
-                accumulator.absorb(chunk)?;
-                fold_wall += fold_started.elapsed();
-            }
-            producer.join().expect("scheduler thread panicked")
-        })?;
+        let schedule_report = {
+            let _span = tracer.span("phase.dispatch");
+            scheduler.execute_chunked(&self.fragments, &requests, |chunk| {
+                absorb(&mut accumulator, chunk)
+            })?
+        };
         profile.add("dispatch", phase.elapsed());
-        profile.add("fold", fold_wall);
+        profile.add("fold", schedule_report.dispatch.deliver_wall);
 
         let phase = Instant::now();
         let (value, mut reconstruction_report) = {
             let _span = tracer.span("phase.contract");
-            accumulator.finish()?
+            finish(&mut accumulator)?
         };
         profile.add("contract", phase.elapsed());
         profile.total = started.elapsed();
         reconstruction_report.profile = Some(profile);
         Ok((value, reconstruction_report, schedule_report))
-    }
-}
-
-/// An accumulator as the streaming driver folds it.
-trait StreamFold {
-    type Output;
-    fn absorb(&mut self, chunk: ExecutionResults) -> Result<(), CoreError>;
-    fn finish(&mut self) -> Result<(Self::Output, ReconstructionReport), CoreError>;
-}
-
-impl StreamFold for ProbabilityAccumulator<'_> {
-    type Output = Vec<f64>;
-    fn absorb(&mut self, chunk: ExecutionResults) -> Result<(), CoreError> {
-        ProbabilityAccumulator::absorb(self, chunk)
-    }
-    fn finish(&mut self) -> Result<(Vec<f64>, ReconstructionReport), CoreError> {
-        ProbabilityAccumulator::finish(self)
-    }
-}
-
-impl StreamFold for ExpectationAccumulator<'_> {
-    type Output = f64;
-    fn absorb(&mut self, chunk: ExecutionResults) -> Result<(), CoreError> {
-        ExpectationAccumulator::absorb(self, chunk)
-    }
-    fn finish(&mut self) -> Result<(f64, ReconstructionReport), CoreError> {
-        ExpectationAccumulator::finish(self)
     }
 }
 

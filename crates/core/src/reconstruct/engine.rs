@@ -117,8 +117,11 @@ pub struct ReconstructionReport {
     /// Wall-clock attribution by pipeline phase ("where did the time go?"),
     /// measured by the streaming execution paths
     /// (`QrccPipeline::execute_streaming` and
-    /// `QrccPipeline::execute_observables_streaming`). `None` when the
-    /// consumer reconstructed from a pre-executed batch.
+    /// `QrccPipeline::execute_observables_streaming`): `enumerate`,
+    /// `dispatch`, `fold` — the dispatcher's delivery time, spent folding
+    /// inside the dispatch loop, so it is also counted in `dispatch` — and
+    /// `contract`. `None` when the consumer reconstructed from a
+    /// pre-executed batch.
     pub profile: Option<crate::obs::PhaseProfile>,
 }
 

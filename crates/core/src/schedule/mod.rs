@@ -127,9 +127,10 @@ impl<'r> Scheduler<'r> {
     /// yet delivered (a slow `sink` exerts backpressure on dispatch) and
     /// failed circuits re-routed to another compatible backend up to
     /// [`SchedulePolicy::max_retries`] times. Chunks reach `sink` strictly
-    /// in order; `sink` typically folds into a
-    /// [`ProbabilityAccumulator`](crate::reconstruct::ProbabilityAccumulator)
-    /// or forwards over a channel so reconstruction overlaps execution.
+    /// in order, on the caller's thread; `sink` typically folds into a
+    /// [`ProbabilityAccumulator`](crate::reconstruct::ProbabilityAccumulator),
+    /// and reconstruction overlaps execution because the workers keep
+    /// running the rest of the window while it folds.
     ///
     /// The chunk size comes from [`SchedulePolicy::chunk_size`] (`0` = one
     /// chunk). Accounting: each chunk's `requested()` counts the original

@@ -157,11 +157,6 @@ impl RemoteBackend {
         &self.capabilities
     }
 
-    /// The server address this backend submits to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
     /// Connections dialled so far (1 for the handshake; each one beyond
     /// that replaced a connection lost to a fault).
     pub fn connections_dialled(&self) -> u64 {

@@ -49,10 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = SchedulePolicy::with_budget(400_000).with_min_shots(64).with_chunk_size(4);
     let scheduler = Scheduler::new(&registry, policy);
 
-    // 5. Execute + reconstruct in one streaming call: a worker thread runs
-    //    the scheduler while this thread folds every finished chunk into
-    //    the fragment tensors; only the final contraction happens after the
-    //    last chunk lands.
+    // 5. Execute + reconstruct in one streaming call: one worker thread per
+    //    device executes while this thread's dispatch loop folds every
+    //    finished chunk into the fragment tensors; only the final
+    //    contraction happens after the last chunk lands.
     let (probabilities, reconstruction, schedule) = pipeline.execute_streaming(&scheduler)?;
 
     println!(

@@ -143,6 +143,49 @@ fn traced_run_yields_a_valid_tree_and_a_covering_profile() {
     assert!(rendered.contains('%'), "the flame summary renders percentages: {rendered}");
 }
 
+/// The in-flight window holds at the pipeline level: with one backend,
+/// one-circuit chunks and a window of 1, the dispatch loop folds each chunk
+/// on the caller's thread (its `phase.deliver` span) before the next chunk's
+/// job starts, so at most one chunk's results are ever unfolded.
+#[test]
+fn a_window_of_one_folds_each_chunk_before_the_next_executes() {
+    let _guard = tracer_lock();
+    let _ = tracer().drain();
+    let config = QrccConfig::new(3).with_subcircuit_range(2, 3).with_ilp_time_limit(Duration::ZERO);
+    let pipeline = QrccPipeline::plan(&workload(), config).expect("plans");
+    let mut registry = DeviceRegistry::new();
+    registry.register("exact", ExactBackend::new());
+    let policy = SchedulePolicy::default().with_chunk_size(1).with_max_in_flight_chunks(1);
+    let scheduler = Scheduler::new(&registry, policy);
+    tracer().enable();
+    let (_, _, schedule) = pipeline.execute_streaming(&scheduler).expect("executes");
+
+    let mut spans = tracer().drain();
+    validate_spans(&spans).expect("traced run must drain a structurally valid tree");
+    // span ids are handed out as spans open, so id order is start order
+    spans.sort_by_key(|s| s.id);
+    let caller = spans.iter().find(|s| s.name == "pipeline.execute").expect("root span").thread;
+    let delivers: Vec<_> = spans.iter().filter(|s| s.name == "phase.deliver").collect();
+    let jobs: Vec<_> = spans.iter().filter(|s| s.name == "job.execute").collect();
+    assert!(schedule.chunks > 2, "chunk size 1 must stream many chunks");
+    assert_eq!(delivers.len(), schedule.chunks, "one delivery per chunk");
+    assert_eq!(jobs.len(), schedule.chunks, "one backend, no retries: one job per chunk");
+    assert!(
+        delivers.iter().all(|d| d.thread == caller),
+        "chunks are delivered and folded on the caller's thread"
+    );
+    for (k, (job, folded)) in jobs.iter().skip(1).zip(&delivers).enumerate() {
+        let folded_at = folded.start_us + folded.duration_us;
+        assert!(
+            job.start_us >= folded_at,
+            "chunk {} started executing at {} us, before chunk {k} was folded at {folded_at} us",
+            k + 1,
+            job.start_us
+        );
+    }
+    assert_eq!(schedule.dispatch.max_in_flight_chunks, 1);
+}
+
 #[test]
 fn dispatch_latency_lands_in_the_global_registry_when_traced() {
     let _guard = tracer_lock();
