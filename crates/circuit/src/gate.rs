@@ -81,6 +81,16 @@ pub enum Gate {
     CPhase(f64),
 }
 
+/// Hashes a gate by its kind and the bit patterns of its angles, as
+/// [`Circuit::structural_hash`](crate::Circuit::structural_hash) does, so
+/// that any two gates that build the same unitary bit for bit hash alike.
+impl std::hash::Hash for Gate {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.name().hash(state);
+        self.params().into_iter().for_each(|param| param.to_bits().hash(state));
+    }
+}
+
 impl Gate {
     /// The number of qubits this gate acts on (1 or 2).
     pub fn num_qubits(&self) -> usize {

@@ -54,7 +54,7 @@ impl fmt::Display for QubitId {
 /// Measurement and reset are exactly the operations needed for qubit reuse
 /// (IBM's mid-circuit Measure-and-Reset functionality) and for the
 /// measurement/initialization points introduced by wire cutting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Operation {
     /// A single-qubit gate applied to `qubit`.
     Single {

@@ -2,6 +2,7 @@
 //! alone (plus, for `QL0105`, the fleet's capability surface).
 
 use super::{AnalysisContext, AnalysisReport, Diagnostic, Lint, Location};
+use crate::execute::CircuitShape;
 use qrcc_circuit::{Circuit, Operation};
 
 /// `QL0102`: qubits declared but never touched by any operation.
@@ -174,13 +175,11 @@ impl Lint for ReuseCapability {
             return;
         }
         // Does anything we would execute need mid-circuit operations? Prefer
-        // the instantiated fragments (what actually runs) over the original
-        // circuit.
+        // the fragments (what actually runs) over the original circuit.
         let needs = match ctx.fragments {
-            Some(fragments) => fragments
-                .fragments
-                .iter()
-                .any(|fragment| qrcc_sim::device::needs_mid_circuit(&fragment.instantiate(0, 0))),
+            Some(fragments) => {
+                fragments.fragments.iter().any(|fragment| fragment.body().shape(0, 0).reuses_wires)
+            }
             None => match ctx.circuit {
                 Some(circuit) => qrcc_sim::device::needs_mid_circuit(circuit),
                 None => false,
@@ -189,7 +188,7 @@ impl Lint for ReuseCapability {
         if !needs {
             return;
         }
-        let probe = mid_circuit_probe();
+        let probe = CircuitShape::of(&mid_circuit_probe());
         if fleet.entries().iter().any(|entry| entry.backend().can_run(&probe)) {
             return;
         }

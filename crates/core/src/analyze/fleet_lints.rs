@@ -36,8 +36,8 @@ impl Lint for EmptyFleet {
     }
 }
 
-/// Per-fragment cap on how many variant circuits [`PredictedPlacement`]
-/// instantiates. Every built-in backend's `can_run` depends only on the
+/// Per-fragment cap on how many variant shapes [`PredictedPlacement`]
+/// checks. Every built-in backend's `can_run` depends only on the
 /// circuit's width and its use of mid-circuit operations — both constant
 /// across a fragment's variants — so checking a prefix is exhaustive in
 /// practice; a capped fragment still gets a note for honesty.
@@ -67,18 +67,17 @@ impl Lint for PredictedPlacement {
             if fragment.num_clbits == 0 {
                 continue; // never executed: its distribution is trivially [1.0]
             }
-            // the variants the execution phase would instantiate: every
-            // ordinal with all outputs in Z (the probability enumeration, and
-            // the all-Z expectation one when gate cuts are present)
+            // the variants the execution phase would route: every ordinal
+            // with all outputs in Z (the probability enumeration, and the
+            // all-Z expectation one when gate cuts are present)
             let mut capped = fragment.variant_count() > VARIANT_CHECK_CAP;
             for ordinal in 0..fragment.variant_count().min(VARIANT_CHECK_CAP) {
-                let circuit = fragment.instantiate(ordinal, 0);
-                let placeable =
-                    fleet.entries().iter().any(|entry| entry.backend().can_run(&circuit));
+                let shape = fragment.body().shape(ordinal, 0);
+                let placeable = fleet.entries().iter().any(|entry| entry.backend().can_run(&shape));
                 if placeable {
                     continue;
                 }
-                let width = circuit.num_qubits();
+                let width = shape.num_qubits;
                 let width_fits_somewhere = fleet
                     .entries()
                     .iter()
@@ -135,7 +134,7 @@ impl Lint for PredictedPlacement {
 /// The number of deduplicated circuits the scheduler would allocate shots
 /// over, mirroring its exact pipeline: enumerate → [`prepare_batch`].
 fn deduplicated_circuit_count(fragments: &FragmentSet, requests: &[VariantRequest]) -> usize {
-    prepare_batch(fragments, requests).map_or(0, |batch| batch.circuits.len())
+    prepare_batch(fragments, requests).map_or(0, |batch| batch.len())
 }
 
 /// `QL0302`: a statically-predicted

@@ -30,8 +30,8 @@
 //! and the gating
 //! [`preflight`](crate::pipeline::QrccPipeline::preflight), the last two
 //! over the same `&Scheduler` the request then runs on; the remote
-//! server uses [`preflight_backend`] to reject statically-invalid circuits
-//! per batch entry.
+//! server uses [`preflight_backend`] to reject statically-unplaceable
+//! batch entries by their shape.
 //!
 //! ```rust
 //! use qrcc_circuit::Circuit;
@@ -55,7 +55,7 @@ pub use plan_lints::{
     SamplingOverhead,
 };
 
-use crate::execute::ExecutionBackend;
+use crate::execute::{CircuitShape, ExecutionBackend};
 use crate::fragment::FragmentSet;
 use crate::schedule::Scheduler;
 use crate::{CoreError, QrccConfig};
@@ -469,13 +469,16 @@ pub fn analyze_qasm(source: &str) -> (Option<Circuit>, AnalysisReport) {
     }
 }
 
-/// Statically checks whether `backend` can run `circuit` — the per-circuit
-/// pre-flight the remote [`QrccServer`](../../qrcc_net) applies before
-/// execution. Returns a `QL0301` error diagnostic when placement is
+/// Statically checks whether `backend` can run a circuit of `shape` — the
+/// per-entry pre-flight the remote [`QrccServer`](../../qrcc_net) applies
+/// before execution. Returns a `QL0301` error diagnostic when placement is
 /// impossible (too wide, or a required capability such as mid-circuit
 /// measurement is missing), `None` when the circuit passes.
-pub fn preflight_backend(circuit: &Circuit, backend: &dyn ExecutionBackend) -> Option<Diagnostic> {
-    if backend.can_run(circuit) {
+pub fn preflight_backend(
+    shape: &CircuitShape,
+    backend: &dyn ExecutionBackend,
+) -> Option<Diagnostic> {
+    if backend.can_run(shape) {
         return None;
     }
     Some(
@@ -485,7 +488,7 @@ pub fn preflight_backend(circuit: &Circuit, backend: &dyn ExecutionBackend) -> O
             format!(
                 "the target backend cannot run this {}-qubit circuit (too wide, or a required \
                  capability such as mid-circuit measurement is missing)",
-                circuit.num_qubits()
+                shape.num_qubits
             ),
         )
         .with_suggestion(

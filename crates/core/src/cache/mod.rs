@@ -1,13 +1,29 @@
-//! Shot-aware, content-addressed fragment result cache.
+//! Shot-aware fragment result cache, addressed by variant key.
 //!
-//! Cut-and-reuse workloads re-execute structurally identical fragment
-//! variants: parameter sweeps, retries and multi-tenant fleets resubmit
-//! mostly-identical circuits, and the variant batch itself repeats circuits
-//! across runs. [`ResultCache`] memoises executed distributions keyed by
-//! [`Circuit::structural_hash`] — the init prologue, body and measurement
-//! epilogue of an instantiated variant are all part of the hashed circuit, so
-//! the hash content-addresses the `(structure, basis/init frame)` pair — with
-//! an equality check on bucket collisions, exactly like batch dedup.
+//! Cut-and-reuse workloads re-execute the same fragment variants: parameter
+//! sweeps, retries and multi-tenant fleets resubmit mostly-identical
+//! fragments, and the variant batch itself repeats across runs.
+//! [`ResultCache`] memoises executed distributions under the key
+//! `(fragment body, canonical ordinal, outputs)` — the same integers a
+//! [`VariantKey`] carries, with the fragment index replaced by the body it
+//! names. The init prologue, body and measurement epilogue of a variant are
+//! all fixed by that key, so it content-addresses the instantiated circuit
+//! without building it.
+//!
+//! **Body identity.** A body enters the key once it is interned
+//! ([`ResultCache::intern`]): interning hashes it
+//! ([`FragmentBody::structural_hash`], computed when the body was built) and
+//! checks full equality ([`FragmentBody::structurally_equal`]) against the
+//! held bodies of that hash, so two different bodies never share an id.
+//! The dispatcher interns every fragment once per request and a fleet
+//! worker once per batch; after that a lookup compares three integers.
+//! Two fragments with structurally equal bodies (names aside) share
+//! entries. Each entry keeps its body alive; the interning table holds them
+//! weakly, so a body goes with its last entry. A bare circuit
+//! ([`ResultCache::lookup`], [`ResultCache::store`], a fleet worker's
+//! OpenQASM batch) is the one variant of a body of fixed operations
+//! ([`FragmentBody::from_circuit`]): a circuit sent as OpenQASM and the same
+//! variant sent as a key are different keys and do not share an entry.
 //!
 //! **Shot semantics.** Every entry stores the shot count its distribution
 //! was estimated from (`None` = exact, noise-free). A lookup asking for
@@ -20,32 +36,31 @@
 //! request.
 //!
 //! **Serving.** [`serve`] is the one front a backend call goes through, in a
-//! dispatch worker and in a fleet worker alike: it hashes each circuit once,
-//! answers full hits, runs every miss and delta top-up in one backend call,
-//! settles each fresh result into the cache and reports the shots it spent.
+//! dispatch worker and in a fleet worker alike: it looks each key up,
+//! answers full hits, runs every miss and delta top-up in one backend call —
+//! which is where a variant is first instantiated, if at all — settles each
+//! fresh result into the cache and reports the shots it spent. Nothing on
+//! the hit path builds or hashes a circuit.
 //!
-//! **Eviction.** The cache is sharded ([`ResultCache::SHARDS`] mutexes) and
-//! bounded by a total weight budget counted in stored distribution values
-//! (`f64` slots). Inserting past the budget evicts least-recently-used
-//! entries per shard. Every touch draws a fresh tick from one global counter,
-//! and each shard keeps a recency index (tick → structural hash) beside its
-//! buckets, so the shard's LRU entry is the index's first key: a lookup, a
-//! store and an eviction each cost O(log n) in the shard's entry count plus
-//! one hash bucket, and no operation scans the shard.
+//! **Eviction.** The cache is sharded ([`ResultCache::SHARDS`] mutexes, one
+//! key map each) and bounded by a total weight budget counted in stored
+//! distribution values (`f64` slots). Inserting past the budget evicts
+//! least-recently-used entries per shard. Every touch draws a fresh tick
+//! from its shard's counter, and each shard keeps a recency index (tick →
+//! key) beside its map, so the shard's LRU entry is the index's first key:
+//! a lookup, a store and an eviction each cost O(log n) in the shard's
+//! entry count, and no operation scans the shard.
 //!
 //! **Sharing.** Entries hold distributions as the `Arc<Vec<f64>>` an
 //! [`ExecutionResults`](crate::execute::ExecutionResults) carries: a hit
 //! hands out the stored buffer and a store keeps the buffer it is given, so
 //! neither copies a distribution. A stored buffer is never written again — an
 //! upgrade or a delta merge replaces the entry's buffer with a new one — so
-//! a reader's buffer never changes under it. [`serve`] hashes each circuit
-//! once and hands that hash to both its lookup and its store;
-//! [`ResultCache::lookup`] and [`ResultCache::store`] are the same path with
-//! the hash computed for the caller.
+//! a reader's buffer never changes under it.
 //!
 //! **Validation.** A record is only cached when it is a distribution over
-//! its circuit's classical bits: exactly `1 << num_clbits` values, each
-//! finite and non-negative. [`ResultCache::store`] drops any other record.
+//! its body's classical bits: exactly `1 << num_clbits` values, each finite
+//! and non-negative. A store drops any other record.
 //!
 //! **Persistence.** With [`ResultCachePolicy::persist_path`] set,
 //! [`ResultCache::persist`] writes an atomic snapshot (temp file + rename)
@@ -54,12 +69,15 @@
 //! unparseable or invalid snapshot — one entry failing the validation above
 //! is enough — is ignored whole (the cache starts empty) rather than
 //! failing the worker or half-loading; [`CacheStats::snapshot_ignored`]
-//! records that this happened. Circuits are
-//! stored as OpenQASM text and distribution values as `f64` bit patterns,
-//! both of which round-trip exactly, so a reloaded entry hits on precisely
-//! the hashes the live entry did.
+//! records that this happened. A snapshot stores each body once, as a slot
+//! layout plus its operations in OpenQASM, and each entry as the body's
+//! place in the file, its ordinal, outputs, shots and distribution values
+//! as `f64` bit patterns. All of it round-trips exactly, so a reloaded
+//! entry hits on precisely the keys the live entry did.
 
 use crate::execute::Shared;
+use crate::fragment::{FragmentBody, SkeletonOp, VariantKey};
+use crate::gatecut::GateHalf;
 use crate::CoreError;
 use parking_lot::Mutex;
 use qrcc_circuit::qasm::{from_qasm, to_qasm};
@@ -67,14 +85,15 @@ use qrcc_circuit::Circuit;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Version of the on-disk snapshot format. Bumped whenever the layout (or
 /// the semantics of a stored entry) changes; [`ResultCache::open`] ignores
 /// snapshots written under any other version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// First token of a snapshot's header line.
 const SNAPSHOT_MAGIC: &str = "QRCC-RESULT-CACHE";
@@ -212,13 +231,38 @@ pub enum CacheLookup {
     },
 }
 
-/// One cached circuit: the executed distribution and its provenance.
+/// A fragment body interned in a [`ResultCache`]: the body part of the keys
+/// its variants are cached under. Cheap to clone; see
+/// [`ResultCache::intern`].
+#[derive(Debug, Clone)]
+pub struct CachedBody(Arc<Interned>);
+
+impl CachedBody {
+    /// The interned body.
+    pub fn body(&self) -> &FragmentBody {
+        &self.0.body
+    }
+}
+
+/// One interned body and the id its keys carry.
+#[derive(Debug)]
+struct Interned {
+    id: u64,
+    body: FragmentBody,
+}
+
+/// An entry's key: interned body id, canonical ordinal, outputs.
+type Key = (u64, u64, u64);
+
+/// One cached variant: the executed distribution and its provenance.
 struct Entry {
-    circuit: Circuit,
+    /// Keeps the body interned (and writable to a snapshot) while the entry
+    /// lives.
+    body: Arc<Interned>,
     distribution: Shared,
     /// Shots the distribution was estimated from (`None` = exact).
     shots: Option<u64>,
-    /// Global LRU tick of the last touch.
+    /// Its shard's LRU tick of the last touch.
     last_used: u64,
 }
 
@@ -233,49 +277,56 @@ impl Entry {
     }
 }
 
-/// One lock domain: structural-hash buckets, their recency index and their
-/// total weight.
+/// One lock domain: the entries by key, their recency index and their total
+/// weight.
 #[derive(Default)]
 struct Shard {
-    buckets: HashMap<u64, Vec<Entry>>,
+    entries: HashMap<Key, Entry>,
     /// Every held entry once, keyed by its `last_used` tick (ticks are
     /// unique): the first key is the least-recently-used entry.
-    recency: BTreeMap<u64, u64>,
+    recency: BTreeMap<u64, Key>,
     weight: u64,
+    /// The last tick drawn.
+    tick: u64,
 }
 
 impl Shard {
-    /// Moves `entry` (held in bucket `hash`) to `tick` in the recency index.
-    fn touch(recency: &mut BTreeMap<u64, u64>, entry: &mut Entry, hash: u64, tick: u64) {
+    /// Moves `entry` (held under `key`) to `tick` in the recency index.
+    fn touch(recency: &mut BTreeMap<u64, Key>, entry: &mut Entry, key: Key, tick: u64) {
         recency.remove(&entry.last_used);
-        recency.insert(tick, hash);
+        recency.insert(tick, key);
         entry.last_used = tick;
     }
 
     /// Removes the least-recently-used entry. Returns whether anything was
     /// removed.
     fn evict_lru(&mut self) -> bool {
-        let Some((tick, hash)) = self.recency.pop_first() else {
+        let Some((_, key)) = self.recency.pop_first() else {
             return false;
         };
-        let bucket = self.buckets.get_mut(&hash).expect("indexed bucket exists");
-        let index = bucket.iter().position(|e| e.last_used == tick).expect("indexed entry exists");
-        let entry = bucket.remove(index);
+        let entry = self.entries.remove(&key).expect("indexed entry exists");
         self.weight -= entry.weight();
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
-        }
         true
     }
 }
 
-/// A sharded, shot-count-aware, content-addressed result cache. See the
-/// [module docs](self) for key, shot and persistence semantics.
+/// The interned bodies by structural hash, held weakly: entries own them.
+#[derive(Default)]
+struct Interner {
+    bodies: HashMap<u64, Vec<Weak<Interned>>>,
+    next_id: u64,
+    /// Hashes held when dead references were last dropped everywhere; the
+    /// next sweep runs once twice as many are held.
+    swept_at: usize,
+}
+
+/// A sharded, shot-count-aware result cache addressed by variant key. See
+/// the [module docs](self) for key, shot and persistence semantics.
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
+    interner: Mutex<Interner>,
     capacity: u64,
     persist_path: Option<PathBuf>,
-    tick: AtomicU64,
     hits: AtomicU64,
     delta_hits: AtomicU64,
     misses: AtomicU64,
@@ -303,9 +354,9 @@ impl ResultCache {
     pub fn new(capacity: u64) -> Self {
         ResultCache {
             shards: (0..Self::SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            interner: Mutex::new(Interner::default()),
             capacity,
             persist_path: None,
-            tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             delta_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -332,10 +383,12 @@ impl ResultCache {
                     .map_err(|e| e.to_string())
                     .and_then(|text| parse_snapshot(&text))
                 {
-                    Ok(entries) => {
-                        for (circuit, distribution, shots) in entries {
-                            let hash = circuit.structural_hash();
-                            if cache.insert(&circuit, hash, Arc::new(distribution), shots) {
+                    Ok((bodies, entries)) => {
+                        let bodies: Vec<CachedBody> =
+                            bodies.iter().map(|body| cache.intern(body)).collect();
+                        for (body, key, distribution, shots) in entries {
+                            let body = &bodies[body].0;
+                            if cache.insert(body, key, Arc::new(distribution), shots) {
                                 cache.snapshot_loaded += 1;
                             }
                         }
@@ -352,11 +405,47 @@ impl ResultCache {
         self.persist_path.as_deref()
     }
 
-    /// Looks up `circuit` for a request of `requested_shots` (`None` = the
-    /// caller needs an exact distribution). Touches the entry for LRU and
-    /// counts the hit/delta/miss.
+    /// The cache's handle for `body`: the one already interned when a
+    /// structurally equal body is (checked in full), else a new one holding
+    /// a copy of `body`. Variants of one handle share keys; call it once per
+    /// fragment, not per variant.
+    pub fn intern(&self, body: &FragmentBody) -> CachedBody {
+        self.intern_hashed(body, body.structural_hash())
+    }
+
+    /// [`intern`](Self::intern) under a given structural hash.
+    fn intern_hashed(&self, body: &FragmentBody, hash: u64) -> CachedBody {
+        let mut interner = self.interner.lock();
+        let Interner { bodies, next_id, swept_at } = &mut *interner;
+        let held = bodies.entry(hash).or_default();
+        held.retain(|weak| weak.strong_count() > 0);
+        if let Some(found) =
+            held.iter().filter_map(Weak::upgrade).find(|held| held.body.structurally_equal(body))
+        {
+            return CachedBody(found);
+        }
+        let interned = Arc::new(Interned { id: *next_id, body: body.clone() });
+        *next_id += 1;
+        held.push(Arc::downgrade(&interned));
+        if bodies.len() > 2 * *swept_at {
+            bodies.retain(|_, held| {
+                held.retain(|weak| weak.strong_count() > 0);
+                !held.is_empty()
+            });
+            *swept_at = bodies.len().max(64);
+        }
+        CachedBody(interned)
+    }
+
+    /// Looks up the bare `circuit` (the one variant of
+    /// [`FragmentBody::from_circuit`]) for a request of `requested_shots`
+    /// (`None` = the caller needs an exact distribution). Touches the entry
+    /// for LRU and counts the hit/delta/miss.
     pub fn lookup(&self, circuit: &Circuit, requested_shots: Option<u64>) -> CacheLookup {
-        let lookup = self.lookup_hashed(circuit, circuit.structural_hash(), requested_shots);
+        let lookup = match FragmentBody::from_circuit(circuit) {
+            Ok(body) => self.lookup_key(&self.intern(&body), (0, 0), requested_shots),
+            Err(_) => CacheLookup::Miss,
+        };
         match &lookup {
             CacheLookup::Hit(_) => {}
             CacheLookup::Delta { base_shots, .. } => self.count_run(Some(*base_shots)),
@@ -365,53 +454,40 @@ impl ResultCache {
         lookup
     }
 
-    /// [`lookup`](Self::lookup) for a caller that already holds `circuit`'s
-    /// [`Circuit::structural_hash`], counting only a hit: a miss or a delta
-    /// hit is the caller's to count ([`count_run`](Self::count_run)).
-    /// Entries under `hash` serve only a circuit structurally equal to
-    /// theirs.
-    fn lookup_hashed(
+    /// Looks up variant `(ordinal, outputs)` of `body`, counting only a hit:
+    /// a miss or a delta hit is the caller's to count
+    /// ([`count_run`](Self::count_run)).
+    fn lookup_key(
         &self,
-        circuit: &Circuit,
-        hash: u64,
+        body: &CachedBody,
+        (ordinal, outputs): (u64, u64),
         requested_shots: Option<u64>,
     ) -> CacheLookup {
-        let mut shard = self.shards[(hash as usize) % Self::SHARDS].lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let Shard { buckets, recency, .. } = &mut *shard;
-        let Some(bucket) = buckets.get_mut(&hash) else {
+        let key = (body.0.id, ordinal, outputs);
+        let mut shard = self.shards[shard_of(key)].lock();
+        shard.tick += 1;
+        let Shard { entries, recency, tick, .. } = &mut *shard;
+        let tick = *tick;
+        let Some(entry) = entries.get_mut(&key) else {
             return CacheLookup::Miss;
         };
-        // Among structurally equal entries, the one that serves the most
-        // shots wins: it either fully serves the request or minimises the
-        // delta top-up.
-        let best = bucket
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.circuit.structurally_equal(circuit))
-            .max_by_key(|(_, e)| e.serves())
-            .map(|(i, _)| i);
-        let Some(index) = best else {
-            return CacheLookup::Miss;
-        };
-        let entry = &mut bucket[index];
         match (entry.shots, requested_shots) {
             // An exact entry serves anything; a sufficiently-sampled entry
             // serves any smaller sampled request.
             (None, requested) => {
-                Shard::touch(recency, entry, hash, tick);
+                Shard::touch(recency, entry, key, tick);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(requested.unwrap_or(0), Ordering::Relaxed);
                 CacheLookup::Hit(Arc::clone(&entry.distribution))
             }
             (Some(stored), Some(requested)) if stored >= requested => {
-                Shard::touch(recency, entry, hash, tick);
+                Shard::touch(recency, entry, key, tick);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.shots_saved.fetch_add(requested, Ordering::Relaxed);
                 CacheLookup::Hit(Arc::clone(&entry.distribution))
             }
             (Some(stored), Some(requested)) => {
-                Shard::touch(recency, entry, hash, tick);
+                Shard::touch(recency, entry, key, tick);
                 CacheLookup::Delta {
                     base: Arc::clone(&entry.distribution),
                     base_shots: stored,
@@ -437,29 +513,31 @@ impl ResultCache {
         }
     }
 
-    /// Stores (or upgrades) `circuit`'s distribution. An existing entry is
-    /// replaced only when the new record serves more shots (exact beats
-    /// sampled; more shots beat fewer), so concurrent write-backs keep the
-    /// best-converged distribution. Inserting past the weight budget evicts
-    /// least-recently-used entries of the shard. A record that is not a
-    /// distribution over `circuit`'s classical bits (see the
+    /// Stores (or upgrades) the bare `circuit`'s distribution. An existing
+    /// entry is replaced only when the new record serves more shots (exact
+    /// beats sampled; more shots beat fewer), so concurrent write-backs keep
+    /// the best-converged distribution. Inserting past the weight budget
+    /// evicts least-recently-used entries of the shard. A record that is not
+    /// a distribution over `circuit`'s classical bits (see the
     /// [module docs](self)) is dropped.
     pub fn store(&self, circuit: &Circuit, distribution: &[f64], shots: Option<u64>) {
-        let distribution = Arc::new(distribution.to_vec());
-        self.store_hashed(circuit, circuit.structural_hash(), &distribution, shots);
+        if let Ok(body) = FragmentBody::from_circuit(circuit) {
+            let distribution = Arc::new(distribution.to_vec());
+            self.store_key(&self.intern(&body), (0, 0), &distribution, shots);
+        }
     }
 
-    /// [`store`](Self::store) for a caller that already holds `circuit`'s
-    /// [`Circuit::structural_hash`]; the entry keeps `distribution` itself.
-    fn store_hashed(
+    /// [`store`](Self::store) for variant `(ordinal, outputs)` of `body`;
+    /// the entry keeps `distribution` itself.
+    fn store_key(
         &self,
-        circuit: &Circuit,
-        hash: u64,
+        body: &CachedBody,
+        variant: (u64, u64),
         distribution: &Shared,
         shots: Option<u64>,
     ) {
-        if is_distribution_of(circuit, distribution)
-            && self.insert(circuit, hash, Arc::clone(distribution), shots)
+        if is_distribution_over(body.body().num_clbits(), distribution)
+            && self.insert(&body.0, variant, Arc::clone(distribution), shots)
         {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
@@ -467,38 +545,39 @@ impl ResultCache {
 
     /// The insertion path shared by stores and snapshot loading, both of
     /// which validate the record first. Returns whether the record was
-    /// inserted or upgraded. The circuit is copied only into a new entry.
+    /// inserted or upgraded.
     fn insert(
         &self,
-        circuit: &Circuit,
-        hash: u64,
+        body: &Arc<Interned>,
+        (ordinal, outputs): (u64, u64),
         distribution: Shared,
         shots: Option<u64>,
     ) -> bool {
+        let key = (body.id, ordinal, outputs);
         let weight = distribution.len() as u64;
-        let index = (hash as usize) % Self::SHARDS;
+        let index = shard_of(key);
         let capacity = self.shard_capacity(index);
         if weight > capacity {
             return false; // wider than a whole shard: uncacheable
         }
         let mut shard = self.shards[index].lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        shard.tick += 1;
         let serves = shots.map_or(u64::MAX, |s| s);
-        let Shard { buckets, recency, .. } = &mut *shard;
-        let bucket = buckets.entry(hash).or_default();
-        let gained = match bucket.iter_mut().find(|e| e.circuit.structurally_equal(circuit)) {
+        let Shard { entries, recency, tick, .. } = &mut *shard;
+        let tick = *tick;
+        let gained = match entries.get_mut(&key) {
             Some(existing) if existing.serves() >= serves => return false,
             Some(existing) => {
                 let replaced = existing.weight();
                 existing.distribution = distribution;
                 existing.shots = shots;
-                Shard::touch(recency, existing, hash, tick);
+                Shard::touch(recency, existing, key, tick);
                 weight as i64 - replaced as i64
             }
             None => {
-                let circuit = circuit.clone();
-                bucket.push(Entry { circuit, distribution, shots, last_used: tick });
-                recency.insert(tick, hash);
+                let body = Arc::clone(body);
+                entries.insert(key, Entry { body, distribution, shots, last_used: tick });
+                recency.insert(tick, key);
                 weight as i64
             }
         };
@@ -561,23 +640,33 @@ impl ResultCache {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let mut text = snapshot_header();
+        let mut snapshot = Snapshot::default();
         for shard in &self.shards {
             let shard = shard.lock();
-            for entry in shard.buckets.values().flatten() {
-                push_snapshot_entry(&mut text, &entry.circuit, &entry.distribution, entry.shots);
+            for (&(_, ordinal, outputs), entry) in &shard.entries {
+                let body = snapshot.body(&entry.body);
+                snapshot.entry(body, (ordinal, outputs), &entry.distribution, entry.shots);
             }
         }
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, text)?;
+        std::fs::write(&tmp, snapshot.finish())?;
         std::fs::rename(&tmp, path)
     }
 }
 
-/// Whether `distribution` can be `circuit`'s outcome distribution: one
-/// finite, non-negative value per classical-bit pattern.
-fn is_distribution_of(circuit: &Circuit, distribution: &[f64]) -> bool {
-    let patterns = u32::try_from(circuit.num_clbits()).ok().and_then(|n| 1usize.checked_shl(n));
+/// The shard holding `key`.
+fn shard_of((body, ordinal, outputs): Key) -> usize {
+    // SplitMix64's finaliser over the key's words
+    let mut x = body ^ ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ outputs.rotate_left(29);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((x ^ (x >> 31)) % ResultCache::SHARDS as u64) as usize
+}
+
+/// Whether `distribution` can be the outcome distribution of a circuit over
+/// `clbits` classical bits: one finite, non-negative value per pattern.
+fn is_distribution_over(clbits: usize, distribution: &[f64]) -> bool {
+    let patterns = u32::try_from(clbits).ok().and_then(|n| 1usize.checked_shl(n));
     patterns == Some(distribution.len()) && distribution.iter().all(|v| v.is_finite() && *v >= 0.0)
 }
 
@@ -599,54 +688,61 @@ pub fn merge_distributions(
     base.iter().zip(delta).map(|(b, d)| b * wb + d * wd).collect()
 }
 
-/// One circuit as [`serve`] answered it.
+/// One variant as [`serve`] answered it.
 #[derive(Debug)]
 pub struct Served {
     /// The distribution to deliver — the stored buffer on a full hit, the
     /// settled fresh result otherwise (merged with its base on a delta hit)
     /// — or the error its execution ended in.
     pub distribution: Result<Arc<Vec<f64>>, CoreError>,
-    /// Device shots the backend spent on the circuit: 0 on a full hit, on an
-    /// exact backend and on an error; the top-up on a delta hit; the
+    /// Device shots the backend spent on the variant: 0 on a full hit, on
+    /// an exact backend and on an error; the top-up on a delta hit; the
     /// requested count otherwise.
     pub spent: u64,
-    /// Whether the cache served the circuit in full, without the backend.
+    /// Whether the cache served the variant in full, without the backend.
     pub cached: bool,
 }
 
-/// Serves one backend call's `circuits` through `cache`: the one lookup →
-/// run → settle → store path of the dispatch workers and the fleet worker.
+/// Serves one backend call's variants `keys` through a cache: the one
+/// lookup → run → settle → store path of the dispatch workers and the fleet
+/// worker.
 ///
-/// Circuit `i` asks for `shots[i]` shots, or without `shots` for the
-/// backend's `shots_per_circuit` (`None` = an exact backend). Each circuit is
-/// hashed once, for its lookup and its store. Full hits are answered from
-/// the cache; every miss and delta top-up then runs together in **one**
-/// `run(picked, counts)` call, `picked` being their indices into `circuits`
-/// in batch order. `counts` carries one shot count per picked circuit (the
-/// top-up for a delta hit, the request otherwise) when the caller gave
+/// With a cache, `cache` pairs it with the interned bodies the keys index:
+/// variant `i` is `(bodies[keys[i].fragment], keys[i].ordinal,
+/// keys[i].outputs)`. Variant `i` asks for `shots[i]` shots, or without
+/// `shots` for the backend's `shots_per_circuit` (`None` = an exact
+/// backend). Full hits are answered from the cache; every miss and delta
+/// top-up then runs together in **one** `run(picked, counts)` call, `picked`
+/// being their indices into `keys` in batch order — the only place a
+/// variant may be built. `counts` carries one shot count per picked variant
+/// (the top-up for a delta hit, the request otherwise) when the caller gave
 /// counts or a delta hit needs them, and is `None` otherwise; when every
-/// circuit hits, `run` is not called. Without a cache nothing is looked up
-/// or stored, so `run` receives every circuit and the caller's `shots`.
+/// variant hits, `run` is not called. Without a cache nothing is looked up
+/// or stored, so `run` receives every variant and the caller's `shots`.
 ///
 /// A `run` that panics, or returns other than one result per picked
-/// circuit, fails each picked circuit with
+/// variant, fails each picked variant with
 /// [`CoreError::BackendUnavailable`] naming `backend`. Each fresh result is
 /// settled — a sampled top-up is merged with its base at the summed shots
 /// ([`merge_distributions`]); a top-up that ran on an exact backend replaces
 /// the base; anything else is stored as it came — and stored. A full hit
 /// is counted at its lookup; a miss or a delta hit only when its result
-/// settles, so a circuit that fails and comes back on a retry counts once.
+/// settles, so a variant that fails and comes back on a retry counts once.
 ///
-/// Returns one [`Served`] per circuit, in order.
+/// Returns one [`Served`] per key, in order.
+///
+/// # Panics
+///
+/// Panics if a key's `fragment` indexes no body of `cache`.
 pub fn serve(
-    cache: Option<&ResultCache>,
+    cache: Option<(&ResultCache, &[CachedBody])>,
     backend: &str,
     shots_per_circuit: Option<u64>,
-    circuits: &[&Circuit],
+    keys: &[VariantKey],
     shots: Option<&[u64]>,
     run: impl FnOnce(&[usize], Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>>,
 ) -> Vec<Served> {
-    /// How a circuit is answered: from the cache, or by the backend (a
+    /// How a variant is answered: from the cache, or by the backend (a
     /// delta hit carrying its cached base and that base's shots).
     enum Slot {
         Hit(Shared),
@@ -658,19 +754,17 @@ pub fn serve(
     // — it hand-builds its client's spans — and records none here
     let traced = cache.is_some() && tracer.enabled() && tracer.current() != 0;
     let span = |name: &'static str| traced.then(|| tracer.span(name));
+    let variant = |key: &VariantKey| (key.ordinal, key.outputs);
 
-    let mut slots = Vec::with_capacity(circuits.len());
-    let mut hashes = Vec::new();
-    let mut picked = Vec::with_capacity(circuits.len());
-    let mut counts = Vec::with_capacity(circuits.len());
+    let mut slots = Vec::with_capacity(keys.len());
+    let mut picked = Vec::with_capacity(keys.len());
+    let mut counts = Vec::with_capacity(keys.len());
     let lookup_span = span("cache.lookup");
-    for (i, circuit) in circuits.iter().enumerate() {
+    for (i, key) in keys.iter().enumerate() {
         let requested = shots.map_or(shots_per_circuit, |shots| Some(shots[i]));
         let lookup = match cache {
-            Some(cache) => {
-                let hash = circuit.structural_hash();
-                hashes.push(hash);
-                cache.lookup_hashed(circuit, hash, requested)
+            Some((cache, bodies)) => {
+                cache.lookup_key(&bodies[key.fragment], variant(key), requested)
             }
             None => CacheLookup::Miss,
         };
@@ -722,7 +816,7 @@ pub fn serve(
                 Served { distribution: Ok(distribution), spent: 0, cached: true }
             }
             Slot::Run(base) => {
-                let ((i, count), result) = runs.next().expect("one result per circuit run");
+                let ((i, count), result) = runs.next().expect("one result per variant run");
                 match result {
                     Ok(distribution) => {
                         // the shots the execution ran, `None` on an exact backend
@@ -730,9 +824,15 @@ pub fn serve(
                         let base_shots = base.as_ref().map(|(_, shots)| *shots);
                         let (distribution, stored) =
                             settle(Arc::new(distribution), ran_shots, base);
-                        if let Some(cache) = cache {
+                        if let Some((cache, bodies)) = cache {
+                            let key = &keys[i];
                             cache.count_run(base_shots);
-                            cache.store_hashed(circuits[i], hashes[i], &distribution, stored);
+                            cache.store_key(
+                                &bodies[key.fragment],
+                                variant(key),
+                                &distribution,
+                                stored,
+                            );
                         }
                         Served {
                             distribution: Ok(distribution),
@@ -783,25 +883,88 @@ fn settle(
     }
 }
 
-/// A snapshot's first line.
-fn snapshot_header() -> String {
-    format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n")
+/// A snapshot document being written: its body and entry sections, and
+/// each interned body's place among the written bodies.
+#[derive(Default)]
+struct Snapshot {
+    bodies: String,
+    entries: String,
+    placed: HashMap<u64, usize>,
 }
 
-/// Appends one entry — its header line, then its circuit as QASM — to a
-/// snapshot document.
-fn push_snapshot_entry(text: &mut String, circuit: &Circuit, dist: &[f64], shots: Option<u64>) {
-    let shots = match shots {
-        None => "exact".to_string(),
-        Some(s) => s.to_string(),
-    };
-    let dist: Vec<String> = dist.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
-    let qasm = to_qasm(circuit);
-    let lines = qasm.lines().count();
-    text.push_str(&format!("entry shots={shots} dist={} qasm_lines={lines}\n", dist.join(",")));
-    text.push_str(&qasm);
-    if !qasm.ends_with('\n') {
-        text.push('\n');
+impl Snapshot {
+    /// The place of `interned` in the document, writing the body the first
+    /// time: a `body` line with its slot layout, then its operations as
+    /// OpenQASM (fixed operations and gate-cut locals, in skeleton order).
+    fn body(&mut self, interned: &Interned) -> usize {
+        let next = self.placed.len();
+        let place = *self.placed.entry(interned.id).or_insert(next);
+        if place == next {
+            let body = &interned.body;
+            let mut operations = Circuit::with_clbits(body.num_qubits(), body.num_clbits());
+            let mut layout = Vec::new();
+            for op in body.skeleton() {
+                layout.push(match op {
+                    SkeletonOp::Fixed(op) => {
+                        operations.push(op.clone());
+                        "f".to_string()
+                    }
+                    SkeletonOp::Prep { place, qubit } => format!("p{place}:{}", qubit.index()),
+                    SkeletonOp::CutMeasure { place, qubit, clbit } => {
+                        format!("m{place}:{}:{clbit}", qubit.index())
+                    }
+                    SkeletonOp::OutputMeasure { shift, qubit, clbit } => {
+                        format!("o{shift}:{}:{clbit}", qubit.index())
+                    }
+                    SkeletonOp::GateCutHalf { place, half, qubit, clbit, pre, post } => {
+                        for op in pre.iter().chain(post) {
+                            operations.push(op.clone());
+                        }
+                        let half = if *half == GateHalf::Top { 't' } else { 'b' };
+                        format!(
+                            "{half}{place}:{}:{clbit}:{}:{}",
+                            qubit.index(),
+                            pre.len(),
+                            post.len()
+                        )
+                    }
+                });
+            }
+            let qasm = to_qasm(&operations);
+            let _ = writeln!(
+                self.bodies,
+                "body outputs={} variants={} layout={} qasm_lines={}",
+                body.num_outputs(),
+                body.variant_count(),
+                layout.join(","),
+                qasm.lines().count()
+            );
+            self.bodies.push_str(&qasm);
+        }
+        place
+    }
+
+    /// Appends one `entry` line: the body's place, the variant, its shots
+    /// and its distribution's bit patterns.
+    fn entry(
+        &mut self,
+        body: usize,
+        (ordinal, outputs): (u64, u64),
+        dist: &[f64],
+        shots: Option<u64>,
+    ) {
+        let shots = shots.map_or_else(|| "exact".to_string(), |s| s.to_string());
+        let dist: Vec<String> = dist.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+        let _ = writeln!(
+            self.entries,
+            "entry body={body} ordinal={ordinal} outputs={outputs} shots={shots} dist={}",
+            dist.join(",")
+        );
+    }
+
+    /// The whole document: header, bodies, entries.
+    fn finish(self) -> String {
+        format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n{}{}", self.bodies, self.entries)
     }
 }
 
@@ -811,11 +974,25 @@ fn parse_header(line: &str) -> Option<u32> {
     rest.parse().ok()
 }
 
-/// Parses a full snapshot document into its entries. Any malformed line or
-/// invalid entry fails the whole parse — a torn or corrupt snapshot must not
-/// half-load.
-#[allow(clippy::type_complexity)]
-fn parse_snapshot(text: &str) -> Result<Vec<(Circuit, Vec<f64>, Option<u64>)>, String> {
+/// One snapshot entry: the place of its body, its variant, distribution and
+/// shots.
+type SnapshotEntry = (usize, (u64, u64), Vec<f64>, Option<u64>);
+
+/// The `name=value` fields of a `body` or `entry` line.
+fn fields(line: &str) -> HashMap<&str, &str> {
+    line.split_whitespace().filter_map(|field| field.split_once('=')).collect()
+}
+
+/// The value of field `name`, parsed.
+fn field<T: std::str::FromStr>(fields: &HashMap<&str, &str>, name: &str) -> Result<T, String> {
+    let value = fields.get(name).ok_or_else(|| format!("line missing {name}="))?;
+    value.parse().map_err(|_| format!("bad {name}: {value}"))
+}
+
+/// Parses a full snapshot document into its bodies and entries. Any
+/// malformed line or invalid body or entry fails the whole parse — a torn
+/// or corrupt snapshot must not half-load.
+fn parse_snapshot(text: &str) -> Result<(Vec<FragmentBody>, Vec<SnapshotEntry>), String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty snapshot")?;
     match parse_header(header) {
@@ -823,62 +1000,126 @@ fn parse_snapshot(text: &str) -> Result<Vec<(Circuit, Vec<f64>, Option<u64>)>, S
         Some(version) => return Err(format!("snapshot version v{version} != v{SNAPSHOT_VERSION}")),
         None => return Err("missing snapshot header".to_string()),
     }
-    let mut entries = Vec::new();
+    let (mut bodies, mut entries) = (Vec::new(), Vec::new());
     while let Some(line) = lines.next() {
         if line.trim().is_empty() {
             continue;
         }
-        let rest = line.strip_prefix("entry ").ok_or_else(|| format!("bad entry line: {line}"))?;
-        let mut shots: Option<Option<u64>> = None;
-        let mut dist: Option<Vec<f64>> = None;
-        let mut qasm_lines: Option<usize> = None;
-        for field in rest.split_whitespace() {
-            if let Some(value) = field.strip_prefix("shots=") {
-                shots = Some(if value == "exact" {
-                    None
-                } else {
-                    Some(value.parse().map_err(|_| format!("bad shot count: {value}"))?)
-                });
-            } else if let Some(value) = field.strip_prefix("dist=") {
-                let values: Result<Vec<f64>, String> = value
-                    .split(',')
-                    .map(|word| {
-                        u64::from_str_radix(word, 16)
-                            .map(f64::from_bits)
-                            .map_err(|_| format!("bad distribution word: {word}"))
-                    })
-                    .collect();
-                dist = Some(values?);
-            } else if let Some(value) = field.strip_prefix("qasm_lines=") {
-                qasm_lines = Some(value.parse().map_err(|_| format!("bad line count: {value}"))?);
+        if let Some(rest) = line.strip_prefix("body ") {
+            let fields = fields(rest);
+            let mut qasm = String::new();
+            for _ in 0..field::<usize>(&fields, "qasm_lines")? {
+                qasm.push_str(lines.next().ok_or("truncated QASM block")?);
+                qasm.push('\n');
             }
+            let operations = from_qasm(&qasm).map_err(|e| format!("snapshot QASM: {e}"))?;
+            let layout = fields.get("layout").ok_or("body missing layout=")?;
+            bodies.push(parse_body(
+                &operations,
+                layout,
+                field(&fields, "outputs")?,
+                field(&fields, "variants")?,
+            )?);
+        } else if let Some(rest) = line.strip_prefix("entry ") {
+            let fields = fields(rest);
+            let place: usize = field(&fields, "body")?;
+            let body = bodies.get(place).ok_or_else(|| format!("entry names body {place}"))?;
+            let (ordinal, outputs) = (field(&fields, "ordinal")?, field(&fields, "outputs")?);
+            body.check_variant(ordinal, outputs)?;
+            let shots = match *fields.get("shots").ok_or("entry missing shots=")? {
+                "exact" => None,
+                value => Some(value.parse().map_err(|_| format!("bad shot count: {value}"))?),
+            };
+            let dist = fields
+                .get("dist")
+                .ok_or("entry missing dist=")?
+                .split(',')
+                .map(|word| {
+                    u64::from_str_radix(word, 16)
+                        .map(f64::from_bits)
+                        .map_err(|_| format!("bad distribution word: {word}"))
+                })
+                .collect::<Result<Vec<f64>, String>>()?;
+            if !is_distribution_over(body.num_clbits(), &dist) {
+                return Err(format!(
+                    "{} values is not a distribution over {} clbits",
+                    dist.len(),
+                    body.num_clbits()
+                ));
+            }
+            entries.push((place, (ordinal, outputs), dist, shots));
+        } else {
+            return Err(format!("bad snapshot line: {line}"));
         }
-        let shots = shots.ok_or("entry missing shots=")?;
-        let dist = dist.ok_or("entry missing dist=")?;
-        let qasm_lines = qasm_lines.ok_or("entry missing qasm_lines=")?;
-        let mut qasm = String::new();
-        for _ in 0..qasm_lines {
-            let line = lines.next().ok_or("truncated QASM block")?;
-            qasm.push_str(line);
-            qasm.push('\n');
-        }
-        let circuit = from_qasm(&qasm).map_err(|e| format!("snapshot QASM: {e}"))?;
-        if !is_distribution_of(&circuit, &dist) {
-            return Err(format!(
-                "{} values is not a distribution over {} clbits",
-                dist.len(),
-                circuit.num_clbits()
-            ));
-        }
-        entries.push((circuit, dist, shots));
     }
-    Ok(entries)
+    Ok((bodies, entries))
+}
+
+/// Rebuilds a body from its snapshot layout and its operations, which
+/// the layout's fixed operations and gate-cut locals consume in order.
+fn parse_body(
+    operations: &Circuit,
+    layout: &str,
+    outputs: usize,
+    variants: u64,
+) -> Result<FragmentBody, String> {
+    let mut ops = operations.operations().iter().cloned();
+    let mut skeleton = Vec::new();
+    for token in layout.split(',').filter(|token| !token.is_empty()) {
+        let mut take = |count: u64| -> Result<Vec<_>, String> {
+            (0..count)
+                .map(|_| ops.next().ok_or("layout outruns the operations".to_string()))
+                .collect()
+        };
+        if token == "f" {
+            skeleton.extend(take(1)?.into_iter().map(SkeletonOp::Fixed));
+            continue;
+        }
+        let bad = || format!("bad layout token: {token}");
+        let (kind, rest) = token.split_at(token.chars().next().map_or(0, char::len_utf8));
+        let numbers: Vec<u64> =
+            rest.split(':').map(|n| n.parse().map_err(|_| bad())).collect::<Result<_, _>>()?;
+        let qubit = |n: u64| qrcc_circuit::QubitId::new(n as usize);
+        skeleton.push(match (kind, &numbers[..]) {
+            ("p", &[place, q]) => SkeletonOp::Prep { place, qubit: qubit(q) },
+            ("m", &[place, q, clbit]) => {
+                SkeletonOp::CutMeasure { place, qubit: qubit(q), clbit: clbit as usize }
+            }
+            ("o", &[shift, q, clbit]) => SkeletonOp::OutputMeasure {
+                shift: u32::try_from(shift).map_err(|_| bad())?,
+                qubit: qubit(q),
+                clbit: clbit as usize,
+            },
+            ("t" | "b", &[place, q, clbit, pre, post]) => SkeletonOp::GateCutHalf {
+                place,
+                half: if kind == "t" { GateHalf::Top } else { GateHalf::Bottom },
+                qubit: qubit(q),
+                clbit: clbit as usize,
+                pre: take(pre)?,
+                post: take(post)?,
+            },
+            _ => return Err(bad()),
+        });
+    }
+    if ops.next().is_some() {
+        return Err("operations the layout does not place".to_string());
+    }
+    FragmentBody::new(
+        String::new(),
+        operations.num_qubits(),
+        operations.num_clbits(),
+        outputs,
+        variants,
+        skeleton,
+    )
+    .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use qrcc_circuit::{Gate, Operation, QubitId};
     use std::sync::atomic::AtomicUsize;
 
     /// A full hit serving `distribution`.
@@ -896,6 +1137,24 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).ry(theta, 1).cx(0, 1).measure_all();
         c
+    }
+
+    /// The cache's handle for the bare `circuit`.
+    fn bare(cache: &ResultCache, circuit: &Circuit) -> CachedBody {
+        cache.intern(&FragmentBody::from_circuit(circuit).unwrap())
+    }
+
+    /// A 2-qubit, 2-clbit body with `preps` init slots on qubit 0 (so
+    /// `4^preps` variants) rotated by `theta`: distinct variants and bodies
+    /// to key entries by.
+    fn slotted(preps: u32, theta: f64) -> FragmentBody {
+        let q = QubitId::new;
+        let mut skeleton: Vec<SkeletonOp> =
+            (0..preps).map(|i| SkeletonOp::Prep { place: 4u64.pow(i), qubit: q(0) }).collect();
+        skeleton.push(SkeletonOp::Fixed(Operation::Single { gate: Gate::Ry(theta), qubit: q(1) }));
+        skeleton.push(SkeletonOp::Fixed(Operation::Measure { qubit: q(0), clbit: 0 }));
+        skeleton.push(SkeletonOp::Fixed(Operation::Measure { qubit: q(1), clbit: 1 }));
+        FragmentBody::new("slotted".into(), 2, 2, 0, 4u64.pow(preps), skeleton).unwrap()
     }
 
     /// A collision-free scratch path under the OS temp dir.
@@ -924,7 +1183,7 @@ mod tests {
         let cache = ResultCache::new(1 << 16);
         let c = bell();
         let stored = Arc::new(vec![0.5, 0.0, 0.0, 0.5]);
-        cache.store_hashed(&c, c.structural_hash(), &stored, None);
+        cache.store_key(&bare(&cache, &c), (0, 0), &stored, None);
         for requested in [None, Some(100)] {
             let CacheLookup::Hit(served) = cache.lookup(&c, requested) else {
                 panic!("an exact entry serves {requested:?}");
@@ -937,11 +1196,12 @@ mod tests {
     fn a_store_keeps_the_buffer_it_was_delivered() {
         let cache = ResultCache::new(1 << 16);
         let c = bell();
+        let body = bare(&cache, &c);
         let delivered = Arc::new(vec![0.25; 4]);
-        cache.store_hashed(&c, c.structural_hash(), &delivered, Some(64));
+        cache.store_key(&body, (0, 0), &delivered, Some(64));
         assert_eq!(Arc::strong_count(&delivered), 2, "the entry holds the delivered buffer");
-        let shard = cache.shards[(c.structural_hash() as usize) % ResultCache::SHARDS].lock();
-        let entry = shard.buckets.values().flatten().next().expect("one entry");
+        let shard = cache.shards[shard_of((body.0.id, 0, 0))].lock();
+        let entry = shard.entries.values().next().expect("one entry");
         assert!(Arc::ptr_eq(&entry.distribution, &delivered));
         drop(shard);
         // the copying wrapper stores a buffer of its own
@@ -953,47 +1213,71 @@ mod tests {
     }
 
     #[test]
-    fn an_equal_hash_never_serves_a_structurally_different_circuit() {
+    fn two_bodies_forced_into_one_hash_never_serve_each_others_entries() {
         let cache = ResultCache::new(1 << 16);
-        let (a, b) = (bell(), rotated(0.3));
+        let (a, b) = (slotted(1, 0.3), slotted(1, 0.7));
         assert!(!a.structurally_equal(&b));
         let hash = a.structural_hash();
+        let (held_a, held_b) = (cache.intern_hashed(&a, hash), cache.intern_hashed(&b, hash));
+        assert_ne!(held_a.0.id, held_b.0.id, "equality, not the hash, decides identity");
         let stored_a = Arc::new(vec![0.5, 0.0, 0.0, 0.5]);
-        cache.store_hashed(&a, hash, &stored_a, None);
-        assert_eq!(cache.lookup_hashed(&b, hash, None), CacheLookup::Miss, "collision guard");
-        // both live side by side in the one bucket, each serving only itself
+        cache.store_key(&held_a, (2, 0), &stored_a, None);
+        assert_eq!(cache.lookup_key(&held_b, (2, 0), None), CacheLookup::Miss, "collision guard");
+        // both live side by side, each serving only its own body's keys
         let stored_b = Arc::new(vec![0.25; 4]);
-        cache.store_hashed(&b, hash, &stored_b, None);
+        cache.store_key(&held_b, (2, 0), &stored_b, None);
         assert_eq!(cache.stats().entries, 2);
-        for (circuit, stored) in [(&a, &stored_a), (&b, &stored_b)] {
-            let CacheLookup::Hit(served) = cache.lookup_hashed(circuit, hash, None) else {
+        // a structurally equal body under another name interns to the same id
+        let renamed = FragmentBody::new("renamed".into(), 2, 2, 0, 4, a.skeleton().to_vec());
+        let renamed = renamed.unwrap();
+        assert_eq!(cache.intern_hashed(&renamed, hash).0.id, held_a.0.id);
+        for (body, stored) in [(&held_a, &stored_a), (&held_b, &stored_b)] {
+            let CacheLookup::Hit(served) = cache.lookup_key(body, (2, 0), None) else {
                 panic!("stored")
             };
             assert!(Arc::ptr_eq(&served, stored));
         }
+        assert_eq!(cache.lookup_key(&held_a, (1, 0), None), CacheLookup::Miss, "another variant");
+    }
+
+    #[test]
+    fn a_body_goes_with_its_last_entry() {
+        // 4 values per shard: one entry each, so a second store in a shard
+        // evicts the first
+        let cache = ResultCache::new(16 * 4);
+        let first = cache.intern(&slotted(1, 0.1));
+        let id = first.0.id;
+        cache.store_key(&first, (0, 0), &Arc::new(vec![0.25; 4]), None);
+        drop(first);
+        assert_eq!(cache.intern(&slotted(1, 0.1)).0.id, id, "the entry keeps the body interned");
+        let other = cache.intern(&slotted(5, 0.9));
+        let ordinal =
+            (0..).find(|&k| shard_of((other.0.id, k, 0)) == shard_of((id, 0, 0))).unwrap();
+        cache.store_key(&other, (ordinal, 0), &Arc::new(vec![0.25; 4]), None);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_ne!(cache.intern(&slotted(1, 0.1)).0.id, id, "the body went with its last entry");
     }
 
     #[test]
     fn a_delta_merge_stores_a_new_buffer_and_never_mutates_a_held_one() {
         let cache = ResultCache::new(1 << 16);
-        let c = bell();
-        let hash = c.structural_hash();
+        let body = bare(&cache, &bell());
         let first = vec![1.0, 0.0, 0.0, 0.0];
-        cache.store_hashed(&c, hash, &Arc::new(first.clone()), Some(100));
-        let CacheLookup::Hit(reader) = cache.lookup_hashed(&c, hash, Some(100)) else {
+        cache.store_key(&body, (0, 0), &Arc::new(first.clone()), Some(100));
+        let CacheLookup::Hit(reader) = cache.lookup_key(&body, (0, 0), Some(100)) else {
             panic!("stored")
         };
         let CacheLookup::Delta { base, base_shots, missing } =
-            cache.lookup_hashed(&c, hash, Some(300))
+            cache.lookup_key(&body, (0, 0), Some(300))
         else {
             panic!("more shots than stored is a delta hit")
         };
         assert!(Arc::ptr_eq(&base, &reader) && (base_shots, missing) == (100, 200));
         let merged = merge_distributions(&base, base_shots, &[0.0, 0.0, 0.0, 1.0], missing);
         let merged = Arc::new(merged);
-        cache.store_hashed(&c, hash, &merged, Some(300));
+        cache.store_key(&body, (0, 0), &merged, Some(300));
         assert_eq!(reader[..], first[..], "a reader's buffer never changes");
-        let CacheLookup::Hit(served) = cache.lookup_hashed(&c, hash, Some(300)) else {
+        let CacheLookup::Hit(served) = cache.lookup_key(&body, (0, 0), Some(300)) else {
             panic!("the merge serves 300 shots")
         };
         assert!(Arc::ptr_eq(&served, &merged) && !Arc::ptr_eq(&served, &reader));
@@ -1072,16 +1356,21 @@ mod tests {
     /// shot counts it was handed.
     type Call = (Vec<usize>, Option<Vec<u64>>);
 
-    /// Serves `circuits` through `cache` on a sampling backend of 100 shots
-    /// per circuit whose every result is the uniform 2-clbit distribution,
-    /// recording each backend call.
+    /// Serves the bare `circuits` (variant `(0, 0)` of body `i`) through
+    /// `cache` on a sampling backend of 100 shots per circuit whose every
+    /// result is the uniform 2-clbit distribution, recording each backend
+    /// call.
     fn serve_recorded(
         cache: Option<&ResultCache>,
         circuits: &[&Circuit],
         shots: Option<&[u64]>,
     ) -> (Vec<Served>, Vec<Call>) {
+        let bodies: Vec<CachedBody> =
+            cache.map_or_else(Vec::new, |cache| circuits.iter().map(|c| bare(cache, c)).collect());
+        let keys: Vec<VariantKey> = (0..circuits.len()).map(|i| VariantKey::new(i, 0, 0)).collect();
         let mut calls = Vec::new();
-        let served = serve(cache, "rec", Some(100), circuits, shots, |picked, counts| {
+        let cache = cache.map(|cache| (cache, &bodies[..]));
+        let served = serve(cache, "rec", Some(100), &keys, shots, |picked, counts| {
             calls.push((picked.to_vec(), counts.map(<[u64]>::to_vec)));
             picked.iter().map(|_| Ok(vec![0.25; 4])).collect()
         });
@@ -1133,9 +1422,11 @@ mod tests {
         let cache = ResultCache::new(1 << 16);
         let (hit_circuit, miss_circuit) = (bell(), rotated(0.3));
         cache.store(&hit_circuit, &[0.5, 0.0, 0.0, 0.5], None);
-        let circuits = [&hit_circuit, &miss_circuit];
-        let panicking = serve(Some(&cache), "dev", None, &circuits, None, |_, _| panic!("boom"));
-        let short = serve(Some(&cache), "dev", None, &circuits, None, |_, _| Vec::new());
+        let bodies = [bare(&cache, &hit_circuit), bare(&cache, &miss_circuit)];
+        let keys = [VariantKey::new(0, 0, 0), VariantKey::new(1, 0, 0)];
+        let keyed = Some((&cache, &bodies[..]));
+        let panicking = serve(keyed, "dev", None, &keys, None, |_, _| panic!("boom"));
+        let short = serve(keyed, "dev", None, &keys, None, |_, _| Vec::new());
         for (served, reason) in [(panicking, "backend panicked: boom"), (short, "returned 0")] {
             assert!(served[0].distribution.is_ok() && served[0].cached, "the hit is still served");
             match &served[1].distribution {
@@ -1150,27 +1441,33 @@ mod tests {
         assert_eq!(cache.stats().entries, 1, "a failed circuit stores nothing");
     }
 
-    /// `count` distinct 2-clbit circuits that all land in one shard.
-    fn same_shard(count: usize) -> Vec<Circuit> {
-        let shard = |c: &Circuit| (c.structural_hash() as usize) % ResultCache::SHARDS;
-        let target = shard(&rotated(0.01));
-        (1..).map(|i| rotated(0.01 * i as f64)).filter(|c| shard(c) == target).take(count).collect()
-    }
-
     #[test]
     fn lru_evicts_the_least_recently_touched_entry_of_a_shard() {
         // 8 values per shard: two 4-value entries fit, a third evicts one
         let cache = ResultCache::new(16 * 8);
-        let [a, b, c]: [Circuit; 3] = same_shard(3).try_into().unwrap();
-        cache.store(&a, &[0.25; 4], Some(10));
-        cache.store(&b, &[0.5, 0.5, 0.0, 0.0], Some(10));
-        assert!(matches!(cache.lookup(&a, Some(10)), CacheLookup::Hit(_)));
-        cache.store(&c, &[0.0, 0.0, 0.5, 0.5], Some(10));
+        let body = cache.intern(&slotted(5, 0.2));
+        let shard = shard_of((body.0.id, 0, 0));
+        let [a, b, c]: [u64; 3] = (0..)
+            .filter(|&k| shard_of((body.0.id, k, 0)) == shard)
+            .take(3)
+            .collect::<Vec<_>>()
+            .try_into()
+            .unwrap();
+        let store =
+            |k: u64, dist: Vec<f64>| cache.store_key(&body, (k, 0), &Arc::new(dist), Some(10));
+        store(a, vec![0.25; 4]);
+        store(b, vec![0.5, 0.5, 0.0, 0.0]);
+        assert!(matches!(cache.lookup_key(&body, (a, 0), Some(10)), CacheLookup::Hit(_)));
+        store(c, vec![0.0, 0.0, 0.5, 0.5]);
         let stats = cache.stats();
         assert_eq!((stats.evictions, stats.entries, stats.weight), (1, 2, 8));
-        assert_eq!(cache.lookup(&b, Some(10)), CacheLookup::Miss, "B was least recently used");
-        assert_eq!(cache.lookup(&a, Some(10)), hit(vec![0.25; 4]));
-        assert_eq!(cache.lookup(&c, Some(10)), hit(vec![0.0, 0.0, 0.5, 0.5]));
+        assert_eq!(
+            cache.lookup_key(&body, (b, 0), Some(10)),
+            CacheLookup::Miss,
+            "B was least recently used"
+        );
+        assert_eq!(cache.lookup_key(&body, (a, 0), Some(10)), hit(vec![0.25; 4]));
+        assert_eq!(cache.lookup_key(&body, (c, 0), Some(10)), hit(vec![0.0, 0.0, 0.5, 0.5]));
     }
 
     #[test]
@@ -1199,13 +1496,16 @@ mod tests {
         assert_eq!(cache.stats().insertions, 0);
     }
 
-    /// A snapshot document holding `entries` verbatim, valid or not.
+    /// A snapshot document holding the bare `entries` verbatim, valid or
+    /// not.
     fn snapshot_text(entries: &[(Circuit, Vec<f64>, Option<u64>)]) -> String {
-        let mut text = snapshot_header();
-        for (circuit, dist, shots) in entries {
-            push_snapshot_entry(&mut text, circuit, dist, *shots);
+        let mut snapshot = Snapshot::default();
+        for (id, (circuit, dist, shots)) in entries.iter().enumerate() {
+            let body = FragmentBody::from_circuit(circuit).unwrap();
+            let place = snapshot.body(&Interned { id: id as u64, body });
+            snapshot.entry(place, (0, 0), dist, *shots);
         }
-        text
+        snapshot.finish()
     }
 
     #[test]
@@ -1242,8 +1542,8 @@ mod tests {
 
     /// One entry of the scan oracle.
     struct ScanEntry {
-        /// Index into the test's circuit universe.
-        circuit: usize,
+        /// Index into the test's key universe.
+        variant: usize,
         distribution: Vec<f64>,
         shots: Option<u64>,
         last_used: u64,
@@ -1269,9 +1569,9 @@ mod tests {
             }
         }
 
-        fn lookup(&mut self, shard: usize, circuit: usize, requested: Option<u64>) -> CacheLookup {
+        fn lookup(&mut self, shard: usize, variant: usize, requested: Option<u64>) -> CacheLookup {
             self.tick += 1;
-            let Some(e) = self.shards[shard].iter_mut().find(|e| e.circuit == circuit) else {
+            let Some(e) = self.shards[shard].iter_mut().find(|e| e.variant == variant) else {
                 return CacheLookup::Miss;
             };
             let found = match (e.shots, requested) {
@@ -1288,7 +1588,7 @@ mod tests {
             found
         }
 
-        fn store(&mut self, shard: usize, circuit: usize, dist: &[f64], shots: Option<u64>) {
+        fn store(&mut self, shard: usize, variant: usize, dist: &[f64], shots: Option<u64>) {
             let capacity = self.capacities[shard];
             if dist.len() as u64 > capacity {
                 return;
@@ -1296,7 +1596,7 @@ mod tests {
             self.tick += 1;
             let serves = |shots: Option<u64>| shots.unwrap_or(u64::MAX);
             let entries = &mut self.shards[shard];
-            match entries.iter_mut().find(|e| e.circuit == circuit) {
+            match entries.iter_mut().find(|e| e.variant == variant) {
                 Some(e) if serves(e.shots) >= serves(shots) => return,
                 Some(e) => {
                     e.distribution = dist.to_vec();
@@ -1304,7 +1604,7 @@ mod tests {
                     e.last_used = self.tick;
                 }
                 None => entries.push(ScanEntry {
-                    circuit,
+                    variant,
                     distribution: dist.to_vec(),
                     shots,
                     last_used: self.tick,
@@ -1318,37 +1618,35 @@ mod tests {
         }
     }
 
-    /// One held entry: structural hash, distribution bit patterns, shots.
-    type Held = (u64, Vec<u64>, Option<u64>);
+    /// One held entry: key, distribution bit patterns, shots.
+    type Held = (Key, Vec<u64>, Option<u64>);
 
-    /// Every held entry as `(structural hash, distribution bits, shots)`,
-    /// sorted; and a check that each shard's recency index holds exactly its
-    /// entries, each under its own tick.
+    /// Every held entry as `(key, distribution bits, shots)`, sorted; and a
+    /// check that each shard's recency index holds exactly its entries,
+    /// each under its own tick.
     fn held_entries(cache: &ResultCache) -> Result<Vec<Held>, String> {
         let mut held = Vec::new();
         for shard in &cache.shards {
             let shard = shard.lock();
-            let entries: usize = shard.buckets.values().map(Vec::len).sum();
-            if shard.recency.len() != entries {
+            if shard.recency.len() != shard.entries.len() {
                 return Err(format!(
-                    "index holds {} ticks for {entries} entries",
-                    shard.recency.len()
+                    "index holds {} ticks for {} entries",
+                    shard.recency.len(),
+                    shard.entries.len()
                 ));
             }
-            for (&tick, hash) in &shard.recency {
-                if !shard.buckets.get(hash).is_some_and(|b| b.iter().any(|e| e.last_used == tick)) {
-                    return Err(format!("tick {tick} indexes no entry of bucket {hash:x}"));
+            for (&tick, key) in &shard.recency {
+                if shard.entries.get(key).is_none_or(|e| e.last_used != tick) {
+                    return Err(format!("tick {tick} indexes no entry under {key:?}"));
                 }
             }
-            let weight: u64 = shard.buckets.values().flatten().map(Entry::weight).sum();
+            let weight: u64 = shard.entries.values().map(Entry::weight).sum();
             if weight != shard.weight {
                 return Err(format!("shard weight {} != held {weight}", shard.weight));
             }
-            for (&hash, bucket) in &shard.buckets {
-                for e in bucket {
-                    let bits = e.distribution.iter().map(|v| v.to_bits()).collect();
-                    held.push((hash, bits, e.shots));
-                }
+            for (&key, e) in &shard.entries {
+                let bits = e.distribution.iter().map(|v| v.to_bits()).collect();
+                held.push((key, bits, e.shots));
             }
         }
         held.sort();
@@ -1358,10 +1656,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random store/lookup sequences on a small cache whose circuits
-        /// crowd two shards: every lookup answers as the scan oracle does,
-        /// the surviving entries are the oracle's, and the recency index
-        /// stays exactly in step with the buckets.
+        /// Random store/lookup sequences on a small cache whose variants —
+        /// of three bodies over 1, 2 and 3 clbits — crowd two shards: every
+        /// lookup answers as the scan oracle does, the surviving entries are
+        /// the oracle's, and the recency index stays exactly in step with
+        /// the entries.
         #[test]
         fn recency_index_evicts_exactly_what_the_scan_did(
             ops in collection::vec(
@@ -1369,26 +1668,38 @@ mod tests {
                 1..120,
             )
         ) {
-            let shard_of = |c: &Circuit| (c.structural_hash() as usize) % ResultCache::SHARDS;
-            let universe: Vec<Circuit> = (1..)
-                .map(|i| ladder(1 + i % 3, 0.01 * i as f64))
-                .filter(|c| shard_of(c) < 2)
-                .take(10)
-                .collect();
             // 195 values: shards 0-2 hold 13, the rest 12
             let cache = ResultCache::new(16 * 12 + 3);
+            let bodies: Vec<CachedBody> = (1..=3)
+                .map(|width| {
+                    let ladder = ladder(width, 0.1 * width as f64);
+                    let mut skeleton: Vec<SkeletonOp> = (0..3)
+                        .map(|i| SkeletonOp::Prep { place: 4u64.pow(i), qubit: QubitId::new(0) })
+                        .collect();
+                    skeleton.extend(ladder.operations().iter().cloned().map(SkeletonOp::Fixed));
+                    let body = FragmentBody::new("l".into(), width, width, 0, 64, skeleton).unwrap();
+                    cache.intern(&body)
+                })
+                .collect();
+            let universe: Vec<(&CachedBody, u64)> = (0..64)
+                .flat_map(|ordinal| bodies.iter().map(move |body| (body, ordinal)))
+                .filter(|(body, ordinal)| shard_of((body.0.id, *ordinal, 0)) < 2)
+                .take(10)
+                .collect();
+            prop_assert_eq!(universe.len(), 10);
             let mut oracle = ScanOracle::new(&cache);
             for (is_store, id, shots, variant) in ops {
-                let circuit = &universe[id];
+                let (body, ordinal) = universe[id];
+                let shard = shard_of((body.0.id, ordinal, 0));
                 let shots = (shots > 0).then_some(100 * shots);
                 if is_store {
-                    let len = 1usize << circuit.num_clbits();
+                    let len = 1usize << body.body().num_clbits();
                     let dist: Vec<f64> = (0..len).map(|k| ((k + variant) % 3) as f64).collect();
-                    cache.store(circuit, &dist, shots);
-                    oracle.store(shard_of(circuit), id, &dist, shots);
+                    cache.store_key(body, (ordinal, 0), &Arc::new(dist.clone()), shots);
+                    oracle.store(shard, id, &dist, shots);
                 } else {
-                    let got = cache.lookup(circuit, shots);
-                    prop_assert_eq!(got, oracle.lookup(shard_of(circuit), id, shots));
+                    let got = cache.lookup_key(body, (ordinal, 0), shots);
+                    prop_assert_eq!(got, oracle.lookup(shard, id, shots));
                 }
             }
             let held = held_entries(&cache).map_err(TestCaseError::fail)?;
@@ -1397,8 +1708,9 @@ mod tests {
                 .iter()
                 .flatten()
                 .map(|e| {
+                    let (body, ordinal) = universe[e.variant];
                     let bits = e.distribution.iter().map(|v| v.to_bits()).collect();
-                    (universe[e.circuit].structural_hash(), bits, e.shots)
+                    ((body.0.id, ordinal, 0), bits, e.shots)
                 })
                 .collect();
             expected.sort();
@@ -1409,7 +1721,7 @@ mod tests {
 
     /// Opens a cache over `bytes` written to `path` and checks the loader's
     /// contract: the snapshot is ignored whole, or every entry it loaded is a
-    /// distribution over its circuit's classical bits.
+    /// distribution over its body's classical bits.
     fn open_hostile(path: &Path, bytes: &[u8]) -> Result<(), TestCaseError> {
         std::fs::write(path, bytes).unwrap();
         let policy = ResultCachePolicy::persisted(path.to_string_lossy().to_string());
@@ -1419,13 +1731,38 @@ mod tests {
             prop_assert_eq!((stats.snapshot_loaded, stats.entries), (0, 0));
         }
         for shard in &cache.shards {
-            for e in shard.lock().buckets.values().flatten() {
-                let clbits = e.circuit.num_clbits();
+            for (&(_, ordinal, outputs), e) in &shard.lock().entries {
+                let body = &e.body.body;
+                prop_assert!(body.check_variant(ordinal, outputs).is_ok());
+                let clbits = body.num_clbits();
                 prop_assert!(clbits < 64 && e.distribution.len() == 1 << clbits);
                 prop_assert!(e.distribution.iter().all(|v| v.is_finite() && *v >= 0.0));
             }
         }
         Ok(())
+    }
+
+    /// A body with every slot kind: a prep, a cut measure, a gate-cut half
+    /// with locals on both sides, an output measure and a reset.
+    fn every_slot() -> FragmentBody {
+        let q = QubitId::new;
+        let single = |gate, qubit| Operation::Single { gate, qubit };
+        let skeleton = vec![
+            SkeletonOp::Prep { place: 3, qubit: q(0) },
+            SkeletonOp::Fixed(Operation::Two { gate: Gate::Cx, qubits: [q(0), q(1)] }),
+            SkeletonOp::GateCutHalf {
+                place: 12,
+                half: GateHalf::Bottom,
+                qubit: q(1),
+                clbit: 2,
+                pre: vec![single(Gate::Rz(0.25), q(1))],
+                post: vec![single(Gate::H, q(1)), single(Gate::S, q(1))],
+            },
+            SkeletonOp::CutMeasure { place: 1, qubit: q(1), clbit: 1 },
+            SkeletonOp::Fixed(Operation::Reset { qubit: q(1) }),
+            SkeletonOp::OutputMeasure { shift: 0, qubit: q(0), clbit: 0 },
+        ];
+        FragmentBody::new("every".into(), 2, 3, 1, 72, skeleton).unwrap()
     }
 
     proptest! {
@@ -1439,7 +1776,8 @@ mod tests {
             headed in any::<bool>(),
         ) {
             let path = scratch("arbitrary");
-            let mut text = if headed { snapshot_header().into_bytes() } else { Vec::new() };
+            let header = format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n");
+            let mut text = if headed { header.into_bytes() } else { Vec::new() };
             text.extend(bytes);
             open_hostile(&path, &text)?;
             std::fs::remove_file(&path).unwrap();
@@ -1447,18 +1785,27 @@ mod tests {
 
         /// A valid snapshot with a few bytes replaced, inserted or deleted —
         /// mostly bytes of the format's own alphabet, so mutants reach deep
-        /// into the entry and QASM parsers — never panics the loader.
+        /// into the body layout, entry and QASM parsers — never panics the
+        /// loader.
         #[test]
         fn mutated_snapshots_never_panic_the_loader(
             mutations in collection::vec((any::<usize>(), any::<u8>(), 0..3u8), 1..6),
         ) {
-            const ALPHABET: &[u8] = b"0123456789abcdef,=; \n-.[]()qx";
-            let mut text = snapshot_text(&[
-                (bell(), vec![0.5, 0.0, 0.0, 0.5], None),
-                (rotated(0.3), vec![0.25; 4], Some(512)),
-                (ladder(3, 1.1), vec![0.125; 8], None),
-            ])
-            .into_bytes();
+            const ALPHABET: &[u8] = b"0123456789abcdef,=:; \n-.[]()qxpmotfy";
+            let mut snapshot = Snapshot::default();
+            let every = snapshot.body(&Interned { id: 0, body: every_slot() });
+            snapshot.entry(every, (71, 2), &[0.125; 8], Some(512));
+            snapshot.entry(every, (5, 0), &[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], None);
+            for (id, (circuit, dist)) in
+                [(bell(), vec![0.5, 0.0, 0.0, 0.5]), (ladder(3, 1.1), vec![0.125; 8])].iter().enumerate()
+            {
+                let body = FragmentBody::from_circuit(circuit).unwrap();
+                let place = snapshot.body(&Interned { id: id as u64 + 1, body });
+                snapshot.entry(place, (0, 0), dist, None);
+            }
+            let text = snapshot.finish();
+            prop_assert_eq!(parse_snapshot(&text).map(|(bodies, entries)| (bodies.len(), entries.len())), Ok((3, 4)));
+            let mut text = text.into_bytes();
             for (at, byte, kind) in mutations {
                 let byte = if byte < 128 { ALPHABET[byte as usize % ALPHABET.len()] } else { byte };
                 let at = at % (text.len() + 1);
@@ -1498,6 +1845,28 @@ mod tests {
     }
 
     #[test]
+    fn a_bare_circuit_round_trips_through_lookup_and_store() {
+        // the bare front is the keyed one: the circuit is variant (0, 0) of
+        // its own fixed-operation body, and a variant of another body that
+        // instantiates to the same circuit is another key
+        let cache = ResultCache::new(1 << 16);
+        let circuit = ladder(2, 0.4);
+        let body = FragmentBody::from_circuit(&circuit).unwrap();
+        assert!(body.instantiate(0, 0).structurally_equal(&circuit));
+        cache.store(&circuit, &[0.25; 4], Some(64));
+        let handle = bare(&cache, &circuit);
+        assert_eq!(cache.lookup_key(&handle, (0, 0), Some(64)), hit(vec![0.25; 4]));
+        cache.store_key(&handle, (0, 0), &Arc::new(vec![0.5, 0.5, 0.0, 0.0]), None);
+        assert_eq!(cache.lookup(&circuit, Some(64)), hit(vec![0.5, 0.5, 0.0, 0.0]));
+        let mut prepped = vec![SkeletonOp::Prep { place: 1, qubit: QubitId::new(0) }];
+        prepped.extend(circuit.operations().iter().cloned().map(SkeletonOp::Fixed));
+        let keyed = cache.intern(&FragmentBody::new("k".into(), 2, 2, 0, 4, prepped).unwrap());
+        assert!(keyed.body().instantiate(0, 0).structurally_equal(&circuit));
+        assert_eq!(cache.lookup_key(&keyed, (0, 0), None), CacheLookup::Miss);
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
     fn persistence_round_trips_bit_exactly() {
         let path = scratch("roundtrip");
         let policy =
@@ -1518,6 +1887,41 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_stores_each_body_once_and_reloads_its_keys_exactly() {
+        let path = scratch("keyed");
+        let policy = ResultCachePolicy::persisted(path.to_string_lossy().to_string());
+        let cache = ResultCache::open(&policy);
+        let body = cache.intern(&every_slot());
+        let stored = [(0, 0), (71, 2), (36, 1)];
+        for (i, &variant) in stored.iter().enumerate() {
+            let mut dist = vec![0.0; 8];
+            dist[i] = 1.0;
+            cache.store_key(&body, variant, &Arc::new(dist), Some(100 + i as u64));
+        }
+        cache.persist().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("QRCC-RESULT-CACHE v2\n"), "{text}");
+        assert_eq!(text.lines().filter(|line| line.starts_with("body ")).count(), 1, "{text}");
+        assert_eq!(text.lines().filter(|line| line.starts_with("entry ")).count(), 3);
+
+        let restarted = ResultCache::open(&policy);
+        assert_eq!(restarted.stats().snapshot_loaded, 3);
+        let reloaded = restarted.intern(&every_slot());
+        for (i, &variant) in stored.iter().enumerate() {
+            let CacheLookup::Hit(served) = restarted.lookup_key(&reloaded, variant, Some(100))
+            else {
+                panic!("{variant:?} was persisted")
+            };
+            assert_eq!(served[i], 1.0);
+        }
+        for other in [(0, 1), (1, 0), (70, 2)] {
+            assert_eq!(restarted.lookup_key(&reloaded, other, None), CacheLookup::Miss);
+        }
+        assert!(reloaded.body().structurally_equal(&every_slot()), "the layout round-trips");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn version_mismatch_is_ignored_not_fatal() {
         let path = scratch("version");
         std::fs::write(&path, "QRCC-RESULT-CACHE v999\nentry shots=exact dist=0 qasm_lines=0\n")
@@ -1530,6 +1934,27 @@ mod tests {
         // garbage is equally non-fatal
         std::fs::write(&path, "not a snapshot at all").unwrap();
         assert!(ResultCache::open(&policy).stats().snapshot_ignored);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_snapshot_is_ignored() {
+        // the circuit-addressed format this one replaced: valid as it was
+        // written, it no longer loads
+        let path = scratch("v1");
+        let qasm = to_qasm(&bell());
+        let v1 = format!(
+            "QRCC-RESULT-CACHE v1\nentry shots=exact dist={} qasm_lines={}\n{qasm}",
+            ["3fe0000000000000", "0000000000000000", "0000000000000000", "3fe0000000000000"]
+                .join(","),
+            qasm.lines().count()
+        );
+        std::fs::write(&path, v1).unwrap();
+        let cache = ResultCache::open(&ResultCachePolicy::persisted(path.to_string_lossy()));
+        let stats = cache.stats();
+        assert!(stats.snapshot_ignored);
+        assert_eq!((stats.snapshot_loaded, stats.entries), (0, 0));
+        assert_eq!(cache.lookup(&bell(), None), CacheLookup::Miss);
         std::fs::remove_file(&path).unwrap();
     }
 

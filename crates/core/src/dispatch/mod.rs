@@ -22,22 +22,26 @@
 //!   and the window bounds the results not yet folded: a window of 1 holds
 //!   at most one chunk's. The workers keep executing what is already in
 //!   flight, so folding overlaps execution.
-//! * **Retry with exclusion** — a circuit that fails on a backend
-//!   (`FlakyBackend` simulates transient and persistent faults) is
-//!   re-routed to another compatible backend with the failer excluded
-//!   ([`route_retry`](crate::schedule)); once every compatible backend has
-//!   failed it, the exclusions are waived (*requeue* — the fault may have
-//!   been transient) until [`SchedulePolicy::max_retries`] failures
-//!   accumulate, at which point [`CoreError::RetriesExhausted`] surfaces.
+//! * **Retry with exclusion** — a circuit that fails on a backend with a
+//!   transient error ([`CoreError::is_transient`]; `FlakyBackend` simulates
+//!   transient and persistent faults) is re-routed to another compatible
+//!   backend with the failer excluded ([`route_retry`](crate::schedule));
+//!   once every compatible backend has failed it, the exclusions are waived
+//!   (*requeue* — the fault may have been transient) until
+//!   [`SchedulePolicy::max_retries`] failures accumulate, at which point
+//!   [`CoreError::RetriesExhausted`] surfaces. A permanent error — a
+//!   protocol violation, a simulator refusal, a bad key — would recur on
+//!   any backend, so it ends the request at once, unwrapped.
 //!   Shot accounting stays exact: a circuit's allocated shots, less what
 //!   the result cache serves, are spent exactly once, on the backend where
 //!   it finally succeeds, and every delivered chunk holds its keys in
 //!   ascending order regardless of worker timing or retry schedule.
-//! * **Result cache** — with a cache attached to the registry, each worker
-//!   serves its jobs through [`cache::serve`](crate::cache::serve): full
-//!   hits never reach the backend, and misses and delta top-ups run as one
-//!   call. A retry asks for the circuit's allocated shots again, and the
-//!   cache is consulted again.
+//! * **Result cache** — with a cache attached to the registry, every
+//!   fragment body is interned once per request, and each worker serves its
+//!   jobs' canonical keys through [`cache::serve`](crate::cache::serve):
+//!   full hits never reach the backend and are never built, and misses and
+//!   delta top-ups run as one call. A retry asks for the circuit's
+//!   allocated shots again, and the cache is consulted again.
 //! * **Lifecycle telemetry** — [`DispatchStats`] counts jobs dispatched /
 //!   completed / retried / requeued and the wall-clock of each phase
 //!   (queue wait, backend execution, consumer delivery); per-backend
@@ -55,9 +59,9 @@ mod worker;
 #[cfg(any(test, feature = "testing"))]
 pub use testing::{FailureMode, FlakyBackend, QueueBackend};
 
+use crate::cache::CachedBody;
 use crate::config::SchedulePolicy;
 use crate::execute::{BackendUsage, ExecutionResults, PreparedBatch, Shared};
-use crate::fragment::FragmentSet;
 use crate::schedule::{router, DeviceRegistry};
 use crate::CoreError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,15 +100,15 @@ pub struct DispatchStats {
 
 /// The channel-driven async dispatch engine inside
 /// [`Scheduler`](crate::schedule::Scheduler): runs one prepared
-/// (deduplicated, shot-allocated) batch of `fragments`' variants across
+/// (deduplicated, shot-allocated) batch of fragment variants across
 /// `registry` under `policy`. Each chunk is routed across the registry, and
 /// its sub-batches are driven through per-backend worker threads under a
 /// bounded in-flight window — each job goes through the registry's result
 /// cache ([`cache::serve`](crate::cache::serve)), and what the cache does
 /// not answer reaches the backend as one
 /// [`run_variants`](crate::execute::ExecutionBackend::run_variants) call
-/// over circuits borrowed from `batch`. Failed circuits are re-routed with
-/// the failing backend excluded, and each chunk's [`ExecutionResults`] are
+/// over canonical keys of `batch`. Failed circuits are routed again with the
+/// failing backend excluded, and each chunk's [`ExecutionResults`] are
 /// delivered to `sink` strictly in chunk order. Returns the lifecycle
 /// telemetry and, per backend that did any work (registry order), its
 /// usage.
@@ -113,15 +117,15 @@ pub struct DispatchStats {
 ///
 /// * [`CoreError::NoCompatibleBackend`] when routing cannot place a
 ///   circuit on any registered backend.
-/// * [`CoreError::RetriesExhausted`] when a circuit fails more than
-///   [`SchedulePolicy::max_retries`] times; with a retry budget of 0 the
-///   first backend error propagates unwrapped instead.
+/// * [`CoreError::RetriesExhausted`] when a circuit fails transiently more
+///   than [`SchedulePolicy::max_retries`] times; with a retry budget of 0
+///   the first backend error propagates unwrapped instead, and so does the
+///   first permanent one ([`CoreError::is_transient`]) under any budget.
 /// * Any error `sink` returns.
 pub(crate) fn dispatch(
     registry: &DeviceRegistry,
     policy: SchedulePolicy,
-    fragments: &FragmentSet,
-    batch: &PreparedBatch,
+    batch: &PreparedBatch<'_>,
     shots: Option<&[u64]>,
     mut sink: impl FnMut(ExecutionResults) -> Result<(), CoreError>,
 ) -> Result<(DispatchStats, Vec<BackendUsage>), CoreError> {
@@ -130,7 +134,7 @@ pub(crate) fn dispatch(
     // pipeline's `phase.dispatch`) even though workers run on their own
     // threads: the id crosses with the job
     let dispatch_span = tracer.current();
-    let total = batch.circuits.len();
+    let total = batch.len();
     let mut stats = DispatchStats::default();
     if total == 0 {
         // preserve the chunk protocol: an empty batch still delivers one
@@ -165,11 +169,16 @@ pub(crate) fn dispatch(
         .map(|entry| BackendUsage { backend: entry.name().to_string(), ..Default::default() })
         .collect();
 
+    // each body's identity is checked once here, for the whole request
+    let cache = registry.result_cache().map(|cache| &**cache);
+    let bodies: Vec<CachedBody> = cache.map_or_else(Vec::new, |cache| {
+        batch.fragments.fragments.iter().map(|fragment| cache.intern(fragment.body())).collect()
+    });
+    let cache = cache.map(|cache| (cache, &bodies[..]));
     let cancelled = AtomicBool::new(false);
     std::thread::scope(|scope| -> Result<(), CoreError> {
         let (event_tx, event_rx) = std::sync::mpsc::channel::<JobOutcome>();
-        let cache = registry.result_cache().map(|cache| &**cache);
-        let context = JobContext { fragments, batch, cache, cancelled: &cancelled };
+        let context = JobContext { batch, cache, cancelled: &cancelled };
         let workers = worker::spawn_workers(scope, entries, &event_tx, context);
         drop(event_tx); // workers hold their own clones
 
@@ -182,11 +191,10 @@ pub(crate) fn dispatch(
                 if next_dispatch < bounds.len() && in_flight < window {
                     let chunk_index = next_dispatch;
                     let (start, end) = bounds[chunk_index];
-                    let chunk_circuits = &batch.circuits[start..end];
                     let chunk_shots = shots.map(|s| &s[start..end]);
                     let assignment = {
                         let _span = tracer.span_under("phase.route", dispatch_span);
-                        router::route(registry, chunk_circuits, chunk_shots)?
+                        router::route(registry, &batch.shapes[start..end], chunk_shots)?
                     };
                     let mut per_entry: Vec<Vec<usize>> = vec![Vec::new(); entries.len()];
                     for (local, &entry) in assignment.iter().enumerate() {
@@ -279,10 +287,9 @@ pub(crate) fn dispatch(
                             if !excluded[circuit].contains(&job.entry) {
                                 excluded[circuit].push(job.entry);
                             }
-                            if policy.max_retries == 0 {
-                                // retries disabled: behave like the
-                                // blocking scheduler and surface the
-                                // first backend error unwrapped
+                            if policy.max_retries == 0 || !error.is_transient() {
+                                // retries disabled, or a failure that would
+                                // recur on any backend: surface it unwrapped
                                 return Err(error);
                             }
                             if failures_of[circuit] > policy.max_retries {
@@ -293,7 +300,7 @@ pub(crate) fn dispatch(
                             }
                             let (retry_entry, requeued) = router::route_retry(
                                 registry,
-                                &batch.circuits[circuit],
+                                &batch.shapes[circuit],
                                 &excluded[circuit],
                             )?;
                             if requeued {

@@ -7,7 +7,7 @@
 //! The TCP-level counterpart, `qrcc_net::testing::FaultyProxy`, injects
 //! faults below these backends: into the byte stream itself.
 
-use crate::execute::ExecutionBackend;
+use crate::execute::{CircuitShape, ExecutionBackend};
 use crate::CoreError;
 use parking_lot::Mutex;
 use qrcc_circuit::Circuit;
@@ -181,8 +181,8 @@ impl<B: ExecutionBackend> ExecutionBackend for FlakyBackend<B> {
         self.inner.max_qubits()
     }
 
-    fn can_run(&self, circuit: &Circuit) -> bool {
-        self.inner.can_run(circuit)
+    fn can_run(&self, shape: &CircuitShape) -> bool {
+        self.inner.can_run(shape)
     }
 
     fn shots_per_circuit(&self) -> Option<u64> {
@@ -256,8 +256,8 @@ impl<B: ExecutionBackend> ExecutionBackend for QueueBackend<B> {
         self.inner.max_qubits()
     }
 
-    fn can_run(&self, circuit: &Circuit) -> bool {
-        self.inner.can_run(circuit)
+    fn can_run(&self, shape: &CircuitShape) -> bool {
+        self.inner.can_run(shape)
     }
 
     fn shots_per_circuit(&self) -> Option<u64> {

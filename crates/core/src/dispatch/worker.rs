@@ -2,18 +2,17 @@
 //! each draining a FIFO job queue, serving each job through the result-cache
 //! front and reporting outcomes over a shared event channel.
 
-use crate::cache::{self, ResultCache, Served};
-use crate::execute::{PreparedBatch, VariantBatch};
-use crate::fragment::FragmentSet;
+use crate::cache::{self, CachedBody, ResultCache, Served};
+use crate::execute::PreparedBatch;
+use crate::fragment::VariantKey;
 use crate::schedule::RegisteredBackend;
-use qrcc_circuit::Circuit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// One dispatchable unit of work: a group of batch circuits bound for one
 /// backend, named by their indices in the [`PreparedBatch`] the workers
-/// borrow. Initial dispatch creates one job per (chunk, backend) sub-batch;
+/// borrow (no circuit is built before a worker runs it). Initial dispatch creates one job per (chunk, backend) sub-batch;
 /// retries create single-circuit jobs.
 pub(crate) struct Job {
     /// Which streamed chunk the circuits belong to.
@@ -62,13 +61,13 @@ impl WorkerHandle {
     }
 }
 
-/// What every worker of one dispatched batch borrows: the fragments and the
-/// prepared batch its jobs index into, and the registry's result cache.
+/// What every worker of one dispatched batch borrows: the prepared batch
+/// its jobs index into, and the registry's result cache with every
+/// fragment's body interned in it (indexed like the fragments).
 #[derive(Clone, Copy)]
 pub(crate) struct JobContext<'env> {
-    pub(crate) fragments: &'env FragmentSet,
-    pub(crate) batch: &'env PreparedBatch,
-    pub(crate) cache: Option<&'env ResultCache>,
+    pub(crate) batch: &'env PreparedBatch<'env>,
+    pub(crate) cache: Option<(&'env ResultCache, &'env [CachedBody])>,
     pub(crate) cancelled: &'env AtomicBool,
 }
 
@@ -94,18 +93,19 @@ pub(crate) fn spawn_workers<'scope, 'env: 'scope>(
         .collect()
 }
 
-/// The body of one worker thread: serve each queued job through
-/// [`cache::serve`], whose one backend call is a
+/// The body of one worker thread: serve each queued job's canonical keys
+/// through [`cache::serve`], whose one backend call is a
 /// [`run_variants`](crate::execute::ExecutionBackend::run_variants) over the
-/// job's circuits the cache did not answer, and report the outcome. A closed
-/// event channel means the dispatcher is gone — stop immediately.
+/// variants the cache did not answer — where a local backend instantiates
+/// them — and report the outcome. A closed event channel means the
+/// dispatcher is gone — stop immediately.
 fn worker_loop(
     entry: &RegisteredBackend,
     jobs: Receiver<Job>,
     events: Sender<JobOutcome>,
     context: JobContext<'_>,
 ) {
-    let JobContext { fragments, batch, cache, cancelled } = context;
+    let JobContext { batch, cache, cancelled } = context;
     while let Ok(job) = jobs.recv() {
         if cancelled.load(Ordering::Relaxed) {
             continue; // aborting: drain the queue without executing
@@ -116,7 +116,7 @@ fn worker_loop(
         // spans (the cache's, a RemoteBackend submit) parent under it
         // through the worker's thread-local stack
         let span = crate::obs::tracer().span_under("job.execute", job.span);
-        let circuits: Vec<&Circuit> = job.circuits.iter().map(|&c| &batch.circuits[c]).collect();
+        let keys: Vec<VariantKey> = job.circuits.iter().map(|&c| batch.canonical[c]).collect();
         let backend = entry.backend();
         // a panicking backend fails the job's circuits inside the front
         // instead of killing the worker, whose undelivered outcome would
@@ -125,19 +125,12 @@ fn worker_loop(
             cache,
             entry.name(),
             backend.shots_per_circuit(),
-            &circuits,
+            &keys,
             job.shots.as_deref(),
             |picked, shots| {
                 // the variants stay keyed, so a remote backend ships keys
                 let picks = picked.iter().map(|&i| job.circuits[i]).collect();
-                let variants = VariantBatch::picked(
-                    fragments,
-                    &batch.canonical,
-                    &batch.circuits,
-                    picks,
-                    shots,
-                );
-                backend.run_variants(&variants)
+                backend.run_variants(&batch.variants(picks, shots))
             },
         );
         drop(span);

@@ -67,9 +67,11 @@ pub enum CoreError {
         needed: u64,
     },
     /// A backend reported a transient failure (device dropped, queue
-    /// timeout, job rejected). The [`dispatch`](crate::dispatch) event loop
-    /// re-routes such jobs to another compatible backend with the failer
-    /// excluded; the error only surfaces once the retry budget is spent.
+    /// timeout, job rejected) — the one error class
+    /// [`CoreError::is_transient`] calls transient. The
+    /// [`dispatch`](crate::dispatch) event loop re-routes such jobs to
+    /// another compatible backend with the failer excluded; the error only
+    /// surfaces once the retry budget is spent.
     BackendUnavailable {
         /// The backend that failed.
         backend: String,
@@ -81,9 +83,8 @@ pub enum CoreError {
     /// mismatch, or a server reply that breaks the submit/result contract.
     /// Unlike [`CoreError::BackendUnavailable`] (I/O errors, disconnects,
     /// timeouts — transient by assumption), a transport error means one side
-    /// is speaking the protocol wrong, so retrying the same bytes is
-    /// pointless; the dispatcher still re-routes the affected circuits to
-    /// *other* backends.
+    /// is speaking the protocol wrong, so it is permanent: the dispatcher
+    /// ends the request with it instead of retrying anywhere.
     Transport {
         /// Human-readable description of the violation.
         detail: String,
@@ -166,6 +167,18 @@ impl fmt::Display for CoreError {
             CoreError::Simulation(e) => write!(f, "simulation error: {e}"),
             CoreError::Ilp(e) => write!(f, "ilp error: {e}"),
         }
+    }
+}
+
+impl CoreError {
+    /// Whether the failure may clear on another attempt, so that the
+    /// dispatcher should retry it: only [`CoreError::BackendUnavailable`]
+    /// (a fleet worker's `Backend` error kind). Every other error —
+    /// [`CoreError::Transport`] (the `Protocol` and `VersionMismatch`
+    /// kinds), a simulator refusal, a key that fits no fragment — is
+    /// permanent: the same bytes fail the same way on any backend.
+    pub fn is_transient(&self) -> bool {
+        matches!(self, CoreError::BackendUnavailable { .. })
     }
 }
 

@@ -8,13 +8,13 @@
 //!    slot-configuration ordinal, packed output bases). Pauli terms that
 //!    measure a fragment in the same output bases share its keys. No
 //!    circuits are built yet.
-//! 2. **Deduplicate** — each key maps to its canonical circuit by a rule on
+//! 2. **Deduplicate** — each key maps to its canonical key by a rule on
 //!    the ordinal (`Fragment::canonical_ordinal`: the two measuring
-//!    gate-cut instances of a half build one circuit), so only canonical keys
-//!    are instantiated and no circuit is hashed. The surviving circuits form
-//!    the batch, in first-request order.
+//!    gate-cut instances of a half build one circuit), so no circuit is
+//!    built or hashed. The canonical keys form the batch, in first-request
+//!    order, each with its [`CircuitShape`] read off the fragment body.
 //! 3. **Route** — a [`Scheduler`](crate::schedule::Scheduler) places each
-//!    deduplicated circuit on a compatible backend of a
+//!    deduplicated variant, by its shape, on a compatible backend of a
 //!    [`DeviceRegistry`](crate::schedule::DeviceRegistry) (heterogeneous
 //!    qubit counts, noise, shot costs; a single backend is a one-entry
 //!    registry) and splits a global shot budget across the batch by
@@ -31,8 +31,8 @@
 //!    chunk is an [`ExecutionResults`] in ascending key order, where keys
 //!    that share a circuit share its distribution. A job reaches its backend
 //!    as one [`ExecutionBackend::run_variants`] call over a [`VariantBatch`]
-//!    (canonical keys plus the circuits they instantiate, borrowed from the
-//!    batch), so a remote backend can ship keys instead of circuits.
+//!    of canonical keys: a local backend instantiates them there, on the
+//!    worker thread that runs them, and a remote backend ships the keys.
 //!    Per-backend usage goes straight to the scheduler's
 //!    [`ScheduleReport`](crate::schedule::ScheduleReport).
 //! 5. **Fold** — each delivered chunk folds into per-fragment cut tensors
@@ -66,7 +66,7 @@ use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::Circuit;
 use qrcc_sim::compile::{CompileCounters, CompileStats, FramedProgram};
-use qrcc_sim::device::Device;
+use qrcc_sim::device::{needs_mid_circuit, Device};
 use qrcc_sim::{Counts, SimError};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -118,12 +118,13 @@ pub trait ExecutionBackend: Sync {
     /// Executes a batch of fragment variants, returning one result per
     /// variant in order. The dispatcher calls this for every job.
     ///
-    /// The default runs the circuits where the batch holds them
-    /// ([`VariantBatch::circuit_refs`]) with the batch's shots. A remote
-    /// backend overrides it to ship each fragment once and then only the
-    /// canonical [`VariantKey`]s.
+    /// The default instantiates the variants here, on the calling thread
+    /// ([`VariantBatch::instantiate`]), and runs them with the batch's
+    /// shots. A remote backend overrides it to ship each fragment once and
+    /// then only the canonical [`VariantKey`]s, building nothing.
     fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.run(&variants.circuit_refs(), variants.shots())
+        let circuits = variants.instantiate();
+        self.run(&circuits.iter().collect::<Vec<_>>(), variants.shots())
     }
 
     /// The widest circuit this backend can run, or `None` when unbounded.
@@ -132,12 +133,12 @@ pub trait ExecutionBackend: Sync {
         None
     }
 
-    /// Whether this backend can run `circuit` — the router's placement
-    /// predicate. The default checks only [`ExecutionBackend::max_qubits`];
-    /// device-backed backends refine it (e.g. mid-circuit measurement
-    /// support).
-    fn can_run(&self, circuit: &Circuit) -> bool {
-        self.max_qubits().is_none_or(|max| circuit.num_qubits() <= max)
+    /// Whether this backend can run a circuit of `shape` — the router's
+    /// placement predicate. The default checks only
+    /// [`ExecutionBackend::max_qubits`]; device-backed backends refine it
+    /// (e.g. mid-circuit measurement support).
+    fn can_run(&self, shape: &CircuitShape) -> bool {
+        self.max_qubits().is_none_or(|max| shape.num_qubits <= max)
     }
 
     /// The backend's default shot count per circuit, or `None` for exact
@@ -166,54 +167,79 @@ pub trait ExecutionBackend: Sync {
     }
 }
 
+/// What the router reads of a circuit to place it: its registers, and
+/// whether it reuses a wire (resets one, or acts on one after measuring
+/// it), which needs mid-circuit measurement hardware. A fragment variant's
+/// shape comes from its body and key
+/// ([`FragmentBody::shape`](crate::fragment::FragmentBody::shape)) without
+/// building the circuit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CircuitShape {
+    /// Qubits the circuit acts on.
+    pub num_qubits: usize,
+    /// Classical bits its distribution ranges over.
+    pub num_clbits: usize,
+    /// Whether it needs mid-circuit measurement or reset.
+    pub reuses_wires: bool,
+}
+
+impl CircuitShape {
+    /// The shape of a built circuit.
+    pub fn of(circuit: &Circuit) -> Self {
+        CircuitShape {
+            num_qubits: circuit.num_qubits(),
+            num_clbits: circuit.num_clbits(),
+            reuses_wires: needs_mid_circuit(circuit),
+        }
+    }
+}
+
 /// The variant view of one batch of work: canonical [`VariantKey`]s of a
-/// [`FragmentSet`], the circuits they instantiate to, and optional per-variant
-/// shots — what [`ExecutionBackend::run_variants`] receives.
+/// [`FragmentSet`] and optional per-variant shots — what
+/// [`ExecutionBackend::run_variants`] receives. It holds no circuit: a
+/// backend that needs them builds them ([`VariantBatch::instantiate`]).
 ///
-/// The view picks some entries of batch-wide key and circuit lists (a
-/// dispatcher job runs the circuits of a chunk routed to one backend)
-/// without copying them.
+/// The view picks some entries of a batch-wide key list (a dispatcher job
+/// runs the variants of a chunk routed to one backend) without copying it.
 #[derive(Debug, Clone)]
 pub struct VariantBatch<'a> {
     fragments: &'a FragmentSet,
     keys: &'a [VariantKey],
-    circuits: &'a [Circuit],
     picks: Vec<usize>,
     shots: Option<&'a [u64]>,
 }
 
 impl<'a> VariantBatch<'a> {
-    /// Every variant of `keys`, where `circuits[i]` is what `keys[i]`
-    /// instantiates to (each circuit's canonical key, so keys sharing a
-    /// circuit appear once) and `shots`, when given, holds one count per variant.
+    /// Every variant of `keys` (each a circuit's canonical key, so keys
+    /// sharing a circuit appear once); `shots`, when given, holds one count
+    /// per variant.
     ///
     /// # Panics
     ///
-    /// Panics if the lengths disagree or a key names no fragment of
-    /// `fragments`.
+    /// Panics if a key names no fragment of `fragments` or its ordinal is
+    /// out of the fragment's range, or the shot count disagrees.
     pub fn new(
         fragments: &'a FragmentSet,
         keys: &'a [VariantKey],
-        circuits: &'a [Circuit],
         shots: Option<&'a [u64]>,
     ) -> Self {
-        let known = |key: &VariantKey| key.fragment < fragments.fragments.len();
-        assert!(keys.iter().all(known), "every key names a fragment of the set");
-        Self::picked(fragments, keys, circuits, (0..keys.len()).collect(), shots)
+        let known = |key: &VariantKey| {
+            fragments.fragments.get(key.fragment).is_some_and(|f| key.ordinal < f.variant_count())
+        };
+        assert!(keys.iter().all(known), "every key names a variant of the set");
+        Self::picked(fragments, keys, (0..keys.len()).collect(), shots)
     }
 
-    /// The variants at `picks` of the batch-wide `keys`/`circuits`, with
-    /// one shot count per pick.
+    /// The variants at `picks` of the batch-wide `keys`, with one shot count
+    /// per pick.
     pub(crate) fn picked(
         fragments: &'a FragmentSet,
         keys: &'a [VariantKey],
-        circuits: &'a [Circuit],
         picks: Vec<usize>,
         shots: Option<&'a [u64]>,
     ) -> Self {
-        assert_eq!(keys.len(), circuits.len(), "one circuit per variant key");
         assert!(shots.is_none_or(|s| s.len() == picks.len()), "one shot count per variant");
-        VariantBatch { fragments, keys, circuits, picks, shots }
+        VariantBatch { fragments, keys, picks, shots }
     }
 
     /// The fragment set the keys index.
@@ -241,10 +267,12 @@ impl<'a> VariantBatch<'a> {
         self.shots
     }
 
-    /// The instantiated circuits, in batch order, where the batch holds
-    /// them.
-    pub fn circuit_refs(&self) -> Vec<&'a Circuit> {
-        self.picks.iter().map(|&i| &self.circuits[i]).collect()
+    /// Builds the variants' circuits, in batch order.
+    pub fn instantiate(&self) -> Vec<Circuit> {
+        let fragments = &self.fragments.fragments;
+        self.keys()
+            .map(|key| fragments[key.fragment].instantiate(key.ordinal, key.outputs))
+            .collect()
     }
 }
 
@@ -387,19 +415,22 @@ fn keep_last_of_equal_keys(entries: &mut Vec<(VariantKey, Shared)>) {
 }
 
 /// The dedup phase's output: the unique variant keys of a request list, the
-/// deduplicated circuits they instantiate, and the key → circuit mapping.
-/// Shared by the single-backend [`execute_requests`] path and the
-/// multi-backend [`Scheduler`](crate::schedule::Scheduler).
+/// deduplicated circuits they map to — as canonical keys with their shapes,
+/// none built — and the key → circuit mapping, over the fragment set the
+/// keys index. Shared by the single-backend [`execute_requests`] path and
+/// the multi-backend [`Scheduler`](crate::schedule::Scheduler).
 #[derive(Debug, Clone)]
-pub(crate) struct PreparedBatch {
+pub(crate) struct PreparedBatch<'f> {
+    /// The fragments the keys index.
+    pub(crate) fragments: &'f FragmentSet,
     /// First-seen-ordered unique keys.
     pub(crate) keys: Vec<VariantKey>,
-    /// The deduplicated circuits to execute, in first-seen order.
-    pub(crate) circuits: Vec<Circuit>,
-    /// The canonical key each circuit instantiates (parallel to
-    /// `circuits`).
+    /// The canonical key of each deduplicated circuit to execute, in
+    /// first-seen order.
     pub(crate) canonical: Vec<VariantKey>,
-    /// For each unique key, the index of its circuit in `circuits`.
+    /// What routing reads of each circuit (parallel to `canonical`).
+    pub(crate) shapes: Vec<CircuitShape>,
+    /// For each unique key, the index of its circuit in `canonical`.
     pub(crate) circuit_of_key: Vec<usize>,
     /// Per unique key, how many duplicate requests collapsed into it.
     pub(crate) key_count: Vec<u64>,
@@ -407,31 +438,32 @@ pub(crate) struct PreparedBatch {
     /// `c`'s keys are `keys_by_circuit[key_start[c]..key_start[c + 1]]`,
     /// so a chunk of circuits finds its keys without scanning the batch.
     keys_by_circuit: Vec<usize>,
-    /// Group offsets into `keys_by_circuit` (one more than `circuits`).
+    /// Group offsets into `keys_by_circuit` (one more than `canonical`).
     key_start: Vec<usize>,
     /// Total requests before dedup.
     pub(crate) requested: u64,
 }
 
 /// Phase 2 of the protocol: deduplicates `requests` by [`VariantKey`] and
-/// maps every key to its canonical circuit by the ordinal rule of
-/// `Fragment::canonical_ordinal`, instantiating
-/// each canonical key once — so e.g. the two measuring gate-cut instances of
-/// a half run once, and no circuit is hashed.
+/// maps every key to its canonical key by the ordinal rule of
+/// `Fragment::canonical_ordinal` — so e.g. the two measuring gate-cut
+/// instances of a half run once — reading each canonical key's shape off
+/// its fragment body. No circuit is built or hashed.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidCutSolution`] for keys that do not match `fragments`.
-pub(crate) fn prepare_batch(
-    fragments: &FragmentSet,
+pub(crate) fn prepare_batch<'f>(
+    fragments: &'f FragmentSet,
     requests: &[VariantRequest],
-) -> Result<PreparedBatch, CoreError> {
+) -> Result<PreparedBatch<'f>, CoreError> {
     let mut slot_of_key: HashMap<VariantKey, usize> = HashMap::with_capacity(requests.len());
     let mut circuit_of_canonical: HashMap<VariantKey, usize> = HashMap::new();
     let mut batch = PreparedBatch {
+        fragments,
         keys: Vec::with_capacity(requests.len()),
-        circuits: Vec::new(),
         canonical: Vec::new(),
+        shapes: Vec::new(),
         circuit_of_key: Vec::with_capacity(requests.len()),
         key_count: Vec::with_capacity(requests.len()),
         keys_by_circuit: Vec::new(),
@@ -446,9 +478,9 @@ pub(crate) fn prepare_batch(
         let fragment = fragments.fragment_of(&key)?;
         let canonical = VariantKey { ordinal: fragment.canonical_ordinal(key.ordinal), ..key };
         let circuit = *circuit_of_canonical.entry(canonical).or_insert_with(|| {
-            batch.circuits.push(fragment.instantiate(canonical.ordinal, canonical.outputs));
+            batch.shapes.push(fragment.body().shape(canonical.ordinal, canonical.outputs));
             batch.canonical.push(canonical);
-            batch.circuits.len() - 1
+            batch.canonical.len() - 1
         });
         slot_of_key.insert(key, batch.keys.len());
         batch.keys.push(key);
@@ -456,11 +488,11 @@ pub(crate) fn prepare_batch(
         batch.key_count.push(1);
     }
     // a counting sort of the key slots by circuit
-    let mut key_start = vec![0; batch.circuits.len() + 1];
+    let mut key_start = vec![0; batch.len() + 1];
     for &circuit in &batch.circuit_of_key {
         key_start[circuit + 1] += 1;
     }
-    for circuit in 0..batch.circuits.len() {
+    for circuit in 0..batch.len() {
         key_start[circuit + 1] += key_start[circuit];
     }
     let mut next = key_start.clone();
@@ -473,7 +505,22 @@ pub(crate) fn prepare_batch(
     Ok(batch)
 }
 
-impl PreparedBatch {
+impl<'f> PreparedBatch<'f> {
+    /// Number of deduplicated circuits.
+    pub(crate) fn len(&self) -> usize {
+        self.canonical.len()
+    }
+
+    /// The circuits at `picks` as a variant batch, with one shot count per
+    /// pick.
+    pub(crate) fn variants<'a>(
+        &'a self,
+        picks: Vec<usize>,
+        shots: Option<&'a [u64]>,
+    ) -> VariantBatch<'a> {
+        VariantBatch::picked(self.fragments, &self.canonical, picks, shots)
+    }
+
     /// The results of circuits `range` given their distributions (in
     /// circuit order): every key whose circuit lies in the range shares that
     /// circuit's distribution, and counts the requests it collapsed. Costs
@@ -496,8 +543,8 @@ impl PreparedBatch {
 }
 
 /// Phases 2+4 for a single backend: deduplicates `requests` by
-/// [`VariantKey`], maps them to canonical circuits, and executes those as
-/// one [`ExecutionBackend::run`] call. Multi-backend routing, shot
+/// [`VariantKey`], maps them to canonical keys, instantiates those and
+/// executes them as one [`ExecutionBackend::run`] call. Multi-backend routing, shot
 /// allocation and chunking live in [`crate::schedule::Scheduler`].
 ///
 /// # Errors
@@ -511,20 +558,21 @@ pub fn execute_requests(
     backend: &dyn ExecutionBackend,
 ) -> Result<ExecutionResults, CoreError> {
     let batch = prepare_batch(fragments, requests)?;
+    let circuits = batch.variants((0..batch.len()).collect(), None).instantiate();
     // One batch submission; backends parallelise internally.
-    let outcomes = backend.run(&batch.circuits.iter().collect::<Vec<_>>(), None);
-    if outcomes.len() != batch.circuits.len() {
+    let outcomes = backend.run(&circuits.iter().collect::<Vec<_>>(), None);
+    if outcomes.len() != batch.len() {
         return Err(CoreError::InvalidCutSolution {
             reason: format!(
                 "backend returned {} results for a batch of {} circuits",
                 outcomes.len(),
-                batch.circuits.len()
+                batch.len()
             ),
         });
     }
     let distributions =
         outcomes.into_iter().map(|outcome| outcome.map(Arc::new)).collect::<Result<_, _>>()?;
-    Ok(batch.results(0..batch.circuits.len(), distributions))
+    Ok(batch.results(0..batch.len(), distributions))
 }
 
 /// Exact backend: the noise-free distribution over a circuit's classical
@@ -730,8 +778,11 @@ impl ExecutionBackend for ShotsBackend {
         Some(self.device.config().num_qubits)
     }
 
-    fn can_run(&self, circuit: &Circuit) -> bool {
-        self.check(circuit).is_ok()
+    fn can_run(&self, shape: &CircuitShape) -> bool {
+        let config = self.device.config();
+        shape.num_qubits <= config.num_qubits
+            && (config.supports_mid_circuit || !shape.reuses_wires)
+            && shape.num_clbits <= Counts::MAX_DENSE_BITS
     }
 
     fn shots_per_circuit(&self) -> Option<u64> {
@@ -860,13 +911,7 @@ mod tests {
         let prepared = prepare_batch(&set, &requests).unwrap();
         let counts = [5, 6, 7];
         let picks = vec![2, 0, 1];
-        let variants = VariantBatch::picked(
-            &set,
-            &prepared.canonical,
-            &prepared.circuits,
-            picks,
-            Some(&counts),
-        );
+        let variants = VariantBatch::picked(&set, &prepared.canonical, picks, Some(&counts));
         assert_eq!(backend.run_variants(&variants).len(), 3);
         assert_eq!(*backend.0.lock(), [(2, None), (2, Some(vec![3, 4])), (3, Some(vec![5, 6, 7]))]);
     }
@@ -954,7 +999,7 @@ mod tests {
         };
 
         let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
-        assert!(!serial.can_run(&chain));
+        assert!(!serial.can_run(&CircuitShape::of(&chain)));
         assert!(refused(&single(&serial, &chain)));
         let first = single(&serial, &bell).unwrap();
         let second = single(&serial, &bell).unwrap();
@@ -1043,8 +1088,9 @@ mod tests {
         // the counters the threads added to are the sum of what each
         // circuit's own compile reports, and a repeat adds it again
         let batch = prepare_batch(&fragments, &requests).unwrap();
+        let circuits = VariantBatch::new(&fragments, &batch.canonical, None).instantiate();
         let mut expected = CompileStats::default();
-        for circuit in &batch.circuits {
+        for circuit in &circuits {
             expected.merge(FramedProgram::compile(circuit).stats());
         }
         assert!(expected.gates_in > 0 && expected.terminal_measures > 0);
@@ -1060,7 +1106,7 @@ mod tests {
         // every variant's distribution is its circuit's, as the branching
         // oracle enumerates it
         for (slot, key) in batch.keys.iter().enumerate() {
-            let oracle = classical_distribution(&batch.circuits[batch.circuit_of_key[slot]]);
+            let oracle = classical_distribution(&circuits[batch.circuit_of_key[slot]]);
             let dist = compiled.distribution(key).unwrap();
             for (a, b) in dist.iter().zip(oracle.unwrap()) {
                 assert!((a - b).abs() < 1e-12);
@@ -1109,13 +1155,13 @@ mod tests {
         let set = chain_fragments();
         let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
         let batch = prepare_batch(&set, &requests).unwrap();
-        let view = |picks: Vec<usize>, shots| {
-            VariantBatch::picked(&set, &batch.canonical, &batch.circuits, picks, shots)
-        };
+        let view =
+            |picks: Vec<usize>, shots| VariantBatch::picked(&set, &batch.canonical, picks, shots);
         let scattered = view(vec![3, 1], None);
         assert_eq!(scattered.keys().collect::<Vec<_>>(), [batch.canonical[3], batch.canonical[1]]);
-        let picked = [&batch.circuits[3], &batch.circuits[1]];
-        assert_eq!(scattered.circuit_refs(), picked);
+        let circuits = VariantBatch::new(&set, &batch.canonical, None).instantiate();
+        let picked = [&circuits[3], &circuits[1]];
+        assert_eq!(scattered.instantiate(), [circuits[3].clone(), circuits[1].clone()]);
 
         // bit for bit what `run` gives over the same circuits; the seeded
         // shots backends draw from the same streams
@@ -1130,7 +1176,7 @@ mod tests {
             shots(7).run_variants(&view(vec![3, 1], Some(&counts))),
             shots(7).run(&picked, Some(&counts))
         );
-        assert!(view(vec![], None).circuit_refs().is_empty());
+        assert!(view(vec![], None).instantiate().is_empty());
     }
 
     /// Every `(key, distribution bits)` of `results`, with its accounting.
@@ -1156,7 +1202,7 @@ mod tests {
             .requests(&set, &observable)
             .unwrap();
         let batch = prepare_batch(&set, &requests).unwrap();
-        assert!(batch.keys.len() > batch.circuits.len(), "keys share circuits");
+        assert!(batch.keys.len() > batch.len(), "keys share circuits");
 
         let mut registry = crate::schedule::DeviceRegistry::new();
         registry.register("exact", ExactBackend::new());
@@ -1175,7 +1221,7 @@ mod tests {
         let single = run(0);
         assert_eq!(single.len(), 1);
         let chunks = run(1);
-        assert_eq!(chunks.len(), batch.circuits.len());
+        assert_eq!(chunks.len(), batch.len());
         let mut merged = ExecutionResults::default();
         for (circuit, chunk) in chunks.into_iter().enumerate() {
             // each chunk holds exactly the keys of its one circuit
@@ -1207,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_hands_backends_canonical_keys_with_their_circuits() {
+    fn dispatch_hands_backends_canonical_keys_with_their_shapes() {
         let (circuit, graph) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
         let config = QrccConfig::new(4)
             .with_subcircuit_range(2, 3)
@@ -1220,16 +1266,16 @@ mod tests {
         let requests = crate::reconstruct::ExpectationReconstructor::new()
             .requests(&set, &observable)
             .unwrap();
-        // a job's view pairs each canonical key with the circuit it
-        // instantiates, in whatever order the job picks them
+        // a job's view holds canonical keys, in whatever order the job picks
+        // them, and builds each one's circuit, whose shape the router read
         let batch = prepare_batch(&set, &requests).unwrap();
-        let picks: Vec<usize> = (0..batch.circuits.len()).rev().step_by(2).collect();
-        let job = VariantBatch::picked(&set, &batch.canonical, &batch.circuits, picks, None);
+        let picks: Vec<usize> = (0..batch.len()).rev().step_by(2).collect();
+        let job = VariantBatch::picked(&set, &batch.canonical, picks.clone(), None);
         assert!(job.len() > 1);
-        for (key, circuit) in job.keys().zip(job.circuit_refs()) {
+        for ((key, circuit), pick) in job.keys().zip(job.instantiate()).zip(picks) {
             let fragment = job.fragments().fragment_of(&key).unwrap();
             assert_eq!(fragment.canonical_ordinal(key.ordinal), key.ordinal);
-            assert_eq!(&fragment.instantiate(key.ordinal, key.outputs), circuit);
+            assert_eq!(batch.shapes[pick], CircuitShape::of(&circuit));
         }
         let reference = execute_requests(&set, &requests, &ExactBackend::new()).unwrap();
 

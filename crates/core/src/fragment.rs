@@ -17,6 +17,7 @@
 //! and output bases into a concrete [`Circuit`] ready for a device or
 //! simulator, from a skeleton lowered once per fragment.
 
+use crate::execute::CircuitShape;
 use crate::gatecut::{instance_op, zz_form, GateHalf, InstanceOp, ZzForm};
 use crate::planner::CutPlan;
 use crate::spec::{assign_intervals, Segment, WireCutPoint};
@@ -24,6 +25,7 @@ use crate::CoreError;
 use qrcc_circuit::dag::NodeId;
 use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Initial state of a wire-cut initialisation slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,7 +137,7 @@ pub struct VariantRequest {
 
 /// One operation of a fragment's skeleton, lowered once when the fragment
 /// is built: a slot reads its digit of a variant's ordinal at `place`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum SkeletonOp {
     /// An operation every variant runs unchanged (a gate or a reset).
     Fixed(Operation),
@@ -189,7 +191,11 @@ pub enum SkeletonOp {
 /// layout and the lowered skeleton. A [`Fragment`] owns one; a remote
 /// worker receives it once per connection and then instantiates
 /// `(ordinal, outputs)` pairs against it, so [`FragmentBody::new`] checks
-/// every invariant [`FragmentBody::instantiate`] relies on.
+/// every invariant [`FragmentBody::instantiate`] relies on. The result
+/// cache addresses a variant by its body and `(ordinal, outputs)`, telling
+/// bodies apart by [`FragmentBody::structural_hash`] and
+/// [`FragmentBody::structurally_equal`]; a bare circuit is a one-variant
+/// body ([`FragmentBody::from_circuit`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentBody {
     name: String,
@@ -199,6 +205,24 @@ pub struct FragmentBody {
     variant_count: u64,
     skeleton: Vec<SkeletonOp>,
     weight: usize,
+    /// When a variant reuses a wire ([`FragmentBody::shape`]).
+    reuses: Vec<Reuse>,
+    hash: u64,
+    #[cfg(any(test, feature = "testing"))]
+    instantiations: InstantiationCount,
+}
+
+/// How many circuits a body and its clones have instantiated: the hook tests
+/// use to check that the pipeline builds only the circuits it runs.
+#[cfg(any(test, feature = "testing"))]
+#[derive(Debug, Clone, Default)]
+struct InstantiationCount(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+#[cfg(any(test, feature = "testing"))]
+impl PartialEq for InstantiationCount {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// One unit per operation plus one per barrier operand: the
@@ -208,6 +232,119 @@ fn operation_weight(op: &Operation) -> usize {
         Operation::Barrier { qubits } => 1 + qubits.len(),
         _ => 1,
     }
+}
+
+/// When a skeleton event happens in a variant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum When {
+    Always,
+    /// When the slot digit at `place` (of `radix`) is one of the set bits
+    /// of `digits`.
+    Digit {
+        place: u64,
+        radix: u64,
+        digits: u8,
+    },
+    /// When the output whose basis code sits at bit `shift` is rotated out
+    /// of Z.
+    Rotated {
+        shift: u32,
+    },
+}
+
+impl When {
+    fn holds(self, ordinal: u64, outputs: u64) -> bool {
+        match self {
+            When::Always => true,
+            When::Digit { place, radix, digits } => digits >> (ordinal / place % radix) & 1 == 1,
+            When::Rotated { shift } => outputs >> shift & 3 != 0,
+        }
+    }
+}
+
+/// A measurement a variant may make, and when its wire is acted on after
+/// it: a variant reuses a wire when both hold for one pair.
+#[derive(Debug, Clone, PartialEq)]
+struct Reuse {
+    measure: When,
+    then: Vec<When>,
+}
+
+/// The measure-then-act pairs of a skeleton, walked in the order
+/// [`FragmentBody::instantiate`] emits it; a reset is a measurement acted on
+/// at once.
+fn reuse_pairs(skeleton: &[SkeletonOp]) -> Vec<Reuse> {
+    struct Walk {
+        pairs: Vec<Reuse>,
+        /// Per qubit acted on, the pairs whose wire is not yet always acted
+        /// on (keyed, not indexed: a body's register may be huge).
+        open: HashMap<usize, Vec<usize>>,
+    }
+    impl Walk {
+        /// Acts on `qubit` when `when` holds, measuring it when `measure`.
+        fn act(&mut self, qubit: QubitId, when: When, measure: bool) {
+            let Walk { pairs, open } = self;
+            let open = open.entry(qubit.index()).or_default();
+            open.iter().for_each(|&pair| pairs[pair].then.push(when));
+            if when == When::Always {
+                open.clear();
+            }
+            if measure {
+                open.push(pairs.len());
+                pairs.push(Reuse { measure: when, then: Vec::new() });
+            }
+        }
+
+        fn operation(&mut self, op: &Operation) {
+            match *op {
+                Operation::Single { qubit, .. } => self.act(qubit, When::Always, false),
+                Operation::Two { qubits: [a, b], .. } => {
+                    self.act(a, When::Always, false);
+                    self.act(b, When::Always, false);
+                }
+                Operation::Measure { qubit, .. } => self.act(qubit, When::Always, true),
+                Operation::Reset { qubit } => {
+                    self.pairs.push(Reuse { measure: When::Always, then: vec![When::Always] });
+                    self.act(qubit, When::Always, false);
+                }
+                Operation::Barrier { .. } => {}
+            }
+        }
+    }
+    let mut walk = Walk { pairs: Vec::new(), open: HashMap::new() };
+    for op in skeleton {
+        match op {
+            SkeletonOp::Fixed(op) => walk.operation(op),
+            &SkeletonOp::Prep { place, qubit } => {
+                walk.act(qubit, When::Digit { place, radix: 4, digits: 0b1110 }, false);
+            }
+            &SkeletonOp::CutMeasure { place, qubit, .. } => {
+                walk.act(qubit, When::Digit { place, radix: 3, digits: 0b110 }, false);
+                walk.act(qubit, When::Always, true);
+            }
+            &SkeletonOp::OutputMeasure { shift, qubit, .. } => {
+                walk.act(qubit, When::Rotated { shift }, false);
+                walk.act(qubit, When::Always, true);
+            }
+            SkeletonOp::GateCutHalf { place, half, qubit, pre, post, .. } => {
+                pre.iter().for_each(|op| walk.operation(op));
+                let (mut gates, mut measures) = (0u8, 0u8);
+                for digit in 0..6 {
+                    match instance_op(digit + 1, *half) {
+                        InstanceOp::Nothing => {}
+                        InstanceOp::PauliZ | InstanceOp::Rz(_) => gates |= 1 << digit,
+                        InstanceOp::MeasureSign => measures |= 1 << digit,
+                    }
+                }
+                let instance = |digits| When::Digit { place: *place, radix: 6, digits };
+                walk.act(*qubit, instance(gates), false);
+                walk.act(*qubit, instance(measures), true);
+                post.iter().for_each(|op| walk.operation(op));
+            }
+        }
+    }
+    walk.pairs.retain(|pair| !pair.then.is_empty());
+    walk.pairs
 }
 
 impl FragmentBody {
@@ -310,6 +447,10 @@ impl FragmentBody {
                 "slot radices multiply to {radix_product:?}, not {variant_count} variants"
             )));
         }
+        let reuses = reuse_pairs(&skeleton);
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        (num_qubits, num_clbits, num_outputs, variant_count, &skeleton).hash(&mut hasher);
+        let hash = hasher.finish();
         Ok(FragmentBody {
             name,
             num_qubits,
@@ -318,7 +459,48 @@ impl FragmentBody {
             variant_count,
             skeleton,
             weight,
+            reuses,
+            hash,
+            #[cfg(any(test, feature = "testing"))]
+            instantiations: InstantiationCount::default(),
         })
+    }
+
+    /// A bare circuit as a one-variant body of [`SkeletonOp::Fixed`]
+    /// operations: variant `(0, 0)` instantiates to `circuit` itself. This
+    /// is how the result cache addresses a circuit.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidCutSolution`] when an operation does not fit
+    /// [`FragmentBody::new`]'s checks (a non-finite angle).
+    pub fn from_circuit(circuit: &Circuit) -> Result<Self, CoreError> {
+        let skeleton = circuit.operations().iter().cloned().map(SkeletonOp::Fixed).collect();
+        let name = circuit.name().to_string();
+        Self::new(name, circuit.num_qubits(), circuit.num_clbits(), 0, 1, skeleton)
+    }
+
+    /// A hash of everything but the name: equal for structurally equal
+    /// bodies ([`FragmentBody::structurally_equal`]), computed once when
+    /// the body is built.
+    pub fn structural_hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// Whether `self` and `other` instantiate every variant to structurally
+    /// equal circuits: equal registers, slots and skeleton; the names may
+    /// differ.
+    pub fn structurally_equal(&self, other: &FragmentBody) -> bool {
+        self.hash == other.hash
+            && (self.num_qubits, self.num_clbits, self.num_outputs, self.variant_count)
+                == (other.num_qubits, other.num_clbits, other.num_outputs, other.variant_count)
+            && self.skeleton == other.skeleton
+    }
+
+    /// How many circuits this body and its clones have instantiated.
+    #[cfg(any(test, feature = "testing"))]
+    pub fn instantiations(&self) -> u64 {
+        self.instantiations.0.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// The name every instantiated circuit carries.
@@ -384,6 +566,20 @@ impl FragmentBody {
         Ok(())
     }
 
+    /// What routing reads of variant `(ordinal, outputs)`, without building
+    /// it: the registers, and whether the circuit would reuse a wire
+    /// (reset it, or act on it after measuring it) — exactly
+    /// [`CircuitShape::of`] the instantiated circuit, read off the
+    /// measure-then-act pairs found when the body was built.
+    pub fn shape(&self, ordinal: u64, outputs: u64) -> CircuitShape {
+        let holds = |when: &When| when.holds(ordinal, outputs);
+        CircuitShape {
+            num_qubits: self.num_qubits,
+            num_clbits: self.num_clbits,
+            reuses_wires: self.reuses.iter().any(|r| holds(&r.measure) && r.then.iter().any(holds)),
+        }
+    }
+
     /// Builds the concrete circuit of variant `ordinal` with packed output
     /// bases `outputs` (see [`VariantKey`]).
     ///
@@ -392,6 +588,8 @@ impl FragmentBody {
     /// Panics if `ordinal` is not below [`FragmentBody::variant_count`].
     pub fn instantiate(&self, ordinal: u64, outputs: u64) -> Circuit {
         assert!(ordinal < self.variant_count, "variant ordinal out of range");
+        #[cfg(any(test, feature = "testing"))]
+        self.instantiations.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut circuit = Circuit::with_clbits(self.num_qubits, self.num_clbits);
         // room for the skeleton plus one rotation gate pair per slot
         circuit.set_name(self.name.as_str()).reserve(2 * self.skeleton.len());
@@ -504,6 +702,9 @@ impl Fragment {
                 variant_count: 0,
                 skeleton: Vec::new(),
                 weight: 0,
+                reuses: Vec::new(),
+                hash: 0,
+                instantiations: InstantiationCount::default(),
             },
             incoming_cuts,
             outgoing_cuts: cut_clbits.iter().map(|&(cut, _)| cut).collect(),
@@ -1138,6 +1339,96 @@ mod tests {
         assert!(valid.check_variant(12, 0).is_err(), "ordinal out of range");
         assert!(valid.check_variant(0, 0b11).is_err(), "no basis has code 3");
         assert!(valid.check_variant(0, 0b100).is_err(), "a second output does not exist");
+    }
+
+    #[test]
+    fn a_variant_shape_is_the_shape_of_its_circuit() {
+        // reuse on and off, wire and gate cuts: every variant's shape, read
+        // off the body, is what the built circuit's would be
+        let (qaoa, _) = generators::qaoa_regular(6, 3, 1, 11);
+        let mut plans = vec![plan_chain(6, 3)];
+        for reuse in [true, false] {
+            let config = QrccConfig::new(4)
+                .with_subcircuit_range(2, 3)
+                .with_gate_cuts(true)
+                .with_qubit_reuse(reuse)
+                .with_ilp_time_limit(Duration::ZERO);
+            plans.push(CutPlanner::new(config).plan(&qaoa).unwrap());
+        }
+        // and a body no plan builds: a prep and two bare gate-cut halves on
+        // measured wires, with no reset between
+        let q = QubitId::new;
+        let half = |place, half, qubit, clbit| SkeletonOp::GateCutHalf {
+            place,
+            half,
+            qubit: q(qubit),
+            clbit,
+            pre: Vec::new(),
+            post: Vec::new(),
+        };
+        let skeleton = vec![
+            SkeletonOp::CutMeasure { place: 1, qubit: q(0), clbit: 1 },
+            SkeletonOp::Prep { place: 3, qubit: q(0) },
+            half(12, GateHalf::Top, 1, 2),
+            half(72, GateHalf::Bottom, 1, 3),
+            SkeletonOp::OutputMeasure { shift: 0, qubit: q(1), clbit: 0 },
+        ];
+        let odd = FragmentBody::new("odd".into(), 2, 4, 1, 432, skeleton).unwrap();
+        let (mut reusing, mut plain) = (0, 0);
+        let bodies = plans
+            .iter()
+            .flat_map(|plan| FragmentSet::from_plan(plan).unwrap().fragments)
+            .map(|fragment| fragment.body().clone())
+            .chain([odd]);
+        for body in bodies {
+            let outputs = (1u64 << (2 * body.num_outputs())) - 1;
+            for ordinal in 0..body.variant_count() {
+                for outputs in [0, outputs & 0x5555_5555_5555_5555, outputs & 0xAAAA_AAAA_AAAA_AAAA]
+                {
+                    let shape = body.shape(ordinal, outputs);
+                    assert_eq!(shape, CircuitShape::of(&body.instantiate(ordinal, outputs)));
+                    *(if shape.reuses_wires { &mut reusing } else { &mut plain }) += 1;
+                }
+            }
+        }
+        assert!(reusing > 0 && plain > 0, "both kinds seen: {reusing} reusing, {plain} not");
+    }
+
+    #[test]
+    fn a_bare_circuit_is_a_one_variant_body_hashed_without_its_name() {
+        let mut circuit = Circuit::new(3);
+        circuit.h(0).cx(0, 1).measure(1, 0).reset(1).ry(0.3, 2).measure_all();
+        let body = FragmentBody::from_circuit(&circuit).unwrap();
+        assert_eq!((body.variant_count(), body.num_outputs()), (1, 0));
+        assert_eq!(body.instantiate(0, 0), circuit);
+        assert_eq!(body.shape(0, 0), CircuitShape::of(&circuit));
+        circuit.set_name("renamed");
+        let renamed = FragmentBody::from_circuit(&circuit).unwrap();
+        assert_ne!(renamed, body);
+        assert!(renamed.structurally_equal(&body));
+        assert_eq!(renamed.structural_hash(), body.structural_hash());
+        let mut other = Circuit::new(3);
+        other.h(0).cx(0, 1).measure(1, 0).reset(1).ry(0.30001, 2).measure_all();
+        let other = FragmentBody::from_circuit(&other).unwrap();
+        assert!(!other.structurally_equal(&body));
+        assert_ne!(other.structural_hash(), body.structural_hash());
+        let mut nan = Circuit::new(1);
+        nan.push(Operation::Single { gate: Gate::Rz(f64::NAN), qubit: QubitId::new(0) });
+        assert!(FragmentBody::from_circuit(&nan).is_err(), "a non-finite angle fits no body");
+    }
+
+    #[test]
+    fn a_body_over_a_huge_register_allocates_nothing_per_qubit() {
+        // a hostile peer or snapshot names the register size; only the
+        // skeleton may cost memory
+        let qubits = u32::MAX as usize;
+        let q = QubitId::new(qubits - 1);
+        let skeleton = vec![
+            SkeletonOp::Fixed(Operation::Measure { qubit: q, clbit: 0 }),
+            SkeletonOp::Fixed(Operation::Single { gate: Gate::H, qubit: q }),
+        ];
+        let body = FragmentBody::new("wide".into(), qubits, 1, 0, 1, skeleton).unwrap();
+        assert!(body.shape(0, 0).reuses_wires);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   Mitarai–Fujii instances for gate cuts).
 //! * [`execute`] — the batch-first execution layer: enumerate each needed
 //!   variant once as an integer [`fragment::VariantKey`] (fragment,
-//!   slot-configuration ordinal, output bases), map keys to canonical
-//!   circuits by a rule on the ordinal, and the [`execute::ExecutionBackend`]s
-//!   that run those circuits as rayon-parallel batches.
+//!   slot-configuration ordinal, output bases), map keys to canonical keys
+//!   by a rule on the ordinal, and the [`execute::ExecutionBackend`]s that
+//!   build and run those variants as rayon-parallel batches.
 //! * [`schedule`] — the execution scheduler between batching and
 //!   reconstruction: route each deduplicated circuit across a
 //!   [`schedule::DeviceRegistry`] of heterogeneous backends, split a global
@@ -32,9 +32,10 @@
 //!   telemetry; plus the `dispatch::FlakyBackend` /
 //!   `dispatch::QueueBackend` fault-injection doubles (behind the
 //!   `testing` feature).
-//! * [`cache`] — the shot-aware, content-addressed result cache: executed
-//!   distributions keyed by structural hash with full/delta-hit shot
-//!   semantics, LRU weight eviction and snapshot persistence, and
+//! * [`cache`] — the shot-aware result cache: executed distributions keyed
+//!   by `(interned fragment body, canonical ordinal, outputs)` with
+//!   full/delta-hit shot semantics, LRU weight eviction and snapshot
+//!   persistence, and
 //!   [`cache::serve`], the one front through which the dispatch workers
 //!   (via [`schedule::DeviceRegistry::with_result_cache`]) and `QrccServer`
 //!   workers consult it.

@@ -849,7 +849,7 @@ mod tests {
         assert_eq!(batch.keys.len(), requests.len(), "enumerated keys are unique");
         // keys the rule maps to one circuit build structurally equal ones
         let structural = structural_partition(fragments, &requests);
-        let mut class = vec![None; batch.circuits.len()];
+        let mut class = vec![None; batch.len()];
         for (&rule, &found) in batch.circuit_of_key.iter().zip(&structural) {
             assert!(
                 *class[rule].get_or_insert(found) == found,
@@ -859,7 +859,7 @@ mod tests {
         if exact {
             assert_eq!(batch.circuit_of_key, structural, "the rule missed an identity");
         }
-        (batch.keys.len(), batch.circuits.len())
+        (batch.keys.len(), batch.len())
     }
 
     fn fragments_of(circuit: &Circuit, config: QrccConfig) -> FragmentSet {

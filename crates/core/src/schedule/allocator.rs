@@ -92,14 +92,10 @@ impl ShotAllocator {
     /// its keys appear in as an independent contribution, so key weights
     /// combine in quadrature — the allocation that minimises
     /// `Σ w_k² / shots` at a fixed budget is `shots ∝ √(Σ w_k²)`.
-    pub(crate) fn circuit_weights(
-        &self,
-        fragments: &FragmentSet,
-        batch: &PreparedBatch,
-    ) -> Vec<f64> {
-        let mut weights = vec![0.0f64; batch.circuits.len()];
+    pub(crate) fn circuit_weights(&self, batch: &PreparedBatch<'_>) -> Vec<f64> {
+        let mut weights = vec![0.0f64; batch.len()];
         for (key, &circuit) in batch.keys.iter().zip(&batch.circuit_of_key) {
-            weights[circuit] += variant_weight(fragments, key).powi(2);
+            weights[circuit] += variant_weight(batch.fragments, key).powi(2);
         }
         weights.iter_mut().for_each(|w| *w = w.sqrt());
         weights

@@ -165,7 +165,7 @@ impl<'r> Scheduler<'r> {
         let shots = match self.policy.shot_budget {
             Some(_) => {
                 let allocator = ShotAllocator::new(self.policy);
-                allocator.allocate(&allocator.circuit_weights(fragments, &batch))?
+                allocator.allocate(&allocator.circuit_weights(&batch))?
             }
             None => None,
         };
@@ -174,7 +174,6 @@ impl<'r> Scheduler<'r> {
         let (dispatch, backends) = crate::dispatch::dispatch(
             self.registry,
             self.policy,
-            fragments,
             &batch,
             shots.as_deref(),
             |chunk| {
@@ -185,7 +184,7 @@ impl<'r> Scheduler<'r> {
         Ok(ScheduleReport {
             total_shots: backends.iter().map(|usage| usage.shots).sum(),
             backends,
-            circuits: batch.circuits.len() as u64,
+            circuits: batch.len() as u64,
             chunks,
             allocation: self.policy.allocation,
             dispatch,
@@ -454,6 +453,54 @@ mod tests {
             run(&scheduler, &fragments, &requests),
             Err(CoreError::BackendUnavailable { .. })
         ));
+    }
+
+    #[test]
+    fn routing_places_each_variant_by_its_shape_where_its_circuit_would_go() {
+        use crate::execute::{CircuitShape, VariantBatch};
+        use qrcc_sim::device::{Device, DeviceConfig};
+        // a reuse plan with gate cuts: some variants measure mid-circuit
+        let (qaoa, graph) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
+        let config = QrccConfig::new(4)
+            .with_subcircuit_range(2, 3)
+            .with_gate_cuts(true)
+            .with_ilp_time_limit(Duration::ZERO);
+        let fragments =
+            FragmentSet::from_plan(&CutPlanner::new(config).plan(&qaoa).unwrap()).unwrap();
+        let observable = qrcc_circuit::observable::PauliObservable::maxcut(&graph);
+        let requests = crate::reconstruct::ExpectationReconstructor::new()
+            .requests(&fragments, &observable)
+            .unwrap();
+        let batch = prepare_batch(&fragments, &requests).unwrap();
+        // a mixed fleet: a device without mid-circuit support, an
+        // exact backend, and a device with it
+        let mut registry = DeviceRegistry::new();
+        let strict = DeviceConfig::ideal(4).without_mid_circuit();
+        registry.register_device("no-mid-circuit", Device::new(strict), 100);
+        registry.register("exact4", ExactBackend::capped(4));
+        registry.register_device("mid-circuit", Device::new(DeviceConfig::ideal(4)), 100);
+
+        // equal allocations, so the split follows placement alone
+        let shots = vec![100; batch.len()];
+        let assignment = router::route(&registry, &batch.shapes, Some(&shots)).unwrap();
+        let built: Vec<CircuitShape> = VariantBatch::new(&fragments, &batch.canonical, None)
+            .instantiate()
+            .iter()
+            .map(CircuitShape::of)
+            .collect();
+        assert_eq!(built, batch.shapes, "each shape is its circuit's");
+        assert_eq!(assignment, router::route(&registry, &built, Some(&shots)).unwrap());
+        let reusing = batch.shapes.iter().filter(|shape| shape.reuses_wires).count();
+        for (shape, &entry) in batch.shapes.iter().zip(&assignment) {
+            assert!(!(shape.reuses_wires && entry == 0), "{shape:?} needs mid-circuit support");
+        }
+        // pinned to what routing the built circuits gave before variants
+        // stayed keys: the split and a digest of the whole assignment
+        let mut per_backend = [0usize; 3];
+        assignment.iter().for_each(|&entry| per_backend[entry] += 1);
+        let digest: usize = assignment.iter().enumerate().map(|(i, &e)| (i + 1) * (e + 1)).sum();
+        assert_eq!((batch.len(), reusing, per_backend), (625, 225, [177, 224, 224]));
+        assert_eq!(digest, 417_546);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Deterministic per-circuit placement over a [`DeviceRegistry`].
 
 use super::registry::DeviceRegistry;
+use crate::execute::CircuitShape;
 use crate::CoreError;
-use qrcc_circuit::Circuit;
 
-/// Routes each circuit to a compatible registry backend, returning the entry
-/// index per circuit.
+/// Routes each circuit, by its shape, to a compatible registry backend,
+/// returning the entry index per circuit.
 ///
 /// Placement is a deterministic greedy pass: circuits are considered widest
 /// first (so scarce large devices are claimed before narrow circuits fill
@@ -24,12 +24,12 @@ use qrcc_circuit::Circuit;
 /// backend.
 pub(crate) fn route(
     registry: &DeviceRegistry,
-    circuits: &[Circuit],
+    circuits: &[CircuitShape],
     shots: Option<&[u64]>,
 ) -> Result<Vec<usize>, CoreError> {
     let entries = registry.entries();
     let mut order: Vec<usize> = (0..circuits.len()).collect();
-    order.sort_by(|&a, &b| circuits[b].num_qubits().cmp(&circuits[a].num_qubits()).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| circuits[b].num_qubits.cmp(&circuits[a].num_qubits).then(a.cmp(&b)));
 
     let mut load = vec![0.0f64; entries.len()];
     let mut assignment = vec![usize::MAX; circuits.len()];
@@ -61,7 +61,7 @@ pub(crate) fn route(
         }
         let Some((projected, entry_index)) = best else {
             return Err(CoreError::NoCompatibleBackend {
-                required: circuit.num_qubits(),
+                required: circuit.num_qubits,
                 backends: entries.len(),
             });
         };
@@ -90,7 +90,7 @@ pub(crate) fn route(
 /// as a typed guard).
 pub(crate) fn route_retry(
     registry: &DeviceRegistry,
-    circuit: &Circuit,
+    circuit: &CircuitShape,
     excluded: &[usize],
 ) -> Result<(usize, bool), CoreError> {
     let entries = registry.entries();
@@ -110,7 +110,7 @@ pub(crate) fn route_retry(
     match pick(true) {
         Some(entry) => Ok((entry, true)),
         None => Err(CoreError::NoCompatibleBackend {
-            required: circuit.num_qubits(),
+            required: circuit.num_qubits,
             backends: entries.len(),
         }),
     }
@@ -121,10 +121,8 @@ mod tests {
     use super::*;
     use crate::execute::ExactBackend;
 
-    fn circuit(width: usize) -> Circuit {
-        let mut c = Circuit::new(width);
-        c.h(0).measure_all();
-        c
+    fn circuit(width: usize) -> CircuitShape {
+        CircuitShape { num_qubits: width, num_clbits: width, reuses_wires: false }
     }
 
     #[test]
@@ -146,7 +144,7 @@ mod tests {
         let mut registry = DeviceRegistry::new();
         registry.register("a", ExactBackend::capped(2));
         registry.register("b", ExactBackend::capped(2));
-        let circuits: Vec<Circuit> = (0..6).map(|_| circuit(2)).collect();
+        let circuits: Vec<CircuitShape> = (0..6).map(|_| circuit(2)).collect();
         let assignment = route(&registry, &circuits, None).unwrap();
         let on_a = assignment.iter().filter(|&&e| e == 0).count();
         assert_eq!(on_a, 3, "even split across equal devices: {assignment:?}");
@@ -159,7 +157,7 @@ mod tests {
         registry.register("b", ExactBackend::capped(2));
         // one heavy circuit and three light ones: the heavy one should sit
         // alone while the light ones share the other backend
-        let circuits: Vec<Circuit> = (0..4).map(|_| circuit(2)).collect();
+        let circuits: Vec<CircuitShape> = (0..4).map(|_| circuit(2)).collect();
         let shots = vec![900u64, 100, 100, 100];
         let assignment = route(&registry, &circuits, Some(&shots)).unwrap();
         let heavy = assignment[0];

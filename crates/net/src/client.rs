@@ -37,10 +37,9 @@ use crate::proto::{
 };
 use parking_lot::Mutex;
 use qrcc_circuit::{qasm, Circuit};
-use qrcc_core::execute::{ExecutionBackend, VariantBatch};
+use qrcc_core::execute::{CircuitShape, ExecutionBackend, VariantBatch};
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
-use std::borrow::Cow;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
@@ -618,18 +617,24 @@ impl Connection {
                         );
                     }
                     None => {
-                        (Cow::Owned(variants.circuit_refs().drain(range.clone()).collect()), shots)
+                        // built one at a time, each dropped once encoded
+                        let fragments = &variants.fragments().fragments;
+                        let circuits = keys_in(variants, range)
+                            .map(|key| {
+                                let fragment = &fragments[key.fragment];
+                                qasm::to_qasm(&fragment.instantiate(key.ordinal, key.outputs))
+                            })
+                            .collect();
+                        (circuits, shots)
                     }
                 }
             }
-            Payload::Circuits(circuits, shots) => (Cow::Borrowed(*circuits), *shots),
+            Payload::Circuits(circuits, shots) => {
+                (circuits.iter().map(|c| qasm::to_qasm(c)).collect(), *shots)
+            }
         };
-        let frame = Frame::SubmitBatch {
-            batch,
-            circuits: circuits.iter().map(|c| qasm::to_qasm(c)).collect(),
-            shots: shots.map(<[u64]>::to_vec),
-            trace,
-        };
+        let frame =
+            Frame::SubmitBatch { batch, circuits, shots: shots.map(<[u64]>::to_vec), trace };
         proto::append_frame(out, &frame)
     }
 
@@ -820,13 +825,11 @@ impl ExecutionBackend for RemoteBackend {
         self.capabilities.max_qubits.map(|q| q as usize)
     }
 
-    fn can_run(&self, circuit: &Circuit) -> bool {
+    fn can_run(&self, shape: &CircuitShape) -> bool {
         // mirror the worker's handshake-probed refinements, so the router
         // never places a circuit the worker would deterministically reject
-        let width_ok = self.max_qubits().is_none_or(|max| circuit.num_qubits() <= max);
-        width_ok
-            && (self.capabilities.supports_mid_circuit
-                || !qrcc_sim::device::needs_mid_circuit(circuit))
+        let width_ok = self.max_qubits().is_none_or(|max| shape.num_qubits <= max);
+        width_ok && (self.capabilities.supports_mid_circuit || !shape.reuses_wires)
     }
 
     fn shots_per_circuit(&self) -> Option<u64> {

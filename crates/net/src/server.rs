@@ -14,11 +14,13 @@
 //! [`Frame::DefineFragment`]; a batch instantiates at most
 //! [`proto::MAX_BATCH_WEIGHT`]), or bare circuits as OpenQASM text
 //! ([`Frame::SubmitBatch`]) parsed with [`qrcc_circuit::qasm::from_qasm`].
-//! Both then share one serve routine: a circuit that fails to instantiate,
-//! parse or execute fails **individually** (a [`Frame::CircuitFailed`]
-//! reply) while the rest of its batch still runs — mirroring how the
-//! in-process batch API reports per-circuit errors — and the whole reply
-//! leaves in one write.
+//! Both then share one serve routine: an entry whose key fits no body, that
+//! fails to parse or execute fails **individually** (a
+//! [`Frame::CircuitFailed`] reply of its error's class) while the rest of
+//! its batch still runs — mirroring how the in-process batch API reports
+//! per-circuit errors — and the whole reply leaves in one write. A keyed
+//! variant is instantiated only if the worker's result cache does not
+//! answer it.
 
 use crate::proto::{
     self, BatchTelemetry, Capabilities, Frame, HealthReport, HealthState, MetricsReport,
@@ -27,8 +29,8 @@ use crate::proto::{
 use parking_lot::Mutex;
 use qrcc_circuit::{qasm, Circuit};
 use qrcc_core::analyze;
-use qrcc_core::cache::{self, CacheStats, ResultCache, ResultCachePolicy};
-use qrcc_core::execute::ExecutionBackend;
+use qrcc_core::cache::{self, CacheStats, CachedBody, ResultCache, ResultCachePolicy};
+use qrcc_core::execute::{CircuitShape, ExecutionBackend};
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
 use std::io::{self, Read, Write};
@@ -597,15 +599,12 @@ fn read_frame_polling(
     }
 }
 
-/// A canonical 1-qubit qubit-reuse circuit (measure, reset, re-use): asking
-/// the backend's [`ExecutionBackend::can_run`] about it probes whether the
-/// worker supports mid-circuit measurement and reset, without the trait
-/// needing a dedicated query.
-fn mid_circuit_probe() -> Circuit {
-    let mut probe = Circuit::new(1);
-    probe.h(0).measure(0, 0).reset(0).h(0).measure(0, 1);
-    probe
-}
+/// The shape of a 1-qubit qubit-reuse circuit (measure, reset, re-use):
+/// asking the backend's [`ExecutionBackend::can_run`] about it probes
+/// whether the worker supports mid-circuit measurement and reset, without
+/// the trait needing a dedicated query.
+const MID_CIRCUIT_PROBE: CircuitShape =
+    CircuitShape { num_qubits: 1, num_clbits: 2, reuses_wires: true };
 
 fn eof() -> ProtoError {
     ProtoError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-frame"))
@@ -634,7 +633,7 @@ fn serve_connection(mut stream: TcpStream, state: &WorkerState) {
             let capabilities = Capabilities {
                 max_qubits: backend.max_qubits().map(|q| q as u64),
                 shots_per_circuit: backend.shots_per_circuit(),
-                supports_mid_circuit: backend.can_run(&mid_circuit_probe()),
+                supports_mid_circuit: backend.can_run(&MID_CIRCUIT_PROBE),
                 label: backend.label(),
             };
             let hello = Frame::ServerHello { version: PROTOCOL_VERSION, capabilities };
@@ -818,17 +817,16 @@ impl Submission {
         None
     }
 
-    /// Every entry's circuit: instantiated from the fragment table, or
-    /// parsed. A key naming no defined fragment or an out-of-range variant,
-    /// and a document that does not parse, fail deterministically
-    /// ([`CoreError::Transport`], the `Protocol` reply kind); a body too
-    /// wide for `backend` fails its keys' pre-flight from its registers
-    /// alone, before any of them is built.
-    fn circuits(
+    /// Every entry checked, none instantiated: a key naming no defined
+    /// fragment or an out-of-range variant, and a document that does not
+    /// parse, fail deterministically ([`CoreError::Transport`], the
+    /// `Protocol` reply kind); an entry whose shape `backend` cannot run
+    /// fails its pre-flight, a variant's read off its body and key.
+    fn runnables<'f>(
         &self,
-        fragments: &[Option<FragmentBody>],
+        fragments: &'f [Option<FragmentBody>],
         backend: &dyn ExecutionBackend,
-    ) -> Vec<Result<Circuit, CoreError>> {
+    ) -> Vec<Result<Runnable<'f>, CoreError>> {
         let deterministic = |detail: String| CoreError::Transport { detail };
         match self {
             Submission::Variants(keys) => keys
@@ -844,30 +842,85 @@ impl Submission {
                     body.check_variant(key.ordinal, key.outputs).map_err(|reason| {
                         deterministic(format!("invalid variant key: {reason}"))
                     })?;
-                    preflight(
-                        &Circuit::with_clbits(body.num_qubits(), body.num_clbits()),
-                        backend,
-                    )?;
-                    Ok(body.instantiate(key.ordinal, key.outputs))
+                    preflight(&body.shape(key.ordinal, key.outputs), backend)?;
+                    Ok(Runnable::Variant(body, *key))
                 })
                 .collect(),
             Submission::Qasm(circuits) => circuits
                 .iter()
                 .map(|text| {
-                    qasm::from_qasm(text)
-                        .map_err(|e| deterministic(format!("qasm parse error: {e}")))
+                    let circuit = qasm::from_qasm(text)
+                        .map_err(|e| deterministic(format!("qasm parse error: {e}")))?;
+                    preflight(&CircuitShape::of(&circuit), backend)?;
+                    Ok(Runnable::Circuit(circuit))
                 })
                 .collect(),
         }
     }
 }
 
+/// One batch entry that passed its checks.
+enum Runnable<'f> {
+    /// A circuit sent as OpenQASM.
+    Circuit(Circuit),
+    /// A variant of a fragment the connection defined (`key.fragment` is
+    /// its table id).
+    Variant(&'f FragmentBody, VariantKey),
+}
+
+impl Runnable<'_> {
+    /// The circuit to run: the parsed one, or the variant built now.
+    fn build(&self) -> std::borrow::Cow<'_, Circuit> {
+        match self {
+            Runnable::Circuit(circuit) => std::borrow::Cow::Borrowed(circuit),
+            Runnable::Variant(body, key) => {
+                std::borrow::Cow::Owned(body.instantiate(key.ordinal, key.outputs))
+            }
+        }
+    }
+}
+
+/// The cache's key of every entry that is still `Ok`, with each body
+/// interned once per batch: a variant by its fragment body, a circuit as
+/// the one variant of its own body ([`FragmentBody::from_circuit`]). A
+/// circuit no body can hold (a non-finite angle) fails deterministically.
+fn cache_keys(
+    cache: &ResultCache,
+    built: &mut [Result<Runnable<'_>, CoreError>],
+) -> (Vec<CachedBody>, Vec<VariantKey>) {
+    let (mut bodies, mut keys) = (Vec::new(), Vec::new());
+    let mut interned: std::collections::HashMap<usize, usize> = Default::default();
+    for entry in built {
+        let key = match entry {
+            Ok(Runnable::Variant(body, key)) => {
+                let at = *interned.entry(key.fragment).or_insert_with(|| {
+                    bodies.push(cache.intern(body));
+                    bodies.len() - 1
+                });
+                Ok(VariantKey { fragment: at, ..*key })
+            }
+            Ok(Runnable::Circuit(circuit)) => FragmentBody::from_circuit(circuit)
+                .map(|body| {
+                    bodies.push(cache.intern(&body));
+                    VariantKey::new(bodies.len() - 1, 0, 0)
+                })
+                .map_err(|e| CoreError::Transport { detail: format!("uncacheable circuit: {e}") }),
+            Err(_) => continue,
+        };
+        match key {
+            Ok(key) => keys.push(key),
+            Err(error) => *entry = Err(error),
+        }
+    }
+    (bodies, keys)
+}
+
 /// The static pre-flight rejection ([`analyze::preflight_backend`]) of a
 /// circuit `backend` cannot run: too wide for this worker, or needing
 /// mid-circuit support it lacks. `Backend`-kinded, so the client's
 /// dispatcher re-routes it to a capable worker.
-fn preflight(circuit: &Circuit, backend: &dyn ExecutionBackend) -> Result<(), CoreError> {
-    match analyze::preflight_backend(circuit, backend) {
+fn preflight(shape: &CircuitShape, backend: &dyn ExecutionBackend) -> Result<(), CoreError> {
+    match analyze::preflight_backend(shape, backend) {
         None => Ok(()),
         Some(diagnostic) => Err(CoreError::BackendUnavailable {
             backend: backend.label(),
@@ -908,16 +961,17 @@ impl io::Write for DeadlineWriter<'_> {
     }
 }
 
-/// Builds and pre-flights one submitted batch, executes what survives, then
+/// Checks and pre-flights one submitted batch, executes what survives, then
 /// answers one reply frame per entry (in index order) and the closing
 /// `BatchDone`. Entries fail **individually** — a key or document that
-/// yields no circuit ([`Submission::circuits`]), a static pre-flight
+/// yields no circuit ([`Submission::runnables`]), a static pre-flight
 /// rejection ([`qrcc_core::analyze::preflight_backend`]: too wide for this
 /// worker, or needing mid-circuit support it lacks), or a backend error
 /// each produce a `CircuitFailed` while the rest of the batch still runs.
-/// The surviving circuits are served through the result-cache front
-/// ([`cache::serve`]), which answers full hits and runs the rest as **one**
-/// backend call — preserving its internal parallelism and the
+/// The surviving entries are served through the result-cache front
+/// ([`cache::serve`]), which answers full hits without building them and
+/// runs the rest as **one** backend call — keyed variants are instantiated
+/// only there, preserving the backend's internal parallelism and the
 /// deterministic per-circuit sampling streams — so the reply is written
 /// only once the batch call returns; the client waits on that with its
 /// (long) reply timeout. Every reply frame and the
@@ -960,33 +1014,34 @@ fn serve_batch(
         .map(|d| d.as_micros() as u64)
         .unwrap_or(0);
 
-    // Build and statically pre-flight every circuit; rejected circuits fail
+    // Check and statically pre-flight every entry; rejected entries fail
     // individually, exactly like backend failures, and the rest of its
     // batch still runs. Parse errors keep their line/column; pre-flight
     // rejections carry the rendered QL diagnostic and stay `Backend`-kinded
     // so the client's dispatcher re-routes them to a capable worker.
-    let built: Vec<Result<Circuit, CoreError>> = submission
-        .circuits(fragments, backend)
-        .into_iter()
-        .map(|circuit| circuit.and_then(|circuit| preflight(&circuit, backend).map(|()| circuit)))
-        .collect();
-    let runnable: Vec<&Circuit> = built.iter().filter_map(|c| c.as_ref().ok()).collect();
+    let mut built = submission.runnables(fragments, backend);
+    let (bodies, keys) = match cache {
+        Some(cache) => cache_keys(cache, &mut built),
+        // without a cache no key is read: any will do
+        None => (Vec::new(), vec![VariantKey::new(0, 0, 0); built.iter().flatten().count()]),
+    };
+    let runnable: Vec<&Runnable<'_>> = built.iter().filter_map(|r| r.as_ref().ok()).collect();
     let runnable_shots: Option<Vec<u64>> = shots
         .map(|shots| built.iter().zip(shots).filter(|(c, _)| c.is_ok()).map(|(_, &s)| s).collect());
     let parse_us = batch_started.elapsed().as_micros() as u64;
-    // The surviving circuits go through the result-cache front: full hits
-    // skip the backend, misses and delta top-ups run as one call, and a
-    // panicking backend becomes per-circuit failures the client's
-    // dispatcher can rescue.
+    // The surviving entries go through the result-cache front: full hits
+    // skip the backend, misses and delta top-ups are built and run as one
+    // call, and a panicking backend becomes per-circuit failures the
+    // client's dispatcher can rescue.
     let served = cache::serve(
-        cache,
+        cache.map(|cache| (cache, &bodies[..])),
         &backend.label(),
         backend.shots_per_circuit(),
-        &runnable,
+        &keys,
         runnable_shots.as_deref(),
         |picked, shots| {
-            let circuits: Vec<&Circuit> = picked.iter().map(|&i| runnable[i]).collect();
-            backend.run(&circuits, shots)
+            let circuits: Vec<_> = picked.iter().map(|&i| runnable[i].build()).collect();
+            backend.run(&circuits.iter().map(|c| c.as_ref()).collect::<Vec<_>>(), shots)
         },
     );
     let execute_us = batch_started.elapsed().as_micros() as u64;
@@ -1007,11 +1062,13 @@ fn serve_batch(
                 (Frame::CircuitResult { batch, index: index as u32, distribution }, true)
             }
             Err(error) => {
-                // deterministic failures (the circuit did not parse) must
-                // not look transient to the client's dispatcher
-                let kind = match &error {
-                    CoreError::Transport { .. } => WireErrorKind::Protocol,
-                    _ => WireErrorKind::Backend,
+                // the error's class crosses the wire: a permanent failure
+                // (the circuit did not parse, the simulator refused it)
+                // must not look transient to the client's dispatcher
+                let kind = if error.is_transient() {
+                    WireErrorKind::Backend
+                } else {
+                    WireErrorKind::Protocol
                 };
                 let failed = Frame::CircuitFailed {
                     batch,

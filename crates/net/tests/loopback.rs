@@ -4,7 +4,7 @@
 //! the typed error mapping under injected wire faults (`FaultyProxy`).
 
 use qrcc_circuit::Circuit;
-use qrcc_core::execute::{ExactBackend, ExecutionBackend, ShotsBackend};
+use qrcc_core::execute::{CircuitShape, ExactBackend, ExecutionBackend, ShotsBackend};
 use qrcc_core::CoreError;
 use qrcc_net::proto::{self, Frame, WireErrorKind, PROTOCOL_VERSION};
 use qrcc_net::testing::{FaultyProxy, ProxyFault};
@@ -124,8 +124,9 @@ fn mid_circuit_support_crosses_the_handshake_into_can_run() {
     let strict = QrccServer::bind("127.0.0.1:0", ShotsBackend::new(no_mcm, 100)).unwrap().spawn();
     let strict_remote = RemoteBackend::connect(strict.addr()).unwrap();
     assert!(!strict_remote.capabilities().supports_mid_circuit);
+    let (reuse, bell) = (CircuitShape::of(&reuse), CircuitShape::of(&bell()));
     assert!(!strict_remote.can_run(&reuse), "router must avoid this worker for reuse circuits");
-    assert!(strict_remote.can_run(&bell()), "terminal measurements stay routable");
+    assert!(strict_remote.can_run(&bell), "terminal measurements stay routable");
 
     let lenient = QrccServer::bind("127.0.0.1:0", ExactBackend::capped(2)).unwrap().spawn();
     let lenient_remote = RemoteBackend::connect(lenient.addr()).unwrap();

@@ -1,12 +1,17 @@
 //! Server-side result-cache tests over the loopback transport: a warm
 //! `QrccServer` must answer repeats from its cache without touching its
 //! backend, doubled shot requests must cross the wire as delta top-ups, the
-//! worker's cache counters must reach its metrics scrape, and a persisted
-//! snapshot must survive a full server kill-and-restart.
+//! worker's cache counters must reach its metrics scrape, a persisted
+//! snapshot must survive a full server kill-and-restart, and keyed variants
+//! must be cached under their fragment body, apart from the same circuits
+//! sent as OpenQASM.
 
 use qrcc_circuit::Circuit;
 use qrcc_core::cache::ResultCachePolicy;
-use qrcc_core::execute::{ExecutionBackend, ShotsBackend};
+use qrcc_core::execute::{ExactBackend, ExecutionBackend, ShotsBackend, VariantBatch};
+use qrcc_core::fragment::{FragmentSet, VariantKey};
+use qrcc_core::planner::CutPlanner;
+use qrcc_core::QrccConfig;
 use qrcc_net::{QrccServer, RemoteBackend};
 use qrcc_sim::device::{Device, DeviceConfig};
 
@@ -119,4 +124,37 @@ fn a_persisted_cache_survives_a_server_restart() {
     assert_eq!(cache.misses, 0);
     second.shutdown();
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn keyed_variants_are_cached_by_key_and_apart_from_their_qasm() {
+    let mut chain = Circuit::new(5);
+    chain.h(0).cx(0, 1).cx(1, 2).ry(0.4, 2).cx(2, 3).cx(3, 4);
+    let config = QrccConfig::new(3)
+        .with_subcircuit_range(2, 3)
+        .with_ilp_time_limit(std::time::Duration::ZERO);
+    let set = FragmentSet::from_plan(&CutPlanner::new(config).plan(&chain).unwrap()).unwrap();
+    let keys: Vec<VariantKey> = (0..set.fragments.len())
+        .flat_map(|f| (0..set.fragments[f].variant_count()).map(move |o| VariantKey::new(f, o, 0)))
+        .collect();
+    let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new())
+        .unwrap()
+        .with_result_cache(&ResultCachePolicy::in_memory())
+        .spawn();
+    let remote = RemoteBackend::connect(server.addr()).unwrap();
+    let batch = VariantBatch::new(&set, &keys, None);
+    let n = keys.len() as u64;
+
+    let cold: Vec<Vec<f64>> = remote.run_variants(&batch).into_iter().map(Result::unwrap).collect();
+    let warm: Vec<Vec<f64>> = remote.run_variants(&batch).into_iter().map(Result::unwrap).collect();
+    assert_eq!(cold, warm);
+    let cache = server.cache_stats().unwrap();
+    assert_eq!((cache.misses, cache.hits), (n, n), "the keyed repeat is served by key");
+
+    // the same circuits as OpenQASM are one-variant bodies of their own
+    let qasm = remote.run_batch(&batch.instantiate());
+    assert!(qasm.into_iter().map(Result::unwrap).eq(cold));
+    let cache = server.cache_stats().unwrap();
+    assert_eq!((cache.misses, cache.hits), (2 * n, n), "a key and its QASM share no entry");
+    server.shutdown();
 }

@@ -94,12 +94,15 @@ fn keys_match_the_qasm_path_and_the_in_process_backend_on_an_exact_server() {
 
     let local = ExactBackend::new().run_batch(&circuits);
     let qasm = remote.run_batch(&circuits);
-    let batch = VariantBatch::new(&set, &keys, &circuits, None);
+    let batch = VariantBatch::new(&set, &keys, None);
+    let built = || set.fragments.iter().map(|f| f.body().instantiations()).sum::<u64>();
+    let built_before = built();
     let keyed = remote.run_variants(&batch);
     assert_bit_identical(&keyed, &local, "keys vs in-process");
     assert_bit_identical(&keyed, &qasm, "keys vs QASM");
     // the second submission finds every fragment already defined
     assert_bit_identical(&remote.run_variants(&batch), &local, "keys, warm table");
+    assert_eq!(built(), built_before, "a keyed job builds no circuit on the client");
     assert_eq!(remote.connections_dialled(), 1, "one connection carried everything");
     assert_eq!(server.stats().circuits_ok, 3 * circuits.len() as u64);
     server.shutdown();
@@ -122,7 +125,7 @@ fn keys_match_the_qasm_path_and_the_in_process_backend_on_a_seeded_shots_server(
     // the same sampling streams in the same order: explicit shots, then the
     // worker's default
     for shots in [Some(shots.as_slice()), None] {
-        let batch = VariantBatch::new(&set, &keys, &circuits, shots);
+        let batch = VariantBatch::new(&set, &keys, shots);
         let keyed = keyed_remote.run_variants(&batch);
         let (qasm, in_process) = match shots {
             Some(shots) => (
@@ -146,7 +149,7 @@ fn a_dropped_connection_fails_the_batch_and_its_successor_redefines_the_fragment
     // connection 0: handshake and ping pass, the reply dies mid-stream
     let proxy = FaultyProxy::spawn(server.addr(), vec![ProxyFault::DropAfter(96)]).unwrap();
     let remote = RemoteBackend::connect_with_timeout(proxy.addr(), Duration::from_secs(5)).unwrap();
-    let batch = VariantBatch::new(&set, &keys, &circuits, None);
+    let batch = VariantBatch::new(&set, &keys, None);
 
     let dropped = remote.run_variants(&batch);
     assert!(
@@ -229,13 +232,12 @@ fn the_fragment_table_churns_and_oversized_batches_fall_back_to_qasm() {
     let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new()).unwrap().spawn();
     let remote = RemoteBackend::connect(server.addr()).unwrap();
     // one batch naming every fragment goes out as OpenQASM
-    let all = remote.run_variants(&VariantBatch::new(&union, &keys, &circuits, None));
+    let all = remote.run_variants(&VariantBatch::new(&union, &keys, None));
     assert_bit_identical(&all, &local, "oversized batch");
     // windows of the key list sweep the table past its cap and back
     for start in (0..keys.len()).step_by(25).chain((0..keys.len()).step_by(40)) {
         let end = (start + 60).min(keys.len());
-        let (window_keys, window_circuits) = (&keys[start..end], &circuits[start..end]);
-        let window = VariantBatch::new(&union, window_keys, window_circuits, None);
+        let window = VariantBatch::new(&union, &keys[start..end], None);
         assert_bit_identical(&remote.run_variants(&window), &local[start..end], "window");
     }
     assert_eq!(remote.connections_dialled(), 1);

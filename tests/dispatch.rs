@@ -3,7 +3,8 @@
 //! state-vector simulation to 1e-9) on random wire- and gate-cut plans while
 //! a `FlakyBackend` drops a seeded fraction of jobs; results must be
 //! byte-identical across worker counts and retry schedules; a fleet where
-//! every compatible backend fails must surface `RetriesExhausted`; and an
+//! every compatible backend fails must surface `RetriesExhausted`; a
+//! permanent error must end the request on its first attempt; and an
 //! in-flight window of 1 must provably bound the dispatcher's undelivered
 //! work.
 
@@ -220,6 +221,52 @@ fn all_backends_failing_exhausts_retries() {
             assert!(matches!(*last, CoreError::BackendUnavailable { .. }));
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
+    }
+}
+
+/// A backend whose every circuit fails with the same permanent error,
+/// counting the calls it gets.
+struct Broken {
+    error: CoreError,
+    calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl ExecutionBackend for Broken {
+    fn run(&self, circuits: &[&Circuit], _: Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>> {
+        self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        circuits.iter().map(|_| Err(self.error.clone())).collect()
+    }
+
+    fn executions(&self) -> u64 {
+        0
+    }
+}
+
+/// A deterministic failure — a protocol violation, a simulator refusal —
+/// would recur on any backend: its job gets one attempt, no retry job is
+/// made — on a one-device fleet a retry would be a requeue onto the same
+/// device — and the request ends with the original error, unwrapped,
+/// however large the retry budget.
+#[test]
+fn a_permanent_error_gets_one_attempt_and_ends_the_request() {
+    let pipeline = chain_pipeline();
+    let permanent = [
+        CoreError::Transport { detail: "cannot submit batch: frame over the cap".into() },
+        CoreError::Simulation(qrcc::sim::SimError::ZeroShots),
+    ];
+    for error in permanent {
+        assert!(!error.is_transient());
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut registry = DeviceRegistry::new();
+        registry.register("broken", Broken { error: error.clone(), calls: calls.clone() });
+        // one chunk, so the broken backend gets exactly one job
+        let policy = SchedulePolicy::default().with_chunk_size(0).with_max_retries(5);
+        let scheduler = Scheduler::new(&registry, policy);
+        match pipeline.execute_streaming(&scheduler) {
+            Err(got) => assert_eq!(got, error, "the original error, unwrapped"),
+            Ok(_) => panic!("a broken fleet cannot answer"),
+        }
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1, "one attempt, no retry");
     }
 }
 

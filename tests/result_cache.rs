@@ -2,8 +2,9 @@
 //! indistinguishable from cache-free execution (and match direct
 //! state-vector simulation to 1e-9), a warm cache must serve repeats without
 //! spending any device shots, shot top-ups must execute only the missing
-//! delta, persisted snapshots must survive a restart, and shot accounting
-//! must stay exact-once under every hit class and under retried top-ups.
+//! delta, persisted snapshots must survive a restart, shot accounting
+//! must stay exact-once under every hit class and under retried top-ups, and
+//! no circuit may be built that does not run.
 
 use proptest::prelude::*;
 use qrcc::prelude::*;
@@ -131,6 +132,58 @@ fn warm_runs_spend_nothing_and_report_their_hits() {
     let cold_stats = cold_report.result_cache.expect("cold run carries counters");
     assert_eq!(stats.hits, cold_stats.misses, "every cold miss warm-hits");
     assert!(stats.shots_saved >= cold_report.total_shots);
+}
+
+/// Every circuit-building call of the request's fragments, summed.
+fn circuits_built(pipeline: &QrccPipeline) -> u64 {
+    pipeline.fragments().fragments.iter().map(|f| f.body().instantiations()).sum()
+}
+
+/// A variant stays a key until a backend runs it: a cold request builds
+/// each miss exactly once, a warm all-hit request builds and compiles
+/// nothing, and a doubled-shot request builds only its top-ups.
+#[test]
+fn the_pipeline_builds_only_the_circuits_it_runs() {
+    let mut circuit = Circuit::new(5);
+    circuit.h(0);
+    for q in 0..4 {
+        circuit.cx(q, q + 1);
+        circuit.ry(0.3 * (q as f64 + 1.0), q + 1);
+    }
+    let pipeline = QrccPipeline::plan(&circuit, config()).unwrap();
+
+    let registry = exact_registry().with_result_cache(&ResultCachePolicy::in_memory());
+    let scheduler = Scheduler::new(&registry, SchedulePolicy::default().with_chunk_size(3));
+    let built = circuits_built(&pipeline);
+    let (_, _, cold) = pipeline.execute_streaming(&scheduler).unwrap();
+    let cold_cache = cold.result_cache.expect("a cache is attached");
+    assert_eq!(cold_cache.misses, cold.circuits, "a cold request misses every circuit");
+    assert_eq!(circuits_built(&pipeline) - built, cold.circuits, "each miss is built once");
+
+    let compiled = registry.compile_stats();
+    let built = circuits_built(&pipeline);
+    let (_, _, warm) = pipeline.execute_streaming(&scheduler).unwrap();
+    let warm_cache = warm.result_cache.expect("a cache is attached");
+    assert_eq!(warm_cache.hits - cold_cache.hits, warm.circuits, "every circuit hits");
+    assert_eq!(circuits_built(&pipeline), built, "an all-hit request builds nothing");
+    assert_eq!(registry.compile_stats(), compiled, "and compiles nothing");
+
+    // sampled: doubling the budget turns every entry into a delta hit,
+    // whose top-up is the only thing built
+    let registry = sampling_registry(5, 256).with_result_cache(&ResultCachePolicy::in_memory());
+    let run = |budget: u64| {
+        let policy = SchedulePolicy::with_budget(budget).with_min_shots(8);
+        let scheduler = Scheduler::new(&registry, policy);
+        let built = circuits_built(&pipeline);
+        let (_, _, report) = pipeline.execute_streaming(&scheduler).unwrap();
+        (circuits_built(&pipeline) - built, report.result_cache.expect("a cache is attached"))
+    };
+    let (cold_built, cold) = run(20_000);
+    assert_eq!(cold_built, cold.misses);
+    let (doubled_built, doubled) = run(40_000);
+    let top_ups = (doubled.delta_hits + doubled.misses) - (cold.delta_hits + cold.misses);
+    assert!(doubled.delta_hits > 0, "the doubled request tops entries up");
+    assert_eq!(doubled_built, top_ups, "only the top-ups are built");
 }
 
 /// Re-running at a doubled per-circuit shot count is served as delta hits:
