@@ -45,7 +45,11 @@
 //!   that were dealt one and deals each leaf's shots over its `|ψ|²` as one
 //!   multinomial — at most min(shots, 2^(branch points)) leaves, no state
 //!   is ever re-prepared per shot and no cost grows with the shots. An
-//!   all-measured fragment is one sweep either way.
+//!   all-measured fragment is one sweep either way. The sampled walk deals
+//!   into a [`ShotSink`]: a sparse [`Counts`] histogram
+//!   ([`FramedProgram::sample`]) or, for a backend that returns dense
+//!   probability vectors, a [`DenseCounts`](crate::DenseCounts) vector
+//!   ([`FramedProgram::sample_into`]) — the same draws.
 //!
 //! [`CompileStats`] reports how much of the circuit lowered to fused or
 //! specialized kernels and how its measurements classified; backends sum
@@ -77,7 +81,7 @@ pub use readout::{ExactReadout, SampledReadout};
 pub use stats::{CompileCounters, CompileStats, FamilyStats};
 
 use crate::matrix::{matmul2, single_qubit_matrix, two_qubit_matrix, Matrix2};
-use crate::{Complex, SimError, StateVector};
+use crate::{Complex, Counts, ShotSink, SimError, StateVector};
 use qrcc_circuit::{Circuit, Gate, Operation};
 use rand::Rng;
 use stats::{family, Bucket, Tally};
@@ -349,11 +353,30 @@ impl FramedProgram {
     /// [`SimError::ZeroShots`] for `shots == 0`, otherwise as
     /// [`FramedProgram::read_out`].
     pub fn sample(&self, shots: u64, rng: &mut impl Rng) -> Result<SampledReadout, SimError> {
+        self.sample_into(shots, rng, Counts::over(self.num_clbits)?)
+    }
+
+    /// The draws of [`FramedProgram::sample`], dealt into `sink` — an empty
+    /// [`ShotSink`] over the program's classical bits
+    /// ([`ShotSink::over`]`(num_clbits)`) — instead of a fresh [`Counts`]
+    /// map: the same walk, the same draws, so the same counts in either
+    /// layout. A backend that reports dense probability vectors samples into
+    /// a [`DenseCounts`](crate::DenseCounts) and skips the map.
+    ///
+    /// # Errors
+    ///
+    /// As [`FramedProgram::sample`].
+    pub fn sample_into<S: ShotSink>(
+        &self,
+        shots: u64,
+        rng: &mut impl Rng,
+        sink: S,
+    ) -> Result<SampledReadout<S>, SimError> {
         if shots == 0 {
             return Err(SimError::ZeroShots);
         }
         let root = self.readout_root()?;
-        Ok(readout::sample(&self.kernels, &self.measurements, self.num_clbits, root, shots, rng))
+        Ok(readout::sample(&self.kernels, &self.measurements, root, shots, rng, sink))
     }
 
     /// The root state of a readout walk.

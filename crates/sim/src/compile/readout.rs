@@ -30,12 +30,15 @@
 //!   would make, and no cost grows with the shots themselves:
 //!   O(leaves·K·2^n) for `K` kernels, plus one binomial draw per visited
 //!   node — each O(1) expected.
+//!   What a leaf deals lands in a [`ShotSink`]: a sparse [`Counts`] map or
+//!   a [`DenseCounts`](crate::DenseCounts) vector, the same draws either
+//!   way.
 
 use super::Kernel;
 use crate::binomial::binomial;
 use crate::branching::BRANCH_PRUNE;
 use crate::statevector::Multinomial;
-use crate::{Counts, StateVector};
+use crate::{Counts, ShotSink, StateVector};
 use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
 use rand::Rng;
 
@@ -161,13 +164,14 @@ pub struct ExactReadout {
     pub leaves: u64,
 }
 
-/// A histogram of shots over a program's classical bits, with the number of
-/// leaves the walk visited to draw it.
+/// Shots over a program's classical bits, in the [`ShotSink`] `S` — a
+/// [`Counts`] histogram unless asked otherwise — with the number of leaves
+/// the walk visited to draw them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampledReadout {
+pub struct SampledReadout<S = Counts> {
     /// The sampled clbit patterns, keyed as [`ExactReadout::distribution`]
-    /// is indexed; `counts.shots()` is the number of shots asked for.
-    pub counts: Counts,
+    /// is indexed; they hold every shot asked for.
+    pub counts: S,
     /// Measurement branches that received at least one shot — `1` for a
     /// program whose measurements are all terminal, at most
     /// `min(shots, 2^branch_points)`.
@@ -253,14 +257,14 @@ impl Carry for Exact {
 /// with one binomial draw (the Binomial(shots, p₁) that one
 /// [`StateVector::measure`] per shot would make), a leaf deals them over
 /// `|ψ|²` as one multinomial (the draw [`StateVector::sample_counts`]
-/// makes). Only outcomes that were dealt a shot are descended.
-pub(super) struct Sampled<'r, R> {
+/// makes) into `sink`. Only outcomes that were dealt a shot are descended.
+pub(super) struct Sampled<'r, R, S> {
     rng: &'r mut R,
-    counts: Counts,
+    sink: S,
     multinomial: Multinomial,
 }
 
-impl<R: Rng> Carry for Sampled<'_, R> {
+impl<R: Rng, S: ShotSink> Carry for Sampled<'_, R, S> {
     type Share = u64;
 
     fn split(&mut self, shots: u64, p: [f64; 2]) -> [Option<u64>; 2] {
@@ -271,9 +275,9 @@ impl<R: Rng> Carry for Sampled<'_, R> {
     }
 
     fn leaf(&mut self, deposit: &Deposit, state: &StateVector, shots: u64, bits: usize) {
-        let counts = &mut self.counts;
+        let sink = &mut self.sink;
         self.multinomial.deal(state.amplitudes(), shots, self.rng, |index, shots| {
-            counts.record((bits | deposit.of(index)) as u64, shots)
+            sink.record((bits | deposit.of(index)) as u64, shots)
         });
     }
 }
@@ -384,19 +388,19 @@ pub(super) fn read_out(
     ExactReadout { distribution: carry.distribution, leaves }
 }
 
-/// `shots` sampled readouts of `kernels` run from `root`, drawn from `rng`.
-pub(super) fn sample(
+/// `shots` sampled readouts of `kernels` run from `root`, drawn from `rng`
+/// into `sink`.
+pub(super) fn sample<S: ShotSink>(
     kernels: &[Kernel],
     measurements: &Measurements,
-    num_clbits: usize,
     root: StateVector,
     shots: u64,
     rng: &mut impl Rng,
-) -> SampledReadout {
-    let carry =
-        Sampled { rng, counts: Counts::new(num_clbits), multinomial: Multinomial::default() };
+    sink: S,
+) -> SampledReadout<S> {
+    let carry = Sampled { rng, sink, multinomial: Multinomial::default() };
     let (carry, leaves) = Walk::run(kernels, measurements, root, carry, shots);
-    SampledReadout { counts: carry.counts, leaves }
+    SampledReadout { counts: carry.sink, leaves }
 }
 
 #[cfg(test)]
@@ -506,7 +510,7 @@ mod tests {
         for word in [0, u64::MAX] {
             let mut carry = Sampled {
                 rng: &mut Constant(word),
-                counts: Counts::new(1),
+                sink: Counts::new(1),
                 multinomial: Multinomial::default(),
             };
             assert_eq!(carry.split(9, [0.0, 1.0 - f64::EPSILON / 2.0]), [None, Some(9)]);

@@ -1,6 +1,25 @@
+use crate::SimError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+
+/// Where sampled shots land. A sampler hands its sink each clbit pattern it
+/// deals shots to, with their number, and the sink decides the layout:
+/// [`Counts`] keeps a sparse histogram over up to 64 classical bits,
+/// [`DenseCounts`] a vector over every pattern of at most
+/// [`Counts::MAX_DENSE_BITS`] bits. The shots dealt, and so the counts, do
+/// not depend on the sink.
+pub trait ShotSink: Sized {
+    /// An empty sink over `num_bits` classical bits.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TooManyClbits`] when the layout cannot hold `num_bits`.
+    fn over(num_bits: usize) -> Result<Self, SimError>;
+
+    /// Records `shots` more shots of `pattern` (bit `i` is classical bit `i`).
+    fn record(&mut self, pattern: u64, shots: u64);
+}
 
 /// A histogram of measurement outcomes over `num_bits` classical bits.
 ///
@@ -53,18 +72,6 @@ impl Counts {
     pub fn record(&mut self, outcome: u64, count: u64) {
         *self.counts.entry(outcome).or_insert(0) += count;
         self.shots += count;
-    }
-
-    /// Records one occurrence of an outcome given as a bit slice
-    /// (`bits[i]` is classical bit `i`).
-    pub fn record_bits(&mut self, bits: &[bool]) {
-        let mut key = 0u64;
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                key |= 1 << i;
-            }
-        }
-        self.record(key, 1);
     }
 
     /// The number of shots that produced `outcome`.
@@ -152,6 +159,64 @@ impl Counts {
     }
 }
 
+impl ShotSink for Counts {
+    fn over(num_bits: usize) -> Result<Self, SimError> {
+        if num_bits > 64 {
+            return Err(SimError::TooManyClbits { required: num_bits, available: 64 });
+        }
+        Ok(Counts::new(num_bits))
+    }
+
+    fn record(&mut self, pattern: u64, shots: u64) {
+        Counts::record(self, pattern, shots);
+    }
+}
+
+/// Shots tallied straight into a dense vector over all `2^num_bits` clbit
+/// patterns — the layout a backend reporting probability vectors returns,
+/// with no histogram map in between. Each entry holds its exact shot count
+/// as an `f64` (every count below 2^53 is exact), and
+/// [`DenseCounts::into_probabilities`] divides by the shots once, so the
+/// result equals [`Counts::probability_vector`] of the same shots bit for
+/// bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DenseCounts {
+    tallies: Vec<f64>,
+    shots: u64,
+}
+
+impl DenseCounts {
+    /// The empirical probability of every pattern: entry `k` is the count of
+    /// pattern `k` over the shots (all 0 when no shot was recorded).
+    pub fn into_probabilities(self) -> Vec<f64> {
+        let mut probabilities = self.tallies;
+        if self.shots > 0 {
+            let shots = self.shots as f64;
+            for p in &mut probabilities {
+                *p /= shots;
+            }
+        }
+        probabilities
+    }
+}
+
+impl ShotSink for DenseCounts {
+    fn over(num_bits: usize) -> Result<Self, SimError> {
+        if num_bits > Counts::MAX_DENSE_BITS {
+            return Err(SimError::TooManyClbits {
+                required: num_bits,
+                available: Counts::MAX_DENSE_BITS,
+            });
+        }
+        Ok(DenseCounts { tallies: vec![0.0; 1 << num_bits], shots: 0 })
+    }
+
+    fn record(&mut self, pattern: u64, shots: u64) {
+        self.tallies[pattern as usize] += shots as f64;
+        self.shots += shots;
+    }
+}
+
 impl fmt::Display for Counts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut entries: Vec<(u64, u64)> = self.iter().collect();
@@ -175,7 +240,7 @@ mod tests {
     fn record_and_probability() {
         let mut c = Counts::new(3);
         c.record(0b101, 2);
-        c.record_bits(&[true, false, true]);
+        c.record(0b101, 1);
         assert_eq!(c.count(0b101), 3);
         assert_eq!(c.shots(), 3);
         assert!((c.probability(0b101) - 1.0).abs() < 1e-12);
@@ -230,6 +295,21 @@ mod tests {
         c.record(1, 50);
         assert!(c.total_variation_distance(&[0.5, 0.5]) < 1e-12);
         assert!((c.total_variation_distance(&[1.0, 0.0]) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dense_counts_divide_to_the_histograms_probability_vector() {
+        // a pattern recorded in pieces, as leaves of a branching readout
+        // deal it, sums exactly before the one division
+        let records = [(0b101u64, 7u64), (0b000, 1), (0b101, 993), (0b011, 2), (0b000, 3)];
+        let mut sparse = Counts::new(3);
+        let mut dense = DenseCounts::over(3).unwrap();
+        for (pattern, shots) in records {
+            sparse.record(pattern, shots);
+            dense.record(pattern, shots);
+        }
+        assert_eq!(dense.into_probabilities(), sparse.probability_vector());
+        assert_eq!(DenseCounts::over(2).unwrap().into_probabilities(), vec![0.0; 4]);
     }
 
     #[test]

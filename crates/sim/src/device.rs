@@ -6,7 +6,7 @@
 use crate::compile::{CompileCounters, CompileStats, FramedProgram, Measurements};
 use crate::expectation::{expectation_from_counts, measurement_circuit};
 use crate::noise::NoiseModel;
-use crate::{Counts, SimError, StateVector};
+use crate::{Counts, ShotSink, SimError, StateVector};
 use qrcc_circuit::observable::PauliObservable;
 use qrcc_circuit::{Circuit, Operation};
 use rand::rngs::StdRng;
@@ -186,7 +186,8 @@ impl Device {
     /// * [`SimError::MidCircuitUnsupported`] if the circuit needs mid-circuit
     ///   measurement or reset and the device does not support it.
     /// * [`SimError::ZeroShots`] if `shots == 0`.
-    ///
+    /// * [`SimError::TooManyClbits`] if the circuit writes more than the 64
+    ///   classical bits a [`Counts`] key holds.
     pub fn execute(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         self.execute_on(circuit, shots, || self.reserve_streams(1))
     }
@@ -207,6 +208,25 @@ impl Device {
         shots: u64,
         stream: u64,
     ) -> Result<Counts, SimError> {
+        self.execute_stream_into(circuit, shots, stream)
+    }
+
+    /// [`Device::execute_stream`] dealing its shots into a [`ShotSink`] of
+    /// layout `S` over the circuit's classical bits: the same draws, so the
+    /// same counts, whatever the layout. A backend that reports dense
+    /// probability vectors asks for a [`DenseCounts`](crate::DenseCounts).
+    ///
+    /// # Errors
+    ///
+    /// As [`Device::execute`], and [`SimError::TooManyClbits`] when `S`
+    /// cannot hold the circuit's classical bits; a refused circuit consumes
+    /// nothing of the stream.
+    pub fn execute_stream_into<S: ShotSink>(
+        &self,
+        circuit: &Circuit,
+        shots: u64,
+        stream: u64,
+    ) -> Result<S, SimError> {
         self.execute_on(circuit, shots, || stream)
     }
 
@@ -232,12 +252,12 @@ impl Device {
 
     /// The shared execution path; `stream` is drawn only once the circuit is
     /// known to run, so a refused circuit consumes no sampling stream.
-    fn execute_on(
+    fn execute_on<S: ShotSink>(
         &self,
         circuit: &Circuit,
         shots: u64,
         stream: impl FnOnce() -> u64,
-    ) -> Result<Counts, SimError> {
+    ) -> Result<S, SimError> {
         if !self.config.noise.is_noiseless() {
             return self.trajectories_on(circuit, shots, stream);
         }
@@ -248,23 +268,24 @@ impl Device {
         let program = FramedProgram::compile(&circuit);
         self.compiled.add(&program);
         self.check_mid_circuit(|| program.reuses_wires())?;
-        Ok(program.sample(shots, &mut self.rng_for_stream(stream()))?.counts)
+        let sink = S::over(circuit.num_clbits())?;
+        Ok(program.sample_into(shots, &mut self.rng_for_stream(stream()), sink)?.counts)
     }
 
-    fn trajectories_on(
+    fn trajectories_on<S: ShotSink>(
         &self,
         circuit: &Circuit,
         shots: u64,
         stream: impl FnOnce() -> u64,
-    ) -> Result<Counts, SimError> {
+    ) -> Result<S, SimError> {
         let circuit = measured(circuit, shots)?;
         self.validate(&circuit)?;
+        let mut sink = S::over(circuit.num_clbits())?;
         let mut rng = self.rng_for_stream(stream());
-        let mut counts = Counts::new(circuit.num_clbits());
         for _ in 0..shots {
-            counts.record_bits(&self.trajectory(&circuit, &mut rng));
+            sink.record(self.trajectory(&circuit, &mut rng), 1);
         }
-        Ok(counts)
+        Ok(sink)
     }
 
     /// Kernel-compilation telemetry summed over every circuit this device
@@ -273,10 +294,11 @@ impl Device {
         self.compiled.stats()
     }
 
-    /// One shot: the clbits a per-gate run of `circuit` reads out.
-    fn trajectory(&self, circuit: &Circuit, rng: &mut StdRng) -> Vec<bool> {
+    /// One shot: the clbit pattern a per-gate run of `circuit` reads out
+    /// (bit `i` is classical bit `i`).
+    fn trajectory(&self, circuit: &Circuit, rng: &mut StdRng) -> u64 {
         let mut state = StateVector::new(circuit.num_qubits());
-        let mut clbits = vec![false; circuit.num_clbits()];
+        let mut clbits = 0u64;
         for op in circuit.operations() {
             match op {
                 Operation::Single { gate, qubit } => {
@@ -289,7 +311,8 @@ impl Device {
                 }
                 Operation::Measure { qubit, clbit } => {
                     let outcome = state.measure(*qubit, rng);
-                    clbits[*clbit] = self.config.noise.apply_readout(outcome, rng);
+                    let read = self.config.noise.apply_readout(outcome, rng);
+                    clbits = clbits & !(1 << clbit) | u64::from(read) << clbit;
                 }
                 Operation::Reset { qubit } => {
                     state.reset(*qubit, rng);
@@ -356,6 +379,7 @@ pub fn needs_mid_circuit(circuit: &Circuit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DenseCounts;
     use qrcc_circuit::observable::PauliString;
 
     #[test]
@@ -527,6 +551,31 @@ mod tests {
         assert_eq!(stats, expected);
         // each reuse run branches twice and reads one clbit at the end
         assert_eq!((stats.branch_points, stats.terminal_measures), (4, 2 + 2));
+    }
+
+    #[test]
+    fn a_circuit_past_the_dense_limit_samples_into_sparse_counts() {
+        // a two-qubit reuse chain writing 40 clbits: a dense vector over
+        // them would hold 2^40 entries, the histogram holds what was dealt
+        let mut chain = Circuit::with_clbits(2, 40);
+        for clbit in 0..39 {
+            chain.h(0).cx(0, 1).measure(0, clbit).reset(0);
+        }
+        chain.measure(1, 39);
+        let device = Device::new(DeviceConfig::ideal(2).with_seed(8));
+        let counts = device.execute(&chain, 64).unwrap();
+        assert_eq!((counts.num_bits(), counts.shots()), (40, 64));
+        assert!(counts.iter().count() <= 64);
+        assert_eq!(device.execute_stream(&chain, 64, 0).unwrap(), counts);
+        // the dense layout refuses it with a typed error
+        let refused = SimError::TooManyClbits { required: 40, available: Counts::MAX_DENSE_BITS };
+        assert_eq!(device.execute_stream_into::<DenseCounts>(&chain, 64, 0), Err(refused));
+        // and a histogram key holds no more than 64 bits
+        let mut wider = Circuit::with_clbits(1, 65);
+        wider.h(0).measure(0, 64);
+        let refused = SimError::TooManyClbits { required: 65, available: 64 };
+        assert_eq!(device.execute(&wider, 8), Err(refused));
+        assert_eq!(device.executions(), 1, "a refused circuit takes no stream");
     }
 
     #[test]

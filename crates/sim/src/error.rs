@@ -12,9 +12,10 @@ pub enum SimError {
         /// Qubits available.
         available: usize,
     },
-    /// The circuit writes more classical bits than a dense probability
-    /// vector over them may have (see
-    /// [`Counts::MAX_DENSE_BITS`](crate::Counts::MAX_DENSE_BITS)).
+    /// The circuit writes more classical bits than what receives its
+    /// outcomes may hold: a dense probability vector
+    /// ([`Counts::MAX_DENSE_BITS`](crate::Counts::MAX_DENSE_BITS)) or a
+    /// histogram key (64 bits; see [`ShotSink::over`](crate::ShotSink::over)).
     TooManyClbits {
         /// Classical bits of the circuit.
         required: usize,

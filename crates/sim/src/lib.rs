@@ -54,7 +54,9 @@
 //!   optional noise and shots-based execution, standing in for IBM Lagos:
 //!   one sampled readout per circuit when noiseless, one interpreted
 //!   trajectory per shot when noisy.
-//! * [`Counts`] — measurement histograms.
+//! * [`Counts`] — measurement histograms; [`DenseCounts`] — the same shots
+//!   tallied into a dense vector, what a probability-reporting backend
+//!   samples into (both are [`ShotSink`]s).
 //!
 //! # Example
 //!
@@ -90,6 +92,6 @@ pub mod matrix;
 pub mod noise;
 
 pub use complex::Complex;
-pub use counts::Counts;
+pub use counts::{Counts, DenseCounts, ShotSink};
 pub use error::SimError;
 pub use statevector::{StateVector, MAX_QUBITS};

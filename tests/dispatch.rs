@@ -4,9 +4,10 @@
 //! a `FlakyBackend` drops a seeded fraction of jobs; results must be
 //! byte-identical across worker counts and retry schedules; a fleet where
 //! every compatible backend fails must surface `RetriesExhausted`; a
-//! permanent error must end the request on its first attempt; and an
+//! permanent error must end the request on its first attempt; an
 //! in-flight window of 1 must provably bound the dispatcher's undelivered
-//! work.
+//! work; and a budgeted sampled request must return the same bits at every
+//! thread count and when two of them run at once.
 
 use proptest::prelude::*;
 use qrcc::core::CoreError;
@@ -360,6 +361,65 @@ fn shot_budget_stays_exact_under_fault_injection() {
     let max_error =
         exact.iter().zip(&probabilities).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
     assert!(max_error < 0.05, "shots-based dispatched reconstruction off by {max_error}");
+}
+
+/// A budgeted request on two seeded sampling devices — the pipeline ledger's
+/// `reg8_gate_sampled` shape (REG-8 QAOA on 5 qubits, gate cuts on, 64-circuit
+/// chunks) under a smaller budget — as the bits of its value and each
+/// device's name, circuits and shots.
+fn sampled_two_device_request(pipeline: &QrccPipeline, observable: &PauliObservable) -> SampledRun {
+    let mut registry = DeviceRegistry::new();
+    for (name, seed) in [("qpu-0", 0xd0), ("qpu-1", 0xd1)] {
+        registry.register_device(name, Device::new(DeviceConfig::ideal(5).with_seed(seed)), 1024);
+    }
+    let policy = SchedulePolicy::with_budget(100_000).with_min_shots(16).with_chunk_size(64);
+    let scheduler = Scheduler::new(&registry, policy);
+    let (value, _, schedule) =
+        pipeline.execute_observables_streaming(&scheduler, observable).unwrap();
+    let usage =
+        schedule.backends.iter().map(|u| (u.backend.clone(), u.circuits, u.shots)).collect();
+    (value.to_bits(), usage)
+}
+
+type SampledRun = (u64, Vec<(String, u64, u64)>);
+
+/// Each device draws circuit `i` of its job from its own seeded stream, and
+/// a parallel call writes its results by index however wide it fans out: the
+/// thread count and a concurrent request can move neither a draw nor a route.
+#[test]
+fn a_sampled_two_device_request_is_the_same_at_every_width_and_alongside_another() {
+    let (circuit, graph) = generators::qaoa_regular(8, 3, 1, 3);
+    let config = QrccConfig::new(5).with_gate_cuts(true).with_ilp_time_limit(Duration::ZERO);
+    let pipeline = QrccPipeline::plan(&circuit, config).unwrap();
+    let observable = PauliObservable::maxcut(&graph);
+    let reference = sampled_two_device_request(&pipeline, &observable);
+    assert!(reference.1.len() == 2 && reference.1.iter().all(|&(_, circuits, _)| circuits > 0));
+    assert_eq!(reference.1.iter().map(|&(_, _, shots)| shots).sum::<u64>(), 100_000);
+
+    let inherited = std::env::var("RAYON_NUM_THREADS").ok();
+    for threads in ["1", "2", "4"] {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        let run = sampled_two_device_request(&pipeline, &observable);
+        assert_eq!(run, reference, "RAYON_NUM_THREADS={threads}");
+    }
+    match inherited {
+        Some(threads) => std::env::set_var("RAYON_NUM_THREADS", threads),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+
+    let start = std::sync::Barrier::new(2);
+    let both: Vec<SampledRun> = std::thread::scope(|s| {
+        let requests: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    sampled_two_device_request(&pipeline, &observable)
+                })
+            })
+            .collect();
+        requests.into_iter().map(|request| request.join().unwrap()).collect()
+    });
+    assert_eq!(both, [reference.clone(), reference], "two requests at once");
 }
 
 /// Sum of per-backend retry counters in a schedule report.
