@@ -52,7 +52,7 @@ fn bench_batch_vs_serial(c: &mut Criterion) {
     group.bench_function("serial_run", |b| {
         b.iter(|| {
             let backend = ExactBackend::new();
-            let results: Vec<_> = circuits.iter().map(|c| backend.run(&[c], None)).collect();
+            let results: Vec<_> = circuits.chunks(1).map(|c| backend.run_batch(c)).collect();
             assert!(results.iter().flatten().all(Result::is_ok));
             results.len()
         });
@@ -71,8 +71,8 @@ fn bench_batch_vs_serial(c: &mut Criterion) {
     // a multi-core machine (single-core machines tie within noise).
     let backend = ExactBackend::new();
     let start = Instant::now();
-    for circuit in &circuits {
-        backend.run(&[circuit], None).pop().unwrap().unwrap();
+    for circuit in circuits.chunks(1) {
+        backend.run_batch(circuit).pop().unwrap().unwrap();
     }
     let serial = start.elapsed();
     let start = Instant::now();

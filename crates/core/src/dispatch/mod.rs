@@ -106,8 +106,8 @@ pub struct DispatchStats {
 /// bounded in-flight window — each job goes through the registry's result
 /// cache ([`cache::serve`](crate::cache::serve)), and what the cache does
 /// not answer reaches the backend as one
-/// [`run_variants`](crate::execute::ExecutionBackend::run_variants) call
-/// over canonical keys of `batch`. Failed circuits are routed again with the
+/// [`run`](crate::execute::ExecutionBackend::run) call over canonical keys
+/// of `batch`. Failed circuits are routed again with the
 /// failing backend excluded, and each chunk's [`ExecutionResults`] are
 /// delivered to `sink` strictly in chunk order. Returns the lifecycle
 /// telemetry and, per backend that did any work (registry order), its
@@ -172,7 +172,7 @@ pub(crate) fn dispatch(
     // each body's identity is checked once here, for the whole request
     let cache = registry.result_cache().map(|cache| &**cache);
     let bodies: Vec<CachedBody> = cache.map_or_else(Vec::new, |cache| {
-        batch.fragments.fragments.iter().map(|fragment| cache.intern(fragment.body())).collect()
+        batch.bodies.iter().map(|body| cache.intern(body)).collect()
     });
     let cache = cache.map(|cache| (cache, &bodies[..]));
     let cancelled = AtomicBool::new(false);

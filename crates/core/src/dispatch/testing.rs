@@ -7,7 +7,7 @@
 //! The TCP-level counterpart, `qrcc_net::testing::FaultyProxy`, injects
 //! faults below these backends: into the byte stream itself.
 
-use crate::execute::{CircuitShape, ExecutionBackend};
+use crate::execute::{CircuitShape, ExecutionBackend, VariantBatch};
 use crate::CoreError;
 use parking_lot::Mutex;
 use qrcc_circuit::Circuit;
@@ -35,10 +35,11 @@ pub enum FailureMode {
 /// [`CoreError::BackendUnavailable`]; the decision depends only on
 /// `(circuit, seed, submissions so far)`, never on thread timing, so fault
 /// injection is reproducible across worker counts and dispatch schedules.
-/// Failing circuits are rejected *before* execution — the inner backend
-/// never sees them, exactly like a queue rejection — so a wrapped
+/// (The double builds each variant it is handed to hash it.) Failing
+/// variants are rejected *before* execution — the inner backend never sees
+/// them, exactly like a queue rejection — so a wrapped
 /// [`ShotsBackend`](crate::execute::ShotsBackend) keeps its deterministic
-/// sampling streams for the circuits that do run.
+/// sampling streams for the variants that do run.
 ///
 /// ```rust
 /// use qrcc_core::dispatch::FlakyBackend;
@@ -48,8 +49,9 @@ pub enum FailureMode {
 /// let flaky = FlakyBackend::transient(ExactBackend::new(), 7, 1.0);
 /// let mut c = Circuit::new(1);
 /// c.h(0).measure(0, 0);
-/// assert!(flaky.run(&[&c], None)[0].is_err(), "first submission is dropped");
-/// assert!(flaky.run(&[&c], None)[0].is_ok(), "the transient fault clears");
+/// let c = [c];
+/// assert!(flaky.run_batch(&c)[0].is_err(), "first submission is dropped");
+/// assert!(flaky.run_batch(&c)[0].is_ok(), "the transient fault clears");
 /// assert_eq!(flaky.injected_failures(), 1);
 /// ```
 pub struct FlakyBackend<B> {
@@ -154,27 +156,13 @@ impl<B: ExecutionBackend> FlakyBackend<B> {
 }
 
 impl<B: ExecutionBackend> ExecutionBackend for FlakyBackend<B> {
-    /// Decides every circuit first, runs only the survivors through the
-    /// inner backend as one sub-batch (order preserved, circuits borrowed),
-    /// then splices the injected failures back in. Rejected circuits never
-    /// reach the inner backend — like a queue rejecting a job up front.
-    fn run(
-        &self,
-        circuits: &[&Circuit],
-        shots: Option<&[u64]>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        let verdicts: Vec<Option<CoreError>> = circuits.iter().map(|c| self.inject(c)).collect();
-        let passing: Vec<usize> = (0..circuits.len()).filter(|&i| verdicts[i].is_none()).collect();
-        let sub: Vec<&Circuit> = passing.iter().map(|&i| circuits[i]).collect();
-        let sub_shots: Option<Vec<u64>> = shots.map(|s| passing.iter().map(|&i| s[i]).collect());
-        let mut sub_results = self.inner.run(&sub, sub_shots.as_deref()).into_iter();
-        verdicts
-            .into_iter()
-            .map(|verdict| match verdict {
-                Some(error) => Err(error),
-                None => sub_results.next().expect("one inner result per passing circuit"),
-            })
-            .collect()
+    /// Decides every variant first, runs only the survivors through the
+    /// inner backend as one sub-batch (order preserved, still keyed), then
+    /// splices the injected failures back in. Rejected variants never reach
+    /// the inner backend — like a queue rejecting a job up front.
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        variants
+            .run_unrefused(|i| self.inject(&variants.build(i)), |passing| self.inner.run(passing))
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -243,13 +231,9 @@ impl<B: ExecutionBackend> QueueBackend<B> {
 }
 
 impl<B: ExecutionBackend> ExecutionBackend for QueueBackend<B> {
-    fn run(
-        &self,
-        circuits: &[&Circuit],
-        shots: Option<&[u64]>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
         std::thread::sleep(self.latency);
-        self.inner.run(circuits, shots)
+        self.inner.run(variants)
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -289,7 +273,7 @@ mod tests {
     }
 
     fn single(backend: &dyn ExecutionBackend, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        backend.run(&[circuit], None).pop().expect("one result per circuit")
+        backend.run_batch(std::slice::from_ref(circuit)).pop().expect("one result per circuit")
     }
 
     #[test]
@@ -335,7 +319,7 @@ mod tests {
     fn batch_path_splices_failures_without_executing_them() {
         let flaky = FlakyBackend::with_mode(ExactBackend::new(), 9, 1.0, FailureMode::Transient(1));
         let c = bell();
-        let results = flaky.run(&[&c, &c], None);
+        let results = flaky.run_batch(&[c.clone(), c]);
         // the first submission of the (structurally identical) circuit fails,
         // the second already counts as a later submission and passes
         assert!(results[0].is_err());

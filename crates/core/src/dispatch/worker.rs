@@ -95,10 +95,11 @@ pub(crate) fn spawn_workers<'scope, 'env: 'scope>(
 
 /// The body of one worker thread: serve each queued job's canonical keys
 /// through [`cache::serve`], whose one backend call is a
-/// [`run_variants`](crate::execute::ExecutionBackend::run_variants) over the
-/// variants the cache did not answer — where a local backend instantiates
-/// them — and report the outcome. A closed event channel means the
-/// dispatcher is gone — stop immediately.
+/// [`run`](crate::execute::ExecutionBackend::run) over the variants the
+/// cache did not answer — keys over the request's fragment bodies, which a
+/// local backend builds one per thread as it runs them — and report the
+/// outcome. A closed event channel means the dispatcher is gone — stop
+/// immediately.
 fn worker_loop(
     entry: &RegisteredBackend,
     jobs: Receiver<Job>,
@@ -129,8 +130,8 @@ fn worker_loop(
             job.shots.as_deref(),
             |picked, shots| {
                 // the variants stay keyed, so a remote backend ships keys
-                let picks = picked.iter().map(|&i| job.circuits[i]).collect();
-                backend.run_variants(&batch.variants(picks, shots))
+                let picks = picked.iter().map(|&i| job.circuits[i]);
+                backend.run(&batch.variants(picks, shots.map(<[u64]>::to_vec)))
             },
         );
         drop(span);

@@ -30,9 +30,10 @@
 //!    excluded, up to [`SchedulePolicy::max_retries`] times. Each delivered
 //!    chunk is an [`ExecutionResults`] in ascending key order, where keys
 //!    that share a circuit share its distribution. A job reaches its backend
-//!    as one [`ExecutionBackend::run_variants`] call over a [`VariantBatch`]
-//!    of canonical keys: a local backend instantiates them there, on the
-//!    worker thread that runs them, and a remote backend ships the keys.
+//!    as one [`ExecutionBackend::run`] call over a [`VariantBatch`] of
+//!    canonical keys: a local backend builds each circuit inside its
+//!    parallel loop, on the thread that runs it, and a remote backend ships
+//!    the keys.
 //!    Per-backend usage goes straight to the scheduler's
 //!    [`ScheduleReport`](crate::schedule::ScheduleReport).
 //! 5. **Fold** — each delivered chunk folds into per-fragment cut tensors
@@ -50,10 +51,10 @@
 //! [`SchedulePolicy::max_retries`]: crate::SchedulePolicy::max_retries
 //!
 //! A backend implements one execution method, [`ExecutionBackend::run`]: a
-//! batch of circuits with optional per-circuit shots. Every execution ends
-//! in it — the dispatcher's per-job [`ExecutionBackend::run_variants`]
-//! (which only a remote backend overrides, to ship keys to a worker),
-//! [`execute_requests`], and the worker's own backend call.
+//! [`VariantBatch`] of keys over fragment bodies with optional per-variant
+//! shots. Every execution ends in it — the dispatcher's jobs,
+//! [`execute_requests`], a fleet worker's batches and the bare-circuit
+//! [`ExecutionBackend::run_batch`].
 //!
 //! Memoisation is not a backend's job: the shot-aware
 //! [`ResultCache`](crate::cache::ResultCache) sits in the scheduled
@@ -62,7 +63,7 @@
 //! and in front of a remote worker's backend (`QrccServer::with_result_cache`
 //! in `qrcc-net`).
 
-use crate::fragment::{FragmentSet, VariantKey, VariantRequest};
+use crate::fragment::{FragmentBody, FragmentSet, VariantKey, VariantRequest};
 use crate::CoreError;
 use qrcc_circuit::Circuit;
 use qrcc_sim::compile::{CompileCounters, CompileStats, FramedProgram};
@@ -73,58 +74,56 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Executes fragment-variant circuits and reports the probability
-/// distribution over their classical bits (length `2^num_clbits`).
+/// Executes fragment variants and reports the probability distribution
+/// over each one's classical bits (length `2^num_clbits`).
 ///
-/// A backend implements one execution method, [`ExecutionBackend::run`]: a
-/// batch of circuits, each with its own shot count when the scheduler
-/// allocated them. Everything else that executes is a provided forward to
-/// it.
+/// A backend implements one execution method, [`ExecutionBackend::run`],
+/// over a [`VariantBatch`]: keys into a list of fragment bodies, each with
+/// its own shot count when the scheduler allocated them. Every caller hands
+/// a backend that — the dispatcher a job's canonical keys over the
+/// request's bodies, a fleet worker a submission's keys over its
+/// connection's table, [`execute_requests`] a whole batch — and bare
+/// circuits go through the provided [`run_batch`](ExecutionBackend::run_batch)
+/// / [`run_batch_with_shots`](ExecutionBackend::run_batch_with_shots), each
+/// circuit the one variant of its own body
+/// ([`FragmentBody::from_circuit`]). A local backend builds each circuit
+/// where it runs it ([`VariantBatch::build`]), so no more circuits are alive
+/// at once than it has threads; a remote backend ships the keys.
+///
+/// Every backend refuses a variant without classical bits with
+/// [`SimError::NothingToMeasure`]: there is no distribution to report.
 ///
 /// Backends must be [`Sync`]: batches are executed with data parallelism, and
 /// the dispatcher's per-backend workers share them across threads.
 pub trait ExecutionBackend: Sync {
-    /// Executes a batch of circuits, returning one result per circuit in
-    /// order. `shots`, when given, holds one shot count per circuit, as a
-    /// [`ShotAllocator`](crate::schedule::ShotAllocator) assigned them;
-    /// without it a sampling backend runs its
+    /// Executes a batch of variants, returning one result per variant in
+    /// order. Variant `i` runs at [`VariantBatch::shots`]`[i]` shots, as a
+    /// [`ShotAllocator`](crate::schedule::ShotAllocator) assigned them, or
+    /// without them at the backend's
     /// [`shots_per_circuit`](ExecutionBackend::shots_per_circuit). Exact
     /// backends ignore the counts: their output has no sampling noise.
     ///
     /// # Errors
     ///
-    /// A circuit that cannot be executed (too wide, no measurements, zero
+    /// A variant that cannot be executed (too wide, no measurements, zero
     /// shots, ...) gets its own error, typically
     /// [`CoreError::Simulation`]; the others still run.
-    fn run(&self, circuits: &[&Circuit], shots: Option<&[u64]>)
-        -> Vec<Result<Vec<f64>, CoreError>>;
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>>;
 
-    /// [`run`](ExecutionBackend::run) over owned circuits, at the backend's
+    /// [`run`](ExecutionBackend::run) over bare circuits, at the backend's
     /// own shot count.
     fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.run(&circuits.iter().collect::<Vec<_>>(), None)
+        run_circuits(self, circuits, None)
     }
 
-    /// [`run`](ExecutionBackend::run) over owned circuits, circuit `i` at
+    /// [`run`](ExecutionBackend::run) over bare circuits, circuit `i` at
     /// `shots[i]` shots.
     fn run_batch_with_shots(
         &self,
         circuits: &[Circuit],
         shots: &[u64],
     ) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.run(&circuits.iter().collect::<Vec<_>>(), Some(shots))
-    }
-
-    /// Executes a batch of fragment variants, returning one result per
-    /// variant in order. The dispatcher calls this for every job.
-    ///
-    /// The default instantiates the variants here, on the calling thread
-    /// ([`VariantBatch::instantiate`]), and runs them with the batch's
-    /// shots. A remote backend overrides it to ship each fragment once and
-    /// then only the canonical [`VariantKey`]s, building nothing.
-    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        let circuits = variants.instantiate();
-        self.run(&circuits.iter().collect::<Vec<_>>(), variants.shots())
+        run_circuits(self, circuits, Some(shots))
     }
 
     /// The widest circuit this backend can run, or `None` when unbounded.
@@ -194,86 +193,135 @@ impl CircuitShape {
     }
 }
 
-/// The variant view of one batch of work: canonical [`VariantKey`]s of a
-/// [`FragmentSet`] and optional per-variant shots — what
-/// [`ExecutionBackend::run_variants`] receives. It holds no circuit: a
-/// backend that needs them builds them ([`VariantBatch::instantiate`]).
-///
-/// The view picks some entries of a batch-wide key list (a dispatcher job
-/// runs the variants of a chunk routed to one backend) without copying it.
+/// One batch of work for [`ExecutionBackend::run`]: variant keys whose
+/// `fragment` indexes a list of fragment bodies, and optional per-variant
+/// shots. It holds no circuit: a backend that needs one builds it where it
+/// runs it ([`VariantBatch::build`]).
 #[derive(Debug, Clone)]
 pub struct VariantBatch<'a> {
-    fragments: &'a FragmentSet,
-    keys: &'a [VariantKey],
-    picks: Vec<usize>,
-    shots: Option<&'a [u64]>,
+    bodies: &'a [&'a FragmentBody],
+    keys: Vec<VariantKey>,
+    shots: Option<Vec<u64>>,
 }
 
 impl<'a> VariantBatch<'a> {
-    /// Every variant of `keys` (each a circuit's canonical key, so keys
-    /// sharing a circuit appear once); `shots`, when given, holds one count
+    /// The variants `keys` of `bodies`; `shots`, when given, holds one count
     /// per variant.
     ///
     /// # Panics
     ///
-    /// Panics if a key names no fragment of `fragments` or its ordinal is
-    /// out of the fragment's range, or the shot count disagrees.
+    /// Panics if a key names no body or its ordinal is out of its body's
+    /// range, or the shot count disagrees.
     pub fn new(
-        fragments: &'a FragmentSet,
-        keys: &'a [VariantKey],
-        shots: Option<&'a [u64]>,
+        bodies: &'a [&'a FragmentBody],
+        keys: Vec<VariantKey>,
+        shots: Option<Vec<u64>>,
     ) -> Self {
         let known = |key: &VariantKey| {
-            fragments.fragments.get(key.fragment).is_some_and(|f| key.ordinal < f.variant_count())
+            bodies.get(key.fragment).is_some_and(|body| key.ordinal < body.variant_count())
         };
-        assert!(keys.iter().all(known), "every key names a variant of the set");
-        Self::picked(fragments, keys, (0..keys.len()).collect(), shots)
+        assert!(keys.iter().all(known), "every key names a variant of a body");
+        assert!(shots.as_ref().is_none_or(|s| s.len() == keys.len()), "one shot count per variant");
+        VariantBatch { bodies, keys, shots }
     }
 
-    /// The variants at `picks` of the batch-wide `keys`, with one shot count
-    /// per pick.
-    pub(crate) fn picked(
-        fragments: &'a FragmentSet,
-        keys: &'a [VariantKey],
-        picks: Vec<usize>,
-        shots: Option<&'a [u64]>,
-    ) -> Self {
-        assert!(shots.is_none_or(|s| s.len() == picks.len()), "one shot count per variant");
-        VariantBatch { fragments, keys, picks, shots }
-    }
-
-    /// The fragment set the keys index.
-    pub fn fragments(&self) -> &'a FragmentSet {
-        self.fragments
+    /// The bodies the keys index.
+    pub fn bodies(&self) -> &'a [&'a FragmentBody] {
+        self.bodies
     }
 
     /// Number of variants.
     pub fn len(&self) -> usize {
-        self.picks.len()
+        self.keys.len()
     }
 
     /// Whether the batch holds no variant.
     pub fn is_empty(&self) -> bool {
-        self.picks.is_empty()
+        self.keys.is_empty()
     }
 
-    /// The canonical keys, in batch order.
-    pub fn keys(&self) -> impl Iterator<Item = VariantKey> + '_ {
-        self.picks.iter().map(|&i| self.keys[i])
+    /// The keys, in batch order.
+    pub fn keys(&self) -> &[VariantKey] {
+        &self.keys
     }
 
     /// Per-variant shots, when the scheduler allocated them.
-    pub fn shots(&self) -> Option<&'a [u64]> {
-        self.shots
+    pub fn shots(&self) -> Option<&[u64]> {
+        self.shots.as_deref()
     }
 
-    /// Builds the variants' circuits, in batch order.
-    pub fn instantiate(&self) -> Vec<Circuit> {
-        let fragments = &self.fragments.fragments;
-        self.keys()
-            .map(|key| fragments[key.fragment].instantiate(key.ordinal, key.outputs))
-            .collect()
+    /// The body variant `i` instantiates.
+    pub fn body(&self, i: usize) -> &'a FragmentBody {
+        self.bodies[self.keys[i].fragment]
     }
+
+    /// What routing reads of variant `i`, without building it.
+    pub fn shape(&self, i: usize) -> CircuitShape {
+        let key = self.keys[i];
+        self.body(i).shape(key.ordinal, key.outputs)
+    }
+
+    /// Builds variant `i`'s circuit.
+    pub fn build(&self, i: usize) -> Circuit {
+        let key = self.keys[i];
+        self.body(i).instantiate(key.ordinal, key.outputs)
+    }
+
+    /// The variants at `positions` of this batch, with their shots.
+    pub fn select(&self, positions: &[usize]) -> VariantBatch<'a> {
+        VariantBatch {
+            bodies: self.bodies,
+            keys: positions.iter().map(|&i| self.keys[i]).collect(),
+            shots: self.shots.as_ref().map(|shots| positions.iter().map(|&i| shots[i]).collect()),
+        }
+    }
+
+    /// Runs only the variants `refusal` passes, as one `run` sub-batch in
+    /// batch order, and splices each refusal back in at its place.
+    pub fn run_unrefused(
+        &self,
+        refusal: impl FnMut(usize) -> Option<CoreError>,
+        run: impl FnOnce(&VariantBatch<'a>) -> Vec<Result<Vec<f64>, CoreError>>,
+    ) -> Vec<Result<Vec<f64>, CoreError>> {
+        let refusals: Vec<Option<CoreError>> = (0..self.len()).map(refusal).collect();
+        let passing: Vec<usize> = (0..self.len()).filter(|&i| refusals[i].is_none()).collect();
+        splice(refusals, run(&self.select(&passing)))
+    }
+}
+
+/// The answers of a batch whose refused entries never ran: each refusal at
+/// its place, and the answers of the entries that ran, in order, between.
+fn splice(
+    refusals: Vec<Option<CoreError>>,
+    ran: Vec<Result<Vec<f64>, CoreError>>,
+) -> Vec<Result<Vec<f64>, CoreError>> {
+    let mut ran = ran.into_iter();
+    refusals
+        .into_iter()
+        .map(|refusal| match refusal {
+            Some(error) => Err(error),
+            None => ran.next().expect("one result per variant that ran"),
+        })
+        .collect()
+}
+
+/// Runs bare `circuits` on `backend`, circuit `i` as the one variant of its
+/// own body ([`FragmentBody::from_circuit`]) at `shots[i]` shots. A circuit
+/// no body can hold (a non-finite angle) fails alone.
+fn run_circuits<B: ExecutionBackend + ?Sized>(
+    backend: &B,
+    circuits: &[Circuit],
+    shots: Option<&[u64]>,
+) -> Vec<Result<Vec<f64>, CoreError>> {
+    let built: Vec<Result<FragmentBody, CoreError>> =
+        circuits.iter().map(FragmentBody::from_circuit).collect();
+    let bodies: Vec<&FragmentBody> = built.iter().flatten().collect();
+    let keys = (0..bodies.len()).map(|body| VariantKey::new(body, 0, 0)).collect();
+    let shots = shots.map(|shots| {
+        built.iter().zip(shots).filter(|(body, _)| body.is_ok()).map(|(_, &s)| s).collect()
+    });
+    let ran = backend.run(&VariantBatch::new(&bodies, keys, shots));
+    splice(built.into_iter().map(Result::err).collect(), ran)
 }
 
 /// How much work one backend performed for a batch: circuits routed to it,
@@ -423,6 +471,9 @@ fn keep_last_of_equal_keys(entries: &mut Vec<(VariantKey, Shared)>) {
 pub(crate) struct PreparedBatch<'f> {
     /// The fragments the keys index.
     pub(crate) fragments: &'f FragmentSet,
+    /// Their bodies, indexed like the fragments: what a job's
+    /// [`VariantBatch`] names.
+    pub(crate) bodies: Vec<&'f FragmentBody>,
     /// First-seen-ordered unique keys.
     pub(crate) keys: Vec<VariantKey>,
     /// The canonical key of each deduplicated circuit to execute, in
@@ -461,6 +512,7 @@ pub(crate) fn prepare_batch<'f>(
     let mut circuit_of_canonical: HashMap<VariantKey, usize> = HashMap::new();
     let mut batch = PreparedBatch {
         fragments,
+        bodies: fragments.bodies(),
         keys: Vec::with_capacity(requests.len()),
         canonical: Vec::new(),
         shapes: Vec::new(),
@@ -513,12 +565,13 @@ impl<'f> PreparedBatch<'f> {
 
     /// The circuits at `picks` as a variant batch, with one shot count per
     /// pick.
-    pub(crate) fn variants<'a>(
-        &'a self,
-        picks: Vec<usize>,
-        shots: Option<&'a [u64]>,
-    ) -> VariantBatch<'a> {
-        VariantBatch::picked(self.fragments, &self.canonical, picks, shots)
+    pub(crate) fn variants(
+        &self,
+        picks: impl IntoIterator<Item = usize>,
+        shots: Option<Vec<u64>>,
+    ) -> VariantBatch<'_> {
+        let keys = picks.into_iter().map(|pick| self.canonical[pick]).collect();
+        VariantBatch::new(&self.bodies, keys, shots)
     }
 
     /// The results of circuits `range` given their distributions (in
@@ -543,9 +596,9 @@ impl<'f> PreparedBatch<'f> {
 }
 
 /// Phases 2+4 for a single backend: deduplicates `requests` by
-/// [`VariantKey`], maps them to canonical keys, instantiates those and
-/// executes them as one [`ExecutionBackend::run`] call. Multi-backend routing, shot
-/// allocation and chunking live in [`crate::schedule::Scheduler`].
+/// [`VariantKey`], maps them to canonical keys and executes those as one
+/// [`ExecutionBackend::run`] call. Multi-backend routing, shot allocation
+/// and chunking live in [`crate::schedule::Scheduler`].
 ///
 /// # Errors
 ///
@@ -558,9 +611,8 @@ pub fn execute_requests(
     backend: &dyn ExecutionBackend,
 ) -> Result<ExecutionResults, CoreError> {
     let batch = prepare_batch(fragments, requests)?;
-    let circuits = batch.variants((0..batch.len()).collect(), None).instantiate();
     // One batch submission; backends parallelise internally.
-    let outcomes = backend.run(&circuits.iter().collect::<Vec<_>>(), None);
+    let outcomes = backend.run(&batch.variants(0..batch.len(), None));
     if outcomes.len() != batch.len() {
         return Err(CoreError::InvalidCutSolution {
             reason: format!(
@@ -629,30 +681,25 @@ impl ExactBackend {
         ExactBackend { max_qubits: Some(max_qubits), ..ExactBackend::new() }
     }
 
-    fn check_width(&self, circuit: &Circuit) -> Result<(), CoreError> {
-        match self.max_qubits {
-            Some(max) if circuit.num_qubits() > max => {
-                Err(CoreError::Simulation(qrcc_sim::SimError::TooManyQubits {
-                    required: circuit.num_qubits(),
-                    available: max,
-                }))
-            }
-            _ => Ok(()),
+    /// Variant `i`'s distribution: refused from its body's width when too
+    /// wide, else built, compiled and read out here (the readout refuses a
+    /// variant without classical bits).
+    fn distribution(&self, variants: &VariantBatch<'_>, i: usize) -> Result<Vec<f64>, CoreError> {
+        let required = variants.body(i).num_qubits();
+        if let Some(available) = self.max_qubits.filter(|&max| required > max) {
+            return Err(SimError::TooManyQubits { required, available }.into());
         }
-    }
-
-    fn distribution(&self, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        self.check_width(circuit)?;
-        let program = FramedProgram::compile(circuit);
+        let program = FramedProgram::compile(&variants.build(i));
         self.compiled.add(&program);
         Ok(program.classical_distribution()?)
     }
 }
 
 impl ExecutionBackend for ExactBackend {
-    fn run(&self, circuits: &[&Circuit], _: Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>> {
-        self.count.fetch_add(circuits.len() as u64, Ordering::Relaxed);
-        circuits.par_iter().map(|circuit| self.distribution(circuit)).collect()
+    /// Builds, compiles and reads out each variant inside the parallel loop.
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        self.count.fetch_add(variants.len() as u64, Ordering::Relaxed);
+        (0..variants.len()).into_par_iter().map(|i| self.distribution(variants, i)).collect()
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -729,60 +776,66 @@ impl ShotsBackend {
         self.shots
     }
 
-    /// Whether `circuit` can run here at all, decided without executing it
-    /// or consuming a sampling stream: the device accepts it and its
+    /// Whether a circuit of `shape` can run here at all, decided without
+    /// building it or consuming a sampling stream: the device accepts it
+    /// (width, mid-circuit support), it measures something, and its
     /// histogram can be densified.
-    fn check(&self, circuit: &Circuit) -> Result<(), SimError> {
-        self.device.validate(circuit)?;
-        if circuit.num_clbits() > Counts::MAX_DENSE_BITS {
-            return Err(SimError::TooManyClbits {
-                required: circuit.num_clbits(),
-                available: Counts::MAX_DENSE_BITS,
+    fn check(&self, shape: &CircuitShape) -> Result<(), SimError> {
+        let config = self.device.config();
+        if shape.num_qubits > config.num_qubits {
+            return Err(SimError::TooManyQubits {
+                required: shape.num_qubits,
+                available: config.num_qubits,
             });
         }
-        Ok(())
+        if shape.reuses_wires && !config.supports_mid_circuit {
+            return Err(SimError::MidCircuitUnsupported);
+        }
+        match shape.num_clbits {
+            0 => Err(SimError::NothingToMeasure),
+            clbits if clbits > Counts::MAX_DENSE_BITS => {
+                Err(SimError::TooManyClbits { required: clbits, available: Counts::MAX_DENSE_BITS })
+            }
+            _ => Ok(()),
+        }
     }
 }
 
 impl ExecutionBackend for ShotsBackend {
-    /// Executes circuit `i` with `shots[i]` shots (or the backend's own
-    /// count) on its own deterministic sampling stream.
+    /// Executes variant `i` with `shots[i]` shots (or the backend's own
+    /// count) on its own deterministic sampling stream, building it inside
+    /// the parallel loop.
     ///
-    /// Stream reservation must stay deterministic even when some circuits
-    /// error mid-batch: a stream is assigned to circuit `i` **iff** running
-    /// the circuits one call each would consume one for it — its shot count
-    /// is positive and the device accepts it. Both are decided *before* any
-    /// sampling, so a failing circuit keeps its typed error and can never
-    /// shift the streams of the circuits after it, regardless of where in
-    /// the batch it sits or how the per-circuit shot allocation splits the
+    /// Stream reservation must stay deterministic even when some variants
+    /// error mid-batch: a stream is assigned to variant `i` **iff** running
+    /// the variants one call each would consume one for it — its shot count
+    /// is positive and its shape ([`VariantBatch::shape`]) passes the
+    /// device's checks. Both are decided *before* any circuit is built or
+    /// sampled, so a failing variant keeps its typed error and can never
+    /// shift the streams of the variants after it, regardless of where in
+    /// the batch it sits or how the per-variant shot allocation splits the
     /// budget.
-    fn run(
-        &self,
-        circuits: &[&Circuit],
-        shots: Option<&[u64]>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        let shots_of = |i: usize| shots.map_or(self.shots, |shots| shots[i]);
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        let shots_of = |i: usize| variants.shots().map_or(self.shots, |shots| shots[i]);
         let mut runnable = 0;
-        let offsets: Vec<Result<u64, SimError>> = circuits
-            .iter()
-            .enumerate()
-            .map(|(i, circuit)| {
+        let offsets: Vec<Result<u64, SimError>> = (0..variants.len())
+            .map(|i| {
                 if shots_of(i) == 0 {
                     return Err(SimError::ZeroShots);
                 }
-                self.check(circuit)?;
+                self.check(&variants.shape(i))?;
                 runnable += 1;
                 Ok(runnable - 1)
             })
             .collect();
         let base = self.device.reserve_streams(runnable);
-        circuits
-            .par_iter()
-            .enumerate()
-            .map(|(i, circuit)| {
+        (0..variants.len())
+            .into_par_iter()
+            .map(|i| {
                 let stream = base + offsets[i].clone()?;
+                let circuit = variants.build(i);
                 let counts: DenseCounts =
-                    self.device.execute_stream_into(circuit, shots_of(i), stream)?;
+                    self.device.execute_stream_into(&circuit, shots_of(i), stream)?;
                 Ok(counts.into_probabilities())
             })
             .collect()
@@ -821,13 +874,20 @@ mod tests {
     use super::*;
     use crate::planner::CutPlanner;
     use crate::QrccConfig;
+    use qrcc_circuit::Operation;
     use qrcc_sim::branching::classical_distribution;
     use qrcc_sim::device::DeviceConfig;
     use std::time::Duration;
 
-    /// One circuit through [`ExecutionBackend::run`] at the backend's shots.
+    /// One bare circuit at the backend's shots.
     fn single(backend: &dyn ExecutionBackend, circuit: &Circuit) -> Result<Vec<f64>, CoreError> {
-        backend.run(&[circuit], None).pop().expect("one result per circuit")
+        backend.run_batch(std::slice::from_ref(circuit)).pop().expect("one result per circuit")
+    }
+
+    /// Every result's distribution as bit patterns, errors as `None`.
+    fn bits(results: &[Result<Vec<f64>, CoreError>]) -> Vec<Option<Vec<u64>>> {
+        let bits = |d: &Vec<f64>| d.iter().map(|p| p.to_bits()).collect();
+        results.iter().map(|result| result.as_ref().ok().map(bits)).collect()
     }
 
     fn bell_with_measures() -> Circuit {
@@ -896,18 +956,19 @@ mod tests {
 
     #[test]
     fn provided_methods_forward_to_run() {
-        // A backend implementing only `run` gets every other execution
-        // method: each hands `run` the same circuits and shots.
+        // A backend implementing only `run` gets the bare-circuit methods:
+        // each hands `run` one one-variant body per circuit and the shots.
+        /// The keys and shots of one `run` call.
+        type Call = (Vec<VariantKey>, Option<Vec<u64>>);
         #[derive(Default)]
-        struct Recording(parking_lot::Mutex<Vec<(usize, Option<Vec<u64>>)>>);
+        struct Recording(parking_lot::Mutex<Vec<Call>>);
         impl ExecutionBackend for Recording {
-            fn run(
-                &self,
-                circuits: &[&Circuit],
-                shots: Option<&[u64]>,
-            ) -> Vec<Result<Vec<f64>, CoreError>> {
-                self.0.lock().push((circuits.len(), shots.map(<[u64]>::to_vec)));
-                circuits.iter().map(|c| Ok(classical_distribution(c)?)).collect()
+            fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+                let shots = variants.shots().map(<[u64]>::to_vec);
+                self.0.lock().push((variants.keys().to_vec(), shots));
+                (0..variants.len())
+                    .map(|i| Ok(classical_distribution(&variants.build(i))?))
+                    .collect()
             }
             fn executions(&self) -> u64 {
                 0
@@ -920,14 +981,37 @@ mod tests {
         assert!(batch.iter().all(Result::is_ok));
         let with_shots = backend.run_batch_with_shots(&circuits, &[3, 4]);
         assert_eq!(with_shots, batch);
+        let bare = vec![VariantKey::new(0, 0, 0), VariantKey::new(1, 0, 0)];
+        assert_eq!(*backend.0.lock(), [(bare.clone(), None), (bare, Some(vec![3, 4]))]);
+        // a circuit no body can hold fails alone, and takes its shots along
+        let mut nan = bell_with_measures();
+        let qubit = qrcc_circuit::QubitId::new(0);
+        nan.push(Operation::Single { gate: qrcc_circuit::Gate::Ry(f64::NAN), qubit });
+        let results = backend.run_batch_with_shots(&[nan, circuits[0].clone()], &[5, 6]);
+        assert!(matches!(results[0], Err(CoreError::InvalidCutSolution { .. })), "{results:?}");
+        assert_eq!(results[1], batch[0]);
+        assert_eq!(backend.0.lock()[2], (vec![VariantKey::new(0, 0, 0)], Some(vec![6])));
+
+        // bare circuits are bit for bit the keyed variants they were built
+        // from, exact and on the same seeded sampling streams
         let set = chain_fragments();
         let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
         let prepared = prepare_batch(&set, &requests).unwrap();
-        let counts = [5, 6, 7];
-        let picks = vec![2, 0, 1];
-        let variants = VariantBatch::picked(&set, &prepared.canonical, picks, Some(&counts));
-        assert_eq!(backend.run_variants(&variants).len(), 3);
-        assert_eq!(*backend.0.lock(), [(2, None), (2, Some(vec![3, 4])), (3, Some(vec![5, 6, 7]))]);
+        let picks = vec![3, 0, 2, 1];
+        let keyed = prepared.variants(picks.clone(), None);
+        let built: Vec<Circuit> = (0..keyed.len()).map(|i| keyed.build(i)).collect();
+        let exact = ExactBackend::new();
+        assert_eq!(bits(&exact.run(&keyed)), bits(&exact.run_batch(&built)));
+        assert!(exact.run(&keyed).iter().all(Result::is_ok));
+        let shots =
+            |seed| ShotsBackend::new(Device::new(DeviceConfig::ideal(3).with_seed(seed)), 64);
+        assert_eq!(bits(&shots(7).run(&keyed)), bits(&shots(7).run_batch(&built)));
+        let counts = vec![16, 48, 1, 300];
+        let counted = prepared.variants(picks, Some(counts.clone()));
+        let (keyed, bare) =
+            (shots(7).run(&counted), shots(7).run_batch_with_shots(&built, &counts));
+        assert_eq!(bits(&keyed), bits(&bare));
+        assert!(keyed.iter().all(Result::is_ok));
     }
 
     #[test]
@@ -941,24 +1025,53 @@ mod tests {
         assert_eq!(backend.executions(), 0);
     }
 
+    /// A seeded ideal device of `qubits` qubits.
+    fn seeded(qubits: usize, shots: u64) -> ShotsBackend {
+        ShotsBackend::new(Device::new(DeviceConfig::ideal(qubits).with_seed(3)), shots)
+    }
+
+    /// The bare `circuit` as a one-variant body.
+    fn body_of(circuit: &Circuit) -> FragmentBody {
+        FragmentBody::from_circuit(circuit).unwrap()
+    }
+
+    /// Variant `ordinal` of body `body`.
+    fn key(body: usize, ordinal: u64) -> VariantKey {
+        VariantKey::new(body, ordinal, 0)
+    }
+
+    /// Each of `keys` of `bodies` as its own `run` call, in order.
+    fn one_by_one(
+        backend: &dyn ExecutionBackend,
+        bodies: &[&FragmentBody],
+        keys: &[VariantKey],
+        shots: Option<&[u64]>,
+    ) -> Vec<Result<Vec<f64>, CoreError>> {
+        let shots_of = |i: usize| shots.map(|shots| vec![shots[i]]);
+        let one = |i: usize| VariantBatch::new(bodies, vec![keys[i]], shots_of(i));
+        (0..keys.len()).map(|i| backend.run(&one(i)).remove(0)).collect()
+    }
+
     #[test]
     fn invalid_circuits_in_a_batch_do_not_shift_sampling_streams() {
         let mut wide = Circuit::new(3);
         wide.h(0).cx(0, 1).cx(1, 2).measure_all();
-        let bell = bell_with_measures();
+        let (wide, bell) = (body_of(&wide), body_of(&bell_with_measures()));
+        let bodies = [&wide, &bell];
+        let keys = [key(0, 0), key(1, 0), key(1, 0)];
 
-        // serial reference: the invalid circuit consumes no stream
-        let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
-        assert!(single(&serial, &wide).is_err());
-        let first = single(&serial, &bell).unwrap();
-        let second = single(&serial, &bell).unwrap();
+        // one call each: the variant too wide for the device, as its shape
+        // says, consumes no stream
+        let serial = one_by_one(&seeded(2, 2_000), &bodies, &keys, None);
+        let too_wide = SimError::TooManyQubits { required: 3, available: 2 };
+        assert_eq!(serial[0], Err(too_wide.clone().into()));
 
         // batched: [invalid, bell, bell] must sample the same streams
-        let batched = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
-        let results = batched.run_batch(&[wide, bell.clone(), bell]);
-        assert!(results[0].is_err());
-        assert_eq!(results[1].as_ref().unwrap(), &first);
-        assert_eq!(results[2].as_ref().unwrap(), &second);
+        let batched = seeded(2, 2_000);
+        let results = batched.run(&VariantBatch::new(&bodies, keys.to_vec(), None));
+        assert_eq!(results[0], Err(too_wide.into()));
+        assert_eq!(bits(&results), bits(&serial));
+        assert!(results[1..].iter().all(Result::is_ok));
         // only the two real runs are counted
         assert_eq!(batched.executions(), 2);
     }
@@ -966,30 +1079,31 @@ mod tests {
     #[test]
     fn per_circuit_shots_keep_streams_deterministic_around_errors() {
         // Regression for the scheduled path: when an allocator hands each
-        // circuit its own shot count and some circuits error mid-batch (an
-        // over-wide circuit, a zero-shot allocation), the stream reservation
+        // variant its own shot count and some variants error mid-batch (an
+        // over-wide one, a zero-shot allocation), the stream reservation
         // must still mirror a serial pass — no error may shift the sampling
-        // streams of the circuits after it.
+        // streams of the variants after it.
         let mut wide = Circuit::new(3);
         wide.h(0).cx(0, 1).cx(1, 2).measure_all();
         let bell = bell_with_measures();
+        let bodies = [&body_of(&bell), &body_of(&wide)];
 
         // serial reference: only the two valid, positively-allocated bells
         // consume streams (in order)
-        let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 0);
+        let serial = seeded(2, 0);
         let base = serial.device().reserve_streams(2);
         let first = serial.device().execute_stream(&bell, 1_500, base).unwrap();
         let second = serial.device().execute_stream(&bell, 2_500, base + 1).unwrap();
 
         // batched: [bell(1500), wide(2000), bell(0 shots), bell(2500)]
-        let batched = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 9999);
-        let results = batched.run_batch_with_shots(
-            &[bell.clone(), wide, bell.clone(), bell.clone()],
-            &[1_500, 2_000, 0, 2_500],
-        );
+        let batched = seeded(2, 9_999);
+        let keys = vec![key(0, 0), key(1, 0), key(0, 0), key(0, 0)];
+        let shots = vec![1_500, 2_000, 0, 2_500];
+        let results = batched.run(&VariantBatch::new(&bodies, keys, Some(shots)));
         assert_eq!(results[0].as_ref().unwrap(), &first.probability_vector());
-        assert!(matches!(results[1], Err(CoreError::Simulation(_))), "over-wide errors");
-        assert!(results[2].is_err(), "zero allocated shots errors");
+        let too_wide = SimError::TooManyQubits { required: 3, available: 2 };
+        assert_eq!(results[1], Err(too_wide.into()), "over-wide errors");
+        assert_eq!(results[2], Err(SimError::ZeroShots.into()), "zero allocated shots errors");
         assert_eq!(results[3].as_ref().unwrap(), &second.probability_vector());
         // exactly the two real runs consumed streams
         assert_eq!(batched.executions(), 2);
@@ -1004,26 +1118,61 @@ mod tests {
             chain.h(0).cx(0, 1).measure(0, clbit).reset(0);
         }
         chain.measure(1, 30);
-        let bell = bell_with_measures();
-        let refused = |result: &Result<Vec<f64>, CoreError>| {
-            matches!(
-                result,
-                Err(CoreError::Simulation(SimError::TooManyClbits { required: 31, available: 30 }))
-            )
+        let (bell, chain) = (body_of(&bell_with_measures()), body_of(&chain));
+        let bodies = [&bell, &chain];
+        let keys = [key(0, 0), key(1, 0), key(0, 0)];
+        let refused = SimError::TooManyClbits { required: 31, available: 30 };
+
+        let serial = seeded(2, 2_000);
+        assert!(!serial.can_run(&chain.shape(0, 0)));
+        let one_each = one_by_one(&serial, &bodies, &keys, None);
+        assert_eq!(one_each[1], Err(refused.clone().into()));
+
+        let batched = seeded(2, 2_000);
+        let results = batched.run(&VariantBatch::new(&bodies, keys.to_vec(), None));
+        assert_eq!(results[1], Err(refused.into()), "{:?}", results[1]);
+        assert_eq!(bits(&results), bits(&one_each));
+        assert_eq!(batched.executions(), 2, "the refused variant reserved no stream");
+    }
+
+    #[test]
+    fn a_variant_reusing_a_wire_shifts_no_stream_on_a_device_without_mid_circuit_support() {
+        // one body, two kinds of variant: its prep slot after the measured
+        // wire leaves the wire alone at ordinal 0 (|0>) and acts on it again
+        // at ordinals 1..4, which a device without mid-circuit measurement
+        // refuses, read off the key's shape
+        let q = qrcc_circuit::QubitId::new;
+        let fixed = |op| crate::fragment::SkeletonOp::Fixed(op);
+        let skeleton = vec![
+            fixed(Operation::Single { gate: qrcc_circuit::Gate::H, qubit: q(0) }),
+            fixed(Operation::Two { gate: qrcc_circuit::Gate::Cx, qubits: [q(0), q(1)] }),
+            fixed(Operation::Measure { qubit: q(0), clbit: 0 }),
+            crate::fragment::SkeletonOp::Prep { place: 1, qubit: q(0) },
+            fixed(Operation::Single { gate: qrcc_circuit::Gate::Ry(0.4), qubit: q(1) }),
+            fixed(Operation::Measure { qubit: q(1), clbit: 1 }),
+        ];
+        let body = FragmentBody::new("reuse".into(), 2, 2, 0, 4, skeleton).unwrap();
+        assert!(!body.shape(0, 0).reuses_wires && body.shape(2, 0).reuses_wires);
+        let bodies = [&body];
+        let strict = || {
+            let config = DeviceConfig::ideal(2).without_mid_circuit().with_seed(3);
+            ShotsBackend::new(Device::new(config), 0)
         };
 
-        let serial = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
-        assert!(!serial.can_run(&CircuitShape::of(&chain)));
-        assert!(refused(&single(&serial, &chain)));
-        let first = single(&serial, &bell).unwrap();
-        let second = single(&serial, &bell).unwrap();
-
-        let batched = ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(3)), 2_000);
-        let results = batched.run_batch(&[bell.clone(), chain, bell]);
-        assert_eq!(results[0].as_ref().unwrap(), &first);
-        assert!(refused(&results[1]), "{:?}", results[1]);
-        assert_eq!(results[2].as_ref().unwrap(), &second);
-        assert_eq!(batched.executions(), 2, "the refused circuit reserved no stream");
+        let without = vec![key(0, 0), key(0, 0), key(0, 0)];
+        let mut with = without.clone();
+        with.insert(1, key(0, 2));
+        let (with_shots, without_shots) = (vec![300, 400, 500, 600], vec![300, 500, 600]);
+        let clean = strict().run(&VariantBatch::new(&bodies, without, Some(without_shots)));
+        let backend = strict();
+        let mixed = backend.run(&VariantBatch::new(&bodies, with, Some(with_shots)));
+        let mut others = mixed;
+        assert_eq!(others.remove(1), Err(SimError::MidCircuitUnsupported.into()));
+        assert_eq!(bits(&others), bits(&clean), "every other draw is bit-identical");
+        assert!(others.iter().all(Result::is_ok));
+        assert_eq!(backend.executions(), 3, "the refused variant reserved no stream");
+        // a device with mid-circuit support runs it
+        assert!(seeded(2, 100).run(&VariantBatch::new(&bodies, vec![key(0, 2)], None))[0].is_ok());
     }
 
     #[test]
@@ -1060,7 +1209,8 @@ mod tests {
         let config = DeviceConfig::ideal(5).with_seed(23);
         let backend = ShotsBackend::new(Device::new(config), 0);
         backend.device().reserve_streams(3); // the batch starts mid-stream
-        let results = backend.run(&batch, Some(&shots));
+        let circuits: Vec<Circuit> = batch.iter().map(|&c| c.clone()).collect();
+        let results = backend.run_batch_with_shots(&circuits, &shots);
         assert_eq!(backend.executions(), 3 + 5, "one stream per runnable circuit");
 
         let oracle = Device::new(config);
@@ -1155,7 +1305,8 @@ mod tests {
         // the counters the threads added to are the sum of what each
         // circuit's own compile reports, and a repeat adds it again
         let batch = prepare_batch(&fragments, &requests).unwrap();
-        let circuits = VariantBatch::new(&fragments, &batch.canonical, None).instantiate();
+        let circuits: Vec<Circuit> =
+            batch.canonical.iter().map(|key| fragments.instantiate_key(key).unwrap()).collect();
         let mut expected = CompileStats::default();
         for circuit in &circuits {
             expected.merge(FramedProgram::compile(circuit).stats());
@@ -1218,32 +1369,34 @@ mod tests {
     }
 
     #[test]
-    fn default_run_variants_over_scattered_picks_equals_run() {
+    fn a_job_view_runs_the_variants_its_picks_name() {
         let set = chain_fragments();
         let requests = crate::reconstruct::ProbabilityReconstructor::new().requests(&set).unwrap();
         let batch = prepare_batch(&set, &requests).unwrap();
-        let view =
-            |picks: Vec<usize>, shots| VariantBatch::picked(&set, &batch.canonical, picks, shots);
-        let scattered = view(vec![3, 1], None);
-        assert_eq!(scattered.keys().collect::<Vec<_>>(), [batch.canonical[3], batch.canonical[1]]);
-        let circuits = VariantBatch::new(&set, &batch.canonical, None).instantiate();
-        let picked = [&circuits[3], &circuits[1]];
-        assert_eq!(scattered.instantiate(), [circuits[3].clone(), circuits[1].clone()]);
+        let scattered = batch.variants(vec![3, 1], None);
+        assert_eq!(scattered.keys(), [batch.canonical[3], batch.canonical[1]]);
+        let circuits: Vec<Circuit> =
+            batch.canonical.iter().map(|key| set.instantiate_key(key).unwrap()).collect();
+        assert_eq!(
+            [scattered.build(0), scattered.build(1)],
+            [circuits[3].clone(), circuits[1].clone()]
+        );
+        // a selection keeps its keys' shots
+        let counted = batch.variants(vec![3, 1, 2], Some(vec![16, 48, 5]));
+        let picked = counted.select(&[2, 0]);
+        assert_eq!(picked.keys(), [batch.canonical[2], batch.canonical[3]]);
+        assert_eq!(picked.shots(), Some(&[5, 16][..]));
 
-        // bit for bit what `run` gives over the same circuits; the seeded
-        // shots backends draw from the same streams
+        // bit for bit what the built circuits give; the seeded shots
+        // backends draw from the same streams
         let exact = ExactBackend::new();
-        assert_eq!(exact.run_variants(&scattered), exact.run(&picked, None));
+        let picked = [circuits[3].clone(), circuits[1].clone()];
+        assert_eq!(bits(&exact.run(&scattered)), bits(&exact.run_batch(&picked)));
         assert_eq!(exact.executions(), 4);
         let shots =
             |seed| ShotsBackend::new(Device::new(DeviceConfig::ideal(3).with_seed(seed)), 64);
-        assert_eq!(shots(7).run_variants(&scattered), shots(7).run(&picked, None));
-        let counts = [16, 48];
-        assert_eq!(
-            shots(7).run_variants(&view(vec![3, 1], Some(&counts))),
-            shots(7).run(&picked, Some(&counts))
-        );
-        assert!(view(vec![], None).instantiate().is_empty());
+        assert_eq!(bits(&shots(7).run(&scattered)), bits(&shots(7).run_batch(&picked)));
+        assert!(shots(7).run(&batch.variants(vec![], None)).is_empty());
     }
 
     /// Every `(key, distribution bits)` of `results`, with its accounting.
@@ -1337,12 +1490,13 @@ mod tests {
         // them, and builds each one's circuit, whose shape the router read
         let batch = prepare_batch(&set, &requests).unwrap();
         let picks: Vec<usize> = (0..batch.len()).rev().step_by(2).collect();
-        let job = VariantBatch::picked(&set, &batch.canonical, picks.clone(), None);
+        let job = batch.variants(picks.clone(), None);
         assert!(job.len() > 1);
-        for ((key, circuit), pick) in job.keys().zip(job.instantiate()).zip(picks) {
-            let fragment = job.fragments().fragment_of(&key).unwrap();
+        for (i, (key, pick)) in job.keys().iter().zip(picks).enumerate() {
+            let fragment = set.fragment_of(key).unwrap();
             assert_eq!(fragment.canonical_ordinal(key.ordinal), key.ordinal);
-            assert_eq!(batch.shapes[pick], CircuitShape::of(&circuit));
+            assert_eq!(batch.shapes[pick], CircuitShape::of(&job.build(i)));
+            assert_eq!(batch.shapes[pick], job.shape(i));
         }
         let reference = execute_requests(&set, &requests, &ExactBackend::new()).unwrap();
 

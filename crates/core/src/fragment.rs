@@ -894,6 +894,13 @@ impl FragmentSet {
         Ok(fragment)
     }
 
+    /// Every fragment's body, indexed like the fragments: what a
+    /// [`VariantBatch`](crate::execute::VariantBatch) of this set's keys
+    /// names.
+    pub fn bodies(&self) -> Vec<&FragmentBody> {
+        self.fragments.iter().map(Fragment::body).collect()
+    }
+
     /// Instantiates the circuit a [`VariantKey`] identifies, validating the
     /// key against this set first.
     ///

@@ -406,7 +406,10 @@ mod tests {
         // re-routes the work to the healthy device.
         struct PanickingBackend;
         impl crate::execute::ExecutionBackend for PanickingBackend {
-            fn run(&self, _: &[&Circuit], _: Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>> {
+            fn run(
+                &self,
+                _: &crate::execute::VariantBatch<'_>,
+            ) -> Vec<Result<Vec<f64>, CoreError>> {
                 panic!("device firmware bug")
             }
             fn executions(&self) -> u64 {
@@ -457,7 +460,7 @@ mod tests {
 
     #[test]
     fn routing_places_each_variant_by_its_shape_where_its_circuit_would_go() {
-        use crate::execute::{CircuitShape, VariantBatch};
+        use crate::execute::CircuitShape;
         use qrcc_sim::device::{Device, DeviceConfig};
         // a reuse plan with gate cuts: some variants measure mid-circuit
         let (qaoa, graph) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
@@ -483,10 +486,10 @@ mod tests {
         // equal allocations, so the split follows placement alone
         let shots = vec![100; batch.len()];
         let assignment = router::route(&registry, &batch.shapes, Some(&shots)).unwrap();
-        let built: Vec<CircuitShape> = VariantBatch::new(&fragments, &batch.canonical, None)
-            .instantiate()
+        let built: Vec<CircuitShape> = batch
+            .canonical
             .iter()
-            .map(CircuitShape::of)
+            .map(|key| CircuitShape::of(&fragments.instantiate_key(key).unwrap()))
             .collect();
         assert_eq!(built, batch.shapes, "each shape is its circuit's");
         assert_eq!(assignment, router::route(&registry, &built, Some(&shots)).unwrap());

@@ -10,15 +10,15 @@
 //! transient class the dispatcher retries on another backend with this one
 //! excluded), protocol violations become [`CoreError::Transport`].
 //!
-//! Fragment variants from the dispatcher
-//! ([`ExecutionBackend::run_variants`]) travel as keys: each pooled
+//! Variants ([`ExecutionBackend::run`]) travel as keys: each pooled
 //! connection remembers which fragment bodies its server holds, defines the
 //! missing ones ([`Frame::DefineFragment`]) and then submits
 //! `(fragment id, ordinal, outputs)` keys ([`Frame::SubmitVariants`]), all
 //! in one write; keys that together instantiate more than
 //! [`MAX_BATCH_WEIGHT`] go as consecutive submissions, each within the cap.
-//! Bare circuits ([`ExecutionBackend::run`]) travel as OpenQASM text. A
-//! batch's replies are read through one buffered reader.
+//! Only a submission the key path cannot carry travels as OpenQASM text,
+//! built one variant at a time. A batch's replies are read through one
+//! buffered reader.
 //!
 //! Connections live in a small **reconnecting pool**: a batch checks a
 //! connection out, and returns it only when the batch completed cleanly. A
@@ -36,13 +36,13 @@ use crate::proto::{
     MAX_BATCH_WEIGHT, MAX_FRAGMENTS, MAX_FRAGMENT_WEIGHT, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
-use qrcc_circuit::{qasm, Circuit};
+use qrcc_circuit::qasm;
 use qrcc_core::execute::{CircuitShape, ExecutionBackend, VariantBatch};
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
+use qrcc_sim::SimError;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -351,8 +351,8 @@ impl RemoteBackend {
     /// Whole-connection failures (dial, submit, a dead reply stream) fail
     /// every entry of the batch with the same error; per-circuit
     /// `CircuitFailed` replies fail only their slot.
-    fn submit(&self, payload: Payload<'_, '_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        let len = payload.len();
+    fn submit(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        let len = variants.len();
         if len == 0 {
             return Vec::new();
         }
@@ -375,7 +375,7 @@ impl RemoteBackend {
         // the whole request — fragment definitions plus the submission —
         // leaves in one write
         let mut request = Vec::new();
-        let encoded = conn.encode_submission(&mut request, &payload, batch, trace);
+        let encoded = conn.encode_submission(&mut request, variants, batch, trace);
         if let Err(e) = encoded.and_then(|()| conn.stream.write_all(&request)) {
             // an oversized frame is refused before any bytes move: that is a
             // deterministic serialisation failure, not a transient fault the
@@ -390,7 +390,7 @@ impl RemoteBackend {
         // returns, so the wait is bounded by the (long) reply timeout, not
         // the per-operation I/O timeout
         let _ = conn.stream.set_read_timeout(Some(self.reply_timeout));
-        let clbits = payload.clbits();
+        let clbits: Vec<usize> = (0..len).map(|i| variants.body(i).num_clbits()).collect();
         match self.read_batch_replies(&mut conn.stream, batch, &clbits, span.id()) {
             Ok(outcomes) => {
                 let ok = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
@@ -542,35 +542,6 @@ impl RemoteBackend {
     }
 }
 
-/// What one submission carries.
-enum Payload<'a, 'b> {
-    /// Bare circuits (sent as OpenQASM) with optional per-circuit shots.
-    Circuits(&'a [&'a Circuit], Option<&'a [u64]>),
-    /// The fragment variants at positions `range` of a batch (sent as keys).
-    Variants(&'a VariantBatch<'b>, Range<usize>),
-}
-
-impl Payload<'_, '_> {
-    fn len(&self) -> usize {
-        match self {
-            Payload::Circuits(circuits, _) => circuits.len(),
-            Payload::Variants(_, range) => range.len(),
-        }
-    }
-
-    /// Each entry's classical register width: what its reply's
-    /// distribution length must match.
-    fn clbits(&self) -> Vec<usize> {
-        match self {
-            Payload::Circuits(circuits, _) => circuits.iter().map(|c| c.num_clbits()).collect(),
-            Payload::Variants(variants, range) => {
-                let fragments = &variants.fragments().fragments;
-                keys_in(variants, range).map(|key| fragments[key.fragment].num_clbits).collect()
-            }
-        }
-    }
-}
-
 /// A pooled connection and the fragment bodies its server holds for it:
 /// `fragments[id]` is what [`Frame::DefineFragment`] `id` defined. Both
 /// sides only ever change the table through this connection's defines, so
@@ -589,79 +560,60 @@ impl Connection {
         Connection { stream, fragments: Vec::new(), idle_since: Instant::now() }
     }
 
-    /// Appends the frames of one submission to `out`: for variants, a
+    /// Appends the frames of one submission to `out`: a
     /// [`Frame::DefineFragment`] for every fragment the server lacks, then
     /// [`Frame::SubmitVariants`] with each key's fragment renamed to its
-    /// table id; for bare circuits — or variants the key path cannot carry
-    /// (see [`Connection::define_fragments`]) — [`Frame::SubmitBatch`] with
-    /// OpenQASM documents.
+    /// table id; or, for variants the key path cannot carry (see
+    /// [`Connection::define_fragments`]), [`Frame::SubmitBatch`] with each
+    /// variant built and spelled out as OpenQASM, one at a time.
     fn encode_submission(
         &mut self,
         out: &mut Vec<u8>,
-        payload: &Payload<'_, '_>,
+        variants: &VariantBatch<'_>,
         batch: u64,
         trace: Option<proto::TraceContext>,
     ) -> std::io::Result<()> {
-        let (circuits, shots) = match payload {
-            Payload::Variants(variants, range) => {
-                let shots = variants.shots().map(|shots| &shots[range.clone()]);
-                match self.define_fragments(out, variants, range)? {
-                    Some(ids) => {
-                        let keys = keys_in(variants, range)
-                            .map(|key| VariantKey { fragment: ids[key.fragment] as usize, ..key })
-                            .collect();
-                        let shots = shots.map(<[u64]>::to_vec);
-                        return proto::append_frame(
-                            out,
-                            &Frame::SubmitVariants { batch, keys, shots, trace },
-                        );
-                    }
-                    None => {
-                        // built one at a time, each dropped once encoded
-                        let fragments = &variants.fragments().fragments;
-                        let circuits = keys_in(variants, range)
-                            .map(|key| {
-                                let fragment = &fragments[key.fragment];
-                                qasm::to_qasm(&fragment.instantiate(key.ordinal, key.outputs))
-                            })
-                            .collect();
-                        (circuits, shots)
-                    }
-                }
+        let shots = variants.shots().map(<[u64]>::to_vec);
+        let frame = match self.define_fragments(out, variants)? {
+            Some(ids) => {
+                let keys = variants
+                    .keys()
+                    .iter()
+                    .map(|&key| VariantKey { fragment: ids[key.fragment] as usize, ..key })
+                    .collect();
+                Frame::SubmitVariants { batch, keys, shots, trace }
             }
-            Payload::Circuits(circuits, shots) => {
-                (circuits.iter().map(|c| qasm::to_qasm(c)).collect(), *shots)
+            None => {
+                // built one at a time, each dropped once encoded
+                let circuits = (0..variants.len()).map(|i| qasm::to_qasm(&variants.build(i)));
+                Frame::SubmitBatch { batch, circuits: circuits.collect(), shots, trace }
             }
         };
-        let frame =
-            Frame::SubmitBatch { batch, circuits, shots: shots.map(<[u64]>::to_vec), trace };
         proto::append_frame(out, &frame)
     }
 
-    /// Makes sure the server holds every fragment the variants at `range`
-    /// use, appending the missing definitions to `out`, and returns each
-    /// fragment's table id (indexed like the fragment set; unused fragments
-    /// map to 0). When the missing bodies do not fit beside the held ones,
-    /// the table starts over: every body the submission uses is defined
-    /// again from id 0. `None` when the key path cannot carry the
-    /// submission: it uses more than [`MAX_FRAGMENTS`] fragments, or one
-    /// heavier than [`MAX_FRAGMENT_WEIGHT`].
+    /// Makes sure the server holds every body the variants use, appending
+    /// the missing definitions to `out`, and returns each body's table id
+    /// (indexed like [`VariantBatch::bodies`]; unused bodies map to 0). When
+    /// the missing bodies do not fit beside the held ones, the table starts
+    /// over: every body the submission uses is defined again from id 0.
+    /// `None` when the key path cannot carry the submission: it uses more
+    /// than [`MAX_FRAGMENTS`] bodies, or one heavier than
+    /// [`MAX_FRAGMENT_WEIGHT`].
     fn define_fragments(
         &mut self,
         out: &mut Vec<u8>,
         variants: &VariantBatch<'_>,
-        range: &Range<usize>,
     ) -> std::io::Result<Option<Vec<u32>>> {
-        let fragments = &variants.fragments().fragments;
-        let mut wanted = vec![false; fragments.len()];
-        for key in keys_in(variants, range) {
+        let bodies = variants.bodies();
+        let mut wanted = vec![false; bodies.len()];
+        for key in variants.keys() {
             wanted[key.fragment] = true;
         }
-        let used: Vec<(usize, &FragmentBody)> = fragments
+        let used: Vec<(usize, &FragmentBody)> = bodies
             .iter()
             .enumerate()
-            .filter(|&(index, _)| wanted[index])
-            .map(|(index, fragment)| (index, fragment.body()))
+            .filter_map(|(index, &body)| wanted[index].then_some((index, body)))
             .collect();
         if used.len() > MAX_FRAGMENTS as usize
             || used.iter().any(|(_, body)| body.weight() > MAX_FRAGMENT_WEIGHT)
@@ -677,7 +629,7 @@ impl Connection {
             self.fragments.clear();
             held.fill(None);
         }
-        let mut ids = vec![0u32; fragments.len()];
+        let mut ids = vec![0u32; bodies.len()];
         for (&(index, body), held) in used.iter().zip(held) {
             let id = match held {
                 Some(id) => id,
@@ -693,14 +645,6 @@ impl Connection {
         }
         Ok(Some(ids))
     }
-}
-
-/// The keys at positions `range` of `variants`.
-fn keys_in<'v>(
-    variants: &'v VariantBatch<'_>,
-    range: &Range<usize>,
-) -> impl Iterator<Item = VariantKey> + 'v {
-    variants.keys().skip(range.start).take(range.len())
 }
 
 fn unavailable(backend: &str, reason: String) -> CoreError {
@@ -788,37 +732,35 @@ fn frame_name(frame: &Frame) -> &'static str {
 }
 
 impl ExecutionBackend for RemoteBackend {
-    /// Sends the circuits as OpenQASM ([`Frame::SubmitBatch`]).
-    fn run(
-        &self,
-        circuits: &[&Circuit],
-        shots: Option<&[u64]>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
-        debug_assert!(shots.is_none_or(|s| s.len() == circuits.len()), "one count per circuit");
-        self.submit(Payload::Circuits(circuits, shots))
-    }
-
-    /// Sends each fragment body once per pooled connection, then only keys
-    /// ([`Frame::SubmitVariants`]). Keys that together instantiate more
+    /// Refuses a variant without classical bits here
+    /// ([`SimError::NothingToMeasure`], as every backend does), sends each
+    /// fragment body the rest use once per pooled connection, then only
+    /// keys ([`Frame::SubmitVariants`]). Keys that together instantiate more
     /// than [`MAX_BATCH_WEIGHT`] go as consecutive submissions, each within
     /// the cap. A submission the key path cannot carry otherwise (more than
-    /// [`MAX_FRAGMENTS`] fragments, or one heavier than
-    /// [`MAX_FRAGMENT_WEIGHT`]) goes as OpenQASM, like
-    /// [`run`](ExecutionBackend::run).
-    fn run_variants(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        let fragments = &variants.fragments().fragments;
-        let mut results = Vec::with_capacity(variants.len());
-        let (mut start, mut weight) = (0, 0usize);
-        for (index, key) in variants.keys().enumerate() {
-            let key_weight = fragments[key.fragment].body().weight();
-            if index > start && weight.saturating_add(key_weight) > MAX_BATCH_WEIGHT {
-                results.extend(self.submit(Payload::Variants(variants, start..index)));
-                (start, weight) = (index, 0);
+    /// [`MAX_FRAGMENTS`] bodies, or one heavier than
+    /// [`MAX_FRAGMENT_WEIGHT`]) goes as OpenQASM ([`Frame::SubmitBatch`]).
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
+        let refusal = |i: usize| {
+            (variants.body(i).num_clbits() == 0).then(|| SimError::NothingToMeasure.into())
+        };
+        variants.run_unrefused(refusal, |variants| {
+            let part = |start: usize, end: usize| {
+                self.submit(&variants.select(&(start..end).collect::<Vec<_>>()))
+            };
+            let mut results = Vec::with_capacity(variants.len());
+            let (mut start, mut weight) = (0, 0usize);
+            for index in 0..variants.len() {
+                let key_weight = variants.body(index).weight();
+                if index > start && weight.saturating_add(key_weight) > MAX_BATCH_WEIGHT {
+                    results.extend(part(start, index));
+                    (start, weight) = (index, 0);
+                }
+                weight = weight.saturating_add(key_weight);
             }
-            weight = weight.saturating_add(key_weight);
-        }
-        results.extend(self.submit(Payload::Variants(variants, start..variants.len())));
-        results
+            results.extend(part(start, variants.len()));
+            results
+        })
     }
 
     fn max_qubits(&self) -> Option<usize> {

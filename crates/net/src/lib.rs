@@ -10,7 +10,7 @@
 //!   travel as keys: a connection defines each
 //!   [`FragmentBody`](qrcc_core::fragment::FragmentBody) once, then submits
 //!   `(fragment id, ordinal, outputs)` keys the worker instantiates itself.
-//!   Bare circuits travel as OpenQASM text
+//!   A submission the key path cannot carry travels as OpenQASM text
 //!   ([`qrcc_circuit::qasm::to_qasm`] / [`qrcc_circuit::qasm::from_qasm`]).
 //!   A batch's replies leave the worker in one write.
 //! * [`server`] — [`QrccServer`], a `std::net::TcpListener` worker wrapping
@@ -24,10 +24,10 @@
 //!   [`ExecutionBackend`](qrcc_core::execute::ExecutionBackend) over a
 //!   reconnecting connection pool whose connections remember the fragments
 //!   their worker holds. Its `run` — the trait's one execution method —
-//!   sends OpenQASM; its `run_variants`, the only override of the trait's
-//!   default, sends keys, in consecutive submissions when they together
-//!   outweigh [`MAX_BATCH_WEIGHT`]. The worker runs whatever arrives as one `run`
-//!   call on its backend. It drops straight into a
+//!   sends keys, in consecutive submissions when they together outweigh
+//!   [`MAX_BATCH_WEIGHT`]; bare circuits (`run_batch`) become one-variant
+//!   bodies and travel the same way. The worker runs whatever arrives as
+//!   one `run` call on its backend. It drops straight into a
 //!   [`DeviceRegistry`](qrcc_core::schedule::DeviceRegistry), where the
 //!   dispatch layer's retry-with-exclusion and bounded in-flight windows
 //!   rescue real network faults **unchanged**: I/O errors, disconnects and
@@ -59,8 +59,9 @@
 //!
 //! let mut bell = Circuit::new(2);
 //! bell.h(0).cx(0, 1).measure_all();
-//! // one execution method: a batch of circuits, here at the worker's own shots
-//! let distribution = remote.run(&[&bell], None).remove(0)?;
+//! // a bare circuit is the one variant of its own body, sent as a key; it
+//! // runs at the worker's own shots
+//! let distribution = remote.run_batch(&[bell]).remove(0)?;
 //! assert!((distribution[0b00] - 0.5).abs() < 1e-12);
 //! server.shutdown();
 //! # Ok(())

@@ -8,29 +8,31 @@
 //! so thread-per-connection is the simplest correct concurrency model and
 //! the backend itself parallelises batches internally), graceful shutdown,
 //! and aggregate statistics. Work arrives in one of two forms: fragment
-//! variants as keys ([`Frame::SubmitVariants`]), instantiated against the
-//! connection's fragment table (at most [`proto::MAX_FRAGMENTS`] bodies of
-//! at most [`proto::MAX_FRAGMENT_WEIGHT`] each, filled by
+//! variants as keys ([`Frame::SubmitVariants`]) into the connection's
+//! fragment table (at most [`proto::MAX_FRAGMENTS`] bodies of at most
+//! [`proto::MAX_FRAGMENT_WEIGHT`] each, filled by
 //! [`Frame::DefineFragment`]; a batch instantiates at most
-//! [`proto::MAX_BATCH_WEIGHT`]), or bare circuits as OpenQASM text
-//! ([`Frame::SubmitBatch`]) parsed with [`qrcc_circuit::qasm::from_qasm`].
-//! Both then share one serve routine: an entry whose key fits no body, that
-//! fails to parse or execute fails **individually** (a
-//! [`Frame::CircuitFailed`] reply of its error's class) while the rest of
-//! its batch still runs — mirroring how the in-process batch API reports
-//! per-circuit errors — and the whole reply leaves in one write. A keyed
-//! variant is instantiated only if the worker's result cache does not
-//! answer it.
+//! [`proto::MAX_BATCH_WEIGHT`]), or circuits as OpenQASM text
+//! ([`Frame::SubmitBatch`]), each parsed with
+//! [`qrcc_circuit::qasm::from_qasm`] into the one variant of its own body.
+//! Either way the backend is handed keys over bodies, as one
+//! [`ExecutionBackend::run`] call that builds each variant where it runs
+//! it, and only if the worker's result cache does not answer it. An entry
+//! whose key fits no body, that fails to parse or execute fails
+//! **individually** (a [`Frame::CircuitFailed`] reply of its error's class)
+//! while the rest of its batch still runs — mirroring how the in-process
+//! batch API reports per-circuit errors — and the whole reply leaves in one
+//! write.
 
 use crate::proto::{
     self, BatchTelemetry, Capabilities, Frame, HealthReport, HealthState, MetricsReport,
     ProtoError, TraceContext, WireErrorKind, MAX_BATCH_WEIGHT, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
-use qrcc_circuit::{qasm, Circuit};
+use qrcc_circuit::qasm;
 use qrcc_core::analyze;
 use qrcc_core::cache::{self, CacheStats, CachedBody, ResultCache, ResultCachePolicy};
-use qrcc_core::execute::{CircuitShape, ExecutionBackend};
+use qrcc_core::execute::{CircuitShape, ExecutionBackend, VariantBatch};
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
 use std::io::{self, Read, Write};
@@ -817,23 +819,29 @@ impl Submission {
         None
     }
 
-    /// Every entry checked, none instantiated: a key naming no defined
-    /// fragment or an out-of-range variant, and a document that does not
-    /// parse, fail deterministically ([`CoreError::Transport`], the
-    /// `Protocol` reply kind); an entry whose shape `backend` cannot run
-    /// fails its pre-flight, a variant's read off its body and key.
-    fn runnables<'f>(
+    /// Every entry checked, none instantiated, as the batch the backend
+    /// runs: the bodies its entries use, each listed once, and per entry its
+    /// key into that list or its error. A key naming no defined fragment or
+    /// an out-of-range variant fails deterministically
+    /// ([`CoreError::Transport`], the `Protocol` reply kind), and so does a
+    /// document that does not parse into a body (`parsed[i]` is document
+    /// `i`'s, [`FragmentBody::from_circuit`]); an entry whose shape
+    /// `backend` cannot run fails its pre-flight.
+    fn resolve<'f>(
         &self,
-        fragments: &'f [Option<FragmentBody>],
+        table: &'f [Option<FragmentBody>],
+        parsed: &'f [Result<FragmentBody, CoreError>],
         backend: &dyn ExecutionBackend,
-    ) -> Vec<Result<Runnable<'f>, CoreError>> {
+    ) -> (Vec<&'f FragmentBody>, Vec<Result<VariantKey, CoreError>>) {
         let deterministic = |detail: String| CoreError::Transport { detail };
-        match self {
+        // each entry's body and variant, and the body's id: its table id,
+        // or its document's place
+        let entries: Vec<Result<(usize, &FragmentBody, VariantKey), CoreError>> = match self {
             Submission::Variants(keys) => keys
                 .iter()
                 .map(|key| {
                     let body =
-                        fragments.get(key.fragment).and_then(Option::as_ref).ok_or_else(|| {
+                        table.get(key.fragment).and_then(Option::as_ref).ok_or_else(|| {
                             deterministic(format!(
                                 "fragment id {} is not defined on this connection",
                                 key.fragment
@@ -842,77 +850,41 @@ impl Submission {
                     body.check_variant(key.ordinal, key.outputs).map_err(|reason| {
                         deterministic(format!("invalid variant key: {reason}"))
                     })?;
-                    preflight(&body.shape(key.ordinal, key.outputs), backend)?;
-                    Ok(Runnable::Variant(body, *key))
+                    Ok((key.fragment, body, *key))
                 })
                 .collect(),
-            Submission::Qasm(circuits) => circuits
+            Submission::Qasm(_) => parsed
                 .iter()
-                .map(|text| {
-                    let circuit = qasm::from_qasm(text)
-                        .map_err(|e| deterministic(format!("qasm parse error: {e}")))?;
-                    preflight(&CircuitShape::of(&circuit), backend)?;
-                    Ok(Runnable::Circuit(circuit))
+                .enumerate()
+                .map(|(i, body)| {
+                    Ok((i, body.as_ref().map_err(Clone::clone)?, VariantKey::new(i, 0, 0)))
                 })
                 .collect(),
-        }
-    }
-}
-
-/// One batch entry that passed its checks.
-enum Runnable<'f> {
-    /// A circuit sent as OpenQASM.
-    Circuit(Circuit),
-    /// A variant of a fragment the connection defined (`key.fragment` is
-    /// its table id).
-    Variant(&'f FragmentBody, VariantKey),
-}
-
-impl Runnable<'_> {
-    /// The circuit to run: the parsed one, or the variant built now.
-    fn build(&self) -> std::borrow::Cow<'_, Circuit> {
-        match self {
-            Runnable::Circuit(circuit) => std::borrow::Cow::Borrowed(circuit),
-            Runnable::Variant(body, key) => {
-                std::borrow::Cow::Owned(body.instantiate(key.ordinal, key.outputs))
-            }
-        }
-    }
-}
-
-/// The cache's key of every entry that is still `Ok`, with each body
-/// interned once per batch: a variant by its fragment body, a circuit as
-/// the one variant of its own body ([`FragmentBody::from_circuit`]). A
-/// circuit no body can hold (a non-finite angle) fails deterministically.
-fn cache_keys(
-    cache: &ResultCache,
-    built: &mut [Result<Runnable<'_>, CoreError>],
-) -> (Vec<CachedBody>, Vec<VariantKey>) {
-    let (mut bodies, mut keys) = (Vec::new(), Vec::new());
-    let mut interned: std::collections::HashMap<usize, usize> = Default::default();
-    for entry in built {
-        let key = match entry {
-            Ok(Runnable::Variant(body, key)) => {
-                let at = *interned.entry(key.fragment).or_insert_with(|| {
-                    bodies.push(cache.intern(body));
+        };
+        let mut bodies = Vec::new();
+        let mut slot_of: std::collections::HashMap<usize, usize> = Default::default();
+        let keys = entries
+            .into_iter()
+            .map(|entry| {
+                let (source, body, key) = entry?;
+                preflight(&body.shape(key.ordinal, key.outputs), backend)?;
+                let slot = *slot_of.entry(source).or_insert_with(|| {
+                    bodies.push(body);
                     bodies.len() - 1
                 });
-                Ok(VariantKey { fragment: at, ..*key })
-            }
-            Ok(Runnable::Circuit(circuit)) => FragmentBody::from_circuit(circuit)
-                .map(|body| {
-                    bodies.push(cache.intern(&body));
-                    VariantKey::new(bodies.len() - 1, 0, 0)
-                })
-                .map_err(|e| CoreError::Transport { detail: format!("uncacheable circuit: {e}") }),
-            Err(_) => continue,
-        };
-        match key {
-            Ok(key) => keys.push(key),
-            Err(error) => *entry = Err(error),
-        }
+                Ok(VariantKey { fragment: slot, ..key })
+            })
+            .collect();
+        (bodies, keys)
     }
-    (bodies, keys)
+}
+
+/// A submitted OpenQASM document as the one variant of its own body.
+fn parse(text: &str) -> Result<FragmentBody, CoreError> {
+    let circuit = qasm::from_qasm(text)
+        .map_err(|e| CoreError::Transport { detail: format!("qasm parse error: {e}") })?;
+    FragmentBody::from_circuit(&circuit)
+        .map_err(|e| CoreError::Transport { detail: format!("unusable circuit: {e}") })
 }
 
 /// The static pre-flight rejection ([`analyze::preflight_backend`]) of a
@@ -964,14 +936,15 @@ impl io::Write for DeadlineWriter<'_> {
 /// Checks and pre-flights one submitted batch, executes what survives, then
 /// answers one reply frame per entry (in index order) and the closing
 /// `BatchDone`. Entries fail **individually** — a key or document that
-/// yields no circuit ([`Submission::runnables`]), a static pre-flight
+/// yields no variant ([`Submission::resolve`]), a static pre-flight
 /// rejection ([`qrcc_core::analyze::preflight_backend`]: too wide for this
 /// worker, or needing mid-circuit support it lacks), or a backend error
 /// each produce a `CircuitFailed` while the rest of the batch still runs.
 /// The surviving entries are served through the result-cache front
 /// ([`cache::serve`]), which answers full hits without building them and
-/// runs the rest as **one** backend call — keyed variants are instantiated
-/// only there, preserving the backend's internal parallelism and the
+/// runs the rest as **one** backend call over keys into the connection's
+/// table (or the parsed documents' bodies) — the backend builds each
+/// variant where it runs it, keeping its internal parallelism and the
 /// deterministic per-circuit sampling streams — so the reply is written
 /// only once the batch call returns; the client waits on that with its
 /// (long) reply timeout. Every reply frame and the
@@ -1019,29 +992,32 @@ fn serve_batch(
     // batch still runs. Parse errors keep their line/column; pre-flight
     // rejections carry the rendered QL diagnostic and stay `Backend`-kinded
     // so the client's dispatcher re-routes them to a capable worker.
-    let mut built = submission.runnables(fragments, backend);
-    let (bodies, keys) = match cache {
-        Some(cache) => cache_keys(cache, &mut built),
-        // without a cache no key is read: any will do
-        None => (Vec::new(), vec![VariantKey::new(0, 0, 0); built.iter().flatten().count()]),
+    let parsed: Vec<Result<FragmentBody, CoreError>> = match &submission {
+        Submission::Qasm(documents) => documents.iter().map(|text| parse(text)).collect(),
+        Submission::Variants(_) => Vec::new(),
     };
-    let runnable: Vec<&Runnable<'_>> = built.iter().filter_map(|r| r.as_ref().ok()).collect();
-    let runnable_shots: Option<Vec<u64>> = shots
-        .map(|shots| built.iter().zip(shots).filter(|(c, _)| c.is_ok()).map(|(_, &s)| s).collect());
+    let (bodies, entries) = submission.resolve(fragments, &parsed, backend);
+    let keys: Vec<VariantKey> = entries.iter().flatten().copied().collect();
+    let keys_shots: Option<Vec<u64>> = shots.map(|shots| {
+        entries.iter().zip(shots).filter(|(key, _)| key.is_ok()).map(|(_, &s)| s).collect()
+    });
+    // the cache's handle of each body, interned once per batch
+    let interned: Vec<CachedBody> =
+        cache.map_or_else(Vec::new, |cache| bodies.iter().map(|body| cache.intern(body)).collect());
     let parse_us = batch_started.elapsed().as_micros() as u64;
     // The surviving entries go through the result-cache front: full hits
-    // skip the backend, misses and delta top-ups are built and run as one
-    // call, and a panicking backend becomes per-circuit failures the
-    // client's dispatcher can rescue.
+    // skip the backend, misses and delta top-ups run as one keyed call —
+    // the backend builds each where it runs it — and a panicking backend
+    // becomes per-circuit failures the client's dispatcher can rescue.
     let served = cache::serve(
-        cache.map(|cache| (cache, &bodies[..])),
+        cache.map(|cache| (cache, &interned[..])),
         &backend.label(),
         backend.shots_per_circuit(),
         &keys,
-        runnable_shots.as_deref(),
+        keys_shots.as_deref(),
         |picked, shots| {
-            let circuits: Vec<_> = picked.iter().map(|&i| runnable[i].build()).collect();
-            backend.run(&circuits.iter().map(|c| c.as_ref()).collect::<Vec<_>>(), shots)
+            let picked = picked.iter().map(|&i| keys[i]).collect();
+            backend.run(&VariantBatch::new(&bodies, picked, shots.map(<[u64]>::to_vec)))
         },
     );
     let execute_us = batch_started.elapsed().as_micros() as u64;
@@ -1052,8 +1028,8 @@ fn serve_batch(
     let mut served = served.into_iter();
     let mut ok = 0u64;
     let mut failed = 0u64;
-    for (index, circuit) in built.into_iter().enumerate() {
-        let outcome = circuit.and_then(|_| {
+    for (index, entry) in entries.into_iter().enumerate() {
+        let outcome = entry.and_then(|_| {
             let served = served.next().expect("one answer per runnable circuit");
             served.distribution.map(Arc::unwrap_or_clone)
         });

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use qrcc_circuit::Circuit;
-use qrcc_core::execute::{ExactBackend, ExecutionBackend};
+use qrcc_core::execute::{ExactBackend, ExecutionBackend, VariantBatch};
 use qrcc_core::obs::{Histogram, MonitorPolicy, SloSpec, SloStatus, WindowedHistogram};
 use qrcc_core::CoreError;
 use qrcc_net::monitor::{merge_reports, FleetMonitor, WINDOW_LATENCY_METRIC};
@@ -142,13 +142,9 @@ struct SlowBackend {
 }
 
 impl ExecutionBackend for SlowBackend {
-    fn run(
-        &self,
-        circuits: &[&Circuit],
-        shots: Option<&[u64]>,
-    ) -> Vec<Result<Vec<f64>, CoreError>> {
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
         std::thread::sleep(self.delay);
-        self.inner.run(circuits, shots)
+        self.inner.run(variants)
     }
 
     fn max_qubits(&self) -> Option<usize> {
@@ -177,7 +173,7 @@ fn merged_view_equals_elementwise_merge_of_polled_reports() {
         servers.iter().map(|s| RemoteBackend::connect(s.addr()).unwrap()).collect();
     for backend in &backends {
         for _ in 0..3 {
-            backend.run(&[&bell()], None).remove(0).unwrap();
+            backend.run_batch(&[bell()]).remove(0).unwrap();
         }
     }
 
@@ -226,10 +222,10 @@ fn slow_worker_breaches_its_slo_while_the_fleet_still_validates() {
     let slow_backend = RemoteBackend::connect(slow.addr()).unwrap();
     // 20 sub-millisecond batches vs 2 at ~60 ms: the merged p50 stays fast
     for _ in 0..20 {
-        fast_backend.run(&[&bell()], None).remove(0).unwrap();
+        fast_backend.run_batch(&[bell()]).remove(0).unwrap();
     }
     for _ in 0..2 {
-        slow_backend.run(&[&bell()], None).remove(0).unwrap();
+        slow_backend.run_batch(&[bell()]).remove(0).unwrap();
     }
 
     // SLO: median batch latency under 20 ms
@@ -267,7 +263,7 @@ fn slow_worker_breaches_its_slo_while_the_fleet_still_validates() {
 fn get_health_flips_to_draining_before_sockets_close() {
     let server = QrccServer::bind("127.0.0.1:0", ExactBackend::capped(3)).unwrap().spawn();
     let backend = RemoteBackend::connect(server.addr()).unwrap();
-    backend.run(&[&bell()], None).remove(0).unwrap();
+    backend.run_batch(&[bell()]).remove(0).unwrap();
 
     let health = backend.get_health().unwrap();
     assert_eq!(health.state, HealthState::Accepting);
@@ -292,7 +288,7 @@ fn unreachable_workers_degrade_to_a_flagged_view() {
 
     let live_backend = RemoteBackend::connect(live.addr()).unwrap();
     let doomed_backend = RemoteBackend::connect(doomed.addr()).unwrap();
-    live_backend.run(&[&bell()], None).remove(0).unwrap();
+    live_backend.run_batch(&[bell()]).remove(0).unwrap();
     doomed.shutdown();
 
     let monitor = FleetMonitor::new(MonitorPolicy::default())

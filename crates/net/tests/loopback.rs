@@ -10,6 +10,7 @@ use qrcc_net::proto::{self, Frame, WireErrorKind, PROTOCOL_VERSION};
 use qrcc_net::testing::{FaultyProxy, ProxyFault};
 use qrcc_net::{Capabilities, QrccServer, RemoteBackend};
 use qrcc_sim::device::{Device, DeviceConfig};
+use qrcc_sim::SimError;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -143,14 +144,14 @@ fn heartbeat_round_trips() {
     let rtt = remote.ping().unwrap();
     assert!(rtt < Duration::from_secs(5));
     // the connection is back in the pool and still serves batches
-    assert!(remote.run(&[&bell()], None).remove(0).is_ok());
+    assert!(remote.run_batch(&[bell()]).remove(0).is_ok());
     assert_eq!(remote.connections_dialled(), 1, "ping and batch reuse the pooled connection");
     server.shutdown();
 }
 
-/// A hand-rolled server that counts the `Ping` frames it answers and
-/// serves every `SubmitBatch` with a uniform distribution per circuit; it
-/// stops when the client hangs up.
+/// A hand-rolled server that counts the `Ping` frames it answers, takes
+/// every `DefineFragment` and serves every `SubmitVariants` with a uniform
+/// distribution per key; it stops when the client hangs up.
 fn ping_counting_server() -> (std::net::SocketAddr, Arc<AtomicU64>, std::thread::JoinHandle<()>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -173,8 +174,9 @@ fn ping_counting_server() -> (std::net::SocketAddr, Arc<AtomicU64>, std::thread:
                     counted.fetch_add(1, Ordering::SeqCst);
                     proto::write_frame(&mut s, &Frame::Pong { nonce }).unwrap();
                 }
-                Frame::SubmitBatch { batch, circuits, .. } => {
-                    for index in 0..circuits.len() as u32 {
+                Frame::DefineFragment { .. } => {}
+                Frame::SubmitVariants { batch, keys, .. } => {
+                    for index in 0..keys.len() as u32 {
                         let distribution = vec![0.25; 4]; // bell() measures 2 clbits
                         proto::write_frame(
                             &mut s,
@@ -182,7 +184,7 @@ fn ping_counting_server() -> (std::net::SocketAddr, Arc<AtomicU64>, std::thread:
                         )
                         .unwrap();
                     }
-                    let executed = circuits.len() as u32;
+                    let executed = keys.len() as u32;
                     let done = Frame::BatchDone { batch, executed, telemetry: None };
                     proto::write_frame(&mut s, &done).unwrap();
                 }
@@ -329,8 +331,12 @@ fn wrong_length_distributions_are_rejected_as_transport_errors() {
                 Frame::Ping { nonce } => {
                     proto::write_frame(&mut s, &Frame::Pong { nonce }).unwrap();
                 }
-                Frame::SubmitBatch { batch, circuits, .. } => {
-                    assert_eq!(circuits.len(), 1);
+                // the bare circuit's one-variant body
+                Frame::DefineFragment { id, body } => {
+                    assert_eq!((id, body.num_clbits()), (0, 2));
+                }
+                Frame::SubmitVariants { batch, keys, .. } => {
+                    assert_eq!(keys.len(), 1);
                     // bell() measures 2 clbits, so 4 entries are owed — send 2
                     proto::write_frame(
                         &mut s,
@@ -344,7 +350,7 @@ fn wrong_length_distributions_are_rejected_as_transport_errors() {
                     .unwrap();
                     break;
                 }
-                other => panic!("expected SubmitBatch, got {other:?}"),
+                other => panic!("expected SubmitVariants, got {other:?}"),
             }
         }
     });
@@ -404,12 +410,12 @@ fn device_level_faults_cross_the_wire_as_per_circuit_failures() {
     let flaky = FlakyBackend::transient(ExactBackend::new(), 7, 1.0);
     let server = QrccServer::bind("127.0.0.1:0", flaky).unwrap().spawn();
     let remote = RemoteBackend::connect(server.addr()).unwrap();
-    let first = remote.run(&[&bell()], None).remove(0);
+    let first = remote.run_batch(&[bell()]).remove(0);
     assert!(
         matches!(&first, Err(CoreError::BackendUnavailable { reason, .. }) if reason.contains("injected fault")),
         "{first:?}"
     );
-    let second = remote.run(&[&bell()], None).remove(0);
+    let second = remote.run_batch(&[bell()]).remove(0);
     assert!(second.is_ok(), "the transient fault clears on resubmission: {second:?}");
     assert_eq!(server.stats().circuits_failed, 1);
     assert_eq!(server.stats().circuits_ok, 1);
@@ -514,7 +520,7 @@ fn trickle_reading_client_is_bounded_by_the_cumulative_write_budget() {
 
     // the server survives the attack: a clean direct connection still works
     let remote = RemoteBackend::connect(server.addr()).unwrap();
-    assert!(remote.run(&[&bell()], None).remove(0).is_ok());
+    assert!(remote.run_batch(&[bell()]).remove(0).is_ok());
     proxy.shutdown();
     server.shutdown();
 }
@@ -524,12 +530,62 @@ fn graceful_shutdown_disconnects_clients_cleanly() {
     let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new()).unwrap().spawn();
     let addr = server.addr();
     let remote = RemoteBackend::connect(addr).unwrap();
-    assert!(remote.run(&[&bell()], None).remove(0).is_ok());
+    assert!(remote.run_batch(&[bell()]).remove(0).is_ok());
     let last = server.shutdown();
     // shutdown joins every connection thread and returns the final counters
     assert_eq!((last.batches, last.circuits_ok), (1, 1));
     assert_eq!(last.open_connections, 0, "every connection thread has ended");
     // the pooled connection is dead and no listener answers the redial
-    let result = remote.run(&[&bell()], None).remove(0);
+    let result = remote.run_batch(&[bell()]).remove(0);
     assert!(matches!(result, Err(CoreError::BackendUnavailable { .. })), "{result:?}");
+}
+
+#[test]
+fn a_circuit_measuring_nothing_is_refused_in_process_and_through_a_worker() {
+    // without a classical bit there is no distribution to report: every
+    // backend refuses the variant with the same typed, permanent error,
+    // and the rest of its batch runs
+    let mut unmeasured = Circuit::new(2);
+    unmeasured.h(0).cx(0, 1);
+    let exact = ExactBackend::new;
+    let shots = || ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(5)), 1_000);
+    let servers = [
+        QrccServer::bind("127.0.0.1:0", exact()).unwrap().spawn(),
+        QrccServer::bind("127.0.0.1:0", shots()).unwrap().spawn(),
+    ];
+    let remotes: Vec<RemoteBackend> =
+        servers.iter().map(|server| RemoteBackend::connect(server.addr()).unwrap()).collect();
+    let backends: [&dyn ExecutionBackend; 4] = [&exact(), &shots(), &remotes[0], &remotes[1]];
+    for backend in backends {
+        let results = backend.run_batch(&[bell(), unmeasured.clone(), bell()]);
+        let refused = CoreError::Simulation(SimError::NothingToMeasure);
+        assert_eq!(results[1], Err(refused.clone()), "{}", backend.label());
+        assert!(!refused.is_transient(), "a refusal is not retried");
+        assert!(results[0].is_ok() && results[2].is_ok(), "{}: {results:?}", backend.label());
+    }
+
+    // a worker handed one anyway refuses it as deterministic
+    for server in &servers {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        proto::write_frame(&mut stream, &Frame::ClientHello { version: PROTOCOL_VERSION }).unwrap();
+        assert!(matches!(proto::read_frame(&mut stream).unwrap(), Frame::ServerHello { .. }));
+        let circuits = vec![qrcc_circuit::qasm::to_qasm(&unmeasured)];
+        let submit = Frame::SubmitBatch { batch: 4, circuits, shots: None, trace: None };
+        proto::write_frame(&mut stream, &submit).unwrap();
+        match proto::read_frame(&mut stream).unwrap() {
+            Frame::CircuitFailed { index: 0, kind, reason, .. } => {
+                assert_eq!(kind, WireErrorKind::Protocol);
+                assert!(reason.contains("no measurements"), "{reason}");
+            }
+            other => panic!("expected the refusal, got {other:?}"),
+        }
+        assert!(matches!(
+            proto::read_frame(&mut stream).unwrap(),
+            Frame::BatchDone { executed: 0, .. }
+        ));
+    }
+    for server in servers {
+        assert_eq!(server.shutdown().circuits_ok, 2, "the two bells ran, nothing else");
+    }
 }

@@ -4,7 +4,7 @@
 //! worker's cache counters must reach its metrics scrape, a persisted
 //! snapshot must survive a full server kill-and-restart, and keyed variants
 //! must be cached under their fragment body, apart from the same circuits
-//! sent as OpenQASM.
+//! sent bare.
 
 use qrcc_circuit::Circuit;
 use qrcc_core::cache::ResultCachePolicy;
@@ -142,19 +142,21 @@ fn keyed_variants_are_cached_by_key_and_apart_from_their_qasm() {
         .with_result_cache(&ResultCachePolicy::in_memory())
         .spawn();
     let remote = RemoteBackend::connect(server.addr()).unwrap();
-    let batch = VariantBatch::new(&set, &keys, None);
+    let bodies = set.bodies();
+    let batch = VariantBatch::new(&bodies, keys.clone(), None);
     let n = keys.len() as u64;
 
-    let cold: Vec<Vec<f64>> = remote.run_variants(&batch).into_iter().map(Result::unwrap).collect();
-    let warm: Vec<Vec<f64>> = remote.run_variants(&batch).into_iter().map(Result::unwrap).collect();
+    let cold: Vec<Vec<f64>> = remote.run(&batch).into_iter().map(Result::unwrap).collect();
+    let warm: Vec<Vec<f64>> = remote.run(&batch).into_iter().map(Result::unwrap).collect();
     assert_eq!(cold, warm);
     let cache = server.cache_stats().unwrap();
     assert_eq!((cache.misses, cache.hits), (n, n), "the keyed repeat is served by key");
 
-    // the same circuits as OpenQASM are one-variant bodies of their own
-    let qasm = remote.run_batch(&batch.instantiate());
-    assert!(qasm.into_iter().map(Result::unwrap).eq(cold));
+    // the same circuits sent bare are one-variant bodies of their own
+    let circuits: Vec<Circuit> = (0..batch.len()).map(|i| batch.build(i)).collect();
+    let bare = remote.run_batch(&circuits);
+    assert!(bare.into_iter().map(Result::unwrap).eq(cold));
     let cache = server.cache_stats().unwrap();
-    assert_eq!((cache.misses, cache.hits), (2 * n, n), "a key and its QASM share no entry");
+    assert_eq!((cache.misses, cache.hits), (2 * n, n), "a key and its bare circuit share no entry");
     server.shutdown();
 }

@@ -1,9 +1,11 @@
 //! Protocol v4's variant path: a connection defines each fragment body once
 //! (`DefineFragment`), then submits `(fragment, ordinal, outputs)` keys
-//! (`SubmitVariants`). Every answer must be bit-identical to the OpenQASM
-//! path (`RemoteBackend::run_batch`) and to the in-process backend, on exact
-//! and seeded sampling workers, across dropped connections, and however the
-//! per-connection fragment table churns; and a hostile peer meets typed
+//! (`SubmitVariants`). Every answer must be bit-identical to the same
+//! circuits sent bare (`RemoteBackend::run_batch`, each the one variant of
+//! its own body) and to the in-process backend, on exact and seeded
+//! sampling workers, across dropped connections, and however the
+//! per-connection fragment table churns; a batch the key path cannot carry
+//! goes as OpenQASM and answers the same; and a hostile peer meets typed
 //! errors at the table's and the batch's weight caps.
 
 use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
@@ -85,7 +87,7 @@ fn a_v3_client_hello_is_refused_with_version_mismatch() {
 }
 
 #[test]
-fn keys_match_the_qasm_path_and_the_in_process_backend_on_an_exact_server() {
+fn keys_match_bare_circuits_and_the_in_process_backend_on_an_exact_server() {
     let set = qaoa_fragments(0.3);
     assert!(set.num_gate_cuts() > 0, "the plan exercises gate-cut halves");
     let (keys, circuits) = variants(&set, 40);
@@ -93,15 +95,16 @@ fn keys_match_the_qasm_path_and_the_in_process_backend_on_an_exact_server() {
     let remote = RemoteBackend::connect(server.addr()).unwrap();
 
     let local = ExactBackend::new().run_batch(&circuits);
-    let qasm = remote.run_batch(&circuits);
-    let batch = VariantBatch::new(&set, &keys, None);
+    let bare = remote.run_batch(&circuits);
+    let bodies = set.bodies();
+    let batch = VariantBatch::new(&bodies, keys, None);
     let built = || set.fragments.iter().map(|f| f.body().instantiations()).sum::<u64>();
     let built_before = built();
-    let keyed = remote.run_variants(&batch);
+    let keyed = remote.run(&batch);
     assert_bit_identical(&keyed, &local, "keys vs in-process");
-    assert_bit_identical(&keyed, &qasm, "keys vs QASM");
+    assert_bit_identical(&keyed, &bare, "keys vs bare circuits");
     // the second submission finds every fragment already defined
-    assert_bit_identical(&remote.run_variants(&batch), &local, "keys, warm table");
+    assert_bit_identical(&remote.run(&batch), &local, "keys, warm table");
     assert_eq!(built(), built_before, "a keyed job builds no circuit on the client");
     assert_eq!(remote.connections_dialled(), 1, "one connection carried everything");
     assert_eq!(server.stats().circuits_ok, 3 * circuits.len() as u64);
@@ -109,36 +112,37 @@ fn keys_match_the_qasm_path_and_the_in_process_backend_on_an_exact_server() {
 }
 
 #[test]
-fn keys_match_the_qasm_path_and_the_in_process_backend_on_a_seeded_shots_server() {
+fn keys_match_bare_circuits_and_the_in_process_backend_on_a_seeded_shots_server() {
     let set = qaoa_fragments(0.7);
     let (keys, circuits) = variants(&set, 24);
     let shots: Vec<u64> = (0..circuits.len() as u64).map(|i| 200 + 37 * i).collect();
     let device = || Device::new(DeviceConfig::ideal(4).with_seed(23));
     let keyed_server =
         QrccServer::bind("127.0.0.1:0", ShotsBackend::new(device(), 500)).unwrap().spawn();
-    let qasm_server =
+    let bare_server =
         QrccServer::bind("127.0.0.1:0", ShotsBackend::new(device(), 500)).unwrap().spawn();
     let keyed_remote = RemoteBackend::connect(keyed_server.addr()).unwrap();
-    let qasm_remote = RemoteBackend::connect(qasm_server.addr()).unwrap();
+    let bare_remote = RemoteBackend::connect(bare_server.addr()).unwrap();
     let local = ShotsBackend::new(device(), 500);
+    let bodies = set.bodies();
 
     // the same sampling streams in the same order: explicit shots, then the
     // worker's default
     for shots in [Some(shots.as_slice()), None] {
-        let batch = VariantBatch::new(&set, &keys, shots);
-        let keyed = keyed_remote.run_variants(&batch);
-        let (qasm, in_process) = match shots {
+        let batch = VariantBatch::new(&bodies, keys.clone(), shots.map(<[u64]>::to_vec));
+        let keyed = keyed_remote.run(&batch);
+        let (bare, in_process) = match shots {
             Some(shots) => (
-                qasm_remote.run_batch_with_shots(&circuits, shots),
+                bare_remote.run_batch_with_shots(&circuits, shots),
                 local.run_batch_with_shots(&circuits, shots),
             ),
-            None => (qasm_remote.run_batch(&circuits), local.run_batch(&circuits)),
+            None => (bare_remote.run_batch(&circuits), local.run_batch(&circuits)),
         };
         assert_bit_identical(&keyed, &in_process, "keys vs in-process");
-        assert_bit_identical(&keyed, &qasm, "keys vs QASM");
+        assert_bit_identical(&keyed, &bare, "keys vs bare circuits");
     }
     keyed_server.shutdown();
-    qasm_server.shutdown();
+    bare_server.shutdown();
 }
 
 #[test]
@@ -149,15 +153,16 @@ fn a_dropped_connection_fails_the_batch_and_its_successor_redefines_the_fragment
     // connection 0: handshake and ping pass, the reply dies mid-stream
     let proxy = FaultyProxy::spawn(server.addr(), vec![ProxyFault::DropAfter(96)]).unwrap();
     let remote = RemoteBackend::connect_with_timeout(proxy.addr(), Duration::from_secs(5)).unwrap();
-    let batch = VariantBatch::new(&set, &keys, None);
+    let bodies = set.bodies();
+    let batch = VariantBatch::new(&bodies, keys, None);
 
-    let dropped = remote.run_variants(&batch);
+    let dropped = remote.run(&batch);
     assert!(
         dropped.iter().all(|r| matches!(r, Err(CoreError::BackendUnavailable { .. }))),
         "a dead reply stream fails the whole batch as transient: {dropped:?}"
     );
     // the fresh connection starts with an empty table on both sides
-    let recovered = remote.run_variants(&batch);
+    let recovered = remote.run(&batch);
     assert_bit_identical(&recovered, &ExactBackend::new().run_batch(&circuits), "recovered");
     assert_eq!(remote.connections_dialled(), 2);
     proxy.shutdown();
@@ -232,13 +237,14 @@ fn the_fragment_table_churns_and_oversized_batches_fall_back_to_qasm() {
     let server = QrccServer::bind("127.0.0.1:0", ExactBackend::new()).unwrap().spawn();
     let remote = RemoteBackend::connect(server.addr()).unwrap();
     // one batch naming every fragment goes out as OpenQASM
-    let all = remote.run_variants(&VariantBatch::new(&union, &keys, None));
+    let bodies = union.bodies();
+    let all = remote.run(&VariantBatch::new(&bodies, keys.clone(), None));
     assert_bit_identical(&all, &local, "oversized batch");
     // windows of the key list sweep the table past its cap and back
     for start in (0..keys.len()).step_by(25).chain((0..keys.len()).step_by(40)) {
         let end = (start + 60).min(keys.len());
-        let window = VariantBatch::new(&union, &keys[start..end], None);
-        assert_bit_identical(&remote.run_variants(&window), &local[start..end], "window");
+        let window = VariantBatch::new(&bodies, keys[start..end].to_vec(), None);
+        assert_bit_identical(&remote.run(&window), &local[start..end], "window");
     }
     assert_eq!(remote.connections_dialled(), 1);
     server.shutdown();
@@ -260,7 +266,7 @@ fn hostile_keys_fail_alone_and_an_out_of_table_definition_is_a_protocol_error() 
     ];
     let submit = Frame::SubmitVariants { batch: 9, keys, shots: None, trace: None };
     proto::write_frame(&mut stream, &submit).unwrap();
-    let expected = ExactBackend::new().run(&[&body.instantiate(0, 0)], None).remove(0).unwrap();
+    let expected = ExactBackend::new().run_batch(&[body.instantiate(0, 0)]).remove(0).unwrap();
     match proto::read_frame(&mut stream).unwrap() {
         Frame::CircuitResult { batch: 9, index: 0, distribution } => {
             assert_eq!(distribution, expected);

@@ -55,9 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let requests = ProbabilityReconstructor::new().requests(fragments)?;
     let variants: Vec<Circuit> =
         requests.iter().map(|r| fragments.instantiate_key(&r.key)).collect::<Result<_, _>>()?;
-    let refs: Vec<&Circuit> = variants.iter().collect();
     let mut max_gap = 0.0f64;
-    for (variant, compiled) in variants.iter().zip(ExactBackend::new().run(&refs, None)) {
+    for (variant, compiled) in variants.iter().zip(ExactBackend::new().run_batch(&variants)) {
         let oracle = qrcc::sim::branching::classical_distribution(variant)?;
         for (a, b) in compiled?.iter().zip(&oracle) {
             max_gap = max_gap.max((a - b).abs());

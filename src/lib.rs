@@ -73,7 +73,7 @@ pub mod prelude {
         dispatch::DispatchStats,
         execute::{
             execute_requests, BackendUsage, ExactBackend, ExecutionBackend, ExecutionResults,
-            ShotsBackend,
+            ShotsBackend, VariantBatch,
         },
         fragment::{FragmentSet, VariantKey, VariantRequest},
         pipeline::QrccPipeline,

@@ -233,9 +233,9 @@ struct Broken {
 }
 
 impl ExecutionBackend for Broken {
-    fn run(&self, circuits: &[&Circuit], _: Option<&[u64]>) -> Vec<Result<Vec<f64>, CoreError>> {
+    fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
         self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        circuits.iter().map(|_| Err(self.error.clone())).collect()
+        variants.keys().iter().map(|_| Err(self.error.clone())).collect()
     }
 
     fn executions(&self) -> u64 {
