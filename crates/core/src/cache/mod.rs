@@ -69,18 +69,19 @@
 //! unparseable or invalid snapshot — one entry failing the validation above
 //! is enough — is ignored whole (the cache starts empty) rather than
 //! failing the worker or half-loading; [`CacheStats::snapshot_ignored`]
-//! records that this happened. A snapshot stores each body once, as a slot
-//! layout plus its operations in OpenQASM, and each entry as the body's
-//! place in the file, its ordinal, outputs, shots and distribution values
-//! as `f64` bit patterns. All of it round-trips exactly, so a reloaded
-//! entry hits on precisely the keys the live entry did.
+//! records that this happened. A snapshot stores each body once, as the
+//! hex of the encoding a remote worker receives it in
+//! ([`FragmentBody::encode`], decoded as hostile input with
+//! [`FragmentBody::decode`]), and each entry as the body's place in the
+//! file, its ordinal, outputs, shots and distribution values as `f64` bit
+//! patterns. All of it round-trips exactly, so a reloaded entry hits on
+//! precisely the keys the live entry did.
 
 use crate::execute::Shared;
-use crate::fragment::{FragmentBody, SkeletonOp, VariantKey};
-use crate::gatecut::GateHalf;
+use crate::fragment::codec::Reader;
+use crate::fragment::{FragmentBody, VariantKey};
 use crate::CoreError;
 use parking_lot::Mutex;
-use qrcc_circuit::qasm::{from_qasm, to_qasm};
 use qrcc_circuit::Circuit;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -93,7 +94,7 @@ use std::sync::{Arc, Weak};
 /// Version of the on-disk snapshot format. Bumped whenever the layout (or
 /// the semantics of a stored entry) changes; [`ResultCache::open`] ignores
 /// snapshots written under any other version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// First token of a snapshot's header line.
 const SNAPSHOT_MAGIC: &str = "QRCC-RESULT-CACHE";
@@ -894,52 +895,16 @@ struct Snapshot {
 
 impl Snapshot {
     /// The place of `interned` in the document, writing the body the first
-    /// time: a `body` line with its slot layout, then its operations as
-    /// OpenQASM (fixed operations and gate-cut locals, in skeleton order).
+    /// time: a `body` line holding its encoding
+    /// ([`FragmentBody::encode`]) as hex.
     fn body(&mut self, interned: &Interned) -> usize {
         let next = self.placed.len();
         let place = *self.placed.entry(interned.id).or_insert(next);
         if place == next {
-            let body = &interned.body;
-            let mut operations = Circuit::with_clbits(body.num_qubits(), body.num_clbits());
-            let mut layout = Vec::new();
-            for op in body.skeleton() {
-                layout.push(match op {
-                    SkeletonOp::Fixed(op) => {
-                        operations.push(op.clone());
-                        "f".to_string()
-                    }
-                    SkeletonOp::Prep { place, qubit } => format!("p{place}:{}", qubit.index()),
-                    SkeletonOp::CutMeasure { place, qubit, clbit } => {
-                        format!("m{place}:{}:{clbit}", qubit.index())
-                    }
-                    SkeletonOp::OutputMeasure { shift, qubit, clbit } => {
-                        format!("o{shift}:{}:{clbit}", qubit.index())
-                    }
-                    SkeletonOp::GateCutHalf { place, half, qubit, clbit, pre, post } => {
-                        for op in pre.iter().chain(post) {
-                            operations.push(op.clone());
-                        }
-                        let half = if *half == GateHalf::Top { 't' } else { 'b' };
-                        format!(
-                            "{half}{place}:{}:{clbit}:{}:{}",
-                            qubit.index(),
-                            pre.len(),
-                            post.len()
-                        )
-                    }
-                });
-            }
-            let qasm = to_qasm(&operations);
-            let _ = writeln!(
-                self.bodies,
-                "body outputs={} variants={} layout={} qasm_lines={}",
-                body.num_outputs(),
-                body.variant_count(),
-                layout.join(","),
-                qasm.lines().count()
-            );
-            self.bodies.push_str(&qasm);
+            let mut encoded = Vec::new();
+            interned.body.encode(&mut encoded);
+            let hex: String = encoded.iter().map(|byte| format!("{byte:02x}")).collect();
+            let _ = writeln!(self.bodies, "body {hex}");
         }
         place
     }
@@ -1001,25 +966,18 @@ fn parse_snapshot(text: &str) -> Result<(Vec<FragmentBody>, Vec<SnapshotEntry>),
         None => return Err("missing snapshot header".to_string()),
     }
     let (mut bodies, mut entries) = (Vec::new(), Vec::new());
-    while let Some(line) = lines.next() {
+    for line in lines {
         if line.trim().is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("body ") {
-            let fields = fields(rest);
-            let mut qasm = String::new();
-            for _ in 0..field::<usize>(&fields, "qasm_lines")? {
-                qasm.push_str(lines.next().ok_or("truncated QASM block")?);
-                qasm.push('\n');
-            }
-            let operations = from_qasm(&qasm).map_err(|e| format!("snapshot QASM: {e}"))?;
-            let layout = fields.get("layout").ok_or("body missing layout=")?;
-            bodies.push(parse_body(
-                &operations,
-                layout,
-                field(&fields, "outputs")?,
-                field(&fields, "variants")?,
-            )?);
+        if let Some(hex) = line.strip_prefix("body ") {
+            // no weight cap: a body never weighs more than its encoding's
+            // length, so the file's own length bounds what decoding holds
+            let bytes = unhex(hex).ok_or("body is not hex")?;
+            let mut reader = Reader::new(&bytes);
+            let body = FragmentBody::decode(&mut reader, usize::MAX).map_err(|e| e.to_string())?;
+            reader.finish().map_err(|e| e.to_string())?;
+            bodies.push(body);
         } else if let Some(rest) = line.strip_prefix("entry ") {
             let fields = fields(rest);
             let place: usize = field(&fields, "body")?;
@@ -1055,69 +1013,18 @@ fn parse_snapshot(text: &str) -> Result<(Vec<FragmentBody>, Vec<SnapshotEntry>),
     Ok((bodies, entries))
 }
 
-/// Rebuilds a body from its snapshot layout and its operations, which
-/// the layout's fixed operations and gate-cut locals consume in order.
-fn parse_body(
-    operations: &Circuit,
-    layout: &str,
-    outputs: usize,
-    variants: u64,
-) -> Result<FragmentBody, String> {
-    let mut ops = operations.operations().iter().cloned();
-    let mut skeleton = Vec::new();
-    for token in layout.split(',').filter(|token| !token.is_empty()) {
-        let mut take = |count: u64| -> Result<Vec<_>, String> {
-            (0..count)
-                .map(|_| ops.next().ok_or("layout outruns the operations".to_string()))
-                .collect()
-        };
-        if token == "f" {
-            skeleton.extend(take(1)?.into_iter().map(SkeletonOp::Fixed));
-            continue;
-        }
-        let bad = || format!("bad layout token: {token}");
-        let (kind, rest) = token.split_at(token.chars().next().map_or(0, char::len_utf8));
-        let numbers: Vec<u64> =
-            rest.split(':').map(|n| n.parse().map_err(|_| bad())).collect::<Result<_, _>>()?;
-        let qubit = |n: u64| qrcc_circuit::QubitId::new(n as usize);
-        skeleton.push(match (kind, &numbers[..]) {
-            ("p", &[place, q]) => SkeletonOp::Prep { place, qubit: qubit(q) },
-            ("m", &[place, q, clbit]) => {
-                SkeletonOp::CutMeasure { place, qubit: qubit(q), clbit: clbit as usize }
-            }
-            ("o", &[shift, q, clbit]) => SkeletonOp::OutputMeasure {
-                shift: u32::try_from(shift).map_err(|_| bad())?,
-                qubit: qubit(q),
-                clbit: clbit as usize,
-            },
-            ("t" | "b", &[place, q, clbit, pre, post]) => SkeletonOp::GateCutHalf {
-                place,
-                half: if kind == "t" { GateHalf::Top } else { GateHalf::Bottom },
-                qubit: qubit(q),
-                clbit: clbit as usize,
-                pre: take(pre)?,
-                post: take(post)?,
-            },
-            _ => return Err(bad()),
-        });
-    }
-    if ops.next().is_some() {
-        return Err("operations the layout does not place".to_string());
-    }
-    FragmentBody::new(
-        String::new(),
-        operations.num_qubits(),
-        operations.num_clbits(),
-        outputs,
-        variants,
-        skeleton,
-    )
-    .map_err(|e| e.to_string())
+/// The bytes spelled by `hex`, two digits each.
+fn unhex(hex: &str) -> Option<Vec<u8>> {
+    let digit = |c: u8| (c as char).to_digit(16);
+    let pairs = hex.as_bytes().chunks(2);
+    pairs.map(|pair| Some((digit(pair[0])? * 16 + digit(*pair.get(1)?)?) as u8)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragment::SkeletonOp;
+    use crate::gatecut::GateHalf;
     use proptest::prelude::*;
     use qrcc_circuit::{Gate, Operation, QubitId};
     use std::sync::atomic::AtomicUsize;
@@ -1785,7 +1692,7 @@ mod tests {
 
         /// A valid snapshot with a few bytes replaced, inserted or deleted —
         /// mostly bytes of the format's own alphabet, so mutants reach deep
-        /// into the body layout, entry and QASM parsers — never panics the
+        /// into the hex body decoder and the entry parser — never panics the
         /// loader.
         #[test]
         fn mutated_snapshots_never_panic_the_loader(
@@ -1900,7 +1807,7 @@ mod tests {
         }
         cache.persist().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("QRCC-RESULT-CACHE v2\n"), "{text}");
+        assert!(text.starts_with("QRCC-RESULT-CACHE v3\n"), "{text}");
         assert_eq!(text.lines().filter(|line| line.starts_with("body ")).count(), 1, "{text}");
         assert_eq!(text.lines().filter(|line| line.starts_with("entry ")).count(), 3);
 
@@ -1942,7 +1849,7 @@ mod tests {
         // the circuit-addressed format this one replaced: valid as it was
         // written, it no longer loads
         let path = scratch("v1");
-        let qasm = to_qasm(&bell());
+        let qasm = qrcc_circuit::qasm::to_qasm(&bell());
         let v1 = format!(
             "QRCC-RESULT-CACHE v1\nentry shots=exact dist={} qasm_lines={}\n{qasm}",
             ["3fe0000000000000", "0000000000000000", "0000000000000000", "3fe0000000000000"]
@@ -1956,6 +1863,64 @@ mod tests {
         assert_eq!((stats.snapshot_loaded, stats.entries), (0, 0));
         assert_eq!(cache.lookup(&bell(), None), CacheLookup::Miss);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_2_snapshot_is_ignored() {
+        // the layout-plus-OpenQASM body format this one replaced: valid as
+        // it was written, it no longer loads
+        let path = scratch("v2");
+        let v2 = "QRCC-RESULT-CACHE v2\n\
+                  body outputs=0 variants=1 layout=f,f,f,f qasm_lines=8\n\
+                  OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+                  h q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n\
+                  entry body=0 ordinal=0 outputs=0 shots=exact \
+                  dist=3fe0000000000000,0000000000000000,0000000000000000,3fe0000000000000\n";
+        std::fs::write(&path, v2).unwrap();
+        let cache = ResultCache::open(&ResultCachePolicy::persisted(path.to_string_lossy()));
+        let stats = cache.stats();
+        assert!(stats.snapshot_ignored);
+        assert_eq!((stats.snapshot_loaded, stats.entries), (0, 0));
+        assert_eq!(cache.lookup(&bell(), None), CacheLookup::Miss);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_body_is_the_wire_encoding_and_reloads_every_variant() {
+        use crate::planner::CutPlanner;
+        use crate::QrccConfig;
+        // wire cuts only, and wire plus gate cuts: every skeleton kind
+        let mut chain = Circuit::new(5);
+        chain.h(0).cx(0, 1).cx(1, 2).rz(0.3, 2).cx(2, 3).cx(3, 4);
+        let (qaoa, _) = qrcc_circuit::generators::qaoa_regular(6, 3, 1, 11);
+        let plans = [(chain, QrccConfig::new(3)), (qaoa, QrccConfig::new(4).with_gate_cuts(true))];
+        let mut snapshot = Snapshot::default();
+        let mut bodies = Vec::new();
+        for (circuit, config) in plans {
+            let config =
+                config.with_subcircuit_range(2, 3).with_ilp_time_limit(std::time::Duration::ZERO);
+            let plan = CutPlanner::new(config).plan(&circuit).unwrap();
+            for fragment in crate::fragment::FragmentSet::from_plan(&plan).unwrap().fragments {
+                let body = fragment.body().clone();
+                snapshot.body(&Interned { id: bodies.len() as u64, body: body.clone() });
+                bodies.push(body);
+            }
+        }
+        let gate_cut = |op: &SkeletonOp| matches!(op, SkeletonOp::GateCutHalf { .. });
+        assert!(bodies.iter().any(|body| body.skeleton().iter().any(gate_cut)));
+        let text = snapshot.finish();
+        let lines: Vec<&str> = text.lines().filter(|line| line.starts_with("body ")).collect();
+        let (reloaded, _) = parse_snapshot(&text).unwrap();
+        assert_eq!((lines.len(), reloaded.len()), (bodies.len(), bodies.len()));
+        for ((body, line), decoded) in bodies.iter().zip(lines).zip(&reloaded) {
+            let mut encoded = Vec::new();
+            body.encode(&mut encoded);
+            assert_eq!(unhex(&line["body ".len()..]), Some(encoded), "{}", body.name());
+            assert_eq!(decoded, body);
+            for ordinal in 0..body.variant_count() {
+                assert_eq!(decoded.instantiate(ordinal, 0), body.instantiate(ordinal, 0));
+            }
+        }
     }
 
     #[test]

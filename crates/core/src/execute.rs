@@ -91,7 +91,10 @@ use std::sync::Arc;
 /// at once than it has threads; a remote backend ships the keys.
 ///
 /// Every backend refuses a variant without classical bits with
-/// [`SimError::NothingToMeasure`]: there is no distribution to report.
+/// [`SimError::NothingToMeasure`] (there is no distribution to report), and
+/// one over more than [`Counts::MAX_DENSE_BITS`] with
+/// [`SimError::TooManyClbits`] (its distribution would not fit in memory);
+/// [`check_dense_readout`] is that rule.
 ///
 /// Backends must be [`Sync`]: batches are executed with data parallelism, and
 /// the dispatcher's per-backend workers share them across threads.
@@ -190,6 +193,21 @@ impl CircuitShape {
             num_clbits: circuit.num_clbits(),
             reuses_wires: needs_mid_circuit(circuit),
         }
+    }
+}
+
+/// Whether a distribution over `num_clbits` classical bits can be reported
+/// as the dense vector every backend returns: the refusal every backend
+/// gives a variant before running it.
+///
+/// # Errors
+///
+/// [`SimError::NothingToMeasure`] without classical bits, and
+/// [`SimError::TooManyClbits`] past [`Counts::MAX_DENSE_BITS`].
+pub fn check_dense_readout(num_clbits: usize) -> Result<(), SimError> {
+    match num_clbits {
+        0 => Err(SimError::NothingToMeasure),
+        _ => Counts::check_dense(num_clbits),
     }
 }
 
@@ -648,6 +666,10 @@ pub fn execute_requests(
 /// [`CompileStats::branch_points`] (in [`ExecutionBackend::compile_stats`])
 /// says how many splits a batch asked for.
 ///
+/// A circuit over more than [`Counts::MAX_DENSE_BITS`] classical bits is
+/// refused with [`SimError::TooManyClbits`] before anything is allocated
+/// ([`FramedProgram::read_out`]): its distribution would not fit in memory.
+///
 /// An optional width cap ([`ExactBackend::capped`]) makes the backend refuse
 /// circuits wider than a pretend device — useful for registering exact
 /// "devices" of different sizes in a
@@ -791,13 +813,7 @@ impl ShotsBackend {
         if shape.reuses_wires && !config.supports_mid_circuit {
             return Err(SimError::MidCircuitUnsupported);
         }
-        match shape.num_clbits {
-            0 => Err(SimError::NothingToMeasure),
-            clbits if clbits > Counts::MAX_DENSE_BITS => {
-                Err(SimError::TooManyClbits { required: clbits, available: Counts::MAX_DENSE_BITS })
-            }
-            _ => Ok(()),
-        }
+        check_dense_readout(shape.num_clbits)
     }
 }
 
@@ -849,7 +865,6 @@ impl ExecutionBackend for ShotsBackend {
         let config = self.device.config();
         shape.num_qubits <= config.num_qubits
             && (config.supports_mid_circuit || !shape.reuses_wires)
-            && shape.num_clbits <= Counts::MAX_DENSE_BITS
     }
 
     fn shots_per_circuit(&self) -> Option<u64> {
@@ -1124,7 +1139,9 @@ mod tests {
         let refused = SimError::TooManyClbits { required: 31, available: 30 };
 
         let serial = seeded(2, 2_000);
-        assert!(!serial.can_run(&chain.shape(0, 0)));
+        // placement reads capabilities; the refusal is the run's, and
+        // every backend gives it
+        assert!(serial.can_run(&chain.shape(0, 0)));
         let one_each = one_by_one(&serial, &bodies, &keys, None);
         assert_eq!(one_each[1], Err(refused.clone().into()));
 

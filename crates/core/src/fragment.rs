@@ -27,6 +27,8 @@ use qrcc_circuit::{Circuit, Gate, Operation, QubitId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+pub mod codec;
+
 /// Initial state of a wire-cut initialisation slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InitState {

@@ -37,10 +37,9 @@ use crate::proto::{
 };
 use parking_lot::Mutex;
 use qrcc_circuit::qasm;
-use qrcc_core::execute::{CircuitShape, ExecutionBackend, VariantBatch};
+use qrcc_core::execute::{check_dense_readout, CircuitShape, ExecutionBackend, VariantBatch};
 use qrcc_core::fragment::{FragmentBody, VariantKey};
 use qrcc_core::CoreError;
-use qrcc_sim::SimError;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -732,18 +731,17 @@ fn frame_name(frame: &Frame) -> &'static str {
 }
 
 impl ExecutionBackend for RemoteBackend {
-    /// Refuses a variant without classical bits here
-    /// ([`SimError::NothingToMeasure`], as every backend does), sends each
-    /// fragment body the rest use once per pooled connection, then only
-    /// keys ([`Frame::SubmitVariants`]). Keys that together instantiate more
+    /// Refuses a variant measuring no classical bit or more than a dense
+    /// distribution holds here ([`check_dense_readout`], as every backend
+    /// does), sends each fragment body the rest use once per pooled
+    /// connection, then only keys ([`Frame::SubmitVariants`]). Keys that together instantiate more
     /// than [`MAX_BATCH_WEIGHT`] go as consecutive submissions, each within
     /// the cap. A submission the key path cannot carry otherwise (more than
     /// [`MAX_FRAGMENTS`] bodies, or one heavier than
     /// [`MAX_FRAGMENT_WEIGHT`]) goes as OpenQASM ([`Frame::SubmitBatch`]).
     fn run(&self, variants: &VariantBatch<'_>) -> Vec<Result<Vec<f64>, CoreError>> {
-        let refusal = |i: usize| {
-            (variants.body(i).num_clbits() == 0).then(|| SimError::NothingToMeasure.into())
-        };
+        let refusal =
+            |i: usize| check_dense_readout(variants.body(i).num_clbits()).err().map(Into::into);
         variants.run_unrefused(refusal, |variants| {
             let part = |start: usize, end: usize| {
                 self.submit(&variants.select(&(start..end).collect::<Vec<_>>()))

@@ -4,7 +4,10 @@
 //! where `length` counts the tag byte plus the payload and is capped at
 //! [`MAX_FRAME_LEN`] so a garbled peer cannot make the other side allocate
 //! unboundedly. All integers are big-endian; floats travel as their IEEE-754
-//! bit patterns; strings and lists are `u32`-length-prefixed.
+//! bit patterns; strings and lists are `u32`-length-prefixed. Payloads are
+//! read through the byte cursor of the fragment-body codec
+//! ([`qrcc_core::fragment::codec`]), and a [`Frame::DefineFragment`] body is
+//! that codec's encoding, the one a result-cache snapshot stores too.
 //!
 //! A session is: the client opens with [`Frame::ClientHello`] (protocol
 //! version), the server answers with [`Frame::ServerHello`] carrying its
@@ -28,9 +31,10 @@
 //! [`Frame::CircuitFailed`] per submitted entry, in index order, and closes
 //! the batch with [`Frame::BatchDone`] — all of them in one write.
 
-use qrcc_circuit::{Gate, Operation, QubitId};
-use qrcc_core::fragment::{FragmentBody, SkeletonOp, VariantKey};
-use qrcc_core::gatecut::GateHalf;
+use qrcc_core::fragment::codec::{
+    put_list, put_string, put_u16, put_u32, put_u64, DecodeError, Reader,
+};
+use qrcc_core::fragment::{FragmentBody, VariantKey};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -442,18 +446,6 @@ impl ProtoError {
 
 // ---- encoding ----------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, value: u16) {
-    out.extend_from_slice(&value.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_be_bytes());
-}
-
 fn put_opt_u64(out: &mut Vec<u8>, value: Option<u64>) {
     match value {
         Some(v) => {
@@ -464,11 +456,6 @@ fn put_opt_u64(out: &mut Vec<u8>, value: Option<u64>) {
     }
 }
 
-fn put_string(out: &mut Vec<u8>, value: &str) {
-    put_u32(out, value.len() as u32);
-    out.extend_from_slice(value.as_bytes());
-}
-
 /// The shared histogram codec: summary stats plus the sparse non-zero
 /// buckets (used by [`BatchTelemetry`] and [`MetricsReport`]).
 fn put_histogram(out: &mut Vec<u8>, histogram: &qrcc_core::obs::Histogram) {
@@ -476,11 +463,17 @@ fn put_histogram(out: &mut Vec<u8>, histogram: &qrcc_core::obs::Histogram) {
     put_u64(out, histogram.sum());
     put_u64(out, histogram.min().unwrap_or(0));
     put_u64(out, histogram.max().unwrap_or(0));
-    let buckets = histogram.sparse_buckets();
-    put_u32(out, buckets.len() as u32);
-    for (index, count) in buckets {
+    put_list(out, &histogram.sparse_buckets(), |out, &(index, count)| {
         put_u32(out, index);
         put_u64(out, count);
+    });
+}
+
+/// A `(name, value)` list entry: the name, then the value with `put`.
+fn named<T>(put: impl Fn(&mut Vec<u8>, &T)) -> impl Fn(&mut Vec<u8>, &(String, T)) {
+    move |out, (name, value)| {
+        put_string(out, name);
+        put(out, value);
     }
 }
 
@@ -488,10 +481,7 @@ fn put_shots_and_trace(out: &mut Vec<u8>, shots: &Option<Vec<u64>>, trace: &Opti
     match shots {
         Some(shots) => {
             out.push(1);
-            put_u32(out, shots.len() as u32);
-            for &s in shots {
-                put_u64(out, s);
-            }
+            put_list(out, shots, |out, &s| put_u64(out, s));
         }
         None => out.push(0),
     }
@@ -505,137 +495,10 @@ fn put_shots_and_trace(out: &mut Vec<u8>, shots: &Option<Vec<u64>>, trace: &Opti
     }
 }
 
-/// A gate's wire code; its angles follow it ([`Gate::params`]).
-fn gate_code(gate: &Gate) -> u8 {
-    match gate {
-        Gate::I => 0,
-        Gate::H => 1,
-        Gate::X => 2,
-        Gate::Y => 3,
-        Gate::Z => 4,
-        Gate::S => 5,
-        Gate::Sdg => 6,
-        Gate::T => 7,
-        Gate::Tdg => 8,
-        Gate::SqrtX => 9,
-        Gate::Rx(_) => 10,
-        Gate::Ry(_) => 11,
-        Gate::Rz(_) => 12,
-        Gate::Phase(_) => 13,
-        Gate::U3(..) => 14,
-        Gate::Cx => 15,
-        Gate::Cy => 16,
-        Gate::Cz => 17,
-        Gate::Swap => 18,
-        Gate::Rzz(_) => 19,
-        Gate::Rxx(_) => 20,
-        Gate::Ryy(_) => 21,
-        Gate::CPhase(_) => 22,
-    }
-}
-
-fn put_qubit(out: &mut Vec<u8>, qubit: QubitId) {
-    put_u32(out, qubit.index() as u32);
-}
-
-/// Operation codes: 0 one-qubit gate, 1 two-qubit gate, 2 measure, 3 reset,
-/// 4 barrier. Gates carry their code, angles (IEEE-754 bits) and qubits.
-fn put_operation(out: &mut Vec<u8>, op: &Operation) {
-    fn put_gate(out: &mut Vec<u8>, gate: &Gate) {
-        out.push(gate_code(gate));
-        for angle in gate.params() {
-            put_u64(out, angle.to_bits());
-        }
-    }
-    match op {
-        Operation::Single { gate, qubit } => {
-            out.push(0);
-            put_gate(out, gate);
-            put_qubit(out, *qubit);
-        }
-        Operation::Two { gate, qubits } => {
-            out.push(1);
-            put_gate(out, gate);
-            put_qubit(out, qubits[0]);
-            put_qubit(out, qubits[1]);
-        }
-        Operation::Measure { qubit, clbit } => {
-            out.push(2);
-            put_qubit(out, *qubit);
-            put_u32(out, *clbit as u32);
-        }
-        Operation::Reset { qubit } => {
-            out.push(3);
-            put_qubit(out, *qubit);
-        }
-        Operation::Barrier { qubits } => {
-            out.push(4);
-            put_u32(out, qubits.len() as u32);
-            for &qubit in qubits {
-                put_qubit(out, qubit);
-            }
-        }
-    }
-}
-
-fn put_operations(out: &mut Vec<u8>, ops: &[Operation]) {
-    put_u32(out, ops.len() as u32);
-    for op in ops {
-        put_operation(out, op);
-    }
-}
-
-/// Skeleton codes: 0 fixed operation, 1 prep, 2 cut measure, 3 output
-/// measure, 4 gate-cut half (half 0 top, 1 bottom).
-fn put_body(out: &mut Vec<u8>, body: &FragmentBody) {
-    put_string(out, body.name());
-    put_u32(out, body.num_qubits() as u32);
-    put_u32(out, body.num_clbits() as u32);
-    put_u32(out, body.num_outputs() as u32);
-    put_u64(out, body.variant_count());
-    put_u32(out, body.skeleton().len() as u32);
-    for op in body.skeleton() {
-        put_skeleton_op(out, op);
-    }
-}
-
-fn put_skeleton_op(out: &mut Vec<u8>, op: &SkeletonOp) {
-    match op {
-        SkeletonOp::Fixed(op) => {
-            out.push(0);
-            put_operation(out, op);
-        }
-        SkeletonOp::Prep { place, qubit } => {
-            out.push(1);
-            put_u64(out, *place);
-            put_qubit(out, *qubit);
-        }
-        SkeletonOp::CutMeasure { place, qubit, clbit } => {
-            out.push(2);
-            put_u64(out, *place);
-            put_qubit(out, *qubit);
-            put_u32(out, *clbit as u32);
-        }
-        SkeletonOp::OutputMeasure { shift, qubit, clbit } => {
-            out.push(3);
-            put_u32(out, *shift);
-            put_qubit(out, *qubit);
-            put_u32(out, *clbit as u32);
-        }
-        SkeletonOp::GateCutHalf { place, half, qubit, clbit, pre, post } => {
-            out.push(4);
-            put_u64(out, *place);
-            out.push(matches!(half, GateHalf::Bottom) as u8);
-            put_qubit(out, *qubit);
-            put_u32(out, *clbit as u32);
-            put_operations(out, pre);
-            put_operations(out, post);
-        }
-    }
-}
-
 /// Appends `frame`'s `tag + payload` (without the length prefix) to `out`.
 fn encode(frame: &Frame, out: &mut Vec<u8>) {
+    let counter = named(|out, &value: &u64| put_u64(out, value));
+    let histogram = named(put_histogram);
     match frame {
         Frame::ClientHello { version } => {
             out.push(TAG_CLIENT_HELLO);
@@ -652,36 +515,29 @@ fn encode(frame: &Frame, out: &mut Vec<u8>) {
         Frame::SubmitBatch { batch, circuits, shots, trace } => {
             out.push(TAG_SUBMIT_BATCH);
             put_u64(out, *batch);
-            put_u32(out, circuits.len() as u32);
-            for circuit in circuits {
-                put_string(out, circuit);
-            }
+            put_list(out, circuits, |out, circuit| put_string(out, circuit));
             put_shots_and_trace(out, shots, trace);
         }
         Frame::DefineFragment { id, body } => {
             out.push(TAG_DEFINE_FRAGMENT);
             put_u32(out, *id);
-            put_body(out, body);
+            body.encode(out);
         }
         Frame::SubmitVariants { batch, keys, shots, trace } => {
             out.push(TAG_SUBMIT_VARIANTS);
             put_u64(out, *batch);
-            put_u32(out, keys.len() as u32);
-            for key in keys {
+            put_list(out, keys, |out, key| {
                 put_u32(out, key.fragment as u32);
                 put_u64(out, key.ordinal);
                 put_u64(out, key.outputs);
-            }
+            });
             put_shots_and_trace(out, shots, trace);
         }
         Frame::CircuitResult { batch, index, distribution } => {
             out.push(TAG_CIRCUIT_RESULT);
             put_u64(out, *batch);
             put_u32(out, *index);
-            put_u32(out, distribution.len() as u32);
-            for &p in distribution {
-                put_u64(out, p.to_bits());
-            }
+            put_list(out, distribution, |out, p| put_u64(out, p.to_bits()));
         }
         Frame::CircuitFailed { batch, index, kind, reason } => {
             out.push(TAG_CIRCUIT_FAILED);
@@ -697,24 +553,15 @@ fn encode(frame: &Frame, out: &mut Vec<u8>) {
             match telemetry {
                 Some(telemetry) => {
                     out.push(1);
-                    put_u32(out, telemetry.spans.len() as u32);
-                    for span in &telemetry.spans {
+                    put_list(out, &telemetry.spans, |out, span| {
                         put_u64(out, span.id);
                         put_u64(out, span.parent);
                         put_string(out, &span.name);
                         put_u64(out, span.start_unix_us);
                         put_u64(out, span.duration_us);
-                    }
-                    put_u32(out, telemetry.counters.len() as u32);
-                    for (name, value) in &telemetry.counters {
-                        put_string(out, name);
-                        put_u64(out, *value);
-                    }
-                    put_u32(out, telemetry.histograms.len() as u32);
-                    for (name, histogram) in &telemetry.histograms {
-                        put_string(out, name);
-                        put_histogram(out, histogram);
-                    }
+                    });
+                    put_list(out, &telemetry.counters, &counter);
+                    put_list(out, &telemetry.histograms, &histogram);
                 }
                 None => out.push(0),
             }
@@ -725,21 +572,9 @@ fn encode(frame: &Frame, out: &mut Vec<u8>) {
         Frame::MetricsReply { report } => {
             out.push(TAG_METRICS_REPLY);
             put_string(out, &report.prometheus);
-            put_u32(out, report.windowed.len() as u32);
-            for (name, histogram) in &report.windowed {
-                put_string(out, name);
-                put_histogram(out, histogram);
-            }
-            put_u32(out, report.counters.len() as u32);
-            for (name, value) in &report.counters {
-                put_string(out, name);
-                put_u64(out, *value);
-            }
-            put_u32(out, report.gauges.len() as u32);
-            for (name, value) in &report.gauges {
-                put_string(out, name);
-                put_u64(out, value.to_bits());
-            }
+            put_list(out, &report.windowed, &histogram);
+            put_list(out, &report.counters, &counter);
+            put_list(out, &report.gauges, named(|out, value: &f64| put_u64(out, value.to_bits())));
         }
         Frame::GetHealth => {
             out.push(TAG_GET_HEALTH);
@@ -806,244 +641,47 @@ pub(crate) fn append_frame(out: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
 
 // ---- decoding ----------------------------------------------------------
 
-struct Decoder<'a> {
-    bytes: &'a [u8],
-    at: usize,
-    /// What the fragment body being decoded may still weigh.
-    weight_left: usize,
+impl From<DecodeError> for ProtoError {
+    fn from(error: DecodeError) -> Self {
+        ProtoError::Malformed { detail: error.detail }
+    }
 }
 
-impl<'a> Decoder<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.at + n > self.bytes.len() {
-            return Err(ProtoError::malformed(format!(
-                "payload truncated at byte {} (wanted {n} more of {})",
-                self.at,
-                self.bytes.len()
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
+/// The protocol's own compound fields, read through the cursor the
+/// fragment-body codec reads through.
+trait FrameReader {
+    fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError>;
+    fn histogram(&mut self) -> Result<qrcc_core::obs::Histogram, DecodeError>;
+    fn shots_and_trace(&mut self) -> Result<(Option<Vec<u64>>, Option<TraceContext>), DecodeError>;
+}
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("two bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("four bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("eight bytes")))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, ProtoError> {
+impl FrameReader for Reader<'_> {
+    fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.u64()?)),
-            flag => Err(ProtoError::malformed(format!("invalid option flag {flag}"))),
+            flag => Err(DecodeError::new(format!("invalid option flag {flag}"))),
         }
     }
 
-    /// Counts `units` against the body being decoded, refusing it before
-    /// it outgrows [`MAX_FRAGMENT_WEIGHT`]. [`Decoder::body`] charges one
-    /// unit per name byte, operation, barrier operand and slot, never more
-    /// than the body's [`FragmentBody::weight`], so decoding allocates at
-    /// most the cap's worth; the exact weight is checked once the body is
-    /// built.
-    fn charge(&mut self, units: usize) -> Result<(), ProtoError> {
-        self.weight_left = self.weight_left.checked_sub(units).ok_or_else(|| {
-            ProtoError::malformed(format!(
-                "fragment body outweighs the {MAX_FRAGMENT_WEIGHT}-unit cap"
-            ))
-        })?;
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtoError::malformed("string is not valid utf-8"))
-    }
-
-    fn histogram(&mut self) -> Result<qrcc_core::obs::Histogram, ProtoError> {
-        let count = self.u64()?;
-        let sum = self.u64()?;
-        let min = self.u64()?;
-        let max = self.u64()?;
-        let bucket_count = self.u32()? as usize;
-        let mut buckets = Vec::with_capacity(bucket_count.min(1024));
-        for _ in 0..bucket_count {
-            buckets.push((self.u32()?, self.u64()?));
-        }
+    fn histogram(&mut self) -> Result<qrcc_core::obs::Histogram, DecodeError> {
+        let (count, sum, min, max) = (self.u64()?, self.u64()?, self.u64()?, self.u64()?);
+        let buckets = self.list(|d| Ok((d.u32()?, d.u64()?)))?;
         Ok(qrcc_core::obs::Histogram::from_sparse(count, sum, min, max, &buckets))
     }
 
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn qubit(&mut self) -> Result<QubitId, ProtoError> {
-        Ok(QubitId::new(self.u32()? as usize))
-    }
-
-    fn shots_and_trace(&mut self) -> Result<(Option<Vec<u64>>, Option<TraceContext>), ProtoError> {
+    fn shots_and_trace(&mut self) -> Result<(Option<Vec<u64>>, Option<TraceContext>), DecodeError> {
         let shots = match self.u8()? {
             0 => None,
-            1 => {
-                let count = self.u32()? as usize;
-                let mut shots = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    shots.push(self.u64()?);
-                }
-                Some(shots)
-            }
-            flag => return Err(ProtoError::malformed(format!("invalid shots flag {flag}"))),
+            1 => Some(self.list(Reader::u64)?),
+            flag => return Err(DecodeError::new(format!("invalid shots flag {flag}"))),
         };
         let trace = match self.u8()? {
             0 => None,
             1 => Some(TraceContext { trace_id: self.u64()?, parent_span: self.u64()? }),
-            flag => return Err(ProtoError::malformed(format!("invalid trace flag {flag}"))),
+            flag => return Err(DecodeError::new(format!("invalid trace flag {flag}"))),
         };
         Ok((shots, trace))
-    }
-
-    /// The inverse of [`gate_code`].
-    fn gate(&mut self) -> Result<Gate, ProtoError> {
-        Ok(match self.u8()? {
-            0 => Gate::I,
-            1 => Gate::H,
-            2 => Gate::X,
-            3 => Gate::Y,
-            4 => Gate::Z,
-            5 => Gate::S,
-            6 => Gate::Sdg,
-            7 => Gate::T,
-            8 => Gate::Tdg,
-            9 => Gate::SqrtX,
-            10 => Gate::Rx(self.f64()?),
-            11 => Gate::Ry(self.f64()?),
-            12 => Gate::Rz(self.f64()?),
-            13 => Gate::Phase(self.f64()?),
-            14 => Gate::U3(self.f64()?, self.f64()?, self.f64()?),
-            15 => Gate::Cx,
-            16 => Gate::Cy,
-            17 => Gate::Cz,
-            18 => Gate::Swap,
-            19 => Gate::Rzz(self.f64()?),
-            20 => Gate::Rxx(self.f64()?),
-            21 => Gate::Ryy(self.f64()?),
-            22 => Gate::CPhase(self.f64()?),
-            code => return Err(ProtoError::malformed(format!("unknown gate code {code}"))),
-        })
-    }
-
-    /// The inverse of [`put_operation`]; gates go through
-    /// [`Operation::gate`], which checks arity, repeated qubits and angles.
-    fn operation(&mut self) -> Result<Operation, ProtoError> {
-        self.charge(1)?;
-        let gate_op = |gate: Gate, qubits: &[QubitId]| {
-            Operation::gate(gate, qubits).map_err(|e| ProtoError::malformed(e.to_string()))
-        };
-        Ok(match self.u8()? {
-            0 => {
-                let gate = self.gate()?;
-                gate_op(gate, &[self.qubit()?])?
-            }
-            1 => {
-                let gate = self.gate()?;
-                gate_op(gate, &[self.qubit()?, self.qubit()?])?
-            }
-            2 => Operation::Measure { qubit: self.qubit()?, clbit: self.u32()? as usize },
-            3 => Operation::Reset { qubit: self.qubit()? },
-            4 => {
-                let count = self.u32()? as usize;
-                self.charge(count)?;
-                let mut qubits = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    qubits.push(self.qubit()?);
-                }
-                Operation::Barrier { qubits }
-            }
-            code => return Err(ProtoError::malformed(format!("unknown operation code {code}"))),
-        })
-    }
-
-    fn operations(&mut self) -> Result<Vec<Operation>, ProtoError> {
-        let count = self.u32()? as usize;
-        let mut ops = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            ops.push(self.operation()?);
-        }
-        Ok(ops)
-    }
-
-    /// The inverse of [`put_body`]; [`FragmentBody::new`] checks every
-    /// invariant instantiation relies on, so a hostile body is a typed
-    /// error here, never a panic later, and [`Decoder::charge`] stops a
-    /// body heavier than [`MAX_FRAGMENT_WEIGHT`] before it is held.
-    fn body(&mut self) -> Result<FragmentBody, ProtoError> {
-        self.weight_left = MAX_FRAGMENT_WEIGHT;
-        let name = self.string()?;
-        self.charge(name.len())?;
-        let num_qubits = self.u32()? as usize;
-        let num_clbits = self.u32()? as usize;
-        let num_outputs = self.u32()? as usize;
-        let variant_count = self.u64()?;
-        let count = self.u32()? as usize;
-        let mut skeleton = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let code = self.u8()?;
-            if code != 0 {
-                self.charge(1)?; // a slot; a fixed operation charges itself
-            }
-            skeleton.push(match code {
-                0 => SkeletonOp::Fixed(self.operation()?),
-                1 => SkeletonOp::Prep { place: self.u64()?, qubit: self.qubit()? },
-                2 => SkeletonOp::CutMeasure {
-                    place: self.u64()?,
-                    qubit: self.qubit()?,
-                    clbit: self.u32()? as usize,
-                },
-                3 => SkeletonOp::OutputMeasure {
-                    shift: self.u32()?,
-                    qubit: self.qubit()?,
-                    clbit: self.u32()? as usize,
-                },
-                4 => SkeletonOp::GateCutHalf {
-                    place: self.u64()?,
-                    half: match self.u8()? {
-                        0 => GateHalf::Top,
-                        1 => GateHalf::Bottom,
-                        half => {
-                            return Err(ProtoError::malformed(format!("unknown gate half {half}")))
-                        }
-                    },
-                    qubit: self.qubit()?,
-                    clbit: self.u32()? as usize,
-                    pre: self.operations()?,
-                    post: self.operations()?,
-                },
-                code => return Err(ProtoError::malformed(format!("unknown skeleton code {code}"))),
-            });
-        }
-        let body =
-            FragmentBody::new(name, num_qubits, num_clbits, num_outputs, variant_count, skeleton)
-                .map_err(|e| ProtoError::malformed(e.to_string()))?;
-        if body.weight() > MAX_FRAGMENT_WEIGHT {
-            return Err(ProtoError::malformed(format!(
-                "fragment body of weight {} outweighs the {MAX_FRAGMENT_WEIGHT}-unit cap",
-                body.weight()
-            )));
-        }
-        Ok(body)
     }
 }
 
@@ -1070,7 +708,7 @@ pub fn validate_len(len: u32) -> Result<usize, ProtoError> {
 /// [`ProtoError::Malformed`] for unknown tags, truncated payloads, or
 /// trailing garbage.
 pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
-    let mut d = Decoder { bytes: payload, at: 0, weight_left: 0 };
+    let mut d = Reader::new(payload);
     let tag = d.u8()?;
     let frame = match tag {
         TAG_CLIENT_HELLO => Frame::ClientHello { version: d.u16()? },
@@ -1085,11 +723,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
         },
         TAG_SUBMIT_BATCH => {
             let batch = d.u64()?;
-            let count = d.u32()? as usize;
-            let mut circuits = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                circuits.push(d.string()?);
-            }
+            let circuits = d.list(Reader::string)?;
             let (shots, trace) = d.shots_and_trace()?;
             Frame::SubmitBatch { batch, circuits, shots, trace }
         }
@@ -1100,27 +734,18 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
                     "fragment id {id} is outside the {MAX_FRAGMENTS}-entry table"
                 )));
             }
-            Frame::DefineFragment { id, body: d.body()? }
+            Frame::DefineFragment { id, body: FragmentBody::decode(&mut d, MAX_FRAGMENT_WEIGHT)? }
         }
         TAG_SUBMIT_VARIANTS => {
             let batch = d.u64()?;
-            let count = d.u32()? as usize;
-            let mut keys = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                keys.push(VariantKey::new(d.u32()? as usize, d.u64()?, d.u64()?));
-            }
+            let keys = d.list(|d| Ok(VariantKey::new(d.u32()? as usize, d.u64()?, d.u64()?)))?;
             let (shots, trace) = d.shots_and_trace()?;
             Frame::SubmitVariants { batch, keys, shots, trace }
         }
         TAG_CIRCUIT_RESULT => {
             let batch = d.u64()?;
             let index = d.u32()?;
-            let count = d.u32()? as usize;
-            let mut distribution = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                distribution.push(f64::from_bits(d.u64()?));
-            }
-            Frame::CircuitResult { batch, index, distribution }
+            Frame::CircuitResult { batch, index, distribution: d.list(Reader::f64)? }
         }
         TAG_CIRCUIT_FAILED => {
             let batch = d.u64()?;
@@ -1135,30 +760,19 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
             let executed = d.u32()?;
             let telemetry = match d.u8()? {
                 0 => None,
-                1 => {
-                    let span_count = d.u32()? as usize;
-                    let mut spans = Vec::with_capacity(span_count.min(1024));
-                    for _ in 0..span_count {
-                        spans.push(qrcc_core::obs::RemoteSpan {
+                1 => Some(BatchTelemetry {
+                    spans: d.list(|d| {
+                        Ok(qrcc_core::obs::RemoteSpan {
                             id: d.u64()?,
                             parent: d.u64()?,
                             name: d.string()?,
                             start_unix_us: d.u64()?,
                             duration_us: d.u64()?,
-                        });
-                    }
-                    let counter_count = d.u32()? as usize;
-                    let mut counters = Vec::with_capacity(counter_count.min(1024));
-                    for _ in 0..counter_count {
-                        counters.push((d.string()?, d.u64()?));
-                    }
-                    let histogram_count = d.u32()? as usize;
-                    let mut histograms = Vec::with_capacity(histogram_count.min(1024));
-                    for _ in 0..histogram_count {
-                        histograms.push((d.string()?, d.histogram()?));
-                    }
-                    Some(BatchTelemetry { spans, counters, histograms })
-                }
+                        })
+                    })?,
+                    counters: d.list(|d| Ok((d.string()?, d.u64()?)))?,
+                    histograms: d.list(|d| Ok((d.string()?, d.histogram()?)))?,
+                }),
                 flag => {
                     return Err(ProtoError::malformed(format!("invalid telemetry flag {flag}")))
                 }
@@ -1166,25 +780,14 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
             Frame::BatchDone { batch, executed, telemetry }
         }
         TAG_GET_METRICS => Frame::GetMetrics,
-        TAG_METRICS_REPLY => {
-            let prometheus = d.string()?;
-            let windowed_count = d.u32()? as usize;
-            let mut windowed = Vec::with_capacity(windowed_count.min(1024));
-            for _ in 0..windowed_count {
-                windowed.push((d.string()?, d.histogram()?));
-            }
-            let counter_count = d.u32()? as usize;
-            let mut counters = Vec::with_capacity(counter_count.min(1024));
-            for _ in 0..counter_count {
-                counters.push((d.string()?, d.u64()?));
-            }
-            let gauge_count = d.u32()? as usize;
-            let mut gauges = Vec::with_capacity(gauge_count.min(1024));
-            for _ in 0..gauge_count {
-                gauges.push((d.string()?, f64::from_bits(d.u64()?)));
-            }
-            Frame::MetricsReply { report: MetricsReport { prometheus, windowed, counters, gauges } }
-        }
+        TAG_METRICS_REPLY => Frame::MetricsReply {
+            report: MetricsReport {
+                prometheus: d.string()?,
+                windowed: d.list(|d| Ok((d.string()?, d.histogram()?)))?,
+                counters: d.list(|d| Ok((d.string()?, d.u64()?)))?,
+                gauges: d.list(|d| Ok((d.string()?, d.f64()?)))?,
+            },
+        },
         TAG_GET_HEALTH => Frame::GetHealth,
         TAG_HEALTH_REPLY => {
             let code = d.u8()?;
@@ -1207,12 +810,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, ProtoError> {
         }
         unknown => return Err(ProtoError::malformed(format!("unknown frame tag {unknown}"))),
     };
-    if d.at != payload.len() {
-        return Err(ProtoError::malformed(format!(
-            "{} trailing byte(s) after a complete frame",
-            payload.len() - d.at
-        )));
-    }
+    d.finish()?;
     Ok(frame)
 }
 
@@ -1237,6 +835,9 @@ mod tests {
     use super::*;
     use proptest::collection;
     use proptest::prelude::*;
+    use qrcc_circuit::{Gate, Operation, QubitId};
+    use qrcc_core::fragment::SkeletonOp;
+    use qrcc_core::gatecut::GateHalf;
 
     fn roundtrip(frame: Frame) {
         let mut wire = Vec::new();
@@ -1419,6 +1020,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_definition_carries_exactly_the_body_codec_bytes() {
+        for (id, body) in sample_bodies().into_iter().enumerate() {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &Frame::DefineFragment { id: id as u32, body: body.clone() })
+                .unwrap();
+            let mut encoded = Vec::new();
+            body.encode(&mut encoded);
+            // length prefix, tag and id, then the body and nothing else
+            assert_eq!(wire[4..9], [TAG_DEFINE_FRAGMENT, 0, 0, 0, id as u8]);
+            assert_eq!(wire[9..], encoded[..], "{}", body.name());
+        }
+    }
+
     /// The byte offset of a body's `variant_count` inside an encoded
     /// `DefineFragment` frame (after the length prefix, tag, id, name and
     /// three register counts), and of its `num_qubits` / `num_clbits`.
@@ -1464,7 +1079,7 @@ mod tests {
         let mut place_at = count_at + 8 + 4 + 1;
         for op in &body.skeleton()[..slot] {
             let mut bytes = Vec::new();
-            put_skeleton_op(&mut bytes, op);
+            op.encode(&mut bytes);
             place_at += bytes.len();
         }
         assert!(malformed(patched(place_at, &0u64.to_be_bytes())));

@@ -542,12 +542,18 @@ fn graceful_shutdown_disconnects_clients_cleanly() {
 
 #[test]
 fn a_circuit_measuring_nothing_is_refused_in_process_and_through_a_worker() {
-    // without a classical bit there is no distribution to report: every
+    // without a classical bit there is no distribution to report, and over
+    // 40 or 70 of them none fits in memory (2^70 once wrapped to 2^6): every
     // backend refuses the variant with the same typed, permanent error,
     // and the rest of its batch runs
     let mut unmeasured = Circuit::new(2);
     unmeasured.h(0).cx(0, 1);
-    let exact = ExactBackend::new;
+    let wide = |clbits: usize| {
+        let mut c = Circuit::with_clbits(1, clbits);
+        c.h(0).measure(0, clbits - 1);
+        c
+    };
+    let exact = || ExactBackend::capped(3);
     let shots = || ShotsBackend::new(Device::new(DeviceConfig::ideal(2).with_seed(5)), 1_000);
     let servers = [
         QrccServer::bind("127.0.0.1:0", exact()).unwrap().spawn(),
@@ -556,36 +562,58 @@ fn a_circuit_measuring_nothing_is_refused_in_process_and_through_a_worker() {
     let remotes: Vec<RemoteBackend> =
         servers.iter().map(|server| RemoteBackend::connect(server.addr()).unwrap()).collect();
     let backends: [&dyn ExecutionBackend; 4] = [&exact(), &shots(), &remotes[0], &remotes[1]];
+    let too_wide = |required| SimError::TooManyClbits { required, available: 30 };
     for backend in backends {
-        let results = backend.run_batch(&[bell(), unmeasured.clone(), bell()]);
-        let refused = CoreError::Simulation(SimError::NothingToMeasure);
-        assert_eq!(results[1], Err(refused.clone()), "{}", backend.label());
-        assert!(!refused.is_transient(), "a refusal is not retried");
-        assert!(results[0].is_ok() && results[2].is_ok(), "{}: {results:?}", backend.label());
+        let batch = [bell(), unmeasured.clone(), wide(40), wide(70), bell()];
+        let results = backend.run_batch(&batch);
+        let refusals = [(1, SimError::NothingToMeasure), (2, too_wide(40)), (3, too_wide(70))];
+        for (at, refusal) in refusals {
+            let refused = CoreError::Simulation(refusal);
+            assert_eq!(results[at], Err(refused.clone()), "{}", backend.label());
+            assert!(!refused.is_transient(), "a refusal is not retried");
+        }
+        assert!(results[0].is_ok() && results[4].is_ok(), "{}: {results:?}", backend.label());
     }
 
-    // a worker handed one anyway refuses it as deterministic
+    // a worker handed them anyway refuses them as deterministic, and then
+    // serves a normal batch on the same connection
     for server in &servers {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         proto::write_frame(&mut stream, &Frame::ClientHello { version: PROTOCOL_VERSION }).unwrap();
         assert!(matches!(proto::read_frame(&mut stream).unwrap(), Frame::ServerHello { .. }));
-        let circuits = vec![qrcc_circuit::qasm::to_qasm(&unmeasured)];
+        let refused = [(&unmeasured, "no measurements"), (&wide(40), "40"), (&wide(70), "70")];
+        let circuits = refused.iter().map(|(c, _)| qrcc_circuit::qasm::to_qasm(c)).collect();
         let submit = Frame::SubmitBatch { batch: 4, circuits, shots: None, trace: None };
         proto::write_frame(&mut stream, &submit).unwrap();
-        match proto::read_frame(&mut stream).unwrap() {
-            Frame::CircuitFailed { index: 0, kind, reason, .. } => {
-                assert_eq!(kind, WireErrorKind::Protocol);
-                assert!(reason.contains("no measurements"), "{reason}");
+        for (at, (_, says)) in refused.iter().enumerate() {
+            match proto::read_frame(&mut stream).unwrap() {
+                Frame::CircuitFailed { index, kind, reason, .. } if index as usize == at => {
+                    assert_eq!(kind, WireErrorKind::Protocol, "{reason}");
+                    assert!(reason.contains(says), "{reason}");
+                }
+                other => panic!("expected refusal {at}, got {other:?}"),
             }
-            other => panic!("expected the refusal, got {other:?}"),
         }
         assert!(matches!(
             proto::read_frame(&mut stream).unwrap(),
             Frame::BatchDone { executed: 0, .. }
         ));
+        let circuits = vec![qrcc_circuit::qasm::to_qasm(&bell())];
+        let submit = Frame::SubmitBatch { batch: 5, circuits, shots: None, trace: None };
+        proto::write_frame(&mut stream, &submit).unwrap();
+        match proto::read_frame(&mut stream).unwrap() {
+            Frame::CircuitResult { index: 0, distribution, .. } => {
+                assert_eq!(distribution.len(), 4)
+            }
+            other => panic!("expected the bell's distribution, got {other:?}"),
+        }
+        assert!(matches!(
+            proto::read_frame(&mut stream).unwrap(),
+            Frame::BatchDone { executed: 1, .. }
+        ));
     }
     for server in servers {
-        assert_eq!(server.shutdown().circuits_ok, 2, "the two bells ran, nothing else");
+        assert_eq!(server.shutdown().circuits_ok, 3, "the three bells ran, nothing else");
     }
 }

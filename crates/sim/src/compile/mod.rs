@@ -84,7 +84,7 @@ use crate::matrix::{matmul2, single_qubit_matrix, two_qubit_matrix, Matrix2};
 use crate::{Complex, Counts, ShotSink, SimError, StateVector};
 use qrcc_circuit::{Circuit, Gate, Operation};
 use rand::Rng;
-use stats::{family, Bucket, Tally};
+use stats::{Bucket, Tally};
 use std::sync::OnceLock;
 
 fn is_zero(c: Complex) -> bool {
@@ -98,9 +98,10 @@ fn is_one(c: Complex) -> bool {
 /// A run of single-qubit gates on one wire, folded into one matrix.
 struct Pending {
     m: Matrix2,
-    /// Family of the run's first gate: tallied when a second gate joins
-    /// (every gate of a longer run is fused) or when the run is flushed alone.
-    first: usize,
+    /// Family ([`Gate::code`]) of the run's first gate: tallied when a
+    /// second gate joins (every gate of a longer run is fused) or when the
+    /// run is flushed alone.
+    first: u8,
     len: u64,
 }
 
@@ -120,10 +121,10 @@ fn lower(num_qubits: usize, ops: &[Operation], kernels: &mut Vec<Kernel>, tally:
                         if p.len == 1 {
                             tally.record_gate(p.first, Bucket::Fused);
                         }
-                        tally.record_gate(family(gate), Bucket::Fused);
+                        tally.record_gate(gate.code(), Bucket::Fused);
                         p.len += 1;
                     }
-                    None => pending[q] = Some(Pending { m, first: family(gate), len: 1 }),
+                    None => pending[q] = Some(Pending { m, first: gate.code(), len: 1 }),
                 }
             }
             Operation::Two { gate, qubits } => {
@@ -206,7 +207,7 @@ fn lower_two(gate: &Gate, qa: usize, qb: usize, kernels: &mut Vec<Kernel>, tally
         ),
         _ => (Kernel::Two { qa, qb, m }, Bucket::General),
     };
-    tally.record_gate(family(gate), bucket);
+    tally.record_gate(gate.code(), bucket);
     kernels.push(k);
     tally.kernels_out += 1;
 }
@@ -326,9 +327,12 @@ impl FramedProgram {
     ///
     /// # Errors
     ///
-    /// [`SimError::NothingToMeasure`] when the program has no classical bits
-    /// and [`SimError::TooManyQubits`] past the simulator limit.
+    /// [`SimError::NothingToMeasure`] when the program has no classical
+    /// bits, [`SimError::TooManyClbits`] when the distribution over them
+    /// would hold more than 2^[`Counts::MAX_DENSE_BITS`] values, and
+    /// [`SimError::TooManyQubits`] past the simulator limit.
     pub fn read_out(&self) -> Result<ExactReadout, SimError> {
+        Counts::check_dense(self.num_clbits)?;
         let root = self.readout_root()?;
         Ok(readout::read_out(&self.kernels, &self.measurements, self.num_clbits, root))
     }

@@ -541,6 +541,22 @@ mod tests {
     }
 
     #[test]
+    fn an_exact_readout_refuses_a_distribution_past_the_dense_cap() {
+        // 2^31 values would not fit; 2^70 would wrap a shift to 2^6
+        for clbits in [31, 40, 70] {
+            let mut c = Circuit::with_clbits(1, clbits);
+            c.h(0).measure(0, clbits - 1);
+            let program = FramedProgram::compile(&c);
+            let refused = SimError::TooManyClbits { required: clbits, available: 30 };
+            assert_eq!(program.read_out().err(), Some(refused));
+            if clbits <= 64 {
+                let sampled = program.sample(4, &mut Constant(0)).unwrap();
+                assert_eq!(sampled.counts.shots(), 4, "sparse counts hold {clbits} bits");
+            }
+        }
+    }
+
+    #[test]
     fn kernels_and_operations_classify_alike() {
         let mut c = Circuit::with_clbits(2, 3);
         c.h(0).cx(0, 1).measure(0, 0).reset(0).h(0).measure(0, 1).measure(1, 2);

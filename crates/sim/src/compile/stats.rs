@@ -12,65 +12,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One representative of every gate family, in the order [`family`]
-/// numbers them; only the name is read.
-const FAMILIES: [Gate; 23] = [
-    Gate::I,
-    Gate::H,
-    Gate::X,
-    Gate::Y,
-    Gate::Z,
-    Gate::S,
-    Gate::Sdg,
-    Gate::T,
-    Gate::Tdg,
-    Gate::SqrtX,
-    Gate::Rx(0.0),
-    Gate::Ry(0.0),
-    Gate::Rz(0.0),
-    Gate::Phase(0.0),
-    Gate::U3(0.0, 0.0, 0.0),
-    Gate::Cx,
-    Gate::Cy,
-    Gate::Cz,
-    Gate::Swap,
-    Gate::Rzz(0.0),
-    Gate::Rxx(0.0),
-    Gate::Ryy(0.0),
-    Gate::CPhase(0.0),
-];
-
-/// Number of gate families a tally counts.
-const FAMILY_COUNT: usize = FAMILIES.len();
-
-/// The index of `gate`'s family in [`FAMILIES`].
-pub(crate) fn family(gate: &Gate) -> usize {
-    use Gate::*;
-    match gate {
-        I => 0,
-        H => 1,
-        X => 2,
-        Y => 3,
-        Z => 4,
-        S => 5,
-        Sdg => 6,
-        T => 7,
-        Tdg => 8,
-        SqrtX => 9,
-        Rx(_) => 10,
-        Ry(_) => 11,
-        Rz(_) => 12,
-        Phase(_) => 13,
-        U3(..) => 14,
-        Cx => 15,
-        Cy => 16,
-        Cz => 17,
-        Swap => 18,
-        Rzz(_) => 19,
-        Rxx(_) => 20,
-        Ryy(_) => 21,
-        CPhase(_) => 22,
-    }
+/// The name of the gate family [`Gate::code`] numbers `code`.
+fn family_name(code: usize) -> &'static str {
+    let Ok(gate) = Gate::from_code(code as u8, || Ok::<_, std::convert::Infallible>(0.0));
+    gate.expect("every code below Gate::CODES names a gate").name()
 }
 
 /// Which disjoint [`FamilyStats`] bucket a gate landed in.
@@ -85,7 +30,7 @@ pub(crate) enum Bucket {
 /// and measurement classification record, without naming anything.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Tally {
-    gates: [[u64; 3]; FAMILY_COUNT],
+    gates: [[u64; 3]; Gate::CODES],
     pub(crate) kernels_out: u64,
     pub(crate) control_kernels: u64,
     pub(crate) terminal_measures: u64,
@@ -94,9 +39,10 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    /// Records one gate of family `family` (see [`family`]) into `bucket`.
-    pub(crate) fn record_gate(&mut self, family: usize, bucket: Bucket) {
-        self.gates[family][bucket as usize] += 1;
+    /// Records one gate of the family [`Gate::code`] numbers `code` into
+    /// `bucket`.
+    pub(crate) fn record_gate(&mut self, code: u8, bucket: Bucket) {
+        self.gates[code as usize][bucket as usize] += 1;
     }
 
     /// The scalar counters, in [`CompileCounters::scalars`] order.
@@ -118,7 +64,7 @@ impl Tally {
 
 /// Builds a [`CompileStats`] from per-family bucket counts and the scalar
 /// counters in [`Tally::scalars`] order.
-fn stats_of(gates: [[u64; 3]; FAMILY_COUNT], scalars: [u64; 5]) -> CompileStats {
+fn stats_of(gates: [[u64; 3]; Gate::CODES], scalars: [u64; 5]) -> CompileStats {
     let [kernels_out, control_kernels, terminal_measures, branch_points, eliminated_gates] =
         scalars;
     let mut stats = CompileStats {
@@ -129,12 +75,12 @@ fn stats_of(gates: [[u64; 3]; FAMILY_COUNT], scalars: [u64; 5]) -> CompileStats 
         eliminated_gates,
         ..CompileStats::default()
     };
-    for (gate, [fused, specialized, general]) in FAMILIES.iter().zip(gates) {
+    for (code, [fused, specialized, general]) in gates.into_iter().enumerate() {
         let total = fused + specialized + general;
         if total > 0 {
             stats.gates_in += total;
             let family = FamilyStats { gates: total, fused, specialized, general };
-            stats.families.insert(gate.name().to_owned(), family);
+            stats.families.insert(family_name(code).to_owned(), family);
         }
     }
     stats
@@ -148,7 +94,7 @@ fn stats_of(gates: [[u64; 3]; FAMILY_COUNT], scalars: [u64; 5]) -> CompileStats 
 /// report when it is read.
 #[derive(Debug, Default)]
 pub struct CompileCounters {
-    gates: [[AtomicU64; 3]; FAMILY_COUNT],
+    gates: [[AtomicU64; 3]; Gate::CODES],
     /// [`Tally::scalars`], in that order.
     scalars: [AtomicU64; 5],
 }
@@ -342,18 +288,19 @@ mod tests {
 
     #[test]
     fn family_numbers_every_gate_once_in_table_order() {
-        for (index, gate) in FAMILIES.iter().enumerate() {
-            assert_eq!(family(gate), index, "{}", gate.name());
+        let gates = [Gate::H, Gate::Rz(0.5), Gate::U3(0.1, 0.2, 0.3), Gate::Cx, Gate::CPhase(1.0)];
+        for gate in gates {
+            assert_eq!(family_name(gate.code() as usize), gate.name());
         }
-        let mut names: Vec<&str> = FAMILIES.iter().map(Gate::name).collect();
+        let mut names: Vec<&str> = (0..Gate::CODES).map(family_name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), FAMILY_COUNT, "one family per gate name");
+        assert_eq!(names.len(), Gate::CODES, "one family per gate name");
     }
 
     #[test]
     fn buckets_are_disjoint_and_merge_adds() {
-        let h = family(&Gate::H);
+        let h = Gate::H.code();
         let mut a = Tally::default();
         a.record_gate(h, Bucket::Fused);
         a.record_gate(h, Bucket::General);

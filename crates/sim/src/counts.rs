@@ -48,6 +48,20 @@ impl Counts {
     /// `2^30`-entry vector is 8 GiB of `f64`.
     pub const MAX_DENSE_BITS: usize = 30;
 
+    /// Checks that a dense vector over `num_bits` classical bits stays
+    /// within [`Counts::MAX_DENSE_BITS`], before anything is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TooManyClbits`] past the cap.
+    pub fn check_dense(num_bits: usize) -> Result<(), SimError> {
+        let available = Self::MAX_DENSE_BITS;
+        if num_bits > available {
+            return Err(SimError::TooManyClbits { required: num_bits, available });
+        }
+        Ok(())
+    }
+
     /// An empty histogram over `num_bits` classical bits.
     ///
     /// # Panics
@@ -202,12 +216,7 @@ impl DenseCounts {
 
 impl ShotSink for DenseCounts {
     fn over(num_bits: usize) -> Result<Self, SimError> {
-        if num_bits > Counts::MAX_DENSE_BITS {
-            return Err(SimError::TooManyClbits {
-                required: num_bits,
-                available: Counts::MAX_DENSE_BITS,
-            });
-        }
+        Counts::check_dense(num_bits)?;
         Ok(DenseCounts { tallies: vec![0.0; 1 << num_bits], shots: 0 })
     }
 
